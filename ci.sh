@@ -210,4 +210,27 @@ if [ "${1:-}" = "sanitize" ]; then
     fi
 fi
 
+# Benchmark smoke stage: `./ci.sh perfbench` runs the benchmark
+# package's fidelity tests (traced loops bit-identical to the apps'
+# step(), every workload verifying clean), then a short untraced run of
+# each BENCHMARK.json workload. A run passes only if its final JSON
+# record reports `"correct": true` and `"failed": 0`.
+if [ "${1:-}" = "perfbench" ]; then
+    echo "== perfbench: fidelity tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml --quiet
+
+    for workload in fempic_duct_seq fempic_duct_2rank cabana_two_stream_seq; do
+        echo "== perfbench: $workload smoke (3 s, untraced)"
+        out=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 3 --trace 0) \
+            || { echo "perfbench: $workload exited non-zero" >&2; exit 1; }
+        record=$(printf '%s\n' "$out" | grep '^{' | tail -n 1)
+        if ! printf '%s' "$record" | grep -q '"correct": true' \
+            || ! printf '%s' "$record" | grep -q '"failed": 0,'; then
+            echo "perfbench: $workload did not verify clean: $record" >&2
+            exit 1
+        fi
+    done
+fi
+
 echo "CI OK"

@@ -2,6 +2,7 @@
 //! partitioners, overlay build/locate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use oppic_core::ExecPolicy;
 use oppic_linalg::{cg_solve, CgConfig, CsrBuilder};
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
 use oppic_mpi::comm::world_run;
@@ -36,6 +37,7 @@ fn bench_cg(c: &mut Criterion) {
             bch.iter(|| {
                 let mut x = vec![0.0; nn];
                 cg_solve(
+                    &ExecPolicy::Par,
                     &a,
                     &rhs,
                     &mut x,

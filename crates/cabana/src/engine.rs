@@ -18,9 +18,8 @@ use oppic_core::parloop::{
     par_loop_binding2_cells, par_loop_direct1, par_loop_segments2_cells, par_loop_slices2_cells,
 };
 use oppic_core::profile::{KernelClass, Profiler};
-use oppic_core::{ColId, Dat, ParticleDats, ThreadBinding, MAT_TILE_WIDTH};
-use oppic_device::DeviceBuffer;
-use std::sync::atomic::{AtomicU64, Ordering};
+use oppic_core::{ColId, Dat, Depositor, ParticleDats, Tally, ThreadBinding, MAT_TILE_WIDTH};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// How a version resolves periodic face-neighbours.
 pub trait Topology: Sync {
@@ -45,6 +44,22 @@ impl EnergyDiagnostics {
     }
 }
 
+/// Per-piece tallies of `Move_Deposit`, merged once per loop.
+#[derive(Default)]
+struct MoveTally {
+    /// Cells visited (≥ 1 per particle).
+    visited: u64,
+    /// Particles whose final cell differs from their start cell.
+    moved: u64,
+}
+
+impl Tally for MoveTally {
+    fn merge(&mut self, other: MoveTally) {
+        self.visited += other.visited;
+        self.moved += other.moved;
+    }
+}
+
 /// The CabanaPIC engine, generic over neighbour resolution.
 pub struct CabanaEngine<T: Topology> {
     pub cfg: CabanaConfig,
@@ -59,9 +74,12 @@ pub struct CabanaEngine<T: Topology> {
     /// field derivatives as interpolator values within cell data).
     interp_e: Dat,
     interp_b: Dat,
-    /// Current accumulator (atomic — races between particles landing
-    /// in the same cell are resolved here).
-    acc: DeviceBuffer,
+    /// Current accumulator, 3 per cell. `Move_Deposit` increments it
+    /// through the DSL's scatter-array strategy
+    /// ([`oppic_core::scatter_pieces`]): exclusively in particle order
+    /// on one piece, via private arrays reduced in piece order on
+    /// several.
+    acc: Vec<f64>,
     pub ps: ParticleDats,
     pub pos: ColId,
     pub vel: ColId,
@@ -114,7 +132,7 @@ impl<T: Topology> CabanaEngine<T> {
             j: Dat::zeros("J", n_cells, 3),
             interp_e: Dat::zeros("interp E", n_cells, 3),
             interp_b: Dat::zeros("interp B", n_cells, 3),
-            acc: DeviceBuffer::zeros(n_cells * 3),
+            acc: vec![0.0; n_cells * 3],
             ps,
             pos,
             vel,
@@ -200,11 +218,8 @@ impl<T: Topology> CabanaEngine<T> {
         let q_w = self.cfg.charge * self.weight;
         let ie = &self.interp_e;
         let ib = &self.interp_b;
-        let acc = &self.acc;
+        let acc = &mut self.acc;
         let matrix_gather = self.cfg.matrix_gather;
-        let visited_total = AtomicU64::new(0);
-        let moved_total = AtomicU64::new(0);
-        use std::sync::atomic::AtomicU32;
         let visit_log: Vec<AtomicU32> = if self.cfg.record_visits {
             (0..self.ps.len()).map(|_| AtomicU32::new(0)).collect()
         } else {
@@ -212,41 +227,50 @@ impl<T: Topology> CabanaEngine<T> {
         };
 
         // Boris push + path-splitting move of one particle, shared by
-        // both gather paths.
-        let push_move =
-            |i: usize, x: &mut [f64], v: &mut [f64], cl: &mut i32, ef: [f64; 3], bf: [f64; 3]| {
-                let c = *cl as usize;
-                let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-                let nv = boris_push([v[0], v[1], v[2]], ef, bf, qm_half_dt);
-                v.copy_from_slice(&nv);
-                let (final_cell, visited) =
-                    move_deposit_particle(&geom, x, &nv, c, dt, nb, |cell, frac| {
-                        acc.atomic_add(cell * 3, q_w * nv[0] * frac);
-                        acc.atomic_add(cell * 3 + 1, q_w * nv[1] * frac);
-                        acc.atomic_add(cell * 3 + 2, q_w * nv[2] * frac);
-                    });
-                if final_cell != c {
-                    moved_total.fetch_add(1, Ordering::Relaxed);
-                }
-                *cl = final_cell as i32;
-                visited_total.fetch_add(visited as u64, Ordering::Relaxed);
-                if let Some(slot) = visit_log.get(i) {
-                    slot.store(visited, Ordering::Relaxed);
-                }
-            };
+        // both gather paths. Current goes through the piece's
+        // depositor, the tallies into the piece's own counters.
+        let push_move = |dep: &mut Depositor,
+                         tally: &mut MoveTally,
+                         i: usize,
+                         x: &mut [f64],
+                         v: &mut [f64],
+                         cl: &mut i32,
+                         ef: [f64; 3],
+                         bf: [f64; 3]| {
+            let c = *cl as usize;
+            let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
+            let nv = boris_push([v[0], v[1], v[2]], ef, bf, qm_half_dt);
+            v.copy_from_slice(&nv);
+            let (final_cell, visited) =
+                move_deposit_particle(&geom, x, &nv, c, dt, nb, |cell, frac| {
+                    dep.add(cell * 3, q_w * nv[0] * frac);
+                    dep.add(cell * 3 + 1, q_w * nv[1] * frac);
+                    dep.add(cell * 3 + 2, q_w * nv[2] * frac);
+                });
+            if final_cell != c {
+                tally.moved += 1;
+            }
+            *cl = final_cell as i32;
+            tally.visited += visited as u64;
+            if let Some(slot) = visit_log.get(i) {
+                slot.store(visited, Ordering::Relaxed);
+            }
+        };
 
         // `Some(non-empty segments)` when the segment-batched path ran.
-        let segment_batched = if let Some((cell_start, pos, vel, cells)) =
+        let mut segment_batched = None;
+        let tally = if let Some((cell_start, pos, vel, cells)) =
             self.ps.cols_mut2_cells_mut_with_index(self.pos, self.vel)
         {
-            let nseg = cell_start.windows(2).filter(|w| w[1] > w[0]).count();
+            segment_batched = Some(cell_start.windows(2).filter(|w| w[1] > w[0]).count());
             par_loop_segments2_cells(
                 &self.cfg.policy,
                 cell_start,
                 (3, pos),
                 (3, vel),
                 cells,
-                |c, first, xs, vs, cw| {
+                acc,
+                |dep, tally, c, first, xs, vs, cw| {
                     let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
                     let ids = stencil27(c, nb);
                     let mut se = [[0.0f64; 3]; 27];
@@ -277,7 +301,7 @@ impl<T: Topology> CabanaEngine<T> {
                                 let bf = gather_shape_row(wts, idx, &sb);
                                 let x = &mut xs[j * 3..j * 3 + 3];
                                 let v = &mut vs[j * 3..j * 3 + 3];
-                                push_move(first + j, x, v, &mut cw[j], ef, bf);
+                                push_move(dep, tally, first + j, x, v, &mut cw[j], ef, bf);
                             }
                             lo = hi;
                         }
@@ -291,18 +315,19 @@ impl<T: Topology> CabanaEngine<T> {
                             let p = [x[0], x[1], x[2]];
                             let ef = gather_trilinear_stencil(&geom, p, c, &se);
                             let bf = gather_trilinear_stencil(&geom, p, c, &sb);
-                            push_move(first + j, x, v, cl, ef, bf);
+                            push_move(dep, tally, first + j, x, v, cl, ef, bf);
                         }
                     }
                 },
-            );
-            Some(nseg)
+            )
         } else {
-            None
-        };
-        if segment_batched.is_none() {
             let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
-            let kernel = |i: usize, x: &mut [f64], v: &mut [f64], cl: &mut i32| {
+            let kernel = |dep: &mut Depositor,
+                          tally: &mut MoveTally,
+                          i: usize,
+                          x: &mut [f64],
+                          v: &mut [f64],
+                          cl: &mut i32| {
                 let c = *cl as usize;
                 let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
                 let p = [x[0], x[1], x[2]];
@@ -314,22 +339,29 @@ impl<T: Topology> CabanaEngine<T> {
                     let s = ib.el(cc);
                     [s[0], s[1], s[2]]
                 });
-                push_move(i, x, v, cl, ef, bf);
+                push_move(dep, tally, i, x, v, cl, ef, bf);
             };
             match &self.binding {
                 // Persistent binding: the same worker moves the same
-                // particles step after step. The deposit goes through
-                // the atomic accumulator either way, and per-slot
-                // writes are element-local, so the state this loop
-                // produces is independent of the binding.
-                Some(b) => {
-                    par_loop_binding2_cells(&self.cfg.policy, b, (3, pos), (3, vel), cells, kernel)
+                // particles step after step, and its spans form one
+                // scatter piece. Particle writes are element-local, so
+                // pos/vel/cells are independent of the binding; the
+                // current is reduced in worker order.
+                Some(b) => par_loop_binding2_cells(
+                    &self.cfg.policy,
+                    b,
+                    (3, pos),
+                    (3, vel),
+                    cells,
+                    acc,
+                    kernel,
+                ),
+                None => {
+                    par_loop_slices2_cells(&self.cfg.policy, (3, pos), (3, vel), cells, acc, kernel)
                 }
-                None => par_loop_slices2_cells(&self.cfg.policy, (3, pos), (3, vel), cells, kernel),
             }
-        }
-        let moved = moved_total.into_inner();
-        self.ps.refine_dirty(moved as usize);
+        };
+        self.ps.refine_dirty(tally.moved as usize);
         self.last_visited = visit_log.into_iter().map(AtomicU32::into_inner).collect();
 
         let n = self.ps.len() as u64;
@@ -342,7 +374,7 @@ impl<T: Topology> CabanaEngine<T> {
         };
         self.profiler
             .add_traffic("Move_Deposit", gather + n * (12 * 8 + 3 * 16 + 4), n * 230);
-        visited_total.into_inner()
+        tally.visited
     }
 
     /// `AccumulateCurrent`: accumulator → current density
@@ -352,11 +384,11 @@ impl<T: Topology> CabanaEngine<T> {
         let inv_vol = 1.0 / self.geom.cell_volume();
         let acc = &self.acc;
         par_loop_direct1(&self.cfg.policy, &mut self.j, |c, w| {
-            w[0] = acc.get(c * 3) * inv_vol;
-            w[1] = acc.get(c * 3 + 1) * inv_vol;
-            w[2] = acc.get(c * 3 + 2) * inv_vol;
+            w[0] = acc[c * 3] * inv_vol;
+            w[1] = acc[c * 3 + 1] * inv_vol;
+            w[2] = acc[c * 3 + 2] * inv_vol;
         });
-        self.acc.clear();
+        self.acc.fill(0.0);
         let bytes = (self.geom.n_cells() * 6 * 8) as u64;
         self.profiler
             .add_traffic("AccumulateCurrent", bytes, (self.geom.n_cells() * 3) as u64);
@@ -434,15 +466,13 @@ impl<T: Topology> CabanaEngine<T> {
     /// allreduces this across ranks between `Move_Deposit` and
     /// `AccumulateCurrent` (its `Update_Ghosts`).
     pub fn accumulator_snapshot(&self) -> Vec<f64> {
-        self.acc.to_vec()
+        self.acc.clone()
     }
 
     /// Overwrite the accumulator with globally reduced values.
-    pub fn accumulator_overwrite(&self, values: &[f64]) {
+    pub fn accumulator_overwrite(&mut self, values: &[f64]) {
         assert_eq!(values.len(), self.acc.len(), "accumulator shape mismatch");
-        for (i, &v) in values.iter().enumerate() {
-            self.acc.set(i, v);
-        }
+        self.acc.copy_from_slice(values);
     }
 
     /// List particles whose current cell is owned by another rank:
@@ -695,8 +725,8 @@ mod binding_tests {
         // Warm both engines up sequentially (bit-identical state),
         // then run one parallel step with and without the binding.
         // Particle writes are element-local, so pos/vel/cells must
-        // agree bit for bit; the atomic current accumulator is the
-        // only order-sensitive stage and is not compared.
+        // agree bit for bit; the current is reduced over differently
+        // cut scatter pieces and is not compared.
         let cfg = CabanaConfig::tiny(); // ExecPolicy::Seq
         let mut a = StructuredCabana::new_structured(cfg.clone());
         let mut b = StructuredCabana::new_structured(cfg);

@@ -76,8 +76,8 @@ impl<T: Topology> CabanaEngine<T> {
             policy,
         ));
         // The fused mover: trilinear gathers read neighbour cells
-        // through p2c∘c2c, the current deposit increments the atomic
-        // accumulator of every crossed cell.
+        // through p2c∘c2c, the current deposit increments the
+        // accumulator of every crossed cell through scatter arrays.
         plans.register(LoopPlan::new(
             LoopDecl::new(
                 "Move_Deposit",
@@ -92,7 +92,7 @@ impl<T: Topology> CabanaEngine<T> {
                 ],
             ),
             policy,
-            RaceStrategy::Deposit(DepositMethod::Atomics),
+            RaceStrategy::Deposit(DepositMethod::ScatterArrays),
         ));
         plans.register(LoopPlan::direct(
             LoopDecl::new(
@@ -156,8 +156,8 @@ impl<T: Topology> CabanaEngine<T> {
     }
 
     /// Pass 2: replay the Move_Deposit footprint (gather from the home
-    /// cell, current increment into the atomic accumulator) and check
-    /// it under the engine's schedule.
+    /// cell, current increment into the accumulator) and check it
+    /// under the engine's schedule.
     pub fn shadow_move_deposit(&self) -> Report {
         let mut report = Report::new();
         let cells = self.ps.cells();
@@ -169,7 +169,9 @@ impl<T: Topology> CabanaEngine<T> {
         });
         let parallel = self.cfg.policy.is_parallel();
         let races = if parallel {
-            // DeviceBuffer::atomic_add synchronises the increments.
+            // Scatter arrays: each worker piece increments a private
+            // array, reduced in piece order after the loop, so
+            // increment–increment pairs never touch shared memory.
             let opts = RaceOptions {
                 inc_is_synchronised: true,
                 ..Default::default()
@@ -186,7 +188,7 @@ impl<T: Topology> CabanaEngine<T> {
                 "Move_Deposit",
                 format!(
                     "shadow replay of {} particles ({} touches): {} conflict(s) with plain \
-                     increments, {} with the atomic accumulator",
+                     shared increments, {} with privatised (scatter-array) increments",
                     run.n_iters(),
                     run.n_touches(),
                     unsafe_races.len(),

@@ -279,8 +279,10 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         }
     }
     // CabanaPIC binding (the bound mover; Seq gets the bit-identity
-    // oracle, the pool relies on the field oracle since the CAS-loop
-    // current deposit is order-nondeterministic either way).
+    // oracle, the pool relies on the field oracle: each pool run is
+    // deterministic, but the binding cuts its scatter pieces by worker
+    // spans, so its reduced current differs in the last bits from the
+    // unbound mover's).
     for exec in [Exec::Seq, Exec::Pool2] {
         cells.push(CellConfig {
             exec,

@@ -333,10 +333,11 @@ fn run_cabana_host(cell: &CellConfig) -> RunResult {
         ));
     }
     let observables = sim.observables();
-    // Binding-axis promise, valid where the run is deterministic: the
-    // bound mover assigns cells to workers but each write stays
-    // slot-local (under pools the CAS-loop current deposit is already
-    // order-nondeterministic, so the field oracle covers those cells).
+    // Binding-axis promise under Seq: the bound mover is one exclusive
+    // scatter piece, exactly like the unbound one. Under pools each
+    // run is deterministic, but the binding reduces its private
+    // current arrays per worker span rather than per even chunk, so
+    // the field oracle covers those cells.
     if cell.binding && cell.exec == crate::matrix::Exec::Seq {
         let mut twin = cell.clone();
         twin.binding = false;

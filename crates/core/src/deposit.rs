@@ -230,7 +230,7 @@ where
             DepositStats::default()
         }
         DepositMethod::ScatterArrays => {
-            policy.run(|| scatter_arrays(policy, n, target, &kernel));
+            scatter_arrays(policy, n, target, &kernel);
             DepositStats::default()
         }
         DepositMethod::Atomics | DepositMethod::UnsafeAtomics => {
@@ -963,44 +963,106 @@ impl AutoTuner {
     }
 }
 
-/// Figure 2(b): per-thread private arrays, then an element-wise
-/// parallel reduction over the target.
+/// Figure 2(b): per-thread private arrays over `t` contiguous index
+/// ranges, then an element-wise reduction over the target.
 fn scatter_arrays<F>(policy: &ExecPolicy, n: usize, target: &mut [f64], kernel: &F)
 where
     F: Fn(usize, &mut Depositor) + Sync,
 {
-    let t = policy.threads().max(1);
-    if t == 1 || n == 0 {
-        let mut dep = Depositor::Exclusive(target);
-        for i in 0..n {
-            kernel(i, &mut dep);
-        }
-        return;
-    }
+    let t = if n == 0 { 1 } else { policy.threads().max(1) };
     let chunk = n.div_ceil(t);
-    let len = target.len();
-    let locals: Vec<Vec<f64>> = (0..t)
-        .into_par_iter()
-        .map(|ti| {
-            let mut local = vec![0.0; len];
-            let lo = ti * chunk;
-            let hi = ((ti + 1) * chunk).min(n);
-            let mut dep = Depositor::Local(&mut local);
-            for i in lo..hi {
-                kernel(i, &mut dep);
-            }
-            local
-        })
+    let pieces: Vec<std::ops::Range<usize>> = (0..t)
+        .map(|ti| ti * chunk..((ti + 1) * chunk).min(n))
         .collect();
-    // "Finally, the array entries can be reduced to get the total
-    // contribution to that node."
-    target.par_iter_mut().enumerate().for_each(|(j, tj)| {
-        let mut acc = *tj;
-        for l in &locals {
-            acc += l[j];
+    scatter_pieces(policy, pieces, target, |range, dep, _: &mut ()| {
+        for i in range {
+            kernel(i, dep);
         }
-        *tj = acc;
     });
+}
+
+/// Per-piece tallies of a [`scatter_pieces`] loop (counts, maxima,
+/// histogram snapshots): each piece fills its own, and the tallies are
+/// merged in piece order once every piece is done.
+pub trait Tally: Default + Send {
+    fn merge(&mut self, other: Self);
+}
+
+impl Tally for () {
+    fn merge(&mut self, _other: ()) {}
+}
+
+/// A plain counter.
+impl Tally for u64 {
+    fn merge(&mut self, other: u64) {
+        *self += other;
+    }
+}
+
+/// The scatter-array strategy (Figure 2(b)) as a driver over
+/// caller-cut pieces of work: `body(piece, depositor, tally)` runs
+/// once per piece, and the merged tally is returned.
+///
+/// * One piece runs on the calling thread and writes
+///   [`Depositor::Exclusive`]ly into `target`, so its increments land
+///   in iteration order — the left fold of a plain serial loop.
+/// * Several pieces each fill a private zeroed array on the policy's
+///   workers. The arrays are reduced element-wise into `target` in
+///   piece order, and the tallies merged in piece order, so the result
+///   depends on how the caller cut the pieces, never on the thread
+///   schedule.
+///
+/// [`deposit_loop`]'s `ScatterArrays` and the fused particle-mover
+/// executors ([`crate::par_loop_slices2_cells`] and friends) share
+/// this one race story.
+pub fn scatter_pieces<W, T, F>(
+    policy: &ExecPolicy,
+    pieces: Vec<W>,
+    target: &mut [f64],
+    body: F,
+) -> T
+where
+    W: Send,
+    T: Tally,
+    F: Fn(W, &mut Depositor, &mut T) + Sync,
+{
+    let mut tally = T::default();
+    if pieces.len() <= 1 {
+        let mut dep = Depositor::Exclusive(target);
+        for piece in pieces {
+            body(piece, &mut dep, &mut tally);
+        }
+        return tally;
+    }
+    let len = target.len();
+    let mut slots: Vec<Option<W>> = pieces.into_iter().map(Some).collect();
+    policy.run(|| {
+        let (locals, tallies): (Vec<Vec<f64>>, Vec<T>) = slots
+            .par_iter_mut()
+            .map(|slot| {
+                let mut local = vec![0.0; len];
+                let mut t = T::default();
+                let piece = slot.take().expect("each piece runs once");
+                body(piece, &mut Depositor::Local(&mut local), &mut t);
+                (local, t)
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
+        // "Finally, the array entries can be reduced to get the total
+        // contribution to that node."
+        target.par_iter_mut().enumerate().for_each(|(j, tj)| {
+            let mut acc = *tj;
+            for l in &locals {
+                acc += l[j];
+            }
+            *tj = acc;
+        });
+        for t in tallies {
+            tally.merge(t);
+        }
+    });
+    tally
 }
 
 /// Figure 3: store values and keys → sort by key → reduce by key.

@@ -19,9 +19,11 @@
 //! additionally ships rank-crossing particles.
 
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::deposit::Tally;
 use crate::parloop::ExecPolicy;
+use crate::telemetry::HistogramSnapshot;
 
 /// Verdict of one elemental move-kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,6 +159,33 @@ where
     run_move(policy, cfg, cells, |i, _| seed(i), kernel).expect("seeded move is infallible")
 }
 
+/// Per-piece tallies of a move loop. Each piece of the loop (the
+/// whole set under `Seq`, one rayon piece otherwise) fills its own
+/// with plain adds; the tallies are merged in piece order and
+/// published once per loop.
+#[derive(Default)]
+struct MoveTally {
+    total_visits: u64,
+    max_chain: u32,
+    aborted: u64,
+    out_of_range: u64,
+    moved: u64,
+    /// Chain lengths for `move.hops_per_particle` (filled only while a
+    /// telemetry hub is current).
+    hops: HistogramSnapshot,
+}
+
+impl Tally for MoveTally {
+    fn merge(&mut self, other: MoveTally) {
+        self.total_visits += other.total_visits;
+        self.max_chain = self.max_chain.max(other.max_chain);
+        self.aborted += other.aborted;
+        self.out_of_range += other.out_of_range;
+        self.moved += other.moved;
+        self.hops.merge(&other.hops);
+    }
+}
+
 fn run_move<K, S>(
     policy: &ExecPolicy,
     cfg: MoveConfig,
@@ -168,15 +197,8 @@ where
     K: Fn(usize, usize) -> MoveStatus + Sync,
     S: Fn(usize, &i32) -> usize + Sync,
 {
-    let total_visits = AtomicU64::new(0);
-    let max_chain = AtomicU64::new(0);
-    let aborted = AtomicU64::new(0);
-    let out_of_range = AtomicU64::new(0);
-    let moved = AtomicU64::new(0);
-    // Lock-free handle; recording is a relaxed atomic add per particle,
-    // and the whole path is skipped when no telemetry is current.
     let hops_hist = crate::telemetry::hist("move.hops_per_particle");
-    use std::sync::atomic::AtomicU32;
+    let record_hops = hops_hist.is_some();
     let chain_log: Vec<AtomicU32> = if cfg.record_chains {
         (0..cells.len()).map(|_| AtomicU32::new(0)).collect()
     } else {
@@ -184,17 +206,17 @@ where
     };
 
     // Per-particle hop chain; returns Some(final_cell) or None (remove).
-    let chase = |i: usize, start: usize| -> Option<usize> {
+    let chase = |t: &mut MoveTally, i: usize, start: usize| -> Option<usize> {
         let mut cell = start;
         let mut chain = 0u32;
-        let finish = |chain: u32| {
-            total_visits.fetch_add(chain as u64, Ordering::Relaxed);
-            max_chain.fetch_max(chain as u64, Ordering::Relaxed);
+        let finish = |t: &mut MoveTally, chain: u32| {
+            t.total_visits += chain as u64;
+            t.max_chain = t.max_chain.max(chain);
             if let Some(slot) = chain_log.get(i) {
                 slot.store(chain, Ordering::Relaxed);
             }
-            if let Some(h) = &hops_hist {
-                h.record(chain as u64);
+            if record_hops {
+                t.hops.record(chain as u64);
             }
         };
         loop {
@@ -202,22 +224,20 @@ where
             let status = kernel(i, cell);
             match status {
                 MoveStatus::Done => {
-                    if let Some(n) = cfg.n_cells {
-                        if cell >= n {
-                            out_of_range.fetch_add(1, Ordering::Relaxed);
-                        }
+                    if cfg.n_cells.is_some_and(|n| cell >= n) {
+                        t.out_of_range += 1;
                     }
-                    finish(chain);
+                    finish(t, chain);
                     return Some(cell);
                 }
                 MoveStatus::NeedRemove => {
-                    finish(chain);
+                    finish(t, chain);
                     return None;
                 }
                 MoveStatus::NeedMove(next) => {
                     if chain >= cfg.max_hops {
-                        aborted.fetch_add(1, Ordering::Relaxed);
-                        finish(chain);
+                        t.aborted += 1;
+                        finish(t, chain);
                         return None;
                     }
                     cell = next;
@@ -225,51 +245,54 @@ where
             }
         }
     };
+    // One particle: chase from its seed, then relocate or list it.
+    let visit = |removed: &mut Vec<usize>, t: &mut MoveTally, i: usize, c: &mut i32| {
+        let start = seed(i, c);
+        match chase(t, i, start) {
+            Some(final_cell) => {
+                if final_cell as i32 != *c {
+                    t.moved += 1;
+                }
+                *c = final_cell as i32;
+            }
+            None => removed.push(i),
+        }
+    };
 
-    let removed: Vec<usize> = match policy {
+    let (removed, tally) = match policy {
         ExecPolicy::Seq => {
             let mut removed = Vec::new();
+            let mut tally = MoveTally::default();
             for (i, c) in cells.iter_mut().enumerate() {
-                let start = seed(i, c);
-                match chase(i, start) {
-                    Some(final_cell) => {
-                        if final_cell as i32 != *c {
-                            moved.fetch_add(1, Ordering::Relaxed);
-                        }
-                        *c = final_cell as i32;
-                    }
-                    None => removed.push(i),
-                }
+                visit(&mut removed, &mut tally, i, c);
             }
-            removed
+            (removed, tally)
         }
         _ => policy.run(|| {
-            let mut removed: Vec<usize> = cells
+            let (mut removed, tally) = cells
                 .par_iter_mut()
                 .enumerate()
-                .fold(Vec::new, |mut acc, (i, c)| {
-                    let start = seed(i, c);
-                    match chase(i, start) {
-                        Some(final_cell) => {
-                            if final_cell as i32 != *c {
-                                moved.fetch_add(1, Ordering::Relaxed);
-                            }
-                            *c = final_cell as i32;
-                        }
-                        None => acc.push(i),
-                    }
-                    acc
-                })
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                });
+                .fold(
+                    || (Vec::new(), MoveTally::default()),
+                    |(mut removed, mut tally), (i, c)| {
+                        visit(&mut removed, &mut tally, i, c);
+                        (removed, tally)
+                    },
+                )
+                .reduce(
+                    || (Vec::new(), MoveTally::default()),
+                    |(mut a, mut ta), (mut b, tb)| {
+                        a.append(&mut b);
+                        ta.merge(tb);
+                        (a, ta)
+                    },
+                );
             // Rayon's fold/reduce usually concatenates ascending chunk
             // results in order; skip the sort when that already holds.
             if !removed.is_sorted() {
                 removed.par_sort_unstable();
             }
-            removed
+            (removed, tally)
         }),
     };
 
@@ -280,14 +303,17 @@ where
         "removal list must be strictly ascending"
     );
 
+    if let Some(h) = &hops_hist {
+        h.merge_snapshot(&tally.hops);
+    }
     let result = MoveResult {
         removed,
-        total_visits: total_visits.into_inner(),
-        max_chain: max_chain.into_inner() as u32,
-        aborted: aborted.into_inner(),
+        total_visits: tally.total_visits,
+        max_chain: tally.max_chain,
+        aborted: tally.aborted,
         chains: chain_log.into_iter().map(AtomicU32::into_inner).collect(),
-        out_of_range: out_of_range.into_inner(),
-        moved: moved.into_inner(),
+        out_of_range: tally.out_of_range,
+        moved: tally.moved,
     };
     crate::telemetry::count("move.relocated", result.moved);
     crate::telemetry::count("move.removed", result.removed.len() as u64);
@@ -488,6 +514,74 @@ mod tests {
             walk_kernel(&targets),
         );
         assert_eq!(r.out_of_range, 0);
+    }
+
+    /// 500 particles walking to scattered targets on a 200-cell row:
+    /// every 9th one leaves the domain, every 50th reports a final
+    /// cell outside the audited 0..190 range.
+    fn mixed_kernel(targets: &[usize]) -> impl Fn(usize, usize) -> MoveStatus + Sync + '_ {
+        let walk = walk_kernel(targets);
+        move |i, cell| {
+            if i % 9 == 0 && cell == targets[i] {
+                MoveStatus::NeedRemove
+            } else {
+                walk(i, cell)
+            }
+        }
+    }
+
+    #[test]
+    fn seq_and_pool_tallies_agree() {
+        let targets: Vec<usize> = (0..500)
+            .map(|i| if i % 50 == 7 { 195 } else { (i * 31 + 7) % 190 })
+            .collect();
+        let cfg = MoveConfig {
+            n_cells: Some(190),
+            ..Default::default()
+        };
+        let run = |pol: &ExecPolicy| {
+            let mut cells: Vec<i32> = (0..500).map(|i| i % 200).collect();
+            let r = move_loop(pol, cfg, &mut cells, mixed_kernel(&targets));
+            (r, cells)
+        };
+        let (seq, seq_cells) = run(&ExecPolicy::Seq);
+        assert!(!seq.removed.is_empty() && seq.out_of_range > 0 && seq.moved > 0);
+        for pol in [ExecPolicy::pool(2), ExecPolicy::pool(3), ExecPolicy::Par] {
+            let (par, par_cells) = run(&pol);
+            assert_eq!(par.removed, seq.removed, "{pol:?}");
+            assert_eq!(par.total_visits, seq.total_visits, "{pol:?}");
+            assert_eq!(par.max_chain, seq.max_chain, "{pol:?}");
+            assert_eq!(par.moved, seq.moved, "{pol:?}");
+            assert_eq!(par.out_of_range, seq.out_of_range, "{pol:?}");
+            assert_eq!(par.aborted, seq.aborted, "{pol:?}");
+            assert_eq!(par_cells, seq_cells, "{pol:?}");
+        }
+    }
+
+    #[test]
+    fn hops_histogram_matches_per_particle_records() {
+        use crate::telemetry::{Histogram, Telemetry};
+        use std::sync::Arc;
+        let targets: Vec<usize> = (0..300).map(|i| (i * 17 + 3) % 120).collect();
+        let cfg = MoveConfig {
+            record_chains: true,
+            ..Default::default()
+        };
+        for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
+            let tel = Arc::new(Telemetry::new());
+            let _cur = tel.make_current();
+            let mut cells: Vec<i32> = (0..300).map(|i| i % 120).collect();
+            // Two loops: the second merge lands on a non-empty hub.
+            let r1 = move_loop(&pol, cfg, &mut cells.clone(), mixed_kernel(&targets));
+            let r2 = move_loop(&pol, cfg, &mut cells, walk_kernel(&targets));
+            let expect = Histogram::new();
+            for &chain in r1.chains.iter().chain(&r2.chains) {
+                expect.record(chain as u64);
+            }
+            let got = tel.histogram("move.hops_per_particle").snapshot();
+            assert_eq!(got, expect.snapshot(), "{pol:?}");
+            assert_eq!(got.sum, r1.total_visits + r2.total_visits, "{pol:?}");
+        }
     }
 
     #[test]

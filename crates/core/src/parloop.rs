@@ -14,6 +14,7 @@
 
 use crate::binding::ThreadBinding;
 use crate::dat::Dat;
+use crate::deposit::{scatter_pieces, Depositor, Tally};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -337,17 +338,82 @@ pub fn par_loop_slices3<F>(
     }
 }
 
+/// One window of a fused-mover loop: `(first particle, col-0 window,
+/// col-1 window, cell-id window)`.
+type Window2c<'a> = (usize, &'a mut [f64], &'a mut [f64], &'a mut [i32]);
+
+/// Carve the two columns and the cell map into one window per span.
+/// `spans` must tile `0..n` in ascending order.
+fn carve2c<'a>(
+    (dim0, s0): (usize, &'a mut [f64]),
+    (dim1, s1): (usize, &'a mut [f64]),
+    cells: &'a mut [i32],
+    spans: &[(usize, usize)],
+) -> Vec<Window2c<'a>> {
+    let mut windows = Vec::with_capacity(spans.len());
+    let (mut rest0, mut rest1, mut restc) = (s0, s1, cells);
+    for &(lo, hi) in spans {
+        let count = hi - lo;
+        let (w0, r0) = rest0.split_at_mut(count * dim0);
+        let (w1, r1) = rest1.split_at_mut(count * dim1);
+        let (wc, rc) = restc.split_at_mut(count);
+        rest0 = r0;
+        rest1 = r1;
+        restc = rc;
+        windows.push((lo, w0, w1, wc));
+    }
+    windows
+}
+
+/// Run a fused-mover kernel over per-piece window lists through
+/// [`scatter_pieces`] — the one race story of the slice and binding
+/// executors.
+fn scatter_windows2c<T, F>(
+    policy: &ExecPolicy,
+    (dim0, dim1): (usize, usize),
+    pieces: Vec<Vec<Window2c<'_>>>,
+    target: &mut [f64],
+    f: F,
+) -> T
+where
+    T: Tally,
+    F: Fn(&mut Depositor, &mut T, usize, &mut [f64], &mut [f64], &mut i32) + Sync,
+{
+    scatter_pieces(policy, pieces, target, |windows, dep, tally: &mut T| {
+        for (lo, w0, w1, wc) in windows {
+            for (k, ((c0, c1), cl)) in w0
+                .chunks_mut(dim0)
+                .zip(w1.chunks_mut(dim1))
+                .zip(wc.iter_mut())
+                .enumerate()
+            {
+                f(dep, tally, lo + k, c0, c1, cl);
+            }
+        }
+    })
+}
+
 /// Slice-based two-column loop that additionally hands each iteration
-/// its mutable cell-map entry — the shape of a fused move+deposit
-/// kernel (updates pos, vel and p2c together).
-pub fn par_loop_slices2_cells<F>(
+/// its mutable cell-map entry and a [`Depositor`] into `target` — the
+/// shape of a fused move+deposit kernel (updates pos, vel and p2c and
+/// increments mesh data along the path).
+///
+/// Indirect increments follow [`scatter_pieces`]: under `Seq` the loop
+/// is one piece writing `target` exclusively in particle order; under
+/// a parallel policy it is cut into one contiguous piece per thread,
+/// each with a private array, reduced in piece order. The per-piece
+/// tallies `T` are merged in the same order and returned.
+pub fn par_loop_slices2_cells<T, F>(
     policy: &ExecPolicy,
     (dim0, s0): (usize, &mut [f64]),
     (dim1, s1): (usize, &mut [f64]),
     cells: &mut [i32],
+    target: &mut [f64],
     f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut [f64], &mut i32) + Sync,
+) -> T
+where
+    T: Tally,
+    F: Fn(&mut Depositor, &mut T, usize, &mut [f64], &mut [f64], &mut i32) + Sync,
 {
     assert_eq!(
         s0.len() / dim0,
@@ -360,25 +426,17 @@ pub fn par_loop_slices2_cells<F>(
         "slice loops must share the iteration set"
     );
     note_loop((s0.len() + s1.len()) * 8 + cells.len() * 4);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, ((c0, c1), cl)) in s0
-                .chunks_mut(dim0)
-                .zip(s1.chunks_mut(dim1))
-                .zip(cells.iter_mut())
-                .enumerate()
-            {
-                f(i, c0, c1, cl);
-            }
-        }
-        _ => policy.run(|| {
-            s0.par_chunks_mut(dim0)
-                .zip(s1.par_chunks_mut(dim1))
-                .zip(cells.par_iter_mut())
-                .enumerate()
-                .for_each(|(i, ((c0, c1), cl))| f(i, c0, c1, cl));
-        }),
-    }
+    let n = cells.len();
+    let chunk = n.div_ceil(policy.threads().max(1)).max(1);
+    let spans: Vec<(usize, usize)> = (0..n)
+        .step_by(chunk)
+        .map(|lo| (lo, (lo + chunk).min(n)))
+        .collect();
+    let pieces = carve2c((dim0, s0), (dim1, s1), cells, &spans)
+        .into_iter()
+        .map(|w| vec![w])
+        .collect();
+    scatter_windows2c(policy, (dim0, dim1), pieces, target, f)
 }
 
 /// Segment-batched two-column particle loop over a **fresh** CSR cell
@@ -431,36 +489,47 @@ pub fn par_loop_segments2<F>(
     }
 }
 
-/// [`par_loop_segments2`] plus the mutable cell column — for fused
-/// mover kernels (CabanaPIC's `Move_Deposit`) that gather through the
-/// fresh CSR index *and* relocate particles in the same pass. The
-/// kernel receives `(cell, first_particle, col-0 window, col-1 window,
-/// cell-id window)`; cell-id writes go through the window, so the
-/// caller must mark the store dirty (the indexed accessors on
-/// `ParticleDats` do this automatically).
 /// One cell segment's working set: `(cell, first_particle, col-0
 /// window, col-1 window, cell-id window)`.
 type SegWindow<'a> = (usize, usize, &'a mut [f64], &'a mut [f64], &'a mut [i32]);
 
-pub fn par_loop_segments2_cells<F>(
+/// [`par_loop_segments2`] plus the mutable cell column and a
+/// [`Depositor`] into `target` — for fused mover kernels (CabanaPIC's
+/// `Move_Deposit`) that gather through the fresh CSR index *and*
+/// relocate particles and deposit along their paths in the same pass.
+/// The kernel receives `(depositor, piece tally, cell,
+/// first_particle, col-0 window, col-1 window, cell-id window)`;
+/// cell-id writes go through the window, so the caller must mark the
+/// store dirty (the indexed accessors on `ParticleDats` do this
+/// automatically).
+///
+/// Increments follow [`scatter_pieces`], as in
+/// [`par_loop_slices2_cells`]: one piece under `Seq`; under a parallel
+/// policy one run of consecutive segments per thread, balanced by
+/// particle count, reduced in piece order.
+pub fn par_loop_segments2_cells<T, F>(
     policy: &ExecPolicy,
     cell_start: &[usize],
     (dim0, s0): (usize, &mut [f64]),
     (dim1, s1): (usize, &mut [f64]),
     cells: &mut [i32],
+    target: &mut [f64],
     f: F,
-) where
-    F: Fn(usize, usize, &mut [f64], &mut [f64], &mut [i32]) + Sync,
+) -> T
+where
+    T: Tally,
+    F: Fn(&mut Depositor, &mut T, usize, usize, &mut [f64], &mut [f64], &mut [i32]) + Sync,
 {
     let n = *cell_start.last().expect("cell index must be non-empty");
     assert_eq!(s0.len(), n * dim0, "column 0 does not match the index");
     assert_eq!(s1.len(), n * dim1, "column 1 does not match the index");
     assert_eq!(cells.len(), n, "cell column does not match the index");
     note_loop((s0.len() + s1.len()) * 8 + cells.len() * 4);
-    let mut segs: Vec<SegWindow<'_>> = Vec::with_capacity(cell_start.len() - 1);
+    let t = policy.threads().max(1);
+    let mut pieces: Vec<Vec<SegWindow<'_>>> = Vec::with_capacity(t);
     let (mut rest0, mut rest1, mut restc) = (s0, s1, cells);
     for c in 0..cell_start.len() - 1 {
-        let count = cell_start[c + 1] - cell_start[c];
+        let (lo, count) = (cell_start[c], cell_start[c + 1] - cell_start[c]);
         if count == 0 {
             continue;
         }
@@ -470,19 +539,20 @@ pub fn par_loop_segments2_cells<F>(
         rest0 = r0;
         rest1 = r1;
         restc = rc;
-        segs.push((c, cell_start[c], w0, w1, wc));
-    }
-    match policy {
-        ExecPolicy::Seq => {
-            for (c, lo, w0, w1, wc) in segs {
-                f(c, lo, w0, w1, wc);
-            }
+        // Open the next piece once the open ones hold their share.
+        if pieces.is_empty() || (pieces.len() < t && lo >= n * pieces.len() / t) {
+            pieces.push(Vec::new());
         }
-        _ => policy.run(|| {
-            segs.par_iter_mut()
-                .for_each(|(c, lo, w0, w1, wc)| f(*c, *lo, w0, w1, wc));
-        }),
+        pieces
+            .last_mut()
+            .expect("a piece is open")
+            .push((c, lo, w0, w1, wc));
     }
+    scatter_pieces(policy, pieces, target, |segs, dep, tally: &mut T| {
+        for (c, lo, w0, w1, wc) in segs {
+            f(dep, tally, c, lo, w0, w1, wc);
+        }
+    })
 }
 
 /// Binding-bound single-column slice loop: like [`par_loop_slices1`],
@@ -604,17 +674,22 @@ pub fn par_loop_binding2<F>(
 /// Binding-bound variant of [`par_loop_slices2_cells`]: two particle
 /// columns plus the mutable cell map (the fused mover's shape), with
 /// parallelism following a persistent [`ThreadBinding`]. See
-/// [`par_loop_binding1`] for the carving scheme and the bit-identity
-/// argument.
-pub fn par_loop_binding2_cells<F>(
+/// [`par_loop_binding1`] for the carving scheme. Under a parallel
+/// policy each worker's spans form one [`scatter_pieces`] piece, so
+/// the increments are reduced in worker order; under `Seq` the loop is
+/// one exclusive piece, identical to [`par_loop_slices2_cells`].
+pub fn par_loop_binding2_cells<T, F>(
     policy: &ExecPolicy,
     binding: &ThreadBinding,
     (dim0, s0): (usize, &mut [f64]),
     (dim1, s1): (usize, &mut [f64]),
     cells: &mut [i32],
+    target: &mut [f64],
     f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut [f64], &mut i32) + Sync,
+) -> T
+where
+    T: Tally,
+    F: Fn(&mut Depositor, &mut T, usize, &mut [f64], &mut [f64], &mut i32) + Sync,
 {
     assert_eq!(
         s0.len() / dim0,
@@ -628,56 +703,27 @@ pub fn par_loop_binding2_cells<F>(
     );
     note_loop((s0.len() + s1.len()) * 8 + cells.len() * 4);
     let n = cells.len();
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, ((c0, c1), cl)) in s0
-                .chunks_mut(dim0)
-                .zip(s1.chunks_mut(dim1))
-                .zip(cells.iter_mut())
-                .enumerate()
-            {
-                f(i, c0, c1, cl);
+    let pieces = if policy.is_parallel() {
+        let mut flat: Vec<(usize, usize, usize)> = Vec::new();
+        for (w, spans) in binding.assignments(n).into_iter().enumerate() {
+            for (lo, hi) in spans {
+                flat.push((w, lo, hi));
             }
         }
-        _ => {
-            let mut flat: Vec<(usize, usize, usize)> = Vec::new();
-            for (w, spans) in binding.assignments(n).into_iter().enumerate() {
-                for (lo, hi) in spans {
-                    flat.push((w, lo, hi));
-                }
-            }
-            flat.sort_unstable_by_key(|&(_, lo, _)| lo);
-            // Per-worker window lists: (start, columns, cell-map window).
-            type Window2c<'a> = (usize, &'a mut [f64], &'a mut [f64], &'a mut [i32]);
-            let mut windows: Vec<Vec<Window2c>> =
-                (0..binding.n_workers()).map(|_| Vec::new()).collect();
-            let (mut rest0, mut rest1, mut restc) = (s0, s1, cells);
-            for &(w, lo, hi) in &flat {
-                let count = hi - lo;
-                let (w0, r0) = rest0.split_at_mut(count * dim0);
-                let (w1, r1) = rest1.split_at_mut(count * dim1);
-                let (wc, rc) = restc.split_at_mut(count);
-                rest0 = r0;
-                rest1 = r1;
-                restc = rc;
-                windows[w].push((lo, w0, w1, wc));
-            }
-            policy.run(|| {
-                windows.par_iter_mut().for_each(|spans| {
-                    for (lo, w0, w1, wc) in spans {
-                        for (k, ((c0, c1), cl)) in w0
-                            .chunks_mut(dim0)
-                            .zip(w1.chunks_mut(dim1))
-                            .zip(wc.iter_mut())
-                            .enumerate()
-                        {
-                            f(*lo + k, c0, c1, cl);
-                        }
-                    }
-                });
-            });
+        flat.sort_unstable_by_key(|&(_, lo, _)| lo);
+        let spans: Vec<(usize, usize)> = flat.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
+        let mut pieces: Vec<Vec<Window2c>> = (0..binding.n_workers()).map(|_| Vec::new()).collect();
+        for (&(w, _, _), window) in flat
+            .iter()
+            .zip(carve2c((dim0, s0), (dim1, s1), cells, &spans))
+        {
+            pieces[w].push(window);
         }
-    }
+        pieces
+    } else {
+        vec![vec![(0, s0, s1, cells)]]
+    };
+    scatter_windows2c(policy, (dim0, dim1), pieces, target, f)
 }
 
 /// Gather loop: writes one dat on the iteration set, reading anything
@@ -897,13 +943,18 @@ mod tests {
             let mut a: Vec<f64> = (0..12).map(|v| v as f64).collect();
             let mut b = vec![0.0; 6];
             let mut cells: Vec<i32> = vec![1, 1, 1, 2, 3, 3];
-            par_loop_segments2_cells(
+            // Each segment deposits its particle count into its cell.
+            let mut counts = vec![0.0; 4];
+            let visited: u64 = par_loop_segments2_cells(
                 &pol,
                 &cell_start,
                 (2, &mut a),
                 (1, &mut b),
                 &mut cells,
-                |cell, lo, av, bv, cw| {
+                &mut counts,
+                |dep, visited: &mut u64, cell, lo, av, bv, cw| {
+                    dep.add(cell, av.len() as f64 / 2.0);
+                    *visited += cw.len() as u64;
                     for (k, ((ac, bc), cl)) in av
                         .chunks_mut(2)
                         .zip(bv.chunks_mut(1))
@@ -922,6 +973,8 @@ mod tests {
             assert_eq!(cells, vec![2, 2, 2, 2, 3, 3], "{pol:?}");
             assert_eq!(b, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "{pol:?}");
             assert_eq!((a[1], a[7], a[9]), (1.0, 2.0, 3.0), "{pol:?}");
+            assert_eq!(counts, vec![0.0, 3.0, 1.0, 2.0], "{pol:?}");
+            assert_eq!(visited, 6, "{pol:?}");
         }
     }
 
@@ -980,6 +1033,100 @@ mod tests {
                 par_loop_binding1(&pol, b, 1, &mut c, |i, cv| cv[0] += i as f64);
                 let expect: Vec<f64> = (0..30).map(|i| 1.0 + i as f64).collect();
                 assert_eq!(c, expect, "{pol:?} {b:?}");
+            }
+        }
+    }
+
+    /// A fused-mover kernel: particle `i` deposits `value(i)` into its
+    /// current cell of 6, counts itself, then hops one cell on.
+    fn mover_kernel(
+        value: fn(usize) -> f64,
+    ) -> impl Fn(&mut Depositor, &mut u64, usize, &mut [f64], &mut [f64], &mut i32) + Sync {
+        move |dep, count, i, x, _v, cl| {
+            dep.add(*cl as usize, value(i));
+            *count += 1;
+            x[0] += 1.0;
+            *cl = (*cl + 1) % 6;
+        }
+    }
+
+    /// Run the slice mover, or the binding mover when `binding` is
+    /// set, over 30 particles; returns `(deposit, tally, cells)`.
+    fn run_mover(
+        pol: &ExecPolicy,
+        binding: Option<&ThreadBinding>,
+        value: fn(usize) -> f64,
+    ) -> (Vec<f64>, u64, Vec<i32>) {
+        let mut x = vec![0.0; 60];
+        let mut v = vec![0.0; 30];
+        let mut cells: Vec<i32> = (0..30).map(|i| i % 6).collect();
+        let mut target = vec![0.0; 6];
+        let kernel = mover_kernel(value);
+        let count = match binding {
+            Some(b) => par_loop_binding2_cells(
+                pol,
+                b,
+                (2, &mut x),
+                (1, &mut v),
+                &mut cells,
+                &mut target,
+                kernel,
+            ),
+            None => par_loop_slices2_cells(
+                pol,
+                (2, &mut x),
+                (1, &mut v),
+                &mut cells,
+                &mut target,
+                kernel,
+            ),
+        };
+        assert!(x.chunks(2).all(|p| p[0] == 1.0), "every particle ran once");
+        (target, count, cells)
+    }
+
+    #[test]
+    fn mover_loops_scatter_like_the_serial_loop() {
+        // Integer increments sum exactly in any order, so every
+        // policy, binding and piece cut must give the serial answer.
+        let bindings = [
+            ThreadBinding::uniform(3, 30),
+            ThreadBinding::uniform(4, 7),
+            ThreadBinding::from_cell_index(&[0, 5, 5, 8, 16, 18, 30], 3),
+        ];
+        let mut expect = vec![0.0; 6];
+        for i in 0..30 {
+            expect[i % 6] += i as f64;
+        }
+        let moved: Vec<i32> = (0..30).map(|i| (i + 1) % 6).collect();
+        for pol in policies() {
+            for b in [None].into_iter().chain(bindings.iter().map(Some)) {
+                let (target, count, cells) = run_mover(&pol, b, |i| i as f64);
+                assert_eq!(target, expect, "{pol:?} {b:?}");
+                assert_eq!(count, 30, "{pol:?} {b:?}");
+                assert_eq!(cells, moved, "{pol:?} {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mover_loops_are_exclusive_under_seq_and_deterministic_in_parallel() {
+        let value = |i: usize| 0.1 * i as f64 + 1e-3;
+        // Seq is the plain left fold in particle order, bit for bit.
+        let mut fold = vec![0.0; 6];
+        for i in 0..30 {
+            fold[i % 6] += value(i);
+        }
+        let (seq, _, _) = run_mover(&ExecPolicy::Seq, None, value);
+        assert_eq!(seq, fold);
+        // Parallel pieces are reduced in piece order: repeated runs
+        // agree bit for bit.
+        let b = ThreadBinding::uniform(2, 30);
+        for binding in [None, Some(&b)] {
+            let pol = ExecPolicy::pool(2);
+            let first = run_mover(&pol, binding, value);
+            for _ in 0..8 {
+                assert_eq!(run_mover(&pol, binding, value), first, "{binding:?}");
             }
         }
     }

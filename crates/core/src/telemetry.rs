@@ -188,6 +188,25 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Publish a locally accumulated snapshot in one go: the same end
+    /// state as [`Histogram::record`]ing each of its values, for a
+    /// handful of atomic operations instead of five per value. Hot
+    /// loops fill a [`HistogramSnapshot`] per piece and merge it once.
+    pub fn merge_snapshot(&self, s: &HistogramSnapshot) {
+        if s.is_empty() {
+            return;
+        }
+        for (b, &n) in self.buckets.iter().zip(s.buckets.iter()) {
+            if n > 0 {
+                b.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(s.count, Ordering::Relaxed);
+        self.sum.fetch_add(s.sum, Ordering::Relaxed);
+        self.min.fetch_min(s.min, Ordering::Relaxed);
+        self.max.fetch_max(s.max, Ordering::Relaxed);
+    }
+
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
@@ -237,6 +256,16 @@ impl HistogramSnapshot {
 
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
+    }
+
+    /// Record one value — the single-owner twin of
+    /// [`Histogram::record`].
+    pub fn record(&mut self, v: u64) {
+        self.buckets[Histogram::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Merge another snapshot into this one.
@@ -1409,6 +1438,30 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m, both.snapshot());
+    }
+
+    #[test]
+    fn merge_snapshot_matches_per_value_records() {
+        let values = [0u64, 1, 1, 3, 8, 1000, 7, 2];
+        let one_by_one = Histogram::new();
+        let mut local = HistogramSnapshot::default();
+        for v in values {
+            one_by_one.record(v);
+            local.record(v);
+        }
+        assert_eq!(local, one_by_one.snapshot(), "local records match");
+        let merged = Histogram::new();
+        merged.record(5);
+        one_by_one.record(5);
+        merged.merge_snapshot(&local);
+        assert_eq!(merged.snapshot(), one_by_one.snapshot());
+
+        // An empty snapshot changes nothing; min stays at u64::MAX.
+        let h = Histogram::new();
+        h.merge_snapshot(&HistogramSnapshot::default());
+        let s = h.snapshot();
+        assert_eq!(s, HistogramSnapshot::default());
+        assert_eq!(s.min, u64::MAX);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! eliminated symmetrically, and the system is solved with warm-started
 //! Jacobi-PCG from `oppic-linalg`.
 
-use oppic_core::telemetry;
+use oppic_core::{telemetry, ExecPolicy};
 use oppic_linalg::{cg_solve, cg_solve_guarded, CgConfig, CgOutcome, CsrBuilder, CsrMatrix};
 use oppic_mesh::{BoundaryKind, TetMesh};
 
@@ -135,9 +135,15 @@ impl FemSolver {
     /// `ComputeF1Vector` + `SolvePotential`: build the load vector,
     /// apply the Dirichlet correction, and solve. Returns the node
     /// potentials.
-    pub fn solve(&mut self, node_charge: &[f64], epsilon0: f64) -> &[f64] {
+    pub fn solve(&mut self, policy: &ExecPolicy, node_charge: &[f64], epsilon0: f64) -> &[f64] {
         let rhs = self.build_rhs(node_charge, epsilon0);
-        let outcome = cg_solve(&self.matrix, &rhs, &mut self.potential, self.cg_config);
+        let outcome = cg_solve(
+            policy,
+            &self.matrix,
+            &rhs,
+            &mut self.potential,
+            self.cg_config,
+        );
         self.last_outcome = Some(outcome);
         &self.potential
     }
@@ -148,10 +154,20 @@ impl FemSolver {
     /// Jacobi-preconditioned restart. Identical arithmetic to `solve`
     /// on the healthy path (the guards only inspect), so backends
     /// stay bit-comparable.
-    pub fn solve_guarded(&mut self, node_charge: &[f64], epsilon0: f64) -> &[f64] {
+    pub fn solve_guarded(
+        &mut self,
+        policy: &ExecPolicy,
+        node_charge: &[f64],
+        epsilon0: f64,
+    ) -> &[f64] {
         let rhs = self.build_rhs(node_charge, epsilon0);
-        let (outcome, guard) =
-            cg_solve_guarded(&self.matrix, &rhs, &mut self.potential, self.cg_config);
+        let (outcome, guard) = cg_solve_guarded(
+            policy,
+            &self.matrix,
+            &rhs,
+            &mut self.potential,
+            self.cg_config,
+        );
         if guard.sanitized_warm_start {
             telemetry::count("resilience.cg_sanitized_warm_start", 1);
         }
@@ -213,7 +229,7 @@ mod tests {
         let mesh = TetMesh::duct(4, 3, 3, 2.0, 1.0, 1.0);
         let mut fem = FemSolver::assemble(&mesh, 2.0);
         let charge = vec![0.0; mesh.n_nodes()];
-        let phi = fem.solve(&charge, 1.0).to_vec();
+        let phi = fem.solve(&ExecPolicy::Seq, &charge, 1.0).to_vec();
         assert!(fem.last_outcome.unwrap().converged);
         for (n, &p) in phi.iter().enumerate() {
             assert!(
@@ -246,7 +262,7 @@ mod tests {
             })
             .unwrap();
         charge[star] = 1.0;
-        let phi = fem.solve(&charge, 1.0).to_vec();
+        let phi = fem.solve(&ExecPolicy::Seq, &charge, 1.0).to_vec();
         assert!(phi[star] > 0.0, "potential at the charge must be positive");
         // And the peak should be at (or adjacent to) the charge.
         let max = phi.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -276,11 +292,11 @@ mod tests {
         let mesh = TetMesh::duct(4, 3, 3, 1.0, 1.0, 1.0);
         let mut fem = FemSolver::assemble(&mesh, 1.0);
         let charge = vec![1e-3; mesh.n_nodes()];
-        fem.solve(&charge, 1.0);
+        fem.solve(&ExecPolicy::Seq, &charge, 1.0);
         let cold_iters = fem.last_outcome.unwrap().iterations;
         // Same RHS again: the warm start should converge almost
         // immediately.
-        fem.solve(&charge, 1.0);
+        fem.solve(&ExecPolicy::Seq, &charge, 1.0);
         let warm_iters = fem.last_outcome.unwrap().iterations;
         assert!(warm_iters <= 2, "warm={warm_iters} cold={cold_iters}");
         assert!(cold_iters > warm_iters);

@@ -626,11 +626,12 @@ impl FemPic {
         {
             let charge = self.node_charge.raw();
             let guarded = self.cfg.guard_numerics;
+            let policy = &self.cfg.policy;
             self.profiler.time("ComputeF1Vector+SolvePotential", || {
                 if guarded {
-                    self.fem.solve_guarded(charge, self.cfg.epsilon0);
+                    self.fem.solve_guarded(policy, charge, self.cfg.epsilon0);
                 } else {
-                    self.fem.solve(charge, self.cfg.epsilon0);
+                    self.fem.solve(policy, charge, self.cfg.epsilon0);
                 }
             });
             phi_iters = self.fem.last_outcome.map_or(0, |o| o.iterations);

@@ -5,6 +5,7 @@
 //! on [`CsrBuilder::build`], which is exactly the `MatSetValues(...,
 //! ADD_VALUES)` workflow Mini-FEM-PIC uses with PETSc.
 
+use oppic_core::ExecPolicy;
 use rayon::prelude::*;
 
 /// Builder accumulating `(row, col, value)` triplets.
@@ -116,18 +117,25 @@ impl CsrMatrix {
             .map_or(0.0, |k| vals[k])
     }
 
-    /// `y = A x`, parallel over rows.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
+    /// `y = A x`: rows in a plain loop under [`ExecPolicy::Seq`], in
+    /// parallel on the policy's threads otherwise. Every row is the
+    /// same left fold `acc += v * x[c]` either way, so `y` does not
+    /// depend on the policy.
+    pub fn spmv(&self, policy: &ExecPolicy, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols);
         assert_eq!(y.len(), self.n_rows);
-        y.par_iter_mut().enumerate().for_each(|(r, yr)| {
+        let row = |r: usize, yr: &mut f64| {
             let (cols, vals) = self.row(r);
             let mut acc = 0.0;
             for (c, v) in cols.iter().zip(vals) {
                 acc += v * x[*c as usize];
             }
             *yr = acc;
-        });
+        };
+        match policy {
+            ExecPolicy::Seq => y.iter_mut().enumerate().for_each(|(r, yr)| row(r, yr)),
+            _ => policy.run(|| y.par_iter_mut().enumerate().for_each(|(r, yr)| row(r, yr))),
+        }
     }
 
     /// `y = A x` single-threaded (used for small systems where rayon
@@ -293,9 +301,12 @@ mod tests {
         let x = vec![1.0, -2.0, 0.5];
         let mut y1 = vec![0.0; 3];
         let mut y2 = vec![0.0; 3];
-        m.spmv(&x, &mut y1);
+        m.spmv(&ExecPolicy::Par, &x, &mut y1);
         m.spmv_serial(&x, &mut y2);
         assert_eq!(y1, y2);
+        let mut y3 = vec![0.0; 3];
+        m.spmv(&ExecPolicy::Seq, &x, &mut y3);
+        assert_eq!(y1, y3);
         // Dense oracle.
         let d = m.to_dense();
         for r in 0..3 {

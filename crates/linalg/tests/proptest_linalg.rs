@@ -1,5 +1,6 @@
 //! Property-based tests on the sparse-solver substrate.
 
+use oppic_core::ExecPolicy;
 use oppic_linalg::dense::DenseMatrix;
 use oppic_linalg::{cg_solve, CgConfig, CsrBuilder};
 use proptest::prelude::*;
@@ -65,7 +66,7 @@ proptest! {
         let ae = a.apply_dirichlet(&fixed, &g, &mut rhs);
         prop_assert!(ae.asymmetry() < 1e-12);
         let mut x = vec![0.0; n];
-        let out = cg_solve(&ae, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&ExecPolicy::Par, &ae, &rhs, &mut x, CgConfig::default());
         prop_assert!(out.converged);
         // Dirichlet values hold exactly.
         for i in 0..n {

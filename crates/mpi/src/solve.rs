@@ -246,6 +246,7 @@ pub fn partition_system(
 mod tests {
     use super::*;
     use crate::comm::world_run;
+    use oppic_core::ExecPolicy;
     use oppic_linalg::{cg_solve, CsrBuilder};
 
     /// 1-D Laplacian with unit diagonal shift (SPD, well-conditioned).
@@ -296,7 +297,13 @@ mod tests {
 
         // Serial reference.
         let mut x_serial = vec![0.0; n];
-        let serial = cg_solve(&a, &rhs, &mut x_serial, CgConfig::default());
+        let serial = cg_solve(
+            &ExecPolicy::Par,
+            &a,
+            &rhs,
+            &mut x_serial,
+            CgConfig::default(),
+        );
         assert!(serial.converged);
 
         // Distributed.
@@ -352,7 +359,13 @@ mod tests {
         let (o, x_dist) = &out[0];
         assert!(o.converged);
         let mut x_serial = vec![0.0; n];
-        cg_solve(&a, &rhs, &mut x_serial, CgConfig::default());
+        cg_solve(
+            &ExecPolicy::Par,
+            &a,
+            &rhs,
+            &mut x_serial,
+            CgConfig::default(),
+        );
         for (a, b) in x_dist.iter().zip(&x_serial) {
             assert!((a - b).abs() < 1e-9);
         }
