@@ -216,6 +216,12 @@ fi
 # each BENCHMARK.json workload. A run passes only if its final JSON
 # record reports `"correct": true` and `"failed": 0`.
 if [ "${1:-}" = "perfbench" ]; then
+    # perfbench/ is frozen with the benchmark, lock file included, and
+    # cargo rewrites a stale lock on its first call: restore it on exit
+    # so the stage leaves the tree clean.
+    cp perfbench/Cargo.lock /tmp/oppic_ci_perfbench_lock
+    trap 'mv /tmp/oppic_ci_perfbench_lock perfbench/Cargo.lock' EXIT
+
     echo "== perfbench: fidelity tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml --quiet
 

@@ -22,7 +22,7 @@ use oppic_bench::distributed::run_fempic_distributed_overlap;
 use oppic_bench::report::{banner, scale_factor, steps};
 use oppic_core::{ExchangeDir, ExecPolicy, RebalancePolicy};
 use oppic_fempic::{FemPic, FemPicConfig};
-use oppic_mpi::OverlapGate;
+use oppic_mpi::{OverlapForm, OverlapGate};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -40,24 +40,17 @@ fn main() {
 
     // ---- Proof gate from the committed analyzer artifact ----
     let gate = OverlapGate::from_report_path(std::path::Path::new(REPORT_PATH));
-    let whole = gate.allows(
-        "particles",
-        ExchangeDir::Migrate,
-        "fempic/migrate",
-        "SolvePotential",
-    ) == oppic_mpi::OverlapForm::Whole;
+    let whole = FemPic::migrate_form(&gate) == OverlapForm::Whole;
     let split = gate.allows_split(
         "particles",
         ExchangeDir::Migrate,
         "fempic/migrate",
         "DepositCharge",
     );
-    let form = if whole {
-        "whole (migrate window hidden behind SolvePotential)"
-    } else if split {
-        "split (interior/boundary DepositCharge)"
-    } else {
-        "none (sync fallback everywhere; regenerate the report via ci.sh)"
+    let form = match FemPic::migrate_form(&gate) {
+        OverlapForm::Whole => "whole (migrate window hidden behind SolvePotential)",
+        OverlapForm::Split => "split (interior/boundary DepositCharge)",
+        OverlapForm::None => "none (sync fallback everywhere; regenerate the report via ci.sh)",
     };
     println!("proof gate: {REPORT_PATH} -> form: {form}");
 

@@ -1,22 +1,22 @@
 //! Distributed (multi-rank) drivers for both applications.
 //!
-//! These run the full distributed code path end to end on in-process
-//! ranks: directional partitioning (the paper's custom scheme),
-//! particle ownership and migration (pack / alltoallv / hole-fill /
-//! unpack), and the per-step reductions that stand in for the halo
-//! exchanges (see DESIGN.md — at the small mesh sizes we run in
-//! process, field state is replicated and reduced; the *projection* to
-//! paper scale uses the real halo-plan volumes from
+//! Each run below is per-rank setup plus a loop over the app's one
+//! distributed step ([`FemPic::distributed_step`],
+//! [`oppic_cabana::CabanaEngine::distributed_step`]) on in-process
+//! ranks over the plain channel transport: directional partitioning
+//! (the paper's custom scheme), particle migration (pack / alltoallv /
+//! hole-fill / unpack), and the per-step reductions that stand in for
+//! the halo exchanges (see DESIGN.md — at the small mesh sizes we run
+//! in process, field state is replicated and reduced; the *projection*
+//! to paper scale uses the real halo-plan volumes from
 //! `oppic_mpi::halo`).
 
 use oppic_cabana::{CabanaConfig, StructuredCabana};
 use oppic_core::ExecPolicy;
-use oppic_fempic::{FemPic, FemPicConfig};
-use oppic_mesh::Vec3;
+use oppic_fempic::{DistributedSolve, FemPic, FemPicConfig};
 use oppic_mpi::comm::{world_run, RankCtx};
-use oppic_mpi::exchange::migrate_particles;
-use oppic_mpi::partition::directional_partition;
-use std::time::Instant;
+use oppic_mpi::{OverlapForm, OverlapGate, Plain};
+use std::time::{Duration, Instant};
 
 /// Per-rank outcome of a distributed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,77 +63,11 @@ impl DistributedReport {
     }
 }
 
-/// Run Mini-FEM-PIC on `n_ranks` in-process ranks for `steps` steps.
-///
-/// Cells are partitioned with the paper's directional scheme along y
-/// (slabs parallel to the x flow, so the steady particle stream does
-/// not cross rank boundaries — the "principal direction of motion"
-/// rationale); each rank injects `inject_per_step / n_ranks` particles,
-/// runs the local kernels, migrates strays, and the node-charge
-/// reduction plays the role of the node-halo exchange.
-pub fn run_fempic_distributed(
-    base: &FemPicConfig,
-    n_ranks: usize,
-    steps: usize,
-) -> DistributedReport {
-    let rank_results = world_run(n_ranks, |ctx: &mut RankCtx| {
-        let mut cfg = base.clone();
-        cfg.inject_per_step = (base.inject_per_step / n_ranks).max(1);
-        cfg.seed = base.seed.wrapping_add(ctx.rank as u64 * 0x9E37);
-        cfg.policy = ExecPolicy::Seq; // ranks are threads already
-        let mut sim = FemPic::new(cfg);
-
-        // Directional partition, identical on every rank.
-        let centroids: Vec<Vec3> = (0..sim.mesh.n_cells())
-            .map(|c| sim.mesh.cell_centroid(c))
-            .collect();
-        let cell_rank = directional_partition(&centroids, 1, n_ranks);
-
-        let mut migrated_out = 0usize;
-        let t0 = Instant::now();
-        for _ in 0..steps {
-            sim.inject();
-            sim.calc_pos_vel();
-            sim.move_particles();
-
-            // Ship particles that wandered into foreign-owned cells.
-            let leavers: Vec<(usize, u32, i32)> = sim
-                .ps
-                .cells()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| {
-                    let owner = cell_rank[c as usize];
-                    (owner != ctx.rank as u32).then_some((i, owner, c))
-                })
-                .collect();
-            migrated_out += leavers.len();
-            migrate_particles(ctx, &mut sim.ps, &leavers);
-
-            sim.deposit_charge();
-            // Node-halo stand-in: global reduction of deposited charge.
-            let reduced = ctx.allreduce_vec_sum(sim.node_charge.raw());
-            sim.node_charge.raw_mut().copy_from_slice(&reduced);
-
-            sim.field_solve();
-        }
-        let main_loop_seconds = t0.elapsed().as_secs_f64();
-
-        let total_charge = sim.node_charge.sum();
-        (
-            RankReport {
-                rank: ctx.rank,
-                main_loop_seconds,
-                final_particles: sim.ps.len(),
-                migrated_out,
-                comm_bytes: ctx.sent_bytes(),
-            },
-            total_charge,
-        )
-    });
-
-    let ranks: Vec<RankReport> = rank_results.iter().map(|(r, _)| r.clone()).collect();
-    let check_scalar = rank_results[0].1; // identical on all ranks post-reduce
+/// Gather every rank's report and check scalar into the run report.
+fn collect(n_ranks: usize, steps: usize, per_rank: Vec<(RankReport, f64)>) -> DistributedReport {
+    // The check scalar is identical on all ranks after the reductions.
+    let check_scalar = per_rank[0].1;
+    let ranks: Vec<RankReport> = per_rank.into_iter().map(|(r, _)| r).collect();
     let total_particles = ranks.iter().map(|r| r.final_particles).sum();
     let main_loop_seconds = ranks
         .iter()
@@ -149,24 +83,68 @@ pub fn run_fempic_distributed(
     }
 }
 
-/// Like [`run_fempic_distributed`], but with **proof-gated async
-/// migration overlap** (DESIGN.md §12). The driver picks the strongest
-/// step form the analyzer report (`gate`) proves legal:
+/// `steps` fempic distributed steps on `n_ranks` ranks; the check
+/// scalar is the total node charge.
+fn run_fempic(
+    base: &FemPicConfig,
+    n_ranks: usize,
+    steps: usize,
+    form: OverlapForm,
+    latency: Duration,
+    distributed_solve: bool,
+) -> DistributedReport {
+    let per_rank = world_run(n_ranks, |ctx: &mut RankCtx| {
+        let (mut sim, cell_rank) = FemPic::new_rank(base, ctx.rank, n_ranks);
+        let mut solve =
+            distributed_solve.then(|| DistributedSolve::new(&sim, &cell_rank, ctx.rank, n_ranks));
+        let mut net = Plain { latency };
+        let mut migrated_out = 0usize;
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            let Ok(stats) = sim.distributed_step(ctx, &mut net, &cell_rank, form, solve.as_mut());
+            migrated_out += stats.sent;
+        }
+        let report = RankReport {
+            rank: ctx.rank,
+            main_loop_seconds: t0.elapsed().as_secs_f64(),
+            final_particles: sim.ps.len(),
+            migrated_out,
+            comm_bytes: ctx.sent_bytes(),
+        };
+        (report, sim.node_charge.sum())
+    });
+    collect(n_ranks, steps, per_rank)
+}
+
+/// Run Mini-FEM-PIC on `n_ranks` in-process ranks for `steps` steps.
 ///
-/// * **Whole** — `SolvePotential` is in the migrate exchange's `legal`
-///   list (it touches only node dats): migration is deferred to the
-///   end of the step (each particle deposits on whichever rank holds
-///   it — the global charge reduction makes attribution irrelevant)
-///   and the exchange window runs concurrently with the field solve,
-///   the step's dominant kernel.
-/// * **Split** — `DepositCharge` is only in `split_legal`: the eager
-///   order is kept and the window runs concurrently with the
-///   *interior* deposit partition (particles resident before the
-///   exchange); the *boundary* partition (arrivals) deposits after the
-///   drain. Bit-identical to the sync fallback by construction:
-///   `migrate_particles_begin` hole-fills before either path touches
-///   the store and arrivals are unpacked in rank order either way.
-/// * **None** — no proof: fully synchronous eager order.
+/// Each rank injects `inject_per_step / n_ranks` particles from its
+/// own stream ([`FemPicConfig::rank_share`]) over the directional
+/// partition ([`FemPic::new_rank`]) and runs the synchronous
+/// distributed step: local kernels, migrate strays, then the
+/// node-charge reduction in the role of the node-halo exchange.
+pub fn run_fempic_distributed(
+    base: &FemPicConfig,
+    n_ranks: usize,
+    steps: usize,
+) -> DistributedReport {
+    run_fempic(
+        base,
+        n_ranks,
+        steps,
+        OverlapForm::None,
+        Duration::ZERO,
+        false,
+    )
+}
+
+/// Like [`run_fempic_distributed`], but with **proof-gated async
+/// migration overlap** (DESIGN.md §12): the step runs the strongest
+/// form the analyzer report (`gate`) proves legal
+/// ([`FemPic::migrate_form`]) — whole (the migration hides behind the
+/// field solve), split (behind the interior deposit partition;
+/// bit-identical to the synchronous form), or the synchronous
+/// fallback.
 ///
 /// `latency` models the network service time of the in-flight
 /// exchange: the sync path waits it out serially; the overlap forms
@@ -176,131 +154,11 @@ pub fn run_fempic_distributed_overlap(
     base: &FemPicConfig,
     n_ranks: usize,
     steps: usize,
-    gate: &oppic_mpi::OverlapGate,
-    latency: std::time::Duration,
+    gate: &OverlapGate,
+    latency: Duration,
 ) -> DistributedReport {
-    use oppic_core::ExchangeDir;
-    use oppic_mpi::exchange::migrate_particles_begin;
-    use oppic_mpi::OverlapForm;
-
-    let whole = gate.allows(
-        "particles",
-        ExchangeDir::Migrate,
-        "fempic/migrate",
-        "SolvePotential",
-    ) == OverlapForm::Whole;
-    let split = gate.allows_split(
-        "particles",
-        ExchangeDir::Migrate,
-        "fempic/migrate",
-        "DepositCharge",
-    );
-    let rank_results = world_run(n_ranks, |ctx: &mut RankCtx| {
-        let mut cfg = base.clone();
-        cfg.inject_per_step = (base.inject_per_step / n_ranks).max(1);
-        cfg.seed = base.seed.wrapping_add(ctx.rank as u64 * 0x9E37);
-        cfg.policy = ExecPolicy::Seq; // ranks are threads already
-        let mut sim = FemPic::new(cfg);
-
-        let centroids: Vec<Vec3> = (0..sim.mesh.n_cells())
-            .map(|c| sim.mesh.cell_centroid(c))
-            .collect();
-        let cell_rank = directional_partition(&centroids, 1, n_ranks);
-
-        let mut migrated_out = 0usize;
-        let t0 = Instant::now();
-        for _ in 0..steps {
-            sim.inject();
-            sim.calc_pos_vel();
-            sim.move_particles();
-
-            if whole {
-                // Whole form: deposit pre-exchange (attribution is
-                // irrelevant under the global reduction), then hide
-                // the migration window behind the field solve.
-                sim.deposit_charge_range(0, sim.ps.len());
-                let reduced = ctx.allreduce_vec_sum(sim.node_charge.raw());
-                sim.node_charge.raw_mut().copy_from_slice(&reduced);
-
-                let leavers: Vec<(usize, u32, i32)> = sim
-                    .ps
-                    .cells()
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &c)| {
-                        let owner = cell_rank[c as usize];
-                        (owner != ctx.rank as u32).then_some((i, owner, c))
-                    })
-                    .collect();
-                migrated_out += leavers.len();
-                let handle = migrate_particles_begin(ctx, &mut sim.ps, &leavers);
-                sim.field_solve();
-                handle.complete_after(ctx, &mut sim.ps, latency);
-                continue;
-            }
-
-            let leavers: Vec<(usize, u32, i32)> = sim
-                .ps
-                .cells()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| {
-                    let owner = cell_rank[c as usize];
-                    (owner != ctx.rank as u32).then_some((i, owner, c))
-                })
-                .collect();
-            migrated_out += leavers.len();
-
-            let handle = migrate_particles_begin(ctx, &mut sim.ps, &leavers);
-            if split {
-                // Interior deposit overlaps the in-flight exchange;
-                // the boundary partition (arrivals) runs post-drain.
-                let keep = sim.ps.len();
-                sim.deposit_charge_range(0, keep);
-                handle.complete_after(ctx, &mut sim.ps, latency);
-                sim.deposit_charge_range(keep, sim.ps.len());
-            } else {
-                // Proof-absent fallback: serial wait, then one full
-                // deposit pass over the post-exchange population.
-                handle.complete_after(ctx, &mut sim.ps, latency);
-                sim.deposit_charge_range(0, sim.ps.len());
-            }
-
-            let reduced = ctx.allreduce_vec_sum(sim.node_charge.raw());
-            sim.node_charge.raw_mut().copy_from_slice(&reduced);
-
-            sim.field_solve();
-        }
-        let main_loop_seconds = t0.elapsed().as_secs_f64();
-
-        let total_charge = sim.node_charge.sum();
-        (
-            RankReport {
-                rank: ctx.rank,
-                main_loop_seconds,
-                final_particles: sim.ps.len(),
-                migrated_out,
-                comm_bytes: ctx.sent_bytes(),
-            },
-            total_charge,
-        )
-    });
-
-    let ranks: Vec<RankReport> = rank_results.iter().map(|(r, _)| r.clone()).collect();
-    let check_scalar = rank_results[0].1;
-    let total_particles = ranks.iter().map(|r| r.final_particles).sum();
-    let main_loop_seconds = ranks
-        .iter()
-        .map(|r| r.main_loop_seconds)
-        .fold(0.0f64, f64::max);
-    DistributedReport {
-        n_ranks,
-        steps,
-        ranks,
-        total_particles,
-        main_loop_seconds,
-        check_scalar,
-    }
+    let form = FemPic::migrate_form(gate);
+    run_fempic(base, n_ranks, steps, form, latency, false)
 }
 
 /// Like [`run_fempic_distributed`], but with a **distributed field
@@ -313,169 +171,37 @@ pub fn run_fempic_distributed_solve(
     n_ranks: usize,
     steps: usize,
 ) -> DistributedReport {
-    use oppic_mpi::solve::{cg_solve_distributed, partition_system};
-
-    // Build the (identical) FEM system and node partition up front;
-    // every rank keeps its own share.
-    let probe = FemPic::new(FemPicConfig {
-        policy: ExecPolicy::Seq,
-        ..base.clone()
-    });
-    let n_nodes = probe.mesh.n_nodes();
-    // Node owner = owner of the lowest-rank adjacent cell under the
-    // directional partition.
-    let centroids: Vec<Vec3> = (0..probe.mesh.n_cells())
-        .map(|c| probe.mesh.cell_centroid(c))
-        .collect();
-    let cell_rank = directional_partition(&centroids, 1, n_ranks);
-    let mut node_owner = vec![u32::MAX; n_nodes];
-    for (c, nd) in probe.mesh.c2n.iter().enumerate() {
-        for &n in nd {
-            node_owner[n] = node_owner[n].min(cell_rank[c]);
-        }
-    }
-    let systems = partition_system(probe.fem.reduced_matrix(), &node_owner, n_ranks);
-    let owned_nodes: Vec<Vec<usize>> = (0..n_ranks as u32)
-        .map(|r| (0..n_nodes).filter(|&n| node_owner[n] == r).collect())
-        .collect();
-    drop(probe);
-
-    let rank_results = world_run(n_ranks, |ctx: &mut RankCtx| {
-        let mut cfg = base.clone();
-        cfg.inject_per_step = (base.inject_per_step / n_ranks).max(1);
-        cfg.seed = base.seed.wrapping_add(ctx.rank as u64 * 0x517C);
-        cfg.policy = ExecPolicy::Seq;
-        let mut sim = FemPic::new(cfg);
-        let sys = &systems[ctx.rank];
-        let mine = &owned_nodes[ctx.rank];
-        let mut x_owned = vec![0.0; sys.n_owned];
-
-        let mut migrated_out = 0usize;
-        let t0 = Instant::now();
-        for _ in 0..steps {
-            sim.inject();
-            sim.calc_pos_vel();
-            sim.move_particles();
-
-            let leavers: Vec<(usize, u32, i32)> = sim
-                .ps
-                .cells()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| {
-                    let owner = cell_rank[c as usize];
-                    (owner != ctx.rank as u32).then_some((i, owner, c))
-                })
-                .collect();
-            migrated_out += leavers.len();
-            migrate_particles(ctx, &mut sim.ps, &leavers);
-
-            sim.deposit_charge();
-            // Global charge (node-halo stand-in for the RHS).
-            let reduced = ctx.allreduce_vec_sum(sim.node_charge.raw());
-            sim.node_charge.raw_mut().copy_from_slice(&reduced);
-
-            // Distributed field solve: owned RHS rows, halo'd SpMV.
-            let rhs_global = sim.fem.build_rhs(sim.node_charge.raw(), sim.cfg.epsilon0);
-            let my_rhs: Vec<f64> = mine.iter().map(|&n| rhs_global[n]).collect();
-            let out = cg_solve_distributed(ctx, sys, &my_rhs, &mut x_owned, sim.fem.cg_config)
-                .expect("halo exchange in distributed solve");
-            debug_assert!(out.converged, "{out:?}");
-            // Assemble the global potential (allreduce of the disjoint
-            // owned pieces) and push it into the app.
-            let mut phi = vec![0.0; n_nodes];
-            for (l, &n) in mine.iter().enumerate() {
-                phi[n] = x_owned[l];
-            }
-            let phi = ctx.allreduce_vec_sum(&phi);
-            sim.fem.set_potential(&phi);
-            sim.fem.electric_field(&sim.mesh, sim.efield.raw_mut());
-        }
-        let main_loop_seconds = t0.elapsed().as_secs_f64();
-
-        (
-            RankReport {
-                rank: ctx.rank,
-                main_loop_seconds,
-                final_particles: sim.ps.len(),
-                migrated_out,
-                comm_bytes: ctx.sent_bytes(),
-            },
-            sim.node_charge.sum(),
-        )
-    });
-
-    let ranks: Vec<RankReport> = rank_results.iter().map(|(r, _)| r.clone()).collect();
-    let check_scalar = rank_results[0].1;
-    let total_particles = ranks.iter().map(|r| r.final_particles).sum();
-    let main_loop_seconds = ranks
-        .iter()
-        .map(|r| r.main_loop_seconds)
-        .fold(0.0f64, f64::max);
-    DistributedReport {
+    run_fempic(
+        base,
         n_ranks,
         steps,
-        ranks,
-        total_particles,
-        main_loop_seconds,
-        check_scalar,
-    }
+        OverlapForm::None,
+        Duration::ZERO,
+        true,
+    )
 }
 
 /// Run CabanaPIC on `n_ranks` in-process ranks for `steps` steps.
 ///
-/// Cells are partitioned along y (slabs parallel to the beam axis);
-/// each rank initialises the *global* deterministic two-stream state
-/// and keeps only its particles. The per-step accumulator reduction is
-/// the `Update_Ghosts` stage of the distributed code path.
+/// Each rank initialises the *global* deterministic two-stream state
+/// and keeps only its y slab's particles
+/// ([`oppic_cabana::CabanaEngine::keep_rank_share`]); the check scalar
+/// is the total energy.
 pub fn run_cabana_distributed(
     base: &CabanaConfig,
     n_ranks: usize,
     steps: usize,
 ) -> DistributedReport {
-    let rank_results = world_run(n_ranks, |ctx: &mut RankCtx| {
+    let per_rank = world_run(n_ranks, |ctx: &mut RankCtx| {
         let mut cfg = base.clone();
         cfg.policy = ExecPolicy::Seq;
         let mut sim = StructuredCabana::new_structured(cfg);
-
-        // y-slab partition over the structured cells.
-        let ny = sim.geom.ny;
-        let cell_rank: Vec<u32> = (0..sim.geom.n_cells())
-            .map(|c| {
-                let j = sim.geom.cell_ijk(c)[1];
-                ((j * n_ranks) / ny) as u32
-            })
-            .collect();
-
-        // Keep only owned particles.
-        let holes: Vec<usize> = sim
-            .ps
-            .cells()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| (cell_rank[c as usize] != ctx.rank as u32).then_some(i))
-            .collect();
-        sim.ps.remove_fill(&holes);
-
+        let cell_rank = sim.keep_rank_share(ctx.rank, n_ranks);
         let mut migrated_out = 0usize;
         let t0 = Instant::now();
         for _ in 0..steps {
-            sim.interpolate();
-            sim.move_deposit();
-
-            // Update_Ghosts: reduce the current accumulator globally.
-            let local = sim.accumulator_snapshot();
-            let global = ctx.allreduce_vec_sum(&local);
-            sim.accumulator_overwrite(&global);
-
-            sim.accumulate_current();
-            sim.advance_b();
-            sim.advance_e();
-
-            // Migrate strays.
-            let leavers = sim.extract_leavers(&cell_rank, ctx.rank as u32);
-            migrated_out += leavers.len();
-            migrate_particles(ctx, &mut sim.ps, &leavers);
+            let Ok(stats) = sim.distributed_step(ctx, &mut Plain::default(), &cell_rank);
+            migrated_out += stats.sent;
         }
         let main_loop_seconds = t0.elapsed().as_secs_f64();
 
@@ -483,35 +209,16 @@ pub fn run_cabana_distributed(
         // kinetic energy needs a reduction.
         let d = sim.energies();
         let kinetic_global = ctx.allreduce_sum(d.kinetic);
-        let total_energy = d.e_field + d.b_field + kinetic_global;
-
-        (
-            RankReport {
-                rank: ctx.rank,
-                main_loop_seconds,
-                final_particles: sim.ps.len(),
-                migrated_out,
-                comm_bytes: ctx.sent_bytes(),
-            },
-            total_energy,
-        )
+        let report = RankReport {
+            rank: ctx.rank,
+            main_loop_seconds,
+            final_particles: sim.ps.len(),
+            migrated_out,
+            comm_bytes: ctx.sent_bytes(),
+        };
+        (report, d.e_field + d.b_field + kinetic_global)
     });
-
-    let ranks: Vec<RankReport> = rank_results.iter().map(|(r, _)| r.clone()).collect();
-    let check_scalar = rank_results[0].1;
-    let total_particles = ranks.iter().map(|r| r.final_particles).sum();
-    let main_loop_seconds = ranks
-        .iter()
-        .map(|r| r.main_loop_seconds)
-        .fold(0.0f64, f64::max);
-    DistributedReport {
-        n_ranks,
-        steps,
-        ranks,
-        total_particles,
-        main_loop_seconds,
-        check_scalar,
-    }
+    collect(n_ranks, steps, per_rank)
 }
 
 #[cfg(test)]
@@ -558,7 +265,8 @@ mod tests {
     #[test]
     fn distributed_solve_matches_replicated_solve() {
         // The fully distributed field-solve path must produce the same
-        // physics as the replicated-solve driver.
+        // physics as the replicated-solve run on the same per-rank
+        // injection streams.
         let mut cfg = FemPicConfig::tiny();
         cfg.inject_per_step = 60;
         let a = run_fempic_distributed(&cfg, 3, 4);

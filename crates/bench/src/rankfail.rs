@@ -27,15 +27,15 @@
 //! anything else is silent corruption.
 
 use oppic_core::telemetry::{self, AlertSeverity, Telemetry};
-use oppic_core::{CheckpointManifest, ExecPolicy, Recoverable};
+use oppic_core::{CheckpointManifest, ParticleDats, Recoverable};
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::RankCtx;
 use oppic_mpi::partition::directional_partition;
+use oppic_mpi::{MigrationStats, OverlapForm, Transport};
 use oppic_obs::recorder::FlightRecorder;
 use oppic_resilience::{
-    agree_evict, latest_common_version, migrate_particles_reliable, read_shard, world_run_faulty,
-    write_shard, FailureDetector, FaultSchedule, HeartbeatConfig, Membership, ReliableLink,
-    RetryPolicy,
+    agree_evict, latest_common_version, read_shard, world_run_faulty, write_shard, FailureDetector,
+    FaultSchedule, HeartbeatConfig, LinkError, Membership, ReliableLink, RetryPolicy,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -213,15 +213,51 @@ struct RankRun<'a> {
     steps_replayed: u64,
 }
 
-fn cfg_for(sc: &RankFailScenario, rank: usize) -> FemPicConfig {
+/// The whole-world configuration; rank `r` runs
+/// `scenario_config(sc).rank_share(r, sc.ranks)`.
+fn scenario_config(sc: &RankFailScenario) -> FemPicConfig {
     let mut cfg = FemPicConfig::tiny();
-    cfg.inject_per_step = (sc.particles / sc.ranks).max(1);
-    cfg.seed = cfg
-        .seed
-        .wrapping_add(sc.seed)
-        .wrapping_add(rank as u64 * 0x9E37);
-    cfg.policy = ExecPolicy::Seq; // ranks are threads already
+    cfg.inject_per_step = sc.particles;
+    cfg.seed = cfg.seed.wrapping_add(sc.seed);
     cfg
+}
+
+/// Why a step did not complete.
+enum Interrupted {
+    /// This rank fail-stopped at the `Exchange` kill site.
+    Killed,
+    /// A reliable collective failed.
+    Link(LinkError),
+}
+
+/// The rank's reliable link, armed to fail-stop at the `Exchange` kill
+/// site: after the move and before the migration collective.
+struct KillSwitch<'a> {
+    link: &'a mut ReliableLink,
+    armed: bool,
+}
+
+impl Transport for KillSwitch<'_> {
+    type Error = Interrupted;
+
+    fn migrate(
+        &mut self,
+        ctx: &mut RankCtx,
+        ps: &mut ParticleDats,
+        leavers: &[(usize, u32, i32)],
+        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
+    ) -> Result<MigrationStats, Interrupted> {
+        if self.armed {
+            return Err(Interrupted::Killed);
+        }
+        self.link
+            .migrate(ctx, ps, leavers, window)
+            .map_err(Interrupted::Link)
+    }
+
+    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Interrupted> {
+        Transport::allreduce_vec_sum(self.link, ctx, x).map_err(Interrupted::Link)
+    }
 }
 
 /// Write this rank's coordinated shard for `step` (checkpoint v2:
@@ -284,7 +320,7 @@ fn shrink_recover(
         let (dm, dblob) = read_shard(ctx, d, version).map_err(|e| e.to_string())?;
         dm.validate(ctx.n_ranks, None, n_cells)
             .map_err(|e| format!("dead rank {d} shard rejected: {e}"))?;
-        let mut scratch = FemPic::new(cfg_for(run.sc, d));
+        let mut scratch = FemPic::new(scenario_config(run.sc).rank_share(d, run.sc.ranks));
         scratch
             .restore_state(&dblob)
             .map_err(|e| format!("dead rank {d} restore failed: {e}"))?;
@@ -364,13 +400,10 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
         let recorder = Arc::new(FlightRecorder::new(4096));
         hub.set_observer(Some(recorder.clone()));
 
-        let sim = FemPic::new(cfg_for(sc, ctx.rank));
-        let centroids: Vec<_> = (0..sim.mesh.n_cells())
-            .map(|c| sim.mesh.cell_centroid(c))
-            .collect();
+        let (sim, cell_rank) = FemPic::new_rank(&scenario_config(sc), ctx.rank, sc.ranks);
         let mut run = RankRun {
             sc,
-            cell_rank: directional_partition(&centroids, 1, sc.ranks),
+            cell_rank,
             sim,
             membership: Membership::world(sc.ranks),
             link: ReliableLink::new(RetryPolicy {
@@ -422,42 +455,26 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
             let step_start = Instant::now();
             run.detector.beat(ctx);
 
-            run.sim.inject();
-            run.sim.calc_pos_vel();
-            run.sim.move_particles();
-            let leavers: Vec<(usize, u32, i32)> = run
+            let armed = my_crash == Some(s) && site == Some(KillSite::Exchange);
+            let mut net = KillSwitch {
+                link: &mut run.link,
+                armed,
+            };
+            let form = OverlapForm::None;
+            match run
                 .sim
-                .ps
-                .cells()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| {
-                    let owner = run.cell_rank[c as usize];
-                    (owner != ctx.rank as u32).then_some((i, owner, c))
-                })
-                .collect();
-            if my_crash == Some(s) && site == Some(KillSite::Exchange) {
-                return Ok(None); // peers are already committed to this exchange
-            }
-            if let Err(e) =
-                migrate_particles_reliable(ctx, &mut run.link, &mut run.sim.ps, &leavers)
+                .distributed_step(ctx, &mut net, &run.cell_rank, form, None)
             {
-                let version = recover_after_failure(ctx, &mut run, &hub, &e.to_string())?;
-                run.steps_replayed += s as u64 - version;
-                s = version as usize + 1;
-                continue 'steps;
-            }
-            run.sim.deposit_charge();
-            match run.link.allreduce_vec_sum(ctx, run.sim.node_charge.raw()) {
-                Ok(reduced) => run.sim.node_charge.raw_mut().copy_from_slice(&reduced),
-                Err(e) => {
+                Ok(_) => {}
+                // Fail-stop with peers already committed to the exchange.
+                Err(Interrupted::Killed) => return Ok(None),
+                Err(Interrupted::Link(e)) => {
                     let version = recover_after_failure(ctx, &mut run, &hub, &e.to_string())?;
                     run.steps_replayed += s as u64 - version;
                     s = version as usize + 1;
                     continue 'steps;
                 }
             }
-            run.sim.field_solve();
 
             if s.is_multiple_of(sc.checkpoint_every) {
                 if my_crash == Some(s) && site == Some(KillSite::Checkpoint) {

@@ -4,8 +4,7 @@
 //!
 //! Config keys: `nx ny nz ppc v0 perturbation modes dt charge mass
 //! steps parallel structured sort_every sort_dirty matrix_gather
-//! binding rebalance_every rebalance_drift overlap report_every seed
-//! heartbeat_ms death_deadline_ms on_rank_death`
+//! binding rebalance_every rebalance_drift report_every seed`
 //! (`sort_every` / `sort_dirty` drive the
 //! cell-locality engine's CSR index rebuild cadence; a fresh index
 //! makes `Move_Deposit` gather segment-batched, and `matrix_gather`
@@ -36,12 +35,8 @@ const KNOWN: &[&str] = &[
     "binding",
     "rebalance_every",
     "rebalance_drift",
-    "overlap",
     "report_every",
     "seed",
-    "heartbeat_ms",
-    "death_deadline_ms",
-    "on_rank_death",
 ];
 
 fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), String> {
@@ -94,14 +89,6 @@ fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), St
             } else {
                 oppic_core::RebalancePolicy::DriftFraction(0.5)
             }
-        },
-        overlap: params.get_bool("overlap", false)?,
-        heartbeat_ms: params.get_usize("heartbeat_ms", 2)? as u64,
-        death_deadline_ms: params.get_usize("death_deadline_ms", 150)? as u64,
-        on_rank_death: {
-            let s = params.get_str("on_rank_death", "shrink");
-            oppic_core::RankDeathPolicy::parse(&s)
-                .ok_or_else(|| format!("on_rank_death = {s:?}: use shrink/abort"))?
         },
     };
     if cfg.ppc < 2 || !cfg.ppc.is_multiple_of(2) {

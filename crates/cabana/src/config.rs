@@ -5,7 +5,7 @@
 //! study stretches `nz` to 1920. Units are normalised: `c = ε₀ = μ₀ =
 //! 1`, electron charge-to-mass `q/m = −1`.
 
-use oppic_core::{ExecPolicy, RankDeathPolicy, RebalancePolicy, SortPolicy};
+use oppic_core::{ExecPolicy, RebalancePolicy, SortPolicy};
 
 /// Full configuration for both the DSL and the structured versions.
 #[derive(Debug, Clone)]
@@ -58,18 +58,6 @@ pub struct CabanaConfig {
     pub binding: bool,
     /// When to rebuild the binding; only consulted with `binding`.
     pub rebalance: RebalancePolicy,
-    /// Proof-gated async overlap (DESIGN.md §12), consulted by the
-    /// distributed driver: overlap the current allreduce / particle
-    /// migration with proven-legal loops, sync fallback otherwise.
-    pub overlap: bool,
-    /// Failure-detector heartbeat cadence in milliseconds (DESIGN.md
-    /// §13); only consulted by the distributed driver.
-    pub heartbeat_ms: u64,
-    /// Silence window after which a suspect peer is declared dead.
-    pub death_deadline_ms: u64,
-    /// Response to a death verdict: shrinking recovery from the last
-    /// coordinated checkpoint, or a typed clean abort.
-    pub on_rank_death: RankDeathPolicy,
 }
 
 impl Default for CabanaConfig {
@@ -95,10 +83,6 @@ impl Default for CabanaConfig {
             matrix_gather: false,
             binding: false,
             rebalance: RebalancePolicy::DriftFraction(0.5),
-            overlap: false,
-            heartbeat_ms: 2,
-            death_deadline_ms: 150,
-            on_rank_death: RankDeathPolicy::Shrink,
         }
     }
 }

@@ -18,7 +18,11 @@ use oppic_core::parloop::{
     par_loop_binding2_cells, par_loop_direct1, par_loop_segments2_cells, par_loop_slices2_cells,
 };
 use oppic_core::profile::{KernelClass, Profiler};
-use oppic_core::{ColId, Dat, Depositor, ParticleDats, Tally, ThreadBinding, MAT_TILE_WIDTH};
+use oppic_core::{
+    ColId, Dat, Depositor, ExchangeDir, ParticleDats, Tally, ThreadBinding, MAT_TILE_WIDTH,
+};
+use oppic_mpi::exchange::remove_leavers;
+use oppic_mpi::{MigrationStats, RankCtx, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// How a version resolves periodic face-neighbours.
@@ -454,41 +458,58 @@ impl<T: Topology> CabanaEngine<T> {
     }
 
     /// `Update_Ghosts`: in shared memory the periodic maps close the
-    /// torus, so this stage only exists for breakdown parity (the
-    /// distributed driver replaces it with real halo exchanges).
+    /// torus, so this stage only exists for breakdown parity
+    /// ([`CabanaEngine::distributed_step`] replaces it with a global
+    /// reduction of the current accumulator).
     pub fn update_ghosts(&mut self) {
         self.profiler
             .record("Update_Ghosts", std::time::Duration::ZERO);
         self.profiler.classify("Update_Ghosts", KernelClass::Comm);
     }
 
-    /// Snapshot the raw current accumulator — the distributed driver
-    /// allreduces this across ranks between `Move_Deposit` and
-    /// `AccumulateCurrent` (its `Update_Ghosts`).
-    pub fn accumulator_snapshot(&self) -> Vec<f64> {
-        self.acc.clone()
+    /// Keep only rank `rank`'s share of the (globally identical)
+    /// initial state in an `n_ranks` run and return the cell → rank
+    /// map: y slabs, parallel to the x-streaming beams, so almost no
+    /// particle ever migrates.
+    pub fn keep_rank_share(&mut self, rank: usize, n_ranks: usize) -> Vec<u32> {
+        let cell_rank: Vec<u32> = (0..self.geom.n_cells())
+            .map(|c| ((self.geom.cell_ijk(c)[1] * n_ranks) / self.geom.ny) as u32)
+            .collect();
+        let foreign = self.ps.leavers(&cell_rank, rank);
+        remove_leavers(&mut self.ps, &foreign);
+        cell_rank
     }
 
-    /// Overwrite the accumulator with globally reduced values.
-    pub fn accumulator_overwrite(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.acc.len(), "accumulator shape mismatch");
-        self.acc.copy_from_slice(values);
-    }
-
-    /// List particles whose current cell is owned by another rank:
-    /// `(index, destination rank, cell)` triples for
-    /// [`oppic-mpi`]'s `migrate_particles`. `cell_rank` maps global
-    /// cell → owner.
-    pub fn extract_leavers(&self, cell_rank: &[u32], my_rank: u32) -> Vec<(usize, u32, i32)> {
-        self.ps
-            .cells()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &c)| {
-                let owner = cell_rank[c as usize];
-                (owner != my_rank).then_some((i, owner, c))
-            })
-            .collect()
+    /// One distributed Figure 9(b) step over `net`: the shared-memory
+    /// `Update_Ghosts` no-op becomes a global reduction of the current
+    /// accumulator between `Move_Deposit` and `AccumulateCurrent`, and
+    /// the particles whose cell `cell_rank` gives to another rank
+    /// migrate at the end of the step. Records both exchanges when a
+    /// schedule recorder is attached. Collective.
+    pub fn distributed_step<N: Transport>(
+        &mut self,
+        ctx: &mut RankCtx,
+        net: &mut N,
+        cell_rank: &[u32],
+    ) -> Result<MigrationStats, N::Error> {
+        if let Some(rec) = &self.schedule {
+            rec.begin_step();
+        }
+        self.interpolate();
+        self.move_deposit();
+        if let Some(rec) = &self.schedule {
+            rec.record_exchange("acc", ExchangeDir::ReduceSum, "cabana/acc");
+        }
+        let total = net.allreduce_vec_sum(ctx, &self.acc)?;
+        self.acc.copy_from_slice(&total);
+        self.accumulate_current();
+        self.advance_b();
+        self.advance_e();
+        let leavers = self.ps.leavers(cell_rank, ctx.rank);
+        if let Some(rec) = &self.schedule {
+            rec.record_exchange("particles", ExchangeDir::Migrate, "cabana/migrate");
+        }
+        net.migrate(ctx, &mut self.ps, &leavers, None)
     }
 
     /// One full leap-frog step. Returns diagnostics. Kernel timing

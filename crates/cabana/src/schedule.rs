@@ -6,15 +6,15 @@
 //! The distributed step replaces the shared-memory `Update_Ghosts`
 //! no-op with a real global reduction of the current accumulator
 //! between `Move_Deposit` and `AccumulateCurrent`, and migrates
-//! stray particles at the end of the step — the same flow the
-//! distributed benchmark driver executes. Recording under
+//! stray particles at the end of the step: the recording runs
+//! [`CabanaPic::distributed_step`] itself. Recording under
 //! `world_run(1)` keeps the trace deterministic while exercising the
 //! identical collective sequence as a multi-rank run.
 
 use crate::config::CabanaConfig;
 use crate::dsl::CabanaPic;
 use oppic_core::schedule::{LoopScope, ScheduleRecorder, ScheduleTrace};
-use oppic_mpi::{allreduce_vec_sum_tagged, migrate_particles_tagged, world_run};
+use oppic_mpi::{world_run, Plain};
 
 /// Distributed-execution facts per loop: the particle mover iterates
 /// owned particles and re-binds the particle→cell map; every cell loop
@@ -40,29 +40,7 @@ pub fn record_schedule(cfg: &CabanaConfig, steps: usize) -> ScheduleTrace {
         // as at scale.
         let cell_rank = vec![0u32; sim.geom.n_cells()];
         for _ in 0..steps {
-            rec.begin_step();
-            sim.interpolate();
-            sim.move_deposit();
-            let total = allreduce_vec_sum_tagged(
-                ctx,
-                &sim.accumulator_snapshot(),
-                sim.schedule.as_ref(),
-                "acc",
-                "cabana/acc",
-            );
-            sim.accumulator_overwrite(&total);
-            sim.accumulate_current();
-            sim.advance_b();
-            sim.advance_e();
-            let leavers = sim.extract_leavers(&cell_rank, ctx.rank as u32);
-            migrate_particles_tagged(
-                ctx,
-                &mut sim.ps,
-                &leavers,
-                sim.schedule.as_ref(),
-                "particles",
-                "cabana/migrate",
-            );
+            let Ok(_) = sim.distributed_step(ctx, &mut Plain::default(), &cell_rank);
         }
         let dat_sets: Vec<(&str, &str)> = vec![
             ("pos", "particles"),

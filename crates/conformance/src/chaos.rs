@@ -1,8 +1,8 @@
 //! Chaos stage: seeded fault schedules over the resilient distributed
 //! code path.
 //!
-//! Each [`ChaosCell`] runs the reliable Mini-FEM-PIC distributed
-//! driver (envelope + ack/retry migration and reductions from
+//! Each [`ChaosCell`] runs the Mini-FEM-PIC distributed step over the
+//! reliable link (envelope + ack/retry migration and reductions from
 //! `oppic-resilience`) twice: once fault-free as the reference, once
 //! under a deterministic [`FaultSchedule`] (or a host-side NaN soft
 //! error routed through the [`RecoveryDriver`]). The contract the
@@ -26,15 +26,15 @@ use oppic_bench::rankfail::{
 };
 use oppic_core::json::{self, Json};
 use oppic_core::telemetry::Telemetry;
-use oppic_core::{ExecPolicy, Simulation};
+use oppic_core::Simulation;
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::RankCtx;
-use oppic_mpi::partition::directional_partition;
+use oppic_mpi::OverlapForm;
 use oppic_obs::recorder::FlightRecorder;
 use oppic_obs::watchdog::{StepObs, Watchdog, WatchdogConfig, RULE_QUARANTINE, RULE_STEP_TIME};
 use oppic_resilience::{
-    migrate_particles_reliable, world_run_faulty, FaultKind, FaultSchedule, RecoveryConfig,
-    RecoveryDriver, ReliableLink, RetryPolicy,
+    world_run_faulty, FaultKind, FaultSchedule, RecoveryConfig, RecoveryDriver, ReliableLink,
+    RetryPolicy,
 };
 use std::fmt;
 use std::io::Write as _;
@@ -97,9 +97,8 @@ pub struct ChaosCell {
     /// Retry budget of the reliable link (also the rollback budget of
     /// recovery cells).
     pub max_retries: usize,
-    /// Route migration through the proof-gated async overlap path
-    /// (`migrate_particles_reliable_overlap`): the interior deposit
-    /// partition runs inside the in-flight exchange window, the
+    /// Run the distributed step's split migration form: the interior
+    /// deposit partition runs inside the in-flight exchange window, the
     /// boundary partition after the drain. The faults then land on an
     /// *open* async exchange — the overlap layer's weaker abort-only
     /// contract must still never silently corrupt.
@@ -227,7 +226,7 @@ pub fn chaos_cell_fails(cell: &ChaosCell) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The reliable distributed driver (the system under chaos)
+// The distributed step over the reliable link (the system under chaos)
 // ---------------------------------------------------------------------------
 
 /// Per-rank observables of one driver run. After the reliable
@@ -241,11 +240,10 @@ struct RankOut {
     frames_corrupt: u64,
 }
 
-/// Run the reliable Mini-FEM-PIC distributed loop under an optional
-/// fault schedule. Mirrors `oppic_bench::run_fempic_distributed`, with
-/// every inter-rank transfer routed through the resilience layer:
-/// `migrate_particles_reliable` for strays and the reliable-link
-/// allreduce for the node-charge halo stand-in. No raw collectives
+/// Run the reliable Mini-FEM-PIC distributed step under an optional
+/// fault schedule: [`FemPic::distributed_step`] over the reliable link,
+/// so every inter-rank transfer (migration and the node-charge
+/// reduction) goes through the resilience layer. No raw collectives
 /// touch the faulted plane, so every failure mode is a typed error.
 fn run_reliable_fempic(
     cell: &ChaosCell,
@@ -253,22 +251,18 @@ fn run_reliable_fempic(
 ) -> Vec<Result<RankOut, String>> {
     let n_ranks = cell.ranks;
     let fault_free = sched.is_none();
+    let mut base = FemPicConfig::tiny();
+    base.inject_per_step = cell.particles;
+    base.seed = base.seed.wrapping_add(cell.seed);
+    let form = if cell.overlap {
+        OverlapForm::Split
+    } else {
+        OverlapForm::None
+    };
     world_run_faulty(n_ranks, sched, |ctx: &mut RankCtx| {
         let hub = Arc::new(Telemetry::new());
         let _guard = hub.make_current();
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = (cell.particles / n_ranks).max(1);
-        cfg.seed = cfg
-            .seed
-            .wrapping_add(cell.seed)
-            .wrapping_add(ctx.rank as u64 * 0x9E37);
-        cfg.policy = ExecPolicy::Seq; // ranks are threads already
-        let mut sim = FemPic::new(cfg);
-
-        let centroids: Vec<_> = (0..sim.mesh.n_cells())
-            .map(|c| sim.mesh.cell_centroid(c))
-            .collect();
-        let cell_rank = directional_partition(&centroids, 1, n_ranks);
+        let (mut sim, cell_rank) = FemPic::new_rank(&base, ctx.rank, n_ranks);
         let mut link = ReliableLink::new(RetryPolicy {
             max_retries: cell.max_retries,
             // The short retransmit timer exists to recover *injected*
@@ -283,66 +277,8 @@ fn run_reliable_fempic(
         });
 
         for _ in 0..cell.steps {
-            sim.inject();
-            sim.calc_pos_vel();
-            sim.move_particles();
-
-            let leavers: Vec<(usize, u32, i32)> = sim
-                .ps
-                .cells()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &c)| {
-                    let owner = cell_rank[c as usize];
-                    (owner != ctx.rank as u32).then_some((i, owner, c))
-                })
-                .collect();
-            if cell.overlap {
-                // The proof-gated async path: the exchange stays in
-                // flight while the interior deposit partition (exactly
-                // the particles staying on this rank — the overlap
-                // migration hole-fills before opening the window) runs
-                // inside it; arrivals — the boundary partition — are
-                // deposited after the drain. Same ascending-slot
-                // accumulation order as the serial deposit, so the
-                // schedule change is invisible to the classifier.
-                let mesh = &sim.mesh;
-                let lc = sim.lc;
-                let q = sim.cfg.charge;
-                let mut charge = vec![0.0f64; sim.node_charge.raw().len()];
-                let deposit_range =
-                    |ps: &oppic_core::ParticleDats, charge: &mut [f64], lo: usize, hi: usize| {
-                        let lc_col = ps.col(lc);
-                        let cells = ps.cells();
-                        for i in lo..hi {
-                            let nd = mesh.c2n[cells[i] as usize];
-                            for k in 0..4 {
-                                charge[nd[k]] += q * lc_col[4 * i + k];
-                            }
-                        }
-                    };
-                let (_stats, interior) = oppic_resilience::migrate_particles_reliable_overlap(
-                    ctx,
-                    &mut link,
-                    &mut sim.ps,
-                    &leavers,
-                    |ps| deposit_range(ps, &mut charge, 0, ps.len()),
-                )
+            sim.distributed_step(ctx, &mut link, &cell_rank, form, None)
                 .map_err(|e| e.to_string())?;
-                deposit_range(&sim.ps, &mut charge, interior, sim.ps.len());
-                sim.node_charge.raw_mut().copy_from_slice(&charge);
-            } else {
-                migrate_particles_reliable(ctx, &mut link, &mut sim.ps, &leavers)
-                    .map_err(|e| e.to_string())?;
-
-                sim.deposit_charge();
-            }
-            let reduced = link
-                .allreduce_vec_sum(ctx, sim.node_charge.raw())
-                .map_err(|e| e.to_string())?;
-            sim.node_charge.raw_mut().copy_from_slice(&reduced);
-
-            sim.field_solve();
         }
 
         Ok(RankOut {
@@ -1454,6 +1390,32 @@ mod tests {
                 ChaosVerdict::CleanAbort { .. } => {}
                 ChaosVerdict::SilentCorruption { .. } => unreachable!(),
             }
+        }
+    }
+
+    /// The split form deposits the interior partition inside the
+    /// exchange window and the arrivals after it, with fresh weights
+    /// for both: on a fault-free link it ends bit-identical to the
+    /// synchronous form.
+    #[test]
+    fn fault_free_split_form_is_bit_identical_to_sync() {
+        let sync = ChaosCell {
+            ranks: 3,
+            steps: 4,
+            particles: 48,
+            ..ChaosCell::base()
+        };
+        let split = ChaosCell {
+            overlap: true,
+            ..sync.clone()
+        };
+        let a = run_reliable_fempic(&sync, None);
+        let b = run_reliable_fempic(&split, None);
+        for (r, (a, b)) in a.iter().zip(&b).enumerate() {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.particles, b.particles, "rank {r}");
+            let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.node_charge), bits(&b.node_charge), "rank {r}");
         }
     }
 

@@ -94,7 +94,6 @@ fn fempic_config(cell: &CellConfig) -> FemPicConfig {
         SortPolicy::Never
     };
     fc.binding = cell.binding;
-    fc.overlap = cell.overlap;
     fc.seed = cell.seed;
     fc
 }

@@ -346,40 +346,6 @@ impl ParticleDats {
     }
 }
 
-/// What a distributed driver does when the failure detector declares
-/// a peer rank dead (the apps' `on_rank_death` config key, DESIGN.md
-/// §13): shrink the membership and recover from the last coordinated
-/// checkpoint, or abort the whole run with a typed error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RankDeathPolicy {
-    /// Evict the dead rank, restore the newest common checkpoint
-    /// version over the survivors, re-partition its cells and adopt
-    /// its particles, and replay.
-    #[default]
-    Shrink,
-    /// Every survivor returns a typed error instead of recovering.
-    Abort,
-}
-
-impl RankDeathPolicy {
-    /// Config-file spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            RankDeathPolicy::Shrink => "shrink",
-            RankDeathPolicy::Abort => "abort",
-        }
-    }
-
-    /// Inverse of [`RankDeathPolicy::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "shrink" => Some(RankDeathPolicy::Shrink),
-            "abort" => Some(RankDeathPolicy::Abort),
-            _ => None,
-        }
-    }
-}
-
 /// Header of a per-rank checkpoint shard (checkpoint v2 manifest):
 /// who wrote it, in which world, at which step and membership epoch,
 /// plus the cell→owner partition at write time. Restore paths must

@@ -51,9 +51,7 @@ pub mod telemetry;
 
 pub use access::{Access, ArgDecl, Indirection, LoopDecl};
 pub use binding::{partition_defect, RebalanceEvent, RebalancePolicy, ThreadBinding, WorkerSpans};
-pub use checkpoint::{
-    crc64, BinReader, BinWriter, CheckpointManifest, Crc64, ManifestMismatch, RankDeathPolicy,
-};
+pub use checkpoint::{crc64, BinReader, BinWriter, CheckpointManifest, Crc64, ManifestMismatch};
 pub use dat::Dat;
 pub use decl::Registry;
 pub use deposit::{

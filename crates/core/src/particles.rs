@@ -579,6 +579,20 @@ impl ParticleDats {
         self.cols.iter().map(|c| c.len() * 8).sum::<usize>() + self.cell.len() * 4
     }
 
+    /// The particles whose cell another rank owns: `(slot, owner,
+    /// cell)` for every slot with `cell_rank[cell] != me`, in slot
+    /// order — the leaver list a migration ships.
+    pub fn leavers(&self, cell_rank: &[u32], me: usize) -> Vec<(usize, u32, i32)> {
+        self.cell
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &c)| {
+                let owner = cell_rank[c as usize];
+                (owner as usize != me).then_some((i, owner, c))
+            })
+            .collect()
+    }
+
     /// Extract one particle's full payload (all columns, in declaration
     /// order) — used by the MPI pack/ship path.
     pub fn pack_one(&self, i: usize, out: &mut Vec<f64>) {
@@ -639,6 +653,15 @@ mod tests {
             ps.cells_mut()[i] = (i % 5) as i32;
         }
         (ps, pos, q)
+    }
+
+    #[test]
+    fn leavers_lists_foreign_owned_slots_in_order() {
+        let (mut ps, _, _) = store_with(4);
+        ps.cells_mut().copy_from_slice(&[0, 1, 2, 1]);
+        let cell_rank = [0u32, 2, 0];
+        assert_eq!(ps.leavers(&cell_rank, 0), vec![(1, 2, 1), (3, 2, 1)]);
+        assert_eq!(ps.leavers(&cell_rank, 2), vec![(0, 0, 0), (2, 0, 2)]);
     }
 
     #[test]

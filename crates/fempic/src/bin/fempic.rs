@@ -9,10 +9,8 @@
 //! sort_dirty` — gather-side CSR index rebuild cadence; `deposit =
 //! ss` for sorted segments, `deposit = mx` for matrixized tiles,
 //! `deposit = auto` for the auto-tuner), persistent thread binding
-//! (`binding rebalance_every rebalance_drift`), the proof-gated
-//! async overlap (`overlap` — consulted by the distributed driver),
-//! and rank-failure tolerance (`heartbeat_ms death_deadline_ms
-//! on_rank_death` — DESIGN.md §13, distributed driver only).
+//! (`binding rebalance_every rebalance_drift`) and the numeric guards
+//! (`guard_numerics`).
 
 use oppic_core::telemetry::fnv1a;
 use oppic_core::{DepositMethod, ExecPolicy, Params, RunInfo, SortPolicy};
@@ -50,11 +48,7 @@ const KNOWN: &[&str] = &[
     "binding",
     "rebalance_every",
     "rebalance_drift",
-    "overlap",
     "guard_numerics",
-    "heartbeat_ms",
-    "death_deadline_ms",
-    "on_rank_death",
 ];
 
 fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> {
@@ -139,16 +133,7 @@ fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> 
                 d.rebalance
             }
         },
-        overlap: params.get_bool("overlap", false)?,
         guard_numerics: params.get_bool("guard_numerics", false)?,
-        heartbeat_ms: params.get_usize("heartbeat_ms", d.heartbeat_ms as usize)? as u64,
-        death_deadline_ms: params.get_usize("death_deadline_ms", d.death_deadline_ms as usize)?
-            as u64,
-        on_rank_death: {
-            let s = params.get_str("on_rank_death", "shrink");
-            oppic_core::RankDeathPolicy::parse(&s)
-                .ok_or_else(|| format!("on_rank_death = {s:?}: use shrink/abort"))?
-        },
     };
     let steps = params.get_usize("steps", 100)?;
     let report_every = params.get_usize("report_every", 10)?.max(1);
@@ -339,5 +324,27 @@ fn main() {
         if !summary.alerts.is_empty() {
             std::process::exit(3);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn keys_that_cannot_take_effect_are_refused() {
+        for key in [
+            "overlap",
+            "heartbeat_ms",
+            "death_deadline_ms",
+            "on_rank_death",
+        ] {
+            let params = Params::parse(&format!("{key} = 1\n")).unwrap();
+            let err = config_from(&params).unwrap_err();
+            assert!(err.contains("unknown parameter"), "{key}: {err}");
+        }
+        let params = Params::parse("overlap = true\n").unwrap();
+        let err = config_from(&params).unwrap_err();
+        assert!(err.starts_with("unknown parameter 'overlap'"), "{err}");
     }
 }

@@ -3,7 +3,7 @@
 //! this struct is its typed equivalent.
 
 use crate::collisions::CollisionModel;
-use oppic_core::{DepositMethod, ExecPolicy, RankDeathPolicy, RebalancePolicy, SortPolicy};
+use oppic_core::{DepositMethod, ExecPolicy, RebalancePolicy, SortPolicy};
 
 /// Particle pusher (Section 2, step 3: the paper names leap-frog as
 /// the scheme in use, with Velocity Verlet as an alternative for the
@@ -97,29 +97,12 @@ pub struct FemPicConfig {
     pub binding: bool,
     /// When to rebuild the binding; only consulted with `binding`.
     pub rebalance: RebalancePolicy,
-    /// Proof-gated async overlap (DESIGN.md §12): in the distributed
-    /// driver, run the interior deposit partition while particle
-    /// migration is in flight — only where the schedule report's
-    /// `split_legal` proof allows, synchronous fallback otherwise.
-    pub overlap: bool,
     /// Resilience-layer numeric guards: quarantine non-finite
     /// particles before the move/deposit stages and run the field
     /// solve behind the CG guard (poisoned warm starts zeroed, failed
     /// solves restarted cold). Identical arithmetic on the healthy
     /// path, so guarded and unguarded runs stay bit-comparable.
     pub guard_numerics: bool,
-    /// Failure-detector heartbeat cadence in milliseconds (DESIGN.md
-    /// §13). Only consulted by the distributed driver; the in-process
-    /// loop has no peers to watch.
-    pub heartbeat_ms: u64,
-    /// Silence window after which a suspect peer is declared dead.
-    /// The detector grants every suspect this full deadline measured
-    /// from the first collective failure, so detection latency is
-    /// ≈ `death_deadline_ms` + the collective timeout.
-    pub death_deadline_ms: u64,
-    /// Response to a death verdict: shrinking recovery from the last
-    /// coordinated checkpoint, or a typed clean abort.
-    pub on_rank_death: RankDeathPolicy,
 }
 
 impl Default for FemPicConfig {
@@ -151,11 +134,7 @@ impl Default for FemPicConfig {
             collisions: None,
             binding: false,
             rebalance: RebalancePolicy::DriftFraction(0.5),
-            overlap: false,
             guard_numerics: false,
-            heartbeat_ms: 2,
-            death_deadline_ms: 150,
-            on_rank_death: RankDeathPolicy::Shrink,
         }
     }
 }

@@ -28,6 +28,7 @@
 pub mod collisions;
 pub mod config;
 pub mod conform;
+pub mod distributed;
 pub mod fields;
 pub mod schedule;
 pub mod sim;
@@ -35,6 +36,7 @@ pub mod validate;
 
 pub use collisions::{collide, CollisionModel, CollisionStats};
 pub use config::{FemPicConfig, Integrator, MoveStrategy};
+pub use distributed::DistributedSolve;
 pub use fields::FemSolver;
 pub use schedule::record_schedule;
 pub use sim::{FemPic, StepDiagnostics};

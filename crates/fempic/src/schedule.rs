@@ -3,17 +3,17 @@
 //! as the [`ScheduleTrace`] that `oppic-analyzer --audit-schedule`
 //! audits.
 //!
-//! The recording runs the real code path — the stage methods record
-//! their own loop events, the tagged exchange wrappers in `oppic-mpi`
-//! record the communication — under `world_run(1)`: one-rank SPMD
-//! executes the identical sequence of loops and collectives as a
-//! multi-rank run (every exchange is collective, so rank count changes
-//! payloads, never the schedule) while keeping the trace deterministic.
+//! The recording runs [`FemPic::distributed_step`] itself — the stage
+//! methods record their loop events, the step records its exchanges —
+//! under `world_run(1)`: one-rank SPMD executes the identical sequence
+//! of loops and collectives as a multi-rank run (every exchange is
+//! collective, so rank count changes payloads, never the schedule)
+//! while keeping the trace deterministic.
 
 use crate::config::FemPicConfig;
 use crate::sim::FemPic;
 use oppic_core::schedule::{LoopScope, ScheduleRecorder, ScheduleTrace};
-use oppic_mpi::{allreduce_vec_sum_tagged, migrate_particles_tagged, world_run};
+use oppic_mpi::{world_run, OverlapForm, Plain};
 
 /// Distributed-execution facts per loop: iteration scope and whether
 /// the loop re-binds the particle→cell map. The loop declarations
@@ -29,41 +29,26 @@ const SCOPES: &[(&str, LoopScope, bool)] = &[
     ("ComputeElectricField", LoopScope::Replicated, false),
 ];
 
-/// Record `steps` steps of the distributed step schedule. Mirrors the
-/// distributed driver in `oppic-bench`: per step — inject, push, move,
-/// migrate strays, deposit, fold the node charge globally, solve.
+/// Record `steps` steps of the synchronous distributed step schedule:
+/// per step — inject, push, move, migrate strays, deposit, fold the
+/// node charge globally, solve.
 pub fn record_schedule(cfg: &FemPicConfig, steps: usize) -> ScheduleTrace {
     let cfg = cfg.clone();
     let mut traces = world_run(1, move |ctx| {
         let rec = ScheduleRecorder::new();
         let mut sim = FemPic::new(cfg.clone());
         sim.schedule = Some(rec.clone());
+        // One-rank SPMD: no particle ever leaves, but the collectives
+        // still run (and record) exactly as at scale.
+        let cell_rank = vec![0u32; sim.mesh.n_cells()];
         for _ in 0..steps {
-            rec.begin_step();
-            sim.inject();
-            sim.calc_pos_vel();
-            sim.move_particles();
-            // One-rank SPMD: no particle ever leaves, but the
-            // collective still runs (and records) exactly as at scale.
-            let leavers: Vec<(usize, u32, i32)> = Vec::new();
-            migrate_particles_tagged(
+            let Ok(_) = sim.distributed_step(
                 ctx,
-                &mut sim.ps,
-                &leavers,
-                sim.schedule.as_ref(),
-                "particles",
-                "fempic/migrate",
+                &mut Plain::default(),
+                &cell_rank,
+                OverlapForm::None,
+                None,
             );
-            sim.deposit_charge();
-            let total = allreduce_vec_sum_tagged(
-                ctx,
-                sim.node_charge.raw(),
-                sim.schedule.as_ref(),
-                sim.node_charge.name(),
-                "fempic/node_charge",
-            );
-            sim.node_charge.raw_mut().copy_from_slice(&total);
-            sim.field_solve();
         }
         let charge = sim.node_charge.name().to_string();
         let efield = sim.efield.name().to_string();

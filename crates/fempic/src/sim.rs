@@ -231,9 +231,9 @@ impl FemPic {
     /// sampled uniformly by area, moving at the inlet velocity (+x)
     /// with a small thermal jitter.
     ///
-    /// Public as a *stage* so the distributed driver can interleave
-    /// communication between stages; single-process users call
-    /// [`FemPic::step`].
+    /// Public as a *stage* so a distributed or traced step can
+    /// interleave communication or timing between stages;
+    /// single-process users call [`FemPic::step`].
     pub fn inject(&mut self) -> usize {
         self.record_loop("Inject");
         let n = self.cfg.inject_per_step;

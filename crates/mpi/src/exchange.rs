@@ -2,20 +2,30 @@
 //! (Section 3.2.2 and Figure 7).
 //!
 //! After a local move pass, some particles have landed in cells owned
-//! by other ranks. [`migrate_particles`] packs each leaver's full
-//! payload (all particle dats) into one buffer per destination rank
-//! ("reducing the number of MPI messages"), ships them with an
-//! alltoallv, hole-fills the source store, and unpacks arrivals "to
-//! the end of the respective `opp_dat`s".
+//! by other ranks. Every migration path shares one wire codec:
+//! [`pack`] writes each leaver's full payload `[cell, dofs…]` into one
+//! buffer per destination rank ("reducing the number of MPI
+//! messages"), [`remove_leavers`] hole-fills the source store, and
+//! [`unpack`] checks the stride of every arrival before appending any
+//! of them "to the end of the respective `opp_dat`s".
 //!
-//! [`global_move_rma`] is the direct-hop variant: destination ranks are
-//! discovered through the structured overlay's rank-map, and payloads
-//! are pushed straight into the target rank's RMA window — no
-//! neighbour discovery handshake, exactly the paper's "MPI-RMA-based
-//! global move approach".
+//! Transports move the buffers:
+//!
+//! * [`migrate_particles`] / [`migrate_particles_begin`] — the plain
+//!   alltoallv path, optionally split around an overlap window;
+//! * [`Plain`] — the same path behind the [`Transport`] trait the
+//!   apps' distributed steps are generic over (the reliable link in
+//!   `oppic-resilience` is the other implementation);
+//! * [`global_move_rma`] — the direct-hop variant: destination ranks
+//!   are discovered through the structured overlay's rank-map, and
+//!   payloads are pushed straight into the target rank's RMA window —
+//!   no neighbour discovery handshake, exactly the paper's
+//!   "MPI-RMA-based global move approach".
 
 use crate::comm::{Message, RankCtx};
 use oppic_core::particles::ParticleDats;
+use std::convert::Infallible;
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Outcome of one migration round.
@@ -25,6 +35,142 @@ pub struct MigrationStats {
     pub received: usize,
     /// Payload f64s shipped (×8 = bytes).
     pub shipped_values: usize,
+}
+
+/// An arrival that is not a whole number of particle records — sender
+/// and receiver disagree on the dat layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RaggedPayload {
+    pub src: usize,
+    pub len: usize,
+    pub stride: usize,
+}
+
+impl fmt::Display for RaggedPayload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "ragged migration payload from rank {}: {} values, stride {}",
+            self.src, self.len, self.stride
+        )
+    }
+}
+
+impl std::error::Error for RaggedPayload {}
+
+/// Pack every leaver `(slot, destination rank, destination cell)` into
+/// one buffer per destination: `[cell0, dofs0…, cell1, dofs1…]`.
+pub fn pack(ps: &ParticleDats, leavers: &[(usize, u32, i32)], n_ranks: usize) -> Vec<Vec<f64>> {
+    let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); n_ranks];
+    for &(idx, dst, cell) in leavers {
+        let buf = &mut buffers[dst as usize];
+        buf.push(cell as f64);
+        ps.pack_one(idx, buf);
+    }
+    buffers
+}
+
+/// Hole-fill the leavers' slots out of the source store. Leaver slots
+/// must be unique.
+pub fn remove_leavers(ps: &mut ParticleDats, leavers: &[(usize, u32, i32)]) {
+    let mut holes: Vec<usize> = leavers.iter().map(|&(i, _, _)| i).collect();
+    holes.sort_unstable();
+    debug_assert!(
+        holes.windows(2).all(|w| w[0] < w[1]),
+        "duplicate leaver index"
+    );
+    ps.remove_fill(&holes);
+}
+
+/// Check that every `(source rank, payload)` arrival is a whole number
+/// of `[cell, dofs…]` records for `ps`'s layout.
+pub fn check_arrivals(
+    ps: &ParticleDats,
+    arrivals: &[(usize, Vec<f64>)],
+) -> Result<(), RaggedPayload> {
+    let stride = ps.dofs() + 1;
+    match arrivals.iter().find(|(_, p)| p.len() % stride != 0) {
+        Some((src, p)) => Err(RaggedPayload {
+            src: *src,
+            len: p.len(),
+            stride,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Append every arrival at the end of the dats, in arrival order,
+/// after checking all of them; returns the particles received. On
+/// error the store is untouched.
+pub fn unpack(
+    ps: &mut ParticleDats,
+    arrivals: &[(usize, Vec<f64>)],
+) -> Result<usize, RaggedPayload> {
+    check_arrivals(ps, arrivals)?;
+    let stride = ps.dofs() + 1;
+    let mut received = 0usize;
+    for (_, payload) in arrivals {
+        for chunk in payload.chunks_exact(stride) {
+            ps.unpack_one(&chunk[1..], chunk[0] as i32);
+            received += 1;
+        }
+    }
+    Ok(received)
+}
+
+/// What an app's distributed step needs from the interconnect: one
+/// particle migration and one vector sum-reduction. Both are
+/// collective — every rank calls them in the same order.
+pub trait Transport {
+    type Error;
+
+    /// Ship `leavers = (slot, destination rank, destination cell)` and
+    /// receive this rank's arrivals at the end of `ps`. With `window`,
+    /// the leavers are hole-filled out first and `window` runs on the
+    /// remaining (interior) store while the exchange is in flight, so
+    /// on return the boundary partition is `interior_len..ps.len()`.
+    fn migrate(
+        &mut self,
+        ctx: &mut RankCtx,
+        ps: &mut ParticleDats,
+        leavers: &[(usize, u32, i32)],
+        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
+    ) -> Result<MigrationStats, Self::Error>;
+
+    /// Element-wise global sum, identical on every rank.
+    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Self::Error>;
+}
+
+/// The plain channel transport: alltoallv migration and the
+/// communicator's allreduce. `latency` models the network service
+/// time of each migration (see [`MigrationHandle::complete_after`]):
+/// the synchronous form waits it out, an overlap window hides it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Plain {
+    pub latency: Duration,
+}
+
+impl Transport for Plain {
+    type Error = Infallible;
+
+    fn migrate(
+        &mut self,
+        ctx: &mut RankCtx,
+        ps: &mut ParticleDats,
+        leavers: &[(usize, u32, i32)],
+        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
+    ) -> Result<MigrationStats, Infallible> {
+        let mut handle = migrate_particles_begin(ctx, ps, leavers);
+        handle.overlap_window = window.is_some();
+        if let Some(window) = window {
+            window(ps);
+        }
+        Ok(handle.complete_after(ctx, ps, self.latency))
+    }
+
+    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Infallible> {
+        Ok(ctx.allreduce_vec_sum(x))
+    }
 }
 
 /// An in-flight particle migration: the send half has been posted and
@@ -39,14 +185,12 @@ pub struct MigrationStats {
 pub struct MigrationHandle {
     sent: usize,
     shipped_values: usize,
-    /// Wire stride: destination cell + all particle dofs.
-    stride: usize,
     /// When the sends were posted — [`MigrationHandle::complete_after`]
     /// models network drain time from this instant, so compute done in
     /// the overlap window genuinely shortens the wait.
     started: Instant,
-    /// False when driven by the synchronous [`migrate_particles`]
-    /// wrapper, so only genuine overlap windows hit the telemetry.
+    /// False on the synchronous paths, so only genuine overlap windows
+    /// hit the telemetry.
     overlap_window: bool,
 }
 
@@ -61,37 +205,23 @@ pub fn migrate_particles_begin(
     ps: &mut ParticleDats,
     leavers: &[(usize, u32, i32)],
 ) -> MigrationHandle {
-    let dofs = ps.dofs();
-    let n_ranks = ctx.n_ranks;
-
-    // Pack one buffer per destination: [cell0, dofs0..., cell1, ...].
-    let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); n_ranks];
-    for &(idx, dst, cell) in leavers {
-        debug_assert_ne!(dst as usize, ctx.rank, "leaver staying home");
-        let buf = &mut buffers[dst as usize];
-        buf.push(cell as f64);
-        ps.pack_one(idx, buf);
-    }
+    debug_assert!(
+        leavers.iter().all(|&(_, dst, _)| dst as usize != ctx.rank),
+        "leaver staying home"
+    );
+    let buffers = pack(ps, leavers, ctx.n_ranks);
     let shipped_values: usize = buffers.iter().map(Vec::len).sum();
 
     // Post the sends (non-blocking on the channel shim).
     ctx.alltoallv_begin(buffers.into_iter().map(Message::F64).collect());
 
-    // Hole-fill the source store (indices sorted ascending). Receives
-    // never touch the store, so doing this before the drain leaves the
-    // final state identical to the synchronous path.
-    let mut holes: Vec<usize> = leavers.iter().map(|&(i, _, _)| i).collect();
-    holes.sort_unstable();
-    debug_assert!(
-        holes.windows(2).all(|w| w[0] < w[1]),
-        "duplicate leaver index"
-    );
-    ps.remove_fill(&holes);
+    // Receives never touch the store, so hole-filling before the drain
+    // leaves the final state identical to the synchronous path.
+    remove_leavers(ps, leavers);
 
     MigrationHandle {
         sent: leavers.len(),
         shipped_values,
-        stride: dofs + 1,
         started: Instant::now(),
         overlap_window: true,
     }
@@ -132,17 +262,13 @@ impl MigrationHandle {
             }
         }
 
-        let recvs = ctx.alltoallv_complete();
-        let mut received = 0usize;
-        for m in recvs {
-            let payload = m.into_f64();
-            assert_eq!(payload.len() % self.stride, 0, "ragged migration payload");
-            for chunk in payload.chunks_exact(self.stride) {
-                let cell = chunk[0] as i32;
-                ps.unpack_one(&chunk[1..], cell);
-                received += 1;
-            }
-        }
+        let arrivals: Vec<(usize, Vec<f64>)> = ctx
+            .alltoallv_complete()
+            .into_iter()
+            .map(Message::into_f64)
+            .enumerate()
+            .collect();
+        let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
 
         MigrationStats {
             sent: self.sent,
@@ -164,47 +290,34 @@ pub fn migrate_particles(
     ps: &mut ParticleDats,
     leavers: &[(usize, u32, i32)],
 ) -> MigrationStats {
-    let mut handle = migrate_particles_begin(ctx, ps, leavers);
-    handle.overlap_window = false;
-    handle.complete(ctx, ps)
+    let Ok(stats) = Plain::default().migrate(ctx, ps, leavers, None);
+    stats
 }
 
-/// Direct-hop global move over the RMA window: push each leaver's
-/// payload into the *destination rank's* window, barrier, then drain
-/// our own window. No per-pair handshake is needed — any rank can be a
-/// target without knowing its senders in advance.
+/// Direct-hop global move over the RMA window: push each destination's
+/// packed buffer into the *destination rank's* window, barrier, then
+/// drain our own window. No per-pair handshake is needed — any rank
+/// can be a target without knowing its senders in advance.
 pub fn global_move_rma(
     ctx: &mut RankCtx,
     ps: &mut ParticleDats,
     leavers: &[(usize, u32, i32)],
 ) -> MigrationStats {
-    let dofs = ps.dofs();
-    let stride = dofs + 1;
-
+    let buffers = pack(ps, leavers, ctx.n_ranks);
     let mut shipped_values = 0usize;
-    let mut buf = Vec::with_capacity(stride);
-    for &(idx, dst, cell) in leavers {
-        buf.clear();
-        buf.push(cell as f64);
-        ps.pack_one(idx, &mut buf);
-        ctx.window_append(dst as usize, &buf);
-        shipped_values += buf.len();
+    for (dst, buf) in buffers.iter().enumerate() {
+        if !buf.is_empty() {
+            ctx.window_append(dst, buf);
+            shipped_values += buf.len();
+        }
     }
 
     // Close the exposure epoch.
     ctx.barrier();
 
-    let mut holes: Vec<usize> = leavers.iter().map(|&(i, _, _)| i).collect();
-    holes.sort_unstable();
-    ps.remove_fill(&holes);
-
-    let payload = ctx.window_fetch();
-    assert_eq!(payload.len() % stride, 0, "ragged RMA payload");
-    let mut received = 0usize;
-    for chunk in payload.chunks_exact(stride) {
-        ps.unpack_one(&chunk[1..], chunk[0] as i32);
-        received += 1;
-    }
+    remove_leavers(ps, leavers);
+    let arrivals = [(ctx.rank, ctx.window_fetch())];
+    let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
     // Second barrier so nobody starts the next epoch while a slow rank
     // is still draining.
     ctx.barrier();
@@ -400,6 +513,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn unpack_checks_every_arrival_before_touching_the_store() {
+        let mut ps = local_store(0, 2);
+        let stride = ps.dofs() + 1;
+        let good = vec![7.0; stride];
+        let ragged = vec![7.0; stride + 1];
+        let err = unpack(&mut ps, &[(1, good.clone()), (2, ragged)]).unwrap_err();
+        assert_eq!(
+            err,
+            RaggedPayload {
+                src: 2,
+                len: stride + 1,
+                stride
+            }
+        );
+        assert_eq!(ps.len(), 2, "the good arrival must not be unpacked either");
+        assert_eq!(unpack(&mut ps, &[(1, good)]), Ok(1));
+        assert_eq!(ps.cells()[2], 7);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`halo`] — import/export list construction from a partition and a
 //!   cell→cell map, local renumbering, and halo exchange executors
 //!   (forward ghost-read and reverse accumulate).
-//! * [`exchange`] — particle migration: pack leaving particles, ship
-//!   via alltoallv, unpack at the destination, hole-fill at the source.
+//! * [`exchange`] — particle migration: the one pack / hole-fill /
+//!   unpack codec, the plain alltoallv and RMA paths over it, and the
+//!   [`Transport`] trait the apps' distributed steps are generic over.
 
 pub mod comm;
 pub mod exchange;
@@ -29,10 +30,12 @@ pub mod heartbeat;
 pub mod overlap;
 pub mod partition;
 pub mod solve;
-pub mod tagged;
 
 pub use comm::{world_run, world_run_faulty, Message, RankCtx};
-pub use exchange::{migrate_particles, migrate_particles_begin, MigrationHandle, MigrationStats};
+pub use exchange::{
+    migrate_particles, migrate_particles_begin, MigrationHandle, MigrationStats, Plain,
+    RaggedPayload, Transport,
+};
 pub use fault::{mix64, FaultAction, FaultKind, FaultSchedule, FaultSpec};
 pub use halo::{validate_plan_symmetry, HaloError, HaloExchangePlan, RankMesh};
 pub use heartbeat::{beat_jitter, FailureDetector, HeartbeatConfig};
@@ -41,6 +44,3 @@ pub use partition::{
     directional_partition, graph_growing_partition, rcb_partition, PartitionStats,
 };
 pub use solve::{cg_solve_distributed, partition_system, DistributedSystem};
-pub use tagged::{
-    allreduce_vec_sum_tagged, forward_tagged, migrate_particles_tagged, reverse_add_tagged,
-};

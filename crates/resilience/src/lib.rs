@@ -14,9 +14,10 @@
 //!   exchange protocol over those envelopes: exponential backoff,
 //!   duplicate suppression, and typed [`ExchangeError`]s instead of
 //!   hangs when the retry budget runs out.
-//! * [`migrate`] — particle migration re-expressed over the reliable
-//!   link, the drop/duplication/corruption-tolerant counterpart of
-//!   [`oppic_mpi::exchange::migrate_particles`].
+//! * [`migrate`] — [`ReliableLink`] as an [`oppic_mpi::Transport`]:
+//!   the drop/duplication/corruption-tolerant counterpart of the plain
+//!   alltoallv migration and allreduce, so the apps' distributed steps
+//!   run over either.
 //! * [`recovery`] — [`RecoveryDriver`], checkpoint-based
 //!   rollback-and-replay over any [`oppic_core::Recoverable`]
 //!   simulation: periodic in-memory + on-disk checkpoints, a guarded
@@ -38,7 +39,7 @@ pub mod shard;
 
 pub use envelope::{decode, Frame, FrameError};
 pub use membership::{agree_evict, Membership, MembershipError};
-pub use migrate::{migrate_particles_reliable, migrate_particles_reliable_overlap, MigrateError};
+pub use migrate::LinkError;
 pub use recovery::{RecoveryConfig, RecoveryDriver, RecoveryError, RecoveryEvent};
 pub use retry::{retry_jitter, ExchangeError, ReliableLink, RetryPolicy};
 pub use shard::{

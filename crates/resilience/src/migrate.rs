@@ -1,213 +1,131 @@
-//! Particle migration over the reliable link — the fault-tolerant
-//! counterpart of [`oppic_mpi::exchange::migrate_particles`].
+//! The reliable link as a [`Transport`]: particle migration and the
+//! vector reduction over checksummed, acknowledged envelopes — the
+//! fault-tolerant counterpart of the plain alltoallv transport.
 //!
-//! Same pack/ship/hole-fill/unpack shape as the raw alltoallv version,
-//! but every per-destination buffer travels as a checksummed envelope
-//! with ack/retry, so dropped, duplicated, reordered, delayed, or
-//! bit-flipped migration traffic either converges to the exact
-//! fault-free particle distribution or aborts with a typed error.
-//! Arrivals are validated *before* the source store is hole-filled:
-//! a failed exchange leaves the local particle store untouched.
+//! Migration uses the same codec as every other path
+//! (`oppic_mpi::exchange`): one `[cell, dofs…]` buffer per destination,
+//! hole-fill at the source, stride-checked unpack at the destination.
+//! Dropped, duplicated, reordered, delayed or bit-flipped migration
+//! traffic either converges to the exact fault-free particle
+//! distribution or aborts with a typed [`LinkError`]. The failure
+//! contract depends on the overlap window:
+//!
+//! * **no window** — arrivals are validated *before* the source store
+//!   is hole-filled: a failed migration leaves the store untouched;
+//! * **window** — the leavers are hole-filled out before the window
+//!   opens, so on error they are gone while their delivery is
+//!   unconfirmed. The store is NOT restored: a failed overlapped
+//!   migration is abort-only, and the caller must discard the step
+//!   (the chaos harness classifies this as a clean abort, never
+//!   silent corruption).
 
 use crate::retry::{ExchangeError, ReliableLink};
 use oppic_core::particles::ParticleDats;
 use oppic_core::telemetry;
 use oppic_mpi::comm::RankCtx;
-use oppic_mpi::exchange::MigrationStats;
+use oppic_mpi::exchange::{check_arrivals, pack, remove_leavers, unpack};
+use oppic_mpi::{MigrationStats, RaggedPayload, Transport};
 use std::fmt;
 
-/// Why a reliable migration failed. The particle store is unmodified
-/// in every error case.
+/// Why a reliable-link collective failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MigrateError {
+pub enum LinkError {
     /// The underlying exchange gave up.
     Exchange(ExchangeError),
-    /// A verified payload is not a whole number of particle records —
-    /// sender/receiver disagree on the dat layout.
-    RaggedPayload {
-        src: usize,
-        len: usize,
-        stride: usize,
-    },
+    /// A verified migration payload is not a whole number of particle
+    /// records — sender/receiver disagree on the dat layout.
+    Ragged(RaggedPayload),
 }
 
-impl fmt::Display for MigrateError {
+impl fmt::Display for LinkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MigrateError::Exchange(e) => write!(f, "migration exchange failed: {e}"),
-            MigrateError::RaggedPayload { src, len, stride } => write!(
-                f,
-                "ragged migration payload from rank {src}: {len} values, stride {stride}"
-            ),
+            LinkError::Exchange(e) => write!(f, "reliable exchange failed: {e}"),
+            LinkError::Ragged(e) => e.fmt(f),
         }
     }
 }
 
-impl std::error::Error for MigrateError {}
+impl std::error::Error for LinkError {}
 
-impl From<ExchangeError> for MigrateError {
+impl From<ExchangeError> for LinkError {
     fn from(e: ExchangeError) -> Self {
-        MigrateError::Exchange(e)
+        LinkError::Exchange(e)
     }
 }
 
-/// Migrate `leavers = (particle index, destination rank, destination
-/// local cell)` between ranks over `link`. Collective: every rank must
-/// call this (with an empty leaver list if it has nothing to send) —
-/// each rank exchanges one (possibly empty) buffer with every other.
-pub fn migrate_particles_reliable(
-    ctx: &mut RankCtx,
-    link: &mut ReliableLink,
-    ps: &mut ParticleDats,
-    leavers: &[(usize, u32, i32)],
-) -> Result<MigrationStats, MigrateError> {
-    let dofs = ps.dofs();
-    let stride = dofs + 1;
-    let n_ranks = ctx.n_ranks;
-
-    // Pack one buffer per destination: [cell0, dofs0..., cell1, ...].
-    let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); n_ranks];
-    for &(idx, dst, cell) in leavers {
-        debug_assert_ne!(dst as usize, ctx.rank, "leaver staying home");
-        let buf = &mut buffers[dst as usize];
-        buf.push(cell as f64);
-        ps.pack_one(idx, buf);
+impl From<RaggedPayload> for LinkError {
+    fn from(e: RaggedPayload) -> Self {
+        LinkError::Ragged(e)
     }
-    let shipped_values: usize = buffers.iter().map(Vec::len).sum();
+}
 
-    // Membership-aware peer list: after a shrink only live ranks
-    // participate (a leaver routed at a dead rank is a partition bug).
-    let others: Vec<usize> = link.live_peers(ctx);
-    debug_assert!(
-        buffers
+impl Transport for ReliableLink {
+    type Error = LinkError;
+
+    /// Collective over the live membership: every member exchanges one
+    /// (possibly empty) buffer with every other member.
+    fn migrate(
+        &mut self,
+        ctx: &mut RankCtx,
+        ps: &mut ParticleDats,
+        leavers: &[(usize, u32, i32)],
+        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
+    ) -> Result<MigrationStats, LinkError> {
+        let mut buffers = pack(ps, leavers, ctx.n_ranks);
+        let shipped_values: usize = buffers.iter().map(Vec::len).sum();
+
+        // Membership-aware peer list: after a shrink only live ranks
+        // participate (a leaver routed at a dead rank is a partition bug).
+        let others = self.live_peers(ctx);
+        debug_assert!(
+            buffers
+                .iter()
+                .enumerate()
+                .all(|(r, b)| b.is_empty() || others.contains(&r)),
+            "leaver routed to a non-member rank"
+        );
+        let sends: Vec<(usize, Vec<f64>)> = others
             .iter()
-            .enumerate()
-            .all(|(r, b)| b.is_empty() || r == ctx.rank || others.contains(&r)),
-        "leaver routed to a non-member rank"
-    );
-    let sends: Vec<(usize, Vec<f64>)> = others
-        .iter()
-        .map(|&d| (d, std::mem::take(&mut buffers[d])))
-        .collect();
-    let recvs = link.exchange(ctx, &sends, &others)?;
+            .map(|&d| (d, std::mem::take(&mut buffers[d])))
+            .collect();
 
-    // Validate every arrival before mutating anything.
-    for (&src, payload) in others.iter().zip(&recvs) {
-        if payload.len() % stride != 0 {
-            return Err(MigrateError::RaggedPayload {
-                src,
-                len: payload.len(),
-                stride,
-            });
-        }
-    }
+        let received = match window {
+            None => {
+                let recvs = self.exchange(ctx, &sends, &others)?;
+                let arrivals: Vec<(usize, Vec<f64>)> = others.into_iter().zip(recvs).collect();
+                check_arrivals(ps, &arrivals)?;
+                remove_leavers(ps, leavers);
+                unpack(ps, &arrivals)?
+            }
+            Some(window) => {
+                remove_leavers(ps, leavers);
+                let received = self
+                    .exchange_overlapped(ctx, &sends, &others, || window(ps))
+                    .map_err(LinkError::from)
+                    .and_then(|recvs| {
+                        let arrivals: Vec<(usize, Vec<f64>)> =
+                            others.into_iter().zip(recvs).collect();
+                        Ok(unpack(ps, &arrivals)?)
+                    });
+                if received.is_err() {
+                    telemetry::count("resilience.overlap_aborts", 1);
+                }
+                received?
+            }
+        };
+        telemetry::count("resilience.migrated_in", received as u64);
 
-    // Hole-fill the source store (indices sorted ascending).
-    let mut holes: Vec<usize> = leavers.iter().map(|&(i, _, _)| i).collect();
-    holes.sort_unstable();
-    ps.remove_fill(&holes);
-
-    // Unpack arrivals at the end of the dats.
-    let mut received = 0usize;
-    for payload in &recvs {
-        for chunk in payload.chunks_exact(stride) {
-            ps.unpack_one(&chunk[1..], chunk[0] as i32);
-            received += 1;
-        }
-    }
-    telemetry::count("resilience.migrated_in", received as u64);
-
-    Ok(MigrationStats {
-        sent: leavers.len(),
-        received,
-        shipped_values,
-    })
-}
-
-/// Like [`migrate_particles_reliable`], but with a **proof-gated
-/// overlap window**: once the leavers are packed, shipped, and
-/// hole-filled out of the store, `overlap` runs with the *interior*
-/// population (`&mut ps`, every particle that is staying put) while
-/// the exchange is in flight; arrivals are validated and unpacked
-/// after the drain, so the caller's boundary partition is exactly
-/// `interior_len..ps.len()` on return.
-///
-/// **Weaker failure contract than the sync variant**: the overlap
-/// window requires hole-filling *before* the exchange settles, so on
-/// error the leavers are already gone from the local store while their
-/// delivery is unconfirmed — the store is NOT restored. A failed
-/// overlapped migration is therefore abort-only: the caller must
-/// discard the step (the chaos harness classifies this as a clean
-/// abort, never silent corruption). Returns the interior length
-/// alongside the stats so the caller can split follow-up loops.
-pub fn migrate_particles_reliable_overlap(
-    ctx: &mut RankCtx,
-    link: &mut ReliableLink,
-    ps: &mut ParticleDats,
-    leavers: &[(usize, u32, i32)],
-    overlap: impl FnOnce(&mut ParticleDats),
-) -> Result<(MigrationStats, usize), MigrateError> {
-    let dofs = ps.dofs();
-    let stride = dofs + 1;
-    let n_ranks = ctx.n_ranks;
-
-    let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); n_ranks];
-    for &(idx, dst, cell) in leavers {
-        debug_assert_ne!(dst as usize, ctx.rank, "leaver staying home");
-        let buf = &mut buffers[dst as usize];
-        buf.push(cell as f64);
-        ps.pack_one(idx, buf);
-    }
-    let shipped_values: usize = buffers.iter().map(Vec::len).sum();
-
-    // Hole-fill before the window opens: the interior partition the
-    // closure sees is exactly the particles staying on this rank.
-    let mut holes: Vec<usize> = leavers.iter().map(|&(i, _, _)| i).collect();
-    holes.sort_unstable();
-    ps.remove_fill(&holes);
-    let interior_len = ps.len();
-
-    let others: Vec<usize> = link.live_peers(ctx);
-    let sends: Vec<(usize, Vec<f64>)> = others
-        .iter()
-        .map(|&d| (d, std::mem::take(&mut buffers[d])))
-        .collect();
-    let recvs = match link.exchange_overlapped(ctx, &sends, &others, || overlap(ps)) {
-        Ok(recvs) => recvs,
-        Err(e) => {
-            telemetry::count("resilience.overlap_aborts", 1);
-            return Err(e.into());
-        }
-    };
-
-    for (&src, payload) in others.iter().zip(&recvs) {
-        if payload.len() % stride != 0 {
-            telemetry::count("resilience.overlap_aborts", 1);
-            return Err(MigrateError::RaggedPayload {
-                src,
-                len: payload.len(),
-                stride,
-            });
-        }
-    }
-
-    let mut received = 0usize;
-    for payload in &recvs {
-        for chunk in payload.chunks_exact(stride) {
-            ps.unpack_one(&chunk[1..], chunk[0] as i32);
-            received += 1;
-        }
-    }
-    telemetry::count("resilience.migrated_in", received as u64);
-
-    Ok((
-        MigrationStats {
+        Ok(MigrationStats {
             sent: leavers.len(),
             received,
             shipped_values,
-        },
-        interior_len,
-    ))
+        })
+    }
+
+    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, LinkError> {
+        Ok(ReliableLink::allreduce_vec_sum(self, ctx, x)?)
+    }
 }
 
 #[cfg(test)]
@@ -243,7 +161,8 @@ mod tests {
                 .filter(|i| i % 2 == 1)
                 .map(|i| (i, dst, 100 + i as i32))
                 .collect();
-            let stats = migrate_particles_reliable(ctx, &mut link, &mut ps, &leavers)
+            let stats = link
+                .migrate(ctx, &mut ps, &leavers, None)
                 .expect("bounded retry absorbs the schedule");
             (ps, stats)
         });
@@ -291,7 +210,7 @@ mod tests {
         let out = world_run_faulty(2, Some(sched), |ctx| {
             let mut ps = local_store(ctx.rank, 4);
             let mut link = ReliableLink::default();
-            let stats = migrate_particles_reliable(ctx, &mut link, &mut ps, &[]).unwrap();
+            let stats = link.migrate(ctx, &mut ps, &[], None).unwrap();
             (ps.len(), stats)
         });
         for (len, stats) in out {
@@ -301,8 +220,8 @@ mod tests {
     }
 
     /// Same census as [`round_trip`], but through the overlap window:
-    /// the closure must see exactly the interior population, and the
-    /// post-drain store must match the sync variant's.
+    /// the window must see exactly the interior population, and the
+    /// post-drain store must match the sync form's.
     fn round_trip_overlapped(n_ranks: usize, sched: Option<Arc<FaultSchedule>>) {
         let per_rank = 10;
         let out = world_run_faulty(n_ranks, sched, |ctx| {
@@ -314,20 +233,19 @@ mod tests {
                 .map(|i| (i, dst, 100 + i as i32))
                 .collect();
             let mut window_len = 0usize;
-            let (stats, interior) = migrate_particles_reliable_overlap(
-                ctx,
-                &mut link,
-                &mut ps,
-                &leavers,
-                |interior_ps| {
-                    // Interior partition: leavers gone, arrivals not
-                    // yet unpacked.
-                    window_len = interior_ps.len();
-                },
-            )
-            .expect("bounded retry absorbs the schedule");
+            let stats = link
+                .migrate(
+                    ctx,
+                    &mut ps,
+                    &leavers,
+                    Some(&mut |interior_ps: &mut ParticleDats| {
+                        // Interior partition: leavers gone, arrivals not
+                        // yet unpacked.
+                        window_len = interior_ps.len();
+                    }),
+                )
+                .expect("bounded retry absorbs the schedule");
             assert_eq!(window_len, per_rank - 5, "window sees interior only");
-            assert_eq!(interior, window_len);
             (ps, stats)
         });
 
@@ -388,9 +306,10 @@ mod tests {
                 vec![]
             };
             let n_leavers = leavers.len();
-            let err = migrate_particles_reliable_overlap(ctx, &mut link, &mut ps, &leavers, |_| {})
+            let err = link
+                .migrate(ctx, &mut ps, &leavers, Some(&mut |_: &mut ParticleDats| {}))
                 .expect_err("total loss with no retries must abort");
-            assert!(matches!(err, MigrateError::Exchange(_)));
+            assert!(matches!(err, LinkError::Exchange(_)));
             (ps.len(), n_leavers)
         });
         for (len, n_leavers) in out {
@@ -415,9 +334,10 @@ mod tests {
             } else {
                 vec![]
             };
-            let err = migrate_particles_reliable(ctx, &mut link, &mut ps, &leavers)
+            let err = link
+                .migrate(ctx, &mut ps, &leavers, None)
                 .expect_err("total loss with no retries must abort");
-            assert!(matches!(err, MigrateError::Exchange(_)));
+            assert!(matches!(err, LinkError::Exchange(_)));
             // The store is exactly as it was: nothing removed, nothing
             // unpacked.
             ps.len()

@@ -16,10 +16,8 @@
 
 use oppic_core::particles::ParticleDats;
 use oppic_core::telemetry::Telemetry;
-use oppic_mpi::world_run;
-use oppic_resilience::{
-    migrate_particles_reliable_overlap, ExchangeError, Membership, ReliableLink, RetryPolicy,
-};
+use oppic_mpi::{world_run, Transport};
+use oppic_resilience::{ExchangeError, Membership, ReliableLink, RetryPolicy};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -162,8 +160,8 @@ proptest! {
                 let mut ps = two_particle_store(&vals);
                 let w = ps.col_id("w").unwrap();
                 let mut window_ran = false;
-                let res = migrate_particles_reliable_overlap(
-                    ctx, &mut link, &mut ps, &[], |interior_ps| {
+                let res = link.migrate(
+                    ctx, &mut ps, &[], Some(&mut |interior_ps: &mut ParticleDats| {
                         window_ran = true;
                         // Proven-independent interior compute: double
                         // every weight while traffic is in flight.
@@ -171,7 +169,7 @@ proptest! {
                         for i in 0..interior_ps.len() {
                             interior_ps.el_mut(wid, i)[0] *= 2.0;
                         }
-                    });
+                    }));
                 let survived: Vec<f64> =
                     (0..ps.len()).map(|i| ps.el(w, i)[0]).collect();
                 let fenced = hub.counter("resilience.stale_epoch_dropped");
@@ -182,8 +180,8 @@ proptest! {
                 let mut ps = two_particle_store(&cargo);
                 let leavers: Vec<(usize, u32, i32)> =
                     (0..ps.len()).map(|i| (i, 0u32, i as i32)).collect();
-                let res = migrate_particles_reliable_overlap(
-                    ctx, &mut link, &mut ps, &leavers, |_| ());
+                let res = link.migrate(
+                    ctx, &mut ps, &leavers, Some(&mut |_: &mut ParticleDats| ()));
                 (res.is_err(), true, Vec::new(), 0)
             }
         });
