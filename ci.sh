@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, build, full workspace tests, and
-# the analyzer's end-to-end self-test. Everything runs --offline —
+# Local CI gate: formatting, lints, rustdoc links, build, full workspace
+# tests, and the analyzer's end-to-end self-test. Everything runs --offline —
 # external crates are satisfied by the workspace-local shims.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -10,6 +10,9 @@ cargo fmt --check
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings: no broken or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace

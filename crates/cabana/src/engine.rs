@@ -14,9 +14,7 @@ use crate::common::{
     trilinear_shape_row, GridGeom,
 };
 use crate::config::CabanaConfig;
-use oppic_core::parloop::{
-    par_loop_binding2_cells, par_loop_direct1, par_loop_segments2_cells, par_loop_slices2_cells,
-};
+use oppic_core::parloop::{par_loop, par_loop_scatter, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
     ColId, Dat, Depositor, ExchangeDir, ParticleDats, Tally, ThreadBinding, MAT_TILE_WIDTH,
@@ -189,13 +187,27 @@ impl<T: Topology> CabanaEngine<T> {
     pub fn interpolate(&mut self) {
         self.record_loop("Interpolate");
         let e = &self.e;
-        par_loop_direct1(&self.cfg.policy, &mut self.interp_e, |c, w| {
-            w.copy_from_slice(e.el(c));
-        });
+        par_loop(
+            &self.cfg.policy,
+            Space::Range,
+            self.interp_e.col_mut(),
+            |win| {
+                win.each(|c, w| {
+                    w.copy_from_slice(e.el(c));
+                });
+            },
+        );
         let b = &self.b;
-        par_loop_direct1(&self.cfg.policy, &mut self.interp_b, |c, w| {
-            w.copy_from_slice(b.el(c));
-        });
+        par_loop(
+            &self.cfg.policy,
+            Space::Range,
+            self.interp_b.col_mut(),
+            |win| {
+                win.each(|c, w| {
+                    w.copy_from_slice(b.el(c));
+                });
+            },
+        );
         let bytes = (self.geom.n_cells() * 6 * 8 * 2) as u64;
         self.profiler.add_traffic("Interpolate", bytes, 0);
     }
@@ -267,14 +279,14 @@ impl<T: Topology> CabanaEngine<T> {
             self.ps.cols_mut2_cells_mut_with_index(self.pos, self.vel)
         {
             segment_batched = Some(cell_start.windows(2).filter(|w| w[1] > w[0]).count());
-            par_loop_segments2_cells(
+            par_loop_scatter(
                 &self.cfg.policy,
-                cell_start,
-                (3, pos),
-                (3, vel),
-                cells,
+                Space::Segments(cell_start),
+                ((3, pos), (3, vel), cells),
                 acc,
-                |dep, tally, c, first, xs, vs, cw| {
+                |dep, tally, w| {
+                    let c = w.cell.expect("segment windows carry their cell");
+                    let (first, ((_, xs), (_, vs), cw)) = (w.first, w.cols);
                     let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
                     let ids = stencil27(c, nb);
                     let mut se = [[0.0f64; 3]; 27];
@@ -345,25 +357,19 @@ impl<T: Topology> CabanaEngine<T> {
                 });
                 push_move(dep, tally, i, x, v, cl, ef, bf);
             };
-            match &self.binding {
-                // Persistent binding: the same worker moves the same
-                // particles step after step, and its spans form one
-                // scatter piece. Particle writes are element-local, so
-                // pos/vel/cells are independent of the binding; the
-                // current is reduced in worker order.
-                Some(b) => par_loop_binding2_cells(
-                    &self.cfg.policy,
-                    b,
-                    (3, pos),
-                    (3, vel),
-                    cells,
-                    acc,
-                    kernel,
-                ),
-                None => {
-                    par_loop_slices2_cells(&self.cfg.policy, (3, pos), (3, vel), cells, acc, kernel)
-                }
-            }
+            // Persistent binding: the same worker moves the same
+            // particles step after step, and its spans form one scatter
+            // piece. Particle writes are element-local, so pos/vel/cells
+            // are independent of the binding; the current is reduced in
+            // worker order.
+            let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
+            par_loop_scatter(
+                &self.cfg.policy,
+                space,
+                ((3, pos), (3, vel), cells),
+                acc,
+                |dep, tally, w| w.each(|i, (x, v, cl)| kernel(dep, tally, i, x, v, cl)),
+            )
         };
         self.ps.refine_dirty(tally.moved as usize);
         self.last_visited = visit_log.into_iter().map(AtomicU32::into_inner).collect();
@@ -387,10 +393,12 @@ impl<T: Topology> CabanaEngine<T> {
         self.record_loop("AccumulateCurrent");
         let inv_vol = 1.0 / self.geom.cell_volume();
         let acc = &self.acc;
-        par_loop_direct1(&self.cfg.policy, &mut self.j, |c, w| {
-            w[0] = acc[c * 3] * inv_vol;
-            w[1] = acc[c * 3 + 1] * inv_vol;
-            w[2] = acc[c * 3 + 2] * inv_vol;
+        par_loop(&self.cfg.policy, Space::Range, self.j.col_mut(), |win| {
+            win.each(|c, w| {
+                w[0] = acc[c * 3] * inv_vol;
+                w[1] = acc[c * 3 + 1] * inv_vol;
+                w[2] = acc[c * 3 + 2] * inv_vol;
+            });
         });
         self.acc.fill(0.0);
         let bytes = (self.geom.n_cells() * 6 * 8) as u64;
@@ -405,21 +413,23 @@ impl<T: Topology> CabanaEngine<T> {
         let topo = &self.topo;
         let e = &self.e;
         let dt = self.cfg.dt;
-        par_loop_direct1(&self.cfg.policy, &mut self.b, |c, w| {
-            let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-            let db = advance_b_cell(
-                &geom,
-                c,
-                nb,
-                |cc| {
-                    let s = e.el(cc);
-                    [s[0], s[1], s[2]]
-                },
-                dt,
-            );
-            w[0] += db[0];
-            w[1] += db[1];
-            w[2] += db[2];
+        par_loop(&self.cfg.policy, Space::Range, self.b.col_mut(), |win| {
+            win.each(|c, w| {
+                let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
+                let db = advance_b_cell(
+                    &geom,
+                    c,
+                    nb,
+                    |cc| {
+                        let s = e.el(cc);
+                        [s[0], s[1], s[2]]
+                    },
+                    dt,
+                );
+                w[0] += db[0];
+                w[1] += db[1];
+                w[2] += db[2];
+            });
         });
         let nc = self.geom.n_cells() as u64;
         self.profiler
@@ -434,23 +444,25 @@ impl<T: Topology> CabanaEngine<T> {
         let b = &self.b;
         let j = &self.j;
         let dt = self.cfg.dt;
-        par_loop_direct1(&self.cfg.policy, &mut self.e, |c, w| {
-            let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-            let jj = j.el(c);
-            let de = advance_e_cell(
-                &geom,
-                c,
-                nb,
-                |cc| {
-                    let s = b.el(cc);
-                    [s[0], s[1], s[2]]
-                },
-                [jj[0], jj[1], jj[2]],
-                dt,
-            );
-            w[0] += de[0];
-            w[1] += de[1];
-            w[2] += de[2];
+        par_loop(&self.cfg.policy, Space::Range, self.e.col_mut(), |win| {
+            win.each(|c, w| {
+                let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
+                let jj = j.el(c);
+                let de = advance_e_cell(
+                    &geom,
+                    c,
+                    nb,
+                    |cc| {
+                        let s = b.el(cc);
+                        [s[0], s[1], s[2]]
+                    },
+                    [jj[0], jj[1], jj[2]],
+                    dt,
+                );
+                w[0] += de[0];
+                w[1] += de[1];
+                w[2] += de[2];
+            });
         });
         let nc = self.geom.n_cells() as u64;
         self.profiler

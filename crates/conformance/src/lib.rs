@@ -9,9 +9,9 @@
 //! sequential/Serial reference under explicit equivalence [`oracle`]s
 //! (bit-identity where DESIGN.md promises it, tolerance elsewhere),
 //! and enforces physics invariants independent of the reference. When
-//! a cell fails, the [`shrink`]er minimises the configuration and
-//! [`report`] writes a replayable JSON reproducer under
-//! `results/conformance/`.
+//! a cell fails, the shrinker ([`shrink()`]) minimises the
+//! configuration and [`report`] writes a replayable JSON reproducer
+//! under `results/conformance/`.
 //!
 //! The [`chaos`] stage extends the contract to a *faulty* substrate:
 //! seeded fault schedules (drop / duplicate / reorder / delay /

@@ -1,9 +1,9 @@
 //! Persistent particle-thread binding (DESIGN.md §12).
 //!
-//! The rayon executors in [`crate::parloop`] re-chunk the particle set
-//! on every loop: whichever worker steals a chunk first owns it for
-//! that one loop, so per-thread cache and NUMA state is thrown away
-//! between loops and between steps. The particle-thread-binding
+//! The executor in [`crate::parloop`] cuts a [`crate::Space::Range`]
+//! afresh on every loop: a worker owns its piece for that one loop,
+//! so per-thread cache and NUMA state is thrown away between loops
+//! and between steps. The particle-thread-binding
 //! direction (arXiv 2506.21524, PAPERS.md) instead pins a fixed
 //! particle subset to each worker and keeps that assignment **across
 //! steps**, rebuilding it only when the population has drifted enough

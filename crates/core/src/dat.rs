@@ -108,6 +108,13 @@ impl Dat {
         &mut self.data
     }
 
+    /// The flat buffer as a `(dim, data)` column of
+    /// [`crate::parloop::par_loop`].
+    #[inline]
+    pub fn col_mut(&mut self) -> (usize, &mut [f64]) {
+        (self.dim, &mut self.data)
+    }
+
     /// Set every value to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);

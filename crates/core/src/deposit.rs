@@ -39,7 +39,7 @@
 //! ScatterArrays / Atomics / SortedSegments per loop from runtime
 //! stats (particles per cell, dirty fraction, thread count).
 
-use crate::parloop::ExecPolicy;
+use crate::parloop::{dispatch, ExecPolicy};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1012,9 +1012,8 @@ impl Tally for u64 {
 ///   depends on how the caller cut the pieces, never on the thread
 ///   schedule.
 ///
-/// [`deposit_loop`]'s `ScatterArrays` and the fused particle-mover
-/// executors ([`crate::par_loop_slices2_cells`] and friends) share
-/// this one race story.
+/// [`deposit_loop`]'s `ScatterArrays` and the executor's fused-mover
+/// form ([`crate::par_loop_scatter`]) share this one race story.
 pub fn scatter_pieces<W, T, F>(
     policy: &ExecPolicy,
     pieces: Vec<W>,
@@ -1035,22 +1034,17 @@ where
         return tally;
     }
     let len = target.len();
-    let mut slots: Vec<Option<W>> = pieces.into_iter().map(Some).collect();
+    let (locals, tallies): (Vec<Vec<f64>>, Vec<T>) = dispatch(policy, pieces, |piece| {
+        let mut local = vec![0.0; len];
+        let mut t = T::default();
+        body(piece, &mut Depositor::Local(&mut local), &mut t);
+        (local, t)
+    })
+    .into_iter()
+    .unzip();
+    // "Finally, the array entries can be reduced to get the total
+    // contribution to that node."
     policy.run(|| {
-        let (locals, tallies): (Vec<Vec<f64>>, Vec<T>) = slots
-            .par_iter_mut()
-            .map(|slot| {
-                let mut local = vec![0.0; len];
-                let mut t = T::default();
-                let piece = slot.take().expect("each piece runs once");
-                body(piece, &mut Depositor::Local(&mut local), &mut t);
-                (local, t)
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .unzip();
-        // "Finally, the array entries can be reduced to get the total
-        // contribution to that node."
         target.par_iter_mut().enumerate().for_each(|(j, tj)| {
             let mut acc = *tj;
             for l in &locals {
@@ -1058,10 +1052,10 @@ where
             }
             *tj = acc;
         });
-        for t in tallies {
-            tally.merge(t);
-        }
     });
+    for t in tallies {
+        tally.merge(t);
+    }
     tally
 }
 

@@ -16,7 +16,7 @@
 //! | `opp_decl_particle_set`    | [`particles::ParticleDats`]             |
 //! | `opp_decl_map`             | [`decl::MapDecl`] + app-held tables     |
 //! | `opp_decl_dat`             | [`dat::Dat`] / particle columns         |
-//! | `opp_par_loop` (direct)    | [`parloop`] `par_loop_direct1..4`       |
+//! | `opp_par_loop` (direct)    | [`parloop::par_loop`] over a [`Space`]  |
 //! | `opp_par_loop` (indirect ↑)| [`deposit::deposit_loop`]               |
 //! | `opp_particle_move`        | [`move_engine::move_loop`] (MH/DH)      |
 //! | access modes               | [`access::Access`]                      |
@@ -62,12 +62,7 @@ pub use deposit::{
 };
 pub use move_engine::{move_loop, move_loop_direct_hop, MoveConfig, MoveResult, MoveStatus};
 pub use params::Params;
-pub use parloop::{
-    par_loop_binding1, par_loop_binding2, par_loop_binding2_cells, par_loop_direct1,
-    par_loop_direct2, par_loop_direct3, par_loop_direct4, par_loop_gather, par_loop_segments2,
-    par_loop_segments2_cells, par_loop_slices1, par_loop_slices2, par_loop_slices2_cells,
-    par_loop_slices3, par_reduce_sum, ExecPolicy,
-};
+pub use parloop::{par_loop, par_loop_direct1, par_loop_scatter, ExecPolicy, Space};
 pub use particles::{ColId, ParticleDats, SortPolicy};
 pub use plan::{LoopPlan, PlanRegistry, RaceStrategy};
 pub use profile::{KernelClass, Profiler};

@@ -20,7 +20,7 @@
 //! assert_eq!(pos.el(99), &[0.5 * 99.0, 0.0, 0.0]);
 //! ```
 //!
-//! The macro arms map onto the paper's access-descriptor shapes:
+//! The macros map onto the paper's access-descriptor shapes:
 //! one to four `write` (OPP_WRITE/OPP_RW) dats on the iteration set;
 //! reads (`OPP_READ`, direct or through maps) are ordinary captures —
 //! `&Dat` is `Sync`, so reads need no machinery at all.
@@ -53,20 +53,16 @@ macro_rules! opp_par_loop {
         $crate::plan::LoopPlan::direct(__decl, &$policy)
             .quick_check()
             .expect("opp_par_loop: incoherent loop declaration");
-        $crate::opp_par_loop!(@dispatch $policy; [$($a: $da),+]; |$i| $body);
+        // One dat is a bare column and a bare element window; several
+        // are tuples of both.
+        #[allow(unused_parens)]
+        $crate::parloop::par_loop(
+            &$policy,
+            $crate::parloop::Space::Range,
+            ($($da.col_mut()),+),
+            |__w| __w.each(|$i, ($($a),+)| $body),
+        );
     }};
-    (@dispatch $policy:expr; [$a:ident: $da:expr]; |$i:pat_param| $body:block) => {
-        $crate::parloop::par_loop_direct1(&$policy, &mut $da, |$i, $a| $body);
-    };
-    (@dispatch $policy:expr; [$a:ident: $da:expr, $b:ident: $db:expr]; |$i:pat_param| $body:block) => {
-        $crate::parloop::par_loop_direct2(&$policy, &mut $da, &mut $db, |$i, $a, $b| $body);
-    };
-    (@dispatch $policy:expr; [$a:ident: $da:expr, $b:ident: $db:expr, $c:ident: $dc:expr]; |$i:pat_param| $body:block) => {
-        $crate::parloop::par_loop_direct3(&$policy, &mut $da, &mut $db, &mut $dc, |$i, $a, $b, $c| $body);
-    };
-    (@dispatch $policy:expr; [$a:ident: $da:expr, $b:ident: $db:expr, $c:ident: $dc:expr, $d:ident: $dd:expr]; |$i:pat_param| $body:block) => {
-        $crate::parloop::par_loop_direct4(&$policy, &mut $da, &mut $db, &mut $dc, &mut $dd, |$i, $a, $b, $c, $d| $body);
-    };
 }
 
 /// Declare a particle-move loop, Figure 6 style. The kernel body

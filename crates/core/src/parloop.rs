@@ -1,16 +1,25 @@
-//! Direct parallel-loop executors — `opp_par_loop` over a set where
-//! every *written* argument is declared on the iteration set itself.
+//! The par-loop executor — `opp_par_loop` over an iteration space.
 //!
-//! These loops are the embarrassingly parallel case: element `i` owns
-//! slice `[i*dim, (i+1)*dim)` of each written dat, so the executors
-//! hand each iteration disjoint `&mut [f64]` windows via rayon's
-//! `par_chunks_mut` zips. Read-only data (direct or gathered through
-//! maps) is captured by the kernel closure — `&Dat` is `Sync`, so this
-//! is race-free by construction, with no `unsafe` anywhere.
+//! Every loop whose *written* arguments live on the iteration set runs
+//! through one executor, [`par_loop`]: it takes an iteration
+//! [`Space`] and a tuple of writable columns, checks that every column
+//! has exactly `n·dim` values, cuts the space into pieces of work,
+//! carves every column into one disjoint `&mut` [`Window`] per span,
+//! and dispatches the pieces. Element `i` owns slice
+//! `[i*dim, (i+1)*dim)` of each column, so iterations are race-free by
+//! slice disjointness; read-only data (direct or gathered through
+//! maps) is captured by the kernel closure — `&Dat` is `Sync` — with no
+//! `unsafe` anywhere.
 //!
-//! This is precisely what the paper's generated OpenMP backend does
-//! with `#pragma omp parallel for` over the set, and what the
-//! sequential backend does with a plain loop.
+//! [`par_loop_scatter`] is the same executor for fused particle movers
+//! that also increment mesh data: each piece gets a [`Depositor`] and
+//! a [`Tally`] through [`scatter_pieces`], and the cell column (an
+//! `&mut [i32]`) is carved like any other column.
+//!
+//! This is what the paper's generated OpenMP backend does with
+//! `#pragma omp parallel for` over the set, and what the sequential
+//! backend does with a plain loop: under [`ExecPolicy::Seq`] the whole
+//! space is one piece run inline on the calling thread.
 
 use crate::binding::ThreadBinding;
 use crate::dat::Dat;
@@ -81,9 +90,157 @@ impl ExecPolicy {
     }
 }
 
-/// Telemetry hook shared by every executor in this module: one loop
-/// invocation, `bytes` of writable data handed to kernels. A no-op
-/// costing one thread-local read when no telemetry is current.
+/// How a loop's `n` elements are cut into pieces of work, one piece
+/// per worker (a piece is a list of windows).
+#[derive(Clone, Copy, Debug)]
+pub enum Space<'a> {
+    /// Contiguous pieces of `ceil(n/t)` elements for `t` threads; one
+    /// window per piece.
+    Range,
+    /// The non-empty segments of a **fresh** CSR cell index
+    /// (`ParticleDats::cell_index`): one window per segment, carrying
+    /// its cell, so cell-level data (fields, geometry) can be loaded
+    /// once per segment instead of once per particle. Pieces are runs
+    /// of consecutive segments balanced by particle count.
+    Segments(&'a [usize]),
+    /// One piece per worker of a persistent [`ThreadBinding`]
+    /// (DESIGN.md §12), holding a window per span it owns, so the same
+    /// particles land on the same worker loop after loop. Under
+    /// [`ExecPolicy::Seq`] the same single piece as [`Space::Range`].
+    Binding(&'a ThreadBinding),
+}
+
+/// One column the executor carves: a `(dim, values)` column of `f64`
+/// (a flat `len*dim` buffer, as [`Dat::col_mut`] and the particle
+/// columns of [`crate::particles::ParticleDats`] hand out), or a cell
+/// column `&mut [i32]` of dim 1.
+pub trait Column: Send + Sized {
+    /// One element's window.
+    type Elem;
+    type Iter: Iterator<Item = Self::Elem>;
+    /// `(values, dim, bytes per value)`.
+    fn shape(&self) -> (usize, usize, usize);
+    /// The first `elems` elements, and the rest.
+    fn split(self, elems: usize) -> (Self, Self);
+    fn elems(self) -> Self::Iter;
+}
+
+impl<'a> Column for (usize, &'a mut [f64]) {
+    type Elem = &'a mut [f64];
+    type Iter = std::slice::ChunksMut<'a, f64>;
+
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.1.len(), self.0, 8)
+    }
+
+    fn split(self, elems: usize) -> (Self, Self) {
+        let (head, tail) = self.1.split_at_mut(elems * self.0);
+        ((self.0, head), (self.0, tail))
+    }
+
+    #[inline]
+    fn elems(self) -> Self::Iter {
+        self.1.chunks_mut(self.0)
+    }
+}
+
+impl<'a> Column for &'a mut [i32] {
+    type Elem = &'a mut i32;
+    type Iter = std::slice::IterMut<'a, i32>;
+
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.len(), 1, 4)
+    }
+
+    fn split(self, elems: usize) -> (Self, Self) {
+        self.split_at_mut(elems)
+    }
+
+    #[inline]
+    fn elems(self) -> Self::Iter {
+        self.iter_mut()
+    }
+}
+
+/// The columns of one loop: a single `f64` column, or a tuple of two
+/// to four [`Column`]s whose elements reach the kernel as a tuple.
+pub trait Cols: Send + Sized {
+    type Elem;
+    fn shapes(&self) -> Vec<(usize, usize, usize)>;
+    fn split(self, elems: usize) -> (Self, Self);
+    /// Run `f(first + k, element k)` over the elements in order.
+    fn each(self, first: usize, f: impl FnMut(usize, Self::Elem));
+}
+
+impl<'a> Cols for (usize, &'a mut [f64]) {
+    type Elem = &'a mut [f64];
+
+    fn shapes(&self) -> Vec<(usize, usize, usize)> {
+        vec![self.shape()]
+    }
+
+    fn split(self, elems: usize) -> (Self, Self) {
+        Column::split(self, elems)
+    }
+
+    #[inline]
+    fn each(self, first: usize, mut f: impl FnMut(usize, Self::Elem)) {
+        for (k, a) in self.elems().enumerate() {
+            f(first + k, a);
+        }
+    }
+}
+
+macro_rules! cols_tuple {
+    ($($t:ident $v:ident $i:tt),+; $zip:expr => $pat:pat) => {
+        impl<$($t: Column),+> Cols for ($($t,)+) {
+            type Elem = ($($t::Elem,)+);
+
+            fn shapes(&self) -> Vec<(usize, usize, usize)> {
+                vec![$(self.$i.shape()),+]
+            }
+
+            fn split(self, elems: usize) -> (Self, Self) {
+                $(let $v = self.$i.split(elems);)+
+                (($($v.0,)+), ($($v.1,)+))
+            }
+
+            #[inline]
+            fn each(self, first: usize, mut f: impl FnMut(usize, Self::Elem)) {
+                $(let $v = self.$i.elems();)+
+                for (k, $pat) in $zip.enumerate() {
+                    f(first + k, ($($v,)+));
+                }
+            }
+        }
+    };
+}
+
+cols_tuple!(A a 0, B b 1; a.zip(b) => (a, b));
+cols_tuple!(A a 0, B b 1, C c 2; a.zip(b).zip(c) => ((a, b), c));
+cols_tuple!(A a 0, B b 1, C c 2, D d 3; a.zip(b).zip(c).zip(d) => (((a, b), c), d));
+
+/// A run of consecutive elements handed to a kernel: elements
+/// `first..` of every column.
+pub struct Window<C> {
+    /// The segment's cell under [`Space::Segments`], else `None`.
+    pub cell: Option<usize>,
+    /// Index of the window's first element in the iteration set.
+    pub first: usize,
+    pub cols: C,
+}
+
+impl<C: Cols> Window<C> {
+    /// Run `f(i, element)` over the window in element order.
+    #[inline]
+    pub fn each(self, f: impl FnMut(usize, C::Elem)) {
+        self.cols.each(self.first, f)
+    }
+}
+
+/// Telemetry hook of the executor: one loop invocation, `bytes` of
+/// writable data handed to kernels. A no-op costing one thread-local
+/// read when no telemetry is current.
 fn note_loop(bytes: usize) {
     if let Some(t) = crate::telemetry::current() {
         t.counter_add("parloop.invocations", 1);
@@ -91,766 +248,501 @@ fn note_loop(bytes: usize) {
     }
 }
 
-/// Loop over `n` elements writing one dat.
+/// Where one window goes: `(piece, cell, lo, hi)`.
+type Cut = (usize, Option<usize>, usize, usize);
+
+/// Cut `space` over `n` elements into pieces: the piece count and
+/// every window's cut, in ascending `lo` order tiling `0..n`.
+fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
+    let t = policy.threads().max(1);
+    match space {
+        Space::Segments(cell_start) => {
+            let mut pieces = 0;
+            let mut cuts = Vec::with_capacity(cell_start.len() - 1);
+            for (c, w) in cell_start.windows(2).enumerate() {
+                let (lo, hi) = (w[0], w[1]);
+                if lo == hi {
+                    continue;
+                }
+                // Open the next piece once the open ones hold their share.
+                if pieces == 0 || (pieces < t && lo >= n * pieces / t) {
+                    pieces += 1;
+                }
+                cuts.push((pieces - 1, Some(c), lo, hi));
+            }
+            (pieces, cuts)
+        }
+        Space::Binding(binding) if policy.is_parallel() => {
+            let mut cuts: Vec<Cut> = Vec::new();
+            for (w, spans) in binding.assignments(n).into_iter().enumerate() {
+                cuts.extend(spans.into_iter().map(|(lo, hi)| (w, None, lo, hi)));
+            }
+            cuts.sort_unstable_by_key(|&(_, _, lo, _)| lo);
+            (binding.n_workers(), cuts)
+        }
+        Space::Range | Space::Binding(_) => {
+            let chunk = n.div_ceil(t).max(1);
+            let cuts: Vec<Cut> = (0..n)
+                .step_by(chunk)
+                .enumerate()
+                .map(|(p, lo)| (p, None, lo, (lo + chunk).min(n)))
+                .collect();
+            (cuts.len(), cuts)
+        }
+    }
+}
+
+/// Check the columns' shapes, note the loop, and carve every column
+/// into the windows of [`cut`], grouped by piece.
+fn carve<C: Cols>(policy: &ExecPolicy, space: Space<'_>, cols: C) -> Vec<Vec<Window<C>>> {
+    let shapes = cols.shapes();
+    let n = match space {
+        Space::Segments(cell_start) => *cell_start.last().expect("cell index must be non-empty"),
+        _ => shapes[0].0 / shapes[0].1,
+    };
+    for (k, &(len, dim, _)) in shapes.iter().enumerate() {
+        if let Space::Segments(_) = space {
+            assert_eq!(len, n * dim, "column {k} does not match the index");
+        } else {
+            assert_eq!(len, n * dim, "loop columns must share the iteration set");
+        }
+    }
+    note_loop(shapes.iter().map(|&(len, _, bytes)| len * bytes).sum());
+    let (count, cuts) = cut(policy, space, n);
+    let mut pieces: Vec<Vec<Window<C>>> = (0..count).map(|_| Vec::new()).collect();
+    let mut rest = cols;
+    for (piece, cell, lo, hi) in cuts {
+        let (cols, tail) = rest.split(hi - lo);
+        rest = tail;
+        pieces[piece].push(Window {
+            cell,
+            first: lo,
+            cols,
+        });
+    }
+    pieces
+}
+
+/// The one place pieces of work meet threads: a single piece runs
+/// inline on the calling thread, several run on the policy's workers.
+/// Results come back in piece order.
+pub(crate) fn dispatch<W, R, F>(policy: &ExecPolicy, pieces: Vec<W>, run: F) -> Vec<R>
+where
+    W: Send,
+    R: Send,
+    F: Fn(W) -> R + Sync,
+{
+    if pieces.len() <= 1 {
+        return pieces.into_iter().map(run).collect();
+    }
+    let mut slots: Vec<Option<W>> = pieces.into_iter().map(Some).collect();
+    policy.run(|| {
+        slots
+            .par_iter_mut()
+            .map(|slot| run(slot.take().expect("each piece runs once")))
+            .collect()
+    })
+}
+
+/// Run `f` once per [`Window`] of `space` over `cols` (a `(dim,
+/// values)` column or a tuple of up to four [`Column`]s, all on the
+/// iteration set). Per-element kernels call [`Window::each`]; segment
+/// kernels read [`Window::cell`] first.
 ///
-/// `kernel(i, w0)` receives the element index and the element's
-/// mutable window of `w0`.
+/// Panics unless every column holds exactly `n·dim` values, where `n`
+/// is the index's particle count under [`Space::Segments`] and the
+/// first column's element count otherwise.
+pub fn par_loop<C, F>(policy: &ExecPolicy, space: Space<'_>, cols: C, f: F)
+where
+    C: Cols,
+    F: Fn(Window<C>) + Sync,
+{
+    dispatch(policy, carve(policy, space, cols), |windows| {
+        windows.into_iter().for_each(&f)
+    });
+}
+
+/// [`par_loop`] for fused mover kernels (CabanaPIC's `Move_Deposit`)
+/// that also increment `target`: `f` gets its piece's [`Depositor`]
+/// and [`Tally`] with every window, and the merged tally is returned.
+/// The cell column (`&mut [i32]`) is carved like any other column;
+/// cell-id writes go through the window, so the caller must mark the
+/// store dirty.
+///
+/// Increments follow [`scatter_pieces`]: under `Seq` the loop is one
+/// piece writing `target` exclusively in element order; under a
+/// parallel policy each piece of `space` fills a private array, and
+/// the arrays and tallies are reduced in piece order.
+pub fn par_loop_scatter<T, C, F>(
+    policy: &ExecPolicy,
+    space: Space<'_>,
+    cols: C,
+    target: &mut [f64],
+    f: F,
+) -> T
+where
+    T: Tally,
+    C: Cols,
+    F: Fn(&mut Depositor, &mut T, Window<C>) + Sync,
+{
+    let pieces = carve(policy, space, cols);
+    scatter_pieces(policy, pieces, target, |windows, dep, tally: &mut T| {
+        for w in windows {
+            f(dep, tally, w);
+        }
+    })
+}
+
+/// Loop over the elements of one dat: `f(i, element)`, as
+/// [`par_loop`] over a [`Space::Range`].
 pub fn par_loop_direct1<F>(policy: &ExecPolicy, w0: &mut Dat, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
-    let d0 = w0.dim();
-    note_loop(w0.len() * d0 * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, c0) in w0.raw_mut().chunks_mut(d0).enumerate() {
-                f(i, c0);
-            }
-        }
-        _ => policy.run(|| {
-            w0.raw_mut()
-                .par_chunks_mut(d0)
-                .enumerate()
-                .for_each(|(i, c0)| f(i, c0));
-        }),
-    }
-}
-
-/// Loop over `n` elements writing two dats (they must be declared on
-/// the same set — checked by length).
-pub fn par_loop_direct2<F>(policy: &ExecPolicy, w0: &mut Dat, w1: &mut Dat, f: F)
-where
-    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
-{
-    assert_eq!(
-        w0.len(),
-        w1.len(),
-        "direct loop dats must share the iteration set"
-    );
-    let (d0, d1) = (w0.dim(), w1.dim());
-    note_loop((w0.len() * d0 + w1.len() * d1) * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, (c0, c1)) in w0
-                .raw_mut()
-                .chunks_mut(d0)
-                .zip(w1.raw_mut().chunks_mut(d1))
-                .enumerate()
-            {
-                f(i, c0, c1);
-            }
-        }
-        _ => policy.run(|| {
-            w0.raw_mut()
-                .par_chunks_mut(d0)
-                .zip(w1.raw_mut().par_chunks_mut(d1))
-                .enumerate()
-                .for_each(|(i, (c0, c1))| f(i, c0, c1));
-        }),
-    }
-}
-
-/// Loop over `n` elements writing three dats.
-pub fn par_loop_direct3<F>(policy: &ExecPolicy, w0: &mut Dat, w1: &mut Dat, w2: &mut Dat, f: F)
-where
-    F: Fn(usize, &mut [f64], &mut [f64], &mut [f64]) + Sync,
-{
-    assert_eq!(
-        w0.len(),
-        w1.len(),
-        "direct loop dats must share the iteration set"
-    );
-    assert_eq!(
-        w0.len(),
-        w2.len(),
-        "direct loop dats must share the iteration set"
-    );
-    let (d0, d1, d2) = (w0.dim(), w1.dim(), w2.dim());
-    note_loop((w0.len() * d0 + w1.len() * d1 + w2.len() * d2) * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, ((c0, c1), c2)) in w0
-                .raw_mut()
-                .chunks_mut(d0)
-                .zip(w1.raw_mut().chunks_mut(d1))
-                .zip(w2.raw_mut().chunks_mut(d2))
-                .enumerate()
-            {
-                f(i, c0, c1, c2);
-            }
-        }
-        _ => policy.run(|| {
-            w0.raw_mut()
-                .par_chunks_mut(d0)
-                .zip(w1.raw_mut().par_chunks_mut(d1))
-                .zip(w2.raw_mut().par_chunks_mut(d2))
-                .enumerate()
-                .for_each(|(i, ((c0, c1), c2))| f(i, c0, c1, c2));
-        }),
-    }
-}
-
-/// Loop over `n` elements writing four dats.
-pub fn par_loop_direct4<F>(
-    policy: &ExecPolicy,
-    w0: &mut Dat,
-    w1: &mut Dat,
-    w2: &mut Dat,
-    w3: &mut Dat,
-    f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut [f64], &mut [f64], &mut [f64]) + Sync,
-{
-    assert_eq!(
-        w0.len(),
-        w1.len(),
-        "direct loop dats must share the iteration set"
-    );
-    assert_eq!(
-        w0.len(),
-        w2.len(),
-        "direct loop dats must share the iteration set"
-    );
-    assert_eq!(
-        w0.len(),
-        w3.len(),
-        "direct loop dats must share the iteration set"
-    );
-    let (d0, d1, d2, d3) = (w0.dim(), w1.dim(), w2.dim(), w3.dim());
-    note_loop((w0.len() * d0 + w1.len() * d1 + w2.len() * d2 + w3.len() * d3) * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, (((c0, c1), c2), c3)) in w0
-                .raw_mut()
-                .chunks_mut(d0)
-                .zip(w1.raw_mut().chunks_mut(d1))
-                .zip(w2.raw_mut().chunks_mut(d2))
-                .zip(w3.raw_mut().chunks_mut(d3))
-                .enumerate()
-            {
-                f(i, c0, c1, c2, c3);
-            }
-        }
-        _ => policy.run(|| {
-            w0.raw_mut()
-                .par_chunks_mut(d0)
-                .zip(w1.raw_mut().par_chunks_mut(d1))
-                .zip(w2.raw_mut().par_chunks_mut(d2))
-                .zip(w3.raw_mut().par_chunks_mut(d3))
-                .enumerate()
-                .for_each(|(i, (((c0, c1), c2), c3))| f(i, c0, c1, c2, c3));
-        }),
-    }
-}
-
-/// Slice-based variant of [`par_loop_direct1`]: iterate a flat
-/// `len*dim` buffer (particle columns are stored this way inside
-/// [`crate::particles::ParticleDats`]).
-pub fn par_loop_slices1<F>(policy: &ExecPolicy, dim0: usize, s0: &mut [f64], f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    note_loop(s0.len() * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, c0) in s0.chunks_mut(dim0).enumerate() {
-                f(i, c0);
-            }
-        }
-        _ => policy.run(|| {
-            s0.par_chunks_mut(dim0)
-                .enumerate()
-                .for_each(|(i, c0)| f(i, c0));
-        }),
-    }
-}
-
-/// Slice-based two-column loop (e.g. the push kernel writing position
-/// and velocity columns of the particle store).
-pub fn par_loop_slices2<F>(
-    policy: &ExecPolicy,
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
-{
-    assert_eq!(
-        s0.len() / dim0,
-        s1.len() / dim1,
-        "slice loops must share the iteration set"
-    );
-    note_loop((s0.len() + s1.len()) * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, (c0, c1)) in s0.chunks_mut(dim0).zip(s1.chunks_mut(dim1)).enumerate() {
-                f(i, c0, c1);
-            }
-        }
-        _ => policy.run(|| {
-            s0.par_chunks_mut(dim0)
-                .zip(s1.par_chunks_mut(dim1))
-                .enumerate()
-                .for_each(|(i, (c0, c1))| f(i, c0, c1));
-        }),
-    }
-}
-
-/// Slice-based three-column loop.
-pub fn par_loop_slices3<F>(
-    policy: &ExecPolicy,
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    (dim2, s2): (usize, &mut [f64]),
-    f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut [f64], &mut [f64]) + Sync,
-{
-    assert_eq!(
-        s0.len() / dim0,
-        s1.len() / dim1,
-        "slice loops must share the iteration set"
-    );
-    assert_eq!(
-        s0.len() / dim0,
-        s2.len() / dim2,
-        "slice loops must share the iteration set"
-    );
-    note_loop((s0.len() + s1.len() + s2.len()) * 8);
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, ((c0, c1), c2)) in s0
-                .chunks_mut(dim0)
-                .zip(s1.chunks_mut(dim1))
-                .zip(s2.chunks_mut(dim2))
-                .enumerate()
-            {
-                f(i, c0, c1, c2);
-            }
-        }
-        _ => policy.run(|| {
-            s0.par_chunks_mut(dim0)
-                .zip(s1.par_chunks_mut(dim1))
-                .zip(s2.par_chunks_mut(dim2))
-                .enumerate()
-                .for_each(|(i, ((c0, c1), c2))| f(i, c0, c1, c2));
-        }),
-    }
-}
-
-/// One window of a fused-mover loop: `(first particle, col-0 window,
-/// col-1 window, cell-id window)`.
-type Window2c<'a> = (usize, &'a mut [f64], &'a mut [f64], &'a mut [i32]);
-
-/// Carve the two columns and the cell map into one window per span.
-/// `spans` must tile `0..n` in ascending order.
-fn carve2c<'a>(
-    (dim0, s0): (usize, &'a mut [f64]),
-    (dim1, s1): (usize, &'a mut [f64]),
-    cells: &'a mut [i32],
-    spans: &[(usize, usize)],
-) -> Vec<Window2c<'a>> {
-    let mut windows = Vec::with_capacity(spans.len());
-    let (mut rest0, mut rest1, mut restc) = (s0, s1, cells);
-    for &(lo, hi) in spans {
-        let count = hi - lo;
-        let (w0, r0) = rest0.split_at_mut(count * dim0);
-        let (w1, r1) = rest1.split_at_mut(count * dim1);
-        let (wc, rc) = restc.split_at_mut(count);
-        rest0 = r0;
-        rest1 = r1;
-        restc = rc;
-        windows.push((lo, w0, w1, wc));
-    }
-    windows
-}
-
-/// Run a fused-mover kernel over per-piece window lists through
-/// [`scatter_pieces`] — the one race story of the slice and binding
-/// executors.
-fn scatter_windows2c<T, F>(
-    policy: &ExecPolicy,
-    (dim0, dim1): (usize, usize),
-    pieces: Vec<Vec<Window2c<'_>>>,
-    target: &mut [f64],
-    f: F,
-) -> T
-where
-    T: Tally,
-    F: Fn(&mut Depositor, &mut T, usize, &mut [f64], &mut [f64], &mut i32) + Sync,
-{
-    scatter_pieces(policy, pieces, target, |windows, dep, tally: &mut T| {
-        for (lo, w0, w1, wc) in windows {
-            for (k, ((c0, c1), cl)) in w0
-                .chunks_mut(dim0)
-                .zip(w1.chunks_mut(dim1))
-                .zip(wc.iter_mut())
-                .enumerate()
-            {
-                f(dep, tally, lo + k, c0, c1, cl);
-            }
-        }
-    })
-}
-
-/// Slice-based two-column loop that additionally hands each iteration
-/// its mutable cell-map entry and a [`Depositor`] into `target` — the
-/// shape of a fused move+deposit kernel (updates pos, vel and p2c and
-/// increments mesh data along the path).
-///
-/// Indirect increments follow [`scatter_pieces`]: under `Seq` the loop
-/// is one piece writing `target` exclusively in particle order; under
-/// a parallel policy it is cut into one contiguous piece per thread,
-/// each with a private array, reduced in piece order. The per-piece
-/// tallies `T` are merged in the same order and returned.
-pub fn par_loop_slices2_cells<T, F>(
-    policy: &ExecPolicy,
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    cells: &mut [i32],
-    target: &mut [f64],
-    f: F,
-) -> T
-where
-    T: Tally,
-    F: Fn(&mut Depositor, &mut T, usize, &mut [f64], &mut [f64], &mut i32) + Sync,
-{
-    assert_eq!(
-        s0.len() / dim0,
-        s1.len() / dim1,
-        "slice loops must share the iteration set"
-    );
-    assert_eq!(
-        s0.len() / dim0,
-        cells.len(),
-        "slice loops must share the iteration set"
-    );
-    note_loop((s0.len() + s1.len()) * 8 + cells.len() * 4);
-    let n = cells.len();
-    let chunk = n.div_ceil(policy.threads().max(1)).max(1);
-    let spans: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(n)))
-        .collect();
-    let pieces = carve2c((dim0, s0), (dim1, s1), cells, &spans)
-        .into_iter()
-        .map(|w| vec![w])
-        .collect();
-    scatter_windows2c(policy, (dim0, dim1), pieces, target, f)
-}
-
-/// Segment-batched two-column particle loop over a **fresh** CSR cell
-/// index (`ParticleDats::cell_index`): the kernel runs once per
-/// non-empty cell segment and receives `(cell, first_particle,
-/// column-0 segment slice, column-1 segment slice)`. Cell-level data
-/// (fields, geometry) can then be loaded once per segment instead of
-/// once per particle — the cell-locality engine's gather counterpart
-/// to the sorted-segments deposit. Parallelism is over segments, so
-/// iterations stay race-free by slice disjointness.
-pub fn par_loop_segments2<F>(
-    policy: &ExecPolicy,
-    cell_start: &[usize],
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    f: F,
-) where
-    F: Fn(usize, usize, &mut [f64], &mut [f64]) + Sync,
-{
-    let n = *cell_start.last().expect("cell index must be non-empty");
-    assert_eq!(s0.len(), n * dim0, "column 0 does not match the index");
-    assert_eq!(s1.len(), n * dim1, "column 1 does not match the index");
-    note_loop((s0.len() + s1.len()) * 8);
-    // Carve both columns into per-segment disjoint windows.
-    let mut segs: Vec<(usize, usize, &mut [f64], &mut [f64])> =
-        Vec::with_capacity(cell_start.len() - 1);
-    let mut rest0 = s0;
-    let mut rest1 = s1;
-    for c in 0..cell_start.len() - 1 {
-        let count = cell_start[c + 1] - cell_start[c];
-        if count == 0 {
-            continue;
-        }
-        let (w0, r0) = rest0.split_at_mut(count * dim0);
-        let (w1, r1) = rest1.split_at_mut(count * dim1);
-        rest0 = r0;
-        rest1 = r1;
-        segs.push((c, cell_start[c], w0, w1));
-    }
-    match policy {
-        ExecPolicy::Seq => {
-            for (c, lo, w0, w1) in segs {
-                f(c, lo, w0, w1);
-            }
-        }
-        _ => policy.run(|| {
-            segs.par_iter_mut()
-                .for_each(|(c, lo, w0, w1)| f(*c, *lo, w0, w1));
-        }),
-    }
-}
-
-/// One cell segment's working set: `(cell, first_particle, col-0
-/// window, col-1 window, cell-id window)`.
-type SegWindow<'a> = (usize, usize, &'a mut [f64], &'a mut [f64], &'a mut [i32]);
-
-/// [`par_loop_segments2`] plus the mutable cell column and a
-/// [`Depositor`] into `target` — for fused mover kernels (CabanaPIC's
-/// `Move_Deposit`) that gather through the fresh CSR index *and*
-/// relocate particles and deposit along their paths in the same pass.
-/// The kernel receives `(depositor, piece tally, cell,
-/// first_particle, col-0 window, col-1 window, cell-id window)`;
-/// cell-id writes go through the window, so the caller must mark the
-/// store dirty (the indexed accessors on `ParticleDats` do this
-/// automatically).
-///
-/// Increments follow [`scatter_pieces`], as in
-/// [`par_loop_slices2_cells`]: one piece under `Seq`; under a parallel
-/// policy one run of consecutive segments per thread, balanced by
-/// particle count, reduced in piece order.
-pub fn par_loop_segments2_cells<T, F>(
-    policy: &ExecPolicy,
-    cell_start: &[usize],
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    cells: &mut [i32],
-    target: &mut [f64],
-    f: F,
-) -> T
-where
-    T: Tally,
-    F: Fn(&mut Depositor, &mut T, usize, usize, &mut [f64], &mut [f64], &mut [i32]) + Sync,
-{
-    let n = *cell_start.last().expect("cell index must be non-empty");
-    assert_eq!(s0.len(), n * dim0, "column 0 does not match the index");
-    assert_eq!(s1.len(), n * dim1, "column 1 does not match the index");
-    assert_eq!(cells.len(), n, "cell column does not match the index");
-    note_loop((s0.len() + s1.len()) * 8 + cells.len() * 4);
-    let t = policy.threads().max(1);
-    let mut pieces: Vec<Vec<SegWindow<'_>>> = Vec::with_capacity(t);
-    let (mut rest0, mut rest1, mut restc) = (s0, s1, cells);
-    for c in 0..cell_start.len() - 1 {
-        let (lo, count) = (cell_start[c], cell_start[c + 1] - cell_start[c]);
-        if count == 0 {
-            continue;
-        }
-        let (w0, r0) = rest0.split_at_mut(count * dim0);
-        let (w1, r1) = rest1.split_at_mut(count * dim1);
-        let (wc, rc) = restc.split_at_mut(count);
-        rest0 = r0;
-        rest1 = r1;
-        restc = rc;
-        // Open the next piece once the open ones hold their share.
-        if pieces.is_empty() || (pieces.len() < t && lo >= n * pieces.len() / t) {
-            pieces.push(Vec::new());
-        }
-        pieces
-            .last_mut()
-            .expect("a piece is open")
-            .push((c, lo, w0, w1, wc));
-    }
-    scatter_pieces(policy, pieces, target, |segs, dep, tally: &mut T| {
-        for (c, lo, w0, w1, wc) in segs {
-            f(dep, tally, c, lo, w0, w1, wc);
-        }
-    })
-}
-
-/// Binding-bound single-column slice loop: like [`par_loop_slices1`],
-/// but parallelism follows a persistent [`ThreadBinding`] instead of
-/// rayon's per-loop re-chunking — each worker task walks exactly the
-/// spans its binding owns, so the same particles land on the same
-/// worker loop after loop, step after step (DESIGN.md §12). Element
-/// writes are still per-slot disjoint windows, so the result is
-/// bit-identical to the sequential loop regardless of the binding.
-pub fn par_loop_binding1<F>(
-    policy: &ExecPolicy,
-    binding: &ThreadBinding,
-    dim0: usize,
-    s0: &mut [f64],
-    f: F,
-) where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    note_loop(s0.len() * 8);
-    let n = s0.len() / dim0;
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, c0) in s0.chunks_mut(dim0).enumerate() {
-                f(i, c0);
-            }
-        }
-        _ => {
-            // Carve one disjoint window per span. `assignments` is a
-            // partition of 0..n in slot order once flattened, so the
-            // windows tile the column exactly.
-            let mut flat: Vec<(usize, usize, usize)> = Vec::new();
-            for (w, spans) in binding.assignments(n).into_iter().enumerate() {
-                for (lo, hi) in spans {
-                    flat.push((w, lo, hi));
-                }
-            }
-            flat.sort_unstable_by_key(|&(_, lo, _)| lo);
-            let mut windows: Vec<Vec<(usize, &mut [f64])>> =
-                (0..binding.n_workers()).map(|_| Vec::new()).collect();
-            let mut rest0 = s0;
-            for &(w, lo, hi) in &flat {
-                let (w0, r0) = rest0.split_at_mut((hi - lo) * dim0);
-                rest0 = r0;
-                windows[w].push((lo, w0));
-            }
-            policy.run(|| {
-                windows.par_iter_mut().for_each(|spans| {
-                    for (lo, w0) in spans {
-                        for (k, c0) in w0.chunks_mut(dim0).enumerate() {
-                            f(*lo + k, c0);
-                        }
-                    }
-                });
-            });
-        }
-    }
-}
-
-/// Binding-bound two-column slice loop (the push kernel under the
-/// persistent-binding policy). See [`par_loop_binding1`].
-pub fn par_loop_binding2<F>(
-    policy: &ExecPolicy,
-    binding: &ThreadBinding,
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    f: F,
-) where
-    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
-{
-    assert_eq!(
-        s0.len() / dim0,
-        s1.len() / dim1,
-        "slice loops must share the iteration set"
-    );
-    note_loop((s0.len() + s1.len()) * 8);
-    let n = s0.len() / dim0;
-    match policy {
-        ExecPolicy::Seq => {
-            for (i, (c0, c1)) in s0.chunks_mut(dim0).zip(s1.chunks_mut(dim1)).enumerate() {
-                f(i, c0, c1);
-            }
-        }
-        _ => {
-            let mut flat: Vec<(usize, usize, usize)> = Vec::new();
-            for (w, spans) in binding.assignments(n).into_iter().enumerate() {
-                for (lo, hi) in spans {
-                    flat.push((w, lo, hi));
-                }
-            }
-            flat.sort_unstable_by_key(|&(_, lo, _)| lo);
-            // Per-worker window lists: (start index, column windows).
-            type Window2<'a> = (usize, &'a mut [f64], &'a mut [f64]);
-            let mut windows: Vec<Vec<Window2>> =
-                (0..binding.n_workers()).map(|_| Vec::new()).collect();
-            let (mut rest0, mut rest1) = (s0, s1);
-            for &(w, lo, hi) in &flat {
-                let count = hi - lo;
-                let (w0, r0) = rest0.split_at_mut(count * dim0);
-                let (w1, r1) = rest1.split_at_mut(count * dim1);
-                rest0 = r0;
-                rest1 = r1;
-                windows[w].push((lo, w0, w1));
-            }
-            policy.run(|| {
-                windows.par_iter_mut().for_each(|spans| {
-                    for (lo, w0, w1) in spans {
-                        for (k, (c0, c1)) in
-                            w0.chunks_mut(dim0).zip(w1.chunks_mut(dim1)).enumerate()
-                        {
-                            f(*lo + k, c0, c1);
-                        }
-                    }
-                });
-            });
-        }
-    }
-}
-
-/// Binding-bound variant of [`par_loop_slices2_cells`]: two particle
-/// columns plus the mutable cell map (the fused mover's shape), with
-/// parallelism following a persistent [`ThreadBinding`]. See
-/// [`par_loop_binding1`] for the carving scheme. Under a parallel
-/// policy each worker's spans form one [`scatter_pieces`] piece, so
-/// the increments are reduced in worker order; under `Seq` the loop is
-/// one exclusive piece, identical to [`par_loop_slices2_cells`].
-pub fn par_loop_binding2_cells<T, F>(
-    policy: &ExecPolicy,
-    binding: &ThreadBinding,
-    (dim0, s0): (usize, &mut [f64]),
-    (dim1, s1): (usize, &mut [f64]),
-    cells: &mut [i32],
-    target: &mut [f64],
-    f: F,
-) -> T
-where
-    T: Tally,
-    F: Fn(&mut Depositor, &mut T, usize, &mut [f64], &mut [f64], &mut i32) + Sync,
-{
-    assert_eq!(
-        s0.len() / dim0,
-        s1.len() / dim1,
-        "slice loops must share the iteration set"
-    );
-    assert_eq!(
-        s0.len() / dim0,
-        cells.len(),
-        "slice loops must share the iteration set"
-    );
-    note_loop((s0.len() + s1.len()) * 8 + cells.len() * 4);
-    let n = cells.len();
-    let pieces = if policy.is_parallel() {
-        let mut flat: Vec<(usize, usize, usize)> = Vec::new();
-        for (w, spans) in binding.assignments(n).into_iter().enumerate() {
-            for (lo, hi) in spans {
-                flat.push((w, lo, hi));
-            }
-        }
-        flat.sort_unstable_by_key(|&(_, lo, _)| lo);
-        let spans: Vec<(usize, usize)> = flat.iter().map(|&(_, lo, hi)| (lo, hi)).collect();
-        let mut pieces: Vec<Vec<Window2c>> = (0..binding.n_workers()).map(|_| Vec::new()).collect();
-        for (&(w, _, _), window) in flat
-            .iter()
-            .zip(carve2c((dim0, s0), (dim1, s1), cells, &spans))
-        {
-            pieces[w].push(window);
-        }
-        pieces
-    } else {
-        vec![vec![(0, s0, s1, cells)]]
-    };
-    scatter_windows2c(policy, (dim0, dim1), pieces, target, f)
-}
-
-/// Gather loop: writes one dat on the iteration set, reading anything
-/// else through the kernel closure (e.g. indirect reads via maps —
-/// `compute_electric_field` in Figure 5 gathers node potentials through
-/// the cells→nodes map). Semantically identical to [`par_loop_direct1`];
-/// the separate name keeps call sites self-describing.
-pub fn par_loop_gather<F>(policy: &ExecPolicy, w0: &mut Dat, f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    par_loop_direct1(policy, w0, f);
-}
-
-/// Parallel reduction over a read-only dat: sum of `g(i, element)`.
-/// Used for diagnostics (field energy, total charge) which the paper's
-/// apps compute every step.
-pub fn par_reduce_sum<G>(policy: &ExecPolicy, d: &Dat, g: G) -> f64
-where
-    G: Fn(usize, &[f64]) -> f64 + Sync,
-{
-    let dim = d.dim();
-    note_loop(d.len() * dim * 8);
-    match policy {
-        ExecPolicy::Seq => d.raw().chunks(dim).enumerate().map(|(i, c)| g(i, c)).sum(),
-        _ => policy.run(|| {
-            d.raw()
-                .par_chunks(dim)
-                .enumerate()
-                .map(|(i, c)| g(i, c))
-                .sum()
-        }),
-    }
+    par_loop(policy, Space::Range, w0.col_mut(), |w| w.each(&f));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn policies() -> Vec<ExecPolicy> {
         vec![ExecPolicy::Seq, ExecPolicy::Par, ExecPolicy::pool(3)]
     }
 
+    /// 30 elements in 6 cells holding 5/0/3/8/2/12 of them.
+    const N: usize = 30;
+    const CELL_START: [usize; 7] = [0, 5, 5, 8, 16, 18, 30];
+
+    fn cell_of(i: usize) -> usize {
+        CELL_START.partition_point(|&s| s <= i) - 1
+    }
+
+    /// Columns of dim 3, 1 and 2, and the cell column.
+    #[derive(Debug, PartialEq)]
+    struct Data {
+        a: Vec<f64>,
+        b: Vec<f64>,
+        c: Vec<f64>,
+        cells: Vec<i32>,
+    }
+
+    fn data() -> Data {
+        let col = |dim: usize| (0..N * dim).map(|v| v as f64 * 0.25).collect();
+        Data {
+            a: col(3),
+            b: col(1),
+            c: col(2),
+            cells: (0..N).map(|i| cell_of(i) as i32).collect(),
+        }
+    }
+
+    /// Element update that is not idempotent, so a missed or doubled
+    /// visit shows; it folds in the window's cell.
+    fn bump(i: usize, cell: Option<usize>, x: &mut [f64]) {
+        for (k, v) in x.iter_mut().enumerate() {
+            *v = *v * 1.5 + (i + k) as f64 + cell.map_or(0.0, |c| 100.0 * c as f64);
+        }
+    }
+
+    /// Cell-column update: a segment window holds only its own cell.
+    fn hop(cell: Option<usize>, cl: &mut i32) {
+        if let Some(c) = cell {
+            assert_eq!(*cl as usize, c, "window matches its cell");
+        }
+        *cl = (*cl + 1) % 6;
+    }
+
+    type Value = fn(usize) -> f64;
+
+    /// Run `k` over `cols`: the plain form when `value` is `None`, else
+    /// the scatter form depositing `value(i)` into element `i`'s cell
+    /// and counting visits. Under `Seq` every window must run on the
+    /// calling thread.
+    fn exec<C: Cols>(
+        pol: &ExecPolicy,
+        space: Space<'_>,
+        cols: C,
+        target: &mut [f64],
+        value: Option<Value>,
+        k: impl Fn(usize, Option<usize>, C::Elem) + Sync,
+    ) -> u64 {
+        let caller = std::thread::current().id();
+        let inline = |w: &Window<C>| {
+            if !pol.is_parallel() {
+                assert_eq!(std::thread::current().id(), caller, "Seq runs inline");
+            }
+            w.cell
+        };
+        match value {
+            None => {
+                par_loop(pol, space, cols, |w| {
+                    let cell = inline(&w);
+                    w.each(|i, e| k(i, cell, e));
+                });
+                0
+            }
+            Some(value) => par_loop_scatter(pol, space, cols, target, |dep, n: &mut u64, w| {
+                let cell = inline(&w);
+                w.each(|i, e| {
+                    dep.add(cell_of(i), value(i));
+                    *n += 1;
+                    k(i, cell, e);
+                });
+            }),
+        }
+    }
+
+    /// One table case through the executor, over the first `arity`
+    /// columns of [`data`].
+    fn run(
+        pol: &ExecPolicy,
+        space: Space<'_>,
+        arity: usize,
+        value: Option<Value>,
+    ) -> (Data, Vec<f64>, u64) {
+        let mut d = data();
+        let mut target = vec![0.0; 6];
+        let (a, b, c, cells) = (&mut d.a[..], &mut d.b[..], &mut d.c[..], &mut d.cells[..]);
+        let t = &mut target;
+        let n = match arity {
+            1 => exec(pol, space, (3, a), t, value, bump),
+            2 => exec(pol, space, ((3, a), (1, b)), t, value, |i, cell, (x, y)| {
+                bump(i, cell, x);
+                bump(i, cell, y);
+            }),
+            3 => exec(
+                pol,
+                space,
+                ((3, a), (1, b), (2, c)),
+                t,
+                value,
+                |i, cell, (x, y, z)| {
+                    bump(i, cell, x);
+                    bump(i, cell, y);
+                    bump(i, cell, z);
+                },
+            ),
+            _ => exec(
+                pol,
+                space,
+                ((3, a), (1, b), (2, c), cells),
+                t,
+                value,
+                |i, cell, (x, y, z, cl)| {
+                    bump(i, cell, x);
+                    bump(i, cell, y);
+                    bump(i, cell, z);
+                    hop(cell, cl);
+                },
+            ),
+        };
+        (d, target, n)
+    }
+
+    /// The same case as the plain serial loop and left fold.
+    fn serial(segments: bool, arity: usize, value: Option<Value>) -> (Data, Vec<f64>, u64) {
+        let mut d = data();
+        let mut target = vec![0.0; 6];
+        for i in 0..N {
+            let cell = segments.then(|| cell_of(i));
+            bump(i, cell, &mut d.a[i * 3..i * 3 + 3]);
+            if arity >= 2 {
+                bump(i, cell, &mut d.b[i..i + 1]);
+            }
+            if arity >= 3 {
+                bump(i, cell, &mut d.c[i * 2..i * 2 + 2]);
+            }
+            if arity >= 4 {
+                hop(cell, &mut d.cells[i]);
+            }
+            if let Some(value) = value {
+                target[cell_of(i)] += value(i);
+            }
+        }
+        (d, target, if value.is_some() { N as u64 } else { 0 })
+    }
+
     #[test]
-    fn direct1_all_policies_agree() {
-        for pol in policies() {
-            let mut d = Dat::zeros("x", 100, 2);
-            par_loop_direct1(&pol, &mut d, |i, x| {
-                x[0] = i as f64;
-                x[1] = 2.0 * i as f64;
-            });
-            for i in 0..100 {
-                assert_eq!(d.el(i), &[i as f64, 2.0 * i as f64], "{pol:?}");
+    fn executor_matches_the_serial_loop_on_every_space() {
+        let bindings = [
+            ThreadBinding::uniform(3, N),
+            // Stale: built for 7 elements, run over 30.
+            ThreadBinding::uniform(5, 7),
+            ThreadBinding::from_cell_index(&CELL_START, 3),
+            // Stale: built for 24 elements.
+            ThreadBinding::from_cell_index(&[0, 5, 5, 8, 16, 18, 24], 3),
+        ];
+        let spaces: Vec<Space> = [Space::Range, Space::Segments(&CELL_START)]
+            .into_iter()
+            .chain(bindings.iter().map(Space::Binding))
+            .collect();
+        let integer: Value = |i| i as f64;
+        let fraction: Value = |i| 0.1 * i as f64 + 1e-3;
+        for arity in 1..=4 {
+            for &space in &spaces {
+                let segments = matches!(space, Space::Segments(_));
+                let case = format!("{space:?} arity {arity}");
+                // The plain form equals the serial loop bit for bit;
+                // integer increments sum exactly in any order, so the
+                // scatter form does too on every policy and cut.
+                for pol in policies() {
+                    for value in [None, Some(integer)] {
+                        let expect = serial(segments, arity, value);
+                        assert_eq!(run(&pol, space, arity, value), expect, "{pol:?} {case}");
+                    }
+                }
+                // Seq is one exclusive piece: the left fold, bit for bit.
+                let fold = serial(segments, arity, Some(fraction));
+                assert_eq!(
+                    run(&ExecPolicy::Seq, space, arity, Some(fraction)),
+                    fold,
+                    "{case}"
+                );
+                // Parallel pieces are reduced in piece order: repeated
+                // runs agree bit for bit.
+                let pool = ExecPolicy::pool(2);
+                let first = run(&pool, space, arity, Some(fraction));
+                for _ in 0..4 {
+                    assert_eq!(run(&pool, space, arity, Some(fraction)), first, "{case}");
+                }
             }
         }
     }
 
     #[test]
-    fn direct2_zips_consistently() {
-        for pol in policies() {
-            let mut a = Dat::from_fn("a", 64, 1, |i, _| i as f64);
-            let mut b = Dat::zeros("b", 64, 3);
-            par_loop_direct2(&pol, &mut a, &mut b, |i, av, bv| {
-                av[0] *= 2.0;
-                bv[2] = i as f64 + av[0];
-            });
-            for i in 0..64 {
-                assert_eq!(a.get(i), 2.0 * i as f64);
-                assert_eq!(b.el(i)[2], 3.0 * i as f64);
-            }
+    fn pieces_keep_their_cuts() {
+        // Piece cuts decide parallel scatter sums, so they are pinned.
+        let pool = ExecPolicy::pool(3);
+        // Range: contiguous chunks of ceil(n/t).
+        let range = vec![(0, None, 0, 4), (1, None, 4, 8), (2, None, 8, 10)];
+        assert_eq!(cut(&pool, Space::Range, 10), (3, range));
+        // Segments: the next piece opens at the first segment starting
+        // at or past its share n·pieces/t; empty cells are skipped.
+        let segments = vec![
+            (0, Some(0), 0, 5),
+            (0, Some(2), 5, 8),
+            (0, Some(3), 8, 16),
+            (1, Some(4), 16, 18),
+            (1, Some(5), 18, 30),
+        ];
+        assert_eq!(cut(&pool, Space::Segments(&CELL_START), N), (2, segments));
+        // Binding: one piece per worker, windows in slot order; the
+        // tail appended since the build is dealt out evenly.
+        let b = ThreadBinding::uniform(2, 6);
+        let bound = vec![
+            (0, None, 0, 3),
+            (1, None, 3, 6),
+            (0, None, 6, 7),
+            (1, None, 7, 8),
+        ];
+        assert_eq!(cut(&pool, Space::Binding(&b), 8), (2, bound));
+        // Seq: one piece, whatever the space.
+        assert_eq!(
+            cut(&ExecPolicy::Seq, Space::Binding(&b), 8),
+            (1, vec![(0, None, 0, 8)])
+        );
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("the loop must panic");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
         }
     }
 
     #[test]
-    fn direct3_and_4() {
-        for pol in policies() {
-            let mut a = Dat::zeros("a", 10, 1);
-            let mut b = Dat::zeros("b", 10, 1);
-            let mut c = Dat::zeros("c", 10, 1);
-            let mut d = Dat::zeros("d", 10, 1);
-            par_loop_direct3(&pol, &mut a, &mut b, &mut c, |i, x, y, z| {
-                x[0] = i as f64;
-                y[0] = i as f64 * 2.0;
-                z[0] = x[0] + y[0];
-            });
-            assert_eq!(c.get(9), 27.0);
-            par_loop_direct4(&pol, &mut a, &mut b, &mut c, &mut d, |_i, x, y, z, w| {
-                w[0] = x[0] + y[0] + z[0];
-            });
-            assert_eq!(d.get(9), 9.0 + 18.0 + 27.0);
+    fn slice_loop_shape_mismatch_rejected() {
+        let binding = ThreadBinding::uniform(2, 3);
+        let texts = [
+            // Two dats on different sets.
+            panic_text(|| {
+                let mut a = Dat::zeros("a", 10, 1);
+                let mut b = Dat::zeros("b", 11, 1);
+                par_loop(
+                    &ExecPolicy::Seq,
+                    Space::Range,
+                    (a.col_mut(), b.col_mut()),
+                    |_| {},
+                );
+            }),
+            // 3 elements against 4.
+            panic_text(|| {
+                let (mut a, mut b) = ([0.0; 9], [0.0; 4]);
+                par_loop(
+                    &ExecPolicy::Seq,
+                    Space::Range,
+                    ((3, &mut a[..]), (1, &mut b[..])),
+                    |_| {},
+                );
+            }),
+            // Ragged: 10 values are not a whole number of dim-3
+            // elements, under every space that takes `n` from a column.
+            panic_text(|| {
+                let (mut a, mut b) = ([0.0; 10], [0.0; 3]);
+                par_loop(
+                    &ExecPolicy::Seq,
+                    Space::Range,
+                    ((3, &mut a[..]), (1, &mut b[..])),
+                    |_| {},
+                );
+            }),
+            panic_text(|| {
+                let mut a = [0.0; 10];
+                par_loop(
+                    &ExecPolicy::Par,
+                    Space::Binding(&binding),
+                    (3, &mut a[..]),
+                    |_| {},
+                );
+            }),
+        ];
+        for text in texts {
+            assert!(text.contains("share the iteration set"), "{text}");
         }
     }
 
     #[test]
-    fn gather_reads_through_map() {
-        // cells gather from nodes via c2n, as in Figure 5.
-        let node_potential = Dat::from_fn("np", 6, 1, |i, _| i as f64);
-        let c2n: Vec<[usize; 2]> = vec![[0, 1], [2, 3], [4, 5]];
-        for pol in policies() {
-            let mut ef = Dat::zeros("ef", 3, 1);
-            par_loop_gather(&pol, &mut ef, |c, e| {
-                let nd = c2n[c];
-                e[0] = node_potential.get(nd[0]) + node_potential.get(nd[1]);
-            });
-            assert_eq!(ef.get(0), 1.0);
-            assert_eq!(ef.get(2), 9.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "share the iteration set")]
-    fn mismatched_sets_rejected() {
-        let mut a = Dat::zeros("a", 10, 1);
-        let mut b = Dat::zeros("b", 11, 1);
-        par_loop_direct2(&ExecPolicy::Seq, &mut a, &mut b, |_, _, _| {});
-    }
-
-    #[test]
-    fn reduce_sum_matches_serial() {
-        let d = Dat::from_fn("x", 1000, 2, |i, c| (i + c) as f64);
-        let serial = par_reduce_sum(&ExecPolicy::Seq, &d, |_, c| c[0] * c[1]);
-        for pol in policies() {
-            let got = par_reduce_sum(&pol, &d, |_, c| c[0] * c[1]);
-            assert!(
-                (got - serial).abs() < 1e-6 * serial.abs().max(1.0),
-                "{pol:?}"
-            );
+    fn segment_loop_rejects_mismatched_columns() {
+        let cell_start = [0usize, 2];
+        let texts = [
+            // Short: 2 particles of dim 2 need 4 values.
+            panic_text(|| {
+                let (mut a, mut b) = ([0.0; 3], [0.0; 2]);
+                let cols = ((2, &mut a[..]), (1, &mut b[..]));
+                par_loop(&ExecPolicy::Seq, Space::Segments(&cell_start), cols, |_| {});
+            }),
+            // Ragged.
+            panic_text(|| {
+                let mut a = [0.0; 5];
+                par_loop(
+                    &ExecPolicy::Seq,
+                    Space::Segments(&cell_start),
+                    (2, &mut a[..]),
+                    |_| {},
+                );
+            }),
+            // The cell column of the scatter form.
+            panic_text(|| {
+                let (mut a, mut cells) = ([0.0; 4], [0i32; 3]);
+                let cols = ((2, &mut a[..]), &mut cells[..]);
+                let mut target = [0.0; 1];
+                par_loop_scatter::<(), _, _>(
+                    &ExecPolicy::Seq,
+                    Space::Segments(&cell_start),
+                    cols,
+                    &mut target,
+                    |_, _, _| {},
+                );
+            }),
+        ];
+        for text in texts {
+            assert!(text.contains("does not match the index"), "{text}");
         }
     }
 
@@ -869,266 +761,6 @@ mod tests {
         let p = ExecPolicy::pool(2);
         let threads_seen = p.run(rayon::current_num_threads);
         assert_eq!(threads_seen, 2);
-    }
-
-    #[test]
-    fn slice_loops_match_dat_loops() {
-        for pol in policies() {
-            let mut a = vec![0.0; 30]; // 10 elements, dim 3
-            let mut b = vec![0.0; 10];
-            par_loop_slices2(&pol, (3, &mut a), (1, &mut b), |i, av, bv| {
-                av[1] = i as f64;
-                bv[0] = 2.0 * i as f64;
-            });
-            assert_eq!(a[3 * 4 + 1], 4.0);
-            assert_eq!(b[7], 14.0);
-
-            let mut c = vec![1.0; 10];
-            par_loop_slices1(&pol, 1, &mut c, |i, cv| cv[0] += i as f64);
-            assert_eq!(c[9], 10.0);
-
-            let mut d = vec![0.0; 20];
-            par_loop_slices3(
-                &pol,
-                (3, &mut a),
-                (1, &mut b),
-                (2, &mut d),
-                |_i, av, bv, dv| {
-                    dv[0] = av[1] + bv[0];
-                },
-            );
-            assert_eq!(d[2 * 5], 5.0 + 10.0);
-        }
-    }
-
-    #[test]
-    fn segment_loop_matches_per_particle_loop() {
-        // 4 cells with 0/3/1/2 particles; per-cell factor applied to
-        // dim-2 column 0, particle index recorded in column 1.
-        let cell_start = [0usize, 0, 3, 4, 6];
-        let factors = [10.0, 20.0, 30.0, 40.0];
-        for pol in policies() {
-            let mut a: Vec<f64> = (0..12).map(|v| v as f64).collect();
-            let mut b = vec![0.0; 6];
-            par_loop_segments2(
-                &pol,
-                &cell_start,
-                (2, &mut a),
-                (1, &mut b),
-                |cell, lo, av, bv| {
-                    let factor = factors[cell]; // hoisted per segment
-                    for (k, (ac, bc)) in av.chunks_mut(2).zip(bv.chunks_mut(1)).enumerate() {
-                        ac[0] *= factor;
-                        bc[0] = (lo + k) as f64;
-                    }
-                },
-            );
-            let mut expect_a: Vec<f64> = (0..12).map(|v| v as f64).collect();
-            for c in 0..4 {
-                for p in cell_start[c]..cell_start[c + 1] {
-                    expect_a[p * 2] *= factors[c];
-                }
-            }
-            assert_eq!(a, expect_a, "{pol:?}");
-            assert_eq!(b, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "{pol:?}");
-        }
-    }
-
-    #[test]
-    fn segment_cells_loop_relocates_and_matches() {
-        // Same partition as above, plus per-window cell relocation:
-        // every particle of cell 1 hops to cell 2.
-        let cell_start = [0usize, 0, 3, 4, 6];
-        for pol in policies() {
-            let mut a: Vec<f64> = (0..12).map(|v| v as f64).collect();
-            let mut b = vec![0.0; 6];
-            let mut cells: Vec<i32> = vec![1, 1, 1, 2, 3, 3];
-            // Each segment deposits its particle count into its cell.
-            let mut counts = vec![0.0; 4];
-            let visited: u64 = par_loop_segments2_cells(
-                &pol,
-                &cell_start,
-                (2, &mut a),
-                (1, &mut b),
-                &mut cells,
-                &mut counts,
-                |dep, visited: &mut u64, cell, lo, av, bv, cw| {
-                    dep.add(cell, av.len() as f64 / 2.0);
-                    *visited += cw.len() as u64;
-                    for (k, ((ac, bc), cl)) in av
-                        .chunks_mut(2)
-                        .zip(bv.chunks_mut(1))
-                        .zip(cw.iter_mut())
-                        .enumerate()
-                    {
-                        assert_eq!(*cl as usize, cell, "window matches home cell");
-                        ac[1] = cell as f64;
-                        bc[0] = (lo + k) as f64;
-                        if cell == 1 {
-                            *cl = 2;
-                        }
-                    }
-                },
-            );
-            assert_eq!(cells, vec![2, 2, 2, 2, 3, 3], "{pol:?}");
-            assert_eq!(b, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "{pol:?}");
-            assert_eq!((a[1], a[7], a[9]), (1.0, 2.0, 3.0), "{pol:?}");
-            assert_eq!(counts, vec![0.0, 3.0, 1.0, 2.0], "{pol:?}");
-            assert_eq!(visited, 6, "{pol:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match the index")]
-    fn segment_loop_rejects_mismatched_columns() {
-        let cell_start = [0usize, 2];
-        let mut a = vec![0.0; 3]; // wrong: 2 particles * dim 2 = 4
-        let mut b = vec![0.0; 2];
-        par_loop_segments2(
-            &ExecPolicy::Seq,
-            &cell_start,
-            (2, &mut a),
-            (1, &mut b),
-            |_, _, _, _| {},
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "share the iteration set")]
-    fn slice_loop_shape_mismatch_rejected() {
-        let mut a = vec![0.0; 9];
-        let mut b = vec![0.0; 4];
-        par_loop_slices2(&ExecPolicy::Seq, (3, &mut a), (1, &mut b), |_, _, _| {});
-    }
-
-    #[test]
-    fn binding_loops_bit_match_sequential() {
-        // The binding executor must be bit-identical to the plain
-        // sequential loop for any binding, including one built for a
-        // stale population (grown from 24 to 30).
-        let cell_start = [0usize, 5, 5, 8, 16, 18, 24];
-        let bindings = [
-            ThreadBinding::uniform(3, 30),
-            ThreadBinding::uniform(5, 7),
-            ThreadBinding::from_cell_index(&cell_start, 3),
-        ];
-        for pol in policies() {
-            for b in &bindings {
-                let mut a: Vec<f64> = (0..90).map(|v| v as f64 * 0.25).collect();
-                let mut q = vec![0.0; 30];
-                par_loop_binding2(&pol, b, (3, &mut a), (1, &mut q), |i, av, qv| {
-                    av[1] += i as f64;
-                    qv[0] = av[0] * 2.0 + i as f64;
-                });
-                let mut ea: Vec<f64> = (0..90).map(|v| v as f64 * 0.25).collect();
-                let mut eq = vec![0.0; 30];
-                for (i, (av, qv)) in ea.chunks_mut(3).zip(eq.chunks_mut(1)).enumerate() {
-                    av[1] += i as f64;
-                    qv[0] = av[0] * 2.0 + i as f64;
-                }
-                assert_eq!(a, ea, "{pol:?} {b:?}");
-                assert_eq!(q, eq, "{pol:?} {b:?}");
-
-                let mut c = vec![1.0; 30];
-                par_loop_binding1(&pol, b, 1, &mut c, |i, cv| cv[0] += i as f64);
-                let expect: Vec<f64> = (0..30).map(|i| 1.0 + i as f64).collect();
-                assert_eq!(c, expect, "{pol:?} {b:?}");
-            }
-        }
-    }
-
-    /// A fused-mover kernel: particle `i` deposits `value(i)` into its
-    /// current cell of 6, counts itself, then hops one cell on.
-    fn mover_kernel(
-        value: fn(usize) -> f64,
-    ) -> impl Fn(&mut Depositor, &mut u64, usize, &mut [f64], &mut [f64], &mut i32) + Sync {
-        move |dep, count, i, x, _v, cl| {
-            dep.add(*cl as usize, value(i));
-            *count += 1;
-            x[0] += 1.0;
-            *cl = (*cl + 1) % 6;
-        }
-    }
-
-    /// Run the slice mover, or the binding mover when `binding` is
-    /// set, over 30 particles; returns `(deposit, tally, cells)`.
-    fn run_mover(
-        pol: &ExecPolicy,
-        binding: Option<&ThreadBinding>,
-        value: fn(usize) -> f64,
-    ) -> (Vec<f64>, u64, Vec<i32>) {
-        let mut x = vec![0.0; 60];
-        let mut v = vec![0.0; 30];
-        let mut cells: Vec<i32> = (0..30).map(|i| i % 6).collect();
-        let mut target = vec![0.0; 6];
-        let kernel = mover_kernel(value);
-        let count = match binding {
-            Some(b) => par_loop_binding2_cells(
-                pol,
-                b,
-                (2, &mut x),
-                (1, &mut v),
-                &mut cells,
-                &mut target,
-                kernel,
-            ),
-            None => par_loop_slices2_cells(
-                pol,
-                (2, &mut x),
-                (1, &mut v),
-                &mut cells,
-                &mut target,
-                kernel,
-            ),
-        };
-        assert!(x.chunks(2).all(|p| p[0] == 1.0), "every particle ran once");
-        (target, count, cells)
-    }
-
-    #[test]
-    fn mover_loops_scatter_like_the_serial_loop() {
-        // Integer increments sum exactly in any order, so every
-        // policy, binding and piece cut must give the serial answer.
-        let bindings = [
-            ThreadBinding::uniform(3, 30),
-            ThreadBinding::uniform(4, 7),
-            ThreadBinding::from_cell_index(&[0, 5, 5, 8, 16, 18, 30], 3),
-        ];
-        let mut expect = vec![0.0; 6];
-        for i in 0..30 {
-            expect[i % 6] += i as f64;
-        }
-        let moved: Vec<i32> = (0..30).map(|i| (i + 1) % 6).collect();
-        for pol in policies() {
-            for b in [None].into_iter().chain(bindings.iter().map(Some)) {
-                let (target, count, cells) = run_mover(&pol, b, |i| i as f64);
-                assert_eq!(target, expect, "{pol:?} {b:?}");
-                assert_eq!(count, 30, "{pol:?} {b:?}");
-                assert_eq!(cells, moved, "{pol:?} {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn mover_loops_are_exclusive_under_seq_and_deterministic_in_parallel() {
-        let value = |i: usize| 0.1 * i as f64 + 1e-3;
-        // Seq is the plain left fold in particle order, bit for bit.
-        let mut fold = vec![0.0; 6];
-        for i in 0..30 {
-            fold[i % 6] += value(i);
-        }
-        let (seq, _, _) = run_mover(&ExecPolicy::Seq, None, value);
-        assert_eq!(seq, fold);
-        // Parallel pieces are reduced in piece order: repeated runs
-        // agree bit for bit.
-        let b = ThreadBinding::uniform(2, 30);
-        for binding in [None, Some(&b)] {
-            let pol = ExecPolicy::pool(2);
-            let first = run_mover(&pol, binding, value);
-            for _ in 0..8 {
-                assert_eq!(run_mover(&pol, binding, value), first, "{binding:?}");
-            }
-        }
     }
 
     #[test]

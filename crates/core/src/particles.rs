@@ -255,7 +255,7 @@ impl ParticleDats {
 
     /// Two distinct mutable columns together with the fresh CSR cell
     /// index — the segment-batched gather loop's working set
-    /// ([`crate::par_loop_segments2`]). `None` while the index is
+    /// ([`crate::par_loop`] over [`crate::Space::Segments`]). `None` while the index is
     /// stale, so callers fall back to the per-particle path.
     pub fn cols_mut2_with_index(
         &mut self,
@@ -275,7 +275,8 @@ impl ParticleDats {
     /// [`Self::cols_mut2_with_index`] plus the *mutable* cell map
     /// ([`IndexedCells`]) —
     /// the fused mover's working set when it gathers segment-batched
-    /// through the fresh index ([`crate::par_loop_segments2_cells`]).
+    /// through the fresh index ([`crate::par_loop_scatter`] over
+    /// [`crate::Space::Segments`]).
     /// Handing out the raw cell column marks the store all-dirty, as
     /// with [`Self::cols_mut2_with_cells_mut`]; the returned index
     /// stays valid for the duration of the borrow, and the caller

@@ -2,7 +2,7 @@
 //!
 //! Section 2 of the paper: "in some state-of-the-art PIC
 //! implementations, additional routines, including particle collisions
-//! [19], ionizations and particle injections, may be interleaved" with
+//! \[19\], ionizations and particle injections, may be interleaved" with
 //! the core cycle. This module implements the standard elastic
 //! null-collision step against a stationary heavy neutral background:
 //! per particle, collide with probability `P = 1 − exp(−n σ |v| Δt)`;
@@ -13,8 +13,7 @@
 //! the outcome is independent of thread schedule — the same
 //! reproducibility contract as the rest of the DSL.
 
-use oppic_core::parloop::par_loop_slices1;
-use oppic_core::ExecPolicy;
+use oppic_core::parloop::{par_loop, ExecPolicy, Space};
 
 /// Neutral-background collision parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,24 +58,26 @@ pub fn collide(
     use std::sync::atomic::{AtomicU64, Ordering};
     let collided = AtomicU64::new(0);
     let nsigma = model.neutral_density * model.cross_section;
-    par_loop_slices1(policy, 3, vel, |i, v| {
-        let speed = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
-        if speed == 0.0 {
-            return;
-        }
-        let p = 1.0 - (-nsigma * speed * dt).exp();
-        let r = unit3(seed, step, i as u64);
-        if r[0] < p {
-            // Isotropic redirect, speed preserved (elastic, heavy
-            // scatterer): uniform direction on the sphere.
-            let cos_t = 2.0 * r[1] - 1.0;
-            let sin_t = (1.0 - cos_t * cos_t).sqrt();
-            let phi = 2.0 * std::f64::consts::PI * r[2];
-            v[0] = speed * sin_t * phi.cos();
-            v[1] = speed * sin_t * phi.sin();
-            v[2] = speed * cos_t;
-            collided.fetch_add(1, Ordering::Relaxed);
-        }
+    par_loop(policy, Space::Range, (3, vel), |w| {
+        w.each(|i, v| {
+            let speed = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
+            if speed == 0.0 {
+                return;
+            }
+            let p = 1.0 - (-nsigma * speed * dt).exp();
+            let r = unit3(seed, step, i as u64);
+            if r[0] < p {
+                // Isotropic redirect, speed preserved (elastic, heavy
+                // scatterer): uniform direction on the sphere.
+                let cos_t = 2.0 * r[1] - 1.0;
+                let sin_t = (1.0 - cos_t * cos_t).sqrt();
+                let phi = 2.0 * std::f64::consts::PI * r[2];
+                v[0] = speed * sin_t * phi.cos();
+                v[1] = speed * sin_t * phi.sin();
+                v[2] = speed * cos_t;
+                collided.fetch_add(1, Ordering::Relaxed);
+            }
+        });
     });
     CollisionStats {
         collided: collided.into_inner(),

@@ -9,9 +9,7 @@
 use crate::config::{FemPicConfig, Integrator, MoveStrategy};
 use crate::fields::FemSolver;
 use oppic_core::move_engine::{move_loop, move_loop_direct_hop, MoveConfig, MoveResult};
-use oppic_core::parloop::{
-    par_loop_binding1, par_loop_binding2, par_loop_segments2, par_loop_slices1, par_loop_slices2,
-};
+use oppic_core::parloop::{par_loop, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
     deposit_loop, deposit_loop_colored, deposit_loop_matrix, deposit_loop_sorted,
@@ -314,30 +312,20 @@ impl FemPic {
             // Cell-locality fast path: particles are grouped by cell,
             // so the per-cell field is loaded once per segment instead
             // of once per particle.
-            par_loop_segments2(
-                &self.cfg.policy,
-                cell_start,
-                (3, pos),
-                (3, vel),
-                |c, _first, xs, vs| {
-                    let e = ef.el(c);
-                    for (x, v) in xs.chunks_mut(3).zip(vs.chunks_mut(3)) {
-                        push(e, x, v);
-                    }
-                },
-            );
+            let space = Space::Segments(cell_start);
+            par_loop(&self.cfg.policy, space, ((3, pos), (3, vel)), |w| {
+                let e = ef.el(w.cell.expect("segment windows carry their cell"));
+                w.each(|_, (x, v)| push(e, x, v));
+            });
         } else {
             let (pos, vel, cells) = self.ps.cols_mut2_with_cells(self.pos, self.vel);
-            let kernel = |i: usize, x: &mut [f64], v: &mut [f64]| {
-                push(ef.el(cells[i] as usize), x, v);
-            };
-            match &self.binding {
-                // Persistent binding: the same worker pushes the same
-                // particles step after step (element-local writes, so
-                // bit-identical to the unbound loop either way).
-                Some(b) => par_loop_binding2(&self.cfg.policy, b, (3, pos), (3, vel), kernel),
-                None => par_loop_slices2(&self.cfg.policy, (3, pos), (3, vel), kernel),
-            }
+            // Persistent binding: the same worker pushes the same
+            // particles step after step (element-local writes, so
+            // bit-identical to the unbound loop either way).
+            let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
+            par_loop(&self.cfg.policy, space, ((3, pos), (3, vel)), |w| {
+                w.each(|i, (x, v)| push(ef.el(cells[i] as usize), x, v));
+            });
         }
         let bytes = (self.ps.len() * (3 + 3 + 3 + 3 + 3) * 8 + self.ps.len() * 4) as u64;
         let flops = (self.ps.len() * 12) as u64;
@@ -471,32 +459,22 @@ impl FemPic {
         let mesh = &self.mesh;
         if let Some((cell_start, lc_col, pos_col)) = self.ps.cols_mut2_with_index(self.lc, self.pos)
         {
-            par_loop_segments2(
-                &self.cfg.policy,
-                cell_start,
-                (4, lc_col),
-                (3, pos_col),
-                |c, _first, ws, xs| {
-                    let verts = mesh.cell_vertices(c);
-                    for (w, x) in ws.chunks_mut(4).zip(xs.chunks(3)) {
-                        let l = barycentric(Vec3::from_slice(x), &verts);
-                        w.copy_from_slice(&l);
-                    }
-                },
-            );
+            let space = Space::Segments(cell_start);
+            par_loop(&self.cfg.policy, space, ((4, lc_col), (3, pos_col)), |w| {
+                let verts = mesh.cell_vertices(w.cell.expect("segment windows carry their cell"));
+                w.each(|_, (l, x)| l.copy_from_slice(&barycentric(Vec3::from_slice(x), &verts)));
+            });
         } else {
             let (lc_col, pos_col, cells) = self.ps.cols_mut2_with_cells(self.lc, self.pos);
             let pos_ref: &[f64] = pos_col;
-            let kernel = |i: usize, w: &mut [f64]| {
-                let c = cells[i] as usize;
-                let p = Vec3::from_slice(&pos_ref[i * 3..i * 3 + 3]);
-                let l = barycentric(p, &mesh.cell_vertices(c));
-                w.copy_from_slice(&l);
-            };
-            match &self.binding {
-                Some(b) => par_loop_binding1(&self.cfg.policy, b, 4, lc_col, kernel),
-                None => par_loop_slices1(&self.cfg.policy, 4, lc_col, kernel),
-            }
+            let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
+            par_loop(&self.cfg.policy, space, (4, lc_col), |w| {
+                w.each(|i, l| {
+                    let c = cells[i] as usize;
+                    let p = Vec3::from_slice(&pos_ref[i * 3..i * 3 + 3]);
+                    l.copy_from_slice(&barycentric(p, &mesh.cell_vertices(c)));
+                });
+            });
         }
 
         // Scatter pass.

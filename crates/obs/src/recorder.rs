@@ -347,8 +347,8 @@ impl EventObserver for FlightRecorder {
     }
 }
 
-/// Raw payload words of one drained record (decode via
-/// [`FlightRecord::decode`] against the dump's string table).
+/// Raw payload words of one drained record (decoded into a
+/// [`FlightRecord`] against the dump's string table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawRecord {
     pub w0: u64,

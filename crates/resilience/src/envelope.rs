@@ -13,8 +13,8 @@
 use oppic_core::Crc64;
 use std::fmt;
 
-/// Bit pattern of header word 0, xor'd with the [`FrameKind`]
-/// discriminant. ASCII "OPPIC-RE".
+/// Bit pattern of header word 0, xor'd with the [`Frame`]
+/// kind discriminant. ASCII "OPPIC-RE".
 pub const MAGIC: u64 = 0x4F50_5049_432D_5245;
 
 /// Words of header before the payload.

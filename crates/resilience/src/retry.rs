@@ -3,7 +3,7 @@
 //!
 //! One link per rank turns the shim's faulty data plane into an
 //! exactly-once exchange primitive: every payload is wrapped in a
-//! checksummed [`Frame`](crate::envelope::Frame), receipt is
+//! checksummed [`crate::envelope::Frame`], receipt is
 //! acknowledged on the reliable control plane (plain `send` — the
 //! fault injector only touches `send_faulty`), corrupt frames are
 //! nack'd for immediate retransmission, and a timeout with

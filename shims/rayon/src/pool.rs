@@ -4,6 +4,7 @@
 //! scoped threads per operation.
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     static CURRENT_BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
@@ -11,11 +12,17 @@ thread_local! {
 
 /// Number of worker threads parallel operations on this thread will
 /// use: the installed pool's budget, else the machine's parallelism.
+/// The latter is read once per process, as real rayon sizes its global
+/// pool once: `available_parallelism` reads cgroup files on Linux,
+/// tens of µs that every parallel loop would otherwise pay.
 pub fn current_num_threads() -> usize {
+    static MACHINE: OnceLock<usize> = OnceLock::new();
     CURRENT_BUDGET.with(|c| c.get()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *MACHINE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     })
 }
 
