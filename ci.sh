@@ -26,6 +26,9 @@ echo "== oppic-analyzer --self-test"
 echo "== fempic --validate / cabana --validate"
 ./target/release/fempic --validate >/dev/null
 ./target/release/cabana --validate >/dev/null
+# The benchmark's cabana shape: audits its c2c27 stencil map against
+# the chained c2c hops.
+./target/release/cabana configs/cabana_two_stream.cfg --validate >/dev/null
 
 echo "== --validate with the cell-locality engine (sorted segments / per-step sort)"
 # Exercises the analyzer's fresh-index precondition: the SortedSegments

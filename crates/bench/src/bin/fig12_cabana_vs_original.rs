@@ -8,6 +8,12 @@
 //! the Kokkos version computes the next cell index directly") and
 //! parity on GPU. Here both versions are run for real; the physics is
 //! also validated to agree exactly.
+//!
+//! Both versions read the same setup-time 3×3×3 stencil table in the
+//! `Move_Deposit` gather, so the comparison isolates face-neighbour
+//! resolution: the map read against index arithmetic in the move's
+//! face crossings and the field updates (the structured version also
+//! builds its table by index arithmetic).
 
 use oppic_bench::report::{banner, scale_factor, steps};
 use oppic_cabana::{CabanaConfig, CabanaPic, StructuredCabana};

@@ -3,12 +3,11 @@
 //! mesh from `nx ny nz` at runtime; so does this).
 //!
 //! Config keys: `nx ny nz ppc v0 perturbation modes dt charge mass
-//! steps parallel structured sort_every sort_dirty matrix_gather
-//! binding rebalance_every rebalance_drift report_every seed`
-//! (`sort_every` / `sort_dirty` drive the
-//! cell-locality engine's CSR index rebuild cadence; a fresh index
-//! makes `Move_Deposit` gather segment-batched, and `matrix_gather`
-//! upgrades that path to shape-matrix tiles).
+//! steps parallel structured sort_every sort_dirty binding
+//! rebalance_every rebalance_drift report_every` (`sort_every` /
+//! `sort_dirty` drive the cell-locality engine's CSR index rebuild
+//! cadence; a fresh index cuts `Move_Deposit`'s scatter pieces at
+//! cell segments).
 
 use oppic_cabana::{CabanaConfig, CabanaPic, StructuredCabana};
 use oppic_core::telemetry::fnv1a;
@@ -31,12 +30,10 @@ const KNOWN: &[&str] = &[
     "structured",
     "sort_every",
     "sort_dirty",
-    "matrix_gather",
     "binding",
     "rebalance_every",
     "rebalance_drift",
     "report_every",
-    "seed",
 ];
 
 fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), String> {
@@ -64,7 +61,6 @@ fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), St
         } else {
             ExecPolicy::Seq
         },
-        seed: params.get_usize("seed", 0xCAB4A)? as u64,
         record_visits: false,
         sort_policy: {
             let every = params.get_usize("sort_every", 0)?;
@@ -77,7 +73,6 @@ fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), St
                 SortPolicy::Never
             }
         },
-        matrix_gather: params.get_bool("matrix_gather", false)?,
         binding: params.get_bool("binding", false)?,
         rebalance: {
             let every = params.get_usize("rebalance_every", 0)?;

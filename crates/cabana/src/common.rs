@@ -7,6 +7,9 @@
 //! arithmetic — the floating-point work is byte-for-byte identical, so
 //! the two codes validate against each other to machine precision,
 //! reproducing the paper's 1e-15 agreement with the original CabanaPIC.
+//! The trilinear gather (`ShapeRow`) reads setup-time tables instead:
+//! per-cell `CellGeo` and the [`stencil27`] rows, which the engine
+//! builds once through the same neighbour accessor.
 
 /// Grid geometry shared by both versions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,6 +75,28 @@ impl GridGeom {
             ijk[2] as f64 * self.dz,
         ]
     }
+
+    /// [`CellGeo`] of every cell, in cell order.
+    pub(crate) fn cell_geo_table(&self) -> Vec<CellGeo> {
+        (0..self.n_cells())
+            .map(|c| {
+                let ijk = self.cell_ijk(c);
+                CellGeo {
+                    ijk,
+                    lo: self.cell_lo(ijk),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Setup-time geometry of one cell: the values [`GridGeom::cell_ijk`]
+/// and [`GridGeom::cell_lo`] return for it, stored so the mover does
+/// no integer division per particle.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CellGeo {
+    pub(crate) ijk: [usize; 3],
+    pub(crate) lo: [f64; 3],
 }
 
 /// Classical Boris rotation: advance velocity one full step under E
@@ -110,61 +135,11 @@ pub fn boris_push(v: [f64; 3], e: [f64; 3], b: [f64; 3], qm_half_dt: f64) -> [f6
     ]
 }
 
-/// Trilinear (cloud-in-cell) gather of a cell-centred vector field at a
-/// particle position — the `Interpolate`d field at the particle.
-///
-/// `neighbor(cell, axis, dir)` must return the periodic face neighbour
-/// (`dir = ±1`); `get(cell)` the field triple of a cell.
-pub fn gather_trilinear<NB, G>(
-    geom: &GridGeom,
-    pos: [f64; 3],
-    cell: usize,
-    neighbor: NB,
-    get: G,
-) -> [f64; 3]
-where
-    NB: Fn(usize, usize, i32) -> usize,
-    G: Fn(usize) -> [f64; 3],
-{
-    let ijk = geom.cell_ijk(cell);
-    let lo = geom.cell_lo(ijk);
-    let d = geom.deltas();
-    // Offset from the cell centre in units of the cell size, in
-    // [-0.5, 0.5].
-    let mut w = [0.0f64; 3];
-    let mut dir = [1i32; 3];
-    for a in 0..3 {
-        let frac = (pos[a] - lo[a]) / d[a] - 0.5;
-        dir[a] = if frac >= 0.0 { 1 } else { -1 };
-        w[a] = frac.abs().min(1.0);
-    }
-    let mut out = [0.0f64; 3];
-    for corner in 0..8usize {
-        let mut c = cell;
-        let mut weight = 1.0;
-        for a in 0..3 {
-            if corner >> a & 1 == 1 {
-                c = neighbor(c, a, dir[a]);
-                weight *= w[a];
-            } else {
-                weight *= 1.0 - w[a];
-            }
-        }
-        let f = get(c);
-        out[0] += weight * f[0];
-        out[1] += weight * f[1];
-        out[2] += weight * f[2];
-    }
-    out
-}
-
 /// The 3×3×3 neighbourhood of `cell` (axis offsets −1/0/+1, index
 /// `(sx+1) + 3(sy+1) + 9(sz+1)`), resolved by chained face-neighbour
-/// hops in axis order x→y→z — exactly the chains
-/// [`gather_trilinear`] walks, so a gather against this stencil visits
-/// the same cells. Used by the segment-batched mover to resolve the
-/// neighbourhood once per cell segment instead of 16 hops per
-/// particle.
+/// hops in axis order x→y→z. The engine builds its `c2c27` stencil map
+/// from this once at setup, so a trilinear corner reached by up to
+/// three hops is one table read per particle.
 pub fn stencil27<NB>(cell: usize, neighbor: NB) -> [usize; 27]
 where
     NB: Fn(usize, usize, i32) -> usize,
@@ -190,103 +165,76 @@ where
     out
 }
 
-/// [`gather_trilinear`] against a pre-gathered 3×3×3 field stencil
-/// (see [`stencil27`]) — the segment-batched fast path. Weights,
-/// corner order and accumulation order are identical to the
-/// per-particle version, so the result is bit-identical; only the
-/// neighbour resolution and field loads are hoisted out.
-pub fn gather_trilinear_stencil(
-    geom: &GridGeom,
-    pos: [f64; 3],
-    cell: usize,
-    field: &[[f64; 3]; 27],
-) -> [f64; 3] {
-    let ijk = geom.cell_ijk(cell);
-    let lo = geom.cell_lo(ijk);
-    let d = geom.deltas();
-    let mut w = [0.0f64; 3];
-    let mut dir = [1i32; 3];
-    for a in 0..3 {
-        let frac = (pos[a] - lo[a]) / d[a] - 0.5;
-        dir[a] = if frac >= 0.0 { 1 } else { -1 };
-        w[a] = frac.abs().min(1.0);
-    }
-    const STRIDE: [i32; 3] = [1, 3, 9];
-    let mut out = [0.0f64; 3];
-    for corner in 0..8usize {
-        let mut idx = 13i32; // the centre of the stencil
-        let mut weight = 1.0;
-        for a in 0..3 {
-            if corner >> a & 1 == 1 {
-                idx += dir[a] * STRIDE[a];
-                weight *= w[a];
-            } else {
-                weight *= 1.0 - w[a];
-            }
-        }
-        let f = &field[idx as usize];
-        out[0] += weight * f[0];
-        out[1] += weight * f[1];
-        out[2] += weight * f[2];
-    }
-    out
+/// One particle's trilinear (cloud-in-cell) shape row: the 8 corner
+/// weights and the cells they read. Corner `k` moves one cell towards
+/// the particle along every axis whose bit is set in `k`; its weight
+/// is the product over x, y, z of `w` (bit set) or `1 − w`, `w` being
+/// the particle's offset from the cell centre in cell units.
+pub(crate) struct ShapeRow {
+    pub(crate) weights: [f64; 8],
+    pub(crate) cells: [usize; 8],
 }
 
-/// One row of a per-tile trilinear *shape matrix*: the 8 corner
-/// weights and their 3×3×3-stencil indices for a particle, factored
-/// out of [`gather_trilinear_stencil`]. The weight products are
-/// computed in exactly the stencil gather's order, so applying the row
-/// with [`gather_shape_row`] is bit-identical to calling the gather —
-/// but the row is computed *once* per particle and reused across every
-/// field gathered against it (E and B in the fused mover), instead of
-/// being recomputed per field.
-#[inline]
-pub fn trilinear_shape_row(geom: &GridGeom, pos: [f64; 3], cell: usize) -> ([f64; 8], [usize; 8]) {
-    let ijk = geom.cell_ijk(cell);
-    let lo = geom.cell_lo(ijk);
-    let d = geom.deltas();
-    let mut w = [0.0f64; 3];
-    let mut dir = [1i32; 3];
-    for a in 0..3 {
-        let frac = (pos[a] - lo[a]) / d[a] - 0.5;
-        dir[a] = if frac >= 0.0 { 1 } else { -1 };
-        w[a] = frac.abs().min(1.0);
-    }
-    const STRIDE: [i32; 3] = [1, 3, 9];
-    let mut weights = [0.0f64; 8];
-    let mut idx = [0usize; 8];
-    for (corner, (weight_out, idx_out)) in weights.iter_mut().zip(idx.iter_mut()).enumerate() {
-        let mut i = 13i32; // the centre of the stencil
-        let mut weight = 1.0;
+impl ShapeRow {
+    /// The row of a particle at `pos` in the cell with geometry `home`
+    /// and 3×3×3 stencil row `stencil` (see [`stencil27`]).
+    #[inline]
+    pub(crate) fn new(geom: &GridGeom, pos: [f64; 3], home: &CellGeo, stencil: &[u32; 27]) -> Self {
+        let d = geom.deltas();
+        // Offset from the cell centre in units of the cell size, in
+        // [-0.5, 0.5]; the stencil index steps towards the particle.
+        const STRIDE: [i32; 3] = [1, 3, 9];
+        let mut w = [0.0f64; 3];
+        let mut step = [0i32; 3];
         for a in 0..3 {
-            if corner >> a & 1 == 1 {
-                i += dir[a] * STRIDE[a];
-                weight *= w[a];
-            } else {
-                weight *= 1.0 - w[a];
+            let frac = (pos[a] - home.lo[a]) / d[a] - 0.5;
+            step[a] = if frac >= 0.0 { STRIDE[a] } else { -STRIDE[a] };
+            w[a] = frac.abs().min(1.0);
+        }
+        let mut weights = [0.0f64; 8];
+        let mut cells = [0usize; 8];
+        for (corner, (weight_out, cell_out)) in weights.iter_mut().zip(cells.iter_mut()).enumerate()
+        {
+            let mut idx = 13i32; // the centre of the stencil
+            let mut weight = 1.0;
+            for a in 0..3 {
+                if corner >> a & 1 == 1 {
+                    idx += step[a];
+                    weight *= w[a];
+                } else {
+                    weight *= 1.0 - w[a];
+                }
+            }
+            *weight_out = weight;
+            *cell_out = stencil[idx as usize] as usize;
+        }
+        ShapeRow { weights, cells }
+    }
+
+    /// Apply the row to two cell-centred vector fields stored side by
+    /// side (`[E, B]`, 6 values per cell; see [`pack_fields`]) in one
+    /// corner loop: `Σ_corner w·field[cell]`, corners ascending. Each
+    /// corner is one 48-byte row, and the six sums are independent
+    /// lanes.
+    #[inline]
+    pub(crate) fn gather(&self, eb: &[[f64; 6]]) -> [[f64; 3]; 2] {
+        let mut o = [0.0f64; 6];
+        for (&weight, &c) in self.weights.iter().zip(&self.cells) {
+            for (sum, f) in o.iter_mut().zip(&eb[c]) {
+                *sum += weight * f;
             }
         }
-        *weight_out = weight;
-        *idx_out = i as usize;
+        [[o[0], o[1], o[2]], [o[3], o[4], o[5]]]
     }
-    (weights, idx)
 }
 
-/// Apply one shape row (see [`trilinear_shape_row`]) against a
-/// pre-gathered 3×3×3 field stencil: `out = Σ_corner w·field[idx]` in
-/// corner-ascending order — the same loads and adds as
-/// [`gather_trilinear_stencil`], so the result is bit-identical.
-#[inline]
-pub fn gather_shape_row(weights: &[f64; 8], idx: &[usize; 8], field: &[[f64; 3]; 27]) -> [f64; 3] {
-    let mut out = [0.0f64; 3];
-    for corner in 0..8usize {
-        let f = &field[idx[corner]];
-        let weight = weights[corner];
-        out[0] += weight * f[0];
-        out[1] += weight * f[1];
-        out[2] += weight * f[2];
+/// Pack two flat 3-vector cell fields into the side-by-side table
+/// [`ShapeRow::gather`] reads: `eb[c] = [e[c], b[c]]`.
+pub(crate) fn pack_fields(e: &[f64], b: &[f64], eb: &mut [[f64; 6]]) {
+    for ((row, e), b) in eb.iter_mut().zip(e.chunks_exact(3)).zip(b.chunks_exact(3)) {
+        row[..3].copy_from_slice(e);
+        row[3..].copy_from_slice(b);
     }
-    out
 }
 
 /// Path-splitting move + per-cell residence fractions — the core of
@@ -297,14 +245,18 @@ pub fn gather_shape_row(weights: &[f64; 8], idx: &[usize; 8], field: &[[f64; 3];
 /// Advances `pos` by `vel·dt` through the periodic grid, calling
 /// `deposit(cell, frac)` with the fraction of the step spent in each
 /// visited cell (fractions sum to 1), and returning the final cell and
-/// the number of cells visited. `neighbor` supplies periodic
-/// face-neighbours — the map lookup in the DSL version, index
+/// the number of cells visited. `ijk` is `cell`'s `(i,j,k)` (the
+/// engine reads it from its setup-time cell table); `neighbor` supplies
+/// periodic face-neighbours — the map lookup in the DSL version, index
 /// arithmetic in the structured one.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub fn move_deposit_particle<NB, DEP>(
     geom: &GridGeom,
     pos: &mut [f64],
     vel: &[f64],
     cell: usize,
+    mut ijk: [usize; 3],
     dt: f64,
     neighbor: NB,
     mut deposit: DEP,
@@ -317,7 +269,6 @@ where
     let d = geom.deltas();
     let dims = geom.dims();
     let lengths = geom.lengths();
-    let mut ijk = geom.cell_ijk(cell);
     let mut c = cell;
     let mut remaining = 1.0f64;
     let mut visited = 0u32;
@@ -521,6 +472,55 @@ mod tests {
         }
     }
 
+    /// Reference trilinear (cloud-in-cell) gather of a cell-centred
+    /// vector field at a particle position, resolving every corner by
+    /// chained face-neighbour hops.
+    ///
+    /// `neighbor(cell, axis, dir)` must return the periodic face neighbour
+    /// (`dir = ±1`); `get(cell)` the field triple of a cell.
+    fn gather_trilinear<NB, G>(
+        geom: &GridGeom,
+        pos: [f64; 3],
+        cell: usize,
+        neighbor: NB,
+        get: G,
+    ) -> [f64; 3]
+    where
+        NB: Fn(usize, usize, i32) -> usize,
+        G: Fn(usize) -> [f64; 3],
+    {
+        let ijk = geom.cell_ijk(cell);
+        let lo = geom.cell_lo(ijk);
+        let d = geom.deltas();
+        // Offset from the cell centre in units of the cell size, in
+        // [-0.5, 0.5].
+        let mut w = [0.0f64; 3];
+        let mut dir = [1i32; 3];
+        for a in 0..3 {
+            let frac = (pos[a] - lo[a]) / d[a] - 0.5;
+            dir[a] = if frac >= 0.0 { 1 } else { -1 };
+            w[a] = frac.abs().min(1.0);
+        }
+        let mut out = [0.0f64; 3];
+        for corner in 0..8usize {
+            let mut c = cell;
+            let mut weight = 1.0;
+            for a in 0..3 {
+                if corner >> a & 1 == 1 {
+                    c = neighbor(c, a, dir[a]);
+                    weight *= w[a];
+                } else {
+                    weight *= 1.0 - w[a];
+                }
+            }
+            let f = get(c);
+            out[0] += weight * f[0];
+            out[1] += weight * f[1];
+            out[2] += weight * f[2];
+        }
+        out
+    }
+
     #[test]
     fn boris_zero_fields_is_identity() {
         let v = [0.3, -0.2, 0.1];
@@ -597,9 +597,18 @@ mod tests {
         let mut pos = [0.05, 0.05, 0.05];
         let vel = [0.1, 0.0, 0.0];
         let mut deposits = Vec::new();
-        let (c, visited) = move_deposit_particle(&g, &mut pos, &vel, 0, 0.5, &nb, |cell, frac| {
-            deposits.push((cell, frac));
-        });
+        let (c, visited) = move_deposit_particle(
+            &g,
+            &mut pos,
+            &vel,
+            0,
+            g.cell_ijk(0),
+            0.5,
+            &nb,
+            |cell, frac| {
+                deposits.push((cell, frac));
+            },
+        );
         assert_eq!(c, 0);
         assert_eq!(visited, 1);
         assert_eq!(deposits, vec![(0, 1.0)]);
@@ -614,9 +623,18 @@ mod tests {
         let mut pos = [0.125, 0.25, 0.1];
         let vel = [0.25, 0.0, 0.0];
         let mut deposits = Vec::new();
-        let (c, visited) = move_deposit_particle(&g, &mut pos, &vel, 0, 1.0, &nb, |cell, frac| {
-            deposits.push((cell, frac));
-        });
+        let (c, visited) = move_deposit_particle(
+            &g,
+            &mut pos,
+            &vel,
+            0,
+            g.cell_ijk(0),
+            1.0,
+            &nb,
+            |cell, frac| {
+                deposits.push((cell, frac));
+            },
+        );
         assert_eq!(c, 1);
         assert_eq!(visited, 2);
         // Half the step in cell 0, half in cell 1.
@@ -634,13 +652,15 @@ mod tests {
         // Start near the +x end moving right: wraps into cell 0 column.
         let mut pos = [0.95, 0.25, 0.1];
         let vel = [0.2, 0.0, 0.0];
-        let (c, _) = move_deposit_particle(&g, &mut pos, &vel, 3, 1.0, &nb, |_, _| {});
+        let (c, _) =
+            move_deposit_particle(&g, &mut pos, &vel, 3, g.cell_ijk(3), 1.0, &nb, |_, _| {});
         assert_eq!(g.cell_ijk(c)[0], 0);
         assert!(pos[0] >= 0.0 && pos[0] < 0.25, "wrapped x: {}", pos[0]);
         // And backwards through zero.
         let mut pos = [0.05, 0.25, 0.1];
         let vel = [-0.2, 0.0, 0.0];
-        let (c, _) = move_deposit_particle(&g, &mut pos, &vel, 0, 1.0, &nb, |_, _| {});
+        let (c, _) =
+            move_deposit_particle(&g, &mut pos, &vel, 0, g.cell_ijk(0), 1.0, &nb, |_, _| {});
         assert_eq!(g.cell_ijk(c)[0], 3);
         assert!(pos[0] > 0.7, "wrapped x: {}", pos[0]);
     }
@@ -657,6 +677,7 @@ mod tests {
             &mut pos,
             &vel,
             g.cell_id([0, 0, 0]),
+            [0, 0, 0],
             0.5,
             &nb,
             |_, f| {
@@ -709,73 +730,67 @@ mod tests {
         }
     }
 
+    /// The table gather (one [`ShapeRow`] over the [`stencil27`] rows,
+    /// applied to two fields at once) against the chained
+    /// [`gather_trilinear`] of each field, bit for bit — on every cell
+    /// of a 4×3×5 box and of a box whose 1-wide and 2-wide axes make
+    /// the ±1 neighbours coincide.
     #[test]
-    fn stencil_gather_is_bit_identical_to_chained_gather() {
-        let g = GridGeom {
-            nx: 4,
-            ny: 3,
-            nz: 5,
-            dx: 0.25,
-            dy: 1.0 / 3.0,
-            dz: 0.2,
-        };
-        // Periodic index-arithmetic neighbour (what both topologies
-        // materialise).
-        let nb = |c: usize, a: usize, d: i32| {
-            let dims = [g.nx, g.ny, g.nz];
-            let mut ijk = g.cell_ijk(c);
-            ijk[a] = (ijk[a] as i32 + d).rem_euclid(dims[a] as i32) as usize;
-            g.cell_id(ijk)
-        };
-        // A deterministic "field" distinguishing every cell.
-        let get = |c: usize| [c as f64, (c * c) as f64 * 0.125, -(c as f64) * 3.5];
-        for cell in 0..g.n_cells() {
-            let ids = stencil27(cell, nb);
-            let mut field = [[0.0f64; 3]; 27];
-            for (k, &id) in ids.iter().enumerate() {
-                field[k] = get(id);
-            }
-            let ijk = g.cell_ijk(cell);
-            let lo = g.cell_lo(ijk);
-            // Positions in all 8 octants of the cell plus the centre.
-            for (fx, fy, fz) in [
-                (0.5, 0.5, 0.5),
-                (0.1, 0.2, 0.3),
-                (0.9, 0.8, 0.7),
-                (0.05, 0.95, 0.5),
-                (0.66, 0.01, 0.99),
-            ] {
-                let p = [lo[0] + fx * g.dx, lo[1] + fy * g.dy, lo[2] + fz * g.dz];
-                let a = gather_trilinear(&g, p, cell, nb, get);
-                let b = gather_trilinear_stencil(&g, p, cell, &field);
-                assert_eq!(a, b, "cell {cell} pos {p:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn shape_row_gather_is_bit_identical_to_stencil_gather() {
-        let g = geom();
-        let nb = arith_neighbor(&g);
-        let get = |c: usize| [c as f64 * 0.5, -(c as f64), (c * 7 % 11) as f64];
-        for cell in [0, 7, g.n_cells() - 1] {
-            let ids = stencil27(cell, &nb);
-            let mut field = [[0.0f64; 3]; 27];
-            for (k, &id) in ids.iter().enumerate() {
-                field[k] = get(id);
-            }
-            let ijk = g.cell_ijk(cell);
-            let lo = g.cell_lo(ijk);
-            for (fx, fy, fz) in [(0.5, 0.5, 0.5), (0.07, 0.93, 0.41), (0.99, 0.01, 0.66)] {
-                let p = [lo[0] + fx * g.dx, lo[1] + fy * g.dy, lo[2] + fz * g.dz];
-                let (w, idx) = trilinear_shape_row(&g, p, cell);
-                assert!(
-                    (w.iter().sum::<f64>() - 1.0).abs() < 1e-12,
-                    "partition of unity"
-                );
-                let a = gather_trilinear_stencil(&g, p, cell, &field);
-                let b = gather_shape_row(&w, &idx, &field);
-                assert_eq!(a, b, "cell {cell} pos {p:?}");
+    fn table_gather_is_bit_identical_to_chained_gather() {
+        let shapes = [
+            geom(),
+            GridGeom {
+                nx: 1,
+                ny: 2,
+                nz: 3,
+                dx: 0.5,
+                dy: 1.0 / 3.0,
+                dz: 0.2,
+            },
+        ];
+        // Two deterministic fields distinguishing every cell.
+        let fe = |c: usize| [c as f64, (c * c) as f64 * 0.125, -(c as f64) * 3.5];
+        let fb = |c: usize| [c as f64 * 0.5, -(c as f64), (c * 7 % 11) as f64];
+        for g in shapes {
+            let nb = arith_neighbor(&g);
+            let flat = |f: &dyn Fn(usize) -> [f64; 3]| -> Vec<f64> {
+                (0..g.n_cells()).flat_map(f).collect()
+            };
+            let (e, b) = (flat(&fe), flat(&fb));
+            let mut eb = vec![[0.0; 6]; g.n_cells()];
+            pack_fields(&e, &b, &mut eb);
+            for (cell, home) in g.cell_geo_table().iter().enumerate() {
+                let stencil = stencil27(cell, &nb).map(|c| c as u32);
+                let lo = home.lo;
+                assert_eq!(home.ijk, g.cell_ijk(cell));
+                assert_eq!(lo, g.cell_lo(g.cell_ijk(cell)));
+                // Positions in all 8 octants of the cell plus the centre.
+                for (fx, fy, fz) in [
+                    (0.5, 0.5, 0.5),
+                    (0.1, 0.2, 0.3),
+                    (0.9, 0.8, 0.7),
+                    (0.05, 0.95, 0.5),
+                    (0.66, 0.01, 0.99),
+                    (0.07, 0.93, 0.41),
+                ] {
+                    let p = [lo[0] + fx * g.dx, lo[1] + fy * g.dy, lo[2] + fz * g.dz];
+                    let row = ShapeRow::new(&g, p, home, &stencil);
+                    assert!(
+                        (row.weights.iter().sum::<f64>() - 1.0).abs() < 1e-12,
+                        "partition of unity"
+                    );
+                    let [ge, gb] = row.gather(&eb);
+                    assert_eq!(
+                        ge,
+                        gather_trilinear(&g, p, cell, &nb, fe),
+                        "E: cell {cell} pos {p:?}"
+                    );
+                    assert_eq!(
+                        gb,
+                        gather_trilinear(&g, p, cell, &nb, fb),
+                        "B: cell {cell} pos {p:?}"
+                    );
+                }
             }
         }
     }

@@ -33,24 +33,15 @@ pub struct CabanaConfig {
     /// Macro-particle mass.
     pub mass: f64,
     pub policy: ExecPolicy,
-    pub seed: u64,
     /// Record per-particle visited-cell counts each `Move_Deposit`
     /// (GPU divergence analysis; off by default).
     pub record_visits: bool,
     /// When to rebuild the CSR cell index with a particle sort (the
-    /// cell-locality engine). A fresh index lets `Move_Deposit` run
-    /// segment-batched: the 3×3×3 field stencil around each home cell
-    /// is gathered once per cell segment instead of 16 loads per
-    /// particle.
+    /// cell-locality engine). The sort puts particles of a cell next
+    /// to each other, so their gathers read the same cells, and a
+    /// fresh index cuts `Move_Deposit`'s scatter pieces at cell
+    /// segments. The gather itself is the same on every step.
     pub sort_policy: SortPolicy,
-    /// Tile-batched *shape-matrix* gather on the segment-batched
-    /// mover path: particles of a cell segment are processed in tiles
-    /// of [`oppic_core::MAT_TILE_WIDTH`], the trilinear shape rows
-    /// (8 corner weights + stencil indices) are built once per tile
-    /// and reused for both the E and B gathers — halving the weight
-    /// arithmetic while staying bit-identical to the per-particle
-    /// stencil gather. No effect without a fresh CSR cell index.
-    pub matrix_gather: bool,
     /// Persistent particle-thread binding (DESIGN.md §12): pin a fixed
     /// particle partition to each worker across steps on the
     /// per-particle mover path. Element writes stay slot-local, so
@@ -77,10 +68,8 @@ impl Default for CabanaConfig {
             charge: -1.0,
             mass: 1.0,
             policy: ExecPolicy::Par,
-            seed: 0xCAB4A,
             record_visits: false,
             sort_policy: SortPolicy::Never,
-            matrix_gather: false,
             binding: false,
             rebalance: RebalancePolicy::DriftFraction(0.5),
         }

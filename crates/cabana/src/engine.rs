@@ -7,18 +7,21 @@
 //! computes the next cell index directly" (the paper's own description
 //! of the Figure 12 comparison). All floating-point work is shared, so
 //! the two versions agree bit-for-bit under sequential execution.
+//!
+//! Both versions read the same setup-time tables in the `Move_Deposit`
+//! gather: the 3×3×3 stencil map `c2c27` and the per-cell `(i,j,k)` and
+//! low corner, built once in [`CabanaEngine::new`] through the
+//! topology. The structured version keeps its index arithmetic in the
+//! move's face crossings, the field updates and that setup.
 
 use crate::common::{
-    advance_b_cell, advance_e_cell, boris_push, gather_shape_row, gather_trilinear,
-    gather_trilinear_stencil, init_two_stream, move_deposit_particle, stencil27,
-    trilinear_shape_row, GridGeom,
+    advance_b_cell, advance_e_cell, boris_push, init_two_stream, move_deposit_particle,
+    pack_fields, stencil27, CellGeo, GridGeom, ShapeRow,
 };
 use crate::config::CabanaConfig;
 use oppic_core::parloop::{par_loop, par_loop_scatter, Space};
 use oppic_core::profile::{KernelClass, Profiler};
-use oppic_core::{
-    ColId, Dat, Depositor, ExchangeDir, ParticleDats, Tally, ThreadBinding, MAT_TILE_WIDTH,
-};
+use oppic_core::{ColId, Dat, Depositor, ExchangeDir, ParticleDats, Tally, ThreadBinding};
 use oppic_mpi::exchange::remove_leavers;
 use oppic_mpi::{MigrationStats, RankCtx, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -67,6 +70,14 @@ pub struct CabanaEngine<T: Topology> {
     pub cfg: CabanaConfig,
     pub geom: GridGeom,
     pub topo: T,
+    /// The 3×3×3 neighbourhood of every cell (index
+    /// `(sx+1) + 3(sy+1) + 9(sz+1)`), resolved once at setup by
+    /// [`stencil27`] through `topo`: the `Move_Deposit` gather reads
+    /// each trilinear corner here instead of chaining up to three
+    /// face-neighbour hops per particle.
+    pub(crate) c2c27: Vec<[u32; 27]>,
+    /// Per-cell `(i,j,k)` and low corner (see [`CellGeo`]).
+    pub(crate) cell_geo: Vec<CellGeo>,
     /// Cell fields, dim 3 each — with the current accumulator that is
     /// the paper's "9 DOFs per cell".
     pub e: Dat,
@@ -76,6 +87,10 @@ pub struct CabanaEngine<T: Topology> {
     /// field derivatives as interpolator values within cell data).
     interp_e: Dat,
     interp_b: Dat,
+    /// `interp E` and `interp B` side by side, repacked by
+    /// `Move_Deposit` so each gather corner is one row (see
+    /// [`pack_fields`]); `Interpolate` keeps its two declared loops.
+    interp_eb: Vec<[f64; 6]>,
     /// Current accumulator, 3 per cell. `Move_Deposit` increments it
     /// through the DSL's scatter-array strategy
     /// ([`oppic_core::scatter_pieces`]): exclusively in particle order
@@ -101,6 +116,19 @@ pub struct CabanaEngine<T: Topology> {
     pub binding: Option<ThreadBinding>,
 }
 
+/// The plain array a fused-mover piece deposits into: the executor's
+/// scatter pieces ([`oppic_core::scatter_pieces`]) hand each piece the
+/// exclusive target or its private array. Taking it once per piece
+/// lets the per-visit increments compile to plain adds.
+fn piece_target<'d>(dep: &'d mut Depositor) -> &'d mut [f64] {
+    match dep {
+        Depositor::Exclusive(t) | Depositor::Local(t) => t,
+        Depositor::Atomic { .. } | Depositor::Pairs(_) => {
+            unreachable!("scatter pieces deposit into plain arrays")
+        }
+    }
+}
+
 impl<T: Topology> CabanaEngine<T> {
     pub fn new(cfg: CabanaConfig, topo: T) -> Self {
         let geom = GridGeom {
@@ -112,6 +140,13 @@ impl<T: Topology> CabanaEngine<T> {
             dz: cfg.dz,
         };
         let n_cells = geom.n_cells();
+        assert!(
+            u32::try_from(n_cells).is_ok(),
+            "{n_cells} cells do not fit the u32 stencil map"
+        );
+        let c2c27 = (0..n_cells)
+            .map(|c| stencil27(c, |cc, a, d| topo.neighbor(cc, a, d)).map(|n| n as u32))
+            .collect();
         let (pos_v, vel_v, cell_v, weight) =
             init_two_stream(&geom, cfg.ppc, cfg.v0, cfg.perturbation, cfg.modes);
 
@@ -129,11 +164,14 @@ impl<T: Topology> CabanaEngine<T> {
         CabanaEngine {
             geom,
             topo,
+            c2c27,
+            cell_geo: geom.cell_geo_table(),
             e: Dat::zeros("E", n_cells, 3),
             b: Dat::zeros("B", n_cells, 3),
             j: Dat::zeros("J", n_cells, 3),
             interp_e: Dat::zeros("interp E", n_cells, 3),
             interp_b: Dat::zeros("interp B", n_cells, 3),
+            interp_eb: vec![[0.0; 6]; n_cells],
             acc: vec![0.0; n_cells * 3],
             ps,
             pos,
@@ -216,52 +254,59 @@ impl<T: Topology> CabanaEngine<T> {
     /// push, path-splitting move with per-cell current deposition —
     /// the single fused routine the paper describes.
     ///
-    /// When the CSR cell index is fresh (the cell-locality engine: see
-    /// [`CabanaConfig::sort_policy`]) the loop runs segment-batched:
-    /// per cell segment the 3×3×3 interpolator stencil is resolved and
-    /// loaded once, and every particle of the segment gathers against
-    /// it — bit-identical arithmetic, 54 cell loads per *segment*
-    /// instead of 16 per *particle*. Relocations are counted and
-    /// reported to [`ParticleDats::refine_dirty`], so dirty-fraction
-    /// sort policies see the measured churn rather than the worst
-    /// case.
+    /// Each particle builds one trilinear shape row from its cell's
+    /// setup-time `c2c27` row and geometry and applies it to both
+    /// interpolator fields in one corner loop. When the CSR cell index
+    /// is fresh (the cell-locality engine: see
+    /// [`CabanaConfig::sort_policy`]) the loop runs over its cell
+    /// segments, else over the persistent binding or plain ranges.
+    /// Relocations are counted and reported to
+    /// [`ParticleDats::refine_dirty`], so dirty-fraction sort policies
+    /// see the measured churn rather than the worst case.
     pub fn move_deposit(&mut self) -> u64 {
         self.record_loop("Move_Deposit");
         let geom = self.geom;
         let topo = &self.topo;
+        let c2c27 = &self.c2c27;
+        let cell_geo = &self.cell_geo;
         let dt = self.cfg.dt;
         let qm_half_dt = self.cfg.charge / self.cfg.mass * dt * 0.5;
         let q_w = self.cfg.charge * self.weight;
-        let ie = &self.interp_e;
-        let ib = &self.interp_b;
+        pack_fields(
+            self.interp_e.raw(),
+            self.interp_b.raw(),
+            &mut self.interp_eb,
+        );
+        let eb = &self.interp_eb;
         let acc = &mut self.acc;
-        let matrix_gather = self.cfg.matrix_gather;
         let visit_log: Vec<AtomicU32> = if self.cfg.record_visits {
             (0..self.ps.len()).map(|_| AtomicU32::new(0)).collect()
         } else {
             Vec::new()
         };
 
-        // Boris push + path-splitting move of one particle, shared by
-        // both gather paths. Current goes through the piece's
-        // depositor, the tallies into the piece's own counters.
-        let push_move = |dep: &mut Depositor,
-                         tally: &mut MoveTally,
-                         i: usize,
-                         x: &mut [f64],
-                         v: &mut [f64],
-                         cl: &mut i32,
-                         ef: [f64; 3],
-                         bf: [f64; 3]| {
+        // Gather, Boris push and path-splitting move of one particle.
+        // Current goes into the piece's scatter array, the tallies into
+        // the piece's own counters.
+        let kernel = |target: &mut [f64],
+                      tally: &mut MoveTally,
+                      i: usize,
+                      x: &mut [f64],
+                      v: &mut [f64],
+                      cl: &mut i32| {
             let c = *cl as usize;
-            let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
+            let home = &cell_geo[c];
+            let row = ShapeRow::new(&geom, [x[0], x[1], x[2]], home, &c2c27[c]);
+            let [ef, bf] = row.gather(eb);
             let nv = boris_push([v[0], v[1], v[2]], ef, bf, qm_half_dt);
             v.copy_from_slice(&nv);
+            let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
             let (final_cell, visited) =
-                move_deposit_particle(&geom, x, &nv, c, dt, nb, |cell, frac| {
-                    dep.add(cell * 3, q_w * nv[0] * frac);
-                    dep.add(cell * 3 + 1, q_w * nv[1] * frac);
-                    dep.add(cell * 3 + 2, q_w * nv[2] * frac);
+                move_deposit_particle(&geom, x, &nv, c, home.ijk, dt, nb, |cell, frac| {
+                    let a = &mut target[cell * 3..cell * 3 + 3];
+                    a[0] += q_w * nv[0] * frac;
+                    a[1] += q_w * nv[1] * frac;
+                    a[2] += q_w * nv[2] * frac;
                 });
             if final_cell != c {
                 tally.moved += 1;
@@ -273,115 +318,41 @@ impl<T: Topology> CabanaEngine<T> {
             }
         };
 
-        // `Some(non-empty segments)` when the segment-batched path ran.
-        let mut segment_batched = None;
-        let tally = if let Some((cell_start, pos, vel, cells)) =
-            self.ps.cols_mut2_cells_mut_with_index(self.pos, self.vel)
-        {
-            segment_batched = Some(cell_start.windows(2).filter(|w| w[1] > w[0]).count());
-            par_loop_scatter(
-                &self.cfg.policy,
-                Space::Segments(cell_start),
-                ((3, pos), (3, vel), cells),
-                acc,
-                |dep, tally, w| {
-                    let c = w.cell.expect("segment windows carry their cell");
-                    let (first, ((_, xs), (_, vs), cw)) = (w.first, w.cols);
-                    let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-                    let ids = stencil27(c, nb);
-                    let mut se = [[0.0f64; 3]; 27];
-                    let mut sb = [[0.0f64; 3]; 27];
-                    for (k, &id) in ids.iter().enumerate() {
-                        let s = ie.el(id);
-                        se[k] = [s[0], s[1], s[2]];
-                        let s = ib.el(id);
-                        sb[k] = [s[0], s[1], s[2]];
-                    }
-                    if matrix_gather {
-                        // Shape-matrix tiles: build the trilinear rows
-                        // for up to MAT_TILE_WIDTH particles at once,
-                        // then apply each row to *both* field stencils
-                        // — one weight computation feeds two gathers,
-                        // each bit-identical to the stencil gather.
-                        let n = cw.len();
-                        let mut lo = 0usize;
-                        while lo < n {
-                            let hi = (lo + MAT_TILE_WIDTH).min(n);
-                            let mut rows = [([0.0f64; 8], [0usize; 8]); MAT_TILE_WIDTH];
-                            for (row, x) in rows.iter_mut().zip(xs[lo * 3..hi * 3].chunks(3)) {
-                                *row = trilinear_shape_row(&geom, [x[0], x[1], x[2]], c);
-                            }
-                            for (t, j) in (lo..hi).enumerate() {
-                                let (wts, idx) = &rows[t];
-                                let ef = gather_shape_row(wts, idx, &se);
-                                let bf = gather_shape_row(wts, idx, &sb);
-                                let x = &mut xs[j * 3..j * 3 + 3];
-                                let v = &mut vs[j * 3..j * 3 + 3];
-                                push_move(dep, tally, first + j, x, v, &mut cw[j], ef, bf);
-                            }
-                            lo = hi;
-                        }
-                    } else {
-                        for (j, ((x, v), cl)) in xs
-                            .chunks_mut(3)
-                            .zip(vs.chunks_mut(3))
-                            .zip(cw.iter_mut())
-                            .enumerate()
-                        {
-                            let p = [x[0], x[1], x[2]];
-                            let ef = gather_trilinear_stencil(&geom, p, c, &se);
-                            let bf = gather_trilinear_stencil(&geom, p, c, &sb);
-                            push_move(dep, tally, first + j, x, v, cl, ef, bf);
-                        }
-                    }
-                },
-            )
+        // The iteration space only cuts scatter pieces: a fresh index
+        // gives per-cell segments; otherwise the persistent binding
+        // (the same worker moves the same particles step after step)
+        // or plain ranges. Particle writes are element-local, so
+        // pos/vel/cells are independent of the cut; the current is
+        // reduced in piece order.
+        let (space, (pos, vel, cells)) = if self.ps.index_is_fresh() {
+            let (cell_start, pos, vel, cells) = self
+                .ps
+                .cols_mut2_cells_mut_with_index(self.pos, self.vel)
+                .expect("the index is fresh");
+            (Space::Segments(cell_start), (pos, vel, cells))
         } else {
-            let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
-            let kernel = |dep: &mut Depositor,
-                          tally: &mut MoveTally,
-                          i: usize,
-                          x: &mut [f64],
-                          v: &mut [f64],
-                          cl: &mut i32| {
-                let c = *cl as usize;
-                let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-                let p = [x[0], x[1], x[2]];
-                let ef = gather_trilinear(&geom, p, c, nb, |cc| {
-                    let s = ie.el(cc);
-                    [s[0], s[1], s[2]]
-                });
-                let bf = gather_trilinear(&geom, p, c, nb, |cc| {
-                    let s = ib.el(cc);
-                    [s[0], s[1], s[2]]
-                });
-                push_move(dep, tally, i, x, v, cl, ef, bf);
-            };
-            // Persistent binding: the same worker moves the same
-            // particles step after step, and its spans form one scatter
-            // piece. Particle writes are element-local, so pos/vel/cells
-            // are independent of the binding; the current is reduced in
-            // worker order.
-            let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
-            par_loop_scatter(
-                &self.cfg.policy,
-                space,
-                ((3, pos), (3, vel), cells),
-                acc,
-                |dep, tally, w| w.each(|i, (x, v, cl)| kernel(dep, tally, i, x, v, cl)),
+            (
+                self.binding.as_ref().map_or(Space::Range, Space::Binding),
+                self.ps.cols_mut2_with_cells_mut(self.pos, self.vel),
             )
         };
+        let tally = par_loop_scatter(
+            &self.cfg.policy,
+            space,
+            ((3, pos), (3, vel), cells),
+            acc,
+            |dep, tally, w| {
+                let target = piece_target(dep);
+                w.each(|i, (x, v, cl)| kernel(target, tally, i, x, v, cl))
+            },
+        );
         self.ps.refine_dirty(tally.moved as usize);
         self.last_visited = visit_log.into_iter().map(AtomicU32::into_inner).collect();
 
         let n = self.ps.len() as u64;
-        // pos/vel rw + deposit, plus the gather: 16 cells (2 fields ×
-        // 8 corners) per particle, or 54 per non-empty segment on the
-        // batched path.
-        let gather = match segment_batched {
-            Some(nseg) => nseg as u64 * 54 * 24,
-            None => n * 16 * 24,
-        };
+        // pos/vel rw + deposit, plus the gather: 8 corners × 2 fields
+        // × 24 B and one 108 B `c2c27` row per particle.
+        let gather = n * (8 * 2 * 24 + 108);
         self.profiler
             .add_traffic("Move_Deposit", gather + n * (12 * 8 + 3 * 16 + 4), n * 230);
         tally.visited
@@ -538,8 +509,8 @@ impl<T: Topology> CabanaEngine<T> {
         tel.begin_step(self.step_no as u64);
 
         // Cell-locality engine: rebuild the CSR cell index when the
-        // policy says so, making this step's Move_Deposit run
-        // segment-batched.
+        // policy says so, making this step's Move_Deposit run over
+        // cell segments.
         if self
             .cfg
             .sort_policy
@@ -801,10 +772,10 @@ mod locality_tests {
     use crate::structured::StructuredCabana;
     use oppic_core::{ExecPolicy, SortPolicy};
 
-    /// The segment-batched mover (fresh CSR index, 3×3×3 stencil
-    /// hoisted per cell segment) against the per-particle path on the
-    /// same sorted store: identical particle order, identical gather
-    /// chains — the whole step must agree bit-for-bit.
+    /// The mover over cell segments (fresh CSR index) against the
+    /// mover over plain ranges on the same sorted store: identical
+    /// particle order, identical gathers — the whole step must agree
+    /// bit-for-bit.
     #[test]
     fn segment_batched_mover_is_bit_identical() {
         let cfg = CabanaConfig::tiny(); // ExecPolicy::Seq
@@ -816,8 +787,8 @@ mod locality_tests {
         a.ps.sort_by_cell(nc);
         b.ps.sort_by_cell(nc);
         assert_eq!(a.ps.col(a.pos), b.ps.col(b.pos), "same store after sort");
-        // Stale b's index without touching any data: the mover falls
-        // back to the per-particle path there.
+        // Stale b's index without touching any data: the mover runs
+        // over plain ranges there.
         b.ps.refine_dirty(1);
         assert!(a.ps.index_is_fresh());
         assert!(!b.ps.index_is_fresh());
@@ -831,52 +802,6 @@ mod locality_tests {
         assert_eq!(a.j.raw(), b.j.raw());
         assert_eq!(a.e.raw(), b.e.raw());
         assert_eq!(a.b.raw(), b.b.raw());
-    }
-
-    /// The shape-matrix tile gather (`matrix_gather = true`) on the
-    /// segment-batched path: rows built once per tile feed both the E
-    /// and B gathers in the stencil gather's exact corner order, so
-    /// the whole step must agree bit-for-bit with the plain
-    /// segment-batched mover — under both executors.
-    #[test]
-    fn matrix_gather_mover_is_bit_identical() {
-        let cfg = CabanaConfig::tiny(); // ExecPolicy::Seq
-        let mut a = StructuredCabana::new_structured(cfg.clone());
-        let mut b = StructuredCabana::new_structured(CabanaConfig {
-            matrix_gather: true,
-            ..cfg
-        });
-        a.run(3);
-        b.run(3);
-        let nc = a.geom.n_cells();
-        a.ps.sort_by_cell(nc);
-        b.ps.sort_by_cell(nc);
-        assert!(a.ps.index_is_fresh() && b.ps.index_is_fresh());
-
-        let da = a.step();
-        let db = b.step();
-        assert_eq!(da, db, "diagnostics bit-identical");
-        assert_eq!(a.ps.col(a.pos), b.ps.col(b.pos));
-        assert_eq!(a.ps.col(a.vel), b.ps.col(b.vel));
-        assert_eq!(a.ps.cells(), b.ps.cells());
-        assert_eq!(a.j.raw(), b.j.raw());
-        assert_eq!(a.e.raw(), b.e.raw());
-        assert_eq!(a.b.raw(), b.b.raw());
-    }
-
-    /// The tile gather under the parallel executor with a per-step
-    /// sort (so the segment path actually runs): the physics
-    /// invariants must hold and particles keep moving.
-    #[test]
-    fn matrix_gather_runs_in_parallel() {
-        let mut cfg = CabanaConfig::tiny();
-        cfg.policy = ExecPolicy::Par;
-        cfg.sort_policy = SortPolicy::EveryN(1);
-        cfg.matrix_gather = true;
-        let mut sim = StructuredCabana::new_structured(cfg);
-        sim.run(4);
-        sim.check_invariants().unwrap();
-        assert!(sim.profiler.get("SortParticles").is_some());
     }
 
     /// A per-step sort policy keeps the engine valid under the

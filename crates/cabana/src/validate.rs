@@ -6,6 +6,7 @@
 //! [`Topology::neighbor`] calls, so one audit covers both — exactly the
 //! equivalence the paper exploits for its 1e-15 validation.
 
+use crate::common::stencil27;
 use crate::engine::{CabanaEngine, Topology};
 use oppic_analyzer::{
     audit_cell_index, audit_mesh_map, audit_particle_cells, check_plans, shadow_record, Diagnostic,
@@ -34,6 +35,54 @@ impl<T: Topology> CabanaEngine<T> {
         data
     }
 
+    /// The setup-time `c2c27` stencil map, flattened to the analyzer's
+    /// `i32` map payload.
+    fn c2c27_payload(&self) -> Vec<i32> {
+        self.c2c27.iter().flatten().map(|&c| c as i32).collect()
+    }
+
+    /// Every `c2c27` entry against the chain of `c2c` hops it stands
+    /// for (x, then y, then z). `c2c` must already be in range.
+    fn audit_stencil_chains(&self, c2c: &[i32]) -> Vec<Diagnostic> {
+        let hop =
+            |c: usize, axis: usize, dir: i32| c2c[c * 6 + axis * 2 + usize::from(dir > 0)] as usize;
+        let mut out = Vec::new();
+        let mut bad = 0usize;
+        for (c, row) in self.c2c27.iter().enumerate() {
+            let chained = stencil27(c, hop);
+            for (slot, (&got, &want)) in row.iter().zip(&chained).enumerate() {
+                if got as usize != want {
+                    bad += 1;
+                    if bad <= 5 {
+                        out.push(Diagnostic::error(
+                            "map/stencil-mismatch",
+                            "c2c27",
+                            format!("cell {c} slot {slot} = {got}, chained c2c hops reach {want}"),
+                        ));
+                    }
+                }
+            }
+        }
+        if bad > 5 {
+            out.push(Diagnostic::error(
+                "map/stencil-mismatch",
+                "c2c27",
+                format!("...and {} more mismatched entries", bad - 5),
+            ));
+        }
+        if bad == 0 {
+            out.push(Diagnostic::info(
+                "map/stencil-ok",
+                "c2c27",
+                format!(
+                    "{} entries equal their chained c2c hops",
+                    self.c2c27.len() * 27
+                ),
+            ));
+        }
+        out
+    }
+
     /// Sets, maps and dats of the CabanaPIC arrangement ("9 DOFs per
     /// cell and 7 DOFs per particle"), as currently sized.
     pub fn decl_registry(&self) -> Registry {
@@ -45,6 +94,8 @@ impl<T: Topology> CabanaEngine<T> {
         let c2c = self.materialise_c2c();
         r.decl_map("c2c", "cells", "cells", 6, Some(&c2c))
             .expect("c2c is in range");
+        r.decl_map("c2c27", "cells", "cells", 27, Some(&self.c2c27_payload()))
+            .expect("c2c27 is in range");
         r.decl_map("p2c", "particles", "cells", 1, None)
             .expect("fresh registry");
         for name in ["E", "B", "J", "interp E", "interp B", "acc"] {
@@ -75,9 +126,10 @@ impl<T: Topology> CabanaEngine<T> {
             ),
             policy,
         ));
-        // The fused mover: trilinear gathers read neighbour cells
-        // through p2c∘c2c, the current deposit increments the
-        // accumulator of every crossed cell through scatter arrays.
+        // The fused mover: trilinear gathers read the corner cells
+        // through p2c∘c2c27, the current deposit increments the
+        // accumulator of every crossed cell (p2c∘c2c) through scatter
+        // arrays.
         plans.register(LoopPlan::new(
             LoopDecl::new(
                 "Move_Deposit",
@@ -86,8 +138,8 @@ impl<T: Topology> CabanaEngine<T> {
                     ArgDecl::direct("pos", 3, Access::ReadWrite),
                     ArgDecl::direct("vel", 3, Access::ReadWrite),
                     ArgDecl::direct("weight", 1, Access::Read),
-                    ArgDecl::double_indirect("interp E", 3, Access::Read, "p2c.c2c"),
-                    ArgDecl::double_indirect("interp B", 3, Access::Read, "p2c.c2c"),
+                    ArgDecl::double_indirect("interp E", 3, Access::Read, "p2c.c2c27"),
+                    ArgDecl::double_indirect("interp B", 3, Access::Read, "p2c.c2c27"),
                     ArgDecl::double_indirect("acc", 3, Access::Inc, "p2c.c2c"),
                 ],
             ),
@@ -131,8 +183,8 @@ impl<T: Topology> CabanaEngine<T> {
         plans
     }
 
-    /// Pass 3: periodic topology bounds plus the dynamic particle→cell
-    /// map.
+    /// Pass 3: periodic topology bounds, the setup-time stencil map,
+    /// plus the dynamic particle→cell map.
     pub fn audit_maps(&self) -> Report {
         let nc = self.geom.n_cells();
         let mut report = Report::new();
@@ -140,10 +192,23 @@ impl<T: Topology> CabanaEngine<T> {
         // Periodic boundaries: every neighbour must resolve in-range,
         // no boundary sentinels allowed.
         report.extend(audit_mesh_map("c2c", &c2c, nc, 6, nc, false));
+        report.extend(audit_mesh_map(
+            "c2c27",
+            &self.c2c27_payload(),
+            nc,
+            27,
+            nc,
+            false,
+        ));
+        // The gather trusts each c2c27 entry to be the corner the
+        // chained face hops reach; chains need an in-range c2c.
+        if !report.has_errors() {
+            report.extend(self.audit_stencil_chains(&c2c));
+        }
         report.extend(audit_particle_cells("p2c", self.ps.cells(), nc));
-        // Whenever the CSR cell index claims freshness the
-        // segment-batched mover trusts it blindly — cross-check it
-        // against the live cell column.
+        // Whenever the CSR cell index claims freshness the mover cuts
+        // its pieces at its segments blindly — cross-check it against
+        // the live cell column.
         if self.ps.index_is_fresh() {
             report.extend(audit_cell_index(
                 "p2c-index",
@@ -230,6 +295,7 @@ mod tests {
     use crate::dsl::CabanaPic;
     use crate::structured::StructuredCabana;
     use oppic_core::ExecPolicy;
+    use oppic_mesh::HexMesh;
 
     #[test]
     fn shipped_configs_validate_cleanly() {
@@ -251,6 +317,34 @@ mod tests {
         let dsl = CabanaPic::new_dsl(CabanaConfig::tiny());
         let structured = StructuredCabana::new_structured(CabanaConfig::tiny());
         assert_eq!(dsl.materialise_c2c(), structured.materialise_c2c());
+    }
+
+    #[test]
+    fn both_topologies_build_the_same_stencil_map() {
+        let cfg = CabanaConfig::tiny();
+        let dsl = CabanaPic::new_dsl(cfg.clone());
+        let structured = StructuredCabana::new_structured(cfg.clone());
+        assert_eq!(dsl.c2c27, structured.c2c27);
+        // ...and the mesh generator's own 3×3×3 map agrees.
+        let mesh = HexMesh::periodic_box(cfg.nx, cfg.ny, cfg.nz, cfg.dx, cfg.dy, cfg.dz);
+        let from_mesh: Vec<[u32; 27]> = mesh.c2c27.iter().map(|r| r.map(|c| c as u32)).collect();
+        assert_eq!(dsl.c2c27, from_mesh);
+    }
+
+    #[test]
+    fn map_audit_flags_a_corrupted_stencil_entry() {
+        let mut sim = StructuredCabana::new_structured(CabanaConfig::tiny());
+        let clean = sim.audit_maps();
+        assert!(!clean.has_errors(), "{clean}");
+        assert_eq!(clean.with_code("map/stencil-ok").len(), 1, "{clean}");
+        // An in-range entry pointing at the wrong cell.
+        let (c, slot) = (5, 26);
+        sim.c2c27[c][slot] = sim.c2c27[c][13];
+        let report = sim.audit_maps();
+        assert!(report.has_errors());
+        let bad = report.with_code("map/stencil-mismatch");
+        assert_eq!(bad.len(), 1, "{report}");
+        assert!(bad[0].message.contains("cell 5 slot 26"), "{report}");
     }
 
     #[test]

@@ -109,7 +109,6 @@ fn cabana_config(cell: &CellConfig) -> CabanaConfig {
         SortPolicy::Never
     };
     cc.binding = cell.binding;
-    cc.seed = cell.seed;
     cc
 }
 

@@ -274,8 +274,8 @@ impl ParticleDats {
 
     /// [`Self::cols_mut2_with_index`] plus the *mutable* cell map
     /// ([`IndexedCells`]) —
-    /// the fused mover's working set when it gathers segment-batched
-    /// through the fresh index ([`crate::par_loop_scatter`] over
+    /// the fused mover's working set when it runs over the cell
+    /// segments of the fresh index ([`crate::par_loop_scatter`] over
     /// [`crate::Space::Segments`]).
     /// Handing out the raw cell column marks the store all-dirty, as
     /// with [`Self::cols_mut2_with_cells_mut`]; the returned index
