@@ -25,6 +25,9 @@ echo "== oppic-analyzer --self-test"
 
 echo "== fempic --validate / cabana --validate"
 ./target/release/fempic --validate >/dev/null
+# The benchmark's fempic shape (direct-hop; the binary's default is
+# multi-hop): audits the per-cell barycentric maps the move reads.
+./target/release/fempic configs/fempic_small.cfg --validate >/dev/null
 ./target/release/cabana --validate >/dev/null
 # The benchmark's cabana shape: audits its c2c27 stencil map against
 # the chained c2c hops.

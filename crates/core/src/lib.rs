@@ -18,7 +18,8 @@
 //! | `opp_decl_dat`             | [`dat::Dat`] / particle columns         |
 //! | `opp_par_loop` (direct)    | [`parloop::par_loop`] over a [`Space`]  |
 //! | `opp_par_loop` (indirect ↑)| [`deposit::deposit_loop`]               |
-//! | `opp_particle_move`        | [`move_engine::move_loop`] (MH/DH)      |
+//! | `opp_particle_move`        | [`move_engine::move_loop`] (MH/DH, with |
+//! |                            | a written `&mut` window per particle)   |
 //! | access modes               | [`access::Access`]                      |
 //! | OpenMP backend             | [`parloop::ExecPolicy`]                 |
 //! | scatter arrays / atomics / | [`deposit::DepositMethod`]              |
@@ -60,7 +61,7 @@ pub use deposit::{
     scatter_pieces, AutoTuner, DepositMethod, Depositor, MatAccumulate, MatTile, Tally,
     TargetInverse, TunerDecision, TunerInput, MAT_TILE_WIDTH,
 };
-pub use move_engine::{move_loop, move_loop_direct_hop, MoveConfig, MoveResult, MoveStatus};
+pub use move_engine::{move_loop, MoveConfig, MoveResult, MoveStatus, Seed};
 pub use params::Params;
 pub use parloop::{par_loop, par_loop_direct1, par_loop_scatter, ExecPolicy, Space};
 pub use particles::{ColId, ParticleDats, SortPolicy};

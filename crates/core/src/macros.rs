@@ -68,33 +68,37 @@ macro_rules! opp_par_loop {
 /// Declare a particle-move loop, Figure 6 style. The kernel body
 /// evaluates to a [`crate::MoveStatus`] — the `OPP_PARTICLE_MOVE_DONE`
 /// / `NEED_MOVE` / `NEED_REMOVE` markers of the paper become ordinary
-/// `return`-position expressions.
+/// `return`-position expressions. An optional `seed` starts each
+/// search from an overlay cell (direct-hop); an optional `write`
+/// column hands the body the particle's `&mut` window of it on every
+/// visit, e.g. to leave the final cell's weights behind on `Done`.
 ///
 /// ```text
 /// let result = opp_particle_move!(policy, "Move", cells; |i, cell| { ...; MoveStatus::Done });
-/// // direct-hop flavour:
+/// // direct-hop flavour, writing the dim-4 column `lc` through `l`:
 /// let result = opp_particle_move!(policy, "Move", cells; seed |i| overlay_lookup(i);
-///                                 |i, cell| { ...; MoveStatus::Done });
+///                                 write (4, lc) => l; |i, cell| { ...; MoveStatus::Done });
 /// ```
 #[macro_export]
 macro_rules! opp_particle_move {
-    ($policy:expr, $name:expr, $cells:expr; |$i:pat_param, $cell:pat_param| $body:block) => {{
+    (@seed) => { None };
+    (@seed |$si:pat_param| $seed:expr) => { Some(&|$si: usize| -> usize { $seed }) };
+    (@cols) => { () };
+    (@cols $cols:expr) => { $cols };
+    (@window) => { _ };
+    (@window $w:ident) => { $w };
+    ($policy:expr, $name:expr, $cells:expr;
+     $(seed |$si:pat_param| $seed:expr;)?
+     $(write $cols:expr => $w:ident;)?
+     |$i:pat_param, $cell:pat_param| $body:block) => {{
         let _ = $name;
         $crate::move_engine::move_loop(
             &$policy,
             $crate::move_engine::MoveConfig::default(),
             $cells,
-            |$i, $cell| $body,
-        )
-    }};
-    ($policy:expr, $name:expr, $cells:expr; seed |$si:pat_param| $seed:expr; |$i:pat_param, $cell:pat_param| $body:block) => {{
-        let _ = $name;
-        $crate::move_engine::move_loop_direct_hop(
-            &$policy,
-            $crate::move_engine::MoveConfig::default(),
-            $cells,
-            |$si| $seed,
-            |$i, $cell| $body,
+            $crate::opp_particle_move!(@seed $(|$si| $seed)?),
+            $crate::opp_particle_move!(@cols $($cols)?),
+            |$i, $cell, $crate::opp_particle_move!(@window $($w)?)| $body,
         )
     }};
 }
@@ -195,6 +199,23 @@ mod tests {
         );
         assert_eq!(r.total_visits, 3);
         assert_eq!(cells, vec![5, 2, 8]);
+
+        // A written window: each particle leaves its final cell behind.
+        let mut cells = vec![0i32, 7, 8];
+        let mut last = vec![0.0; 3];
+        let r = opp_particle_move!(policy, "MoveW", &mut cells;
+            write (1, &mut last[..]) => w;
+            |i, cell| {
+                if cell == targets[i] {
+                    w[0] = cell as f64;
+                    MoveStatus::Done
+                } else {
+                    MoveStatus::NeedMove(if cell < targets[i] { cell + 1 } else { cell - 1 })
+                }
+            }
+        );
+        assert_eq!(last, vec![5.0, 2.0, 8.0]);
+        assert_eq!(r.total_visits, 6 + 6 + 1);
     }
 
     #[test]

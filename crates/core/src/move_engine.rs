@@ -15,14 +15,19 @@
 //! The engine owns the iteration ("multi-hop", MH), the optional
 //! structured-overlay seeding ("direct-hop", DH), the per-particle cell
 //! updates, and the removal list that the particle store's hole filling
-//! consumes. In distributed runs, `oppic-mpi` wraps this engine and
-//! additionally ships rank-crossing particles.
+//! consumes. It runs on the par-loop executor's pieces
+//! ([`crate::parloop::Space::Range`]): the cell column and one written
+//! particle column are carved into per-piece windows, and every kernel
+//! visit gets the particle's `&mut` window of the written column, so a
+//! kernel can leave per-particle results of its final cell behind
+//! (FemPIC writes the barycentric weights `lc` on `Done`). In
+//! distributed runs, `oppic-mpi` wraps this engine and additionally
+//! ships rank-crossing particles.
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::deposit::Tally;
-use crate::parloop::ExecPolicy;
+use crate::parloop::{carve, dispatch, Column, ExecPolicy, Space};
 use crate::telemetry::HistogramSnapshot;
 
 /// Verdict of one elemental move-kernel invocation.
@@ -105,97 +110,58 @@ impl MoveResult {
     }
 }
 
-/// Multi-hop move: each particle starts from its current cell
-/// (`cells[i]`) and follows the kernel's `NeedMove` chain.
+/// Where a particle's search starts: `None` walks from its current
+/// cell (multi-hop); `Some(seed)` starts from `seed(i)` — typically the
+/// structured overlay's `locate(new_position)`, Figure 7(b) — and walks
+/// on from there (direct-hop).
+pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
+
+/// The move loop: every particle follows the kernel's `NeedMove` chain
+/// from its [`Seed`] cell to a `Done` (its new `cells[i]`) or a
+/// `NeedRemove` (listed in [`MoveResult::removed`]).
 ///
 /// ```
 /// use oppic_core::{move_loop, ExecPolicy, MoveConfig, MoveStatus};
-/// // Walk two particles along a 1-D row of cells to their targets.
+/// // Walk two particles along a 1-D row of cells to their targets,
+/// // leaving each one's hop count in `hops`.
 /// let targets = [4usize, 1];
 /// let mut cells = vec![0i32, 3];
-/// let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, |i, c| {
+/// let mut hops = vec![0.0; 2];
+/// let cols = (1, &mut hops[..]);
+/// let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, None, cols, |i, c, h| {
 ///     match targets[i] {
 ///         t if c == t => MoveStatus::Done,
-///         t if c < t => MoveStatus::NeedMove(c + 1),
-///         _ => MoveStatus::NeedMove(c - 1),
+///         t => {
+///             h[0] += 1.0;
+///             MoveStatus::NeedMove(if c < t { c + 1 } else { c - 1 })
+///         }
 ///     }
 /// });
 /// assert_eq!(cells, vec![4, 1]);
+/// assert_eq!(hops, vec![4.0, 2.0]);
 /// assert!(r.removed.is_empty());
 /// ```
 ///
-/// `kernel(i, cell)` must be safe to call concurrently for distinct
-/// `i`; it typically reads the particle's position and per-cell
-/// geometry and (for electromagnetic codes) deposits current for every
-/// visited cell via a [`crate::deposit::Depositor`]-backed accumulator.
-pub fn move_loop<K>(
+/// `kernel(i, cell, window)` gets particle `i`'s `&mut` element of
+/// `cols` — a `(dim, values)` column the kernel writes, or `()` when it
+/// writes nothing — on every visit. It must be safe to call
+/// concurrently for distinct `i`; it typically reads the particle's
+/// position and per-cell geometry (captured by the closure) and writes
+/// the final cell's per-particle results into its window on `Done`.
+///
+/// Panics unless a `(dim, values)` column holds exactly
+/// `cells.len() · dim` values.
+pub fn move_loop<C, K>(
     policy: &ExecPolicy,
     cfg: MoveConfig,
     cells: &mut [i32],
+    seed: Seed<'_>,
+    cols: C,
     kernel: K,
 ) -> MoveResult
 where
-    K: Fn(usize, usize) -> MoveStatus + Sync,
-{
-    run_move(policy, cfg, cells, |_i, cells_i| *cells_i as usize, kernel)
-        .expect("seed from current cell is infallible")
-}
-
-/// Direct-hop move: like [`move_loop`] but each particle's search
-/// starts from `seed(i)` — typically the structured overlay's
-/// `locate(new_position)` (Figure 7(b)) — instead of walking from its
-/// old cell.
-pub fn move_loop_direct_hop<K, S>(
-    policy: &ExecPolicy,
-    cfg: MoveConfig,
-    cells: &mut [i32],
-    seed: S,
-    kernel: K,
-) -> MoveResult
-where
-    K: Fn(usize, usize) -> MoveStatus + Sync,
-    S: Fn(usize) -> usize + Sync,
-{
-    run_move(policy, cfg, cells, |i, _| seed(i), kernel).expect("seeded move is infallible")
-}
-
-/// Per-piece tallies of a move loop. Each piece of the loop (the
-/// whole set under `Seq`, one rayon piece otherwise) fills its own
-/// with plain adds; the tallies are merged in piece order and
-/// published once per loop.
-#[derive(Default)]
-struct MoveTally {
-    total_visits: u64,
-    max_chain: u32,
-    aborted: u64,
-    out_of_range: u64,
-    moved: u64,
-    /// Chain lengths for `move.hops_per_particle` (filled only while a
-    /// telemetry hub is current).
-    hops: HistogramSnapshot,
-}
-
-impl Tally for MoveTally {
-    fn merge(&mut self, other: MoveTally) {
-        self.total_visits += other.total_visits;
-        self.max_chain = self.max_chain.max(other.max_chain);
-        self.aborted += other.aborted;
-        self.out_of_range += other.out_of_range;
-        self.moved += other.moved;
-        self.hops.merge(&other.hops);
-    }
-}
-
-fn run_move<K, S>(
-    policy: &ExecPolicy,
-    cfg: MoveConfig,
-    cells: &mut [i32],
-    seed: S,
-    kernel: K,
-) -> Result<MoveResult, String>
-where
-    K: Fn(usize, usize) -> MoveStatus + Sync,
-    S: Fn(usize, &i32) -> usize + Sync,
+    C: Column,
+    K: Fn(usize, usize, &mut C::Elem) -> MoveStatus + Sync,
 {
     let hops_hist = crate::telemetry::hist("move.hops_per_particle");
     let record_hops = hops_hist.is_some();
@@ -206,7 +172,7 @@ where
     };
 
     // Per-particle hop chain; returns Some(final_cell) or None (remove).
-    let chase = |t: &mut MoveTally, i: usize, start: usize| -> Option<usize> {
+    let chase = |t: &mut MoveTally, i: usize, start: usize, w: &mut C::Elem| -> Option<usize> {
         let mut cell = start;
         let mut chain = 0u32;
         let finish = |t: &mut MoveTally, chain: u32| {
@@ -221,8 +187,7 @@ where
         };
         loop {
             chain += 1;
-            let status = kernel(i, cell);
-            match status {
+            match kernel(i, cell, w) {
                 MoveStatus::Done => {
                     if cfg.n_cells.is_some_and(|n| cell >= n) {
                         t.out_of_range += 1;
@@ -245,56 +210,37 @@ where
             }
         }
     };
-    // One particle: chase from its seed, then relocate or list it.
-    let visit = |removed: &mut Vec<usize>, t: &mut MoveTally, i: usize, c: &mut i32| {
-        let start = seed(i, c);
-        match chase(t, i, start) {
-            Some(final_cell) => {
-                if final_cell as i32 != *c {
-                    t.moved += 1;
-                }
-                *c = final_cell as i32;
-            }
-            None => removed.push(i),
-        }
-    };
 
-    let (removed, tally) = match policy {
-        ExecPolicy::Seq => {
-            let mut removed = Vec::new();
-            let mut tally = MoveTally::default();
-            for (i, c) in cells.iter_mut().enumerate() {
-                visit(&mut removed, &mut tally, i, c);
-            }
-            (removed, tally)
+    // One piece: chase every particle from its seed, then relocate or
+    // list it. Range pieces are ascending, so their removal lists
+    // concatenate in order.
+    let pieces = carve(policy, Space::Range, (cells, cols));
+    let (removed, tally) = dispatch(policy, pieces, |windows| {
+        let mut removed = Vec::new();
+        let mut t = MoveTally::default();
+        for w in windows {
+            w.each(|i, (c, mut e)| {
+                let start = seed.map_or(*c as usize, |s| s(i));
+                match chase(&mut t, i, start, &mut e) {
+                    Some(final_cell) => {
+                        if final_cell as i32 != *c {
+                            t.moved += 1;
+                        }
+                        *c = final_cell as i32;
+                    }
+                    None => removed.push(i),
+                }
+            });
         }
-        _ => policy.run(|| {
-            let (mut removed, tally) = cells
-                .par_iter_mut()
-                .enumerate()
-                .fold(
-                    || (Vec::new(), MoveTally::default()),
-                    |(mut removed, mut tally), (i, c)| {
-                        visit(&mut removed, &mut tally, i, c);
-                        (removed, tally)
-                    },
-                )
-                .reduce(
-                    || (Vec::new(), MoveTally::default()),
-                    |(mut a, mut ta), (mut b, tb)| {
-                        a.append(&mut b);
-                        ta.merge(tb);
-                        (a, ta)
-                    },
-                );
-            // Rayon's fold/reduce usually concatenates ascending chunk
-            // results in order; skip the sort when that already holds.
-            if !removed.is_sorted() {
-                removed.par_sort_unstable();
-            }
-            (removed, tally)
-        }),
-    };
+        (removed, t)
+    })
+    .into_iter()
+    .reduce(|(mut a, mut ta), (mut b, tb)| {
+        a.append(&mut b);
+        ta.merge(tb);
+        (a, ta)
+    })
+    .unwrap_or_default();
 
     // `ParticleDats::remove_fill` consumes this list assuming sorted
     // unique ascending indices.
@@ -320,7 +266,34 @@ where
     crate::telemetry::count("move.visits", result.total_visits);
     crate::telemetry::count("move.aborted", result.aborted);
     crate::telemetry::count("move.out_of_range", result.out_of_range);
-    Ok(result)
+    result
+}
+
+/// Per-piece tallies of a move loop. Each piece of the loop (the
+/// whole set under `Seq`, one Range piece otherwise) fills its own
+/// with plain adds; the tallies are merged in piece order and
+/// published once per loop.
+#[derive(Default)]
+struct MoveTally {
+    total_visits: u64,
+    max_chain: u32,
+    aborted: u64,
+    out_of_range: u64,
+    moved: u64,
+    /// Chain lengths for `move.hops_per_particle` (filled only while a
+    /// telemetry hub is current).
+    hops: HistogramSnapshot,
+}
+
+impl Tally for MoveTally {
+    fn merge(&mut self, other: MoveTally) {
+        self.total_visits += other.total_visits;
+        self.max_chain = self.max_chain.max(other.max_chain);
+        self.aborted += other.aborted;
+        self.out_of_range += other.out_of_range;
+        self.moved += other.moved;
+        self.hops.merge(&other.hops);
+    }
 }
 
 #[cfg(test)]
@@ -329,8 +302,8 @@ mod tests {
 
     /// A 1-D "mesh" of `n` cells in a row; kernel walks a particle
     /// towards its target cell one hop at a time.
-    fn walk_kernel(targets: &[usize]) -> impl Fn(usize, usize) -> MoveStatus + Sync + '_ {
-        move |i, cell| {
+    fn walk_kernel(targets: &[usize]) -> impl Fn(usize, usize, &mut ()) -> MoveStatus + Sync + '_ {
+        move |i, cell, _| {
             let t = targets[i];
             if cell == t {
                 MoveStatus::Done
@@ -351,6 +324,8 @@ mod tests {
                 &pol,
                 MoveConfig::default(),
                 &mut cells,
+                None,
+                (),
                 walk_kernel(&targets),
             );
             assert!(r.removed.is_empty());
@@ -370,13 +345,20 @@ mod tests {
         for pol in [ExecPolicy::Seq, ExecPolicy::Par] {
             let mut cells: Vec<i32> = (0..100).collect();
             // Remove every particle whose index is divisible by 7.
-            let r = move_loop(&pol, MoveConfig::default(), &mut cells, |i, _| {
-                if i % 7 == 0 {
-                    MoveStatus::NeedRemove
-                } else {
-                    MoveStatus::Done
-                }
-            });
+            let r = move_loop(
+                &pol,
+                MoveConfig::default(),
+                &mut cells,
+                None,
+                (),
+                |i, _, _| {
+                    if i % 7 == 0 {
+                        MoveStatus::NeedRemove
+                    } else {
+                        MoveStatus::Done
+                    }
+                },
+            );
             let expect: Vec<usize> = (0..100).filter(|i| i % 7 == 0).collect();
             assert_eq!(r.removed, expect);
         }
@@ -390,16 +372,19 @@ mod tests {
             &ExecPolicy::Seq,
             MoveConfig::default(),
             &mut cells_mh,
+            None,
+            (),
             walk_kernel(&targets),
         );
 
         let mut cells_dh = vec![0i32; 64];
         // Perfect overlay: seed == target (a fine DH approximation).
-        let r_dh = move_loop_direct_hop(
+        let r_dh = move_loop(
             &ExecPolicy::Seq,
             MoveConfig::default(),
             &mut cells_dh,
-            |i| targets[i],
+            Some(&|i| targets[i]),
+            (),
             walk_kernel(&targets),
         );
         assert_eq!(cells_mh, cells_dh);
@@ -412,11 +397,12 @@ mod tests {
         let targets = vec![10usize; 8];
         let mut cells = vec![0i32; 8];
         // Seed lands 2 cells short, engine walks the rest.
-        let r = move_loop_direct_hop(
+        let r = move_loop(
             &ExecPolicy::Par,
             MoveConfig::default(),
             &mut cells,
-            |_| 8usize,
+            Some(&|_| 8usize),
+            (),
             walk_kernel(&targets),
         );
         assert!(r.removed.is_empty());
@@ -434,7 +420,9 @@ mod tests {
                 ..Default::default()
             },
             &mut cells,
-            |_i, cell| MoveStatus::NeedMove(1 - cell), // ping-pong forever
+            None,
+            (),
+            |_i, cell, _| MoveStatus::NeedMove(1 - cell), // ping-pong forever
         );
         assert_eq!(r.aborted, 2);
         assert_eq!(r.removed, vec![0, 1]);
@@ -448,7 +436,9 @@ mod tests {
             &ExecPolicy::Par,
             MoveConfig::default(),
             &mut cells,
-            |_, _| MoveStatus::Done,
+            None,
+            (),
+            |_, _, _| MoveStatus::Done,
         );
         assert!(r.removed.is_empty());
         assert_eq!(r.total_visits, 0);
@@ -480,7 +470,7 @@ mod tests {
         };
         for pol in [ExecPolicy::Seq, ExecPolicy::Par] {
             let mut c = cells.clone();
-            let r = move_loop(&pol, cfg, &mut c, walk_kernel(&targets));
+            let r = move_loop(&pol, cfg, &mut c, None, (), walk_kernel(&targets));
             assert_eq!(r.chains, vec![4, 1, 6], "{pol:?}");
         }
         // Off by default.
@@ -488,6 +478,8 @@ mod tests {
             &ExecPolicy::Seq,
             MoveConfig::default(),
             &mut cells,
+            None,
+            (),
             walk_kernel(&targets),
         );
         assert!(r.chains.is_empty());
@@ -502,7 +494,7 @@ mod tests {
         };
         for pol in [ExecPolicy::Seq, ExecPolicy::Par] {
             let mut cells = vec![0i32, 0, 0];
-            let r = move_loop(&pol, cfg, &mut cells, walk_kernel(&targets));
+            let r = move_loop(&pol, cfg, &mut cells, None, (), walk_kernel(&targets));
             assert_eq!(r.out_of_range, 1, "{pol:?}");
         }
         // Without the audit hook nothing is counted.
@@ -511,6 +503,8 @@ mod tests {
             &ExecPolicy::Seq,
             MoveConfig::default(),
             &mut cells,
+            None,
+            (),
             walk_kernel(&targets),
         );
         assert_eq!(r.out_of_range, 0);
@@ -519,13 +513,13 @@ mod tests {
     /// 500 particles walking to scattered targets on a 200-cell row:
     /// every 9th one leaves the domain, every 50th reports a final
     /// cell outside the audited 0..190 range.
-    fn mixed_kernel(targets: &[usize]) -> impl Fn(usize, usize) -> MoveStatus + Sync + '_ {
+    fn mixed_kernel(targets: &[usize]) -> impl Fn(usize, usize, &mut ()) -> MoveStatus + Sync + '_ {
         let walk = walk_kernel(targets);
-        move |i, cell| {
+        move |i, cell, w| {
             if i % 9 == 0 && cell == targets[i] {
                 MoveStatus::NeedRemove
             } else {
-                walk(i, cell)
+                walk(i, cell, w)
             }
         }
     }
@@ -541,7 +535,7 @@ mod tests {
         };
         let run = |pol: &ExecPolicy| {
             let mut cells: Vec<i32> = (0..500).map(|i| i % 200).collect();
-            let r = move_loop(pol, cfg, &mut cells, mixed_kernel(&targets));
+            let r = move_loop(pol, cfg, &mut cells, None, (), mixed_kernel(&targets));
             (r, cells)
         };
         let (seq, seq_cells) = run(&ExecPolicy::Seq);
@@ -572,8 +566,15 @@ mod tests {
             let _cur = tel.make_current();
             let mut cells: Vec<i32> = (0..300).map(|i| i % 120).collect();
             // Two loops: the second merge lands on a non-empty hub.
-            let r1 = move_loop(&pol, cfg, &mut cells.clone(), mixed_kernel(&targets));
-            let r2 = move_loop(&pol, cfg, &mut cells, walk_kernel(&targets));
+            let r1 = move_loop(
+                &pol,
+                cfg,
+                &mut cells.clone(),
+                None,
+                (),
+                mixed_kernel(&targets),
+            );
+            let r2 = move_loop(&pol, cfg, &mut cells, None, (), walk_kernel(&targets));
             let expect = Histogram::new();
             for &chain in r1.chains.iter().chain(&r2.chains) {
                 expect.record(chain as u64);
@@ -585,6 +586,65 @@ mod tests {
     }
 
     #[test]
+    fn kernels_write_their_particles_windows() {
+        // Every visit counts into the particle's window, and `Done`
+        // records the final cell there, under every policy and cut.
+        let targets: Vec<usize> = (0..300).map(|i| (i * 7 + 1) % 90).collect();
+        let walk = walk_kernel(&targets);
+        let run = |pol: &ExecPolicy| {
+            let mut cells: Vec<i32> = (0..300).map(|i| i % 90).collect();
+            let mut out = vec![0.0; 600];
+            let cfg = MoveConfig {
+                record_chains: true,
+                ..Default::default()
+            };
+            let r = move_loop(
+                pol,
+                cfg,
+                &mut cells,
+                None,
+                (2, &mut out[..]),
+                |i, cell, w| {
+                    w[0] += 1.0;
+                    let status = walk(i, cell, &mut ());
+                    if status == MoveStatus::Done {
+                        w[1] = cell as f64;
+                    }
+                    status
+                },
+            );
+            (out, cells, r.chains)
+        };
+        let (out, cells, chains) = run(&ExecPolicy::Seq);
+        for (i, w) in out.chunks(2).enumerate() {
+            assert_eq!(w, [chains[i] as f64, targets[i] as f64], "particle {i}");
+            assert_eq!(cells[i] as usize, targets[i]);
+        }
+        for pol in [ExecPolicy::pool(2), ExecPolicy::pool(3), ExecPolicy::Par] {
+            assert_eq!(
+                run(&pol),
+                (out.clone(), cells.clone(), chains.clone()),
+                "{pol:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share the iteration set")]
+    fn written_column_must_match_the_cells() {
+        let mut cells = vec![0i32; 3];
+        let mut out = [0.0; 4];
+        move_loop(
+            &ExecPolicy::Seq,
+            MoveConfig::default(),
+            &mut cells,
+            None,
+            (2, &mut out[..]),
+            |_, _, _| MoveStatus::Done,
+        );
+    }
+
+    #[test]
     fn parallel_and_serial_agree() {
         let targets: Vec<usize> = (0..500).map(|i| (i * 31 + 7) % 200).collect();
         let mut cells_a: Vec<i32> = (0..500).map(|i| i % 200).collect();
@@ -593,12 +653,16 @@ mod tests {
             &ExecPolicy::Seq,
             MoveConfig::default(),
             &mut cells_a,
+            None,
+            (),
             walk_kernel(&targets),
         );
         let rb = move_loop(
             &ExecPolicy::Par,
             MoveConfig::default(),
             &mut cells_b,
+            None,
+            (),
             walk_kernel(&targets),
         );
         assert_eq!(cells_a, cells_b);

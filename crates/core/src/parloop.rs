@@ -162,6 +162,28 @@ impl<'a> Column for &'a mut [i32] {
     }
 }
 
+/// The empty column: no values, for a loop whose kernel writes nothing
+/// per element beyond the columns beside it (the move engine's
+/// `cols = ()`). It never comes first in a tuple, which takes its
+/// element count from its first column.
+impl Column for () {
+    type Elem = ();
+    type Iter = std::iter::Repeat<()>;
+
+    fn shape(&self) -> (usize, usize, usize) {
+        (0, 0, 0)
+    }
+
+    fn split(self, _elems: usize) -> (Self, Self) {
+        ((), ())
+    }
+
+    #[inline]
+    fn elems(self) -> Self::Iter {
+        std::iter::repeat(())
+    }
+}
+
 /// The columns of one loop: a single `f64` column, or a tuple of two
 /// to four [`Column`]s whose elements reach the kernel as a tuple.
 pub trait Cols: Send + Sized {
@@ -294,7 +316,11 @@ fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
 
 /// Check the columns' shapes, note the loop, and carve every column
 /// into the windows of [`cut`], grouped by piece.
-fn carve<C: Cols>(policy: &ExecPolicy, space: Space<'_>, cols: C) -> Vec<Vec<Window<C>>> {
+pub(crate) fn carve<C: Cols>(
+    policy: &ExecPolicy,
+    space: Space<'_>,
+    cols: C,
+) -> Vec<Vec<Window<C>>> {
     let shapes = cols.shapes();
     let n = match space {
         Space::Segments(cell_start) => *cell_start.last().expect("cell index must be non-empty"),

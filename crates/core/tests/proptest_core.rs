@@ -134,7 +134,7 @@ proptest! {
     ) {
         let targets: Vec<usize> = pairs.iter().map(|&(_, t)| t % n_cells).collect();
         let mut cells: Vec<i32> = pairs.iter().map(|&(s, _)| (s % n_cells) as i32).collect();
-        let r = move_loop(&ExecPolicy::Par, MoveConfig::default(), &mut cells, |i, c| {
+        let r = move_loop(&ExecPolicy::Par, MoveConfig::default(), &mut cells, None, (), |i, c, _| {
             if c == targets[i] {
                 MoveStatus::Done
             } else {

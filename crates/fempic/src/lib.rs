@@ -39,4 +39,4 @@ pub use config::{FemPicConfig, Integrator, MoveStrategy};
 pub use distributed::DistributedSolve;
 pub use fields::FemSolver;
 pub use schedule::record_schedule;
-pub use sim::{FemPic, StepDiagnostics};
+pub use sim::{FemPic, StepDiagnostics, BARY_TOL};

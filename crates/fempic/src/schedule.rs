@@ -59,6 +59,7 @@ pub fn record_schedule(cfg: &FemPicConfig, steps: usize) -> ScheduleTrace {
             (&charge, "nodes"),
             ("potential", "nodes"),
             (&efield, "cells"),
+            ("cell_det", "cells"),
         ];
         ScheduleTrace::from_recording(
             "fempic",

@@ -8,7 +8,7 @@
 
 use crate::config::{FemPicConfig, Integrator, MoveStrategy};
 use crate::fields::FemSolver;
-use oppic_core::move_engine::{move_loop, move_loop_direct_hop, MoveConfig, MoveResult};
+use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
@@ -16,13 +16,16 @@ use oppic_core::{
     greedy_color_cells, invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, Depositor,
     MatAccumulate, MoveStatus, ParticleDats, TargetInverse, ThreadBinding, TunerInput,
 };
-use oppic_mesh::geometry::{bary_inside, bary_min_index, barycentric, sample_triangle};
+use oppic_mesh::geometry::{
+    bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
+    sample_triangle,
+};
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Tolerance for the barycentric containment test.
-const BARY_TOL: f64 = 1e-10;
+pub const BARY_TOL: f64 = 1e-10;
 
 /// Per-step diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +56,8 @@ pub struct FemPic {
     pub mesh: TetMesh,
     overlay: Option<StructuredOverlay>,
     /// Particle store: `pos` (3), `vel` (3), `lc` (4 barycentric
-    /// weights, the "basis function weights" dat of Figure 4).
+    /// weights, the "basis function weights" dat of Figure 4; written
+    /// by the move for the final cell, read by the deposit).
     pub ps: ParticleDats,
     pub pos: ColId,
     pub vel: ColId,
@@ -62,6 +66,10 @@ pub struct FemPic {
     pub node_charge: Dat,
     /// Per-cell electric field (dim 3).
     pub efield: Dat,
+    /// Per-cell barycentric map (dim 16, the paper's per-cell
+    /// determinant dat): row `k` of cell `c` gives `λ_k = A·[1, x, y, z]`
+    /// ([`barycentric_map`]). Built once; the mesh is static.
+    pub cell_det: Dat,
     pub fem: FemSolver,
     pub profiler: Profiler,
     inlets: Vec<InletFace>,
@@ -144,6 +152,11 @@ impl FemPic {
 
         let node_charge = Dat::zeros("node charge", mesh.n_nodes(), 1);
         let efield = Dat::zeros("electric field", mesh.n_cells(), 3);
+        let mut det = Vec::with_capacity(16 * mesh.n_cells());
+        for c in 0..mesh.n_cells() {
+            det.extend(barycentric_map(&mesh.shape_deriv[c], mesh.cell_centroid(c)));
+        }
+        let cell_det = Dat::from_vec("cell_det", 16, det);
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
         // The colored deposit needs a distance-2 coloring of cells over
@@ -166,6 +179,7 @@ impl FemPic {
             lc,
             node_charge,
             efield,
+            cell_det,
             fem,
             profiler,
             inlets,
@@ -334,27 +348,35 @@ impl FemPic {
 
     /// `Move`: relocate every particle to the cell containing its new
     /// position — barycentric walk (multi-hop) or overlay-seeded
-    /// (direct-hop). Out-of-domain particles are removed (hole-filled).
+    /// (direct-hop) — and leave the final cell's barycentric weights in
+    /// `lc` for the deposit. Each visit evaluates the cell's
+    /// [`FemPic::cell_det`] row: four 4-term dot products. Out-of-domain
+    /// particles are removed (hole-filled).
     pub fn move_particles(&mut self) -> usize {
         self.record_loop("Move");
         let mesh = &self.mesh;
-        let (cells, pos) = self.ps.cells_mut_with_col(self.pos);
-        let kernel = |i: usize, cell: usize| -> MoveStatus {
-            let p = Vec3::from_slice(&pos[i * 3..i * 3 + 3]);
-            let verts = mesh.cell_vertices(cell);
-            let l = barycentric(p, &verts);
-            if bary_inside(&l, BARY_TOL) {
+        let det = self.cell_det.raw();
+        let n = self.ps.len() as u64;
+        let (lc, pos, cells) = self.ps.cols_mut2_with_cells_mut(self.lc, self.pos);
+        let pos: &[f64] = pos;
+        let at = |i: usize| Vec3::from_slice(&pos[i * 3..i * 3 + 3]);
+        let kernel = |i: usize, cell: usize, l: &mut &mut [f64]| -> MoveStatus {
+            let row = det[cell * 16..cell * 16 + 16]
+                .try_into()
+                .expect("16 coefficients");
+            let w = barycentric_from_map(row, at(i));
+            if bary_inside(&w, BARY_TOL) {
+                l.copy_from_slice(&w);
                 MoveStatus::Done
             } else {
-                let exit = bary_min_index(&l);
-                let next = mesh.c2c[cell][exit];
-                if next < 0 {
-                    MoveStatus::NeedRemove
-                } else {
-                    MoveStatus::NeedMove(next as usize)
+                match mesh.c2c[cell][bary_min_index(&w)] {
+                    next if next < 0 => MoveStatus::NeedRemove,
+                    next => MoveStatus::NeedMove(next as usize),
                 }
             }
         };
+        // Direct-hop: start from the overlay's cell for the new position.
+        let locate = self.overlay.as_ref().map(|ov| move |i| ov.locate(at(i)));
 
         let mv_cfg = MoveConfig {
             record_chains: self.cfg.record_move_chains,
@@ -363,20 +385,15 @@ impl FemPic {
             n_cells: Some(mesh.n_cells()),
             ..MoveConfig::default()
         };
-        let result = match (&self.cfg.move_strategy, &self.overlay) {
-            (MoveStrategy::MultiHop, _) => move_loop(&self.cfg.policy, mv_cfg, cells, kernel),
-            (MoveStrategy::DirectHop { .. }, Some(ov)) => {
-                let seed = |i: usize| ov.locate(Vec3::from_slice(&pos[i * 3..i * 3 + 3]));
-                move_loop_direct_hop(&self.cfg.policy, mv_cfg, cells, seed, kernel)
-            }
-            (MoveStrategy::DirectHop { .. }, None) => {
-                unreachable!("direct-hop config always builds an overlay")
-            }
-        };
+        let seed = locate.as_ref().map(|f| f as _);
+        let result = move_loop(&self.cfg.policy, mv_cfg, cells, seed, (4, lc), kernel);
 
-        // Traffic: per visit ~ pos(24) + 4 verts(96) + c2c row(16).
-        let bytes = result.total_visits * (24 + 96 + 16);
-        let flops = result.total_visits * 50;
+        // Traffic: per visit pos(24) + the cell's row(128), per hop a
+        // c2c entry(16), per surviving particle the lc write(32).
+        let hops = result.total_visits - n;
+        let done = n - result.removed.len() as u64;
+        let bytes = result.total_visits * (24 + 128) + hops * 16 + done * 32;
+        let flops = result.total_visits * 24;
         self.profiler.add_traffic("Move", bytes, flops);
 
         debug_assert_eq!(
@@ -447,37 +464,14 @@ impl FemPic {
         self.active_deposit = method;
     }
 
-    /// `DepositCharge`: compute the barycentric weights at the final
-    /// position (the `lc` particle dat) and scatter `q·λ_k` onto the
-    /// four cell nodes — the double-indirect increment handled by the
-    /// configured [`oppic_core::DepositMethod`].
+    /// `DepositCharge`: scatter `q·λ_k` onto the four cell nodes — the
+    /// double-indirect increment handled by the configured
+    /// [`oppic_core::DepositMethod`]. The weights `λ` are the `lc` the
+    /// move left for each particle's final cell, so the deposit reads
+    /// only `lc`, the cell map and `c2n`.
     pub fn deposit_charge(&mut self) {
         self.record_loop("DepositCharge");
-        // Weighting pass: lc <- barycentric(pos, cell). With a fresh
-        // CSR index the four cell vertices are fetched once per
-        // segment instead of once per particle.
         let mesh = &self.mesh;
-        if let Some((cell_start, lc_col, pos_col)) = self.ps.cols_mut2_with_index(self.lc, self.pos)
-        {
-            let space = Space::Segments(cell_start);
-            par_loop(&self.cfg.policy, space, ((4, lc_col), (3, pos_col)), |w| {
-                let verts = mesh.cell_vertices(w.cell.expect("segment windows carry their cell"));
-                w.each(|_, (l, x)| l.copy_from_slice(&barycentric(Vec3::from_slice(x), &verts)));
-            });
-        } else {
-            let (lc_col, pos_col, cells) = self.ps.cols_mut2_with_cells(self.lc, self.pos);
-            let pos_ref: &[f64] = pos_col;
-            let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
-            par_loop(&self.cfg.policy, space, (4, lc_col), |w| {
-                w.each(|i, l| {
-                    let c = cells[i] as usize;
-                    let p = Vec3::from_slice(&pos_ref[i * 3..i * 3 + 3]);
-                    l.copy_from_slice(&barycentric(p, &mesh.cell_vertices(c)));
-                });
-            });
-        }
-
-        // Scatter pass.
         self.node_charge.fill(0.0);
         let q = self.cfg.charge;
         let cells = self.ps.cells();
@@ -556,30 +550,22 @@ impl FemPic {
                 );
             }
         }
-        let bytes = (n * (4 * 8 + 4 + 32 + 4 * 16)) as u64;
-        let flops = (n * (48 + 8)) as u64;
+        // Traffic: per particle lc(32) + its cell(4) + the c2n row(32),
+        // and four node read-modify-writes(64).
+        let bytes = (n * (32 + 4 + 32 + 4 * 16)) as u64;
+        let flops = (n * 8) as u64;
         self.profiler.add_traffic("DepositCharge", bytes, flops);
     }
 
     /// Range-restricted `DepositCharge` for the proof-gated overlap
-    /// driver (the analyzer's `split_legal` form): weight and scatter
-    /// only the slots `lo..hi`, in Serial fold order. The node array
-    /// is cleared at `lo == 0`, so an interior call over `0..keep`
-    /// followed by a boundary call over `keep..len` replays the whole
+    /// driver (the analyzer's `split_legal` form): scatter the `lc`
+    /// weights of only the slots `lo..hi`, in Serial fold order. The
+    /// node array is cleared at `lo == 0`, so an interior call over
+    /// `0..keep` followed by a boundary call over `keep..len` replays the whole
     /// Serial deposit's per-node accumulation order exactly — the
     /// split is bit-identical to one full-range pass (tested below and
     /// promised by the conformance overlap axis).
     pub fn deposit_charge_range(&mut self, lo: usize, hi: usize) {
-        let mesh = &self.mesh;
-        {
-            let (lc_col, pos_col, cells) = self.ps.cols_mut2_with_cells(self.lc, self.pos);
-            for i in lo..hi {
-                let c = cells[i] as usize;
-                let p = Vec3::from_slice(&pos_col[i * 3..i * 3 + 3]);
-                let l = barycentric(p, &mesh.cell_vertices(c));
-                lc_col[i * 4..i * 4 + 4].copy_from_slice(&l);
-            }
-        }
         if lo == 0 {
             self.node_charge.fill(0.0);
         }
@@ -651,7 +637,7 @@ impl FemPic {
         };
 
         // Gather-side sort (cell-locality engine): regrouping here
-        // lets CalcPosVel and the weighting pass run segment-batched.
+        // lets CalcPosVel run segment-batched.
         if self
             .cfg
             .sort_policy
@@ -1116,7 +1102,7 @@ mod extension_tests {
         // each slot — element writes stay slot-local — so binding-on
         // must match binding-off bit for bit (the conformance matrix's
         // binding-axis promise). Serial deposit keeps the scatter
-        // deterministic; the push and weighting loops run Par.
+        // deterministic; the push and move loops run Par.
         let mut off_cfg = FemPicConfig::tiny();
         off_cfg.inject_per_step = 120;
         off_cfg.policy = ExecPolicy::Par;

@@ -11,6 +11,7 @@ use oppic_core::access::{Access, ArgDecl, LoopDecl};
 use oppic_core::decl::Registry;
 use oppic_core::plan::{LoopPlan, PlanRegistry, RaceStrategy};
 use oppic_core::{DepositMethod, ExecPolicy};
+use oppic_mesh::geometry::{barycentric, barycentric_from_map, tet_centroid};
 
 impl FemPic {
     /// The paper's Figure 4 declarations for this app: sets, maps and
@@ -36,6 +37,8 @@ impl FemPic {
             .expect("fresh registry");
         r.decl_dat("potential", "nodes", 1).expect("fresh registry");
         r.decl_dat(self.efield.name(), "cells", 3)
+            .expect("fresh registry");
+        r.decl_dat(self.cell_det.name(), "cells", 16)
             .expect("fresh registry");
         r.decl_dat("pos", "particles", 3).expect("fresh registry");
         r.decl_dat("vel", "particles", 3).expect("fresh registry");
@@ -78,11 +81,17 @@ impl FemPic {
             ),
             policy,
         ));
+        // The move evaluates each visited cell's barycentric map and
+        // leaves the final cell's weights in `lc`.
         plans.register(LoopPlan::direct(
             LoopDecl::new(
                 "Move",
                 "particles",
-                vec![ArgDecl::direct("pos", 3, Access::Read)],
+                vec![
+                    ArgDecl::direct("pos", 3, Access::Read),
+                    ArgDecl::indirect(self.cell_det.name(), 16, Access::Read, "p2c"),
+                    ArgDecl::direct("lc", 4, Access::Write),
+                ],
             ),
             policy,
         ));
@@ -91,8 +100,7 @@ impl FemPic {
                 "DepositCharge",
                 "particles",
                 vec![
-                    ArgDecl::direct("pos", 3, Access::Read),
-                    ArgDecl::direct("lc", 4, Access::Write),
+                    ArgDecl::direct("lc", 4, Access::Read),
                     ArgDecl::double_indirect(self.node_charge.name(), 1, Access::Inc, "p2c.c2n"),
                 ],
             ),
@@ -138,8 +146,48 @@ impl FemPic {
         plans
     }
 
-    /// Pass 3: audit the static mesh maps, the dynamic particle→cell
-    /// map, and (when coloring is enabled) the deposit coloring.
+    /// Every `cell_det` row against the reference [`barycentric`] at
+    /// the cell's four vertices and its centroid.
+    fn audit_cell_det(&self) -> Diagnostic {
+        const TOL: f64 = 1e-12;
+        let bad: Vec<usize> = (0..self.mesh.n_cells())
+            .filter(|&c| {
+                let v = self.mesh.cell_vertices(c);
+                let row = self.cell_det.el(c).try_into().expect("16 coefficients");
+                let probes = [v[0], v[1], v[2], v[3], tet_centroid(&v)];
+                // `<=` also fails on a NaN coefficient.
+                !probes.into_iter().all(|p| {
+                    let (got, want) = (barycentric_from_map(row, p), barycentric(p, &v));
+                    (0..4).all(|k| (got[k] - want[k]).abs() <= TOL)
+                })
+            })
+            .collect();
+        let name = self.cell_det.name();
+        if bad.is_empty() {
+            Diagnostic::info(
+                "geom/cell-det-ok",
+                name,
+                format!(
+                    "{} rows reproduce the reference weights at vertices and centroid",
+                    self.mesh.n_cells()
+                ),
+            )
+        } else {
+            Diagnostic::error(
+                "geom/cell-det-mismatch",
+                name,
+                format!(
+                    "{} row(s) off the reference weights by more than {TOL:e}, cells {:?}",
+                    bad.len(),
+                    &bad[..bad.len().min(5)]
+                ),
+            )
+        }
+    }
+
+    /// Pass 3: audit the static mesh maps and the per-cell barycentric
+    /// maps, the dynamic particle→cell map, and (when coloring is
+    /// enabled) the deposit coloring.
     pub fn audit_maps(&self) -> Report {
         let nc = self.mesh.n_cells();
         let nn = self.mesh.n_nodes();
@@ -148,6 +196,7 @@ impl FemPic {
         report.extend(audit_mesh_map("c2n", &c2n, nc, 4, nn, false));
         let c2c: Vec<i32> = self.mesh.c2c.iter().flatten().copied().collect();
         report.extend(audit_mesh_map("c2c", &c2c, nc, 4, nc, true));
+        report.push(self.audit_cell_det());
         report.extend(audit_particle_cells("p2c", self.ps.cells(), nc));
         if self.ps.index_is_fresh() {
             // A store claiming a fresh CSR index must actually be
@@ -438,6 +487,26 @@ mod tests {
         // The map audit catches the same corruption independently.
         let audit = sim.audit_maps();
         assert!(!audit.with_code("color/conflict").is_empty(), "{audit}");
+    }
+
+    #[test]
+    fn map_audit_flags_a_corrupted_cell_det_row() {
+        let mut sim = FemPic::new(FemPicConfig::tiny());
+        let clean = sim.audit_maps();
+        assert!(!clean.has_errors(), "{clean}");
+        assert_eq!(clean.with_code("geom/cell-det-ok").len(), 1, "{clean}");
+        // Nudge one gradient coefficient of one cell by far more than
+        // round-off.
+        sim.cell_det.el_mut(7)[5] += 1e-9;
+        let report = sim.audit_maps();
+        let bad = report.with_code("geom/cell-det-mismatch");
+        assert_eq!(bad.len(), 1, "{report}");
+        assert!(bad[0].message.contains("cells [7]"), "{report}");
+        // A NaN coefficient is flagged too.
+        sim.cell_det.el_mut(9)[0] = f64::NAN;
+        let report = sim.audit_maps();
+        let bad = report.with_code("geom/cell-det-mismatch");
+        assert!(bad[0].message.contains("cells [7, 9]"), "{report}");
     }
 
     #[test]

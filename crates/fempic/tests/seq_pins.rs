@@ -29,8 +29,8 @@ fn fempic_small() -> FemPicConfig {
     }
 }
 
-const STEP_DIGEST: u64 = 0xf042_293f_cc73_93a3;
-const POSITION_HASH: u64 = 0x0dbb_57e1_22f0_1936;
+const STEP_DIGEST: u64 = 0xe65a_0ed3_0954_daf5;
+const POSITION_HASH: u64 = 0xb5bf_d369_f909_02fe;
 
 #[test]
 fn fempic_small_seq_is_pinned() {

@@ -278,6 +278,29 @@ pub fn p1_gradients(v: &[Vec3; 4]) -> [Vec3; 4] {
     g
 }
 
+/// The affine map of a tetrahedron's barycentric coordinates,
+/// `λ = A·[1, x, y, z]`, as 16 row-major coefficients: `map[4k..4k+4]`
+/// yields `λ_k`. Built from the tet's [`p1_gradients`] `g` about its
+/// centroid `c` (`λ_k(p) = 1/4 + g_k·(p − c)`), so evaluating it with
+/// [`barycentric_from_map`] replaces the five tet volumes of
+/// [`barycentric`] with four 4-term dot products.
+pub fn barycentric_map(g: &[Vec3; 4], c: Vec3) -> [f64; 16] {
+    let mut map = [0.0; 16];
+    for (row, g) in map.chunks_exact_mut(4).zip(g) {
+        row.copy_from_slice(&[0.25 - g.dot(c), g.x, g.y, g.z]);
+    }
+    map
+}
+
+/// Barycentric coordinates of `p` through a [`barycentric_map`].
+#[inline]
+pub fn barycentric_from_map(map: &[f64; 16], p: Vec3) -> [f64; 4] {
+    std::array::from_fn(|k| {
+        let a = &map[4 * k..4 * k + 4];
+        a[0] + a[1] * p.x + a[2] * p.y + a[3] * p.z
+    })
+}
+
 /// Area-weighted outward normal of triangle `(a, b, c)` (norm = area).
 #[inline]
 pub fn triangle_area_normal(a: Vec3, b: Vec3, c: Vec3) -> Vec3 {
@@ -428,6 +451,30 @@ mod tests {
                     let d = g[i].dot(v[i] - v[j]);
                     assert!((d - 1.0).abs() < 1e-9, "i={i} j={j} d={d}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn barycentric_map_matches_the_volume_ratios() {
+        let v = [
+            Vec3::new(0.1, 0.2, 0.0),
+            Vec3::new(1.3, 0.1, 0.2),
+            Vec3::new(0.2, 1.1, -0.1),
+            Vec3::new(0.3, 0.4, 1.2),
+        ];
+        let map = barycentric_map(&p1_gradients(&v), tet_centroid(&v));
+        let probes = [
+            v[0],
+            v[3],
+            tet_centroid(&v),
+            Vec3::new(0.5, 0.5, 0.5),
+            Vec3::new(-2.0, 3.0, 1.5),
+        ];
+        for p in probes {
+            let (a, b) = (barycentric_from_map(&map, p), barycentric(p, &v));
+            for k in 0..4 {
+                assert!((a[k] - b[k]).abs() < 1e-12, "{p:?} k={k}: {a:?} vs {b:?}");
             }
         }
     }

@@ -121,16 +121,10 @@ impl StructuredOverlay {
 
     fn clamp_index(bbox: &BoundingBox, cell_size: Vec3, dims: [usize; 3], p: Vec3) -> [usize; 3] {
         let rel = p - bbox.lo;
-        let f = |x: f64, s: f64, n: usize| -> usize {
-            if s <= 0.0 {
-                return 0;
-            }
-            ((x / s).floor().max(0.0) as usize).min(n - 1)
-        };
         [
-            f(rel.x, cell_size.x, dims[0]),
-            f(rel.y, cell_size.y, dims[1]),
-            f(rel.z, cell_size.z, dims[2]),
+            axis_index(rel.x, cell_size.x, dims[0]),
+            axis_index(rel.y, cell_size.y, dims[1]),
+            axis_index(rel.z, cell_size.z, dims[2]),
         ]
     }
 
@@ -170,9 +164,54 @@ impl StructuredOverlay {
     }
 }
 
+/// Voxel index along one axis of `n` voxels of size `s`, for offset
+/// `x` from the grid's low corner, clamped into `0..n`. No `floor`: on
+/// `x / s >= 0` truncation is floor, `max` sends negatives, NaN and
+/// −∞ to 0, and the cast saturates +∞.
+#[inline]
+fn axis_index(x: f64, s: f64, n: usize) -> usize {
+    if s <= 0.0 {
+        return 0;
+    }
+    ((x / s).max(0.0) as usize).min(n - 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn axis_index_equals_the_floor_formula() {
+        let floor = |x: f64, s: f64, n: usize| ((x / s).floor().max(0.0) as usize).min(n - 1);
+        let s = 0.0625;
+        let mut xs = vec![
+            -1.0,
+            -0.5 * s,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+            1e300,
+            -1e300,
+            (u64::MAX as f64) * s,
+        ];
+        // Exact voxel boundaries and their neighbours on both sides.
+        for k in 0..=40 {
+            let b = k as f64 * s;
+            xs.extend([b, b.next_down(), b.next_up(), -b, -b.next_up()]);
+        }
+        for n in [1, 2, 32] {
+            for &x in &xs {
+                assert_eq!(axis_index(x, s, n), floor(x, s, n), "x={x:e} n={n}");
+            }
+        }
+    }
 
     #[test]
     fn overlay_seeds_are_valid_cells() {

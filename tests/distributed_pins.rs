@@ -99,7 +99,7 @@ fn fempic_overlap_whole_pin() {
     let rep = run_fempic_distributed_overlap(&FemPicConfig::tiny(), 3, 5, &gate, Duration::ZERO);
     assert_eq!(
         summary(&rep),
-        "total=240 check=0x4003333333333334 ranks=[(56,10048),(53,7224),(57,7576)]"
+        "total=240 check=0x4003333333333333 ranks=[(56,10048),(53,7224),(57,7576)]"
     );
 }
 
@@ -119,10 +119,10 @@ fn rank_failure_step_kill_pin() {
     assert_eq!(
         got,
         [
-            "(p=535 q=0xc54b6984cfd2cf5f epoch=1 members=[0, 1, 3] replayed=2)",
-            "(p=607 q=0xc54b6984cfd2cf5f epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=535 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=607 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=2)",
             "dead",
-            "(p=453 q=0xc54b6984cfd2cf5f epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=453 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=2)",
         ]
     );
 }
@@ -134,10 +134,10 @@ fn rank_failure_planned_shrink_pin() {
     assert_eq!(
         got,
         [
-            "(p=535 q=0xc54b6984cfd2cf5f epoch=1 members=[0, 1, 3] replayed=0)",
-            "(p=607 q=0xc54b6984cfd2cf5f epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=535 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=607 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=0)",
             "dead",
-            "(p=453 q=0xc54b6984cfd2cf5f epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=453 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=0)",
         ]
     );
 }

@@ -4,8 +4,7 @@
 
 use op_pic::core::decl::Registry;
 use op_pic::core::{
-    deposit_loop, move_loop, move_loop_direct_hop, DepositMethod, ExecPolicy, MoveConfig,
-    MoveStatus, ParticleDats,
+    deposit_loop, move_loop, DepositMethod, ExecPolicy, MoveConfig, MoveStatus, ParticleDats,
 };
 use op_pic::mesh::geometry::{bary_inside, bary_min_index, barycentric, sample_tet};
 use op_pic::mesh::{StructuredOverlay, TetMesh, Vec3};
@@ -36,8 +35,11 @@ fn duct_with_particles(
 
 /// The move kernel used by several tests: barycentric walk with
 /// boundary removal.
-fn walk<'m>(mesh: &'m TetMesh, pos: &'m [f64]) -> impl Fn(usize, usize) -> MoveStatus + Sync + 'm {
-    move |i, cell| {
+fn walk<'m>(
+    mesh: &'m TetMesh,
+    pos: &'m [f64],
+) -> impl Fn(usize, usize, &mut ()) -> MoveStatus + Sync + 'm {
+    move |i, cell, _| {
         let p = Vec3::from_slice(&pos[i * 3..i * 3 + 3]);
         let l = barycentric(p, &mesh.cell_vertices(cell));
         if bary_inside(&l, 1e-10) {
@@ -83,6 +85,8 @@ fn scrambled_cells_recover_via_multihop() {
         &ExecPolicy::Par,
         MoveConfig::default(),
         cells,
+        None,
+        (),
         walk(&mesh, pos_col),
     );
     assert!(r.removed.is_empty(), "all particles are inside the mesh");
@@ -114,16 +118,19 @@ fn direct_hop_and_multi_hop_land_identically() {
         &ExecPolicy::Seq,
         MoveConfig::default(),
         cells_a,
+        None,
+        (),
         walk(&mesh, pos_a),
     );
 
     let (cells_b, pos_b) = ps_b.cells_mut_with_col(pos);
     let seed = |i: usize| overlay.locate(Vec3::from_slice(&pos_b[i * 3..i * 3 + 3]));
-    let r_dh = move_loop_direct_hop(
+    let r_dh = move_loop(
         &ExecPolicy::Seq,
         MoveConfig::default(),
         cells_b,
-        seed,
+        Some(&seed),
+        (),
         walk(&mesh, pos_b),
     );
 
@@ -190,6 +197,8 @@ fn hole_filling_composes_with_move_removal() {
         &ExecPolicy::Par,
         MoveConfig::default(),
         cells,
+        None,
+        (),
         walk(&mesh, pos_col),
     );
     let removed = r.removed.len();

@@ -159,7 +159,7 @@ proptest! {
         let p = Vec3::new(pt[0], pt[1], pt[2]);
         let mut cells = vec![overlay.locate(p) as i32];
         let pos = [p.x, p.y, p.z];
-        let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, |_, cell| {
+        let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, None, (), |_, cell, _| {
             let l = barycentric(Vec3::from_slice(&pos), &mesh.cell_vertices(cell));
             if bary_inside(&l, 1e-10) {
                 MoveStatus::Done
