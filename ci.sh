@@ -51,6 +51,25 @@ echo "== telemetry smoke (sink -> audit -> report)"
 ./target/release/oppic-report /tmp/oppic_ci_telemetry.jsonl >/dev/null
 rm -f /tmp/oppic_ci_telemetry.jsonl
 
+echo "== roofline drift (traffic model vs results/BENCH_roofline.csv)"
+# Regenerate the roofline CSV with the DESIGN.md §6 recipe into a temp
+# dir. Its app, kernel, class, calls, bytes and flops columns are
+# deterministic and must match the committed file, so a changed
+# traffic model or loop count shows up here; the timing columns
+# (seconds and the rates derived from them) are not compared. Rows
+# are ordered by time, so both sides are sorted first.
+roof=$(mktemp -d)
+./target/release/fempic --telemetry "$roof/fempic.jsonl" >/dev/null
+./target/release/cabana --telemetry "$roof/cabana.jsonl" >/dev/null
+./target/release/oppic-report --artifacts "$roof" "$roof/fempic.jsonl" "$roof/cabana.jsonl" >/dev/null
+model_columns() { cut -d, -f1-4,6,7 "$1" | LC_ALL=C sort; }
+if ! diff <(model_columns results/BENCH_roofline.csv) <(model_columns "$roof/BENCH_roofline.csv") >&2; then
+    echo "results/BENCH_roofline.csv drifted from the traffic model; regenerate it (DESIGN.md §6)" >&2
+    rm -rf "$roof"
+    exit 1
+fi
+rm -rf "$roof"
+
 echo "== conformance --quick (cross-backend differential matrix)"
 ./target/release/conformance --quick >/dev/null
 # A failing matrix cell writes a shrunk reproducer under

@@ -68,8 +68,9 @@ macro_rules! opp_par_loop {
 /// Declare a particle-move loop, Figure 6 style. The kernel body
 /// evaluates to a [`crate::MoveStatus`] — the `OPP_PARTICLE_MOVE_DONE`
 /// / `NEED_MOVE` / `NEED_REMOVE` markers of the paper become ordinary
-/// `return`-position expressions. An optional `seed` starts each
-/// search from an overlay cell (direct-hop); an optional `write`
+/// `return`-position expressions. An optional `seed` makes it
+/// direct-hop: each particle probes its current cell, and only a miss
+/// jumps to the seed's overlay cell and walks on; an optional `write`
 /// column hands the body the particle's `&mut` window of it on every
 /// visit, e.g. to leave the final cell's weights behind on `Done`.
 ///
@@ -189,15 +190,20 @@ mod tests {
         assert_eq!(cells, vec![5, 2, 8]);
         assert!(r.removed.is_empty());
 
-        // Direct-hop: perfect seeds, one visit each.
+        // Direct-hop: every particle first probes cell 0, misses, and
+        // lands on its perfect seed — two visits each.
         let mut cells = vec![0i32, 0, 0];
         let r = opp_particle_move!(policy, "MoveDH", &mut cells; seed |i| targets[i];
             |i, cell| {
+                if cell == 0 {
+                    return MoveStatus::NeedMove(1);
+                }
                 assert_eq!(cell, targets[i]);
                 MoveStatus::Done
             }
         );
-        assert_eq!(r.total_visits, 3);
+        assert_eq!(r.total_visits, 6);
+        assert_eq!(r.seeded, 3);
         assert_eq!(cells, vec![5, 2, 8]);
 
         // A written window: each particle leaves its final cell behind.

@@ -15,14 +15,17 @@
 //! The engine owns the iteration ("multi-hop", MH), the optional
 //! structured-overlay seeding ("direct-hop", DH), the per-particle cell
 //! updates, and the removal list that the particle store's hole filling
-//! consumes. It runs on the par-loop executor's pieces
-//! ([`crate::parloop::Space::Range`]): the cell column and one written
-//! particle column are carved into per-piece windows, and every kernel
-//! visit gets the particle's `&mut` window of the written column, so a
-//! kernel can leave per-particle results of its final cell behind
-//! (FemPIC writes the barycentric weights `lc` on `Done`). In
-//! distributed runs, `oppic-mpi` wraps this engine and additionally
-//! ships rank-crossing particles.
+//! consumes. Every chase first visits the particle's current cell; under
+//! DH a miss there jumps to the overlay's cell and walks on from it, so
+//! the overlay is read only for the particles that left their cell (in
+//! a small-`dt` step most stay put). It runs on the par-loop
+//! executor's pieces ([`crate::parloop::Space::Range`]): the cell
+//! column and one written particle column are carved into per-piece
+//! windows, and every kernel visit gets the particle's `&mut` window of
+//! the written column, so a kernel can leave per-particle results of
+//! its final cell behind (FemPIC writes the barycentric weights `lc` on
+//! `Done`). In distributed runs, `oppic-mpi` wraps this engine and
+//! additionally ships rank-crossing particles.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -96,6 +99,9 @@ pub struct MoveResult {
     /// chase started in — together with `removed.len()`, the measured
     /// figure for `ParticleDats::refine_dirty`.
     pub moved: u64,
+    /// Direct-hop only: particles whose probe of their current cell was
+    /// not `Done` and so called the [`Seed`] (one overlay read each).
+    pub seeded: u64,
 }
 
 impl MoveResult {
@@ -110,15 +116,20 @@ impl MoveResult {
     }
 }
 
-/// Where a particle's search starts: `None` walks from its current
-/// cell (multi-hop); `Some(seed)` starts from `seed(i)` — typically the
-/// structured overlay's `locate(new_position)`, Figure 7(b) — and walks
-/// on from there (direct-hop).
+/// Where a particle's search goes after its current cell: `None` walks
+/// on from it along the kernel's `NeedMove` chain (multi-hop).
+/// `Some(seed)` probes the current cell first (direct-hop); only when
+/// that visit is not `Done` does the search jump to `seed(i)` —
+/// typically the structured overlay's `locate(new_position)`,
+/// Figure 7(b) — and walk on from there. A probe hit is exact (the
+/// kernel says `Done` only for a containing cell) and a miss is a real
+/// visit, counted in [`MoveResult::total_visits`].
 pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
 
-/// The move loop: every particle follows the kernel's `NeedMove` chain
-/// from its [`Seed`] cell to a `Done` (its new `cells[i]`) or a
-/// `NeedRemove` (listed in [`MoveResult::removed`]).
+/// The move loop: every particle is visited in its current cell and
+/// follows the kernel's `NeedMove` chain — after a [`Seed`] jump when
+/// that first visit misses under direct-hop — to a `Done` (its new
+/// `cells[i]`) or a `NeedRemove` (listed in [`MoveResult::removed`]).
 ///
 /// ```
 /// use oppic_core::{move_loop, ExecPolicy, MoveConfig, MoveStatus};
@@ -171,7 +182,8 @@ where
         Vec::new()
     };
 
-    // Per-particle hop chain; returns Some(final_cell) or None (remove).
+    // Per-particle hop chain from the current cell; returns
+    // Some(final_cell) or None (remove).
     let chase = |t: &mut MoveTally, i: usize, start: usize, w: &mut C::Elem| -> Option<usize> {
         let mut cell = start;
         let mut chain = 0u32;
@@ -187,41 +199,46 @@ where
         };
         loop {
             chain += 1;
-            match kernel(i, cell, w) {
-                MoveStatus::Done => {
+            let next = match (kernel(i, cell, w), seed) {
+                (MoveStatus::Done, _) => {
                     if cfg.n_cells.is_some_and(|n| cell >= n) {
                         t.out_of_range += 1;
                     }
                     finish(t, chain);
                     return Some(cell);
                 }
-                MoveStatus::NeedRemove => {
+                // Direct-hop: the probe of the current cell missed (the
+                // particle moved, or left through a boundary face), so
+                // the walk restarts from the overlay's cell.
+                (_, Some(seed)) if chain == 1 => {
+                    t.seeded += 1;
+                    seed(i)
+                }
+                (MoveStatus::NeedRemove, _) => {
                     finish(t, chain);
                     return None;
                 }
-                MoveStatus::NeedMove(next) => {
-                    if chain >= cfg.max_hops {
-                        t.aborted += 1;
-                        finish(t, chain);
-                        return None;
-                    }
-                    cell = next;
-                }
+                (MoveStatus::NeedMove(next), _) => next,
+            };
+            if chain >= cfg.max_hops {
+                t.aborted += 1;
+                finish(t, chain);
+                return None;
             }
+            cell = next;
         }
     };
 
-    // One piece: chase every particle from its seed, then relocate or
-    // list it. Range pieces are ascending, so their removal lists
-    // concatenate in order.
+    // One piece: chase every particle from its current cell, then
+    // relocate or list it. Range pieces are ascending, so their removal
+    // lists concatenate in order.
     let pieces = carve(policy, Space::Range, (cells, cols));
     let (removed, tally) = dispatch(policy, pieces, |windows| {
         let mut removed = Vec::new();
         let mut t = MoveTally::default();
         for w in windows {
-            w.each(|i, (c, mut e)| {
-                let start = seed.map_or(*c as usize, |s| s(i));
-                match chase(&mut t, i, start, &mut e) {
+            w.each(
+                |i, (c, mut e)| match chase(&mut t, i, *c as usize, &mut e) {
                     Some(final_cell) => {
                         if final_cell as i32 != *c {
                             t.moved += 1;
@@ -229,8 +246,8 @@ where
                         *c = final_cell as i32;
                     }
                     None => removed.push(i),
-                }
-            });
+                },
+            );
         }
         (removed, t)
     })
@@ -260,12 +277,14 @@ where
         chains: chain_log.into_iter().map(AtomicU32::into_inner).collect(),
         out_of_range: tally.out_of_range,
         moved: tally.moved,
+        seeded: tally.seeded,
     };
     crate::telemetry::count("move.relocated", result.moved);
     crate::telemetry::count("move.removed", result.removed.len() as u64);
     crate::telemetry::count("move.visits", result.total_visits);
     crate::telemetry::count("move.aborted", result.aborted);
     crate::telemetry::count("move.out_of_range", result.out_of_range);
+    crate::telemetry::count("move.seeded", result.seeded);
     result
 }
 
@@ -280,6 +299,7 @@ struct MoveTally {
     aborted: u64,
     out_of_range: u64,
     moved: u64,
+    seeded: u64,
     /// Chain lengths for `move.hops_per_particle` (filled only while a
     /// telemetry hub is current).
     hops: HistogramSnapshot,
@@ -292,6 +312,7 @@ impl Tally for MoveTally {
         self.aborted += other.aborted;
         self.out_of_range += other.out_of_range;
         self.moved += other.moved;
+        self.seeded += other.seeded;
         self.hops.merge(&other.hops);
     }
 }
@@ -388,8 +409,68 @@ mod tests {
             walk_kernel(&targets),
         );
         assert_eq!(cells_mh, cells_dh);
-        assert_eq!(r_dh.total_visits, 64, "perfect seed = one visit each");
+        // Particles 0 and 50 target cell 0 and stop at the probe; the
+        // other 62 miss it and land on the perfect seed: 2 + 62·2.
+        assert_eq!(r_dh.total_visits, 126, "probe + perfect seed");
+        assert_eq!(r_dh.seeded, 62);
         assert!(r_dh.total_visits < r_mh.total_visits);
+    }
+
+    #[test]
+    fn direct_hop_probes_the_current_cell_before_the_seed() {
+        use std::sync::atomic::AtomicUsize;
+        // Particles 0..4 stay in their cell; 4..8 moved two cells on.
+        let targets: Vec<usize> = (0..8).map(|i| if i < 4 { i } else { i + 2 }).collect();
+        let calls = AtomicUsize::new(0);
+        let seed = |i: usize| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            targets[i]
+        };
+        for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
+            calls.store(0, Ordering::Relaxed);
+            let mut cells: Vec<i32> = (0..8).collect();
+            let r = move_loop(
+                &pol,
+                MoveConfig::default(),
+                &mut cells,
+                Some(&seed),
+                (),
+                walk_kernel(&targets),
+            );
+            let expect: Vec<i32> = targets.iter().map(|&t| t as i32).collect();
+            assert_eq!(cells, expect, "{pol:?}");
+            // Only the four movers read the overlay.
+            assert_eq!(calls.load(Ordering::Relaxed), 4, "{pol:?}");
+            assert_eq!(r.seeded, 4, "{pol:?}");
+            assert_eq!(r.total_visits, 4 + 4 * 2, "{pol:?}");
+            assert_eq!(r.moved, 4, "{pol:?}");
+        }
+
+        // A probe that says `NeedRemove` (the particle crossed a
+        // boundary face of its old cell) falls back to the seed too:
+        // only a removal reported after the jump removes the particle.
+        calls.store(0, Ordering::Relaxed);
+        let mut cells = vec![0i32, 0];
+        let r = move_loop(
+            &ExecPolicy::Seq,
+            MoveConfig::default(),
+            &mut cells,
+            Some(&|i: usize| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                [3usize, 9][i]
+            }),
+            (),
+            |i, cell, _| match (i, cell) {
+                (_, 0) => MoveStatus::NeedRemove,
+                (0, 3) => MoveStatus::Done,
+                _ => MoveStatus::NeedRemove,
+            },
+        );
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+        assert_eq!(r.seeded, 2);
+        assert_eq!(cells[0], 3);
+        assert_eq!(r.removed, vec![1]);
+        assert_eq!(r.total_visits, 4);
     }
 
     #[test]
@@ -407,7 +488,8 @@ mod tests {
         );
         assert!(r.removed.is_empty());
         assert!(cells.iter().all(|&c| c == 10));
-        assert_eq!(r.max_chain, 3); // 8 -> 9 -> 10(done)
+        assert_eq!(r.max_chain, 4); // probe 0, seed 8 -> 9 -> 10(done)
+        assert_eq!(r.seeded, 8);
     }
 
     #[test]

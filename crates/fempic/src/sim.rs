@@ -347,11 +347,13 @@ impl FemPic {
     }
 
     /// `Move`: relocate every particle to the cell containing its new
-    /// position — barycentric walk (multi-hop) or overlay-seeded
-    /// (direct-hop) — and leave the final cell's barycentric weights in
-    /// `lc` for the deposit. Each visit evaluates the cell's
-    /// [`FemPic::cell_det`] row: four 4-term dot products. Out-of-domain
-    /// particles are removed (hole-filled).
+    /// position and leave the final cell's barycentric weights in `lc`
+    /// for the deposit. Every particle is first tested in its current
+    /// cell; a miss walks on from there along `c2c` (multi-hop) or, with
+    /// an overlay (direct-hop), from the overlay's cell for the new
+    /// position. Each visit evaluates the cell's [`FemPic::cell_det`]
+    /// row: four 4-term dot products. Out-of-domain particles are
+    /// removed (hole-filled).
     pub fn move_particles(&mut self) -> usize {
         self.record_loop("Move");
         let mesh = &self.mesh;
@@ -375,7 +377,8 @@ impl FemPic {
                 }
             }
         };
-        // Direct-hop: start from the overlay's cell for the new position.
+        // Direct-hop: a particle that left its cell walks on from the
+        // overlay's cell for its new position.
         let locate = self.overlay.as_ref().map(|ov| move |i| ov.locate(at(i)));
 
         let mv_cfg = MoveConfig {
@@ -389,10 +392,11 @@ impl FemPic {
         let result = move_loop(&self.cfg.policy, mv_cfg, cells, seed, (4, lc), kernel);
 
         // Traffic: per visit pos(24) + the cell's row(128), per hop a
-        // c2c entry(16), per surviving particle the lc write(32).
+        // c2c entry(16), per seeded particle its overlay cell-map
+        // entry(4), per surviving particle the lc write(32).
         let hops = result.total_visits - n;
         let done = n - result.removed.len() as u64;
-        let bytes = result.total_visits * (24 + 128) + hops * 16 + done * 32;
+        let bytes = result.total_visits * (24 + 128) + hops * 16 + result.seeded * 4 + done * 32;
         let flops = result.total_visits * 24;
         self.profiler.add_traffic("Move", bytes, flops);
 

@@ -68,6 +68,15 @@ impl ChaCha8Rng {
         state
     }
 
+    /// Load block `index` into the cache: the cold half of
+    /// `next_u32` (once per 16 words), kept out of line so the word
+    /// path stays small enough to inline into its callers.
+    #[inline(never)]
+    fn refill(&mut self, index: u128) {
+        self.block = self.block_at(index);
+        self.cached_block = Some(index);
+    }
+
     /// Stream position in 32-bit words.
     pub fn get_word_pos(&self) -> u128 {
         self.word_pos
@@ -98,17 +107,18 @@ impl SeedableRng for ChaCha8Rng {
 }
 
 impl RngCore for ChaCha8Rng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         let block_index = self.word_pos / 16;
         if self.cached_block != Some(block_index) {
-            self.block = self.block_at(block_index);
-            self.cached_block = Some(block_index);
+            self.refill(block_index);
         }
         let word = self.block[(self.word_pos % 16) as usize];
         self.word_pos += 1;
         word
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
