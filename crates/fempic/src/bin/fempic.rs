@@ -297,8 +297,8 @@ fn main() {
         }
         if s % report_every == 0 || s == steps {
             println!(
-                "step {:>5}: particles {:>9}  removed {:>6}  charge {:>12.5}  CG iters {:>4}",
-                d.step, d.n_particles, d.removed, d.total_charge, d.cg_iterations
+                "step {:>5}: particles {:>9}  removed {:>6}  charge {:>12.5}",
+                d.step, d.n_particles, d.removed, d.total_charge
             );
         }
     }

@@ -97,11 +97,10 @@ pub struct FemPicConfig {
     pub binding: bool,
     /// When to rebuild the binding; only consulted with `binding`.
     pub rebalance: RebalancePolicy,
-    /// Resilience-layer numeric guards: quarantine non-finite
-    /// particles before the move/deposit stages and run the field
-    /// solve behind the CG guard (poisoned warm starts zeroed, failed
-    /// solves restarted cold). Identical arithmetic on the healthy
-    /// path, so guarded and unguarded runs stay bit-comparable.
+    /// Resilience-layer numeric guard: quarantine non-finite particles
+    /// before the move/deposit stages. The field solve rejects a
+    /// non-finite load vector either way. Identical arithmetic on the
+    /// healthy path, so guarded and unguarded runs stay bit-comparable.
     pub guard_numerics: bool,
 }
 

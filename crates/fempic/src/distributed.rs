@@ -29,6 +29,7 @@ use crate::sim::FemPic;
 use oppic_core::particles::ParticleDats;
 use oppic_core::ExchangeDir;
 use oppic_core::ExecPolicy;
+use oppic_linalg::CgConfig;
 use oppic_mesh::Vec3;
 use oppic_mpi::solve::{cg_solve_distributed, partition_system, DistributedSystem};
 use oppic_mpi::{
@@ -47,6 +48,8 @@ pub struct DistributedSolve {
     owned: Vec<usize>,
     /// Owned potential, kept across steps as the CG warm start.
     x_owned: Vec<f64>,
+    /// Tolerances of the distributed CG.
+    pub cg_config: CgConfig,
 }
 
 impl DistributedSolve {
@@ -67,6 +70,12 @@ impl DistributedSolve {
             sys,
             owned,
             x_owned,
+            cg_config: CgConfig {
+                rtol: 1e-8,
+                atol: 1e-30,
+                max_iters: 5000,
+                ..CgConfig::default()
+            },
         }
     }
 }
@@ -239,7 +248,7 @@ impl FemPic {
             .fem
             .build_rhs(self.node_charge.raw(), self.cfg.epsilon0);
         let my_rhs: Vec<f64> = ds.owned.iter().map(|&n| rhs[n]).collect();
-        let out = cg_solve_distributed(ctx, &ds.sys, &my_rhs, &mut ds.x_owned, self.fem.cg_config)
+        let out = cg_solve_distributed(ctx, &ds.sys, &my_rhs, &mut ds.x_owned, ds.cg_config)
             .expect("halo exchange in distributed solve");
         debug_assert!(out.converged, "{out:?}");
         let mut phi = vec![0.0; self.mesh.n_nodes()];

@@ -5,13 +5,23 @@
 //! `ComputeF1Vector` "create the data structures required for a linear
 //! solver, which is computed using a PETSc KSP solver" — here the
 //! stiffness matrix is assembled once (the mesh is static), the RHS is
-//! rebuilt from the deposited charge each step, Dirichlet walls are
-//! eliminated symmetrically, and the system is solved with warm-started
-//! Jacobi-PCG from `oppic-linalg`.
+//! rebuilt from the deposited charge each step, and Dirichlet walls are
+//! eliminated symmetrically. The reduced matrix never changes, so
+//! `assemble` factors its free-node block once (RCM-ordered envelope
+//! Cholesky from `oppic-linalg`) and every replicated solve is a
+//! forward and a back sweep. Jacobi-PCG remains the solver of the
+//! distributed field solve ([`crate::DistributedSolve`]), where no rank
+//! holds the whole matrix.
 
-use oppic_core::{telemetry, ExecPolicy};
-use oppic_linalg::{cg_solve, cg_solve_guarded, CgConfig, CgOutcome, CsrBuilder, CsrMatrix};
+use oppic_linalg::{CsrBuilder, CsrMatrix, EnvelopeCholesky};
 use oppic_mesh::{BoundaryKind, TetMesh};
+
+/// Why [`FemSolver::solve`] kept the previous potential.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolveError {
+    /// The load vector held NaN or Inf: the deposit upstream is corrupt.
+    NonFinite,
+}
 
 /// Assembled FEM machinery for one mesh.
 #[derive(Debug, Clone)]
@@ -25,18 +35,29 @@ pub struct FemSolver {
     /// The raw (pre-elimination) stiffness matrix, kept for the RHS
     /// correction that symmetric elimination requires.
     raw_matrix: CsrMatrix,
-    /// Warm-start solution carried between steps.
+    /// Cholesky factor of the free-node block of `matrix`.
+    factor: EnvelopeCholesky,
+    /// `(bytes, flops)` of one solve. Bytes: the RHS build (charge in,
+    /// load vector out, and the column and value of every raw-matrix
+    /// entry in a free row) plus two sweeps over `L` (each value, and
+    /// each row's envelope start and offset) with the permuted gather
+    /// and scatter. Flops: a multiply and an add per `L` entry per
+    /// sweep.
+    solve_traffic: (u64, u64),
+    /// The last solved potential (Dirichlet values on fixed nodes).
     potential: Vec<f64>,
-    pub cg_config: CgConfig,
-    /// Last solve outcome (diagnostics).
-    pub last_outcome: Option<CgOutcome>,
 }
 
 impl FemSolver {
     /// `ComputeJMatrix`: assemble the P1 stiffness matrix
     /// `K[i][j] = Σ_cells vol · ∇φ_i · ∇φ_j` and apply boundary
     /// conditions: wall nodes fixed at `wall_potential`, inlet nodes
-    /// grounded at 0 (the duct's reference), outlet natural.
+    /// grounded at 0 (the duct's reference), outlet natural. Then
+    /// factor the free-node block of the reduced matrix.
+    ///
+    /// # Panics
+    /// If the reduced matrix is not positive definite, i.e. some free
+    /// node has no path to a Dirichlet node.
     pub fn assemble(mesh: &TetMesh, wall_potential: f64) -> Self {
         let nn = mesh.n_nodes();
         let mut b = CsrBuilder::new(nn, nn);
@@ -76,20 +97,25 @@ impl FemSolver {
         let mut dummy_rhs = vec![0.0; nn];
         let matrix = raw_matrix.apply_dirichlet(&fixed, &fixed_values, &mut dummy_rhs);
 
+        let free: Vec<bool> = fixed.iter().map(|&f| !f).collect();
+        let factor = EnvelopeCholesky::factor(&matrix, &free)
+            .unwrap_or_else(|e| panic!("reduced stiffness matrix: {e}"));
+        let walked: usize = (0..nn)
+            .filter(|&r| free[r])
+            .map(|r| raw_matrix.row(r).0.len())
+            .sum();
+        let (l_nnz, m) = (factor.nnz(), factor.n_active());
+        let bytes = nn * 16 + walked * 12 + 2 * (l_nnz * 8 + m * 12) + m * 32;
+        let solve_traffic = (bytes as u64, (4 * l_nnz) as u64);
         let potential = fixed_values.clone();
         FemSolver {
             matrix,
             fixed,
             fixed_values,
             raw_matrix,
+            factor,
+            solve_traffic,
             potential,
-            cg_config: CgConfig {
-                rtol: 1e-8,
-                atol: 1e-30,
-                max_iters: 5000,
-                ..CgConfig::default()
-            },
-            last_outcome: None,
         }
     }
 
@@ -133,49 +159,25 @@ impl FemSolver {
     }
 
     /// `ComputeF1Vector` + `SolvePotential`: build the load vector,
-    /// apply the Dirichlet correction, and solve. Returns the node
-    /// potentials.
-    pub fn solve(&mut self, policy: &ExecPolicy, node_charge: &[f64], epsilon0: f64) -> &[f64] {
-        let rhs = self.build_rhs(node_charge, epsilon0);
-        let outcome = cg_solve(
-            policy,
-            &self.matrix,
-            &rhs,
-            &mut self.potential,
-            self.cg_config,
-        );
-        self.last_outcome = Some(outcome);
-        &self.potential
+    /// apply the Dirichlet correction, and solve by the forward and
+    /// back sweeps of the setup-time factor. Returns the node
+    /// potentials. A non-finite load vector is rejected before any
+    /// sweep and the previous potential is kept.
+    pub fn solve(&mut self, node_charge: &[f64], epsilon0: f64) -> Result<&[f64], SolveError> {
+        let mut rhs = self.build_rhs(node_charge, epsilon0);
+        if rhs.iter().any(|v| !v.is_finite()) {
+            return Err(SolveError::NonFinite);
+        }
+        // Fixed rows of `rhs` already hold their Dirichlet values and
+        // the sweeps touch only the free rows.
+        self.factor.solve_in_place(&mut rhs);
+        self.potential = rhs;
+        Ok(&self.potential)
     }
 
-    /// [`FemSolver::solve`] behind the resilience layer's numeric
-    /// guards: a non-finite RHS is rejected without iterating, a
-    /// poisoned warm start is zeroed, and a failed solve gets one cold
-    /// Jacobi-preconditioned restart. Identical arithmetic to `solve`
-    /// on the healthy path (the guards only inspect), so backends
-    /// stay bit-comparable.
-    pub fn solve_guarded(
-        &mut self,
-        policy: &ExecPolicy,
-        node_charge: &[f64],
-        epsilon0: f64,
-    ) -> &[f64] {
-        let rhs = self.build_rhs(node_charge, epsilon0);
-        let (outcome, guard) = cg_solve_guarded(
-            policy,
-            &self.matrix,
-            &rhs,
-            &mut self.potential,
-            self.cg_config,
-        );
-        if guard.sanitized_warm_start {
-            telemetry::count("resilience.cg_sanitized_warm_start", 1);
-        }
-        if guard.restarted {
-            telemetry::count("resilience.cg_restarts", 1);
-        }
-        self.last_outcome = Some(outcome);
-        &self.potential
+    /// Traffic model of one [`FemSolver::solve`] as `(bytes, flops)`.
+    pub fn solve_traffic(&self) -> (u64, u64) {
+        self.solve_traffic
     }
 
     /// The Dirichlet-reduced operator (for external/distributed
@@ -229,8 +231,7 @@ mod tests {
         let mesh = TetMesh::duct(4, 3, 3, 2.0, 1.0, 1.0);
         let mut fem = FemSolver::assemble(&mesh, 2.0);
         let charge = vec![0.0; mesh.n_nodes()];
-        let phi = fem.solve(&ExecPolicy::Seq, &charge, 1.0).to_vec();
-        assert!(fem.last_outcome.unwrap().converged);
+        let phi = fem.solve(&charge, 1.0).unwrap().to_vec();
         for (n, &p) in phi.iter().enumerate() {
             assert!(
                 (-1e-9..=2.0 + 1e-9).contains(&p),
@@ -262,7 +263,7 @@ mod tests {
             })
             .unwrap();
         charge[star] = 1.0;
-        let phi = fem.solve(&ExecPolicy::Seq, &charge, 1.0).to_vec();
+        let phi = fem.solve(&charge, 1.0).unwrap().to_vec();
         assert!(phi[star] > 0.0, "potential at the charge must be positive");
         // And the peak should be at (or adjacent to) the charge.
         let max = phi.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -288,18 +289,31 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_reuses_previous_solution() {
+    fn solve_does_not_depend_on_the_stored_potential() {
+        // No warm start: a poisoned stored φ cannot leak into the next
+        // solve, and repeating the solve repeats its bits.
         let mesh = TetMesh::duct(4, 3, 3, 1.0, 1.0, 1.0);
         let mut fem = FemSolver::assemble(&mesh, 1.0);
-        let charge = vec![1e-3; mesh.n_nodes()];
-        fem.solve(&ExecPolicy::Seq, &charge, 1.0);
-        let cold_iters = fem.last_outcome.unwrap().iterations;
-        // Same RHS again: the warm start should converge almost
-        // immediately.
-        fem.solve(&ExecPolicy::Seq, &charge, 1.0);
-        let warm_iters = fem.last_outcome.unwrap().iterations;
-        assert!(warm_iters <= 2, "warm={warm_iters} cold={cold_iters}");
-        assert!(cold_iters > warm_iters);
+        let charge: Vec<f64> = (0..mesh.n_nodes()).map(|n| 1e-3 * (n % 5) as f64).collect();
+        fem.potential.fill(f64::NAN);
+        let first = fem.solve(&charge, 1.0).unwrap().to_vec();
+        assert!(first.iter().all(|p| p.is_finite()));
+        let second = fem.solve(&charge, 1.0).unwrap().to_vec();
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&second));
+    }
+
+    #[test]
+    fn solve_rejects_a_nonfinite_rhs_and_keeps_the_potential() {
+        let mesh = TetMesh::duct(3, 3, 3, 1.0, 1.0, 1.0);
+        let mut fem = FemSolver::assemble(&mesh, 1.0);
+        let mut charge = vec![1e-3; mesh.n_nodes()];
+        let before = fem.solve(&charge, 1.0).unwrap().to_vec();
+        let free = (0..mesh.n_nodes()).find(|&n| !fem.is_fixed(n)).unwrap();
+        charge[free] = f64::INFINITY;
+        assert_eq!(fem.solve(&charge, 1.0), Err(SolveError::NonFinite));
+        // φ untouched: the rejection must not smear NaNs into state.
+        assert_eq!(fem.potential(), &before[..]);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! | `Move`               | barycentric multi-hop / direct-hop relocation |
 //! | `DepositCharge`      | particle charge → nodes (double indirection) |
 //! | `ComputeNodeChargeDensity` | lumped charge → density              |
-//! | `ComputeJMatrix`     | FEM stiffness assembly (once)                |
+//! | `ComputeJMatrix`     | FEM stiffness assembly + Cholesky factor (once) |
 //! | `ComputeF1Vector`    | FEM right-hand side                          |
-//! | `SolvePotential`     | Jacobi-PCG (the PETSc KSP substitute)        |
+//! | `SolvePotential`     | two triangular sweeps (distributed: Jacobi-PCG) |
 //! | `ComputeElectricField` | E = −∇φ per cell                           |
 
 pub mod collisions;
@@ -37,6 +37,6 @@ pub mod validate;
 pub use collisions::{collide, CollisionModel, CollisionStats};
 pub use config::{FemPicConfig, Integrator, MoveStrategy};
 pub use distributed::DistributedSolve;
-pub use fields::FemSolver;
+pub use fields::{FemSolver, SolveError};
 pub use schedule::record_schedule;
 pub use sim::{FemPic, StepDiagnostics, BARY_TOL};

@@ -117,7 +117,7 @@ impl FemPic {
             deposit_plan = deposit_plan.with_index_freshness(self.ps.index_is_fresh());
         }
         plans.register(deposit_plan);
-        // The field-solve group runs in the FEM solver (sequential CG).
+        // The field-solve group runs in the FEM solver (factored, sequential sweeps).
         // SolvePotential consumes the deposited charge — the dataflow
         // analyzer's witness that the deposit's reduction must have
         // folded every rank's partial sums before the solve reads them.

@@ -1,9 +1,9 @@
 //! Bit-identity pin for `configs/fempic_small.cfg` under
 //! `ExecPolicy::Seq`: 60 steps of the small duct, digesting the
-//! deposited charge, the live count and the CG iterations of every
-//! step, plus the final particle positions. The move engine's
-//! per-piece tallies and the policy-aware CG solve must both leave the
-//! `Seq` arithmetic untouched.
+//! deposited charge, the live count and the CG iterations (0: the
+//! replicated field solve is direct) of every step, plus the final
+//! particle positions. The move engine's per-piece tallies must leave
+//! the `Seq` arithmetic untouched.
 
 use oppic_core::telemetry::fnv1a;
 use oppic_core::{DepositMethod, ExecPolicy};
@@ -29,8 +29,8 @@ fn fempic_small() -> FemPicConfig {
     }
 }
 
-const STEP_DIGEST: u64 = 0xe65a_0ed3_0954_daf5;
-const POSITION_HASH: u64 = 0xb5bf_d369_f909_02fe;
+const STEP_DIGEST: u64 = 0xfdc5_fb0d_5224_81be;
+const POSITION_HASH: u64 = 0x2d0d_b0b9_2be4_676b;
 
 #[test]
 fn fempic_small_seq_is_pinned() {

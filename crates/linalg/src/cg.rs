@@ -1,9 +1,11 @@
-//! Jacobi-preconditioned Conjugate Gradient — the KSP substitute.
+//! Jacobi-preconditioned Conjugate Gradient.
 //!
 //! Mini-FEM-PIC's field solve is a Poisson problem: symmetric positive
 //! definite after Dirichlet elimination. The paper delegates it to
-//! PETSc's KSP; CG with Jacobi preconditioning is the default KSP
-//! configuration for this matrix class and is what we implement here.
+//! PETSc's KSP. The replicated solve factors the matrix once
+//! ([`crate::direct`]); CG with Jacobi preconditioning, the default KSP
+//! configuration for this matrix class, is what the distributed solve
+//! runs, where each rank holds only its rows.
 
 use crate::csr::CsrMatrix;
 use oppic_core::ExecPolicy;
@@ -227,57 +229,6 @@ pub fn cg_solve(
     }
 }
 
-/// What [`cg_solve_guarded`] did beyond the plain solve, so callers
-/// can publish telemetry (linalg itself has no telemetry dependency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CgGuardReport {
-    /// The warm start contained NaN/Inf and was zeroed before solving.
-    pub sanitized_warm_start: bool,
-    /// A cold Jacobi-preconditioned restart was attempted after the
-    /// first solve failed to converge.
-    pub restarted: bool,
-}
-
-/// Guarded field-solve entry point: sanitises a poisoned warm start,
-/// runs [`cg_solve`], and on any non-converged outcome retries once
-/// from a cold (zero) start — the Jacobi preconditioner is rebuilt
-/// inside the solve, so the retry is a genuine Jacobi-preconditioned
-/// restart rather than a repeat of the same trajectory. Returns the
-/// final outcome plus a report of which guards fired.
-pub fn cg_solve_guarded(
-    policy: &ExecPolicy,
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: CgConfig,
-) -> (CgOutcome, CgGuardReport) {
-    let mut report = CgGuardReport::default();
-    // A non-finite RHS means upstream state (deposit) is corrupt; no
-    // amount of solver retrying fixes that. Report without iterating.
-    if b.iter().any(|v| !v.is_finite()) {
-        return (
-            CgOutcome {
-                converged: false,
-                stop: CgStop::NonFinite,
-                iterations: 0,
-                residual: f64::NAN,
-            },
-            report,
-        );
-    }
-    if x.iter().any(|v| !v.is_finite()) {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        report.sanitized_warm_start = true;
-    }
-    let first = cg_solve(policy, a, b, x, cfg);
-    if first.converged {
-        return (first, report);
-    }
-    report.restarted = true;
-    x.iter_mut().for_each(|v| *v = 0.0);
-    (cg_solve(policy, a, b, x, cfg), report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,52 +420,6 @@ mod tests {
         let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
         assert!(out.converged);
         assert_eq!(out.stop, CgStop::Converged);
-    }
-
-    #[test]
-    fn guarded_solve_sanitizes_poisoned_warm_start() {
-        let a = laplacian_1d(16);
-        let x_true: Vec<f64> = (0..16).map(|i| i as f64 * 0.3).collect();
-        let mut rhs = vec![0.0; 16];
-        a.spmv_serial(&x_true, &mut rhs);
-        let mut x = vec![f64::NAN; 16];
-        let (out, report) =
-            cg_solve_guarded(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
-        assert!(out.converged, "{out:?}");
-        assert!(report.sanitized_warm_start);
-        assert!(!report.restarted);
-        assert!(x.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn guarded_solve_rejects_nonfinite_rhs_without_iterating() {
-        let a = laplacian_1d(8);
-        let mut rhs = vec![1.0; 8];
-        rhs[3] = f64::INFINITY;
-        let mut x = vec![0.0; 8];
-        let (out, _) = cg_solve_guarded(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
-        assert!(!out.converged);
-        assert_eq!(out.stop, CgStop::NonFinite);
-        assert_eq!(out.iterations, 0);
-        // x untouched: the guard must not smear NaNs into state.
-        assert!(x.iter().all(|v| *v == 0.0));
-    }
-
-    #[test]
-    fn guarded_solve_restarts_cold_after_failure() {
-        // Tiny budget forces the warm attempt to fail; the cold
-        // restart runs and is reported.
-        let a = laplacian_1d(64);
-        let rhs = vec![1.0; 64];
-        let mut x = vec![0.5; 64];
-        let cfg = CgConfig {
-            max_iters: 2,
-            ..CgConfig::default()
-        };
-        let (out, report) = cg_solve_guarded(&ExecPolicy::Par, &a, &rhs, &mut x, cfg);
-        assert!(report.restarted);
-        assert!(!out.converged);
-        assert!(out.residual.is_finite());
     }
 
     #[test]

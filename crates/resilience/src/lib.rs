@@ -24,11 +24,11 @@
 //!   step that restores and replays when a check fails, and recovery
 //!   events published through the telemetry hub.
 //!
-//! Numeric guards live next to the code they protect and are
-//! re-exported here: [`cg_solve_guarded`] (divergence / stagnation /
-//! non-finite detection with a cold-restart fallback, from
-//! `oppic-linalg`) and `ParticleDats::quarantine_nonfinite` (NaN/Inf
-//! particle quarantine, from `oppic-core`).
+//! The numeric guard lives next to the code it protects:
+//! `ParticleDats::quarantine_nonfinite` (NaN/Inf particle quarantine,
+//! from `oppic-core`). The field solve needs no guard of its own: it is
+//! a direct solve that rejects a non-finite load vector and keeps the
+//! previous potential (`oppic_fempic::FemSolver::solve`).
 
 pub mod envelope;
 pub mod membership;
@@ -46,9 +46,8 @@ pub use shard::{
     decode_shard, encode_shard, latest_common_version, read_shard, write_shard, ShardError,
 };
 
-// The numeric-guard half of the layer, re-exported from the crates
-// that own it so chaos drivers need one dependency only.
-pub use oppic_linalg::{cg_solve_guarded, CgGuardReport, CgOutcome, CgStop};
+// The fault-injection half of the layer, re-exported from the MPI
+// shim so chaos drivers need one dependency only.
 pub use oppic_mpi::{
     world_run_faulty, FailureDetector, FaultAction, FaultKind, FaultSchedule, FaultSpec,
     HeartbeatConfig,

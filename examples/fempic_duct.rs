@@ -36,21 +36,15 @@ fn main() {
 
     let mut sim = FemPic::new(cfg);
     println!(
-        "{:>5} {:>10} {:>9} {:>9} {:>13} {:>9} {:>8}",
-        "step", "particles", "injected", "removed", "total charge", "CG iters", "visits"
+        "{:>5} {:>10} {:>9} {:>9} {:>13} {:>8}",
+        "step", "particles", "injected", "removed", "total charge", "visits"
     );
     for step in 1..=80 {
         let d = sim.step();
         if step % 8 == 0 || step == 1 {
             println!(
-                "{:>5} {:>10} {:>9} {:>9} {:>13.5} {:>9} {:>8.2}",
-                d.step,
-                d.n_particles,
-                d.injected,
-                d.removed,
-                d.total_charge,
-                d.cg_iterations,
-                d.mean_move_visits
+                "{:>5} {:>10} {:>9} {:>9} {:>13.5} {:>8.2}",
+                d.step, d.n_particles, d.injected, d.removed, d.total_charge, d.mean_move_visits
             );
         }
     }

@@ -119,10 +119,10 @@ fn rank_failure_step_kill_pin() {
     assert_eq!(
         got,
         [
-            "(p=535 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=2)",
-            "(p=607 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=535 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=607 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=2)",
             "dead",
-            "(p=453 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=453 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=2)",
         ]
     );
 }
@@ -134,10 +134,10 @@ fn rank_failure_planned_shrink_pin() {
     assert_eq!(
         got,
         [
-            "(p=535 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=0)",
-            "(p=607 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=535 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=607 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=0)",
             "dead",
-            "(p=453 q=0x5a4e1713ea207089 epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=453 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=0)",
         ]
     );
 }
