@@ -40,7 +40,7 @@ echo "== --validate with the cell-locality engine (sorted segments / per-step so
 ./target/release/fempic configs/fempic_sorted.cfg --validate >/dev/null
 ./target/release/cabana configs/cabana_sorted.cfg --validate >/dev/null
 # Same gate for the matrixized engine: the Matrix plan needs the same
-# freshness attestation, and the run checks Exact-mode bit-identity.
+# freshness attestation, and the run checks bit-identity to Serial.
 ./target/release/fempic configs/fempic_matrix.cfg --validate >/dev/null
 
 echo "== telemetry smoke (sink -> audit -> report)"
@@ -118,8 +118,8 @@ fi
 echo "== bench smoke"
 cargo bench --offline --workspace --no-run --quiet
 # The cell-locality sweep also asserts (before timing, at any scale)
-# that the exact-mode matrix deposit is bit-identical to Serial and
-# that every strategy agrees numerically — a matrix-deposit smoke.
+# that the sorted-segments and matrix deposits, under Seq and Par, are
+# bit-identical to Serial and that every strategy agrees numerically.
 OPPIC_SCALE=0.02 OPPIC_STEPS=2 ./target/release/ablation_deposit_strategies >/dev/null
 
 # Observability smoke stage: `./ci.sh obs` runs the live plane

@@ -88,10 +88,11 @@ pub enum Schedule<'a> {
         groups: &'a [u32],
     },
     /// Owner-computes gather — the shape of
-    /// [`oppic_core::deposit_loop_sorted`] (SortedSegments) and
-    /// [`oppic_core::deposit_loop_matrix`] (Matrix tiles): the
-    /// parallel unit is a *target element* of the `owned` dat, and each
-    /// owner serially folds every iteration that touches its element.
+    /// [`oppic_core::deposit_loop_sorted`] (SortedSegments), which
+    /// [`oppic_core::deposit_loop_matrix`] (Matrix) also runs in
+    /// parallel: the parallel unit is a *target element* of the
+    /// `owned` dat, and each owner serially folds every iteration that
+    /// touches its element.
     /// Touches on the owned dat therefore never conflict (same element
     /// ⇒ same owner ⇒ serialised; different elements never collide).
     /// Everything else behaves like [`Schedule::AllParallel`]: an

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oppic_core::{
     deposit_loop, deposit_loop_matrix, deposit_loop_sorted, invert_cell_targets, DepositMethod,
-    ExecPolicy, MatAccumulate, ParticleDats, Profiler,
+    ExecPolicy, ParticleDats, Profiler,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -88,33 +88,12 @@ fn bench_deposit_sorted(c: &mut Criterion) {
                 deposit_loop_sorted(&ExecPolicy::Par, &idx, &inv, &mut buf, |p, s| w[p * 4 + s])
             });
         });
-        g.bench_with_input(BenchmarkId::new("mx", ppc), &ppc, |b, _| {
-            // Parallel lane-fold mode, like the ablation's `matrix`
-            // column; the single-worker streaming schedule is covered
-            // by `mx_seq` below.
-            let mut buf = vec![0.0f64; n_targets];
-            b.iter(|| {
-                deposit_loop_matrix(
-                    &ExecPolicy::Par,
-                    &idx,
-                    &inv,
-                    &mut buf,
-                    MatAccumulate::Fast,
-                    |p, s| w[p * 4 + s],
-                )
-            });
-        });
         g.bench_with_input(BenchmarkId::new("mx_seq", ppc), &ppc, |b, _| {
+            // Matrix's own schedule: the single-worker cell-major sweep
+            // (in parallel it runs the `ss` fold above).
             let mut buf = vec![0.0f64; n_targets];
             b.iter(|| {
-                deposit_loop_matrix(
-                    &ExecPolicy::Seq,
-                    &idx,
-                    &inv,
-                    &mut buf,
-                    MatAccumulate::Fast,
-                    |p, s| w[p * 4 + s],
-                )
+                deposit_loop_matrix(&ExecPolicy::Seq, &idx, &inv, &mut buf, |p, s| w[p * 4 + s])
             });
         });
         g.bench_with_input(BenchmarkId::new("sa", ppc), &ppc, |b, _| {

@@ -10,16 +10,16 @@
 //! 3. modeled GPU deposit times, reproducing "standard atomics (AT) on
 //!    AMD GPUs perform significantly worse, over 200× slower than UA
 //!    or SR";
-//! 4. sorted (SS segments and MX shape-matrix tiles over a fresh CSR
-//!    cell index) vs unsorted (SA/AT) deposit across particle-per-cell
-//!    regimes and thread counts {1, 4, 8}, recorded to
-//!    `results/BENCH_ablation_deposit_matrix.json` (supersedes the
+//! 4. sorted (SS segments and the MX matrixized deposit over a fresh
+//!    CSR cell index) vs unsorted (SA/AT) deposit across
+//!    particle-per-cell regimes and thread counts {1, nproc}, recorded
+//!    to `results/BENCH_ablation_deposit_matrix.json` (supersedes the
 //!    older `BENCH_ablation_deposit_sorted.json` single-thread table).
 
 use oppic_bench::report::{banner, scale_factor, steps, telemetry_from_env};
 use oppic_core::{
     deposit_loop, deposit_loop_matrix, deposit_loop_sorted, invert_cell_targets, DepositMethod,
-    ExecPolicy, MatAccumulate, ParticleDats,
+    ExecPolicy, ParticleDats,
 };
 use oppic_device::{analyze_warps, AtomicFlavor, DeviceSpec};
 use oppic_fempic::{FemPic, FemPicConfig};
@@ -172,18 +172,21 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// Sorted-segments and matrixized tiles over a fresh CSR cell index
-/// versus the unsorted scatter-array / atomic paths, across mean
+/// Sorted segments and the matrixized deposit over a fresh CSR cell
+/// index versus the unsorted scatter-array / atomic paths, across mean
 /// particles-per-cell regimes and thread counts on a synthetic
 /// FEM-like mesh (every cell scatters into 4 of `n_targets` node
-/// slots, as the tet-weighting deposit does). The matrix column runs
-/// the fast (lane-accumulated) mode; its exact mode is asserted
-/// bit-identical to the Serial fold before any timing is reported.
+/// slots, as the tet-weighting deposit does). Both sorted paths are
+/// asserted bit-identical to the Serial fold before any timing is
+/// reported. Thread counts stop at this host's parallelism, and every
+/// column, the sort included, is the best of `reps` runs.
 fn cell_locality_sweep() {
     let sf = scale_factor(1.0);
     let n_cells = ((24_000.0 * sf) as usize).max(64);
     let n_targets = ((50_000.0 * sf) as usize).max(32);
-    let thread_sweep = [1usize, 4, 8];
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut thread_sweep = vec![1usize, nproc];
+    thread_sweep.dedup();
     let reps = 3usize;
 
     // Synthetic cells→nodes relation: 4 distinct pseudo-random targets
@@ -206,9 +209,9 @@ fn cell_locality_sweep() {
     let inv = invert_cell_targets(&c2n, n_targets);
 
     println!(
-        "\n--- cell-locality: sorted segments / matrix tiles vs unsorted deposit ---\n\
-         {n_cells} cells -> {n_targets} targets, 4 adds/particle, threads {thread_sweep:?}, \
-         best of {reps} (ms)"
+        "\n--- cell-locality: sorted segments / matrix vs unsorted deposit ---\n\
+         {n_cells} cells -> {n_targets} targets, 4 adds/particle, threads {thread_sweep:?} \
+         (nproc {nproc}), best of {reps} (ms)"
     );
     println!(
         "{:>6} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10}",
@@ -226,7 +229,7 @@ fn cell_locality_sweep() {
     // per-thread-count JSON sweeps at the end.
     type Row = (usize, usize, usize, f64, f64, f64, f64, f64);
     let mut rows: Vec<Row> = Vec::new();
-    for ppc in [8usize, 64, 256] {
+    for ppc in [2usize, 8, 16, 32, 64, 256] {
         let n = n_cells * ppc;
         // Random (unsorted) cell assignment + per-particle weights —
         // one store per regime, shared by every thread count so the
@@ -234,10 +237,11 @@ fn cell_locality_sweep() {
         let cells: Vec<i32> = (0..n)
             .map(|_| ((lcg(&mut seed) as usize) % n_cells) as i32)
             .collect();
-        let mut ps = ParticleDats::new();
-        let wid = ps.decl_dat("w", 4);
-        ps.inject_into(&cells);
-        for (i, w) in ps.col_mut(wid).iter_mut().enumerate() {
+        let mut unsorted = ParticleDats::new();
+        let wid = unsorted.decl_dat("w", 4);
+        unsorted.inject_into(&cells);
+        drop(cells);
+        for (i, w) in unsorted.col_mut(wid).iter_mut().enumerate() {
             *w = 0.25 + ((i % 13) as f64) * 0.03125;
         }
 
@@ -252,24 +256,20 @@ fn cell_locality_sweep() {
             (best, total)
         };
 
-        // Unsorted inputs: the store as injected. Snapshotted before
-        // the sort below so every thread count times the same bytes.
-        let pcells = ps.cells().to_vec();
-        let w = ps.col(wid).to_vec();
+        // Unsorted inputs: the store as injected.
+        let pcells = unsorted.cells();
+        let w = unsorted.col(wid);
 
-        // Sorted inputs: rebuild the CSR index once per regime (the
-        // rebuild cost is policy-independent) and keep the sorted
-        // order for the segment/tile paths.
-        let t0 = Instant::now();
-        ps.sort_by_cell(n_cells);
-        let sort_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let cell_start = ps.cell_index().expect("fresh after sort").to_vec();
-        let scells = ps.cells().to_vec();
-        let ws = ps.col(wid);
+        // Sorted inputs: a sorted copy for the segment paths.
+        let mut sorted = unsorted.clone();
+        sorted.sort_by_cell(n_cells);
+        let cell_start = sorted.cell_index().expect("fresh after sort");
+        let scells = sorted.cells();
+        let ws = sorted.col(wid);
 
-        // Conformance guard before any timing: the exact-accumulation
-        // tile fold must replay the Serial deposit bit for bit on the
-        // sorted store.
+        // Conformance guard before any timing: both sorted paths, under
+        // both of Matrix's schedules, must replay the Serial deposit
+        // bit for bit on the sorted store.
         {
             let mut serial = vec![0.0f64; n_targets];
             deposit_loop(
@@ -284,27 +284,27 @@ fn cell_locality_sweep() {
                     }
                 },
             );
-            let mut exact = vec![0.0f64; n_targets];
-            deposit_loop_matrix(
-                &ExecPolicy::Par,
-                &cell_start,
-                &inv,
-                &mut exact,
-                MatAccumulate::Exact,
-                |p, s| ws[p * 4 + s],
-            );
-            assert!(
-                serial
-                    .iter()
-                    .zip(&exact)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "ppc {ppc}: exact matrix deposit must be bit-identical to Serial"
-            );
+            for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
+                let mut ss = vec![0.0f64; n_targets];
+                deposit_loop_sorted(&policy, cell_start, &inv, &mut ss, |p, s| ws[p * 4 + s]);
+                let mut mx = vec![0.0f64; n_targets];
+                deposit_loop_matrix(&policy, cell_start, &inv, &mut mx, |p, s| ws[p * 4 + s]);
+                for (label, got) in [("sorted segments", ss), ("matrix", mx)] {
+                    assert!(
+                        serial
+                            .iter()
+                            .zip(&got)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "ppc {ppc}: {label} deposit under {policy:?} must be bit-identical \
+                         to Serial"
+                    );
+                }
+            }
         }
 
         for &threads in &thread_sweep {
             let policy = ExecPolicy::pool(threads);
-            let unsorted = |method: DepositMethod| {
+            let unsorted_deposit = |method: DepositMethod| {
                 time_best(&mut || {
                     let mut buf = vec![0.0f64; n_targets];
                     deposit_loop(&policy, method, n, &mut buf, |i, dep| {
@@ -316,24 +316,29 @@ fn cell_locality_sweep() {
                     buf.iter().sum()
                 })
             };
-            let (sa_ms, sa_total) = unsorted(DepositMethod::ScatterArrays);
-            let (at_ms, at_total) = unsorted(DepositMethod::Atomics);
+            let (sa_ms, sa_total) = unsorted_deposit(DepositMethod::ScatterArrays);
+            let (at_ms, at_total) = unsorted_deposit(DepositMethod::Atomics);
+
+            // The counting sort + CSR rebuild of the unsorted store
+            // (sequential at every thread count), on a fresh copy each
+            // rep; the copy is not timed.
+            let sort_ms = (0..reps)
+                .map(|_| {
+                    let mut copy = unsorted.clone();
+                    let t0 = Instant::now();
+                    copy.sort_by_cell(n_cells);
+                    t0.elapsed().as_secs_f64() * 1e3
+                })
+                .fold(f64::INFINITY, f64::min);
 
             let (ss_ms, ss_total) = time_best(&mut || {
                 let mut buf = vec![0.0f64; n_targets];
-                deposit_loop_sorted(&policy, &cell_start, &inv, &mut buf, |p, s| ws[p * 4 + s]);
+                deposit_loop_sorted(&policy, cell_start, &inv, &mut buf, |p, s| ws[p * 4 + s]);
                 buf.iter().sum()
             });
             let (mx_ms, mx_total) = time_best(&mut || {
                 let mut buf = vec![0.0f64; n_targets];
-                deposit_loop_matrix(
-                    &policy,
-                    &cell_start,
-                    &inv,
-                    &mut buf,
-                    MatAccumulate::Fast,
-                    |p, s| ws[p * 4 + s],
-                );
+                deposit_loop_matrix(&policy, cell_start, &inv, &mut buf, |p, s| ws[p * 4 + s]);
                 buf.iter().sum()
             });
 
@@ -375,8 +380,8 @@ fn cell_locality_sweep() {
     let json = format!(
         "{{\n  \"bench\": \"ablation_deposit_strategies/cell_locality_matrix\",\n  \
          \"n_cells\": {n_cells},\n  \"n_targets\": {n_targets},\n  \
-         \"threads\": [1, 4, 8],\n  \"adds_per_particle\": 4,\n  \"best_of\": {reps},\n  \
-         \"sweeps\": [\n{}\n  ]\n}}\n",
+         \"nproc\": {nproc},\n  \"threads\": {thread_sweep:?},\n  \"adds_per_particle\": 4,\n  \
+         \"best_of\": {reps},\n  \"sweeps\": [\n{}\n  ]\n}}\n",
         sweeps.join(",\n")
     );
     if sf < 1.0 {

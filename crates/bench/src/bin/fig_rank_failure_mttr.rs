@@ -90,7 +90,9 @@ fn main() {
         let pre = mean(&|f| f.pre_steps_per_s);
         let post = mean(&|f| f.post_steps_per_s);
         let stale: u64 = survivors.iter().map(|f| f.stale_epoch_dropped).sum();
-        let deaths: u64 = survivors.iter().map(|f| f.rank_deaths).sum();
+        // Every survivor counts the same death: report the count they
+        // agreed on, not their sum.
+        let deaths = survivors.iter().map(|f| f.rank_deaths).max().unwrap();
         println!(
             "{:>11} {:>9} {:>13.1} {:>12.1} {:>9.1} {:>9.1} {:>9.1}",
             site.name(),

@@ -14,6 +14,7 @@
 //! * replay cost is bounded by the checkpoint cadence: at most
 //!   `checkpoint_every` steps for an in-step kill, one more for a
 //!   mid-checkpoint kill that forces the fallback version;
+//! * one killed rank is recorded as one death, not one per survivor;
 //! * all three kill sites are present with the expected fallback
 //!   behaviour (the checkpoint-site row replays more than the cadence,
 //!   proving it fell back a full version).
@@ -101,9 +102,10 @@ fn mttr_artifact_pins_the_recovery_contract() {
             num(row, "post_steps_per_s") > 0.0,
             "site {site}: no post-recovery throughput recorded"
         );
-        assert!(
-            num(row, "rank_deaths") as u64 >= 3,
-            "site {site}: every survivor must have counted the death"
+        assert_eq!(
+            num(row, "rank_deaths") as u64,
+            1,
+            "site {site}: one killed rank is one death"
         );
     }
 

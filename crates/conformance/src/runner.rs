@@ -176,15 +176,14 @@ fn run_fempic_host(cell: &CellConfig) -> RunResult {
                 .to_string(),
         );
     }
-    // Same promise for the matrixized deposit's exact-accumulation
-    // mode (the tile fold replays the Serial order).
+    // Same promise for the matrixized deposit (both of its schedules
+    // replay the Serial order per target).
     if cell.deposit == DepositMethod::Matrix
         && cell.mutation.is_none()
         && !sim.matrix_bit_identical()
     {
         errors.push(
-            "Matrix deposit (exact mode) is not bit-identical to Serial on the same sorted store"
-                .to_string(),
+            "Matrix deposit is not bit-identical to Serial on the same sorted store".to_string(),
         );
     }
     // The binding-axis promise (DESIGN.md §12): persistent bindings

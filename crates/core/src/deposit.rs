@@ -30,14 +30,20 @@
 //! [`TargetInverse`] (target → owning (cell, slot) pairs) instead of
 //! the generic scattering kernel.
 //!
+//! [`DepositMethod::Matrix`] ([`deposit_loop_matrix`]) shares that
+//! precondition and that owner-computes fold. What it adds is its
+//! single-worker schedule: a cell-major sweep of per-cell outer
+//! products that reads each particle row once, also bit-identical to
+//! Serial.
+//!
 //! All scattering strategies are exposed through one executor,
 //! [`deposit_loop`]; the kernel receives a [`Depositor`] and calls
 //! [`Depositor::add`] for each contribution. Every strategy computes
 //! the same sums (up to floating-point associativity; segmented
 //! reduction is made *deterministic* by totally ordering equal keys by
-//! value bits before reducing). [`AutoTuner`] picks among
-//! ScatterArrays / Atomics / SortedSegments per loop from runtime
-//! stats (particles per cell, dirty fraction, thread count).
+//! value bits before reducing). [`AutoTuner`] picks a method per loop
+//! from runtime stats (thread count, particles per cell, index
+//! freshness, target count).
 
 use crate::parloop::{dispatch, ExecPolicy};
 use rayon::prelude::*;
@@ -67,15 +73,13 @@ pub enum DepositMethod {
     /// index and runs through [`deposit_loop_sorted`], not the generic
     /// [`deposit_loop`].
     SortedSegments,
-    /// Matrixized owner-computes: per-cell particle runs are packed
-    /// into fixed-width SoA tiles ([`MatTile`], tail lanes masked) and
-    /// the deposit becomes an accumulated rank-k outer-product
-    /// (`shape^T × weights`) per target, after Matrix-PIC
-    /// (arXiv 2601.08277) and POLAR-PIC (arXiv 2604.19337). Shares the
-    /// fresh-index precondition and owner-computes race story of
-    /// [`DepositMethod::SortedSegments`]; runs through
-    /// [`deposit_loop_matrix`] in one of two [`MatAccumulate`] modes
-    /// (bit-identical to `Serial` in `Exact`, lane-parallel in `Fast`).
+    /// Matrixized deposit: on a single worker, each cell's particle
+    /// run is one rank-k outer-product update (`shape^T × weights`)
+    /// into the cell's targets, after Matrix-PIC (arXiv 2601.08277)
+    /// and POLAR-PIC (arXiv 2604.19337). With several workers it is
+    /// [`DepositMethod::SortedSegments`]' owner-computes fold. Shares
+    /// that method's fresh-index precondition, runs through
+    /// [`deposit_loop_matrix`], and is bit-identical to `Serial`.
     Matrix,
 }
 
@@ -385,6 +389,22 @@ where
         t.counter_add("deposit.loops", 1);
         t.counter_add("deposit.method.SS", 1);
     }
+    owner_computes(policy, cell_start, inv, target, &kernel);
+    DepositStats::default()
+}
+
+/// The owner-computes schedule shared by [`deposit_loop_sorted`] and
+/// the parallel [`deposit_loop_matrix`]: one task per target, each
+/// replaying the serial fold of its (cell, slot) entries.
+fn owner_computes<F>(
+    policy: &ExecPolicy,
+    cell_start: &[usize],
+    inv: &TargetInverse,
+    target: &mut [f64],
+    kernel: &F,
+) where
+    F: Fn(usize, usize) -> f64 + Sync,
+{
     let fold_target = |t: usize, out: &mut f64| {
         let mut acc = *out;
         let entries = inv.entries_of(t);
@@ -427,137 +447,42 @@ where
             }
         }
     });
-    DepositStats::default()
 }
 
 // ---------------------------------------------------------------------
-// Matrixized deposit/gather — batched per-cell outer-product kernels.
+// Matrixized deposit — per-cell outer products on a single worker.
 // ---------------------------------------------------------------------
 
-/// Width of one SoA tile in the matrixized deposit/gather engine: how
-/// many particles of a cell run are packed into one shape-matrix row
-/// block. Eight f64 lanes fill one cache line and give the `Fast`
-/// accumulation mode eight independent FP add chains, which is what
-/// breaks the latency-bound serial fold of
-/// [`DepositMethod::SortedSegments`].
+/// Width of the slot-accumulator row of [`deposit_loop_matrix`]'s
+/// cell-major schedule: the most targets one cell may reach and still
+/// have each slot's fold chain held in a register (eight f64, one
+/// cache line). Wider cells replay the serial scatter.
 pub const MAT_TILE_WIDTH: usize = 8;
 
-/// One fixed-width tile of per-particle shape/weight values for a
-/// contiguous run of a cell segment. Tail tiles (runs shorter than
-/// [`MAT_TILE_WIDTH`]) keep their dead lanes masked to `0.0`, so the
-/// `Fast` accumulation mode can always process all lanes branch-free.
-#[derive(Debug, Clone, Copy)]
-pub struct MatTile {
-    lanes: [f64; MAT_TILE_WIDTH],
-    len: usize,
-}
-
-impl MatTile {
-    /// Pack the particle run `lo..hi` (at most [`MAT_TILE_WIDTH`]
-    /// long) into a tile, masking tail lanes to zero.
-    #[inline(always)]
-    pub fn pack<F: FnMut(usize) -> f64>(lo: usize, hi: usize, mut value: F) -> Self {
-        debug_assert!(hi - lo <= MAT_TILE_WIDTH);
-        let mut lanes = [0.0f64; MAT_TILE_WIDTH];
-        for (l, p) in (lo..hi).enumerate() {
-            lanes[l] = value(p);
-        }
-        MatTile {
-            lanes,
-            len: hi - lo,
-        }
-    }
-
-    /// Live lanes (the rest are zero-masked tail).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The packed lane values (tail lanes are `0.0`).
-    pub fn lanes(&self) -> &[f64; MAT_TILE_WIDTH] {
-        &self.lanes
-    }
-
-    /// `Exact` accumulation: fold the live lanes into `acc` one at a
-    /// time, lanes ascending — exactly the order the serial scatter
-    /// loop would have applied them, so the result is bit-identical.
-    #[inline(always)]
-    pub fn fold_exact(&self, mut acc: f64) -> f64 {
-        for &v in &self.lanes[..self.len] {
-            acc += v;
-        }
-        acc
-    }
-
-    /// `Fast` accumulation: add every lane (tail lanes add zero) into
-    /// the caller's eight independent accumulators. Each accumulator
-    /// forms its own FP dependency chain, so consecutive tiles overlap
-    /// in the FP pipeline instead of serialising on one add latency.
-    #[inline(always)]
-    pub fn accumulate(&self, acc: &mut [f64; MAT_TILE_WIDTH]) {
-        for (a, &v) in acc.iter_mut().zip(&self.lanes) {
-            *a += v;
-        }
-    }
-
-    /// Reduce eight lane accumulators to a scalar with a fixed
-    /// pairwise tree (deterministic regardless of tile count).
-    #[inline(always)]
-    pub fn reduce(acc: &[f64; MAT_TILE_WIDTH]) -> f64 {
-        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    }
-}
-
-/// Accumulation mode of [`deposit_loop_matrix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatAccumulate {
-    /// Fold tile lanes sequentially in serial scatter order —
-    /// bit-identical to [`DepositMethod::Serial`] for any initial
-    /// target contents (the conformance matrix's bit-identity cells).
-    Exact,
-    /// Keep [`MAT_TILE_WIDTH`] independent lane accumulators across a
-    /// target's whole entry list and reduce once per target. Same
-    /// values to rounding (a different, still deterministic summation
-    /// tree); this is the high-throughput mode the ablation records.
-    /// Only the parallel target-major schedule distinguishes the two
-    /// modes — on a single worker [`deposit_loop_matrix`] streams
-    /// cell-major and both modes are bit-identical to Serial.
-    Fast,
-}
-
-/// The `Matrix` executor: deposit as accumulated rank-k outer-product
-/// micro-kernels over fixed-width SoA tiles. `cell_start` must be the
-/// **fresh** CSR cell index of a cell-sorted store; `inv` the inverse
-/// of the cell→targets relation; the kernel returns the shape-weighted
-/// contribution of particle `p` through slot `s` of its cell's target
-/// list (one entry of the `shape^T × weights` product).
+/// The `Matrix` executor: deposit as per-cell rank-k outer products
+/// (`shape^T × weights`). `cell_start` must be the **fresh** CSR cell
+/// index of a cell-sorted store; `inv` the inverse of the cell→targets
+/// relation; the kernel returns the shape-weighted contribution of
+/// particle `p` through slot `s` of its cell's target list (one entry
+/// of the product).
 ///
-/// Two schedules, picked by worker count:
+/// On a **single worker** (`Seq` or a one-thread pool) the loop sweeps
+/// cell-major: each particle row (all of its cell's slots) is streamed
+/// from memory exactly once and folded into one register accumulator
+/// per slot. [`DepositMethod::SortedSegments`] re-reads the particle
+/// data once per slot and the serial scatter read-modify-writes memory
+/// per contribution, which is why this schedule beats both.
+/// Reordering only crosses *different* targets, so every target still
+/// receives its contributions in serial order.
 ///
-/// * **Single worker** (`Seq` or a one-thread pool): a cell-major
-///   sweep of true per-cell rank-k outer products. Each particle row
-///   (all of its cell's slots) is streamed from memory exactly once
-///   and scattered slot-by-slot into the cell's targets — `1/n_slots`
-///   of the target-major read traffic, which is what beats
-///   [`DepositMethod::SortedSegments`] at high ppc. Reordering only
-///   crosses *different* targets, so every individual target still
-///   receives its contributions in serial order and the result is
-///   bit-identical to [`DepositMethod::Serial`] in **both** modes.
-/// * **Parallel**: owner-computes target-major folds over the inverse
-///   map — each target element is owned by exactly one task, so the
-///   loop is race-free, at the price of re-reading the particle data
-///   once per slot. Here the two [`MatAccumulate`] modes differ in
-///   fold order; both are deterministic.
+/// With **several workers** it runs the owner-computes fold of
+/// [`deposit_loop_sorted`]. Either way the result is bit-identical to
+/// [`DepositMethod::Serial`] for any initial target contents.
 pub fn deposit_loop_matrix<F>(
     policy: &ExecPolicy,
     cell_start: &[usize],
     inv: &TargetInverse,
     target: &mut [f64],
-    mode: MatAccumulate,
     kernel: F,
 ) -> DepositStats
 where
@@ -572,217 +497,62 @@ where
         t.counter_add("deposit.loops", 1);
         t.counter_add("deposit.method.MX", 1);
     }
-    if policy.threads() <= 1 {
-        // Cell-major single-worker schedule (see the doc comment):
-        // stream each particle row once, scatter serial-order.
-        let n_cells = inv.n_cells();
-        assert!(
-            cell_start.len() > n_cells,
-            "cell index must cover the forward map"
-        );
-        policy.run(|| {
-            for c in 0..n_cells {
-                let ts = inv.targets_of(c);
-                let (lo, hi) = (cell_start[c], cell_start[c + 1]);
-                if lo == hi {
-                    continue;
-                }
-                // A degenerate cell reaching one target through several
-                // slots would interleave that target's contributions
-                // differently under slot-major tiling (and a cell wider
-                // than a tile has no accumulator row); replay the exact
-                // serial scatter for those cells.
-                if ts.len() > MAT_TILE_WIDTH
-                    || ts.iter().enumerate().any(|(i, t)| ts[..i].contains(t))
-                {
-                    for p in lo..hi {
-                        for (s, &t) in ts.iter().enumerate() {
-                            target[t as usize] += kernel(p, s);
-                        }
-                    }
-                    continue;
-                }
-                // Hoist the cell's (distinct) targets into one slot
-                // accumulator row for the whole segment, so each slot's
-                // fold chain lives in a register: up to `ts.len()`
-                // independent FP add chains in flight instead of
-                // store-forwarded read-modify-writes of `target`.
-                let mut acc = [0.0f64; MAT_TILE_WIDTH];
-                for (a, &t) in acc.iter_mut().zip(ts) {
-                    *a = target[t as usize];
-                }
-                // One rank-k outer-product update per segment,
-                // computed row-major: each particle's (contiguous)
-                // shape row is streamed from memory exactly once and
-                // folded into the slot accumulators. Every individual
-                // accumulator still sees its contributions particles
-                // ascending — the per-target order Serial would have
-                // used.
-                for q in lo..hi {
-                    for (s, a) in acc.iter_mut().enumerate().take(ts.len()) {
-                        *a += kernel(q, s);
-                    }
-                }
-                for (&a, &t) in acc.iter().zip(ts) {
-                    target[t as usize] = a;
-                }
-            }
-        });
+    if policy.threads() > 1 {
+        owner_computes(policy, cell_start, inv, target, &kernel);
         return DepositStats::default();
     }
-    let fold_target = |t: usize, out: &mut f64| {
-        let entries = inv.entries_of(t);
-        // Eight independent lane chains (Fast) or a single serial-order
-        // chain seeded with the target's existing value (Exact).
-        let mut lane_acc = [0.0f64; MAT_TILE_WIDTH];
-        let mut acc = *out;
-        let mut k = 0;
-        while k < entries.len() {
-            let cell = entries[k].0 as usize;
-            let mut end = k;
-            while end < entries.len() && entries[end].0 as usize == cell {
-                end += 1;
-            }
-            let slots = &entries[k..end];
-            let (lo, hi) = (cell_start[cell], cell_start[cell + 1]);
-            if let [(_, s)] = slots {
-                // Single-slot fast path: tile the cell run directly.
-                let s = *s as usize;
-                let mut p = lo;
-                while p < hi {
-                    let tile_hi = (p + MAT_TILE_WIDTH).min(hi);
-                    let tile = MatTile::pack(p, tile_hi, |q| kernel(q, s));
-                    match mode {
-                        MatAccumulate::Exact => acc = tile.fold_exact(acc),
-                        MatAccumulate::Fast => tile.accumulate(&mut lane_acc),
-                    }
-                    p = tile_hi;
-                }
-            } else {
-                // A cell reaching one target through several slots
-                // (degenerate meshes): lane values are the
-                // slots-ascending per-particle fold, which preserves
-                // the serial slot order inside each lane.
-                match mode {
-                    MatAccumulate::Exact => {
-                        // Exact mode cannot pre-fold slots (it would
-                        // reassociate against the serial order), so it
-                        // replays the scalar double loop.
-                        for p in lo..hi {
-                            for &(_, s) in slots {
-                                acc += kernel(p, s as usize);
-                            }
-                        }
-                    }
-                    MatAccumulate::Fast => {
-                        let mut p = lo;
-                        while p < hi {
-                            let tile_hi = (p + MAT_TILE_WIDTH).min(hi);
-                            let tile = MatTile::pack(p, tile_hi, |q| {
-                                let mut row = 0.0;
-                                for &(_, s) in slots {
-                                    row += kernel(q, s as usize);
-                                }
-                                row
-                            });
-                            tile.accumulate(&mut lane_acc);
-                            p = tile_hi;
-                        }
-                    }
-                }
-            }
-            k = end;
-        }
-        *out = match mode {
-            MatAccumulate::Exact => acc,
-            MatAccumulate::Fast => acc + MatTile::reduce(&lane_acc),
-        };
-    };
+    let n_cells = inv.n_cells();
+    assert!(
+        cell_start.len() > n_cells,
+        "cell index must cover the forward map"
+    );
     policy.run(|| {
-        if policy.is_parallel() {
-            target
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(t, out)| fold_target(t, out));
-        } else {
-            for (t, out) in target.iter_mut().enumerate() {
-                fold_target(t, out);
+        for c in 0..n_cells {
+            let ts = inv.targets_of(c);
+            let (lo, hi) = (cell_start[c], cell_start[c + 1]);
+            if lo == hi {
+                continue;
+            }
+            // A degenerate cell reaching one target through several
+            // slots would interleave that target's contributions
+            // differently under slot-major accumulation (and a cell
+            // wider than the row has no accumulator slot); replay the
+            // exact serial scatter for those cells.
+            if ts.len() > MAT_TILE_WIDTH || ts.iter().enumerate().any(|(i, t)| ts[..i].contains(t))
+            {
+                for p in lo..hi {
+                    for (s, &t) in ts.iter().enumerate() {
+                        target[t as usize] += kernel(p, s);
+                    }
+                }
+                continue;
+            }
+            // Hoist the cell's (distinct) targets into one slot
+            // accumulator row for the whole segment, so each slot's
+            // fold chain lives in a register: up to `ts.len()`
+            // independent FP add chains in flight instead of
+            // store-forwarded read-modify-writes of `target`.
+            let mut acc = [0.0f64; MAT_TILE_WIDTH];
+            for (a, &t) in acc.iter_mut().zip(ts) {
+                *a = target[t as usize];
+            }
+            // One rank-k outer-product update per segment, computed
+            // row-major: each particle's (contiguous) shape row is
+            // streamed from memory exactly once and folded into the
+            // slot accumulators. Every individual accumulator still
+            // sees its contributions particles ascending — the
+            // per-target order Serial would have used.
+            for q in lo..hi {
+                for (s, a) in acc.iter_mut().enumerate().take(ts.len()) {
+                    *a += kernel(q, s);
+                }
+            }
+            for (&a, &t) in acc.iter().zip(ts) {
+                target[t as usize] = a;
             }
         }
     });
     DepositStats::default()
-}
-
-/// The transpose product of [`deposit_loop_matrix`]: gather per-target
-/// source values onto particles as `shape × field`. For each cell
-/// segment the `n_slots` target values are loaded once, then every
-/// tile of the segment computes its lanes' dot products against them
-/// (slots ascending) — the same arithmetic order as a per-particle
-/// gather loop, so the result is bit-identical to one.
-///
-/// `targets(cell, slot)` resolves the cell's target list (e.g. the
-/// cells→nodes map); `shape(p, slot)` is the particle's interpolation
-/// weight for that slot; `out` receives one scalar per particle
-/// (vector fields gather component-wise).
-pub fn gather_loop_matrix<TG, SH>(
-    policy: &ExecPolicy,
-    cell_start: &[usize],
-    n_slots: usize,
-    targets: TG,
-    source: &[f64],
-    out: &mut [f64],
-    shape: SH,
-) where
-    TG: Fn(usize, usize) -> usize + Sync,
-    SH: Fn(usize, usize) -> f64 + Sync,
-{
-    assert!(
-        n_slots <= MAT_TILE_WIDTH,
-        "gather_loop_matrix supports at most {MAT_TILE_WIDTH} slots per cell"
-    );
-    let n_cells = cell_start.len().saturating_sub(1);
-    // Slice the per-particle output into disjoint per-cell segments so
-    // the parallel path needs no aliasing tricks.
-    let mut segments: Vec<(usize, &mut [f64])> = Vec::with_capacity(n_cells);
-    let mut rest = out;
-    let mut consumed = 0usize;
-    for c in 0..n_cells {
-        let len = cell_start[c + 1] - consumed;
-        let (seg, tail) = rest.split_at_mut(len);
-        segments.push((c, seg));
-        rest = tail;
-        consumed += len;
-    }
-    let gather_cell = |c: usize, first: usize, seg: &mut [f64]| {
-        let mut vals = [0.0f64; MAT_TILE_WIDTH];
-        for (k, v) in vals.iter_mut().enumerate().take(n_slots) {
-            *v = source[targets(c, k)];
-        }
-        let mut l = 0;
-        while l < seg.len() {
-            let tile_hi = (l + MAT_TILE_WIDTH).min(seg.len());
-            for (lane, o) in seg[l..tile_hi].iter_mut().enumerate() {
-                let p = first + l + lane;
-                let mut dot = 0.0;
-                for (k, &v) in vals.iter().enumerate().take(n_slots) {
-                    dot += shape(p, k) * v;
-                }
-                *o = dot;
-            }
-            l = tile_hi;
-        }
-    };
-    policy.run(|| {
-        if policy.is_parallel() {
-            segments.par_iter_mut().for_each(|(c, seg)| {
-                gather_cell(*c, cell_start[*c], seg);
-            });
-        } else {
-            for (c, seg) in &mut segments {
-                gather_cell(*c, cell_start[*c], seg);
-            }
-        }
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -814,7 +584,9 @@ impl TunerInput {
 }
 
 /// One auto-tuner verdict: the method to run and whether a cell sort
-/// should be performed first (to make `SortedSegments` legal).
+/// should be performed first (to make a segment method legal). No
+/// current heuristic asks for a sort: in the recorded ablation one
+/// sort alone costs as much as the fastest deposit, and up to 16×.
 #[derive(Debug, Clone)]
 pub struct TunerDecision {
     pub method: DepositMethod,
@@ -823,48 +595,30 @@ pub struct TunerDecision {
     pub reason: String,
 }
 
-/// Picks a deposit strategy per loop from runtime statistics. The
-/// heuristics (thresholds ablated in `ablation_deposit_strategies`):
-/// dense populations over a fresh index take the matrixized
-/// outer-product path once segments are long enough to fill tiles
-/// (mean particles-per-cell ≥ [`AutoTuner::MX_MIN_PPC`] in parallel,
-/// ≥ [`AutoTuner::MX_SEQ_MIN_PPC`] on a single worker, where the
-/// cell-major streaming schedule beats the serial reference outright);
-/// moderately dense populations (≥
-/// [`AutoTuner::SS_MIN_PPC`]) amortise a sort and take the
-/// bit-reproducible `SortedSegments` path, as long as the index is
-/// fresh or cheap to refresh (dirty fraction ≤
-/// [`AutoTuner::SORT_MAX_DIRTY`]); small targets favour scatter arrays
-/// (private copies are cheap); everything else falls back to atomics.
+/// Picks a deposit strategy per loop from runtime statistics, following
+/// the sweep `ablation_deposit_strategies` records in
+/// `results/BENCH_ablation_deposit_matrix.json`. On a single worker a
+/// fresh index with mean particles-per-cell ≥
+/// [`AutoTuner::MX_SEQ_MIN_PPC`] takes the cell-major Matrix schedule,
+/// which beats the serial reference outright; everything else stays
+/// serial. In parallel, thread-private scatter arrays beat the
+/// owner-computes fold at every recorded density, so they are picked
+/// whenever the private copies stay cache-sized
+/// ([`AutoTuner::SA_MAX_TARGETS_PER_THREAD`]); larger targets fall back
+/// to atomics.
 #[derive(Debug, Clone, Default)]
 pub struct AutoTuner {
     decisions: Vec<TunerDecision>,
 }
 
 impl AutoTuner {
-    /// Minimum mean particles-per-cell before a sort+sorted-segments
-    /// deposit beats scattering (the segment loop needs enough work
-    /// per cell to amortise the inverse-map walk).
-    pub const SS_MIN_PPC: f64 = 16.0;
-    /// Minimum mean particles-per-cell before the **parallel**
-    /// target-major tile fold of [`DepositMethod::Matrix`] beats the
-    /// scalar segment fold: below this, cell runs are shorter than a
-    /// few tiles and the tail-masked lanes waste the width (crossover
-    /// measured by the `ablation_deposit_strategies` sweep recorded in
-    /// `results/BENCH_ablation_deposit_matrix.json`).
-    pub const MX_MIN_PPC: f64 = 48.0;
     /// Minimum mean particles-per-cell for the **single-worker**
     /// cell-major streaming schedule of [`deposit_loop_matrix`]. It
-    /// reads each particle row once (vs once per slot for the serial
-    /// scatter and sorted segments), so it wins as soon as segments
-    /// reach one tile; below that the per-cell accumulator set-up
-    /// dominates. Measured in the same ablation sweep: at 8 ppc the
-    /// streaming schedule already beats sorted segments ~1.7x on one
-    /// thread, and ~4x at 256 ppc.
+    /// keeps each cell's targets in registers for the whole segment,
+    /// so it wins once segments hold a few particles; below that the
+    /// per-cell accumulator set-up dominates. In the ablation sweep the serial scatter still leads
+    /// at 2 ppc, and Matrix leads from 8 ppc on.
     pub const MX_SEQ_MIN_PPC: f64 = 8.0;
-    /// Above this dirty fraction a rebuild-for-deposit is assumed not
-    /// to pay for itself within one loop.
-    pub const SORT_MAX_DIRTY: f64 = 0.5;
     /// Targets-per-thread below which thread-private scatter arrays
     /// stay cache-resident.
     pub const SA_MAX_TARGETS_PER_THREAD: usize = 1 << 16;
@@ -876,76 +630,36 @@ impl AutoTuner {
     /// Decide a strategy for one deposit loop.
     pub fn choose(&mut self, input: TunerInput) -> TunerDecision {
         let ppc = input.mean_ppc();
-        let d = if input.threads <= 1 {
+        let (method, reason) = if input.threads <= 1 {
             if input.index_fresh && ppc >= Self::MX_SEQ_MIN_PPC {
-                // The one regime where a single thread leaves the
-                // serial path: the cell-major streaming schedule reads
-                // each particle row once instead of once per slot, so
-                // it beats the serial scatter without any sort cost.
-                TunerDecision {
-                    method: DepositMethod::Matrix,
-                    sort_first: false,
-                    reason: format!("single thread, index fresh, mean ppc {ppc:.1}: matrix tiles"),
-                }
+                (
+                    DepositMethod::Matrix,
+                    format!("single thread, index fresh, mean ppc {ppc:.1}: cell-major matrix"),
+                )
             } else {
-                TunerDecision {
-                    method: DepositMethod::Serial,
-                    sort_first: false,
-                    reason: "single thread: serial reference path".into(),
-                }
-            }
-        } else if input.index_fresh && ppc >= Self::MX_MIN_PPC {
-            TunerDecision {
-                method: DepositMethod::Matrix,
-                sort_first: false,
-                reason: format!("index fresh, mean ppc {ppc:.1}: matrix tiles"),
-            }
-        } else if input.index_fresh && ppc >= Self::MX_SEQ_MIN_PPC {
-            // With the index already fresh there is no sort to
-            // amortise, only the inverse-map walk — segments pay off
-            // from about one tile per cell (SS_MIN_PPC gates the
-            // sort-first branch below instead).
-            TunerDecision {
-                method: DepositMethod::SortedSegments,
-                sort_first: false,
-                reason: format!("index fresh, mean ppc {ppc:.1}: sorted segments"),
-            }
-        } else if ppc >= Self::MX_MIN_PPC && input.dirty_fraction <= Self::SORT_MAX_DIRTY {
-            TunerDecision {
-                method: DepositMethod::Matrix,
-                sort_first: true,
-                reason: format!(
-                    "mean ppc {ppc:.1}, dirty {:.0}%: sort then matrix tiles",
-                    input.dirty_fraction * 100.0
-                ),
-            }
-        } else if ppc >= Self::SS_MIN_PPC && input.dirty_fraction <= Self::SORT_MAX_DIRTY {
-            TunerDecision {
-                method: DepositMethod::SortedSegments,
-                sort_first: true,
-                reason: format!(
-                    "mean ppc {ppc:.1}, dirty {:.0}%: sort then sorted segments",
-                    input.dirty_fraction * 100.0
-                ),
+                (
+                    DepositMethod::Serial,
+                    "single thread: serial reference path".into(),
+                )
             }
         } else if input.n_targets <= Self::SA_MAX_TARGETS_PER_THREAD * input.threads {
-            TunerDecision {
-                method: DepositMethod::ScatterArrays,
-                sort_first: false,
-                reason: format!(
+            (
+                DepositMethod::ScatterArrays,
+                format!(
                     "{} targets fit thread-private copies: scatter arrays",
                     input.n_targets
                 ),
-            }
+            )
         } else {
-            TunerDecision {
-                method: DepositMethod::Atomics,
-                sort_first: false,
-                reason: format!(
-                    "sparse ({ppc:.1} ppc) and {} targets too large to scatter: atomics",
-                    input.n_targets
-                ),
-            }
+            (
+                DepositMethod::Atomics,
+                format!("{} targets too large to scatter: atomics", input.n_targets),
+            )
+        };
+        let d = TunerDecision {
+            method,
+            sort_first: false,
+            reason,
         };
         self.decisions.push(d.clone());
         crate::telemetry::count("tuner.decisions", 1);
@@ -1605,15 +1319,15 @@ mod tests {
         );
     }
 
-    // ---- matrixized tiles ----------------------------------------------
+    // ---- matrixized deposit --------------------------------------------
 
     #[test]
     fn matrix_exact_bit_identical_to_serial_across_seeds() {
         // Same degenerate mesh as the sorted-segments test: cell 2
         // reaches node 3 through two slots, forcing the degenerate-cell
         // fallbacks of both schedules (the cell-major serial replay on
-        // one worker, the exact mode's scalar multi-slot replay on the
-        // target-major parallel path).
+        // one worker, the owner-computes multi-slot replay in
+        // parallel).
         let mesh: Vec<Vec<usize>> = vec![
             vec![0, 1, 2],
             vec![1, 2, 4],
@@ -1624,8 +1338,8 @@ mod tests {
         let n_targets = 7;
         let inv = invert_cell_targets(&mesh, n_targets);
         for seed in 0..6usize {
-            // Segment lengths straddle the tile width to exercise
-            // full tiles, tail tiles, and empty cells.
+            // Segment lengths from empty cells to a few dozen
+            // particles.
             let (cells, start) = sorted_population(mesh.len(), |c| (c * 13 + seed * 5) % 29);
             let n = cells.len();
             let init: Vec<f64> = (0..n_targets).map(|t| t as f64 * 0.5 - 1.0).collect();
@@ -1644,110 +1358,10 @@ mod tests {
             );
             for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
                 let mut got = init.clone();
-                deposit_loop_matrix(
-                    &policy,
-                    &start,
-                    &inv,
-                    &mut got,
-                    MatAccumulate::Exact,
-                    contribution,
-                );
+                deposit_loop_matrix(&policy, &start, &inv, &mut got, contribution);
                 assert_eq!(got, reference, "seed {seed} under {policy:?}");
-
-                // Fast mode reassociates the sum (lane tree) but must
-                // agree to rounding and stay deterministic.
-                let mut fast = init.clone();
-                deposit_loop_matrix(
-                    &policy,
-                    &start,
-                    &inv,
-                    &mut fast,
-                    MatAccumulate::Fast,
-                    contribution,
-                );
-                for (t, (a, b)) in fast.iter().zip(&reference).enumerate() {
-                    let tol = 1e-12 * b.abs().max(1.0);
-                    assert!(
-                        (a - b).abs() <= tol,
-                        "seed {seed} target {t} under {policy:?}: {a} vs {b}"
-                    );
-                }
             }
         }
-    }
-
-    #[test]
-    fn matrix_fast_is_schedule_independent() {
-        let mesh: Vec<[usize; 4]> = (0..64).map(|c| [c, c + 1, c + 2, c + 3]).collect();
-        let inv = invert_cell_targets(&mesh, 67);
-        let (cells, start) = sorted_population(64, |c| 3 + c % 21);
-
-        // Single-worker policies take the cell-major streaming
-        // schedule, where Fast is bit-identical to Serial itself.
-        let mut serial = vec![0.0; 67];
-        deposit_loop(
-            &ExecPolicy::Seq,
-            DepositMethod::Serial,
-            cells.len(),
-            &mut serial,
-            |p, dep| {
-                let c = cells[p] as usize;
-                for (s, &t) in mesh[c].iter().enumerate() {
-                    dep.add(t, contribution(p, s));
-                }
-            },
-        );
-        let mut seq = vec![0.0; 67];
-        deposit_loop_matrix(
-            &ExecPolicy::Seq,
-            &start,
-            &inv,
-            &mut seq,
-            MatAccumulate::Fast,
-            contribution,
-        );
-        assert_eq!(seq, serial, "single-worker Fast must match Serial bits");
-
-        // Parallel policies use the target-major lane tree, which is
-        // fixed per target: bitwise deterministic across repeated runs
-        // and across worker counts.
-        let reference = {
-            let mut t = vec![0.0; 67];
-            deposit_loop_matrix(
-                &ExecPolicy::pool(2),
-                &start,
-                &inv,
-                &mut t,
-                MatAccumulate::Fast,
-                contribution,
-            );
-            t
-        };
-        for _ in 0..3 {
-            let mut t = vec![0.0; 67];
-            deposit_loop_matrix(
-                &ExecPolicy::Par,
-                &start,
-                &inv,
-                &mut t,
-                MatAccumulate::Fast,
-                contribution,
-            );
-            assert_eq!(t, reference);
-        }
-    }
-
-    #[test]
-    fn mat_tile_masks_the_tail_lanes() {
-        let tile = MatTile::pack(10, 13, |p| p as f64);
-        assert_eq!(tile.len(), 3);
-        assert_eq!(tile.lanes()[..3], [10.0, 11.0, 12.0]);
-        assert_eq!(tile.lanes()[3..], [0.0; 5]);
-        // Exact fold only touches live lanes; Fast adds the zeros.
-        assert_eq!(tile.fold_exact(1.0), 34.0);
-        let mut acc = [1.0; MAT_TILE_WIDTH];
-        tile.accumulate(&mut acc);
-        assert_eq!(MatTile::reduce(&acc), 33.0 + MAT_TILE_WIDTH as f64);
     }
 
     #[test]
@@ -1761,39 +1375,6 @@ mod tests {
             &mut target,
             |_, d| d.add(0, 1.0),
         );
-    }
-
-    #[test]
-    fn gather_matrix_bit_identical_to_per_particle_loop() {
-        let mesh: Vec<[usize; 4]> = (0..40).map(|c| [c, c + 1, c + 2, c + 3]).collect();
-        let source: Vec<f64> = (0..43).map(|t| (t as f64 * 0.37).sin()).collect();
-        let (cells, start) = sorted_population(40, |c| (c * 11) % 19);
-        let shape = |p: usize, k: usize| contribution(p, k) - 0.5;
-        // Per-particle reference: slots ascending, one dot per particle.
-        let reference: Vec<f64> = cells
-            .iter()
-            .enumerate()
-            .map(|(p, &c)| {
-                let mut dot = 0.0;
-                for (k, &t) in mesh[c as usize].iter().enumerate() {
-                    dot += shape(p, k) * source[t];
-                }
-                dot
-            })
-            .collect();
-        for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
-            let mut got = vec![0.0; cells.len()];
-            gather_loop_matrix(
-                &policy,
-                &start,
-                4,
-                |c, k| mesh[c][k],
-                &source,
-                &mut got,
-                shape,
-            );
-            assert_eq!(got, reference, "{policy:?}");
-        }
     }
 
     #[test]
@@ -1817,49 +1398,21 @@ mod tests {
             index_fresh: true,
             threads: 8,
         };
-        // Fresh index, dense (128 ppc ≥ MX_MIN_PPC): matrix tiles
-        // without a sort.
+        // Fresh index, dense (128 ppc), small target: scatter arrays
+        // (they beat the owner-computes fold in parallel).
         let d = tuner.choose(base);
-        assert_eq!(d.method, DepositMethod::Matrix);
+        assert_eq!(d.method, DepositMethod::ScatterArrays);
         assert!(!d.sort_first);
 
-        // Fresh index, moderately dense (32 ppc — between SS_MIN_PPC
-        // and MX_MIN_PPC): sorted segments, segments too short to fill
-        // tiles.
-        let d = tuner.choose(TunerInput {
-            n_particles: 16_000,
-            ..base
-        });
-        assert_eq!(d.method, DepositMethod::SortedSegments);
-        assert!(!d.sort_first);
-
-        // Stale but nearly sorted, dense: sort first, then matrix.
+        // Stale but nearly sorted: still scatter arrays, and no sort —
+        // one costs at least as much as the deposit.
         let d = tuner.choose(TunerInput {
             index_fresh: false,
             dirty_fraction: 0.05,
-            ..base
-        });
-        assert_eq!(d.method, DepositMethod::Matrix);
-        assert!(d.sort_first);
-
-        // Stale but nearly sorted, moderately dense: sort first, then
-        // sorted segments.
-        let d = tuner.choose(TunerInput {
-            n_particles: 16_000,
-            index_fresh: false,
-            dirty_fraction: 0.05,
-            ..base
-        });
-        assert_eq!(d.method, DepositMethod::SortedSegments);
-        assert!(d.sort_first);
-
-        // Too stale to re-sort per loop, small target: scatter arrays.
-        let d = tuner.choose(TunerInput {
-            index_fresh: false,
-            dirty_fraction: 0.9,
             ..base
         });
         assert_eq!(d.method, DepositMethod::ScatterArrays);
+        assert!(!d.sort_first);
 
         // Sparse population, huge target: atomics.
         let d = tuner.choose(TunerInput {
@@ -1879,8 +1432,7 @@ mod tests {
         assert!(!d.sort_first);
 
         // One thread, fresh index, short segments (8 ppc): the
-        // cell-major streaming schedule already pays at one tile per
-        // segment (MX_SEQ_MIN_PPC), well below the parallel threshold.
+        // cell-major streaming schedule already pays at MX_SEQ_MIN_PPC.
         let d = tuner.choose(TunerInput {
             n_particles: 4_000,
             threads: 1,
@@ -1889,7 +1441,7 @@ mod tests {
         assert_eq!(d.method, DepositMethod::Matrix);
         assert!(!d.sort_first);
 
-        // One thread, fresh index, sub-tile segments: serial.
+        // One thread, fresh index, 4 ppc: serial.
         let d = tuner.choose(TunerInput {
             n_particles: 2_000,
             threads: 1,
@@ -1907,7 +1459,7 @@ mod tests {
         });
         assert_eq!(d.method, DepositMethod::Serial);
 
-        assert_eq!(tuner.decisions().len(), 10);
+        assert_eq!(tuner.decisions().len(), 7);
         assert_eq!(tuner.last().unwrap().method, DepositMethod::Serial);
         assert!(!tuner.last().unwrap().reason.is_empty());
     }

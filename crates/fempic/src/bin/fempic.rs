@@ -7,7 +7,7 @@
 //! inject_per_step seed`), backend (`parallel deposit move coloring
 //! integrator overlay_res`), cell-locality engine (`sort_every
 //! sort_dirty` — gather-side CSR index rebuild cadence; `deposit =
-//! ss` for sorted segments, `deposit = mx` for matrixized tiles,
+//! ss` for sorted segments, `deposit = mx` for the matrixized deposit,
 //! `deposit = auto` for the auto-tuner), persistent thread binding
 //! (`binding rebalance_every rebalance_drift`) and the numeric guards
 //! (`guard_numerics`).

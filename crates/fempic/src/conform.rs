@@ -47,10 +47,9 @@ impl FemPic {
         ok
     }
 
-    /// Same promise for the matrixized deposit: in its exact
-    /// accumulation mode the tile fold replays the Serial order lane
-    /// by lane, so on a freshly sorted store the charge must match the
-    /// Serial deposit bit for bit. Leaves `node_charge` holding the
+    /// Same promise for the matrixized deposit: each of its schedules
+    /// replays the Serial order per node, so on a freshly sorted store
+    /// the charge must match the Serial deposit bit for bit. Leaves `node_charge` holding the
     /// (identical) Matrix result.
     pub fn matrix_bit_identical(&mut self) -> bool {
         self.ps.sort_by_cell(self.mesh.n_cells());

@@ -14,7 +14,7 @@ use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
     deposit_loop, deposit_loop_colored, deposit_loop_matrix, deposit_loop_sorted,
     greedy_color_cells, invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, Depositor,
-    MatAccumulate, MoveStatus, ParticleDats, TargetInverse, ThreadBinding, TunerInput,
+    MoveStatus, ParticleDats, TargetInverse, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
@@ -523,12 +523,11 @@ impl FemPic {
                 );
             }
             None if self.active_deposit == DepositMethod::Matrix => {
-                // Matrixized owner-computes over the same fresh CSR
-                // index: per-cell runs packed into shape tiles. Exact
-                // accumulation keeps the charge bit-identical to the
-                // Serial method (the conformance matrix's oracle); the
-                // lane-parallel Fast mode is the ablation bench's
-                // subject, not the physics path.
+                // Matrixized deposit over the same fresh CSR index:
+                // per-cell outer products on one worker, the sorted
+                // segments fold in parallel. Either keeps the charge
+                // bit-identical to the Serial method (the conformance
+                // matrix's oracle).
                 let cell_start = self
                     .ps
                     .cell_index()
@@ -541,7 +540,6 @@ impl FemPic {
                     cell_start,
                     inv,
                     self.node_charge.raw_mut(),
-                    MatAccumulate::Exact,
                     |p, k| q * lc[p * 4 + k],
                 );
             }

@@ -262,7 +262,7 @@ impl FemPic {
                     method,
                     DepositMethod::SortedSegments | DepositMethod::Matrix
                 ) {
-                    // Owner-computes (scalar fold or matrix tiles):
+                    // Owner-computes (Matrix runs the same fold):
                     // each node folds its own contributions serially —
                     // the increments need no synchronisation at all on
                     // the owned dat.
@@ -424,7 +424,7 @@ mod tests {
 
     #[test]
     fn matrix_plan_without_fresh_index_is_caught() {
-        // Same contract as SortedSegments: the tile kernels walk the
+        // Same contract as SortedSegments: the Matrix deposit walks the
         // CSR cell index, so a post-sort mutation must trip the static
         // freshness rule.
         let mut cfg = FemPicConfig::tiny();

@@ -45,7 +45,8 @@ fn fempic_field_raises_as_charge_accumulates() {
 
 #[test]
 fn fempic_full_strategy_matrix_is_consistent() {
-    // {MH, DH} x {SA, AT, SR} all conserve particle count and charge.
+    // {MH, DH} x {SA, AT, SR, SS, MX} all conserve particle count and
+    // charge.
     let reference = {
         let mut cfg = FemPicConfig::tiny();
         cfg.inject_per_step = 80;
@@ -61,6 +62,8 @@ fn fempic_full_strategy_matrix_is_consistent() {
             DepositMethod::ScatterArrays,
             DepositMethod::Atomics,
             DepositMethod::SegmentedReduction,
+            DepositMethod::SortedSegments,
+            DepositMethod::Matrix,
         ] {
             let mut cfg = FemPicConfig::tiny();
             cfg.inject_per_step = 80;
@@ -78,6 +81,26 @@ fn fempic_full_strategy_matrix_is_consistent() {
             );
         }
     }
+    // In parallel Matrix runs the sorted-segments fold, so the two end
+    // on the same node charge bits.
+    let node_charge = |method| {
+        let mut cfg = FemPicConfig::tiny();
+        cfg.inject_per_step = 80;
+        cfg.policy = ExecPolicy::pool(2);
+        cfg.deposit = method;
+        let mut sim = FemPic::new(cfg);
+        sim.run(6);
+        sim.node_charge
+            .raw()
+            .iter()
+            .map(|q| q.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        node_charge(DepositMethod::Matrix),
+        node_charge(DepositMethod::SortedSegments),
+        "pool(2): Matrix and SortedSegments node charge differ"
+    );
 }
 
 #[test]
