@@ -70,6 +70,23 @@ if ! diff <(model_columns results/BENCH_roofline.csv) <(model_columns "$roof/BEN
 fi
 rm -rf "$roof"
 
+echo "== move-visits drift (move ablation vs results/ablation_move_strategies.txt)"
+# Rerun the fast-flow move ablation. Its strategy, visits/ptcl, seeded
+# and overlay MB columns are deterministic for a given thread count
+# (one injection seed, tallies merged in piece order; the committed
+# file is recorded on a 2-core host), so a changed move rule, kernel
+# or overlay shows up here; the Move and total timings are not
+# compared.
+move_columns() { awk '/^(multi|direct)-hop/ { $(NF-4) = ""; $NF = ""; print }' "$1"; }
+moves=$(mktemp)
+./target/release/ablation_move_strategies >"$moves"
+if ! diff <(move_columns results/ablation_move_strategies.txt) <(move_columns "$moves") >&2; then
+    echo "results/ablation_move_strategies.txt drifted from the move engine; re-record it with ablation_move_strategies" >&2
+    rm -f "$moves"
+    exit 1
+fi
+rm -f "$moves"
+
 echo "== conformance --quick (cross-backend differential matrix)"
 ./target/release/conformance --quick >/dev/null
 # A failing matrix cell writes a shrunk reproducer under

@@ -5,8 +5,9 @@
 //! cross several cells per step — the regime exercised here with a
 //! fast-flow duct — and additionally trades memory for hops (the
 //! overlay bookkeeping), which this binary reports too. DH probes each
-//! particle's current cell before it reads the overlay; the `seeded`
-//! column is the share of particles whose probe missed.
+//! particle's current cell and takes one `c2c` hop before it reads the
+//! overlay; the `seeded` column is the share of particles that neither
+//! visit placed.
 
 use oppic_bench::report::{banner, steps, telemetry_from_env};
 use oppic_core::ExecPolicy;
@@ -121,9 +122,11 @@ fn main() {
         "\nShape checks vs the paper: DH reduces search visits (and Move time) in the\n\
          multi-cell-per-step regime — the paper's 'consistently ~20% faster' — at\n\
          the price of the overlay's memory footprint, which grows with resolution.\n\
-         DH tests each particle in its current cell before reading the overlay. Here\n\
-         almost every particle leaves its cell each step, so that probe is one extra\n\
-         visit per particle and saves no overlay read; where most particles stay put\n\
-         (the small-dt duct of configs/fempic_small.cfg) it skips the overlay for them."
+         DH tests each particle in its current cell and in the one c2c neighbour a\n\
+         miss there names before it reads the overlay. Here almost every particle\n\
+         crosses more than one cell each step, so those are two extra visits per\n\
+         particle that spare few overlay reads; where most particles stay put or\n\
+         cross a single face (the small-dt duct of configs/fempic_small.cfg) they\n\
+         spare the overlay read for nearly all of them."
     );
 }

@@ -5,7 +5,8 @@
 //! recorded (threads, ppc) regime the tuner is probed in the two
 //! states the sweep actually measured — a fresh cell index and a fully
 //! dirty store — and its decision is costed with the recorded
-//! milliseconds. The tuner must never pick a strategy materially
+//! milliseconds. Over a dirty store it must not pick a segment method
+//! at all: those are legal only on a fresh index. The tuner must never pick a strategy materially
 //! slower than the best recorded option for that regime, so a
 //! heuristic edit that starts selecting a losing strategy fails here
 //! without re-running the bench.
@@ -68,13 +69,12 @@ fn load_table() -> (usize, usize, Vec<Regime>) {
 /// `Serial` is costed as the scatter-arrays column: on one thread SA
 /// is the serial scatter plus a private-copy merge, the closest
 /// recorded upper bound (the sweep records no plain-serial column).
-fn cost(r: &Regime, method: DepositMethod, sort_first: bool) -> f64 {
-    let sort = if sort_first { r.sort } else { 0.0 };
+fn cost(r: &Regime, method: DepositMethod) -> f64 {
     match method {
-        DepositMethod::Serial | DepositMethod::ScatterArrays => r.sa + sort,
-        DepositMethod::Atomics | DepositMethod::UnsafeAtomics => r.at + sort,
-        DepositMethod::SortedSegments => r.ss + sort,
-        DepositMethod::Matrix => r.mx + sort,
+        DepositMethod::Serial | DepositMethod::ScatterArrays => r.sa,
+        DepositMethod::Atomics | DepositMethod::UnsafeAtomics => r.at,
+        DepositMethod::SortedSegments => r.ss,
+        DepositMethod::Matrix => r.mx,
         DepositMethod::SegmentedReduction => {
             panic!("tuner picked {method:?}, which the sweep does not record")
         }
@@ -91,33 +91,31 @@ fn tuner_never_picks_a_recorded_loser() {
         // fresh index, and deposit on a fully dirty store (where the
         // sorted paths must first pay the recorded sort).
         let probes = [
-            (true, 0.0, [r.sa, r.at, r.ss, r.mx]),
-            (false, 1.0, [r.sa, r.at, r.ss + r.sort, r.mx + r.sort]),
+            (true, [r.sa, r.at, r.ss, r.mx]),
+            (false, [r.sa, r.at, r.ss + r.sort, r.mx + r.sort]),
         ];
-        for (index_fresh, dirty_fraction, options) in probes {
+        for (index_fresh, options) in probes {
             let d = tuner.choose(TunerInput {
                 n_particles: r.n_particles,
                 n_cells,
                 n_targets,
-                dirty_fraction,
                 index_fresh,
                 threads: r.threads,
             });
-            // A sorted-path pick over a dirty store must re-sort.
+            // A dirty store never gets a segment method.
             if !index_fresh {
                 assert!(
-                    d.sort_first
-                        || !matches!(
-                            d.method,
-                            DepositMethod::SortedSegments | DepositMethod::Matrix
-                        ),
-                    "threads {} ppc {}: {:?} on a dirty store without a sort",
+                    !matches!(
+                        d.method,
+                        DepositMethod::SortedSegments | DepositMethod::Matrix
+                    ),
+                    "threads {} ppc {}: {:?} on a dirty store",
                     r.threads,
                     r.ppc,
                     d.method
                 );
             }
-            let picked = cost(r, d.method, d.sort_first);
+            let picked = cost(r, d.method);
             let best = options.iter().cloned().fold(f64::INFINITY, f64::min);
             assert!(
                 picked <= TOLERANCE * best,
@@ -151,13 +149,11 @@ fn matrix_is_selected_exactly_where_it_wins_single_thread() {
             n_particles: r.n_particles,
             n_cells,
             n_targets,
-            dirty_fraction: 0.0,
             index_fresh: true,
             threads: 1,
         });
         if r.ppc >= AutoTuner::MX_SEQ_MIN_PPC {
             assert_eq!(d.method, DepositMethod::Matrix, "ppc {}", r.ppc);
-            assert!(!d.sort_first);
         }
     }
 }

@@ -278,24 +278,20 @@ where
 
     loop {
         visited += 1;
-        // Fraction of the *whole* step until the first face crossing.
+        // Fraction of the *whole* step until the first face crossing:
+        // per axis the time to the face ahead, the earliest picked with
+        // selects rather than branches. A zero or NaN displacement
+        // never wins (its `t` is +∞ or NaN), as when it was skipped.
         let lo = geom.cell_lo(ijk);
         let mut t_exit = f64::INFINITY;
         let mut axis = usize::MAX;
         for a in 0..3 {
-            if disp[a] > 0.0 {
-                let t = (lo[a] + d[a] - pos[a]) / disp[a];
-                if t < t_exit {
-                    t_exit = t;
-                    axis = a;
-                }
-            } else if disp[a] < 0.0 {
-                let t = (lo[a] - pos[a]) / disp[a];
-                if t < t_exit {
-                    t_exit = t;
-                    axis = a;
-                }
-            }
+            let face = if disp[a] > 0.0 { lo[a] + d[a] } else { lo[a] };
+            let t = (face - pos[a]) / disp[a];
+            let t = if disp[a] == 0.0 { f64::INFINITY } else { t };
+            let earlier = t < t_exit;
+            t_exit = if earlier { t } else { t_exit };
+            axis = if earlier { a } else { axis };
         }
         let t_exit = t_exit.max(0.0);
 

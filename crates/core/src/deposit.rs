@@ -565,8 +565,6 @@ pub struct TunerInput {
     pub n_particles: usize,
     pub n_cells: usize,
     pub n_targets: usize,
-    /// `ParticleDats::dirty_fraction` — how stale the cell index is.
-    pub dirty_fraction: f64,
     /// `ParticleDats::index_is_fresh`.
     pub index_fresh: bool,
     /// `ExecPolicy::threads` for the loop's policy.
@@ -583,14 +581,12 @@ impl TunerInput {
     }
 }
 
-/// One auto-tuner verdict: the method to run and whether a cell sort
-/// should be performed first (to make a segment method legal). No
-/// current heuristic asks for a sort: in the recorded ablation one
-/// sort alone costs as much as the fastest deposit, and up to 16×.
+/// One auto-tuner verdict: the method to run. The tuner never picks a
+/// segment method over a stale index, since in the recorded ablation
+/// one sort alone costs as much as the fastest deposit, and up to 16×.
 #[derive(Debug, Clone)]
 pub struct TunerDecision {
     pub method: DepositMethod,
-    pub sort_first: bool,
     /// One-line rationale, traced through the profiler by callers.
     pub reason: String,
 }
@@ -656,11 +652,7 @@ impl AutoTuner {
                 format!("{} targets too large to scatter: atomics", input.n_targets),
             )
         };
-        let d = TunerDecision {
-            method,
-            sort_first: false,
-            reason,
-        };
+        let d = TunerDecision { method, reason };
         self.decisions.push(d.clone());
         crate::telemetry::count("tuner.decisions", 1);
         d
@@ -1394,7 +1386,6 @@ mod tests {
             n_particles: 64_000,
             n_cells: 500,
             n_targets: 700,
-            dirty_fraction: 0.0,
             index_fresh: true,
             threads: 8,
         };
@@ -1402,24 +1393,20 @@ mod tests {
         // (they beat the owner-computes fold in parallel).
         let d = tuner.choose(base);
         assert_eq!(d.method, DepositMethod::ScatterArrays);
-        assert!(!d.sort_first);
 
-        // Stale but nearly sorted: still scatter arrays, and no sort —
-        // one costs at least as much as the deposit.
+        // Stale index: still scatter arrays, never a segment method
+        // that would need a sort costing at least the deposit.
         let d = tuner.choose(TunerInput {
             index_fresh: false,
-            dirty_fraction: 0.05,
             ..base
         });
         assert_eq!(d.method, DepositMethod::ScatterArrays);
-        assert!(!d.sort_first);
 
         // Sparse population, huge target: atomics.
         let d = tuner.choose(TunerInput {
             n_particles: 4_000,
             n_cells: 4_000,
             n_targets: 60_000_000,
-            dirty_fraction: 0.9,
             index_fresh: false,
             threads: 8,
         });
@@ -1429,7 +1416,6 @@ mod tests {
         // only strategy that beats the serial reference there.
         let d = tuner.choose(TunerInput { threads: 1, ..base });
         assert_eq!(d.method, DepositMethod::Matrix);
-        assert!(!d.sort_first);
 
         // One thread, fresh index, short segments (8 ppc): the
         // cell-major streaming schedule already pays at MX_SEQ_MIN_PPC.
@@ -1439,7 +1425,6 @@ mod tests {
             ..base
         });
         assert_eq!(d.method, DepositMethod::Matrix);
-        assert!(!d.sort_first);
 
         // One thread, fresh index, 4 ppc: serial.
         let d = tuner.choose(TunerInput {
@@ -1454,7 +1439,6 @@ mod tests {
         let d = tuner.choose(TunerInput {
             threads: 1,
             index_fresh: false,
-            dirty_fraction: 0.05,
             ..base
         });
         assert_eq!(d.method, DepositMethod::Serial);

@@ -69,8 +69,9 @@ macro_rules! opp_par_loop {
 /// evaluates to a [`crate::MoveStatus`] — the `OPP_PARTICLE_MOVE_DONE`
 /// / `NEED_MOVE` / `NEED_REMOVE` markers of the paper become ordinary
 /// `return`-position expressions. An optional `seed` makes it
-/// direct-hop: each particle probes its current cell, and only a miss
-/// jumps to the seed's overlay cell and walks on; an optional `write`
+/// direct-hop: each particle probes its current cell and hops once to
+/// the neighbour a `NeedMove` names, and only a miss there too jumps to
+/// the seed's overlay cell and walks on; an optional `write`
 /// column hands the body the particle's `&mut` window of it on every
 /// visit, e.g. to leave the final cell's weights behind on `Done`.
 ///
@@ -190,19 +191,20 @@ mod tests {
         assert_eq!(cells, vec![5, 2, 8]);
         assert!(r.removed.is_empty());
 
-        // Direct-hop: every particle first probes cell 0, misses, and
-        // lands on its perfect seed — two visits each.
+        // Direct-hop: every particle first probes cell 0 and hops to
+        // cell 1, misses both, and lands on its perfect seed — three
+        // visits each.
         let mut cells = vec![0i32, 0, 0];
         let r = opp_particle_move!(policy, "MoveDH", &mut cells; seed |i| targets[i];
             |i, cell| {
-                if cell == 0 {
-                    return MoveStatus::NeedMove(1);
+                if cell < 2 {
+                    return MoveStatus::NeedMove(cell + 1);
                 }
                 assert_eq!(cell, targets[i]);
                 MoveStatus::Done
             }
         );
-        assert_eq!(r.total_visits, 6);
+        assert_eq!(r.total_visits, 9);
         assert_eq!(r.seeded, 3);
         assert_eq!(cells, vec![5, 2, 8]);
 

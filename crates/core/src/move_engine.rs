@@ -15,10 +15,12 @@
 //! The engine owns the iteration ("multi-hop", MH), the optional
 //! structured-overlay seeding ("direct-hop", DH), the per-particle cell
 //! updates, and the removal list that the particle store's hole filling
-//! consumes. Every chase first visits the particle's current cell; under
-//! DH a miss there jumps to the overlay's cell and walks on from it, so
-//! the overlay is read only for the particles that left their cell (in
-//! a small-`dt` step most stay put). It runs on the par-loop
+//! consumes. Every chase first visits the particle's current cell and,
+//! on a `NeedMove`, the `c2c` neighbour it names; under DH only a miss
+//! there too jumps to the overlay's cell and walks on from it, so the
+//! overlay is read only for the particles one hop does not place (in a
+//! small-`dt` step most stay put or cross a single face). A
+//! `NeedRemove` ends the chase at any visit. It runs on the par-loop
 //! executor's pieces ([`crate::parloop::Space::Range`]): the cell
 //! column and one written particle column are carved into per-piece
 //! windows, and every kernel visit gets the particle's `&mut` window of
@@ -99,8 +101,9 @@ pub struct MoveResult {
     /// chase started in — together with `removed.len()`, the measured
     /// figure for `ParticleDats::refine_dirty`.
     pub moved: u64,
-    /// Direct-hop only: particles whose probe of their current cell was
-    /// not `Done` and so called the [`Seed`] (one overlay read each).
+    /// Direct-hop only: particles that neither their current cell nor
+    /// the one `c2c` hop from it placed, and so called the [`Seed`]
+    /// (one overlay read each; published as the `move.seeded` counter).
     pub seeded: u64,
 }
 
@@ -118,18 +121,21 @@ impl MoveResult {
 
 /// Where a particle's search goes after its current cell: `None` walks
 /// on from it along the kernel's `NeedMove` chain (multi-hop).
-/// `Some(seed)` probes the current cell first (direct-hop); only when
-/// that visit is not `Done` does the search jump to `seed(i)` —
-/// typically the structured overlay's `locate(new_position)`,
-/// Figure 7(b) — and walk on from there. A probe hit is exact (the
-/// kernel says `Done` only for a containing cell) and a miss is a real
-/// visit, counted in [`MoveResult::total_visits`].
+/// `Some(seed)` (direct-hop) probes the current cell and takes one hop
+/// to the `NeedMove` cell it names; only when that second visit is a
+/// `NeedMove` too does the search jump to `seed(i)` — typically the
+/// structured overlay's `locate(new_position)`, Figure 7(b) — and walk
+/// on from there. A `NeedRemove` at any visit removes the particle
+/// without a seed. A hit is exact (the kernel says `Done` only for a
+/// containing cell) and every miss is a real visit, counted in
+/// [`MoveResult::total_visits`].
 pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
 
 /// The move loop: every particle is visited in its current cell and
-/// follows the kernel's `NeedMove` chain — after a [`Seed`] jump when
-/// that first visit misses under direct-hop — to a `Done` (its new
-/// `cells[i]`) or a `NeedRemove` (listed in [`MoveResult::removed`]).
+/// follows the kernel's `NeedMove` chain — under direct-hop with a
+/// [`Seed`] jump when its first two visits both say `NeedMove` — to a
+/// `Done` (its new `cells[i]`) or a `NeedRemove` (listed in
+/// [`MoveResult::removed`]).
 ///
 /// ```
 /// use oppic_core::{move_loop, ExecPolicy, MoveConfig, MoveStatus};
@@ -207,16 +213,16 @@ where
                     finish(t, chain);
                     return Some(cell);
                 }
-                // Direct-hop: the probe of the current cell missed (the
-                // particle moved, or left through a boundary face), so
-                // the walk restarts from the overlay's cell.
-                (_, Some(seed)) if chain == 1 => {
-                    t.seeded += 1;
-                    seed(i)
-                }
                 (MoveStatus::NeedRemove, _) => {
                     finish(t, chain);
                     return None;
+                }
+                // Direct-hop: neither the current cell nor its `c2c`
+                // neighbour holds the particle, so the walk restarts
+                // from the overlay's cell.
+                (MoveStatus::NeedMove(_), Some(seed)) if chain == 2 => {
+                    t.seeded += 1;
+                    seed(i)
                 }
                 (MoveStatus::NeedMove(next), _) => next,
             };
@@ -409,11 +415,24 @@ mod tests {
             walk_kernel(&targets),
         );
         assert_eq!(cells_mh, cells_dh);
-        // Particles 0 and 50 target cell 0 and stop at the probe; the
-        // other 62 miss it and land on the perfect seed: 2 + 62·2.
-        assert_eq!(r_dh.total_visits, 126, "probe + perfect seed");
-        assert_eq!(r_dh.seeded, 62);
+        // Particles 0 and 50 target cell 0 and stop at the probe;
+        // particle 27 targets cell 1 and stops after the one hop; the
+        // other 61 miss both and land on the perfect seed:
+        // 2·1 + 1·2 + 61·3.
+        assert_eq!(r_dh.total_visits, 187, "probe + hop + perfect seed");
+        assert_eq!(r_dh.seeded, 61);
         assert!(r_dh.total_visits < r_mh.total_visits);
+    }
+
+    /// A direct-hop seed that counts its calls (overlay reads).
+    fn counted_seed<'a>(
+        calls: &'a std::sync::atomic::AtomicUsize,
+        targets: &'a [usize],
+    ) -> impl Fn(usize) -> usize + Sync + 'a {
+        move |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            targets[i]
+        }
     }
 
     #[test]
@@ -422,10 +441,7 @@ mod tests {
         // Particles 0..4 stay in their cell; 4..8 moved two cells on.
         let targets: Vec<usize> = (0..8).map(|i| if i < 4 { i } else { i + 2 }).collect();
         let calls = AtomicUsize::new(0);
-        let seed = |i: usize| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            targets[i]
-        };
+        let seed = counted_seed(&calls, &targets);
         for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
             calls.store(0, Ordering::Relaxed);
             let mut cells: Vec<i32> = (0..8).collect();
@@ -439,38 +455,71 @@ mod tests {
             );
             let expect: Vec<i32> = targets.iter().map(|&t| t as i32).collect();
             assert_eq!(cells, expect, "{pol:?}");
-            // Only the four movers read the overlay.
+            // Only the four movers read the overlay, after the probe
+            // and the one hop both missed.
             assert_eq!(calls.load(Ordering::Relaxed), 4, "{pol:?}");
             assert_eq!(r.seeded, 4, "{pol:?}");
-            assert_eq!(r.total_visits, 4 + 4 * 2, "{pol:?}");
+            assert_eq!(r.total_visits, 4 + 4 * 3, "{pol:?}");
             assert_eq!(r.moved, 4, "{pol:?}");
         }
+    }
 
-        // A probe that says `NeedRemove` (the particle crossed a
-        // boundary face of its old cell) falls back to the seed too:
-        // only a removal reported after the jump removes the particle.
-        calls.store(0, Ordering::Relaxed);
-        let mut cells = vec![0i32, 0];
-        let r = move_loop(
-            &ExecPolicy::Seq,
-            MoveConfig::default(),
-            &mut cells,
-            Some(&|i: usize| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                [3usize, 9][i]
-            }),
-            (),
-            |i, cell, _| match (i, cell) {
-                (_, 0) => MoveStatus::NeedRemove,
-                (0, 3) => MoveStatus::Done,
-                _ => MoveStatus::NeedRemove,
-            },
-        );
-        assert_eq!(calls.load(Ordering::Relaxed), 2);
-        assert_eq!(r.seeded, 2);
-        assert_eq!(cells[0], 3);
-        assert_eq!(r.removed, vec![1]);
-        assert_eq!(r.total_visits, 4);
+    #[test]
+    fn direct_hop_one_hop_hit_skips_the_seed() {
+        use std::sync::atomic::AtomicUsize;
+        // Every particle moved one cell on, so the `c2c` hop from its
+        // current cell lands on `Done`: the overlay is never read.
+        let targets: Vec<usize> = (0..8).map(|i| i + 1).collect();
+        let calls = AtomicUsize::new(0);
+        let seed = counted_seed(&calls, &targets);
+        for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
+            calls.store(0, Ordering::Relaxed);
+            let mut cells: Vec<i32> = (0..8).collect();
+            let r = move_loop(
+                &pol,
+                MoveConfig::default(),
+                &mut cells,
+                Some(&seed),
+                (),
+                walk_kernel(&targets),
+            );
+            assert_eq!(cells, (1..9).collect::<Vec<i32>>(), "{pol:?}");
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "{pol:?}");
+            assert_eq!(r.seeded, 0, "{pol:?}");
+            assert_eq!(r.total_visits, 8 * 2, "{pol:?}");
+            assert_eq!(r.moved, 8, "{pol:?}");
+        }
+    }
+
+    #[test]
+    fn direct_hop_removal_ends_the_chase_without_the_seed() {
+        use std::sync::atomic::AtomicUsize;
+        // A `NeedRemove` ends the chase at every visit, as under
+        // multi-hop: particles 0..4 leave through a boundary face of
+        // their current cell (the probe), 4..8 through one of the
+        // neighbour the hop reached. No particle reads the overlay.
+        let targets = vec![0usize; 8];
+        let calls = AtomicUsize::new(0);
+        let seed = counted_seed(&calls, &targets);
+        for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
+            calls.store(0, Ordering::Relaxed);
+            let mut cells: Vec<i32> = (0..8).map(|i| 10 * i).collect();
+            let r = move_loop(
+                &pol,
+                MoveConfig::default(),
+                &mut cells,
+                Some(&seed),
+                (),
+                |i, cell, _| match (i < 4, cell % 10) {
+                    (true, 0) | (false, 1) => MoveStatus::NeedRemove,
+                    _ => MoveStatus::NeedMove(cell + 1),
+                },
+            );
+            assert_eq!(r.removed, (0..8).collect::<Vec<usize>>(), "{pol:?}");
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "{pol:?}");
+            assert_eq!(r.seeded, 0, "{pol:?}");
+            assert_eq!(r.total_visits, 4 + 4 * 2, "{pol:?}");
+        }
     }
 
     #[test]
@@ -488,7 +537,7 @@ mod tests {
         );
         assert!(r.removed.is_empty());
         assert!(cells.iter().all(|&c| c == 10));
-        assert_eq!(r.max_chain, 4); // probe 0, seed 8 -> 9 -> 10(done)
+        assert_eq!(r.max_chain, 5); // probe 0, hop 1, seed 8 -> 9 -> 10(done)
         assert_eq!(r.seeded, 8);
     }
 

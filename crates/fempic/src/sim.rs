@@ -351,7 +351,8 @@ impl FemPic {
     /// position and leave the final cell's barycentric weights in `lc`
     /// for the deposit. Every particle is first tested in its current
     /// cell; a miss walks on from there along `c2c` (multi-hop) or, with
-    /// an overlay (direct-hop), from the overlay's cell for the new
+    /// an overlay (direct-hop), takes one `c2c` hop and, only if that
+    /// misses too, walks on from the overlay's cell for the new
     /// position. Each visit evaluates the cell's [`FemPic::cell_det`]
     /// row: four 4-term dot products. Out-of-domain particles are
     /// removed (hole-filled).
@@ -378,8 +379,9 @@ impl FemPic {
                 }
             }
         };
-        // Direct-hop: a particle that left its cell walks on from the
-        // overlay's cell for its new position.
+        // Direct-hop: a particle that is in neither its cell nor the
+        // neighbour one hop away walks on from the overlay's cell for
+        // its new position.
         let locate = self.overlay.as_ref().map(|ov| move |i| ov.locate(at(i)));
 
         let mv_cfg = MoveConfig {
@@ -424,19 +426,17 @@ impl FemPic {
 
     /// The cell-locality engine's deposit-side sort stage: pick the
     /// step's deposit method (config, or the auto-tuner's choice) and
-    /// rebuild the CSR cell index when the coloring scheme, the
-    /// tuner, or the sorted-segments freshness precondition demands
-    /// one. The gather-side [`oppic_core::SortPolicy`] sort runs
+    /// rebuild the CSR cell index when the coloring scheme or the
+    /// segment methods' (SortedSegments, Matrix) freshness
+    /// precondition demands one. The gather-side [`oppic_core::SortPolicy`] sort runs
     /// separately, right after injection.
     fn prepare_deposit(&mut self) {
         let mut method = self.cfg.deposit;
-        let mut sort_first = false;
         if self.cfg.auto_tune {
             let d = self.tuner.choose(TunerInput {
                 n_particles: self.ps.len(),
                 n_cells: self.mesh.n_cells(),
                 n_targets: self.mesh.n_nodes(),
-                dirty_fraction: self.ps.dirty_fraction(),
                 index_fresh: self.ps.index_is_fresh(),
                 threads: self.cfg.policy.threads(),
             });
@@ -444,18 +444,11 @@ impl FemPic {
             // runs of identical decisions into one "(xN)" trace.
             self.profiler.trace(
                 "DepositCharge",
-                format!(
-                    "auto-tuned to {}{} — {}",
-                    d.method.label(),
-                    if d.sort_first { " (sort first)" } else { "" },
-                    d.reason
-                ),
+                format!("auto-tuned to {} — {}", d.method.label(), d.reason),
             );
             method = d.method;
-            sort_first = d.sort_first;
         }
         let need_sort = self.cfg.coloring
-            || sort_first
             || (matches!(
                 method,
                 DepositMethod::SortedSegments | DepositMethod::Matrix
