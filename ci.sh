@@ -33,15 +33,12 @@ echo "== fempic --validate / cabana --validate"
 # the chained c2c hops.
 ./target/release/cabana configs/cabana_two_stream.cfg --validate >/dev/null
 
-echo "== --validate with the cell-locality engine (sorted segments / per-step sort)"
-# Exercises the analyzer's fresh-index precondition: the SortedSegments
-# plan must carry an index-freshness attestation and the CSR index
-# audit must pass.
-./target/release/fempic configs/fempic_sorted.cfg --validate >/dev/null
-./target/release/cabana configs/cabana_sorted.cfg --validate >/dev/null
-# Same gate for the matrixized engine: the Matrix plan needs the same
-# freshness attestation, and the run checks bit-identity to Serial.
+echo "== --validate with the cell-locality engine (matrix deposit / per-step sort)"
+# Exercises the analyzer's fresh-index precondition: the Matrix plan
+# must carry an index-freshness attestation, the CSR index audit must
+# pass, and the run checks bit-identity to Serial.
 ./target/release/fempic configs/fempic_matrix.cfg --validate >/dev/null
+./target/release/cabana configs/cabana_sorted.cfg --validate >/dev/null
 
 echo "== telemetry smoke (sink -> audit -> report)"
 # A validated run writes a JSONL event stream; the analyzer's offline
@@ -135,7 +132,7 @@ fi
 echo "== bench smoke"
 cargo bench --offline --workspace --no-run --quiet
 # The cell-locality sweep also asserts (before timing, at any scale)
-# that the sorted-segments and matrix deposits, under Seq and Par, are
+# that the matrix deposit, under Seq, pool(2) and pool(4), is
 # bit-identical to Serial and that every strategy agrees numerically.
 OPPIC_SCALE=0.02 OPPIC_STEPS=2 ./target/release/ablation_deposit_strategies >/dev/null
 

@@ -126,7 +126,7 @@ pub fn audit_particle_cells(name: &str, cells: &[i32], n_cells: usize) -> Vec<Di
 /// Audit a CSR cell index against the particle→cell column it claims
 /// to describe: offsets must be monotone, cover exactly `0..n`, and
 /// every particle inside segment `c` must actually sit in cell `c`.
-/// This is the invariant `SortedSegments` and the segment-batched
+/// This is the invariant the Matrix deposit and the segment-batched
 /// gather loops stake their race-freedom on.
 pub fn audit_cell_index(
     name: &str,

@@ -87,18 +87,18 @@ pub fn self_test() -> Vec<(&'static str, bool)> {
         check_plan(&safe, None).is_empty(),
     );
 
-    // Pass 1b: the cell-locality engine's plan rule — SortedSegments
+    // Pass 1b: the cell-locality engine's plan rule — a Matrix deposit
     // with no fresh-index attestation is a data race in waiting.
-    let ss = RaceStrategy::Deposit(DepositMethod::SortedSegments);
-    let stale = LoopPlan::new(deposit_decl.clone(), &ExecPolicy::Par, ss);
+    let mx = RaceStrategy::Deposit(DepositMethod::Matrix);
+    let stale = LoopPlan::new(deposit_decl.clone(), &ExecPolicy::Par, mx);
     check(
-        "static: parallel SortedSegments without a fresh cell index is an Error",
+        "static: parallel Matrix without a fresh cell index is an Error",
         check_plan(&stale, None)
             .iter()
             .any(|d| d.code == "plan/stale-index" && d.severity == Severity::Error),
     );
     let attested =
-        LoopPlan::new(deposit_decl.clone(), &ExecPolicy::Par, ss).with_index_freshness(true);
+        LoopPlan::new(deposit_decl.clone(), &ExecPolicy::Par, mx).with_index_freshness(true);
     check(
         "static: the same plan attesting a fresh index is clean",
         !check_plan(&attested, None)
@@ -149,7 +149,7 @@ pub fn self_test() -> Vec<(&'static str, bool)> {
             .is_empty(),
     );
 
-    // Pass 2b: the sorted-segments owner-computes schedule is race-free
+    // Pass 2b: the Matrix deposit's owner-computes schedule is race-free
     // on the owned dat even where all-parallel conflicts.
     check(
         "shadow: owner-computes accepts the segment schedule as race-free",

@@ -87,10 +87,9 @@ pub enum Schedule<'a> {
         colors: &'a [u32],
         groups: &'a [u32],
     },
-    /// Owner-computes gather — the shape of
-    /// [`oppic_core::deposit_loop_sorted`] (SortedSegments), which
-    /// [`oppic_core::deposit_loop_matrix`] (Matrix) also runs in
-    /// parallel: the parallel unit is a *target element* of the
+    /// Owner-computes gather — the shape
+    /// [`oppic_core::deposit_loop_matrix`] (Matrix) runs in parallel:
+    /// the parallel unit is a *target element* of the
     /// `owned` dat, and each owner serially folds every iteration that
     /// touches its element.
     /// Touches on the owned dat therefore never conflict (same element
@@ -444,7 +443,7 @@ mod tests {
     #[test]
     fn matrix_schedule_keeps_aliased_deposit_target_racy() {
         // The matrixized deposit runs owner-computes over its target
-        // dat, exactly like SortedSegments. A kernel that also
+        // dat. A kernel that also
         // scatters into an *alias* of that target (a second dat
         // viewing the same storage) gets no blessing from the
         // schedule: the aliased writes must surface as exactly one

@@ -41,37 +41,25 @@ pub fn check_plan(plan: &LoopPlan, reg: Option<&Registry>) -> Vec<Diagnostic> {
         ));
     }
 
-    // SortedSegments and Matrix are only race-free when particles are
-    // grouped by cell: the plan must attest a fresh CSR cell index at
-    // dispatch time. Without it the plain `+=` per segment has no
-    // ownership argument and races exactly like a strategy-less
-    // deposit.
+    // The Matrix deposit is only race-free when particles are grouped
+    // by cell: the plan must attest a fresh CSR cell index at dispatch
+    // time. Without it the plain `+=` per segment has no ownership
+    // argument and races exactly like a strategy-less deposit.
     if plan.parallel
-        && matches!(
-            plan.race_strategy,
-            RaceStrategy::Deposit(DepositMethod::SortedSegments | DepositMethod::Matrix)
-        )
+        && plan.race_strategy == RaceStrategy::Deposit(DepositMethod::Matrix)
         && plan.index_fresh != Some(true)
     {
-        let method = match plan.race_strategy {
-            RaceStrategy::Deposit(m) => m.label(),
-            _ => unreachable!("matched Deposit above"),
+        let message = match plan.index_fresh {
+            None => {
+                "MX deposit under a parallel policy with no cell-index freshness \
+                 attestation (call with_index_freshness after sort_by_cell)"
+            }
+            _ => {
+                "MX deposit under a parallel policy on a stale CSR cell index; \
+                 re-sort (sort_by_cell) before the deposit"
+            }
         };
-        out.push(Diagnostic::error(
-            "plan/stale-index",
-            name.clone(),
-            match plan.index_fresh {
-                None => format!(
-                    "{method} deposit under a parallel policy with no cell-index \
-                     freshness attestation (call with_index_freshness after \
-                     sort_by_cell)"
-                ),
-                _ => format!(
-                    "{method} deposit under a parallel policy on a stale CSR cell \
-                     index; re-sort (sort_by_cell) before the deposit"
-                ),
-            },
-        ));
+        out.push(Diagnostic::error("plan/stale-index", name.clone(), message));
     }
 
     // An indirect WRITE / RW from a particle loop scatters plain
@@ -382,45 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_segments_without_fresh_index_is_an_error() {
-        let strat = RaceStrategy::Deposit(DepositMethod::SortedSegments);
-        // No attestation at all.
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            diags.iter().any(|d| d.code == "plan/stale-index"
-                && d.severity == crate::diag::Severity::Error),
-            "{diags:?}"
-        );
-        // Explicitly stale.
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(false);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            diags.iter().any(|d| d.code == "plan/stale-index"),
-            "{diags:?}"
-        );
-        // Fresh index: clean.
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(true);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            !diags.iter().any(|d| d.code == "plan/stale-index"),
-            "{diags:?}"
-        );
-        // Sequential execution is the serial fold regardless of index.
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Seq, strat);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            !diags.iter().any(|d| d.code == "plan/stale-index"),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
     fn matrix_without_fresh_index_is_an_error() {
-        // The matrixized deposit inherits SortedSegments' ownership
-        // argument — and therefore its freshness precondition.
         let strat = RaceStrategy::Deposit(DepositMethod::Matrix);
         let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
         let diags = check_plan(&plan, Some(&fem_registry()));

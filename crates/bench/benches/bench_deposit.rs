@@ -1,12 +1,12 @@
 //! Criterion microbench: the deposit strategies across contention
 //! levels (the Section 3.3 design space), the cell-locality engine's
-//! sorted-segments and matrixized executors across ppc regimes, and the telemetry
-//! hot paths (kernel-record interning, counter publication on/off).
+//! matrixized executor across ppc regimes, and the telemetry hot paths
+//! (kernel-record interning, counter publication on/off).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use oppic_core::{
-    deposit_loop, deposit_loop_matrix, deposit_loop_sorted, invert_cell_targets, DepositMethod,
-    ExecPolicy, ParticleDats, Profiler,
+    deposit_loop, deposit_loop_matrix, invert_cell_targets, DepositMethod, ExecPolicy,
+    ParticleDats, Profiler,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn bench_deposit(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sorted-segments over a fresh CSR index vs the scatter-array
+/// The matrixized deposit over a fresh CSR index vs the scatter-array
 /// baseline on the same (sorted) store, per mean ppc.
 fn bench_deposit_sorted(c: &mut Criterion) {
     let n_cells = 2048usize;
@@ -82,15 +82,8 @@ fn bench_deposit_sorted(c: &mut Criterion) {
         let idx = ps.cell_index().expect("fresh after sort").to_vec();
         let scells = ps.cells().to_vec();
         let w = ps.col(wid).to_vec();
-        g.bench_with_input(BenchmarkId::new("ss", ppc), &ppc, |b, _| {
-            let mut buf = vec![0.0f64; n_targets];
-            b.iter(|| {
-                deposit_loop_sorted(&ExecPolicy::Par, &idx, &inv, &mut buf, |p, s| w[p * 4 + s])
-            });
-        });
         g.bench_with_input(BenchmarkId::new("mx_seq", ppc), &ppc, |b, _| {
-            // Matrix's own schedule: the single-worker cell-major sweep
-            // (in parallel it runs the `ss` fold above).
+            // Matrix's single-worker schedule: the cell-major sweep.
             let mut buf = vec![0.0f64; n_targets];
             b.iter(|| {
                 deposit_loop_matrix(&ExecPolicy::Seq, &idx, &inv, &mut buf, |p, s| w[p * 4 + s])

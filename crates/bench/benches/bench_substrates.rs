@@ -1,52 +1,20 @@
-//! Criterion microbench: substrate layers — CG solve, halo exchange,
-//! partitioners, overlay build/locate.
+//! Criterion microbench: substrate layers — the factored field solve,
+//! halo exchange, partitioners, overlay build/locate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use oppic_core::ExecPolicy;
-use oppic_linalg::{cg_solve, CgConfig, CsrBuilder};
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
 use oppic_mpi::comm::world_run;
 use oppic_mpi::halo::build_rank_meshes;
 use oppic_mpi::partition::{directional_partition, graph_growing_partition, rcb_partition};
 
-fn bench_cg(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cg_solve");
+fn bench_field_solve(c: &mut Criterion) {
+    let mut g = c.benchmark_group("field_solve");
     for &n in &[8usize, 14] {
         let mesh = TetMesh::duct(n, n, n, 1.0, 1.0, 1.0);
-        let fem = oppic_fempic::FemSolver::assemble(&mesh, 1.0);
-        let _ = fem;
-        // Assemble a Laplacian-like SPD system directly.
-        let nn = mesh.n_nodes();
-        let mut b = CsrBuilder::new(nn, nn);
-        for cidx in 0..mesh.n_cells() {
-            let gders = &mesh.shape_deriv[cidx];
-            let vol = mesh.volume[cidx];
-            let nd = mesh.c2n[cidx];
-            for i in 0..4 {
-                b.add(nd[i], nd[i], vol * gders[i].dot(gders[i]) + 1e-3);
-                for j in 0..4 {
-                    if i != j {
-                        b.add(nd[i], nd[j], vol * gders[i].dot(gders[j]));
-                    }
-                }
-            }
-        }
-        let a = b.build();
-        let rhs = vec![1.0; nn];
-        g.bench_with_input(BenchmarkId::new("jacobi_pcg", nn), &nn, |bch, _| {
-            bch.iter(|| {
-                let mut x = vec![0.0; nn];
-                cg_solve(
-                    &ExecPolicy::Par,
-                    &a,
-                    &rhs,
-                    &mut x,
-                    CgConfig {
-                        rtol: 1e-8,
-                        ..Default::default()
-                    },
-                )
-            });
+        let mut fem = oppic_fempic::FemSolver::assemble(&mesh, 1.0);
+        let charge = vec![1e-3; mesh.n_nodes()];
+        g.bench_with_input(BenchmarkId::new("factored", n), &n, |bch, _| {
+            bch.iter(|| fem.solve(&charge, 1.0).map(|phi| phi[0]))
         });
     }
     g.finish();
@@ -113,6 +81,6 @@ fn short() -> Criterion {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_cg, bench_halo, bench_partitioners, bench_overlay
+    targets = bench_field_solve, bench_halo, bench_partitioners, bench_overlay
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Ablation (Section 3.3 / 4.1.1): race-handling strategies for the
 //! double-indirect charge deposit — scatter arrays (SA), safe atomics
 //! (AT), unsafe atomics (UA), segmented reduction (SR), and the
-//! cell-locality engine's sorted segments (SS).
+//! cell-locality engine's matrixized deposit (MX).
 //!
 //! Four views:
 //! 1. host wall-times of the real strategies across a contention sweep
@@ -10,16 +10,15 @@
 //! 3. modeled GPU deposit times, reproducing "standard atomics (AT) on
 //!    AMD GPUs perform significantly worse, over 200× slower than UA
 //!    or SR";
-//! 4. sorted (SS segments and the MX matrixized deposit over a fresh
-//!    CSR cell index) vs unsorted (SA/AT) deposit across
+//! 4. sorted (the MX matrixized deposit over a fresh CSR cell index)
+//!    vs unsorted (SA/AT) deposit across
 //!    particle-per-cell regimes and thread counts {1, nproc}, recorded
 //!    to `results/BENCH_ablation_deposit_matrix.json` (supersedes the
 //!    older `BENCH_ablation_deposit_sorted.json` single-thread table).
 
 use oppic_bench::report::{banner, scale_factor, steps, telemetry_from_env};
 use oppic_core::{
-    deposit_loop, deposit_loop_matrix, deposit_loop_sorted, invert_cell_targets, DepositMethod,
-    ExecPolicy, ParticleDats,
+    deposit_loop, deposit_loop_matrix, invert_cell_targets, DepositMethod, ExecPolicy, ParticleDats,
 };
 use oppic_device::{analyze_warps, AtomicFlavor, DeviceSpec};
 use oppic_fempic::{FemPic, FemPicConfig};
@@ -172,13 +171,13 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// Sorted segments and the matrixized deposit over a fresh CSR cell
-/// index versus the unsorted scatter-array / atomic paths, across mean
+/// The matrixized deposit over a fresh CSR cell index versus the
+/// unsorted scatter-array / atomic paths, across mean
 /// particles-per-cell regimes and thread counts on a synthetic
 /// FEM-like mesh (every cell scatters into 4 of `n_targets` node
-/// slots, as the tet-weighting deposit does). Both sorted paths are
-/// asserted bit-identical to the Serial fold before any timing is
-/// reported. Thread counts stop at this host's parallelism, and every
+/// slots, as the tet-weighting deposit does). Both of the matrix
+/// deposit's schedules are asserted bit-identical to the Serial fold
+/// before any timing is reported. Thread counts stop at this host's parallelism, and every
 /// column, the sort included, is the best of `reps` runs.
 fn cell_locality_sweep() {
     let sf = scale_factor(1.0);
@@ -209,25 +208,18 @@ fn cell_locality_sweep() {
     let inv = invert_cell_targets(&c2n, n_targets);
 
     println!(
-        "\n--- cell-locality: sorted segments / matrix vs unsorted deposit ---\n\
+        "\n--- cell-locality: matrix vs unsorted deposit ---\n\
          {n_cells} cells -> {n_targets} targets, 4 adds/particle, threads {thread_sweep:?} \
          (nproc {nproc}), best of {reps} (ms)"
     );
     println!(
-        "{:>6} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "ppc",
-        "threads",
-        "particles",
-        "SA(unsort)",
-        "AT(unsort)",
-        "SS(sorted)",
-        "MX(sorted)",
-        "sort"
+        "{:>6} {:>8} {:>10} {:>12} {:>12} {:>12} {:>10}",
+        "ppc", "threads", "particles", "SA(unsort)", "AT(unsort)", "MX(sorted)", "sort"
     );
 
-    // (threads, ppc, n, sa, at, ss, mx, sort) — assembled into
+    // (threads, ppc, n, sa, at, mx, sort) — assembled into
     // per-thread-count JSON sweeps at the end.
-    type Row = (usize, usize, usize, f64, f64, f64, f64, f64);
+    type Row = (usize, usize, usize, f64, f64, f64, f64);
     let mut rows: Vec<Row> = Vec::new();
     for ppc in [2usize, 8, 16, 32, 64, 256] {
         let n = n_cells * ppc;
@@ -260,16 +252,17 @@ fn cell_locality_sweep() {
         let pcells = unsorted.cells();
         let w = unsorted.col(wid);
 
-        // Sorted inputs: a sorted copy for the segment paths.
+        // Sorted inputs: a sorted copy for the matrix deposit.
         let mut sorted = unsorted.clone();
         sorted.sort_by_cell(n_cells);
         let cell_start = sorted.cell_index().expect("fresh after sort");
         let scells = sorted.cells();
         let ws = sorted.col(wid);
 
-        // Conformance guard before any timing: both sorted paths, under
-        // both of Matrix's schedules, must replay the Serial deposit
-        // bit for bit on the sorted store.
+        // Conformance guard before any timing: both of Matrix's
+        // schedules (cell-major on one worker, owner-computes on two or
+        // four) must replay the Serial deposit bit for bit on the
+        // sorted store.
         {
             let mut serial = vec![0.0f64; n_targets];
             deposit_loop(
@@ -284,21 +277,16 @@ fn cell_locality_sweep() {
                     }
                 },
             );
-            for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
-                let mut ss = vec![0.0f64; n_targets];
-                deposit_loop_sorted(&policy, cell_start, &inv, &mut ss, |p, s| ws[p * 4 + s]);
+            for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
                 let mut mx = vec![0.0f64; n_targets];
                 deposit_loop_matrix(&policy, cell_start, &inv, &mut mx, |p, s| ws[p * 4 + s]);
-                for (label, got) in [("sorted segments", ss), ("matrix", mx)] {
-                    assert!(
-                        serial
-                            .iter()
-                            .zip(&got)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "ppc {ppc}: {label} deposit under {policy:?} must be bit-identical \
-                         to Serial"
-                    );
-                }
+                assert!(
+                    serial
+                        .iter()
+                        .zip(&mx)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "ppc {ppc}: matrix deposit under {policy:?} must be bit-identical to Serial"
+                );
             }
         }
 
@@ -331,28 +319,23 @@ fn cell_locality_sweep() {
                 })
                 .fold(f64::INFINITY, f64::min);
 
-            let (ss_ms, ss_total) = time_best(&mut || {
-                let mut buf = vec![0.0f64; n_targets];
-                deposit_loop_sorted(&policy, cell_start, &inv, &mut buf, |p, s| ws[p * 4 + s]);
-                buf.iter().sum()
-            });
             let (mx_ms, mx_total) = time_best(&mut || {
                 let mut buf = vec![0.0f64; n_targets];
                 deposit_loop_matrix(&policy, cell_start, &inv, &mut buf, |p, s| ws[p * 4 + s]);
                 buf.iter().sum()
             });
 
-            for (label, total) in [("AT", at_total), ("SS", ss_total), ("MX", mx_total)] {
+            for (label, total) in [("AT", at_total), ("MX", mx_total)] {
                 assert!(
                     (sa_total - total).abs() < 1e-6 * sa_total.abs().max(1.0),
                     "{label} must agree numerically with SA at ppc {ppc}"
                 );
             }
             println!(
-                "{ppc:>6} {threads:>8} {n:>10} {sa_ms:>12.3} {at_ms:>12.3} {ss_ms:>12.3} \
-                 {mx_ms:>12.3} {sort_ms:>10.3}"
+                "{ppc:>6} {threads:>8} {n:>10} {sa_ms:>12.3} {at_ms:>12.3} {mx_ms:>12.3} \
+                 {sort_ms:>10.3}"
             );
-            rows.push((threads, ppc, n, sa_ms, at_ms, ss_ms, mx_ms, sort_ms));
+            rows.push((threads, ppc, n, sa_ms, at_ms, mx_ms, sort_ms));
         }
     }
 
@@ -362,12 +345,11 @@ fn cell_locality_sweep() {
             let regimes: Vec<String> = rows
                 .iter()
                 .filter(|r| r.0 == t)
-                .map(|&(_, ppc, n, sa, at, ss, mx, sort)| {
+                .map(|&(_, ppc, n, sa, at, mx, sort)| {
                     format!(
                         "        {{\"ppc\": {ppc}, \"n_particles\": {n}, \"ms\": \
                          {{\"scatter_arrays\": {sa:.4}, \"atomics\": {at:.4}, \
-                         \"sorted_segments\": {ss:.4}, \"matrix\": {mx:.4}, \
-                         \"sort\": {sort:.4}}}}}"
+                         \"matrix\": {mx:.4}, \"sort\": {sort:.4}}}}}"
                     )
                 })
                 .collect();

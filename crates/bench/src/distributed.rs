@@ -13,7 +13,7 @@
 
 use oppic_cabana::{CabanaConfig, StructuredCabana};
 use oppic_core::ExecPolicy;
-use oppic_fempic::{DistributedSolve, FemPic, FemPicConfig};
+use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::{world_run, RankCtx};
 use oppic_mpi::{OverlapForm, OverlapGate, Plain};
 use std::time::{Duration, Instant};
@@ -91,17 +91,14 @@ fn run_fempic(
     steps: usize,
     form: OverlapForm,
     latency: Duration,
-    distributed_solve: bool,
 ) -> DistributedReport {
     let per_rank = world_run(n_ranks, |ctx: &mut RankCtx| {
         let (mut sim, cell_rank) = FemPic::new_rank(base, ctx.rank, n_ranks);
-        let mut solve =
-            distributed_solve.then(|| DistributedSolve::new(&sim, &cell_rank, ctx.rank, n_ranks));
         let mut net = Plain { latency };
         let mut migrated_out = 0usize;
         let t0 = Instant::now();
         for _ in 0..steps {
-            let Ok(stats) = sim.distributed_step(ctx, &mut net, &cell_rank, form, solve.as_mut());
+            let Ok(stats) = sim.distributed_step(ctx, &mut net, &cell_rank, form);
             migrated_out += stats.sent;
         }
         let report = RankReport {
@@ -128,14 +125,7 @@ pub fn run_fempic_distributed(
     n_ranks: usize,
     steps: usize,
 ) -> DistributedReport {
-    run_fempic(
-        base,
-        n_ranks,
-        steps,
-        OverlapForm::None,
-        Duration::ZERO,
-        false,
-    )
+    run_fempic(base, n_ranks, steps, OverlapForm::None, Duration::ZERO)
 }
 
 /// Like [`run_fempic_distributed`], but with **proof-gated async
@@ -158,27 +148,7 @@ pub fn run_fempic_distributed_overlap(
     latency: Duration,
 ) -> DistributedReport {
     let form = FemPic::migrate_form(gate);
-    run_fempic(base, n_ranks, steps, form, latency, false)
-}
-
-/// Like [`run_fempic_distributed`], but with a **distributed field
-/// solve**: nodes are partitioned along the cell slabs and the Poisson
-/// system runs through `oppic_mpi::solve::cg_solve_distributed`
-/// (halo-exchanged SpMV + allreduce dot products) instead of the
-/// replicated solve — the full PETSc-style distributed path.
-pub fn run_fempic_distributed_solve(
-    base: &FemPicConfig,
-    n_ranks: usize,
-    steps: usize,
-) -> DistributedReport {
-    run_fempic(
-        base,
-        n_ranks,
-        steps,
-        OverlapForm::None,
-        Duration::ZERO,
-        true,
-    )
+    run_fempic(base, n_ranks, steps, form, latency)
 }
 
 /// Run CabanaPIC on `n_ranks` in-process ranks for `steps` steps.
@@ -260,23 +230,6 @@ mod tests {
         assert!((q1 - qn).abs() < 1e-12, "{q1} vs {qn}");
         assert!(multi.total_particles > 0);
         assert!(multi.imbalance() < 2.0, "imbalance {}", multi.imbalance());
-    }
-
-    #[test]
-    fn distributed_solve_matches_replicated_solve() {
-        // The fully distributed field-solve path must produce the same
-        // physics as the replicated-solve run on the same per-rank
-        // injection streams.
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 60;
-        let a = run_fempic_distributed(&cfg, 3, 4);
-        let b = run_fempic_distributed_solve(&cfg, 3, 4);
-        assert_eq!(a.total_particles, b.total_particles);
-        let qa = a.check_scalar / a.total_particles as f64;
-        let qb = b.check_scalar / b.total_particles as f64;
-        assert!((qa - qb).abs() < 1e-10, "{qa} vs {qb}");
-        // The distributed solve sends more (per-iteration halos).
-        assert!(b.total_comm_bytes() > 0);
     }
 
     /// A minimal report carrying exactly the proof the fempic overlap

@@ -463,7 +463,7 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
             let form = OverlapForm::None;
             match run
                 .sim
-                .distributed_step(ctx, &mut net, &run.cell_rank, form, None)
+                .distributed_step(ctx, &mut net, &run.cell_rank, form)
             {
                 Ok(_) => {}
                 // Fail-stop with peers already committed to the exchange.

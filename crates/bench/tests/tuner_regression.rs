@@ -5,8 +5,9 @@
 //! recorded (threads, ppc) regime the tuner is probed in the two
 //! states the sweep actually measured — a fresh cell index and a fully
 //! dirty store — and its decision is costed with the recorded
-//! milliseconds. Over a dirty store it must not pick a segment method
-//! at all: those are legal only on a fresh index. The tuner must never pick a strategy materially
+//! milliseconds. Over a dirty store it must not pick the Matrix
+//! deposit at all: it is legal only on a fresh index. The tuner must
+//! never pick a strategy materially
 //! slower than the best recorded option for that regime, so a
 //! heuristic edit that starts selecting a losing strategy fails here
 //! without re-running the bench.
@@ -26,7 +27,6 @@ struct Regime {
     n_particles: usize,
     sa: f64,
     at: f64,
-    ss: f64,
     mx: f64,
     sort: f64,
 }
@@ -56,7 +56,6 @@ fn load_table() -> (usize, usize, Vec<Regime>) {
                 n_particles: num(r, "n_particles") as usize,
                 sa: num(ms, "scatter_arrays"),
                 at: num(ms, "atomics"),
-                ss: num(ms, "sorted_segments"),
                 mx: num(ms, "matrix"),
                 sort: num(ms, "sort"),
             });
@@ -73,7 +72,6 @@ fn cost(r: &Regime, method: DepositMethod) -> f64 {
     match method {
         DepositMethod::Serial | DepositMethod::ScatterArrays => r.sa,
         DepositMethod::Atomics | DepositMethod::UnsafeAtomics => r.at,
-        DepositMethod::SortedSegments => r.ss,
         DepositMethod::Matrix => r.mx,
         DepositMethod::SegmentedReduction => {
             panic!("tuner picked {method:?}, which the sweep does not record")
@@ -89,10 +87,10 @@ fn tuner_never_picks_a_recorded_loser() {
     for r in &regimes {
         // The two states the sweep measured: deposit straight off a
         // fresh index, and deposit on a fully dirty store (where the
-        // sorted paths must first pay the recorded sort).
+        // sorted path must first pay the recorded sort).
         let probes = [
-            (true, [r.sa, r.at, r.ss, r.mx]),
-            (false, [r.sa, r.at, r.ss + r.sort, r.mx + r.sort]),
+            (true, [r.sa, r.at, r.mx]),
+            (false, [r.sa, r.at, r.mx + r.sort]),
         ];
         for (index_fresh, options) in probes {
             let d = tuner.choose(TunerInput {
@@ -102,13 +100,10 @@ fn tuner_never_picks_a_recorded_loser() {
                 index_fresh,
                 threads: r.threads,
             });
-            // A dirty store never gets a segment method.
+            // A dirty store never gets the Matrix deposit.
             if !index_fresh {
                 assert!(
-                    !matches!(
-                        d.method,
-                        DepositMethod::SortedSegments | DepositMethod::Matrix
-                    ),
+                    d.method != DepositMethod::Matrix,
                     "threads {} ppc {}: {:?} on a dirty store",
                     r.threads,
                     r.ppc,
@@ -135,16 +130,6 @@ fn matrix_is_selected_exactly_where_it_wins_single_thread() {
     let (n_cells, n_targets, regimes) = load_table();
     let mut tuner = AutoTuner::new();
     for r in regimes.iter().filter(|r| r.threads == 1) {
-        // Acceptance row of the ablation: on one thread the cell-major
-        // streaming schedule beats sorted segments across the sweep...
-        assert!(
-            r.mx < r.ss,
-            "ppc {}: matrix {} ms must beat sorted segments {} ms single-thread",
-            r.ppc,
-            r.mx,
-            r.ss
-        );
-        // ...and the tuner routes fresh dense deposits to it.
         let d = tuner.choose(TunerInput {
             n_particles: r.n_particles,
             n_cells,
@@ -153,6 +138,17 @@ fn matrix_is_selected_exactly_where_it_wins_single_thread() {
             threads: 1,
         });
         if r.ppc >= AutoTuner::MX_SEQ_MIN_PPC {
+            // Acceptance row of the ablation: from MX_SEQ_MIN_PPC on,
+            // the cell-major streaming schedule beats the serial
+            // scatter's closest recorded column on one thread...
+            assert!(
+                r.mx < r.sa,
+                "ppc {}: matrix {} ms must beat scatter arrays {} ms single-thread",
+                r.ppc,
+                r.mx,
+                r.sa
+            );
+            // ...and the tuner routes fresh dense deposits to it.
             assert_eq!(d.method, DepositMethod::Matrix, "ppc {}", r.ppc);
         }
     }

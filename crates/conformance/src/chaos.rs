@@ -277,7 +277,7 @@ fn run_reliable_fempic(
         });
 
         for _ in 0..cell.steps {
-            sim.distributed_step(ctx, &mut link, &cell_rank, form, None)
+            sim.distributed_step(ctx, &mut link, &cell_rank, form)
                 .map_err(|e| e.to_string())?;
         }
 

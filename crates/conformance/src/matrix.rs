@@ -200,7 +200,6 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         DepositMethod::Serial,
         DepositMethod::ScatterArrays,
         DepositMethod::Atomics,
-        DepositMethod::SortedSegments,
         DepositMethod::Matrix,
     ] {
         for mover in [Mover::MultiHop, Mover::DirectHop] {
@@ -216,7 +215,6 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         DepositMethod::Serial,
         DepositMethod::ScatterArrays,
         DepositMethod::Atomics,
-        DepositMethod::SortedSegments,
         DepositMethod::Matrix,
     ] {
         cells.push(CellConfig {
@@ -232,7 +230,7 @@ pub fn quick_matrix() -> Vec<CellConfig> {
     });
     cells.push(CellConfig {
         exec: Exec::Pool4,
-        deposit: DepositMethod::SortedSegments,
+        deposit: DepositMethod::Matrix,
         ..fem.clone()
     });
     // FEM-PIC device model and MPI.
@@ -314,7 +312,6 @@ pub fn full_matrix() -> Vec<CellConfig> {
             DepositMethod::Serial,
             DepositMethod::ScatterArrays,
             DepositMethod::Atomics,
-            DepositMethod::SortedSegments,
             DepositMethod::Matrix,
         ] {
             for mover in [Mover::MultiHop, Mover::DirectHop] {
@@ -327,18 +324,16 @@ pub fn full_matrix() -> Vec<CellConfig> {
             }
         }
     }
-    // The CSR-index-bound deposits × the sort-policy axis: the cell
+    // The CSR-index-bound deposit × the sort-policy axis: the cell
     // engine's own pre-deposit sort (sort_always=false above) against
     // an every-step external rebuild.
     for exec in [Exec::Seq, Exec::Pool2, Exec::Pool4] {
-        for deposit in [DepositMethod::SortedSegments, DepositMethod::Matrix] {
-            cells.push(CellConfig {
-                exec,
-                deposit,
-                sort_always: true,
-                ..fem.clone()
-            });
-        }
+        cells.push(CellConfig {
+            exec,
+            deposit: DepositMethod::Matrix,
+            sort_always: true,
+            ..fem.clone()
+        });
     }
     // Persistent binding × sort × deposit: the binding freezes worker
     // ranges while the gather-side sort permutes the store underneath
@@ -347,7 +342,6 @@ pub fn full_matrix() -> Vec<CellConfig> {
         DepositMethod::Serial,
         DepositMethod::ScatterArrays,
         DepositMethod::Atomics,
-        DepositMethod::SortedSegments,
         DepositMethod::Matrix,
     ] {
         for sort_always in [false, true] {
@@ -419,9 +413,6 @@ mod tests {
         assert!(cells.iter().any(|c| c.runtime == Runtime::DeviceModel));
         assert!(cells.iter().any(|c| matches!(c.runtime, Runtime::Mpi(2))));
         assert!(cells.iter().any(|c| c.mover == Mover::DirectHop));
-        assert!(cells
-            .iter()
-            .any(|c| c.deposit == DepositMethod::SortedSegments));
         assert!(
             cells.iter().any(|c| c.deposit == DepositMethod::Matrix),
             "the matrixized deposit must be exercised by the quick matrix"
@@ -476,7 +467,6 @@ mod tests {
             DepositMethod::Serial,
             DepositMethod::ScatterArrays,
             DepositMethod::Atomics,
-            DepositMethod::SortedSegments,
             DepositMethod::Matrix,
         ] {
             for sort_always in [false, true] {

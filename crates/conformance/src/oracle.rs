@@ -2,7 +2,7 @@
 //!
 //! Two kinds of promise exist in this codebase (DESIGN.md §9):
 //! **bit-identity** — rerunning the identical configuration, and the
-//! SortedSegments-vs-Serial fold on the same sorted store — and
+//! Matrix-vs-Serial fold on the same sorted store — and
 //! **tolerance** — everything that legitimately reorders floating-point
 //! summation (parallel pools, atomics, device-model scatter, rank
 //! reductions). The oracle makes the promise explicit per comparison,

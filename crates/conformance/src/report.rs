@@ -25,7 +25,6 @@ fn deposit_from_label(label: &str) -> Result<DepositMethod, String> {
         "AT" => DepositMethod::Atomics,
         "UA" => DepositMethod::UnsafeAtomics,
         "SR" => DepositMethod::SegmentedReduction,
-        "SS" => DepositMethod::SortedSegments,
         "MX" => DepositMethod::Matrix,
         other => return Err(format!("unknown deposit label '{other}'")),
     })
@@ -218,7 +217,7 @@ mod tests {
     fn reproducer_roundtrips_every_axis() {
         let mut cell = CellConfig::reference(App::FemPic);
         cell.exec = Exec::Pool4;
-        cell.deposit = DepositMethod::SortedSegments;
+        cell.deposit = DepositMethod::SegmentedReduction;
         cell.mover = Mover::DirectHop;
         cell.runtime = Runtime::Mpi(2);
         cell.sort_always = true;

@@ -165,19 +165,9 @@ fn run_fempic_host(cell: &CellConfig) -> RunResult {
         errors.push(format!("loop-plan check:\n{report}"));
     }
     let observables = sim.observables();
-    // The bit-identity promise DESIGN.md makes for the owner-computes
-    // deposit, checked on this cell's own final store.
-    if cell.deposit == DepositMethod::SortedSegments
-        && cell.mutation.is_none()
-        && !sim.sorted_segments_bit_identical()
-    {
-        errors.push(
-            "SortedSegments deposit is not bit-identical to Serial on the same sorted store"
-                .to_string(),
-        );
-    }
-    // Same promise for the matrixized deposit (both of its schedules
-    // replay the Serial order per target).
+    // The bit-identity promise DESIGN.md makes for the matrixized
+    // deposit (both of its schedules replay the Serial order per
+    // target), checked on this cell's own final store.
     if cell.deposit == DepositMethod::Matrix
         && cell.mutation.is_none()
         && !sim.matrix_bit_identical()

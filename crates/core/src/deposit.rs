@@ -12,29 +12,24 @@
 //! * **segmented reduction** (GPU, Figure 3) — store `(key, value)`
 //!   pairs, sort by key, reduce by key, scatter.
 //!
-//! This repo adds a fourth strategy the paper's periodic particle sort
-//! makes possible: **sorted segments**
-//! ([`DepositMethod::SortedSegments`]). When the particle store is
-//! cell-sorted and its CSR cell index is *fresh* (see
-//! `ParticleDats::cell_index`), the deposit is re-expressed
-//! owner-computes: the loop parallelises over *target elements*, and
-//! each target folds the contributions of its cells' particle segments
-//! in exactly the serial order (cells ascending, particles ascending
-//! within a segment, map slots ascending within a particle). Plain
-//! `+=`, zero atomics, zero per-thread scatter memory — and because
-//! each target replays the serial left-fold verbatim, the result is
-//! **bit-identical to [`DepositMethod::Serial`]**, a property none of
-//! the other parallel strategies have. The freshness precondition is
-//! enforced by the planner (`plan/stale-index`) and executors run it
-//! through [`deposit_loop_sorted`], which takes the CSR index and a
-//! [`TargetInverse`] (target → owning (cell, slot) pairs) instead of
-//! the generic scattering kernel.
-//!
-//! [`DepositMethod::Matrix`] ([`deposit_loop_matrix`]) shares that
-//! precondition and that owner-computes fold. What it adds is its
-//! single-worker schedule: a cell-major sweep of per-cell outer
-//! products that reads each particle row once, also bit-identical to
-//! Serial.
+//! This repo adds a strategy the paper's periodic particle sort makes
+//! possible: the **matrixized deposit** ([`DepositMethod::Matrix`],
+//! [`deposit_loop_matrix`]). When the particle store is cell-sorted and
+//! its CSR cell index is *fresh* (see `ParticleDats::cell_index`), the
+//! deposit walks cell segments instead of scattering. On several
+//! workers it is owner-computes: the loop parallelises over *target
+//! elements*, and each target folds the contributions of its cells'
+//! particle segments in exactly the serial order (cells ascending,
+//! particles ascending within a segment, map slots ascending within a
+//! particle). Plain `+=`, zero atomics, zero per-thread scatter memory.
+//! On one worker it is a cell-major sweep of per-cell outer products
+//! that reads each particle row once. Either schedule replays each
+//! target's serial left-fold, so the result is **bit-identical to
+//! [`DepositMethod::Serial`]**, a property none of the other parallel
+//! strategies have. The freshness precondition is enforced by the
+//! planner (`plan/stale-index`), and the executor takes the CSR index
+//! and a [`TargetInverse`] (target → owning (cell, slot) pairs) instead
+//! of the generic scattering kernel.
 //!
 //! All scattering strategies are exposed through one executor,
 //! [`deposit_loop`]; the kernel receives a [`Depositor`] and calls
@@ -67,37 +62,21 @@ pub enum DepositMethod {
     /// store(key,value) → sort_by_key → reduce_by_key (the paper's SR,
     /// Figure 3).
     SegmentedReduction,
-    /// Owner-computes over cell segments of a **cell-sorted** store:
-    /// parallel over targets, each folding its segments in serial
-    /// order. Bit-identical to `Serial`; requires a fresh CSR cell
-    /// index and runs through [`deposit_loop_sorted`], not the generic
-    /// [`deposit_loop`].
-    SortedSegments,
-    /// Matrixized deposit: on a single worker, each cell's particle
-    /// run is one rank-k outer-product update (`shape^T × weights`)
-    /// into the cell's targets, after Matrix-PIC (arXiv 2601.08277)
-    /// and POLAR-PIC (arXiv 2604.19337). With several workers it is
-    /// [`DepositMethod::SortedSegments`]' owner-computes fold. Shares
-    /// that method's fresh-index precondition, runs through
-    /// [`deposit_loop_matrix`], and is bit-identical to `Serial`.
+    /// Matrixized deposit over cell segments of a **cell-sorted**
+    /// store: on a single worker, each cell's particle run is one
+    /// rank-k outer-product update (`shape^T × weights`) into the
+    /// cell's targets, after Matrix-PIC (arXiv 2601.08277) and
+    /// POLAR-PIC (arXiv 2604.19337); with several workers, an
+    /// owner-computes fold parallel over targets. Bit-identical to
+    /// `Serial`; requires a fresh CSR cell index and runs through
+    /// [`deposit_loop_matrix`], not the generic [`deposit_loop`].
     Matrix,
 }
 
 impl DepositMethod {
-    pub const ALL: [DepositMethod; 7] = [
-        DepositMethod::Serial,
-        DepositMethod::ScatterArrays,
-        DepositMethod::Atomics,
-        DepositMethod::UnsafeAtomics,
-        DepositMethod::SegmentedReduction,
-        DepositMethod::SortedSegments,
-        DepositMethod::Matrix,
-    ];
-
     /// The strategies the generic [`deposit_loop`] executor can run —
-    /// everything except [`DepositMethod::SortedSegments`] and
-    /// [`DepositMethod::Matrix`], which need the CSR index and
-    /// target-inverse structure of [`deposit_loop_sorted`] /
+    /// everything except [`DepositMethod::Matrix`], which needs the
+    /// CSR index and target-inverse structure of
     /// [`deposit_loop_matrix`].
     pub const GENERIC: [DepositMethod; 5] = [
         DepositMethod::Serial,
@@ -125,7 +104,6 @@ impl DepositMethod {
             DepositMethod::Atomics => "AT",
             DepositMethod::UnsafeAtomics => "UA",
             DepositMethod::SegmentedReduction => "SR",
-            DepositMethod::SortedSegments => "SS",
             DepositMethod::Matrix => "MX",
         }
     }
@@ -185,15 +163,6 @@ fn as_atomic_slots(data: &mut [f64]) -> &[AtomicU64] {
     unsafe { std::slice::from_raw_parts(data.as_mut_ptr() as *const AtomicU64, data.len()) }
 }
 
-/// Statistics from one deposit loop (fed to the ablation benches).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DepositStats {
-    /// Number of `(key, value)` pairs staged (segmented reduction only).
-    pub pairs_staged: usize,
-    /// Distinct target indices touched (segmented reduction only).
-    pub segments: usize,
-}
-
 /// Run an indirect-increment loop over `n` iterations, accumulating
 /// into `target` (a flat `len*dim` f64 buffer) with the chosen
 /// strategy. The kernel is invoked once per iteration index.
@@ -217,8 +186,7 @@ pub fn deposit_loop<F>(
     n: usize,
     target: &mut [f64],
     kernel: F,
-) -> DepositStats
-where
+) where
     F: Fn(usize, &mut Depositor) + Sync,
 {
     if let Some(t) = crate::telemetry::current() {
@@ -231,12 +199,8 @@ where
             for i in 0..n {
                 kernel(i, &mut dep);
             }
-            DepositStats::default()
         }
-        DepositMethod::ScatterArrays => {
-            scatter_arrays(policy, n, target, &kernel);
-            DepositStats::default()
-        }
+        DepositMethod::ScatterArrays => scatter_arrays(policy, n, target, &kernel),
         DepositMethod::Atomics | DepositMethod::UnsafeAtomics => {
             let ordering = if method == DepositMethod::Atomics {
                 Ordering::SeqCst
@@ -257,15 +221,10 @@ where
                     }
                 }
             });
-            DepositStats::default()
         }
         DepositMethod::SegmentedReduction => {
             policy.run(|| segmented_reduction(policy, n, target, &kernel))
         }
-        DepositMethod::SortedSegments => panic!(
-            "SortedSegments cannot run through the generic deposit_loop: it needs the \
-             fresh CSR cell index and a TargetInverse — use deposit_loop_sorted"
-        ),
         DepositMethod::Matrix => panic!(
             "Matrix cannot run through the generic deposit_loop: it needs the \
              fresh CSR cell index and a TargetInverse — use deposit_loop_matrix"
@@ -274,7 +233,7 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Sorted segments — the cell-locality engine's owner-computes deposit.
+// Target inverse — the cell-locality engine's owner-computes index.
 // ---------------------------------------------------------------------
 
 /// CSR inverse of a cell→targets relation: for each target, the
@@ -287,7 +246,7 @@ pub struct TargetInverse {
     offsets: Vec<usize>,
     entries: Vec<(u32, u32)>,
     /// The forward cell→targets CSR the inverse was built from, kept
-    /// for the matrixized deposit's sequential cell-major schedule
+    /// for the matrixized deposit's single-worker cell-major schedule
     /// (per-cell outer products need the cell's target list).
     fwd_offsets: Vec<usize>,
     fwd_targets: Vec<u32>,
@@ -318,7 +277,7 @@ impl TargetInverse {
 }
 
 /// Invert a cell→targets relation (e.g. the cells→nodes map) into the
-/// target→(cell, slot) CSR form [`deposit_loop_sorted`] consumes.
+/// target→(cell, slot) CSR form [`deposit_loop_matrix`] consumes.
 pub fn invert_cell_targets<C: AsRef<[usize]>>(
     cell_targets: &[C],
     n_targets: usize,
@@ -356,46 +315,9 @@ pub fn invert_cell_targets<C: AsRef<[usize]>>(
     }
 }
 
-/// The `SortedSegments` executor. `cell_start` must be the **fresh**
-/// CSR cell index of a cell-sorted particle store
-/// (`ParticleDats::cell_index`); `inv` the inverse of the same
-/// cell→targets relation the serial kernel scatters through. The
-/// kernel returns the contribution of particle `p` through slot `s` of
-/// its cell's target list.
-///
-/// Each target element is owned by exactly one task, which folds its
-/// contributions in the order the serial loop would have applied them
-/// (cells ascending; particles ascending within a segment; slots
-/// ascending within a particle) starting from the target's existing
-/// value — so the result is bit-identical to [`DepositMethod::Serial`]
-/// for any initial target contents. Panics if the index does not
-/// cover the inverse's cells (a stale-index symptom).
-pub fn deposit_loop_sorted<F>(
-    policy: &ExecPolicy,
-    cell_start: &[usize],
-    inv: &TargetInverse,
-    target: &mut [f64],
-    kernel: F,
-) -> DepositStats
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    assert_eq!(
-        target.len(),
-        inv.n_targets(),
-        "target length must match the inverse map"
-    );
-    if let Some(t) = crate::telemetry::current() {
-        t.counter_add("deposit.loops", 1);
-        t.counter_add("deposit.method.SS", 1);
-    }
-    owner_computes(policy, cell_start, inv, target, &kernel);
-    DepositStats::default()
-}
-
-/// The owner-computes schedule shared by [`deposit_loop_sorted`] and
-/// the parallel [`deposit_loop_matrix`]: one task per target, each
-/// replaying the serial fold of its (cell, slot) entries.
+/// The parallel schedule of [`deposit_loop_matrix`]: one task per
+/// target, each replaying the serial fold of its (cell, slot) entries
+/// from the target's existing value.
 fn owner_computes<F>(
     policy: &ExecPolicy,
     cell_start: &[usize],
@@ -469,23 +391,25 @@ pub const MAT_TILE_WIDTH: usize = 8;
 /// On a **single worker** (`Seq` or a one-thread pool) the loop sweeps
 /// cell-major: each particle row (all of its cell's slots) is streamed
 /// from memory exactly once and folded into one register accumulator
-/// per slot. [`DepositMethod::SortedSegments`] re-reads the particle
-/// data once per slot and the serial scatter read-modify-writes memory
-/// per contribution, which is why this schedule beats both.
+/// per slot. The owner-computes fold re-reads the particle data once
+/// per slot and the serial scatter read-modify-writes memory per
+/// contribution, which is why this schedule beats both on one worker.
 /// Reordering only crosses *different* targets, so every target still
 /// receives its contributions in serial order.
 ///
-/// With **several workers** it runs the owner-computes fold of
-/// [`deposit_loop_sorted`]. Either way the result is bit-identical to
-/// [`DepositMethod::Serial`] for any initial target contents.
+/// With **several workers** it runs the owner-computes fold: one task
+/// per target element, each folding its cells' segments in serial
+/// order (cells ascending; particles ascending within a segment; slots
+/// ascending within a particle). Either way the result is
+/// bit-identical to [`DepositMethod::Serial`] for any initial target
+/// contents.
 pub fn deposit_loop_matrix<F>(
     policy: &ExecPolicy,
     cell_start: &[usize],
     inv: &TargetInverse,
     target: &mut [f64],
     kernel: F,
-) -> DepositStats
-where
+) where
     F: Fn(usize, usize) -> f64 + Sync,
 {
     assert_eq!(
@@ -499,7 +423,7 @@ where
     }
     if policy.threads() > 1 {
         owner_computes(policy, cell_start, inv, target, &kernel);
-        return DepositStats::default();
+        return;
     }
     let n_cells = inv.n_cells();
     assert!(
@@ -552,7 +476,6 @@ where
             }
         }
     });
-    DepositStats::default()
 }
 
 // ---------------------------------------------------------------------
@@ -769,12 +692,7 @@ where
 /// Pairs with equal keys are additionally ordered by value bits so the
 /// reduction order — and therefore the floating-point result — is
 /// deterministic regardless of thread schedule.
-fn segmented_reduction<F>(
-    policy: &ExecPolicy,
-    n: usize,
-    target: &mut [f64],
-    kernel: &F,
-) -> DepositStats
+fn segmented_reduction<F>(policy: &ExecPolicy, n: usize, target: &mut [f64], kernel: &F)
 where
     F: Fn(usize, &mut Depositor) + Sync,
 {
@@ -800,8 +718,6 @@ where
         buf
     };
 
-    let staged = pairs.len();
-
     // Step 2: sort_by_key (key, then value bits for determinism).
     pairs.par_sort_unstable_by(|a, b| {
         a.0.cmp(&b.0)
@@ -809,7 +725,6 @@ where
     });
 
     // Step 3: reduce_by_key + scatter.
-    let mut segments = 0usize;
     let mut k = 0;
     while k < pairs.len() {
         let key = pairs[k].0;
@@ -819,12 +734,6 @@ where
             k += 1;
         }
         target[key as usize] += acc;
-        segments += 1;
-    }
-
-    DepositStats {
-        pairs_staged: staged,
-        segments,
     }
 }
 
@@ -1043,24 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn segmented_reduction_stats() {
-        let mut target = vec![0.0; 8];
-        let st = deposit_loop(
-            &ExecPolicy::Seq,
-            DepositMethod::SegmentedReduction,
-            10,
-            &mut target,
-            |i, d| {
-                d.add(i % 2, 1.0);
-            },
-        );
-        assert_eq!(st.pairs_staged, 10);
-        assert_eq!(st.segments, 2);
-        assert_eq!(target[0], 5.0);
-        assert_eq!(target[1], 5.0);
-    }
-
-    #[test]
     fn deposit_accumulates_onto_existing_values() {
         for method in DepositMethod::GENERIC {
             let mut target = vec![10.0, 20.0];
@@ -1212,11 +1103,10 @@ mod tests {
         assert_eq!(DepositMethod::UnsafeAtomics.label(), "UA");
         assert_eq!(DepositMethod::SegmentedReduction.label(), "SR");
         assert_eq!(DepositMethod::ScatterArrays.label(), "SA");
-        assert_eq!(DepositMethod::SortedSegments.label(), "SS");
         assert_eq!(DepositMethod::Matrix.label(), "MX");
     }
 
-    // ---- sorted segments -----------------------------------------------
+    // ---- matrixized deposit --------------------------------------------
 
     /// Cell-sorted synthetic population: `ppc(c)` particles per cell,
     /// returning (cell per particle, CSR offsets).
@@ -1241,10 +1131,18 @@ mod tests {
         0.1 + (h % 1000) as f64 * 1e-3
     }
 
+    /// One worker (the cell-major schedule) and two or four (the
+    /// owner-computes fold), whatever the host's core count.
+    fn matrix_policies() -> [ExecPolicy; 3] {
+        [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)]
+    }
+
     #[test]
-    fn sorted_segments_bit_identical_to_serial_across_seeds() {
-        // Duplicate targets within one cell (cell 2 lists node 3
-        // twice) exercise the slots-within-particle fold order.
+    fn matrix_bit_identical_to_serial_across_seeds() {
+        // Duplicate targets within one cell (cell 2 reaches node 3
+        // through two slots) force the degenerate-cell fallbacks of
+        // both schedules (the cell-major serial replay on one worker,
+        // the owner-computes multi-slot replay in parallel).
         let mesh: Vec<Vec<usize>> = vec![
             vec![0, 1, 2],
             vec![1, 2, 4],
@@ -1255,7 +1153,9 @@ mod tests {
         let n_targets = 7;
         let inv = invert_cell_targets(&mesh, n_targets);
         for seed in 0..6usize {
-            let (cells, start) = sorted_population(mesh.len(), |c| (c * 7 + seed * 3) % 23);
+            // Segment lengths from empty cells to a few dozen
+            // particles.
+            let (cells, start) = sorted_population(mesh.len(), |c| (c * 13 + seed * 5) % 29);
             let n = cells.len();
             // Serial reference through the generic scattering executor,
             // starting from nonzero values to check the fold base case.
@@ -1273,86 +1173,30 @@ mod tests {
                     }
                 },
             );
-            for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
+            for policy in matrix_policies() {
                 let mut got = init.clone();
-                deposit_loop_sorted(&policy, &start, &inv, &mut got, contribution);
+                deposit_loop_matrix(&policy, &start, &inv, &mut got, contribution);
                 assert_eq!(got, reference, "seed {seed} under {policy:?}");
             }
         }
     }
 
     #[test]
-    fn sorted_segments_is_schedule_independent() {
+    fn matrix_is_schedule_independent() {
         let mesh: Vec<[usize; 4]> = (0..64).map(|c| [c, c + 1, c + 2, c + 3]).collect();
         let inv = invert_cell_targets(&mesh, 67);
         let (_, start) = sorted_population(64, |c| 5 + c % 9);
-        let runs: Vec<Vec<f64>> = (0..4)
-            .map(|_| {
+        let runs: Vec<Vec<f64>> = matrix_policies()
+            .iter()
+            .chain(&matrix_policies())
+            .map(|policy| {
                 let mut t = vec![0.0; 67];
-                deposit_loop_sorted(&ExecPolicy::Par, &start, &inv, &mut t, contribution);
+                deposit_loop_matrix(policy, &start, &inv, &mut t, contribution);
                 t
             })
             .collect();
         for r in &runs[1..] {
             assert_eq!(r, &runs[0]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "deposit_loop_sorted")]
-    fn generic_executor_rejects_sorted_segments() {
-        let mut target = vec![0.0; 4];
-        deposit_loop(
-            &ExecPolicy::Par,
-            DepositMethod::SortedSegments,
-            10,
-            &mut target,
-            |_, d| d.add(0, 1.0),
-        );
-    }
-
-    // ---- matrixized deposit --------------------------------------------
-
-    #[test]
-    fn matrix_exact_bit_identical_to_serial_across_seeds() {
-        // Same degenerate mesh as the sorted-segments test: cell 2
-        // reaches node 3 through two slots, forcing the degenerate-cell
-        // fallbacks of both schedules (the cell-major serial replay on
-        // one worker, the owner-computes multi-slot replay in
-        // parallel).
-        let mesh: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2],
-            vec![1, 2, 4],
-            vec![3, 3, 5],
-            vec![0, 5, 6],
-            vec![2, 4, 6],
-        ];
-        let n_targets = 7;
-        let inv = invert_cell_targets(&mesh, n_targets);
-        for seed in 0..6usize {
-            // Segment lengths from empty cells to a few dozen
-            // particles.
-            let (cells, start) = sorted_population(mesh.len(), |c| (c * 13 + seed * 5) % 29);
-            let n = cells.len();
-            let init: Vec<f64> = (0..n_targets).map(|t| t as f64 * 0.5 - 1.0).collect();
-            let mut reference = init.clone();
-            deposit_loop(
-                &ExecPolicy::Seq,
-                DepositMethod::Serial,
-                n,
-                &mut reference,
-                |p, dep| {
-                    let c = cells[p] as usize;
-                    for (s, &t) in mesh[c].iter().enumerate() {
-                        dep.add(t, contribution(p, s));
-                    }
-                },
-            );
-            for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
-                let mut got = init.clone();
-                deposit_loop_matrix(&policy, &start, &inv, &mut got, contribution);
-                assert_eq!(got, reference, "seed {seed} under {policy:?}");
-            }
         }
     }
 

@@ -18,7 +18,7 @@ pub struct ColId(usize);
 
 /// When to rebuild the cell index (the paper's periodic particle sort,
 /// made configurable). Freshness is a hard *precondition* only for
-/// `DepositMethod::SortedSegments`; for everything else sorting is a
+/// `DepositMethod::Matrix`; for everything else sorting is a
 /// locality optimisation and this policy trades its cost against the
 /// gather/deposit speedup.
 #[derive(Debug, Clone, Copy, PartialEq)]

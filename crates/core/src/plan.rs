@@ -57,9 +57,9 @@ pub struct LoopPlan {
     pub race_strategy: RaceStrategy,
     /// Whether the particle store's CSR cell index is fresh at the
     /// point the loop runs (`None` = the app did not attest either
-    /// way). `Deposit(SortedSegments)` and `Deposit(Matrix)` *require*
-    /// `Some(true)`: on a stale index their segment ownership argument
-    /// collapses and the plain `+=` races.
+    /// way). `Deposit(Matrix)` *requires* `Some(true)`: on a stale
+    /// index its segment ownership argument collapses and the plain
+    /// `+=` races.
     pub index_fresh: Option<bool>,
 }
 
@@ -94,7 +94,7 @@ impl LoopPlan {
     /// running at loop-declaration time: per-argument descriptor
     /// coherence plus the fatal plan rules — a parallel loop with an
     /// indirect increment and no race strategy is a data race, and a
-    /// sorted-segments deposit without a fresh-index attestation has no
+    /// matrixized deposit without a fresh-index attestation has no
     /// segment-ownership guarantee.
     pub fn quick_check(&self) -> Result<(), String> {
         self.decl.validate()?;
@@ -106,17 +106,11 @@ impl LoopPlan {
             ));
         }
         if self.parallel
-            && matches!(
-                self.race_strategy,
-                RaceStrategy::Deposit(DepositMethod::SortedSegments | DepositMethod::Matrix)
-            )
+            && self.race_strategy == RaceStrategy::Deposit(DepositMethod::Matrix)
             && self.index_fresh != Some(true)
         {
-            let RaceStrategy::Deposit(m) = self.race_strategy else {
-                unreachable!("matched Deposit above")
-            };
             return Err(format!(
-                "loop '{}': {m:?} requires a fresh CSR cell index \
+                "loop '{}': Matrix requires a fresh CSR cell index \
                  (sort_by_cell with no mutation since); attest it with \
                  with_index_freshness(true)",
                 self.decl.name
@@ -227,12 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn sorted_segments_needs_fresh_index_attestation() {
-        let strat = RaceStrategy::Deposit(DepositMethod::SortedSegments);
+    fn matrix_needs_fresh_index_attestation() {
+        let strat = RaceStrategy::Deposit(DepositMethod::Matrix);
         // No attestation: rejected under a parallel policy.
         let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
         let err = plan.quick_check().unwrap_err();
-        assert!(err.contains("fresh"), "{err}");
+        assert!(err.contains("Matrix") && err.contains("fresh"), "{err}");
         // Stale attestation: also rejected.
         let plan =
             LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(false);
@@ -242,24 +236,6 @@ mod tests {
             LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(true);
         assert!(plan.quick_check().is_ok());
         // Sequential runs are the serial fold anyway.
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Seq, strat);
-        assert!(plan.quick_check().is_ok());
-    }
-
-    #[test]
-    fn matrix_needs_fresh_index_attestation() {
-        // The matrixized deposit shares SortedSegments' ownership
-        // argument, so it carries the same freshness precondition.
-        let strat = RaceStrategy::Deposit(DepositMethod::Matrix);
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
-        let err = plan.quick_check().unwrap_err();
-        assert!(err.contains("Matrix") && err.contains("fresh"), "{err}");
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(false);
-        assert!(plan.quick_check().is_err());
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(true);
-        assert!(plan.quick_check().is_ok());
         let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Seq, strat);
         assert!(plan.quick_check().is_ok());
     }

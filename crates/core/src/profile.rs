@@ -195,11 +195,11 @@ mod tests {
     fn traces_keep_emission_order() {
         let p = Profiler::new();
         p.trace("DepositCharge", "step 1: scatter arrays");
-        p.trace("DepositCharge", "step 2: sorted segments");
+        p.trace("DepositCharge", "step 2: matrix");
         let t = p.traces();
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].1, "step 1: scatter arrays");
-        assert!(t[1].1.contains("sorted segments"));
+        assert!(t[1].1.contains("matrix"));
     }
 
     #[test]

@@ -150,10 +150,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Cell-locality engine: the CSR cell index and the sorted-segments
+// Cell-locality engine: the CSR cell index and the matrixized
 // executor.
 
-use oppic_core::{deposit_loop_sorted, invert_cell_targets};
+use oppic_core::{deposit_loop_matrix, invert_cell_targets};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -211,12 +211,13 @@ proptest! {
         }
     }
 
-    /// `SortedSegments` over a freshly sorted store is bit-identical
-    /// (exact f64 equality) to the serial deposit, for random meshes,
-    /// random particle placements, random weights, random non-zero
-    /// initial target contents, and both executors.
+    /// `Matrix` over a freshly sorted store is bit-identical (exact
+    /// f64 equality) to the serial deposit, for random meshes, random
+    /// particle placements, random weights, random non-zero initial
+    /// target contents, and both schedules: cell-major on one worker,
+    /// owner-computes on two or four.
     #[test]
-    fn sorted_segments_bit_identical_to_serial(
+    fn matrix_bit_identical_to_serial(
         n_cells in 1usize..20,
         n_targets in 1usize..25,
         particle_cells in prop::collection::vec(0usize..20, 0..120),
@@ -260,9 +261,9 @@ proptest! {
                 }
             },
         );
-        for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
+        for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
             let mut got = init.clone();
-            deposit_loop_sorted(&policy, &idx, &inv, &mut got, weight);
+            deposit_loop_matrix(&policy, &idx, &inv, &mut got, weight);
             prop_assert_eq!(&got, &reference, "policy {:?}", policy);
         }
     }

@@ -7,8 +7,8 @@
 //! inject_per_step seed`), backend (`parallel deposit move coloring
 //! integrator overlay_res`), cell-locality engine (`sort_every
 //! sort_dirty` — gather-side CSR index rebuild cadence; `deposit =
-//! ss` for sorted segments, `deposit = mx` for the matrixized deposit,
-//! `deposit = auto` for the auto-tuner), persistent thread binding
+//! mx` for the matrixized deposit, `deposit = auto` for the
+//! auto-tuner), persistent thread binding
 //! (`binding rebalance_every rebalance_drift`) and the numeric guards
 //! (`guard_numerics`).
 
@@ -81,13 +81,8 @@ fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> 
             "at" => DepositMethod::Atomics,
             "ua" => DepositMethod::UnsafeAtomics,
             "sr" => DepositMethod::SegmentedReduction,
-            "ss" | "auto" => DepositMethod::SortedSegments,
-            "mx" | "matrix" => DepositMethod::Matrix,
-            other => {
-                return Err(format!(
-                    "deposit = {other:?}: use seq/sa/at/ua/sr/ss/mx/auto"
-                ))
-            }
+            "mx" | "matrix" | "auto" => DepositMethod::Matrix,
+            other => return Err(format!("deposit = {other:?}: use seq/sa/at/ua/sr/mx/auto")),
         },
         auto_tune: params.get_str("deposit", "sa") == "auto",
         sort_policy: {

@@ -76,8 +76,8 @@ pub struct FemPicConfig {
     pub coloring: bool,
     /// When to rebuild the CSR cell index with a particle sort (the
     /// cell-locality engine). Independent of `coloring`, which always
-    /// sorts, and of `deposit = SortedSegments`, which sorts whenever
-    /// the index is stale at deposit time.
+    /// sorts, and of `deposit = Matrix`, which sorts whenever the
+    /// index is stale at deposit time.
     pub sort_policy: SortPolicy,
     /// Let the deposit [`oppic_core::AutoTuner`] pick the method (and
     /// whether to sort first) per step from runtime statistics,

@@ -30,27 +30,11 @@ impl FemPic {
     }
 
     /// DESIGN.md's bit-identity promise, checkable from outside the
-    /// crate: on the *same* freshly sorted store, the owner-computes
-    /// SortedSegments deposit replays the Serial fold order exactly —
-    /// strict `f64` equality, not a tolerance. Leaves `node_charge`
-    /// holding the (identical) SortedSegments result.
-    pub fn sorted_segments_bit_identical(&mut self) -> bool {
-        self.ps.sort_by_cell(self.mesh.n_cells());
-        let saved = self.active_deposit;
-        self.active_deposit = DepositMethod::Serial;
-        self.deposit_charge();
-        let base = self.node_charge.raw().to_vec();
-        self.active_deposit = DepositMethod::SortedSegments;
-        self.deposit_charge();
-        let ok = self.node_charge.raw() == &base[..];
-        self.active_deposit = saved;
-        ok
-    }
-
-    /// Same promise for the matrixized deposit: each of its schedules
-    /// replays the Serial order per node, so on a freshly sorted store
-    /// the charge must match the Serial deposit bit for bit. Leaves `node_charge` holding the
-    /// (identical) Matrix result.
+    /// crate: on the *same* freshly sorted store, each schedule of the
+    /// matrixized deposit replays the Serial fold order per node, so
+    /// the charge must match the Serial deposit bit for bit — strict
+    /// `f64` equality, not a tolerance. Leaves `node_charge` holding
+    /// the (identical) Matrix result.
     pub fn matrix_bit_identical(&mut self) -> bool {
         self.ps.sort_by_cell(self.mesh.n_cells());
         let saved = self.active_deposit;

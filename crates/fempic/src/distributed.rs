@@ -5,21 +5,20 @@
 //! [`FemPic::distributed_step`] is the only fempic step body with a
 //! migration. It is generic over the interconnect
 //! ([`oppic_mpi::Transport`]: the plain channel path or the reliable
-//! link) and takes two choices as inputs:
+//! link). Every rank holds the whole mesh and the factored field
+//! matrix, so the field solve is replicated; the one choice is the
+//! migration form, an [`OverlapForm`] chosen once from the schedule
+//! report's proofs ([`FemPic::migrate_form`]):
 //!
-//! * the migration form, an [`OverlapForm`] chosen once from the
-//!   schedule report's proofs ([`FemPic::migrate_form`]):
-//!   * **None** — synchronous: migrate, then one full deposit;
-//!   * **Split** — `DepositCharge` is split-legal: the interior
-//!     partition (particles staying put) deposits while the exchange
-//!     is in flight, the boundary partition (arrivals) after the
-//!     drain. Bit-identical to the synchronous form;
-//!   * **Whole** — `SolvePotential` is legal: deposit and reduce
-//!     before the exchange (each particle deposits on whichever rank
-//!     holds it; the global reduction makes attribution irrelevant)
-//!     and hide the migration behind the field solve;
-//! * the field solve: replicated on every rank, or the distributed
-//!   CG of [`DistributedSolve`].
+//! * **None** — synchronous: migrate, then one full deposit;
+//! * **Split** — `DepositCharge` is split-legal: the interior
+//!   partition (particles staying put) deposits while the exchange is
+//!   in flight, the boundary partition (arrivals) after the drain.
+//!   Bit-identical to the synchronous form;
+//! * **Whole** — `SolvePotential` is legal: deposit and reduce before
+//!   the exchange (each particle deposits on whichever rank holds it;
+//!   the global reduction makes attribution irrelevant) and hide the
+//!   migration behind the field solve.
 //!
 //! With a schedule recorder attached the step records its exchanges
 //! next to the loops' own events.
@@ -29,9 +28,7 @@ use crate::sim::FemPic;
 use oppic_core::particles::ParticleDats;
 use oppic_core::ExchangeDir;
 use oppic_core::ExecPolicy;
-use oppic_linalg::CgConfig;
 use oppic_mesh::Vec3;
-use oppic_mpi::solve::{cg_solve_distributed, partition_system, DistributedSystem};
 use oppic_mpi::{
     directional_partition, MigrationStats, OverlapForm, OverlapGate, RankCtx, Transport,
 };
@@ -39,46 +36,6 @@ use oppic_mpi::{
 /// Call-site tag of the particle migration in recorded schedules and
 /// analyzer reports.
 const MIGRATE_TAG: &str = "fempic/migrate";
-
-/// One rank's share of the Poisson system for the distributed field
-/// solve: nodes belong to the lowest rank owning an adjacent cell.
-pub struct DistributedSolve {
-    sys: DistributedSystem,
-    /// Global ids of the nodes this rank owns, in local order.
-    owned: Vec<usize>,
-    /// Owned potential, kept across steps as the CG warm start.
-    x_owned: Vec<f64>,
-    /// Tolerances of the distributed CG.
-    pub cg_config: CgConfig,
-}
-
-impl DistributedSolve {
-    pub fn new(sim: &FemPic, cell_rank: &[u32], rank: usize, n_ranks: usize) -> Self {
-        let mut node_owner = vec![u32::MAX; sim.mesh.n_nodes()];
-        for (c, nd) in sim.mesh.c2n.iter().enumerate() {
-            for &n in nd {
-                node_owner[n] = node_owner[n].min(cell_rank[c]);
-            }
-        }
-        let sys =
-            partition_system(sim.fem.reduced_matrix(), &node_owner, n_ranks).swap_remove(rank);
-        let owned: Vec<usize> = (0..node_owner.len())
-            .filter(|&n| node_owner[n] == rank as u32)
-            .collect();
-        let x_owned = vec![0.0; sys.n_owned];
-        DistributedSolve {
-            sys,
-            owned,
-            x_owned,
-            cg_config: CgConfig {
-                rtol: 1e-8,
-                atol: 1e-30,
-                max_iters: 5000,
-                ..CgConfig::default()
-            },
-        }
-    }
-}
 
 impl FemPicConfig {
     /// Rank `rank`'s share of this configuration in an `n_ranks` run:
@@ -122,20 +79,15 @@ impl FemPic {
 
     /// One distributed step over `net`: inject, push, move, migrate
     /// the particles whose cell `cell_rank` gives to another rank,
-    /// deposit, reduce the node charge globally, solve. `solve = None`
-    /// runs the replicated field solve. Returns this rank's migration
-    /// tally. Collective: every rank calls it with the same `form`.
-    ///
-    /// # Panics
-    /// If `form` is `Whole` with a distributed solve: the whole form
-    /// hides the migration behind the replicated solve.
+    /// deposit, reduce the node charge globally, solve. Returns this
+    /// rank's migration tally. Collective: every rank calls it with the
+    /// same `form`.
     pub fn distributed_step<N: Transport>(
         &mut self,
         ctx: &mut RankCtx,
         net: &mut N,
         cell_rank: &[u32],
         form: OverlapForm,
-        solve: Option<&mut DistributedSolve>,
     ) -> Result<MigrationStats, N::Error> {
         if let Some(rec) = &self.schedule {
             rec.begin_step();
@@ -163,7 +115,6 @@ impl FemPic {
                 stats
             }
             OverlapForm::Whole => {
-                assert!(solve.is_none(), "the whole form needs the replicated solve");
                 self.deposit_charge_range(0, self.ps.len());
                 self.reduce_charge(ctx, net)?;
                 return self.migrate(
@@ -177,12 +128,7 @@ impl FemPic {
             }
         };
         self.reduce_charge(ctx, net)?;
-        match solve {
-            None => {
-                self.field_solve();
-            }
-            Some(ds) => self.solve_distributed(ctx, net, ds)?,
-        }
+        self.field_solve();
         Ok(stats)
     }
 
@@ -232,32 +178,6 @@ impl FemPic {
         }
         let reduced = net.allreduce_vec_sum(ctx, self.node_charge.raw())?;
         self.node_charge.raw_mut().copy_from_slice(&reduced);
-        Ok(())
-    }
-
-    /// The distributed field solve: owned RHS rows, halo-exchanged
-    /// SpMV and allreduce dot products, then the global potential
-    /// assembled from every rank's disjoint owned piece.
-    fn solve_distributed<N: Transport>(
-        &mut self,
-        ctx: &mut RankCtx,
-        net: &mut N,
-        ds: &mut DistributedSolve,
-    ) -> Result<(), N::Error> {
-        let rhs = self
-            .fem
-            .build_rhs(self.node_charge.raw(), self.cfg.epsilon0);
-        let my_rhs: Vec<f64> = ds.owned.iter().map(|&n| rhs[n]).collect();
-        let out = cg_solve_distributed(ctx, &ds.sys, &my_rhs, &mut ds.x_owned, ds.cg_config)
-            .expect("halo exchange in distributed solve");
-        debug_assert!(out.converged, "{out:?}");
-        let mut phi = vec![0.0; self.mesh.n_nodes()];
-        for (&n, &x) in ds.owned.iter().zip(&ds.x_owned) {
-            phi[n] = x;
-        }
-        let phi = net.allreduce_vec_sum(ctx, &phi)?;
-        self.fem.set_potential(&phi);
-        self.fem.electric_field(&self.mesh, self.efield.raw_mut());
         Ok(())
     }
 }

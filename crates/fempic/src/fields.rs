@@ -9,9 +9,8 @@
 //! eliminated symmetrically. The reduced matrix never changes, so
 //! `assemble` factors its free-node block once (RCM-ordered envelope
 //! Cholesky from `oppic-linalg`) and every replicated solve is a
-//! forward and a back sweep. Jacobi-PCG remains the solver of the
-//! distributed field solve ([`crate::DistributedSolve`]), where no rank
-//! holds the whole matrix.
+//! forward and a back sweep. Every rank of a distributed run holds the
+//! whole mesh, so every rank runs this same replicated solve.
 
 use oppic_linalg::{CsrBuilder, CsrMatrix, EnvelopeCholesky};
 use oppic_mesh::{BoundaryKind, TetMesh};
@@ -129,8 +128,9 @@ impl FemSolver {
     }
 
     /// `ComputeF1Vector`: build the Dirichlet-corrected load vector
-    /// from the lumped node charge (`f_i = q_i / ε₀`). Shared by the
-    /// local and the distributed solvers.
+    /// from the lumped node charge (`f_i = q_i / ε₀`).
+    /// [`FemSolver::solve`] runs it each step; the tests' CG oracle
+    /// builds the same system from it.
     pub fn build_rhs(&self, node_charge: &[f64], epsilon0: f64) -> Vec<f64> {
         let nn = node_charge.len();
         assert_eq!(nn, self.fixed.len(), "charge vector shape mismatch");
@@ -180,14 +180,14 @@ impl FemSolver {
         self.solve_traffic
     }
 
-    /// The Dirichlet-reduced operator (for external/distributed
-    /// solvers).
+    /// The Dirichlet-reduced operator, for solving the same system
+    /// outside the factor (the tests' CG oracle).
     pub fn reduced_matrix(&self) -> &CsrMatrix {
         &self.matrix
     }
 
-    /// Overwrite the stored potential with an externally computed
-    /// solution (e.g. from the distributed solver).
+    /// Overwrite the stored potential, e.g. with the one a checkpoint
+    /// restore read back.
     pub fn set_potential(&mut self, phi: &[f64]) {
         assert_eq!(phi.len(), self.potential.len());
         self.potential.copy_from_slice(phi);

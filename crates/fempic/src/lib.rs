@@ -36,7 +36,6 @@ pub mod validate;
 
 pub use collisions::{collide, CollisionModel, CollisionStats};
 pub use config::{FemPicConfig, Integrator, MoveStrategy};
-pub use distributed::DistributedSolve;
 pub use fields::{FemSolver, SolveError};
 pub use schedule::record_schedule;
 pub use sim::{FemPic, StepDiagnostics, BARY_TOL};

@@ -42,13 +42,8 @@ pub fn record_schedule(cfg: &FemPicConfig, steps: usize) -> ScheduleTrace {
         // still run (and record) exactly as at scale.
         let cell_rank = vec![0u32; sim.mesh.n_cells()];
         for _ in 0..steps {
-            let Ok(_) = sim.distributed_step(
-                ctx,
-                &mut Plain::default(),
-                &cell_rank,
-                OverlapForm::None,
-                None,
-            );
+            let Ok(_) =
+                sim.distributed_step(ctx, &mut Plain::default(), &cell_rank, OverlapForm::None);
         }
         let charge = sim.node_charge.name().to_string();
         let efield = sim.efield.name().to_string();

@@ -12,9 +12,9 @@ use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
-    deposit_loop, deposit_loop_colored, deposit_loop_matrix, deposit_loop_sorted,
-    greedy_color_cells, invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, Depositor,
-    MoveStatus, ParticleDats, TargetInverse, ThreadBinding, TunerInput,
+    deposit_loop, deposit_loop_colored, deposit_loop_matrix, greedy_color_cells,
+    invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, Depositor, MoveStatus, ParticleDats,
+    TargetInverse, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
@@ -81,7 +81,7 @@ pub struct FemPic {
     /// Last move result (benchmark introspection).
     pub last_move: MoveResult,
     /// node → (cell, slot) inverse of `c2n`, built lazily for the
-    /// sorted-segments deposit (the mesh is static, so once is enough).
+    /// Matrix deposit (the mesh is static, so once is enough).
     target_inverse: Option<TargetInverse>,
     /// Per-step deposit strategy selector (used when
     /// `cfg.auto_tune`); its decision log doubles as the trace source.
@@ -427,9 +427,9 @@ impl FemPic {
     /// The cell-locality engine's deposit-side sort stage: pick the
     /// step's deposit method (config, or the auto-tuner's choice) and
     /// rebuild the CSR cell index when the coloring scheme or the
-    /// segment methods' (SortedSegments, Matrix) freshness
-    /// precondition demands one. The gather-side [`oppic_core::SortPolicy`] sort runs
-    /// separately, right after injection.
+    /// Matrix deposit's freshness precondition demands one. The
+    /// gather-side [`oppic_core::SortPolicy`] sort runs separately,
+    /// right after injection.
     fn prepare_deposit(&mut self) {
         let mut method = self.cfg.deposit;
         if self.cfg.auto_tune {
@@ -448,11 +448,8 @@ impl FemPic {
             );
             method = d.method;
         }
-        let need_sort = self.cfg.coloring
-            || (matches!(
-                method,
-                DepositMethod::SortedSegments | DepositMethod::Matrix
-            ) && !self.ps.index_is_fresh());
+        let need_sort =
+            self.cfg.coloring || (method == DepositMethod::Matrix && !self.ps.index_is_fresh());
         if need_sort {
             let tel = self.profiler.telemetry().clone();
             let _s = tel.span("SortParticles");
@@ -496,31 +493,13 @@ impl FemPic {
                 )
                 .expect("particles are sorted before the colored deposit");
             }
-            None if self.active_deposit == DepositMethod::SortedSegments => {
-                // Owner-computes gather over the fresh CSR index: each
-                // node folds its own contributions in serial order —
-                // bit-identical to the Serial method, zero atomics.
-                let cell_start = self
-                    .ps
-                    .cell_index()
-                    .expect("SortedSegments requires a fresh CSR cell index (sort_by_cell)");
-                let inv = self
-                    .target_inverse
-                    .get_or_insert_with(|| invert_cell_targets(c2n, mesh.n_nodes()));
-                deposit_loop_sorted(
-                    &self.cfg.policy,
-                    cell_start,
-                    inv,
-                    self.node_charge.raw_mut(),
-                    |p, k| q * lc[p * 4 + k],
-                );
-            }
             None if self.active_deposit == DepositMethod::Matrix => {
-                // Matrixized deposit over the same fresh CSR index:
-                // per-cell outer products on one worker, the sorted
-                // segments fold in parallel. Either keeps the charge
-                // bit-identical to the Serial method (the conformance
-                // matrix's oracle).
+                // Matrixized deposit over the fresh CSR index: per-cell
+                // outer products on one worker; in parallel each node
+                // folds its own contributions in serial order, with
+                // zero atomics. Either keeps the charge bit-identical
+                // to the Serial method (the conformance matrix's
+                // oracle).
                 let cell_start = self
                     .ps
                     .cell_index()
@@ -686,7 +665,7 @@ impl FemPic {
             self.move_particles()
         };
 
-        // The coloring scheme and the sorted-segments deposit require
+        // The coloring scheme and the Matrix deposit require
         // cell-sorted particles — the overhead the paper attributes to
         // those options; the auto-tuner may also ask for a sort here.
         self.prepare_deposit();
@@ -989,63 +968,10 @@ mod extension_tests {
     }
 
     #[test]
-    fn sorted_segments_deposit_is_bit_identical_to_serial() {
-        // On the *same* freshly sorted store, the owner-computes
-        // sorted-segments deposit must replay the Serial fold order
-        // exactly — strict f64 equality, not a tolerance.
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 150;
-        let mut sim = FemPic::new(cfg);
-        sim.run(5);
-        sim.ps.sort_by_cell(sim.mesh.n_cells());
-        assert!(sim.ps.index_is_fresh());
-
-        sim.active_deposit = DepositMethod::Serial;
-        sim.deposit_charge();
-        let base = sim.node_charge.raw().to_vec();
-
-        sim.active_deposit = DepositMethod::SortedSegments;
-        for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
-            let label = format!("{policy:?}");
-            sim.cfg.policy = policy;
-            sim.deposit_charge();
-            assert_eq!(sim.node_charge.raw(), &base[..], "{label}");
-        }
-    }
-
-    #[test]
-    fn sorted_segments_runs_the_full_pipeline() {
-        // End-to-end: the engine sorts before every deposit (the move
-        // stales the index each step) and the physics matches the
-        // serial baseline to summation-order tolerance.
-        let mut serial_cfg = FemPicConfig::tiny();
-        serial_cfg.inject_per_step = 120;
-        let mut ss_cfg = serial_cfg.clone();
-        ss_cfg.deposit = DepositMethod::SortedSegments;
-        ss_cfg.policy = ExecPolicy::Par;
-
-        let mut a = FemPic::new(serial_cfg);
-        let mut b = FemPic::new(ss_cfg);
-        for _ in 0..6 {
-            let da = a.step();
-            let db = b.step();
-            assert_eq!(da.n_particles, db.n_particles);
-            assert_eq!(da.removed, db.removed);
-            assert!((da.total_charge - db.total_charge).abs() < 1e-9);
-        }
-        for (x, y) in a.node_charge.raw().iter().zip(b.node_charge.raw()) {
-            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
-        // The precondition sort is actually recorded.
-        assert!(b.profiler.get("SortParticles").is_some());
-        assert!(a.profiler.get("SortParticles").is_none());
-    }
-
-    #[test]
     fn matrix_deposit_is_bit_identical_to_serial() {
-        // The matrixized deposit runs in exact accumulation mode in
-        // the engine: on the same freshly sorted store it must replay
-        // the Serial fold order exactly — strict f64 equality.
+        // On the *same* freshly sorted store, the matrixized deposit
+        // must replay the Serial fold order exactly under both of its
+        // schedules — strict f64 equality, not a tolerance.
         let mut cfg = FemPicConfig::tiny();
         cfg.inject_per_step = 150;
         let mut sim = FemPic::new(cfg);
@@ -1058,7 +984,7 @@ mod extension_tests {
         let base = sim.node_charge.raw().to_vec();
 
         sim.active_deposit = DepositMethod::Matrix;
-        for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
+        for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
             let label = format!("{policy:?}");
             sim.cfg.policy = policy;
             sim.deposit_charge();

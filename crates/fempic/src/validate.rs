@@ -107,13 +107,10 @@ impl FemPic {
             policy,
             deposit_strategy,
         );
-        if matches!(
-            deposit_strategy,
-            RaceStrategy::Deposit(DepositMethod::SortedSegments | DepositMethod::Matrix)
-        ) {
-            // The sorted-segments and matrix deposits must attest the
-            // CSR index freshness they dispatch with; the engine sorts
-            // right before the deposit, so this holds after any step.
+        if deposit_strategy == RaceStrategy::Deposit(DepositMethod::Matrix) {
+            // The matrix deposit must attest the CSR index freshness it
+            // dispatches with; the engine sorts right before the
+            // deposit, so this holds after any step.
             deposit_plan = deposit_plan.with_index_freshness(self.ps.index_is_fresh());
         }
         plans.register(deposit_plan);
@@ -200,8 +197,8 @@ impl FemPic {
         report.extend(audit_particle_cells("p2c", self.ps.cells(), nc));
         if self.ps.index_is_fresh() {
             // A store claiming a fresh CSR index must actually be
-            // partitioned by it — the contract SortedSegments and the
-            // segment-batched gathers rely on.
+            // partitioned by it — the contract the Matrix deposit and
+            // the segment-batched gathers rely on.
             report.extend(audit_cell_index(
                 "p2c-index",
                 self.ps.cell_index_raw().expect("fresh index has offsets"),
@@ -258,14 +255,10 @@ impl FemPic {
             }
             (None, true) => {
                 let method = self.active_deposit;
-                if matches!(
-                    method,
-                    DepositMethod::SortedSegments | DepositMethod::Matrix
-                ) {
-                    // Owner-computes (Matrix runs the same fold):
-                    // each node folds its own contributions serially —
-                    // the increments need no synchronisation at all on
-                    // the owned dat.
+                if method == DepositMethod::Matrix {
+                    // Owner-computes: each node folds its own
+                    // contributions serially — the increments need no
+                    // synchronisation at all on the owned dat.
                     run.detect_races(
                         Schedule::OwnerComputes { owned: charge_dat },
                         &RaceOptions::default(),
@@ -355,7 +348,6 @@ mod tests {
         for (coloring, deposit, parallel) in [
             (false, DepositMethod::ScatterArrays, true),
             (false, DepositMethod::Atomics, true),
-            (false, DepositMethod::SortedSegments, true),
             (false, DepositMethod::Matrix, true),
             (true, DepositMethod::Serial, true),
             (false, DepositMethod::Serial, false),
@@ -405,28 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn sorted_segments_plan_without_fresh_index_is_caught() {
-        // Mutating the store after the step's sort stales the index;
-        // the static pass must flag the SortedSegments plan.
-        let mut cfg = FemPicConfig::tiny();
-        cfg.deposit = DepositMethod::SortedSegments;
-        cfg.policy = ExecPolicy::Par;
-        let mut sim = FemPic::new(cfg);
-        sim.run(2);
-        assert!(sim.ps.index_is_fresh(), "the engine sorts before SS");
-        assert!(!sim.validate_all().has_errors());
-
-        sim.ps.inject(10, 0); // stale the index
-        let report = check_plans(&sim.loop_plans(), Some(&sim.decl_registry()));
-        assert!(report.has_errors(), "{report}");
-        assert_eq!(report.with_code("plan/stale-index").len(), 1, "{report}");
-    }
-
-    #[test]
     fn matrix_plan_without_fresh_index_is_caught() {
-        // Same contract as SortedSegments: the Matrix deposit walks the
-        // CSR cell index, so a post-sort mutation must trip the static
-        // freshness rule.
+        // Mutating the store after the step's sort stales the index;
+        // the Matrix deposit walks the CSR cell index, so the static
+        // pass must flag its plan.
         let mut cfg = FemPicConfig::tiny();
         cfg.deposit = DepositMethod::Matrix;
         cfg.policy = ExecPolicy::Par;
@@ -444,7 +418,7 @@ mod tests {
     #[test]
     fn cell_index_audit_flags_a_corrupted_index() {
         let mut cfg = FemPicConfig::tiny();
-        cfg.deposit = DepositMethod::SortedSegments;
+        cfg.deposit = DepositMethod::Matrix;
         cfg.policy = ExecPolicy::Par;
         let mut sim = FemPic::new(cfg);
         sim.run(2);

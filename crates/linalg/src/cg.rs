@@ -2,10 +2,10 @@
 //!
 //! Mini-FEM-PIC's field solve is a Poisson problem: symmetric positive
 //! definite after Dirichlet elimination. The paper delegates it to
-//! PETSc's KSP. The replicated solve factors the matrix once
+//! PETSc's KSP. The field solve factors the matrix once
 //! ([`crate::direct`]); CG with Jacobi preconditioning, the default KSP
-//! configuration for this matrix class, is what the distributed solve
-//! runs, where each rank holds only its rows.
+//! configuration for this matrix class, solves the same system
+//! iteratively and serves as the tests' oracle for the factor.
 
 use crate::csr::CsrMatrix;
 use oppic_core::ExecPolicy;

@@ -7,14 +7,14 @@
 //! * [`csr`] — a compressed-sparse-row matrix with a two-phase
 //!   (triplet insert → freeze) builder, parallel SpMV, and Dirichlet
 //!   row/column elimination.
-//! * [`direct`] — the replicated field solve: reverse Cuthill–McKee
-//!   ordering and an envelope Cholesky factor built once at setup, then
-//!   a forward and a back sweep per solve (a solve-only KSP with a
-//!   Cholesky preconditioner, the usual choice for a small SPD operator
-//!   that never changes).
-//! * [`cg`] — Jacobi-preconditioned Conjugate Gradient, the building
-//!   block of the distributed field solve (`oppic-mpi`'s
-//!   `cg_solve_distributed`), where no rank holds the whole matrix.
+//! * [`direct`] — the field solve every rank runs: reverse
+//!   Cuthill–McKee ordering and an envelope Cholesky factor built once
+//!   at setup, then a forward and a back sweep per solve (a solve-only
+//!   KSP with a Cholesky preconditioner, the usual choice for a small
+//!   SPD operator that never changes).
+//! * [`cg`] — Jacobi-preconditioned Conjugate Gradient, the default KSP
+//!   configuration for this matrix class. No step runs it; the tests
+//!   use it as an independent oracle for the factored solve.
 //! * [`dense`] — small dense helpers used by tests and by element
 //!   assembly (4×4 element stiffness blocks).
 

@@ -29,7 +29,6 @@ pub mod halo;
 pub mod heartbeat;
 pub mod overlap;
 pub mod partition;
-pub mod solve;
 
 pub use comm::{world_run, world_run_faulty, Message, RankCtx};
 pub use exchange::{
@@ -43,4 +42,3 @@ pub use overlap::{GateProof, OverlapForm, OverlapGate};
 pub use partition::{
     directional_partition, graph_growing_partition, rcb_partition, PartitionStats,
 };
-pub use solve::{cg_solve_distributed, partition_system, DistributedSystem};

@@ -82,8 +82,7 @@ fn migrated_particles_arrive_with_reference_weights() {
             let (mut sim, cell_rank) = FemPic::new_rank(&FemPicConfig::tiny(), ctx.rank, RANKS);
             let (mut received, mut first_err) = (0, None);
             for step in 1..=20 {
-                let Ok(stats) =
-                    sim.distributed_step(ctx, &mut Plain::default(), &cell_rank, form, None);
+                let Ok(stats) = sim.distributed_step(ctx, &mut Plain::default(), &cell_rank, form);
                 received += stats.received;
                 if let Err(e) = check_lc(&sim) {
                     first_err.get_or_insert(format!("rank {} step {step}: {e}", ctx.rank));

@@ -45,7 +45,7 @@ fn fempic_field_raises_as_charge_accumulates() {
 
 #[test]
 fn fempic_full_strategy_matrix_is_consistent() {
-    // {MH, DH} x {SA, AT, SR, SS, MX} all conserve particle count and
+    // {MH, DH} x {SA, AT, SR, MX} all conserve particle count and
     // charge.
     let reference = {
         let mut cfg = FemPicConfig::tiny();
@@ -62,7 +62,6 @@ fn fempic_full_strategy_matrix_is_consistent() {
             DepositMethod::ScatterArrays,
             DepositMethod::Atomics,
             DepositMethod::SegmentedReduction,
-            DepositMethod::SortedSegments,
             DepositMethod::Matrix,
         ] {
             let mut cfg = FemPicConfig::tiny();
@@ -81,26 +80,22 @@ fn fempic_full_strategy_matrix_is_consistent() {
             );
         }
     }
-    // In parallel Matrix runs the sorted-segments fold, so the two end
-    // on the same node charge bits.
-    let node_charge = |method| {
+    // Both of Matrix's schedules (cell-major on one worker,
+    // owner-computes on two) replay the Serial fold bit for bit on the
+    // store the run left behind.
+    for policy in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
+        let label = format!("{policy:?}");
         let mut cfg = FemPicConfig::tiny();
         cfg.inject_per_step = 80;
-        cfg.policy = ExecPolicy::pool(2);
-        cfg.deposit = method;
+        cfg.policy = policy;
+        cfg.deposit = DepositMethod::Matrix;
         let mut sim = FemPic::new(cfg);
         sim.run(6);
-        sim.node_charge
-            .raw()
-            .iter()
-            .map(|q| q.to_bits())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        node_charge(DepositMethod::Matrix),
-        node_charge(DepositMethod::SortedSegments),
-        "pool(2): Matrix and SortedSegments node charge differ"
-    );
+        assert!(
+            sim.matrix_bit_identical(),
+            "{label}: Matrix node charge differs from Serial"
+        );
+    }
 }
 
 #[test]
