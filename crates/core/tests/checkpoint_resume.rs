@@ -3,7 +3,7 @@
 //!
 //! A toy simulation exercising every checkpointed ingredient — a
 //! particle store (SoA columns + cell map), a mesh dat, and the RNG
-//! word position — is stepped 4 ways: straight through, and through a
+//! state word — is stepped 4 ways: straight through, and through a
 //! save at step 2 restored into a fresh instance. Any hidden state not
 //! captured by the checkpoint (or any restore-order sensitivity) shows
 //! up as a bitwise mismatch.

@@ -9,10 +9,12 @@
 //! a collision redirects the velocity isotropically, preserving speed
 //! (heavy-scatterer limit).
 //!
-//! Randomness is *counter-based* (hash of seed, step, particle id), so
-//! the outcome is independent of thread schedule — the same
-//! reproducibility contract as the rest of the DSL.
+//! Randomness is *counter-based* ([`crate::stream`], tagged by the
+//! step, indexed by particle id), so the outcome is independent of
+//! thread schedule — the same reproducibility contract as the rest of
+//! the DSL.
 
+use crate::stream::uniforms;
 use oppic_core::parloop::{par_loop, ExecPolicy, Space};
 
 /// Neutral-background collision parameters.
@@ -28,21 +30,6 @@ pub struct CollisionModel {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollisionStats {
     pub collided: u64,
-}
-
-/// SplitMix64 → three unit-interval doubles, counter-based.
-#[inline]
-fn unit3(seed: u64, step: u64, particle: u64) -> [f64; 3] {
-    let mut s = seed ^ step.rotate_left(24) ^ particle.wrapping_mul(0x9E3779B97F4A7C15);
-    let mut next = move || {
-        s = s.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z = z ^ (z >> 31);
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    };
-    [next(), next(), next()]
 }
 
 /// Apply one collision step to a flat velocity column (`dim == 3`).
@@ -65,7 +52,7 @@ pub fn collide(
                 return;
             }
             let p = 1.0 - (-nsigma * speed * dt).exp();
-            let r = unit3(seed, step, i as u64);
+            let r: [f64; 3] = uniforms(seed, step, i as u64);
             if r[0] < p {
                 // Isotropic redirect, speed preserved (elastic, heavy
                 // scatterer): uniform direction on the sphere.

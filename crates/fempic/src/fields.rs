@@ -29,19 +29,19 @@ pub struct FemSolver {
     matrix: CsrMatrix,
     /// Dirichlet mask per node.
     fixed: Vec<bool>,
-    /// Dirichlet values per node.
-    fixed_values: Vec<f64>,
-    /// The raw (pre-elimination) stiffness matrix, kept for the RHS
-    /// correction that symmetric elimination requires.
-    raw_matrix: CsrMatrix,
+    /// Per node, what the load vector needs besides the charge: on a
+    /// free row the Dirichlet lift `Σ_{c fixed} K_raw[r, c]·g[c]` that
+    /// symmetric elimination subtracts, on a fixed row its value `g[r]`.
+    /// The mesh and the Dirichlet data are static, so `assemble`
+    /// computes it once.
+    lift: Vec<f64>,
     /// Cholesky factor of the free-node block of `matrix`.
     factor: EnvelopeCholesky,
-    /// `(bytes, flops)` of one solve. Bytes: the RHS build (charge in,
-    /// load vector out, and the column and value of every raw-matrix
-    /// entry in a free row) plus two sweeps over `L` (each value, and
-    /// each row's envelope start and offset) with the permuted gather
-    /// and scatter. Flops: a multiply and an add per `L` entry per
-    /// sweep.
+    /// `(bytes, flops)` of one solve. Bytes: the RHS build (charge and
+    /// lift in, load vector out) plus two sweeps over `L` (each value,
+    /// and each row's envelope start and offset) with the permuted
+    /// gather and scatter. Flops: a multiply and an add per `L` entry
+    /// per sweep.
     solve_traffic: (u64, u64),
     /// The last solved potential (Dirichlet values on fixed nodes).
     potential: Vec<f64>,
@@ -91,27 +91,36 @@ impl FemSolver {
             }
         }
 
-        // Eliminate once with a zero RHS to get the reduced operator;
-        // per-step RHS corrections reuse `raw_matrix`.
+        // Eliminate once with a zero RHS to get the reduced operator,
+        // and the lift of the Dirichlet values (same algebra as
+        // `CsrMatrix::apply_dirichlet`) for every step's RHS.
         let mut dummy_rhs = vec![0.0; nn];
         let matrix = raw_matrix.apply_dirichlet(&fixed, &fixed_values, &mut dummy_rhs);
+        let lift: Vec<f64> = (0..nn)
+            .map(|r| {
+                if fixed[r] {
+                    return fixed_values[r];
+                }
+                let (cols, vals) = raw_matrix.row(r);
+                cols.iter()
+                    .zip(vals)
+                    .filter(|(c, _)| fixed[**c as usize])
+                    .map(|(c, v)| v * fixed_values[*c as usize])
+                    .sum()
+            })
+            .collect();
 
         let free: Vec<bool> = fixed.iter().map(|&f| !f).collect();
         let factor = EnvelopeCholesky::factor(&matrix, &free)
             .unwrap_or_else(|e| panic!("reduced stiffness matrix: {e}"));
-        let walked: usize = (0..nn)
-            .filter(|&r| free[r])
-            .map(|r| raw_matrix.row(r).0.len())
-            .sum();
         let (l_nnz, m) = (factor.nnz(), factor.n_active());
-        let bytes = nn * 16 + walked * 12 + 2 * (l_nnz * 8 + m * 12) + m * 32;
+        let bytes = nn * 24 + 2 * (l_nnz * 8 + m * 12) + m * 32;
         let solve_traffic = (bytes as u64, (4 * l_nnz) as u64);
-        let potential = fixed_values.clone();
+        let potential = fixed_values;
         FemSolver {
             matrix,
             fixed,
-            fixed_values,
-            raw_matrix,
+            lift,
             factor,
             solve_traffic,
             potential,
@@ -132,30 +141,18 @@ impl FemSolver {
     /// [`FemSolver::solve`] runs it each step; the tests' CG oracle
     /// builds the same system from it.
     pub fn build_rhs(&self, node_charge: &[f64], epsilon0: f64) -> Vec<f64> {
-        let nn = node_charge.len();
-        assert_eq!(nn, self.fixed.len(), "charge vector shape mismatch");
-        let mut rhs: Vec<f64> = node_charge.iter().map(|&q| q / epsilon0).collect();
-        // Dirichlet correction (same algebra as CsrMatrix::apply_dirichlet,
-        // but the matrix part was precomputed):
-        // rhs_free -= K_raw[:, fixed] * g;   rhs_fixed = g.
-        for (r, rhs_r) in rhs.iter_mut().enumerate() {
-            if self.fixed[r] {
-                continue;
-            }
-            let (cols, vals) = self.raw_matrix.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                let c = *c as usize;
-                if self.fixed[c] {
-                    *rhs_r -= v * self.fixed_values[c];
-                }
-            }
-        }
-        for (r, rhs_r) in rhs.iter_mut().enumerate() {
-            if self.fixed[r] {
-                *rhs_r = self.fixed_values[r];
-            }
-        }
-        rhs
+        assert_eq!(
+            node_charge.len(),
+            self.fixed.len(),
+            "charge vector shape mismatch"
+        );
+        // rhs_free = q/ε₀ − K_raw[free, fixed]·g;   rhs_fixed = g.
+        node_charge
+            .iter()
+            .zip(&self.lift)
+            .zip(&self.fixed)
+            .map(|((&q, &lift), &fixed)| if fixed { lift } else { q / epsilon0 - lift })
+            .collect()
     }
 
     /// `ComputeF1Vector` + `SolvePotential`: build the load vector,

@@ -22,7 +22,7 @@
 //! | `ComputeNodeChargeDensity` | lumped charge → density              |
 //! | `ComputeJMatrix`     | FEM stiffness assembly + Cholesky factor (once) |
 //! | `ComputeF1Vector`    | FEM right-hand side                          |
-//! | `SolvePotential`     | two triangular sweeps (distributed: Jacobi-PCG) |
+//! | `SolvePotential`     | two triangular sweeps of the setup-time factor |
 //! | `ComputeElectricField` | E = −∇φ per cell                           |
 
 pub mod collisions;
@@ -32,6 +32,7 @@ pub mod distributed;
 pub mod fields;
 pub mod schedule;
 pub mod sim;
+pub mod stream;
 pub mod validate;
 
 pub use collisions::{collide, CollisionModel, CollisionStats};

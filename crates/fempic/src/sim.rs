@@ -8,6 +8,7 @@
 
 use crate::config::{FemPicConfig, Integrator, MoveStrategy};
 use crate::fields::FemSolver;
+use crate::stream::{uniforms, INJECT_TAG};
 use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Space};
 use oppic_core::profile::{KernelClass, Profiler};
@@ -21,8 +22,6 @@ use oppic_mesh::geometry::{
     sample_triangle,
 };
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// Tolerance for the barycentric containment test.
 pub const BARY_TOL: f64 = 1e-10;
@@ -51,6 +50,58 @@ struct InletFace {
     cumulative_area: f64,
 }
 
+/// The inlet faces in area-cumulative order, with a guide table that
+/// finds the face a cumulative-area target falls on in a short scan.
+#[derive(Debug)]
+struct Inlets {
+    faces: Vec<InletFace>,
+    /// `guide[b]` is the face of target `b · total / len`, the start of
+    /// the `b`-th of `len` equal slices of the total area.
+    guide: Vec<u32>,
+    /// `len / total`: a target's slice.
+    scale: f64,
+}
+
+impl Inlets {
+    fn new(faces: Vec<InletFace>) -> Self {
+        assert!(!faces.is_empty(), "duct must have inlet faces");
+        let m = faces.len();
+        let total = faces[m - 1].cumulative_area;
+        let exact = |t: f64| faces.partition_point(|f| f.cumulative_area < t).min(m - 1);
+        let guide = (0..m)
+            .map(|b| exact(total * b as f64 / m as f64) as u32)
+            .collect();
+        Inlets {
+            faces,
+            guide,
+            scale: m as f64 / total,
+        }
+    }
+
+    fn total_area(&self) -> f64 {
+        self.faces[self.faces.len() - 1].cumulative_area
+    }
+
+    /// The first face whose cumulative area reaches `target`, or the
+    /// last face: `partition_point(cumulative_area < target)` clamped
+    /// to the table. The scan steps forward past faces below `target`
+    /// and back over faces that already reach it, so the answer is
+    /// exact whichever way the slice index rounds.
+    #[inline]
+    fn pick(&self, target: f64) -> usize {
+        let last = self.faces.len() - 1;
+        let cum = |f: usize| self.faces[f].cumulative_area;
+        let mut f = self.guide[((target * self.scale) as usize).min(last)] as usize;
+        while f < last && cum(f) < target {
+            f += 1;
+        }
+        while f > 0 && cum(f - 1) >= target {
+            f -= 1;
+        }
+        f
+    }
+}
+
 /// The Mini-FEM-PIC application state.
 pub struct FemPic {
     pub cfg: FemPicConfig,
@@ -73,8 +124,10 @@ pub struct FemPic {
     pub cell_det: Dat,
     pub fem: FemSolver,
     pub profiler: Profiler,
-    inlets: Vec<InletFace>,
-    rng: ChaCha8Rng,
+    inlets: Inlets,
+    /// Particles injected so far: the next injected particle's index
+    /// in the [`INJECT_TAG`] stream.
+    injected_total: u64,
     step_no: usize,
     /// Cell coloring for the colored deposit (built on demand).
     pub(crate) cell_colors: Option<(Vec<u32>, usize)>,
@@ -149,7 +202,7 @@ impl FemPic {
                 cumulative_area: acc,
             });
         }
-        assert!(!inlets.is_empty(), "duct must have inlet faces");
+        let inlets = Inlets::new(inlets);
 
         let node_charge = Dat::zeros("node charge", mesh.n_nodes(), 1);
         let efield = Dat::zeros("electric field", mesh.n_cells(), 3);
@@ -158,7 +211,6 @@ impl FemPic {
             det.extend(barycentric_map(&mesh.shape_deriv[c], mesh.cell_centroid(c)));
         }
         let cell_det = Dat::from_vec("cell_det", 16, det);
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
 
         // The colored deposit needs a distance-2 coloring of cells over
         // the shared-node relation; build it once (the mesh is static).
@@ -184,7 +236,7 @@ impl FemPic {
             fem,
             profiler,
             inlets,
-            rng,
+            injected_total: 0,
             step_no: 0,
             cell_colors,
             last_move: MoveResult::default(),
@@ -244,47 +296,47 @@ impl FemPic {
     /// sampled uniformly by area, moving at the inlet velocity (+x)
     /// with a small thermal jitter.
     ///
+    /// A par loop over the injected slice. Particle `k` of the run's
+    /// injections draws its six uniforms from the [`INJECT_TAG`]
+    /// stream at index `k`, so the injected bits do not depend on the
+    /// policy or on how the slice is cut.
+    ///
     /// Public as a *stage* so a distributed or traced step can
     /// interleave communication or timing between stages;
     /// single-process users call [`FemPic::step`].
     pub fn inject(&mut self) -> usize {
         self.record_loop("Inject");
         let n = self.cfg.inject_per_step;
-        let total_area = self.inlets.last().expect("nonempty inlets").cumulative_area;
-        // Pre-draw randomness so the hot loop is branch-light.
-        let mut draws = Vec::with_capacity(n);
-        for _ in 0..n {
-            let r: [f64; 6] = self.rng.gen();
-            draws.push(r);
-        }
-
-        let range = self.ps.inject(n, 0);
-        let jitter = self.cfg.inlet_velocity * self.cfg.thermal_fraction;
-        for (k, i) in range.clone().enumerate() {
-            let r = draws[k];
-            // Face by cumulative area (binary search).
-            let target = r[0] * total_area;
-            let f = self
-                .inlets
-                .partition_point(|fa| fa.cumulative_area < target)
-                .min(self.inlets.len() - 1);
-            let face = self.inlets[f];
-            // Sample the face, shrink toward its centroid (stay off the
-            // edges), then nudge inward along +x.
-            let p = sample_triangle(face.v[0], face.v[1], face.v[2], [r[1], r[2]]);
-            let cen = (face.v[0] + face.v[1] + face.v[2]).scale(1.0 / 3.0);
-            let p = cen + (p - cen).scale(0.98) + Vec3::new(1e-7 * self.cfg.lx, 0.0, 0.0);
-
-            let e = self.ps.el_mut(self.pos, i);
-            e[0] = p.x;
-            e[1] = p.y;
-            e[2] = p.z;
-            let v = self.ps.el_mut(self.vel, i);
-            v[0] = self.cfg.inlet_velocity + jitter * (r[3] - 0.5);
-            v[1] = jitter * (r[4] - 0.5);
-            v[2] = jitter * (r[5] - 0.5);
-            self.ps.cells_mut()[i] = face.cell as i32;
-        }
+        let first = self.injected_total;
+        self.injected_total += n as u64;
+        let from = self.ps.inject(n, 0).start;
+        let (seed, inlets) = (self.cfg.seed, &self.inlets);
+        let total_area = inlets.total_area();
+        let speed = self.cfg.inlet_velocity;
+        let jitter = speed * self.cfg.thermal_fraction;
+        let nudge = Vec3::new(1e-7 * self.cfg.lx, 0.0, 0.0);
+        let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
+        let cols = (
+            (3, &mut pos[from * 3..]),
+            (3, &mut vel[from * 3..]),
+            &mut cells[from..],
+        );
+        par_loop(&self.cfg.policy, Space::Range, cols, |w| {
+            w.each(|k, (x, v, cell)| {
+                let r: [f64; 6] = uniforms(seed, INJECT_TAG, first + k as u64);
+                let face = &inlets.faces[inlets.pick(r[0] * total_area)];
+                // Sample the face, shrink toward its centroid (stay off
+                // the edges), then nudge inward along +x.
+                let p = sample_triangle(face.v[0], face.v[1], face.v[2], [r[1], r[2]]);
+                let cen = (face.v[0] + face.v[1] + face.v[2]).scale(1.0 / 3.0);
+                let p = cen + (p - cen).scale(0.98) + nudge;
+                x.copy_from_slice(&[p.x, p.y, p.z]);
+                v[0] = speed + jitter * (r[3] - 0.5);
+                v[1] = jitter * (r[4] - 0.5);
+                v[2] = jitter * (r[5] - 0.5);
+                *cell = face.cell as i32;
+            });
+        });
         n
     }
 
@@ -727,13 +779,13 @@ impl FemPic {
         self.step_no
     }
 
-    /// Write a restartable snapshot: step counter, RNG position,
+    /// Write a restartable snapshot: step counter, injection counter,
     /// particle store, and field state. The mesh and FEM system are
     /// rebuilt from the config on restore (they are deterministic).
     pub fn save_checkpoint<W: std::io::Write>(&self, w: W) -> std::io::Result<()> {
         let mut bw = oppic_core::BinWriter::new(w)?;
         bw.u64(self.step_no as u64)?;
-        bw.u128(self.rng.get_word_pos())?;
+        bw.u64(self.injected_total)?;
         self.ps.write_checkpoint(&mut bw)?;
         self.node_charge.write_checkpoint(&mut bw)?;
         self.efield.write_checkpoint(&mut bw)?;
@@ -748,7 +800,7 @@ impl FemPic {
         use std::io::{Error, ErrorKind};
         let mut br = oppic_core::BinReader::new(r)?;
         let step_no = br.u64()? as usize;
-        let word_pos = br.u128()?;
+        let injected_total = br.u64()?;
         let ps = ParticleDats::read_checkpoint(&mut br)?;
         if ps.dofs() != self.ps.dofs() {
             return Err(Error::new(
@@ -775,7 +827,7 @@ impl FemPic {
         // before any simulation state is touched.
         br.verify_footer()?;
         self.step_no = step_no;
-        self.rng.set_word_pos(word_pos);
+        self.injected_total = injected_total;
         self.ps = ps;
         self.node_charge = node_charge;
         self.efield = efield;
@@ -805,6 +857,76 @@ mod tests {
         }
         assert!(removed_total > 0, "particles must exit the outlet");
         sim.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn injection_is_bit_identical_across_policies() {
+        // Two batches, so the second starts mid-stream; pool(4) cuts
+        // each 50-particle slice unevenly (13, 13, 13, 11).
+        let run = |policy: ExecPolicy| {
+            let mut sim = FemPic::new(FemPicConfig {
+                policy,
+                ..FemPicConfig::tiny()
+            });
+            sim.inject();
+            sim.inject();
+            assert_eq!(sim.ps.injected(), 50..100);
+            let (pos, vel) = (sim.ps.col(sim.pos).to_vec(), sim.ps.col(sim.vel).to_vec());
+            (pos, vel, sim.ps.cells().to_vec())
+        };
+        let seq = run(ExecPolicy::Seq);
+        assert_eq!(run(ExecPolicy::Par), seq, "Par");
+        assert_eq!(run(ExecPolicy::pool(2)), seq, "pool(2)");
+        assert_eq!(run(ExecPolicy::pool(4)), seq, "pool(4)");
+    }
+
+    #[test]
+    fn guide_table_matches_partition_point() {
+        let exact = |inlets: &Inlets, t: f64| {
+            let m = inlets.faces.len();
+            inlets
+                .faces
+                .partition_point(|f| f.cumulative_area < t)
+                .min(m - 1)
+        };
+        let check = |inlets: &Inlets, t: f64| assert_eq!(inlets.pick(t), exact(inlets, t), "{t}");
+        // The duct's inlet, and a table of uneven areas with zero-area
+        // faces (repeated cumulative sums) at both ends and inside.
+        let duct = FemPic::new(FemPicConfig::tiny()).inlets;
+        let areas = [
+            0.0, 0.0, 3.0, 1e-9, 0.0, 7.5, 0.25, 0.25, 0.0, 40.0, 1e-3, 0.0,
+        ];
+        let mut acc = 0.0;
+        let uneven = Inlets::new(
+            areas
+                .iter()
+                .enumerate()
+                .map(|(cell, a)| {
+                    acc += a;
+                    InletFace {
+                        cell,
+                        v: [Vec3::new(0.0, 0.0, 0.0); 3],
+                        cumulative_area: acc,
+                    }
+                })
+                .collect(),
+        );
+        for inlets in [&duct, &uneven] {
+            let total = inlets.total_area();
+            for t in [0.0, total, total * (1.0 + 1e-15)] {
+                check(inlets, t);
+            }
+            for f in &inlets.faces {
+                let c = f.cumulative_area;
+                for t in [c, c.next_down(), c.next_up()] {
+                    check(inlets, t);
+                }
+            }
+            for k in 0..100_000 {
+                let [r]: [f64; 1] = uniforms(3, 7, k);
+                check(inlets, r * total);
+            }
+        }
     }
 
     #[test]
@@ -1246,20 +1368,23 @@ mod checkpoint_tests {
 
     #[test]
     fn restart_is_bit_exact() {
-        // 6 steps, checkpoint, 4 more == 10 uninterrupted steps.
+        // 7 steps, checkpoint, 4 more == 11 uninterrupted steps.
         let cfg = FemPicConfig::tiny();
         let mut full = FemPic::new(cfg.clone());
-        full.run(10);
+        full.run(11);
 
         let mut first = FemPic::new(cfg.clone());
-        first.run(6);
+        first.run(7);
         let mut snap = Vec::new();
         first.save_checkpoint(&mut snap).unwrap();
 
         let mut resumed = FemPic::new(cfg);
         resumed.restore_checkpoint(snap.as_slice()).unwrap();
-        assert_eq!(resumed.step_count(), 6);
+        assert_eq!(resumed.step_count(), 7);
+        assert_eq!(resumed.injected_total, 7 * first.cfg.inject_per_step as u64);
+        assert_eq!(resumed.injected_total, first.injected_total);
         resumed.run(4);
+        assert_eq!(resumed.injected_total, full.injected_total);
 
         assert_eq!(full.ps.len(), resumed.ps.len());
         assert_eq!(

@@ -56,8 +56,8 @@ impl FemPic {
             RaceStrategy::Deposit(self.active_deposit)
         };
         let mut plans = PlanRegistry::new();
-        // Inject fills freshly appended particles — sequential by
-        // construction (it draws from one RNG stream).
+        // Inject fills freshly appended particles from a counter-based
+        // stream, so it runs under the configured policy like the push.
         plans.register(LoopPlan::direct(
             LoopDecl::new(
                 "Inject",
@@ -67,7 +67,7 @@ impl FemPic {
                     ArgDecl::direct("vel", 3, Access::Write),
                 ],
             ),
-            &ExecPolicy::Seq,
+            policy,
         ));
         plans.register(LoopPlan::direct(
             LoopDecl::new(

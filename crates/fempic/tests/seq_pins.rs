@@ -29,8 +29,8 @@ fn fempic_small() -> FemPicConfig {
     }
 }
 
-const STEP_DIGEST: u64 = 0xfdc5_fb0d_5224_81be;
-const POSITION_HASH: u64 = 0x2d0d_b0b9_2be4_676b;
+const STEP_DIGEST: u64 = 0x6fa6_c472_a465_5b1a;
+const POSITION_HASH: u64 = 0x0972_0ba8_f392_9388;
 
 #[test]
 fn fempic_small_seq_is_pinned() {

@@ -79,7 +79,7 @@ fn fempic_distributed_pin() {
     let rep = run_fempic_distributed(&FemPicConfig::tiny(), 3, 5);
     assert_eq!(
         summary(&rep),
-        "total=240 check=0x4003333333333333 ranks=[(56,10048),(53,7224),(57,7576)]"
+        "total=240 check=0x4003333333333333 ranks=[(50,9520),(50,6960),(61,7928)]"
     );
 }
 
@@ -89,7 +89,7 @@ fn fempic_overlap_split_pin() {
     let rep = run_fempic_distributed_overlap(&FemPicConfig::tiny(), 3, 5, &gate, Duration::ZERO);
     assert_eq!(
         summary(&rep),
-        "total=240 check=0x4003333333333333 ranks=[(56,10048),(53,7224),(57,7576)]"
+        "total=240 check=0x4003333333333333 ranks=[(50,9520),(50,6960),(61,7928)]"
     );
 }
 
@@ -99,7 +99,7 @@ fn fempic_overlap_whole_pin() {
     let rep = run_fempic_distributed_overlap(&FemPicConfig::tiny(), 3, 5, &gate, Duration::ZERO);
     assert_eq!(
         summary(&rep),
-        "total=240 check=0x4003333333333333 ranks=[(56,10048),(53,7224),(57,7576)]"
+        "total=240 check=0x4003333333333334 ranks=[(50,9520),(50,6960),(61,7928)]"
     );
 }
 
@@ -119,10 +119,10 @@ fn rank_failure_step_kill_pin() {
     assert_eq!(
         got,
         [
-            "(p=535 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=2)",
-            "(p=607 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=500 q=0x9174b039899e971c epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=631 q=0x9174b039899e971c epoch=1 members=[0, 1, 3] replayed=2)",
             "dead",
-            "(p=453 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=2)",
+            "(p=468 q=0x9174b039899e971c epoch=1 members=[0, 1, 3] replayed=2)",
         ]
     );
 }
@@ -134,10 +134,10 @@ fn rank_failure_planned_shrink_pin() {
     assert_eq!(
         got,
         [
-            "(p=535 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=0)",
-            "(p=607 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=500 q=0x9174b039899e971c epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=631 q=0x9174b039899e971c epoch=1 members=[0, 1, 3] replayed=0)",
             "dead",
-            "(p=453 q=0xa5377eaa4e941b16 epoch=1 members=[0, 1, 3] replayed=0)",
+            "(p=468 q=0x9174b039899e971c epoch=1 members=[0, 1, 3] replayed=0)",
         ]
     );
 }

@@ -46,7 +46,7 @@ fn cabana_counts(cfg: CabanaConfig) -> Vec<(u64, u64)> {
 #[test]
 fn fempic_seq_unsorted_counters() {
     let counts = fempic_counts(FemPicConfig::tiny());
-    assert_eq!(counts, vec![(2, 4200), (4, 12600), (6, 25200), (8, 42000)]);
+    assert_eq!(counts, vec![(3, 6800), (6, 17800), (9, 33000), (12, 52400)]);
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn fempic_seq_sorted_counters() {
         sort_policy: SortPolicy::Always,
         ..FemPicConfig::tiny()
     });
-    assert_eq!(counts, vec![(2, 4200), (4, 12600), (6, 25200), (8, 42000)]);
+    assert_eq!(counts, vec![(3, 6800), (6, 17800), (9, 33000), (12, 52400)]);
 }
 
 #[test]
@@ -69,7 +69,10 @@ fn fempic_par_binding_collisions_counters() {
         }),
         ..FemPicConfig::tiny()
     });
-    assert_eq!(counts, vec![(3, 5400), (6, 16200), (9, 32400), (12, 53784)]);
+    assert_eq!(
+        counts,
+        vec![(4, 8000), (8, 21400), (12, 40200), (16, 64076)]
+    );
 }
 
 #[test]
