@@ -5,6 +5,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# perfbench/ is frozen with the benchmark, lock file included, and
+# cargo rewrites a stale lock on its first call: restore it on exit so
+# every stage leaves the tree clean.
+cp perfbench/Cargo.lock /tmp/oppic_ci_perfbench_lock
+trap 'mv /tmp/oppic_ci_perfbench_lock perfbench/Cargo.lock' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -16,6 +22,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace
+
+echo "== cargo check perfbench (the benchmark compiles against the workspace)"
+# perfbench is its own package, outside the workspace, so the build and
+# tests above never compile it: a deleted or renamed public name it
+# uses would otherwise first fail when the benchmark runs.
+cargo check --offline --manifest-path perfbench/Cargo.toml --tests
 
 echo "== cargo test --workspace"
 cargo test --offline --workspace --quiet
@@ -258,12 +270,6 @@ fi
 # each BENCHMARK.json workload. A run passes only if its final JSON
 # record reports `"correct": true` and `"failed": 0`.
 if [ "${1:-}" = "perfbench" ]; then
-    # perfbench/ is frozen with the benchmark, lock file included, and
-    # cargo rewrites a stale lock on its first call: restore it on exit
-    # so the stage leaves the tree clean.
-    cp perfbench/Cargo.lock /tmp/oppic_ci_perfbench_lock
-    trap 'mv /tmp/oppic_ci_perfbench_lock perfbench/Cargo.lock' EXIT
-
     echo "== perfbench: fidelity tests"
     cargo test --release --offline --manifest-path perfbench/Cargo.toml --quiet
 

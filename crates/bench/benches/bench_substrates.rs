@@ -1,10 +1,8 @@
 //! Criterion microbench: substrate layers — the factored field solve,
-//! halo exchange, partitioners, overlay build/locate.
+//! partitioners, overlay build/locate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
-use oppic_mpi::comm::world_run;
-use oppic_mpi::halo::build_rank_meshes;
 use oppic_mpi::partition::{directional_partition, graph_growing_partition, rcb_partition};
 
 fn bench_field_solve(c: &mut Criterion) {
@@ -18,25 +16,6 @@ fn bench_field_solve(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-fn bench_halo(c: &mut Criterion) {
-    let mesh = TetMesh::duct(10, 10, 10, 1.0, 1.0, 1.0);
-    let cen: Vec<Vec3> = (0..mesh.n_cells()).map(|i| mesh.cell_centroid(i)).collect();
-    let ranks = 4usize;
-    let part = directional_partition(&cen, 0, ranks);
-    let c2c: Vec<Vec<i32>> = mesh.c2c.iter().map(|a| a.to_vec()).collect();
-    let meshes = build_rank_meshes(&c2c, &part, ranks);
-    c.bench_function("halo_forward_exchange_4ranks", |b| {
-        b.iter(|| {
-            world_run(ranks, |ctx| {
-                let rm = &meshes[ctx.rank];
-                let mut data = vec![1.0; rm.n_local() * 3];
-                rm.plan.forward(ctx, &mut data, 3).expect("forward halo");
-                data[0]
-            })
-        });
-    });
 }
 
 fn bench_partitioners(c: &mut Criterion) {
@@ -81,6 +60,6 @@ fn short() -> Criterion {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_field_solve, bench_halo, bench_partitioners, bench_overlay
+    targets = bench_field_solve, bench_partitioners, bench_overlay
 }
 criterion_main!(benches);

@@ -6,10 +6,11 @@
 //! ranks over the plain channel transport: directional partitioning
 //! (the paper's custom scheme), particle migration (pack / alltoallv /
 //! hole-fill / unpack), and the per-step reductions that stand in for
-//! the halo exchanges (see DESIGN.md — at the small mesh sizes we run
-//! in process, field state is replicated and reduced; the *projection*
-//! to paper scale uses the real halo-plan volumes from
-//! `oppic_mpi::halo`).
+//! the halo exchanges (DESIGN.md §7: every rank holds the whole mesh,
+//! so field state is replicated and reduced). The paper-scale
+//! projections count halo bytes separately: fig13 from the
+//! `partition_stats(..).halo_cells` of the real directional partition,
+//! fig14 and fig15 from per-unit formulas.
 
 use oppic_cabana::{CabanaConfig, StructuredCabana};
 use oppic_core::ExecPolicy;

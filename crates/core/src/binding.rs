@@ -23,11 +23,12 @@
 //! the result is always a true partition of `0..len` (proptested in
 //! `crates/core/tests/proptest_binding.rs`).
 //!
-//! [`ThreadBinding::split_assignments`] additionally splits every
-//! worker's spans at an interior/boundary pivot — the working set of
-//! the proof-gated async-overlap driver (`oppic-mpi::overlap`), which
-//! runs the interior partition while an exchange is in flight and the
-//! boundary partition after it drains.
+//! The split-form overlap (`oppic-mpi::overlap`) needs no binding of
+//! its own: migration hole-fills the leavers out and appends the
+//! arrivals, so the interior is the slot range `0..interior` and the
+//! boundary is `interior..len`. FemPIC's distributed step deposits the
+//! first range while the exchange is in flight and the second after it
+//! drains (`FemPic::deposit_charge_range`, serial slot order).
 
 /// When to rebuild a [`ThreadBinding`] — deliberately the same shape
 /// as [`crate::SortPolicy`], because binding drift and index
@@ -191,38 +192,6 @@ impl ThreadBinding {
         }
         per_worker
     }
-
-    /// [`Self::assignments`] split at the interior/boundary pivot
-    /// `keep`: the first list covers exactly `0..keep` (interior —
-    /// safe to run while an exchange is in flight), the second
-    /// exactly `keep..len` (boundary — runs after the exchange
-    /// drains). Exhaustive and disjoint by construction; proptested.
-    pub fn split_assignments(
-        &self,
-        len: usize,
-        keep: usize,
-    ) -> (Vec<WorkerSpans>, Vec<WorkerSpans>) {
-        let keep = keep.min(len);
-        let mut interior: Vec<WorkerSpans> = Vec::with_capacity(self.ranges.len());
-        let mut boundary: Vec<WorkerSpans> = Vec::with_capacity(self.ranges.len());
-        for spans in self.assignments(len) {
-            let mut inner = Vec::new();
-            let mut outer = Vec::new();
-            for (lo, hi) in spans {
-                if hi <= keep {
-                    inner.push((lo, hi));
-                } else if lo >= keep {
-                    outer.push((lo, hi));
-                } else {
-                    inner.push((lo, keep));
-                    outer.push((keep, hi));
-                }
-            }
-            interior.push(inner);
-            boundary.push(outer);
-        }
-        (interior, boundary)
-    }
 }
 
 /// Check that `spans` (per-worker) is a true partition of `lo..hi`:
@@ -309,18 +278,6 @@ mod tests {
         assert_eq!(tail_holders, 4, "tail dealt to every worker");
         // Empty store: nothing assigned.
         assert!(b.assignments(0).iter().all(|s| s.is_empty()));
-    }
-
-    #[test]
-    fn split_assignments_cover_both_sides() {
-        let b = ThreadBinding::uniform(3, 50);
-        for keep in [0, 1, 17, 49, 50, 60] {
-            let len = 55; // grown past the build
-            let (interior, boundary) = b.split_assignments(len, keep);
-            let keep = keep.min(len);
-            assert_eq!(partition_defect(&interior, 0, keep), None, "keep={keep}");
-            assert_eq!(partition_defect(&boundary, keep, len), None, "keep={keep}");
-        }
     }
 
     #[test]

@@ -6,10 +6,7 @@
 //! hole-filling truncates, migration does both), so the load-bearing
 //! invariant is that [`ThreadBinding::assignments`] is a **true
 //! partition** of the live population for *any* frozen binding and
-//! *any* drift — and that [`ThreadBinding::split_assignments`] cuts
-//! that partition into an exhaustive, disjoint interior/boundary pair
-//! at any pivot, which is what the proof-gated async-overlap driver
-//! executes around an in-flight exchange.
+//! *any* drift.
 
 use oppic_core::{partition_defect, RebalancePolicy, ThreadBinding};
 use proptest::prelude::*;
@@ -80,33 +77,6 @@ proptest! {
                 prop_assert!(cs.contains(&hi), "span end {hi} cuts a cell");
             }
         }
-    }
-
-    /// The interior/boundary split is exhaustive and disjoint at any
-    /// pivot: interior is a true partition of exactly `0..keep`,
-    /// boundary of exactly `keep..len`, and together they cover every
-    /// live slot exactly once.
-    #[test]
-    fn split_assignments_exhaustive_and_disjoint(
-        counts in prop::collection::vec(0usize..25, 1..40),
-        nw in 1usize..9,
-        live in 0usize..500,
-        keep_frac in 0.0f64..1.2,
-    ) {
-        let cs = cell_start(&counts);
-        let b = ThreadBinding::from_cell_index(&cs, nw);
-        let keep = ((live as f64) * keep_frac) as usize;
-        let (interior, boundary) = b.split_assignments(live, keep);
-        let keep = keep.min(live);
-        prop_assert_eq!(partition_defect(&interior, 0, keep), None);
-        prop_assert_eq!(partition_defect(&boundary, keep, live), None);
-        let covered: usize = interior
-            .iter()
-            .chain(&boundary)
-            .flatten()
-            .map(|(lo, hi)| hi - lo)
-            .sum();
-        prop_assert_eq!(covered, live);
     }
 
     /// The drift trigger is monotone: once the policy fires at some

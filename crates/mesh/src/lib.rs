@@ -17,8 +17,8 @@
 //!   node→cell reverse maps, mesh validation.
 //! * [`overlay`] — the structured overlay used by the *direct-hop*
 //!   particle move (Section 3.2.2 of the paper): a regular grid mapping
-//!   points to the unstructured cell containing them (cell-map) and to
-//!   the owning rank (rank-map).
+//!   points to the unstructured cell containing them (cell-map). The
+//!   paper's rank-map is not built: every rank holds the whole mesh.
 //! * [`io`] — a small ASCII mesh format reader/writer standing in for
 //!   the paper's HDF5/`.dat` mesh files.
 

@@ -4,7 +4,9 @@
 //! overlaid over the unstructured mesh: (1) mapping from structured-mesh
 //! cell to unstructured-mesh cells (cell-map), (2) mapping from
 //! structured-mesh cell to MPI rank of which the unstructured-mesh cell
-//! belongs to (rank-map)."
+//! belongs to (rank-map)." Only the cell-map is built here: every rank
+//! holds the whole mesh, so a direct-hop move always finishes on the
+//! local rank and a rank-map would have no reader (DESIGN.md §2).
 //!
 //! A particle that has moved far from its cell first jumps *directly*
 //! to the overlay's best-guess cell for its new position and only then
@@ -15,8 +17,7 @@ use crate::geometry::{bary_inside, barycentric, BoundingBox, Vec3};
 use crate::tet::TetMesh;
 
 /// A regular grid over the mesh bounding box mapping points to a good
-/// starting unstructured cell (the *cell-map*) and, in distributed
-/// runs, to the owning rank (the *rank-map*).
+/// starting unstructured cell (the *cell-map*).
 #[derive(Debug, Clone)]
 pub struct StructuredOverlay {
     pub bbox: BoundingBox,
@@ -25,9 +26,6 @@ pub struct StructuredOverlay {
     /// For each overlay voxel: an unstructured cell whose interior
     /// intersects (or is nearest to) the voxel centre.
     pub cell_map: Vec<u32>,
-    /// For each overlay voxel: the rank owning `cell_map[v]`; all zeros
-    /// until [`StructuredOverlay::attach_ranks`] is called.
-    pub rank_map: Vec<u32>,
 }
 
 impl StructuredOverlay {
@@ -115,7 +113,6 @@ impl StructuredOverlay {
             dims,
             cell_size,
             cell_map,
-            rank_map: vec![0; nvox],
         }
     }
 
@@ -126,14 +123,6 @@ impl StructuredOverlay {
             axis_index(rel.y, cell_size.y, dims[1]),
             axis_index(rel.z, cell_size.z, dims[2]),
         ]
-    }
-
-    /// Attach rank ownership: `cell_rank[c]` is the owning rank of
-    /// unstructured cell `c`. Populates the rank-map.
-    pub fn attach_ranks(&mut self, cell_rank: &[u32]) {
-        for (v, &c) in self.cell_map.iter().enumerate() {
-            self.rank_map[v] = cell_rank[c as usize];
-        }
     }
 
     /// Voxel index of a point (clamped into the grid).
@@ -150,17 +139,11 @@ impl StructuredOverlay {
         self.cell_map[self.voxel_of(p)] as usize
     }
 
-    /// Direct-hop rank guess for a particle at `p` (distributed runs).
-    #[inline]
-    pub fn locate_rank(&self, p: Vec3) -> u32 {
-        self.rank_map[self.voxel_of(p)]
-    }
-
     /// Memory footprint of the overlay book-keeping in bytes — the
     /// "higher memory footprint required for bookkeeping" the paper
     /// attributes to direct-hop.
     pub fn memory_bytes(&self) -> usize {
-        self.cell_map.len() * std::mem::size_of::<u32>() * 2
+        self.cell_map.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -261,22 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_map_attach() {
-        let mesh = TetMesh::duct(2, 2, 2, 1.0, 1.0, 1.0);
-        let mut ov = StructuredOverlay::build(&mesh, [4, 4, 4]);
-        // Rank by x-halves.
-        let ranks: Vec<u32> = (0..mesh.n_cells())
-            .map(|c| if mesh.cell_centroid(c).x < 0.5 { 0 } else { 1 })
-            .collect();
-        ov.attach_ranks(&ranks);
-        assert_eq!(ov.locate_rank(Vec3::new(0.1, 0.5, 0.5)), 0);
-        assert_eq!(ov.locate_rank(Vec3::new(0.9, 0.5, 0.5)), 1);
-    }
-
-    #[test]
     fn memory_accounting() {
         let mesh = TetMesh::duct(2, 2, 2, 1.0, 1.0, 1.0);
         let ov = StructuredOverlay::build(&mesh, [10, 10, 10]);
-        assert_eq!(ov.memory_bytes(), 1000 * 4 * 2);
+        assert_eq!(ov.memory_bytes(), 1000 * 4);
     }
 }

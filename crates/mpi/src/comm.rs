@@ -3,9 +3,10 @@
 //! [`world_run`] spawns `n` rank threads, wires a full mesh of
 //! channels between them, and hands each a [`RankCtx`] with the MPI
 //! primitives the OP-PIC backend uses: `send`/`recv`, `barrier`,
-//! `allreduce`, `alltoallv`, `gather`, and an RMA-style window
-//! ([`RankCtx::window_put`] / [`RankCtx::window_fetch`]) mirroring the
-//! "MPI-RMA-based global move approach" of Section 3.2.2.
+//! `allreduce` and `alltoallv`. Every message is one `Vec<f64>` frame
+//! (the migration codec's records, the reductions' vectors and the
+//! resilience layer's envelopes are all f64 words), counted at 8 bytes
+//! a word in [`RankCtx::sent_bytes`].
 
 use crate::fault::{FaultAction, FaultSchedule};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -18,59 +19,9 @@ use std::time::{Duration, Instant};
 /// checkpoint shards, surviving the owner's death.
 type StoreSlot = Mutex<Vec<(u64, Vec<u8>)>>;
 
-/// A typed message payload.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
-    F64(Vec<f64>),
-    I32(Vec<i32>),
-    U64(Vec<u64>),
-}
-
-impl Message {
-    pub fn as_f64(&self) -> &[f64] {
-        match self {
-            Message::F64(v) => v,
-            other => panic!("expected F64 message, got {other:?}"),
-        }
-    }
-
-    pub fn into_f64(self) -> Vec<f64> {
-        match self {
-            Message::F64(v) => v,
-            other => panic!("expected F64 message, got {other:?}"),
-        }
-    }
-
-    pub fn as_i32(&self) -> &[i32] {
-        match self {
-            Message::I32(v) => v,
-            other => panic!("expected I32 message, got {other:?}"),
-        }
-    }
-
-    pub fn into_i32(self) -> Vec<i32> {
-        match self {
-            Message::I32(v) => v,
-            other => panic!("expected I32 message, got {other:?}"),
-        }
-    }
-
-    pub fn as_u64(&self) -> &[u64] {
-        match self {
-            Message::U64(v) => v,
-            other => panic!("expected U64 message, got {other:?}"),
-        }
-    }
-
-    /// Payload size in bytes — comm-volume accounting for the scaling
-    /// model.
-    pub fn bytes(&self) -> usize {
-        match self {
-            Message::F64(v) => v.len() * 8,
-            Message::I32(v) => v.len() * 4,
-            Message::U64(v) => v.len() * 8,
-        }
-    }
+/// Payload bytes of one frame: 8 per f64 word.
+fn frame_bytes(frame: &[f64]) -> u64 {
+    std::mem::size_of_val(frame) as u64
 }
 
 /// A message held back by a Reorder/Delay fault, waiting for its
@@ -80,17 +31,16 @@ struct HeldMsg {
     /// (Reorder). `false`: release only on [`RankCtx::flush_held`]
     /// (Delay).
     on_next_send: bool,
-    msg: Message,
+    msg: Vec<f64>,
 }
 
 /// Per-rank context handed to the rank body by [`world_run`].
 pub struct RankCtx {
     pub rank: usize,
     pub n_ranks: usize,
-    to: Vec<Sender<Message>>,
-    from: Vec<Receiver<Message>>,
+    to: Vec<Sender<Vec<f64>>>,
+    from: Vec<Receiver<Vec<f64>>>,
     barrier: Arc<Barrier>,
-    window: Arc<Vec<Mutex<Vec<f64>>>>,
     /// Bytes sent by this rank (comm-volume accounting).
     sent_bytes: u64,
     /// Installed fault schedule (None = fault-free world).
@@ -119,28 +69,28 @@ pub struct RankCtx {
 
 impl RankCtx {
     /// Point-to-point send to `dst` (buffered, non-blocking).
-    pub fn send(&mut self, dst: usize, msg: Message) {
-        self.sent_bytes += msg.bytes() as u64;
+    pub fn send(&mut self, dst: usize, msg: Vec<f64>) {
+        self.sent_bytes += frame_bytes(&msg);
         self.to[dst]
             .send(msg)
             .expect("receiver hung up — rank body panicked?");
     }
 
     /// Blocking receive of the next message from `src`.
-    pub fn recv(&self, src: usize) -> Message {
+    pub fn recv(&self, src: usize) -> Vec<f64> {
         self.from[src]
             .recv()
             .expect("sender hung up — rank body panicked?")
     }
 
     /// Timed receive from `src`; `None` on timeout.
-    pub fn recv_timeout(&self, src: usize, timeout: Duration) -> Option<Message> {
+    pub fn recv_timeout(&self, src: usize, timeout: Duration) -> Option<Vec<f64>> {
         self.from[src].recv_timeout(timeout).ok()
     }
 
     /// Receive the next message from *any* source, polling every
     /// channel until `deadline`; `None` if nothing arrives in time.
-    pub fn recv_any_deadline(&self, deadline: Instant) -> Option<(usize, Message)> {
+    pub fn recv_any_deadline(&self, deadline: Instant) -> Option<(usize, Vec<f64>)> {
         loop {
             for src in 0..self.n_ranks {
                 if let Ok(m) = self.from[src].try_recv() {
@@ -171,20 +121,16 @@ impl RankCtx {
     /// delay, bit-flip, or stall this message. The resilience layer
     /// routes its sequence-numbered envelopes through here; the plain
     /// [`send`](RankCtx::send) path stays reliable (control plane).
-    pub fn send_faulty(&mut self, dst: usize, mut msg: Message) {
+    pub fn send_faulty(&mut self, dst: usize, mut msg: Vec<f64>) {
         let seq = self.fault_seq[dst];
         self.fault_seq[dst] += 1;
-        let n_words = match &msg {
-            Message::F64(v) => v.len(),
-            _ => 0,
-        };
         let action = match &self.fault {
-            Some(f) => f.draw(self.rank, dst, seq, n_words),
+            Some(f) => f.draw(self.rank, dst, seq, msg.len()),
             None => FaultAction::None,
         };
         // Messages reordered by earlier sends release *after* the
         // current message; collect them before anything new is held.
-        let release: Vec<Message> = {
+        let release: Vec<Vec<f64>> = {
             let held = &mut self.held[dst];
             let mut rel = Vec::new();
             let mut keep = Vec::new();
@@ -203,7 +149,7 @@ impl RankCtx {
             FaultAction::Drop => {
                 // Vanishes on the wire; sender-side accounting still
                 // saw the attempt.
-                self.sent_bytes += msg.bytes() as u64;
+                self.sent_bytes += frame_bytes(&msg);
             }
             FaultAction::Duplicate => {
                 self.send(dst, msg.clone());
@@ -218,10 +164,8 @@ impl RankCtx {
                 msg,
             }),
             FaultAction::BitFlip { word, bit } => {
-                if let Message::F64(v) = &mut msg {
-                    if let Some(x) = v.get_mut(word) {
-                        *x = f64::from_bits(x.to_bits() ^ (1u64 << bit));
-                    }
+                if let Some(x) = msg.get_mut(word) {
+                    *x = f64::from_bits(x.to_bits() ^ (1u64 << bit));
                 }
                 self.send(dst, msg);
             }
@@ -240,7 +184,7 @@ impl RankCtx {
     /// fault becomes late delivery rather than permanent loss.
     pub fn flush_held(&mut self) {
         for dst in 0..self.n_ranks {
-            let msgs: Vec<Message> = self.held[dst].drain(..).map(|h| h.msg).collect();
+            let msgs: Vec<Vec<f64>> = self.held[dst].drain(..).map(|h| h.msg).collect();
             for m in msgs {
                 self.send(dst, m);
             }
@@ -271,19 +215,19 @@ impl RankCtx {
         if self.rank == 0 {
             let mut acc = x.to_vec();
             for src in 1..self.n_ranks {
-                let m = self.recv(src).into_f64();
+                let m = self.recv(src);
                 assert_eq!(m.len(), acc.len(), "allreduce length mismatch");
                 for (a, b) in acc.iter_mut().zip(&m) {
                     *a += b;
                 }
             }
             for dst in 1..self.n_ranks {
-                self.send(dst, Message::F64(acc.clone()));
+                self.send(dst, acc.clone());
             }
             acc
         } else {
-            self.send(0, Message::F64(x.to_vec()));
-            self.recv(0).into_f64()
+            self.send(0, x.to_vec());
+            self.recv(0)
         }
     }
 
@@ -295,35 +239,21 @@ impl RankCtx {
         if self.rank == 0 {
             let mut acc = x;
             for src in 1..self.n_ranks {
-                acc = acc.max(self.recv(src).into_f64()[0]);
+                acc = acc.max(self.recv(src)[0]);
             }
             for dst in 1..self.n_ranks {
-                self.send(dst, Message::F64(vec![acc]));
+                self.send(dst, vec![acc]);
             }
             acc
         } else {
-            self.send(0, Message::F64(vec![x]));
-            self.recv(0).into_f64()[0]
-        }
-    }
-
-    /// Gather per-rank f64 vectors on rank 0 (others get `None`).
-    pub fn gather_f64(&mut self, x: &[f64]) -> Option<Vec<Vec<f64>>> {
-        if self.rank == 0 {
-            let mut out = vec![x.to_vec()];
-            for src in 1..self.n_ranks {
-                out.push(self.recv(src).into_f64());
-            }
-            Some(out)
-        } else {
-            self.send(0, Message::F64(x.to_vec()));
-            None
+            self.send(0, vec![x]);
+            self.recv(0)[0]
         }
     }
 
     /// All-to-all variable exchange: `sends[dst]` goes to rank `dst`;
     /// returns `recvs[src]`. Every rank must call this collectively.
-    pub fn alltoallv(&mut self, sends: Vec<Message>) -> Vec<Message> {
+    pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         assert_eq!(
             sends.len(),
             self.n_ranks,
@@ -340,7 +270,7 @@ impl RankCtx {
     /// receive on this context; compute run between the two calls is
     /// hidden behind the exchange (the proof-gated overlap driver in
     /// [`crate::overlap`]).
-    pub fn alltoallv_begin(&mut self, sends: Vec<Message>) {
+    pub fn alltoallv_begin(&mut self, sends: Vec<Vec<f64>>) {
         assert_eq!(
             sends.len(),
             self.n_ranks,
@@ -356,30 +286,8 @@ impl RankCtx {
     /// The receive half of [`Self::alltoallv`]: drains one message per
     /// source rank, in rank order (the `MPI_Wait` of the split
     /// exchange).
-    pub fn alltoallv_complete(&mut self) -> Vec<Message> {
+    pub fn alltoallv_complete(&mut self) -> Vec<Vec<f64>> {
         (0..self.n_ranks).map(|src| self.recv(src)).collect()
-    }
-
-    /// RMA put: overwrite `target_rank`'s window segment.
-    /// (`MPI_Win_lock` + `MPI_Put` semantics; passive target.)
-    pub fn window_put(&self, target_rank: usize, data: &[f64]) {
-        let mut w = self.window[target_rank].lock();
-        w.clear();
-        w.extend_from_slice(data);
-    }
-
-    /// RMA atomic append — the global-move pattern: any rank can push
-    /// particles into any other rank's window without that rank
-    /// participating (what the paper uses "to overcome the challenge of
-    /// identifying the ranks that are trying to communicate").
-    pub fn window_append(&self, target_rank: usize, data: &[f64]) {
-        self.window[target_rank].lock().extend_from_slice(data);
-    }
-
-    /// RMA fetch-and-clear of this rank's own window (after a barrier
-    /// that closes the exposure epoch).
-    pub fn window_fetch(&self) -> Vec<f64> {
-        std::mem::take(&mut *self.window[self.rank].lock())
     }
 
     /// Renew this rank's lease (health heartbeat). Monotonic: each
@@ -452,8 +360,8 @@ where
 {
     assert!(n_ranks > 0, "world needs at least one rank");
     // channels[src][dst]
-    let mut senders: Vec<Vec<Option<Sender<Message>>>> = Vec::with_capacity(n_ranks);
-    let mut receivers: Vec<Vec<Option<Receiver<Message>>>> = (0..n_ranks)
+    let mut senders: Vec<Vec<Option<Sender<Vec<f64>>>>> = Vec::with_capacity(n_ranks);
+    let mut receivers: Vec<Vec<Option<Receiver<Vec<f64>>>>> = (0..n_ranks)
         .map(|_| (0..n_ranks).map(|_| None).collect())
         .collect();
     for src in 0..n_ranks {
@@ -466,8 +374,6 @@ where
         senders.push(row);
     }
     let barrier = Arc::new(Barrier::new(n_ranks));
-    let window: Arc<Vec<Mutex<Vec<f64>>>> =
-        Arc::new((0..n_ranks).map(|_| Mutex::new(Vec::new())).collect());
     let leases: Arc<Vec<AtomicU64>> = Arc::new((0..n_ranks).map(|_| AtomicU64::new(0)).collect());
     let proposals: Arc<Vec<AtomicU64>> =
         Arc::new((0..n_ranks).map(|_| AtomicU64::new(0)).collect());
@@ -490,7 +396,6 @@ where
                 .map(|r| r.expect("receiver wired"))
                 .collect(),
             barrier: barrier.clone(),
-            window: window.clone(),
             sent_bytes: 0,
             fault: fault.clone(),
             fault_seq: vec![0; n_ranks],
@@ -525,10 +430,10 @@ mod tests {
         let results = world_run(4, |ctx| {
             let next = (ctx.rank + 1) % ctx.n_ranks;
             let prev = (ctx.rank + ctx.n_ranks - 1) % ctx.n_ranks;
-            ctx.send(next, Message::I32(vec![ctx.rank as i32]));
-            ctx.recv(prev).into_i32()[0]
+            ctx.send(next, vec![ctx.rank as f64]);
+            ctx.recv(prev)[0]
         });
-        assert_eq!(results, vec![3, 0, 1, 2]);
+        assert_eq!(results, vec![3.0, 0.0, 1.0, 2.0]);
     }
 
     #[test]
@@ -558,75 +463,34 @@ mod tests {
     }
 
     #[test]
-    fn gather_on_root() {
-        let out = world_run(3, |ctx| ctx.gather_f64(&[ctx.rank as f64]));
-        assert_eq!(out[0].as_ref().unwrap().len(), 3);
-        assert_eq!(out[0].as_ref().unwrap()[2], vec![2.0]);
-        assert!(out[1].is_none() && out[2].is_none());
-    }
-
-    #[test]
     fn alltoallv_exchanges_everything() {
         let out = world_run(3, |ctx| {
-            let sends: Vec<Message> = (0..3)
-                .map(|dst| Message::I32(vec![(ctx.rank * 10 + dst) as i32]))
+            let sends: Vec<Vec<f64>> = (0..3)
+                .map(|dst| vec![(ctx.rank * 10 + dst) as f64])
                 .collect();
             let recvs = ctx.alltoallv(sends);
-            recvs.iter().map(|m| m.as_i32()[0]).collect::<Vec<_>>()
+            recvs.iter().map(|m| m[0]).collect::<Vec<_>>()
         });
         // Rank r receives src*10 + r from each src.
-        assert_eq!(out[0], vec![0, 10, 20]);
-        assert_eq!(out[1], vec![1, 11, 21]);
-        assert_eq!(out[2], vec![2, 12, 22]);
-    }
-
-    #[test]
-    fn rma_global_move_pattern() {
-        // Every rank appends into rank (r+1)%n's window; after a
-        // barrier each fetches its own window.
-        let out = world_run(4, |ctx| {
-            let dst = (ctx.rank + 1) % ctx.n_ranks;
-            ctx.window_append(dst, &[ctx.rank as f64, 0.5]);
-            ctx.barrier();
-            let got = ctx.window_fetch();
-            ctx.barrier();
-            got
-        });
-        assert_eq!(out[0], vec![3.0, 0.5]);
-        assert_eq!(out[2], vec![1.0, 0.5]);
-        // Windows are drained after fetch.
-        let again = world_run(1, |ctx| ctx.window_fetch());
-        assert!(again[0].is_empty());
+        assert_eq!(out[0], vec![0.0, 10.0, 20.0]);
+        assert_eq!(out[1], vec![1.0, 11.0, 21.0]);
+        assert_eq!(out[2], vec![2.0, 12.0, 22.0]);
     }
 
     #[test]
     fn sent_bytes_accounting() {
         let out = world_run(2, |ctx| {
             if ctx.rank == 0 {
-                ctx.send(1, Message::F64(vec![0.0; 10]));
-                ctx.send(1, Message::I32(vec![0; 3]));
+                ctx.send(1, vec![0.0; 10]);
+                ctx.send(1, vec![0.0; 3]);
             } else {
                 ctx.recv(0);
                 ctx.recv(0);
             }
             ctx.sent_bytes()
         });
-        assert_eq!(out[0], 80 + 12);
+        assert_eq!(out[0], 80 + 24);
         assert_eq!(out[1], 0);
-    }
-
-    #[test]
-    fn message_accessors_and_bytes() {
-        assert_eq!(Message::F64(vec![1.0]).bytes(), 8);
-        assert_eq!(Message::I32(vec![1, 2]).bytes(), 8);
-        assert_eq!(Message::U64(vec![1]).bytes(), 8);
-        assert_eq!(Message::U64(vec![9]).as_u64(), &[9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected F64")]
-    fn wrong_message_type_panics() {
-        let _ = Message::I32(vec![1]).into_f64();
     }
 
     #[test]
@@ -652,7 +516,7 @@ mod tests {
                     .expect("second message");
                 got.0 == 1 || got.0 == 2
             } else {
-                ctx.send(0, Message::U64(vec![ctx.rank as u64]));
+                ctx.send(0, vec![ctx.rank as f64]);
                 true
             }
         });
@@ -665,7 +529,7 @@ mod tests {
         let sched = Arc::new(FaultSchedule::single(42, FaultKind::Drop, 1.0));
         let delivered = world_run_faulty(2, Some(sched.clone()), |ctx| {
             if ctx.rank == 0 {
-                ctx.send_faulty(1, Message::F64(vec![1.0]));
+                ctx.send_faulty(1, vec![1.0]);
                 0
             } else {
                 // Dropped: nothing ever arrives.
@@ -682,7 +546,7 @@ mod tests {
         let dup = Arc::new(FaultSchedule::single(1, FaultKind::Duplicate, 1.0));
         let got = world_run_faulty(2, Some(dup), |ctx| {
             if ctx.rank == 0 {
-                ctx.send_faulty(1, Message::F64(vec![2.5]));
+                ctx.send_faulty(1, vec![2.5]);
                 0
             } else {
                 let a = ctx.recv_timeout(0, Duration::from_millis(200));
@@ -695,10 +559,10 @@ mod tests {
         let flip = Arc::new(FaultSchedule::single(2, FaultKind::BitFlip, 1.0));
         let vals = world_run_faulty(2, Some(flip), |ctx| {
             if ctx.rank == 0 {
-                ctx.send_faulty(1, Message::F64(vec![2.5]));
+                ctx.send_faulty(1, vec![2.5]);
                 0.0
             } else {
-                ctx.recv(0).into_f64()[0]
+                ctx.recv(0)[0]
             }
         });
         assert!(vals[1].is_finite(), "mantissa flip must stay finite");
@@ -711,13 +575,13 @@ mod tests {
         let sched = Arc::new(FaultSchedule::single(5, FaultKind::Delay, 1.0).with_budget(1));
         let got = world_run_faulty(2, Some(sched), |ctx| {
             if ctx.rank == 0 {
-                ctx.send_faulty(1, Message::F64(vec![7.0]));
+                ctx.send_faulty(1, vec![7.0]);
                 // Nothing on the wire yet; a timeout-driven flush
                 // releases it.
                 ctx.flush_held();
                 0.0
             } else {
-                ctx.recv(0).into_f64()[0]
+                ctx.recv(0)[0]
             }
         });
         assert_eq!(got[1], 7.0);
@@ -729,11 +593,11 @@ mod tests {
         let sched = Arc::new(FaultSchedule::single(6, FaultKind::Reorder, 1.0).with_budget(1));
         let got = world_run_faulty(2, Some(sched), |ctx| {
             if ctx.rank == 0 {
-                ctx.send_faulty(1, Message::F64(vec![1.0]));
-                ctx.send_faulty(1, Message::F64(vec![2.0]));
+                ctx.send_faulty(1, vec![1.0]);
+                ctx.send_faulty(1, vec![2.0]);
                 vec![]
             } else {
-                vec![ctx.recv(0).into_f64()[0], ctx.recv(0).into_f64()[0]]
+                vec![ctx.recv(0)[0], ctx.recv(0)[0]]
             }
         });
         assert_eq!(got[1], vec![2.0, 1.0], "first message overtaken by second");
@@ -797,11 +661,11 @@ mod tests {
         let sched = Arc::new(FaultSchedule::single(3, FaultKind::Drop, 1.0));
         let got = world_run_faulty(2, Some(sched), |ctx| {
             if ctx.rank == 0 {
-                ctx.send(1, Message::F64(vec![4.0]));
+                ctx.send(1, vec![4.0]);
                 assert!(ctx.fault_active());
                 0.0
             } else {
-                ctx.recv(0).into_f64()[0]
+                ctx.recv(0)[0]
             }
         });
         assert_eq!(got[1], 4.0);

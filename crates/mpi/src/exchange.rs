@@ -15,14 +15,14 @@
 //!   alltoallv path, optionally split around an overlap window;
 //! * [`Plain`] — the same path behind the [`Transport`] trait the
 //!   apps' distributed steps are generic over (the reliable link in
-//!   `oppic-resilience` is the other implementation);
-//! * [`global_move_rma`] — the direct-hop variant: destination ranks
-//!   are discovered through the structured overlay's rank-map, and
-//!   payloads are pushed straight into the target rank's RMA window —
-//!   no neighbour discovery handshake, exactly the paper's
-//!   "MPI-RMA-based global move approach".
+//!   `oppic-resilience` is the other implementation).
+//!
+//! The paper's MPI-RMA global move, which finds a direct-hop
+//! particle's target rank through the overlay's rank-map, has no
+//! counterpart: every rank holds the whole mesh, so the move finishes
+//! locally and the leavers' ranks come from the cell → rank map.
 
-use crate::comm::{Message, RankCtx};
+use crate::comm::RankCtx;
 use oppic_core::particles::ParticleDats;
 use std::convert::Infallible;
 use std::fmt;
@@ -213,7 +213,7 @@ pub fn migrate_particles_begin(
     let shipped_values: usize = buffers.iter().map(Vec::len).sum();
 
     // Post the sends (non-blocking on the channel shim).
-    ctx.alltoallv_begin(buffers.into_iter().map(Message::F64).collect());
+    ctx.alltoallv_begin(buffers);
 
     // Receives never touch the store, so hole-filling before the drain
     // leaves the final state identical to the synchronous path.
@@ -262,12 +262,8 @@ impl MigrationHandle {
             }
         }
 
-        let arrivals: Vec<(usize, Vec<f64>)> = ctx
-            .alltoallv_complete()
-            .into_iter()
-            .map(Message::into_f64)
-            .enumerate()
-            .collect();
+        let arrivals: Vec<(usize, Vec<f64>)> =
+            ctx.alltoallv_complete().into_iter().enumerate().collect();
         let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
 
         MigrationStats {
@@ -292,41 +288,6 @@ pub fn migrate_particles(
 ) -> MigrationStats {
     let Ok(stats) = Plain::default().migrate(ctx, ps, leavers, None);
     stats
-}
-
-/// Direct-hop global move over the RMA window: push each destination's
-/// packed buffer into the *destination rank's* window, barrier, then
-/// drain our own window. No per-pair handshake is needed — any rank
-/// can be a target without knowing its senders in advance.
-pub fn global_move_rma(
-    ctx: &mut RankCtx,
-    ps: &mut ParticleDats,
-    leavers: &[(usize, u32, i32)],
-) -> MigrationStats {
-    let buffers = pack(ps, leavers, ctx.n_ranks);
-    let mut shipped_values = 0usize;
-    for (dst, buf) in buffers.iter().enumerate() {
-        if !buf.is_empty() {
-            ctx.window_append(dst, buf);
-            shipped_values += buf.len();
-        }
-    }
-
-    // Close the exposure epoch.
-    ctx.barrier();
-
-    remove_leavers(ps, leavers);
-    let arrivals = [(ctx.rank, ctx.window_fetch())];
-    let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
-    // Second barrier so nobody starts the next epoch while a slow rank
-    // is still draining.
-    ctx.barrier();
-
-    MigrationStats {
-        sent: leavers.len(),
-        received,
-        shipped_values,
-    }
 }
 
 #[cfg(test)]
@@ -361,16 +322,21 @@ mod tests {
                 .filter(|i| i % 2 == 1)
                 .map(|i| (i, dst, 100 + i as i32))
                 .collect();
+            let bytes0 = ctx.sent_bytes();
             let stats = migrate_particles(ctx, &mut ps, &leavers);
-            (ps, stats)
+            let bytes = ctx.sent_bytes() - bytes0;
+            (ps, stats, bytes)
         });
 
-        let total: usize = out.iter().map(|(ps, _)| ps.len()).sum();
+        let total: usize = out.iter().map(|(ps, _, _)| ps.len()).sum();
         assert_eq!(total, n_ranks * per_rank, "global particle count conserved");
-        for (r, (ps, stats)) in out.iter().enumerate() {
+        for (r, (ps, stats, bytes)) in out.iter().enumerate() {
             assert_eq!(stats.sent, 5);
             assert_eq!(stats.received, 5);
             assert_eq!(stats.shipped_values, 5 * 3);
+            // The communicator counts every shipped word at 8 bytes
+            // (the empty self- and non-neighbour frames add nothing).
+            assert_eq!(*bytes, 8 * stats.shipped_values as u64, "rank {r} bytes");
             let tag = ps.col_id("tag").unwrap();
             let prev = (r + n_ranks - 1) % n_ranks;
             let mut natives = 0;
@@ -484,38 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn rma_global_move_matches_alltoall_semantics() {
-        let n_ranks = 4;
-        let out = world_run(n_ranks, |ctx| {
-            let mut ps = local_store(ctx.rank, 8);
-            // Scatter: particle i goes to rank i % n (skipping self).
-            let leavers: Vec<(usize, u32, i32)> = (0..8)
-                .filter(|i| i % n_ranks != ctx.rank)
-                .map(|i| (i, (i % n_ranks) as u32, i as i32))
-                .collect();
-            let stats = global_move_rma(ctx, &mut ps, &leavers);
-            (ps, stats)
-        });
-        let total: usize = out.iter().map(|(ps, _)| ps.len()).sum();
-        assert_eq!(total, n_ranks * 8);
-        for (r, (ps, stats)) in out.iter().enumerate() {
-            assert_eq!(stats.sent, 6, "rank {r} sends 6 of its 8");
-            assert_eq!(
-                stats.received, 6,
-                "each rank receives 2 from each of 3 others"
-            );
-            let tag = ps.col_id("tag").unwrap();
-            for i in 0..ps.len() {
-                let e = ps.el(tag, i);
-                if e[0] as usize != r {
-                    // Immigrant: must belong here by the scatter rule.
-                    assert_eq!(e[1] as usize % n_ranks, r);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unpack_checks_every_arrival_before_touching_the_store() {
         let mut ps = local_store(0, 2);
         let stride = ps.dofs() + 1;
@@ -533,25 +467,5 @@ mod tests {
         assert_eq!(ps.len(), 2, "the good arrival must not be unpacked either");
         assert_eq!(unpack(&mut ps, &[(1, good)]), Ok(1));
         assert_eq!(ps.cells()[2], 7);
-    }
-
-    #[test]
-    fn rma_epochs_do_not_leak_between_rounds() {
-        let out = world_run(2, |ctx| {
-            let mut ps = local_store(ctx.rank, 2);
-            let dst = (1 - ctx.rank) as u32;
-            // Round 1: rank 0 sends particle 0.
-            let leavers: Vec<_> = if ctx.rank == 0 {
-                vec![(0usize, dst, 5i32)]
-            } else {
-                vec![]
-            };
-            global_move_rma(ctx, &mut ps, &leavers);
-            // Round 2: nobody sends; windows must be empty.
-            let stats = global_move_rma(ctx, &mut ps, &[]);
-            (ps.len(), stats.received)
-        });
-        assert_eq!(out[0], (1, 0));
-        assert_eq!(out[1], (3, 0));
     }
 }

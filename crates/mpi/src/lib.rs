@@ -2,41 +2,44 @@
 //!
 //! The paper's distributed level is classic MPI: mesh partitioning,
 //! owner-compute halos, particle migration with pack/ship/unpack, and
-//! an RMA window for the direct-hop global move. This crate reproduces
-//! all of those algorithms in-process: **ranks are OS threads**,
-//! messages travel over typed crossbeam channels, and collective
-//! operations (barrier, allreduce, alltoallv) are implemented on top —
-//! the identical code paths at rank-count parametric scale (the
-//! substitution documented in DESIGN.md).
+//! an MPI-RMA global move that finds target ranks through the direct-hop
+//! overlay's rank-map. This crate runs that level in-process: **ranks
+//! are OS threads**, messages are `Vec<f64>` frames on crossbeam
+//! channels, and the collectives (barrier, allreduce, alltoallv) are
+//! built on top (the substitution documented in DESIGN.md §2).
+//!
+//! Every rank holds the whole mesh, so there are no ghost cells: a
+//! node-charge allreduce stands in for the halo exchange, the move
+//! finishes on the local rank (direct-hop included), and particles in
+//! foreign-owned cells leave through one alltoallv migration
+//! ([`Transport::migrate`]). The halos, rank-map and RMA global move
+//! are not built.
 //!
 //! * [`comm`] — the communicator: point-to-point sends, barriers,
-//!   reductions, gathers, and an RMA-style shared window.
+//!   reductions and alltoallv, plus the fault-injectable data plane
+//!   and the lease, proposal and stable-store boards the resilience
+//!   layer uses.
 //! * [`partition`] — the paper's custom partitioner ("along the
 //!   principal direction of motion of particles", as in PUMIPic), plus
 //!   recursive coordinate bisection and a greedy graph-growing k-way
 //!   partitioner as the ParMETIS stand-in.
-//! * [`halo`] — import/export list construction from a partition and a
-//!   cell→cell map, local renumbering, and halo exchange executors
-//!   (forward ghost-read and reverse accumulate).
 //! * [`exchange`] — particle migration: the one pack / hole-fill /
-//!   unpack codec, the plain alltoallv and RMA paths over it, and the
-//!   [`Transport`] trait the apps' distributed steps are generic over.
+//!   unpack codec, the alltoallv path over it, and the [`Transport`]
+//!   trait the apps' distributed steps are generic over.
 
 pub mod comm;
 pub mod exchange;
 pub mod fault;
-pub mod halo;
 pub mod heartbeat;
 pub mod overlap;
 pub mod partition;
 
-pub use comm::{world_run, world_run_faulty, Message, RankCtx};
+pub use comm::{world_run, world_run_faulty, RankCtx};
 pub use exchange::{
     migrate_particles, migrate_particles_begin, MigrationHandle, MigrationStats, Plain,
     RaggedPayload, Transport,
 };
 pub use fault::{mix64, FaultAction, FaultKind, FaultSchedule, FaultSpec};
-pub use halo::{validate_plan_symmetry, HaloError, HaloExchangePlan, RankMesh};
 pub use heartbeat::{beat_jitter, FailureDetector, HeartbeatConfig};
 pub use overlap::{GateProof, OverlapForm, OverlapGate};
 pub use partition::{

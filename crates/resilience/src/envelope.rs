@@ -1,8 +1,8 @@
 //! Self-describing message envelopes for the fault-injectable data
 //! plane.
 //!
-//! Every frame is a `Vec<f64>` (so it rides the shim's `Message::F64`
-//! data plane, where the fault injector operates) whose first five
+//! Every frame is a `Vec<f64>` (the communicator's one message type,
+//! so it rides the data plane where the fault injector operates) whose first five
 //! words are u64 bit patterns: magic+kind, sequence number, tag (the
 //! exchange round), membership epoch, payload length, and a
 //! CRC-64/XZ over header and payload. Any single corruption — a mantissa bit-flip in the

@@ -16,7 +16,7 @@
 use crate::envelope::{decode, encode_ack, encode_data, encode_nack, Frame};
 use crate::membership::Membership;
 use oppic_core::telemetry;
-use oppic_mpi::comm::{Message, RankCtx};
+use oppic_mpi::comm::RankCtx;
 use oppic_mpi::mix64;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -238,10 +238,7 @@ impl ReliableLink {
                 }
                 acked[si] = true;
             } else {
-                ctx.send_faulty(
-                    *dst,
-                    Message::F64(encode_data(0, round, self.epoch, payload)),
-                );
+                ctx.send_faulty(*dst, encode_data(0, round, self.epoch, payload));
             }
         }
 
@@ -335,7 +332,7 @@ impl ReliableLink {
                     telemetry::count("resilience.retransmits", 1);
                     ctx.send_faulty(
                         *dst,
-                        Message::F64(encode_data(tries[si] as u64, round, self.epoch, payload)),
+                        encode_data(tries[si] as u64, round, self.epoch, payload),
                     );
                 }
             }
@@ -352,20 +349,13 @@ impl ReliableLink {
         ctx: &mut RankCtx,
         round: u64,
         src: usize,
-        msg: &Message,
+        words: &[f64],
         sends: &[(usize, Vec<f64>)],
         recv_from: &[usize],
         got: &mut [Option<Vec<f64>>],
         acked: &mut [bool],
         tries: &mut [usize],
     ) -> Result<(), ExchangeError> {
-        let Message::F64(words) = msg else {
-            // Not envelope traffic; drop it rather than crash the
-            // exchange. (Mixing raw and reliable traffic on one
-            // context is a caller bug — surfaced by the peer timeout.)
-            telemetry::count("resilience.foreign_messages", 1);
-            return Ok(());
-        };
         let frame = decode(words);
         // The zombie fence: frames from any other membership epoch are
         // dropped and counted, never applied and never acknowledged. A
@@ -401,7 +391,7 @@ impl ReliableLink {
                     telemetry::count("resilience.duplicates_dropped", 1);
                 }
                 // Acks ride the reliable control plane.
-                ctx.send(src, Message::F64(encode_ack(0, tag, self.epoch)));
+                ctx.send(src, encode_ack(0, tag, self.epoch));
             }
             Ok(Frame::Ack { tag, .. }) => {
                 if tag == round {
@@ -435,12 +425,7 @@ impl ReliableLink {
                             telemetry::count("resilience.retransmits", 1);
                             ctx.send_faulty(
                                 *dst,
-                                Message::F64(encode_data(
-                                    tries[si] as u64,
-                                    tag,
-                                    self.epoch,
-                                    payload,
-                                )),
+                                encode_data(tries[si] as u64, tag, self.epoch, payload),
                             );
                         }
                     }
@@ -450,7 +435,7 @@ impl ReliableLink {
                 // Corrupt on arrival: ask for an immediate retransmit
                 // of whatever the peer owes us this round.
                 telemetry::count("resilience.frames_corrupt", 1);
-                ctx.send(src, Message::F64(encode_nack(0, round, self.epoch)));
+                ctx.send(src, encode_nack(0, round, self.epoch));
             }
         }
         Ok(())
