@@ -35,10 +35,9 @@ fn bench_deposit(c: &mut Criterion) {
                 |b, &targets| {
                     let mut buf = vec![0.0f64; targets];
                     b.iter(|| {
-                        deposit_loop(&policy, method, n, &mut buf, |i, dep| {
-                            for k in 0..4usize {
-                                dep.add((i.wrapping_mul(2654435761) + k * 97) % targets, 1.0);
-                            }
+                        deposit_loop(&policy, method, n, &mut buf, |i| {
+                            let idx = |k: usize| (i.wrapping_mul(2654435761) + k * 97) % targets;
+                            ([idx(0), idx(1), idx(2), idx(3)], [1.0; 4])
                         })
                     });
                 },
@@ -97,11 +96,9 @@ fn bench_deposit_sorted(c: &mut Criterion) {
                     DepositMethod::ScatterArrays,
                     n,
                     &mut buf,
-                    |i, dep| {
+                    |i| {
                         let c = scells[i] as usize;
-                        for (k, &t) in c2n[c].iter().enumerate() {
-                            dep.add(t, w[i * 4 + k]);
-                        }
+                        (c2n[c], std::array::from_fn(|k| w[i * 4 + k]))
                     },
                 )
             });
@@ -169,10 +166,9 @@ fn bench_deposit_telemetry_overhead(c: &mut Criterion) {
             DepositMethod::ScatterArrays,
             n,
             buf,
-            |i, dep| {
-                for k in 0..4usize {
-                    dep.add((i.wrapping_mul(2654435761) + k * 97) % targets, 1.0);
-                }
+            |i| {
+                let idx = |k: usize| (i.wrapping_mul(2654435761) + k * 97) % targets;
+                ([idx(0), idx(1), idx(2), idx(3)], [1.0; 4])
             },
         )
     };

@@ -1,8 +1,10 @@
 //! Criterion microbench: particle-store bookkeeping — hole filling at
-//! varying removal fractions, cell sort, shuffle, pack/unpack.
+//! varying removal fractions, cell sort, shuffle, pack/unpack — and the
+//! DSL executors against hand-written loops over the same data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oppic_core::ParticleDats;
+use oppic_core::{DepositMethod, ExecPolicy, ParticleDats};
+use oppic_fempic::{FemPic, FemPicConfig, Integrator, MoveStrategy};
 
 fn make_store(n: usize) -> ParticleDats {
     let mut ps = ParticleDats::new();
@@ -78,6 +80,83 @@ fn bench_pack(c: &mut Criterion) {
     g.finish();
 }
 
+/// FemPIC's `CalcPosVel` and `DepositCharge` through the DSL
+/// executors (`par_loop`, `deposit_loop`) against the same kernels as
+/// hand-written loops, on the duct of `configs/fempic_small.cfg` under
+/// `Seq` after 25 steps. Each pair is checked bit for bit before it is
+/// timed. The timings are reported, not gated.
+fn bench_executor_vs_hand(c: &mut Criterion) {
+    let cfg = FemPicConfig {
+        nx: 8,
+        ny: 8,
+        nz: 8,
+        lx: 2.0,
+        inject_per_step: 2000,
+        wall_potential: 2.0,
+        move_strategy: MoveStrategy::DirectHop { overlay_res: 32 },
+        deposit: DepositMethod::ScatterArrays,
+        policy: ExecPolicy::Seq,
+        ..FemPicConfig::default()
+    };
+    assert_eq!(cfg.integrator, Integrator::Leapfrog);
+    let mut sim = FemPic::new(cfg);
+    sim.run(25);
+    let n = sim.ps.len();
+    let qm_dt = sim.cfg.charge / sim.cfg.mass * sim.cfg.dt;
+    let (dt, q) = (sim.cfg.dt, sim.cfg.charge);
+    let cells = sim.ps.cells().to_vec();
+    let ef = sim.efield.raw().to_vec();
+    let lc = sim.ps.col(sim.lc).to_vec();
+    let c2n = sim.mesh.c2n.clone();
+    let mut pos = sim.ps.col(sim.pos).to_vec();
+    let mut vel = sim.ps.col(sim.vel).to_vec();
+    let mut charge = vec![0.0; sim.mesh.n_nodes()];
+
+    let hand_push = |pos: &mut [f64], vel: &mut [f64]| {
+        let ef = ef.as_chunks::<3>().0;
+        let rows = pos.as_chunks_mut::<3>().0.iter_mut();
+        for ((x, v), &c) in rows.zip(vel.as_chunks_mut::<3>().0).zip(&cells) {
+            let e = &ef[c as usize];
+            v[0] += qm_dt * e[0];
+            v[1] += qm_dt * e[1];
+            v[2] += qm_dt * e[2];
+            x[0] += dt * v[0];
+            x[1] += dt * v[1];
+            x[2] += dt * v[2];
+        }
+    };
+    let hand_deposit = |charge: &mut [f64]| {
+        charge.fill(0.0);
+        for (w, &c) in lc.as_chunks::<4>().0.iter().zip(&cells) {
+            let nd = &c2n[c as usize];
+            for k in 0..4 {
+                charge[nd[k]] += q * w[k];
+            }
+        }
+    };
+
+    // Same bits before timing: one push and one deposit each way.
+    sim.calc_pos_vel();
+    hand_push(&mut pos, &mut vel);
+    assert_eq!(sim.ps.col(sim.pos), &pos[..], "push: positions");
+    assert_eq!(sim.ps.col(sim.vel), &vel[..], "push: velocities");
+    sim.deposit_charge();
+    hand_deposit(&mut charge);
+    assert_eq!(sim.node_charge.raw(), &charge[..], "deposit");
+
+    let mut g = c.benchmark_group("executor_vs_hand");
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("calc_pos_vel/dsl", |b| b.iter(|| sim.calc_pos_vel()));
+    g.bench_function("calc_pos_vel/hand", |b| {
+        b.iter(|| hand_push(&mut pos, &mut vel))
+    });
+    g.bench_function("deposit_charge/dsl", |b| b.iter(|| sim.deposit_charge()));
+    g.bench_function("deposit_charge/hand", |b| {
+        b.iter(|| hand_deposit(&mut charge))
+    });
+    g.finish();
+}
+
 fn short() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -89,4 +168,10 @@ criterion_group! {
     config = short();
     targets = bench_holefill, bench_sort_shuffle, bench_pack
 }
-criterion_main!(benches);
+// One sample is one ~0.1 ms call, so this group takes many of them.
+criterion_group! {
+    name = executor;
+    config = short().sample_size(400);
+    targets = bench_executor_vs_hand
+}
+criterion_main!(benches, executor);

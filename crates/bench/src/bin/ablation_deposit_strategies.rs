@@ -44,10 +44,9 @@ fn main() {
         ] {
             let mut buf = vec![0.0f64; targets];
             let t0 = Instant::now();
-            deposit_loop(&ExecPolicy::Par, method, n, &mut buf, |i, dep| {
-                for k in 0..4usize {
-                    dep.add((i.wrapping_mul(2654435761) + k * 97) % targets, 1.0);
-                }
+            deposit_loop(&ExecPolicy::Par, method, n, &mut buf, |i| {
+                let idx = |k: usize| (i.wrapping_mul(2654435761) + k * 97) % targets;
+                ([idx(0), idx(1), idx(2), idx(3)], [1.0; 4])
             });
             print!(" {:>10.3}", t0.elapsed().as_secs_f64() * 1e3);
             // Guard: totals must match regardless of strategy.
@@ -270,11 +269,9 @@ fn cell_locality_sweep() {
                 DepositMethod::Serial,
                 n,
                 &mut serial,
-                |i, dep| {
+                |i| {
                     let c = scells[i] as usize;
-                    for (k, &t) in c2n[c].iter().enumerate() {
-                        dep.add(t, ws[i * 4 + k]);
-                    }
+                    (c2n[c], std::array::from_fn(|k| ws[i * 4 + k]))
                 },
             );
             for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
@@ -295,11 +292,9 @@ fn cell_locality_sweep() {
             let unsorted_deposit = |method: DepositMethod| {
                 time_best(&mut || {
                     let mut buf = vec![0.0f64; n_targets];
-                    deposit_loop(&policy, method, n, &mut buf, |i, dep| {
+                    deposit_loop(&policy, method, n, &mut buf, |i| {
                         let c = pcells[i] as usize;
-                        for (k, &t) in c2n[c].iter().enumerate() {
-                            dep.add(t, w[i * 4 + k]);
-                        }
+                        (c2n[c], std::array::from_fn(|k| w[i * 4 + k]))
                     });
                     buf.iter().sum()
                 })

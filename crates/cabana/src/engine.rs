@@ -19,9 +19,9 @@ use crate::common::{
     pack_fields, stencil27, CellGeo, GridGeom, ShapeRow,
 };
 use crate::config::CabanaConfig;
-use oppic_core::parloop::{par_loop, par_loop_scatter, Space};
+use oppic_core::parloop::{par_loop, par_loop_scatter, Fixed, Space};
 use oppic_core::profile::{KernelClass, Profiler};
-use oppic_core::{ColId, Dat, Depositor, ExchangeDir, ParticleDats, Tally, ThreadBinding};
+use oppic_core::{ColId, Dat, ExchangeDir, ParticleDats, Tally, ThreadBinding};
 use oppic_mpi::exchange::remove_leavers;
 use oppic_mpi::{MigrationStats, RankCtx, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -114,19 +114,6 @@ pub struct CabanaEngine<T: Topology> {
     /// first use when `cfg.binding`, kept across steps, rebuilt only
     /// on [`oppic_core::RebalancePolicy`] triggers.
     pub binding: Option<ThreadBinding>,
-}
-
-/// The plain array a fused-mover piece deposits into: the executor's
-/// scatter pieces ([`oppic_core::scatter_pieces`]) hand each piece the
-/// exclusive target or its private array. Taking it once per piece
-/// lets the per-visit increments compile to plain adds.
-fn piece_target<'d>(dep: &'d mut Depositor) -> &'d mut [f64] {
-    match dep {
-        Depositor::Exclusive(t) | Depositor::Local(t) => t,
-        Depositor::Atomic { .. } | Depositor::Pairs(_) => {
-            unreachable!("scatter pieces deposit into plain arrays")
-        }
-    }
 }
 
 impl<T: Topology> CabanaEngine<T> {
@@ -228,23 +215,15 @@ impl<T: Topology> CabanaEngine<T> {
         par_loop(
             &self.cfg.policy,
             Space::Range,
-            self.interp_e.col_mut(),
-            |win| {
-                win.each(|c, w| {
-                    w.copy_from_slice(e.el(c));
-                });
-            },
+            self.interp_e.col_fixed::<3>(),
+            |win| win.each(|c, w| *w = *e.el_fixed(c)),
         );
         let b = &self.b;
         par_loop(
             &self.cfg.policy,
             Space::Range,
-            self.interp_b.col_mut(),
-            |win| {
-                win.each(|c, w| {
-                    w.copy_from_slice(b.el(c));
-                });
-            },
+            self.interp_b.col_fixed::<3>(),
+            |win| win.each(|c, w| *w = *b.el_fixed(c)),
         );
         let bytes = (self.geom.n_cells() * 6 * 8 * 2) as u64;
         self.profiler.add_traffic("Interpolate", bytes, 0);
@@ -291,15 +270,15 @@ impl<T: Topology> CabanaEngine<T> {
         let kernel = |target: &mut [f64],
                       tally: &mut MoveTally,
                       i: usize,
-                      x: &mut [f64],
-                      v: &mut [f64],
+                      x: &mut [f64; 3],
+                      v: &mut [f64; 3],
                       cl: &mut i32| {
             let c = *cl as usize;
             let home = &cell_geo[c];
-            let row = ShapeRow::new(&geom, [x[0], x[1], x[2]], home, &c2c27[c]);
+            let row = ShapeRow::new(&geom, *x, home, &c2c27[c]);
             let [ef, bf] = row.gather(eb);
-            let nv = boris_push([v[0], v[1], v[2]], ef, bf, qm_half_dt);
-            v.copy_from_slice(&nv);
+            let nv = boris_push(*v, ef, bf, qm_half_dt);
+            *v = nv;
             let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
             let (final_cell, visited) =
                 move_deposit_particle(&geom, x, &nv, c, home.ijk, dt, nb, |cell, frac| {
@@ -339,12 +318,9 @@ impl<T: Topology> CabanaEngine<T> {
         let tally = par_loop_scatter(
             &self.cfg.policy,
             space,
-            ((3, pos), (3, vel), cells),
+            (Fixed::<3>(pos), Fixed::<3>(vel), cells),
             acc,
-            |dep, tally, w| {
-                let target = piece_target(dep);
-                w.each(|i, (x, v, cl)| kernel(target, tally, i, x, v, cl))
-            },
+            |target, tally, w| w.each(|i, (x, v, cl)| kernel(target, tally, i, x, v, cl)),
         );
         self.ps.refine_dirty(tally.moved as usize);
         self.last_visited = visit_log.into_iter().map(AtomicU32::into_inner).collect();
@@ -364,7 +340,8 @@ impl<T: Topology> CabanaEngine<T> {
         self.record_loop("AccumulateCurrent");
         let inv_vol = 1.0 / self.geom.cell_volume();
         let acc = &self.acc;
-        par_loop(&self.cfg.policy, Space::Range, self.j.col_mut(), |win| {
+        let col = self.j.col_fixed::<3>();
+        par_loop(&self.cfg.policy, Space::Range, col, |win| {
             win.each(|c, w| {
                 w[0] = acc[c * 3] * inv_vol;
                 w[1] = acc[c * 3 + 1] * inv_vol;
@@ -384,19 +361,11 @@ impl<T: Topology> CabanaEngine<T> {
         let topo = &self.topo;
         let e = &self.e;
         let dt = self.cfg.dt;
-        par_loop(&self.cfg.policy, Space::Range, self.b.col_mut(), |win| {
+        let col = self.b.col_fixed::<3>();
+        par_loop(&self.cfg.policy, Space::Range, col, |win| {
             win.each(|c, w| {
                 let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-                let db = advance_b_cell(
-                    &geom,
-                    c,
-                    nb,
-                    |cc| {
-                        let s = e.el(cc);
-                        [s[0], s[1], s[2]]
-                    },
-                    dt,
-                );
+                let db = advance_b_cell(&geom, c, nb, |cc| *e.el_fixed(cc), dt);
                 w[0] += db[0];
                 w[1] += db[1];
                 w[2] += db[2];
@@ -415,21 +384,12 @@ impl<T: Topology> CabanaEngine<T> {
         let b = &self.b;
         let j = &self.j;
         let dt = self.cfg.dt;
-        par_loop(&self.cfg.policy, Space::Range, self.e.col_mut(), |win| {
+        let col = self.e.col_fixed::<3>();
+        par_loop(&self.cfg.policy, Space::Range, col, |win| {
             win.each(|c, w| {
                 let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-                let jj = j.el(c);
-                let de = advance_e_cell(
-                    &geom,
-                    c,
-                    nb,
-                    |cc| {
-                        let s = b.el(cc);
-                        [s[0], s[1], s[2]]
-                    },
-                    [jj[0], jj[1], jj[2]],
-                    dt,
-                );
+                let jj = j.el_fixed(c);
+                let de = advance_e_cell(&geom, c, nb, |cc| *b.el_fixed(cc), *jj, dt);
                 w[0] += de[0];
                 w[1] += de[1];
                 w[2] += de[2];

@@ -85,6 +85,15 @@ impl Dat {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
+    /// Element `i` of an `N`-wide dat as an array: the width is a
+    /// compile-time constant, so reading its components needs no
+    /// bounds check. Panics unless `dim == N`.
+    #[inline]
+    pub fn el_fixed<const N: usize>(&self, i: usize) -> &[f64; N] {
+        assert_eq!(self.dim, N, "dat {:?} has dim {}", self.name, self.dim);
+        &self.data.as_chunks::<N>().0[i]
+    }
+
     #[inline]
     pub fn el_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.dim..(i + 1) * self.dim]
@@ -113,6 +122,14 @@ impl Dat {
     #[inline]
     pub fn col_mut(&mut self) -> (usize, &mut [f64]) {
         (self.dim, &mut self.data)
+    }
+
+    /// The flat buffer as a [`crate::parloop::Fixed`] column of
+    /// `N`-wide elements. Panics unless `dim == N`.
+    #[inline]
+    pub fn col_fixed<const N: usize>(&mut self) -> crate::parloop::Fixed<'_, N> {
+        assert_eq!(self.dim, N, "dat {:?} has dim {}", self.name, self.dim);
+        crate::parloop::Fixed(&mut self.data)
     }
 
     /// Set every value to `v`.
@@ -156,6 +173,14 @@ mod tests {
         let d = Dat::from_vec("x", 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(d.len(), 2);
         assert_eq!(d.el(1), &[3.0, 4.0]);
+        assert_eq!(d.el_fixed::<2>(1), &[3.0, 4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "has dim 2")]
+    fn fixed_read_checks_the_width() {
+        let d = Dat::from_vec("x", 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let _ = d.el_fixed::<4>(0);
     }
 
     #[test]

@@ -32,11 +32,14 @@
 //! of the generic scattering kernel.
 //!
 //! All scattering strategies are exposed through one executor,
-//! [`deposit_loop`]; the kernel receives a [`Depositor`] and calls
-//! [`Depositor::add`] for each contribution. Every strategy computes
-//! the same sums (up to floating-point associativity; segmented
-//! reduction is made *deterministic* by totally ordering equal keys by
-//! value bits before reducing). [`AutoTuner`] picks a method per loop
+//! [`deposit_loop`]. The kernel computes and the executor increments:
+//! the kernel returns particle `i`'s `K` contributions as
+//! `([usize; K], [f64; K])` (target indices, values), with `K` a
+//! compile-time constant, and each strategy applies them in its own
+//! loop — the same split the Matrix form (`|p, k| value`) uses. Every
+//! strategy computes the same sums (up to floating-point associativity;
+//! segmented reduction is made *deterministic* by totally ordering
+//! equal keys by value bits before reducing). [`AutoTuner`] picks a method per loop
 //! from runtime stats (thread count, particles per cell, index
 //! freshness, target count).
 
@@ -107,30 +110,37 @@ impl DepositMethod {
             DepositMethod::Matrix => "MX",
         }
     }
-}
 
-/// Handle through which a kernel emits `target[index] += value`
-/// contributions. The variant is chosen by the executor; kernels are
-/// strategy-agnostic (the separation of concerns the DSL promises).
-pub enum Depositor<'a> {
-    Exclusive(&'a mut [f64]),
-    Local(&'a mut [f64]),
-    Atomic {
-        slots: &'a [AtomicU64],
-        ordering: Ordering,
-    },
-    Pairs(&'a mut Vec<(u32, f64)>),
-}
-
-impl<'a> Depositor<'a> {
-    /// Accumulate `value` into flat index `idx` of the target dat.
-    #[inline]
-    pub fn add(&mut self, idx: usize, value: f64) {
+    /// The telemetry counter a deposit loop of this method bumps:
+    /// `deposit.method.<label>`.
+    pub fn counter(self) -> &'static str {
         match self {
-            Depositor::Exclusive(t) | Depositor::Local(t) => t[idx] += value,
-            Depositor::Atomic { slots, ordering } => atomic_add_f64(&slots[idx], value, *ordering),
-            Depositor::Pairs(buf) => buf.push((idx as u32, value)),
+            DepositMethod::Serial => "deposit.method.SEQ",
+            DepositMethod::ScatterArrays => "deposit.method.SA",
+            DepositMethod::Atomics => "deposit.method.AT",
+            DepositMethod::UnsafeAtomics => "deposit.method.UA",
+            DepositMethod::SegmentedReduction => "deposit.method.SR",
+            DepositMethod::Matrix => "deposit.method.MX",
         }
+    }
+}
+
+/// One particle's contributions: `target[idx[k]] += v[k]` for each `k`.
+pub type Contributions<const K: usize> = ([usize; K], [f64; K]);
+
+/// Apply `contributions` to `target`, slots in order.
+#[inline]
+fn add_into<const K: usize>(target: &mut [f64], (idx, v): Contributions<K>) {
+    for k in 0..K {
+        target[idx[k]] += v[k];
+    }
+}
+
+/// Apply `contributions` through atomic slots, slots in order.
+#[inline]
+fn add_atomic<const K: usize>(slots: &[AtomicU64], (idx, v): Contributions<K>, ordering: Ordering) {
+    for k in 0..K {
+        atomic_add_f64(&slots[idx[k]], v[k], ordering);
     }
 }
 
@@ -165,7 +175,9 @@ fn as_atomic_slots(data: &mut [f64]) -> &[AtomicU64] {
 
 /// Run an indirect-increment loop over `n` iterations, accumulating
 /// into `target` (a flat `len*dim` f64 buffer) with the chosen
-/// strategy. The kernel is invoked once per iteration index.
+/// strategy. The kernel is invoked once per iteration index and
+/// returns that iteration's `K` contributions; `Serial` and
+/// `ScatterArrays` add them in iteration order, then slot order.
 ///
 /// ```
 /// use oppic_core::{deposit_loop, DepositMethod, ExecPolicy};
@@ -176,28 +188,27 @@ fn as_atomic_slots(data: &mut [f64]) -> &[AtomicU64] {
 ///     DepositMethod::ScatterArrays,
 ///     1000,
 ///     &mut node_charge,
-///     |i, dep| dep.add(i % 4, 1.0),
+///     |i| ([i % 4], [1.0]),
 /// );
 /// assert_eq!(node_charge, vec![250.0; 4]);
 /// ```
-pub fn deposit_loop<F>(
+pub fn deposit_loop<const K: usize, F>(
     policy: &ExecPolicy,
     method: DepositMethod,
     n: usize,
     target: &mut [f64],
     kernel: F,
 ) where
-    F: Fn(usize, &mut Depositor) + Sync,
+    F: Fn(usize) -> Contributions<K> + Sync,
 {
     if let Some(t) = crate::telemetry::current() {
         t.counter_add("deposit.loops", 1);
-        t.counter_add(&format!("deposit.method.{}", method.label()), 1);
+        t.counter_add(method.counter(), 1);
     }
     match method {
         DepositMethod::Serial => {
-            let mut dep = Depositor::Exclusive(target);
             for i in 0..n {
-                kernel(i, &mut dep);
+                add_into(target, kernel(i));
             }
         }
         DepositMethod::ScatterArrays => scatter_arrays(policy, n, target, &kernel),
@@ -210,14 +221,12 @@ pub fn deposit_loop<F>(
             let slots = as_atomic_slots(target);
             policy.run(|| {
                 if policy.is_parallel() {
-                    (0..n).into_par_iter().for_each(|i| {
-                        let mut dep = Depositor::Atomic { slots, ordering };
-                        kernel(i, &mut dep);
-                    });
+                    (0..n)
+                        .into_par_iter()
+                        .for_each(|i| add_atomic(slots, kernel(i), ordering));
                 } else {
-                    let mut dep = Depositor::Atomic { slots, ordering };
                     for i in 0..n {
-                        kernel(i, &mut dep);
+                        add_atomic(slots, kernel(i), ordering);
                     }
                 }
             });
@@ -419,7 +428,7 @@ pub fn deposit_loop_matrix<F>(
     );
     if let Some(t) = crate::telemetry::current() {
         t.counter_add("deposit.loops", 1);
-        t.counter_add("deposit.method.MX", 1);
+        t.counter_add(DepositMethod::Matrix.counter(), 1);
     }
     if policy.threads() > 1 {
         owner_computes(policy, cell_start, inv, target, &kernel);
@@ -594,18 +603,18 @@ impl AutoTuner {
 
 /// Figure 2(b): per-thread private arrays over `t` contiguous index
 /// ranges, then an element-wise reduction over the target.
-fn scatter_arrays<F>(policy: &ExecPolicy, n: usize, target: &mut [f64], kernel: &F)
+fn scatter_arrays<const K: usize, F>(policy: &ExecPolicy, n: usize, target: &mut [f64], kernel: &F)
 where
-    F: Fn(usize, &mut Depositor) + Sync,
+    F: Fn(usize) -> Contributions<K> + Sync,
 {
     let t = if n == 0 { 1 } else { policy.threads().max(1) };
     let chunk = n.div_ceil(t);
     let pieces: Vec<std::ops::Range<usize>> = (0..t)
         .map(|ti| ti * chunk..((ti + 1) * chunk).min(n))
         .collect();
-    scatter_pieces(policy, pieces, target, |range, dep, _: &mut ()| {
+    scatter_pieces(policy, pieces, target, |range, acc, _: &mut ()| {
         for i in range {
-            kernel(i, dep);
+            add_into(acc, kernel(i));
         }
     });
 }
@@ -629,12 +638,12 @@ impl Tally for u64 {
 }
 
 /// The scatter-array strategy (Figure 2(b)) as a driver over
-/// caller-cut pieces of work: `body(piece, depositor, tally)` runs
-/// once per piece, and the merged tally is returned.
+/// caller-cut pieces of work: `body(piece, array, tally)` runs once per
+/// piece, and the merged tally is returned.
 ///
-/// * One piece runs on the calling thread and writes
-///   [`Depositor::Exclusive`]ly into `target`, so its increments land
-///   in iteration order — the left fold of a plain serial loop.
+/// * One piece runs on the calling thread with `target` itself as its
+///   array, so its increments land in iteration order — the left fold
+///   of a plain serial loop.
 /// * Several pieces each fill a private zeroed array on the policy's
 ///   workers. The arrays are reduced element-wise into `target` in
 ///   piece order, and the tallies merged in piece order, so the result
@@ -652,13 +661,12 @@ pub fn scatter_pieces<W, T, F>(
 where
     W: Send,
     T: Tally,
-    F: Fn(W, &mut Depositor, &mut T) + Sync,
+    F: Fn(W, &mut [f64], &mut T) + Sync,
 {
     let mut tally = T::default();
     if pieces.len() <= 1 {
-        let mut dep = Depositor::Exclusive(target);
         for piece in pieces {
-            body(piece, &mut dep, &mut tally);
+            body(piece, target, &mut tally);
         }
         return tally;
     }
@@ -666,7 +674,7 @@ where
     let (locals, tallies): (Vec<Vec<f64>>, Vec<T>) = dispatch(policy, pieces, |piece| {
         let mut local = vec![0.0; len];
         let mut t = T::default();
-        body(piece, &mut Depositor::Local(&mut local), &mut t);
+        body(piece, &mut local, &mut t);
         (local, t)
     })
     .into_iter()
@@ -692,17 +700,24 @@ where
 /// Pairs with equal keys are additionally ordered by value bits so the
 /// reduction order — and therefore the floating-point result — is
 /// deterministic regardless of thread schedule.
-fn segmented_reduction<F>(policy: &ExecPolicy, n: usize, target: &mut [f64], kernel: &F)
-where
-    F: Fn(usize, &mut Depositor) + Sync,
+fn segmented_reduction<const K: usize, F>(
+    policy: &ExecPolicy,
+    n: usize,
+    target: &mut [f64],
+    kernel: &F,
+) where
+    F: Fn(usize) -> Contributions<K> + Sync,
 {
+    let store = |buf: &mut Vec<(u32, f64)>, i: usize| {
+        let (idx, v) = kernel(i);
+        buf.extend(idx.into_iter().zip(v).map(|(t, v)| (t as u32, v)));
+    };
     // Step 1: store_values_and_keys.
     let mut pairs: Vec<(u32, f64)> = if policy.is_parallel() {
         (0..n)
             .into_par_iter()
             .fold(Vec::new, |mut buf, i| {
-                let mut dep = Depositor::Pairs(&mut buf);
-                kernel(i, &mut dep);
+                store(&mut buf, i);
                 buf
             })
             .reduce(Vec::new, |mut a, mut b| {
@@ -711,9 +726,8 @@ where
             })
     } else {
         let mut buf = Vec::new();
-        let mut dep = Depositor::Pairs(&mut buf);
         for i in 0..n {
-            kernel(i, &mut dep);
+            store(&mut buf, i);
         }
         buf
     };
@@ -824,11 +838,11 @@ pub fn coloring_is_valid<C: AsRef<[usize]>>(
 /// disjoint targets). Returns an error when the particle array is not
 /// cell-sorted — the invariant the paper calls the method's overhead.
 ///
-/// Contract: the kernel for particle `i` must only emit indices that
+/// Contract: the kernel for particle `i` must only return indices that
 /// belong to the target list of `particle_cells[i]`'s cell under the
 /// relation the coloring was built from (e.g. the cell's nodes) —
 /// that is what makes same-color cells race-free.
-pub fn deposit_loop_colored<F>(
+pub fn deposit_loop_colored<const K: usize, F>(
     policy: &ExecPolicy,
     target: &mut [f64],
     particle_cells: &[i32],
@@ -837,7 +851,7 @@ pub fn deposit_loop_colored<F>(
     kernel: F,
 ) -> Result<(), String>
 where
-    F: Fn(usize, &mut Depositor) + Sync,
+    F: Fn(usize) -> Contributions<K> + Sync,
 {
     if particle_cells.windows(2).any(|w| w[0] > w[1]) {
         return Err("coloring deposit requires particles sorted by cell".into());
@@ -864,26 +878,15 @@ where
             .filter(|(c, _, _)| cell_colors[*c] == color)
             .collect();
         policy.run(|| {
-            if policy.is_parallel() {
-                work.par_iter().for_each(|&&(_, lo, hi)| {
-                    let mut dep = Depositor::Atomic {
-                        slots,
-                        ordering: Ordering::Relaxed,
-                    };
-                    for p in lo..hi {
-                        kernel(p, &mut dep);
-                    }
-                });
-            } else {
-                let mut dep = Depositor::Atomic {
-                    slots,
-                    ordering: Ordering::Relaxed,
-                };
-                for &&(_, lo, hi) in &work {
-                    for p in lo..hi {
-                        kernel(p, &mut dep);
-                    }
+            let run = |&(_, lo, hi): &(usize, usize, usize)| {
+                for p in lo..hi {
+                    add_atomic(slots, kernel(p), Ordering::Relaxed);
                 }
+            };
+            if policy.is_parallel() {
+                work.par_iter().for_each(|&w| run(w));
+            } else {
+                work.iter().for_each(|&w| run(w));
             }
         });
     }
@@ -898,11 +901,12 @@ mod tests {
     /// to 4 "nodes" chosen by a hash, mimicking the cell→node scatter.
     fn run_method(method: DepositMethod, policy: &ExecPolicy, n: usize, len: usize) -> Vec<f64> {
         let mut target = vec![0.0; len];
-        deposit_loop(policy, method, n, &mut target, |i, dep| {
-            for k in 0..4usize {
-                let idx = (i.wrapping_mul(2654435761).wrapping_add(k * 97)) % len;
-                dep.add(idx, 1.0 + (i % 7) as f64 * 0.25);
-            }
+        deposit_loop(policy, method, n, &mut target, |i| {
+            let idx = |k: usize| (i.wrapping_mul(2654435761).wrapping_add(k * 97)) % len;
+            (
+                [idx(0), idx(1), idx(2), idx(3)],
+                [1.0 + (i % 7) as f64 * 0.25; 4],
+            )
         });
         target
     }
@@ -955,8 +959,8 @@ mod tests {
     fn deposit_accumulates_onto_existing_values() {
         for method in DepositMethod::GENERIC {
             let mut target = vec![10.0, 20.0];
-            deposit_loop(&ExecPolicy::Par, method, 4, &mut target, |i, d| {
-                d.add(i % 2, 1.0);
+            deposit_loop(&ExecPolicy::Par, method, 4, &mut target, |i| {
+                ([i % 2], [1.0])
             });
             assert_eq!(target, vec![12.0, 22.0], "{method:?}");
         }
@@ -973,8 +977,8 @@ mod tests {
             DepositMethod::ScatterArrays,
         ] {
             let mut target = vec![0.0];
-            deposit_loop(&ExecPolicy::Par, method, 100_000, &mut target, |_, d| {
-                d.add(0, 1.0)
+            deposit_loop(&ExecPolicy::Par, method, 100_000, &mut target, |_| {
+                ([0], [1.0])
             });
             assert_eq!(target[0], 100_000.0, "{method:?}");
         }
@@ -984,9 +988,7 @@ mod tests {
     fn empty_loop_is_noop() {
         for method in DepositMethod::GENERIC {
             let mut target = vec![1.0, 2.0];
-            deposit_loop(&ExecPolicy::Par, method, 0, &mut target, |_, d| {
-                d.add(0, 9.9)
-            });
+            deposit_loop(&ExecPolicy::Par, method, 0, &mut target, |_| ([0], [9.9]));
             assert_eq!(target, vec![1.0, 2.0]);
         }
     }
@@ -1023,11 +1025,7 @@ mod tests {
         let (colors, n_colors) = greedy_color_cells(&mesh, 7);
         // 3 particles per cell, sorted by construction.
         let cells: Vec<i32> = (0..6).flat_map(|c| [c, c, c]).collect();
-        let kernel = |i: usize, dep: &mut Depositor| {
-            let c = i / 3;
-            dep.add(mesh[c][0], 1.0);
-            dep.add(mesh[c][1], 0.5);
-        };
+        let kernel = |i: usize| (mesh[i / 3], [1.0, 0.5]);
         let mut reference = vec![0.0; 7];
         deposit_loop(
             &ExecPolicy::Seq,
@@ -1055,7 +1053,7 @@ mod tests {
             &cells,
             &colors,
             n_colors,
-            |_, _| {},
+            |_| ([0], [0.0]),
         )
         .unwrap_err();
         assert!(err.contains("sorted"));
@@ -1068,12 +1066,7 @@ mod tests {
         let (colors, n_colors) = greedy_color_cells(&mesh, 53);
         assert!(coloring_is_valid(&mesh, 53, &colors));
         let cells: Vec<i32> = (0..50).flat_map(|c| std::iter::repeat_n(c, 40)).collect();
-        let kernel = |i: usize, dep: &mut Depositor| {
-            let c = i / 40;
-            for (k, &node) in mesh[c].iter().enumerate() {
-                dep.add(node, 1.0 + k as f64);
-            }
-        };
+        let kernel = |i: usize| (mesh[i / 40], [1.0, 2.0, 3.0, 4.0]);
         let mut reference = vec![0.0; 53];
         deposit_loop(
             &ExecPolicy::Seq,
@@ -1104,6 +1097,16 @@ mod tests {
         assert_eq!(DepositMethod::SegmentedReduction.label(), "SR");
         assert_eq!(DepositMethod::ScatterArrays.label(), "SA");
         assert_eq!(DepositMethod::Matrix.label(), "MX");
+        for method in DepositMethod::GENERIC
+            .into_iter()
+            .chain([DepositMethod::Matrix])
+        {
+            assert_eq!(
+                method.counter(),
+                format!("deposit.method.{}", method.label()),
+                "DESIGN §6 documents the counters as deposit.method.<label>"
+            );
+        }
     }
 
     // ---- matrixized deposit --------------------------------------------
@@ -1166,11 +1169,12 @@ mod tests {
                 DepositMethod::Serial,
                 n,
                 &mut reference,
-                |p, dep| {
-                    let c = cells[p] as usize;
-                    for (s, &t) in mesh[c].iter().enumerate() {
-                        dep.add(t, contribution(p, s));
-                    }
+                |p| {
+                    let ts = &mesh[cells[p] as usize];
+                    (
+                        [ts[0], ts[1], ts[2]],
+                        std::array::from_fn(|s| contribution(p, s)),
+                    )
                 },
             );
             for policy in matrix_policies() {
@@ -1209,7 +1213,7 @@ mod tests {
             DepositMethod::Matrix,
             10,
             &mut target,
-            |_, d| d.add(0, 1.0),
+            |_| ([0], [1.0]),
         );
     }
 

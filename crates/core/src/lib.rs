@@ -57,12 +57,12 @@ pub use dat::Dat;
 pub use decl::Registry;
 pub use deposit::{
     coloring_is_valid, deposit_loop, deposit_loop_colored, deposit_loop_matrix, greedy_color_cells,
-    invert_cell_targets, scatter_pieces, AutoTuner, DepositMethod, Depositor, Tally, TargetInverse,
-    TunerDecision, TunerInput, MAT_TILE_WIDTH,
+    invert_cell_targets, scatter_pieces, AutoTuner, Contributions, DepositMethod, Tally,
+    TargetInverse, TunerDecision, TunerInput, MAT_TILE_WIDTH,
 };
 pub use move_engine::{move_loop, MoveConfig, MoveResult, MoveStatus, Seed};
 pub use params::Params;
-pub use parloop::{par_loop, par_loop_direct1, par_loop_scatter, ExecPolicy, Space};
+pub use parloop::{par_loop, par_loop_direct1, par_loop_scatter, ExecPolicy, Fixed, Space};
 pub use particles::{ColId, ParticleDats, SortPolicy};
 pub use plan::{LoopPlan, PlanRegistry, RaceStrategy};
 pub use profile::{KernelClass, Profiler};

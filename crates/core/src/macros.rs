@@ -79,7 +79,7 @@ macro_rules! opp_par_loop {
 /// let result = opp_particle_move!(policy, "Move", cells; |i, cell| { ...; MoveStatus::Done });
 /// // direct-hop flavour, writing the dim-4 column `lc` through `l`:
 /// let result = opp_particle_move!(policy, "Move", cells; seed |i| overlay_lookup(i);
-///                                 write (4, lc) => l; |i, cell| { ...; MoveStatus::Done });
+///                                 write Fixed::<4>(lc) => l; |i, cell| { ...; MoveStatus::Done });
 /// ```
 #[macro_export]
 macro_rules! opp_particle_move {
@@ -106,16 +106,18 @@ macro_rules! opp_particle_move {
 }
 
 /// Declare an indirect-increment loop (the `OPP_INC` pattern of
-/// Figure 5, bottom): the kernel receives a
-/// [`crate::Depositor`] and emits contributions with `.add(idx, v)`.
+/// Figure 5, bottom): the kernel body evaluates to iteration `i`'s
+/// contributions `([usize; K], [f64; K])` — `K` target indices and the
+/// values to add there — and the configured method applies them
+/// ([`crate::deposit_loop`]).
 ///
 /// ```text
 /// opp_deposit!(policy, DepositMethod::ScatterArrays, "DepositCharge",
-///              n_particles => node_charge; |i, dep| { dep.add(nd, q); });
+///              n_particles => node_charge; |i| { (c2n[cell[i]], [q * w; 4]) });
 /// ```
 #[macro_export]
 macro_rules! opp_deposit {
-    ($policy:expr, $method:expr, $name:expr, $n:expr => $target:expr; |$i:pat_param, $dep:pat_param| $body:block) => {{
+    ($policy:expr, $method:expr, $name:expr, $n:expr => $target:expr; |$i:pat_param| $body:block) => {{
         let __method = $method;
         // The deposit pattern is by construction a double-indirect INC
         // (particle → cell → target element); record that shape as a
@@ -137,13 +139,13 @@ macro_rules! opp_deposit {
         )
         .quick_check()
         .expect("opp_deposit: incoherent deposit plan");
-        $crate::deposit::deposit_loop(&$policy, __method, $n, $target, |$i, $dep| $body)
+        $crate::deposit::deposit_loop(&$policy, __method, $n, $target, |$i| $body)
     }};
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Dat, DepositMethod, ExecPolicy, MoveStatus};
+    use crate::{Dat, DepositMethod, ExecPolicy, Fixed, MoveStatus};
 
     #[test]
     fn par_loop_macro_all_arities() {
@@ -212,7 +214,7 @@ mod tests {
         let mut cells = vec![0i32, 7, 8];
         let mut last = vec![0.0; 3];
         let r = opp_particle_move!(policy, "MoveW", &mut cells;
-            write (1, &mut last[..]) => w;
+            write Fixed::<1>(&mut last) => w;
             |i, cell| {
                 if cell == targets[i] {
                     w[0] = cell as f64;
@@ -231,8 +233,8 @@ mod tests {
         let policy = ExecPolicy::Par;
         let mut charge = vec![0.0f64; 4];
         opp_deposit!(policy, DepositMethod::SegmentedReduction, "DepositCharge",
-        400 => &mut charge; |i, dep| {
-            dep.add(i % 4, 0.5);
+        400 => &mut charge; |i| {
+            ([i % 4], [0.5])
         });
         assert_eq!(charge, vec![50.0; 4]);
     }

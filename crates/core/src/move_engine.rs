@@ -138,13 +138,13 @@ pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
 /// [`MoveResult::removed`]).
 ///
 /// ```
-/// use oppic_core::{move_loop, ExecPolicy, MoveConfig, MoveStatus};
+/// use oppic_core::{move_loop, ExecPolicy, Fixed, MoveConfig, MoveStatus};
 /// // Walk two particles along a 1-D row of cells to their targets,
 /// // leaving each one's hop count in `hops`.
 /// let targets = [4usize, 1];
 /// let mut cells = vec![0i32, 3];
 /// let mut hops = vec![0.0; 2];
-/// let cols = (1, &mut hops[..]);
+/// let cols = Fixed::<1>(&mut hops);
 /// let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, None, cols, |i, c, h| {
 ///     match targets[i] {
 ///         t if c == t => MoveStatus::Done,
@@ -160,14 +160,13 @@ pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
 /// ```
 ///
 /// `kernel(i, cell, window)` gets particle `i`'s `&mut` element of
-/// `cols` — a `(dim, values)` column the kernel writes, or `()` when it
-/// writes nothing — on every visit. It must be safe to call
+/// `cols` — a [`crate::Fixed`] column the kernel writes, or `()` when
+/// it writes nothing — on every visit. It must be safe to call
 /// concurrently for distinct `i`; it typically reads the particle's
 /// position and per-cell geometry (captured by the closure) and writes
 /// the final cell's per-particle results into its window on `Done`.
 ///
-/// Panics unless a `(dim, values)` column holds exactly
-/// `cells.len() · dim` values.
+/// Panics unless the column holds exactly `cells.len() · dim` values.
 pub fn move_loop<C, K>(
     policy: &ExecPolicy,
     cfg: MoveConfig,
@@ -326,6 +325,7 @@ impl Tally for MoveTally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parloop::Fixed;
 
     /// A 1-D "mesh" of `n` cells in a row; kernel walks a particle
     /// towards its target cell one hop at a time.
@@ -734,7 +734,7 @@ mod tests {
                 cfg,
                 &mut cells,
                 None,
-                (2, &mut out[..]),
+                Fixed::<2>(&mut out),
                 |i, cell, w| {
                     w[0] += 1.0;
                     let status = walk(i, cell, &mut ());
@@ -770,7 +770,7 @@ mod tests {
             MoveConfig::default(),
             &mut cells,
             None,
-            (2, &mut out[..]),
+            Fixed::<2>(&mut out),
             |_, _, _| MoveStatus::Done,
         );
     }

@@ -11,10 +11,18 @@
 //! maps) is captured by the kernel closure — `&Dat` is `Sync` — with no
 //! `unsafe` anywhere.
 //!
+//! A column whose width is known at compile time is a [`Fixed`]: its
+//! elements reach the kernel as `&mut [f64; N]`, so indexing them needs
+//! no bounds check and a sequential loop body compiles to the
+//! hand-written loop. The `(dim, values)` column, whose elements are
+//! runtime-length slices, serves only loops whose width is a run-time
+//! value ([`par_loop_direct1`] and `opp_par_loop!` over
+//! [`Dat::col_mut`]).
+//!
 //! [`par_loop_scatter`] is the same executor for fused particle movers
-//! that also increment mesh data: each piece gets a [`Depositor`] and
-//! a [`Tally`] through [`scatter_pieces`], and the cell column (an
-//! `&mut [i32]`) is carved like any other column.
+//! that also increment mesh data: each piece gets a plain `&mut [f64]`
+//! target and a [`Tally`] through [`scatter_pieces`], and the cell
+//! column (an `&mut [i32]`) is carved like any other column.
 //!
 //! This is what the paper's generated OpenMP backend does with
 //! `#pragma omp parallel for` over the set, and what the sequential
@@ -23,7 +31,7 @@
 
 use crate::binding::ThreadBinding;
 use crate::dat::Dat;
-use crate::deposit::{scatter_pieces, Depositor, Tally};
+use crate::deposit::{scatter_pieces, Tally};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -110,9 +118,9 @@ pub enum Space<'a> {
     Binding(&'a ThreadBinding),
 }
 
-/// One column the executor carves: a `(dim, values)` column of `f64`
-/// (a flat `len*dim` buffer, as [`Dat::col_mut`] and the particle
-/// columns of [`crate::particles::ParticleDats`] hand out), or a cell
+/// One column the executor carves: a [`Fixed`] column of `f64`, a
+/// `(dim, values)` column of `f64` whose width is a run-time value (a
+/// flat `len*dim` buffer, as [`Dat::col_mut`] hands out), or a cell
 /// column `&mut [i32]` of dim 1.
 pub trait Column: Send + Sized {
     /// One element's window.
@@ -141,6 +149,31 @@ impl<'a> Column for (usize, &'a mut [f64]) {
     #[inline]
     fn elems(self) -> Self::Iter {
         self.1.chunks_mut(self.0)
+    }
+}
+
+/// A column of `N`-wide `f64` elements over a flat buffer of `n·N`
+/// values (a particle column of [`crate::particles::ParticleDats`], or
+/// [`Dat::col_fixed`]): element `i` reaches the kernel as
+/// `&mut [f64; N]`, values `[i*N, (i+1)*N)`.
+pub struct Fixed<'a, const N: usize>(pub &'a mut [f64]);
+
+impl<'a, const N: usize> Column for Fixed<'a, N> {
+    type Elem = &'a mut [f64; N];
+    type Iter = std::slice::IterMut<'a, [f64; N]>;
+
+    fn shape(&self) -> (usize, usize, usize) {
+        (self.0.len(), N, 8)
+    }
+
+    fn split(self, elems: usize) -> (Self, Self) {
+        let (head, tail) = self.0.split_at_mut(elems * N);
+        (Fixed(head), Fixed(tail))
+    }
+
+    #[inline]
+    fn elems(self) -> Self::Iter {
+        self.0.as_chunks_mut::<N>().0.iter_mut()
     }
 }
 
@@ -194,24 +227,32 @@ pub trait Cols: Send + Sized {
     fn each(self, first: usize, f: impl FnMut(usize, Self::Elem));
 }
 
-impl<'a> Cols for (usize, &'a mut [f64]) {
-    type Elem = &'a mut [f64];
+/// A single `f64` column reaches the kernel as its bare element.
+macro_rules! cols_single {
+    ([$($g:tt)*] $t:ty) => {
+        impl<$($g)*> Cols for $t {
+            type Elem = <$t as Column>::Elem;
 
-    fn shapes(&self) -> Vec<(usize, usize, usize)> {
-        vec![self.shape()]
-    }
+            fn shapes(&self) -> Vec<(usize, usize, usize)> {
+                vec![self.shape()]
+            }
 
-    fn split(self, elems: usize) -> (Self, Self) {
-        Column::split(self, elems)
-    }
+            fn split(self, elems: usize) -> (Self, Self) {
+                Column::split(self, elems)
+            }
 
-    #[inline]
-    fn each(self, first: usize, mut f: impl FnMut(usize, Self::Elem)) {
-        for (k, a) in self.elems().enumerate() {
-            f(first + k, a);
+            #[inline]
+            fn each(self, first: usize, mut f: impl FnMut(usize, Self::Elem)) {
+                for (k, a) in self.elems().enumerate() {
+                    f(first + k, a);
+                }
+            }
         }
-    }
+    };
 }
+
+cols_single!(['a] (usize, &'a mut [f64]));
+cols_single!(['a, const N: usize] Fixed<'a, N>);
 
 macro_rules! cols_tuple {
     ($($t:ident $v:ident $i:tt),+; $zip:expr => $pat:pat) => {
@@ -370,10 +411,21 @@ where
     })
 }
 
-/// Run `f` once per [`Window`] of `space` over `cols` (a `(dim,
-/// values)` column or a tuple of up to four [`Column`]s, all on the
-/// iteration set). Per-element kernels call [`Window::each`]; segment
-/// kernels read [`Window::cell`] first.
+/// Run `f` once per [`Window`] of `space` over `cols` (one `f64`
+/// column or a tuple of up to four [`Column`]s, all on the iteration
+/// set). Per-element kernels call [`Window::each`]; segment kernels
+/// read [`Window::cell`] first.
+///
+/// ```
+/// use oppic_core::{par_loop, ExecPolicy, Fixed, Space};
+/// let mut pos = vec![0.0; 3 * 4];
+/// let vel = vec![1.0; 3 * 4];
+/// par_loop(&ExecPolicy::Seq, Space::Range, Fixed::<3>(&mut pos), |w| {
+///     // `x` is `&mut [f64; 3]`: no bounds check on `x[2]`.
+///     w.each(|i, x| x[2] += 0.5 * vel[3 * i + 2]);
+/// });
+/// assert_eq!(pos[11], 0.5);
+/// ```
 ///
 /// Panics unless every column holds exactly `n·dim` values, where `n`
 /// is the index's particle count under [`Space::Segments`] and the
@@ -389,16 +441,16 @@ where
 }
 
 /// [`par_loop`] for fused mover kernels (CabanaPIC's `Move_Deposit`)
-/// that also increment `target`: `f` gets its piece's [`Depositor`]
-/// and [`Tally`] with every window, and the merged tally is returned.
-/// The cell column (`&mut [i32]`) is carved like any other column;
-/// cell-id writes go through the window, so the caller must mark the
-/// store dirty.
+/// that also increment `target`: `f` gets its piece's target array and
+/// [`Tally`] with every window, and the merged tally is returned. The
+/// cell column (`&mut [i32]`) is carved like any other column; cell-id
+/// writes go through the window, so the caller must mark the store
+/// dirty.
 ///
 /// Increments follow [`scatter_pieces`]: under `Seq` the loop is one
-/// piece writing `target` exclusively in element order; under a
-/// parallel policy each piece of `space` fills a private array, and
-/// the arrays and tallies are reduced in piece order.
+/// piece whose array is `target` itself, written in element order;
+/// under a parallel policy each piece of `space` fills a private zeroed
+/// array, and the arrays and tallies are reduced in piece order.
 pub fn par_loop_scatter<T, C, F>(
     policy: &ExecPolicy,
     space: Space<'_>,
@@ -409,18 +461,19 @@ pub fn par_loop_scatter<T, C, F>(
 where
     T: Tally,
     C: Cols,
-    F: Fn(&mut Depositor, &mut T, Window<C>) + Sync,
+    F: Fn(&mut [f64], &mut T, Window<C>) + Sync,
 {
     let pieces = carve(policy, space, cols);
-    scatter_pieces(policy, pieces, target, |windows, dep, tally: &mut T| {
+    scatter_pieces(policy, pieces, target, |windows, acc, tally: &mut T| {
         for w in windows {
-            f(dep, tally, w);
+            f(acc, tally, w);
         }
     })
 }
 
 /// Loop over the elements of one dat: `f(i, element)`, as
-/// [`par_loop`] over a [`Space::Range`].
+/// [`par_loop`] over a [`Space::Range`]. The dat's width is a run-time
+/// value, so elements are `dim`-long slices.
 pub fn par_loop_direct1<F>(policy: &ExecPolicy, w0: &mut Dat, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
@@ -445,7 +498,7 @@ mod tests {
         CELL_START.partition_point(|&s| s <= i) - 1
     }
 
-    /// Columns of dim 3, 1 and 2, and the cell column.
+    /// Columns of dim 3, 1 and 4, and the cell column.
     #[derive(Debug, PartialEq)]
     struct Data {
         a: Vec<f64>,
@@ -459,7 +512,7 @@ mod tests {
         Data {
             a: col(3),
             b: col(1),
-            c: col(2),
+            c: col(4),
             cells: (0..N).map(|i| cell_of(i) as i32).collect(),
         }
     }
@@ -509,10 +562,10 @@ mod tests {
                 });
                 0
             }
-            Some(value) => par_loop_scatter(pol, space, cols, target, |dep, n: &mut u64, w| {
+            Some(value) => par_loop_scatter(pol, space, cols, target, |acc, n: &mut u64, w| {
                 let cell = inline(&w);
                 w.each(|i, e| {
-                    dep.add(cell_of(i), value(i));
+                    acc[cell_of(i)] += value(i);
                     *n += 1;
                     k(i, cell, e);
                 });
@@ -521,48 +574,54 @@ mod tests {
     }
 
     /// One table case through the executor, over the first `arity`
-    /// columns of [`data`].
+    /// columns of [`data`]: runtime-width `(dim, values)` columns, or
+    /// [`Fixed`] ones (N = 3, 1, 4) when `fixed`.
     fn run(
         pol: &ExecPolicy,
         space: Space<'_>,
         arity: usize,
+        fixed: bool,
         value: Option<Value>,
     ) -> (Data, Vec<f64>, u64) {
         let mut d = data();
         let mut target = vec![0.0; 6];
         let (a, b, c, cells) = (&mut d.a[..], &mut d.b[..], &mut d.c[..], &mut d.cells[..]);
         let t = &mut target;
-        let n = match arity {
-            1 => exec(pol, space, (3, a), t, value, bump),
-            2 => exec(pol, space, ((3, a), (1, b)), t, value, |i, cell, (x, y)| {
-                bump(i, cell, x);
-                bump(i, cell, y);
-            }),
-            3 => exec(
-                pol,
-                space,
-                ((3, a), (1, b), (2, c)),
-                t,
-                value,
-                |i, cell, (x, y, z)| {
-                    bump(i, cell, x);
-                    bump(i, cell, y);
-                    bump(i, cell, z);
-                },
-            ),
-            _ => exec(
-                pol,
-                space,
-                ((3, a), (1, b), (2, c), cells),
-                t,
-                value,
-                |i, cell, (x, y, z, cl)| {
-                    bump(i, cell, x);
-                    bump(i, cell, y);
-                    bump(i, cell, z);
-                    hop(cell, cl);
-                },
-            ),
+        // The element kernels take `&mut [f64]`, so one body serves
+        // both forms: a fixed element coerces to a slice.
+        macro_rules! case {
+            ($a:expr, $b:expr, $c:expr) => {
+                match arity {
+                    1 => exec(pol, space, $a, t, value, |i, cell, x| bump(i, cell, x)),
+                    2 => exec(pol, space, ($a, $b), t, value, |i, cell, (x, y)| {
+                        bump(i, cell, x);
+                        bump(i, cell, y);
+                    }),
+                    3 => exec(pol, space, ($a, $b, $c), t, value, |i, cell, (x, y, z)| {
+                        bump(i, cell, x);
+                        bump(i, cell, y);
+                        bump(i, cell, z);
+                    }),
+                    _ => exec(
+                        pol,
+                        space,
+                        ($a, $b, $c, cells),
+                        t,
+                        value,
+                        |i, cell, (x, y, z, cl)| {
+                            bump(i, cell, x);
+                            bump(i, cell, y);
+                            bump(i, cell, z);
+                            hop(cell, cl);
+                        },
+                    ),
+                }
+            };
+        }
+        let n = if fixed {
+            case!(Fixed::<3>(a), Fixed::<1>(b), Fixed::<4>(c))
+        } else {
+            case!((3, a), (1, b), (4, c))
         };
         (d, target, n)
     }
@@ -578,7 +637,7 @@ mod tests {
                 bump(i, cell, &mut d.b[i..i + 1]);
             }
             if arity >= 3 {
-                bump(i, cell, &mut d.c[i * 2..i * 2 + 2]);
+                bump(i, cell, &mut d.c[i * 4..i * 4 + 4]);
             }
             if arity >= 4 {
                 hop(cell, &mut d.cells[i]);
@@ -606,32 +665,34 @@ mod tests {
             .collect();
         let integer: Value = |i| i as f64;
         let fraction: Value = |i| 0.1 * i as f64 + 1e-3;
-        for arity in 1..=4 {
+        for (arity, fixed) in (1..=4).flat_map(|a| [(a, false), (a, true)]) {
             for &space in &spaces {
                 let segments = matches!(space, Space::Segments(_));
-                let case = format!("{space:?} arity {arity}");
+                let case = format!("{space:?} arity {arity} fixed {fixed}");
                 // The plain form equals the serial loop bit for bit;
                 // integer increments sum exactly in any order, so the
                 // scatter form does too on every policy and cut.
                 for pol in policies() {
                     for value in [None, Some(integer)] {
                         let expect = serial(segments, arity, value);
-                        assert_eq!(run(&pol, space, arity, value), expect, "{pol:?} {case}");
+                        let got = run(&pol, space, arity, fixed, value);
+                        assert_eq!(got, expect, "{pol:?} {case}");
                     }
                 }
                 // Seq is one exclusive piece: the left fold, bit for bit.
                 let fold = serial(segments, arity, Some(fraction));
                 assert_eq!(
-                    run(&ExecPolicy::Seq, space, arity, Some(fraction)),
+                    run(&ExecPolicy::Seq, space, arity, fixed, Some(fraction)),
                     fold,
                     "{case}"
                 );
                 // Parallel pieces are reduced in piece order: repeated
                 // runs agree bit for bit.
                 let pool = ExecPolicy::pool(2);
-                let first = run(&pool, space, arity, Some(fraction));
+                let first = run(&pool, space, arity, fixed, Some(fraction));
                 for _ in 0..4 {
-                    assert_eq!(run(&pool, space, arity, Some(fraction)), first, "{case}");
+                    let again = run(&pool, space, arity, fixed, Some(fraction));
+                    assert_eq!(again, first, "{case}");
                 }
             }
         }
@@ -724,6 +785,17 @@ mod tests {
                     &ExecPolicy::Par,
                     Space::Binding(&binding),
                     (3, &mut a[..]),
+                    |_| {},
+                );
+            }),
+            // Ragged fixed-width column: 10 values are not whole
+            // 3-wide elements.
+            panic_text(|| {
+                let (mut a, mut b) = ([0.0; 10], [0.0; 3]);
+                par_loop(
+                    &ExecPolicy::Seq,
+                    Space::Range,
+                    (Fixed::<3>(&mut a), Fixed::<1>(&mut b)),
                     |_| {},
                 );
             }),

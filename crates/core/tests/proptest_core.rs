@@ -2,7 +2,7 @@
 
 use oppic_core::{
     coloring_is_valid, deposit_loop, deposit_loop_colored, greedy_color_cells, move_loop,
-    DepositMethod, Depositor, ExecPolicy, MoveConfig, MoveStatus, ParticleDats,
+    DepositMethod, ExecPolicy, MoveConfig, MoveStatus, ParticleDats,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -71,9 +71,9 @@ proptest! {
         len in 1usize..40,
         seed in any::<u64>(),
     ) {
-        let kernel = |i: usize, dep: &mut Depositor| {
+        let kernel = |i: usize| {
             let h = (i as u64 + 1).wrapping_mul(seed | 1);
-            dep.add((h % len as u64) as usize, (h % 1000) as f64 * 1e-3);
+            ([(h % len as u64) as usize], [(h % 1000) as f64 * 1e-3])
         };
         let run = || {
             let mut buf = vec![0.0; len];
@@ -110,13 +110,16 @@ proptest! {
         prop_assert!(coloring_is_valid(&mesh, n_targets, &colors));
         prop_assert!(n_colors <= n_cells);
 
-        // Sorted particles, 2 per cell.
-        let cells: Vec<i32> = (0..n_cells as i32).flat_map(|c| [c, c]).collect();
-        let kernel = |i: usize, dep: &mut Depositor| {
-            for &t in &mesh[i / 2] {
-                dep.add(t, 1.0);
-            }
-        };
+        // Sorted particles, 2 per cell, each adding 1.0 to every target
+        // of its cell. Rows hold 1–3 targets, so the loop runs over the
+        // (particle, target) pairs, one contribution each, in particle
+        // order: the pairs' cells stay sorted.
+        let pairs: Vec<(i32, usize)> = (0..n_cells as i32)
+            .flat_map(|c| [c, c])
+            .flat_map(|c| mesh[c as usize].iter().map(move |&t| (c, t)))
+            .collect();
+        let cells: Vec<i32> = pairs.iter().map(|&(c, _)| c).collect();
+        let kernel = |j: usize| ([pairs[j].1], [1.0]);
         let mut reference = vec![0.0; n_targets];
         deposit_loop(&ExecPolicy::Seq, DepositMethod::Serial, cells.len(), &mut reference, kernel);
         let mut got = vec![0.0; n_targets];
@@ -249,16 +252,23 @@ proptest! {
         };
         let init: Vec<f64> = (0..n_targets).map(|t| (t * 7 + 1) as f64 * 0.5).collect();
 
+        // Rows hold 1–4 slots, so the serial reference runs over the
+        // (particle, slot) pairs in particle-then-slot order, one
+        // contribution each: the same fold as a per-particle loop.
+        let pairs: Vec<(usize, usize)> = sorted_cells
+            .iter()
+            .enumerate()
+            .flat_map(|(p, &c)| (0..mesh[c as usize].len()).map(move |s| (p, s)))
+            .collect();
         let mut reference = init.clone();
         deposit_loop(
             &ExecPolicy::Seq,
             DepositMethod::Serial,
-            sorted_cells.len(),
+            pairs.len(),
             &mut reference,
-            |p, dep| {
-                for (s, &t) in mesh[sorted_cells[p] as usize].iter().enumerate() {
-                    dep.add(t, weight(p, s));
-                }
+            |j| {
+                let (p, s) = pairs[j];
+                ([mesh[sorted_cells[p] as usize][s]], [weight(p, s)])
             },
         );
         for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {

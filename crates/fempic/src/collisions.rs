@@ -15,7 +15,7 @@
 //! the DSL.
 
 use crate::stream::uniforms;
-use oppic_core::parloop::{par_loop, ExecPolicy, Space};
+use oppic_core::parloop::{par_loop, ExecPolicy, Fixed, Space};
 
 /// Neutral-background collision parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +45,7 @@ pub fn collide(
     use std::sync::atomic::{AtomicU64, Ordering};
     let collided = AtomicU64::new(0);
     let nsigma = model.neutral_density * model.cross_section;
-    par_loop(policy, Space::Range, (3, vel), |w| {
+    par_loop(policy, Space::Range, Fixed::<3>(vel), |w| {
         w.each(|i, v| {
             let speed = (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]).sqrt();
             if speed == 0.0 {

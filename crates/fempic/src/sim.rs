@@ -10,11 +10,11 @@ use crate::config::{FemPicConfig, Integrator, MoveStrategy};
 use crate::fields::FemSolver;
 use crate::stream::{uniforms, INJECT_TAG};
 use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
-use oppic_core::parloop::{par_loop, Space};
+use oppic_core::parloop::{par_loop, Fixed, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
     deposit_loop, deposit_loop_colored, deposit_loop_matrix, greedy_color_cells,
-    invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, Depositor, MoveStatus, ParticleDats,
+    invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, MoveStatus, ParticleDats,
     TargetInverse, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
@@ -317,8 +317,8 @@ impl FemPic {
         let nudge = Vec3::new(1e-7 * self.cfg.lx, 0.0, 0.0);
         let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
         let cols = (
-            (3, &mut pos[from * 3..]),
-            (3, &mut vel[from * 3..]),
+            Fixed::<3>(&mut pos[from * 3..]),
+            Fixed::<3>(&mut vel[from * 3..]),
             &mut cells[from..],
         );
         par_loop(&self.cfg.policy, Space::Range, cols, |w| {
@@ -330,7 +330,7 @@ impl FemPic {
                 let p = sample_triangle(face.v[0], face.v[1], face.v[2], [r[1], r[2]]);
                 let cen = (face.v[0] + face.v[1] + face.v[2]).scale(1.0 / 3.0);
                 let p = cen + (p - cen).scale(0.98) + nudge;
-                x.copy_from_slice(&[p.x, p.y, p.z]);
+                *x = [p.x, p.y, p.z];
                 v[0] = speed + jitter * (r[3] - 0.5);
                 v[1] = jitter * (r[4] - 0.5);
                 v[2] = jitter * (r[5] - 0.5);
@@ -350,7 +350,7 @@ impl FemPic {
         let dt = self.cfg.dt;
         let ef = &self.efield;
         let integrator = self.cfg.integrator;
-        let push = |e: &[f64], x: &mut [f64], v: &mut [f64]| match integrator {
+        let push = |e: &[f64; 3], x: &mut [f64; 3], v: &mut [f64; 3]| match integrator {
             Integrator::Leapfrog => {
                 // kick, then drift with v^{n+1/2}.
                 v[0] += qm_dt * e[0];
@@ -380,8 +380,9 @@ impl FemPic {
             // so the per-cell field is loaded once per segment instead
             // of once per particle.
             let space = Space::Segments(cell_start);
-            par_loop(&self.cfg.policy, space, ((3, pos), (3, vel)), |w| {
-                let e = ef.el(w.cell.expect("segment windows carry their cell"));
+            let cols = (Fixed::<3>(pos), Fixed::<3>(vel));
+            par_loop(&self.cfg.policy, space, cols, |w| {
+                let e = ef.el_fixed(w.cell.expect("segment windows carry their cell"));
                 w.each(|_, (x, v)| push(e, x, v));
             });
         } else {
@@ -390,8 +391,9 @@ impl FemPic {
             // particles step after step (element-local writes, so
             // bit-identical to the unbound loop either way).
             let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
-            par_loop(&self.cfg.policy, space, ((3, pos), (3, vel)), |w| {
-                w.each(|i, (x, v)| push(ef.el(cells[i] as usize), x, v));
+            let cols = (Fixed::<3>(pos), Fixed::<3>(vel));
+            par_loop(&self.cfg.policy, space, cols, |w| {
+                w.each(|i, (x, v)| push(ef.el_fixed(cells[i] as usize), x, v));
             });
         }
         let bytes = (self.ps.len() * (3 + 3 + 3 + 3 + 3) * 8 + self.ps.len() * 4) as u64;
@@ -416,13 +418,13 @@ impl FemPic {
         let (lc, pos, cells) = self.ps.cols_mut2_with_cells_mut(self.lc, self.pos);
         let pos: &[f64] = pos;
         let at = |i: usize| Vec3::from_slice(&pos[i * 3..i * 3 + 3]);
-        let kernel = |i: usize, cell: usize, l: &mut &mut [f64]| -> MoveStatus {
+        let kernel = |i: usize, cell: usize, l: &mut &mut [f64; 4]| -> MoveStatus {
             let row = det[cell * 16..cell * 16 + 16]
                 .try_into()
                 .expect("16 coefficients");
             let w = barycentric_from_map(row, at(i));
             if bary_inside(&w, BARY_TOL) {
-                l.copy_from_slice(&w);
+                **l = w;
                 MoveStatus::Done
             } else {
                 match mesh.c2c[cell][bary_min_index(&w)] {
@@ -444,7 +446,7 @@ impl FemPic {
             ..MoveConfig::default()
         };
         let seed = locate.as_ref().map(|f| f as _);
-        let result = move_loop(&self.cfg.policy, mv_cfg, cells, seed, (4, lc), kernel);
+        let result = move_loop(&self.cfg.policy, mv_cfg, cells, seed, Fixed(lc), kernel);
 
         // Traffic: per visit pos(24) + the cell's row(128), per hop a
         // c2c entry(16), per seeded particle its overlay cell-map
@@ -525,13 +527,11 @@ impl FemPic {
         let lc = self.ps.col(self.lc);
         let c2n = &self.mesh.c2n;
         let n = self.ps.len();
-        let kernel = |i: usize, dep: &mut Depositor| {
-            let c = cells[i] as usize;
-            let nd = c2n[c];
-            let w = &lc[i * 4..i * 4 + 4];
-            for k in 0..4 {
-                dep.add(nd[k], q * w[k]);
-            }
+        let weights = lc.as_chunks::<4>().0;
+        let kernel = |i: usize| {
+            let w = &weights[i];
+            let charge = [q * w[0], q * w[1], q * w[2], q * w[3]];
+            (c2n[cells[i] as usize], charge)
         };
         match &self.cell_colors {
             Some((colors, n_colors)) => {
@@ -1214,10 +1214,15 @@ mod extension_tests {
             sim.deposit_charge_range(keep, n);
             assert_eq!(sim.node_charge.raw(), &base[..], "keep={keep}");
         }
-        // And the range pass agrees with the Serial engine deposit.
-        sim.active_deposit = DepositMethod::Serial;
-        sim.deposit_charge();
-        assert_eq!(sim.node_charge.raw(), &base[..]);
+        // And the range pass agrees with the engine deposit: Serial,
+        // and ScatterArrays, which under Seq is one piece written in
+        // particle order.
+        assert!(!sim.cfg.policy.is_parallel());
+        for method in [DepositMethod::Serial, DepositMethod::ScatterArrays] {
+            sim.active_deposit = method;
+            sim.deposit_charge();
+            assert_eq!(sim.node_charge.raw(), &base[..], "{method:?}");
+        }
     }
 
     #[test]

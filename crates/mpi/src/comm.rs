@@ -83,11 +83,6 @@ impl RankCtx {
             .expect("sender hung up — rank body panicked?")
     }
 
-    /// Timed receive from `src`; `None` on timeout.
-    pub fn recv_timeout(&self, src: usize, timeout: Duration) -> Option<Vec<f64>> {
-        self.from[src].recv_timeout(timeout).ok()
-    }
-
     /// Receive the next message from *any* source, polling every
     /// channel until `deadline`; `None` if nothing arrives in time.
     pub fn recv_any_deadline(&self, deadline: Instant) -> Option<(usize, Vec<f64>)> {
@@ -251,21 +246,11 @@ impl RankCtx {
         }
     }
 
-    /// All-to-all variable exchange: `sends[dst]` goes to rank `dst`;
-    /// returns `recvs[src]`. Every rank must call this collectively.
-    pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        assert_eq!(
-            sends.len(),
-            self.n_ranks,
-            "alltoallv needs one buffer per rank"
-        );
-        self.alltoallv_begin(sends);
-        self.alltoallv_complete()
-    }
-
-    /// The send half of [`Self::alltoallv`]: posts every buffer
-    /// (including the self-message) and returns immediately — the
-    /// non-blocking `MPI_Ialltoallv` analogue. The caller owes exactly
+    /// The send half of the all-to-all variable exchange: `sends[dst]`
+    /// goes to rank `dst`. Posts every buffer (including the
+    /// self-message) and returns immediately — the non-blocking
+    /// `MPI_Ialltoallv` analogue. Every rank must call this
+    /// collectively, and the caller owes exactly
     /// one matching [`Self::alltoallv_complete`] before any other
     /// receive on this context; compute run between the two calls is
     /// hidden behind the exchange (the proof-gated overlap driver in
@@ -283,8 +268,9 @@ impl RankCtx {
         }
     }
 
-    /// The receive half of [`Self::alltoallv`]: drains one message per
-    /// source rank, in rank order (the `MPI_Wait` of the split
+    /// The receive half of the exchange [`Self::alltoallv_begin`]
+    /// started: drains one message per source rank and returns
+    /// `recvs[src]`, in rank order (the `MPI_Wait` of the split
     /// exchange).
     pub fn alltoallv_complete(&mut self) -> Vec<Vec<f64>> {
         (0..self.n_ranks).map(|src| self.recv(src)).collect()
@@ -468,7 +454,8 @@ mod tests {
             let sends: Vec<Vec<f64>> = (0..3)
                 .map(|dst| vec![(ctx.rank * 10 + dst) as f64])
                 .collect();
-            let recvs = ctx.alltoallv(sends);
+            ctx.alltoallv_begin(sends);
+            let recvs = ctx.alltoallv_complete();
             recvs.iter().map(|m| m[0]).collect::<Vec<_>>()
         });
         // Rank r receives src*10 + r from each src.
@@ -491,18 +478,6 @@ mod tests {
         });
         assert_eq!(out[0], 80 + 24);
         assert_eq!(out[1], 0);
-    }
-
-    #[test]
-    fn recv_timeout_returns_none_when_silent() {
-        let out = world_run(2, |ctx| {
-            if ctx.rank == 0 {
-                ctx.recv_timeout(1, Duration::from_millis(5)).is_none()
-            } else {
-                true
-            }
-        });
-        assert!(out[0]);
     }
 
     #[test]
@@ -533,7 +508,8 @@ mod tests {
                 0
             } else {
                 // Dropped: nothing ever arrives.
-                usize::from(ctx.recv_timeout(0, Duration::from_millis(20)).is_some())
+                let deadline = Instant::now() + Duration::from_millis(20);
+                usize::from(ctx.recv_any_deadline(deadline).is_some())
             }
         });
         assert_eq!(delivered[1], 0);
@@ -549,8 +525,8 @@ mod tests {
                 ctx.send_faulty(1, vec![2.5]);
                 0
             } else {
-                let a = ctx.recv_timeout(0, Duration::from_millis(200));
-                let b = ctx.recv_timeout(0, Duration::from_millis(200));
+                let a = ctx.recv_any_deadline(Instant::now() + Duration::from_millis(200));
+                let b = ctx.recv_any_deadline(Instant::now() + Duration::from_millis(200));
                 usize::from(a.is_some()) + usize::from(b.is_some())
             }
         });

@@ -122,20 +122,20 @@ fn main() {
     // ---------------------------------------------------------------
     // 5. Double-indirect increment (Figure 5, bottom): deposit charge
     //    to nodes through particles→cells→nodes, race-free under every
-    //    strategy of Section 3.3.
+    //    strategy of Section 3.3. The kernel returns its particle's
+    //    four contributions (the cell's nodes and the charge for each);
+    //    the chosen strategy applies them.
     // ---------------------------------------------------------------
     let q = 0.125;
     let mut node_charge = vec![0.0f64; mesh.n_nodes()];
     let cells = ps.cells();
     let pos_col = ps.col(pos);
     opp_deposit!(policy, DepositMethod::SegmentedReduction, "DepositCharge",
-    ps.len() => &mut node_charge; |i, dep| {
+    ps.len() => &mut node_charge; |i| {
         let c = cells[i] as usize;
         let p = Vec3::from_slice(&pos_col[i * 3..i * 3 + 3]);
         let w = barycentric(p, &mesh.cell_vertices(c));
-        for (&node, &wk) in mesh.c2n[c].iter().zip(&w) {
-            dep.add(node, q * wk);
-        }
+        (mesh.c2n[c], w.map(|wk| q * wk))
     });
     let total: f64 = node_charge.iter().sum();
     println!(

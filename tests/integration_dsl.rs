@@ -155,13 +155,11 @@ fn all_deposit_methods_agree_on_a_real_mesh() {
         let mut node_charge = vec![0.0; mesh.n_nodes()];
         let cells = ps.cells();
         let pos_col = ps.col(pos);
-        deposit_loop(policy, method, ps.len(), &mut node_charge, |i, dep| {
+        deposit_loop(policy, method, ps.len(), &mut node_charge, |i| {
             let c = cells[i] as usize;
             let p = Vec3::from_slice(&pos_col[i * 3..i * 3 + 3]);
             let w = barycentric(p, &mesh.cell_vertices(c));
-            for (&node, &wk) in mesh.c2n[c].iter().zip(&w) {
-                dep.add(node, q * wk);
-            }
+            (mesh.c2n[c], w.map(|wk| q * wk))
         });
         node_charge
     };

@@ -74,9 +74,9 @@ proptest! {
         len in 1usize..64,
         seed in any::<u64>(),
     ) {
-        let kernel = |i: usize, dep: &mut op_pic::core::Depositor| {
+        let kernel = |i: usize| {
             let h = (i as u64).wrapping_mul(seed | 1);
-            dep.add((h % len as u64) as usize, 1.0 + (h % 13) as f64 * 0.5);
+            ([(h % len as u64) as usize], [1.0 + (h % 13) as f64 * 0.5])
         };
         let mut reference = vec![0.0; len];
         deposit_loop(&ExecPolicy::Seq, DepositMethod::Serial, n, &mut reference, kernel);
