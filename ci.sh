@@ -45,11 +45,11 @@ echo "== fempic --validate / cabana --validate"
 # the chained c2c hops.
 ./target/release/cabana configs/cabana_two_stream.cfg --validate >/dev/null
 
-echo "== --validate with the cell-locality engine (matrix deposit / per-step sort)"
-# Exercises the analyzer's fresh-index precondition: the Matrix plan
-# must carry an index-freshness attestation, the CSR index audit must
-# pass, and the run checks bit-identity to Serial.
-./target/release/fempic configs/fempic_matrix.cfg --validate >/dev/null
+echo "== --validate on sorted stores (colouring deposit / per-step sort)"
+# The colouring deposit sorts before every deposit: the CSR index
+# audit and the colouring audit must pass, and the shadow replay must
+# find the coloured schedule race-free.
+./target/release/fempic configs/fempic_coloring.cfg --validate >/dev/null
 ./target/release/cabana configs/cabana_sorted.cfg --validate >/dev/null
 
 echo "== telemetry smoke (sink -> audit -> report)"
@@ -143,9 +143,8 @@ fi
 
 echo "== bench smoke"
 cargo bench --offline --workspace --no-run --quiet
-# The cell-locality sweep also asserts (before timing, at any scale)
-# that the matrix deposit, under Seq, pool(2) and pool(4), is
-# bit-identical to Serial and that every strategy agrees numerically.
+# The density sweep also asserts that every strategy agrees
+# numerically.
 OPPIC_SCALE=0.02 OPPIC_STEPS=2 ./target/release/ablation_deposit_strategies >/dev/null
 
 # Observability smoke stage: `./ci.sh obs` runs the live plane

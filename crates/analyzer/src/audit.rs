@@ -126,8 +126,9 @@ pub fn audit_particle_cells(name: &str, cells: &[i32], n_cells: usize) -> Vec<Di
 /// Audit a CSR cell index against the particle→cell column it claims
 /// to describe: offsets must be monotone, cover exactly `0..n`, and
 /// every particle inside segment `c` must actually sit in cell `c`.
-/// This is the invariant the Matrix deposit and the segment-batched
-/// gather loops stake their race-freedom on.
+/// Every `sort_by_cell` must leave this invariant behind: cell-aligned
+/// thread bindings are cut from the index, and the colouring deposit
+/// runs over the sorted store.
 pub fn audit_cell_index(
     name: &str,
     cell_start: &[usize],

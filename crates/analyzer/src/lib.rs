@@ -87,25 +87,6 @@ pub fn self_test() -> Vec<(&'static str, bool)> {
         check_plan(&safe, None).is_empty(),
     );
 
-    // Pass 1b: the cell-locality engine's plan rule — a Matrix deposit
-    // with no fresh-index attestation is a data race in waiting.
-    let mx = RaceStrategy::Deposit(DepositMethod::Matrix);
-    let stale = LoopPlan::new(deposit_decl.clone(), &ExecPolicy::Par, mx);
-    check(
-        "static: parallel Matrix without a fresh cell index is an Error",
-        check_plan(&stale, None)
-            .iter()
-            .any(|d| d.code == "plan/stale-index" && d.severity == Severity::Error),
-    );
-    let attested =
-        LoopPlan::new(deposit_decl.clone(), &ExecPolicy::Par, mx).with_index_freshness(true);
-    check(
-        "static: the same plan attesting a fresh index is clean",
-        !check_plan(&attested, None)
-            .iter()
-            .any(|d| d.code == "plan/stale-index"),
-    );
-
     // Pass 2: shadow replay of a 2-cell deposit sharing one node.
     let cell_targets = [vec![0usize, 1], vec![1, 2]];
     let particle_cells = [0usize, 0, 1, 1];
@@ -147,19 +128,6 @@ pub fn self_test() -> Vec<(&'static str, bool)> {
         "shadow: collapsing the color rounds reintroduces the conflict",
         !run.detect_races(collapsed, &RaceOptions::default())
             .is_empty(),
-    );
-
-    // Pass 2b: the Matrix deposit's owner-computes schedule is race-free
-    // on the owned dat even where all-parallel conflicts.
-    check(
-        "shadow: owner-computes accepts the segment schedule as race-free",
-        run.detect_races(
-            Schedule::OwnerComputes {
-                owned: "node_charge",
-            },
-            &RaceOptions::default(),
-        )
-        .is_empty(),
     );
 
     // Pass 3: map audits.

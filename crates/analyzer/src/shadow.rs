@@ -87,17 +87,6 @@ pub enum Schedule<'a> {
         colors: &'a [u32],
         groups: &'a [u32],
     },
-    /// Owner-computes gather — the shape
-    /// [`oppic_core::deposit_loop_matrix`] (Matrix) runs in parallel:
-    /// the parallel unit is a *target element* of the
-    /// `owned` dat, and each owner serially folds every iteration that
-    /// touches its element.
-    /// Touches on the owned dat therefore never conflict (same element
-    /// ⇒ same owner ⇒ serialised; different elements never collide).
-    /// Everything else behaves like [`Schedule::AllParallel`]: an
-    /// iteration's side effects may be replayed by several owners, so
-    /// plain writes to non-owned dats still race.
-    OwnerComputes { owned: &'a str },
 }
 
 /// Detection options.
@@ -180,16 +169,8 @@ impl ShadowRun {
                 groups.len(),
                 self.n_iters
             ),
-            Schedule::AllParallel | Schedule::OwnerComputes { .. } => {}
+            Schedule::AllParallel => {}
         }
-
-        // Locations on the owner-computes dat are serialised per
-        // element by construction; every other dat falls through to
-        // the all-parallel pairing below.
-        let owned_id: Option<u16> = match schedule {
-            Schedule::OwnerComputes { owned } => self.dat_ids.get(owned).copied(),
-            _ => None,
-        };
 
         let conflicts = |a: AccessKind, b: AccessKind| -> bool {
             match (a, b) {
@@ -207,7 +188,6 @@ impl ShadowRun {
                     colors[a as usize] == colors[b as usize]
                         && groups[a as usize] != groups[b as usize]
                 }
-                Schedule::OwnerComputes { .. } => true,
             }
         };
 
@@ -216,9 +196,6 @@ impl ShadowRun {
 
         let mut races = Vec::new();
         'locations: for loc in locations {
-            if owned_id == Some(loc.0) {
-                continue;
-            }
             let touchers = &self.touches[loc];
             if touchers.len() < 2 {
                 continue;
@@ -394,80 +371,6 @@ mod tests {
                 &RaceOptions::default()
             )
             .is_empty());
-    }
-
-    #[test]
-    fn owner_computes_serialises_the_owned_dat() {
-        // Three particles pile onto cell slot 0 — a race under plain
-        // AllParallel, clean under owner-computes because slot 0 is
-        // folded by exactly one owner.
-        let run = deposit_run(&[0, 1, 0, 0]);
-        assert!(!run
-            .detect_races(Schedule::AllParallel, &RaceOptions::default())
-            .is_empty());
-        assert!(run
-            .detect_races(
-                Schedule::OwnerComputes {
-                    owned: "node_charge"
-                },
-                &RaceOptions::default()
-            )
-            .is_empty());
-    }
-
-    #[test]
-    fn owner_computes_does_not_bless_other_dats() {
-        // The kernel also increments a *different* dat: the
-        // owner-computes argument only covers the owned one.
-        let run = shadow_record(3, |i, ctx| {
-            ctx.inc("node_charge", i % 2);
-            ctx.inc("diag_counter", 0);
-        });
-        let races = run.detect_races(
-            Schedule::OwnerComputes {
-                owned: "node_charge",
-            },
-            &RaceOptions::default(),
-        );
-        assert_eq!(races.len(), 1, "{races:?}");
-        assert_eq!(races[0].dat, "diag_counter");
-
-        // Naming a dat the kernel never touched blesses nothing.
-        let races = run.detect_races(
-            Schedule::OwnerComputes { owned: "absent" },
-            &RaceOptions::default(),
-        );
-        assert_eq!(races.len(), 2, "{races:?}");
-    }
-
-    #[test]
-    fn matrix_schedule_keeps_aliased_deposit_target_racy() {
-        // The matrixized deposit runs owner-computes over its target
-        // dat. A kernel that also
-        // scatters into an *alias* of that target (a second dat
-        // viewing the same storage) gets no blessing from the
-        // schedule: the aliased writes must surface as exactly one
-        // race Error, not be silenced by the owner-computes argument.
-        let run = shadow_record(4, |i, ctx| {
-            ctx.inc("node_charge", i % 2);
-            ctx.write("node_charge_alias", 0);
-        });
-        let races = run.detect_races(
-            Schedule::OwnerComputes {
-                owned: "node_charge",
-            },
-            &RaceOptions::default(),
-        );
-        assert_eq!(races.len(), 1, "{races:?}");
-        assert_eq!(races[0].dat, "node_charge_alias");
-        let diags = ShadowRun::races_to_diagnostics("DepositCharge[MX]", &races);
-        let errors: Vec<_> = diags.iter().filter(|d| d.code == "race/conflict").collect();
-        assert_eq!(errors.len(), 1, "{diags:?}");
-        assert!(
-            errors[0].message.contains("node_charge_alias"),
-            "{:?}",
-            errors[0]
-        );
     }
 
     #[test]

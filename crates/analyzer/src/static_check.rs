@@ -41,27 +41,6 @@ pub fn check_plan(plan: &LoopPlan, reg: Option<&Registry>) -> Vec<Diagnostic> {
         ));
     }
 
-    // The Matrix deposit is only race-free when particles are grouped
-    // by cell: the plan must attest a fresh CSR cell index at dispatch
-    // time. Without it the plain `+=` per segment has no ownership
-    // argument and races exactly like a strategy-less deposit.
-    if plan.parallel
-        && plan.race_strategy == RaceStrategy::Deposit(DepositMethod::Matrix)
-        && plan.index_fresh != Some(true)
-    {
-        let message = match plan.index_fresh {
-            None => {
-                "MX deposit under a parallel policy with no cell-index freshness \
-                 attestation (call with_index_freshness after sort_by_cell)"
-            }
-            _ => {
-                "MX deposit under a parallel policy on a stale CSR cell index; \
-                 re-sort (sort_by_cell) before the deposit"
-            }
-        };
-        out.push(Diagnostic::error("plan/stale-index", name.clone(), message));
-    }
-
     // An indirect WRITE / RW from a particle loop scatters plain
     // stores through a dynamic map — nondeterministic even with a
     // deposit strategy (those only make *increments* safe).
@@ -370,47 +349,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_without_fresh_index_is_an_error() {
-        let strat = RaceStrategy::Deposit(DepositMethod::Matrix);
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            diags.iter().any(|d| d.code == "plan/stale-index"
-                && d.severity == crate::diag::Severity::Error
-                && d.message.contains("MX")),
-            "{diags:?}"
-        );
-        // Explicitly stale.
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(false);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            diags.iter().any(|d| d.code == "plan/stale-index"),
-            "{diags:?}"
-        );
-        // Fresh index: clean.
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(true);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            !diags.iter().any(|d| d.code == "plan/stale-index"),
-            "{diags:?}"
-        );
-        // Sequential execution owns every target trivially.
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Seq, strat);
-        let diags = check_plan(&plan, Some(&fem_registry()));
-        assert!(
-            !diags.iter().any(|d| d.code == "plan/stale-index"),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn matrix_plan_with_aliased_target_still_reports_the_alias() {
+    fn deposit_plan_with_aliased_target_still_reports_the_alias() {
         // A hand-built plan that reaches the deposit target through a
-        // second route: the Matrix schedule (owner-computes, fresh
-        // index attested) must not silence the alias rule — exactly
-        // one plan/alias Error.
+        // second route: the race strategy makes the increments safe
+        // but must not silence the alias rule — exactly one plan/alias
+        // Error.
         let decl = LoopDecl::new(
             "DepositCharge",
             "particles",
@@ -423,17 +366,12 @@ mod tests {
         let plan = LoopPlan::new(
             decl,
             &ExecPolicy::Par,
-            RaceStrategy::Deposit(DepositMethod::Matrix),
-        )
-        .with_index_freshness(true);
+            RaceStrategy::Deposit(DepositMethod::ScatterArrays),
+        );
         let diags = check_plan(&plan, None);
         let aliases: Vec<_> = diags.iter().filter(|d| d.code == "plan/alias").collect();
         assert_eq!(aliases.len(), 1, "{diags:?}");
         assert_eq!(aliases[0].severity, crate::diag::Severity::Error);
-        assert!(
-            !diags.iter().any(|d| d.code == "plan/stale-index"),
-            "freshness was attested: {diags:?}"
-        );
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Criterion microbench: the deposit strategies across contention
-//! levels (the Section 3.3 design space), the cell-locality engine's
-//! matrixized executor across ppc regimes, and the telemetry hot paths
+//! levels (the Section 3.3 design space), scatter arrays on a
+//! cell-sorted store across ppc regimes, and the telemetry hot paths
 //! (kernel-record interning, counter publication on/off).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oppic_core::{
-    deposit_loop, deposit_loop_matrix, invert_cell_targets, DepositMethod, ExecPolicy,
-    ParticleDats, Profiler,
-};
+use oppic_core::{deposit_loop, DepositMethod, ExecPolicy, ParticleDats, Profiler};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,8 +44,7 @@ fn bench_deposit(c: &mut Criterion) {
     g.finish();
 }
 
-/// The matrixized deposit over a fresh CSR index vs the scatter-array
-/// baseline on the same (sorted) store, per mean ppc.
+/// Scatter arrays on a cell-sorted store, per mean ppc.
 fn bench_deposit_sorted(c: &mut Criterion) {
     let n_cells = 2048usize;
     let n_targets = 4096usize;
@@ -63,7 +59,6 @@ fn bench_deposit_sorted(c: &mut Criterion) {
             ]
         })
         .collect();
-    let inv = invert_cell_targets(&c2n, n_targets);
     let mut g = c.benchmark_group("deposit_sorted");
     for &ppc in &[8usize, 64] {
         let n = n_cells * ppc;
@@ -78,16 +73,8 @@ fn bench_deposit_sorted(c: &mut Criterion) {
             *w = (i % 17) as f64 * 0.0625;
         }
         ps.sort_by_cell(n_cells);
-        let idx = ps.cell_index().expect("fresh after sort").to_vec();
         let scells = ps.cells().to_vec();
         let w = ps.col(wid).to_vec();
-        g.bench_with_input(BenchmarkId::new("mx_seq", ppc), &ppc, |b, _| {
-            // Matrix's single-worker schedule: the cell-major sweep.
-            let mut buf = vec![0.0f64; n_targets];
-            b.iter(|| {
-                deposit_loop_matrix(&ExecPolicy::Seq, &idx, &inv, &mut buf, |p, s| w[p * 4 + s])
-            });
-        });
         g.bench_with_input(BenchmarkId::new("sa", ppc), &ppc, |b, _| {
             let mut buf = vec![0.0f64; n_targets];
             b.iter(|| {

@@ -1,7 +1,6 @@
 //! Ablation (Section 3.3 / 4.1.1): race-handling strategies for the
 //! double-indirect charge deposit — scatter arrays (SA), safe atomics
-//! (AT), unsafe atomics (UA), segmented reduction (SR), and the
-//! cell-locality engine's matrixized deposit (MX).
+//! (AT), unsafe atomics (UA) and segmented reduction (SR).
 //!
 //! Four views:
 //! 1. host wall-times of the real strategies across a contention sweep
@@ -10,16 +9,12 @@
 //! 3. modeled GPU deposit times, reproducing "standard atomics (AT) on
 //!    AMD GPUs perform significantly worse, over 200× slower than UA
 //!    or SR";
-//! 4. sorted (the MX matrixized deposit over a fresh CSR cell index)
-//!    vs unsorted (SA/AT) deposit across
-//!    particle-per-cell regimes and thread counts {1, nproc}, recorded
-//!    to `results/BENCH_ablation_deposit_matrix.json` (supersedes the
-//!    older `BENCH_ablation_deposit_sorted.json` single-thread table).
+//! 4. SA vs AT across particle-per-cell regimes and thread counts
+//!    {1, nproc}, recorded to `results/BENCH_ablation_deposit_matrix.json`
+//!    (the table `AutoTuner` is checked against).
 
 use oppic_bench::report::{banner, scale_factor, steps, telemetry_from_env};
-use oppic_core::{
-    deposit_loop, deposit_loop_matrix, invert_cell_targets, DepositMethod, ExecPolicy, ParticleDats,
-};
+use oppic_core::{deposit_loop, DepositMethod, ExecPolicy};
 use oppic_device::{analyze_warps, AtomicFlavor, DeviceSpec};
 use oppic_fempic::{FemPic, FemPicConfig};
 use std::time::Instant;
@@ -158,8 +153,8 @@ fn main() {
          NVIDIA atomics stay competitive; SR ≈ UA with a small constant overhead."
     );
 
-    // ---- 4. cell-locality engine: sorted vs unsorted deposit ----
-    cell_locality_sweep();
+    // ---- 4. SA vs AT across densities and thread counts ----
+    density_sweep();
 }
 
 /// Deterministic LCG (the sweep must not depend on platform RNG).
@@ -170,15 +165,13 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// The matrixized deposit over a fresh CSR cell index versus the
-/// unsorted scatter-array / atomic paths, across mean
-/// particles-per-cell regimes and thread counts on a synthetic
-/// FEM-like mesh (every cell scatters into 4 of `n_targets` node
-/// slots, as the tet-weighting deposit does). Both of the matrix
-/// deposit's schedules are asserted bit-identical to the Serial fold
-/// before any timing is reported. Thread counts stop at this host's parallelism, and every
-/// column, the sort included, is the best of `reps` runs.
-fn cell_locality_sweep() {
+/// Scatter arrays versus atomics across mean particles-per-cell
+/// regimes and thread counts on a synthetic FEM-like mesh (every cell
+/// scatters into 4 of `n_targets` node slots, as the tet-weighting
+/// deposit does), with particles in random cell order. Thread counts
+/// stop at this host's parallelism, and every column is the best of
+/// `reps` runs.
+fn density_sweep() {
     let sf = scale_factor(1.0);
     let n_cells = ((24_000.0 * sf) as usize).max(64);
     let n_targets = ((50_000.0 * sf) as usize).max(32);
@@ -204,37 +197,32 @@ fn cell_locality_sweep() {
             t
         })
         .collect();
-    let inv = invert_cell_targets(&c2n, n_targets);
 
     println!(
-        "\n--- cell-locality: matrix vs unsorted deposit ---\n\
+        "\n--- SA vs AT across densities ---\n\
          {n_cells} cells -> {n_targets} targets, 4 adds/particle, threads {thread_sweep:?} \
          (nproc {nproc}), best of {reps} (ms)"
     );
     println!(
-        "{:>6} {:>8} {:>10} {:>12} {:>12} {:>12} {:>10}",
-        "ppc", "threads", "particles", "SA(unsort)", "AT(unsort)", "MX(sorted)", "sort"
+        "{:>6} {:>8} {:>10} {:>12} {:>12}",
+        "ppc", "threads", "particles", "SA", "AT"
     );
 
-    // (threads, ppc, n, sa, at, mx, sort) — assembled into
-    // per-thread-count JSON sweeps at the end.
-    type Row = (usize, usize, usize, f64, f64, f64, f64);
+    // (threads, ppc, n, sa, at) — assembled into per-thread-count JSON
+    // sweeps at the end.
+    type Row = (usize, usize, usize, f64, f64);
     let mut rows: Vec<Row> = Vec::new();
     for ppc in [2usize, 8, 16, 32, 64, 256] {
         let n = n_cells * ppc;
-        // Random (unsorted) cell assignment + per-particle weights —
-        // one store per regime, shared by every thread count so the
-        // sweeps are directly comparable.
-        let cells: Vec<i32> = (0..n)
-            .map(|_| ((lcg(&mut seed) as usize) % n_cells) as i32)
+        // Random cell assignment + per-particle weights — one store per
+        // regime, shared by every thread count so the sweeps are
+        // directly comparable.
+        let pcells: Vec<usize> = (0..n)
+            .map(|_| (lcg(&mut seed) as usize) % n_cells)
             .collect();
-        let mut unsorted = ParticleDats::new();
-        let wid = unsorted.decl_dat("w", 4);
-        unsorted.inject_into(&cells);
-        drop(cells);
-        for (i, w) in unsorted.col_mut(wid).iter_mut().enumerate() {
-            *w = 0.25 + ((i % 13) as f64) * 0.03125;
-        }
+        let w: Vec<f64> = (0..n * 4)
+            .map(|i| 0.25 + ((i % 13) as f64) * 0.03125)
+            .collect();
 
         let time_best = |f: &mut dyn FnMut() -> f64| -> (f64, f64) {
             let mut best = f64::INFINITY;
@@ -247,90 +235,25 @@ fn cell_locality_sweep() {
             (best, total)
         };
 
-        // Unsorted inputs: the store as injected.
-        let pcells = unsorted.cells();
-        let w = unsorted.col(wid);
-
-        // Sorted inputs: a sorted copy for the matrix deposit.
-        let mut sorted = unsorted.clone();
-        sorted.sort_by_cell(n_cells);
-        let cell_start = sorted.cell_index().expect("fresh after sort");
-        let scells = sorted.cells();
-        let ws = sorted.col(wid);
-
-        // Conformance guard before any timing: both of Matrix's
-        // schedules (cell-major on one worker, owner-computes on two or
-        // four) must replay the Serial deposit bit for bit on the
-        // sorted store.
-        {
-            let mut serial = vec![0.0f64; n_targets];
-            deposit_loop(
-                &ExecPolicy::Seq,
-                DepositMethod::Serial,
-                n,
-                &mut serial,
-                |i| {
-                    let c = scells[i] as usize;
-                    (c2n[c], std::array::from_fn(|k| ws[i * 4 + k]))
-                },
-            );
-            for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
-                let mut mx = vec![0.0f64; n_targets];
-                deposit_loop_matrix(&policy, cell_start, &inv, &mut mx, |p, s| ws[p * 4 + s]);
-                assert!(
-                    serial
-                        .iter()
-                        .zip(&mx)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "ppc {ppc}: matrix deposit under {policy:?} must be bit-identical to Serial"
-                );
-            }
-        }
-
         for &threads in &thread_sweep {
             let policy = ExecPolicy::pool(threads);
-            let unsorted_deposit = |method: DepositMethod| {
+            let deposit = |method: DepositMethod| {
                 time_best(&mut || {
                     let mut buf = vec![0.0f64; n_targets];
                     deposit_loop(&policy, method, n, &mut buf, |i| {
-                        let c = pcells[i] as usize;
-                        (c2n[c], std::array::from_fn(|k| w[i * 4 + k]))
+                        (c2n[pcells[i]], std::array::from_fn(|k| w[i * 4 + k]))
                     });
                     buf.iter().sum()
                 })
             };
-            let (sa_ms, sa_total) = unsorted_deposit(DepositMethod::ScatterArrays);
-            let (at_ms, at_total) = unsorted_deposit(DepositMethod::Atomics);
-
-            // The counting sort + CSR rebuild of the unsorted store
-            // (sequential at every thread count), on a fresh copy each
-            // rep; the copy is not timed.
-            let sort_ms = (0..reps)
-                .map(|_| {
-                    let mut copy = unsorted.clone();
-                    let t0 = Instant::now();
-                    copy.sort_by_cell(n_cells);
-                    t0.elapsed().as_secs_f64() * 1e3
-                })
-                .fold(f64::INFINITY, f64::min);
-
-            let (mx_ms, mx_total) = time_best(&mut || {
-                let mut buf = vec![0.0f64; n_targets];
-                deposit_loop_matrix(&policy, cell_start, &inv, &mut buf, |p, s| ws[p * 4 + s]);
-                buf.iter().sum()
-            });
-
-            for (label, total) in [("AT", at_total), ("MX", mx_total)] {
-                assert!(
-                    (sa_total - total).abs() < 1e-6 * sa_total.abs().max(1.0),
-                    "{label} must agree numerically with SA at ppc {ppc}"
-                );
-            }
-            println!(
-                "{ppc:>6} {threads:>8} {n:>10} {sa_ms:>12.3} {at_ms:>12.3} {mx_ms:>12.3} \
-                 {sort_ms:>10.3}"
+            let (sa_ms, sa_total) = deposit(DepositMethod::ScatterArrays);
+            let (at_ms, at_total) = deposit(DepositMethod::Atomics);
+            assert!(
+                (sa_total - at_total).abs() < 1e-6 * sa_total.abs().max(1.0),
+                "AT must agree numerically with SA at ppc {ppc}"
             );
-            rows.push((threads, ppc, n, sa_ms, at_ms, mx_ms, sort_ms));
+            println!("{ppc:>6} {threads:>8} {n:>10} {sa_ms:>12.3} {at_ms:>12.3}");
+            rows.push((threads, ppc, n, sa_ms, at_ms));
         }
     }
 
@@ -340,11 +263,10 @@ fn cell_locality_sweep() {
             let regimes: Vec<String> = rows
                 .iter()
                 .filter(|r| r.0 == t)
-                .map(|&(_, ppc, n, sa, at, mx, sort)| {
+                .map(|&(_, ppc, n, sa, at)| {
                     format!(
                         "        {{\"ppc\": {ppc}, \"n_particles\": {n}, \"ms\": \
-                         {{\"scatter_arrays\": {sa:.4}, \"atomics\": {at:.4}, \
-                         \"matrix\": {mx:.4}, \"sort\": {sort:.4}}}}}"
+                         {{\"scatter_arrays\": {sa:.4}, \"atomics\": {at:.4}}}}}"
                     )
                 })
                 .collect();

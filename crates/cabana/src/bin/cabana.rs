@@ -5,9 +5,7 @@
 //! Config keys: `nx ny nz ppc v0 perturbation modes dt charge mass
 //! steps parallel structured sort_every sort_dirty binding
 //! rebalance_every rebalance_drift report_every` (`sort_every` /
-//! `sort_dirty` drive the cell-locality engine's CSR index rebuild
-//! cadence; a fresh index cuts `Move_Deposit`'s scatter pieces at
-//! cell segments).
+//! `sort_dirty` drive the CSR index rebuild cadence).
 
 use oppic_cabana::{CabanaConfig, CabanaPic, StructuredCabana};
 use oppic_core::telemetry::fnv1a;

@@ -36,11 +36,11 @@ pub struct CabanaConfig {
     /// Record per-particle visited-cell counts each `Move_Deposit`
     /// (GPU divergence analysis; off by default).
     pub record_visits: bool,
-    /// When to rebuild the CSR cell index with a particle sort (the
-    /// cell-locality engine). The sort puts particles of a cell next
-    /// to each other, so their gathers read the same cells, and a
-    /// fresh index cuts `Move_Deposit`'s scatter pieces at cell
-    /// segments. The gather itself is the same on every step.
+    /// When to rebuild the CSR cell index with a particle sort. The
+    /// sort puts particles of a cell next to each other, so their
+    /// gathers read the same cells, and a binding built on a fresh
+    /// index aligns its spans to cells. The gather itself is the same
+    /// on every step.
     pub sort_policy: SortPolicy,
     /// Persistent particle-thread binding (DESIGN.md §12): pin a fixed
     /// particle partition to each worker across steps on the

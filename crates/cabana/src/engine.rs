@@ -235,10 +235,8 @@ impl<T: Topology> CabanaEngine<T> {
     ///
     /// Each particle builds one trilinear shape row from its cell's
     /// setup-time `c2c27` row and geometry and applies it to both
-    /// interpolator fields in one corner loop. When the CSR cell index
-    /// is fresh (the cell-locality engine: see
-    /// [`CabanaConfig::sort_policy`]) the loop runs over its cell
-    /// segments, else over the persistent binding or plain ranges.
+    /// interpolator fields in one corner loop. The loop runs over the
+    /// persistent binding or plain ranges.
     /// Relocations are counted and reported to
     /// [`ParticleDats::refine_dirty`], so dirty-fraction sort policies
     /// see the measured churn rather than the worst case.
@@ -297,24 +295,13 @@ impl<T: Topology> CabanaEngine<T> {
             }
         };
 
-        // The iteration space only cuts scatter pieces: a fresh index
-        // gives per-cell segments; otherwise the persistent binding
-        // (the same worker moves the same particles step after step)
-        // or plain ranges. Particle writes are element-local, so
+        // The iteration space only cuts scatter pieces: the persistent
+        // binding (the same worker moves the same particles step after
+        // step) or plain ranges. Particle writes are element-local, so
         // pos/vel/cells are independent of the cut; the current is
         // reduced in piece order.
-        let (space, (pos, vel, cells)) = if self.ps.index_is_fresh() {
-            let (cell_start, pos, vel, cells) = self
-                .ps
-                .cols_mut2_cells_mut_with_index(self.pos, self.vel)
-                .expect("the index is fresh");
-            (Space::Segments(cell_start), (pos, vel, cells))
-        } else {
-            (
-                self.binding.as_ref().map_or(Space::Range, Space::Binding),
-                self.ps.cols_mut2_with_cells_mut(self.pos, self.vel),
-            )
-        };
+        let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
+        let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
         let tally = par_loop_scatter(
             &self.cfg.policy,
             space,
@@ -468,9 +455,8 @@ impl<T: Topology> CabanaEngine<T> {
         let _cur = tel.make_current();
         tel.begin_step(self.step_no as u64);
 
-        // Cell-locality engine: rebuild the CSR cell index when the
-        // policy says so, making this step's Move_Deposit run over
-        // cell segments.
+        // Rebuild the CSR cell index when the policy says so, grouping
+        // each cell's particles for this step's Move_Deposit.
         if self
             .cfg
             .sort_policy
@@ -731,38 +717,6 @@ mod locality_tests {
     use crate::config::CabanaConfig;
     use crate::structured::StructuredCabana;
     use oppic_core::{ExecPolicy, SortPolicy};
-
-    /// The mover over cell segments (fresh CSR index) against the
-    /// mover over plain ranges on the same sorted store: identical
-    /// particle order, identical gathers — the whole step must agree
-    /// bit-for-bit.
-    #[test]
-    fn segment_batched_mover_is_bit_identical() {
-        let cfg = CabanaConfig::tiny(); // ExecPolicy::Seq
-        let mut a = StructuredCabana::new_structured(cfg.clone());
-        let mut b = StructuredCabana::new_structured(cfg);
-        a.run(3);
-        b.run(3);
-        let nc = a.geom.n_cells();
-        a.ps.sort_by_cell(nc);
-        b.ps.sort_by_cell(nc);
-        assert_eq!(a.ps.col(a.pos), b.ps.col(b.pos), "same store after sort");
-        // Stale b's index without touching any data: the mover runs
-        // over plain ranges there.
-        b.ps.refine_dirty(1);
-        assert!(a.ps.index_is_fresh());
-        assert!(!b.ps.index_is_fresh());
-
-        let da = a.step();
-        let db = b.step();
-        assert_eq!(da, db, "diagnostics bit-identical");
-        assert_eq!(a.ps.col(a.pos), b.ps.col(b.pos));
-        assert_eq!(a.ps.col(a.vel), b.ps.col(b.vel));
-        assert_eq!(a.ps.cells(), b.ps.cells());
-        assert_eq!(a.j.raw(), b.j.raw());
-        assert_eq!(a.e.raw(), b.e.raw());
-        assert_eq!(a.b.raw(), b.b.raw());
-    }
 
     /// A per-step sort policy keeps the engine valid under the
     /// parallel executor, records its overhead, and the fused mover

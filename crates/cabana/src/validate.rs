@@ -206,9 +206,8 @@ impl<T: Topology> CabanaEngine<T> {
             report.extend(self.audit_stencil_chains(&c2c));
         }
         report.extend(audit_particle_cells("p2c", self.ps.cells(), nc));
-        // Whenever the CSR cell index claims freshness the mover cuts
-        // its pieces at its segments blindly — cross-check it against
-        // the live cell column.
+        // Whenever the CSR cell index claims freshness a binding may be
+        // cut from it — cross-check it against the live cell column.
         if self.ps.index_is_fresh() {
             report.extend(audit_cell_index(
                 "p2c-index",

@@ -8,8 +8,8 @@
 //!   change to the `Seq` step shows up as a mismatch.
 //! * Under a pool each worker piece deposits into a private array and
 //!   the arrays are reduced in piece order, so two runs on the same
-//!   pool agree bit for bit — with scatter pieces cut by ranges, cell
-//!   segments or a persistent binding alike.
+//!   pool agree bit for bit — with scatter pieces cut by ranges or a
+//!   persistent binding, on a sorted store or not.
 
 use oppic_cabana::{CabanaConfig, CabanaPic, EnergyDiagnostics, StructuredCabana};
 use oppic_core::telemetry::fnv1a;
@@ -140,8 +140,7 @@ fn assert_same(a: &State, b: &State, what: &str) {
 
 #[test]
 fn two_stream_pool2_runs_are_bit_identical() {
-    // 25 steps: range pieces on 24 of them, cell-segment pieces on
-    // the step after the sort at step 20.
+    // 25 steps, crossing the sort at step 20.
     let a = run_dsl(two_stream(ExecPolicy::pool(2)), 25);
     let b = run_dsl(two_stream(ExecPolicy::pool(2)), 25);
     assert_same(&a, &b, "dsl");
@@ -154,7 +153,7 @@ fn every_pool2_mover_path_is_bit_identical() {
     let cases = [
         ("slices", tiny.clone()),
         (
-            "segments",
+            "sorted",
             CabanaConfig {
                 sort_policy: SortPolicy::EveryN(1),
                 ..tiny.clone()

@@ -78,8 +78,8 @@ pub struct CellConfig {
     pub deposit: DepositMethod,
     pub mover: Mover,
     pub runtime: Runtime,
-    /// Rebuild the CSR cell index every step (the cell-locality
-    /// engine's gather-side sort — permutes the particle array).
+    /// Rebuild the CSR cell index every step (the gather-side sort —
+    /// permutes the particle array).
     pub sort_always: bool,
     /// Persistent particle-thread binding (DESIGN.md §12): per-worker
     /// cell-block ranges kept across steps. Element writes stay
@@ -200,7 +200,6 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         DepositMethod::Serial,
         DepositMethod::ScatterArrays,
         DepositMethod::Atomics,
-        DepositMethod::Matrix,
     ] {
         for mover in [Mover::MultiHop, Mover::DirectHop] {
             cells.push(CellConfig {
@@ -215,7 +214,6 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         DepositMethod::Serial,
         DepositMethod::ScatterArrays,
         DepositMethod::Atomics,
-        DepositMethod::Matrix,
     ] {
         cells.push(CellConfig {
             exec: Exec::Pool2,
@@ -228,9 +226,11 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         deposit: DepositMethod::ScatterArrays,
         ..fem.clone()
     });
+    // FEM-PIC on a store sorted every step.
     cells.push(CellConfig {
-        exec: Exec::Pool4,
-        deposit: DepositMethod::Matrix,
+        exec: Exec::Pool2,
+        deposit: DepositMethod::ScatterArrays,
+        sort_always: true,
         ..fem.clone()
     });
     // FEM-PIC device model and MPI.
@@ -312,7 +312,6 @@ pub fn full_matrix() -> Vec<CellConfig> {
             DepositMethod::Serial,
             DepositMethod::ScatterArrays,
             DepositMethod::Atomics,
-            DepositMethod::Matrix,
         ] {
             for mover in [Mover::MultiHop, Mover::DirectHop] {
                 cells.push(CellConfig {
@@ -324,17 +323,6 @@ pub fn full_matrix() -> Vec<CellConfig> {
             }
         }
     }
-    // The CSR-index-bound deposit × the sort-policy axis: the cell
-    // engine's own pre-deposit sort (sort_always=false above) against
-    // an every-step external rebuild.
-    for exec in [Exec::Seq, Exec::Pool2, Exec::Pool4] {
-        cells.push(CellConfig {
-            exec,
-            deposit: DepositMethod::Matrix,
-            sort_always: true,
-            ..fem.clone()
-        });
-    }
     // Persistent binding × sort × deposit: the binding freezes worker
     // ranges while the gather-side sort permutes the store underneath
     // them, so every deposit method must hold up under both.
@@ -342,7 +330,6 @@ pub fn full_matrix() -> Vec<CellConfig> {
         DepositMethod::Serial,
         DepositMethod::ScatterArrays,
         DepositMethod::Atomics,
-        DepositMethod::Matrix,
     ] {
         for sort_always in [false, true] {
             cells.push(CellConfig {
@@ -414,8 +401,8 @@ mod tests {
         assert!(cells.iter().any(|c| matches!(c.runtime, Runtime::Mpi(2))));
         assert!(cells.iter().any(|c| c.mover == Mover::DirectHop));
         assert!(
-            cells.iter().any(|c| c.deposit == DepositMethod::Matrix),
-            "the matrixized deposit must be exercised by the quick matrix"
+            cells.iter().any(|c| c.sort_always && c.app == App::FemPic),
+            "the quick matrix must run FemPIC on a sorted store"
         );
         assert!(
             cells.iter().any(|c| c.binding && c.app == App::FemPic),
@@ -456,18 +443,11 @@ mod tests {
         assert!(cells
             .iter()
             .any(|c| c.exec == Exec::Pool4 && c.mover == Mover::DirectHop));
-        assert!(
-            cells
-                .iter()
-                .any(|c| c.deposit == DepositMethod::Matrix && c.sort_always),
-            "the full matrix crosses the matrixized deposit with the sort axis"
-        );
         // The tentpole crossing: binding × sort × every deposit method.
         for deposit in [
             DepositMethod::Serial,
             DepositMethod::ScatterArrays,
             DepositMethod::Atomics,
-            DepositMethod::Matrix,
         ] {
             for sort_always in [false, true] {
                 assert!(

@@ -1,8 +1,7 @@
 //! Per-dat equivalence oracles.
 //!
 //! Two kinds of promise exist in this codebase (DESIGN.md §9):
-//! **bit-identity** — rerunning the identical configuration, and the
-//! Matrix-vs-Serial fold on the same sorted store — and
+//! **bit-identity** — rerunning the identical configuration — and
 //! **tolerance** — everything that legitimately reorders floating-point
 //! summation (parallel pools, atomics, device-model scatter, rank
 //! reductions). The oracle makes the promise explicit per comparison,

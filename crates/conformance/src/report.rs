@@ -25,7 +25,6 @@ fn deposit_from_label(label: &str) -> Result<DepositMethod, String> {
         "AT" => DepositMethod::Atomics,
         "UA" => DepositMethod::UnsafeAtomics,
         "SR" => DepositMethod::SegmentedReduction,
-        "MX" => DepositMethod::Matrix,
         other => return Err(format!("unknown deposit label '{other}'")),
     })
 }
@@ -236,10 +235,14 @@ mod tests {
     #[test]
     fn matrix_deposit_and_missing_promise_flags_roundtrip() {
         let mut cell = CellConfig::reference(App::FemPic);
-        cell.deposit = DepositMethod::Matrix;
+        cell.deposit = DepositMethod::Atomics;
         let src = reproducer_json(&cell, &[]);
         let (back, _) = parse_reproducer(&src).expect("parse");
-        assert_eq!(back.deposit, DepositMethod::Matrix);
+        assert_eq!(back.deposit, DepositMethod::Atomics);
+        // A reproducer naming the retired matrixized deposit is
+        // refused rather than rerun under another method.
+        let err = parse_reproducer(&src.replace("\"AT\"", "\"MX\"")).unwrap_err();
+        assert!(err.contains("unknown deposit label 'MX'"), "{err}");
         // Pre-binding reproducers lack the promise fields: default off.
         let stripped: String = src
             .lines()

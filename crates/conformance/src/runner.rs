@@ -165,17 +165,6 @@ fn run_fempic_host(cell: &CellConfig) -> RunResult {
         errors.push(format!("loop-plan check:\n{report}"));
     }
     let observables = sim.observables();
-    // The bit-identity promise DESIGN.md makes for the matrixized
-    // deposit (both of its schedules replay the Serial order per
-    // target), checked on this cell's own final store.
-    if cell.deposit == DepositMethod::Matrix
-        && cell.mutation.is_none()
-        && !sim.matrix_bit_identical()
-    {
-        errors.push(
-            "Matrix deposit is not bit-identical to Serial on the same sorted store".to_string(),
-        );
-    }
     // The binding-axis promise (DESIGN.md §12): persistent bindings
     // only change *which worker* computes each slot-local write, so
     // binding-on must match binding-off bit for bit whenever the

@@ -172,20 +172,20 @@ mod tests {
 
     #[test]
     fn matrix_bound_failure_keeps_the_matrix_axis() {
-        // A failure that only reproduces under the matrixized deposit:
-        // sizes collapse but the deposit axis must NOT shrink to
-        // Serial, so the written reproducer still names `mx`.
+        // A failure that only reproduces under one deposit method:
+        // sizes collapse but the deposit axis of the matrix must NOT
+        // shrink to Serial, so the written reproducer still names `at`.
         let mut start = CellConfig::reference(App::FemPic);
         start.steps = 9;
         start.particles = 40;
         start.exec = Exec::Pool2;
-        start.deposit = DepositMethod::Matrix;
-        let (shrunk, _) = shrink(&start, &mut |c| c.deposit == DepositMethod::Matrix);
-        assert_eq!(shrunk.deposit, DepositMethod::Matrix);
+        start.deposit = DepositMethod::Atomics;
+        let (shrunk, _) = shrink(&start, &mut |c| c.deposit == DepositMethod::Atomics);
+        assert_eq!(shrunk.deposit, DepositMethod::Atomics);
         assert_eq!(shrunk.steps, 1);
         assert_eq!(shrunk.particles, 1);
         assert_eq!(shrunk.exec, Exec::Seq, "unrelated axes still shrink");
-        assert!(shrunk.id().contains("mx"), "{}", shrunk.id());
+        assert!(shrunk.id().contains("-at-"), "{}", shrunk.id());
     }
 
     #[test]

@@ -12,36 +12,20 @@
 //! * **segmented reduction** (GPU, Figure 3) — store `(key, value)`
 //!   pairs, sort by key, reduce by key, scatter.
 //!
-//! This repo adds a strategy the paper's periodic particle sort makes
-//! possible: the **matrixized deposit** ([`DepositMethod::Matrix`],
-//! [`deposit_loop_matrix`]). When the particle store is cell-sorted and
-//! its CSR cell index is *fresh* (see `ParticleDats::cell_index`), the
-//! deposit walks cell segments instead of scattering. On several
-//! workers it is owner-computes: the loop parallelises over *target
-//! elements*, and each target folds the contributions of its cells'
-//! particle segments in exactly the serial order (cells ascending,
-//! particles ascending within a segment, map slots ascending within a
-//! particle). Plain `+=`, zero atomics, zero per-thread scatter memory.
-//! On one worker it is a cell-major sweep of per-cell outer products
-//! that reads each particle row once. Either schedule replays each
-//! target's serial left-fold, so the result is **bit-identical to
-//! [`DepositMethod::Serial`]**, a property none of the other parallel
-//! strategies have. The freshness precondition is enforced by the
-//! planner (`plan/stale-index`), and the executor takes the CSR index
-//! and a [`TargetInverse`] (target → owning (cell, slot) pairs) instead
-//! of the generic scattering kernel.
+//! The CPU's other option, **colouring**, runs through
+//! [`deposit_loop_colored`]: it needs the particles sorted by cell, the
+//! overhead the paper names.
 //!
 //! All scattering strategies are exposed through one executor,
 //! [`deposit_loop`]. The kernel computes and the executor increments:
 //! the kernel returns particle `i`'s `K` contributions as
 //! `([usize; K], [f64; K])` (target indices, values), with `K` a
 //! compile-time constant, and each strategy applies them in its own
-//! loop — the same split the Matrix form (`|p, k| value`) uses. Every
-//! strategy computes the same sums (up to floating-point associativity;
-//! segmented reduction is made *deterministic* by totally ordering
-//! equal keys by value bits before reducing). [`AutoTuner`] picks a method per loop
-//! from runtime stats (thread count, particles per cell, index
-//! freshness, target count).
+//! loop. Every strategy computes the same sums (up to floating-point
+//! associativity; segmented reduction is made *deterministic* by
+//! totally ordering equal keys by value bits before reducing).
+//! [`AutoTuner`] picks a method per loop from runtime stats (thread
+//! count and target count).
 
 use crate::parloop::{dispatch, ExecPolicy};
 use rayon::prelude::*;
@@ -65,30 +49,9 @@ pub enum DepositMethod {
     /// store(key,value) → sort_by_key → reduce_by_key (the paper's SR,
     /// Figure 3).
     SegmentedReduction,
-    /// Matrixized deposit over cell segments of a **cell-sorted**
-    /// store: on a single worker, each cell's particle run is one
-    /// rank-k outer-product update (`shape^T × weights`) into the
-    /// cell's targets, after Matrix-PIC (arXiv 2601.08277) and
-    /// POLAR-PIC (arXiv 2604.19337); with several workers, an
-    /// owner-computes fold parallel over targets. Bit-identical to
-    /// `Serial`; requires a fresh CSR cell index and runs through
-    /// [`deposit_loop_matrix`], not the generic [`deposit_loop`].
-    Matrix,
 }
 
 impl DepositMethod {
-    /// The strategies the generic [`deposit_loop`] executor can run —
-    /// everything except [`DepositMethod::Matrix`], which needs the
-    /// CSR index and target-inverse structure of
-    /// [`deposit_loop_matrix`].
-    pub const GENERIC: [DepositMethod; 5] = [
-        DepositMethod::Serial,
-        DepositMethod::ScatterArrays,
-        DepositMethod::Atomics,
-        DepositMethod::UnsafeAtomics,
-        DepositMethod::SegmentedReduction,
-    ];
-
     /// Does this method execute race-free *while honouring* a policy
     /// with the given parallelism? Every method is safe in the
     /// data-race sense — `Serial` under a parallel policy returns
@@ -107,7 +70,6 @@ impl DepositMethod {
             DepositMethod::Atomics => "AT",
             DepositMethod::UnsafeAtomics => "UA",
             DepositMethod::SegmentedReduction => "SR",
-            DepositMethod::Matrix => "MX",
         }
     }
 
@@ -120,7 +82,6 @@ impl DepositMethod {
             DepositMethod::Atomics => "deposit.method.AT",
             DepositMethod::UnsafeAtomics => "deposit.method.UA",
             DepositMethod::SegmentedReduction => "deposit.method.SR",
-            DepositMethod::Matrix => "deposit.method.MX",
         }
     }
 }
@@ -234,257 +195,7 @@ pub fn deposit_loop<const K: usize, F>(
         DepositMethod::SegmentedReduction => {
             policy.run(|| segmented_reduction(policy, n, target, &kernel))
         }
-        DepositMethod::Matrix => panic!(
-            "Matrix cannot run through the generic deposit_loop: it needs the \
-             fresh CSR cell index and a TargetInverse — use deposit_loop_matrix"
-        ),
     }
-}
-
-// ---------------------------------------------------------------------
-// Target inverse — the cell-locality engine's owner-computes index.
-// ---------------------------------------------------------------------
-
-/// CSR inverse of a cell→targets relation: for each target, the
-/// `(cell, slot)` pairs that reach it, grouped by cell in ascending
-/// `(cell, slot)` order. Built once per mesh by
-/// [`invert_cell_targets`]; `slot` is the index into the cell's target
-/// list, so the deposit kernel can recompute the per-slot weight.
-#[derive(Debug, Clone, Default)]
-pub struct TargetInverse {
-    offsets: Vec<usize>,
-    entries: Vec<(u32, u32)>,
-    /// The forward cell→targets CSR the inverse was built from, kept
-    /// for the matrixized deposit's single-worker cell-major schedule
-    /// (per-cell outer products need the cell's target list).
-    fwd_offsets: Vec<usize>,
-    fwd_targets: Vec<u32>,
-}
-
-impl TargetInverse {
-    /// Number of targets covered.
-    pub fn n_targets(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Number of cells in the forward relation.
-    pub fn n_cells(&self) -> usize {
-        self.fwd_offsets.len().saturating_sub(1)
-    }
-
-    /// The `(cell, slot)` pairs reaching target `t`, cell-ascending.
-    #[inline]
-    pub fn entries_of(&self, t: usize) -> &[(u32, u32)] {
-        &self.entries[self.offsets[t]..self.offsets[t + 1]]
-    }
-
-    /// Cell `c`'s target list, slots ascending (the forward relation).
-    #[inline]
-    pub fn targets_of(&self, c: usize) -> &[u32] {
-        &self.fwd_targets[self.fwd_offsets[c]..self.fwd_offsets[c + 1]]
-    }
-}
-
-/// Invert a cell→targets relation (e.g. the cells→nodes map) into the
-/// target→(cell, slot) CSR form [`deposit_loop_matrix`] consumes.
-pub fn invert_cell_targets<C: AsRef<[usize]>>(
-    cell_targets: &[C],
-    n_targets: usize,
-) -> TargetInverse {
-    let mut offsets = vec![0usize; n_targets + 1];
-    for ts in cell_targets {
-        for &t in ts.as_ref() {
-            offsets[t + 1] += 1;
-        }
-    }
-    for t in 0..n_targets {
-        offsets[t + 1] += offsets[t];
-    }
-    let mut cursor = offsets.clone();
-    let mut entries = vec![(0u32, 0u32); offsets[n_targets]];
-    // Cells ascending, slots ascending: each target's entry list comes
-    // out already grouped and sorted, which is what replays the serial
-    // fold order.
-    let mut fwd_offsets = Vec::with_capacity(cell_targets.len() + 1);
-    fwd_offsets.push(0usize);
-    let mut fwd_targets = Vec::with_capacity(offsets[n_targets]);
-    for (c, ts) in cell_targets.iter().enumerate() {
-        for (s, &t) in ts.as_ref().iter().enumerate() {
-            entries[cursor[t]] = (c as u32, s as u32);
-            cursor[t] += 1;
-        }
-        fwd_targets.extend(ts.as_ref().iter().map(|&t| t as u32));
-        fwd_offsets.push(fwd_targets.len());
-    }
-    TargetInverse {
-        offsets,
-        entries,
-        fwd_offsets,
-        fwd_targets,
-    }
-}
-
-/// The parallel schedule of [`deposit_loop_matrix`]: one task per
-/// target, each replaying the serial fold of its (cell, slot) entries
-/// from the target's existing value.
-fn owner_computes<F>(
-    policy: &ExecPolicy,
-    cell_start: &[usize],
-    inv: &TargetInverse,
-    target: &mut [f64],
-    kernel: &F,
-) where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let fold_target = |t: usize, out: &mut f64| {
-        let mut acc = *out;
-        let entries = inv.entries_of(t);
-        let mut k = 0;
-        while k < entries.len() {
-            let cell = entries[k].0 as usize;
-            let mut end = k;
-            while end < entries.len() && entries[end].0 as usize == cell {
-                end += 1;
-            }
-            let slots = &entries[k..end];
-            let (lo, hi) = (cell_start[cell], cell_start[cell + 1]);
-            if let [(_, s)] = slots {
-                // Overwhelmingly common case (a cell reaches each of
-                // its targets through one slot): a tight segment scan.
-                let s = *s as usize;
-                for p in lo..hi {
-                    acc += kernel(p, s);
-                }
-            } else {
-                for p in lo..hi {
-                    for &(_, s) in slots {
-                        acc += kernel(p, s as usize);
-                    }
-                }
-            }
-            k = end;
-        }
-        *out = acc;
-    };
-    policy.run(|| {
-        if policy.is_parallel() {
-            target
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(t, out)| fold_target(t, out));
-        } else {
-            for (t, out) in target.iter_mut().enumerate() {
-                fold_target(t, out);
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------
-// Matrixized deposit — per-cell outer products on a single worker.
-// ---------------------------------------------------------------------
-
-/// Width of the slot-accumulator row of [`deposit_loop_matrix`]'s
-/// cell-major schedule: the most targets one cell may reach and still
-/// have each slot's fold chain held in a register (eight f64, one
-/// cache line). Wider cells replay the serial scatter.
-pub const MAT_TILE_WIDTH: usize = 8;
-
-/// The `Matrix` executor: deposit as per-cell rank-k outer products
-/// (`shape^T × weights`). `cell_start` must be the **fresh** CSR cell
-/// index of a cell-sorted store; `inv` the inverse of the cell→targets
-/// relation; the kernel returns the shape-weighted contribution of
-/// particle `p` through slot `s` of its cell's target list (one entry
-/// of the product).
-///
-/// On a **single worker** (`Seq` or a one-thread pool) the loop sweeps
-/// cell-major: each particle row (all of its cell's slots) is streamed
-/// from memory exactly once and folded into one register accumulator
-/// per slot. The owner-computes fold re-reads the particle data once
-/// per slot and the serial scatter read-modify-writes memory per
-/// contribution, which is why this schedule beats both on one worker.
-/// Reordering only crosses *different* targets, so every target still
-/// receives its contributions in serial order.
-///
-/// With **several workers** it runs the owner-computes fold: one task
-/// per target element, each folding its cells' segments in serial
-/// order (cells ascending; particles ascending within a segment; slots
-/// ascending within a particle). Either way the result is
-/// bit-identical to [`DepositMethod::Serial`] for any initial target
-/// contents.
-pub fn deposit_loop_matrix<F>(
-    policy: &ExecPolicy,
-    cell_start: &[usize],
-    inv: &TargetInverse,
-    target: &mut [f64],
-    kernel: F,
-) where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    assert_eq!(
-        target.len(),
-        inv.n_targets(),
-        "target length must match the inverse map"
-    );
-    if let Some(t) = crate::telemetry::current() {
-        t.counter_add("deposit.loops", 1);
-        t.counter_add(DepositMethod::Matrix.counter(), 1);
-    }
-    if policy.threads() > 1 {
-        owner_computes(policy, cell_start, inv, target, &kernel);
-        return;
-    }
-    let n_cells = inv.n_cells();
-    assert!(
-        cell_start.len() > n_cells,
-        "cell index must cover the forward map"
-    );
-    policy.run(|| {
-        for c in 0..n_cells {
-            let ts = inv.targets_of(c);
-            let (lo, hi) = (cell_start[c], cell_start[c + 1]);
-            if lo == hi {
-                continue;
-            }
-            // A degenerate cell reaching one target through several
-            // slots would interleave that target's contributions
-            // differently under slot-major accumulation (and a cell
-            // wider than the row has no accumulator slot); replay the
-            // exact serial scatter for those cells.
-            if ts.len() > MAT_TILE_WIDTH || ts.iter().enumerate().any(|(i, t)| ts[..i].contains(t))
-            {
-                for p in lo..hi {
-                    for (s, &t) in ts.iter().enumerate() {
-                        target[t as usize] += kernel(p, s);
-                    }
-                }
-                continue;
-            }
-            // Hoist the cell's (distinct) targets into one slot
-            // accumulator row for the whole segment, so each slot's
-            // fold chain lives in a register: up to `ts.len()`
-            // independent FP add chains in flight instead of
-            // store-forwarded read-modify-writes of `target`.
-            let mut acc = [0.0f64; MAT_TILE_WIDTH];
-            for (a, &t) in acc.iter_mut().zip(ts) {
-                *a = target[t as usize];
-            }
-            // One rank-k outer-product update per segment, computed
-            // row-major: each particle's (contiguous) shape row is
-            // streamed from memory exactly once and folded into the
-            // slot accumulators. Every individual accumulator still
-            // sees its contributions particles ascending — the
-            // per-target order Serial would have used.
-            for q in lo..hi {
-                for (s, a) in acc.iter_mut().enumerate().take(ts.len()) {
-                    *a += kernel(q, s);
-                }
-            }
-            for (&a, &t) in acc.iter().zip(ts) {
-                target[t as usize] = a;
-            }
-        }
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -494,28 +205,12 @@ pub fn deposit_loop_matrix<F>(
 /// Runtime stats the auto-tuner decides from.
 #[derive(Debug, Clone, Copy)]
 pub struct TunerInput {
-    pub n_particles: usize,
-    pub n_cells: usize,
     pub n_targets: usize,
-    /// `ParticleDats::index_is_fresh`.
-    pub index_fresh: bool,
     /// `ExecPolicy::threads` for the loop's policy.
     pub threads: usize,
 }
 
-impl TunerInput {
-    pub fn mean_ppc(&self) -> f64 {
-        if self.n_cells == 0 {
-            0.0
-        } else {
-            self.n_particles as f64 / self.n_cells as f64
-        }
-    }
-}
-
-/// One auto-tuner verdict: the method to run. The tuner never picks a
-/// segment method over a stale index, since in the recorded ablation
-/// one sort alone costs as much as the fastest deposit, and up to 16×.
+/// One auto-tuner verdict: the method to run.
 #[derive(Debug, Clone)]
 pub struct TunerDecision {
     pub method: DepositMethod,
@@ -525,13 +220,10 @@ pub struct TunerDecision {
 
 /// Picks a deposit strategy per loop from runtime statistics, following
 /// the sweep `ablation_deposit_strategies` records in
-/// `results/BENCH_ablation_deposit_matrix.json`. On a single worker a
-/// fresh index with mean particles-per-cell ≥
-/// [`AutoTuner::MX_SEQ_MIN_PPC`] takes the cell-major Matrix schedule,
-/// which beats the serial reference outright; everything else stays
-/// serial. In parallel, thread-private scatter arrays beat the
-/// owner-computes fold at every recorded density, so they are picked
-/// whenever the private copies stay cache-sized
+/// `results/BENCH_ablation_deposit_matrix.json`. A single worker runs
+/// the serial reference. In parallel, thread-private scatter arrays
+/// beat atomics at every recorded density, so they are picked whenever
+/// the private copies stay cache-sized
 /// ([`AutoTuner::SA_MAX_TARGETS_PER_THREAD`]); larger targets fall back
 /// to atomics.
 #[derive(Debug, Clone, Default)]
@@ -540,13 +232,6 @@ pub struct AutoTuner {
 }
 
 impl AutoTuner {
-    /// Minimum mean particles-per-cell for the **single-worker**
-    /// cell-major streaming schedule of [`deposit_loop_matrix`]. It
-    /// keeps each cell's targets in registers for the whole segment,
-    /// so it wins once segments hold a few particles; below that the
-    /// per-cell accumulator set-up dominates. In the ablation sweep the serial scatter still leads
-    /// at 2 ppc, and Matrix leads from 8 ppc on.
-    pub const MX_SEQ_MIN_PPC: f64 = 8.0;
     /// Targets-per-thread below which thread-private scatter arrays
     /// stay cache-resident.
     pub const SA_MAX_TARGETS_PER_THREAD: usize = 1 << 16;
@@ -557,19 +242,11 @@ impl AutoTuner {
 
     /// Decide a strategy for one deposit loop.
     pub fn choose(&mut self, input: TunerInput) -> TunerDecision {
-        let ppc = input.mean_ppc();
         let (method, reason) = if input.threads <= 1 {
-            if input.index_fresh && ppc >= Self::MX_SEQ_MIN_PPC {
-                (
-                    DepositMethod::Matrix,
-                    format!("single thread, index fresh, mean ppc {ppc:.1}: cell-major matrix"),
-                )
-            } else {
-                (
-                    DepositMethod::Serial,
-                    "single thread: serial reference path".into(),
-                )
-            }
+            (
+                DepositMethod::Serial,
+                "single thread: serial reference path".into(),
+            )
         } else if input.n_targets <= Self::SA_MAX_TARGETS_PER_THREAD * input.threads {
             (
                 DepositMethod::ScatterArrays,
@@ -897,6 +574,14 @@ where
 mod tests {
     use super::*;
 
+    const METHODS: [DepositMethod; 5] = [
+        DepositMethod::Serial,
+        DepositMethod::ScatterArrays,
+        DepositMethod::Atomics,
+        DepositMethod::UnsafeAtomics,
+        DepositMethod::SegmentedReduction,
+    ];
+
     /// A synthetic charge-deposit workload: `n` particles, each adding
     /// to 4 "nodes" chosen by a hash, mimicking the cell→node scatter.
     fn run_method(method: DepositMethod, policy: &ExecPolicy, n: usize, len: usize) -> Vec<f64> {
@@ -917,7 +602,7 @@ mod tests {
         let len = 64; // small target => heavy contention
         let reference = run_method(DepositMethod::Serial, &ExecPolicy::Seq, n, len);
         let total: f64 = reference.iter().sum();
-        for method in DepositMethod::GENERIC {
+        for method in METHODS {
             for policy in [ExecPolicy::Seq, ExecPolicy::Par] {
                 let got = run_method(method, &policy, n, len);
                 let got_total: f64 = got.iter().sum();
@@ -957,7 +642,7 @@ mod tests {
 
     #[test]
     fn deposit_accumulates_onto_existing_values() {
-        for method in DepositMethod::GENERIC {
+        for method in METHODS {
             let mut target = vec![10.0, 20.0];
             deposit_loop(&ExecPolicy::Par, method, 4, &mut target, |i| {
                 ([i % 2], [1.0])
@@ -986,7 +671,7 @@ mod tests {
 
     #[test]
     fn empty_loop_is_noop() {
-        for method in DepositMethod::GENERIC {
+        for method in METHODS {
             let mut target = vec![1.0, 2.0];
             deposit_loop(&ExecPolicy::Par, method, 0, &mut target, |_| ([0], [9.9]));
             assert_eq!(target, vec![1.0, 2.0]);
@@ -1096,11 +781,7 @@ mod tests {
         assert_eq!(DepositMethod::UnsafeAtomics.label(), "UA");
         assert_eq!(DepositMethod::SegmentedReduction.label(), "SR");
         assert_eq!(DepositMethod::ScatterArrays.label(), "SA");
-        assert_eq!(DepositMethod::Matrix.label(), "MX");
-        for method in DepositMethod::GENERIC
-            .into_iter()
-            .chain([DepositMethod::Matrix])
-        {
+        for method in METHODS {
             assert_eq!(
                 method.counter(),
                 format!("deposit.method.{}", method.label()),
@@ -1109,189 +790,33 @@ mod tests {
         }
     }
 
-    // ---- matrixized deposit --------------------------------------------
-
-    /// Cell-sorted synthetic population: `ppc(c)` particles per cell,
-    /// returning (cell per particle, CSR offsets).
-    fn sorted_population(n_cells: usize, ppc: impl Fn(usize) -> usize) -> (Vec<i32>, Vec<usize>) {
-        let mut cells = Vec::new();
-        let mut start = vec![0usize; n_cells + 1];
-        for c in 0..n_cells {
-            for _ in 0..ppc(c) {
-                cells.push(c as i32);
-            }
-            start[c + 1] = cells.len();
-        }
-        (cells, start)
-    }
-
-    /// Pseudo-random but deterministic contribution of particle `p`
-    /// through slot `s`.
-    fn contribution(p: usize, s: usize) -> f64 {
-        let h = (p as u64)
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add(s as u64);
-        0.1 + (h % 1000) as f64 * 1e-3
-    }
-
-    /// One worker (the cell-major schedule) and two or four (the
-    /// owner-computes fold), whatever the host's core count.
-    fn matrix_policies() -> [ExecPolicy; 3] {
-        [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)]
-    }
-
-    #[test]
-    fn matrix_bit_identical_to_serial_across_seeds() {
-        // Duplicate targets within one cell (cell 2 reaches node 3
-        // through two slots) force the degenerate-cell fallbacks of
-        // both schedules (the cell-major serial replay on one worker,
-        // the owner-computes multi-slot replay in parallel).
-        let mesh: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2],
-            vec![1, 2, 4],
-            vec![3, 3, 5],
-            vec![0, 5, 6],
-            vec![2, 4, 6],
-        ];
-        let n_targets = 7;
-        let inv = invert_cell_targets(&mesh, n_targets);
-        for seed in 0..6usize {
-            // Segment lengths from empty cells to a few dozen
-            // particles.
-            let (cells, start) = sorted_population(mesh.len(), |c| (c * 13 + seed * 5) % 29);
-            let n = cells.len();
-            // Serial reference through the generic scattering executor,
-            // starting from nonzero values to check the fold base case.
-            let init: Vec<f64> = (0..n_targets).map(|t| t as f64 * 0.5 - 1.0).collect();
-            let mut reference = init.clone();
-            deposit_loop(
-                &ExecPolicy::Seq,
-                DepositMethod::Serial,
-                n,
-                &mut reference,
-                |p| {
-                    let ts = &mesh[cells[p] as usize];
-                    (
-                        [ts[0], ts[1], ts[2]],
-                        std::array::from_fn(|s| contribution(p, s)),
-                    )
-                },
-            );
-            for policy in matrix_policies() {
-                let mut got = init.clone();
-                deposit_loop_matrix(&policy, &start, &inv, &mut got, contribution);
-                assert_eq!(got, reference, "seed {seed} under {policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn matrix_is_schedule_independent() {
-        let mesh: Vec<[usize; 4]> = (0..64).map(|c| [c, c + 1, c + 2, c + 3]).collect();
-        let inv = invert_cell_targets(&mesh, 67);
-        let (_, start) = sorted_population(64, |c| 5 + c % 9);
-        let runs: Vec<Vec<f64>> = matrix_policies()
-            .iter()
-            .chain(&matrix_policies())
-            .map(|policy| {
-                let mut t = vec![0.0; 67];
-                deposit_loop_matrix(policy, &start, &inv, &mut t, contribution);
-                t
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(r, &runs[0]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "deposit_loop_matrix")]
-    fn generic_executor_rejects_matrix() {
-        let mut target = vec![0.0; 4];
-        deposit_loop(
-            &ExecPolicy::Par,
-            DepositMethod::Matrix,
-            10,
-            &mut target,
-            |_| ([0], [1.0]),
-        );
-    }
-
-    #[test]
-    fn target_inverse_covers_the_relation() {
-        let mesh: Vec<Vec<usize>> = vec![vec![0, 2], vec![2, 1], vec![1, 0]];
-        let inv = invert_cell_targets(&mesh, 3);
-        assert_eq!(inv.n_targets(), 3);
-        assert_eq!(inv.entries_of(0), &[(0, 0), (2, 1)]);
-        assert_eq!(inv.entries_of(1), &[(1, 1), (2, 0)]);
-        assert_eq!(inv.entries_of(2), &[(0, 1), (1, 0)]);
-    }
-
     #[test]
     fn auto_tuner_heuristics() {
         let mut tuner = AutoTuner::new();
-        let base = TunerInput {
-            n_particles: 64_000,
-            n_cells: 500,
-            n_targets: 700,
-            index_fresh: true,
-            threads: 8,
-        };
-        // Fresh index, dense (128 ppc), small target: scatter arrays
-        // (they beat the owner-computes fold in parallel).
-        let d = tuner.choose(base);
-        assert_eq!(d.method, DepositMethod::ScatterArrays);
-
-        // Stale index: still scatter arrays, never a segment method
-        // that would need a sort costing at least the deposit.
+        // Small target on several threads: scatter arrays.
         let d = tuner.choose(TunerInput {
-            index_fresh: false,
-            ..base
+            n_targets: 700,
+            threads: 8,
         });
         assert_eq!(d.method, DepositMethod::ScatterArrays);
 
-        // Sparse population, huge target: atomics.
+        // Huge target: atomics.
         let d = tuner.choose(TunerInput {
-            n_particles: 4_000,
-            n_cells: 4_000,
             n_targets: 60_000_000,
-            index_fresh: false,
             threads: 8,
         });
         assert_eq!(d.method, DepositMethod::Atomics);
 
-        // One thread over a fresh dense index: the matrix fold is the
-        // only strategy that beats the serial reference there.
-        let d = tuner.choose(TunerInput { threads: 1, ..base });
-        assert_eq!(d.method, DepositMethod::Matrix);
+        // One thread: the serial reference, whatever the target.
+        for n_targets in [700, 60_000_000] {
+            let d = tuner.choose(TunerInput {
+                n_targets,
+                threads: 1,
+            });
+            assert_eq!(d.method, DepositMethod::Serial);
+        }
 
-        // One thread, fresh index, short segments (8 ppc): the
-        // cell-major streaming schedule already pays at MX_SEQ_MIN_PPC.
-        let d = tuner.choose(TunerInput {
-            n_particles: 4_000,
-            threads: 1,
-            ..base
-        });
-        assert_eq!(d.method, DepositMethod::Matrix);
-
-        // One thread, fresh index, 4 ppc: serial.
-        let d = tuner.choose(TunerInput {
-            n_particles: 2_000,
-            threads: 1,
-            ..base
-        });
-        assert_eq!(d.method, DepositMethod::Serial);
-
-        // One thread, stale index: serial — a sort never pays off
-        // within the loop.
-        let d = tuner.choose(TunerInput {
-            threads: 1,
-            index_fresh: false,
-            ..base
-        });
-        assert_eq!(d.method, DepositMethod::Serial);
-
-        assert_eq!(tuner.decisions().len(), 7);
+        assert_eq!(tuner.decisions().len(), 4);
         assert_eq!(tuner.last().unwrap().method, DepositMethod::Serial);
         assert!(!tuner.last().unwrap().reason.is_empty());
     }

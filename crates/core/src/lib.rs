@@ -56,9 +56,8 @@ pub use checkpoint::{crc64, BinReader, BinWriter, CheckpointManifest, Crc64, Man
 pub use dat::Dat;
 pub use decl::Registry;
 pub use deposit::{
-    coloring_is_valid, deposit_loop, deposit_loop_colored, deposit_loop_matrix, greedy_color_cells,
-    invert_cell_targets, scatter_pieces, AutoTuner, Contributions, DepositMethod, Tally,
-    TargetInverse, TunerDecision, TunerInput, MAT_TILE_WIDTH,
+    coloring_is_valid, deposit_loop, deposit_loop_colored, greedy_color_cells, scatter_pieces,
+    AutoTuner, Contributions, DepositMethod, Tally, TunerDecision, TunerInput,
 };
 pub use move_engine::{move_loop, MoveConfig, MoveResult, MoveStatus, Seed};
 pub use params::Params;

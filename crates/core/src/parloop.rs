@@ -105,12 +105,6 @@ pub enum Space<'a> {
     /// Contiguous pieces of `ceil(n/t)` elements for `t` threads; one
     /// window per piece.
     Range,
-    /// The non-empty segments of a **fresh** CSR cell index
-    /// (`ParticleDats::cell_index`): one window per segment, carrying
-    /// its cell, so cell-level data (fields, geometry) can be loaded
-    /// once per segment instead of once per particle. Pieces are runs
-    /// of consecutive segments balanced by particle count.
-    Segments(&'a [usize]),
     /// One piece per worker of a persistent [`ThreadBinding`]
     /// (DESIGN.md §12), holding a window per span it owns, so the same
     /// particles land on the same worker loop after loop. Under
@@ -286,8 +280,6 @@ cols_tuple!(A a 0, B b 1, C c 2, D d 3; a.zip(b).zip(c).zip(d) => (((a, b), c), 
 /// A run of consecutive elements handed to a kernel: elements
 /// `first..` of every column.
 pub struct Window<C> {
-    /// The segment's cell under [`Space::Segments`], else `None`.
-    pub cell: Option<usize>,
     /// Index of the window's first element in the iteration set.
     pub first: usize,
     pub cols: C,
@@ -311,36 +303,20 @@ fn note_loop(bytes: usize) {
     }
 }
 
-/// Where one window goes: `(piece, cell, lo, hi)`.
-type Cut = (usize, Option<usize>, usize, usize);
+/// Where one window goes: `(piece, lo, hi)`.
+type Cut = (usize, usize, usize);
 
 /// Cut `space` over `n` elements into pieces: the piece count and
 /// every window's cut, in ascending `lo` order tiling `0..n`.
 fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
     let t = policy.threads().max(1);
     match space {
-        Space::Segments(cell_start) => {
-            let mut pieces = 0;
-            let mut cuts = Vec::with_capacity(cell_start.len() - 1);
-            for (c, w) in cell_start.windows(2).enumerate() {
-                let (lo, hi) = (w[0], w[1]);
-                if lo == hi {
-                    continue;
-                }
-                // Open the next piece once the open ones hold their share.
-                if pieces == 0 || (pieces < t && lo >= n * pieces / t) {
-                    pieces += 1;
-                }
-                cuts.push((pieces - 1, Some(c), lo, hi));
-            }
-            (pieces, cuts)
-        }
         Space::Binding(binding) if policy.is_parallel() => {
             let mut cuts: Vec<Cut> = Vec::new();
             for (w, spans) in binding.assignments(n).into_iter().enumerate() {
-                cuts.extend(spans.into_iter().map(|(lo, hi)| (w, None, lo, hi)));
+                cuts.extend(spans.into_iter().map(|(lo, hi)| (w, lo, hi)));
             }
-            cuts.sort_unstable_by_key(|&(_, _, lo, _)| lo);
+            cuts.sort_unstable_by_key(|&(_, lo, _)| lo);
             (binding.n_workers(), cuts)
         }
         Space::Range | Space::Binding(_) => {
@@ -348,7 +324,7 @@ fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
             let cuts: Vec<Cut> = (0..n)
                 .step_by(chunk)
                 .enumerate()
-                .map(|(p, lo)| (p, None, lo, (lo + chunk).min(n)))
+                .map(|(p, lo)| (p, lo, (lo + chunk).min(n)))
                 .collect();
             (cuts.len(), cuts)
         }
@@ -363,29 +339,18 @@ pub(crate) fn carve<C: Cols>(
     cols: C,
 ) -> Vec<Vec<Window<C>>> {
     let shapes = cols.shapes();
-    let n = match space {
-        Space::Segments(cell_start) => *cell_start.last().expect("cell index must be non-empty"),
-        _ => shapes[0].0 / shapes[0].1,
-    };
-    for (k, &(len, dim, _)) in shapes.iter().enumerate() {
-        if let Space::Segments(_) = space {
-            assert_eq!(len, n * dim, "column {k} does not match the index");
-        } else {
-            assert_eq!(len, n * dim, "loop columns must share the iteration set");
-        }
+    let n = shapes[0].0 / shapes[0].1;
+    for &(len, dim, _) in &shapes {
+        assert_eq!(len, n * dim, "loop columns must share the iteration set");
     }
     note_loop(shapes.iter().map(|&(len, _, bytes)| len * bytes).sum());
     let (count, cuts) = cut(policy, space, n);
     let mut pieces: Vec<Vec<Window<C>>> = (0..count).map(|_| Vec::new()).collect();
     let mut rest = cols;
-    for (piece, cell, lo, hi) in cuts {
+    for (piece, lo, hi) in cuts {
         let (cols, tail) = rest.split(hi - lo);
         rest = tail;
-        pieces[piece].push(Window {
-            cell,
-            first: lo,
-            cols,
-        });
+        pieces[piece].push(Window { first: lo, cols });
     }
     pieces
 }
@@ -413,8 +378,7 @@ where
 
 /// Run `f` once per [`Window`] of `space` over `cols` (one `f64`
 /// column or a tuple of up to four [`Column`]s, all on the iteration
-/// set). Per-element kernels call [`Window::each`]; segment kernels
-/// read [`Window::cell`] first.
+/// set). Kernels call [`Window::each`].
 ///
 /// ```
 /// use oppic_core::{par_loop, ExecPolicy, Fixed, Space};
@@ -428,8 +392,7 @@ where
 /// ```
 ///
 /// Panics unless every column holds exactly `n·dim` values, where `n`
-/// is the index's particle count under [`Space::Segments`] and the
-/// first column's element count otherwise.
+/// is the first column's element count.
 pub fn par_loop<C, F>(policy: &ExecPolicy, space: Space<'_>, cols: C, f: F)
 where
     C: Cols,
@@ -518,18 +481,15 @@ mod tests {
     }
 
     /// Element update that is not idempotent, so a missed or doubled
-    /// visit shows; it folds in the window's cell.
-    fn bump(i: usize, cell: Option<usize>, x: &mut [f64]) {
+    /// visit shows.
+    fn bump(i: usize, x: &mut [f64]) {
         for (k, v) in x.iter_mut().enumerate() {
-            *v = *v * 1.5 + (i + k) as f64 + cell.map_or(0.0, |c| 100.0 * c as f64);
+            *v = *v * 1.5 + (i + k) as f64;
         }
     }
 
-    /// Cell-column update: a segment window holds only its own cell.
-    fn hop(cell: Option<usize>, cl: &mut i32) {
-        if let Some(c) = cell {
-            assert_eq!(*cl as usize, c, "window matches its cell");
-        }
+    /// Cell-column update.
+    fn hop(cl: &mut i32) {
         *cl = (*cl + 1) % 6;
     }
 
@@ -545,29 +505,28 @@ mod tests {
         cols: C,
         target: &mut [f64],
         value: Option<Value>,
-        k: impl Fn(usize, Option<usize>, C::Elem) + Sync,
+        k: impl Fn(usize, C::Elem) + Sync,
     ) -> u64 {
         let caller = std::thread::current().id();
-        let inline = |w: &Window<C>| {
+        let inline = || {
             if !pol.is_parallel() {
                 assert_eq!(std::thread::current().id(), caller, "Seq runs inline");
             }
-            w.cell
         };
         match value {
             None => {
                 par_loop(pol, space, cols, |w| {
-                    let cell = inline(&w);
-                    w.each(|i, e| k(i, cell, e));
+                    inline();
+                    w.each(&k);
                 });
                 0
             }
             Some(value) => par_loop_scatter(pol, space, cols, target, |acc, n: &mut u64, w| {
-                let cell = inline(&w);
+                inline();
                 w.each(|i, e| {
                     acc[cell_of(i)] += value(i);
                     *n += 1;
-                    k(i, cell, e);
+                    k(i, e);
                 });
             }),
         }
@@ -592,15 +551,15 @@ mod tests {
         macro_rules! case {
             ($a:expr, $b:expr, $c:expr) => {
                 match arity {
-                    1 => exec(pol, space, $a, t, value, |i, cell, x| bump(i, cell, x)),
-                    2 => exec(pol, space, ($a, $b), t, value, |i, cell, (x, y)| {
-                        bump(i, cell, x);
-                        bump(i, cell, y);
+                    1 => exec(pol, space, $a, t, value, |i, x| bump(i, x)),
+                    2 => exec(pol, space, ($a, $b), t, value, |i, (x, y)| {
+                        bump(i, x);
+                        bump(i, y);
                     }),
-                    3 => exec(pol, space, ($a, $b, $c), t, value, |i, cell, (x, y, z)| {
-                        bump(i, cell, x);
-                        bump(i, cell, y);
-                        bump(i, cell, z);
+                    3 => exec(pol, space, ($a, $b, $c), t, value, |i, (x, y, z)| {
+                        bump(i, x);
+                        bump(i, y);
+                        bump(i, z);
                     }),
                     _ => exec(
                         pol,
@@ -608,11 +567,11 @@ mod tests {
                         ($a, $b, $c, cells),
                         t,
                         value,
-                        |i, cell, (x, y, z, cl)| {
-                            bump(i, cell, x);
-                            bump(i, cell, y);
-                            bump(i, cell, z);
-                            hop(cell, cl);
+                        |i, (x, y, z, cl)| {
+                            bump(i, x);
+                            bump(i, y);
+                            bump(i, z);
+                            hop(cl);
                         },
                     ),
                 }
@@ -627,20 +586,19 @@ mod tests {
     }
 
     /// The same case as the plain serial loop and left fold.
-    fn serial(segments: bool, arity: usize, value: Option<Value>) -> (Data, Vec<f64>, u64) {
+    fn serial(arity: usize, value: Option<Value>) -> (Data, Vec<f64>, u64) {
         let mut d = data();
         let mut target = vec![0.0; 6];
         for i in 0..N {
-            let cell = segments.then(|| cell_of(i));
-            bump(i, cell, &mut d.a[i * 3..i * 3 + 3]);
+            bump(i, &mut d.a[i * 3..i * 3 + 3]);
             if arity >= 2 {
-                bump(i, cell, &mut d.b[i..i + 1]);
+                bump(i, &mut d.b[i..i + 1]);
             }
             if arity >= 3 {
-                bump(i, cell, &mut d.c[i * 4..i * 4 + 4]);
+                bump(i, &mut d.c[i * 4..i * 4 + 4]);
             }
             if arity >= 4 {
-                hop(cell, &mut d.cells[i]);
+                hop(&mut d.cells[i]);
             }
             if let Some(value) = value {
                 target[cell_of(i)] += value(i);
@@ -659,28 +617,26 @@ mod tests {
             // Stale: built for 24 elements.
             ThreadBinding::from_cell_index(&[0, 5, 5, 8, 16, 18, 24], 3),
         ];
-        let spaces: Vec<Space> = [Space::Range, Space::Segments(&CELL_START)]
-            .into_iter()
+        let spaces: Vec<Space> = std::iter::once(Space::Range)
             .chain(bindings.iter().map(Space::Binding))
             .collect();
         let integer: Value = |i| i as f64;
         let fraction: Value = |i| 0.1 * i as f64 + 1e-3;
         for (arity, fixed) in (1..=4).flat_map(|a| [(a, false), (a, true)]) {
             for &space in &spaces {
-                let segments = matches!(space, Space::Segments(_));
                 let case = format!("{space:?} arity {arity} fixed {fixed}");
                 // The plain form equals the serial loop bit for bit;
                 // integer increments sum exactly in any order, so the
                 // scatter form does too on every policy and cut.
                 for pol in policies() {
                     for value in [None, Some(integer)] {
-                        let expect = serial(segments, arity, value);
+                        let expect = serial(arity, value);
                         let got = run(&pol, space, arity, fixed, value);
                         assert_eq!(got, expect, "{pol:?} {case}");
                     }
                 }
                 // Seq is one exclusive piece: the left fold, bit for bit.
-                let fold = serial(segments, arity, Some(fraction));
+                let fold = serial(arity, Some(fraction));
                 assert_eq!(
                     run(&ExecPolicy::Seq, space, arity, fixed, Some(fraction)),
                     fold,
@@ -703,32 +659,17 @@ mod tests {
         // Piece cuts decide parallel scatter sums, so they are pinned.
         let pool = ExecPolicy::pool(3);
         // Range: contiguous chunks of ceil(n/t).
-        let range = vec![(0, None, 0, 4), (1, None, 4, 8), (2, None, 8, 10)];
+        let range = vec![(0, 0, 4), (1, 4, 8), (2, 8, 10)];
         assert_eq!(cut(&pool, Space::Range, 10), (3, range));
-        // Segments: the next piece opens at the first segment starting
-        // at or past its share n·pieces/t; empty cells are skipped.
-        let segments = vec![
-            (0, Some(0), 0, 5),
-            (0, Some(2), 5, 8),
-            (0, Some(3), 8, 16),
-            (1, Some(4), 16, 18),
-            (1, Some(5), 18, 30),
-        ];
-        assert_eq!(cut(&pool, Space::Segments(&CELL_START), N), (2, segments));
         // Binding: one piece per worker, windows in slot order; the
         // tail appended since the build is dealt out evenly.
         let b = ThreadBinding::uniform(2, 6);
-        let bound = vec![
-            (0, None, 0, 3),
-            (1, None, 3, 6),
-            (0, None, 6, 7),
-            (1, None, 7, 8),
-        ];
+        let bound = vec![(0, 0, 3), (1, 3, 6), (0, 6, 7), (1, 7, 8)];
         assert_eq!(cut(&pool, Space::Binding(&b), 8), (2, bound));
         // Seq: one piece, whatever the space.
         assert_eq!(
             cut(&ExecPolicy::Seq, Space::Binding(&b), 8),
-            (1, vec![(0, None, 0, 8)])
+            (1, vec![(0, 0, 8)])
         );
     }
 
@@ -769,7 +710,7 @@ mod tests {
                 );
             }),
             // Ragged: 10 values are not a whole number of dim-3
-            // elements, under every space that takes `n` from a column.
+            // elements, under every space.
             panic_text(|| {
                 let (mut a, mut b) = ([0.0; 10], [0.0; 3]);
                 par_loop(
@@ -802,45 +743,6 @@ mod tests {
         ];
         for text in texts {
             assert!(text.contains("share the iteration set"), "{text}");
-        }
-    }
-
-    #[test]
-    fn segment_loop_rejects_mismatched_columns() {
-        let cell_start = [0usize, 2];
-        let texts = [
-            // Short: 2 particles of dim 2 need 4 values.
-            panic_text(|| {
-                let (mut a, mut b) = ([0.0; 3], [0.0; 2]);
-                let cols = ((2, &mut a[..]), (1, &mut b[..]));
-                par_loop(&ExecPolicy::Seq, Space::Segments(&cell_start), cols, |_| {});
-            }),
-            // Ragged.
-            panic_text(|| {
-                let mut a = [0.0; 5];
-                par_loop(
-                    &ExecPolicy::Seq,
-                    Space::Segments(&cell_start),
-                    (2, &mut a[..]),
-                    |_| {},
-                );
-            }),
-            // The cell column of the scatter form.
-            panic_text(|| {
-                let (mut a, mut cells) = ([0.0; 4], [0i32; 3]);
-                let cols = ((2, &mut a[..]), &mut cells[..]);
-                let mut target = [0.0; 1];
-                par_loop_scatter::<(), _, _>(
-                    &ExecPolicy::Seq,
-                    Space::Segments(&cell_start),
-                    cols,
-                    &mut target,
-                    |_, _, _| {},
-                );
-            }),
-        ];
-        for text in texts {
-            assert!(text.contains("does not match the index"), "{text}");
         }
     }
 

@@ -17,10 +17,9 @@
 pub struct ColId(usize);
 
 /// When to rebuild the cell index (the paper's periodic particle sort,
-/// made configurable). Freshness is a hard *precondition* only for
-/// `DepositMethod::Matrix`; for everything else sorting is a
-/// locality optimisation and this policy trades its cost against the
-/// gather/deposit speedup.
+/// made configurable). Sorting is a locality optimisation, and this
+/// policy trades its cost against the gather/deposit speedup; the
+/// colouring deposit sorts on its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SortPolicy {
     /// Never rebuild (the index simply stays stale).
@@ -88,11 +87,6 @@ pub struct ParticleDats {
     scratch_col: Vec<f64>,
     scratch_cell: Vec<i32>,
 }
-
-/// The fused mover's working set: the fresh CSR index, two mutable
-/// columns, and the mutable cell map
-/// ([`ParticleDats::cols_mut2_cells_mut_with_index`]).
-pub type IndexedCells<'a> = (&'a [usize], &'a mut [f64], &'a mut [f64], &'a mut [i32]);
 
 impl ParticleDats {
     pub fn new() -> Self {
@@ -239,7 +233,7 @@ impl ParticleDats {
         (ca, cb, &mut self.cell)
     }
 
-    // ---- cell-locality index -------------------------------------------
+    // ---- cell index ----------------------------------------------------
 
     /// The CSR cell index, or `None` while it is stale (or was never
     /// built). When `Some`, `idx[c]..idx[c + 1]` is exactly the
@@ -251,51 +245,6 @@ impl ParticleDats {
         } else {
             None
         }
-    }
-
-    /// Two distinct mutable columns together with the fresh CSR cell
-    /// index — the segment-batched gather loop's working set
-    /// ([`crate::par_loop`] over [`crate::Space::Segments`]). `None` while the index is
-    /// stale, so callers fall back to the per-particle path.
-    pub fn cols_mut2_with_index(
-        &mut self,
-        a: ColId,
-        b: ColId,
-    ) -> Option<(&[usize], &mut [f64], &mut [f64])> {
-        if !self.index_is_fresh() {
-            return None;
-        }
-        let [ca, cb] = self
-            .cols
-            .get_disjoint_mut([a.0, b.0])
-            .expect("cols_mut2_with_index requires distinct in-range columns");
-        Some((&self.cell_start, ca, cb))
-    }
-
-    /// [`Self::cols_mut2_with_index`] plus the *mutable* cell map
-    /// ([`IndexedCells`]) —
-    /// the fused mover's working set when it runs over the cell
-    /// segments of the fresh index ([`crate::par_loop_scatter`] over
-    /// [`crate::Space::Segments`]).
-    /// Handing out the raw cell column marks the store all-dirty, as
-    /// with [`Self::cols_mut2_with_cells_mut`]; the returned index
-    /// stays valid for the duration of the borrow, and the caller
-    /// reports the measured relocation count via
-    /// [`Self::refine_dirty`] afterwards.
-    pub fn cols_mut2_cells_mut_with_index(
-        &mut self,
-        a: ColId,
-        b: ColId,
-    ) -> Option<IndexedCells<'_>> {
-        if !self.index_is_fresh() {
-            return None;
-        }
-        self.cells_exposed = true;
-        let [ca, cb] = self
-            .cols
-            .get_disjoint_mut([a.0, b.0])
-            .expect("cols_mut2_cells_mut_with_index requires distinct in-range columns");
-        Some((&self.cell_start, ca, cb, &mut self.cell))
     }
 
     /// The last-built CSR offsets regardless of freshness (audits
@@ -885,26 +834,6 @@ mod tests {
         assert!((ps.dirty_fraction() - 1.0 / 12.0).abs() < 1e-12);
         ps.sort_by_cell(5);
         assert!(ps.index_is_fresh());
-    }
-
-    #[test]
-    fn indexed_cells_mut_borrow_marks_all_dirty() {
-        let (mut ps, pos, q) = store_with(12);
-        assert!(
-            ps.cols_mut2_cells_mut_with_index(pos, q).is_none(),
-            "stale index refuses the fused-mover borrow"
-        );
-        ps.sort_by_cell(5);
-        {
-            let (idx, _, _, cells) = ps
-                .cols_mut2_cells_mut_with_index(pos, q)
-                .expect("fresh after sort");
-            assert_eq!(*idx.last().unwrap(), cells.len());
-            cells[0] = 3; // a relocation through the fused mover
-        }
-        assert_eq!(ps.dirty_count(), 12, "raw cell borrow: worst case");
-        ps.refine_dirty(1);
-        assert_eq!(ps.dirty_count(), 1, "measured relocations replace it");
     }
 
     #[test]

@@ -55,12 +55,6 @@ pub struct LoopPlan {
     /// Worker count under that policy (1 when sequential).
     pub threads: usize,
     pub race_strategy: RaceStrategy,
-    /// Whether the particle store's CSR cell index is fresh at the
-    /// point the loop runs (`None` = the app did not attest either
-    /// way). `Deposit(Matrix)` *requires* `Some(true)`: on a stale
-    /// index its segment ownership argument collapses and the plain
-    /// `+=` races.
-    pub index_fresh: Option<bool>,
 }
 
 impl LoopPlan {
@@ -70,7 +64,6 @@ impl LoopPlan {
             parallel: policy.is_parallel(),
             threads: policy.threads(),
             race_strategy,
-            index_fresh: None,
         }
     }
 
@@ -79,40 +72,20 @@ impl LoopPlan {
         LoopPlan::new(decl, policy, RaceStrategy::None)
     }
 
-    /// Attest whether the CSR cell index is fresh when this loop runs
-    /// (`ParticleDats::index_is_fresh` at dispatch time).
-    pub fn with_index_freshness(mut self, fresh: bool) -> Self {
-        self.index_fresh = Some(fresh);
-        self
-    }
-
     pub fn name(&self) -> &str {
         &self.decl.name
     }
 
     /// The cheap subset of the analyzer's static pass, suitable for
     /// running at loop-declaration time: per-argument descriptor
-    /// coherence plus the fatal plan rules — a parallel loop with an
-    /// indirect increment and no race strategy is a data race, and a
-    /// matrixized deposit without a fresh-index attestation has no
-    /// segment-ownership guarantee.
+    /// coherence plus the fatal plan rule — a parallel loop with an
+    /// indirect increment and no race strategy is a data race.
     pub fn quick_check(&self) -> Result<(), String> {
         self.decl.validate()?;
         if self.parallel && self.decl.needs_race_handling() && !self.race_strategy.handles_races() {
             return Err(format!(
                 "loop '{}': indirect INC under a parallel policy needs a race \
                  strategy (scatter/atomics/segmented/colored), plan has none",
-                self.decl.name
-            ));
-        }
-        if self.parallel
-            && self.race_strategy == RaceStrategy::Deposit(DepositMethod::Matrix)
-            && self.index_fresh != Some(true)
-        {
-            return Err(format!(
-                "loop '{}': Matrix requires a fresh CSR cell index \
-                 (sort_by_cell with no mutation since); attest it with \
-                 with_index_freshness(true)",
                 self.decl.name
             ));
         }
@@ -218,26 +191,6 @@ mod tests {
             let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
             assert!(plan.quick_check().is_ok(), "{strat:?}");
         }
-    }
-
-    #[test]
-    fn matrix_needs_fresh_index_attestation() {
-        let strat = RaceStrategy::Deposit(DepositMethod::Matrix);
-        // No attestation: rejected under a parallel policy.
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat);
-        let err = plan.quick_check().unwrap_err();
-        assert!(err.contains("Matrix") && err.contains("fresh"), "{err}");
-        // Stale attestation: also rejected.
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(false);
-        assert!(plan.quick_check().is_err());
-        // Fresh: fine.
-        let plan =
-            LoopPlan::new(deposit_decl(), &ExecPolicy::Par, strat).with_index_freshness(true);
-        assert!(plan.quick_check().is_ok());
-        // Sequential runs are the serial fold anyway.
-        let plan = LoopPlan::new(deposit_decl(), &ExecPolicy::Seq, strat);
-        assert!(plan.quick_check().is_ok());
     }
 
     #[test]

@@ -1044,7 +1044,7 @@ impl Telemetry {
         let traces = self.traces();
         let dropped = self.traces_dropped();
         if !traces.is_empty() || dropped > 0 {
-            // Collapse consecutive identical decisions ("chose MX" ×50)
+            // Collapse consecutive identical decisions ("chose SA" ×50)
             // so per-step traces stay one line per *change*.
             s.push_str("decision trace:\n");
             if dropped > 0 {
@@ -1555,7 +1555,7 @@ mod tests {
             let _s = t.span("Move");
         }
         t.counter_add("moved", 4);
-        t.trace("tuner", "chose MX");
+        t.trace("tuner", "chose SA");
         t.end_step(&[]);
         t.alert("nan_rate", AlertSeverity::Warn, "2 quarantined");
         t.set_observer(None);
@@ -1635,7 +1635,7 @@ mod tests {
             let _s = t.span_class("Move", KernelClass::Move);
             t.counter_add("move.relocated", 3);
         }
-        t.trace("DepositCharge", "auto-tuned to MX");
+        t.trace("DepositCharge", "auto-tuned to SA");
         t.hist_record("move.hops_per_particle", 2);
         t.end_step(&[("alive", 10.0)]);
         t.finish().unwrap();

@@ -153,10 +153,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Cell-locality engine: the CSR cell index and the matrixized
-// executor.
-
-use oppic_core::{deposit_loop_matrix, invert_cell_targets};
+// The CSR cell index that the colouring deposit's sort builds.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -211,70 +208,6 @@ proptest! {
             for i in idx[c]..idx[c + 1] {
                 prop_assert_eq!(ps.cells()[i], c as i32, "cell column agreement");
             }
-        }
-    }
-
-    /// `Matrix` over a freshly sorted store is bit-identical (exact
-    /// f64 equality) to the serial deposit, for random meshes, random
-    /// particle placements, random weights, random non-zero initial
-    /// target contents, and both schedules: cell-major on one worker,
-    /// owner-computes on two or four.
-    #[test]
-    fn matrix_bit_identical_to_serial(
-        n_cells in 1usize..20,
-        n_targets in 1usize..25,
-        particle_cells in prop::collection::vec(0usize..20, 0..120),
-        seed in any::<u64>(),
-    ) {
-        let mut state = seed | 1;
-        let mut rnd = move |m: usize| {
-            state ^= state << 13; state ^= state >> 7; state ^= state << 17;
-            (state % m.max(1) as u64) as usize
-        };
-        // Random cell→targets relation, 1–4 slots per cell (repeats
-        // allowed — slot order is part of the fold-order contract).
-        let mesh: Vec<Vec<usize>> = (0..n_cells)
-            .map(|_| (0..rnd(4) + 1).map(|_| rnd(n_targets)).collect())
-            .collect();
-        let inv = invert_cell_targets(&mesh, n_targets);
-
-        let cells: Vec<i32> = particle_cells.iter().map(|&c| (c % n_cells) as i32).collect();
-        let mut ps = ParticleDats::new();
-        let _w = ps.decl_dat("w", 1);
-        ps.inject_into(&cells);
-        ps.sort_by_cell(n_cells);
-        let idx = ps.cell_index().expect("fresh after sort").to_vec();
-        let sorted_cells = ps.cells().to_vec();
-
-        let weight = |p: usize, s: usize| {
-            let h = (p as u64 + 3).wrapping_mul(s as u64 + 7).wrapping_mul(seed | 1);
-            ((h % 2000) as f64 - 1000.0) * 1e-3
-        };
-        let init: Vec<f64> = (0..n_targets).map(|t| (t * 7 + 1) as f64 * 0.5).collect();
-
-        // Rows hold 1–4 slots, so the serial reference runs over the
-        // (particle, slot) pairs in particle-then-slot order, one
-        // contribution each: the same fold as a per-particle loop.
-        let pairs: Vec<(usize, usize)> = sorted_cells
-            .iter()
-            .enumerate()
-            .flat_map(|(p, &c)| (0..mesh[c as usize].len()).map(move |s| (p, s)))
-            .collect();
-        let mut reference = init.clone();
-        deposit_loop(
-            &ExecPolicy::Seq,
-            DepositMethod::Serial,
-            pairs.len(),
-            &mut reference,
-            |j| {
-                let (p, s) = pairs[j];
-                ([mesh[sorted_cells[p] as usize][s]], [weight(p, s)])
-            },
-        );
-        for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
-            let mut got = init.clone();
-            deposit_loop_matrix(&policy, &idx, &inv, &mut got, weight);
-            prop_assert_eq!(&got, &reference, "policy {:?}", policy);
         }
     }
 }

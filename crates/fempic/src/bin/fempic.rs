@@ -5,10 +5,9 @@
 //! mesh (`nx ny nz lx ly lz`), physics (`charge mass inlet_velocity
 //! wall_potential epsilon0 dt thermal_fraction`), run control (`steps
 //! inject_per_step seed`), backend (`parallel deposit move coloring
-//! integrator overlay_res`), cell-locality engine (`sort_every
-//! sort_dirty` — gather-side CSR index rebuild cadence; `deposit =
-//! mx` for the matrixized deposit, `deposit = auto` for the
-//! auto-tuner), persistent thread binding
+//! integrator overlay_res`), cell sort (`sort_every sort_dirty` —
+//! gather-side CSR index rebuild cadence), `deposit = auto` for the
+//! auto-tuner, persistent thread binding
 //! (`binding rebalance_every rebalance_drift`) and the numeric guards
 //! (`guard_numerics`).
 
@@ -81,8 +80,9 @@ fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> 
             "at" => DepositMethod::Atomics,
             "ua" => DepositMethod::UnsafeAtomics,
             "sr" => DepositMethod::SegmentedReduction,
-            "mx" | "matrix" | "auto" => DepositMethod::Matrix,
-            other => return Err(format!("deposit = {other:?}: use seq/sa/at/ua/sr/mx/auto")),
+            // The tuner picks per step; it starts from the default.
+            "auto" => DepositMethod::ScatterArrays,
+            other => return Err(format!("deposit = {other:?}: use seq/sa/at/ua/sr/auto")),
         },
         auto_tune: params.get_str("deposit", "sa") == "auto",
         sort_policy: {
@@ -341,5 +341,14 @@ mod tests {
         let params = Params::parse("overlap = true\n").unwrap();
         let err = config_from(&params).unwrap_err();
         assert!(err.starts_with("unknown parameter 'overlap'"), "{err}");
+    }
+
+    #[test]
+    fn retired_matrix_deposit_is_refused() {
+        for value in ["mx", "matrix"] {
+            let params = Params::parse(&format!("deposit = {value}\n")).unwrap();
+            let err = config_from(&params).unwrap_err();
+            assert!(err.contains("use seq/sa/at/ua/sr/auto"), "{value}: {err}");
+        }
     }
 }

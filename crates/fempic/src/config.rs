@@ -74,15 +74,13 @@ pub struct FemPicConfig {
     /// (Section 3.3's third CPU option; forces a per-step particle
     /// sort — "introducing an overhead").
     pub coloring: bool,
-    /// When to rebuild the CSR cell index with a particle sort (the
-    /// cell-locality engine). Independent of `coloring`, which always
-    /// sorts, and of `deposit = Matrix`, which sorts whenever the
-    /// index is stale at deposit time.
+    /// When to rebuild the CSR cell index with a particle sort, right
+    /// after injection. Independent of `coloring`, which sorts before
+    /// every deposit.
     pub sort_policy: SortPolicy,
-    /// Let the deposit [`oppic_core::AutoTuner`] pick the method (and
-    /// whether to sort first) per step from runtime statistics,
-    /// overriding `deposit`. Decisions are traced through the
-    /// profiler.
+    /// Let the deposit [`oppic_core::AutoTuner`] pick the method per
+    /// step from runtime statistics, overriding `deposit`. Decisions
+    /// are traced through the profiler.
     pub auto_tune: bool,
     /// Particle pusher.
     pub integrator: Integrator,

@@ -9,7 +9,7 @@
 //! comparable across backend configurations.
 
 use crate::sim::FemPic;
-use oppic_core::{DepositMethod, Observable, Recoverable, Simulation};
+use oppic_core::{Observable, Recoverable, Simulation};
 
 impl FemPic {
     /// Particles per cell as a mesh-indexed histogram (f64 so it rides
@@ -27,25 +27,6 @@ impl FemPic {
     pub fn kinetic_energy(&self) -> f64 {
         let v = self.ps.col(self.vel);
         0.5 * self.cfg.mass * v.iter().map(|x| x * x).sum::<f64>()
-    }
-
-    /// DESIGN.md's bit-identity promise, checkable from outside the
-    /// crate: on the *same* freshly sorted store, each schedule of the
-    /// matrixized deposit replays the Serial fold order per node, so
-    /// the charge must match the Serial deposit bit for bit — strict
-    /// `f64` equality, not a tolerance. Leaves `node_charge` holding
-    /// the (identical) Matrix result.
-    pub fn matrix_bit_identical(&mut self) -> bool {
-        self.ps.sort_by_cell(self.mesh.n_cells());
-        let saved = self.active_deposit;
-        self.active_deposit = DepositMethod::Serial;
-        self.deposit_charge();
-        let base = self.node_charge.raw().to_vec();
-        self.active_deposit = DepositMethod::Matrix;
-        self.deposit_charge();
-        let ok = self.node_charge.raw() == &base[..];
-        self.active_deposit = saved;
-        ok
     }
 }
 

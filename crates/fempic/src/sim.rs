@@ -13,9 +13,8 @@ use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Fixed, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
-    deposit_loop, deposit_loop_colored, deposit_loop_matrix, greedy_color_cells,
-    invert_cell_targets, AutoTuner, ColId, Dat, DepositMethod, MoveStatus, ParticleDats,
-    TargetInverse, ThreadBinding, TunerInput,
+    deposit_loop, deposit_loop_colored, greedy_color_cells, AutoTuner, ColId, Contributions, Dat,
+    DepositMethod, ExecPolicy, MoveStatus, ParticleDats, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
@@ -102,6 +101,25 @@ impl Inlets {
     }
 }
 
+/// The `DepositCharge` kernel: particle `i` adds `q·λ_k` to node `k` of
+/// its cell, with `λ` the `lc` weights the move left.
+fn charge_kernel<'a>(
+    q: f64,
+    ps: &'a ParticleDats,
+    lc: ColId,
+    c2n: &'a [[usize; 4]],
+) -> impl Fn(usize) -> Contributions<4> + Sync + 'a {
+    let cells = ps.cells();
+    let weights = ps.col(lc).as_chunks::<4>().0;
+    move |i| {
+        let w = &weights[i];
+        (
+            c2n[cells[i] as usize],
+            [q * w[0], q * w[1], q * w[2], q * w[3]],
+        )
+    }
+}
+
 /// The Mini-FEM-PIC application state.
 pub struct FemPic {
     pub cfg: FemPicConfig,
@@ -133,9 +151,6 @@ pub struct FemPic {
     pub(crate) cell_colors: Option<(Vec<u32>, usize)>,
     /// Last move result (benchmark introspection).
     pub last_move: MoveResult,
-    /// node → (cell, slot) inverse of `c2n`, built lazily for the
-    /// Matrix deposit (the mesh is static, so once is enough).
-    target_inverse: Option<TargetInverse>,
     /// Per-step deposit strategy selector (used when
     /// `cfg.auto_tune`); its decision log doubles as the trace source.
     pub tuner: AutoTuner,
@@ -240,7 +255,6 @@ impl FemPic {
             step_no: 0,
             cell_colors,
             last_move: MoveResult::default(),
-            target_inverse: None,
             tuner: AutoTuner::default(),
             last_quarantined: 0,
             active_deposit,
@@ -375,27 +389,15 @@ impl FemPic {
                 v[2] += 0.5 * qm_dt * e[2];
             }
         };
-        if let Some((cell_start, pos, vel)) = self.ps.cols_mut2_with_index(self.pos, self.vel) {
-            // Cell-locality fast path: particles are grouped by cell,
-            // so the per-cell field is loaded once per segment instead
-            // of once per particle.
-            let space = Space::Segments(cell_start);
-            let cols = (Fixed::<3>(pos), Fixed::<3>(vel));
-            par_loop(&self.cfg.policy, space, cols, |w| {
-                let e = ef.el_fixed(w.cell.expect("segment windows carry their cell"));
-                w.each(|_, (x, v)| push(e, x, v));
-            });
-        } else {
-            let (pos, vel, cells) = self.ps.cols_mut2_with_cells(self.pos, self.vel);
-            // Persistent binding: the same worker pushes the same
-            // particles step after step (element-local writes, so
-            // bit-identical to the unbound loop either way).
-            let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
-            let cols = (Fixed::<3>(pos), Fixed::<3>(vel));
-            par_loop(&self.cfg.policy, space, cols, |w| {
-                w.each(|i, (x, v)| push(ef.el_fixed(cells[i] as usize), x, v));
-            });
-        }
+        let (pos, vel, cells) = self.ps.cols_mut2_with_cells(self.pos, self.vel);
+        // Persistent binding: the same worker pushes the same particles
+        // step after step (element-local writes, so bit-identical to the
+        // unbound loop either way).
+        let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
+        let cols = (Fixed::<3>(pos), Fixed::<3>(vel));
+        par_loop(&self.cfg.policy, space, cols, |w| {
+            w.each(|i, (x, v)| push(ef.el_fixed(cells[i] as usize), x, v));
+        });
         let bytes = (self.ps.len() * (3 + 3 + 3 + 3 + 3) * 8 + self.ps.len() * 4) as u64;
         let flops = (self.ps.len() * 12) as u64;
         self.profiler.add_traffic("CalcPosVel", bytes, flops);
@@ -478,20 +480,16 @@ impl FemPic {
         removed
     }
 
-    /// The cell-locality engine's deposit-side sort stage: pick the
-    /// step's deposit method (config, or the auto-tuner's choice) and
-    /// rebuild the CSR cell index when the coloring scheme or the
-    /// Matrix deposit's freshness precondition demands one. The
-    /// gather-side [`oppic_core::SortPolicy`] sort runs separately,
-    /// right after injection.
+    /// The deposit-side stage: pick the step's deposit method (config,
+    /// or the auto-tuner's choice) and sort the particles by cell when
+    /// the coloring scheme demands it. The gather-side
+    /// [`oppic_core::SortPolicy`] sort runs separately, right after
+    /// injection.
     fn prepare_deposit(&mut self) {
         let mut method = self.cfg.deposit;
         if self.cfg.auto_tune {
             let d = self.tuner.choose(TunerInput {
-                n_particles: self.ps.len(),
-                n_cells: self.mesh.n_cells(),
                 n_targets: self.mesh.n_nodes(),
-                index_fresh: self.ps.index_is_fresh(),
                 threads: self.cfg.policy.threads(),
             });
             // No step number in the line: the breakdown table collapses
@@ -502,9 +500,7 @@ impl FemPic {
             );
             method = d.method;
         }
-        let need_sort =
-            self.cfg.coloring || (method == DepositMethod::Matrix && !self.ps.index_is_fresh());
-        if need_sort {
+        if self.cfg.coloring {
             let tel = self.profiler.telemetry().clone();
             let _s = tel.span("SortParticles");
             let n_cells = self.mesh.n_cells();
@@ -520,19 +516,10 @@ impl FemPic {
     /// only `lc`, the cell map and `c2n`.
     pub fn deposit_charge(&mut self) {
         self.record_loop("DepositCharge");
-        let mesh = &self.mesh;
         self.node_charge.fill(0.0);
-        let q = self.cfg.charge;
         let cells = self.ps.cells();
-        let lc = self.ps.col(self.lc);
-        let c2n = &self.mesh.c2n;
         let n = self.ps.len();
-        let weights = lc.as_chunks::<4>().0;
-        let kernel = |i: usize| {
-            let w = &weights[i];
-            let charge = [q * w[0], q * w[1], q * w[2], q * w[3]];
-            (c2n[cells[i] as usize], charge)
-        };
+        let kernel = charge_kernel(self.cfg.charge, &self.ps, self.lc, &self.mesh.c2n);
         match &self.cell_colors {
             Some((colors, n_colors)) => {
                 deposit_loop_colored(
@@ -544,28 +531,6 @@ impl FemPic {
                     kernel,
                 )
                 .expect("particles are sorted before the colored deposit");
-            }
-            None if self.active_deposit == DepositMethod::Matrix => {
-                // Matrixized deposit over the fresh CSR index: per-cell
-                // outer products on one worker; in parallel each node
-                // folds its own contributions in serial order, with
-                // zero atomics. Either keeps the charge bit-identical
-                // to the Serial method (the conformance matrix's
-                // oracle).
-                let cell_start = self
-                    .ps
-                    .cell_index()
-                    .expect("Matrix requires a fresh CSR cell index (sort_by_cell)");
-                let inv = self
-                    .target_inverse
-                    .get_or_insert_with(|| invert_cell_targets(c2n, mesh.n_nodes()));
-                deposit_loop_matrix(
-                    &self.cfg.policy,
-                    cell_start,
-                    inv,
-                    self.node_charge.raw_mut(),
-                    |p, k| q * lc[p * 4 + k],
-                );
             }
             None => {
                 deposit_loop(
@@ -596,18 +561,14 @@ impl FemPic {
         if lo == 0 {
             self.node_charge.fill(0.0);
         }
-        let q = self.cfg.charge;
-        let cells = self.ps.cells();
-        let lc = self.ps.col(self.lc);
-        let c2n = &self.mesh.c2n;
-        let charge = self.node_charge.raw_mut();
-        for i in lo..hi {
-            let nd = c2n[cells[i] as usize];
-            let w = &lc[i * 4..i * 4 + 4];
-            for k in 0..4 {
-                charge[nd[k]] += q * w[k];
-            }
-        }
+        let kernel = charge_kernel(self.cfg.charge, &self.ps, self.lc, &self.mesh.c2n);
+        deposit_loop(
+            &ExecPolicy::Seq,
+            DepositMethod::Serial,
+            hi - lo,
+            self.node_charge.raw_mut(),
+            |j| kernel(lo + j),
+        );
     }
 
     /// Field-solver group: RHS, the factored solve, per-cell E.
@@ -666,8 +627,8 @@ impl FemPic {
             self.inject()
         };
 
-        // Gather-side sort (cell-locality engine): regrouping here
-        // lets CalcPosVel run segment-batched.
+        // Gather-side sort: regroups each cell's particles before
+        // CalcPosVel and the move.
         if self
             .cfg
             .sort_policy
@@ -717,9 +678,8 @@ impl FemPic {
             self.move_particles()
         };
 
-        // The coloring scheme and the Matrix deposit require
-        // cell-sorted particles — the overhead the paper attributes to
-        // those options; the auto-tuner may also ask for a sort here.
+        // The coloring scheme requires cell-sorted particles — the
+        // overhead the paper attributes to it.
         self.prepare_deposit();
 
         {
@@ -1090,59 +1050,6 @@ mod extension_tests {
     }
 
     #[test]
-    fn matrix_deposit_is_bit_identical_to_serial() {
-        // On the *same* freshly sorted store, the matrixized deposit
-        // must replay the Serial fold order exactly under both of its
-        // schedules — strict f64 equality, not a tolerance.
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 150;
-        let mut sim = FemPic::new(cfg);
-        sim.run(5);
-        sim.ps.sort_by_cell(sim.mesh.n_cells());
-        assert!(sim.ps.index_is_fresh());
-
-        sim.active_deposit = DepositMethod::Serial;
-        sim.deposit_charge();
-        let base = sim.node_charge.raw().to_vec();
-
-        sim.active_deposit = DepositMethod::Matrix;
-        for policy in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(4)] {
-            let label = format!("{policy:?}");
-            sim.cfg.policy = policy;
-            sim.deposit_charge();
-            assert_eq!(sim.node_charge.raw(), &base[..], "{label}");
-        }
-    }
-
-    #[test]
-    fn matrix_runs_the_full_pipeline() {
-        // End-to-end: the engine sorts before every matrix deposit
-        // (the move stales the index each step) and the physics
-        // matches the serial baseline to summation-order tolerance.
-        let mut serial_cfg = FemPicConfig::tiny();
-        serial_cfg.inject_per_step = 120;
-        let mut mx_cfg = serial_cfg.clone();
-        mx_cfg.deposit = DepositMethod::Matrix;
-        mx_cfg.policy = ExecPolicy::Par;
-
-        let mut a = FemPic::new(serial_cfg);
-        let mut b = FemPic::new(mx_cfg);
-        for _ in 0..6 {
-            let da = a.step();
-            let db = b.step();
-            assert_eq!(da.n_particles, db.n_particles);
-            assert_eq!(da.removed, db.removed);
-            assert!((da.total_charge - db.total_charge).abs() < 1e-9);
-        }
-        for (x, y) in a.node_charge.raw().iter().zip(b.node_charge.raw()) {
-            assert!((x - y).abs() < 1e-9, "{x} vs {y}");
-        }
-        // The precondition sort is actually recorded.
-        assert!(b.profiler.get("SortParticles").is_some());
-        assert!(a.profiler.get("SortParticles").is_none());
-    }
-
-    #[test]
     fn binding_on_is_bit_identical_to_binding_off() {
         // The persistent binding only changes *which worker* computes
         // each slot — element writes stay slot-local — so binding-on
@@ -1249,7 +1156,8 @@ mod extension_tests {
         // Sorting every step after injection keeps physics identical
         // to the never-sorted baseline up to deposit summation order
         // (the particle *array order* differs, so compare per-node
-        // charge and counts, not raw columns).
+        // charge and counts, not raw columns). The push runs the same
+        // per-particle loop on a sorted store as on an unsorted one.
         let mut base_cfg = FemPicConfig::tiny();
         base_cfg.inject_per_step = 100;
         let mut sorted_cfg = base_cfg.clone();

@@ -10,7 +10,7 @@ use oppic_analyzer::{
 use oppic_core::access::{Access, ArgDecl, LoopDecl};
 use oppic_core::decl::Registry;
 use oppic_core::plan::{LoopPlan, PlanRegistry, RaceStrategy};
-use oppic_core::{DepositMethod, ExecPolicy};
+use oppic_core::ExecPolicy;
 use oppic_mesh::geometry::{barycentric, barycentric_from_map, tet_centroid};
 
 impl FemPic {
@@ -95,7 +95,7 @@ impl FemPic {
             ),
             policy,
         ));
-        let mut deposit_plan = LoopPlan::new(
+        plans.register(LoopPlan::new(
             LoopDecl::new(
                 "DepositCharge",
                 "particles",
@@ -106,14 +106,7 @@ impl FemPic {
             ),
             policy,
             deposit_strategy,
-        );
-        if deposit_strategy == RaceStrategy::Deposit(DepositMethod::Matrix) {
-            // The matrix deposit must attest the CSR index freshness it
-            // dispatches with; the engine sorts right before the
-            // deposit, so this holds after any step.
-            deposit_plan = deposit_plan.with_index_freshness(self.ps.index_is_fresh());
-        }
-        plans.register(deposit_plan);
+        ));
         // The field-solve group runs in the FEM solver (factored, sequential sweeps).
         // SolvePotential consumes the deposited charge — the dataflow
         // analyzer's witness that the deposit's reduction must have
@@ -197,8 +190,8 @@ impl FemPic {
         report.extend(audit_particle_cells("p2c", self.ps.cells(), nc));
         if self.ps.index_is_fresh() {
             // A store claiming a fresh CSR index must actually be
-            // partitioned by it — the contract the Matrix deposit and
-            // the segment-batched gathers rely on.
+            // partitioned by it — the contract cell-aligned bindings
+            // rely on.
             report.extend(audit_cell_index(
                 "p2c-index",
                 self.ps.cell_index_raw().expect("fresh index has offsets"),
@@ -254,16 +247,7 @@ impl FemPic {
                 )
             }
             (None, true) => {
-                let method = self.active_deposit;
-                if method == DepositMethod::Matrix {
-                    // Owner-computes: each node folds its own
-                    // contributions serially — the increments need no
-                    // synchronisation at all on the owned dat.
-                    run.detect_races(
-                        Schedule::OwnerComputes { owned: charge_dat },
-                        &RaceOptions::default(),
-                    )
-                } else if !method.is_race_safe(true) {
+                if !self.active_deposit.is_race_safe(true) {
                     // Serial method: the executor ignores the parallel
                     // policy, so the effective schedule is sequential.
                     run.detect_races(Schedule::Sequential, &RaceOptions::default())
@@ -348,7 +332,6 @@ mod tests {
         for (coloring, deposit, parallel) in [
             (false, DepositMethod::ScatterArrays, true),
             (false, DepositMethod::Atomics, true),
-            (false, DepositMethod::Matrix, true),
             (true, DepositMethod::Serial, true),
             (false, DepositMethod::Serial, false),
         ] {
@@ -397,28 +380,11 @@ mod tests {
     }
 
     #[test]
-    fn matrix_plan_without_fresh_index_is_caught() {
-        // Mutating the store after the step's sort stales the index;
-        // the Matrix deposit walks the CSR cell index, so the static
-        // pass must flag its plan.
-        let mut cfg = FemPicConfig::tiny();
-        cfg.deposit = DepositMethod::Matrix;
-        cfg.policy = ExecPolicy::Par;
-        let mut sim = FemPic::new(cfg);
-        sim.run(2);
-        assert!(sim.ps.index_is_fresh(), "the engine sorts before MX");
-        assert!(!sim.validate_all().has_errors());
-
-        sim.ps.inject(10, 0); // stale the index
-        let report = check_plans(&sim.loop_plans(), Some(&sim.decl_registry()));
-        assert!(report.has_errors(), "{report}");
-        assert_eq!(report.with_code("plan/stale-index").len(), 1, "{report}");
-    }
-
-    #[test]
     fn cell_index_audit_flags_a_corrupted_index() {
+        // The colored deposit sorts right before it runs, so the index
+        // is fresh after every step.
         let mut cfg = FemPicConfig::tiny();
-        cfg.deposit = DepositMethod::Matrix;
+        cfg.coloring = true;
         cfg.policy = ExecPolicy::Par;
         let mut sim = FemPic::new(cfg);
         sim.run(2);
