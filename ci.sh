@@ -189,30 +189,6 @@ if [ "${1:-}" = "obs" ]; then
     rm -f /tmp/oppic_ci_obs_overhead.json
 fi
 
-# Overlap smoke stage: `./ci.sh overlap` runs the proof-gated async
-# overlap benchmark end-to-end (DESIGN.md §12) at a reduced scale. The
-# bin itself asserts, at every rank count, that the overlap schedule is
-# bit-identical to the synchronous fallback (split form / 1 rank) or
-# within reduction tolerance (whole form, multi-rank); here we
-# additionally require that the committed schedule report actually
-# yields an open gate — a regenerated report that silently lost its
-# overlap proofs would otherwise "pass" by running sync everywhere.
-# CI runs at reduced scale, so the committed artifact (refreshed by
-# hand at full scale, pinned by rebalance_regression.rs) is restored.
-if [ "${1:-}" = "overlap" ]; then
-    echo "== overlap: proof-gated overlap vs sync fallback (reduced scale)"
-    cp results/BENCH_overlap_scaling.json /tmp/oppic_ci_overlap_keep.json
-    OPPIC_SCALE=0.02 OPPIC_STEPS=4 ./target/release/fig_overlap_scaling \
-        | tee /tmp/oppic_ci_overlap.log >/dev/null
-    grep -q "form: whole\|form: split" /tmp/oppic_ci_overlap.log \
-        || { echo "overlap: committed report carries no overlap proof (gate closed)" >&2; exit 1; }
-    mv /tmp/oppic_ci_overlap_keep.json results/BENCH_overlap_scaling.json
-    rm -f /tmp/oppic_ci_overlap.log
-
-    echo "== overlap: committed artifact still satisfies the regression pins"
-    cargo test --offline --release -p oppic-bench --test rebalance_regression --quiet
-fi
-
 # Rank-failure smoke stage: `./ci.sh chaos-rank` exercises the
 # heartbeat failure detector, membership shrink, and checkpoint replay
 # end-to-end (DESIGN.md §13). The MTTR smoke kills a rank mid-step and

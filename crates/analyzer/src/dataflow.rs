@@ -9,7 +9,7 @@
 //! lifts a recorded schedule (the sequence of loops, halo exchanges,
 //! and global reductions one or more steps executed — see
 //! `oppic_core::schedule`) plus the static access descriptors into a
-//! per-dat dependence DAG and runs four verdict passes on the usual
+//! per-dat dependence DAG and runs three verdict passes on the usual
 //! Info/Warn/Error lattice:
 //!
 //! 1. **halo-staleness** (`dataflow/halo-stale`, Error) — a loop reads
@@ -17,12 +17,7 @@
 //!    or reads a dat whose ghost-side increments are still unfolded.
 //! 2. **redundant-comm** (`dataflow/redundant-comm`, Warn) — an
 //!    exchange whose dat was not written since the last exchange.
-//! 3. **overlap legality** ([`OverlapProof`], reported as
-//!    `dataflow/overlap` Info) — per exchange, which subsequent loops
-//!    provably touch only owned/interior data and may run concurrently
-//!    with the communication. ROADMAP item 3 (async halo overlap)
-//!    consumes these proofs as its static contract.
-//! 4. **fusion legality** (`dataflow/fusable`, Info) — adjacent loops
+//! 3. **fusion legality** (`dataflow/fusable`, Info) — adjacent loops
 //!    over the same set with no dependence edge between them.
 //!
 //! The dependence model distinguishes *owned* writes (each rank
@@ -43,7 +38,7 @@ use oppic_core::{Access, Indirection};
 use std::collections::BTreeMap;
 
 /// Report format identifier; `ci.sh` gates on it to detect drift.
-pub const REPORT_SCHEMA: &str = "oppic-schedule-report-v1";
+pub const REPORT_SCHEMA: &str = "oppic-schedule-report-v2";
 
 /// Dependence edge kind between two schedule events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,32 +70,6 @@ pub struct Edge {
     pub kind: DepKind,
 }
 
-/// Per-exchange overlap-legality proof: the loops after this exchange
-/// (through the end of the following step) partitioned into those that
-/// provably touch only data the exchange does not move — safe to run
-/// concurrently with it — and those blocked, with the blocking reason.
-#[derive(Debug, Clone)]
-pub struct OverlapProof {
-    pub dat: String,
-    pub dir: ExchangeDir,
-    pub tag: String,
-    /// Loop names legal to overlap with this exchange.
-    pub legal: Vec<String>,
-    /// Loop names legal to overlap only in **interior/boundary split
-    /// form**: they iterate the migrating set itself with purely
-    /// element-local (direct) accesses to that set's dats, so the
-    /// surviving-slot partition may run while the exchange is in
-    /// flight and the arrival partition after it drains. Migration
-    /// hole-fills before the overlap window and appends arrivals at
-    /// the end, so the split preserves the synchronous iteration
-    /// order exactly (consumed at runtime by
-    /// `oppic-mpi::overlap::OverlapGate`). Always empty for
-    /// non-migrate exchanges.
-    pub split_legal: Vec<String>,
-    /// `(loop name, reason)` for loops that must wait.
-    pub blocked: Vec<(String, String)>,
-}
-
 /// Two adjacent loops over the same set with no dependence between
 /// them — a legal fusion (one kernel launch, one sweep over the set).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +88,6 @@ pub struct ScheduleAudit {
     pub report: Report,
     /// Raw per-event dependence edges (every occurrence, not deduped).
     pub edges: Vec<Edge>,
-    pub overlaps: Vec<OverlapProof>,
     pub fusions: Vec<FusionCandidate>,
     /// Display label per event (loop name or `dir(dat)`).
     pub labels: Vec<String>,
@@ -479,142 +447,6 @@ fn check_exchange(
     }
 }
 
-/// Why a loop may not overlap a given exchange, or `None` if it
-/// provably may.
-fn overlap_block_reason(
-    trace: &ScheduleTrace,
-    dat: &str,
-    dir: ExchangeDir,
-    l: &ScheduleLoop,
-) -> Option<String> {
-    match dir {
-        ExchangeDir::Migrate => {
-            if l.decl.iter_set == dat {
-                return Some(format!("iterates migrating set '{dat}'"));
-            }
-            for a in &l.decl.args {
-                if trace.set_of(&a.dat) == Some(dat) {
-                    return Some(format!("accesses '{}' on migrating set '{dat}'", a.dat));
-                }
-            }
-            None
-        }
-        ExchangeDir::Forward => {
-            // Forward rewrites ghost copies only: owned-region direct
-            // reads are safe, anything touching the halo is not.
-            for a in &l.decl.args {
-                if a.dat != dat {
-                    continue;
-                }
-                if a.access.writes() {
-                    return Some(format!("writes '{dat}' during its exchange"));
-                }
-                if scoped_read_touches_halo(l.scope, a.indirection) {
-                    return Some(format!("reads the in-flight halo of '{dat}'"));
-                }
-            }
-            None
-        }
-        ExchangeDir::ReverseAdd | ExchangeDir::ReduceSum => {
-            // Owner values mutate mid-flight: any access at all races.
-            for a in &l.decl.args {
-                if a.dat == dat {
-                    return Some(format!("accesses '{dat}' while the exchange rewrites it"));
-                }
-            }
-            None
-        }
-    }
-}
-
-/// Why a loop blocked on a migrate exchange cannot even run in
-/// interior/boundary **split** form, or `None` if the split is
-/// provably safe. Only loops iterating the migrating set qualify:
-/// migration hole-fills the store up front and appends arrivals at
-/// the end, so a loop whose accesses to the set's dats are all
-/// element-local (direct) touches interior slots the exchange never
-/// moves. A gather across the set (indirect/double indirection on a
-/// set dat) could read an arrival slot mid-flight and stays blocked.
-fn migrate_split_block_reason(
-    trace: &ScheduleTrace,
-    dat: &str,
-    l: &ScheduleLoop,
-) -> Option<String> {
-    if l.decl.iter_set != dat {
-        return Some(format!("does not iterate migrating set '{dat}'"));
-    }
-    for a in &l.decl.args {
-        if trace.set_of(&a.dat) == Some(dat) && a.indirection != Indirection::Direct {
-            return Some(format!(
-                "gathers '{}' across the migrating set '{dat}'",
-                a.dat
-            ));
-        }
-    }
-    None
-}
-
-/// Per exchange, classify every loop from the exchange to the end of
-/// the *following* step (communication latency is hidden across the
-/// step boundary). Deduped by `(dat, dir, tag)` across recorded steps.
-fn prove_overlaps(trace: &ScheduleTrace) -> Vec<OverlapProof> {
-    let mut proofs: Vec<OverlapProof> = Vec::new();
-    for (i, ev) in trace.events.iter().enumerate() {
-        let ScheduleEvent::Exchange { dat, dir, tag } = &ev.event else {
-            continue;
-        };
-        if proofs
-            .iter()
-            .any(|p| p.dat == *dat && p.dir == *dir && p.tag == *tag)
-        {
-            continue;
-        }
-        let mut legal = Vec::new();
-        let mut split_legal = Vec::new();
-        let mut blocked = Vec::new();
-        for later in &trace.events[i + 1..] {
-            if later.step > ev.step + 1 {
-                break;
-            }
-            let ScheduleEvent::Loop { name } = &later.event else {
-                continue;
-            };
-            let Some(l) = trace.loop_named(name) else {
-                continue;
-            };
-            match overlap_block_reason(trace, dat, *dir, l) {
-                None => {
-                    if !legal.contains(name) {
-                        legal.push(name.clone());
-                    }
-                }
-                Some(reason) => {
-                    // A migrate-blocked loop may still qualify for the
-                    // weaker split-form proof.
-                    if *dir == ExchangeDir::Migrate
-                        && migrate_split_block_reason(trace, dat, l).is_none()
-                        && !split_legal.contains(name)
-                    {
-                        split_legal.push(name.clone());
-                    }
-                    if !blocked.iter().any(|(n, _)| n == name) {
-                        blocked.push((name.clone(), reason));
-                    }
-                }
-            }
-        }
-        proofs.push(OverlapProof {
-            dat: dat.clone(),
-            dir: *dir,
-            tag: tag.clone(),
-            legal,
-            split_legal,
-            blocked,
-        });
-    }
-    proofs
-}
-
 /// Adjacent same-set loop pairs with no dependence between them.
 fn find_fusions(trace: &ScheduleTrace) -> Vec<FusionCandidate> {
     let mut out: Vec<FusionCandidate> = Vec::new();
@@ -653,7 +485,7 @@ fn find_fusions(trace: &ScheduleTrace) -> Vec<FusionCandidate> {
     out
 }
 
-/// Run the full audit: DAG, verdict walk, overlap proofs, fusion scan.
+/// Run the full audit: DAG, verdict walk, fusion scan.
 pub fn audit_schedule(trace: &ScheduleTrace) -> ScheduleAudit {
     let edges = build_edges(trace);
     let mut report = Report::new();
@@ -666,34 +498,6 @@ pub fn audit_schedule(trace: &ScheduleTrace) -> ScheduleAudit {
         if !seen.contains(&key) {
             seen.push(key);
             report.push(d);
-        }
-    }
-
-    let overlaps = prove_overlaps(trace);
-    for p in &overlaps {
-        let subject = format!("{}@{}", p.dat, p.tag);
-        if p.legal.is_empty() {
-            report.push(Diagnostic::warn(
-                "dataflow/overlap-none",
-                subject,
-                format!(
-                    "no loop within a step of the {} exchange of '{}' can legally \
-                     overlap it; the exchange latency cannot be hidden",
-                    p.dir.label(),
-                    p.dat
-                ),
-            ));
-        } else {
-            report.push(Diagnostic::info(
-                "dataflow/overlap",
-                subject,
-                format!(
-                    "{} exchange of '{}' may overlap: {}",
-                    p.dir.label(),
-                    p.dat,
-                    p.legal.join(", ")
-                ),
-            ));
         }
     }
 
@@ -716,7 +520,6 @@ pub fn audit_schedule(trace: &ScheduleTrace) -> ScheduleAudit {
         steps: trace.steps,
         report,
         edges,
-        overlaps,
         fusions,
         labels,
     }
@@ -780,43 +583,6 @@ impl ScheduleAudit {
                 json::quote(dat),
                 json::quote(kind)
             ));
-        }
-        s.push_str("\n  ],\n  \"overlaps\": [");
-        for (i, p) in self.overlaps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"dat\": {}, \"dir\": {}, \"tag\": {}, \"legal\": [",
-                json::quote(&p.dat),
-                json::quote(p.dir.label()),
-                json::quote(&p.tag)
-            ));
-            for (k, l) in p.legal.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&json::quote(l));
-            }
-            s.push_str("], \"split_legal\": [");
-            for (k, l) in p.split_legal.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&json::quote(l));
-            }
-            s.push_str("], \"blocked\": [");
-            for (k, (l, why)) in p.blocked.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!(
-                    "{{\"loop\": {}, \"reason\": {}}}",
-                    json::quote(l),
-                    json::quote(why)
-                ));
-            }
-            s.push_str("]}");
         }
         s.push_str("\n  ],\n  \"fusions\": [");
         for (i, f) in self.fusions.iter().enumerate() {
@@ -882,9 +648,7 @@ pub fn check_report_schema(src: &str) -> Result<(), String> {
         Some(s) => return Err(format!("report schema is {s:?}, want {REPORT_SCHEMA:?}")),
         None => return Err("report missing \"schema\" field".into()),
     }
-    for key in [
-        "app", "steps", "summary", "verdicts", "edges", "overlaps", "fusions",
-    ] {
+    for key in ["app", "steps", "summary", "verdicts", "edges", "fusions"] {
         if doc.get(key).is_none() {
             return Err(format!("report missing {key:?} section"));
         }
@@ -1119,121 +883,6 @@ mod tests {
         assert!(rows
             .iter()
             .any(|(f, t, d, k)| f == "Solve" && t == "FieldUpdate" && *d == "phi" && *k == "raw"));
-    }
-
-    #[test]
-    fn overlap_proofs_find_legal_loops_per_exchange() {
-        let audit = audit_schedule(&trace_of(2, &full_step));
-        assert_eq!(audit.overlaps.len(), 2, "one proof per distinct exchange");
-        for p in &audit.overlaps {
-            assert!(
-                !p.legal.is_empty(),
-                "exchange {}({}) has no overlap-legal loop",
-                p.dir.label(),
-                p.dat
-            );
-        }
-        let mig = audit
-            .overlaps
-            .iter()
-            .find(|p| p.dir == ExchangeDir::Migrate)
-            .unwrap();
-        // Field loops don't touch particle data: legal under migration.
-        assert!(mig.legal.contains(&"Solve".to_string()), "{mig:?}");
-        assert!(mig.legal.contains(&"FieldUpdate".to_string()), "{mig:?}");
-        assert!(mig.blocked.iter().any(|(n, _)| n == "Deposit"), "{mig:?}");
-        let red = audit
-            .overlaps
-            .iter()
-            .find(|p| p.dir == ExchangeDir::ReduceSum)
-            .unwrap();
-        // Solve reads charge: blocked. FieldUpdate doesn't touch it.
-        assert!(red.blocked.iter().any(|(n, _)| n == "Solve"), "{red:?}");
-        assert!(red.legal.contains(&"FieldUpdate".to_string()), "{red:?}");
-    }
-
-    #[test]
-    fn split_proofs_cover_set_local_particle_loops() {
-        let audit = audit_schedule(&trace_of(2, &full_step));
-        let mig = audit
-            .overlaps
-            .iter()
-            .find(|p| p.dir == ExchangeDir::Migrate)
-            .unwrap();
-        // Deposit and Move iterate the migrating set with element-local
-        // accesses: blocked from whole-loop overlap, but proven for the
-        // interior/boundary split form.
-        assert!(mig.split_legal.contains(&"Deposit".to_string()), "{mig:?}");
-        assert!(mig.split_legal.contains(&"Move".to_string()), "{mig:?}");
-        // Whole-loop-legal loops are not duplicated into split_legal.
-        assert!(!mig.split_legal.contains(&"Solve".to_string()), "{mig:?}");
-        // Non-migrate exchanges never get split proofs.
-        let red = audit
-            .overlaps
-            .iter()
-            .find(|p| p.dir == ExchangeDir::ReduceSum)
-            .unwrap();
-        assert!(red.split_legal.is_empty(), "{red:?}");
-        // The report carries the new list and stays schema-valid.
-        let json = audit.report_json();
-        assert!(json.contains("\"split_legal\": [\"Deposit\""), "{json}");
-        check_report_schema(&json).expect("schema-valid report");
-    }
-
-    #[test]
-    fn gather_across_migrating_set_blocks_the_split_form() {
-        // A particle loop that gathers another particle's data (an
-        // indirect read on a dat of the migrating set) could observe
-        // an arrival slot mid-flight — no split proof.
-        let mut plans = registry();
-        plans.register(LoopPlan::direct(
-            LoopDecl::new(
-                "PairGather",
-                "particles",
-                vec![ArgDecl::indirect("pos", 3, Access::Read, "nbr")],
-            ),
-            &ExecPolicy::Seq,
-        ));
-        let rec = ScheduleRecorder::new();
-        rec.begin_step();
-        rec.record_loop("Move");
-        rec.record_exchange("particles", ExchangeDir::Migrate, "t/mig");
-        rec.record_loop("PairGather");
-        rec.record_loop("Deposit");
-        rec.record_exchange("charge", ExchangeDir::ReduceSum, "t/charge");
-        rec.record_loop("Solve");
-        rec.record_loop("FieldUpdate");
-        let mut scopes = scopes();
-        scopes.push(("PairGather", LoopScope::Owned, false));
-        let trace = ScheduleTrace::from_recording(
-            "test",
-            &plans,
-            &scopes,
-            &["particles"],
-            &[
-                ("pos", "particles"),
-                ("lc", "particles"),
-                ("charge", "nodes"),
-                ("phi", "nodes"),
-                ("efield", "cells"),
-            ],
-            &rec,
-        );
-        let audit = audit_schedule(&trace);
-        let mig = audit
-            .overlaps
-            .iter()
-            .find(|p| p.dir == ExchangeDir::Migrate)
-            .unwrap();
-        assert!(
-            mig.blocked.iter().any(|(n, _)| n == "PairGather"),
-            "{mig:?}"
-        );
-        assert!(
-            !mig.split_legal.contains(&"PairGather".to_string()),
-            "{mig:?}"
-        );
-        assert!(mig.split_legal.contains(&"Deposit".to_string()), "{mig:?}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use audit::{
 };
 pub use dataflow::{
     audit_schedule, audit_schedule_json, check_report_schema, DepKind, Edge, FusionCandidate,
-    OverlapProof, ScheduleAudit, REPORT_SCHEMA,
+    ScheduleAudit, REPORT_SCHEMA,
 };
 pub use diag::{Diagnostic, Report, Severity};
 pub use shadow::{shadow_record, AccessKind, Race, RaceOptions, Schedule, ShadowCtx, ShadowRun};

@@ -16,8 +16,8 @@ use oppic_cabana::{CabanaConfig, StructuredCabana};
 use oppic_core::ExecPolicy;
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::{world_run, RankCtx};
-use oppic_mpi::{OverlapForm, OverlapGate, Plain};
-use std::time::{Duration, Instant};
+use oppic_mpi::Plain;
+use std::time::Instant;
 
 /// Per-rank outcome of a distributed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,22 +84,25 @@ fn collect(n_ranks: usize, steps: usize, per_rank: Vec<(RankReport, f64)>) -> Di
     }
 }
 
-/// `steps` fempic distributed steps on `n_ranks` ranks; the check
-/// scalar is the total node charge.
-fn run_fempic(
+/// Run Mini-FEM-PIC on `n_ranks` in-process ranks for `steps` steps.
+///
+/// Each rank injects `inject_per_step / n_ranks` particles from its
+/// own stream ([`FemPicConfig::rank_share`]) over the directional
+/// partition ([`FemPic::new_rank`]) and runs the distributed step:
+/// local kernels, migrate strays, then the node-charge reduction in
+/// the role of the node-halo exchange. The check scalar is the total
+/// node charge.
+pub fn run_fempic_distributed(
     base: &FemPicConfig,
     n_ranks: usize,
     steps: usize,
-    form: OverlapForm,
-    latency: Duration,
 ) -> DistributedReport {
     let per_rank = world_run(n_ranks, |ctx: &mut RankCtx| {
         let (mut sim, cell_rank) = FemPic::new_rank(base, ctx.rank, n_ranks);
-        let mut net = Plain { latency };
         let mut migrated_out = 0usize;
         let t0 = Instant::now();
         for _ in 0..steps {
-            let Ok(stats) = sim.distributed_step(ctx, &mut net, &cell_rank, form);
+            let Ok(stats) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
             migrated_out += stats.sent;
         }
         let report = RankReport {
@@ -112,44 +115,6 @@ fn run_fempic(
         (report, sim.node_charge.sum())
     });
     collect(n_ranks, steps, per_rank)
-}
-
-/// Run Mini-FEM-PIC on `n_ranks` in-process ranks for `steps` steps.
-///
-/// Each rank injects `inject_per_step / n_ranks` particles from its
-/// own stream ([`FemPicConfig::rank_share`]) over the directional
-/// partition ([`FemPic::new_rank`]) and runs the synchronous
-/// distributed step: local kernels, migrate strays, then the
-/// node-charge reduction in the role of the node-halo exchange.
-pub fn run_fempic_distributed(
-    base: &FemPicConfig,
-    n_ranks: usize,
-    steps: usize,
-) -> DistributedReport {
-    run_fempic(base, n_ranks, steps, OverlapForm::None, Duration::ZERO)
-}
-
-/// Like [`run_fempic_distributed`], but with **proof-gated async
-/// migration overlap** (DESIGN.md §12): the step runs the strongest
-/// form the analyzer report (`gate`) proves legal
-/// ([`FemPic::migrate_form`]) — whole (the migration hides behind the
-/// field solve), split (behind the interior deposit partition;
-/// bit-identical to the synchronous form), or the synchronous
-/// fallback.
-///
-/// `latency` models the network service time of the in-flight
-/// exchange: the sync path waits it out serially; the overlap forms
-/// hide it behind proven-independent compute (the "overlap slack" the
-/// obs plane records).
-pub fn run_fempic_distributed_overlap(
-    base: &FemPicConfig,
-    n_ranks: usize,
-    steps: usize,
-    gate: &OverlapGate,
-    latency: Duration,
-) -> DistributedReport {
-    let form = FemPic::migrate_form(gate);
-    run_fempic(base, n_ranks, steps, form, latency)
 }
 
 /// Run CabanaPIC on `n_ranks` in-process ranks for `steps` steps.
@@ -171,7 +136,7 @@ pub fn run_cabana_distributed(
         let mut migrated_out = 0usize;
         let t0 = Instant::now();
         for _ in 0..steps {
-            let Ok(stats) = sim.distributed_step(ctx, &mut Plain::default(), &cell_rank);
+            let Ok(stats) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
             migrated_out += stats.sent;
         }
         let main_loop_seconds = t0.elapsed().as_secs_f64();
@@ -231,87 +196,6 @@ mod tests {
         assert!((q1 - qn).abs() < 1e-12, "{q1} vs {qn}");
         assert!(multi.total_particles > 0);
         assert!(multi.imbalance() < 2.0, "imbalance {}", multi.imbalance());
-    }
-
-    /// A minimal report carrying exactly the proof the fempic overlap
-    /// driver queries (the analyzer emits the same shape — see
-    /// `oppic-analyzer --audit-schedule`).
-    const FEMPIC_SPLIT_REPORT: &str = r#"{
-      "schema": "oppic-schedule-report-v1",
-      "app": "fempic",
-      "overlaps": [
-        {"dat": "particles", "dir": "migrate", "tag": "fempic/migrate",
-         "legal": [], "split_legal": ["DepositCharge"], "blocked": []}
-      ]
-    }"#;
-
-    #[test]
-    fn overlap_driver_is_bit_identical_with_and_without_proof() {
-        use oppic_mpi::OverlapGate;
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 64;
-        let open = OverlapGate::from_report_json(FEMPIC_SPLIT_REPORT).unwrap();
-        let lat = std::time::Duration::ZERO;
-        let a = run_fempic_distributed_overlap(&cfg, 3, 5, &open, lat);
-        // Negative control: no proof → sync fallback, same bits.
-        let b = run_fempic_distributed_overlap(&cfg, 3, 5, &OverlapGate::closed(), lat);
-        assert_eq!(a.total_particles, b.total_particles);
-        assert_eq!(a.check_scalar.to_bits(), b.check_scalar.to_bits());
-        for (ra, rb) in a.ranks.iter().zip(&b.ranks) {
-            assert_eq!(ra.final_particles, rb.final_particles);
-            assert_eq!(ra.migrated_out, rb.migrated_out);
-        }
-    }
-
-    /// A report proving the whole form too (the committed analyzer
-    /// report proves both: `SolvePotential` is node-dat-only).
-    const FEMPIC_WHOLE_REPORT: &str = r#"{
-      "schema": "oppic-schedule-report-v1",
-      "app": "fempic",
-      "overlaps": [
-        {"dat": "particles", "dir": "migrate", "tag": "fempic/migrate",
-         "legal": ["SolvePotential", "ComputeElectricField"],
-         "split_legal": ["DepositCharge"], "blocked": []}
-      ]
-    }"#;
-
-    #[test]
-    fn whole_form_matches_sync_physics_and_is_bit_identical_single_rank() {
-        use oppic_mpi::OverlapGate;
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 64;
-        let whole = OverlapGate::from_report_json(FEMPIC_WHOLE_REPORT).unwrap();
-        let lat = std::time::Duration::ZERO;
-        // Single rank: migration is empty, so the deferred-migration
-        // schedule collapses to the eager one — bit-identical.
-        let a1 = run_fempic_distributed_overlap(&cfg, 1, 5, &whole, lat);
-        let b1 = run_fempic_distributed_overlap(&cfg, 1, 5, &OverlapGate::closed(), lat);
-        assert_eq!(a1.check_scalar.to_bits(), b1.check_scalar.to_bits());
-        // Multi-rank: deposit attribution moves across ranks (arrivals
-        // deposit pre-ship), so the reduction's fold order differs —
-        // same physics to reduction tolerance, same particles.
-        let a = run_fempic_distributed_overlap(&cfg, 3, 5, &whole, lat);
-        let b = run_fempic_distributed_overlap(&cfg, 3, 5, &OverlapGate::closed(), lat);
-        assert_eq!(a.total_particles, b.total_particles);
-        let qa = a.check_scalar / a.total_particles as f64;
-        let qb = b.check_scalar / b.total_particles as f64;
-        assert!((qa - qb).abs() < 1e-10, "{qa} vs {qb}");
-        assert_eq!(
-            a.ranks.iter().map(|r| r.migrated_out).sum::<usize>(),
-            b.ranks.iter().map(|r| r.migrated_out).sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn overlap_driver_matches_sync_migration_driver() {
-        use oppic_mpi::OverlapGate;
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 64;
-        let base = run_fempic_distributed(&cfg, 3, 5);
-        let gate = OverlapGate::from_report_json(FEMPIC_SPLIT_REPORT).unwrap();
-        let over = run_fempic_distributed_overlap(&cfg, 3, 5, &gate, std::time::Duration::ZERO);
-        assert_eq!(base.total_particles, over.total_particles);
-        assert_eq!(base.check_scalar.to_bits(), over.check_scalar.to_bits());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use oppic_core::{CheckpointManifest, ParticleDats, Recoverable};
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::RankCtx;
 use oppic_mpi::partition::directional_partition;
-use oppic_mpi::{MigrationStats, OverlapForm, Transport};
+use oppic_mpi::{MigrationStats, Transport};
 use oppic_obs::recorder::FlightRecorder;
 use oppic_resilience::{
     agree_evict, latest_common_version, read_shard, world_run_faulty, write_shard, FailureDetector,
@@ -245,13 +245,12 @@ impl Transport for KillSwitch<'_> {
         ctx: &mut RankCtx,
         ps: &mut ParticleDats,
         leavers: &[(usize, u32, i32)],
-        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
     ) -> Result<MigrationStats, Interrupted> {
         if self.armed {
             return Err(Interrupted::Killed);
         }
         self.link
-            .migrate(ctx, ps, leavers, window)
+            .migrate(ctx, ps, leavers)
             .map_err(Interrupted::Link)
     }
 
@@ -460,11 +459,7 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
                 link: &mut run.link,
                 armed,
             };
-            let form = OverlapForm::None;
-            match run
-                .sim
-                .distributed_step(ctx, &mut net, &run.cell_rank, form)
-            {
+            match run.sim.distributed_step(ctx, &mut net, &run.cell_rank) {
                 Ok(_) => {}
                 // Fail-stop with peers already committed to the exchange.
                 Err(Interrupted::Killed) => return Ok(None),

@@ -1,13 +1,12 @@
 //! Rebalance-trigger regression against the recorded drift trace.
 //!
-//! Table-driven over `results/BENCH_overlap_scaling.json` (the
-//! committed artifact of `fig_overlap_scaling`): the binding-on run's
+//! Table-driven over `results/BENCH_binding_drift.json` (the
+//! committed artifact of `binding_drift_trace`): the binding-on run's
 //! per-step gate decisions are recorded as a drift trace, and the
 //! trace is replayed here through [`RebalancePolicy::should_rebalance`]
 //! with the recorded policy. A heuristic edit that changes when
 //! persistent bindings rebuild fails this test without re-running the
-//! bench; the artifact's overlap acceptance row (speedup at 8 ranks)
-//! is pinned alongside it.
+//! bench.
 
 use oppic_core::json::{self, Json};
 use oppic_core::{RebalanceEvent, RebalancePolicy};
@@ -15,7 +14,7 @@ use oppic_core::{RebalanceEvent, RebalancePolicy};
 fn load_artifact() -> Json {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../results/BENCH_overlap_scaling.json"
+        "/../../results/BENCH_binding_drift.json"
     );
     let src = std::fs::read_to_string(path).expect("committed bench artifact must exist");
     json::parse(&src).expect("bench artifact must be valid JSON")
@@ -55,7 +54,7 @@ fn recorded_drift_trace_replays_through_the_policy() {
     let doc = load_artifact();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("oppic-bench-overlap-scaling-v1")
+        Some("oppic-bench-binding-drift-v1")
     );
     let policy = recorded_policy(&doc);
     let trace = recorded_trace(&doc);
@@ -84,23 +83,4 @@ fn recorded_drift_trace_replays_through_the_policy() {
         rebuilds < trace.len() - 1,
         "drift trigger fired every step — threshold records no decision"
     );
-}
-
-#[test]
-fn recorded_overlap_speedup_meets_acceptance_floor() {
-    let doc = load_artifact();
-    // The committed report must have been generated with the analyzer
-    // proofs present — a sync-fallback artifact is not an overlap run.
-    assert_eq!(doc.get("whole_proven").and_then(Json::as_bool), Some(true));
-    assert_eq!(doc.get("split_proven").and_then(Json::as_bool), Some(true));
-    let speedup = doc
-        .get("speedup_at_8")
-        .and_then(Json::as_f64)
-        .expect("speedup_at_8");
-    assert!(
-        speedup >= 1.15,
-        "recorded overlap speedup at 8 ranks {speedup} below the 1.15x floor"
-    );
-    let ranks = doc.get("ranks").and_then(Json::as_arr).expect("ranks");
-    assert_eq!(ranks.len(), 4, "weak-scaling axis is 1/2/4/8 ranks");
 }

@@ -439,7 +439,7 @@ impl<T: Topology> CabanaEngine<T> {
         if let Some(rec) = &self.schedule {
             rec.record_exchange("particles", ExchangeDir::Migrate, "cabana/migrate");
         }
-        net.migrate(ctx, &mut self.ps, &leavers, None)
+        net.migrate(ctx, &mut self.ps, &leavers)
     }
 
     /// One full leap-frog step. Returns diagnostics. Kernel timing

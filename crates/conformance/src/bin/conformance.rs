@@ -286,9 +286,9 @@ fn chaos_replay(path: &str) -> i32 {
 }
 
 /// Whole-step schedule conformance (DESIGN.md §11): both apps'
-/// recorded communication schedules audit Error-free with at least
-/// one overlap-legal loop per exchange, and the broken-schedule
-/// negative control still trips the staleness detector.
+/// recorded communication schedules audit Error-free and record their
+/// exchanges, and the broken-schedule negative control still trips the
+/// staleness detector.
 fn run_schedule_checks() -> i32 {
     let t0 = Instant::now();
     let checks = verify_schedules();

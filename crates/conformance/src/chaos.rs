@@ -29,7 +29,6 @@ use oppic_core::telemetry::Telemetry;
 use oppic_core::Simulation;
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::RankCtx;
-use oppic_mpi::OverlapForm;
 use oppic_obs::recorder::FlightRecorder;
 use oppic_obs::watchdog::{StepObs, Watchdog, WatchdogConfig, RULE_QUARANTINE, RULE_STEP_TIME};
 use oppic_resilience::{
@@ -97,12 +96,6 @@ pub struct ChaosCell {
     /// Retry budget of the reliable link (also the rollback budget of
     /// recovery cells).
     pub max_retries: usize,
-    /// Run the distributed step's split migration form: the interior
-    /// deposit partition runs inside the in-flight exchange window, the
-    /// boundary partition after the drain. The faults then land on an
-    /// *open* async exchange — the overlap layer's weaker abort-only
-    /// contract must still never silently corrupt.
-    pub overlap: bool,
     /// Retransmit timer (ms) for fault-free links; see
     /// [`DEFAULT_QUIET_RETRANSMIT_MS`].
     pub quiet_retransmit_ms: u64,
@@ -119,7 +112,6 @@ impl ChaosCell {
             steps: 3,
             particles: 24,
             max_retries: 8,
-            overlap: false,
             quiet_retransmit_ms: DEFAULT_QUIET_RETRANSMIT_MS,
         }
     }
@@ -151,14 +143,13 @@ impl ChaosCell {
                 format!("kill{rank}at{step}-{}{abort}", site.name())
             }
         };
-        let overlap = if self.overlap { "-ov" } else { "" };
         let timer = if self.quiet_retransmit_ms == DEFAULT_QUIET_RETRANSMIT_MS {
             String::new()
         } else {
             format!("-q{}", self.quiet_retransmit_ms)
         };
         format!(
-            "chaos-{fault}-x{:x}-r{}-s{}-p{}-t{}{overlap}{timer}",
+            "chaos-{fault}-x{:x}-r{}-s{}-p{}-t{}{timer}",
             self.seed, self.ranks, self.steps, self.particles, self.max_retries
         )
     }
@@ -254,11 +245,6 @@ fn run_reliable_fempic(
     let mut base = FemPicConfig::tiny();
     base.inject_per_step = cell.particles;
     base.seed = base.seed.wrapping_add(cell.seed);
-    let form = if cell.overlap {
-        OverlapForm::Split
-    } else {
-        OverlapForm::None
-    };
     world_run_faulty(n_ranks, sched, |ctx: &mut RankCtx| {
         let hub = Arc::new(Telemetry::new());
         let _guard = hub.make_current();
@@ -277,7 +263,7 @@ fn run_reliable_fempic(
         });
 
         for _ in 0..cell.steps {
-            sim.distributed_step(ctx, &mut link, &cell_rank, form)
+            sim.distributed_step(ctx, &mut link, &cell_rank)
                 .map_err(|e| e.to_string())?;
         }
 
@@ -594,13 +580,6 @@ pub fn chaos_quick_matrix() -> Vec<ChaosCell> {
     // Sub-unity rate on a wider world: faults interleave with clean
     // traffic instead of front-loading.
     cells.push(mpi_cell(FaultKind::Drop, 0x51, 0.3, 6, 3));
-    // Overlap-on cells: delay and reorder land on the *open* async
-    // exchange window while the interior deposit runs inside it.
-    for (kind, seed) in [(FaultKind::Delay, 0x61), (FaultKind::Reorder, 0x62)] {
-        let mut c = mpi_cell(kind, seed, 1.0, 3, 2);
-        c.overlap = true;
-        cells.push(c);
-    }
     cells.push(ChaosCell {
         fault: ChaosFault::NanInject { step: 3 },
         seed: 5,
@@ -638,10 +617,6 @@ pub fn chaos_full_matrix() -> Vec<ChaosCell> {
             cells.push(mpi_cell(kind, 0xA0 + 13 * i as u64 + s, 1.0, 4, 3));
         }
         cells.push(mpi_cell(kind, 0xF0 + i as u64, 0.5, 8, 2));
-        // And every kind against the open overlap window.
-        let mut c = mpi_cell(kind, 0xB8 + i as u64, 1.0, 3, 2);
-        c.overlap = true;
-        cells.push(c);
     }
     cells.push(ChaosCell {
         fault: ChaosFault::NanInject { step: 2 },
@@ -949,7 +924,6 @@ pub fn chaos_reproducer_json(cell: &ChaosCell, failures: &[String]) -> String {
         "  \"max_retries\": {},\n",
         json::num(cell.max_retries as f64)
     ));
-    out.push_str(&format!("  \"overlap\": {},\n", cell.overlap));
     out.push_str(&format!(
         "  \"quiet_retransmit_ms\": {},\n",
         json::num(cell.quiet_retransmit_ms as f64)
@@ -991,6 +965,13 @@ pub fn parse_chaos_reproducer(src: &str) -> Result<(ChaosCell, Vec<String>), Str
         return Err(format!(
             "chaos reproducer schema '{schema}' is not '{CHAOS_SCHEMA}' — regenerate the case"
         ));
+    }
+    if matches!(doc.get("overlap"), Some(Json::Bool(true))) {
+        return Err(
+            "chaos reproducer runs the retired 'overlap' form: the migration has \
+                    one synchronous form now — regenerate the case"
+                .into(),
+        );
     }
     let fault = match req_str(&doc, "fault")? {
         "none" => ChaosFault::None,
@@ -1043,9 +1024,7 @@ pub fn parse_chaos_reproducer(src: &str) -> Result<(ChaosCell, Vec<String>), Str
             steps: req_u64(&doc, "steps")?.max(1) as usize,
             particles: req_u64(&doc, "particles")?.max(1) as usize,
             max_retries: req_u64(&doc, "max_retries")? as usize,
-            // Absent in pre-overlap reproducers: default off / default
-            // quiet timer.
-            overlap: matches!(doc.get("overlap"), Some(Json::Bool(true))),
+            // Absent in older reproducers: the default quiet timer.
             quiet_retransmit_ms: doc
                 .get("quiet_retransmit_ms")
                 .and_then(Json::as_u64)
@@ -1367,83 +1346,6 @@ mod tests {
         assert!(p.base_timeout <= Duration::from_millis(10));
     }
 
-    /// The overlap satellite: delay and reorder faults land on the
-    /// *in-flight* async exchange while the interior deposit runs
-    /// inside the window. The verdict must be Recovered (or at worst a
-    /// typed CleanAbort) — never SilentCorruption.
-    #[test]
-    fn overlap_cells_absorb_faults_on_the_inflight_exchange() {
-        for kind in [FaultKind::Delay, FaultKind::Reorder] {
-            let mut cell = mpi_cell(kind, 0x61, 1.0, 3, 2);
-            cell.overlap = true;
-            let report = run_chaos_cell(&cell);
-            assert!(
-                report.no_silent_corruption(),
-                "{}: overlap run silently corrupted: {:?}",
-                cell,
-                report.failure_lines()
-            );
-            match report.verdict {
-                ChaosVerdict::Recovered { injected, .. } => {
-                    assert!(injected > 0, "{cell}: schedule must fire")
-                }
-                ChaosVerdict::CleanAbort { .. } => {}
-                ChaosVerdict::SilentCorruption { .. } => unreachable!(),
-            }
-        }
-    }
-
-    /// The split form deposits the interior partition inside the
-    /// exchange window and the arrivals after it, with fresh weights
-    /// for both: on a fault-free link it ends bit-identical to the
-    /// synchronous form.
-    #[test]
-    fn fault_free_split_form_is_bit_identical_to_sync() {
-        let sync = ChaosCell {
-            ranks: 3,
-            steps: 4,
-            particles: 48,
-            ..ChaosCell::base()
-        };
-        let split = ChaosCell {
-            overlap: true,
-            ..sync.clone()
-        };
-        let a = run_reliable_fempic(&sync, None);
-        let b = run_reliable_fempic(&split, None);
-        for (r, (a, b)) in a.iter().zip(&b).enumerate() {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.particles, b.particles, "rank {r}");
-            let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.node_charge), bits(&b.node_charge), "rank {r}");
-        }
-    }
-
-    /// The abort-only contract under total loss: the overlap migration
-    /// hole-fills before the window opens and does not restore leavers
-    /// on failure, so exhausting retries must surface as a typed abort
-    /// on the affected ranks — never as a completed-but-wrong run.
-    #[test]
-    fn overlap_total_loss_is_a_clean_abort_not_corruption() {
-        let mut cell = ChaosCell {
-            fault: ChaosFault::Mpi {
-                kind: FaultKind::Drop,
-                rate: 1.0,
-                budget: u64::MAX,
-            },
-            seed: 13,
-            steps: 2,
-            particles: 16,
-            max_retries: 0,
-            ..ChaosCell::base()
-        };
-        cell.overlap = true;
-        match run_chaos_cell(&cell).verdict {
-            ChaosVerdict::CleanAbort { errors } => assert!(!errors.is_empty()),
-            other => panic!("expected CleanAbort, got {other:?}"),
-        }
-    }
-
     /// The quiet retransmit timer is configuration, not a constant:
     /// non-default values name the cell id and survive the reproducer
     /// roundtrip, so a replay runs with the captured timing.
@@ -1452,19 +1354,38 @@ mod tests {
         let mut cell = mpi_cell(FaultKind::Delay, 0x21, 1.0, 2, 2);
         assert!(!cell.id().contains("-q"), "{}", cell.id());
         cell.quiet_retransmit_ms = 250;
-        cell.overlap = true;
-        assert!(cell.id().ends_with("-ov-q250"), "{}", cell.id());
+        assert!(cell.id().ends_with("-q250"), "{}", cell.id());
         let (back, _) = parse_chaos_reproducer(&chaos_reproducer_json(&cell, &[])).expect("parse");
         assert_eq!(back, cell);
-        // Pre-overlap reproducers omit both fields: defaults apply.
+        // Older reproducers omit the field: the default applies.
         let src: String = chaos_reproducer_json(&cell, &[])
             .lines()
-            .filter(|l| !l.contains("\"overlap\"") && !l.contains("\"quiet_retransmit_ms\""))
+            .filter(|l| !l.contains("\"quiet_retransmit_ms\""))
             .collect::<Vec<_>>()
             .join("\n");
         let (back, _) = parse_chaos_reproducer(&src).expect("parse");
-        assert!(!back.overlap);
         assert_eq!(back.quiet_retransmit_ms, DEFAULT_QUIET_RETRANSMIT_MS);
+    }
+
+    /// A reproducer captured on the retired overlap form is refused,
+    /// not replayed synchronously; one without the key, or with it
+    /// off, still parses.
+    #[test]
+    fn retired_overlap_reproducer_is_refused() {
+        let cell = mpi_cell(FaultKind::Delay, 0x61, 1.0, 3, 2);
+        let src = chaos_reproducer_json(&cell, &[]);
+        let with = |v: &str| {
+            src.replace(
+                "\"quiet_retransmit_ms\"",
+                &format!("\"overlap\": {v},\n  \"quiet_retransmit_ms\""),
+            )
+        };
+        let err = parse_chaos_reproducer(&with("true")).unwrap_err();
+        assert!(err.contains("retired 'overlap' form"), "{err}");
+        for src in [src.clone(), with("false")] {
+            let (back, _) = parse_chaos_reproducer(&src).expect("parse");
+            assert_eq!(back, cell);
+        }
     }
 
     /// The watchdog negative controls are part of the chaos stage's

@@ -86,12 +86,6 @@ pub struct CellConfig {
     /// slot-local, so binding-on is a bit-identity promise against the
     /// same configuration with the binding off.
     pub binding: bool,
-    /// Proof-gated async migration overlap (DESIGN.md §12), consulted
-    /// by MPI Mini-FEM-PIC cells: the migrate exchange runs
-    /// asynchronously behind the proven-independent interior partition.
-    /// The split form is bit-identical to the synchronous driver by
-    /// construction; ignored on non-MPI runtimes.
-    pub overlap: bool,
     pub steps: usize,
     /// Injection rate per step (Mini-FEM-PIC) or particles per cell
     /// (CabanaPIC).
@@ -112,7 +106,6 @@ impl CellConfig {
             runtime: Runtime::Host,
             sort_always: false,
             binding: false,
-            overlap: false,
             steps: 3,
             particles: match app {
                 App::FemPic => 40,
@@ -163,14 +156,13 @@ impl CellConfig {
         };
         let sort = if self.sort_always { "-sorted" } else { "" };
         let bind = if self.binding { "-bind" } else { "" };
-        let overlap = if self.overlap { "-overlap" } else { "" };
         let mutated = if self.mutation.is_some() {
             "-mutated"
         } else {
             ""
         };
         format!(
-            "{app}-{exec}-{}-{mover}-{runtime}{sort}{bind}{overlap}{mutated}",
+            "{app}-{exec}-{}-{mover}-{runtime}{sort}{bind}{mutated}",
             self.deposit.label().to_lowercase()
         )
     }
@@ -256,16 +248,6 @@ pub fn quick_matrix() -> Vec<CellConfig> {
         binding: true,
         ..fem.clone()
     });
-    // Proof-gated overlap: single-rank overlap is differenced against
-    // the *sync* single-rank reference under the bit-identity oracle;
-    // the two-rank cell additionally runs the runner's sync-twin check.
-    for ranks in [1, 2] {
-        cells.push(CellConfig {
-            runtime: Runtime::Mpi(ranks),
-            overlap: true,
-            ..fem.clone()
-        });
-    }
     // CabanaPIC host: policies × sort.
     for exec in [Exec::Seq, Exec::Pool2, Exec::Pool4] {
         for sort_always in [false, true] {
@@ -349,7 +331,7 @@ pub fn full_matrix() -> Vec<CellConfig> {
             ..fem.clone()
         });
     }
-    // MPI ranks × movers, and the overlap axis across rank counts.
+    // MPI ranks × movers.
     for ranks in [1, 2, 4] {
         for mover in [Mover::MultiHop, Mover::DirectHop] {
             cells.push(CellConfig {
@@ -358,11 +340,6 @@ pub fn full_matrix() -> Vec<CellConfig> {
                 ..fem.clone()
             });
         }
-        cells.push(CellConfig {
-            runtime: Runtime::Mpi(ranks),
-            overlap: true,
-            ..fem.clone()
-        });
     }
     // CabanaPIC: policies × sort (binding-off and binding-on), then
     // MPI.
@@ -412,20 +389,6 @@ mod tests {
             cells.iter().any(|c| c.binding && c.app == App::Cabana),
             "the quick matrix must exercise the CabanaPIC binding axis"
         );
-        assert!(
-            cells
-                .iter()
-                .any(|c| c.overlap && matches!(c.runtime, Runtime::Mpi(_))),
-            "the quick matrix must exercise the proof-gated overlap axis"
-        );
-        // The single-rank overlap cell is the bit-identity promise: its
-        // reference is the sync single-rank driver on the same config.
-        assert!(
-            cells
-                .iter()
-                .any(|c| c.overlap && c.runtime == Runtime::Mpi(1)),
-            "overlap must be differenced against the sync path at one rank"
-        );
         // Cell ids are unique (they key telemetry counters and files).
         let mut ids: Vec<String> = cells.iter().map(CellConfig::id).collect();
         ids.sort();
@@ -458,26 +421,17 @@ mod tests {
                 );
             }
         }
-        assert!(
-            cells
-                .iter()
-                .any(|c| c.overlap && c.runtime == Runtime::Mpi(4)),
-            "the full matrix scales the overlap axis past two ranks"
-        );
     }
 
     #[test]
-    fn binding_and_overlap_axes_name_the_cell_id() {
+    fn binding_axis_names_the_cell_id() {
         let mut cell = CellConfig::reference(App::FemPic);
         cell.binding = true;
         assert!(cell.id().ends_with("-bind"), "{}", cell.id());
-        cell.runtime = Runtime::Mpi(2);
-        cell.overlap = true;
-        assert!(cell.id().ends_with("-bind-overlap"), "{}", cell.id());
-        // The reference strips both axes: promise cells difference
-        // against the plain sync/unbound run.
+        // The reference strips the axis: promise cells difference
+        // against the plain unbound run.
         let r = cell.reference_for();
-        assert!(!r.binding && !r.overlap);
+        assert!(!r.binding);
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub fn reproducer_json(cell: &CellConfig, failures: &[String]) -> String {
     out.push_str(&format!("  \"mpi_ranks\": {},\n", json::num(ranks as f64)));
     out.push_str(&format!("  \"sort_always\": {},\n", cell.sort_always));
     out.push_str(&format!("  \"binding\": {},\n", cell.binding));
-    out.push_str(&format!("  \"overlap\": {},\n", cell.overlap));
     out.push_str(&format!("  \"steps\": {},\n", json::num(cell.steps as f64)));
     out.push_str(&format!(
         "  \"particles\": {},\n",
@@ -153,10 +152,16 @@ pub fn parse_reproducer(src: &str) -> Result<(CellConfig, Vec<String>), String> 
             _ => None,
         })
         .ok_or("reproducer missing boolean field 'sort_always'")?;
-    // Promise axes; absent in pre-binding reproducers, defaulting off.
+    // The promise axis; absent in pre-binding reproducers, default off.
     let opt_bool = |key: &str| matches!(doc.get(key), Some(Json::Bool(true)));
     let binding = opt_bool("binding");
-    let overlap = opt_bool("overlap");
+    if opt_bool("overlap") {
+        return Err(
+            "reproducer sets the retired 'overlap' axis: the migration has one \
+                    synchronous form now — regenerate the case"
+                .into(),
+        );
+    }
     let mutation = match doc.get("mutation") {
         Some(Json::Null) | None => None,
         Some(Json::Str(s)) if s == "deposit-lost-update" => Some(Mutation::DepositLostUpdate),
@@ -181,7 +186,6 @@ pub fn parse_reproducer(src: &str) -> Result<(CellConfig, Vec<String>), String> 
             runtime,
             sort_always,
             binding,
-            overlap,
             steps: req_usize(&doc, "steps")?,
             particles: req_usize(&doc, "particles")?,
             seed: doc
@@ -221,7 +225,6 @@ mod tests {
         cell.runtime = Runtime::Mpi(2);
         cell.sort_always = true;
         cell.binding = true;
-        cell.overlap = true;
         cell.steps = 2;
         cell.particles = 7;
         cell.mutation = Some(Mutation::DepositLostUpdate);
@@ -243,14 +246,29 @@ mod tests {
         // refused rather than rerun under another method.
         let err = parse_reproducer(&src.replace("\"AT\"", "\"MX\"")).unwrap_err();
         assert!(err.contains("unknown deposit label 'MX'"), "{err}");
-        // Pre-binding reproducers lack the promise fields: default off.
+        // Pre-binding reproducers lack the promise field: default off.
         let stripped: String = src
             .lines()
-            .filter(|l| !l.contains("\"binding\"") && !l.contains("\"overlap\""))
+            .filter(|l| !l.contains("\"binding\""))
             .collect::<Vec<_>>()
             .join("\n");
         let (back, _) = parse_reproducer(&stripped).expect("parse");
-        assert!(!back.binding && !back.overlap);
+        assert!(!back.binding);
+    }
+
+    #[test]
+    fn retired_overlap_axis_is_refused() {
+        let cell = CellConfig::reference(App::FemPic);
+        let src = reproducer_json(&cell, &[]);
+        let with =
+            |v: &str| src.replace("\"binding\"", &format!("\"overlap\": {v},\n  \"binding\""));
+        let err = parse_reproducer(&with("true")).unwrap_err();
+        assert!(err.contains("retired 'overlap' axis"), "{err}");
+        // Without the key, or with it off, the reproducer still parses.
+        for src in [src.clone(), with("false")] {
+            let (back, _) = parse_reproducer(&src).expect("parse");
+            assert_eq!(back, cell);
+        }
     }
 
     #[test]

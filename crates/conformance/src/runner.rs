@@ -13,34 +13,11 @@
 use crate::matrix::{App, CellConfig, Mover, Mutation, Runtime};
 use crate::oracle::{compare, Comparison, Oracle};
 use oppic_analyzer::check_plans;
-use oppic_bench::distributed::{
-    run_cabana_distributed, run_fempic_distributed, run_fempic_distributed_overlap,
-};
+use oppic_bench::distributed::{run_cabana_distributed, run_fempic_distributed};
 use oppic_cabana::{CabanaConfig, StructuredCabana};
 use oppic_core::{telemetry, DepositMethod, Observable, Simulation, SortPolicy};
 use oppic_device::{Device, DeviceBuffer, DeviceSpec};
 use oppic_fempic::{FemPic, FemPicConfig, MoveStrategy};
-use oppic_mpi::OverlapGate;
-
-/// The analyzer proof the overlap-axis cells run under: the split form
-/// for `DepositCharge` against the migrate exchange — the form the
-/// overlap driver executes bit-identically to the sync path. Embedded
-/// (rather than read from `results/schedule/`) so the conformance
-/// verdict never depends on a generated artifact being present.
-const OVERLAP_SPLIT_PROOF: &str = r#"{
-  "schema": "oppic-schedule-report-v1",
-  "app": "fempic",
-  "overlaps": [
-    {"dat": "particles", "dir": "migrate", "tag": "fempic/migrate",
-     "legal": [], "split_legal": ["DepositCharge"], "blocked": []}
-  ]
-}"#;
-
-/// Modeled exchange service time for overlap-axis cells: long enough
-/// that the async window is genuinely open while the interior deposit
-/// runs, short enough for the quick matrix.
-const OVERLAP_LATENCY: std::time::Duration = std::time::Duration::from_micros(200);
-
 /// Everything one cell execution produced.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -248,30 +225,8 @@ fn run_fempic_device(cell: &CellConfig) -> RunResult {
 
 fn run_fempic_mpi(cell: &CellConfig, ranks: usize) -> RunResult {
     let base = fempic_config(cell);
-    let rep = if cell.overlap {
-        let gate = OverlapGate::from_report_json(OVERLAP_SPLIT_PROOF)
-            .expect("embedded overlap proof must parse");
-        run_fempic_distributed_overlap(&base, ranks, cell.steps, &gate, OVERLAP_LATENCY)
-    } else {
-        run_fempic_distributed(&base, ranks, cell.steps)
-    };
+    let rep = run_fempic_distributed(&base, ranks, cell.steps);
     let mut errors = Vec::new();
-    // The overlap-axis promise: the proof-gated async driver (split
-    // form) is bit-identical to the synchronous migration driver on
-    // the same configuration — the overlap changes the schedule, never
-    // the physics.
-    if cell.overlap {
-        let sync = run_fempic_distributed(&base, ranks, cell.steps);
-        if sync.total_particles != rep.total_particles
-            || sync.check_scalar.to_bits() != rep.check_scalar.to_bits()
-        {
-            errors.push(format!(
-                "overlap-on run is not bit-identical to the sync driver: \
-                 charge {:e} vs {:e}, particles {} vs {}",
-                rep.check_scalar, sync.check_scalar, rep.total_particles, sync.total_particles
-            ));
-        }
-    }
     if rep.total_particles == 0 {
         errors.push("distributed run lost every particle".to_string());
     }
@@ -397,13 +352,12 @@ pub fn check_cell_against(
 ) -> CellReport {
     let got = run_cell(cell);
     // A cell identical to its reference is the determinism gate: the
-    // rerun must be *bit-identical*, not merely close. Binding and
-    // overlap are *promise* axes — they change who computes and when,
-    // never the result — so a cell that differs from its reference
-    // only by those flags is held to the same bit-identity oracle.
+    // rerun must be *bit-identical*, not merely close. Binding is a
+    // *promise* axis — it changes who computes, never the result — so
+    // a cell that differs from its reference only by that flag is
+    // held to the same bit-identity oracle.
     let mut stripped = cell.clone();
     stripped.binding = false;
-    stripped.overlap = false;
     let oracle = if stripped == *reference {
         Oracle::BitIdentical
     } else {
@@ -528,23 +482,6 @@ mod tests {
         let mut cell = CellConfig::reference(App::FemPic);
         cell.exec = Exec::Pool2;
         cell.binding = true;
-        let report = check_cell(&cell);
-        assert!(report.passed(), "{:?}", report.failure_lines());
-    }
-
-    #[test]
-    fn overlap_cell_is_bit_identical_to_the_sync_driver() {
-        // Single rank: the overlap cell's reference IS the sync driver
-        // on the same configuration, under the bit-identity oracle.
-        let mut cell = CellConfig::reference(App::FemPic);
-        cell.runtime = Runtime::Mpi(1);
-        cell.overlap = true;
-        let report = check_cell(&cell);
-        assert_eq!(report.oracle, Oracle::BitIdentical);
-        assert!(report.passed(), "{:?}", report.failure_lines());
-        // Two ranks: field oracle vs the single-rank reference, plus
-        // the in-runner sync-twin bit check.
-        cell.runtime = Runtime::Mpi(2);
         let report = check_cell(&cell);
         assert!(report.passed(), "{:?}", report.failure_lines());
     }

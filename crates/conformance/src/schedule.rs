@@ -10,8 +10,8 @@ use oppic_cabana::CabanaConfig;
 use oppic_core::schedule::{ExchangeDir, ScheduleEvent, ScheduleTrace};
 use oppic_fempic::FemPicConfig;
 
-/// One audited app schedule: app name, steps, error/warn counts,
-/// per-exchange overlap-legal loop counts.
+/// One audited app schedule: app name, event count, and the failures
+/// found.
 pub struct ScheduleCheck {
     pub app: String,
     pub events: usize,
@@ -32,22 +32,15 @@ fn check_trace(trace: &ScheduleTrace) -> ScheduleCheck {
             failures.push(format!("{d}"));
         }
     }
-    if audit.overlaps.is_empty() {
+    if !trace
+        .events
+        .iter()
+        .any(|e| matches!(e.event, ScheduleEvent::Exchange { .. }))
+    {
         failures.push(format!(
             "{}: schedule records no exchanges — the distributed step was not traced",
             trace.app
         ));
-    }
-    for p in &audit.overlaps {
-        if p.legal.is_empty() {
-            failures.push(format!(
-                "{}: no loop may legally overlap the {} exchange of '{}' (tag {})",
-                trace.app,
-                p.dir.label(),
-                p.dat,
-                p.tag
-            ));
-        }
     }
     ScheduleCheck {
         app: trace.app.clone(),
@@ -87,8 +80,8 @@ fn check_detects_broken(trace: &ScheduleTrace) -> ScheduleCheck {
 }
 
 /// Record both applications' default step schedules and audit them:
-/// zero Error verdicts, at least one overlap-legal loop per exchange,
-/// and the broken-schedule negative control still detects.
+/// zero Error verdicts, at least one recorded exchange, and the
+/// broken-schedule negative control still detects.
 pub fn verify_schedules() -> Vec<ScheduleCheck> {
     let fempic = oppic_fempic::record_schedule(&FemPicConfig::tiny(), 2);
     let cabana = oppic_cabana::record_schedule(&CabanaConfig::tiny(), 2);

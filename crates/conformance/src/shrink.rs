@@ -84,19 +84,11 @@ pub fn shrink(
         c.mover = Mover::MultiHop;
         try_keep(&mut cur, &mut spent, c);
     }
-    // The promise axes shrink toward off — but only if the failure
-    // survives, so a binding- or overlap-bound reproducer keeps the
-    // axis in its id. Overlap is tried before the runtime walk so an
-    // overlap-bound failure is not stranded on a host runtime where
-    // the flag is inert.
+    // The promise axis shrinks toward off — but only if the failure
+    // survives, so a binding-bound reproducer keeps the axis in its id.
     if cur.binding {
         let mut c = cur.clone();
         c.binding = false;
-        try_keep(&mut cur, &mut spent, c);
-    }
-    if cur.overlap {
-        let mut c = cur.clone();
-        c.overlap = false;
         try_keep(&mut cur, &mut spent, c);
     }
     match cur.runtime {
@@ -189,25 +181,22 @@ mod tests {
     }
 
     #[test]
-    fn binding_and_overlap_bound_failures_keep_their_axes() {
-        // A failure that reproduces only with the binding AND the
-        // overlap on: sizes and unrelated axes collapse, the promise
-        // axes survive the shrink, and the reproducer id names both.
+    fn binding_bound_failures_keep_their_axis() {
+        // A failure that reproduces only with the binding on: sizes
+        // and unrelated axes collapse, the promise axis survives the
+        // shrink, and the reproducer id names it.
         let mut start = CellConfig::reference(App::FemPic);
         start.steps = 7;
         start.particles = 32;
         start.exec = Exec::Pool4;
         start.runtime = Runtime::Mpi(4);
         start.binding = true;
-        start.overlap = true;
-        let (shrunk, _) = shrink(&start, &mut |c| c.binding && c.overlap);
+        let (shrunk, _) = shrink(&start, &mut |c| c.binding);
         assert!(shrunk.binding, "binding axis must be preserved");
-        assert!(shrunk.overlap, "overlap axis must be preserved");
         assert_eq!(shrunk.steps, 1);
         assert_eq!(shrunk.particles, 1);
         assert_eq!(shrunk.exec, Exec::Seq, "unrelated axes still shrink");
         assert!(shrunk.id().contains("-bind"), "{}", shrunk.id());
-        assert!(shrunk.id().contains("-overlap"), "{}", shrunk.id());
     }
 
     #[test]
@@ -216,11 +205,9 @@ mod tests {
         start.steps = 4;
         start.binding = true;
         start.runtime = Runtime::Mpi(2);
-        start.overlap = true;
-        // Size-driven failure: both flags are irrelevant and drop.
+        // Size-driven failure: the flag is irrelevant and drops.
         let (shrunk, _) = shrink(&start, &mut |c| c.steps >= 2);
         assert!(!shrunk.binding);
-        assert!(!shrunk.overlap);
         assert_eq!(shrunk.runtime, Runtime::Host);
     }
 

@@ -22,13 +22,6 @@
 //! spans to the live length and deals the unbound tail out evenly;
 //! the result is always a true partition of `0..len` (proptested in
 //! `crates/core/tests/proptest_binding.rs`).
-//!
-//! The split-form overlap (`oppic-mpi::overlap`) needs no binding of
-//! its own: migration hole-fills the leavers out and appends the
-//! arrivals, so the interior is the slot range `0..interior` and the
-//! boundary is `interior..len`. FemPIC's distributed step deposits the
-//! first range while the exchange is in flight and the second after it
-//! drains (`FemPic::deposit_charge_range`, serial slot order).
 
 /// When to rebuild a [`ThreadBinding`] — deliberately the same shape
 /// as [`crate::SortPolicy`], because binding drift and index
@@ -63,7 +56,7 @@ impl RebalancePolicy {
 
 /// One rebalance-gate decision, as logged by the apps' per-step gates
 /// and replayed by the bench regression test against the committed
-/// `results/BENCH_overlap_scaling.json` drift trace: the inputs the
+/// `results/BENCH_binding_drift.json` drift trace: the inputs the
 /// [`RebalancePolicy`] saw and the decision it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RebalanceEvent {

@@ -233,6 +233,28 @@ impl ParticleDats {
         (ca, cb, &mut self.cell)
     }
 
+    /// [`Self::cols_mut2_with_cells_mut`] over the latest injection
+    /// batch only ([`Self::injected`]): the slices start at its first
+    /// slot. Those slots are already counted dirty, so the borrow
+    /// leaves [`Self::dirty_count`] exact.
+    pub fn injected_cols_mut2_with_cells_mut(
+        &mut self,
+        a: ColId,
+        b: ColId,
+    ) -> (&mut [f64], &mut [f64], &mut [i32]) {
+        let from = self.injected_from;
+        let (da, db) = (self.dims[a.0], self.dims[b.0]);
+        let [ca, cb] = self
+            .cols
+            .get_disjoint_mut([a.0, b.0])
+            .expect("injected_cols_mut2_with_cells_mut requires distinct in-range columns");
+        (
+            &mut ca[from * da..],
+            &mut cb[from * db..],
+            &mut self.cell[from..],
+        )
+    }
+
     // ---- cell index ----------------------------------------------------
 
     /// The CSR cell index, or `None` while it is stale (or was never
@@ -834,6 +856,22 @@ mod tests {
         assert!((ps.dirty_fraction() - 1.0 / 12.0).abs() < 1e-12);
         ps.sort_by_cell(5);
         assert!(ps.index_is_fresh());
+    }
+
+    #[test]
+    fn injected_borrow_keeps_the_dirty_count_exact() {
+        let (mut ps, pos, q) = store_with(12);
+        ps.sort_by_cell(5);
+        ps.inject(3, 0);
+        let (p, c, cells) = ps.injected_cols_mut2_with_cells_mut(pos, q);
+        assert_eq!((p.len(), c.len(), cells.len()), (9, 3, 3), "the batch only");
+        p[0] = 7.0;
+        c[2] = 8.0;
+        cells[2] = 4;
+        assert_eq!(ps.dirty_count(), 3, "only the injected slots");
+        assert_eq!(ps.el(pos, 12)[0], 7.0);
+        assert_eq!(ps.el(q, 14)[0], 8.0);
+        assert_eq!(ps.cells()[14], 4);
     }
 
     #[test]

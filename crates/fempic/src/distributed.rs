@@ -6,32 +6,17 @@
 //! migration. It is generic over the interconnect
 //! ([`oppic_mpi::Transport`]: the plain channel path or the reliable
 //! link). Every rank holds the whole mesh and the factored field
-//! matrix, so the field solve is replicated; the one choice is the
-//! migration form, an [`OverlapForm`] chosen once from the schedule
-//! report's proofs ([`FemPic::migrate_form`]):
-//!
-//! * **None** — synchronous: migrate, then one full deposit;
-//! * **Split** — `DepositCharge` is split-legal: the interior
-//!   partition (particles staying put) deposits while the exchange is
-//!   in flight, the boundary partition (arrivals) after the drain.
-//!   Bit-identical to the synchronous form;
-//! * **Whole** — `SolvePotential` is legal: deposit and reduce before
-//!   the exchange (each particle deposits on whichever rank holds it;
-//!   the global reduction makes attribution irrelevant) and hide the
-//!   migration behind the field solve.
+//! matrix, so the field solve is replicated.
 //!
 //! With a schedule recorder attached the step records its exchanges
 //! next to the loops' own events.
 
 use crate::config::FemPicConfig;
 use crate::sim::FemPic;
-use oppic_core::particles::ParticleDats;
 use oppic_core::ExchangeDir;
 use oppic_core::ExecPolicy;
 use oppic_mesh::Vec3;
-use oppic_mpi::{
-    directional_partition, MigrationStats, OverlapForm, OverlapGate, RankCtx, Transport,
-};
+use oppic_mpi::{directional_partition, MigrationStats, RankCtx, Transport};
 
 /// Call-site tag of the particle migration in recorded schedules and
 /// analyzer reports.
@@ -64,30 +49,15 @@ impl FemPic {
         (sim, cell_rank)
     }
 
-    /// The strongest migration form `gate` proves legal for this app.
-    pub fn migrate_form(gate: &OverlapGate) -> OverlapForm {
-        let migrate =
-            |loop_name| gate.allows("particles", ExchangeDir::Migrate, MIGRATE_TAG, loop_name);
-        if migrate("SolvePotential") == OverlapForm::Whole {
-            OverlapForm::Whole
-        } else if migrate("DepositCharge") != OverlapForm::None {
-            OverlapForm::Split
-        } else {
-            OverlapForm::None
-        }
-    }
-
     /// One distributed step over `net`: inject, push, move, migrate
     /// the particles whose cell `cell_rank` gives to another rank,
     /// deposit, reduce the node charge globally, solve. Returns this
-    /// rank's migration tally. Collective: every rank calls it with the
-    /// same `form`.
+    /// rank's migration tally. Collective: every rank calls it.
     pub fn distributed_step<N: Transport>(
         &mut self,
         ctx: &mut RankCtx,
         net: &mut N,
         cell_rank: &[u32],
-        form: OverlapForm,
     ) -> Result<MigrationStats, N::Error> {
         if let Some(rec) = &self.schedule {
             rec.begin_step();
@@ -96,71 +66,14 @@ impl FemPic {
         self.calc_pos_vel();
         self.move_particles();
         let leavers = self.ps.leavers(cell_rank, ctx.rank);
-
-        let stats = match form {
-            OverlapForm::None => {
-                let stats = self.migrate(ctx, net, &leavers, None)?;
-                self.deposit_charge();
-                stats
-            }
-            OverlapForm::Split => {
-                let stats = self.migrate(
-                    ctx,
-                    net,
-                    &leavers,
-                    Some(|sim: &mut FemPic| sim.deposit_charge_range(0, sim.ps.len())),
-                )?;
-                let interior = self.ps.len() - stats.received;
-                self.deposit_charge_range(interior, self.ps.len());
-                stats
-            }
-            OverlapForm::Whole => {
-                self.deposit_charge_range(0, self.ps.len());
-                self.reduce_charge(ctx, net)?;
-                return self.migrate(
-                    ctx,
-                    net,
-                    &leavers,
-                    Some(|sim: &mut FemPic| {
-                        sim.field_solve();
-                    }),
-                );
-            }
-        };
-        self.reduce_charge(ctx, net)?;
-        self.field_solve();
-        Ok(stats)
-    }
-
-    /// Migrate `leavers` over `net`. A `window` runs on the whole sim
-    /// while the exchange is in flight, with the interior store (the
-    /// particles staying put) in `self.ps`.
-    fn migrate<N: Transport>(
-        &mut self,
-        ctx: &mut RankCtx,
-        net: &mut N,
-        leavers: &[(usize, u32, i32)],
-        window: Option<fn(&mut FemPic)>,
-    ) -> Result<MigrationStats, N::Error> {
         if let Some(rec) = &self.schedule {
             rec.record_exchange("particles", ExchangeDir::Migrate, MIGRATE_TAG);
         }
-        let Some(window) = window else {
-            return net.migrate(ctx, &mut self.ps, leavers, None);
-        };
-        let mut ps = std::mem::take(&mut self.ps);
-        let stats = net.migrate(
-            ctx,
-            &mut ps,
-            leavers,
-            Some(&mut |interior: &mut ParticleDats| {
-                std::mem::swap(&mut self.ps, interior);
-                window(self);
-                std::mem::swap(&mut self.ps, interior);
-            }),
-        );
-        self.ps = ps;
-        stats
+        let stats = net.migrate(ctx, &mut self.ps, &leavers)?;
+        self.deposit_charge();
+        self.reduce_charge(ctx, net)?;
+        self.field_solve();
+        Ok(stats)
     }
 
     /// The node-halo stand-in: sum the deposited charge over all ranks.

@@ -13,8 +13,8 @@ use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Fixed, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
-    deposit_loop, deposit_loop_colored, greedy_color_cells, AutoTuner, ColId, Contributions, Dat,
-    DepositMethod, ExecPolicy, MoveStatus, ParticleDats, ThreadBinding, TunerInput,
+    deposit_loop, deposit_loop_colored, greedy_color_cells, AutoTuner, ColId, Dat, DepositMethod,
+    MoveStatus, ParticleDats, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
@@ -101,25 +101,6 @@ impl Inlets {
     }
 }
 
-/// The `DepositCharge` kernel: particle `i` adds `q·λ_k` to node `k` of
-/// its cell, with `λ` the `lc` weights the move left.
-fn charge_kernel<'a>(
-    q: f64,
-    ps: &'a ParticleDats,
-    lc: ColId,
-    c2n: &'a [[usize; 4]],
-) -> impl Fn(usize) -> Contributions<4> + Sync + 'a {
-    let cells = ps.cells();
-    let weights = ps.col(lc).as_chunks::<4>().0;
-    move |i| {
-        let w = &weights[i];
-        (
-            c2n[cells[i] as usize],
-            [q * w[0], q * w[1], q * w[2], q * w[3]],
-        )
-    }
-}
-
 /// The Mini-FEM-PIC application state.
 pub struct FemPic {
     pub cfg: FemPicConfig,
@@ -169,7 +150,7 @@ pub struct FemPic {
     /// on [`oppic_core::RebalancePolicy`] triggers.
     pub binding: Option<ThreadBinding>,
     /// Per-step rebalance-gate decisions (empty unless `cfg.binding`);
-    /// the drift trace `results/BENCH_overlap_scaling.json` pins and
+    /// the drift trace `results/BENCH_binding_drift.json` pins and
     /// the bench regression test replays.
     pub rebalance_log: Vec<oppic_core::RebalanceEvent>,
 }
@@ -323,18 +304,16 @@ impl FemPic {
         let n = self.cfg.inject_per_step;
         let first = self.injected_total;
         self.injected_total += n as u64;
-        let from = self.ps.inject(n, 0).start;
+        self.ps.inject(n, 0);
         let (seed, inlets) = (self.cfg.seed, &self.inlets);
         let total_area = inlets.total_area();
         let speed = self.cfg.inlet_velocity;
         let jitter = speed * self.cfg.thermal_fraction;
         let nudge = Vec3::new(1e-7 * self.cfg.lx, 0.0, 0.0);
-        let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
-        let cols = (
-            Fixed::<3>(&mut pos[from * 3..]),
-            Fixed::<3>(&mut vel[from * 3..]),
-            &mut cells[from..],
-        );
+        let (pos, vel, cells) = self
+            .ps
+            .injected_cols_mut2_with_cells_mut(self.pos, self.vel);
+        let cols = (Fixed::<3>(pos), Fixed::<3>(vel), cells);
         par_loop(&self.cfg.policy, Space::Range, cols, |w| {
             w.each(|k, (x, v, cell)| {
                 let r: [f64; 6] = uniforms(seed, INJECT_TAG, first + k as u64);
@@ -519,7 +498,16 @@ impl FemPic {
         self.node_charge.fill(0.0);
         let cells = self.ps.cells();
         let n = self.ps.len();
-        let kernel = charge_kernel(self.cfg.charge, &self.ps, self.lc, &self.mesh.c2n);
+        let (q, c2n) = (self.cfg.charge, &self.mesh.c2n);
+        let weights = self.ps.col(self.lc).as_chunks::<4>().0;
+        // Particle `i` adds `q·λ_k` to node `k` of its cell.
+        let kernel = |i: usize| {
+            let w = &weights[i];
+            (
+                c2n[cells[i] as usize],
+                [q * w[0], q * w[1], q * w[2], q * w[3]],
+            )
+        };
         match &self.cell_colors {
             Some((colors, n_colors)) => {
                 deposit_loop_colored(
@@ -547,28 +535,6 @@ impl FemPic {
         let bytes = (n * (32 + 4 + 32 + 4 * 16)) as u64;
         let flops = (n * 8) as u64;
         self.profiler.add_traffic("DepositCharge", bytes, flops);
-    }
-
-    /// Range-restricted `DepositCharge` for the proof-gated overlap
-    /// driver (the analyzer's `split_legal` form): scatter the `lc`
-    /// weights of only the slots `lo..hi`, in Serial fold order. The
-    /// node array is cleared at `lo == 0`, so an interior call over
-    /// `0..keep` followed by a boundary call over `keep..len` replays the whole
-    /// Serial deposit's per-node accumulation order exactly — the
-    /// split is bit-identical to one full-range pass (tested below and
-    /// promised by the conformance overlap axis).
-    pub fn deposit_charge_range(&mut self, lo: usize, hi: usize) {
-        if lo == 0 {
-            self.node_charge.fill(0.0);
-        }
-        let kernel = charge_kernel(self.cfg.charge, &self.ps, self.lc, &self.mesh.c2n);
-        deposit_loop(
-            &ExecPolicy::Seq,
-            DepositMethod::Serial,
-            hi - lo,
-            self.node_charge.raw_mut(),
-            |j| kernel(lo + j),
-        );
     }
 
     /// Field-solver group: RHS, the factored solve, per-cell E.
@@ -1093,6 +1059,18 @@ mod extension_tests {
     }
 
     #[test]
+    fn inject_dirties_only_the_injected_slots() {
+        let mut sim = FemPic::new(FemPicConfig::tiny());
+        sim.run(5);
+        let n_cells = sim.mesh.n_cells();
+        sim.ps.sort_by_cell(n_cells);
+        let before = sim.ps.dirty_count();
+        let injected = sim.inject();
+        assert!(injected > 0 && sim.ps.len() > injected);
+        assert_eq!(sim.ps.dirty_count(), before + injected);
+    }
+
+    #[test]
     fn binding_rebalances_on_everyn_trigger() {
         let mut cfg = FemPicConfig::tiny();
         cfg.binding = true;
@@ -1102,34 +1080,6 @@ mod extension_tests {
         let rebuilds = sim.profiler.telemetry().counter("binding.rebalances");
         // First build (step 1) plus the EveryN fires at steps 2, 4, 6.
         assert_eq!(rebuilds, 4, "expected build + 3 rebalances");
-    }
-
-    #[test]
-    fn range_split_deposit_is_bit_identical_to_whole() {
-        // Interior (0..keep) + boundary (keep..n) must replay the whole
-        // Serial deposit exactly — the property the proof-gated overlap
-        // driver's correctness rests on.
-        let mut cfg = FemPicConfig::tiny();
-        cfg.inject_per_step = 150;
-        let mut sim = FemPic::new(cfg);
-        sim.run(5);
-        let n = sim.ps.len();
-        sim.deposit_charge_range(0, n);
-        let base = sim.node_charge.raw().to_vec();
-        for keep in [0, 1, n / 3, n - 1, n] {
-            sim.deposit_charge_range(0, keep);
-            sim.deposit_charge_range(keep, n);
-            assert_eq!(sim.node_charge.raw(), &base[..], "keep={keep}");
-        }
-        // And the range pass agrees with the engine deposit: Serial,
-        // and ScatterArrays, which under Seq is one piece written in
-        // particle order.
-        assert!(!sim.cfg.policy.is_parallel());
-        for method in [DepositMethod::Serial, DepositMethod::ScatterArrays] {
-            sim.active_deposit = method;
-            sim.deposit_charge();
-            assert_eq!(sim.node_charge.raw(), &base[..], "{method:?}");
-        }
     }
 
     #[test]

@@ -246,16 +246,11 @@ impl RankCtx {
         }
     }
 
-    /// The send half of the all-to-all variable exchange: `sends[dst]`
-    /// goes to rank `dst`. Posts every buffer (including the
-    /// self-message) and returns immediately — the non-blocking
-    /// `MPI_Ialltoallv` analogue. Every rank must call this
-    /// collectively, and the caller owes exactly
-    /// one matching [`Self::alltoallv_complete`] before any other
-    /// receive on this context; compute run between the two calls is
-    /// hidden behind the exchange (the proof-gated overlap driver in
-    /// [`crate::overlap`]).
-    pub fn alltoallv_begin(&mut self, sends: Vec<Vec<f64>>) {
+    /// All-to-all variable exchange: `sends[dst]` goes to rank `dst`
+    /// (the self-message too), and the result is `recvs[src]` in rank
+    /// order — the blocking `MPI_Alltoallv` analogue. Collective:
+    /// every rank must call it.
+    pub fn alltoallv(&mut self, sends: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         assert_eq!(
             sends.len(),
             self.n_ranks,
@@ -266,13 +261,6 @@ impl RankCtx {
         for (dst, m) in sends.into_iter().enumerate() {
             self.send(dst, m);
         }
-    }
-
-    /// The receive half of the exchange [`Self::alltoallv_begin`]
-    /// started: drains one message per source rank and returns
-    /// `recvs[src]`, in rank order (the `MPI_Wait` of the split
-    /// exchange).
-    pub fn alltoallv_complete(&mut self) -> Vec<Vec<f64>> {
         (0..self.n_ranks).map(|src| self.recv(src)).collect()
     }
 
@@ -454,8 +442,7 @@ mod tests {
             let sends: Vec<Vec<f64>> = (0..3)
                 .map(|dst| vec![(ctx.rank * 10 + dst) as f64])
                 .collect();
-            ctx.alltoallv_begin(sends);
-            let recvs = ctx.alltoallv_complete();
+            let recvs = ctx.alltoallv(sends);
             recvs.iter().map(|m| m[0]).collect::<Vec<_>>()
         });
         // Rank r receives src*10 + r from each src.

@@ -11,8 +11,7 @@
 //!
 //! Transports move the buffers:
 //!
-//! * [`migrate_particles`] / [`migrate_particles_begin`] — the plain
-//!   alltoallv path, optionally split around an overlap window;
+//! * [`migrate_particles`] — the plain alltoallv path;
 //! * [`Plain`] — the same path behind the [`Transport`] trait the
 //!   apps' distributed steps are generic over (the reliable link in
 //!   `oppic-resilience` is the other implementation).
@@ -26,7 +25,6 @@ use crate::comm::RankCtx;
 use oppic_core::particles::ParticleDats;
 use std::convert::Infallible;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Outcome of one migration round.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -124,31 +122,24 @@ pub fn unpack(
 pub trait Transport {
     type Error;
 
-    /// Ship `leavers = (slot, destination rank, destination cell)` and
-    /// receive this rank's arrivals at the end of `ps`. With `window`,
-    /// the leavers are hole-filled out first and `window` runs on the
-    /// remaining (interior) store while the exchange is in flight, so
-    /// on return the boundary partition is `interior_len..ps.len()`.
+    /// Ship `leavers = (slot, destination rank, destination cell)`,
+    /// hole-fill their slots, and append this rank's arrivals at the
+    /// end of `ps`.
     fn migrate(
         &mut self,
         ctx: &mut RankCtx,
         ps: &mut ParticleDats,
         leavers: &[(usize, u32, i32)],
-        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
     ) -> Result<MigrationStats, Self::Error>;
 
     /// Element-wise global sum, identical on every rank.
     fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Self::Error>;
 }
 
-/// The plain channel transport: alltoallv migration and the
-/// communicator's allreduce. `latency` models the network service
-/// time of each migration (see [`MigrationHandle::complete_after`]):
-/// the synchronous form waits it out, an overlap window hides it.
+/// The plain channel transport: [`migrate_particles`] and the
+/// communicator's allreduce.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Plain {
-    pub latency: Duration,
-}
+pub struct Plain;
 
 impl Transport for Plain {
     type Error = Infallible;
@@ -158,14 +149,8 @@ impl Transport for Plain {
         ctx: &mut RankCtx,
         ps: &mut ParticleDats,
         leavers: &[(usize, u32, i32)],
-        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
     ) -> Result<MigrationStats, Infallible> {
-        let mut handle = migrate_particles_begin(ctx, ps, leavers);
-        handle.overlap_window = window.is_some();
-        if let Some(window) = window {
-            window(ps);
-        }
-        Ok(handle.complete_after(ctx, ps, self.latency))
+        Ok(migrate_particles(ctx, ps, leavers))
     }
 
     fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Infallible> {
@@ -173,121 +158,31 @@ impl Transport for Plain {
     }
 }
 
-/// An in-flight particle migration: the send half has been posted and
-/// the local store hole-filled; the receive half is still pending.
-/// Compute run between [`migrate_particles_begin`] and
-/// [`MigrationHandle::complete`] overlaps the exchange — which is
-/// only legal when the schedule analyzer's proof says so (see
-/// [`crate::overlap::OverlapGate`]). Exactly one `complete` call is
-/// owed per handle, before any other receive on the context.
-#[derive(Debug)]
-#[must_use = "an in-flight migration must be completed"]
-pub struct MigrationHandle {
-    sent: usize,
-    shipped_values: usize,
-    /// When the sends were posted — [`MigrationHandle::complete_after`]
-    /// models network drain time from this instant, so compute done in
-    /// the overlap window genuinely shortens the wait.
-    started: Instant,
-    /// False on the synchronous paths, so only genuine overlap windows
-    /// hit the telemetry.
-    overlap_window: bool,
-}
-
-/// The send half of [`migrate_particles`]: pack each leaver's payload
-/// per destination, post the alltoallv sends, and hole-fill the local
-/// store. The store mutations (removal, and later the unpack in
-/// [`MigrationHandle::complete`]) happen in exactly the same order as
-/// the synchronous path, so begin/complete bracketing any amount of
-/// interior compute stays **bit-identical** to [`migrate_particles`].
-pub fn migrate_particles_begin(
+/// Migrate particles between ranks through matched alltoallv buffers:
+/// pack, exchange, hole-fill, unpack.
+///
+/// `leavers` lists `(particle index, destination rank, destination
+/// local cell)` for every particle that must leave this rank; indices
+/// must be unique. Collective: every rank must call this.
+pub fn migrate_particles(
     ctx: &mut RankCtx,
     ps: &mut ParticleDats,
     leavers: &[(usize, u32, i32)],
-) -> MigrationHandle {
+) -> MigrationStats {
     debug_assert!(
         leavers.iter().all(|&(_, dst, _)| dst as usize != ctx.rank),
         "leaver staying home"
     );
     let buffers = pack(ps, leavers, ctx.n_ranks);
     let shipped_values: usize = buffers.iter().map(Vec::len).sum();
-
-    // Post the sends (non-blocking on the channel shim).
-    ctx.alltoallv_begin(buffers);
-
-    // Receives never touch the store, so hole-filling before the drain
-    // leaves the final state identical to the synchronous path.
+    let arrivals: Vec<(usize, Vec<f64>)> = ctx.alltoallv(buffers).into_iter().enumerate().collect();
     remove_leavers(ps, leavers);
-
-    MigrationHandle {
+    let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
+    MigrationStats {
         sent: leavers.len(),
+        received,
         shipped_values,
-        started: Instant::now(),
-        overlap_window: true,
     }
-}
-
-impl MigrationHandle {
-    /// Drain the receive half and unpack arrivals at the end of the
-    /// dats — the `MPI_Wait` of the split migration.
-    pub fn complete(self, ctx: &mut RankCtx, ps: &mut ParticleDats) -> MigrationStats {
-        self.complete_after(ctx, ps, Duration::ZERO)
-    }
-
-    /// [`Self::complete`] against a modeled network drain time: the
-    /// exchange is not considered done before `min_latency` has
-    /// elapsed since [`migrate_particles_begin`]. The in-process
-    /// channel shim delivers in microseconds, so benches use this to
-    /// model a real interconnect honestly — a synchronous caller waits
-    /// the full latency, while an overlapping caller has already spent
-    /// the window on interior compute and only sleeps the remainder.
-    /// Telemetry: counts one `overlap.windows` and records the hidden
-    /// portion as `overlap.slack_us`.
-    pub fn complete_after(
-        self,
-        ctx: &mut RankCtx,
-        ps: &mut ParticleDats,
-        min_latency: Duration,
-    ) -> MigrationStats {
-        let overlapped = self.started.elapsed().min(min_latency);
-        let ready_at = self.started + min_latency;
-        let now = Instant::now();
-        if now < ready_at {
-            std::thread::sleep(ready_at - now);
-        }
-        if self.overlap_window {
-            oppic_core::telemetry::count("overlap.windows", 1);
-            if let Some(h) = oppic_core::telemetry::hist("overlap.slack_us") {
-                h.record(overlapped.as_micros() as u64);
-            }
-        }
-
-        let arrivals: Vec<(usize, Vec<f64>)> =
-            ctx.alltoallv_complete().into_iter().enumerate().collect();
-        let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
-
-        MigrationStats {
-            sent: self.sent,
-            received,
-            shipped_values: self.shipped_values,
-        }
-    }
-}
-
-/// Migrate particles between ranks through matched alltoallv buffers.
-///
-/// `leavers` lists `(particle index, destination rank, destination
-/// local cell)` for every particle that must leave this rank; indices
-/// must be unique. Collective: every rank must call this. This is the
-/// synchronous path — begin immediately followed by complete, with no
-/// overlap window and no modeled latency.
-pub fn migrate_particles(
-    ctx: &mut RankCtx,
-    ps: &mut ParticleDats,
-    leavers: &[(usize, u32, i32)],
-) -> MigrationStats {
-    let Ok(stats) = Plain::default().migrate(ctx, ps, leavers, None);
-    stats
 }
 
 #[cfg(test)]
@@ -385,68 +280,6 @@ mod tests {
             ps.len()
         });
         assert_eq!(out, vec![0, 6]);
-    }
-
-    #[test]
-    fn split_migration_bit_matches_synchronous() {
-        // begin → interior compute → complete must leave every rank's
-        // store bit-identical to the one-shot migrate_particles, and
-        // the overlap window really runs between the two halves.
-        let n_ranks = 3;
-        let per_rank = 12;
-        let leavers_for = |rank: usize| -> Vec<(usize, u32, i32)> {
-            let dst = ((rank + 1) % n_ranks) as u32;
-            (0..per_rank)
-                .filter(|i| i % 3 == 1)
-                .map(|i| (i, dst, 50 + i as i32))
-                .collect()
-        };
-        let sync = world_run(n_ranks, |ctx| {
-            let mut ps = local_store(ctx.rank, per_rank);
-            let stats = migrate_particles(ctx, &mut ps, &leavers_for(ctx.rank));
-            (ps, stats)
-        });
-        let split = world_run(n_ranks, |ctx| {
-            let mut ps = local_store(ctx.rank, per_rank);
-            let handle = migrate_particles_begin(ctx, &mut ps, &leavers_for(ctx.rank));
-            // Interior compute on the surviving slots while in flight.
-            let tag = ps.col_id("tag").unwrap();
-            let keep = ps.len();
-            for i in 0..keep {
-                ps.el_mut(tag, i)[1] += 0.0; // touch, bitwise no-op
-            }
-            let stats = handle.complete(ctx, &mut ps);
-            (ps, stats)
-        });
-        for ((pa, sa), (pb, sb)) in sync.iter().zip(&split) {
-            assert_eq!(sa, sb);
-            assert_eq!(pa.len(), pb.len());
-            assert_eq!(pa.cells(), pb.cells());
-            for id in pa.columns() {
-                assert_eq!(pa.col(id), pb.col(id), "column bit-identity");
-            }
-        }
-    }
-
-    #[test]
-    fn complete_after_models_network_latency() {
-        use std::time::{Duration, Instant};
-        // With no overlap compute, complete_after waits out the full
-        // modeled latency; the arrivals still land.
-        let out = world_run(2, |ctx| {
-            let mut ps = local_store(ctx.rank, 4);
-            let dst = (1 - ctx.rank) as u32;
-            let leavers = vec![(0usize, dst, 9i32)];
-            let handle = migrate_particles_begin(ctx, &mut ps, &leavers);
-            let t0 = Instant::now();
-            let stats = handle.complete_after(ctx, &mut ps, Duration::from_millis(20));
-            (t0.elapsed(), stats.received, ps.len())
-        });
-        for (waited, received, len) in out {
-            assert!(waited >= Duration::from_millis(15), "latency modeled");
-            assert_eq!(received, 1);
-            assert_eq!(len, 4);
-        }
     }
 
     #[test]

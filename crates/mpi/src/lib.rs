@@ -31,17 +31,12 @@ pub mod comm;
 pub mod exchange;
 pub mod fault;
 pub mod heartbeat;
-pub mod overlap;
 pub mod partition;
 
 pub use comm::{world_run, world_run_faulty, RankCtx};
-pub use exchange::{
-    migrate_particles, migrate_particles_begin, MigrationHandle, MigrationStats, Plain,
-    RaggedPayload, Transport,
-};
+pub use exchange::{migrate_particles, MigrationStats, Plain, RaggedPayload, Transport};
 pub use fault::{mix64, FaultAction, FaultKind, FaultSchedule, FaultSpec};
 pub use heartbeat::{beat_jitter, FailureDetector, HeartbeatConfig};
-pub use overlap::{GateProof, OverlapForm, OverlapGate};
 pub use partition::{
     directional_partition, graph_growing_partition, rcb_partition, PartitionStats,
 };

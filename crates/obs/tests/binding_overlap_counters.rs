@@ -1,48 +1,32 @@
-//! The binding/overlap subsystems (DESIGN.md §12) publish their
-//! health signals — `binding.rebalances` when a persistent thread
-//! binding is rebuilt, `overlap.windows` / `overlap.slack_us` when an
-//! async exchange actually hides work — through the same thread-local
-//! telemetry hook the executors use. This test pins the full flow:
-//! counters fired via `oppic_core::telemetry::count` on the current
-//! hub surface in the `/metrics` exposition as `oppic_events_total`
-//! samples (and the slack histogram as `oppic_hist_*`), and the
+//! The persistent thread binding (DESIGN.md §12) publishes its health
+//! signal — `binding.rebalances` when a binding is rebuilt — through
+//! the same thread-local telemetry hook the executors use. This test
+//! pins the full flow: counters fired via
+//! `oppic_core::telemetry::count` on the current hub surface in the
+//! `/metrics` exposition as `oppic_events_total` samples, and the
 //! rendered text passes the exporter's own schema audit. Dashboards
-//! watching rebalance churn and overlap win-rate need no new plumbing.
+//! watching rebalance churn need no new plumbing.
 
 use oppic_core::telemetry::{self, Telemetry};
 use oppic_obs::{audit_exposition, MetricsRegistry};
 use std::sync::Arc;
 
 #[test]
-fn binding_and_overlap_counters_flow_to_the_metrics_exposition() {
+fn binding_counters_flow_to_the_metrics_exposition() {
     let tel = Arc::new(Telemetry::new());
     {
-        // Same publication path as ThreadBinding::from_cell_index and
-        // the overlap drivers: the thread-local current hub.
+        // Same publication path as ThreadBinding::from_cell_index: the
+        // thread-local current hub.
         let _guard = tel.make_current();
         telemetry::count("binding.rebalances", 3);
-        telemetry::count("overlap.windows", 2);
-        if let Some(h) = telemetry::hist("overlap.slack_us") {
-            h.record(180);
-            h.record(420);
-        }
     }
     assert_eq!(tel.counter("binding.rebalances"), 3);
-    assert_eq!(tel.counter("overlap.windows"), 2);
 
     let reg = MetricsRegistry::new(tel, "fempic", 4);
     let text = reg.render();
     audit_exposition(&text).unwrap_or_else(|e| panic!("{e:?}\n{text}"));
     assert!(
         text.contains("oppic_events_total{name=\"binding.rebalances\"} 3"),
-        "{text}"
-    );
-    assert!(
-        text.contains("oppic_events_total{name=\"overlap.windows\"} 2"),
-        "{text}"
-    );
-    assert!(
-        text.contains("oppic_hist_count{name=\"overlap.slack_us\"} 2"),
         "{text}"
     );
 }

@@ -7,17 +7,9 @@
 //! hole-fill at the source, stride-checked unpack at the destination.
 //! Dropped, duplicated, reordered, delayed or bit-flipped migration
 //! traffic either converges to the exact fault-free particle
-//! distribution or aborts with a typed [`LinkError`]. The failure
-//! contract depends on the overlap window:
-//!
-//! * **no window** — arrivals are validated *before* the source store
-//!   is hole-filled: a failed migration leaves the store untouched;
-//! * **window** — the leavers are hole-filled out before the window
-//!   opens, so on error they are gone while their delivery is
-//!   unconfirmed. The store is NOT restored: a failed overlapped
-//!   migration is abort-only, and the caller must discard the step
-//!   (the chaos harness classifies this as a clean abort, never
-//!   silent corruption).
+//! distribution or aborts with a typed [`LinkError`]. Arrivals are
+//! validated *before* the source store is hole-filled, so a failed
+//! migration leaves the store untouched.
 
 use crate::retry::{ExchangeError, ReliableLink};
 use oppic_core::particles::ParticleDats;
@@ -70,7 +62,6 @@ impl Transport for ReliableLink {
         ctx: &mut RankCtx,
         ps: &mut ParticleDats,
         leavers: &[(usize, u32, i32)],
-        window: Option<&mut dyn FnMut(&mut ParticleDats)>,
     ) -> Result<MigrationStats, LinkError> {
         let mut buffers = pack(ps, leavers, ctx.n_ranks);
         let shipped_values: usize = buffers.iter().map(Vec::len).sum();
@@ -90,30 +81,11 @@ impl Transport for ReliableLink {
             .map(|&d| (d, std::mem::take(&mut buffers[d])))
             .collect();
 
-        let received = match window {
-            None => {
-                let recvs = self.exchange(ctx, &sends, &others)?;
-                let arrivals: Vec<(usize, Vec<f64>)> = others.into_iter().zip(recvs).collect();
-                check_arrivals(ps, &arrivals)?;
-                remove_leavers(ps, leavers);
-                unpack(ps, &arrivals)?
-            }
-            Some(window) => {
-                remove_leavers(ps, leavers);
-                let received = self
-                    .exchange_overlapped(ctx, &sends, &others, || window(ps))
-                    .map_err(LinkError::from)
-                    .and_then(|recvs| {
-                        let arrivals: Vec<(usize, Vec<f64>)> =
-                            others.into_iter().zip(recvs).collect();
-                        Ok(unpack(ps, &arrivals)?)
-                    });
-                if received.is_err() {
-                    telemetry::count("resilience.overlap_aborts", 1);
-                }
-                received?
-            }
-        };
+        let recvs = self.exchange(ctx, &sends, &others)?;
+        let arrivals: Vec<(usize, Vec<f64>)> = others.into_iter().zip(recvs).collect();
+        check_arrivals(ps, &arrivals)?;
+        remove_leavers(ps, leavers);
+        let received = unpack(ps, &arrivals)?;
         telemetry::count("resilience.migrated_in", received as u64);
 
         Ok(MigrationStats {
@@ -162,7 +134,7 @@ mod tests {
                 .map(|i| (i, dst, 100 + i as i32))
                 .collect();
             let stats = link
-                .migrate(ctx, &mut ps, &leavers, None)
+                .migrate(ctx, &mut ps, &leavers)
                 .expect("bounded retry absorbs the schedule");
             (ps, stats)
         });
@@ -210,110 +182,12 @@ mod tests {
         let out = world_run_faulty(2, Some(sched), |ctx| {
             let mut ps = local_store(ctx.rank, 4);
             let mut link = ReliableLink::default();
-            let stats = link.migrate(ctx, &mut ps, &[], None).unwrap();
+            let stats = link.migrate(ctx, &mut ps, &[]).unwrap();
             (ps.len(), stats)
         });
         for (len, stats) in out {
             assert_eq!(len, 4);
             assert_eq!(stats, MigrationStats::default());
-        }
-    }
-
-    /// Same census as [`round_trip`], but through the overlap window:
-    /// the window must see exactly the interior population, and the
-    /// post-drain store must match the sync form's.
-    fn round_trip_overlapped(n_ranks: usize, sched: Option<Arc<FaultSchedule>>) {
-        let per_rank = 10;
-        let out = world_run_faulty(n_ranks, sched, |ctx| {
-            let mut ps = local_store(ctx.rank, per_rank);
-            let mut link = ReliableLink::default();
-            let dst = ((ctx.rank + 1) % n_ranks) as u32;
-            let leavers: Vec<(usize, u32, i32)> = (0..per_rank)
-                .filter(|i| i % 2 == 1)
-                .map(|i| (i, dst, 100 + i as i32))
-                .collect();
-            let mut window_len = 0usize;
-            let stats = link
-                .migrate(
-                    ctx,
-                    &mut ps,
-                    &leavers,
-                    Some(&mut |interior_ps: &mut ParticleDats| {
-                        // Interior partition: leavers gone, arrivals not
-                        // yet unpacked.
-                        window_len = interior_ps.len();
-                    }),
-                )
-                .expect("bounded retry absorbs the schedule");
-            assert_eq!(window_len, per_rank - 5, "window sees interior only");
-            (ps, stats)
-        });
-
-        let total: usize = out.iter().map(|(ps, _)| ps.len()).sum();
-        assert_eq!(total, n_ranks * per_rank, "global particle count conserved");
-        for (r, (ps, stats)) in out.iter().enumerate() {
-            assert_eq!(stats.sent, 5);
-            assert_eq!(stats.received, 5, "rank {r}: exactly-once delivery");
-            let tag = ps.col_id("tag").unwrap();
-            let prev = (r + n_ranks - 1) % n_ranks;
-            for i in 0..ps.len() {
-                let e = ps.el(tag, i);
-                if e[0] as usize != r {
-                    assert_eq!(e[0] as usize, prev, "immigrants come from prev rank");
-                    assert_eq!(ps.cells()[i], 100 + e[1] as i32);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_migration_fault_free() {
-        round_trip_overlapped(3, None);
-    }
-
-    #[test]
-    fn overlapped_migration_survives_each_fault_kind() {
-        for (seed, kind) in [
-            (41, FaultKind::Drop),
-            (42, FaultKind::Duplicate),
-            (43, FaultKind::Reorder),
-            (44, FaultKind::Delay),
-            (45, FaultKind::BitFlip),
-        ] {
-            let sched = Arc::new(FaultSchedule::single(seed, kind, 1.0).with_budget(3));
-            round_trip_overlapped(3, Some(sched));
-        }
-    }
-
-    #[test]
-    fn overlapped_total_loss_is_abort_only() {
-        // The overlap contract hole-fills before the drain, so a
-        // failed exchange leaves the leavers gone: typed abort, store
-        // NOT restored (the documented weaker contract).
-        let sched = Arc::new(FaultSchedule::single(19, FaultKind::Drop, 1.0));
-        let policy = RetryPolicy {
-            max_retries: 0,
-            base_timeout: Duration::from_millis(5),
-            backoff: 2.0,
-            ..RetryPolicy::default()
-        };
-        let out = world_run_faulty(2, Some(sched), |ctx| {
-            let mut ps = local_store(ctx.rank, 6);
-            let mut link = ReliableLink::new(policy.clone());
-            let leavers: Vec<(usize, u32, i32)> = if ctx.rank == 0 {
-                vec![(0, 1, 3), (2, 1, 4)]
-            } else {
-                vec![]
-            };
-            let n_leavers = leavers.len();
-            let err = link
-                .migrate(ctx, &mut ps, &leavers, Some(&mut |_: &mut ParticleDats| {}))
-                .expect_err("total loss with no retries must abort");
-            assert!(matches!(err, LinkError::Exchange(_)));
-            (ps.len(), n_leavers)
-        });
-        for (len, n_leavers) in out {
-            assert_eq!(len, 6 - n_leavers, "leavers are gone on abort");
         }
     }
 
@@ -335,7 +209,7 @@ mod tests {
                 vec![]
             };
             let err = link
-                .migrate(ctx, &mut ps, &leavers, None)
+                .migrate(ctx, &mut ps, &leavers)
                 .expect_err("total loss with no retries must abort");
             assert!(matches!(err, LinkError::Exchange(_)));
             // The store is exactly as it was: nothing removed, nothing

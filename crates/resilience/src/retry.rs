@@ -204,26 +204,6 @@ impl ReliableLink {
         sends: &[(usize, Vec<f64>)],
         recv_from: &[usize],
     ) -> Result<Vec<Vec<f64>>, ExchangeError> {
-        self.exchange_overlapped(ctx, sends, recv_from, || ())
-    }
-
-    /// Like [`exchange`](ReliableLink::exchange), but with a
-    /// **proof-gated overlap window**: `overlap` runs after the initial
-    /// sends are on the wire and before this rank starts draining its
-    /// receive queue, so proven-independent compute (an interior loop
-    /// partition — see `oppic_mpi::OverlapGate`) executes while peer
-    /// traffic is in flight. The retry/ack/nack machinery is untouched:
-    /// detection begins when the window closes, and the same bounded
-    /// backoff applies. Faults that strike during the window are
-    /// handled exactly as in the synchronous call — the window only
-    /// moves *when* the drain starts, never what it accepts.
-    pub fn exchange_overlapped(
-        &mut self,
-        ctx: &mut RankCtx,
-        sends: &[(usize, Vec<f64>)],
-        recv_from: &[usize],
-        overlap: impl FnOnce(),
-    ) -> Result<Vec<Vec<f64>>, ExchangeError> {
         let round = self.next_round;
         self.next_round += 1;
 
@@ -255,18 +235,6 @@ impl ReliableLink {
             }
             false
         });
-
-        // The overlap window: initial sends are in flight, nothing has
-        // been drained yet. Telemetry mirrors the raw async path.
-        let window_start = Instant::now();
-        overlap();
-        let slack = window_start.elapsed();
-        if !slack.is_zero() {
-            telemetry::count("overlap.windows", 1);
-            if let Some(h) = telemetry::hist("overlap.slack_us") {
-                h.record(slack.as_micros() as u64);
-            }
-        }
 
         let complete = |got: &[Option<Vec<f64>>], acked: &[bool]| {
             got.iter().all(Option::is_some) && acked.iter().all(|&a| a)
@@ -576,36 +544,6 @@ mod tests {
         });
         assert!(out.into_iter().all(|ok| ok));
         assert!(sched.injected() > 0);
-    }
-
-    #[test]
-    fn overlap_window_runs_before_drain_and_survives_faults() {
-        // The window closure must run exactly once per exchange, and
-        // in-flight faults during the window must still converge to
-        // the fault-free payload.
-        for sched in [
-            None,
-            Some(Arc::new(
-                FaultSchedule::single(51, FaultKind::Delay, 1.0).with_budget(4),
-            )),
-            Some(Arc::new(
-                FaultSchedule::single(52, FaultKind::Reorder, 1.0).with_budget(4),
-            )),
-        ] {
-            let out = world_run_faulty(3, sched, |ctx| {
-                let mut link = ReliableLink::default();
-                let next = (ctx.rank + 1) % ctx.n_ranks;
-                let prev = (ctx.rank + ctx.n_ranks - 1) % ctx.n_ranks;
-                let mut window_ran = 0usize;
-                let got = link
-                    .exchange_overlapped(ctx, &[(next, ring_payload(ctx.rank))], &[prev], || {
-                        window_ran += 1;
-                    })
-                    .unwrap();
-                window_ran == 1 && got.len() == 1 && got[0] == ring_payload(prev)
-            });
-            assert!(out.into_iter().all(|ok| ok));
-        }
     }
 
     #[test]

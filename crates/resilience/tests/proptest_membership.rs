@@ -10,9 +10,7 @@
 //!   on a rejected one, and the member set only ever shrinks.
 //! * **The zombie fence** — a frame stamped with any stale epoch is
 //!   dropped and counted, never applied and never acknowledged, on
-//!   both the synchronous exchange and across the async overlap
-//!   window (where the receiver's interior compute is already running
-//!   while the stale traffic arrives).
+//!   both the raw exchange and the particle migration built on it.
 
 use oppic_core::particles::ParticleDats;
 use oppic_core::telemetry::Telemetry;
@@ -138,18 +136,17 @@ proptest! {
         prop_assert!(out[1].0, "zombie must never be acknowledged");
     }
 
-    /// Overlap window: the receiver's interior compute runs while the
-    /// zombie's stale frames arrive. The frames are fenced, the
-    /// migration aborts with a typed error, and the receiver's store
-    /// holds exactly its interior particles — the overlap closure's
-    /// mutation and nothing from the stale epoch.
+    /// Migration: a zombie at a stale epoch ships its whole store to
+    /// the receiver. The frames are fenced, the receiver's migration
+    /// aborts with a typed error, and its store is exactly as it was —
+    /// nothing adopted from the stale epoch.
     #[test]
-    fn overlap_window_fences_every_stale_epoch(
+    fn migration_fences_every_stale_epoch(
         receiver_epoch in 1u64..4,
-        interior in proptest::collection::vec(-1e3f64..1e3, 1..5),
+        resident in proptest::collection::vec(-1e3f64..1e3, 1..5),
         zombie_cargo in proptest::collection::vec(-1e3f64..1e3, 1..4),
     ) {
-        let vals = interior.clone();
+        let vals = resident.clone();
         let cargo = zombie_cargo.clone();
         let out = world_run(2, move |ctx| {
             let hub = Arc::new(Telemetry::new());
@@ -159,40 +156,27 @@ proptest! {
                 link.install_membership(&membership_at_epoch(2, receiver_epoch));
                 let mut ps = two_particle_store(&vals);
                 let w = ps.col_id("w").unwrap();
-                let mut window_ran = false;
-                let res = link.migrate(
-                    ctx, &mut ps, &[], Some(&mut |interior_ps: &mut ParticleDats| {
-                        window_ran = true;
-                        // Proven-independent interior compute: double
-                        // every weight while traffic is in flight.
-                        let wid = interior_ps.col_id("w").unwrap();
-                        for i in 0..interior_ps.len() {
-                            interior_ps.el_mut(wid, i)[0] *= 2.0;
-                        }
-                    }));
+                let res = link.migrate(ctx, &mut ps, &[]);
                 let survived: Vec<f64> =
                     (0..ps.len()).map(|i| ps.el(w, i)[0]).collect();
                 let fenced = hub.counter("resilience.stale_epoch_dropped");
-                (res.is_err(), window_ran, survived, fenced)
+                (res.is_err(), survived, fenced)
             } else {
                 // Zombie at epoch 0 ships its whole store to rank 0.
                 link.install_membership(&membership_at_epoch(2, 0));
                 let mut ps = two_particle_store(&cargo);
                 let leavers: Vec<(usize, u32, i32)> =
                     (0..ps.len()).map(|i| (i, 0u32, i as i32)).collect();
-                let res = link.migrate(
-                    ctx, &mut ps, &leavers, Some(&mut |_: &mut ParticleDats| ()));
-                (res.is_err(), true, Vec::new(), 0)
+                let res = link.migrate(ctx, &mut ps, &leavers);
+                (res.is_err(), Vec::new(), 0)
             }
         });
-        let (aborted, window_ran, survived, fenced) = &out[0];
+        let (aborted, survived, fenced) = &out[0];
         prop_assert!(*aborted, "receiver must abort, not unpack stale cargo");
-        prop_assert!(*window_ran, "overlap window must still run");
         prop_assert!(*fenced >= 1, "stale frames must hit the fence counter");
-        // Exactly the interior particles, doubled by the window —
-        // nothing adopted from the stale epoch.
-        let expect: Vec<f64> = interior.iter().map(|v| v * 2.0).collect();
-        prop_assert_eq!(survived, &expect);
+        // Exactly the resident particles — nothing adopted from the
+        // stale epoch.
+        prop_assert_eq!(survived, &resident);
         prop_assert!(out[1].0, "zombie's migration must error, never ack");
     }
 }

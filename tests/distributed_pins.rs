@@ -9,13 +9,8 @@
 //! that moves a single bit or byte fails here.
 
 use op_pic::fempic::FemPicConfig;
-use op_pic::mpi::OverlapGate;
-use oppic_bench::distributed::{
-    run_cabana_distributed, run_fempic_distributed, run_fempic_distributed_overlap,
-    DistributedReport,
-};
+use oppic_bench::distributed::{run_cabana_distributed, run_fempic_distributed, DistributedReport};
 use oppic_bench::rankfail::{run_rank_failure, RankFailScenario, RankFinal};
-use std::time::Duration;
 
 fn summary(rep: &DistributedReport) -> String {
     let ranks: Vec<String> = rep
@@ -55,51 +50,12 @@ fn rank_failure_summary(out: &[Result<Option<RankFinal>, String>]) -> Vec<String
         .collect()
 }
 
-const SPLIT_REPORT: &str = r#"{
-  "schema": "oppic-schedule-report-v1",
-  "app": "fempic",
-  "overlaps": [
-    {"dat": "particles", "dir": "migrate", "tag": "fempic/migrate",
-     "legal": [], "split_legal": ["DepositCharge"], "blocked": []}
-  ]
-}"#;
-
-const WHOLE_REPORT: &str = r#"{
-  "schema": "oppic-schedule-report-v1",
-  "app": "fempic",
-  "overlaps": [
-    {"dat": "particles", "dir": "migrate", "tag": "fempic/migrate",
-     "legal": ["SolvePotential", "ComputeElectricField"],
-     "split_legal": ["DepositCharge"], "blocked": []}
-  ]
-}"#;
-
 #[test]
 fn fempic_distributed_pin() {
     let rep = run_fempic_distributed(&FemPicConfig::tiny(), 3, 5);
     assert_eq!(
         summary(&rep),
         "total=240 check=0x4003333333333333 ranks=[(50,9520),(50,6960),(61,7928)]"
-    );
-}
-
-#[test]
-fn fempic_overlap_split_pin() {
-    let gate = OverlapGate::from_report_json(SPLIT_REPORT).unwrap();
-    let rep = run_fempic_distributed_overlap(&FemPicConfig::tiny(), 3, 5, &gate, Duration::ZERO);
-    assert_eq!(
-        summary(&rep),
-        "total=240 check=0x4003333333333333 ranks=[(50,9520),(50,6960),(61,7928)]"
-    );
-}
-
-#[test]
-fn fempic_overlap_whole_pin() {
-    let gate = OverlapGate::from_report_json(WHOLE_REPORT).unwrap();
-    let rep = run_fempic_distributed_overlap(&FemPicConfig::tiny(), 3, 5, &gate, Duration::ZERO);
-    assert_eq!(
-        summary(&rep),
-        "total=240 check=0x4003333333333334 ranks=[(50,9520),(50,6960),(61,7928)]"
     );
 }
 

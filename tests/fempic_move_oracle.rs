@@ -6,15 +6,14 @@
 //! must be within 1e-12 of the volume-ratio `barycentric` of its
 //! position in its cell, and that reference must place it inside the
 //! cell within `BARY_TOL`. Checked on the small duct under `Seq` and a
-//! 2-thread pool, and on the arrivals of a 3-rank distributed step in
-//! its synchronous and split migration forms (the codec ships `lc`
-//! with every particle).
+//! 2-thread pool, and on the arrivals of a 3-rank distributed step
+//! (the codec ships `lc` with every particle).
 
 use op_pic::core::{DepositMethod, ExecPolicy};
 use op_pic::fempic::{FemPic, FemPicConfig, MoveStrategy, BARY_TOL};
 use op_pic::mesh::geometry::{bary_inside, barycentric};
 use op_pic::mesh::Vec3;
-use op_pic::mpi::{world_run, OverlapForm, Plain, RankCtx};
+use op_pic::mpi::{world_run, Plain, RankCtx};
 
 const LC_TOL: f64 = 1e-12;
 
@@ -74,28 +73,26 @@ fn move_leaves_reference_weights_on_the_small_duct() {
 #[test]
 fn migrated_particles_arrive_with_reference_weights() {
     const RANKS: usize = 3;
-    for form in [OverlapForm::None, OverlapForm::Split] {
-        // Ranks keep stepping past a violation (a rank that stopped
-        // would leave the others waiting in the next exchange) and
-        // report their first one at the end.
-        let ranks = world_run(RANKS, |ctx: &mut RankCtx| {
-            let (mut sim, cell_rank) = FemPic::new_rank(&FemPicConfig::tiny(), ctx.rank, RANKS);
-            let (mut received, mut first_err) = (0, None);
-            for step in 1..=20 {
-                let Ok(stats) = sim.distributed_step(ctx, &mut Plain::default(), &cell_rank, form);
-                received += stats.received;
-                if let Err(e) = check_lc(&sim) {
-                    first_err.get_or_insert(format!("rank {} step {step}: {e}", ctx.rank));
-                }
+    // Ranks keep stepping past a violation (a rank that stopped would
+    // leave the others waiting in the next exchange) and report their
+    // first one at the end.
+    let ranks = world_run(RANKS, |ctx: &mut RankCtx| {
+        let (mut sim, cell_rank) = FemPic::new_rank(&FemPicConfig::tiny(), ctx.rank, RANKS);
+        let (mut received, mut first_err) = (0, None);
+        for step in 1..=20 {
+            let Ok(stats) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
+            received += stats.received;
+            if let Err(e) = check_lc(&sim) {
+                first_err.get_or_insert(format!("rank {} step {step}: {e}", ctx.rank));
             }
-            (received, first_err)
-        });
-        for (_, err) in &ranks {
-            assert!(err.is_none(), "{form:?} {}", err.as_deref().unwrap_or(""));
         }
-        assert!(
-            ranks.iter().map(|(r, _)| r).sum::<usize>() > 0,
-            "{form:?}: no particle crossed a rank"
-        );
+        (received, first_err)
+    });
+    for (_, err) in &ranks {
+        assert!(err.is_none(), "{}", err.as_deref().unwrap_or(""));
     }
+    assert!(
+        ranks.iter().map(|(r, _)| r).sum::<usize>() > 0,
+        "no particle crossed a rank"
+    );
 }
