@@ -96,6 +96,24 @@ if ! diff <(move_columns results/ablation_move_strategies.txt) <(move_columns "$
 fi
 rm -f "$moves"
 
+echo "== binding drift (binding-on trace vs results/BENCH_binding_drift.json)"
+# Rerun the binding-on FemPIC trace in a temp dir (it writes
+# results/BENCH_binding_drift.json under its working directory) and
+# compare the whole file: its rebalance inputs are deterministic for a
+# given thread count (the run is `Par`, its pieces reduced in piece
+# order; the committed file is recorded on a 2-core host), so a changed
+# move, deposit, sort or rebalance rule shows up here before
+# rebalance_regression replays stale inputs.
+drift=$(mktemp -d)
+trace_bin="$PWD/target/release/binding_drift_trace"
+(cd "$drift" && env -u OPPIC_SCALE -u OPPIC_STEPS -u OPPIC_TELEMETRY "$trace_bin" >/dev/null)
+if ! diff results/BENCH_binding_drift.json "$drift/results/BENCH_binding_drift.json" >&2; then
+    echo "results/BENCH_binding_drift.json drifted from the code; re-record it with binding_drift_trace" >&2
+    rm -rf "$drift"
+    exit 1
+fi
+rm -rf "$drift"
+
 echo "== conformance --quick (cross-backend differential matrix)"
 ./target/release/conformance --quick >/dev/null
 # A failing matrix cell writes a shrunk reproducer under

@@ -15,7 +15,6 @@
 use crate::diag::{Diagnostic, Report};
 use oppic_core::access::{Access, ArgDecl, Indirection};
 use oppic_core::decl::Registry;
-use oppic_core::deposit::DepositMethod;
 use oppic_core::plan::{has_indirect_inc, LoopPlan, PlanRegistry, RaceStrategy};
 
 /// Check one plan; returns all findings (empty = coherent).
@@ -273,29 +272,11 @@ pub fn check_plans(plans: &PlanRegistry, reg: Option<&Registry>) -> Report {
     report
 }
 
-/// Convenience used by both apps' `--validate` drivers: also verify
-/// that every *configured* deposit method is safe under the plan's
-/// parallelism (the dynamic counterpart of `plan/serialised-deposit`).
-pub fn deposit_method_summary(method: DepositMethod, parallel: bool) -> Diagnostic {
-    if method.is_race_safe(parallel) {
-        Diagnostic::info(
-            "plan/deposit-method",
-            "deposit",
-            format!("method {} is coherent under this policy", method.label()),
-        )
-    } else {
-        Diagnostic::warn(
-            "plan/serialised-deposit",
-            "deposit",
-            format!("method {} serialises the parallel deposit", method.label()),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oppic_core::access::LoopDecl;
+    use oppic_core::deposit::DepositMethod;
     use oppic_core::parloop::ExecPolicy;
 
     fn fem_registry() -> Registry {

@@ -27,8 +27,7 @@
 //! [`AutoTuner`] picks a method per loop from runtime stats (thread
 //! count and target count).
 
-use crate::parloop::{dispatch, ExecPolicy};
-use rayon::prelude::*;
+use crate::parloop::{dispatch, ranges, ExecPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Race-handling strategy for indirect increments.
@@ -180,21 +179,13 @@ pub fn deposit_loop<const K: usize, F>(
                 Ordering::Relaxed
             };
             let slots = as_atomic_slots(target);
-            policy.run(|| {
-                if policy.is_parallel() {
-                    (0..n)
-                        .into_par_iter()
-                        .for_each(|i| add_atomic(slots, kernel(i), ordering));
-                } else {
-                    for i in 0..n {
-                        add_atomic(slots, kernel(i), ordering);
-                    }
+            dispatch(ranges(policy, n), |range| {
+                for i in range {
+                    add_atomic(slots, kernel(i), ordering);
                 }
             });
         }
-        DepositMethod::SegmentedReduction => {
-            policy.run(|| segmented_reduction(policy, n, target, &kernel))
-        }
+        DepositMethod::SegmentedReduction => segmented_reduction(policy, n, target, &kernel),
     }
 }
 
@@ -278,22 +269,23 @@ impl AutoTuner {
     }
 }
 
-/// Figure 2(b): per-thread private arrays over `t` contiguous index
-/// ranges, then an element-wise reduction over the target.
+/// Figure 2(b): per-thread private arrays over the contiguous index
+/// ranges of a range cut, then an element-wise reduction over the
+/// target.
 fn scatter_arrays<const K: usize, F>(policy: &ExecPolicy, n: usize, target: &mut [f64], kernel: &F)
 where
     F: Fn(usize) -> Contributions<K> + Sync,
 {
-    let t = if n == 0 { 1 } else { policy.threads().max(1) };
-    let chunk = n.div_ceil(t);
-    let pieces: Vec<std::ops::Range<usize>> = (0..t)
-        .map(|ti| ti * chunk..((ti + 1) * chunk).min(n))
-        .collect();
-    scatter_pieces(policy, pieces, target, |range, acc, _: &mut ()| {
-        for i in range {
-            add_into(acc, kernel(i));
-        }
-    });
+    scatter_pieces(
+        policy,
+        ranges(policy, n),
+        target,
+        |range, acc, _: &mut ()| {
+            for i in range {
+                add_into(acc, kernel(i));
+            }
+        },
+    );
 }
 
 /// Per-piece tallies of a [`scatter_pieces`] loop (counts, maxima,
@@ -348,7 +340,7 @@ where
         return tally;
     }
     let len = target.len();
-    let (locals, tallies): (Vec<Vec<f64>>, Vec<T>) = dispatch(policy, pieces, |piece| {
+    let (locals, tallies): (Vec<Vec<f64>>, Vec<T>) = dispatch(pieces, |piece| {
         let mut local = vec![0.0; len];
         let mut t = T::default();
         body(piece, &mut local, &mut t);
@@ -357,15 +349,25 @@ where
     .into_iter()
     .unzip();
     // "Finally, the array entries can be reduced to get the total
-    // contribution to that node."
-    policy.run(|| {
-        target.par_iter_mut().enumerate().for_each(|(j, tj)| {
+    // contribution to that node": element-wise, over disjoint windows
+    // of the target.
+    let mut rest = target;
+    let windows: Vec<(usize, &mut [f64])> = ranges(policy, len)
+        .into_iter()
+        .map(|range| {
+            let (window, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            rest = tail;
+            (range.start, window)
+        })
+        .collect();
+    dispatch(windows, |(first, window)| {
+        for (j, tj) in (first..).zip(window) {
             let mut acc = *tj;
             for l in &locals {
                 acc += l[j];
             }
             *tj = acc;
-        });
+        }
     });
     for t in tallies {
         tally.merge(t);
@@ -389,28 +391,19 @@ fn segmented_reduction<const K: usize, F>(
         let (idx, v) = kernel(i);
         buf.extend(idx.into_iter().zip(v).map(|(t, v)| (t as u32, v)));
     };
-    // Step 1: store_values_and_keys.
-    let mut pairs: Vec<(u32, f64)> = if policy.is_parallel() {
-        (0..n)
-            .into_par_iter()
-            .fold(Vec::new, |mut buf, i| {
-                store(&mut buf, i);
-                buf
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
-    } else {
+    // Step 1: store_values_and_keys, one buffer per piece, joined in
+    // piece order.
+    let mut pairs: Vec<(u32, f64)> = dispatch(ranges(policy, n), |range| {
         let mut buf = Vec::new();
-        for i in 0..n {
+        for i in range {
             store(&mut buf, i);
         }
         buf
-    };
+    })
+    .concat();
 
     // Step 2: sort_by_key (key, then value bits for determinism).
-    pairs.par_sort_unstable_by(|a, b| {
+    pairs.sort_unstable_by(|a, b| {
         a.0.cmp(&b.0)
             .then_with(|| total_order_bits(a.1).cmp(&total_order_bits(b.1)))
     });
@@ -534,7 +527,7 @@ where
         return Err("coloring deposit requires particles sorted by cell".into());
     }
     // Per-cell contiguous particle ranges.
-    let mut ranges: Vec<(usize, usize, usize)> = Vec::new(); // (cell, lo, hi)
+    let mut cells: Vec<(usize, usize, usize)> = Vec::new(); // (cell, lo, hi)
     let mut i = 0;
     while i < particle_cells.len() {
         let c = particle_cells[i];
@@ -542,7 +535,7 @@ where
         while i < particle_cells.len() && particle_cells[i] == c {
             i += 1;
         }
-        ranges.push((c as usize, lo, i));
+        cells.push((c as usize, lo, i));
     }
 
     // The coloring guarantees same-color cells touch disjoint targets,
@@ -550,20 +543,16 @@ where
     // the safe way to hand the buffer to concurrent tasks.
     let slots = as_atomic_slots(target);
     for color in 0..n_colors as u32 {
-        let work: Vec<&(usize, usize, usize)> = ranges
+        let work: Vec<(usize, usize)> = cells
             .iter()
             .filter(|(c, _, _)| cell_colors[*c] == color)
+            .map(|&(_, lo, hi)| (lo, hi))
             .collect();
-        policy.run(|| {
-            let run = |&(_, lo, hi): &(usize, usize, usize)| {
+        dispatch(ranges(policy, work.len()), |range| {
+            for &(lo, hi) in &work[range] {
                 for p in lo..hi {
                     add_atomic(slots, kernel(p), Ordering::Relaxed);
                 }
-            };
-            if policy.is_parallel() {
-                work.par_iter().for_each(|&w| run(w));
-            } else {
-                work.iter().for_each(|&w| run(w));
             }
         });
     }

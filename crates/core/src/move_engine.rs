@@ -238,7 +238,7 @@ where
     // relocate or list it. Range pieces are ascending, so their removal
     // lists concatenate in order.
     let pieces = carve(policy, Space::Range, (cells, cols));
-    let (removed, tally) = dispatch(policy, pieces, |windows| {
+    let (removed, tally) = dispatch(pieces, |windows| {
         let mut removed = Vec::new();
         let mut t = MoveTally::default();
         for w in windows {

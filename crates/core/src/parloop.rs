@@ -32,22 +32,21 @@
 use crate::binding::ThreadBinding;
 use crate::dat::Dat;
 use crate::deposit::{scatter_pieces, Tally};
-use rayon::prelude::*;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// Execution policy: the "backend" selector.
 ///
 /// * [`ExecPolicy::Seq`] — the paper's `seq` backend (a plain loop).
-/// * [`ExecPolicy::Par`] — the OpenMP-analogue backend on the global
-///   rayon pool.
-/// * [`ExecPolicy::pool`] — same, on a dedicated pool with a fixed
-///   thread count (used by the scaling benches).
+/// * [`ExecPolicy::Par`] — the OpenMP-analogue backend on the process
+///   thread budget ([`rayon::current_num_threads`]).
+/// * [`ExecPolicy::pool`] — same, with a fixed thread count (used by
+///   the scaling benches).
 #[derive(Clone, Default)]
 pub enum ExecPolicy {
     Seq,
     #[default]
     Par,
-    Pool(Arc<rayon::ThreadPool>),
+    Pool(usize),
 }
 
 impl std::fmt::Debug for ExecPolicy {
@@ -55,21 +54,19 @@ impl std::fmt::Debug for ExecPolicy {
         match self {
             ExecPolicy::Seq => write!(f, "ExecPolicy::Seq"),
             ExecPolicy::Par => write!(f, "ExecPolicy::Par"),
-            ExecPolicy::Pool(p) => {
-                write!(f, "ExecPolicy::Pool({} threads)", p.current_num_threads())
-            }
+            ExecPolicy::Pool(n) => write!(f, "ExecPolicy::Pool({n} threads)"),
         }
     }
 }
 
 impl ExecPolicy {
-    /// A dedicated pool with exactly `n` threads.
+    /// Exactly `n` threads; `0` asks for the machine's parallelism.
     pub fn pool(n: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("failed to build rayon pool");
-        ExecPolicy::Pool(Arc::new(pool))
+        let n = match n {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        ExecPolicy::Pool(n)
     }
 
     /// Is any thread-level parallelism in play?
@@ -82,18 +79,7 @@ impl ExecPolicy {
         match self {
             ExecPolicy::Seq => 1,
             ExecPolicy::Par => rayon::current_num_threads(),
-            ExecPolicy::Pool(p) => p.current_num_threads(),
-        }
-    }
-
-    /// Run `f` in this policy's execution context (inside the dedicated
-    /// pool if there is one), so that nested rayon calls use the right
-    /// worker set.
-    #[inline]
-    pub fn run<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        match self {
-            ExecPolicy::Pool(p) => p.install(f),
-            _ => f(),
+            ExecPolicy::Pool(n) => *n,
         }
     }
 }
@@ -307,7 +293,10 @@ fn note_loop(bytes: usize) {
 type Cut = (usize, usize, usize);
 
 /// Cut `space` over `n` elements into pieces: the piece count and
-/// every window's cut, in ascending `lo` order tiling `0..n`.
+/// every window's cut, in ascending `lo` order tiling `0..n`. A
+/// [`Space::Range`] cut never has more pieces than the policy has
+/// threads; a binding's pieces are its workers, which the apps build
+/// from the policy's thread count.
 fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
     let t = policy.threads().max(1);
     match space {
@@ -326,9 +315,18 @@ fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
                 .enumerate()
                 .map(|(p, lo)| (p, lo, (lo + chunk).min(n)))
                 .collect();
+            debug_assert!(cuts.len() <= t, "a range cut exceeds the threads");
             (cuts.len(), cuts)
         }
     }
+}
+
+/// The pieces of a [`Space::Range`] cut of `0..n`, one window each:
+/// the work lists of the loops that index their elements themselves
+/// (the deposit strategies' passes).
+pub(crate) fn ranges(policy: &ExecPolicy, n: usize) -> Vec<Range<usize>> {
+    let (_, cuts) = cut(policy, Space::Range, n);
+    cuts.into_iter().map(|(_, lo, hi)| lo..hi).collect()
 }
 
 /// Check the columns' shapes, note the loop, and carve every column
@@ -356,9 +354,10 @@ pub(crate) fn carve<C: Cols>(
 }
 
 /// The one place pieces of work meet threads: a single piece runs
-/// inline on the calling thread, several run on the policy's workers.
-/// Results come back in piece order.
-pub(crate) fn dispatch<W, R, F>(policy: &ExecPolicy, pieces: Vec<W>, run: F) -> Vec<R>
+/// inline on the calling thread, several run on one scoped thread
+/// each. Results come back in piece order, and a panicking piece
+/// panics the caller.
+pub(crate) fn dispatch<W, R, F>(pieces: Vec<W>, run: F) -> Vec<R>
 where
     W: Send,
     R: Send,
@@ -367,11 +366,15 @@ where
     if pieces.len() <= 1 {
         return pieces.into_iter().map(run).collect();
     }
-    let mut slots: Vec<Option<W>> = pieces.into_iter().map(Some).collect();
-    policy.run(|| {
-        slots
-            .par_iter_mut()
-            .map(|slot| run(slot.take().expect("each piece runs once")))
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = pieces
+            .into_iter()
+            .map(|piece| scope.spawn(move || run(piece)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
 }
@@ -398,7 +401,7 @@ where
     C: Cols,
     F: Fn(Window<C>) + Sync,
 {
-    dispatch(policy, carve(policy, space, cols), |windows| {
+    dispatch(carve(policy, space, cols), |windows| {
         windows.into_iter().for_each(&f)
     });
 }
@@ -758,9 +761,17 @@ mod tests {
 
     #[test]
     fn pool_policy_runs_inside_its_pool() {
-        let p = ExecPolicy::pool(2);
-        let threads_seen = p.run(rayon::current_num_threads);
-        assert_eq!(threads_seen, 2);
+        // Pool(3) cuts a range into three pieces, one worker thread
+        // each, none of them the caller; results come back in piece
+        // order.
+        let caller = std::thread::current().id();
+        let pieces = ranges(&ExecPolicy::pool(3), 9);
+        let ran = dispatch(pieces, |r| (r, std::thread::current().id()));
+        let (order, ids): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
+        assert_eq!(order, vec![0..3, 3..6, 6..9]);
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 3);
+        assert!(!ids.contains(&caller));
     }
 
     #[test]

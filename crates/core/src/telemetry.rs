@@ -44,7 +44,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -356,7 +356,6 @@ struct Frame {
 
 struct Sink {
     w: std::io::BufWriter<std::fs::File>,
-    path: PathBuf,
 }
 
 /// Severity attached to alert events (watchdog rule trips, recovery
@@ -900,23 +899,12 @@ impl Telemetry {
         header.push('}');
         let mut sink = Sink {
             w: std::io::BufWriter::new(file),
-            path: path.to_path_buf(),
         };
         writeln!(sink.w, "{header}")?;
         *self.sink.lock() = Some(sink);
         self.sink_attached.store(true, Ordering::Relaxed);
         self.events_written.store(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Whether a JSONL sink is currently attached.
-    pub fn sink_is_attached(&self) -> bool {
-        self.sink_attached.load(Ordering::Relaxed)
-    }
-
-    /// Path of the attached sink, if any.
-    pub fn sink_path(&self) -> Option<PathBuf> {
-        self.sink.lock().as_ref().map(|s| s.path.clone())
     }
 
     /// Emit the run-footer record (final aggregates + balance info),
@@ -1337,6 +1325,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("oppic_tel_{tag}_{}.jsonl", std::process::id()))

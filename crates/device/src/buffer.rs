@@ -97,7 +97,6 @@ impl DeviceBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn upload_download() {
@@ -110,8 +109,18 @@ mod tests {
     #[test]
     fn concurrent_adds_are_exact_for_integers() {
         let b = DeviceBuffer::zeros(4);
-        (0..10_000usize).into_par_iter().for_each(|i| {
-            b.atomic_add(i % 4, 1.0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (b, start) = (&b, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Every thread adds to every slot.
+                    for i in t * 2500..(t + 1) * 2500 {
+                        b.atomic_add(i % 4, 1.0);
+                    }
+                });
+            }
         });
         for k in 0..4 {
             assert_eq!(b.get(k), 2500.0);

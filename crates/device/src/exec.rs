@@ -1,7 +1,7 @@
 //! The warp engine: lockstep execution with divergence and atomic
 //! serialization accounting.
 //!
-//! Kernels run for real (on host threads, one rayon task per warp) and
+//! Kernels run for real (warp after warp on the calling thread) and
 //! produce exact numeric results; alongside, the engine gathers the
 //! metrics that determine GPU kernel *time* in the paper's evaluation:
 //! distinct branch paths per warp, and per-warp atomic address
@@ -12,7 +12,6 @@
 use crate::buffer::DeviceBuffer;
 use crate::spec::{AtomicFlavor, DeviceSpec};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Per-lane kernel context. The kernel reports divergence by calling
@@ -121,15 +120,6 @@ impl LaunchReport {
             * (1.0 + spec.atomic_penalty(flavor) * self.collision_rate());
         base + atomic
     }
-
-    fn merge(&mut self, other: &LaunchReport) {
-        self.n_lanes += other.n_lanes;
-        self.n_warps += other.n_warps;
-        self.divergent_path_excess += other.divergent_path_excess;
-        self.diverged_warps += other.diverged_warps;
-        self.atomic_ops += other.atomic_ops;
-        self.atomic_collisions += other.atomic_collisions;
-    }
 }
 
 /// Post-hoc warp analysis of an access pattern, without executing a
@@ -142,6 +132,21 @@ where
     P: Fn(usize) -> u32,
     T: Fn(usize, &mut Vec<u32>),
 {
+    account_warps(warp_size, n, |tid, targets| {
+        let path = path_of(tid);
+        targets_of(tid, targets);
+        path
+    })
+}
+
+/// The lockstep accounting of `n` lanes in warps of `warp_size`, warp
+/// after warp: `lane(tid, targets)` runs lane `tid`, pushes the
+/// addresses it updates atomically and returns its branch path.
+fn account_warps(
+    warp_size: usize,
+    n: usize,
+    mut lane: impl FnMut(usize, &mut Vec<u32>) -> u32,
+) -> LaunchReport {
     let w = warp_size.max(1);
     let n_warps = n.div_ceil(w);
     let mut report = LaunchReport::default();
@@ -154,12 +159,13 @@ where
         paths.clear();
         targets.clear();
         for tid in lo..hi {
-            paths.push(path_of(tid));
-            targets_of(tid, &mut targets);
+            paths.push(lane(tid, &mut targets));
         }
+        // Distinct paths in this warp.
         paths.sort_unstable();
         paths.dedup();
         let distinct = paths.len().max(1) as u64;
+        // Same-address collisions within the warp.
         mult.clear();
         for &t in &targets {
             *mult.entry(t).or_insert(0) += 1;
@@ -195,54 +201,22 @@ impl Device {
     }
 
     /// Launch `n` lanes of `kernel` and return the divergence/atomic
-    /// report. Warps execute concurrently (rayon), lanes within a warp
-    /// sequentially — the lockstep model.
+    /// report. Warps run one after another, lanes within a warp
+    /// sequentially — the lockstep model. The report is a pure count,
+    /// so it does not depend on warps running at the same time.
     pub fn launch<F>(&self, n: usize, kernel: F) -> LaunchReport
     where
-        F: Fn(&mut Lane) + Sync,
+        F: Fn(&mut Lane),
     {
-        let w = self.spec.warp_size.max(1);
-        let n_warps = n.div_ceil(w);
-        let report = (0..n_warps)
-            .into_par_iter()
-            .fold(LaunchReport::default, |mut acc, warp| {
-                let lo = warp * w;
-                let hi = ((warp + 1) * w).min(n);
-                let mut paths: Vec<u32> = Vec::with_capacity(hi - lo);
-                let mut targets: Vec<u32> = Vec::new();
-                for tid in lo..hi {
-                    let mut lane = Lane {
-                        tid,
-                        path: 0,
-                        atomic_targets: &mut targets,
-                    };
-                    kernel(&mut lane);
-                    paths.push(lane.path);
-                }
-                // Distinct paths in this warp.
-                paths.sort_unstable();
-                paths.dedup();
-                let distinct = paths.len().max(1) as u64;
-                // Same-address collisions within the warp.
-                let mut mult: HashMap<u32, u64> = HashMap::new();
-                for &t in &targets {
-                    *mult.entry(t).or_insert(0) += 1;
-                }
-                let collisions: u64 = mult.values().map(|&m| m - 1).sum();
-
-                acc.n_lanes += hi - lo;
-                acc.n_warps += 1;
-                acc.divergent_path_excess += distinct - 1;
-                acc.diverged_warps += u64::from(distinct > 1);
-                acc.atomic_ops += targets.len() as u64;
-                acc.atomic_collisions += collisions;
-                acc
-            })
-            .reduce(LaunchReport::default, |mut a, b| {
-                a.merge(&b);
-                a
-            });
-        report
+        account_warps(self.spec.warp_size, n, |tid, atomic_targets| {
+            let mut lane = Lane {
+                tid,
+                path: 0,
+                atomic_targets,
+            };
+            kernel(&mut lane);
+            lane.path
+        })
     }
 
     /// Launch and also integrate the modeled time into the device's
@@ -256,7 +230,7 @@ impl Device {
         kernel: F,
     ) -> (LaunchReport, f64)
     where
-        F: Fn(&mut Lane) + Sync,
+        F: Fn(&mut Lane),
     {
         let report = self.launch(n, kernel);
         let t = report.modeled_seconds(&self.spec, flavor, bytes, flops);

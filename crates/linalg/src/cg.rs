@@ -8,8 +8,6 @@
 //! iteratively and serves as the tests' oracle for the factor.
 
 use crate::csr::CsrMatrix;
-use oppic_core::ExecPolicy;
-use rayon::prelude::*;
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -67,45 +65,23 @@ pub struct CgOutcome {
     pub residual: f64,
 }
 
-/// Vectors at least this long go parallel under a parallel policy.
-const PAR_MIN_LEN: usize = 4096;
-
 #[inline]
-fn dot(policy: &ExecPolicy, a: &[f64], b: &[f64]) -> f64 {
-    if policy.is_parallel() && a.len() >= PAR_MIN_LEN {
-        policy.run(|| a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum())
-    } else {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[inline]
-fn axpy(policy: &ExecPolicy, alpha: f64, x: &[f64], y: &mut [f64]) {
-    if policy.is_parallel() && x.len() >= PAR_MIN_LEN {
-        policy.run(|| {
-            y.par_iter_mut()
-                .zip(x.par_iter())
-                .for_each(|(yi, xi)| *yi += alpha * xi)
-        });
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
+fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
     }
 }
 
 /// Solve `A x = b` with Jacobi-PCG, starting from the provided `x`
 /// (warm starts matter: FEM-PIC solves a slowly varying system every
-/// time step and the paper's PETSc setup does the same). SpMV, dots
-/// and updates run on `policy`: under [`ExecPolicy::Seq`] the solve
-/// never leaves the calling thread.
-pub fn cg_solve(
-    policy: &ExecPolicy,
-    a: &CsrMatrix,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: CgConfig,
-) -> CgOutcome {
+/// time step and the paper's PETSc setup does the same). The solve
+/// runs on the calling thread.
+pub fn cg_solve(a: &CsrMatrix, b: &[f64], x: &mut [f64], cfg: CgConfig) -> CgOutcome {
     let n = a.n_rows();
     assert_eq!(a.n_cols(), n, "CG needs a square matrix");
     assert_eq!(b.len(), n);
@@ -119,20 +95,20 @@ pub fn cg_solve(
         .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
         .collect();
 
-    let norm_b = dot(policy, b, b).sqrt();
+    let norm_b = dot(b, b).sqrt();
     let target = (cfg.rtol * norm_b).max(cfg.atol);
 
     let mut r = vec![0.0; n];
-    a.spmv(policy, x, &mut r);
+    a.spmv(x, &mut r);
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
     let mut z: Vec<f64> = r.iter().zip(&inv_diag).map(|(ri, di)| ri * di).collect();
     let mut p = z.clone();
-    let mut rz = dot(policy, &r, &z);
+    let mut rz = dot(&r, &z);
     let mut ap = vec![0.0; n];
 
-    let mut res = dot(policy, &r, &r).sqrt();
+    let mut res = dot(&r, &r).sqrt();
     if !res.is_finite() {
         return CgOutcome {
             converged: false,
@@ -156,8 +132,8 @@ pub fn cg_solve(
     let mut since_improved = 0usize;
 
     for it in 1..=cfg.max_iters {
-        a.spmv(policy, &p, &mut ap);
-        let p_ap = dot(policy, &p, &ap);
+        a.spmv(&p, &mut ap);
+        let p_ap = dot(&p, &ap);
         if !p_ap.is_finite() {
             return CgOutcome {
                 converged: false,
@@ -177,9 +153,9 @@ pub fn cg_solve(
             };
         }
         let alpha = rz / p_ap;
-        axpy(policy, alpha, &p, x);
-        axpy(policy, -alpha, &ap, &mut r);
-        res = dot(policy, &r, &r).sqrt();
+        axpy(alpha, &p, x);
+        axpy(-alpha, &ap, &mut r);
+        res = dot(&r, &r).sqrt();
         if !res.is_finite() {
             return CgOutcome {
                 converged: false,
@@ -213,7 +189,7 @@ pub fn cg_solve(
         for i in 0..n {
             z[i] = r[i] * inv_diag[i];
         }
-        let rz_new = dot(policy, &r, &z);
+        let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
@@ -258,7 +234,7 @@ mod tests {
         let a = b.build();
         let rhs = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let mut x = vec![0.0; 5];
-        let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&a, &rhs, &mut x, CgConfig::default());
         assert!(out.converged);
         for i in 0..5 {
             assert!((x[i] - rhs[i]).abs() < 1e-9);
@@ -272,9 +248,9 @@ mod tests {
         // Manufactured solution.
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
         let mut rhs = vec![0.0; n];
-        a.spmv_serial(&x_true, &mut rhs);
+        a.spmv(&x_true, &mut rhs);
         let mut x = vec![0.0; n];
-        let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&a, &rhs, &mut x, CgConfig::default());
         assert!(out.converged, "{out:?}");
         for i in 0..n {
             assert!((x[i] - x_true[i]).abs() < 1e-7, "i={i}");
@@ -286,7 +262,7 @@ mod tests {
         let a = laplacian_1d(10);
         let rhs = vec![0.0; 10];
         let mut x = vec![0.0; 10];
-        let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&a, &rhs, &mut x, CgConfig::default());
         assert!(out.converged);
         assert_eq!(out.iterations, 0);
     }
@@ -297,14 +273,14 @@ mod tests {
         let a = laplacian_1d(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).cos()).collect();
         let mut rhs = vec![0.0; n];
-        a.spmv_serial(&x_true, &mut rhs);
+        a.spmv(&x_true, &mut rhs);
 
         let mut cold = vec![0.0; n];
-        let out_cold = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut cold, CgConfig::default());
+        let out_cold = cg_solve(&a, &rhs, &mut cold, CgConfig::default());
 
         // Warm start from a slightly perturbed exact solution.
         let mut warm: Vec<f64> = x_true.iter().map(|v| v + 1e-6).collect();
-        let out_warm = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut warm, CgConfig::default());
+        let out_warm = cg_solve(&a, &rhs, &mut warm, CgConfig::default());
         assert!(out_warm.converged && out_cold.converged);
         assert!(
             out_warm.iterations < out_cold.iterations,
@@ -321,7 +297,6 @@ mod tests {
         let rhs = vec![1.0; n];
         let mut x = vec![0.0; n];
         let out = cg_solve(
-            &ExecPolicy::Par,
             &a,
             &rhs,
             &mut x,
@@ -345,13 +320,7 @@ mod tests {
         b.add(1, 1, -1.0);
         let a = b.build();
         let mut x = vec![0.0; 2];
-        let out = cg_solve(
-            &ExecPolicy::Par,
-            &a,
-            &[1.0, 1.0],
-            &mut x,
-            CgConfig::default(),
-        );
+        let out = cg_solve(&a, &[1.0, 1.0], &mut x, CgConfig::default());
         // Either converges by luck on the positive part or reports a
         // breakdown; must not produce NaNs.
         assert!(x.iter().all(|v| v.is_finite()));
@@ -382,7 +351,7 @@ mod tests {
         rhs[0] = 1.0;
         let mut x = vec![0.0; n];
         let cfg = CgConfig::default();
-        let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, cfg);
+        let out = cg_solve(&a, &rhs, &mut x, cfg);
         assert!(!out.converged);
         assert!(
             out.iterations < cfg.max_iters,
@@ -398,7 +367,6 @@ mod tests {
         // With the detector disabled the old silent behaviour returns.
         let mut x2 = vec![0.0; n];
         let out2 = cg_solve(
-            &ExecPolicy::Par,
             &a,
             &rhs,
             &mut x2,
@@ -417,7 +385,7 @@ mod tests {
         let a = laplacian_1d(24);
         let rhs = vec![1.0; 24];
         let mut x = vec![0.0; 24];
-        let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&a, &rhs, &mut x, CgConfig::default());
         assert!(out.converged);
         assert_eq!(out.stop, CgStop::Converged);
     }
@@ -430,13 +398,7 @@ mod tests {
         b.add(1, 1, 1e6);
         let a = b.build();
         let mut x = vec![0.0; 2];
-        let out = cg_solve(
-            &ExecPolicy::Par,
-            &a,
-            &[1.0, 2e6],
-            &mut x,
-            CgConfig::default(),
-        );
+        let out = cg_solve(&a, &[1.0, 2e6], &mut x, CgConfig::default());
         assert!(out.converged);
         assert!(out.iterations <= 2);
         assert!((x[0] - 1.0).abs() < 1e-8);

@@ -5,9 +5,6 @@
 //! on [`CsrBuilder::build`], which is exactly the `MatSetValues(...,
 //! ADD_VALUES)` workflow Mini-FEM-PIC uses with PETSc.
 
-use oppic_core::ExecPolicy;
-use rayon::prelude::*;
-
 /// Builder accumulating `(row, col, value)` triplets.
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
@@ -41,10 +38,6 @@ impl CsrBuilder {
                 self.add(r, c, block[bi * cols.len() + bj]);
             }
         }
-    }
-
-    pub fn nnz_upper_bound(&self) -> usize {
-        self.triplets.len()
     }
 
     /// Sort, merge duplicates, and freeze into a [`CsrMatrix`].
@@ -117,35 +110,17 @@ impl CsrMatrix {
             .map_or(0.0, |k| vals[k])
     }
 
-    /// `y = A x`: rows in a plain loop under [`ExecPolicy::Seq`], in
-    /// parallel on the policy's threads otherwise. Every row is the
-    /// same left fold `acc += v * x[c]` either way, so `y` does not
-    /// depend on the policy.
-    pub fn spmv(&self, policy: &ExecPolicy, x: &[f64], y: &mut [f64]) {
+    /// `y = A x`, each row the left fold `acc += v * x[c]`.
+    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n_cols);
         assert_eq!(y.len(), self.n_rows);
-        let row = |r: usize, yr: &mut f64| {
+        for (r, yr) in y.iter_mut().enumerate() {
             let (cols, vals) = self.row(r);
             let mut acc = 0.0;
             for (c, v) in cols.iter().zip(vals) {
                 acc += v * x[*c as usize];
             }
             *yr = acc;
-        };
-        match policy {
-            ExecPolicy::Seq => y.iter_mut().enumerate().for_each(|(r, yr)| row(r, yr)),
-            _ => policy.run(|| y.par_iter_mut().enumerate().for_each(|(r, yr)| row(r, yr))),
-        }
-    }
-
-    /// `y = A x` single-threaded (used for small systems where rayon
-    /// overhead dominates, and as the oracle in tests).
-    pub fn spmv_serial(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols);
-        assert_eq!(y.len(), self.n_rows);
-        for (r, yr) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r);
-            *yr = cols.iter().zip(vals).map(|(c, v)| v * x[*c as usize]).sum();
         }
     }
 
@@ -280,7 +255,7 @@ mod tests {
         assert_eq!(m.row(2).0.len(), 0);
         assert_eq!(m.get(3, 3), 2.0);
         let mut y = vec![0.0; 4];
-        m.spmv_serial(&[1.0, 1.0, 1.0, 1.0], &mut y);
+        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut y);
         assert_eq!(y, vec![1.0, 0.0, 0.0, 2.0]);
     }
 
@@ -300,13 +275,7 @@ mod tests {
         let m = small();
         let x = vec![1.0, -2.0, 0.5];
         let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        m.spmv(&ExecPolicy::Par, &x, &mut y1);
-        m.spmv_serial(&x, &mut y2);
-        assert_eq!(y1, y2);
-        let mut y3 = vec![0.0; 3];
-        m.spmv(&ExecPolicy::Seq, &x, &mut y3);
-        assert_eq!(y1, y3);
+        m.spmv(&x, &mut y1);
         // Dense oracle.
         let d = m.to_dense();
         for r in 0..3 {

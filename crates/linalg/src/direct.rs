@@ -280,7 +280,7 @@ mod tests {
         // And the factor solves the system.
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut x = vec![0.0; n];
-        a.spmv_serial(&x_true, &mut x);
+        a.spmv(&x_true, &mut x);
         l.solve_in_place(&mut x);
         for (got, want) in x.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-12, "{got} vs {want}");

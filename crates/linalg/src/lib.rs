@@ -5,7 +5,7 @@
 //! solver. This crate is the PETSc substitute documented in DESIGN.md:
 //!
 //! * [`csr`] — a compressed-sparse-row matrix with a two-phase
-//!   (triplet insert → freeze) builder, parallel SpMV, and Dirichlet
+//!   (triplet insert → freeze) builder, SpMV, and Dirichlet
 //!   row/column elimination.
 //! * [`direct`] — the field solve every rank runs: reverse
 //!   Cuthill–McKee ordering and an envelope Cholesky factor built once

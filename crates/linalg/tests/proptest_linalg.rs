@@ -1,6 +1,5 @@
 //! Property-based tests on the sparse-solver substrate.
 
-use oppic_core::ExecPolicy;
 use oppic_linalg::dense::DenseMatrix;
 use oppic_linalg::{cg_solve, rcm_order, CgConfig, CsrBuilder, CsrMatrix, EnvelopeCholesky};
 use oppic_mesh::TetMesh;
@@ -49,7 +48,7 @@ proptest! {
         }
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let mut y = vec![0.0; n];
-        m.spmv_serial(&x, &mut y);
+        m.spmv(&x, &mut y);
         let y_dense = dense.matvec(&x);
         for (a, b) in y.iter().zip(&y_dense) {
             prop_assert!((a - b).abs() < 1e-10);
@@ -85,7 +84,7 @@ proptest! {
         let ae = a.apply_dirichlet(&fixed, &g, &mut rhs);
         prop_assert!(ae.asymmetry() < 1e-12);
         let mut x = vec![0.0; n];
-        let out = cg_solve(&ExecPolicy::Par, &ae, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&ae, &rhs, &mut x, CgConfig::default());
         prop_assert!(out.converged);
         // Dirichlet values hold exactly.
         for i in 0..n {
@@ -95,7 +94,7 @@ proptest! {
         }
         // Free rows satisfy the ORIGINAL equations.
         let mut ax = vec![0.0; n];
-        a.spmv_serial(&x, &mut ax);
+        a.spmv(&x, &mut ax);
         for i in 0..n {
             if !fixed[i] {
                 prop_assert!((ax[i] - rhs0[i]).abs() < 1e-6, "row {i}");

@@ -35,11 +35,6 @@ impl Vec3 {
     }
 
     #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    #[inline]
     pub fn dot(self, o: Vec3) -> f64 {
         self.x * o.x + self.y * o.y + self.z * o.z
     }

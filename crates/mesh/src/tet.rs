@@ -11,9 +11,8 @@
 //! diagonal, which guarantees matching faces across hexahedron
 //! boundaries).
 
-use crate::connectivity::{build_c2c_from_faces, tet_faces, FaceKey};
+use crate::connectivity::{build_c2c_from_faces, tet_faces};
 use crate::geometry::{p1_gradients, tet_centroid, tet_signed_volume, BoundingBox, Vec3};
-use std::collections::HashMap;
 
 /// Classification of a boundary face of the duct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,18 +312,6 @@ impl TetMesh {
             }
         }
         errs
-    }
-
-    /// A map from sorted face keys to (cell, local face) — used by the
-    /// distributed halo builder.
-    pub fn face_index(&self) -> HashMap<FaceKey, Vec<(usize, usize)>> {
-        let mut m: HashMap<FaceKey, Vec<(usize, usize)>> = HashMap::new();
-        for (c, nd) in self.c2n.iter().enumerate() {
-            for (f, fnodes) in tet_faces(nd).into_iter().enumerate() {
-                m.entry(FaceKey::new(fnodes)).or_default().push((c, f));
-            }
-        }
-        m
     }
 }
 

@@ -9,9 +9,9 @@
 //! a word in [`RankCtx::sent_bytes`].
 
 use crate::fault::{FaultAction, FaultSchedule};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -341,7 +341,7 @@ where
     for src in 0..n_ranks {
         let mut row = Vec::with_capacity(n_ranks);
         for recv_row in receivers.iter_mut() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             row.push(Some(tx));
             recv_row[src] = Some(rx);
         }

@@ -4,7 +4,7 @@
 //! owner-compute halos, particle migration with pack/ship/unpack, and
 //! an MPI-RMA global move that finds target ranks through the direct-hop
 //! overlay's rank-map. This crate runs that level in-process: **ranks
-//! are OS threads**, messages are `Vec<f64>` frames on crossbeam
+//! are OS threads**, messages are `Vec<f64>` frames on `std::sync::mpsc`
 //! channels, and the collectives (barrier, allreduce, alltoallv) are
 //! built on top (the substitution documented in DESIGN.md §2).
 //!

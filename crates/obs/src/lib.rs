@@ -124,7 +124,6 @@ pub struct ObsPlane {
     registry: Arc<MetricsRegistry>,
     server: Option<MetricsServer>,
     watchdog: Option<Watchdog>,
-    recorder_dump: Option<PathBuf>,
     metrics_dump: Option<PathBuf>,
     dumps: Arc<AtomicU64>,
     finished: bool,
@@ -166,7 +165,6 @@ impl ObsPlane {
             registry,
             server,
             watchdog: cfg.watchdog.map(Watchdog::new),
-            recorder_dump: cfg.recorder_dump,
             metrics_dump: cfg.metrics_dump,
             dumps,
             finished: false,
@@ -212,19 +210,6 @@ impl ObsPlane {
     /// All watchdog alerts raised so far.
     pub fn alerts(&self) -> &[Alert] {
         self.watchdog.as_ref().map_or(&[], |w| w.alerts())
-    }
-
-    /// Force a flight-recorder dump (chaos verdicts, operator
-    /// request). No-op without a configured dump path.
-    pub fn dump_now(&self) -> io::Result<Option<PathBuf>> {
-        match &self.recorder_dump {
-            None => Ok(None),
-            Some(path) => {
-                self.recorder.dump_to(path)?;
-                self.dumps.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(path.clone()))
-            }
-        }
     }
 
     /// Tear the plane down: write the final metrics snapshot (through

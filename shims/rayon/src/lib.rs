@@ -1,27 +1,14 @@
-//! Workspace-local shim of the `rayon` API surface OP-PIC uses.
+//! Workspace-local shim of the `rayon` thread budget.
 //!
 //! The build container has no crates.io access, so the workspace
-//! provides its own data-parallelism layer: the same `par_iter` /
-//! `par_chunks_mut` / `into_par_iter` combinators, backed by
-//! `std::thread::scope`. Parallel iterators are *splittable*: a
-//! consumer cuts the iterator into one contiguous piece per worker
-//! thread and drains each piece with a plain sequential iterator, so
-//! written slices stay disjoint exactly as under real rayon.
-//!
-//! Only the combinators the workspace actually calls are implemented
-//! (`map`, `zip`, `enumerate`, `for_each`, `sum`, `fold`+`reduce`,
-//! `collect`, `par_sort_unstable[_by]`) — this is a build substrate,
-//! not a general library.
+//! provides the one piece of rayon it uses: the thread budget.
+//! [`current_num_threads`] is the number of workers a parallel loop
+//! may use (the installed [`ThreadPool`]'s count, else the machine's
+//! parallelism), and `ThreadPool::install` pins it for a closure.
+//! `oppic_core::ExecPolicy::Par` reads the budget; the loops
+//! themselves run through `oppic_core`'s one par-loop executor, which
+//! starts the worker threads.
 
-mod iter;
 mod pool;
-mod slice;
 
-pub use iter::{FoldPieces, IntoParallelIterator, ParallelIterator};
 pub use pool::{current_num_threads, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
-pub use slice::{ParallelSlice, ParallelSliceMut};
-
-pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, ParallelIterator};
-    pub use crate::slice::{ParallelSlice, ParallelSliceMut};
-}

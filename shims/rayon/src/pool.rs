@@ -1,7 +1,7 @@
 //! Thread-count bookkeeping: the `ThreadPool` here is a *thread budget*,
 //! not a set of persistent workers — `install` pins the budget for the
-//! duration of the closure and the iterator consumers spawn that many
-//! scoped threads per operation.
+//! duration of the closure, and parallel loops started inside it cut
+//! their work into at most that many pieces.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

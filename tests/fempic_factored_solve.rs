@@ -46,7 +46,7 @@ fn tight_cg(fem: &FemSolver, node_charge: &[f64], epsilon0: f64) -> Vec<f64> {
         max_iters: 20_000,
         ..CgConfig::default()
     };
-    let out = cg_solve(&ExecPolicy::Seq, fem.reduced_matrix(), &rhs, &mut x, cfg);
+    let out = cg_solve(fem.reduced_matrix(), &rhs, &mut x, cfg);
     assert!(out.converged, "reference CG did not converge: {out:?}");
     x
 }

@@ -139,9 +139,9 @@ proptest! {
         let a = b.build();
         let x_true: Vec<f64> = (0..n).map(|_| rnd() * 2.0 - 1.0).collect();
         let mut rhs = vec![0.0; n];
-        a.spmv_serial(&x_true, &mut rhs);
+        a.spmv(&x_true, &mut rhs);
         let mut x = vec![0.0; n];
-        let out = cg_solve(&ExecPolicy::Par, &a, &rhs, &mut x, CgConfig::default());
+        let out = cg_solve(&a, &rhs, &mut x, CgConfig::default());
         prop_assert!(out.converged, "{:?}", out);
         for (xi, ti) in x.iter().zip(&x_true) {
             prop_assert!((xi - ti).abs() < 1e-6, "{xi} vs {ti}");
