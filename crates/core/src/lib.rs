@@ -18,8 +18,9 @@
 //! | `opp_decl_dat`             | [`dat::Dat`] / particle columns         |
 //! | `opp_par_loop` (direct)    | [`parloop::par_loop`] over a [`Space`]  |
 //! | `opp_par_loop` (indirect ↑)| [`deposit::deposit_loop`]               |
-//! | `opp_particle_move`        | [`move_engine::move_loop`] (MH/DH, with |
-//! |                            | a written `&mut` window per particle)   |
+//! | `opp_particle_move`        | [`move_engine::move_loop`] (MH/DH, a    |
+//! |                            | `probe`/`exit` kernel pair, a written   |
+//! |                            | `&mut` window per particle)             |
 //! | access modes               | [`access::Access`]                      |
 //! | OpenMP backend             | [`parloop::ExecPolicy`]                 |
 //! | scatter arrays / atomics / | [`deposit::DepositMethod`]              |
@@ -59,7 +60,7 @@ pub use deposit::{
     coloring_is_valid, deposit_loop, deposit_loop_colored, greedy_color_cells, scatter_pieces,
     AutoTuner, Contributions, DepositMethod, Tally, TunerDecision, TunerInput,
 };
-pub use move_engine::{move_loop, MoveConfig, MoveResult, MoveStatus, Seed};
+pub use move_engine::{move_loop, Items, MoveConfig, MoveResult, Seed};
 pub use params::Params;
 pub use parloop::{par_loop, par_loop_direct1, par_loop_scatter, ExecPolicy, Fixed, Space};
 pub use particles::{ColId, ParticleDats, SortPolicy};

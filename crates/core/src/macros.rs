@@ -65,21 +65,27 @@ macro_rules! opp_par_loop {
     }};
 }
 
-/// Declare a particle-move loop, Figure 6 style. The kernel body
-/// evaluates to a [`crate::MoveStatus`] — the `OPP_PARTICLE_MOVE_DONE`
-/// / `NEED_MOVE` / `NEED_REMOVE` markers of the paper become ordinary
-/// `return`-position expressions. An optional `seed` makes it
+/// Declare a particle-move loop, Figure 6 style. The kernel is two
+/// bodies: `probe` evaluates to `true` when `cell` holds particle `i`
+/// (`OPP_PARTICLE_MOVE_DONE`), and `exit`, which runs only after a
+/// failed probe, to `Some(next)` (`OPP_PARTICLE_NEED_MOVE`) or `None`
+/// (`OPP_PARTICLE_NEED_REMOVE`). An optional `seed` makes it
 /// direct-hop: each particle probes its current cell and hops once to
-/// the neighbour a `NeedMove` names, and only a miss there too jumps to
-/// the seed's overlay cell and walks on; an optional `write`
-/// column hands the body the particle's `&mut` window of it on every
-/// visit, e.g. to leave the final cell's weights behind on `Done`.
+/// the neighbour its exit names, and only a miss there too jumps to
+/// the seed's overlay cell and walks on; an optional `write` column
+/// hands both bodies the particle's item of it on every visit
+/// (`&mut` to `probe`, `&` to `exit`), e.g. to leave the final cell's
+/// weights behind.
 ///
 /// ```text
-/// let result = opp_particle_move!(policy, "Move", cells; |i, cell| { ...; MoveStatus::Done });
+/// let result = opp_particle_move!(policy, "Move", cells;
+///     probe |i, cell| { inside(i, cell) }
+///     exit |i, cell| { next_cell(i, cell) });
 /// // direct-hop flavour, writing the dim-4 column `lc` through `l`:
 /// let result = opp_particle_move!(policy, "Move", cells; seed |i| overlay_lookup(i);
-///                                 write Fixed::<4>(lc) => l; |i, cell| { ...; MoveStatus::Done });
+///     write Fixed::<4>(lc) => l;
+///     probe |i, cell| { *l = weights(i, cell); inside(l) }
+///     exit |_i, cell| { c2c[cell][exit_face(l)] });
 /// ```
 #[macro_export]
 macro_rules! opp_particle_move {
@@ -92,7 +98,8 @@ macro_rules! opp_particle_move {
     ($policy:expr, $name:expr, $cells:expr;
      $(seed |$si:pat_param| $seed:expr;)?
      $(write $cols:expr => $w:ident;)?
-     |$i:pat_param, $cell:pat_param| $body:block) => {{
+     probe |$pi:pat_param, $pcell:pat_param| $probe:block
+     exit |$xi:pat_param, $xcell:pat_param| $exit:block) => {{
         let _ = $name;
         $crate::move_engine::move_loop(
             &$policy,
@@ -100,7 +107,8 @@ macro_rules! opp_particle_move {
             $cells,
             $crate::opp_particle_move!(@seed $(|$si| $seed)?),
             $crate::opp_particle_move!(@cols $($cols)?),
-            |$i, $cell, $crate::opp_particle_move!(@window $($w)?)| $body,
+            |$pi, $pcell, $crate::opp_particle_move!(@window $($w)?)| $probe,
+            |$xi, $xcell, $crate::opp_particle_move!(@window $($w)?)| $exit,
         )
     }};
 }
@@ -145,7 +153,7 @@ macro_rules! opp_deposit {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Dat, DepositMethod, ExecPolicy, Fixed, MoveStatus};
+    use crate::{Dat, DepositMethod, ExecPolicy, Fixed};
 
     #[test]
     fn par_loop_macro_all_arities() {
@@ -180,16 +188,18 @@ mod tests {
     fn particle_move_macro_multi_and_direct_hop() {
         let policy = ExecPolicy::Seq;
         let targets = [5usize, 2, 8];
-        let mut cells = vec![0i32, 7, 8];
-        let r = opp_particle_move!(policy, "Move", &mut cells; |i, cell| {
-            if cell == targets[i] {
-                MoveStatus::Done
-            } else if cell < targets[i] {
-                MoveStatus::NeedMove(cell + 1)
+        let toward = |i: usize, cell: usize| {
+            if cell < targets[i] {
+                cell + 1
             } else {
-                MoveStatus::NeedMove(cell - 1)
+                cell - 1
             }
-        });
+        };
+        let mut cells = vec![0i32, 7, 8];
+        let r = opp_particle_move!(policy, "Move", &mut cells;
+            probe |i, cell| { cell == targets[i] }
+            exit |i, cell| { Some(toward(i, cell)) }
+        );
         assert_eq!(cells, vec![5, 2, 8]);
         assert!(r.removed.is_empty());
 
@@ -198,34 +208,44 @@ mod tests {
         // visits each.
         let mut cells = vec![0i32, 0, 0];
         let r = opp_particle_move!(policy, "MoveDH", &mut cells; seed |i| targets[i];
-            |i, cell| {
-                if cell < 2 {
-                    return MoveStatus::NeedMove(cell + 1);
+            probe |i, cell| {
+                if cell >= 2 {
+                    assert_eq!(cell, targets[i]);
                 }
-                assert_eq!(cell, targets[i]);
-                MoveStatus::Done
+                cell >= 2
             }
+            exit |_i, cell| { Some(cell + 1) }
         );
         assert_eq!(r.total_visits, 9);
         assert_eq!(r.seeded, 3);
         assert_eq!(cells, vec![5, 2, 8]);
 
-        // A written window: each particle leaves its final cell behind.
+        // A written window: each particle leaves its final cell behind,
+        // and the exit sees the cell its failed probe wrote.
         let mut cells = vec![0i32, 7, 8];
         let mut last = vec![0.0; 3];
         let r = opp_particle_move!(policy, "MoveW", &mut cells;
             write Fixed::<1>(&mut last) => w;
-            |i, cell| {
-                if cell == targets[i] {
-                    w[0] = cell as f64;
-                    MoveStatus::Done
-                } else {
-                    MoveStatus::NeedMove(if cell < targets[i] { cell + 1 } else { cell - 1 })
-                }
+            probe |i, cell| {
+                w[0] = cell as f64;
+                cell == targets[i]
+            }
+            exit |i, cell| {
+                assert_eq!(w[0], cell as f64);
+                Some(toward(i, cell))
             }
         );
         assert_eq!(last, vec![5.0, 2.0, 8.0]);
         assert_eq!(r.total_visits, 6 + 6 + 1);
+
+        // A removal: the exit of a boundary cell says `None`.
+        let mut cells = vec![0i32, 7, 8];
+        let r = opp_particle_move!(policy, "MoveR", &mut cells;
+            probe |i, cell| { cell == targets[i] }
+            exit |i, cell| { (cell < 6).then(|| toward(i, cell)) }
+        );
+        assert_eq!(r.removed, vec![1]);
+        assert_eq!(r.total_visits, 6 + 1 + 1);
     }
 
     #[test]

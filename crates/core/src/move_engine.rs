@@ -1,50 +1,50 @@
 //! The particle-move executor — `opp_particle_move` (Sections 3.1.3 and
 //! 3.2.2 of the paper).
 //!
-//! The application provides an *elemental move kernel* which, given a
-//! particle and its current candidate cell, does per-cell work and
-//! reports one of three statuses (the paper's preprocessor markers):
+//! The application provides an *elemental move kernel* as two closures
+//! that together report the paper's three statuses (its preprocessor
+//! markers):
 //!
-//! * [`MoveStatus::Done`] — `OPP_PARTICLE_MOVE_DONE`: this is the final
-//!   destination cell;
-//! * [`MoveStatus::NeedRemove`] — `OPP_PARTICLE_NEED_REMOVE`: the
-//!   particle left the domain;
-//! * [`MoveStatus::NeedMove`] — `OPP_PARTICLE_NEED_MOVE`: hop to the
-//!   reported next cell and run the kernel again.
+//! * `probe(i, cell, window) -> bool` — "is particle `i` inside
+//!   `cell`?". It runs once per visit and may write the particle's
+//!   window; `true` is `OPP_PARTICLE_MOVE_DONE`: `cell` is the final
+//!   destination.
+//! * `exit(i, cell, window) -> Option<usize>` — runs only after a
+//!   failed probe and sees the window that probe left. `Some(next)` is
+//!   `OPP_PARTICLE_NEED_MOVE`: hop to `next` and probe again; `None` is
+//!   `OPP_PARTICLE_NEED_REMOVE`: the particle left the domain.
 //!
 //! The engine owns the iteration ("multi-hop", MH), the optional
 //! structured-overlay seeding ("direct-hop", DH), the per-particle cell
 //! updates, and the removal list that the particle store's hole filling
-//! consumes. Every chase first visits the particle's current cell and,
-//! on a `NeedMove`, the `c2c` neighbour it names; under DH only a miss
-//! there too jumps to the overlay's cell and walks on from it, so the
-//! overlay is read only for the particles one hop does not place (in a
-//! small-`dt` step most stay put or cross a single face). A
-//! `NeedRemove` ends the chase at any visit. It runs on the par-loop
-//! executor's pieces ([`crate::parloop::Space::Range`]): the cell
-//! column and one written particle column are carved into per-piece
-//! windows, and every kernel visit gets the particle's `&mut` window of
+//! consumes. It runs on the par-loop executor's pieces
+//! ([`crate::parloop::Space::Range`]) in two passes per piece:
+//!
+//! 1. `probe` every particle in its current cell. Most particles stay
+//!    put in a small-`dt` step, so this pass is a straight sweep whose
+//!    only data-dependent result, the hit, is folded into counters: the
+//!    index of every particle goes into slot `m` of a miss list and `m`
+//!    advances by the miss flag. First-visit finishers are tallied in
+//!    bulk.
+//! 2. Chase the misses in ascending order: `exit`, hop, `probe`, until
+//!    a probe hits or an exit says remove. Under DH the third visit is
+//!    the overlay's cell for the particle instead of the second exit's
+//!    `c2c` neighbour, so the overlay is read only for the particles one
+//!    hop does not place.
+//!
+//! The cell column and one written particle column are carved into
+//! per-piece windows, and every visit gets the particle's `&mut` item of
 //! the written column, so a kernel can leave per-particle results of
-//! its final cell behind (FemPIC writes the barycentric weights `lc` on
-//! `Done`). In distributed runs, `oppic-mpi` wraps this engine and
-//! additionally ships rank-crossing particles.
+//! its final cell behind (FemPIC's probe writes the barycentric weights
+//! `lc`, which the final, successful probe leaves for the deposit). In
+//! distributed runs, `oppic-mpi` wraps this engine and additionally
+//! ships rank-crossing particles.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::deposit::Tally;
-use crate::parloop::{carve, dispatch, Column, ExecPolicy, Space};
+use crate::parloop::{carve, dispatch, Column, ExecPolicy, Fixed, Space, Window};
 use crate::telemetry::HistogramSnapshot;
-
-/// Verdict of one elemental move-kernel invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MoveStatus {
-    /// Final destination cell reached.
-    Done,
-    /// Particle left the domain; remove it.
-    NeedRemove,
-    /// Keep searching from the given next cell.
-    NeedMove(usize),
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -58,11 +58,11 @@ pub struct MoveConfig {
     /// costs 4 bytes/particle).
     pub record_chains: bool,
     /// Size of the cell set, when known. With `Some(n)`, every final
-    /// cell a kernel reports via [`MoveStatus::Done`] is checked
-    /// against `0..n` and violations are counted in
-    /// [`MoveResult::out_of_range`] — the move engine's contribution to
-    /// the analyzer's map-invariant audit (a broken kernel or c2c map
-    /// would otherwise corrupt the particle→cell map silently).
+    /// cell a probe accepts is checked against `0..n` and violations
+    /// are counted in [`MoveResult::out_of_range`] — the move engine's
+    /// contribution to the analyzer's map-invariant audit (a broken
+    /// kernel or c2c map would otherwise corrupt the particle→cell map
+    /// silently).
     pub n_cells: Option<usize>,
 }
 
@@ -77,14 +77,14 @@ impl Default for MoveConfig {
 }
 
 /// Outcome of a move loop.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MoveResult {
     /// Indices of particles to remove, sorted ascending — feed straight
     /// into [`crate::particles::ParticleDats::remove_fill`].
     pub removed: Vec<usize>,
-    /// Total kernel invocations across all particles (≥ n): the
-    /// "hops + finals" count. `total_visits - n_alive` is the extra
-    /// search work a better strategy (DH) eliminates.
+    /// Total probes across all particles (≥ n): the "hops + finals"
+    /// count. `total_visits - n_alive` is the extra search work a
+    /// better strategy (DH) eliminates.
     pub total_visits: u64,
     /// Longest single hop chain observed.
     pub max_chain: u32,
@@ -108,8 +108,8 @@ pub struct MoveResult {
 }
 
 impl MoveResult {
-    /// Mean kernel visits per particle (1.0 = every particle already in
-    /// its final cell).
+    /// Mean probes per particle (1.0 = every particle already in its
+    /// final cell).
     pub fn mean_visits(&self, n_particles: usize) -> f64 {
         if n_particles == 0 {
             0.0
@@ -120,78 +120,111 @@ impl MoveResult {
 }
 
 /// Where a particle's search goes after its current cell: `None` walks
-/// on from it along the kernel's `NeedMove` chain (multi-hop).
-/// `Some(seed)` (direct-hop) probes the current cell and takes one hop
-/// to the `NeedMove` cell it names; only when that second visit is a
-/// `NeedMove` too does the search jump to `seed(i)` — typically the
-/// structured overlay's `locate(new_position)`, Figure 7(b) — and walk
-/// on from there. A `NeedRemove` at any visit removes the particle
-/// without a seed. A hit is exact (the kernel says `Done` only for a
-/// containing cell) and every miss is a real visit, counted in
-/// [`MoveResult::total_visits`].
+/// on from it along the `exit` chain (multi-hop). `Some(seed)`
+/// (direct-hop) probes the current cell and takes one hop to the cell
+/// its `exit` names; only when that second probe misses too does the
+/// search jump to `seed(i)` — typically the structured overlay's
+/// `locate(new_position)`, Figure 7(b) — and walk on from there. An
+/// `exit` of `None` at any visit removes the particle without a seed.
+/// A hit is exact (the probe accepts only a containing cell) and every
+/// miss is a real visit, counted in [`MoveResult::total_visits`].
 pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
 
-/// The move loop: every particle is visited in its current cell and
-/// follows the kernel's `NeedMove` chain — under direct-hop with a
-/// [`Seed`] jump when its first two visits both say `NeedMove` — to a
-/// `Done` (its new `cells[i]`) or a `NeedRemove` (listed in
+/// A column the move engine reaches by index: a window of it is one
+/// slice of per-particle items, so the second pass goes straight to
+/// its misses. A [`Fixed`] column's item is `[f64; N]`; `()` (no
+/// written column) has `()` items.
+pub trait Items<'a>: Column {
+    type Item: 'a;
+    /// The window's `n` elements as a slice.
+    fn items(self, n: usize) -> &'a mut [Self::Item];
+}
+
+impl<'a, const N: usize> Items<'a> for Fixed<'a, N> {
+    type Item = [f64; N];
+
+    fn items(self, n: usize) -> &'a mut [[f64; N]] {
+        let (items, _) = self.0.as_chunks_mut::<N>();
+        debug_assert_eq!(items.len(), n);
+        items
+    }
+}
+
+impl<'a> Items<'a> for () {
+    type Item = ();
+
+    fn items(self, n: usize) -> &'a mut [()] {
+        // A vector of zero-sized items never allocates, so leaking it
+        // costs nothing.
+        vec![(); n].leak()
+    }
+}
+
+/// The move loop: every particle is probed in its current cell and, on
+/// a miss, follows its `exit` chain — under direct-hop with a [`Seed`]
+/// jump when its first two probes both miss — to a probe that hits (its
+/// new `cells[i]`) or an `exit` of `None` (listed in
 /// [`MoveResult::removed`]).
 ///
 /// ```
-/// use oppic_core::{move_loop, ExecPolicy, Fixed, MoveConfig, MoveStatus};
+/// use oppic_core::{move_loop, ExecPolicy, Fixed, MoveConfig};
 /// // Walk two particles along a 1-D row of cells to their targets,
-/// // leaving each one's hop count in `hops`.
+/// // leaving each one's probe count in `probes`.
 /// let targets = [4usize, 1];
 /// let mut cells = vec![0i32, 3];
-/// let mut hops = vec![0.0; 2];
-/// let cols = Fixed::<1>(&mut hops);
-/// let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, None, cols, |i, c, h| {
-///     match targets[i] {
-///         t if c == t => MoveStatus::Done,
-///         t => {
-///             h[0] += 1.0;
-///             MoveStatus::NeedMove(if c < t { c + 1 } else { c - 1 })
-///         }
-///     }
-/// });
+/// let mut probes = vec![0.0; 2];
+/// let r = move_loop(
+///     &ExecPolicy::Seq,
+///     MoveConfig::default(),
+///     &mut cells,
+///     None,
+///     Fixed::<1>(&mut probes),
+///     |i, c, p| {
+///         p[0] += 1.0;
+///         c == targets[i]
+///     },
+///     |i, c, _| Some(if c < targets[i] { c + 1 } else { c - 1 }),
+/// );
 /// assert_eq!(cells, vec![4, 1]);
-/// assert_eq!(hops, vec![4.0, 2.0]);
+/// assert_eq!(probes, vec![5.0, 3.0]);
 /// assert!(r.removed.is_empty());
 /// ```
 ///
-/// `kernel(i, cell, window)` gets particle `i`'s `&mut` element of
-/// `cols` — a [`crate::Fixed`] column the kernel writes, or `()` when
-/// it writes nothing — on every visit. It must be safe to call
-/// concurrently for distinct `i`; it typically reads the particle's
-/// position and per-cell geometry (captured by the closure) and writes
-/// the final cell's per-particle results into its window on `Done`.
+/// `probe(i, cell, item)` gets particle `i`'s `&mut` item of `cols` —
+/// a [`Fixed`] column the kernel writes, or `()` when it writes nothing
+/// — on every visit; `exit(i, cell, item)` gets the item the failed
+/// probe left. Both must be safe to call concurrently for distinct `i`;
+/// they typically read the particle's position and per-cell geometry
+/// (captured by the closures).
 ///
 /// Panics unless the column holds exactly `cells.len() · dim` values.
-pub fn move_loop<C, K>(
+pub fn move_loop<'c, C, P, X>(
     policy: &ExecPolicy,
     cfg: MoveConfig,
     cells: &mut [i32],
     seed: Seed<'_>,
     cols: C,
-    kernel: K,
+    probe: P,
+    exit: X,
 ) -> MoveResult
 where
-    C: Column,
-    K: Fn(usize, usize, &mut C::Elem) -> MoveStatus + Sync,
+    C: Items<'c>,
+    P: Fn(usize, usize, &mut C::Item) -> bool + Sync,
+    X: Fn(usize, usize, &C::Item) -> Option<usize> + Sync,
 {
     let hops_hist = crate::telemetry::hist("move.hops_per_particle");
     let record_hops = hops_hist.is_some();
+    // Every particle is probed at least once; a miss overwrites its 1.
     let chain_log: Vec<AtomicU32> = if cfg.record_chains {
-        (0..cells.len()).map(|_| AtomicU32::new(0)).collect()
+        (0..cells.len()).map(|_| AtomicU32::new(1)).collect()
     } else {
         Vec::new()
     };
+    let over = |cell: usize| cfg.n_cells.is_some_and(|n| cell >= n);
 
-    // Per-particle hop chain from the current cell; returns
-    // Some(final_cell) or None (remove).
-    let chase = |t: &mut MoveTally, i: usize, start: usize, w: &mut C::Elem| -> Option<usize> {
-        let mut cell = start;
-        let mut chain = 0u32;
+    // Pass 2's chase of one particle whose probe of its current cell
+    // `start` missed; returns Some(final_cell) or None (remove).
+    let chase = |t: &mut MoveTally, i: usize, start: usize, e: &mut C::Item| -> Option<usize> {
         let finish = |t: &mut MoveTally, chain: u32| {
             t.total_visits += chain as u64;
             t.max_chain = t.max_chain.max(chain);
@@ -202,28 +235,22 @@ where
                 t.hops.record(chain as u64);
             }
         };
+        let mut cell = start;
+        let mut chain = 1u32;
         loop {
-            chain += 1;
-            let next = match (kernel(i, cell, w), seed) {
-                (MoveStatus::Done, _) => {
-                    if cfg.n_cells.is_some_and(|n| cell >= n) {
-                        t.out_of_range += 1;
-                    }
-                    finish(t, chain);
-                    return Some(cell);
-                }
-                (MoveStatus::NeedRemove, _) => {
-                    finish(t, chain);
-                    return None;
-                }
+            let Some(next) = exit(i, cell, e) else {
+                finish(t, chain);
+                return None;
+            };
+            let next = match seed {
                 // Direct-hop: neither the current cell nor its `c2c`
                 // neighbour holds the particle, so the walk restarts
                 // from the overlay's cell.
-                (MoveStatus::NeedMove(_), Some(seed)) if chain == 2 => {
+                Some(seed) if chain == 2 => {
                     t.seeded += 1;
                     seed(i)
                 }
-                (MoveStatus::NeedMove(next), _) => next,
+                _ => next,
             };
             if chain >= cfg.max_hops {
                 t.aborted += 1;
@@ -231,28 +258,51 @@ where
                 return None;
             }
             cell = next;
+            chain += 1;
+            if probe(i, cell, e) {
+                t.out_of_range += u64::from(over(cell));
+                finish(t, chain);
+                return Some(cell);
+            }
         }
     };
 
-    // One piece: chase every particle from its current cell, then
-    // relocate or list it. Range pieces are ascending, so their removal
-    // lists concatenate in order.
+    // One piece: probe every particle in its window, then chase the
+    // misses. Range pieces are ascending and so are a piece's misses,
+    // so the removal lists concatenate in order.
     let pieces = carve(policy, Space::Range, (cells, cols));
     let (removed, tally) = dispatch(pieces, |windows| {
         let mut removed = Vec::new();
         let mut t = MoveTally::default();
-        for w in windows {
-            w.each(
-                |i, (c, mut e)| match chase(&mut t, i, *c as usize, &mut e) {
+        for Window {
+            first,
+            cols: (cells, items),
+        } in windows
+        {
+            let items = items.items(cells.len());
+            // Pass 1: branch-free compaction of the misses.
+            let mut misses = vec![0usize; cells.len()];
+            let mut m = 0;
+            let mut out_of_range = 0;
+            for (k, (c, e)) in cells.iter().zip(items.iter_mut()).enumerate() {
+                let cell = *c as usize;
+                let hit = probe(first + k, cell, e);
+                misses[m] = k;
+                m += usize::from(!hit);
+                out_of_range += u64::from(hit & over(cell));
+            }
+            t.first_visit_finishers((cells.len() - m) as u64, out_of_range, record_hops);
+            // Pass 2: chase the misses.
+            for &k in &misses[..m] {
+                let start = cells[k];
+                match chase(&mut t, first + k, start as usize, &mut items[k]) {
                     Some(final_cell) => {
-                        if final_cell as i32 != *c {
-                            t.moved += 1;
-                        }
-                        *c = final_cell as i32;
+                        t.moved += u64::from(final_cell as i32 != start);
+                        cells[k] = final_cell as i32;
                     }
-                    None => removed.push(i),
-                },
-            );
+                    None => removed.push(first + k),
+                }
+            }
         }
         (removed, t)
     })
@@ -310,6 +360,21 @@ struct MoveTally {
     hops: HistogramSnapshot,
 }
 
+impl MoveTally {
+    /// `hits` particles whose first probe hit: one visit each, a chain
+    /// of 1, `out_of_range` of them outside the audited cell set.
+    fn first_visit_finishers(&mut self, hits: u64, out_of_range: u64, record_hops: bool) {
+        self.total_visits += hits;
+        if hits > 0 {
+            self.max_chain = self.max_chain.max(1);
+        }
+        self.out_of_range += out_of_range;
+        if record_hops {
+            self.hops.record_n(1, hits);
+        }
+    }
+}
+
 impl Tally for MoveTally {
     fn merge(&mut self, other: MoveTally) {
         self.total_visits += other.total_visits;
@@ -325,21 +390,36 @@ impl Tally for MoveTally {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parloop::Fixed;
+    use std::sync::atomic::AtomicU64;
 
-    /// A 1-D "mesh" of `n` cells in a row; kernel walks a particle
-    /// towards its target cell one hop at a time.
-    fn walk_kernel(targets: &[usize]) -> impl Fn(usize, usize, &mut ()) -> MoveStatus + Sync + '_ {
+    /// A 1-D "mesh" of cells in a row: a particle is inside its target
+    /// cell ...
+    fn walk_probe(targets: &[usize]) -> impl Fn(usize, usize, &mut ()) -> bool + Sync + Copy + '_ {
+        move |i, cell, _| cell == targets[i]
+    }
+
+    /// ... and exits one hop towards it.
+    fn walk_exit(
+        targets: &[usize],
+    ) -> impl Fn(usize, usize, &()) -> Option<usize> + Sync + Copy + '_ {
         move |i, cell, _| {
-            let t = targets[i];
-            if cell == t {
-                MoveStatus::Done
-            } else if cell < t {
-                MoveStatus::NeedMove(cell + 1)
+            Some(if cell < targets[i] {
+                cell + 1
             } else {
-                MoveStatus::NeedMove(cell - 1)
-            }
+                cell - 1
+            })
         }
+    }
+
+    /// [`move_loop`] with no written column and the default config.
+    fn run_walk(
+        pol: &ExecPolicy,
+        cells: &mut [i32],
+        seed: Seed<'_>,
+        targets: &[usize],
+    ) -> MoveResult {
+        let (probe, exit) = (walk_probe(targets), walk_exit(targets));
+        move_loop(pol, MoveConfig::default(), cells, seed, (), probe, exit)
     }
 
     #[test]
@@ -347,14 +427,7 @@ mod tests {
         for pol in [ExecPolicy::Seq, ExecPolicy::Par] {
             let targets = vec![5usize, 0, 3, 9, 2];
             let mut cells = vec![0i32, 0, 3, 1, 7];
-            let r = move_loop(
-                &pol,
-                MoveConfig::default(),
-                &mut cells,
-                None,
-                (),
-                walk_kernel(&targets),
-            );
+            let r = run_walk(&pol, &mut cells, None, &targets);
             assert!(r.removed.is_empty());
             assert_eq!(cells, vec![5, 0, 3, 9, 2]);
             // visits: |0-5|+1 + 1 + 1 + |1-9|+1 + |7-2|+1 = 6+1+1+9+6 = 23
@@ -378,13 +451,8 @@ mod tests {
                 &mut cells,
                 None,
                 (),
-                |i, _, _| {
-                    if i % 7 == 0 {
-                        MoveStatus::NeedRemove
-                    } else {
-                        MoveStatus::Done
-                    }
-                },
+                |i, _, _| i % 7 != 0,
+                |_, _, _| None,
             );
             let expect: Vec<usize> = (0..100).filter(|i| i % 7 == 0).collect();
             assert_eq!(r.removed, expect);
@@ -395,24 +463,15 @@ mod tests {
     fn direct_hop_uses_seed_and_visits_less() {
         let targets: Vec<usize> = (0..64).map(|i| (i * 13) % 50).collect();
         let mut cells_mh = vec![0i32; 64];
-        let r_mh = move_loop(
-            &ExecPolicy::Seq,
-            MoveConfig::default(),
-            &mut cells_mh,
-            None,
-            (),
-            walk_kernel(&targets),
-        );
+        let r_mh = run_walk(&ExecPolicy::Seq, &mut cells_mh, None, &targets);
 
         let mut cells_dh = vec![0i32; 64];
         // Perfect overlay: seed == target (a fine DH approximation).
-        let r_dh = move_loop(
+        let r_dh = run_walk(
             &ExecPolicy::Seq,
-            MoveConfig::default(),
             &mut cells_dh,
             Some(&|i| targets[i]),
-            (),
-            walk_kernel(&targets),
+            &targets,
         );
         assert_eq!(cells_mh, cells_dh);
         // Particles 0 and 50 target cell 0 and stop at the probe;
@@ -445,14 +504,7 @@ mod tests {
         for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
             calls.store(0, Ordering::Relaxed);
             let mut cells: Vec<i32> = (0..8).collect();
-            let r = move_loop(
-                &pol,
-                MoveConfig::default(),
-                &mut cells,
-                Some(&seed),
-                (),
-                walk_kernel(&targets),
-            );
+            let r = run_walk(&pol, &mut cells, Some(&seed), &targets);
             let expect: Vec<i32> = targets.iter().map(|&t| t as i32).collect();
             assert_eq!(cells, expect, "{pol:?}");
             // Only the four movers read the overlay, after the probe
@@ -467,22 +519,16 @@ mod tests {
     #[test]
     fn direct_hop_one_hop_hit_skips_the_seed() {
         use std::sync::atomic::AtomicUsize;
-        // Every particle moved one cell on, so the `c2c` hop from its
-        // current cell lands on `Done`: the overlay is never read.
+        // Every particle moved one cell on, so the probe after the
+        // `c2c` hop from its current cell hits: the overlay is never
+        // read.
         let targets: Vec<usize> = (0..8).map(|i| i + 1).collect();
         let calls = AtomicUsize::new(0);
         let seed = counted_seed(&calls, &targets);
         for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
             calls.store(0, Ordering::Relaxed);
             let mut cells: Vec<i32> = (0..8).collect();
-            let r = move_loop(
-                &pol,
-                MoveConfig::default(),
-                &mut cells,
-                Some(&seed),
-                (),
-                walk_kernel(&targets),
-            );
+            let r = run_walk(&pol, &mut cells, Some(&seed), &targets);
             assert_eq!(cells, (1..9).collect::<Vec<i32>>(), "{pol:?}");
             assert_eq!(calls.load(Ordering::Relaxed), 0, "{pol:?}");
             assert_eq!(r.seeded, 0, "{pol:?}");
@@ -494,7 +540,7 @@ mod tests {
     #[test]
     fn direct_hop_removal_ends_the_chase_without_the_seed() {
         use std::sync::atomic::AtomicUsize;
-        // A `NeedRemove` ends the chase at every visit, as under
+        // An `exit` of `None` ends the chase at every visit, as under
         // multi-hop: particles 0..4 leave through a boundary face of
         // their current cell (the probe), 4..8 through one of the
         // neighbour the hop reached. No particle reads the overlay.
@@ -510,9 +556,10 @@ mod tests {
                 &mut cells,
                 Some(&seed),
                 (),
+                |_, _, _| false,
                 |i, cell, _| match (i < 4, cell % 10) {
-                    (true, 0) | (false, 1) => MoveStatus::NeedRemove,
-                    _ => MoveStatus::NeedMove(cell + 1),
+                    (true, 0) | (false, 1) => None,
+                    _ => Some(cell + 1),
                 },
             );
             assert_eq!(r.removed, (0..8).collect::<Vec<usize>>(), "{pol:?}");
@@ -527,14 +574,7 @@ mod tests {
         let targets = vec![10usize; 8];
         let mut cells = vec![0i32; 8];
         // Seed lands 2 cells short, engine walks the rest.
-        let r = move_loop(
-            &ExecPolicy::Par,
-            MoveConfig::default(),
-            &mut cells,
-            Some(&|_| 8usize),
-            (),
-            walk_kernel(&targets),
-        );
+        let r = run_walk(&ExecPolicy::Par, &mut cells, Some(&|_| 8usize), &targets);
         assert!(r.removed.is_empty());
         assert!(cells.iter().all(|&c| c == 10));
         assert_eq!(r.max_chain, 5); // probe 0, hop 1, seed 8 -> 9 -> 10(done)
@@ -553,7 +593,8 @@ mod tests {
             &mut cells,
             None,
             (),
-            |_i, cell, _| MoveStatus::NeedMove(1 - cell), // ping-pong forever
+            |_, _, _| false,
+            |_i, cell, _| Some(1 - cell), // ping-pong forever
         );
         assert_eq!(r.aborted, 2);
         assert_eq!(r.removed, vec![0, 1]);
@@ -569,7 +610,8 @@ mod tests {
             &mut cells,
             None,
             (),
-            |_, _, _| MoveStatus::Done,
+            |_, _, _| true,
+            |_, _, _| None,
         );
         assert!(r.removed.is_empty());
         assert_eq!(r.total_visits, 0);
@@ -599,74 +641,78 @@ mod tests {
             record_chains: true,
             ..Default::default()
         };
+        let (probe, exit) = (walk_probe(&targets), walk_exit(&targets));
         for pol in [ExecPolicy::Seq, ExecPolicy::Par] {
             let mut c = cells.clone();
-            let r = move_loop(&pol, cfg, &mut c, None, (), walk_kernel(&targets));
+            let r = move_loop(&pol, cfg, &mut c, None, (), probe, exit);
             assert_eq!(r.chains, vec![4, 1, 6], "{pol:?}");
         }
         // Off by default.
-        let r = move_loop(
-            &ExecPolicy::Seq,
-            MoveConfig::default(),
-            &mut cells,
-            None,
-            (),
-            walk_kernel(&targets),
-        );
+        let r = run_walk(&ExecPolicy::Seq, &mut cells, None, &targets);
         assert!(r.chains.is_empty());
     }
 
     #[test]
     fn out_of_range_final_cells_are_counted() {
-        let targets = vec![3usize, 12, 5]; // 12 exceeds the 10-cell set
+        // 12 exceeds the 10-cell set; particle 3 starts out of range
+        // and its first probe accepts it there.
+        let targets = vec![3usize, 12, 5, 11];
         let cfg = MoveConfig {
             n_cells: Some(10),
             ..Default::default()
         };
+        let (probe, exit) = (walk_probe(&targets), walk_exit(&targets));
         for pol in [ExecPolicy::Seq, ExecPolicy::Par] {
-            let mut cells = vec![0i32, 0, 0];
-            let r = move_loop(&pol, cfg, &mut cells, None, (), walk_kernel(&targets));
-            assert_eq!(r.out_of_range, 1, "{pol:?}");
+            let mut cells = vec![0i32, 0, 0, 11];
+            let r = move_loop(&pol, cfg, &mut cells, None, (), probe, exit);
+            assert_eq!(r.out_of_range, 2, "{pol:?}");
         }
         // Without the audit hook nothing is counted.
-        let mut cells = vec![0i32, 0, 0];
-        let r = move_loop(
-            &ExecPolicy::Seq,
-            MoveConfig::default(),
-            &mut cells,
-            None,
-            (),
-            walk_kernel(&targets),
-        );
+        let mut cells = vec![0i32, 0, 0, 11];
+        let r = run_walk(&ExecPolicy::Seq, &mut cells, None, &targets);
         assert_eq!(r.out_of_range, 0);
     }
 
     /// 500 particles walking to scattered targets on a 200-cell row:
-    /// every 9th one leaves the domain, every 50th reports a final
-    /// cell outside the audited 0..190 range.
-    fn mixed_kernel(targets: &[usize]) -> impl Fn(usize, usize, &mut ()) -> MoveStatus + Sync + '_ {
-        let walk = walk_kernel(targets);
+    /// every 9th one leaves the domain through its target cell (its
+    /// probe never hits) ...
+    fn mixed_probe(targets: &[usize]) -> impl Fn(usize, usize, &mut ()) -> bool + Sync + Copy + '_ {
+        let probe = walk_probe(targets);
+        move |i, cell, w| i % 9 != 0 && probe(i, cell, w)
+    }
+
+    /// ... and every 50th reports a final cell outside the audited
+    /// 0..190 range ([`mixed_targets`]).
+    fn mixed_exit(
+        targets: &[usize],
+    ) -> impl Fn(usize, usize, &()) -> Option<usize> + Sync + Copy + '_ {
+        let exit = walk_exit(targets);
         move |i, cell, w| {
             if i % 9 == 0 && cell == targets[i] {
-                MoveStatus::NeedRemove
+                None
             } else {
-                walk(i, cell, w)
+                exit(i, cell, w)
             }
         }
     }
 
+    fn mixed_targets() -> Vec<usize> {
+        (0..500)
+            .map(|i| if i % 50 == 7 { 195 } else { (i * 31 + 7) % 190 })
+            .collect()
+    }
+
     #[test]
     fn seq_and_pool_tallies_agree() {
-        let targets: Vec<usize> = (0..500)
-            .map(|i| if i % 50 == 7 { 195 } else { (i * 31 + 7) % 190 })
-            .collect();
+        let targets = mixed_targets();
         let cfg = MoveConfig {
             n_cells: Some(190),
             ..Default::default()
         };
+        let (probe, exit) = (mixed_probe(&targets), mixed_exit(&targets));
         let run = |pol: &ExecPolicy| {
             let mut cells: Vec<i32> = (0..500).map(|i| i % 200).collect();
-            let r = move_loop(pol, cfg, &mut cells, None, (), mixed_kernel(&targets));
+            let r = move_loop(pol, cfg, &mut cells, None, (), probe, exit);
             (r, cells)
         };
         let (seq, seq_cells) = run(&ExecPolicy::Seq);
@@ -692,6 +738,8 @@ mod tests {
             record_chains: true,
             ..Default::default()
         };
+        let (mixed_probe, mixed_exit) = (mixed_probe(&targets), mixed_exit(&targets));
+        let (probe, exit) = (walk_probe(&targets), walk_exit(&targets));
         for pol in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
             let tel = Arc::new(Telemetry::new());
             let _cur = tel.make_current();
@@ -703,9 +751,10 @@ mod tests {
                 &mut cells.clone(),
                 None,
                 (),
-                mixed_kernel(&targets),
+                mixed_probe,
+                mixed_exit,
             );
-            let r2 = move_loop(&pol, cfg, &mut cells, None, (), walk_kernel(&targets));
+            let r2 = move_loop(&pol, cfg, &mut cells, None, (), probe, exit);
             let expect = Histogram::new();
             for &chain in r1.chains.iter().chain(&r2.chains) {
                 expect.record(chain as u64);
@@ -718,10 +767,12 @@ mod tests {
 
     #[test]
     fn kernels_write_their_particles_windows() {
-        // Every visit counts into the particle's window, and `Done`
-        // records the final cell there, under every policy and cut.
+        // Every probe counts into the particle's window and records the
+        // cell it tested there, so the final, successful probe leaves
+        // the final cell; every exit sees what its failed probe wrote.
+        // Under every policy and cut.
         let targets: Vec<usize> = (0..300).map(|i| (i * 7 + 1) % 90).collect();
-        let walk = walk_kernel(&targets);
+        let (hit, step) = (walk_probe(&targets), walk_exit(&targets));
         let run = |pol: &ExecPolicy| {
             let mut cells: Vec<i32> = (0..300).map(|i| i % 90).collect();
             let mut out = vec![0.0; 600];
@@ -737,11 +788,12 @@ mod tests {
                 Fixed::<2>(&mut out),
                 |i, cell, w| {
                     w[0] += 1.0;
-                    let status = walk(i, cell, &mut ());
-                    if status == MoveStatus::Done {
-                        w[1] = cell as f64;
-                    }
-                    status
+                    w[1] = cell as f64;
+                    hit(i, cell, &mut ())
+                },
+                |i, cell, w| {
+                    assert_eq!(w[1], cell as f64, "particle {i}");
+                    step(i, cell, &())
                 },
             );
             (out, cells, r.chains)
@@ -761,6 +813,56 @@ mod tests {
     }
 
     #[test]
+    fn probe_runs_once_per_visit_and_exit_once_per_miss() {
+        // Mixed removals, out-of-range finals and, with a short
+        // `max_hops`, aborts, under multi-hop and direct-hop.
+        let targets = mixed_targets();
+        let (probe, exit) = (mixed_probe(&targets), mixed_exit(&targets));
+        let (probes, exits) = (AtomicU64::new(0), AtomicU64::new(0));
+        let seed = |i: usize| targets[i].saturating_sub(5);
+        for max_hops in [10_000, 6] {
+            let cfg = MoveConfig {
+                max_hops,
+                ..Default::default()
+            };
+            for pol in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(3)] {
+                for seed in [None, Some(&seed as &(dyn Fn(usize) -> usize + Sync))] {
+                    probes.store(0, Ordering::Relaxed);
+                    exits.store(0, Ordering::Relaxed);
+                    let mut cells: Vec<i32> = (0..500).map(|i| i % 200).collect();
+                    let r = move_loop(
+                        &pol,
+                        cfg,
+                        &mut cells,
+                        seed,
+                        (),
+                        |i, cell, w| {
+                            probes.fetch_add(1, Ordering::Relaxed);
+                            probe(i, cell, w)
+                        },
+                        |i, cell, w| {
+                            exits.fetch_add(1, Ordering::Relaxed);
+                            exit(i, cell, w)
+                        },
+                    );
+                    let case = format!("{pol:?} max_hops {max_hops} seeded {}", seed.is_some());
+                    assert_eq!(probes.load(Ordering::Relaxed), r.total_visits, "{case}");
+                    // A survivor's last probe hit; every other probe
+                    // missed and ran `exit`.
+                    let survivors = (500 - r.removed.len()) as u64;
+                    assert_eq!(
+                        exits.load(Ordering::Relaxed),
+                        r.total_visits - survivors,
+                        "{case}"
+                    );
+                    assert!(r.removed.len() > r.aborted as usize, "{case}");
+                    assert_eq!(r.aborted > 0, max_hops == 6, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "share the iteration set")]
     fn written_column_must_match_the_cells() {
         let mut cells = vec![0i32; 3];
@@ -771,7 +873,8 @@ mod tests {
             &mut cells,
             None,
             Fixed::<2>(&mut out),
-            |_, _, _| MoveStatus::Done,
+            |_, _, _| true,
+            |_, _, _| None,
         );
     }
 
@@ -780,22 +883,8 @@ mod tests {
         let targets: Vec<usize> = (0..500).map(|i| (i * 31 + 7) % 200).collect();
         let mut cells_a: Vec<i32> = (0..500).map(|i| i % 200).collect();
         let mut cells_b = cells_a.clone();
-        let ra = move_loop(
-            &ExecPolicy::Seq,
-            MoveConfig::default(),
-            &mut cells_a,
-            None,
-            (),
-            walk_kernel(&targets),
-        );
-        let rb = move_loop(
-            &ExecPolicy::Par,
-            MoveConfig::default(),
-            &mut cells_b,
-            None,
-            (),
-            walk_kernel(&targets),
-        );
+        let ra = run_walk(&ExecPolicy::Seq, &mut cells_a, None, &targets);
+        let rb = run_walk(&ExecPolicy::Par, &mut cells_b, None, &targets);
         assert_eq!(cells_a, cells_b);
         assert_eq!(ra.total_visits, rb.total_visits);
         assert_eq!(ra.removed, rb.removed);

@@ -293,20 +293,21 @@ fn note_loop(bytes: usize) {
 type Cut = (usize, usize, usize);
 
 /// Cut `space` over `n` elements into pieces: the piece count and
-/// every window's cut, in ascending `lo` order tiling `0..n`. A
-/// [`Space::Range`] cut never has more pieces than the policy has
-/// threads; a binding's pieces are its workers, which the apps build
-/// from the policy's thread count.
+/// every window's cut, in ascending `lo` order tiling `0..n`. No cut
+/// has more pieces than the policy has threads: a binding's pieces are
+/// its workers, which the apps build from the policy's thread count,
+/// and a binding built for more workers than that (a budget that
+/// shrank since the build) folds worker `w` onto piece `w % t`.
 fn cut(policy: &ExecPolicy, space: Space<'_>, n: usize) -> (usize, Vec<Cut>) {
     let t = policy.threads().max(1);
     match space {
         Space::Binding(binding) if policy.is_parallel() => {
             let mut cuts: Vec<Cut> = Vec::new();
             for (w, spans) in binding.assignments(n).into_iter().enumerate() {
-                cuts.extend(spans.into_iter().map(|(lo, hi)| (w, lo, hi)));
+                cuts.extend(spans.into_iter().map(|(lo, hi)| (w % t, lo, hi)));
             }
             cuts.sort_unstable_by_key(|&(_, lo, _)| lo);
-            (binding.n_workers(), cuts)
+            (binding.n_workers().min(t), cuts)
         }
         Space::Range | Space::Binding(_) => {
             let chunk = n.div_ceil(t).max(1);
@@ -674,6 +675,41 @@ mod tests {
             cut(&ExecPolicy::Seq, Space::Binding(&b), 8),
             (1, vec![(0, 0, 8)])
         );
+    }
+
+    #[test]
+    fn a_binding_with_more_workers_than_threads_folds_onto_them() {
+        // Five workers under three threads: worker w's windows go to
+        // piece w % 3, so at most three pieces, each ascending, and the
+        // windows still tile 0..n.
+        let pool = ExecPolicy::pool(3);
+        for (b, n) in [
+            (ThreadBinding::uniform(5, 30), 30),
+            // Stale: built for 7 elements, run over 30.
+            (ThreadBinding::uniform(5, 7), 30),
+            (ThreadBinding::from_cell_index(&CELL_START, 5), N),
+        ] {
+            let (pieces, cuts) = cut(&pool, Space::Binding(&b), n);
+            assert!(pieces <= 3, "{pieces} pieces");
+            let mut next = 0;
+            for &(p, lo, hi) in &cuts {
+                assert!(p < pieces && lo == next && lo < hi, "{cuts:?}");
+                next = hi;
+            }
+            assert_eq!(next, n, "{cuts:?}");
+            for (w, spans) in b.assignments(n).into_iter().enumerate() {
+                for (lo, hi) in spans {
+                    assert!(cuts.contains(&(w % 3, lo, hi)), "worker {w}: {cuts:?}");
+                }
+            }
+            let mut by_piece = vec![Vec::new(); pieces];
+            for &(p, lo, _) in &cuts {
+                by_piece[p].push(lo);
+            }
+            for los in by_piece {
+                assert!(los.windows(2).all(|w| w[0] < w[1]), "{los:?}");
+            }
+        }
     }
 
     /// The panic message of `f`, which must panic.

@@ -268,6 +268,20 @@ impl HistogramSnapshot {
         self.max = self.max.max(v);
     }
 
+    /// Record `v` `k` times: the same snapshot as `k` calls of
+    /// [`HistogramSnapshot::record`] (bulk tallies, e.g. the move
+    /// engine's first-visit finishers).
+    pub fn record_n(&mut self, v: u64, k: u64) {
+        if k == 0 {
+            return;
+        }
+        self.buckets[Histogram::bucket_of(v)] += k;
+        self.count += k;
+        self.sum += v * k;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
     /// Merge another snapshot into this one.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
@@ -1451,6 +1465,31 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s, HistogramSnapshot::default());
         assert_eq!(s.min, u64::MAX);
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        for (start, v, k) in [
+            (vec![], 1u64, 5u64),
+            (vec![0, 9, 300], 1, 7),
+            (vec![4], 6, 0),
+        ] {
+            let mut bulk = HistogramSnapshot::default();
+            let mut one_by_one = HistogramSnapshot::default();
+            for &s in &start {
+                bulk.record(s);
+                one_by_one.record(s);
+            }
+            bulk.record_n(v, k);
+            for _ in 0..k {
+                one_by_one.record(v);
+            }
+            assert_eq!(bulk, one_by_one, "record_n({v}, {k}) after {start:?}");
+        }
+        // Zero repeats leave an empty snapshot's min at u64::MAX.
+        let mut empty = HistogramSnapshot::default();
+        empty.record_n(3, 0);
+        assert_eq!(empty, HistogramSnapshot::default());
     }
 
     #[test]

@@ -2,10 +2,12 @@
 
 use oppic_core::{
     coloring_is_valid, deposit_loop, deposit_loop_colored, greedy_color_cells, move_loop,
-    DepositMethod, ExecPolicy, MoveConfig, MoveStatus, ParticleDats,
+    DepositMethod, ExecPolicy, Fixed, HistogramSnapshot, MoveConfig, MoveResult, ParticleDats,
+    Seed, Telemetry,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -129,7 +131,7 @@ proptest! {
 
     /// The move engine always terminates and ends where the kernel's
     /// target function says, for arbitrary start/target assignments on
-    /// a ring topology (NeedMove can wrap).
+    /// a ring topology (the exit can wrap).
     #[test]
     fn move_engine_terminates_on_rings(
         n_cells in 1usize..50,
@@ -137,17 +139,154 @@ proptest! {
     ) {
         let targets: Vec<usize> = pairs.iter().map(|&(_, t)| t % n_cells).collect();
         let mut cells: Vec<i32> = pairs.iter().map(|&(s, _)| (s % n_cells) as i32).collect();
-        let r = move_loop(&ExecPolicy::Par, MoveConfig::default(), &mut cells, None, (), |i, c, _| {
-            if c == targets[i] {
-                MoveStatus::Done
-            } else {
-                MoveStatus::NeedMove((c + 1) % n_cells) // ring walk
-            }
-        });
+        let r = move_loop(
+            &ExecPolicy::Par,
+            MoveConfig::default(),
+            &mut cells,
+            None,
+            (),
+            |i, c, _| c == targets[i],
+            |_, c, _| Some((c + 1) % n_cells), // ring walk
+        );
         prop_assert!(r.removed.is_empty());
         prop_assert_eq!(r.aborted, 0);
         for (i, &c) in cells.iter().enumerate() {
             prop_assert_eq!(c as usize, targets[i]);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The two-pass move engine against the move one visit at a time.
+
+/// One particle of a random move: start cell, target cell, the visit
+/// whose exit removes it (0 = none), its direct-hop seed cell, and the
+/// visit whose probe accepts whatever cell it tests (0 = none; so a
+/// chase can end back in its start cell).
+type Mover = (usize, usize, u32, usize, u32);
+
+/// The move one visit at a time, as the paper states it: probe the
+/// cell; on a miss, exit — remove on `None`, otherwise hop (to the seed
+/// on the second miss under direct-hop) unless the chain is already
+/// `max_hops` long. Returns the result and the chain-length histogram.
+fn reference_move<P, X>(
+    cfg: MoveConfig,
+    cells: &mut [i32],
+    seed: Seed<'_>,
+    win: &mut [f64],
+    probe: P,
+    exit: X,
+) -> (MoveResult, HistogramSnapshot)
+where
+    P: Fn(usize, usize, &mut [f64; 2]) -> bool,
+    X: Fn(usize, usize, &[f64; 2]) -> Option<usize>,
+{
+    let mut r = MoveResult::default();
+    let mut hops = HistogramSnapshot::default();
+    let (win, _) = win.as_chunks_mut::<2>();
+    for (i, (c, w)) in cells.iter_mut().zip(win).enumerate() {
+        let mut cell = *c as usize;
+        let mut chain = 0u32;
+        let fin = loop {
+            chain += 1;
+            if probe(i, cell, w) {
+                r.out_of_range += u64::from(cfg.n_cells.is_some_and(|n| cell >= n));
+                break Some(cell);
+            }
+            let Some(next) = exit(i, cell, w) else {
+                break None;
+            };
+            let next = match seed {
+                Some(seed) if chain == 2 => {
+                    r.seeded += 1;
+                    seed(i)
+                }
+                _ => next,
+            };
+            if chain >= cfg.max_hops {
+                r.aborted += 1;
+                break None;
+            }
+            cell = next;
+        };
+        r.total_visits += u64::from(chain);
+        r.max_chain = r.max_chain.max(chain);
+        hops.record(u64::from(chain));
+        if cfg.record_chains {
+            r.chains.push(chain);
+        }
+        match fin {
+            Some(f) => {
+                r.moved += u64::from(f as i32 != *c);
+                *c = f as i32;
+            }
+            None => r.removed.push(i),
+        }
+    }
+    (r, hops)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The two-pass engine gives the cells, windows, removal list,
+    /// every `MoveResult` field and the `move.hops_per_particle`
+    /// snapshot of the one-visit-at-a-time walk, under `Seq`,
+    /// `pool(2)` and `pool(3)`, with and without a seed. The exits walk
+    /// a random successor map, so chains cycle into `max_hops` aborts
+    /// or back to their start cell; removals land on visits 1–3.
+    #[test]
+    fn two_pass_engine_matches_the_visit_at_a_time_walk(
+        n_cells in 1usize..30,
+        succ in prop::collection::vec(0usize..30, 30..31),
+        movers in prop::collection::vec(
+            (0usize..30, 0usize..30, 0u32..4, 0usize..30, 0u32..8),
+            0..150,
+        ),
+        max_hops in 1u32..12,
+        record_chains in any::<bool>(),
+        audit in 0usize..40,
+    ) {
+        let movers: Vec<Mover> = movers
+            .into_iter()
+            .map(|(s, t, r, d, a)| (s % n_cells, t % n_cells, r, d % n_cells, a))
+            .collect();
+        // Audit limits of 30 and up stand for no audit.
+        let cfg = MoveConfig { max_hops, record_chains, n_cells: (audit < 30).then_some(audit) };
+        // The window counts the particle's probes and keeps the cell
+        // its last probe tested; the exit reads the count.
+        let probe = |i: usize, cell: usize, w: &mut [f64; 2]| {
+            w[0] += 1.0;
+            w[1] = cell as f64;
+            cell == movers[i].1 || w[0] as u32 == movers[i].4
+        };
+        let exit = |i: usize, cell: usize, w: &[f64; 2]| {
+            (w[0] as u32 != movers[i].2).then(|| succ[cell] % n_cells)
+        };
+        let seed_fn = |i: usize| movers[i].3;
+        let start: Vec<i32> = movers.iter().map(|m| m.0 as i32).collect();
+        for seed in [None, Some(&seed_fn as &(dyn Fn(usize) -> usize + Sync))] {
+            let mut want_cells = start.clone();
+            let mut want_win = vec![0.0; 2 * movers.len()];
+            let (want, want_hops) =
+                reference_move(cfg, &mut want_cells, seed, &mut want_win, probe, exit);
+            for pol in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(3)] {
+                let tel = Arc::new(Telemetry::new());
+                let _cur = tel.make_current();
+                let mut cells = start.clone();
+                let mut win = vec![0.0; 2 * movers.len()];
+                let got = move_loop(&pol, cfg, &mut cells, seed, Fixed::<2>(&mut win), probe, exit);
+                let case = format!("{pol:?} seeded {}", seed.is_some());
+                prop_assert_eq!(&cells, &want_cells, "{}", case);
+                prop_assert_eq!(&win, &want_win, "{}", case);
+                prop_assert_eq!(&got, &want, "{}", case);
+                prop_assert_eq!(
+                    tel.histogram("move.hops_per_particle").snapshot(),
+                    want_hops.clone(),
+                    "{}",
+                    case
+                );
+            }
         }
     }
 }

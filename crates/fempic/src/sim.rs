@@ -14,7 +14,7 @@ use oppic_core::parloop::{par_loop, Fixed, Space};
 use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
     deposit_loop, deposit_loop_colored, greedy_color_cells, AutoTuner, ColId, Dat, DepositMethod,
-    MoveStatus, ParticleDats, ThreadBinding, TunerInput,
+    ParticleDats, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
@@ -118,8 +118,10 @@ pub struct FemPic {
     /// Per-cell electric field (dim 3).
     pub efield: Dat,
     /// Per-cell barycentric map (dim 16, the paper's per-cell
-    /// determinant dat): row `k` of cell `c` gives `λ_k = A·[1, x, y, z]`
-    /// ([`barycentric_map`]). Built once; the mesh is static.
+    /// determinant dat), lane-major: coefficient `j` of `λ_k` for cell
+    /// `c` is element `4j + k` of its row, so `λ = A·[1, x, y, z]` is
+    /// three 4-wide multiply-adds ([`barycentric_map`]). Built once; the
+    /// mesh is static.
     pub cell_det: Dat,
     pub fem: FemSolver,
     pub profiler: Profiler,
@@ -384,35 +386,28 @@ impl FemPic {
 
     /// `Move`: relocate every particle to the cell containing its new
     /// position and leave the final cell's barycentric weights in `lc`
-    /// for the deposit. Every particle is first tested in its current
+    /// for the deposit. Every particle is first probed in its current
     /// cell; a miss walks on from there along `c2c` (multi-hop) or, with
     /// an overlay (direct-hop), takes one `c2c` hop and, only if that
     /// misses too, walks on from the overlay's cell for the new
-    /// position. Each visit evaluates the cell's [`FemPic::cell_det`]
-    /// row: four 4-term dot products. Out-of-domain particles are
-    /// removed (hole-filled).
+    /// position. Each probe evaluates the cell's [`FemPic::cell_det`]
+    /// map (three 4-wide multiply-adds) into `lc`; the exit leaves
+    /// through the face opposite the most negative weight.
+    /// Out-of-domain particles are removed (hole-filled).
     pub fn move_particles(&mut self) -> usize {
         self.record_loop("Move");
         let mesh = &self.mesh;
-        let det = self.cell_det.raw();
+        let (det, _) = self.cell_det.raw().as_chunks::<16>();
         let n = self.ps.len() as u64;
         let (lc, pos, cells) = self.ps.cols_mut2_with_cells_mut(self.lc, self.pos);
-        let pos: &[f64] = pos;
-        let at = |i: usize| Vec3::from_slice(&pos[i * 3..i * 3 + 3]);
-        let kernel = |i: usize, cell: usize, l: &mut &mut [f64; 4]| -> MoveStatus {
-            let row = det[cell * 16..cell * 16 + 16]
-                .try_into()
-                .expect("16 coefficients");
-            let w = barycentric_from_map(row, at(i));
-            if bary_inside(&w, BARY_TOL) {
-                **l = w;
-                MoveStatus::Done
-            } else {
-                match mesh.c2c[cell][bary_min_index(&w)] {
-                    next if next < 0 => MoveStatus::NeedRemove,
-                    next => MoveStatus::NeedMove(next as usize),
-                }
-            }
+        let (pos, _) = pos.as_chunks::<3>();
+        let at = |i: usize| Vec3::from_slice(&pos[i]);
+        let probe = |i: usize, cell: usize, l: &mut [f64; 4]| -> bool {
+            *l = barycentric_from_map(&det[cell], at(i));
+            bary_inside(l, BARY_TOL)
+        };
+        let exit = |_i: usize, cell: usize, l: &[f64; 4]| -> Option<usize> {
+            usize::try_from(mesh.c2c[cell][bary_min_index(l)]).ok()
         };
         // Direct-hop: a particle that is in neither its cell nor the
         // neighbour one hop away walks on from the overlay's cell for
@@ -427,14 +422,21 @@ impl FemPic {
             ..MoveConfig::default()
         };
         let seed = locate.as_ref().map(|f| f as _);
-        let result = move_loop(&self.cfg.policy, mv_cfg, cells, seed, Fixed(lc), kernel);
+        let result = move_loop(
+            &self.cfg.policy,
+            mv_cfg,
+            cells,
+            seed,
+            Fixed(lc),
+            probe,
+            exit,
+        );
 
-        // Traffic: per visit pos(24) + the cell's row(128), per hop a
-        // c2c entry(16), per seeded particle its overlay cell-map
-        // entry(4), per surviving particle the lc write(32).
+        // Traffic: per visit pos(24), the cell's map(128) and the lc
+        // write(32), per hop a c2c entry(16), per seeded particle its
+        // overlay cell-map entry(4).
         let hops = result.total_visits - n;
-        let done = n - result.removed.len() as u64;
-        let bytes = result.total_visits * (24 + 128) + hops * 16 + result.seeded * 4 + done * 32;
+        let bytes = result.total_visits * (24 + 128 + 32) + hops * 16 + result.seeded * 4;
         let flops = result.total_visits * 24;
         self.profiler.add_traffic("Move", bytes, flops);
 

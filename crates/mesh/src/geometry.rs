@@ -234,9 +234,11 @@ pub fn barycentric(p: Vec3, v: &[Vec3; 4]) -> [f64; 4] {
 
 /// Returns `true` when every barycentric coordinate is non-negative
 /// (within `-tol`), i.e. the point lies in the closed tetrahedron.
+/// All four compares are evaluated (no early exit), so the test is
+/// branch-free in the move's probe.
 #[inline]
 pub fn bary_inside(lambda: &[f64; 4], tol: f64) -> bool {
-    lambda.iter().all(|&l| l >= -tol)
+    lambda.iter().fold(true, |inside, &l| inside & (l >= -tol))
 }
 
 /// Index of the most negative barycentric coordinate — the face to exit
@@ -274,26 +276,30 @@ pub fn p1_gradients(v: &[Vec3; 4]) -> [Vec3; 4] {
 }
 
 /// The affine map of a tetrahedron's barycentric coordinates,
-/// `λ = A·[1, x, y, z]`, as 16 row-major coefficients: `map[4k..4k+4]`
-/// yields `λ_k`. Built from the tet's [`p1_gradients`] `g` about its
-/// centroid `c` (`λ_k(p) = 1/4 + g_k·(p − c)`), so evaluating it with
+/// `λ = A·[1, x, y, z]`, as 16 lane-major coefficients: coefficient
+/// `j` of `λ_k` is `map[4j + k]`, so `map[0..4]` holds the four
+/// constant terms and `map[4..8]`, `map[8..12]`, `map[12..16]` the `x`,
+/// `y` and `z` terms of `λ_0..λ_3`. Built from the tet's
+/// [`p1_gradients`] `g` about its centroid `c`
+/// (`λ_k(p) = 1/4 + g_k·(p − c)`), so evaluating it with
 /// [`barycentric_from_map`] replaces the five tet volumes of
-/// [`barycentric`] with four 4-term dot products.
+/// [`barycentric`] with three 4-wide multiply-adds.
 pub fn barycentric_map(g: &[Vec3; 4], c: Vec3) -> [f64; 16] {
     let mut map = [0.0; 16];
-    for (row, g) in map.chunks_exact_mut(4).zip(g) {
-        row.copy_from_slice(&[0.25 - g.dot(c), g.x, g.y, g.z]);
+    for (k, g) in g.iter().enumerate() {
+        for (j, a) in [0.25 - g.dot(c), g.x, g.y, g.z].into_iter().enumerate() {
+            map[4 * j + k] = a;
+        }
     }
     map
 }
 
-/// Barycentric coordinates of `p` through a [`barycentric_map`].
+/// Barycentric coordinates of `p` through a [`barycentric_map`]: each
+/// `λ_k` is `a0 + a1·x + a2·y + a3·z`, evaluated in that order, over
+/// contiguous lanes `k`.
 #[inline]
 pub fn barycentric_from_map(map: &[f64; 16], p: Vec3) -> [f64; 4] {
-    std::array::from_fn(|k| {
-        let a = &map[4 * k..4 * k + 4];
-        a[0] + a[1] * p.x + a[2] * p.y + a[3] * p.z
-    })
+    std::array::from_fn(|k| map[k] + map[4 + k] * p.x + map[8 + k] * p.y + map[12 + k] * p.z)
 }
 
 /// Area-weighted outward normal of triangle `(a, b, c)` (norm = area).

@@ -11,7 +11,7 @@
 //! multi-hop and direct-hop strategies.
 
 use op_pic::core::decl::Registry;
-use op_pic::core::{DepositMethod, ExecPolicy, MoveStatus, ParticleDats};
+use op_pic::core::{DepositMethod, ExecPolicy, Fixed, ParticleDats};
 use op_pic::mesh::geometry::{bary_inside, bary_min_index, barycentric, sample_tet};
 use op_pic::mesh::{StructuredOverlay, TetMesh, Vec3};
 use oppic_core::{opp_deposit, opp_par_loop, opp_particle_move};
@@ -65,6 +65,8 @@ fn main() {
     // ---------------------------------------------------------------
     let mut ps = ParticleDats::new();
     let pos = ps.decl_dat("pos", 3);
+    // The move's written column: barycentric weights of the final cell.
+    let lc = ps.decl_dat("lc", 4);
     let n_particles = 5000;
     ps.inject(n_particles, 0);
     // Scatter particles uniformly through the duct, assigning correct
@@ -89,22 +91,21 @@ fn main() {
     for i in 0..ps.len() {
         ps.el_mut(pos, i)[0] += dt; // push
     }
-    let (cells, pos_col) = ps.cells_mut_with_col(pos);
-    // Figure 6's opp_particle_move, macro form: the body's MoveStatus
-    // values are the paper's OPP_PARTICLE_* markers.
-    let result = opp_particle_move!(policy, "MoveParticles", cells; |i, cell| {
-        let p = Vec3::from_slice(&pos_col[i * 3..i * 3 + 3]);
-        let l = barycentric(p, &mesh.cell_vertices(cell));
-        if bary_inside(&l, 1e-10) {
-            MoveStatus::Done
-        } else {
-            let exit = bary_min_index(&l);
-            match mesh.c2c[cell][exit] {
-                -1 => MoveStatus::NeedRemove,
-                next => MoveStatus::NeedMove(next as usize),
-            }
+    let (lc_col, pos_col, cells) = ps.cols_mut2_with_cells_mut(lc, pos);
+    // Figure 6's opp_particle_move, macro form: `probe` says
+    // OPP_PARTICLE_MOVE_DONE with `true`; `exit`, run after a failed
+    // probe, says NEED_MOVE with `Some(next)` and NEED_REMOVE with
+    // `None`. The probe leaves the weights in `lc`, where the exit
+    // reads them.
+    let result = opp_particle_move!(policy, "MoveParticles", cells;
+        write Fixed::<4>(lc_col) => l;
+        probe |i, cell| {
+            let p = Vec3::from_slice(&pos_col[i * 3..i * 3 + 3]);
+            *l = barycentric(p, &mesh.cell_vertices(cell));
+            bary_inside(l, 1e-10)
         }
-    });
+        exit |_i, cell| { usize::try_from(mesh.c2c[cell][bary_min_index(l)]).ok() }
+    );
     println!(
         "\nmove: {:.2} visits/particle, {} removed at the boundary",
         result.mean_visits(n_particles),

@@ -13,7 +13,7 @@
 //! every step of a 60-step run of the small duct under `Seq` and a
 //! 2-thread pool.
 
-use op_pic::core::{DepositMethod, ExecPolicy, MoveStatus, ParticleDats};
+use op_pic::core::{DepositMethod, ExecPolicy, ParticleDats};
 use op_pic::fempic::{FemPic, FemPicConfig, MoveStrategy, BARY_TOL};
 use op_pic::mesh::geometry::{bary_inside, bary_min_index, barycentric_from_map};
 use op_pic::mesh::{StructuredOverlay, Vec3};
@@ -49,15 +49,23 @@ fn weights(sim: &FemPic, cell: usize, p: Vec3) -> [f64; 4] {
     barycentric_from_map(row, p)
 }
 
-/// One kernel visit of `cell`: its verdict and the weights there.
-fn visit(sim: &FemPic, cell: usize, p: Vec3) -> (MoveStatus, [f64; 4]) {
+/// The paper's three verdicts of one visit.
+enum Verdict {
+    Done,
+    NeedRemove,
+    NeedMove(usize),
+}
+
+/// One kernel visit of `cell` — the probe, and after a miss the exit:
+/// its verdict and the weights there.
+fn visit(sim: &FemPic, cell: usize, p: Vec3) -> (Verdict, [f64; 4]) {
     let w = weights(sim, cell, p);
     let status = if bary_inside(&w, BARY_TOL) {
-        MoveStatus::Done
+        Verdict::Done
     } else {
         match sim.mesh.c2c[cell][bary_min_index(&w)] {
-            next if next < 0 => MoveStatus::NeedRemove,
-            next => MoveStatus::NeedMove(next as usize),
+            next if next < 0 => Verdict::NeedRemove,
+            next => Verdict::NeedMove(next as usize),
         }
     };
     (status, w)
@@ -70,9 +78,9 @@ fn walk(sim: &FemPic, mut cell: usize, p: Vec3) -> (Option<(usize, [f64; 4])>, u
     loop {
         visits += 1;
         match visit(sim, cell, p) {
-            (MoveStatus::Done, w) => return (Some((cell, w)), visits),
-            (MoveStatus::NeedRemove, _) => return (None, visits),
-            (MoveStatus::NeedMove(next), _) => cell = next,
+            (Verdict::Done, w) => return (Some((cell, w)), visits),
+            (Verdict::NeedRemove, _) => return (None, visits),
+            (Verdict::NeedMove(next), _) => cell = next,
         }
     }
 }
@@ -107,11 +115,11 @@ fn probe_hop_seed(sim: &FemPic, overlay: &StructuredOverlay) -> (u64, u64) {
     for (i, &c) in sim.ps.cells().iter().enumerate() {
         let p = Vec3::from_slice(sim.ps.el(sim.pos, i));
         visits += 1;
-        let MoveStatus::NeedMove(next) = visit(sim, c as usize, p).0 else {
+        let Verdict::NeedMove(next) = visit(sim, c as usize, p).0 else {
             continue;
         };
         visits += 1;
-        if let MoveStatus::NeedMove(_) = visit(sim, next, p).0 {
+        if let Verdict::NeedMove(_) = visit(sim, next, p).0 {
             seeded += 1;
             visits += walk(sim, overlay.locate(p), p).1;
         }

@@ -4,7 +4,7 @@
 
 use op_pic::core::decl::Registry;
 use op_pic::core::{
-    deposit_loop, move_loop, DepositMethod, ExecPolicy, MoveConfig, MoveStatus, ParticleDats,
+    deposit_loop, move_loop, DepositMethod, ExecPolicy, MoveConfig, MoveResult, ParticleDats, Seed,
 };
 use op_pic::mesh::geometry::{bary_inside, bary_min_index, barycentric, sample_tet};
 use op_pic::mesh::{StructuredOverlay, TetMesh, Vec3};
@@ -33,24 +33,34 @@ fn duct_with_particles(
     (mesh, ps, pos)
 }
 
-/// The move kernel used by several tests: barycentric walk with
-/// boundary removal.
-fn walk<'m>(
-    mesh: &'m TetMesh,
-    pos: &'m [f64],
-) -> impl Fn(usize, usize, &mut ()) -> MoveStatus + Sync + 'm {
-    move |i, cell, _| {
-        let p = Vec3::from_slice(&pos[i * 3..i * 3 + 3]);
-        let l = barycentric(p, &mesh.cell_vertices(cell));
-        if bary_inside(&l, 1e-10) {
-            MoveStatus::Done
-        } else {
-            match mesh.c2c[cell][bary_min_index(&l)] {
-                -1 => MoveStatus::NeedRemove,
-                next => MoveStatus::NeedMove(next as usize),
-            }
-        }
-    }
+/// The move used by several tests: barycentric walk with boundary
+/// removal (the probe tests containment; the exit leaves through the
+/// face opposite the most negative weight, `None` at the boundary).
+fn walk(
+    policy: &ExecPolicy,
+    cells: &mut [i32],
+    seed: Seed<'_>,
+    mesh: &TetMesh,
+    pos: &[f64],
+) -> MoveResult {
+    let weights = |i: usize, cell: usize| {
+        barycentric(
+            Vec3::from_slice(&pos[i * 3..i * 3 + 3]),
+            &mesh.cell_vertices(cell),
+        )
+    };
+    move_loop(
+        policy,
+        MoveConfig::default(),
+        cells,
+        seed,
+        (),
+        |i, cell, _| bary_inside(&weights(i, cell), 1e-10),
+        |i, cell, _| match mesh.c2c[cell][bary_min_index(&weights(i, cell))] {
+            -1 => None,
+            next => Some(next as usize),
+        },
+    )
 }
 
 #[test]
@@ -81,14 +91,7 @@ fn scrambled_cells_recover_via_multihop() {
         *c = (*c + 1 + (i as i32 % 7)) % n_cells;
     }
     let (cells, pos_col) = ps.cells_mut_with_col(pos);
-    let r = move_loop(
-        &ExecPolicy::Par,
-        MoveConfig::default(),
-        cells,
-        None,
-        (),
-        walk(&mesh, pos_col),
-    );
+    let r = walk(&ExecPolicy::Par, cells, None, &mesh, pos_col);
     assert!(r.removed.is_empty(), "all particles are inside the mesh");
     // Each particle ends in a cell that contains it (could be the
     // twin across a shared face for boundary-exact points).
@@ -114,25 +117,11 @@ fn direct_hop_and_multi_hop_land_identically() {
     }
 
     let (cells_a, pos_a) = ps_a.cells_mut_with_col(pos);
-    move_loop(
-        &ExecPolicy::Seq,
-        MoveConfig::default(),
-        cells_a,
-        None,
-        (),
-        walk(&mesh, pos_a),
-    );
+    walk(&ExecPolicy::Seq, cells_a, None, &mesh, pos_a);
 
     let (cells_b, pos_b) = ps_b.cells_mut_with_col(pos);
     let seed = |i: usize| overlay.locate(Vec3::from_slice(&pos_b[i * 3..i * 3 + 3]));
-    let r_dh = move_loop(
-        &ExecPolicy::Seq,
-        MoveConfig::default(),
-        cells_b,
-        Some(&seed),
-        (),
-        walk(&mesh, pos_b),
-    );
+    let r_dh = walk(&ExecPolicy::Seq, cells_b, Some(&seed), &mesh, pos_b);
 
     // Both strategies must produce containing cells; on shared faces
     // they may differ, so compare by containment, not equality.
@@ -191,14 +180,7 @@ fn hole_filling_composes_with_move_removal() {
     }
     let before = ps.len();
     let (cells, pos_col) = ps.cells_mut_with_col(pos);
-    let r = move_loop(
-        &ExecPolicy::Par,
-        MoveConfig::default(),
-        cells,
-        None,
-        (),
-        walk(&mesh, pos_col),
-    );
+    let r = walk(&ExecPolicy::Par, cells, None, &mesh, pos_col);
     let removed = r.removed.len();
     assert!(
         removed > 0,

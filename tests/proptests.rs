@@ -2,7 +2,7 @@
 //! listed in DESIGN.md §7.
 
 use op_pic::core::{
-    deposit_loop, move_loop, DepositMethod, ExecPolicy, MoveConfig, MoveStatus, ParticleDats,
+    deposit_loop, move_loop, DepositMethod, ExecPolicy, Fixed, MoveConfig, ParticleDats,
 };
 use op_pic::linalg::{cg_solve, CgConfig, CsrBuilder};
 use op_pic::mesh::geometry::{bary_inside, barycentric, sample_tet};
@@ -159,17 +159,21 @@ proptest! {
         let p = Vec3::new(pt[0], pt[1], pt[2]);
         let mut cells = vec![overlay.locate(p) as i32];
         let pos = [p.x, p.y, p.z];
-        let r = move_loop(&ExecPolicy::Seq, MoveConfig::default(), &mut cells, None, (), |_, cell, _| {
-            let l = barycentric(Vec3::from_slice(&pos), &mesh.cell_vertices(cell));
-            if bary_inside(&l, 1e-10) {
-                MoveStatus::Done
-            } else {
-                match mesh.c2c[cell][op_pic::mesh::geometry::bary_min_index(&l)] {
-                    -1 => MoveStatus::NeedRemove,
-                    next => MoveStatus::NeedMove(next as usize),
-                }
-            }
-        });
+        let r = move_loop(
+            &ExecPolicy::Seq,
+            MoveConfig::default(),
+            &mut cells,
+            None,
+            Fixed::<4>(&mut [0.0; 4]),
+            |_, cell, l| {
+                *l = barycentric(Vec3::from_slice(&pos), &mesh.cell_vertices(cell));
+                bary_inside(l, 1e-10)
+            },
+            |_, cell, l| match mesh.c2c[cell][op_pic::mesh::geometry::bary_min_index(l)] {
+                -1 => None,
+                next => Some(next as usize),
+            },
+        );
         prop_assert!(r.removed.is_empty(), "interior point must be found");
         prop_assert!(r.max_chain < 30, "overlay seed must be near");
         let l = barycentric(p, &mesh.cell_vertices(cells[0] as usize));
