@@ -53,9 +53,12 @@ echo "== --validate on sorted stores (colouring deposit / per-step sort)"
 ./target/release/cabana configs/cabana_sorted.cfg --validate >/dev/null
 
 echo "== telemetry smoke (sink -> audit -> report)"
-# A validated run writes a JSONL event stream; the analyzer's offline
-# audit and the report tool must both accept it.
+# A validated run of each app writes a JSONL event stream; the
+# analyzer's offline audit and the report tool must both accept it.
 ./target/release/fempic --validate --telemetry /tmp/oppic_ci_telemetry.jsonl >/dev/null
+./target/release/oppic-analyzer --audit-telemetry /tmp/oppic_ci_telemetry.jsonl >/dev/null
+./target/release/oppic-report /tmp/oppic_ci_telemetry.jsonl >/dev/null
+./target/release/cabana --validate --telemetry /tmp/oppic_ci_telemetry.jsonl >/dev/null
 ./target/release/oppic-analyzer --audit-telemetry /tmp/oppic_ci_telemetry.jsonl >/dev/null
 ./target/release/oppic-report /tmp/oppic_ci_telemetry.jsonl >/dev/null
 rm -f /tmp/oppic_ci_telemetry.jsonl

@@ -201,8 +201,8 @@ fn build_edges(trace: &ScheduleTrace) -> Vec<Edge> {
 #[derive(Debug, Clone, Default)]
 struct DatState {
     /// Foreign ghost copies of this dat are stale: an owned-scope loop
-    /// (or a reverse_add, which zeroes ghosts) rewrote owner values
-    /// and no forward/reduce has refreshed the halo since.
+    /// rewrote owner values and no reduce_sum has refreshed the halo
+    /// since.
     stale_halo: Option<String>,
     /// Ghost-side increments are unfolded: an owned-scope indirect INC
     /// left every rank holding a partial sum.
@@ -308,7 +308,7 @@ fn check_loop(
                     format!(
                         "step {step}: '{name}' reads '{}' while ghost increments from \
                          '{writer}' are unfolded — every rank holds a partial sum; a \
-                         reverse_add or reduce_sum exchange must run first",
+                         reduce_sum exchange must run first",
                         a.dat
                     ),
                 ));
@@ -319,7 +319,7 @@ fn check_loop(
                         format!("{}@{name}", a.dat),
                         format!(
                             "step {step}: '{name}' reads the halo region of '{}' dirtied \
-                             by '{writer}' with no forward exchange in between",
+                             by '{writer}' with no reduce_sum exchange in between",
                             a.dat
                         ),
                     ));
@@ -387,64 +387,21 @@ fn check_exchange(
         ));
         return;
     }
+    // The one mesh-dat direction: a reduce_sum folds every rank's
+    // partial sums and leaves all copies consistent.
     let st = dats.entry(dat.to_string()).or_default();
-    match dir {
-        ExchangeDir::Forward => {
-            if let Some(writer) = &st.pending_partial {
-                diags.push(Diagnostic::error(
-                    "dataflow/lost-update",
-                    subject,
-                    format!(
-                        "step {step}: forward exchange of '{dat}' while ghost increments \
-                         from '{writer}' are unfolded — owners push partial sums and \
-                         overwrite the ghost-side contributions, losing them"
-                    ),
-                ));
-                st.pending_partial = None;
-            } else if st.stale_halo.is_none() {
-                diags.push(Diagnostic::warn(
-                    "dataflow/redundant-comm",
-                    subject,
-                    format!(
-                        "step {step}: forward exchange of '{dat}', but no loop wrote it \
-                         since its halo was last refreshed"
-                    ),
-                ));
-            }
-            st.stale_halo = None;
-        }
-        ExchangeDir::ReverseAdd => {
-            if st.pending_partial.is_none() {
-                diags.push(Diagnostic::warn(
-                    "dataflow/redundant-comm",
-                    subject,
-                    format!(
-                        "step {step}: reverse_add exchange of '{dat}' with no unfolded \
-                         ghost increments to fold"
-                    ),
-                ));
-            }
-            st.pending_partial = None;
-            // reverse_add zeroes the ghost copies after folding: owner
-            // values are total, the halo is stale until a forward runs.
-            st.stale_halo = Some(format!("reverse_add@{tag}"));
-        }
-        ExchangeDir::ReduceSum => {
-            if st.pending_partial.is_none() && st.stale_halo.is_none() {
-                diags.push(Diagnostic::warn(
-                    "dataflow/redundant-comm",
-                    subject,
-                    format!(
-                        "step {step}: reduce_sum of '{dat}', but no loop wrote it since \
-                         the last exchange"
-                    ),
-                ));
-            }
-            st.stale_halo = None;
-            st.pending_partial = None;
-        }
-        ExchangeDir::Migrate => unreachable!("handled above"),
+    if st.pending_partial.is_none() && st.stale_halo.is_none() {
+        diags.push(Diagnostic::warn(
+            "dataflow/redundant-comm",
+            subject,
+            format!(
+                "step {step}: reduce_sum of '{dat}', but no loop wrote it since \
+                 the last exchange"
+            ),
+        ));
     }
+    st.stale_halo = None;
+    st.pending_partial = None;
 }
 
 /// Adjacent same-set loop pairs with no dependence between them.
@@ -822,48 +779,11 @@ mod tests {
     fn unknown_loop_and_dat_are_errors() {
         let audit = audit_schedule(&trace_of(1, &|rec| {
             rec.record_loop("Nope");
-            rec.record_exchange("mystery", ExchangeDir::Forward, "t/x");
+            rec.record_exchange("mystery", ExchangeDir::ReduceSum, "t/x");
         }));
         assert_eq!(audit.report.with_code("dataflow/unknown-loop").len(), 1);
         assert_eq!(audit.report.with_code("dataflow/unknown-dat").len(), 1);
         assert!(audit.report.has_errors());
-    }
-
-    #[test]
-    fn forward_while_increments_pending_loses_updates() {
-        let audit = audit_schedule(&trace_of(1, &|rec| {
-            rec.record_loop("Deposit");
-            rec.record_exchange("charge", ExchangeDir::Forward, "t/charge");
-            rec.record_loop("Solve");
-            rec.record_loop("FieldUpdate");
-        }));
-        assert_eq!(
-            audit.report.with_code("dataflow/lost-update").len(),
-            1,
-            "{}",
-            audit.report
-        );
-    }
-
-    #[test]
-    fn reverse_add_leaves_halo_stale_until_forward() {
-        // reverse_add folds increments home but zeroes ghosts: an
-        // indirect read right after must error, and a forward fixes it.
-        let broken = audit_schedule(&trace_of(1, &|rec| {
-            rec.record_loop("Deposit");
-            rec.record_exchange("charge", ExchangeDir::ReverseAdd, "t/charge");
-            rec.record_loop("Solve"); // replicated read of zeroed ghosts
-        }));
-        assert_eq!(broken.report.with_code("dataflow/halo-stale").len(), 1);
-
-        let fixed = audit_schedule(&trace_of(1, &|rec| {
-            rec.record_loop("Deposit");
-            rec.record_exchange("charge", ExchangeDir::ReverseAdd, "t/charge");
-            rec.record_exchange("charge", ExchangeDir::Forward, "t/charge-fwd");
-            rec.record_loop("Solve");
-            rec.record_loop("FieldUpdate");
-        }));
-        assert!(!fixed.report.has_errors(), "{}", fixed.report);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Criterion microbench: the deposit strategies across contention
 //! levels (the Section 3.3 design space), scatter arrays on a
-//! cell-sorted store across ppc regimes, and the telemetry hot paths
-//! (kernel-record interning, counter publication on/off).
+//! cell-sorted store across ppc regimes, and the telemetry hot path
+//! (counter publication on/off).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use oppic_core::{deposit_loop, DepositMethod, ExecPolicy, ParticleDats, Profiler};
-use std::collections::HashMap;
+use oppic_core::{deposit_loop, DepositMethod, ExecPolicy, ParticleDats};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn bench_deposit(c: &mut Criterion) {
     let n = 100_000usize;
@@ -94,50 +92,6 @@ fn bench_deposit_sorted(c: &mut Criterion) {
     g.finish();
 }
 
-/// Kernel-record hot path: interned `&str` lookup and pre-interned
-/// `KernelId` against the historic per-call `String` allocation
-/// (emulated with a plain `HashMap<String, _>` entry).
-fn bench_record(c: &mut Criterion) {
-    const NAMES: [&str; 4] = ["Move", "DepositCharge", "Inject", "CalcPosVel"];
-    let per_iter = 1000usize;
-    let mut g = c.benchmark_group("telemetry_record");
-    g.throughput(Throughput::Elements(per_iter as u64));
-    let d = Duration::from_nanos(100);
-
-    g.bench_function("interned_str", |b| {
-        let p = Profiler::new();
-        b.iter(|| {
-            for i in 0..per_iter {
-                p.record(NAMES[i % NAMES.len()], d);
-            }
-        });
-    });
-    g.bench_function("kernel_id", |b| {
-        let p = Profiler::new();
-        let ids: Vec<_> = NAMES.iter().map(|n| p.intern(n)).collect();
-        b.iter(|| {
-            for i in 0..per_iter {
-                p.record_id(ids[i % ids.len()], d);
-            }
-        });
-    });
-    g.bench_function("string_alloc_legacy", |b| {
-        // What `record` used to cost: a fresh String per call keying a
-        // plain map.
-        let mut map: HashMap<String, (u64, Duration)> = HashMap::new();
-        b.iter(|| {
-            for i in 0..per_iter {
-                let e = map
-                    .entry(NAMES[i % NAMES.len()].to_string())
-                    .or_insert((0, Duration::ZERO));
-                e.0 += 1;
-                e.1 += d;
-            }
-        });
-    });
-    g.finish();
-}
-
 /// The telemetry-off acceptance check: a deposit loop with no current
 /// telemetry installed must cost the same as one running under a
 /// `make_current` scope (the counter publication is one thread-local
@@ -181,6 +135,6 @@ fn short() -> Criterion {
 criterion_group! {
     name = benches;
     config = short();
-    targets = bench_deposit, bench_deposit_sorted, bench_record, bench_deposit_telemetry_overhead
+    targets = bench_deposit, bench_deposit_sorted, bench_deposit_telemetry_overhead
 }
 criterion_main!(benches);

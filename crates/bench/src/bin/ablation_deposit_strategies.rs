@@ -64,8 +64,9 @@ fn main() {
         cfg.policy = ExecPolicy::Par;
         cfg.deposit = method;
         let mut sim = FemPic::new(cfg);
+        let tel = sim.profiler.telemetry().clone();
         let sink = telemetry_from_env(
-            &sim.profiler,
+            &tel,
             "fempic",
             &format!("deposit-{method:?}"),
             sim.cfg.policy.threads(),
@@ -73,9 +74,9 @@ fn main() {
         );
         sim.run(n_steps);
         if sink {
-            let _ = sim.profiler.telemetry().finish();
+            let _ = tel.finish();
         }
-        let dep = sim.profiler.get("DepositCharge").map_or(0.0, |s| s.seconds);
+        let dep = tel.get("DepositCharge").map_or(0.0, |s| s.seconds);
         println!(
             "{:<24} {:>10.4} s  (total charge {:.6})",
             format!("{method:?}"),
@@ -90,8 +91,9 @@ fn main() {
         cfg.coloring = true;
         let mut sim = FemPic::new(cfg);
         sim.run(n_steps);
-        let dep = sim.profiler.get("DepositCharge").map_or(0.0, |s| s.seconds);
-        let sort = sim.profiler.get("SortParticles").map_or(0.0, |s| s.seconds);
+        let tel = sim.profiler.telemetry();
+        let dep = tel.get("DepositCharge").map_or(0.0, |s| s.seconds);
+        let sort = tel.get("SortParticles").map_or(0.0, |s| s.seconds);
         println!(
             "{:<24} {:>10.4} s  (+ {:.4} s sort overhead, total charge {:.6})",
             "Coloring",
@@ -110,7 +112,7 @@ fn main() {
     let np = sim.ps.len();
     let cells = sim.ps.cells().to_vec();
     let c2n = sim.mesh.c2n.clone();
-    let st = sim.profiler.get("DepositCharge").unwrap();
+    let st = sim.profiler.telemetry().get("DepositCharge").unwrap();
     let (b, f) = (st.bytes as f64 / 5.0, st.flops as f64 / 5.0);
     println!(
         "{:<22} {:>12} {:>12} {:>12} {:>10}",

@@ -75,8 +75,9 @@ fn main() {
         let mut cfg = base.clone();
         cfg.move_strategy = strategy;
         let mut sim = FemPic::new(cfg);
+        let tel = sim.profiler.telemetry().clone();
         let sink = telemetry_from_env(
-            &sim.profiler,
+            &tel,
             "fempic",
             label,
             sim.cfg.policy.threads(),
@@ -86,9 +87,9 @@ fn main() {
         sim.run(n_steps);
         let total = t0.elapsed().as_secs_f64();
         if sink {
-            let _ = sim.profiler.telemetry().finish();
+            let _ = tel.finish();
         }
-        let move_s = sim.profiler.get("Move").map_or(0.0, |s| s.seconds);
+        let move_s = tel.get("Move").map_or(0.0, |s| s.seconds);
         if label.starts_with("multi") {
             mh_time = move_s;
         }

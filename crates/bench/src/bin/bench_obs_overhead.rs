@@ -42,13 +42,11 @@ fn run_arm(steps: usize, with_plane: bool, sink: &std::path::Path) -> Vec<f64> {
         threads: sim.cfg.policy.threads(),
         extra: Vec::new(),
     };
-    sim.profiler
-        .telemetry()
-        .attach_sink(sink, &info)
-        .expect("telemetry sink");
+    let tel = sim.profiler.telemetry().clone();
+    tel.attach_sink(sink, &info).expect("telemetry sink");
     let mut plane = with_plane.then(|| {
         ObsPlane::install(
-            sim.profiler.telemetry().clone(),
+            tel.clone(),
             ObsConfig {
                 app: "fempic".into(),
                 threads: sim.cfg.policy.threads(),
@@ -82,7 +80,7 @@ fn run_arm(steps: usize, with_plane: bool, sink: &std::path::Path) -> Vec<f64> {
             summary.alerts
         );
     }
-    sim.profiler.telemetry().finish().expect("telemetry finish");
+    tel.finish().expect("telemetry finish");
     ms
 }
 

@@ -24,8 +24,9 @@ const KERNELS: [&str; 6] = [
 
 fn run_variant(name: &str, cfg: FemPicConfig, n_steps: usize) -> (FemPic, Vec<(String, f64)>) {
     let mut sim = FemPic::new(cfg);
+    let tel = sim.profiler.telemetry().clone();
     let sink = telemetry_from_env(
-        &sim.profiler,
+        &tel,
         "fempic",
         name,
         sim.cfg.policy.threads(),
@@ -33,16 +34,11 @@ fn run_variant(name: &str, cfg: FemPicConfig, n_steps: usize) -> (FemPic, Vec<(S
     );
     sim.run(n_steps);
     if sink {
-        let _ = sim.profiler.telemetry().finish();
+        let _ = tel.finish();
     }
     let rows: Vec<(String, f64)> = KERNELS
         .iter()
-        .map(|k| {
-            (
-                k.to_string(),
-                sim.profiler.get(k).map_or(0.0, |s| s.seconds),
-            )
-        })
+        .map(|k| (k.to_string(), tel.get(k).map_or(0.0, |s| s.seconds)))
         .collect();
     println!(
         "\n--- {name} ({} particles after {n_steps} steps) ---",
@@ -133,7 +129,7 @@ fn main() {
             },
         );
         let g = |k: &str| {
-            let s = sim_mh.profiler.get(k).unwrap_or_default();
+            let s = sim_mh.profiler.telemetry().get(k).unwrap_or_default();
             // Per-step traffic.
             (
                 s.bytes as f64 / n_steps as f64,

@@ -23,8 +23,9 @@ const KERNELS: [&str; 6] = [
 
 fn run_case(label: &str, cfg: CabanaConfig, n_steps: usize) -> CabanaPic {
     let mut sim = CabanaPic::new_dsl(cfg);
+    let tel = sim.profiler.telemetry().clone();
     let sink = telemetry_from_env(
-        &sim.profiler,
+        &tel,
         "cabana",
         label,
         sim.cfg.policy.threads(),
@@ -32,16 +33,11 @@ fn run_case(label: &str, cfg: CabanaConfig, n_steps: usize) -> CabanaPic {
     );
     sim.run(n_steps);
     if sink {
-        let _ = sim.profiler.telemetry().finish();
+        let _ = tel.finish();
     }
     let rows: Vec<(String, f64)> = KERNELS
         .iter()
-        .map(|k| {
-            (
-                k.to_string(),
-                sim.profiler.get(k).map_or(0.0, |s| s.seconds),
-            )
-        })
+        .map(|k| (k.to_string(), tel.get(k).map_or(0.0, |s| s.seconds)))
         .collect();
     println!(
         "\n--- {label}: {} cells × {} ppc = {} particles, {n_steps} steps ---",
@@ -103,7 +99,7 @@ fn main() {
                 },
             );
             let g = |k: &str| {
-                let s = sim.profiler.get(k).unwrap_or_default();
+                let s = sim.profiler.telemetry().get(k).unwrap_or_default();
                 (
                     s.bytes as f64 / n_steps as f64,
                     s.flops as f64 / n_steps as f64,

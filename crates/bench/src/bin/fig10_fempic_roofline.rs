@@ -10,8 +10,8 @@
 //! GPUs (atomics serialization keeps it far under the roof).
 
 use oppic_bench::report::{banner, scale_factor, steps};
-use oppic_core::profile::KernelStats;
 use oppic_core::ExecPolicy;
+use oppic_core::KernelStats;
 use oppic_device::{analyze_warps, AtomicFlavor, DeviceSpec};
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_model::RooflineChart;
@@ -63,7 +63,7 @@ fn main() {
             },
         );
         for k in kernels {
-            let st = sim.profiler.get(k).unwrap_or_default();
+            let st = sim.profiler.telemetry().get(k).unwrap_or_default();
             if st.bytes == 0 {
                 continue;
             }

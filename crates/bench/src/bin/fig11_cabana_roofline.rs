@@ -8,8 +8,8 @@
 
 use oppic_bench::report::{banner, scale_factor, steps};
 use oppic_cabana::{CabanaConfig, CabanaPic};
-use oppic_core::profile::KernelStats;
 use oppic_core::ExecPolicy;
+use oppic_core::KernelStats;
 use oppic_device::{analyze_warps, AtomicFlavor, DeviceSpec};
 use oppic_model::RooflineChart;
 
@@ -61,7 +61,7 @@ fn main() {
             },
         );
         for k in kernels {
-            let st = sim.profiler.get(k).unwrap_or_default();
+            let st = sim.profiler.telemetry().get(k).unwrap_or_default();
             if st.bytes == 0 {
                 continue;
             }

@@ -62,7 +62,7 @@ fn main() {
     let vel_col = sim.ps.col(sim.vel).to_vec();
     let cells = sim.ps.cells().to_vec();
     let per_step = |k: &str| {
-        let s = sim.profiler.get(k).unwrap_or_default();
+        let s = sim.profiler.telemetry().get(k).unwrap_or_default();
         (
             s.bytes as f64 / n_steps as f64,
             s.flops as f64 / n_steps as f64,

@@ -71,7 +71,7 @@ fn main() {
         let visits = &sim.last_visited;
         let vel_col = sim.ps.col(sim.vel).to_vec();
         let per_step = |k: &str| {
-            let s = sim.profiler.get(k).unwrap_or_default();
+            let s = sim.profiler.telemetry().get(k).unwrap_or_default();
             (
                 s.bytes as f64 / n_steps as f64,
                 s.flops as f64 / n_steps as f64,
@@ -130,7 +130,7 @@ fn main() {
         let cells = sim.ps.cells();
         let c2n = &sim.mesh.c2n;
         let per_step = |k: &str| {
-            let s = sim.profiler.get(k).unwrap_or_default();
+            let s = sim.profiler.telemetry().get(k).unwrap_or_default();
             (
                 s.bytes as f64 / n_steps as f64,
                 s.flops as f64 / n_steps as f64,

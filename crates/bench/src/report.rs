@@ -4,7 +4,7 @@
 //! `OPPIC_TELEMETRY` sink hookup.
 
 use oppic_core::telemetry::fnv1a;
-use oppic_core::{Profiler, RunInfo};
+use oppic_core::{RunInfo, Telemetry};
 
 /// Print a figure/table banner.
 pub fn banner(id: &str, caption: &str) {
@@ -64,9 +64,9 @@ pub fn telemetry_variant_path(base: &str, variant: &str) -> String {
 /// Attach a telemetry JSONL sink when `OPPIC_TELEMETRY` names a path —
 /// the bench binaries' counterpart of the applications' `--telemetry`
 /// flag. Returns whether a sink opened; the caller must
-/// `profiler.telemetry().finish()` once the variant's run ends.
+/// [`Telemetry::finish`] once the variant's run ends.
 pub fn telemetry_from_env(
-    profiler: &Profiler,
+    tel: &Telemetry,
     app: &str,
     variant: &str,
     threads: usize,
@@ -86,10 +86,7 @@ pub fn telemetry_from_env(
         threads,
         extra,
     };
-    match profiler
-        .telemetry()
-        .attach_sink(std::path::Path::new(&path), &info)
-    {
+    match tel.attach_sink(std::path::Path::new(&path), &info) {
         Ok(()) => true,
         Err(e) => {
             eprintln!("warning: cannot open telemetry sink {path}: {e}");

@@ -4,8 +4,8 @@
 //! operand CSV, and the `BENCH_step_timings.json` per-step record.
 //!
 //! The `run_footer`'s kernel aggregates are the same numbers the
-//! in-process profiler prints, so a report built from the stream
-//! reproduces the legacy breakdown exactly. Truncated streams (no
+//! hub's in-process breakdown table prints, so a report built from the
+//! stream reproduces that breakdown exactly. Truncated streams (no
 //! footer — the run died) degrade gracefully: kernels are rebuilt by
 //! summing the individual span events.
 

@@ -172,13 +172,12 @@ fn run<T: oppic_cabana::Topology>(
         sim.ps.len(),
         steps
     );
+    let tel = sim.profiler.telemetry().clone();
     let threads = sim.cfg.policy.threads();
-    let mut plane = obs_args
-        .build(sim.profiler.telemetry(), "cabana", threads)
-        .unwrap_or_else(|e| {
-            eprintln!("error: observability plane: {e}");
-            std::process::exit(2);
-        });
+    let mut plane = obs_args.build(&tel, "cabana", threads).unwrap_or_else(|e| {
+        eprintln!("error: observability plane: {e}");
+        std::process::exit(2);
+    });
     if let Some(addr) = plane.as_ref().and_then(|p| p.metrics_addr()) {
         println!("metrics: serving http://{addr}/metrics");
     }
@@ -210,8 +209,8 @@ fn run<T: oppic_cabana::Topology>(
         }
     }
     println!("\nMainLoop TotalTime = {:.4} s", t0.elapsed().as_secs_f64());
-    print!("{}", sim.profiler.breakdown_table());
-    if let Err(e) = sim.profiler.telemetry().finish() {
+    print!("{}", tel.breakdown_table());
+    if let Err(e) = tel.finish() {
         eprintln!("error: telemetry sink: {e}");
         std::process::exit(2);
     }

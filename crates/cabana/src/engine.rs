@@ -20,8 +20,9 @@ use crate::common::{
 };
 use crate::config::CabanaConfig;
 use oppic_core::parloop::{par_loop, par_loop_scatter, Fixed, Space};
-use oppic_core::profile::{KernelClass, Profiler};
-use oppic_core::{ColId, Dat, ExchangeDir, ParticleDats, Tally, ThreadBinding};
+use oppic_core::{
+    ColId, Dat, ExchangeDir, KernelClass, ParticleDats, Profiler, Tally, ThreadBinding,
+};
 use oppic_mpi::exchange::remove_leavers;
 use oppic_mpi::{MigrationStats, RankCtx, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -164,7 +165,7 @@ impl<T: Topology> CabanaEngine<T> {
             pos,
             vel,
             weight,
-            profiler: Profiler::new(),
+            profiler: Profiler::default(),
             schedule: None,
             step_no: 0,
             last_visited: Vec::new(),
@@ -226,7 +227,9 @@ impl<T: Topology> CabanaEngine<T> {
             |win| win.each(|c, w| *w = *b.el_fixed(c)),
         );
         let bytes = (self.geom.n_cells() * 6 * 8 * 2) as u64;
-        self.profiler.add_traffic("Interpolate", bytes, 0);
+        self.profiler
+            .telemetry()
+            .add_traffic("Interpolate", bytes, 0);
     }
 
     /// `Move_Deposit`: gather fields at the particle (trilinear), Boris
@@ -316,8 +319,11 @@ impl<T: Topology> CabanaEngine<T> {
         // pos/vel rw + deposit, plus the gather: 8 corners × 2 fields
         // × 24 B and one 108 B `c2c27` row per particle.
         let gather = n * (8 * 2 * 24 + 108);
-        self.profiler
-            .add_traffic("Move_Deposit", gather + n * (12 * 8 + 3 * 16 + 4), n * 230);
+        self.profiler.telemetry().add_traffic(
+            "Move_Deposit",
+            gather + n * (12 * 8 + 3 * 16 + 4),
+            n * 230,
+        );
         tally.visited
     }
 
@@ -337,8 +343,11 @@ impl<T: Topology> CabanaEngine<T> {
         });
         self.acc.fill(0.0);
         let bytes = (self.geom.n_cells() * 6 * 8) as u64;
-        self.profiler
-            .add_traffic("AccumulateCurrent", bytes, (self.geom.n_cells() * 3) as u64);
+        self.profiler.telemetry().add_traffic(
+            "AccumulateCurrent",
+            bytes,
+            (self.geom.n_cells() * 3) as u64,
+        );
     }
 
     /// `AdvanceB`: `B ← B − dt·∇×E` (forward differences).
@@ -360,6 +369,7 @@ impl<T: Topology> CabanaEngine<T> {
         });
         let nc = self.geom.n_cells() as u64;
         self.profiler
+            .telemetry()
             .add_traffic("AdvanceB", nc * (4 * 24 + 48), nc * 18);
     }
 
@@ -384,6 +394,7 @@ impl<T: Topology> CabanaEngine<T> {
         });
         let nc = self.geom.n_cells() as u64;
         self.profiler
+            .telemetry()
             .add_traffic("AdvanceE", nc * (4 * 24 + 24 + 48), nc * 21);
     }
 
@@ -392,9 +403,10 @@ impl<T: Topology> CabanaEngine<T> {
     /// ([`CabanaEngine::distributed_step`] replaces it with a global
     /// reduction of the current accumulator).
     pub fn update_ghosts(&mut self) {
-        self.profiler
-            .record("Update_Ghosts", std::time::Duration::ZERO);
-        self.profiler.classify("Update_Ghosts", KernelClass::Comm);
+        let _s = self
+            .profiler
+            .telemetry()
+            .span_class("Update_Ghosts", KernelClass::Comm);
     }
 
     /// Keep only rank `rank`'s share of the (globally identical)
@@ -730,7 +742,7 @@ mod locality_tests {
         let mut sim = StructuredCabana::new_structured(cfg);
         sim.run(4);
         sim.check_invariants().unwrap();
-        assert!(sim.profiler.get("SortParticles").is_some());
+        assert!(sim.profiler.telemetry().get("SortParticles").is_some());
         assert!(
             sim.ps.dirty_count() < sim.ps.len(),
             "measured churn, not the all-dirty worst case"

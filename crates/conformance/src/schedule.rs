@@ -49,8 +49,8 @@ fn check_trace(trace: &ScheduleTrace) -> ScheduleCheck {
     }
 }
 
-/// Negative control: delete every fold (`reduce_sum` / `reverse_add`)
-/// exchange from the trace and require the audit to raise at least one
+/// Negative control: delete every fold (`reduce_sum`) exchange from
+/// the trace and require the audit to raise at least one
 /// `dataflow/halo-stale` Error.
 fn check_detects_broken(trace: &ScheduleTrace) -> ScheduleCheck {
     let mut broken = trace.clone();
@@ -58,7 +58,7 @@ fn check_detects_broken(trace: &ScheduleTrace) -> ScheduleCheck {
         !matches!(
             &e.event,
             ScheduleEvent::Exchange {
-                dir: ExchangeDir::ReduceSum | ExchangeDir::ReverseAdd,
+                dir: ExchangeDir::ReduceSum,
                 ..
             }
         )

@@ -7,7 +7,7 @@
 //! are chosen statically by the application (that choice *is* the
 //! "generated code"), but the declarations are still recorded: they
 //! document the loop, are validated for coherence, and feed the
-//! profiler's bytes-moved estimate used by the roofline harness.
+//! telemetry hub's bytes-moved estimate used by the roofline harness.
 
 /// Per-argument access mode (`OPP_READ` / `OPP_WRITE` / `OPP_INC` /
 /// `OPP_RW` in the paper).

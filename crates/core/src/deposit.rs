@@ -205,7 +205,7 @@ pub struct TunerInput {
 #[derive(Debug, Clone)]
 pub struct TunerDecision {
     pub method: DepositMethod,
-    /// One-line rationale, traced through the profiler by callers.
+    /// One-line rationale, traced to the telemetry hub by callers.
     pub reason: String,
 }
 

@@ -25,10 +25,6 @@ pub const SCHEDULE_SCHEMA: &str = "oppic-schedule-v1";
 /// dependence analysis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExchangeDir {
-    /// Owners push fresh values into neighbour ghosts (read halo).
-    Forward,
-    /// Ghost-side increments travel back and fold into the owner.
-    ReverseAdd,
     /// Global sum of a replicated dat — the small-mesh stand-in for a
     /// halo exchange (DESIGN.md §7) and the paper's global reductions.
     ReduceSum,
@@ -40,8 +36,6 @@ pub enum ExchangeDir {
 impl ExchangeDir {
     pub fn label(self) -> &'static str {
         match self {
-            ExchangeDir::Forward => "forward",
-            ExchangeDir::ReverseAdd => "reverse_add",
             ExchangeDir::ReduceSum => "reduce_sum",
             ExchangeDir::Migrate => "migrate",
         }
@@ -49,8 +43,6 @@ impl ExchangeDir {
 
     pub fn from_label(s: &str) -> Option<Self> {
         Some(match s {
-            "forward" => ExchangeDir::Forward,
-            "reverse_add" => ExchangeDir::ReverseAdd,
             "reduce_sum" => ExchangeDir::ReduceSum,
             "migrate" => ExchangeDir::Migrate,
             _ => return None,
@@ -569,5 +561,11 @@ mod tests {
         let wrong_schema = "{\"schema\": \"nope\", \"app\": \"x\"}";
         let err = ScheduleTrace::from_json(wrong_schema).unwrap_err();
         assert!(err.contains("schema"), "{err}");
+        // The halo directions are not part of the vocabulary.
+        let good = sample_trace().to_json();
+        let forward = good.replacen("\"reduce_sum\"", "\"forward\"", 1);
+        assert_ne!(forward, good);
+        let err = ScheduleTrace::from_json(&forward).unwrap_err();
+        assert!(err.contains("bad dir"), "{err}");
     }
 }

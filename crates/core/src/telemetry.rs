@@ -3,12 +3,13 @@
 //!
 //! The paper's per-kernel runtime breakdowns (Fig. 9) and roofline
 //! points (Figs. 10–11) come from instrumenting every DSL loop. This
-//! module is that instrumentation, grown past a flat wall-clock
-//! profiler into three coordinated pieces:
+//! module is that instrumentation, in three coordinated pieces:
 //!
 //! * **Spans** — nestable timed scopes (`step > Move`,
-//!   `step > DepositCharge`). A [`Span`] guard records into the
-//!   per-kernel aggregate on drop and emits one JSONL event per close.
+//!   `step > DepositCharge`), the one way to time a kernel. A [`Span`]
+//!   guard records into the per-kernel aggregate on drop and emits one
+//!   JSONL event per close, so the kernel table, the event stream and
+//!   `/metrics` read the same numbers.
 //!   Balance is structural: the guard truncates the span stack back to
 //!   its own depth, so panic-unwind and leaked inner guards cannot
 //!   desynchronise it.
@@ -22,8 +23,7 @@
 //!   emitting a run-header record (config hash, build profile, thread
 //!   count), one event per span close, one summary per step, and a
 //!   run-footer with final aggregates; plus the end-of-run human table
-//!   ([`Telemetry::breakdown_table`]) that subsumes the old profiler
-//!   breakdown.
+//!   ([`Telemetry::breakdown_table`]).
 //!
 //! The DSL executors (`parloop`, `move_engine`, `deposit`, `particles`)
 //! publish counters through a scoped thread-local handle
@@ -33,9 +33,8 @@
 //! current the hooks cost one thread-local read and a branch — not
 //! measurable in the criterion deposit bench.
 //!
-//! [`crate::profile::Profiler`] survives as a thin compatibility facade
-//! over this layer; existing call sites and the paper-figure binaries
-//! keep working unchanged.
+//! Each app owns its hub through a [`Profiler`] handle, whose only
+//! method is [`Profiler::telemetry`].
 
 use crate::json;
 use parking_lot::Mutex;
@@ -52,8 +51,8 @@ use std::time::{Duration, Instant};
 /// Event-stream schema version, carried in the run-header record.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Default cap on retained decision traces (satellite: the old
-/// `Profiler` kept every trace for the whole run).
+/// Default cap on retained decision traces: the log stays bounded
+/// over a long run.
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
 /// Sentinel for "not inside a step".
@@ -127,12 +126,6 @@ impl KernelStats {
         (self.seconds > 0.0 && self.bytes > 0).then(|| self.bytes as f64 / self.seconds / 1e9)
     }
 }
-
-/// Interned kernel-name handle — the allocation-free fast path for
-/// hot-loop recording (satellite: `Profiler::record` used to build a
-/// `String` per call).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct KernelId(u32);
 
 // ---------------------------------------------------------------------
 // Histogram
@@ -447,8 +440,8 @@ pub trait EventObserver: Send + Sync {
     fn on_event(&self, ev: &TelemetryEvent<'_>);
 }
 
-/// The telemetry hub. Thread-safe; applications own one (usually via
-/// `Profiler`) and share it by `Arc`.
+/// The telemetry hub. Thread-safe; applications own one through a
+/// [`Profiler`] and share it by `Arc`.
 pub struct Telemetry {
     state: Mutex<State>,
     spans: Mutex<Vec<Frame>>,
@@ -508,55 +501,7 @@ impl Telemetry {
         Self::default()
     }
 
-    // -- kernel aggregation (profiler-compatible) ---------------------
-
-    /// Intern a kernel name, returning the allocation-free handle.
-    pub fn intern(&self, name: &str) -> KernelId {
-        let mut st = self.state.lock();
-        KernelId(intern_locked(&mut st, name))
-    }
-
-    /// Record a duration under an interned kernel id (hot path: one
-    /// lock, no hashing, no allocation).
-    pub fn record_id(&self, id: KernelId, d: Duration) {
-        let name = {
-            let mut st = self.state.lock();
-            let k = &mut st.kernels[id.0 as usize];
-            k.calls += 1;
-            k.seconds += d.as_secs_f64();
-            if self.events_wanted() {
-                Some(st.names[id.0 as usize].clone())
-            } else {
-                None
-            }
-        };
-        if let Some(name) = name {
-            self.emit_leaf_span(&name, d);
-        }
-    }
-
-    /// Record a duration by name. Allocates only the first time a name
-    /// is seen; thereafter it is a borrowed-key map lookup.
-    pub fn record(&self, name: &str, d: Duration) {
-        {
-            let mut st = self.state.lock();
-            let id = intern_locked(&mut st, name);
-            let k = &mut st.kernels[id as usize];
-            k.calls += 1;
-            k.seconds += d.as_secs_f64();
-        }
-        if self.events_wanted() {
-            self.emit_leaf_span(name, d);
-        }
-    }
-
-    /// Time a closure under a kernel name.
-    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.record(name, t0.elapsed());
-        r
-    }
+    // -- kernel aggregation -------------------------------------------
 
     /// Attach data-movement / FLOP counts (accumulating).
     pub fn add_traffic(&self, name: &str, bytes: u64, flops: u64) {
@@ -603,7 +548,7 @@ impl Telemetry {
     /// Open a nested timed scope. The returned guard records into the
     /// kernel aggregate and emits a span event when dropped.
     pub fn span(self: &Arc<Self>, name: &str) -> Span {
-        let id = self.intern(name);
+        let id = intern_locked(&mut self.state.lock(), name);
         let mut spans = self.spans.lock();
         let path = match spans.last() {
             Some(parent) => format!("{}>{}", parent.path, name),
@@ -611,7 +556,7 @@ impl Telemetry {
         };
         let depth = spans.len();
         spans.push(Frame {
-            id: Some(id.0),
+            id: Some(id),
             path,
             start: Instant::now(),
         });
@@ -773,12 +718,6 @@ impl Telemetry {
     /// All retained decision traces in emission order.
     pub fn traces(&self) -> Vec<(String, String)> {
         self.state.lock().traces.buf.iter().cloned().collect()
-    }
-
-    /// Remove and return all retained traces (the cumulative dropped
-    /// count is preserved).
-    pub fn drain_traces(&self) -> Vec<(String, String)> {
-        self.state.lock().traces.buf.drain(..).collect()
     }
 
     /// Number of traces dropped to honour the cap.
@@ -1001,19 +940,6 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Clear all statistics (between benchmark repetitions). The sink,
-    /// if attached, stays open.
-    pub fn reset(&self) {
-        let mut st = self.state.lock();
-        st.ids.clear();
-        st.names.clear();
-        st.kernels.clear();
-        st.counters.clear();
-        st.hists.clear();
-        st.traces.buf.clear();
-        st.traces.dropped = 0;
-    }
-
     // -- rendering ----------------------------------------------------
 
     /// Render the paper-style runtime breakdown table (kernels, calls,
@@ -1106,19 +1032,6 @@ impl Telemetry {
         if step != NO_STEP {
             let _ = write!(ev, ",\"step\":{step}");
         }
-    }
-
-    /// Emit a span event for a record()-style leaf (path = current span
-    /// path + name).
-    fn emit_leaf_span(&self, name: &str, d: Duration) {
-        let path = {
-            let spans = self.spans.lock();
-            match spans.last() {
-                Some(parent) => format!("{}>{}", parent.path, name),
-                None => name.to_string(),
-            }
-        };
-        self.emit_span(name, &path, d);
     }
 
     fn emit_span(&self, name: &str, path: &str, d: Duration) {
@@ -1240,6 +1153,23 @@ impl Drop for Telemetry {
     }
 }
 
+/// An app's handle on its telemetry hub. It exists only because the
+/// benchmark harness (`perfbench/`) reads `sim.profiler.telemetry()`;
+/// ROADMAP item 6 replaces it with a plain `Arc<Telemetry>` field in a
+/// change that also updates that harness.
+#[derive(Debug, Default)]
+pub struct Profiler {
+    tel: Arc<Telemetry>,
+}
+
+impl Profiler {
+    /// The hub: spans, the kernel table, counters, histograms, traces
+    /// and the JSONL sink.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.tel
+    }
+}
+
 fn intern_locked(st: &mut State, name: &str) -> u32 {
     if let Some(&id) = st.ids.get(name) {
         return id;
@@ -1336,6 +1266,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Add one call of exactly `d` to kernel `name`, as a closing span
+/// would, for tests that need exact durations.
+#[cfg(test)]
+pub(crate) fn add_call(t: &Telemetry, name: &str, d: Duration) {
+    let mut st = t.state.lock();
+    let id = intern_locked(&mut st, name) as usize;
+    st.kernels[id].calls += 1;
+    st.kernels[id].seconds += d.as_secs_f64();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1347,21 +1287,37 @@ mod tests {
 
     #[test]
     fn record_and_get() {
-        let t = Telemetry::new();
-        t.record("Move", Duration::from_millis(10));
-        t.record("Move", Duration::from_millis(5));
+        let t = Arc::new(Telemetry::new());
+        for ms in [10, 5] {
+            let _s = t.span("Move");
+            std::thread::sleep(Duration::from_millis(ms));
+        }
         let k = t.get("Move").unwrap();
         assert_eq!(k.calls, 2);
-        assert!((k.seconds - 0.015).abs() < 1e-9);
+        // A span times at least the sleep inside it.
+        assert!(k.seconds >= 0.015, "{}", k.seconds);
+        assert!(t.get("Deposit").is_none());
     }
 
     #[test]
-    fn interned_id_fast_path() {
+    fn snapshot_sorted_by_time() {
         let t = Telemetry::new();
-        let id = t.intern("DepositCharge");
-        assert_eq!(t.intern("DepositCharge"), id);
-        t.record_id(id, Duration::from_millis(2));
-        assert_eq!(t.get("DepositCharge").unwrap().calls, 1);
+        add_call(&t, "small", Duration::from_millis(1));
+        add_call(&t, "big", Duration::from_millis(100));
+        add_call(&t, "mid", Duration::from_millis(10));
+        let names: Vec<String> = t.kernels_snapshot().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["big", "mid", "small"]);
+        assert!((t.total_seconds() - 0.111).abs() < 1e-9);
+    }
+
+    #[test]
+    fn span_class_tags_the_kernel() {
+        let t = Arc::new(Telemetry::new());
+        drop(t.span_class("Move", KernelClass::Move));
+        assert_eq!(t.get("Move").unwrap().class, Some(KernelClass::Move));
+        drop(t.span("Move"));
+        let k = t.get("Move").unwrap();
+        assert_eq!((k.calls, k.class), (2, Some(KernelClass::Move)));
     }
 
     #[test]
@@ -1618,11 +1574,19 @@ mod tests {
         let tr = t.traces();
         assert_eq!(tr.len(), 3);
         assert_eq!(tr[0].1, "line 2");
+        assert_eq!(tr[2].1, "line 4");
         assert_eq!(t.traces_dropped(), 2);
-        let drained = t.drain_traces();
-        assert_eq!(drained.len(), 3);
-        assert!(t.traces().is_empty());
-        assert_eq!(t.traces_dropped(), 2);
+    }
+
+    #[test]
+    fn traces_keep_emission_order() {
+        let t = Telemetry::new();
+        t.trace("DepositCharge", "step 1: scatter arrays");
+        t.trace("DepositCharge", "step 2: atomics");
+        let tr = t.traces();
+        assert_eq!(tr.len(), 2);
+        assert_eq!(tr[0].1, "step 1: scatter arrays");
+        assert_eq!(tr[1].1, "step 2: atomics");
     }
 
     #[test]
@@ -1715,7 +1679,7 @@ mod tests {
     #[test]
     fn breakdown_table_shows_counters_and_histograms() {
         let t = Telemetry::new();
-        t.record("Move", Duration::from_millis(30));
+        add_call(&t, "Move", Duration::from_millis(30));
         t.counter_add("move.relocated", 42);
         t.hist_record("move.hops_per_particle", 3);
         let table = t.breakdown_table();
@@ -1734,7 +1698,7 @@ mod tests {
                 s.spawn(move || {
                     let h = t.histogram("h");
                     for i in 0..100 {
-                        t.record("k", Duration::from_nanos(100));
+                        add_call(&t, "k", Duration::from_nanos(100));
                         t.counter_add("c", 2);
                         h.record(i % 7);
                     }

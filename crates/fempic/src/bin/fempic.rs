@@ -262,13 +262,12 @@ fn main() {
     if let Some(path) = &telemetry {
         attach_telemetry(&sim, path, steps);
     }
+    let tel = sim.profiler.telemetry().clone();
     let threads = sim.cfg.policy.threads();
-    let mut plane = obs_args
-        .build(sim.profiler.telemetry(), "fempic", threads)
-        .unwrap_or_else(|e| {
-            eprintln!("error: observability plane: {e}");
-            std::process::exit(2);
-        });
+    let mut plane = obs_args.build(&tel, "fempic", threads).unwrap_or_else(|e| {
+        eprintln!("error: observability plane: {e}");
+        std::process::exit(2);
+    });
     if let Some(addr) = plane.as_ref().and_then(|p| p.metrics_addr()) {
         println!("metrics: serving http://{addr}/metrics");
     }
@@ -298,8 +297,8 @@ fn main() {
         }
     }
     println!("\nMainLoop TotalTime = {:.4} s", t0.elapsed().as_secs_f64());
-    print!("{}", sim.profiler.breakdown_table());
-    if let Err(e) = sim.profiler.telemetry().finish() {
+    print!("{}", tel.breakdown_table());
+    if let Err(e) = tel.finish() {
         eprintln!("error: telemetry sink: {e}");
         std::process::exit(2);
     }

@@ -80,7 +80,7 @@ pub struct FemPicConfig {
     pub sort_policy: SortPolicy,
     /// Let the deposit [`oppic_core::AutoTuner`] pick the method per
     /// step from runtime statistics, overriding `deposit`. Decisions
-    /// are traced through the profiler.
+    /// are traced to the telemetry hub.
     pub auto_tune: bool,
     /// Particle pusher.
     pub integrator: Integrator,

@@ -11,10 +11,9 @@ use crate::fields::FemSolver;
 use crate::stream::{uniforms, INJECT_TAG};
 use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Fixed, Space};
-use oppic_core::profile::{KernelClass, Profiler};
 use oppic_core::{
     deposit_loop, deposit_loop_colored, greedy_color_cells, AutoTuner, ColId, Dat, DepositMethod,
-    ParticleDats, ThreadBinding, TunerInput,
+    KernelClass, ParticleDats, Profiler, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
@@ -162,20 +161,23 @@ impl FemPic {
     /// system (`ComputeJMatrix`), prepare inlet sampling and, for
     /// direct-hop, the structured overlay.
     pub fn new(cfg: FemPicConfig) -> Self {
-        let profiler = Profiler::new();
-        let mesh = profiler.time("GenerateMesh", || {
+        let profiler = Profiler::default();
+        let tel = profiler.telemetry();
+        let mesh = {
+            let _s = tel.span("GenerateMesh");
             TetMesh::duct(cfg.nx, cfg.ny, cfg.nz, cfg.lx, cfg.ly, cfg.lz)
-        });
-        let fem = profiler.time("ComputeJMatrix", || {
+        };
+        let fem = {
+            let _s = tel.span_class("ComputeJMatrix", KernelClass::FieldSolve);
             FemSolver::assemble(&mesh, cfg.wall_potential)
-        });
-        profiler.classify("ComputeJMatrix", KernelClass::FieldSolve);
+        };
 
         let overlay = match cfg.move_strategy {
             MoveStrategy::MultiHop => None,
-            MoveStrategy::DirectHop { overlay_res } => Some(profiler.time("BuildOverlay", || {
-                StructuredOverlay::build(&mesh, [overlay_res; 3])
-            })),
+            MoveStrategy::DirectHop { overlay_res } => {
+                let _s = tel.span("BuildOverlay");
+                Some(StructuredOverlay::build(&mesh, [overlay_res; 3]))
+            }
         };
 
         let mut ps = ParticleDats::new();
@@ -213,10 +215,9 @@ impl FemPic {
         // The colored deposit needs a distance-2 coloring of cells over
         // the shared-node relation; build it once (the mesh is static).
         let cell_colors = cfg.coloring.then(|| {
-            profiler.time("ColorCells", || {
-                let targets: Vec<Vec<usize>> = mesh.c2n.iter().map(|nd| nd.to_vec()).collect();
-                greedy_color_cells(&targets, mesh.n_nodes())
-            })
+            let _s = tel.span("ColorCells");
+            let targets: Vec<Vec<usize>> = mesh.c2n.iter().map(|nd| nd.to_vec()).collect();
+            greedy_color_cells(&targets, mesh.n_nodes())
         });
 
         let active_deposit = cfg.deposit;
@@ -381,7 +382,9 @@ impl FemPic {
         });
         let bytes = (self.ps.len() * (3 + 3 + 3 + 3 + 3) * 8 + self.ps.len() * 4) as u64;
         let flops = (self.ps.len() * 12) as u64;
-        self.profiler.add_traffic("CalcPosVel", bytes, flops);
+        self.profiler
+            .telemetry()
+            .add_traffic("CalcPosVel", bytes, flops);
     }
 
     /// `Move`: relocate every particle to the cell containing its new
@@ -438,7 +441,7 @@ impl FemPic {
         let hops = result.total_visits - n;
         let bytes = result.total_visits * (24 + 128 + 32) + hops * 16 + result.seeded * 4;
         let flops = result.total_visits * 24;
-        self.profiler.add_traffic("Move", bytes, flops);
+        self.profiler.telemetry().add_traffic("Move", bytes, flops);
 
         debug_assert_eq!(
             result.out_of_range, 0,
@@ -475,7 +478,7 @@ impl FemPic {
             });
             // No step number in the line: the breakdown table collapses
             // runs of identical decisions into one "(xN)" trace.
-            self.profiler.trace(
+            self.profiler.telemetry().trace(
                 "DepositCharge",
                 format!("auto-tuned to {} — {}", d.method.label(), d.reason),
             );
@@ -536,7 +539,9 @@ impl FemPic {
         // and four node read-modify-writes(64).
         let bytes = (n * (32 + 4 + 32 + 4 * 16)) as u64;
         let flops = (n * 8) as u64;
-        self.profiler.add_traffic("DepositCharge", bytes, flops);
+        self.profiler
+            .telemetry()
+            .add_traffic("DepositCharge", bytes, flops);
     }
 
     /// Field-solver group: RHS, the factored solve, per-cell E.
@@ -544,32 +549,27 @@ impl FemPic {
     /// is direct.
     pub fn field_solve(&mut self) -> usize {
         self.record_loop("SolvePotential");
-        let charge = self.node_charge.raw();
-        let epsilon0 = self.cfg.epsilon0;
-        let solved = self.profiler.time("ComputeF1Vector+SolvePotential", || {
-            self.fem.solve(charge, epsilon0).is_ok()
-        });
+        let tel = self.profiler.telemetry().clone();
+        let solved = {
+            let _s = tel.span_class("ComputeF1Vector+SolvePotential", KernelClass::FieldSolve);
+            self.fem
+                .solve(self.node_charge.raw(), self.cfg.epsilon0)
+                .is_ok()
+        };
         // A non-finite deposit keeps the previous φ (the charge
         // invariant names the corrupt deposit); count the rejection.
         if !solved {
-            self.profiler
-                .telemetry()
-                .counter_add("resilience.solve_rejected", 1);
+            tel.counter_add("resilience.solve_rejected", 1);
         }
         let (bytes, flops) = self.fem.solve_traffic();
-        self.profiler
-            .add_traffic("ComputeF1Vector+SolvePotential", bytes, flops);
-        self.profiler
-            .classify("ComputeF1Vector+SolvePotential", KernelClass::FieldSolve);
+        tel.add_traffic("ComputeF1Vector+SolvePotential", bytes, flops);
         self.record_loop("ComputeElectricField");
-        self.profiler.time("ComputeElectricField", || {
+        {
+            let _s = tel.span_class("ComputeElectricField", KernelClass::FieldSolve);
             self.fem.electric_field(&self.mesh, self.efield.raw_mut());
-        });
-        self.profiler
-            .classify("ComputeElectricField", KernelClass::FieldSolve);
+        }
         let nc = self.mesh.n_cells() as u64;
-        self.profiler
-            .add_traffic("ComputeElectricField", nc * (4 * 8 + 4 * 24 + 24), nc * 24);
+        tel.add_traffic("ComputeElectricField", nc * (4 * 8 + 4 * 24 + 24), nc * 24);
         0
     }
 
@@ -945,6 +945,7 @@ mod tests {
     fn profiler_captures_the_paper_kernels() {
         let mut sim = FemPic::new(FemPicConfig::tiny());
         sim.run(2);
+        let tel = sim.profiler.telemetry();
         for name in [
             "Inject",
             "CalcPosVel",
@@ -954,8 +955,7 @@ mod tests {
             "ComputeElectricField",
             "ComputeJMatrix",
         ] {
-            let st = sim
-                .profiler
+            let st = tel
                 .get(name)
                 .unwrap_or_else(|| panic!("missing kernel {name}"));
             assert!(st.calls >= 1, "{name}");
@@ -1013,8 +1013,8 @@ mod extension_tests {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
         }
         // The sort overhead is actually recorded.
-        assert!(colored.profiler.get("SortParticles").is_some());
-        assert!(standard.profiler.get("SortParticles").is_none());
+        assert!(colored.profiler.telemetry().get("SortParticles").is_some());
+        assert!(standard.profiler.telemetry().get("SortParticles").is_none());
     }
 
     #[test]
@@ -1094,7 +1094,7 @@ mod extension_tests {
         let d = sim.run(4);
         assert!(d.n_particles > 0);
         sim.check_invariants().unwrap();
-        let traces = sim.profiler.traces();
+        let traces = sim.profiler.telemetry().traces();
         assert_eq!(traces.len(), 4, "one decision per step: {traces:?}");
         assert!(traces.iter().all(|(k, _)| k == "DepositCharge"));
         assert_eq!(sim.tuner.decisions().len(), 4);
@@ -1124,7 +1124,7 @@ mod extension_tests {
             assert_eq!(da.removed, db.removed);
             assert!((da.total_charge - db.total_charge).abs() < 1e-9);
         }
-        assert!(b.profiler.get("SortParticles").is_some());
+        assert!(b.profiler.telemetry().get("SortParticles").is_some());
         for (x, y) in a.node_charge.raw().iter().zip(b.node_charge.raw()) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
         }
@@ -1211,8 +1211,8 @@ mod collision_integration_tests {
             free.step();
             coll.step();
         }
-        assert!(free.profiler.get("Collide").is_none());
-        assert!(coll.profiler.get("Collide").is_some());
+        assert!(free.profiler.telemetry().get("Collide").is_none());
+        assert!(coll.profiler.telemetry().get("Collide").is_some());
         let mean_vx = |sim: &FemPic| {
             let v = sim.ps.col(sim.vel);
             v.chunks(3).map(|w| w[0]).sum::<f64>() / sim.ps.len().max(1) as f64

@@ -15,20 +15,19 @@ fn two_step_run_emits_schema_valid_jsonl() {
         std::process::id()
     ));
     let mut sim = FemPic::new(FemPicConfig::tiny());
-    sim.profiler
-        .telemetry()
-        .attach_sink(
-            &path,
-            &RunInfo {
-                app: "fempic".into(),
-                config_hash: "golden".into(),
-                threads: 1,
-                extra: vec![("steps".into(), "2".into())],
-            },
-        )
-        .unwrap();
+    let tel = sim.profiler.telemetry().clone();
+    tel.attach_sink(
+        &path,
+        &RunInfo {
+            app: "fempic".into(),
+            config_hash: "golden".into(),
+            threads: 1,
+            extra: vec![("steps".into(), "2".into())],
+        },
+    )
+    .unwrap();
     sim.run(2);
-    sim.profiler.telemetry().finish().unwrap();
+    tel.finish().unwrap();
     let src = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
 
@@ -72,13 +71,13 @@ fn two_step_run_emits_schema_valid_jsonl() {
     }
 
     // The footer closes the book: balanced spans and the same kernel
-    // aggregates the profiler holds in memory.
+    // aggregates the hub holds in memory.
     let footer = events.last().unwrap();
     assert_eq!(footer.get("open_spans").and_then(Json::as_u64), Some(0));
     let kernels = footer.get("kernels").and_then(Json::as_arr).unwrap();
     for k in kernels {
         let name = k.get("name").and_then(Json::as_str).unwrap();
-        let live = sim.profiler.get(name).expect("kernel in profiler");
+        let live = tel.get(name).expect("kernel in the hub");
         assert_eq!(k.get("calls").and_then(Json::as_u64), Some(live.calls));
         assert_eq!(k.get("seconds").and_then(Json::as_f64), Some(live.seconds));
     }

@@ -4,10 +4,11 @@
 //! The paper instruments each OP-PIC kernel for FP64 operation counts
 //! and arithmetic intensity, then places the kernels under rooflines
 //! measured with the Berkeley ERT. Here the kernel counts come from
-//! [`oppic_core::profile::Profiler`] traffic tallies and the rooflines
-//! from the [`crate::system::SystemSpec`] bandwidth/peak numbers.
+//! the [`oppic_core::telemetry::Telemetry`] kernel table (span times
+//! and traffic tallies) and the rooflines from the
+//! [`crate::system::SystemSpec`] bandwidth/peak numbers.
 
-use oppic_core::profile::KernelStats;
+use oppic_core::KernelStats;
 
 /// Which resource bounds a kernel at its operating point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +74,8 @@ impl RooflineChart {
         self.peak_gflops / self.mem_bw_gbs
     }
 
-    /// Place a kernel from profiler statistics (needs time + traffic).
+    /// Place a kernel from its telemetry statistics (needs time +
+    /// traffic).
     /// Returns `None` when the stats carry no byte/flop counts.
     pub fn place(&mut self, name: &str, stats: &KernelStats) -> Option<&RooflinePoint> {
         let ai = stats.arithmetic_intensity()?;

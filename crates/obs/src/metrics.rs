@@ -533,12 +533,10 @@ fn base_family<'a>(name: &str, schema: &HashMap<&'a str, &'a str>) -> Option<&'a
 mod tests {
     use super::*;
     use oppic_core::telemetry::KernelClass;
-    use std::time::Duration;
 
     fn sample_registry() -> MetricsRegistry {
         let tel = Arc::new(Telemetry::new());
-        tel.classify("Move", KernelClass::Move);
-        tel.record("Move", Duration::from_millis(10));
+        drop(tel.span_class("Move", KernelClass::Move));
         tel.counter_add("move.relocated", 42);
         tel.counter_add("alerts.total", 1);
         tel.counter_add("alerts.step_time_regression", 1);

@@ -23,7 +23,7 @@ fn fixture_schedule() -> ScheduleTrace {
                 step: 1,
                 event: ScheduleEvent::Exchange {
                     dat: "node_charge".into(),
-                    dir: ExchangeDir::ReverseAdd,
+                    dir: ExchangeDir::ReduceSum,
                     tag: "fempic/deposit".into(),
                 },
             },
@@ -74,8 +74,8 @@ fn merged_trace_matches_golden() {
         // Schedule lane: 2 events spread across run 1's step window
         // [1000, 3000) at start + j*dur/(n+1) = 1666, 2333.
         "{\"name\":\"Move\",\"ph\":\"i\",\"pid\":3,\"tid\":1,\"ts\":1666,\"s\":\"t\"},",
-        "{\"name\":\"reverse_add node_charge\",\"ph\":\"i\",\"pid\":3,\"tid\":2,\"ts\":2333,\"s\":\"t\",",
-        "\"args\":{\"dat\":\"node_charge\",\"dir\":\"reverse_add\",\"tag\":\"fempic/deposit\"}}",
+        "{\"name\":\"reduce_sum node_charge\",\"ph\":\"i\",\"pid\":3,\"tid\":2,\"ts\":2333,\"s\":\"t\",",
+        "\"args\":{\"dat\":\"node_charge\",\"dir\":\"reduce_sum\",\"tag\":\"fempic/deposit\"}}",
         "],\"displayTimeUnit\":\"ms\"}",
     );
     assert_eq!(out, golden);

@@ -52,5 +52,5 @@ fn main() {
         .expect("all particles inside their cells");
 
     println!("\nkernel breakdown (the Figure 9(a) decomposition):");
-    print!("{}", sim.profiler.breakdown_table());
+    print!("{}", sim.profiler.telemetry().breakdown_table());
 }
