@@ -29,6 +29,13 @@ echo "== cargo check perfbench (the benchmark compiles against the workspace)"
 # uses would otherwise first fail when the benchmark runs.
 cargo check --offline --manifest-path perfbench/Cargo.toml --tests
 
+echo "== perfbench fidelity (benchmark loops bit-identical to step() and the 2-rank run)"
+# The only oracle that ties the benchmark's traced loops to the apps'
+# step() and its 2-rank loop to run_fempic_distributed; the filters
+# select the three bit-identity tests by name.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml --test fidelity --quiet -- \
+    traced_loop_matches_step two_rank_loop_matches_run_fempic_distributed
+
 echo "== cargo test --workspace"
 cargo test --offline --workspace --quiet
 

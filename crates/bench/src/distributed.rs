@@ -1,9 +1,9 @@
 //! Distributed (multi-rank) drivers for both applications.
 //!
 //! Each run below is per-rank setup plus a loop over the app's one
-//! distributed step ([`FemPic::distributed_step`],
-//! [`oppic_cabana::CabanaEngine::distributed_step`]) on in-process
-//! ranks over the plain channel transport: directional partitioning
+//! step body ([`FemPic::step_over`],
+//! [`oppic_cabana::CabanaEngine::step_over`]) on in-process ranks over
+//! the plain channel transport: directional partitioning
 //! (the paper's custom scheme), particle migration (pack / alltoallv /
 //! hole-fill / unpack), and the per-step reductions that stand in for
 //! the halo exchanges (DESIGN.md §7: every rank holds the whole mesh,
@@ -99,11 +99,15 @@ pub fn run_fempic_distributed(
 ) -> DistributedReport {
     let per_rank = world_run(n_ranks, |ctx: &mut RankCtx| {
         let (mut sim, cell_rank) = FemPic::new_rank(base, ctx.rank, n_ranks);
+        let mut net = Plain {
+            ctx,
+            cell_rank: &cell_rank,
+        };
         let mut migrated_out = 0usize;
         let t0 = Instant::now();
         for _ in 0..steps {
-            let Ok(stats) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
-            migrated_out += stats.sent;
+            let Ok(_) = sim.step_over(&mut net);
+            migrated_out += sim.last_migration.sent;
         }
         let report = RankReport {
             rank: ctx.rank,
@@ -133,11 +137,15 @@ pub fn run_cabana_distributed(
         cfg.policy = ExecPolicy::Seq;
         let mut sim = StructuredCabana::new_structured(cfg);
         let cell_rank = sim.keep_rank_share(ctx.rank, n_ranks);
+        let mut net = Plain {
+            ctx,
+            cell_rank: &cell_rank,
+        };
         let mut migrated_out = 0usize;
         let t0 = Instant::now();
         for _ in 0..steps {
-            let Ok(stats) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
-            migrated_out += stats.sent;
+            let Ok(_) = sim.step_over(&mut net);
+            migrated_out += sim.last_migration.sent;
         }
         let main_loop_seconds = t0.elapsed().as_secs_f64();
 

@@ -35,7 +35,7 @@ use oppic_mpi::{MigrationStats, Transport};
 use oppic_obs::recorder::FlightRecorder;
 use oppic_resilience::{
     agree_evict, latest_common_version, read_shard, world_run_faulty, write_shard, FailureDetector,
-    FaultSchedule, HeartbeatConfig, LinkError, Membership, ReliableLink, RetryPolicy,
+    FaultSchedule, HeartbeatConfig, LinkError, Membership, Reliable, ReliableLink, RetryPolicy,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -230,32 +230,25 @@ enum Interrupted {
     Link(LinkError),
 }
 
-/// The rank's reliable link, armed to fail-stop at the `Exchange` kill
-/// site: after the move and before the migration collective.
+/// The rank's reliable transport, armed to fail-stop at the `Exchange`
+/// kill site: after the move and before the migration collective.
 struct KillSwitch<'a> {
-    link: &'a mut ReliableLink,
+    net: Reliable<'a>,
     armed: bool,
 }
 
 impl Transport for KillSwitch<'_> {
     type Error = Interrupted;
 
-    fn migrate(
-        &mut self,
-        ctx: &mut RankCtx,
-        ps: &mut ParticleDats,
-        leavers: &[(usize, u32, i32)],
-    ) -> Result<MigrationStats, Interrupted> {
+    fn migrate(&mut self, ps: &mut ParticleDats) -> Result<MigrationStats, Interrupted> {
         if self.armed {
             return Err(Interrupted::Killed);
         }
-        self.link
-            .migrate(ctx, ps, leavers)
-            .map_err(Interrupted::Link)
+        self.net.migrate(ps).map_err(Interrupted::Link)
     }
 
-    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Interrupted> {
-        Transport::allreduce_vec_sum(self.link, ctx, x).map_err(Interrupted::Link)
+    fn allreduce_sum(&mut self, x: &mut [f64]) -> Result<(), Interrupted> {
+        self.net.allreduce_sum(x).map_err(Interrupted::Link)
     }
 }
 
@@ -394,12 +387,14 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
         .map(|k| Arc::new(FaultSchedule::crash(sc.seed, k.rank, k.step)));
     let site = sc.kill.map(|k| k.site);
     world_run_faulty(sc.ranks, sched, |ctx: &mut RankCtx| {
-        let hub = Arc::new(Telemetry::new());
+        let (sim, cell_rank) = FemPic::new_rank(&scenario_config(sc), ctx.rank, sc.ranks);
+        // The sim's own hub is the rank's hub: the step, the reliable
+        // link and the recovery chain all count and alert there.
+        let hub = sim.profiler.telemetry().clone();
         let _guard = hub.make_current();
         let recorder = Arc::new(FlightRecorder::new(4096));
         hub.set_observer(Some(recorder.clone()));
 
-        let (sim, cell_rank) = FemPic::new_rank(&scenario_config(sc), ctx.rank, sc.ranks);
         let mut run = RankRun {
             sc,
             cell_rank,
@@ -456,10 +451,14 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
 
             let armed = my_crash == Some(s) && site == Some(KillSite::Exchange);
             let mut net = KillSwitch {
-                link: &mut run.link,
+                net: Reliable {
+                    link: &mut run.link,
+                    ctx,
+                    cell_rank: &run.cell_rank,
+                },
                 armed,
             };
-            match run.sim.distributed_step(ctx, &mut net, &run.cell_rank) {
+            match run.sim.step_over(&mut net) {
                 Ok(_) => {}
                 // Fail-stop with peers already committed to the exchange.
                 Err(Interrupted::Killed) => return Ok(None),

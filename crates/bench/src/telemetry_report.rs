@@ -33,7 +33,7 @@ pub struct RunSummary {
     pub steps: Vec<StepRow>,
     pub counters: Vec<(String, u64)>,
     /// `true` when no `run_footer` was found (the kernel table is then
-    /// a reconstruction from span events).
+    /// a reconstruction from the header's rows and the span events).
     pub truncated: bool,
     /// Lines that failed to parse as JSON and were skipped — typically
     /// the torn tail of a crashed run's stream.
@@ -81,10 +81,34 @@ impl RunSummary {
     }
 }
 
+/// The `kernels` rows of a header or footer record.
+fn kernel_rows(ev: &Json) -> Vec<(String, KernelStats)> {
+    let Some(ks) = ev.get("kernels").and_then(Json::as_arr) else {
+        return Vec::new();
+    };
+    ks.iter()
+        .map(|k| {
+            let name = k.get("name").and_then(Json::as_str).unwrap_or("?");
+            let stats = KernelStats {
+                calls: k.get("calls").and_then(Json::as_u64).unwrap_or(0),
+                seconds: k.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
+                bytes: k.get("bytes").and_then(Json::as_u64).unwrap_or(0),
+                flops: k.get("flops").and_then(Json::as_u64).unwrap_or(0),
+                class: k
+                    .get("class")
+                    .and_then(Json::as_str)
+                    .and_then(KernelClass::from_str_opt),
+            };
+            (name.to_string(), stats)
+        })
+        .collect()
+}
+
 /// Parse one telemetry JSONL stream into a [`RunSummary`].
 pub fn parse_run(src: &str) -> Result<RunSummary, String> {
     let mut run = RunSummary::default();
-    // Span-event fallback aggregation, used only without a footer.
+    // Header rows plus span events: the fallback used only without a
+    // footer.
     let mut span_kernels: Vec<(String, KernelStats)> = Vec::new();
     let mut saw_footer = false;
 
@@ -110,6 +134,9 @@ pub fn parse_run(src: &str) -> Result<RunSummary, String> {
                     .into();
                 run.build = ev.get("build").and_then(Json::as_str).unwrap_or("?").into();
                 run.threads = ev.get("threads").and_then(Json::as_u64).unwrap_or(0);
+                // Kernels timed before the sink opened (setup) have no
+                // span events; the fallback starts from their rows.
+                span_kernels = kernel_rows(&ev);
             }
             Some("span") => {
                 let name = ev.get("name").and_then(Json::as_str).unwrap_or("?");
@@ -139,25 +166,7 @@ pub fn parse_run(src: &str) -> Result<RunSummary, String> {
             }
             Some("run_footer") => {
                 saw_footer = true;
-                if let Some(ks) = ev.get("kernels").and_then(Json::as_arr) {
-                    run.kernels = ks
-                        .iter()
-                        .map(|k| {
-                            let name = k.get("name").and_then(Json::as_str).unwrap_or("?");
-                            let stats = KernelStats {
-                                calls: k.get("calls").and_then(Json::as_u64).unwrap_or(0),
-                                seconds: k.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-                                bytes: k.get("bytes").and_then(Json::as_u64).unwrap_or(0),
-                                flops: k.get("flops").and_then(Json::as_u64).unwrap_or(0),
-                                class: k
-                                    .get("class")
-                                    .and_then(Json::as_str)
-                                    .and_then(KernelClass::from_str_opt),
-                            };
-                            (name.to_string(), stats)
-                        })
-                        .collect();
-                }
+                run.kernels = kernel_rows(&ev);
                 if let Some(cs) = ev.get("counters").and_then(Json::as_obj) {
                     run.counters = cs
                         .iter()
@@ -199,7 +208,7 @@ pub fn breakdown_table(run: &RunSummary) -> String {
         run.threads,
         run.config_hash,
         if run.truncated {
-            "  (truncated stream: kernels rebuilt from spans)"
+            "  (truncated stream: kernels rebuilt from header and spans)"
         } else {
             ""
         }

@@ -8,13 +8,15 @@
 //! the parsed footer and `oppic_kernel_{calls,seconds}_total` must
 //! agree (calls exactly, seconds within 1 µs); for every kernel timed
 //! inside a step, `calls` is its number of `span` events and `seconds`
-//! their summed `ms`.
+//! their summed `ms`. The same stream cut before its footer rebuilds
+//! the same table from the header's rows (kernels timed before the sink
+//! opened, such as FemPIC's setup) and the span events.
 
 use oppic_bench::telemetry_report::parse_run;
 use oppic_cabana::{CabanaConfig, CabanaPic};
 use oppic_core::json::{self, Json};
 use oppic_core::{RunInfo, Telemetry};
-use oppic_fempic::{FemPic, FemPicConfig};
+use oppic_fempic::{FemPic, FemPicConfig, MoveStrategy};
 use oppic_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -127,12 +129,40 @@ fn check_one_set_of_numbers(app: &str, tel: &Arc<Telemetry>, steps: impl FnOnce(
             "{app}/{name}: {hs} s vs spans' {s} s"
         );
     }
+
+    // The stream cut before its footer: the header's rows plus the
+    // span events rebuild every kernel.
+    let cut: String = src
+        .lines()
+        .take_while(|l| !l.contains("\"type\":\"run_footer\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let rebuilt = parse_run(&cut).unwrap();
+    assert!(rebuilt.truncated, "{app}: the cut stream has a footer");
+    let rebuilt: Table = rebuilt
+        .kernels
+        .into_iter()
+        .map(|(n, k)| (n, (k.calls, k.seconds)))
+        .collect();
+    assert_eq!(names(&rebuilt), names(&hub), "{app}: truncated kernels");
+    for (name, &(n, s)) in &hub {
+        let (rc, rs) = rebuilt[name];
+        assert_eq!(rc, n, "{app}/{name}: truncated calls");
+        assert!(
+            (rs - s).abs() <= SECONDS_TOL,
+            "{app}/{name}: truncated {rs} s vs {s} s"
+        );
+    }
     spans.into_keys().collect()
 }
 
 #[test]
 fn fempic_kernel_table_footer_metrics_and_spans_agree() {
-    let mut sim = FemPic::new(FemPicConfig::tiny());
+    // Direct-hop, so the setup kernels include `BuildOverlay`.
+    let mut sim = FemPic::new(FemPicConfig {
+        move_strategy: MoveStrategy::DirectHop { overlay_res: 8 },
+        ..FemPicConfig::tiny()
+    });
     let tel = sim.profiler.telemetry().clone();
     let timed = check_one_set_of_numbers("fempic", &tel, || {
         sim.run(STEPS);
@@ -154,6 +184,12 @@ fn fempic_kernel_table_footer_metrics_and_spans_agree() {
     // with no span events.
     assert!(tel.get("ComputeJMatrix").is_some());
     assert!(!timed.iter().any(|t| t == "ComputeJMatrix"));
+    // The header carries them, so the truncated parse in
+    // `check_one_set_of_numbers` kept their calls and seconds.
+    for name in ["GenerateMesh", "ComputeJMatrix", "BuildOverlay"] {
+        assert_eq!(tel.get(name).map(|k| k.calls), Some(1), "{name}");
+        assert!(!timed.iter().any(|t| t == name), "{name}");
+    }
 }
 
 #[test]

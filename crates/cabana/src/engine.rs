@@ -21,11 +21,12 @@ use crate::common::{
 use crate::config::CabanaConfig;
 use oppic_core::parloop::{par_loop, par_loop_scatter, Fixed, Space};
 use oppic_core::{
-    ColId, Dat, ExchangeDir, KernelClass, ParticleDats, Profiler, Tally, ThreadBinding,
+    ColId, Dat, ExchangeDir, KernelClass, ParticleDats, Profiler, Tally, Telemetry, ThreadBinding,
 };
 use oppic_mpi::exchange::remove_leavers;
-use oppic_mpi::{MigrationStats, RankCtx, Transport};
+use oppic_mpi::{Local, MigrationStats, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// How a version resolves periodic face-neighbours.
 pub trait Topology: Sync {
@@ -108,6 +109,8 @@ pub struct CabanaEngine<T: Topology> {
     /// event here for the whole-step dataflow audit.
     pub schedule: Option<oppic_core::ScheduleRecorder>,
     step_no: usize,
+    /// Last step's migration tally (all zero on one rank).
+    pub last_migration: MigrationStats,
     /// Per-particle visited-cell counts from the last `Move_Deposit`
     /// (empty unless [`CabanaConfig::record_visits`] is set).
     pub last_visited: Vec<u32>,
@@ -168,6 +171,7 @@ impl<T: Topology> CabanaEngine<T> {
             profiler: Profiler::default(),
             schedule: None,
             step_no: 0,
+            last_migration: MigrationStats::default(),
             last_visited: Vec::new(),
             binding: None,
             cfg,
@@ -398,15 +402,21 @@ impl<T: Topology> CabanaEngine<T> {
             .add_traffic("AdvanceE", nc * (4 * 24 + 24 + 48), nc * 21);
     }
 
-    /// `Update_Ghosts`: in shared memory the periodic maps close the
-    /// torus, so this stage only exists for breakdown parity
-    /// ([`CabanaEngine::distributed_step`] replaces it with a global
-    /// reduction of the current accumulator).
+    /// `Update_Ghosts` on one rank: the periodic maps close the torus,
+    /// so the span only keeps the breakdown's row.
     pub fn update_ghosts(&mut self) {
-        let _s = self
-            .profiler
-            .telemetry()
-            .span_class("Update_Ghosts", KernelClass::Comm);
+        let Ok(()) = self.ghost_update(&mut Local);
+    }
+
+    /// `Update_Ghosts` over `net`: sum the current accumulator over all
+    /// ranks, the stand-in for the ghost exchange.
+    fn ghost_update<N: Transport>(&mut self, net: &mut N) -> Result<(), N::Error> {
+        let tel = self.profiler.telemetry();
+        let _s = tel.span_class("Update_Ghosts", KernelClass::Comm);
+        if let Some(rec) = &self.schedule {
+            rec.record_exchange("acc", ExchangeDir::ReduceSum, "cabana/acc");
+        }
+        net.allreduce_sum(&mut self.acc)
     }
 
     /// Keep only rank `rank`'s share of the (globally identical)
@@ -422,43 +432,18 @@ impl<T: Topology> CabanaEngine<T> {
         cell_rank
     }
 
-    /// One distributed Figure 9(b) step over `net`: the shared-memory
-    /// `Update_Ghosts` no-op becomes a global reduction of the current
-    /// accumulator between `Move_Deposit` and `AccumulateCurrent`, and
-    /// the particles whose cell `cell_rank` gives to another rank
-    /// migrate at the end of the step. Records both exchanges when a
-    /// schedule recorder is attached. Collective.
-    pub fn distributed_step<N: Transport>(
-        &mut self,
-        ctx: &mut RankCtx,
-        net: &mut N,
-        cell_rank: &[u32],
-    ) -> Result<MigrationStats, N::Error> {
-        if let Some(rec) = &self.schedule {
-            rec.begin_step();
-        }
-        self.interpolate();
-        self.move_deposit();
-        if let Some(rec) = &self.schedule {
-            rec.record_exchange("acc", ExchangeDir::ReduceSum, "cabana/acc");
-        }
-        let total = net.allreduce_vec_sum(ctx, &self.acc)?;
-        self.acc.copy_from_slice(&total);
-        self.accumulate_current();
-        self.advance_b();
-        self.advance_e();
-        let leavers = self.ps.leavers(cell_rank, ctx.rank);
-        if let Some(rec) = &self.schedule {
-            rec.record_exchange("particles", ExchangeDir::Migrate, "cabana/migrate");
-        }
-        net.migrate(ctx, &mut self.ps, &leavers)
+    /// One full leap-frog step on one rank. Returns diagnostics.
+    pub fn step(&mut self) -> EnergyDiagnostics {
+        let Ok(d) = self.step_over(&mut Local);
+        d
     }
 
-    /// One full leap-frog step. Returns diagnostics. Kernel timing
-    /// flows through telemetry spans: each stage is a `step>...` span
-    /// that records into the kernel table on close, and the step span
-    /// itself closes with alive/energy gauges and counter deltas.
-    pub fn step(&mut self) -> EnergyDiagnostics {
+    /// One Figure 9(b) step over `net`: the one step body, for one rank
+    /// ([`CabanaEngine::step`]) or many (DESIGN.md §7). Each stage is a
+    /// `step>...` span; the step span closes with alive/energy gauges
+    /// and counter deltas. Collective. On a transport error the step
+    /// ends and the error returns mid-step.
+    pub fn step_over<N: Transport>(&mut self, net: &mut N) -> Result<EnergyDiagnostics, N::Error> {
         self.step_no += 1;
         if let Some(rec) = &self.schedule {
             rec.begin_step();
@@ -466,7 +451,20 @@ impl<T: Topology> CabanaEngine<T> {
         let tel = self.profiler.telemetry().clone();
         let _cur = tel.make_current();
         tel.begin_step(self.step_no as u64);
+        let diag = self.stages(&tel, net);
+        match &diag {
+            Ok(d) => tel.end_step(&[("alive", self.ps.len() as f64), ("total_energy", d.total())]),
+            Err(_) => tel.end_step(&[]),
+        }
+        diag
+    }
 
+    /// The stages of [`CabanaEngine::step_over`], each under its span.
+    fn stages<N: Transport>(
+        &mut self,
+        tel: &Arc<Telemetry>,
+        net: &mut N,
+    ) -> Result<EnergyDiagnostics, N::Error> {
         // Rebuild the CSR cell index when the policy says so, grouping
         // each cell's particles for this step's Move_Deposit.
         if self
@@ -496,6 +494,8 @@ impl<T: Topology> CabanaEngine<T> {
         #[cfg(feature = "validate")]
         self.assert_particle_map_valid();
 
+        self.ghost_update(net)?;
+
         {
             let _s = tel.span_class("AccumulateCurrent", KernelClass::Deposit);
             self.accumulate_current();
@@ -511,12 +511,16 @@ impl<T: Topology> CabanaEngine<T> {
             self.advance_e();
         }
 
-        self.update_ghosts();
+        // On the y-slab partition the x-streaming beams rarely leave
+        // their rank; the migration runs under the step span.
+        if let Some(rec) = &self.schedule {
+            rec.record_exchange("particles", ExchangeDir::Migrate, "cabana/migrate");
+        }
+        self.last_migration = net.migrate(&mut self.ps)?;
 
         let mut d = self.energies();
         d.mean_visited = visited as f64 / self.ps.len().max(1) as f64;
-        tel.end_step(&[("alive", self.ps.len() as f64), ("total_energy", d.total())]);
-        d
+        Ok(d)
     }
 
     /// Run `n` steps, returning all diagnostics.

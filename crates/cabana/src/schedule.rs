@@ -1,20 +1,19 @@
-//! `--record-schedule` support for CabanaPIC: run the distributed
-//! Figure 9(b) step with a [`ScheduleRecorder`] attached and package
+//! `--record-schedule` support for CabanaPIC: run the Figure 9(b)
+//! step with a [`ScheduleRecorder`] attached and package
 //! the recording as the [`ScheduleTrace`] consumed by
 //! `oppic-analyzer --audit-schedule`.
 //!
-//! The distributed step replaces the shared-memory `Update_Ghosts`
-//! no-op with a real global reduction of the current accumulator
-//! between `Move_Deposit` and `AccumulateCurrent`, and migrates
-//! stray particles at the end of the step: the recording runs
-//! [`CabanaPic::distributed_step`] itself. Recording under
-//! `world_run(1)` keeps the trace deterministic while exercising the
+//! The recording runs the one step body,
+//! [`CabanaEngine::step_over`](crate::CabanaEngine::step_over), on one
+//! rank: `Update_Ghosts` sums the current accumulator between
+//! `Move_Deposit` and `AccumulateCurrent`, and stray particles migrate
+//! at the end of the step. The body records both exchanges on every
+//! transport, so the one-rank trace is deterministic and has the
 //! identical collective sequence as a multi-rank run.
 
 use crate::config::CabanaConfig;
 use crate::dsl::CabanaPic;
 use oppic_core::schedule::{LoopScope, ScheduleRecorder, ScheduleTrace};
-use oppic_mpi::{world_run, Plain};
 
 /// Distributed-execution facts per loop: the particle mover iterates
 /// owned particles and re-binds the particle→cell map; every cell loop
@@ -28,41 +27,31 @@ const SCOPES: &[(&str, LoopScope, bool)] = &[
     ("AdvanceE", LoopScope::Replicated, false),
 ];
 
-/// Record `steps` steps of the distributed CabanaPIC step schedule.
+/// Record `steps` steps of the CabanaPIC step schedule.
 pub fn record_schedule(cfg: &CabanaConfig, steps: usize) -> ScheduleTrace {
-    let cfg = cfg.clone();
-    let mut traces = world_run(1, move |ctx| {
-        let rec = ScheduleRecorder::new();
-        let mut sim = CabanaPic::new_dsl(cfg.clone());
-        sim.schedule = Some(rec.clone());
-        // One-rank SPMD: every cell is owned here, so no particle
-        // leaves — but both collectives still run (and record) exactly
-        // as at scale.
-        let cell_rank = vec![0u32; sim.geom.n_cells()];
-        for _ in 0..steps {
-            let Ok(_) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
-        }
-        let dat_sets: Vec<(&str, &str)> = vec![
-            ("pos", "particles"),
-            ("vel", "particles"),
-            ("weight", "particles"),
-            ("E", "cells"),
-            ("B", "cells"),
-            ("J", "cells"),
-            ("interp E", "cells"),
-            ("interp B", "cells"),
-            ("acc", "cells"),
-        ];
-        ScheduleTrace::from_recording(
-            "cabana",
-            &sim.loop_plans(),
-            SCOPES,
-            &["particles"],
-            &dat_sets,
-            &rec,
-        )
-    });
-    traces.remove(0)
+    let rec = ScheduleRecorder::new();
+    let mut sim = CabanaPic::new_dsl(cfg.clone());
+    sim.schedule = Some(rec.clone());
+    sim.run(steps);
+    let dat_sets: Vec<(&str, &str)> = vec![
+        ("pos", "particles"),
+        ("vel", "particles"),
+        ("weight", "particles"),
+        ("E", "cells"),
+        ("B", "cells"),
+        ("J", "cells"),
+        ("interp E", "cells"),
+        ("interp B", "cells"),
+        ("acc", "cells"),
+    ];
+    ScheduleTrace::from_recording(
+        "cabana",
+        &sim.loop_plans(),
+        SCOPES,
+        &["particles"],
+        &dat_sets,
+        &rec,
+    )
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ use oppic_mpi::comm::RankCtx;
 use oppic_obs::recorder::FlightRecorder;
 use oppic_obs::watchdog::{StepObs, Watchdog, WatchdogConfig, RULE_QUARANTINE, RULE_STEP_TIME};
 use oppic_resilience::{
-    world_run_faulty, FaultKind, FaultSchedule, RecoveryConfig, RecoveryDriver, ReliableLink,
-    RetryPolicy,
+    world_run_faulty, FaultKind, FaultSchedule, RecoveryConfig, RecoveryDriver, Reliable,
+    ReliableLink, RetryPolicy,
 };
 use std::fmt;
 use std::io::Write as _;
@@ -232,7 +232,7 @@ struct RankOut {
 }
 
 /// Run the reliable Mini-FEM-PIC distributed step under an optional
-/// fault schedule: [`FemPic::distributed_step`] over the reliable link,
+/// fault schedule: [`FemPic::step_over`] over the reliable link,
 /// so every inter-rank transfer (migration and the node-charge
 /// reduction) goes through the resilience layer. No raw collectives
 /// touch the faulted plane, so every failure mode is a typed error.
@@ -246,8 +246,6 @@ fn run_reliable_fempic(
     base.inject_per_step = cell.particles;
     base.seed = base.seed.wrapping_add(cell.seed);
     world_run_faulty(n_ranks, sched, |ctx: &mut RankCtx| {
-        let hub = Arc::new(Telemetry::new());
-        let _guard = hub.make_current();
         let (mut sim, cell_rank) = FemPic::new_rank(&base, ctx.rank, n_ranks);
         let mut link = ReliableLink::new(RetryPolicy {
             max_retries: cell.max_retries,
@@ -261,12 +259,18 @@ fn run_reliable_fempic(
             },
             ..RetryPolicy::default()
         });
+        let mut net = Reliable {
+            link: &mut link,
+            ctx,
+            cell_rank: &cell_rank,
+        };
 
         for _ in 0..cell.steps {
-            sim.distributed_step(ctx, &mut link, &cell_rank)
-                .map_err(|e| e.to_string())?;
+            sim.step_over(&mut net).map_err(|e| e.to_string())?;
         }
 
+        // The step counts the link's retransmits on the sim's hub.
+        let hub = sim.profiler.telemetry();
         Ok(RankOut {
             particles: sim.ps.len(),
             node_charge: sim.node_charge.raw().to_vec(),

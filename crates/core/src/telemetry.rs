@@ -834,7 +834,8 @@ impl Telemetry {
     // -- sink ---------------------------------------------------------
 
     /// Open a JSON Lines sink at `path` and write the run-header
-    /// record. Replaces any previously attached sink.
+    /// record, with the rows of any kernels already timed. Replaces any
+    /// previously attached sink.
     pub fn attach_sink(&self, path: &Path, info: &RunInfo) -> std::io::Result<()> {
         let file = std::fs::File::create(path)?;
         let mut header = String::with_capacity(160);
@@ -848,6 +849,13 @@ impl Telemetry {
         );
         for (k, v) in &info.extra {
             let _ = write!(header, ",{}:{}", json::quote(k), json::quote(v));
+        }
+        // Kernels timed before the sink opened (an app's setup) have no
+        // span event; the header carries their rows, so a stream cut
+        // before its footer still accounts for them.
+        let before = self.kernels_snapshot();
+        if !before.is_empty() {
+            push_kernels(&mut header, &before);
         }
         header.push('}');
         let mut sink = Sink {
@@ -880,24 +888,8 @@ impl Telemetry {
             // +1 for the footer itself.
             self.events_written.load(Ordering::Relaxed) + 1,
         );
-        ev.push_str(",\"kernels\":[");
-        for (i, (name, k)) in kernels.iter().enumerate() {
-            if i > 0 {
-                ev.push(',');
-            }
-            let _ = write!(
-                ev,
-                "{{\"name\":{},\"class\":{},\"calls\":{},\"seconds\":{},\"bytes\":{},\"flops\":{}}}",
-                json::quote(name),
-                k.class
-                    .map_or_else(|| "null".to_string(), |c| json::quote(c.as_str())),
-                k.calls,
-                json::num(k.seconds),
-                k.bytes,
-                k.flops,
-            );
-        }
-        ev.push_str("],\"counters\":{");
+        push_kernels(&mut ev, &kernels);
+        ev.push_str(",\"counters\":{");
         for (i, (k, v)) in counters.iter().enumerate() {
             if i > 0 {
                 ev.push(',');
@@ -1168,6 +1160,29 @@ impl Profiler {
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.tel
     }
+}
+
+/// Append `,"kernels":[…]`: one row per kernel, as the footer and
+/// the header write them.
+fn push_kernels(ev: &mut String, kernels: &[(String, KernelStats)]) {
+    ev.push_str(",\"kernels\":[");
+    for (i, (name, k)) in kernels.iter().enumerate() {
+        if i > 0 {
+            ev.push(',');
+        }
+        let _ = write!(
+            ev,
+            "{{\"name\":{},\"class\":{},\"calls\":{},\"seconds\":{},\"bytes\":{},\"flops\":{}}}",
+            json::quote(name),
+            k.class
+                .map_or_else(|| "null".to_string(), |c| json::quote(c.as_str())),
+            k.calls,
+            json::num(k.seconds),
+            k.bytes,
+            k.flops,
+        );
+    }
+    ev.push(']');
 }
 
 fn intern_locked(st: &mut State, name: &str) -> u32 {

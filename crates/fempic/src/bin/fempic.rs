@@ -111,9 +111,10 @@ fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> 
         },
         collisions: {
             let nd = params.get_f64("neutral_density", 0.0)?;
-            (nd > 0.0).then(|| oppic_fempic::CollisionModel {
+            let cross_section = params.get_f64("cross_section", 1.0)?;
+            (nd > 0.0).then_some(oppic_fempic::CollisionModel {
                 neutral_density: nd,
-                cross_section: params.get_f64("cross_section", 1.0).unwrap_or(1.0),
+                cross_section,
             })
         },
         binding: params.get_bool("binding", false)?,
@@ -340,6 +341,16 @@ mod tests {
         let params = Params::parse("overlap = true\n").unwrap();
         let err = config_from(&params).unwrap_err();
         assert!(err.starts_with("unknown parameter 'overlap'"), "{err}");
+    }
+
+    #[test]
+    fn malformed_cross_section_is_an_error() {
+        let params = Params::parse("neutral_density = 8\ncross_section = wide\n").unwrap();
+        let err = config_from(&params).unwrap_err();
+        assert!(err.contains("cross_section"), "{err}");
+        let params = Params::parse("neutral_density = 8\ncross_section = 2.5\n").unwrap();
+        let (cfg, _, _) = config_from(&params).unwrap();
+        assert_eq!(cfg.collisions.map(|c| c.cross_section), Some(2.5));
     }
 
     #[test]

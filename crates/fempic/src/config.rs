@@ -166,6 +166,17 @@ impl FemPicConfig {
     pub fn n_cells(&self) -> usize {
         6 * self.nx * self.ny * self.nz
     }
+
+    /// Rank `rank`'s share of this configuration in an `n_ranks` run:
+    /// an equal part of the injection rate, its own injection stream,
+    /// and `Seq` execution (ranks are threads already).
+    pub fn rank_share(&self, rank: usize, n_ranks: usize) -> FemPicConfig {
+        let mut cfg = self.clone();
+        cfg.inject_per_step = (self.inject_per_step / n_ranks).max(1);
+        cfg.seed = self.seed.wrapping_add(rank as u64 * 0x9E37);
+        cfg.policy = ExecPolicy::Seq;
+        cfg
+    }
 }
 
 #[cfg(test)]

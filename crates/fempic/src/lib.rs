@@ -28,7 +28,6 @@
 pub mod collisions;
 pub mod config;
 pub mod conform;
-pub mod distributed;
 pub mod fields;
 pub mod schedule;
 pub mod sim;

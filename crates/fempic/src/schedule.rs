@@ -1,19 +1,18 @@
-//! `--record-schedule` support: run the *distributed* Mini-FEM-PIC
-//! step with a [`ScheduleRecorder`] attached and package the recording
+//! `--record-schedule` support: run the Mini-FEM-PIC step with a
+//! [`ScheduleRecorder`] attached and package the recording
 //! as the [`ScheduleTrace`] that `oppic-analyzer --audit-schedule`
 //! audits.
 //!
-//! The recording runs [`FemPic::distributed_step`] itself — the stage
-//! methods record their loop events, the step records its exchanges —
-//! under `world_run(1)`: one-rank SPMD executes the identical sequence
-//! of loops and collectives as a multi-rank run (every exchange is
-//! collective, so rank count changes payloads, never the schedule)
-//! while keeping the trace deterministic.
+//! The recording runs the one step body, [`FemPic::step_over`], on one
+//! rank: the stage methods record their loop events and the body
+//! records its exchanges on every transport, so one rank records the
+//! identical sequence of loops and collectives as a multi-rank run
+//! (every exchange is collective, so rank count changes payloads, never
+//! the schedule) while keeping the trace deterministic.
 
 use crate::config::FemPicConfig;
 use crate::sim::FemPic;
 use oppic_core::schedule::{LoopScope, ScheduleRecorder, ScheduleTrace};
-use oppic_mpi::{world_run, Plain};
 
 /// Distributed-execution facts per loop: iteration scope and whether
 /// the loop re-binds the particle→cell map. The loop declarations
@@ -33,38 +32,31 @@ const SCOPES: &[(&str, LoopScope, bool)] = &[
 /// per step — inject, push, move, migrate strays, deposit, fold the
 /// node charge globally, solve.
 pub fn record_schedule(cfg: &FemPicConfig, steps: usize) -> ScheduleTrace {
-    let cfg = cfg.clone();
-    let mut traces = world_run(1, move |ctx| {
-        let rec = ScheduleRecorder::new();
-        let mut sim = FemPic::new(cfg.clone());
-        sim.schedule = Some(rec.clone());
-        // One-rank SPMD: no particle ever leaves, but the collectives
-        // still run (and record) exactly as at scale.
-        let cell_rank = vec![0u32; sim.mesh.n_cells()];
-        for _ in 0..steps {
-            let Ok(_) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
-        }
-        let charge = sim.node_charge.name().to_string();
-        let efield = sim.efield.name().to_string();
-        let dat_sets: Vec<(&str, &str)> = vec![
-            ("pos", "particles"),
-            ("vel", "particles"),
-            ("lc", "particles"),
-            (&charge, "nodes"),
-            ("potential", "nodes"),
-            (&efield, "cells"),
-            ("cell_det", "cells"),
-        ];
-        ScheduleTrace::from_recording(
-            "fempic",
-            &sim.loop_plans(),
-            SCOPES,
-            &["particles"],
-            &dat_sets,
-            &rec,
-        )
-    });
-    traces.remove(0)
+    let rec = ScheduleRecorder::new();
+    let mut sim = FemPic::new(cfg.clone());
+    sim.schedule = Some(rec.clone());
+    for _ in 0..steps {
+        sim.step();
+    }
+    let charge = sim.node_charge.name().to_string();
+    let efield = sim.efield.name().to_string();
+    let dat_sets: Vec<(&str, &str)> = vec![
+        ("pos", "particles"),
+        ("vel", "particles"),
+        ("lc", "particles"),
+        (&charge, "nodes"),
+        ("potential", "nodes"),
+        (&efield, "cells"),
+        ("cell_det", "cells"),
+    ];
+    ScheduleTrace::from_recording(
+        "fempic",
+        &sim.loop_plans(),
+        SCOPES,
+        &["particles"],
+        &dat_sets,
+        &rec,
+    )
 }
 
 #[cfg(test)]

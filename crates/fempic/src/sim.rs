@@ -13,13 +13,15 @@ use oppic_core::move_engine::{move_loop, MoveConfig, MoveResult};
 use oppic_core::parloop::{par_loop, Fixed, Space};
 use oppic_core::{
     deposit_loop, deposit_loop_colored, greedy_color_cells, AutoTuner, ColId, Dat, DepositMethod,
-    KernelClass, ParticleDats, Profiler, ThreadBinding, TunerInput,
+    ExchangeDir, KernelClass, ParticleDats, Profiler, Telemetry, ThreadBinding, TunerInput,
 };
 use oppic_mesh::geometry::{
     bary_inside, bary_min_index, barycentric, barycentric_from_map, barycentric_map,
     sample_triangle,
 };
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
+use oppic_mpi::{directional_partition, Local, MigrationStats, Transport};
+use std::sync::Arc;
 
 /// Tolerance for the barycentric containment test.
 pub const BARY_TOL: f64 = 1e-10;
@@ -133,6 +135,8 @@ pub struct FemPic {
     pub(crate) cell_colors: Option<(Vec<u32>, usize)>,
     /// Last move result (benchmark introspection).
     pub last_move: MoveResult,
+    /// Last step's migration tally (all zero on one rank).
+    pub last_migration: MigrationStats,
     /// Per-step deposit strategy selector (used when
     /// `cfg.auto_tune`); its decision log doubles as the trace source.
     pub tuner: AutoTuner,
@@ -239,6 +243,7 @@ impl FemPic {
             step_no: 0,
             cell_colors,
             last_move: MoveResult::default(),
+            last_migration: MigrationStats::default(),
             tuner: AutoTuner::default(),
             last_quarantined: 0,
             active_deposit,
@@ -246,6 +251,19 @@ impl FemPic {
             binding: None,
             rebalance_log: Vec::new(),
         }
+    }
+
+    /// Rank `rank`'s simulation in an `n_ranks` run, with the cell →
+    /// rank map of the paper's directional partition: slabs along y,
+    /// parallel to the x flow, so the steady stream rarely crosses a
+    /// rank boundary (the "principal direction of motion" rationale).
+    pub fn new_rank(base: &FemPicConfig, rank: usize, n_ranks: usize) -> (FemPic, Vec<u32>) {
+        let sim = FemPic::new(base.rank_share(rank, n_ranks));
+        let centroids: Vec<Vec3> = (0..sim.mesh.n_cells())
+            .map(|c| sim.mesh.cell_centroid(c))
+            .collect();
+        let cell_rank = directional_partition(&centroids, 1, n_ranks);
+        (sim, cell_rank)
     }
 
     /// Rebalance gate for the persistent binding: build on first use,
@@ -573,8 +591,16 @@ impl FemPic {
         0
     }
 
-    /// Advance one PIC step; returns diagnostics.
+    /// Advance one PIC step on one rank; returns diagnostics.
     pub fn step(&mut self) -> StepDiagnostics {
+        let Ok(diag) = self.step_over(&mut Local);
+        diag
+    }
+
+    /// Advance one PIC step over `net`: the one step body, for one rank
+    /// ([`FemPic::step`]) or many (DESIGN.md §7). Collective. On a
+    /// transport error the step ends and the error returns mid-step.
+    pub fn step_over<N: Transport>(&mut self, net: &mut N) -> Result<StepDiagnostics, N::Error> {
         self.step_no += 1;
         if let Some(rec) = &self.schedule {
             rec.begin_step();
@@ -582,12 +608,28 @@ impl FemPic {
 
         // Install this sim's telemetry as the thread's current hub so
         // the DSL executors (move engine, deposit, particle store,
-        // par loops) publish their counters/histograms here, and open
-        // the per-step root span.
+        // par loops) and the transport publish their counters and
+        // histograms here, and open the per-step root span.
         let tel = self.profiler.telemetry().clone();
         let _cur = tel.make_current();
         tel.begin_step(self.step_no as u64);
+        let diag = self.stages(&tel, net);
+        match &diag {
+            Ok(d) => tel.end_step(&[
+                ("alive", d.n_particles as f64),
+                ("total_charge", d.total_charge),
+            ]),
+            Err(_) => tel.end_step(&[]),
+        }
+        diag
+    }
 
+    /// The stages of [`FemPic::step_over`], each under its span.
+    fn stages<N: Transport>(
+        &mut self,
+        tel: &Arc<Telemetry>,
+        net: &mut N,
+    ) -> Result<StepDiagnostics, N::Error> {
         // Spans cannot wrap `&mut self` method calls in one closure, so
         // each stage is a guard block.
         let injected = {
@@ -641,9 +683,17 @@ impl FemPic {
             0
         };
 
+        // As in the paper, a loop's communication is part of the loop:
+        // the move ends with the migration, the deposit with the
+        // node-charge sum (the node-halo stand-in).
         let removed = {
             let _s = tel.span_class("Move", KernelClass::Move);
-            self.move_particles()
+            let removed = self.move_particles();
+            if let Some(rec) = &self.schedule {
+                rec.record_exchange("particles", ExchangeDir::Migrate, "fempic/migrate");
+            }
+            self.last_migration = net.migrate(&mut self.ps)?;
+            removed
         };
 
         // The coloring scheme requires cell-sorted particles — the
@@ -653,11 +703,16 @@ impl FemPic {
         {
             let _s = tel.span_class("DepositCharge", KernelClass::Deposit);
             self.deposit_charge();
+            if let Some(rec) = &self.schedule {
+                let dat = self.node_charge.name();
+                rec.record_exchange(dat, ExchangeDir::ReduceSum, "fempic/node_charge");
+            }
+            net.allreduce_sum(self.node_charge.raw_mut())?;
         }
 
         let cg_iterations = self.field_solve();
 
-        let diag = StepDiagnostics {
+        Ok(StepDiagnostics {
             step: self.step_no,
             n_particles: self.ps.len(),
             injected,
@@ -665,12 +720,7 @@ impl FemPic {
             total_charge: self.node_charge.sum(),
             cg_iterations,
             mean_move_visits: self.last_move.mean_visits(self.ps.len().max(1)),
-        };
-        tel.end_step(&[
-            ("alive", diag.n_particles as f64),
-            ("total_charge", diag.total_charge),
-        ]);
-        diag
+        })
     }
 
     /// Run `n` steps, returning the final step's diagnostics.

@@ -13,8 +13,9 @@
 //!
 //! * [`migrate_particles`] — the plain alltoallv path;
 //! * [`Plain`] — the same path behind the [`Transport`] trait the
-//!   apps' distributed steps are generic over (the reliable link in
-//!   `oppic-resilience` is the other implementation).
+//!   apps' one step body is generic over; [`Local`] is its one-rank
+//!   form, and the reliable link in `oppic-resilience` the
+//!   fault-tolerant one.
 //!
 //! The paper's MPI-RMA global move, which finds a direct-hop
 //! particle's target rank through the overlay's rank-map, has no
@@ -116,45 +117,61 @@ pub fn unpack(
     Ok(received)
 }
 
-/// What an app's distributed step needs from the interconnect: one
-/// particle migration and one vector sum-reduction. Both are
-/// collective — every rank calls them in the same order.
+/// What an app's step needs from the interconnect: one particle
+/// migration and one in-place vector sum-reduction. Both are
+/// collective — every rank calls them in the same order. A transport
+/// carries what only ranks need (the communicator and the cell → rank
+/// map), so the one-rank [`Local`] has nothing to scan, ship or copy.
 pub trait Transport {
     type Error;
 
-    /// Ship `leavers = (slot, destination rank, destination cell)`,
-    /// hole-fill their slots, and append this rank's arrivals at the
-    /// end of `ps`.
-    fn migrate(
-        &mut self,
-        ctx: &mut RankCtx,
-        ps: &mut ParticleDats,
-        leavers: &[(usize, u32, i32)],
-    ) -> Result<MigrationStats, Self::Error>;
+    /// Ship every particle whose cell another rank owns, hole-fill
+    /// their slots, and append this rank's arrivals at the end of `ps`.
+    fn migrate(&mut self, ps: &mut ParticleDats) -> Result<MigrationStats, Self::Error>;
 
-    /// Element-wise global sum, identical on every rank.
-    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Self::Error>;
+    /// Replace `x` by its element-wise global sum, identical on every
+    /// rank.
+    fn allreduce_sum(&mut self, x: &mut [f64]) -> Result<(), Self::Error>;
 }
 
-/// The plain channel transport: [`migrate_particles`] and the
-/// communicator's allreduce.
+/// One rank owns every cell: no particle leaves and every sum is
+/// already global.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Plain;
+pub struct Local;
 
-impl Transport for Plain {
+impl Transport for Local {
     type Error = Infallible;
 
-    fn migrate(
-        &mut self,
-        ctx: &mut RankCtx,
-        ps: &mut ParticleDats,
-        leavers: &[(usize, u32, i32)],
-    ) -> Result<MigrationStats, Infallible> {
-        Ok(migrate_particles(ctx, ps, leavers))
+    fn migrate(&mut self, _ps: &mut ParticleDats) -> Result<MigrationStats, Infallible> {
+        Ok(MigrationStats::default())
     }
 
-    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, Infallible> {
-        Ok(ctx.allreduce_vec_sum(x))
+    fn allreduce_sum(&mut self, _x: &mut [f64]) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// The plain channel transport of rank `ctx.rank`: [`migrate_particles`]
+/// for the particles whose cell `cell_rank` gives to another rank, and
+/// the communicator's allreduce.
+pub struct Plain<'a> {
+    pub ctx: &'a mut RankCtx,
+    /// Owner rank of every cell.
+    pub cell_rank: &'a [u32],
+}
+
+impl Transport for Plain<'_> {
+    type Error = Infallible;
+
+    fn migrate(&mut self, ps: &mut ParticleDats) -> Result<MigrationStats, Infallible> {
+        let leavers = ps.leavers(self.cell_rank, self.ctx.rank);
+        Ok(migrate_particles(self.ctx, ps, &leavers))
+    }
+
+    fn allreduce_sum(&mut self, x: &mut [f64]) -> Result<(), Infallible> {
+        let total = self.ctx.allreduce_vec_sum(x);
+        x.copy_from_slice(&total);
+        Ok(())
     }
 }
 

@@ -25,7 +25,8 @@
 //!   partitioner as the ParMETIS stand-in.
 //! * [`exchange`] — particle migration: the one pack / hole-fill /
 //!   unpack codec, the alltoallv path over it, and the [`Transport`]
-//!   trait the apps' distributed steps are generic over.
+//!   trait the apps' one step body is generic over ([`Local`] for one
+//!   rank, [`Plain`] for many).
 
 pub mod comm;
 pub mod exchange;
@@ -34,7 +35,7 @@ pub mod heartbeat;
 pub mod partition;
 
 pub use comm::{world_run, world_run_faulty, RankCtx};
-pub use exchange::{migrate_particles, MigrationStats, Plain, RaggedPayload, Transport};
+pub use exchange::{migrate_particles, Local, MigrationStats, Plain, RaggedPayload, Transport};
 pub use fault::{mix64, FaultAction, FaultKind, FaultSchedule, FaultSpec};
 pub use heartbeat::{beat_jitter, FailureDetector, HeartbeatConfig};
 pub use partition::{

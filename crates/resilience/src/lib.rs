@@ -14,10 +14,10 @@
 //!   exchange protocol over those envelopes: exponential backoff,
 //!   duplicate suppression, and typed [`ExchangeError`]s instead of
 //!   hangs when the retry budget runs out.
-//! * [`migrate`] — [`ReliableLink`] as an [`oppic_mpi::Transport`]:
-//!   the drop/duplication/corruption-tolerant counterpart of the plain
-//!   alltoallv migration and allreduce, so the apps' distributed steps
-//!   run over either.
+//! * [`migrate`] — [`Reliable`], the reliable link as an
+//!   [`oppic_mpi::Transport`]: the drop/duplication/corruption-tolerant
+//!   counterpart of the plain alltoallv migration and allreduce, so the
+//!   apps' one step body runs over either.
 //! * [`recovery`] — [`RecoveryDriver`], checkpoint-based
 //!   rollback-and-replay over any [`oppic_core::Recoverable`]
 //!   simulation: periodic in-memory + on-disk checkpoints, a guarded
@@ -39,7 +39,7 @@ pub mod shard;
 
 pub use envelope::{decode, Frame, FrameError};
 pub use membership::{agree_evict, Membership, MembershipError};
-pub use migrate::LinkError;
+pub use migrate::{LinkError, Reliable};
 pub use recovery::{RecoveryConfig, RecoveryDriver, RecoveryError, RecoveryEvent};
 pub use retry::{retry_jitter, ExchangeError, ReliableLink, RetryPolicy};
 pub use shard::{

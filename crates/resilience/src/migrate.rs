@@ -1,6 +1,7 @@
-//! The reliable link as a [`Transport`]: particle migration and the
-//! vector reduction over checksummed, acknowledged envelopes — the
-//! fault-tolerant counterpart of the plain alltoallv transport.
+//! The reliable link as a [`Transport`] ([`Reliable`]): particle
+//! migration and the vector reduction over checksummed, acknowledged
+//! envelopes — the fault-tolerant counterpart of the plain alltoallv
+//! transport.
 //!
 //! Migration uses the same codec as every other path
 //! (`oppic_mpi::exchange`): one `[cell, dofs…]` buffer per destination,
@@ -52,12 +53,12 @@ impl From<RaggedPayload> for LinkError {
     }
 }
 
-impl Transport for ReliableLink {
-    type Error = LinkError;
-
-    /// Collective over the live membership: every member exchanges one
-    /// (possibly empty) buffer with every other member.
-    fn migrate(
+impl ReliableLink {
+    /// Ship `leavers = (slot, destination rank, destination cell)`,
+    /// hole-fill their slots, and append this rank's arrivals at the
+    /// end of `ps`. Collective over the live membership: every member
+    /// exchanges one (possibly empty) buffer with every other member.
+    pub fn migrate(
         &mut self,
         ctx: &mut RankCtx,
         ps: &mut ParticleDats,
@@ -94,9 +95,31 @@ impl Transport for ReliableLink {
             shipped_values,
         })
     }
+}
 
-    fn allreduce_vec_sum(&mut self, ctx: &mut RankCtx, x: &[f64]) -> Result<Vec<f64>, LinkError> {
-        Ok(ReliableLink::allreduce_vec_sum(self, ctx, x)?)
+/// The reliable link of rank `ctx.rank` as a [`Transport`]: the
+/// particles whose cell `cell_rank` gives to another rank migrate
+/// through [`ReliableLink::migrate`], sums go through
+/// [`ReliableLink::allreduce_vec_sum`].
+pub struct Reliable<'a> {
+    pub link: &'a mut ReliableLink,
+    pub ctx: &'a mut RankCtx,
+    /// Owner rank of every cell.
+    pub cell_rank: &'a [u32],
+}
+
+impl Transport for Reliable<'_> {
+    type Error = LinkError;
+
+    fn migrate(&mut self, ps: &mut ParticleDats) -> Result<MigrationStats, LinkError> {
+        let leavers = ps.leavers(self.cell_rank, self.ctx.rank);
+        self.link.migrate(self.ctx, ps, &leavers)
+    }
+
+    fn allreduce_sum(&mut self, x: &mut [f64]) -> Result<(), LinkError> {
+        let total = self.link.allreduce_vec_sum(self.ctx, x)?;
+        x.copy_from_slice(&total);
+        Ok(())
     }
 }
 

@@ -115,8 +115,8 @@ impl std::error::Error for ExchangeError {}
 
 /// Per-rank reliable exchange endpoint. Rounds are implicit: every
 /// call to [`exchange`](ReliableLink::exchange) (directly or through
-/// [`allreduce_vec_sum`](ReliableLink::allreduce_vec_sum) / the
-/// [`oppic_mpi::Transport`] migration)
+/// [`allreduce_vec_sum`](ReliableLink::allreduce_vec_sum) /
+/// [`migrate`](ReliableLink::migrate))
 /// consumes the next round number, so SPMD code that makes the same
 /// sequence of collective calls on every rank stays tag-aligned
 /// automatically.

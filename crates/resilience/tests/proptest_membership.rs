@@ -14,7 +14,7 @@
 
 use oppic_core::particles::ParticleDats;
 use oppic_core::telemetry::Telemetry;
-use oppic_mpi::{world_run, Transport};
+use oppic_mpi::world_run;
 use oppic_resilience::{ExchangeError, Membership, ReliableLink, RetryPolicy};
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -78,12 +78,17 @@ fn migrated_particles_arrive_with_reference_weights() {
     // first one at the end.
     let ranks = world_run(RANKS, |ctx: &mut RankCtx| {
         let (mut sim, cell_rank) = FemPic::new_rank(&FemPicConfig::tiny(), ctx.rank, RANKS);
+        let rank = ctx.rank;
+        let mut net = Plain {
+            ctx,
+            cell_rank: &cell_rank,
+        };
         let (mut received, mut first_err) = (0, None);
         for step in 1..=20 {
-            let Ok(stats) = sim.distributed_step(ctx, &mut Plain, &cell_rank);
-            received += stats.received;
+            let Ok(_) = sim.step_over(&mut net);
+            received += sim.last_migration.received;
             if let Err(e) = check_lc(&sim) {
-                first_err.get_or_insert(format!("rank {} step {step}: {e}", ctx.rank));
+                first_err.get_or_insert(format!("rank {rank} step {step}: {e}"));
             }
         }
         (received, first_err)
