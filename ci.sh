@@ -176,8 +176,9 @@ cargo bench --offline --workspace --no-run --quiet
 OPPIC_SCALE=0.02 OPPIC_STEPS=2 ./target/release/ablation_deposit_strategies >/dev/null
 
 # Observability smoke stage: `./ci.sh obs` runs the live plane
-# end-to-end (DESIGN.md §6). The fault-free control must exit 0 with
-# zero watchdog alerts and an audit-clean /metrics snapshot; the
+# end-to-end (DESIGN.md §6). The fault-free controls (fempic, then
+# cabana through the same front end) must exit 0 with zero watchdog
+# alerts and an audit-clean /metrics snapshot; the
 # injected-stall control must exit 3 with exactly one alert and a
 # decodable flight-recorder dump; the overhead gate must hold the
 # plane within 3% of telemetry-only median step time. (The live HTTP
@@ -192,6 +193,17 @@ if [ "${1:-}" = "obs" ]; then
     ./target/release/oppic-analyzer --audit-metrics /tmp/oppic_ci_obs.prom
     if [ -e /tmp/oppic_ci_obs.opfr ]; then
         echo "obs: fault-free run dumped the flight recorder (unexpected alert)" >&2
+        exit 1
+    fi
+
+    echo "== obs: cabana fault-free control (same front end, exit 0, audit-clean /metrics)"
+    rm -f /tmp/oppic_ci_obs.prom
+    ./target/release/cabana configs/cabana_two_stream.cfg \
+        --flight-recorder /tmp/oppic_ci_obs.opfr \
+        --metrics-dump /tmp/oppic_ci_obs.prom --watchdog >/dev/null
+    ./target/release/oppic-analyzer --audit-metrics /tmp/oppic_ci_obs.prom
+    if [ -e /tmp/oppic_ci_obs.opfr ]; then
+        echo "obs: cabana fault-free run dumped the flight recorder (unexpected alert)" >&2
         exit 1
     fi
 

@@ -1,16 +1,16 @@
-//! [`Simulation`] implementation for the structured CabanaPIC engine —
-//! the surface the cross-backend conformance harness drives.
+//! [`Simulation`] implementation for the CabanaPIC engine over either
+//! topology — the surface the cross-backend conformance harness and
+//! the binary's front end drive.
 //!
 //! Observables are order-insensitive: the three cell field dats, the
 //! per-cell occupancy histogram, and the energy diagnostics. The
 //! particle columns are permuted by sorting and migration, so they are
 //! never exposed for differential comparison.
 
-use crate::structured::ArithTopology;
-use crate::CabanaEngine;
+use crate::{CabanaEngine, Topology};
 use oppic_core::{Observable, Recoverable, Simulation};
 
-impl CabanaEngine<ArithTopology> {
+impl<T: Topology> CabanaEngine<T> {
     /// Particles per cell as a mesh-indexed histogram.
     pub fn cell_occupancy(&self) -> Vec<f64> {
         let mut counts = vec![0.0; self.geom.n_cells()];
@@ -21,7 +21,7 @@ impl CabanaEngine<ArithTopology> {
     }
 }
 
-impl Simulation for CabanaEngine<ArithTopology> {
+impl<T: Topology> Simulation for CabanaEngine<T> {
     fn advance(&mut self) {
         self.step();
     }
@@ -67,7 +67,7 @@ impl Simulation for CabanaEngine<ArithTopology> {
     }
 }
 
-impl Recoverable for CabanaEngine<ArithTopology> {
+impl<T: Topology> Recoverable for CabanaEngine<T> {
     fn save_state(&self, out: &mut Vec<u8>) -> std::io::Result<()> {
         self.save_checkpoint(out)
     }

@@ -489,11 +489,6 @@ impl<T: Topology> CabanaEngine<T> {
             let _s = tel.span_class("Move_Deposit", KernelClass::Move);
             self.move_deposit()
         };
-        // With the `validate` feature the dynamic particle→cell map is
-        // re-audited right after the fused mover updated it.
-        #[cfg(feature = "validate")]
-        self.assert_particle_map_valid();
-
         self.ghost_update(net)?;
 
         {

@@ -271,21 +271,6 @@ impl<T: Topology> CabanaEngine<T> {
         report.merge(self.shadow_move_deposit());
         report
     }
-
-    /// Per-step invariant gate used by the `validate` cargo feature:
-    /// panics with the full report if the particle→cell map is broken.
-    pub fn assert_particle_map_valid(&self) {
-        let mut report = Report::new();
-        report.extend(audit_particle_cells(
-            "p2c",
-            self.ps.cells(),
-            self.geom.n_cells(),
-        ));
-        assert!(
-            !report.has_errors(),
-            "particle→cell map audit failed after Move_Deposit:\n{report}"
-        );
-    }
 }
 
 #[cfg(test)]

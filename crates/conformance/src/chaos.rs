@@ -372,10 +372,13 @@ fn run_recovery_cell(cell: &ChaosCell) -> ChaosReport {
     let mut reference = FemPic::new(cfg.clone());
     reference.run(cell.steps);
 
-    // The faulted run gets a telemetry hub with the flight recorder
-    // attached: a rollback raises a `recovery_rollback` alert on the
-    // hub, and the post-mortem ring dump lands beside the reproducer.
-    let hub = Arc::new(Telemetry::new());
+    // The flight recorder watches the faulted sim's own hub, made
+    // current here as well: each step's spans and counters and the
+    // `recovery_rollback` alert (published through the current hub)
+    // land in one ring, whose post-mortem dump goes beside the
+    // reproducer.
+    let faulted = FemPic::new(cfg);
+    let hub = faulted.profiler.telemetry().clone();
     let recorder = Arc::new(FlightRecorder::new(4096));
     hub.set_observer(Some(recorder.clone()));
     let _guard = hub.make_current();
@@ -386,7 +389,7 @@ fn run_recovery_cell(cell: &ChaosCell) -> ChaosReport {
         max_recoveries: cell.max_retries.max(1),
         disk_path: None,
     };
-    let mut driver = match RecoveryDriver::new(FemPic::new(cfg), rec_cfg) {
+    let mut driver = match RecoveryDriver::new(faulted, rec_cfg) {
         Ok(d) => d,
         Err(e) => {
             return ChaosReport {
@@ -1428,6 +1431,15 @@ mod tests {
                     && r.name.as_deref() == Some("recovery_rollback")
             }),
             "no recovery_rollback alert in {} record(s)",
+            dump.records.len()
+        );
+        // The recorder watches the stepped sim's hub, so the ring holds
+        // its per-step spans too.
+        assert!(
+            dump.records
+                .iter()
+                .any(|r| r.kind == oppic_obs::recorder::EventKind::Span && r.step.is_some()),
+            "no span record with a step number in {} record(s)",
             dump.records.len()
         );
     }

@@ -2,6 +2,7 @@
 //! `<app_binary> <config_file>`; this module parses that config format:
 //! `key = value` lines, `#` comments, whitespace-insensitive.
 
+use crate::{RebalancePolicy, SortPolicy};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -84,6 +85,36 @@ impl Params {
         k
     }
 
+    /// The CSR index rebuild cadence from `sort_every` / `sort_dirty`:
+    /// every N steps, else once that fraction of particles is dirty,
+    /// else never.
+    pub fn sort_policy(&self) -> Result<SortPolicy, String> {
+        let every = self.get_usize("sort_every", 0)?;
+        let dirty = self.get_f64("sort_dirty", 0.0)?;
+        Ok(if every > 0 {
+            SortPolicy::EveryN(every)
+        } else if dirty > 0.0 {
+            SortPolicy::DirtyFraction(dirty)
+        } else {
+            SortPolicy::Never
+        })
+    }
+
+    /// The thread-binding rebuild cadence from `rebalance_every` /
+    /// `rebalance_drift`: every N steps, else once that fraction has
+    /// drifted, else once half of it has.
+    pub fn rebalance_policy(&self) -> Result<RebalancePolicy, String> {
+        let every = self.get_usize("rebalance_every", 0)?;
+        let drift = self.get_f64("rebalance_drift", 0.0)?;
+        Ok(if every > 0 {
+            RebalancePolicy::EveryN(every)
+        } else if drift > 0.0 {
+            RebalancePolicy::DriftFraction(drift)
+        } else {
+            RebalancePolicy::DriftFraction(0.5)
+        })
+    }
+
     /// Reject unknown keys — catches config typos early, like the
     /// artifact's apps do.
     pub fn check_known(&self, known: &[&str]) -> Result<(), String> {
@@ -144,6 +175,28 @@ mod tests {
     fn later_keys_override() {
         let p = Params::parse("nx = 1\nnx = 2\n").unwrap();
         assert_eq!(p.get_usize("nx", 0).unwrap(), 2);
+    }
+
+    #[test]
+    fn shared_policy_keys() {
+        let none = Params::parse("").unwrap();
+        assert_eq!(none.sort_policy(), Ok(SortPolicy::Never));
+        assert_eq!(
+            none.rebalance_policy(),
+            Ok(RebalancePolicy::DriftFraction(0.5))
+        );
+        let p =
+            Params::parse("sort_every = 20\nsort_dirty = 0.3\nrebalance_drift = 0.25\n").unwrap();
+        assert_eq!(p.sort_policy(), Ok(SortPolicy::EveryN(20)));
+        assert_eq!(
+            p.rebalance_policy(),
+            Ok(RebalancePolicy::DriftFraction(0.25))
+        );
+        let p = Params::parse("sort_dirty = 0.3\nrebalance_every = 7\n").unwrap();
+        assert_eq!(p.sort_policy(), Ok(SortPolicy::DirtyFraction(0.3)));
+        assert_eq!(p.rebalance_policy(), Ok(RebalancePolicy::EveryN(7)));
+        let bad = Params::parse("sort_every = often\n").unwrap();
+        assert!(bad.sort_policy().unwrap_err().contains("sort_every"));
     }
 
     #[test]

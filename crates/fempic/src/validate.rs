@@ -304,21 +304,6 @@ impl FemPic {
         }
         report
     }
-
-    /// Per-step invariant gate used by the `validate` cargo feature:
-    /// panics with the full report if the particle→cell map is broken.
-    pub fn assert_particle_map_valid(&self) {
-        let mut report = Report::new();
-        report.extend(audit_particle_cells(
-            "p2c",
-            self.ps.cells(),
-            self.mesh.n_cells(),
-        ));
-        assert!(
-            !report.has_errors(),
-            "particle→cell map audit failed after move/hole-fill:\n{report}"
-        );
-    }
 }
 
 #[cfg(test)]

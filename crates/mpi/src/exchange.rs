@@ -2,12 +2,12 @@
 //! (Section 3.2.2 and Figure 7).
 //!
 //! After a local move pass, some particles have landed in cells owned
-//! by other ranks. Every migration path shares one wire codec:
-//! [`pack`] writes each leaver's full payload `[cell, dofs…]` into one
-//! buffer per destination rank ("reducing the number of MPI
-//! messages"), [`remove_leavers`] hole-fills the source store, and
-//! [`unpack`] checks the stride of every arrival before appending any
-//! of them "to the end of the respective `opp_dat`s".
+//! by other ranks. Every migration path runs one body, [`exchange`]:
+//! it packs each leaver's full payload `[cell, dofs…]` into one buffer
+//! per destination rank ("reducing the number of MPI messages"), ships
+//! the buffers through the transport's collective, checks the stride
+//! of every arrival, then hole-fills the source store and appends the
+//! arrivals "to the end of the respective `opp_dat`s".
 //!
 //! Transports move the buffers:
 //!
@@ -59,7 +59,7 @@ impl std::error::Error for RaggedPayload {}
 
 /// Pack every leaver `(slot, destination rank, destination cell)` into
 /// one buffer per destination: `[cell0, dofs0…, cell1, dofs1…]`.
-pub fn pack(ps: &ParticleDats, leavers: &[(usize, u32, i32)], n_ranks: usize) -> Vec<Vec<f64>> {
+fn pack(ps: &ParticleDats, leavers: &[(usize, u32, i32)], n_ranks: usize) -> Vec<Vec<f64>> {
     let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); n_ranks];
     for &(idx, dst, cell) in leavers {
         let buf = &mut buffers[dst as usize];
@@ -83,10 +83,7 @@ pub fn remove_leavers(ps: &mut ParticleDats, leavers: &[(usize, u32, i32)]) {
 
 /// Check that every `(source rank, payload)` arrival is a whole number
 /// of `[cell, dofs…]` records for `ps`'s layout.
-pub fn check_arrivals(
-    ps: &ParticleDats,
-    arrivals: &[(usize, Vec<f64>)],
-) -> Result<(), RaggedPayload> {
+fn check_arrivals(ps: &ParticleDats, arrivals: &[(usize, Vec<f64>)]) -> Result<(), RaggedPayload> {
     let stride = ps.dofs() + 1;
     match arrivals.iter().find(|(_, p)| p.len() % stride != 0) {
         Some((src, p)) => Err(RaggedPayload {
@@ -98,14 +95,9 @@ pub fn check_arrivals(
     }
 }
 
-/// Append every arrival at the end of the dats, in arrival order,
-/// after checking all of them; returns the particles received. On
-/// error the store is untouched.
-pub fn unpack(
-    ps: &mut ParticleDats,
-    arrivals: &[(usize, Vec<f64>)],
-) -> Result<usize, RaggedPayload> {
-    check_arrivals(ps, arrivals)?;
+/// Append every checked arrival at the end of the dats, in arrival
+/// order; returns the particles received.
+fn append(ps: &mut ParticleDats, arrivals: &[(usize, Vec<f64>)]) -> usize {
     let stride = ps.dofs() + 1;
     let mut received = 0usize;
     for (_, payload) in arrivals {
@@ -114,7 +106,40 @@ pub fn unpack(
             received += 1;
         }
     }
-    Ok(received)
+    received
+}
+
+/// [`check_arrivals`] then [`append`]: on error the store is untouched.
+#[cfg(test)]
+fn unpack(ps: &mut ParticleDats, arrivals: &[(usize, Vec<f64>)]) -> Result<usize, RaggedPayload> {
+    check_arrivals(ps, arrivals)?;
+    Ok(append(ps, arrivals))
+}
+
+/// The one migration body behind every transport: pack the leavers
+/// `(slot, destination rank, destination cell)` into one buffer per
+/// rank, hand them to `ship` (the collective: buffers indexed by
+/// destination in, `(source rank, payload)` arrivals out), check every
+/// arrival's stride, and only then hole-fill the leavers' slots and
+/// append the arrivals. A failed `ship` or a ragged arrival leaves the
+/// store untouched.
+pub fn exchange<E: From<RaggedPayload>>(
+    ps: &mut ParticleDats,
+    leavers: &[(usize, u32, i32)],
+    n_ranks: usize,
+    ship: impl FnOnce(Vec<Vec<f64>>) -> Result<Vec<(usize, Vec<f64>)>, E>,
+) -> Result<MigrationStats, E> {
+    let buffers = pack(ps, leavers, n_ranks);
+    let shipped_values: usize = buffers.iter().map(Vec::len).sum();
+    let arrivals = ship(buffers)?;
+    check_arrivals(ps, &arrivals)?;
+    remove_leavers(ps, leavers);
+    let received = append(ps, &arrivals);
+    Ok(MigrationStats {
+        sent: leavers.len(),
+        received,
+        shipped_values,
+    })
 }
 
 /// What an app's step needs from the interconnect: one particle
@@ -176,7 +201,7 @@ impl Transport for Plain<'_> {
 }
 
 /// Migrate particles between ranks through matched alltoallv buffers:
-/// pack, exchange, hole-fill, unpack.
+/// [`exchange`] over [`RankCtx::alltoallv`].
 ///
 /// `leavers` lists `(particle index, destination rank, destination
 /// local cell)` for every particle that must leave this rank; indices
@@ -190,16 +215,10 @@ pub fn migrate_particles(
         leavers.iter().all(|&(_, dst, _)| dst as usize != ctx.rank),
         "leaver staying home"
     );
-    let buffers = pack(ps, leavers, ctx.n_ranks);
-    let shipped_values: usize = buffers.iter().map(Vec::len).sum();
-    let arrivals: Vec<(usize, Vec<f64>)> = ctx.alltoallv(buffers).into_iter().enumerate().collect();
-    remove_leavers(ps, leavers);
-    let received = unpack(ps, &arrivals).unwrap_or_else(|e| panic!("{e}"));
-    MigrationStats {
-        sent: leavers.len(),
-        received,
-        shipped_values,
-    }
+    exchange(ps, leavers, ctx.n_ranks, |buffers| {
+        Ok::<_, RaggedPayload>(ctx.alltoallv(buffers).into_iter().enumerate().collect())
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

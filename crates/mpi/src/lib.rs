@@ -23,8 +23,8 @@
 //!   principal direction of motion of particles", as in PUMIPic), plus
 //!   recursive coordinate bisection and a greedy graph-growing k-way
 //!   partitioner as the ParMETIS stand-in.
-//! * [`exchange`] — particle migration: the one pack / hole-fill /
-//!   unpack codec, the alltoallv path over it, and the [`Transport`]
+//! * [`exchange`] — particle migration: the one migration body
+//!   ([`exchange::exchange`]), the alltoallv path over it, and the [`Transport`]
 //!   trait the apps' one step body is generic over ([`Local`] for one
 //!   rank, [`Plain`] for many).
 

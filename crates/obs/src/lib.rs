@@ -21,8 +21,11 @@
 //!   events that feed exit codes.
 //!
 //! [`ObsPlane`] ties them together behind one install/on_step/finish
-//! lifecycle; [`ObsArgs`] gives both app binaries the same flags.
+//! lifecycle; [`ObsArgs`] holds its flags, and [`cli`] is the one front
+//! end of both app binaries: their flags, telemetry sink, run loop and
+//! exit codes.
 
+pub mod cli;
 pub mod exporter;
 pub mod metrics;
 pub mod recorder;
@@ -34,6 +37,7 @@ pub use metrics::{audit_exposition, MetricsRegistry, METRIC_SCHEMA};
 pub use recorder::{FlightDump, FlightRecord, FlightRecorder};
 pub use watchdog::{Alert, StepObs, Watchdog, WatchdogConfig};
 
+use cli::{take_flag, take_value};
 use oppic_core::telemetry::{EventObserver, Telemetry, TelemetryEvent};
 use std::io;
 use std::path::PathBuf;
@@ -251,11 +255,7 @@ impl Drop for ObsPlane {
     }
 }
 
-// ---------------------------------------------------------------------
-// Shared CLI surface for the app binaries
-// ---------------------------------------------------------------------
-
-/// The observability flags both `fempic` and `cabana` accept:
+/// The observability flags of the app front end ([`cli::Cli`]):
 ///
 /// ```text
 /// --flight-recorder <path>   ring dump target (enables the recorder)
@@ -323,24 +323,6 @@ impl ObsArgs {
         };
         ObsPlane::install(tel.clone(), cfg).map(Some)
     }
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let had = args.iter().any(|a| a == flag);
-    args.retain(|a| a != flag);
-    had
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(format!("{flag} requires a value"));
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(v))
 }
 
 #[cfg(test)]

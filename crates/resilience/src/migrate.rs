@@ -3,9 +3,9 @@
 //! envelopes — the fault-tolerant counterpart of the plain alltoallv
 //! transport.
 //!
-//! Migration uses the same codec as every other path
-//! (`oppic_mpi::exchange`): one `[cell, dofs…]` buffer per destination,
-//! hole-fill at the source, stride-checked unpack at the destination.
+//! Migration runs the same body as every other path
+//! (`oppic_mpi::exchange::exchange`): one `[cell, dofs…]` buffer per
+//! destination, stride-checked arrivals, hole-fill at the source.
 //! Dropped, duplicated, reordered, delayed or bit-flipped migration
 //! traffic either converges to the exact fault-free particle
 //! distribution or aborts with a typed [`LinkError`]. Arrivals are
@@ -16,7 +16,7 @@ use crate::retry::{ExchangeError, ReliableLink};
 use oppic_core::particles::ParticleDats;
 use oppic_core::telemetry;
 use oppic_mpi::comm::RankCtx;
-use oppic_mpi::exchange::{check_arrivals, pack, remove_leavers, unpack};
+use oppic_mpi::exchange::exchange;
 use oppic_mpi::{MigrationStats, RaggedPayload, Transport};
 use std::fmt;
 
@@ -64,36 +64,27 @@ impl ReliableLink {
         ps: &mut ParticleDats,
         leavers: &[(usize, u32, i32)],
     ) -> Result<MigrationStats, LinkError> {
-        let mut buffers = pack(ps, leavers, ctx.n_ranks);
-        let shipped_values: usize = buffers.iter().map(Vec::len).sum();
-
-        // Membership-aware peer list: after a shrink only live ranks
-        // participate (a leaver routed at a dead rank is a partition bug).
-        let others = self.live_peers(ctx);
-        debug_assert!(
-            buffers
+        let stats = exchange(ps, leavers, ctx.n_ranks, |mut buffers| {
+            // Membership-aware peer list: after a shrink only live
+            // ranks participate (a leaver routed at a dead rank is a
+            // partition bug).
+            let others = self.live_peers(ctx);
+            debug_assert!(
+                buffers
+                    .iter()
+                    .enumerate()
+                    .all(|(r, b)| b.is_empty() || others.contains(&r)),
+                "leaver routed to a non-member rank"
+            );
+            let sends: Vec<(usize, Vec<f64>)> = others
                 .iter()
-                .enumerate()
-                .all(|(r, b)| b.is_empty() || others.contains(&r)),
-            "leaver routed to a non-member rank"
-        );
-        let sends: Vec<(usize, Vec<f64>)> = others
-            .iter()
-            .map(|&d| (d, std::mem::take(&mut buffers[d])))
-            .collect();
-
-        let recvs = self.exchange(ctx, &sends, &others)?;
-        let arrivals: Vec<(usize, Vec<f64>)> = others.into_iter().zip(recvs).collect();
-        check_arrivals(ps, &arrivals)?;
-        remove_leavers(ps, leavers);
-        let received = unpack(ps, &arrivals)?;
-        telemetry::count("resilience.migrated_in", received as u64);
-
-        Ok(MigrationStats {
-            sent: leavers.len(),
-            received,
-            shipped_values,
-        })
+                .map(|&d| (d, std::mem::take(&mut buffers[d])))
+                .collect();
+            let recvs = self.exchange(ctx, &sends, &others)?;
+            Ok::<_, LinkError>(others.into_iter().zip(recvs).collect())
+        })?;
+        telemetry::count("resilience.migrated_in", stats.received as u64);
+        Ok(stats)
     }
 }
 
