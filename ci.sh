@@ -87,6 +87,30 @@ if ! diff <(model_columns results/BENCH_roofline.csv) <(model_columns "$roof/BEN
     rm -rf "$roof"
     exit 1
 fi
+
+echo "== timeline smoke (both streams + a schedule -> Chrome trace)"
+# The same two streams and a fempic schedule trace, merged by
+# `oppic-report --timeline`: the output must parse as JSON, and each
+# run's process must hold at least one kernel span ("X" on tid 1) and
+# one "step N" window, so a reader that skips every record shows here.
+./target/release/fempic --record-schedule "$roof/schedule.json" >/dev/null
+./target/release/oppic-report --timeline "$roof/timeline.json" --schedule "$roof/schedule.json" \
+    "$roof/fempic.jsonl" "$roof/cabana.jsonl" >/dev/null
+if ! python3 - "$roof/timeline.json" <<'PY'
+import json, re, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+for pid in (1, 2):
+    mine = [e for e in events if e.get("pid") == pid and e.get("ph") == "X"]
+    spans = [e for e in mine if e.get("tid") == 1]
+    steps = [e for e in mine if e.get("tid") == 0 and re.fullmatch(r"step \d+", e["name"])]
+    if not spans or not steps:
+        sys.exit(f"run {pid}: {len(spans)} span(s), {len(steps)} step event(s)")
+PY
+then
+    echo "oppic-report --timeline lost the spans or steps of a run" >&2
+    rm -rf "$roof"
+    exit 1
+fi
 rm -rf "$roof"
 
 echo "== move-visits drift (move ablation vs results/ablation_move_strategies.txt)"

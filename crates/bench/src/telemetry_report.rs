@@ -7,10 +7,11 @@
 //! hub's in-process breakdown table prints, so a report built from the
 //! stream reproduces that breakdown exactly. Truncated streams (no
 //! footer — the run died) degrade gracefully: kernels are rebuilt by
-//! summing the individual span events.
+//! summing the individual span records. Every line is read through
+//! [`Record::parse`], the one reader of the record format.
 
-use oppic_core::json::{self, Json};
-use oppic_core::telemetry::{KernelClass, KernelStats};
+use oppic_core::json::{self, Obj};
+use oppic_core::telemetry::{KernelClass, KernelStats, Record, TelemetryEvent as E};
 use std::fmt::Write as _;
 
 /// One per-step summary (`step` event) of a run.
@@ -49,17 +50,8 @@ impl RunSummary {
     /// declaration order — the Figure 9 stacked-bar quantities.
     /// Unclassified kernels aggregate under `"-"` at the end.
     pub fn class_totals(&self) -> Vec<(String, u64, f64)> {
-        let classes = [
-            KernelClass::FieldSolve,
-            KernelClass::WeightFields,
-            KernelClass::Move,
-            KernelClass::Deposit,
-            KernelClass::Inject,
-            KernelClass::Comm,
-            KernelClass::Other,
-        ];
         let mut out = Vec::new();
-        for c in classes {
+        for c in KernelClass::ALL {
             let (mut calls, mut secs) = (0u64, 0.0f64);
             for (_, k) in self.kernels.iter().filter(|(_, k)| k.class == Some(c)) {
                 calls += k.calls;
@@ -81,33 +73,10 @@ impl RunSummary {
     }
 }
 
-/// The `kernels` rows of a header or footer record.
-fn kernel_rows(ev: &Json) -> Vec<(String, KernelStats)> {
-    let Some(ks) = ev.get("kernels").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    ks.iter()
-        .map(|k| {
-            let name = k.get("name").and_then(Json::as_str).unwrap_or("?");
-            let stats = KernelStats {
-                calls: k.get("calls").and_then(Json::as_u64).unwrap_or(0),
-                seconds: k.get("seconds").and_then(Json::as_f64).unwrap_or(0.0),
-                bytes: k.get("bytes").and_then(Json::as_u64).unwrap_or(0),
-                flops: k.get("flops").and_then(Json::as_u64).unwrap_or(0),
-                class: k
-                    .get("class")
-                    .and_then(Json::as_str)
-                    .and_then(KernelClass::from_str_opt),
-            };
-            (name.to_string(), stats)
-        })
-        .collect()
-}
-
 /// Parse one telemetry JSONL stream into a [`RunSummary`].
 pub fn parse_run(src: &str) -> Result<RunSummary, String> {
     let mut run = RunSummary::default();
-    // Header rows plus span events: the fallback used only without a
+    // Header rows plus span records: the fallback used only without a
     // footer.
     let mut span_kernels: Vec<(String, KernelStats)> = Vec::new();
     let mut saw_footer = false;
@@ -120,59 +89,50 @@ pub fn parse_run(src: &str) -> Result<RunSummary, String> {
         // footer); skip what doesn't parse rather than refusing the
         // whole stream — the report is most needed for exactly those
         // runs. `torn_lines` surfaces the count in the table header.
-        let Ok(ev) = json::parse(line) else {
+        let Ok(rec) = Record::parse(line) else {
             run.torn_lines += 1;
             continue;
         };
-        match ev.get("type").and_then(Json::as_str) {
-            Some("run_header") => {
-                run.app = ev.get("app").and_then(Json::as_str).unwrap_or("?").into();
-                run.config_hash = ev
-                    .get("config_hash")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .into();
-                run.build = ev.get("build").and_then(Json::as_str).unwrap_or("?").into();
-                run.threads = ev.get("threads").and_then(Json::as_u64).unwrap_or(0);
+        match rec {
+            Record::Header(h) => {
+                run.app = h.info.app;
+                run.config_hash = h.info.config_hash;
+                run.build = h.build;
+                run.threads = h.info.threads as u64;
                 // Kernels timed before the sink opened (setup) have no
-                // span events; the fallback starts from their rows.
-                span_kernels = kernel_rows(&ev);
+                // span records; the fallback starts from their rows.
+                span_kernels = h.kernels;
             }
-            Some("span") => {
-                let name = ev.get("name").and_then(Json::as_str).unwrap_or("?");
-                let ms = ev.get("ms").and_then(Json::as_f64).unwrap_or(0.0);
-                // Only leaves (depth 1 under the step root) count, so
-                // nested spans aren't double-counted into the total.
-                if ev.get("depth").and_then(Json::as_u64) <= Some(1) {
-                    let slot = match span_kernels.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, k)) => k,
-                        None => {
-                            span_kernels.push((name.to_string(), KernelStats::default()));
-                            &mut span_kernels.last_mut().unwrap().1
-                        }
-                    };
-                    slot.calls += 1;
-                    slot.seconds += ms * 1e-3;
-                }
+            // Only leaves (depth 1 under the step root) count, so
+            // nested spans aren't double-counted into the total.
+            Record::Event(E::SpanClose {
+                name, ms, depth, ..
+            }) if depth <= 1 => {
+                let slot = match span_kernels.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, k)) => k,
+                    None => {
+                        span_kernels.push((name.into_owned(), KernelStats::default()));
+                        &mut span_kernels.last_mut().unwrap().1
+                    }
+                };
+                slot.calls += 1;
+                slot.seconds += ms * 1e-3;
             }
-            Some("step") => {
-                let step = ev.get("step").and_then(Json::as_u64).unwrap_or(0);
-                let ms = ev.get("ms").and_then(Json::as_f64).unwrap_or(0.0);
-                let alive = ev
-                    .get("gauges")
-                    .and_then(|g| g.get("alive"))
-                    .and_then(Json::as_f64);
+            Record::Event(E::StepEnd {
+                step, ms, gauges, ..
+            }) => {
+                // A non-finite gauge reads back as NaN: no value.
+                let alive = gauges
+                    .iter()
+                    .find(|(k, _)| k == "alive")
+                    .map(|&(_, v)| v)
+                    .filter(|v| !v.is_nan());
                 run.steps.push(StepRow { step, ms, alive });
             }
-            Some("run_footer") => {
+            Record::Footer(f) => {
                 saw_footer = true;
-                run.kernels = kernel_rows(&ev);
-                if let Some(cs) = ev.get("counters").and_then(Json::as_obj) {
-                    run.counters = cs
-                        .iter()
-                        .filter_map(|(k, v)| v.as_u64().map(|v| (k.clone(), v)))
-                        .collect();
-                }
+                run.kernels = f.kernels;
+                run.counters = f.counters;
             }
             _ => {}
         }
@@ -293,49 +253,46 @@ pub fn roofline_csv(runs: &[RunSummary]) -> String {
 /// The `results/BENCH_step_timings.json` document: per-run step
 /// timings and populations, machine-readable for plotting.
 pub fn step_timings_json(runs: &[RunSummary]) -> String {
-    let mut s = String::from("{\"schema\":1,\"runs\":[");
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"app\":{},\"config_hash\":{},\"build\":{},\"threads\":{},\"steps\":[",
-            json::quote(&run.app),
-            json::quote(&run.config_hash),
-            json::quote(&run.build),
-            run.threads,
-        );
-        for (j, row) in run.steps.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
+    let runs = runs.iter().map(|run| {
+        let steps = run.steps.iter().map(|row| {
+            let o = Obj::default()
+                .raw("step", row.step)
+                .raw("ms", json::num(row.ms));
+            match row.alive {
+                Some(alive) => o.raw("alive", json::num(alive)),
+                None => o,
             }
-            let _ = write!(s, "{{\"step\":{},\"ms\":{}", row.step, json::num(row.ms));
-            if let Some(alive) = row.alive {
-                let _ = write!(s, ",\"alive\":{}", json::num(alive));
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}\n");
-    s
+            .end()
+        });
+        Obj::default()
+            .str("app", &run.app)
+            .str("config_hash", &run.config_hash)
+            .str("build", &run.build)
+            .raw("threads", run.threads)
+            .raw("steps", json::array(steps))
+            .end()
+    });
+    let doc = Obj::default()
+        .raw("schema", 1)
+        .raw("runs", json::array(runs));
+    doc.end() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oppic_core::json::Json;
 
     const STREAM: &str = concat!(
         r#"{"type":"run_header","schema":1,"app":"fempic","config_hash":"abc","build":"release","threads":4}"#,
         "\n",
-        r#"{"type":"span","step":1,"name":"Move","path":"step>Move","depth":1,"ms":2.0}"#,
+        r#"{"type":"span","step":1,"ts":2100,"name":"Move","path":"step>Move","depth":1,"ms":2.0}"#,
         "\n",
-        r#"{"type":"step","step":1,"ms":3.0,"gauges":{"alive":100},"counters":{"move.relocated":7}}"#,
+        r#"{"type":"step","step":1,"ts":3100,"ms":3.0,"gauges":{"alive":100},"counters":{"move.relocated":7}}"#,
         "\n",
-        r#"{"type":"span","step":2,"name":"Move","path":"step>Move","depth":1,"ms":2.5}"#,
+        r#"{"type":"span","step":2,"ts":5700,"name":"Move","path":"step>Move","depth":1,"ms":2.5}"#,
         "\n",
-        r#"{"type":"step","step":2,"ms":3.5,"gauges":{"alive":110},"counters":{}}"#,
+        r#"{"type":"step","step":2,"ts":6700,"ms":3.5,"gauges":{"alive":110},"counters":{}}"#,
         "\n",
         r#"{"type":"run_footer","open_spans":0,"total_ms":5.0,"events":7,"traces_dropped":0,"#,
         r#""kernels":[{"name":"Move","class":"Move","calls":2,"seconds":0.0045,"bytes":9000,"flops":450},"#,

@@ -6,7 +6,8 @@
 //! end's (`oppic_obs::cli`); this file holds the config keys, the
 //! banners and the per-step report line.
 //!
-//! Config keys (`cabana --print-defaults` lists them): `nx ny nz ppc
+//! Config keys (`cabana --print-defaults` prints each with its
+//! default, as a config file): `nx ny nz ppc
 //! v0 perturbation modes dt charge mass steps parallel structured
 //! sort_every sort_dirty binding rebalance_every rebalance_drift
 //! report_every` (`sort_every` / `sort_dirty` drive the CSR index
@@ -17,30 +18,7 @@ use oppic_core::{ExecPolicy, Params};
 use oppic_obs::cli::{self, App, Cli, Exit};
 use std::io::Write;
 
-const KNOWN: &[&str] = &[
-    "nx",
-    "ny",
-    "nz",
-    "ppc",
-    "v0",
-    "perturbation",
-    "modes",
-    "dt",
-    "charge",
-    "mass",
-    "steps",
-    "parallel",
-    "structured",
-    "sort_every",
-    "sort_dirty",
-    "binding",
-    "rebalance_every",
-    "rebalance_drift",
-    "report_every",
-];
-
 fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), String> {
-    params.check_known(KNOWN)?;
     let nx = params.get_usize("nx", 16)?;
     let ny = params.get_usize("ny", 8)?;
     let nz = params.get_usize("nz", 8)?;
@@ -75,6 +53,7 @@ fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), St
     let steps = params.get_usize("steps", 100)?;
     let report_every = params.get_usize("report_every", 10)?.max(1);
     let structured = params.get_bool("structured", false)?;
+    params.check_all_read()?;
     Ok((cfg, steps, report_every, structured))
 }
 
@@ -86,7 +65,7 @@ fn main() {
 }
 
 fn drive(cli: &Cli, out: &mut impl Write) -> Result<(), Exit> {
-    let (cfg, steps, report_every, structured) = cli.config(out, TITLE, KNOWN, config_from)?;
+    let (cfg, steps, report_every, structured) = cli.config(out, TITLE, config_from)?;
     if let Some(path) = &cli.record_schedule {
         return cli::record_schedule(out, TITLE, path, steps, |n| {
             oppic_cabana::record_schedule(&cfg, n)
@@ -152,4 +131,27 @@ fn go<T: Topology>(
             d.step, d.e_field, d.b_field, d.kinetic
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn printed_defaults_are_a_config_file_for_the_defaults() {
+        let cli = Cli {
+            print_defaults: true,
+            ..Cli::default()
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            cli.config(&mut out, TITLE, config_from).err(),
+            Some(Exit(0))
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.lines().any(|l| l == "ppc = 32"), "{text}");
+        let printed = config_from(&Params::parse(&text).unwrap()).unwrap();
+        let defaults = config_from(&Params::default()).unwrap();
+        assert_eq!(format!("{printed:?}"), format!("{defaults:?}"));
+    }
 }

@@ -23,7 +23,7 @@ fn print_defaults_lists_cabanas_keys() {
         "report_every",
     ] {
         assert!(
-            text.lines().any(|l| l == format!("# {key}")),
+            text.lines().any(|l| l.starts_with(&format!("{key} = "))),
             "no {key} in:\n{text}"
         );
     }

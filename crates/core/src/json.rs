@@ -1,14 +1,14 @@
 //! Minimal JSON support for the telemetry subsystem.
 //!
-//! The workspace is hermetic (no serde); the telemetry sink writes JSON
-//! Lines by hand and the analyzer / report tools parse them back with
-//! this small recursive-descent parser. It supports the full JSON value
+//! The workspace is hermetic (no serde); the telemetry codec writes JSON
+//! Lines with [`Obj`] and reads them back with this small
+//! recursive-descent parser. It supports the full JSON value
 //! grammar (objects, arrays, strings with escapes, numbers, booleans,
 //! null) — enough to round-trip every event record in
 //! [`crate::telemetry`] — and deliberately nothing more (no streaming,
 //! no zero-copy, no custom number types).
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// A parsed JSON value. Objects keep insertion order (the schema checks
 /// in the analyzer care that `type` comes first in emitted events).
@@ -100,6 +100,47 @@ pub fn quote(s: &str) -> String {
     escape_into(&mut out, s);
     out.push('"');
     out
+}
+
+/// A JSON object being written, one field per call: `{"key":value,…}`.
+#[derive(Default)]
+pub struct Obj(String);
+
+impl Obj {
+    /// Add a field whose value `v` is already JSON text.
+    pub fn raw(mut self, key: &str, v: impl Display) -> Obj {
+        self.0.push(if self.0.is_empty() { '{' } else { ',' });
+        self.0.push('"');
+        escape_into(&mut self.0, key);
+        let _ = write!(self.0, "\":{v}");
+        self
+    }
+
+    /// Add a string field.
+    pub fn str(self, key: &str, v: &str) -> Obj {
+        self.raw(key, quote(v))
+    }
+
+    /// The object's JSON text.
+    pub fn end(mut self) -> String {
+        if self.0.is_empty() {
+            self.0.push('{');
+        }
+        self.0.push('}');
+        self.0
+    }
+}
+
+/// A JSON object of `(key, JSON text)` fields.
+pub fn object<K: AsRef<str>, V: Display>(fields: impl IntoIterator<Item = (K, V)>) -> String {
+    let add = |o: Obj, (k, v): (K, V)| o.raw(k.as_ref(), v);
+    fields.into_iter().fold(Obj::default(), add).end()
+}
+
+/// A JSON array of JSON texts.
+pub fn array<V: Display>(items: impl IntoIterator<Item = V>) -> String {
+    let items: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Render an `f64` the way the telemetry sink does: finite numbers as

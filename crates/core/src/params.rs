@@ -1,15 +1,24 @@
 //! Run-time parameter files — the paper artifact drives each app with
 //! `<app_binary> <config_file>`; this module parses that config format:
 //! `key = value` lines, `#` comments, whitespace-insensitive.
+//!
+//! The getters are the one list of an app's keys: each read records its
+//! key and default, so [`Params::check_all_read`] refuses keys no getter
+//! asked for, and [`Params::defaults`] prints as a config file.
 
 use crate::{RebalancePolicy, SortPolicy};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::path::Path;
 
 /// Parsed parameter set with typed, defaulted getters.
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     values: HashMap<String, String>,
+    /// Every key a getter has read, with its default, in first-read
+    /// order.
+    read: RefCell<Vec<(String, String)>>,
 }
 
 impl Params {
@@ -33,7 +42,10 @@ impl Params {
             }
             values.insert(key.to_string(), v.trim().to_string());
         }
-        Ok(Params { values })
+        Ok(Params {
+            values,
+            ..Params::default()
+        })
     }
 
     /// Load from a file path.
@@ -47,30 +59,38 @@ impl Params {
         self.values.contains_key(key)
     }
 
+    /// Note that `key` is read with `default`; return its set value.
+    fn read(&self, key: &str, default: impl Display) -> Option<&String> {
+        let mut read = self.read.borrow_mut();
+        if !read.iter().any(|(k, _)| k == key) {
+            read.push((key.to_string(), default.to_string()));
+        }
+        self.values.get(key)
+    }
+
     /// Raw string value.
     pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.values
-            .get(key)
+        self.read(key, default)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
 
     pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.values.get(key) {
+        match self.read(key, default) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|e| format!("{key} = {v:?}: {e}")),
         }
     }
 
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.values.get(key) {
+        match self.read(key, default) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|e| format!("{key} = {v:?}: {e}")),
         }
     }
 
     pub fn get_bool(&self, key: &str, default: bool) -> Result<bool, String> {
-        match self.values.get(key).map(String::as_str) {
+        match self.read(key, default).map(String::as_str) {
             None => Ok(default),
             Some("true") | Some("1") | Some("yes") => Ok(true),
             Some("false") | Some("0") | Some("no") => Ok(false),
@@ -115,18 +135,24 @@ impl Params {
         })
     }
 
-    /// Reject unknown keys — catches config typos early, like the
-    /// artifact's apps do.
-    pub fn check_known(&self, known: &[&str]) -> Result<(), String> {
-        for k in self.values.keys() {
-            if !known.contains(&k.as_str()) {
-                return Err(format!(
-                    "unknown parameter '{k}' (known: {})",
-                    known.join(", ")
-                ));
-            }
+    /// Every key read so far with its default, in first-read order:
+    /// as `key = default` lines, a config file that sets each default.
+    pub fn defaults(&self) -> Vec<(String, String)> {
+        self.read.borrow().clone()
+    }
+
+    /// Reject a set key that no getter has read — catches config typos
+    /// early, like the artifact's apps do. Call it after the last read.
+    pub fn check_all_read(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let known: Vec<&str> = read.iter().map(|(k, _)| k.as_str()).collect();
+        match self.keys().into_iter().find(|k| !known.contains(k)) {
+            None => Ok(()),
+            Some(k) => Err(format!(
+                "unknown parameter '{k}' (known: {})",
+                known.join(", ")
+            )),
         }
-        Ok(())
     }
 }
 
@@ -202,8 +228,37 @@ mod tests {
     #[test]
     fn unknown_key_detection() {
         let p = Params::parse("nx = 1\ntypo = 2\n").unwrap();
-        assert!(p.check_known(&["nx", "ny"]).is_err());
-        assert!(p.check_known(&["nx", "typo"]).is_ok());
+        p.get_usize("nx", 0).unwrap();
+        p.get_usize("ny", 0).unwrap();
+        assert_eq!(
+            p.check_all_read().unwrap_err(),
+            "unknown parameter 'typo' (known: nx, ny)"
+        );
+        p.get_usize("typo", 0).unwrap();
+        assert!(p.check_all_read().is_ok());
         assert_eq!(p.keys(), vec!["nx", "typo"]);
+    }
+
+    #[test]
+    fn reads_record_each_key_once_with_its_default() {
+        let p = Params::parse("dt = 0.25\n").unwrap();
+        p.get_f64("dt", 0.5).unwrap();
+        p.get_str("mode", "auto");
+        p.get_bool("flag", true).unwrap();
+        p.get_f64("dt", 9.0).unwrap();
+        p.sort_policy().unwrap();
+        let text: String = p
+            .defaults()
+            .iter()
+            .map(|(k, v)| format!("{k} = {v}\n"))
+            .collect();
+        assert_eq!(
+            text,
+            "dt = 0.5\nmode = auto\nflag = true\nsort_every = 0\nsort_dirty = 0\n"
+        );
+        // The listing is itself a config file that sets every default.
+        let back = Params::parse(&text).unwrap();
+        assert_eq!(back.get_f64("dt", 1.0).unwrap(), 0.5);
+        assert_eq!(back.get_str("mode", ""), "auto");
     }
 }

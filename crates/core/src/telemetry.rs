@@ -19,11 +19,17 @@
 //!   particle, cell segment lengths). [`Histogram`] uses atomic buckets
 //!   so parallel loop bodies can record without locks, and snapshots
 //!   merge associatively (property-tested).
-//! * **Sinks** — an optional JSON Lines writer (`--telemetry out.jsonl`)
-//!   emitting a run-header record (config hash, build profile, thread
-//!   count), one event per span close, one summary per step, and a
-//!   run-footer with final aggregates; plus the end-of-run human table
-//!   ([`Telemetry::breakdown_table`]).
+//! * **Events** — every span close, decision trace, step summary and
+//!   alert is built once as a [`TelemetryEvent`] and handed to one
+//!   publish path, which writes it to the optional JSON Lines sink
+//!   (`--telemetry out.jsonl`) and passes it to the live
+//!   [`EventObserver`]: the stream and the observer see the same events.
+//!   The sink brackets them with a run-header record (config hash, build
+//!   profile, thread count) and a run-footer with final aggregates. The
+//!   record format has one home, [`codec`]: its encoders write every
+//!   line and [`Record::parse`] reads them back for the report and the
+//!   timeline. The end-of-run human table is
+//!   [`Telemetry::breakdown_table`].
 //!
 //! The DSL executors (`parloop`, `move_engine`, `deposit`, `particles`)
 //! publish counters through a scoped thread-local handle
@@ -36,17 +42,20 @@
 //! Each app owns its hub through a [`Profiler`] handle, whose only
 //! method is [`Profiler::telemetry`].
 
-use crate::json;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+pub mod codec;
+pub use codec::{Record, RunFooter, RunHeader};
 
 /// Event-stream schema version, carried in the run-header record.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -57,6 +66,11 @@ pub const DEFAULT_TRACE_CAP: usize = 4096;
 
 /// Sentinel for "not inside a step".
 const NO_STEP: u64 = u64::MAX;
+
+/// Bits of [`Telemetry::consumers`]: a JSONL sink is open, a live
+/// observer is attached.
+const SINK: u8 = 1;
+const OBSERVER: u8 = 2;
 
 /// Broad classification of a kernel, used to group the breakdown plots
 /// the way the paper does (field solve vs particle work vs comm).
@@ -72,6 +86,17 @@ pub enum KernelClass {
 }
 
 impl KernelClass {
+    /// Every class, in declaration order.
+    pub const ALL: [KernelClass; 7] = [
+        KernelClass::FieldSolve,
+        KernelClass::WeightFields,
+        KernelClass::Move,
+        KernelClass::Deposit,
+        KernelClass::Inject,
+        KernelClass::Comm,
+        KernelClass::Other,
+    ];
+
     /// Stable string form used in the JSONL footer / report CSV.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -85,18 +110,9 @@ impl KernelClass {
         }
     }
 
-    /// Inverse of [`Self::as_str`] (used by the report tool).
+    /// Inverse of [`Self::as_str`].
     pub fn from_str_opt(s: &str) -> Option<Self> {
-        Some(match s {
-            "FieldSolve" => KernelClass::FieldSolve,
-            "WeightFields" => KernelClass::WeightFields,
-            "Move" => KernelClass::Move,
-            "Deposit" => KernelClass::Deposit,
-            "Inject" => KernelClass::Inject,
-            "Comm" => KernelClass::Comm,
-            "Other" => KernelClass::Other,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|c| c.as_str() == s)
     }
 }
 
@@ -361,10 +377,6 @@ struct Frame {
     start: Instant,
 }
 
-struct Sink {
-    w: std::io::BufWriter<std::fs::File>,
-}
-
 /// Severity attached to alert events (watchdog rule trips, recovery
 /// rollbacks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -392,50 +404,62 @@ impl AlertSeverity {
     }
 }
 
-/// A live telemetry event, pushed to the attached [`EventObserver`] at
-/// the moment it happens. Borrowed payloads keep the hot path
-/// allocation-free; observers that need to retain an event copy what
-/// they need (the flight recorder interns names into its own table).
-#[derive(Debug, Clone, Copy)]
+/// A telemetry event, published at the moment it happens: to the
+/// attached [`EventObserver`], and as one JSONL record
+/// ([`TelemetryEvent::encode`]) to the open sink. The hub publishes
+/// borrowed payloads, so the hot path allocates nothing; observers that
+/// retain an event copy what they need (the flight recorder interns
+/// names into its own table). [`Record::parse`] reads a record back as
+/// the same event with owned payloads.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent<'a> {
     /// A span (timed scope) closed.
     SpanClose {
-        name: &'a str,
-        path: &'a str,
+        name: Cow<'a, str>,
+        path: Cow<'a, str>,
         depth: usize,
         ms: f64,
         step: Option<u64>,
         ts_us: u64,
     },
-    /// A monotonic counter advanced by `delta`.
+    /// A monotonic counter advanced by `delta`. Only the observer sees
+    /// it: the stream carries per-step deltas in the step record.
     Count {
-        name: &'a str,
+        name: Cow<'a, str>,
         delta: u64,
         step: Option<u64>,
         ts_us: u64,
     },
     /// A decision trace line was recorded.
     Decision {
-        name: &'a str,
-        text: &'a str,
+        name: Cow<'a, str>,
+        text: Cow<'a, str>,
         step: Option<u64>,
         ts_us: u64,
     },
-    /// A simulation step closed.
-    StepEnd { step: u64, ms: f64, ts_us: u64 },
+    /// A simulation step closed, with its gauges (instantaneous level
+    /// readings) and the counters that moved during it, by name.
+    StepEnd {
+        step: u64,
+        ms: f64,
+        ts_us: u64,
+        gauges: Cow<'a, [(String, f64)]>,
+        counters: Cow<'a, [(String, u64)]>,
+    },
     /// A structured alert was raised via [`Telemetry::alert`].
     Alert {
-        rule: &'a str,
+        rule: Cow<'a, str>,
         severity: AlertSeverity,
-        message: &'a str,
+        message: Cow<'a, str>,
         step: Option<u64>,
         ts_us: u64,
     },
 }
 
 /// Subscriber for the live event stream (the observability plane's
-/// flight recorder). At most one observer is attached per hub; when
-/// none is, the publish sites cost one relaxed atomic load.
+/// flight recorder). At most one observer is attached per hub; with
+/// neither an observer nor a sink, a publish site costs one relaxed
+/// atomic load.
 pub trait EventObserver: Send + Sync {
     fn on_event(&self, ev: &TelemetryEvent<'_>);
 }
@@ -445,12 +469,11 @@ pub trait EventObserver: Send + Sync {
 pub struct Telemetry {
     state: Mutex<State>,
     spans: Mutex<Vec<Frame>>,
-    sink: Mutex<Option<Sink>>,
-    /// Cheap gate so event formatting is skipped when no sink is open.
-    sink_attached: AtomicBool,
-    /// Same gate for the live observer.
-    observer_attached: AtomicBool,
+    sink: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
     observer: Mutex<Option<Arc<dyn EventObserver>>>,
+    /// [`SINK`] | [`OBSERVER`]: the one gate every publish site checks
+    /// before it builds an event.
+    consumers: AtomicU8,
     /// Zero point of the `ts` microsecond clock on every event.
     origin: Instant,
     step: AtomicU64,
@@ -463,9 +486,8 @@ impl Default for Telemetry {
             state: Mutex::new(State::default()),
             spans: Mutex::new(Vec::new()),
             sink: Mutex::new(None),
-            sink_attached: AtomicBool::new(false),
-            observer_attached: AtomicBool::new(false),
             observer: Mutex::new(None),
+            consumers: AtomicU8::new(0),
             origin: Instant::now(),
             step: AtomicU64::new(NO_STEP),
             events_written: AtomicU64::new(0),
@@ -481,13 +503,16 @@ impl fmt::Debug for Telemetry {
             .field("counters", &st.counters.len())
             .field("histograms", &st.hists.len())
             .field("open_spans", &self.spans.lock().len())
-            .field("sink", &self.sink_attached.load(Ordering::Relaxed))
+            .field(
+                "sink",
+                &(self.consumers.load(Ordering::Relaxed) & SINK != 0),
+            )
             .finish()
     }
 }
 
 /// Metadata for the run-header record.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunInfo {
     pub app: String,
     pub config_hash: String,
@@ -598,9 +623,15 @@ impl Telemetry {
                     k.calls += 1;
                     k.seconds += dur.as_secs_f64();
                 }
-                if self.events_wanted() {
-                    let name = path.rsplit('>').next().unwrap_or(&path).to_string();
-                    self.emit_span(&name, &path, dur);
+                if self.consumers.load(Ordering::Relaxed) != 0 {
+                    self.publish(&TelemetryEvent::SpanClose {
+                        name: path.rsplit('>').next().unwrap_or(&path).into(),
+                        path: path.as_str().into(),
+                        depth: path.matches('>').count(),
+                        ms: dur.as_secs_f64() * 1e3,
+                        step: self.current_step(),
+                        ts_us: self.ts_us(),
+                    });
                 }
             }
         }
@@ -620,9 +651,9 @@ impl Telemetry {
                 }
             }
         }
-        if self.observer_attached.load(Ordering::Relaxed) {
-            self.notify(&TelemetryEvent::Count {
-                name,
+        if self.consumers.load(Ordering::Relaxed) & OBSERVER != 0 {
+            self.publish(&TelemetryEvent::Count {
+                name: name.into(),
                 delta: n,
                 step: self.current_step(),
                 ts_us: self.ts_us(),
@@ -681,8 +712,8 @@ impl Telemetry {
 
     /// Record a one-line decision trace (e.g. the deposit auto-tuner's
     /// per-loop strategy choice). The buffer is capped; the oldest
-    /// entries are dropped and counted. Also emitted as a `decision`
-    /// event when a sink is attached.
+    /// entries are dropped and counted. Also published as a
+    /// [`TelemetryEvent::Decision`].
     pub fn trace(&self, name: &str, line: impl Into<String>) {
         let line = line.into();
         {
@@ -694,24 +725,11 @@ impl Telemetry {
             }
             tb.buf.push_back((name.to_string(), line.clone()));
         }
-        let ts = self.ts_us();
-        if self.sink_attached.load(Ordering::Relaxed) {
-            let mut ev = String::with_capacity(64 + line.len());
-            ev.push_str("{\"type\":\"decision\"");
-            self.push_step_field(&mut ev);
-            let _ = write!(
-                ev,
-                ",\"ts\":{ts},\"name\":{},\"text\":{}}}",
-                json::quote(name),
-                json::quote(&line)
-            );
-            self.emit(&ev);
-        }
-        self.notify(&TelemetryEvent::Decision {
-            name,
-            text: &line,
+        self.publish(&TelemetryEvent::Decision {
+            name: name.into(),
+            text: line.into(),
             step: self.current_step(),
-            ts_us: ts,
+            ts_us: self.ts_us(),
         });
     }
 
@@ -757,8 +775,8 @@ impl Telemetry {
 
     /// Close the current step: any kernel spans still open inside it
     /// are closed, counter deltas since `begin_step` are computed, and
-    /// one `step` summary event is emitted. `gauges` are instantaneous
-    /// level readings (e.g. `("alive", n_particles)`).
+    /// one [`TelemetryEvent::StepEnd`] is published. `gauges` are
+    /// instantaneous level readings (e.g. `("alive", n_particles)`).
     pub fn end_step(&self, gauges: &[(&str, f64)]) {
         let root = {
             let spans = self.spans.lock();
@@ -790,36 +808,16 @@ impl Telemetry {
             v.sort();
             v
         };
-        let ts = self.ts_us();
-        if self.sink_attached.load(Ordering::Relaxed) {
-            let mut ev = String::with_capacity(128);
-            let _ = write!(
-                ev,
-                "{{\"type\":\"step\",\"step\":{step},\"ts\":{ts},\"ms\":{}",
-                json::num(ms)
-            );
-            ev.push_str(",\"gauges\":{");
-            for (i, (k, v)) in gauges.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                let _ = write!(ev, "{}:{}", json::quote(k), json::num(*v));
-            }
-            ev.push_str("},\"counters\":{");
-            for (i, (k, v)) in deltas.iter().enumerate() {
-                if i > 0 {
-                    ev.push(',');
-                }
-                let _ = write!(ev, "{}:{v}", json::quote(k));
-            }
-            ev.push_str("}}");
-            self.emit(&ev);
+        if self.consumers.load(Ordering::Relaxed) != 0 {
+            let gauges: Vec<(String, f64)> = gauges.iter().map(|&(k, v)| (k.into(), v)).collect();
+            self.publish(&TelemetryEvent::StepEnd {
+                step,
+                ms,
+                ts_us: self.ts_us(),
+                gauges: gauges.into(),
+                counters: deltas.into(),
+            });
         }
-        self.notify(&TelemetryEvent::StepEnd {
-            step,
-            ms,
-            ts_us: ts,
-        });
         self.step.store(NO_STEP, Ordering::Relaxed);
     }
 
@@ -838,32 +836,20 @@ impl Telemetry {
     /// previously attached sink.
     pub fn attach_sink(&self, path: &Path, info: &RunInfo) -> std::io::Result<()> {
         let file = std::fs::File::create(path)?;
-        let mut header = String::with_capacity(160);
-        let _ = write!(
-            header,
-            "{{\"type\":\"run_header\",\"schema\":{SCHEMA_VERSION},\"app\":{},\"config_hash\":{},\"build\":{},\"threads\":{}",
-            json::quote(&info.app),
-            json::quote(&info.config_hash),
-            json::quote(if cfg!(debug_assertions) { "debug" } else { "release" }),
-            info.threads,
-        );
-        for (k, v) in &info.extra {
-            let _ = write!(header, ",{}:{}", json::quote(k), json::quote(v));
-        }
-        // Kernels timed before the sink opened (an app's setup) have no
-        // span event; the header carries their rows, so a stream cut
-        // before its footer still accounts for them.
-        let before = self.kernels_snapshot();
-        if !before.is_empty() {
-            push_kernels(&mut header, &before);
-        }
-        header.push('}');
-        let mut sink = Sink {
-            w: std::io::BufWriter::new(file),
+        let header = RunHeader {
+            build: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+            .into(),
+            info: info.clone(),
+            kernels: self.kernels_snapshot(),
         };
-        writeln!(sink.w, "{header}")?;
+        let mut sink = std::io::BufWriter::new(file);
+        writeln!(sink, "{}", header.encode())?;
         *self.sink.lock() = Some(sink);
-        self.sink_attached.store(true, Ordering::Relaxed);
+        self.consumers.fetch_or(SINK, Ordering::Relaxed);
         self.events_written.store(1, Ordering::Relaxed);
         Ok(())
     }
@@ -871,63 +857,24 @@ impl Telemetry {
     /// Emit the run-footer record (final aggregates + balance info),
     /// flush, and detach the sink. No-op without a sink.
     pub fn finish(&self) -> std::io::Result<()> {
-        if !self.sink_attached.load(Ordering::Relaxed) {
+        if self.consumers.load(Ordering::Relaxed) & SINK == 0 {
             return Ok(());
         }
-        let open = self.open_spans();
-        let total_ms = self.total_seconds() * 1e3;
-        let kernels = self.kernels_snapshot();
-        let counters = self.counters_snapshot();
-        let hists = self.histograms_snapshot();
-        let dropped = self.traces_dropped();
-        let mut ev = String::with_capacity(512);
-        let _ = write!(
-            ev,
-            "{{\"type\":\"run_footer\",\"open_spans\":{open},\"total_ms\":{},\"events\":{},\"traces_dropped\":{dropped}",
-            json::num(total_ms),
+        let footer = RunFooter {
+            open_spans: self.open_spans() as u64,
+            total_ms: self.total_seconds() * 1e3,
             // +1 for the footer itself.
-            self.events_written.load(Ordering::Relaxed) + 1,
-        );
-        push_kernels(&mut ev, &kernels);
-        ev.push_str(",\"counters\":{");
-        for (i, (k, v)) in counters.iter().enumerate() {
-            if i > 0 {
-                ev.push(',');
-            }
-            let _ = write!(ev, "{}:{v}", json::quote(k));
-        }
-        ev.push_str("},\"histograms\":{");
-        for (i, (name, h)) in hists.iter().enumerate() {
-            if i > 0 {
-                ev.push(',');
-            }
-            let _ = write!(
-                ev,
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                json::quote(name),
-                h.count,
-                h.sum,
-                if h.count == 0 { 0 } else { h.min },
-                h.max,
-            );
-            let mut first = true;
-            for (b, c) in h.buckets.iter().enumerate() {
-                if *c > 0 {
-                    if !first {
-                        ev.push(',');
-                    }
-                    first = false;
-                    let _ = write!(ev, "[{b},{c}]");
-                }
-            }
-            ev.push_str("]}");
-        }
-        ev.push_str("}}");
-        self.emit(&ev);
+            events: self.events_written.load(Ordering::Relaxed) + 1,
+            traces_dropped: self.traces_dropped(),
+            kernels: self.kernels_snapshot(),
+            counters: self.counters_snapshot(),
+            histograms: self.histograms_snapshot(),
+        };
+        self.emit(&footer.encode());
         let sink = self.sink.lock().take();
-        self.sink_attached.store(false, Ordering::Relaxed);
-        if let Some(mut s) = sink {
-            s.w.flush()?;
+        self.consumers.fetch_and(!SINK, Ordering::Relaxed);
+        if let Some(mut w) = sink {
+            w.flush()?;
         }
         Ok(())
     }
@@ -1019,44 +966,29 @@ impl Telemetry {
 
     // -- event plumbing ----------------------------------------------
 
-    fn push_step_field(&self, ev: &mut String) {
-        let step = self.step.load(Ordering::Relaxed);
-        if step != NO_STEP {
-            let _ = write!(ev, ",\"step\":{step}");
+    /// The one publish path: the open sink gets the event's JSONL
+    /// record, the observer the event itself. The observer handle is
+    /// cloned first, outside any hub lock, so an observer may call back
+    /// into the hub without deadlocking.
+    fn publish(&self, ev: &TelemetryEvent<'_>) {
+        let consumers = self.consumers.load(Ordering::Relaxed);
+        if consumers & SINK != 0 {
+            if let Some(line) = ev.encode() {
+                self.emit(&line);
+            }
         }
-    }
-
-    fn emit_span(&self, name: &str, path: &str, d: Duration) {
-        let depth = path.matches('>').count();
-        let ms = d.as_secs_f64() * 1e3;
-        let ts = self.ts_us();
-        if self.sink_attached.load(Ordering::Relaxed) {
-            let mut ev = String::with_capacity(112);
-            ev.push_str("{\"type\":\"span\"");
-            self.push_step_field(&mut ev);
-            let _ = write!(
-                ev,
-                ",\"ts\":{ts},\"name\":{},\"path\":{},\"depth\":{depth},\"ms\":{}}}",
-                json::quote(name),
-                json::quote(path),
-                json::num(ms),
-            );
-            self.emit(&ev);
+        if consumers & OBSERVER != 0 {
+            let obs = self.observer.lock().clone();
+            if let Some(o) = obs {
+                o.on_event(ev);
+            }
         }
-        self.notify(&TelemetryEvent::SpanClose {
-            name,
-            path,
-            depth,
-            ms,
-            step: self.current_step(),
-            ts_us: ts,
-        });
     }
 
     fn emit(&self, line: &str) {
         let mut sink = self.sink.lock();
-        if let Some(s) = sink.as_mut() {
-            let _ = writeln!(s.w, "{line}");
+        if let Some(w) = sink.as_mut() {
+            let _ = writeln!(w, "{line}");
             self.events_written.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1073,62 +1005,32 @@ impl Telemetry {
     /// Attach (or with `None`, detach) the live event observer.
     pub fn set_observer(&self, obs: Option<Arc<dyn EventObserver>>) {
         let mut slot = self.observer.lock();
-        self.observer_attached
-            .store(obs.is_some(), Ordering::Relaxed);
+        if obs.is_some() {
+            self.consumers.fetch_or(OBSERVER, Ordering::Relaxed);
+        } else {
+            self.consumers.fetch_and(!OBSERVER, Ordering::Relaxed);
+        }
         *slot = obs;
     }
 
     /// Whether a live observer is currently attached.
     pub fn observer_is_attached(&self) -> bool {
-        self.observer_attached.load(Ordering::Relaxed)
-    }
-
-    /// Either event consumer wants span events assembled.
-    fn events_wanted(&self) -> bool {
-        self.sink_attached.load(Ordering::Relaxed) || self.observer_attached.load(Ordering::Relaxed)
-    }
-
-    /// Push one event to the observer, outside any hub lock (the
-    /// handle is cloned first so an observer may call back into the
-    /// hub without deadlocking).
-    fn notify(&self, ev: &TelemetryEvent<'_>) {
-        if !self.observer_attached.load(Ordering::Relaxed) {
-            return;
-        }
-        let obs = self.observer.lock().clone();
-        if let Some(o) = obs {
-            o.on_event(ev);
-        }
+        self.consumers.load(Ordering::Relaxed) & OBSERVER != 0
     }
 
     /// Raise a structured alert (watchdog rule trip, recovery
-    /// rollback): bump `alerts.total` and `alerts.<rule>`, emit an
-    /// `alert` JSONL record when a sink is attached, and push the
-    /// event to the observer so the flight recorder can dump around
-    /// it.
+    /// rollback): bump `alerts.total` and `alerts.<rule>` and publish
+    /// a [`TelemetryEvent::Alert`], which the flight recorder dumps
+    /// around.
     pub fn alert(&self, rule: &str, severity: AlertSeverity, message: &str) {
         self.counter_add("alerts.total", 1);
         self.counter_add(&format!("alerts.{rule}"), 1);
-        let ts = self.ts_us();
-        if self.sink_attached.load(Ordering::Relaxed) {
-            let mut ev = String::with_capacity(96 + message.len());
-            ev.push_str("{\"type\":\"alert\"");
-            self.push_step_field(&mut ev);
-            let _ = write!(
-                ev,
-                ",\"ts\":{ts},\"rule\":{},\"severity\":{},\"message\":{}}}",
-                json::quote(rule),
-                json::quote(severity.as_str()),
-                json::quote(message),
-            );
-            self.emit(&ev);
-        }
-        self.notify(&TelemetryEvent::Alert {
-            rule,
+        self.publish(&TelemetryEvent::Alert {
+            rule: rule.into(),
             severity,
-            message,
+            message: message.into(),
             step: self.current_step(),
-            ts_us: ts,
+            ts_us: self.ts_us(),
         });
     }
 
@@ -1160,29 +1062,6 @@ impl Profiler {
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.tel
     }
-}
-
-/// Append `,"kernels":[…]`: one row per kernel, as the footer and
-/// the header write them.
-fn push_kernels(ev: &mut String, kernels: &[(String, KernelStats)]) {
-    ev.push_str(",\"kernels\":[");
-    for (i, (name, k)) in kernels.iter().enumerate() {
-        if i > 0 {
-            ev.push(',');
-        }
-        let _ = write!(
-            ev,
-            "{{\"name\":{},\"class\":{},\"calls\":{},\"seconds\":{},\"bytes\":{},\"flops\":{}}}",
-            json::quote(name),
-            k.class
-                .map_or_else(|| "null".to_string(), |c| json::quote(c.as_str())),
-            k.calls,
-            json::num(k.seconds),
-            k.bytes,
-            k.flops,
-        );
-    }
-    ev.push(']');
 }
 
 fn intern_locked(st: &mut State, name: &str) -> u32 {

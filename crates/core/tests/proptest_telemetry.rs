@@ -129,3 +129,176 @@ proptest! {
         prop_assert_eq!(calls, (panic_at + 1) as u64);
     }
 }
+
+// ---------------------------------------------------------------------
+// The record codec: every record the hub writes reads back unchanged.
+// ---------------------------------------------------------------------
+
+use oppic_core::telemetry::{AlertSeverity, Record, RunFooter, RunHeader, TelemetryEvent};
+use oppic_core::{KernelClass, KernelStats, RunInfo};
+
+/// Characters the encoder must escape or pass through: quotes,
+/// backslashes, the span-path separator, control and non-ASCII text.
+const ALPHABET: [char; 14] = [
+    'a', 'Z', '0', ' ', '"', '\\', '>', '/', 'é', '漢', '🦀', '\n', '\t', '\u{1}',
+];
+
+fn text(idx: &[usize]) -> String {
+    idx.iter().map(|&i| ALPHABET[i]).collect()
+}
+
+fn text_strategy() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0..ALPHABET.len(), 0..10)
+}
+
+/// A finite f64 spanning many magnitudes, from `(mantissa, exponent)`.
+fn magnitude((m, e): (f64, i32)) -> f64 {
+    m * 10f64.powi(e)
+}
+
+/// JSON numbers are f64: integers stay exact below 2^53.
+const EXACT: u64 = 1 << 53;
+
+/// A drawn kernel row: name, calls, seconds, class index (7 = none).
+type KernelRow = (Vec<usize>, u64, (f64, i32), usize);
+
+fn kernels(rows: &[KernelRow]) -> Vec<(String, KernelStats)> {
+    rows.iter()
+        .map(|(name, n, secs, class)| {
+            let stats = KernelStats {
+                calls: *n,
+                seconds: magnitude(*secs),
+                bytes: n / 3,
+                flops: n / 7,
+                class: KernelClass::ALL.get(*class).copied(),
+            };
+            (text(name), stats)
+        })
+        .collect()
+}
+
+fn round_trip(line: &str) -> Record {
+    assert!(!line.contains('\n'), "one record per line: {line:?}");
+    Record::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Span, decision, step and alert events encode to one line that
+    /// parses back to the same event; a count has no record.
+    #[test]
+    fn every_event_kind_round_trips(
+        texts in (text_strategy(), text_strategy()),
+        clock in (0..EXACT, 0..EXACT, any::<bool>()),
+        shape in ((0.0f64..1.0, -12i32..12), 0usize..8, any::<bool>()),
+        gauges in prop::collection::vec((text_strategy(), (-1.0f64..1.0, -30i32..30), 0usize..6), 0..5),
+        counters in prop::collection::vec((text_strategy(), 0..EXACT), 0..5),
+    ) {
+        let ((name, body), (ts_us, step_no, in_step), (ms, depth, critical)) = (texts, clock, shape);
+        let (name, body, ms) = (text(&name), text(&body), magnitude(ms));
+        let step = in_step.then_some(step_no);
+        let severity = if critical { AlertSeverity::Critical } else { AlertSeverity::Warn };
+        let events = [
+            TelemetryEvent::SpanClose {
+                name: name.clone().into(), path: body.clone().into(), depth, ms, step, ts_us,
+            },
+            TelemetryEvent::Decision { name: name.clone().into(), text: body.clone().into(), step, ts_us },
+            TelemetryEvent::Alert {
+                rule: name.clone().into(), severity, message: body.clone().into(), step, ts_us,
+            },
+        ];
+        for ev in events {
+            prop_assert_eq!(round_trip(&ev.encode().unwrap()), Record::Event(ev));
+        }
+
+        // Gauges take every f64 class. A non-finite one is written as
+        // `null` and reads back as NaN; NaN != NaN, so this record is
+        // compared through its `Debug` text, where NaN reads "NaN".
+        let gauge = |(n, v, kind): &(Vec<usize>, (f64, i32), usize), null: f64| {
+            let v = match kind {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => magnitude(*v),
+            };
+            (text(n), if v.is_finite() { v } else { null })
+        };
+        let step_end = |null| TelemetryEvent::StepEnd {
+            step: step_no,
+            ms,
+            ts_us,
+            gauges: gauges.iter().map(|g| gauge(g, null)).collect::<Vec<_>>().into(),
+            counters: counters.iter().map(|(n, v)| (text(n), *v)).collect::<Vec<_>>().into(),
+        };
+        let written = step_end(f64::INFINITY).encode().unwrap();
+        prop_assert_eq!(
+            format!("{:?}", round_trip(&written)),
+            format!("{:?}", Record::Event(step_end(f64::NAN)))
+        );
+
+        let count = TelemetryEvent::Count { name: name.into(), delta: step_no, step, ts_us };
+        prop_assert!(count.encode().is_none());
+    }
+
+    /// The run header and footer read back field for field: extras in
+    /// order, kernel rows with or without a class, and histograms
+    /// (an empty one keeps its `u64::MAX` min).
+    #[test]
+    fn header_and_footer_round_trip(
+        run in (text_strategy(), text_strategy(), 0usize..512),
+        extra in prop::collection::vec((text_strategy(), text_strategy()), 0..4),
+        rows in prop::collection::vec((text_strategy(), 0..EXACT, (0.0f64..1.0, -9i32..4), 0usize..8), 0..5),
+        tallies in (0..EXACT, (0.0f64..1.0, -3i32..9), 0..EXACT, 0..EXACT),
+        counters in prop::collection::vec((text_strategy(), 0..EXACT), 0..5),
+        hists in prop::collection::vec((text_strategy(), prop::collection::vec(0u64..1 << 40, 0..20)), 0..4),
+    ) {
+        let ((app, hash, threads), (open_spans, total, events, dropped)) = (run, tallies);
+        let header = RunHeader {
+            build: "release".into(),
+            info: RunInfo {
+                app: text(&app),
+                config_hash: text(&hash),
+                threads,
+                // Prefixed so no extra takes a fixed header key's name.
+                extra: extra.iter().map(|(k, v)| (format!("x_{}", text(k)), text(v))).collect(),
+            },
+            kernels: kernels(&rows),
+        };
+        prop_assert_eq!(round_trip(&header.encode()), Record::Header(header.clone()));
+
+        let footer = RunFooter {
+            open_spans,
+            total_ms: magnitude(total),
+            events,
+            traces_dropped: dropped,
+            kernels: kernels(&rows),
+            counters: counters.iter().map(|(n, v)| (text(n), *v)).collect(),
+            histograms: hists
+                .iter()
+                .map(|(n, values)| {
+                    let mut h = HistogramSnapshot::default();
+                    values.iter().for_each(|&v| h.record(v));
+                    (text(n), h)
+                })
+                .collect(),
+        };
+        prop_assert_eq!(round_trip(&footer.encode()), Record::Footer(footer.clone()));
+    }
+}
+
+#[test]
+fn lines_that_break_the_format_are_refused() {
+    for line in [
+        // Torn mid-write.
+        r#"{"type":"span","step":3,"name":"Mo"#,
+        // An event record without its `ts`.
+        r#"{"type":"span","name":"A","path":"A","depth":0,"ms":1.0}"#,
+        r#"{"type":"step","step":1,"ms":1.0,"gauges":{},"counters":{}}"#,
+        // A record type no writer emits.
+        r#"{"type":"checkpoint","ts":1}"#,
+        r#"{"type":"alert","ts":1,"rule":"r","severity":"fatal","message":""}"#,
+    ] {
+        assert!(Record::parse(line).is_err(), "{line}");
+    }
+}

@@ -3,7 +3,8 @@
 //! exit codes are the shared front end's (`oppic_obs::cli`); this file
 //! holds the config keys, the banner and the per-step report line.
 //!
-//! Config keys (all optional; `fempic --print-defaults` lists them):
+//! Config keys (all optional; `fempic --print-defaults` prints each
+//! with its default, as a config file):
 //! mesh (`nx ny nz lx ly lz`), physics (`charge mass inlet_velocity
 //! wall_potential epsilon0 dt thermal_fraction`), run control (`steps
 //! inject_per_step seed`), backend (`parallel deposit move coloring
@@ -18,42 +19,7 @@ use oppic_fempic::{FemPic, FemPicConfig, Integrator, MoveStrategy};
 use oppic_obs::cli::{self, App, Cli, Exit};
 use std::io::Write;
 
-const KNOWN: &[&str] = &[
-    "nx",
-    "ny",
-    "nz",
-    "lx",
-    "ly",
-    "lz",
-    "charge",
-    "mass",
-    "inlet_velocity",
-    "wall_potential",
-    "epsilon0",
-    "dt",
-    "thermal_fraction",
-    "steps",
-    "inject_per_step",
-    "seed",
-    "parallel",
-    "deposit",
-    "move",
-    "coloring",
-    "integrator",
-    "overlay_res",
-    "report_every",
-    "neutral_density",
-    "cross_section",
-    "sort_every",
-    "sort_dirty",
-    "binding",
-    "rebalance_every",
-    "rebalance_drift",
-    "guard_numerics",
-];
-
 fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> {
-    params.check_known(KNOWN)?;
     let d = FemPicConfig::default();
     let overlay_res = params.get_usize("overlay_res", 32)?;
     let cfg = FemPicConfig {
@@ -115,6 +81,7 @@ fn config_from(params: &Params) -> Result<(FemPicConfig, usize, usize), String> 
     };
     let steps = params.get_usize("steps", 100)?;
     let report_every = params.get_usize("report_every", 10)?.max(1);
+    params.check_all_read()?;
     Ok((cfg, steps, report_every))
 }
 
@@ -126,7 +93,7 @@ fn main() {
 }
 
 fn drive(cli: &Cli, out: &mut impl Write) -> Result<(), Exit> {
-    let (cfg, steps, report_every) = cli.config(out, TITLE, KNOWN, config_from)?;
+    let (cfg, steps, report_every) = cli.config(out, TITLE, config_from)?;
     if let Some(path) = &cli.record_schedule {
         return cli::record_schedule(out, TITLE, path, steps, |n| {
             oppic_fempic::record_schedule(&cfg, n)
@@ -206,6 +173,24 @@ mod tests {
         let params = Params::parse("neutral_density = 8\ncross_section = 2.5\n").unwrap();
         let (cfg, _, _) = config_from(&params).unwrap();
         assert_eq!(cfg.collisions.map(|c| c.cross_section), Some(2.5));
+    }
+
+    #[test]
+    fn printed_defaults_are_a_config_file_for_the_defaults() {
+        let cli = Cli {
+            print_defaults: true,
+            ..Cli::default()
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            cli.config(&mut out, TITLE, config_from).err(),
+            Some(Exit(0))
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.lines().any(|l| l == "deposit = sa"), "{text}");
+        let printed = config_from(&Params::parse(&text).unwrap()).unwrap();
+        let defaults = config_from(&Params::default()).unwrap();
+        assert_eq!(format!("{printed:?}"), format!("{defaults:?}"));
     }
 
     #[test]

@@ -88,7 +88,8 @@ pub struct Cli {
     pub validate: bool,
     /// `--strict`: under `--validate`, Warn findings fail the run too.
     pub strict: bool,
-    /// `--print-defaults`: list the config keys instead of running.
+    /// `--print-defaults`: print every config key with its default,
+    /// as a config file, instead of running.
     pub print_defaults: bool,
     /// `--telemetry <path>`: the JSONL event sink.
     pub telemetry: Option<PathBuf>,
@@ -121,27 +122,30 @@ impl Cli {
     }
 
     /// Load the config file (every default when there is none) and
-    /// `parse` it. Under `--print-defaults`, list `known` and stop
-    /// with status 0 instead.
+    /// `parse` it. Under `--print-defaults`, `parse` an empty file
+    /// instead, print a `key = default` line for every key it read, and
+    /// stop with status 0.
     pub fn config<T>(
         &self,
         out: &mut impl Write,
         title: &str,
-        known: &[&str],
         parse: impl FnOnce(&Params) -> Result<T, String>,
     ) -> Result<T, Exit> {
-        if self.print_defaults {
-            writeln!(out, "# {title} configuration keys and defaults")?;
-            for k in known {
-                writeln!(out, "# {k}")?;
-            }
-            return Err(Exit(0));
-        }
         let params = match &self.config {
-            Some(path) => Params::load(path).map_err(|e| fail(format_args!("error: {e}")))?,
-            None => Params::default(),
+            Some(path) if !self.print_defaults => {
+                Params::load(path).map_err(|e| fail(format_args!("error: {e}")))?
+            }
+            _ => Params::default(),
         };
-        parse(&params).map_err(|e| fail(format_args!("config error: {e}")))
+        let parsed = parse(&params).map_err(|e| fail(format_args!("config error: {e}")))?;
+        if !self.print_defaults {
+            return Ok(parsed);
+        }
+        writeln!(out, "# {title} configuration keys and defaults")?;
+        for (k, v) in params.defaults() {
+            writeln!(out, "{k} = {v}")?;
+        }
+        Err(Exit(0))
     }
 
     /// Open the `--telemetry` sink on `app`'s hub, its header saying
@@ -388,18 +392,26 @@ mod tests {
         }
     }
 
+    /// A config with two keys, as an app's `config_from` reads them.
+    fn two_keys(p: &Params) -> Result<(usize, f64), String> {
+        let cfg = (p.get_usize("nx", 16)?, p.get_f64("dt", 0.5)?);
+        p.check_all_read()?;
+        Ok(cfg)
+    }
+
     #[test]
     fn print_defaults_lists_the_keys_and_stops_with_status_0() {
         let cli = Cli {
             print_defaults: true,
+            config: Some("/nonexistent/oppic.cfg".into()),
             ..Cli::default()
         };
         let mut out = Vec::new();
-        let r = cli.config(&mut out, "App", &["nx", "steps"], |_| Ok(()));
+        let r = cli.config(&mut out, "App", two_keys);
         assert_eq!(r, Err(Exit(0)));
         assert_eq!(
             String::from_utf8(out).unwrap(),
-            "# App configuration keys and defaults\n# nx\n# steps\n"
+            "# App configuration keys and defaults\nnx = 16\ndt = 0.5\n"
         );
     }
 
@@ -421,7 +433,7 @@ mod tests {
             print_defaults: true,
             ..Cli::default()
         };
-        let r = cli.config(&mut ClosedPipe, "App", &["nx"], |_| Ok(()));
+        let r = cli.config(&mut ClosedPipe, "App", two_keys);
         assert_eq!(r, Err(Exit(EXIT_CLOSED_PIPE)));
         let other = Exit::from(io::Error::from(ErrorKind::PermissionDenied));
         assert_eq!(other, Exit(2));
@@ -433,9 +445,9 @@ mod tests {
             config: Some("/nonexistent/oppic.cfg".into()),
             ..Cli::default()
         };
-        let r = cli.config(&mut Vec::new(), "App", &[], |_| Ok(()));
+        let r = cli.config(&mut Vec::new(), "App", two_keys);
         assert_eq!(r, Err(Exit(2)));
-        let r: Result<(), Exit> = Cli::default().config(&mut Vec::new(), "App", &[], |_| {
+        let r: Result<(), Exit> = Cli::default().config(&mut Vec::new(), "App", |_| {
             Err("unknown parameter 'x'".into())
         });
         assert_eq!(r, Err(Exit(2)));

@@ -1,8 +1,11 @@
 //! `oppic-obs` — the live observability plane (DESIGN.md §6).
 //!
-//! PR 3's telemetry is post-mortem: JSONL artifacts read after the
-//! run ends. This crate layers *live* introspection over the same
-//! hub, in four pieces:
+//! The hub's JSONL sink is post-mortem: a stream read after the run
+//! ends. This crate layers *live* introspection over the same hub
+//! through its [`EventObserver`] tap, which sits on the hub's one
+//! publish path beside the sink: apart from counter ticks, the
+//! observer receives exactly the events the stream records. Four
+//! pieces:
 //!
 //! * [`recorder::FlightRecorder`] — a fixed-size, lock-light ring of
 //!   recent span/counter/decision events, dumped to a CRC-64-footed

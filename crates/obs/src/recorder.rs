@@ -270,7 +270,7 @@ impl FlightRecorder {
 
 impl EventObserver for FlightRecorder {
     fn on_event(&self, ev: &TelemetryEvent<'_>) {
-        let raw = match *ev {
+        let raw = match ev {
             TelemetryEvent::SpanClose {
                 name,
                 path,
@@ -281,10 +281,10 @@ impl EventObserver for FlightRecorder {
             } => RawEvent::pack(
                 EventKind::Span,
                 0,
-                step,
+                *step,
                 self.intern(name),
                 self.intern(path),
-                ts_us,
+                *ts_us,
                 ms.to_bits(),
             ),
             TelemetryEvent::Count {
@@ -295,11 +295,11 @@ impl EventObserver for FlightRecorder {
             } => RawEvent::pack(
                 EventKind::Count,
                 0,
-                step,
+                *step,
                 self.intern(name),
                 NO_STR,
-                ts_us,
-                delta,
+                *ts_us,
+                *delta,
             ),
             TelemetryEvent::Decision {
                 name,
@@ -309,19 +309,21 @@ impl EventObserver for FlightRecorder {
             } => RawEvent::pack(
                 EventKind::Decision,
                 0,
-                step,
+                *step,
                 self.intern(name),
                 self.intern(text),
-                ts_us,
+                *ts_us,
                 0,
             ),
-            TelemetryEvent::StepEnd { step, ms, ts_us } => RawEvent::pack(
+            TelemetryEvent::StepEnd {
+                step, ms, ts_us, ..
+            } => RawEvent::pack(
                 EventKind::Step,
                 0,
-                Some(step),
+                Some(*step),
                 NO_STR,
                 NO_STR,
-                ts_us,
+                *ts_us,
                 ms.to_bits(),
             ),
             TelemetryEvent::Alert {
@@ -336,10 +338,10 @@ impl EventObserver for FlightRecorder {
                     AlertSeverity::Warn => 1,
                     AlertSeverity::Critical => 2,
                 },
-                step,
+                *step,
                 self.intern(rule),
                 self.intern(message),
-                ts_us,
+                *ts_us,
                 0,
             ),
         };
@@ -530,8 +532,8 @@ mod tests {
 
     fn span_ev(name: &'static str, ts: u64) -> TelemetryEvent<'static> {
         TelemetryEvent::SpanClose {
-            name,
-            path: name,
+            name: name.into(),
+            path: name.into(),
             depth: 0,
             ms: 1.5,
             step: Some(1),
@@ -544,15 +546,15 @@ mod tests {
         let fr = FlightRecorder::new(64);
         fr.on_event(&span_ev("Move", 10));
         fr.on_event(&TelemetryEvent::Count {
-            name: "moved",
+            name: "moved".into(),
             delta: 7,
             step: Some(1),
             ts_us: 11,
         });
         fr.on_event(&TelemetryEvent::Alert {
-            rule: "nan_rate",
+            rule: "nan_rate".into(),
             severity: AlertSeverity::Critical,
-            message: "3 quarantined",
+            message: "3 quarantined".into(),
             step: None,
             ts_us: 12,
         });
@@ -583,7 +585,7 @@ mod tests {
         let fr = FlightRecorder::new(8);
         for i in 0..20u64 {
             fr.on_event(&TelemetryEvent::Count {
-                name: "c",
+                name: "c".into(),
                 delta: i,
                 step: None,
                 ts_us: i,
@@ -628,7 +630,7 @@ mod tests {
                         // record would break that equality.
                         let v = t * 1_000_000 + i;
                         fr.on_event(&TelemetryEvent::Count {
-                            name: "c",
+                            name: "c".into(),
                             delta: v,
                             step: None,
                             ts_us: v,

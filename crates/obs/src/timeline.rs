@@ -10,16 +10,15 @@
 //! * the schedule trace (if given) is one extra process after the
 //!   runs, with loop dispatches on `tid` 1 and exchanges on `tid` 2 as
 //!   instant events placed inside the matching step window of run 1;
-//! * all timestamps are microseconds on the run's own `ts` clock
-//!   (events without `ts` — pre-PR-8 streams — are laid out on a
-//!   running cursor instead).
+//! * all timestamps are microseconds on the run's own `ts` clock, as
+//!   [`Record::parse`] reads them (every event record carries one).
 //!
 //! Output ordering is deterministic: metadata first, then events
 //! sorted by `(pid, tid, ts, name)` — pinned by the golden test.
 
-use oppic_core::json::{self, Json};
+use oppic_core::json::{self, Obj};
 use oppic_core::schedule::{ScheduleEvent, ScheduleTrace};
-use std::fmt::Write as _;
+use oppic_core::telemetry::{Record, TelemetryEvent as E};
 
 /// One event row, pre-serialization.
 struct Row {
@@ -30,8 +29,8 @@ struct Row {
     /// instant (`"i"`).
     dur_us: Option<u64>,
     name: String,
-    /// Extra `"args"` fields, already `(key, json-value)` encoded.
-    args: Vec<(String, String)>,
+    /// The `"args"` object, as JSON text.
+    args: Option<String>,
 }
 
 /// A step window on run 1's clock, used to place schedule events.
@@ -42,91 +41,81 @@ struct StepWindow {
 }
 
 /// Render the merged Chrome-trace JSON. Each element of `runs` is a
-/// `(label, jsonl_source)` pair; unparseable lines are skipped (a
-/// crashed run's torn tail must not block its timeline).
+/// `(label, jsonl_source)` pair; lines that [`Record::parse`] refuses
+/// are skipped (a crashed run's torn tail must not block its timeline).
 pub fn chrome_trace(runs: &[(&str, &str)], schedule: Option<&ScheduleTrace>) -> String {
     let mut rows: Vec<Row> = Vec::new();
-    let mut meta = String::new();
+    let mut meta: Vec<String> = Vec::new();
     let mut first_windows: Vec<(u64, StepWindow)> = Vec::new();
 
     for (i, (label, src)) in runs.iter().enumerate() {
         let pid = i as u64 + 1;
-        push_meta(&mut meta, pid, None, &format!("run:{label}"));
-        push_meta(&mut meta, pid, Some(0), "steps");
-        push_meta(&mut meta, pid, Some(1), "kernels");
-        let mut cursor_us = 0u64;
+        meta.push(lane(pid, None, &format!("run:{label}")));
+        meta.push(lane(pid, Some(0), "steps"));
+        meta.push(lane(pid, Some(1), "kernels"));
         for line in src.lines() {
-            let Ok(ev) = json::parse(line) else { continue };
-            let ty = ev.get("type").and_then(Json::as_str).unwrap_or("");
-            let ts = ev.get("ts").and_then(Json::as_u64);
-            let ms = ev.get("ms").and_then(Json::as_f64).unwrap_or(0.0);
-            let dur_us = (ms.max(0.0) * 1e3) as u64;
-            match ty {
-                "span" => {
-                    let name = ev.get("name").and_then(Json::as_str).unwrap_or("span");
-                    let path = ev.get("path").and_then(Json::as_str).unwrap_or(name);
-                    // `ts` stamps the close; the event starts dur earlier.
-                    let start = match ts {
-                        Some(t) => t.saturating_sub(dur_us),
-                        None => {
-                            let s = cursor_us;
-                            cursor_us += dur_us;
-                            s
-                        }
-                    };
+            let Ok(rec) = Record::parse(line) else {
+                continue;
+            };
+            // Every event record's `ts` stamps its close; a span or
+            // step starts `ms` earlier.
+            let window = |ts_us: u64, ms: f64| {
+                let dur_us = (ms.max(0.0) * 1e3) as u64;
+                (ts_us.saturating_sub(dur_us), dur_us)
+            };
+            match rec {
+                Record::Event(E::SpanClose {
+                    ts_us,
+                    name,
+                    path,
+                    ms,
+                    ..
+                }) => {
+                    let (start, dur_us) = window(ts_us, ms);
                     rows.push(Row {
                         pid,
                         tid: 1,
                         ts_us: start,
                         dur_us: Some(dur_us),
-                        name: name.to_string(),
-                        args: vec![("path".into(), json::quote(path))],
+                        name: name.into_owned(),
+                        args: Some(Obj::default().str("path", &path).end()),
                     });
                 }
-                "step" => {
-                    let step = ev.get("step").and_then(Json::as_u64).unwrap_or(0);
-                    let start = match ts {
-                        Some(t) => t.saturating_sub(dur_us),
-                        None => cursor_us.saturating_sub(dur_us),
-                    };
+                Record::Event(E::StepEnd {
+                    step, ts_us, ms, ..
+                }) => {
+                    let (start_us, dur_us) = window(ts_us, ms);
                     if pid == 1 {
-                        first_windows.push((
-                            step,
-                            StepWindow {
-                                start_us: start,
-                                dur_us,
-                            },
-                        ));
+                        first_windows.push((step, StepWindow { start_us, dur_us }));
                     }
                     rows.push(Row {
                         pid,
                         tid: 0,
-                        ts_us: start,
+                        ts_us: start_us,
                         dur_us: Some(dur_us),
                         name: format!("step {step}"),
-                        args: Vec::new(),
+                        args: None,
                     });
                 }
-                "alert" => {
-                    let rule = ev.get("rule").and_then(Json::as_str).unwrap_or("alert");
-                    let msg = ev.get("message").and_then(Json::as_str).unwrap_or("");
-                    rows.push(Row {
-                        pid,
-                        tid: 0,
-                        ts_us: ts.unwrap_or(cursor_us),
-                        dur_us: None,
-                        name: format!("ALERT {rule}"),
-                        args: vec![
-                            ("message".into(), json::quote(msg)),
-                            (
-                                "severity".into(),
-                                json::quote(
-                                    ev.get("severity").and_then(Json::as_str).unwrap_or("warn"),
-                                ),
-                            ),
-                        ],
-                    });
-                }
+                Record::Event(E::Alert {
+                    ts_us,
+                    rule,
+                    severity,
+                    message,
+                    ..
+                }) => rows.push(Row {
+                    pid,
+                    tid: 0,
+                    ts_us,
+                    dur_us: None,
+                    name: format!("ALERT {rule}"),
+                    args: Some(
+                        Obj::default()
+                            .str("message", &message)
+                            .str("severity", severity.as_str())
+                            .end(),
+                    ),
+                }),
                 _ => {}
             }
         }
@@ -134,9 +123,9 @@ pub fn chrome_trace(runs: &[(&str, &str)], schedule: Option<&ScheduleTrace>) -> 
 
     if let Some(trace) = schedule {
         let pid = runs.len() as u64 + 1;
-        push_meta(&mut meta, pid, None, "schedule");
-        push_meta(&mut meta, pid, Some(1), "loops");
-        push_meta(&mut meta, pid, Some(2), "exchanges");
+        meta.push(lane(pid, None, "schedule"));
+        meta.push(lane(pid, Some(1), "loops"));
+        meta.push(lane(pid, Some(2), "exchanges"));
         // Group events by step, then spread each step's events evenly
         // across run 1's recorded window for that step (or a synthetic
         // 1 ms-per-step lane when the runs carry no step records).
@@ -161,15 +150,17 @@ pub fn chrome_trace(runs: &[(&str, &str)], schedule: Option<&ScheduleTrace>) -> 
             for (j, ev) in events.iter().enumerate() {
                 let ts_us = window.start_us + (j as u64 + 1) * window.dur_us / (n + 1);
                 let (tid, name, args) = match &ev.event {
-                    ScheduleEvent::Loop { name } => (1, name.clone(), Vec::new()),
+                    ScheduleEvent::Loop { name } => (1, name.clone(), None),
                     ScheduleEvent::Exchange { dat, dir, tag } => (
                         2,
                         format!("{} {dat}", dir.label()),
-                        vec![
-                            ("dat".into(), json::quote(dat)),
-                            ("dir".into(), json::quote(dir.label())),
-                            ("tag".into(), json::quote(tag)),
-                        ],
+                        Some(
+                            Obj::default()
+                                .str("dat", dat)
+                                .str("dir", dir.label())
+                                .str("tag", tag)
+                                .end(),
+                        ),
                     ),
                 };
                 rows.push(Row {
@@ -186,72 +177,53 @@ pub fn chrome_trace(runs: &[(&str, &str)], schedule: Option<&ScheduleTrace>) -> 
 
     rows.sort_by(|a, b| (a.pid, a.tid, a.ts_us, &a.name).cmp(&(b.pid, b.tid, b.ts_us, &b.name)));
 
-    let mut out = String::with_capacity(4096 + rows.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    out.push_str(&meta);
-    for row in &rows {
-        let _ = write!(
-            out,
-            ",{{\"name\":{},\"ph\":{},\"pid\":{},\"tid\":{},\"ts\":{}",
-            json::quote(&row.name),
-            if row.dur_us.is_some() {
-                "\"X\""
-            } else {
-                "\"i\""
-            },
-            row.pid,
-            row.tid,
-            row.ts_us,
-        );
-        if let Some(dur) = row.dur_us {
-            let _ = write!(out, ",\"dur\":{dur}");
-        } else {
-            out.push_str(",\"s\":\"t\"");
+    let events = rows.iter().map(|row| {
+        let o = Obj::default()
+            .str("name", &row.name)
+            .str("ph", if row.dur_us.is_some() { "X" } else { "i" })
+            .raw("pid", row.pid)
+            .raw("tid", row.tid)
+            .raw("ts", row.ts_us);
+        let o = match row.dur_us {
+            Some(dur) => o.raw("dur", dur),
+            None => o.str("s", "t"),
+        };
+        match &row.args {
+            Some(args) => o.raw("args", args),
+            None => o,
         }
-        if !row.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (i, (k, v)) in row.args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{v}", json::quote(k));
-            }
-            out.push('}');
-        }
-        out.push('}');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+        .end()
+    });
+    Obj::default()
+        .raw("traceEvents", json::array(meta.into_iter().chain(events)))
+        .str("displayTimeUnit", "ms")
+        .end()
 }
 
-/// Append a `process_name` / `thread_name` metadata event. These lead
-/// the stream so viewers label lanes before any event arrives.
-fn push_meta(out: &mut String, pid: u64, tid: Option<u64>, name: &str) {
-    let first = out.is_empty();
-    if !first {
-        out.push(',');
-    }
+/// A `process_name` (no `tid`) or `thread_name` metadata event. These
+/// lead the stream so viewers label lanes before any event arrives.
+fn lane(pid: u64, tid: Option<u64>, name: &str) -> String {
+    let kind = if tid.is_some() {
+        "thread_name"
+    } else {
+        "process_name"
+    };
+    let o = Obj::default()
+        .str("name", kind)
+        .str("ph", "M")
+        .raw("pid", pid);
     match tid {
-        None => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{}}}}}",
-                json::quote(name)
-            );
-        }
-        Some(tid) => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
-                json::quote(name)
-            );
-        }
+        Some(tid) => o.raw("tid", tid),
+        None => o,
     }
+    .raw("args", Obj::default().str("name", name).end())
+    .end()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oppic_core::json::Json;
 
     #[test]
     fn output_is_valid_json_and_sorted() {
@@ -278,24 +250,5 @@ mod tests {
         assert_eq!(span.get("dur").and_then(Json::as_u64), Some(1000));
         assert_eq!(span.get("pid").and_then(Json::as_u64), Some(1));
         assert_eq!(span.get("tid").and_then(Json::as_u64), Some(1));
-    }
-
-    #[test]
-    fn legacy_streams_without_ts_use_a_cursor() {
-        let src = concat!(
-            "{\"type\":\"span\",\"name\":\"A\",\"path\":\"A\",\"depth\":0,\"ms\":1.0}\n",
-            "{\"type\":\"span\",\"name\":\"B\",\"path\":\"B\",\"depth\":0,\"ms\":2.0}\n",
-        );
-        let out = chrome_trace(&[("r", src)], None);
-        let parsed = json::parse(&out).unwrap();
-        let Json::Arr(items) = parsed.get("traceEvents").unwrap() else {
-            panic!()
-        };
-        let ts: Vec<u64> = items
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .map(|e| e.get("ts").and_then(Json::as_u64).unwrap())
-            .collect();
-        assert_eq!(ts, vec![0, 1000]);
     }
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 fn fill(rec: &FlightRecorder, n: u64) {
     for i in 0..n {
         rec.on_event(&TelemetryEvent::Count {
-            name: &format!("ctr{}", i % 7),
+            name: format!("ctr{}", i % 7).into(),
             delta: i,
             step: (i % 5 != 0).then_some(i / 5),
             ts_us: i * 3,

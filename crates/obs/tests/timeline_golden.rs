@@ -42,8 +42,8 @@ fn merged_trace_matches_golden() {
         "{\"type\":\"step\",\"step\":1,\"ts\":3000,\"ms\":2.0,\"gauges\":{},\"counters\":{}}\n",
         "{\"type\":\"alert\",\"step\":1,\"ts\":2900,\"rule\":\"quarantine_rate\",\"severity\":\"warn\",\"message\":\"2 quarantined\"}\n",
     );
-    // Run 2 is a legacy stream without ts: cursor layout.
-    let run2 = "{\"type\":\"span\",\"name\":\"Push\",\"path\":\"Push\",\"depth\":0,\"ms\":0.5}\n";
+    // Run 2 is a lone span outside any step, closing at 500.
+    let run2 = "{\"type\":\"span\",\"ts\":500,\"name\":\"Push\",\"path\":\"Push\",\"depth\":0,\"ms\":0.5}\n";
 
     let out = chrome_trace(
         &[("baseline", run1), ("legacy", run2)],
@@ -69,7 +69,7 @@ fn merged_trace_matches_golden() {
         // Run 1, tid 1 (kernels lane): the span, escaped, ts = close - dur.
         "{\"name\":\"Mo\\\\ve \\\"x\\\"\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1500,\"dur\":1000,",
         "\"args\":{\"path\":\"step>Move\"}},",
-        // Run 2: legacy cursor starts at 0.
+        // Run 2: the span starts at 500 - 500.
         "{\"name\":\"Push\",\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":0,\"dur\":500,\"args\":{\"path\":\"Push\"}},",
         // Schedule lane: 2 events spread across run 1's step window
         // [1000, 3000) at start + j*dur/(n+1) = 1666, 2333.

@@ -9,7 +9,9 @@ apart from timing: `MainLoop TotalTime` and the breakdown's seconds, %,
 GB/s and GFLOP/s (kernel rows are ordered by time, so they are compared
 as a set of (name, calls)). A `--telemetry` stream must carry the same
 header fields, the same multiset of (type, name, path, depth) events,
-and footer kernels equal in (name, class, calls, bytes, flops). A
+footer kernels equal in (name, class, calls, bytes, flops), and the
+same key orders for each record type (and for kernel rows and footer
+histograms), so a writer that reorders a record's fields shows. A
 `--record-schedule` trace must be byte-identical. Exits 1 on any
 difference.
 """
@@ -62,10 +64,16 @@ def normalise_stdout(text):
 
 def digest_stream(path):
     header, footer, events = None, None, collections.Counter()
+    key_orders = collections.defaultdict(set)
     with open(path) as f:
         for line in f:
             rec = json.loads(line)
             kind = rec.get("type")
+            key_orders[kind].add(tuple(rec))
+            for row in rec.get("kernels", []):
+                key_orders["kernel row"].add(tuple(row))
+            for hist in rec.get("histograms", {}).values():
+                key_orders["histogram"].add(tuple(hist))
             if kind == "run_header":
                 header = rec
             elif kind == "run_footer":
@@ -85,6 +93,7 @@ def digest_stream(path):
         "header_kernels": kernels(header),
         "events": sorted(events.items(), key=repr),
         "footer_kernels": kernels(footer),
+        "key_orders": sorted((k, sorted(v)) for k, v in key_orders.items()),
     }
 
 
