@@ -171,6 +171,22 @@ if [ -n "$(git status --porcelain -- results/conformance 2>/dev/null)" ]; then
     exit 1
 fi
 
+echo "== reproducer replays (one committed file of each format, DESIGN.md §9-§10)"
+# Reproducers written before today's code must still parse and replay:
+# a clean two-rank matrix cell and a budgeted Mpi drop cell, both of
+# which pass, so each replay exits 0 with its PASS line.
+fixtures=crates/conformance/tests/fixtures
+for replay in "--replay $fixtures/fempic-seq-seq-mh-mpi2.json" \
+    "--chaos-replay $fixtures/chaos-drop100q3-x11-r2-s3-p24-t8.json"; do
+    # shellcheck disable=SC2086 # the flag and the path are two words
+    if ! out=$(./target/release/conformance $replay) ||
+        ! grep -q '^PASS —' <<<"$out"; then
+        printf '%s\n' "$out" >&2
+        echo "conformance $replay did not replay green" >&2
+        exit 1
+    fi
+done
+
 echo "== schedule audit (whole-step dataflow, DESIGN.md §11)"
 # Record both apps' default-config step schedules, audit them, and fail
 # on any Error verdict (the analyzer exits non-zero) or on report

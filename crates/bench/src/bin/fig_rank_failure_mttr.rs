@@ -13,8 +13,8 @@
 //! `crates/bench/tests/mttr_regression.rs` pins the recorded bounds.
 
 use oppic_bench::rankfail::{
-    classify_shrink, run_rank_failure, DeathPolicy, KillSite, RankFailScenario, RankKill,
-    ShrinkVerdict,
+    classify_shrink, run_rank_failure, ChaosVerdict, DeathPolicy, KillSite, RankFailScenario,
+    RankKill,
 };
 use oppic_bench::report::banner;
 use std::fmt::Write as _;
@@ -65,7 +65,7 @@ fn main() {
         let twin = run_rank_failure(&sc.twin());
         let faulted = run_rank_failure(&sc);
         let verdict = classify_shrink(&sc, &twin, &faulted);
-        let bit_identical = verdict == ShrinkVerdict::Recovered;
+        let bit_identical = matches!(verdict, ChaosVerdict::Recovered { .. });
         if !bit_identical {
             eprintln!("site {}: NOT bit-identical: {verdict:?}", site.name());
             failed = true;

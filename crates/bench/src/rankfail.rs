@@ -510,88 +510,152 @@ pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, 
     })
 }
 
-/// How a faulted run compares to its planned-shrink twin.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShrinkVerdict {
-    /// Survivors match the twin bit-for-bit at the shrunk rank count.
-    Recovered,
-    /// Every survivor gave up with a typed error.
+/// How a faulted run compares with its fault-free reference: the
+/// three-way verdict of the chaos stage, rank-kill cells and the
+/// rank-failure experiments alike.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ChaosVerdict {
+    /// Completed and bit-identical to the fault-free reference.
+    Recovered {
+        /// Faults the schedule actually fired.
+        injected: u64,
+        /// Retransmissions spent absorbing them (all ranks).
+        retransmits: u64,
+        /// Rollbacks or shrinks performed (all ranks).
+        recoveries: u64,
+    },
+    /// Typed error instead of a result — no corruption, evidence kept.
     CleanAbort { errors: Vec<String> },
-    /// The faulted run completed but diverged from the twin — never
-    /// acceptable.
+    /// Completed but diverged from the reference: the one outcome the
+    /// resilience layer exists to make impossible.
     SilentCorruption { failures: Vec<String> },
 }
 
-/// Bit-compare a faulted run against its twin, rank by rank.
+impl ChaosVerdict {
+    /// Classify a faulted run against its reference, rank by rank. A
+    /// failed reference is a harness defect the verdict must not paper
+    /// over (`SilentCorruption`, headed `reference_failed`); any rank
+    /// error makes a `CleanAbort`; otherwise `compare` lists each
+    /// rank's divergences, and none makes `Recovered` with `tally`'s
+    /// `(retransmits, recoveries)` summed over the faulted ranks.
+    pub fn classify<T>(
+        reference_failed: &str,
+        reference: &[Result<T, String>],
+        faulted: &[Result<T, String>],
+        injected: u64,
+        mut compare: impl FnMut(usize, &T, &T, &mut Vec<String>),
+        tally: impl Fn(&T) -> (u64, u64),
+    ) -> ChaosVerdict {
+        if let Some(bad) = reference.iter().find_map(|r| r.as_ref().err()) {
+            return ChaosVerdict::SilentCorruption {
+                failures: vec![format!("{reference_failed}: {bad}")],
+            };
+        }
+        let errors: Vec<String> = faulted
+            .iter()
+            .enumerate()
+            .filter_map(|(r, out)| out.as_ref().err().map(|e| format!("rank {r}: {e}")))
+            .collect();
+        if !errors.is_empty() {
+            return ChaosVerdict::CleanAbort { errors };
+        }
+
+        let mut failures = Vec::new();
+        let (mut retransmits, mut recoveries) = (0u64, 0u64);
+        for (r, (want, got)) in reference.iter().zip(faulted).enumerate() {
+            let (want, got) = (want.as_ref().unwrap(), got.as_ref().unwrap());
+            compare(r, want, got, &mut failures);
+            let (t, c) = tally(got);
+            retransmits += t;
+            recoveries += c;
+        }
+        if failures.is_empty() {
+            ChaosVerdict::Recovered {
+                injected,
+                retransmits,
+                recoveries,
+            }
+        } else {
+            ChaosVerdict::SilentCorruption { failures }
+        }
+    }
+}
+
+/// Bit-compare rank `r`'s particle count and node charge, `got`, with
+/// the reference's, `want`; `label` names the reference in the lines.
+pub fn compare_rank(
+    r: usize,
+    label: &str,
+    want: (usize, &[f64]),
+    got: (usize, &[f64]),
+    failures: &mut Vec<String>,
+) {
+    if got.0 != want.0 {
+        failures.push(format!(
+            "rank {r}: {} particles, {label} has {}",
+            got.0, want.0
+        ));
+    }
+    if let Some(i) = want
+        .1
+        .iter()
+        .zip(got.1)
+        .position(|(a, b)| a.to_bits() != b.to_bits())
+    {
+        failures.push(format!(
+            "rank {r}: node_charge[{i}] = {:e}, {label} {:e}",
+            got.1[i], want.1[i]
+        ));
+    }
+}
+
+/// Bit-compare a faulted run against its planned-shrink twin, rank by
+/// rank: the dead rank must be the victim and only it, and survivors
+/// must agree on membership, particles and node charge.
 pub fn classify_shrink(
     sc: &RankFailScenario,
     twin: &[Result<Option<RankFinal>, String>],
     faulted: &[Result<Option<RankFinal>, String>],
-) -> ShrinkVerdict {
-    if let Some(bad) = twin.iter().find_map(|r| r.as_ref().err()) {
-        return ShrinkVerdict::SilentCorruption {
-            failures: vec![format!("planned-shrink twin failed: {bad}")],
-        };
-    }
-    let errors: Vec<String> = faulted
-        .iter()
-        .enumerate()
-        .filter_map(|(r, out)| out.as_ref().err().map(|e| format!("rank {r}: {e}")))
-        .collect();
-    if !errors.is_empty() {
-        return ShrinkVerdict::CleanAbort { errors };
-    }
-
+) -> ChaosVerdict {
     let dead = sc.kill.map(|k| k.rank);
-    let mut failures = Vec::new();
-    for (r, (want, got)) in twin.iter().zip(faulted).enumerate() {
-        let (want, got) = (want.as_ref().unwrap(), got.as_ref().unwrap());
-        match (want, got, Some(r) == dead) {
-            (_, None, true) | (None, None, false) => continue,
-            (_, Some(_), true) => {
-                failures.push(format!("rank {r}: victim survived its own kill"));
-                continue;
-            }
-            (None, Some(_), false) => {
-                failures.push(format!("rank {r}: alive in faulted run, dead in twin"));
-                continue;
-            }
-            (Some(_), None, false) => {
-                failures.push(format!("rank {r}: died without being killed"));
-                continue;
-            }
-            (Some(want), Some(got), false) => {
-                if got.epoch != want.epoch || got.members != want.members {
-                    failures.push(format!(
-                        "rank {r}: membership (epoch {}, {:?}), twin (epoch {}, {:?})",
-                        got.epoch, got.members, want.epoch, want.members
-                    ));
-                }
-                if got.particles != want.particles {
-                    failures.push(format!(
-                        "rank {r}: {} particles, twin has {}",
-                        got.particles, want.particles
-                    ));
-                }
-                if let Some(i) = want
-                    .node_charge
-                    .iter()
-                    .zip(&got.node_charge)
-                    .position(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    failures.push(format!(
-                        "rank {r}: node_charge[{i}] = {:e}, twin {:e}",
-                        got.node_charge[i], want.node_charge[i]
-                    ));
-                }
-            }
+    let compare = |r: usize,
+                   want: &Option<RankFinal>,
+                   got: &Option<RankFinal>,
+                   failures: &mut Vec<String>| match (want, got, Some(r) == dead)
+    {
+        (_, None, true) | (None, None, false) => {}
+        (_, Some(_), true) => failures.push(format!("rank {r}: victim survived its own kill")),
+        (None, Some(_), false) => {
+            failures.push(format!("rank {r}: alive in faulted run, dead in twin"))
         }
-    }
-    if failures.is_empty() {
-        ShrinkVerdict::Recovered
-    } else {
-        ShrinkVerdict::SilentCorruption { failures }
-    }
+        (Some(_), None, false) => failures.push(format!("rank {r}: died without being killed")),
+        (Some(want), Some(got), false) => {
+            if got.epoch != want.epoch || got.members != want.members {
+                failures.push(format!(
+                    "rank {r}: membership (epoch {}, {:?}), twin (epoch {}, {:?})",
+                    got.epoch, got.members, want.epoch, want.members
+                ));
+            }
+            compare_rank(
+                r,
+                "twin",
+                (want.particles, &want.node_charge),
+                (got.particles, &got.node_charge),
+                failures,
+            );
+        }
+    };
+    ChaosVerdict::classify(
+        "planned-shrink twin failed",
+        twin,
+        faulted,
+        u64::from(sc.kill.is_some()),
+        compare,
+        |got| {
+            got.as_ref()
+                .map_or((0, 0), |f| (f.retransmits, f.recoveries))
+        },
+    )
 }
 
 #[cfg(test)]
@@ -602,7 +666,10 @@ mod tests {
         let twin = run_rank_failure(&sc.twin());
         let faulted = run_rank_failure(sc);
         let verdict = classify_shrink(sc, &twin, &faulted);
-        assert_eq!(verdict, ShrinkVerdict::Recovered, "scenario {sc:?}");
+        assert!(
+            matches!(verdict, ChaosVerdict::Recovered { .. }),
+            "scenario {sc:?}: {verdict:?}"
+        );
         let survivor = faulted
             .iter()
             .flat_map(|r| r.as_ref().unwrap())
@@ -652,9 +719,10 @@ mod tests {
         });
         let twin = run_rank_failure(&sc.twin());
         let faulted = run_rank_failure(&sc);
-        assert_eq!(
-            classify_shrink(&sc, &twin, &faulted),
-            ShrinkVerdict::Recovered
+        let verdict = classify_shrink(&sc, &twin, &faulted);
+        assert!(
+            matches!(verdict, ChaosVerdict::Recovered { .. }),
+            "{verdict:?}"
         );
         let survivor = faulted[1].as_ref().unwrap().as_ref().unwrap();
         assert_eq!(survivor.members, vec![1, 2, 3]);
@@ -667,7 +735,7 @@ mod tests {
         let twin = run_rank_failure(&sc.twin());
         let faulted = run_rank_failure(&sc);
         match classify_shrink(&sc, &twin, &faulted) {
-            ShrinkVerdict::CleanAbort { errors } => {
+            ChaosVerdict::CleanAbort { errors } => {
                 assert_eq!(errors.len(), sc.ranks - 1, "every survivor aborts");
                 assert!(errors[0].contains("on-rank-death=abort"));
             }

@@ -11,7 +11,8 @@
 //! v0 perturbation modes dt charge mass steps parallel structured
 //! sort_every sort_dirty binding rebalance_every rebalance_drift
 //! report_every` (`sort_every` / `sort_dirty` drive the CSR index
-//! rebuild cadence).
+//! rebuild cadence). `dt` defaults to a value derived from the mesh,
+//! so it prints as the comment `# dt = 0.5 / max(nx, ny, nz) / sqrt(3)`.
 
 use oppic_cabana::{CabanaConfig, CabanaEngine, CabanaPic, StructuredCabana, Topology};
 use oppic_core::{ExecPolicy, Params};
@@ -34,7 +35,11 @@ fn config_from(params: &Params) -> Result<(CabanaConfig, usize, usize, bool), St
         v0: params.get_f64("v0", 0.2)?,
         perturbation: params.get_f64("perturbation", 0.01)?,
         modes: params.get_usize("modes", 1)?,
-        dt: params.get_f64("dt", 0.5 / nmax / (3f64).sqrt())?,
+        dt: params.get_f64_derived(
+            "dt",
+            0.5 / nmax / (3f64).sqrt(),
+            "0.5 / max(nx, ny, nz) / sqrt(3)",
+        )?,
         charge: params.get_f64("charge", -1.0)?,
         mass: params.get_f64("mass", 1.0)?,
         policy: if params.get_bool("parallel", true)? {
@@ -153,5 +158,31 @@ mod tests {
         let printed = config_from(&Params::parse(&text).unwrap()).unwrap();
         let defaults = config_from(&Params::default()).unwrap();
         assert_eq!(format!("{printed:?}"), format!("{defaults:?}"));
+    }
+
+    /// `dt` derives from the mesh, so the printed file re-derives it:
+    /// editing `nx` there gives the config that `nx` alone gives.
+    #[test]
+    fn printed_dt_follows_an_edited_mesh() {
+        let cli = Cli {
+            print_defaults: true,
+            ..Cli::default()
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            cli.config(&mut out, TITLE, config_from).err(),
+            Some(Exit(0))
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.lines()
+                .any(|l| l == "# dt = 0.5 / max(nx, ny, nz) / sqrt(3)"),
+            "{text}"
+        );
+        let edited = text.replace("nx = 16\n", "nx = 32\n");
+        assert_ne!(edited, text);
+        let printed = config_from(&Params::parse(&edited).unwrap()).unwrap();
+        let alone = config_from(&Params::parse("nx = 32\n").unwrap()).unwrap();
+        assert_eq!(format!("{printed:?}"), format!("{alone:?}"));
     }
 }

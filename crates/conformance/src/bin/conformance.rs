@@ -18,17 +18,14 @@
 //! surfaces.
 
 use oppic_conformance::{
-    cell_fails, chaos_cell_fails, chaos_full_matrix, chaos_quick_matrix, check_cell, full_matrix,
-    parse_chaos_reproducer, parse_reproducer, quick_matrix, run_chaos_cell, run_matrix, shrink,
-    shrink_chaos, verify_schedules, watchdog_control_checks, write_chaos_reproducer,
-    write_reproducer, CellConfig, ChaosCell, ChaosVerdict,
+    chaos_full_matrix, chaos_quick_matrix, full_matrix, quick_matrix, run_chaos_cell, run_matrix,
+    shrink, verify_schedules, watchdog_control_checks, Case, CellConfig, ChaosCell, ChaosVerdict,
+    REPRO_DIR,
 };
 use oppic_core::telemetry::Telemetry;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-
-const REPRO_DIR: &str = "results/conformance";
 
 fn usage() -> ! {
     eprintln!(
@@ -38,7 +35,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn replay(path: &str) -> i32 {
+/// Re-execute a reproducer of case type `C`: exit 0 when the recorded
+/// failure no longer reproduces, 1 when it does, 2 when the file
+/// cannot be read or parsed.
+fn replay<C: Case>(path: &str) -> i32 {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -46,30 +46,51 @@ fn replay(path: &str) -> i32 {
             return 2;
         }
     };
-    let (cell, recorded) = match parse_reproducer(&src) {
+    let (case, recorded) = match C::parse_reproducer(&src) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("conformance: {e}");
             return 2;
         }
     };
-    println!("replaying {cell}");
+    println!("replaying {case}");
     if !recorded.is_empty() {
         println!("recorded failures:");
         for line in &recorded {
             println!("  {line}");
         }
     }
-    let report = check_cell(&cell);
-    if report.passed() {
-        println!("PASS — the recorded failure no longer reproduces");
-        0
-    } else {
-        println!("FAIL — reproduced:");
-        for line in report.failure_lines() {
-            println!("  {line}");
+    match case.run() {
+        Ok(()) => {
+            println!("PASS — the recorded failure no longer reproduces");
+            0
         }
-        1
+        Err(lines) => {
+            println!("FAIL — reproduced:");
+            for line in lines {
+                println!("  {line}");
+            }
+            1
+        }
+    }
+}
+
+/// Shrink a failing case to a minimal one and write its reproducer
+/// under [`REPRO_DIR`].
+fn shrink_and_write<C: Case>(case: &C) {
+    println!("shrinking {} ...", case.id());
+    let (shrunk, spent) = shrink(case, &mut C::fails);
+    let lines = shrunk.run().err().unwrap_or_default();
+    let [steps, particles] = shrunk.clone().sizes().map(|n| *n);
+    match shrunk.write_reproducer(Path::new(REPRO_DIR), &lines) {
+        Ok(path) => println!(
+            "  minimal reproducer ({steps} steps, {particles} particles, {spent} attempts): {}\n  \
+             replay with: cargo run --release --bin conformance -- {} {}",
+            path.display(),
+            C::REPLAY_FLAG,
+            path.display()
+        ),
+        Err(e) => eprintln!("  cannot write reproducer: {e}"),
     }
 }
 
@@ -99,20 +120,7 @@ fn run(cells: &[CellConfig], label: &str) -> i32 {
     }
 
     for cell in &failed {
-        println!("shrinking {} ...", cell.id());
-        let (shrunk, spent) = shrink(cell, &mut cell_fails);
-        let lines = check_cell(&shrunk).failure_lines();
-        match write_reproducer(Path::new(REPRO_DIR), &shrunk, &lines) {
-            Ok(path) => println!(
-                "  minimal reproducer ({} steps, {} particles, {spent} attempts): {}\n  \
-                 replay with: cargo run --release --bin conformance -- --replay {}",
-                shrunk.steps,
-                shrunk.particles,
-                path.display(),
-                path.display()
-            ),
-            Err(e) => eprintln!("  cannot write reproducer: {e}"),
-        }
+        shrink_and_write(cell);
     }
 
     let counters = tel.counters_snapshot();
@@ -184,21 +192,7 @@ fn chaos_cell_outcome(cell: &ChaosCell) -> ChaosVerdict {
         }
     }
     if !report.recovered() {
-        println!("shrinking {} ...", cell.id());
-        let (shrunk, spent) = shrink_chaos(cell, &mut chaos_cell_fails);
-        let lines = run_chaos_cell(&shrunk).failure_lines();
-        match write_chaos_reproducer(Path::new(REPRO_DIR), &shrunk, &lines) {
-            Ok(path) => println!(
-                "  minimal reproducer ({} steps, {} particles, {} ranks, {spent} attempts): {}\n  \
-                 replay with: cargo run --release --bin conformance -- --chaos-replay {}",
-                shrunk.steps,
-                shrunk.particles,
-                shrunk.ranks,
-                path.display(),
-                path.display()
-            ),
-            Err(e) => eprintln!("  cannot write reproducer: {e}"),
-        }
+        shrink_and_write(cell);
     }
     report.verdict
 }
@@ -249,45 +243,6 @@ fn run_chaos(cells: &[ChaosCell], label: &str) -> i32 {
     }
 }
 
-fn chaos_replay(path: &str) -> i32 {
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("conformance: cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let (cell, recorded) = match parse_chaos_reproducer(&src) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("conformance: {e}");
-            return 2;
-        }
-    };
-    println!("replaying {cell}");
-    if !recorded.is_empty() {
-        println!("recorded failures:");
-        for line in &recorded {
-            println!("  {line}");
-        }
-    }
-    let report = run_chaos_cell(&cell);
-    if report.recovered() {
-        println!("PASS — the recorded misbehaviour no longer reproduces");
-        0
-    } else {
-        let class = match &report.verdict {
-            ChaosVerdict::CleanAbort { .. } => "clean abort",
-            _ => "silent corruption",
-        };
-        println!("FAIL — reproduced ({class}):");
-        for line in report.failure_lines() {
-            println!("  {line}");
-        }
-        1
-    }
-}
-
 /// Whole-step schedule conformance (DESIGN.md §11): both apps'
 /// recorded communication schedules audit Error-free and record their
 /// exchanges, and the broken-schedule negative control still trips the
@@ -324,7 +279,7 @@ fn main() {
         Some("--full") => run(&full_matrix(), "full").max(run_schedule_checks()),
         Some("--schedules") => run_schedule_checks(),
         Some("--replay") => match args.get(1) {
-            Some(path) => replay(path),
+            Some(path) => replay::<CellConfig>(path),
             None => usage(),
         },
         Some("--chaos") => match args.get(1).map(String::as_str) {
@@ -333,7 +288,7 @@ fn main() {
             _ => usage(),
         },
         Some("--chaos-replay") => match args.get(1) {
-            Some(path) => chaos_replay(path),
+            Some(path) => replay::<ChaosCell>(path),
             None => usage(),
         },
         _ => usage(),

@@ -18,11 +18,21 @@
 //! * **SilentCorruption** — the run completed but diverged from the
 //!   reference. Never acceptable; the stage exits non-zero.
 //!
+//! The verdict type and its per-rank classifier are the rank-failure
+//! experiments' own ([`ChaosVerdict`], shared with
+//! `oppic_bench::rankfail`). A chaos cell is a [`Case`]: it shrinks,
+//! writes and replays its reproducer through the same pipeline as a
+//! differential cell, with its own fields and two shrink moves of its
+//! own — the world steps down to two ranks, then an `Mpi` fault budget
+//! halves toward one injection.
+//!
 //! See DESIGN.md §10 for the fault taxonomy and replay workflow.
 
+use crate::report::{Case, Fields, Move};
+pub use oppic_bench::rankfail::ChaosVerdict;
 use oppic_bench::rankfail::{
-    classify_shrink, run_rank_failure, DeathPolicy, KillSite, RankFailScenario, RankKill,
-    ShrinkVerdict,
+    classify_shrink, compare_rank, run_rank_failure, DeathPolicy, KillSite, RankFailScenario,
+    RankKill,
 };
 use oppic_core::json::{self, Json};
 use oppic_core::telemetry::Telemetry;
@@ -36,8 +46,6 @@ use oppic_resilience::{
     ReliableLink, RetryPolicy,
 };
 use std::fmt;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,34 +169,17 @@ impl fmt::Display for ChaosCell {
     }
 }
 
-/// Outcome classification — the stage's three-way contract.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosVerdict {
-    /// Completed and bit-identical to the fault-free reference.
-    Recovered {
-        /// Faults the schedule actually fired.
-        injected: u64,
-        /// Retransmissions spent absorbing them (all ranks).
-        retransmits: u64,
-        /// Checkpoint rollbacks performed (recovery cells).
-        recoveries: u64,
-    },
-    /// Typed error instead of a result — no corruption, evidence kept.
-    CleanAbort { errors: Vec<String> },
-    /// Completed but diverged from the reference: the one outcome the
-    /// resilience layer exists to make impossible.
-    SilentCorruption { failures: Vec<String> },
-}
-
 /// One executed cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosReport {
     pub cell: ChaosCell,
     pub verdict: ChaosVerdict,
-    /// Flight-recorder dump (`OPFR` binary) of the faulted run, when
-    /// the run raised alerts (rollbacks) or misbehaved. Written beside
-    /// the reproducer by the conformance binary. Recovery cells only —
-    /// MPI cells run one hub per in-process rank.
+    /// Flight-recorder dump (`OPFR` binary) of the faulted run, written
+    /// beside the reproducer by the conformance binary. NaN-inject
+    /// cells keep it when the run raised alerts (rollbacks) or
+    /// misbehaved; rank-kill cells keep the first survivor's, which
+    /// holds the death verdict. `Mpi` cells carry none: they run one
+    /// hub per in-process rank.
     pub recorder_dump: Option<Vec<u8>>,
 }
 
@@ -209,11 +200,6 @@ impl ChaosReport {
             ChaosVerdict::SilentCorruption { failures } => failures.clone(),
         }
     }
-}
-
-/// Shrink predicate: the cell does *not* come back `Recovered`.
-pub fn chaos_cell_fails(cell: &ChaosCell) -> bool {
-    !run_chaos_cell(cell).recovered()
 }
 
 // ---------------------------------------------------------------------------
@@ -286,54 +272,24 @@ fn classify_mpi(
     faulted: &[Result<RankOut, String>],
     injected: u64,
 ) -> ChaosVerdict {
-    if let Some(bad) = reference.iter().find_map(|r| r.as_ref().err()) {
-        // The driver must be live with the injector disarmed; anything
-        // else is a harness defect the stage must not paper over.
-        return ChaosVerdict::SilentCorruption {
-            failures: vec![format!("fault-free reference run failed: {bad}")],
-        };
-    }
-    let errors: Vec<String> = faulted
-        .iter()
-        .enumerate()
-        .filter_map(|(r, out)| out.as_ref().err().map(|e| format!("rank {r}: {e}")))
-        .collect();
-    if !errors.is_empty() {
-        return ChaosVerdict::CleanAbort { errors };
-    }
-
-    let mut failures = Vec::new();
-    let mut retransmits = 0u64;
-    for (r, (want, got)) in reference.iter().zip(faulted).enumerate() {
-        let (want, got) = (want.as_ref().unwrap(), got.as_ref().unwrap());
-        retransmits += got.retransmits;
-        if got.particles != want.particles {
-            failures.push(format!(
-                "rank {r}: {} particles, reference has {}",
-                got.particles, want.particles
-            ));
-        }
-        let diverged = want
-            .node_charge
-            .iter()
-            .zip(&got.node_charge)
-            .position(|(a, b)| a.to_bits() != b.to_bits());
-        if let Some(i) = diverged {
-            failures.push(format!(
-                "rank {r}: node_charge[{i}] = {:e}, reference {:e}",
-                got.node_charge[i], want.node_charge[i]
-            ));
-        }
-    }
-    if failures.is_empty() {
-        ChaosVerdict::Recovered {
-            injected,
-            retransmits,
-            recoveries: 0,
-        }
-    } else {
-        ChaosVerdict::SilentCorruption { failures }
-    }
+    // The reliable step must be live with the injector disarmed; a failed
+    // reference is a harness defect the stage must not paper over.
+    ChaosVerdict::classify(
+        "fault-free reference run failed",
+        reference,
+        faulted,
+        injected,
+        |r, want, got, failures| {
+            compare_rank(
+                r,
+                "reference",
+                (want.particles, &want.node_charge),
+                (got.particles, &got.node_charge),
+                failures,
+            )
+        },
+        |got| (got.retransmits, 0),
+    )
 }
 
 fn run_mpi_cell(cell: &ChaosCell) -> ChaosReport {
@@ -525,23 +481,13 @@ fn run_rank_kill_cell(cell: &ChaosCell) -> ChaosReport {
     let sc = rank_kill_scenario(cell);
     let twin = run_rank_failure(&sc.twin());
     let faulted = run_rank_failure(&sc);
-    let survivors: Vec<_> = faulted
-        .iter()
-        .filter_map(|r| r.as_ref().ok().and_then(|o| o.as_ref()))
-        .collect();
-    let verdict = match classify_shrink(&sc, &twin, &faulted) {
-        ShrinkVerdict::Recovered => ChaosVerdict::Recovered {
-            injected: 1,
-            retransmits: survivors.iter().map(|f| f.retransmits).sum(),
-            recoveries: survivors.iter().map(|f| f.recoveries).sum(),
-        },
-        ShrinkVerdict::CleanAbort { errors } => ChaosVerdict::CleanAbort { errors },
-        ShrinkVerdict::SilentCorruption { failures } => ChaosVerdict::SilentCorruption { failures },
-    };
     ChaosReport {
         cell: cell.clone(),
-        verdict,
-        recorder_dump: survivors.iter().find_map(|f| f.recorder_dump.clone()),
+        verdict: classify_shrink(&sc, &twin, &faulted),
+        recorder_dump: faulted
+            .iter()
+            .filter_map(|r| r.as_ref().ok().and_then(|o| o.as_ref()))
+            .find_map(|f| f.recorder_dump.clone()),
     }
 }
 
@@ -787,276 +733,139 @@ pub fn watchdog_control_checks() -> Vec<WatchdogCheck> {
 }
 
 // ---------------------------------------------------------------------------
-// Shrinking
+// The case pipeline: shrink moves, reproducer fields, run
 // ---------------------------------------------------------------------------
 
-/// Shrink-attempt ceiling, mirroring the differential shrinker.
-pub const MAX_CHAOS_ATTEMPTS: usize = 64;
-
-/// Greedily minimise a misbehaving chaos cell: steps, then particles,
-/// then world size, then the fault budget — adopting each candidate
-/// only while `fails` still rejects it. Returns the minimum found and
-/// the evaluations spent.
-pub fn shrink_chaos(
-    start: &ChaosCell,
-    fails: &mut dyn FnMut(&ChaosCell) -> bool,
-) -> (ChaosCell, usize) {
-    let mut best = start.clone();
-    let mut spent = 0usize;
-
-    // Steps: halve, then step down.
-    while best.steps > 1 && spent < MAX_CHAOS_ATTEMPTS {
-        let mut c = best.clone();
-        c.steps = (c.steps / 2).max(1);
-        spent += 1;
-        if fails(&c) {
-            best = c;
-        } else {
-            break;
-        }
-    }
-    while best.steps > 1 && spent < MAX_CHAOS_ATTEMPTS {
-        let mut c = best.clone();
-        c.steps -= 1;
-        spent += 1;
-        if fails(&c) {
-            best = c;
-        } else {
-            break;
-        }
-    }
-
-    // Particles: halve, then step down.
-    while best.particles > 1 && spent < MAX_CHAOS_ATTEMPTS {
-        let mut c = best.clone();
-        c.particles = (c.particles / 2).max(1);
-        spent += 1;
-        if fails(&c) {
-            best = c;
-        } else {
-            break;
-        }
-    }
-    while best.particles > 1 && spent < MAX_CHAOS_ATTEMPTS {
-        let mut c = best.clone();
-        c.particles -= 1;
-        spent += 1;
-        if fails(&c) {
-            best = c;
-        } else {
-            break;
-        }
-    }
-
-    // World size: two ranks is the smallest world with a wire.
-    while best.ranks > 2 && spent < MAX_CHAOS_ATTEMPTS {
-        let mut c = best.clone();
-        c.ranks -= 1;
-        spent += 1;
-        if fails(&c) {
-            best = c;
-        } else {
-            break;
-        }
-    }
-
-    // Fault budget: halve toward a single injection.
-    while spent < MAX_CHAOS_ATTEMPTS {
-        let ChaosFault::Mpi { budget, .. } = best.fault else {
-            break;
-        };
-        if budget <= 1 {
-            break;
-        }
-        let mut c = best.clone();
-        if let ChaosFault::Mpi { budget: b, .. } = &mut c.fault {
-            *b = budget / 2;
-        }
-        spent += 1;
-        if fails(&c) {
-            best = c;
-        } else {
-            break;
-        }
-    }
-
-    (best, spent)
-}
-
-// ---------------------------------------------------------------------------
-// Reproducers
-// ---------------------------------------------------------------------------
-
-/// Serialise a misbehaving chaos cell plus its verdict lines.
-pub fn chaos_reproducer_json(cell: &ChaosCell, failures: &[String]) -> String {
-    let (fault, rate, budget, inject_step) = match cell.fault {
-        ChaosFault::None => ("none", 0.0, 0u64, 0usize),
-        ChaosFault::Mpi { kind, rate, budget } => (kind.name(), rate, budget, 0),
-        ChaosFault::NanInject { step } => ("nan", 0.0, 0, step),
-        ChaosFault::RankKill { .. } => ("rankkill", 0.0, 0, 0),
-    };
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", json::quote(CHAOS_SCHEMA)));
-    out.push_str(&format!("  \"id\": {},\n", json::quote(&cell.id())));
-    out.push_str(&format!("  \"fault\": {},\n", json::quote(fault)));
-    out.push_str(&format!("  \"rate\": {},\n", json::num(rate)));
-    out.push_str(&format!("  \"budget\": {},\n", json::num(budget as f64)));
-    out.push_str(&format!(
-        "  \"inject_step\": {},\n",
-        json::num(inject_step as f64)
-    ));
-    if let ChaosFault::RankKill {
-        rank,
-        step,
-        site,
-        policy,
-    } = cell.fault
-    {
-        out.push_str(&format!("  \"kill_rank\": {},\n", json::num(rank as f64)));
-        out.push_str(&format!("  \"kill_step\": {},\n", json::num(step as f64)));
-        out.push_str(&format!("  \"kill_site\": {},\n", json::quote(site.name())));
-        out.push_str(&format!(
-            "  \"on_rank_death\": {},\n",
-            json::quote(policy.name())
-        ));
-    }
-    out.push_str(&format!("  \"seed\": {},\n", json::num(cell.seed as f64)));
-    out.push_str(&format!("  \"ranks\": {},\n", json::num(cell.ranks as f64)));
-    out.push_str(&format!("  \"steps\": {},\n", json::num(cell.steps as f64)));
-    out.push_str(&format!(
-        "  \"particles\": {},\n",
-        json::num(cell.particles as f64)
-    ));
-    out.push_str(&format!(
-        "  \"max_retries\": {},\n",
-        json::num(cell.max_retries as f64)
-    ));
-    out.push_str(&format!(
-        "  \"quiet_retransmit_ms\": {},\n",
-        json::num(cell.quiet_retransmit_ms as f64)
-    ));
-    out.push_str("  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        let comma = if i + 1 == failures.len() { "" } else { "," };
-        out.push_str(&format!("    {}{comma}\n", json::quote(f)));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"replay\": {}\n",
-        json::quote(&format!(
-            "cargo run --release --bin conformance -- --chaos-replay results/conformance/{}.json",
-            cell.id()
-        ))
-    ));
-    out.push_str("}\n");
-    out
-}
-
-fn req_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("chaos reproducer missing string field '{key}'"))
-}
-
-fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("chaos reproducer missing integer field '{key}'"))
-}
-
-/// Parse a chaos reproducer back into the cell it captured.
-pub fn parse_chaos_reproducer(src: &str) -> Result<(ChaosCell, Vec<String>), String> {
-    let doc = json::parse(src)?;
-    let schema = req_str(&doc, "schema")?;
-    if schema != CHAOS_SCHEMA {
-        return Err(format!(
-            "chaos reproducer schema '{schema}' is not '{CHAOS_SCHEMA}' — regenerate the case"
-        ));
-    }
-    if matches!(doc.get("overlap"), Some(Json::Bool(true))) {
-        return Err(
-            "chaos reproducer runs the retired 'overlap' form: the migration has \
-                    one synchronous form now — regenerate the case"
-                .into(),
-        );
-    }
-    let fault = match req_str(&doc, "fault")? {
-        "none" => ChaosFault::None,
-        "nan" => ChaosFault::NanInject {
-            step: req_u64(&doc, "inject_step")?.max(1) as usize,
+impl Case for ChaosCell {
+    const SCHEMA: &'static str = CHAOS_SCHEMA;
+    const NOUN: &'static str = "chaos reproducer";
+    const REPLAY_FLAG: &'static str = "--chaos-replay";
+    const MOVES: &'static [Move<Self>] = &[
+        // Two ranks is the smallest world with a wire.
+        |c| {
+            (c.ranks > 2).then(|| ChaosCell {
+                ranks: c.ranks - 1,
+                ..c.clone()
+            })
         },
-        "rankkill" => {
-            let site_name = req_str(&doc, "kill_site")?;
-            let site = KillSite::parse(site_name)
-                .ok_or_else(|| format!("unknown kill site '{site_name}'"))?;
-            let policy_name = req_str(&doc, "on_rank_death")?;
-            let policy = DeathPolicy::parse(policy_name)
-                .ok_or_else(|| format!("unknown rank-death policy '{policy_name}'"))?;
-            ChaosFault::RankKill {
-                rank: req_u64(&doc, "kill_rank")? as usize,
-                step: req_u64(&doc, "kill_step")?.max(1) as usize,
-                site,
-                policy,
-            }
+        // The fault budget halves toward a single injection.
+        |c| match c.fault {
+            ChaosFault::Mpi { kind, rate, budget } if budget > 1 => Some(ChaosCell {
+                fault: ChaosFault::Mpi {
+                    kind,
+                    rate,
+                    budget: budget / 2,
+                },
+                ..c.clone()
+            }),
+            _ => None,
+        },
+    ];
+
+    fn id(&self) -> String {
+        ChaosCell::id(self)
+    }
+
+    fn sizes(&mut self) -> [&mut usize; 2] {
+        [&mut self.steps, &mut self.particles]
+    }
+
+    fn run(&self) -> Result<(), Vec<String>> {
+        let report = run_chaos_cell(self);
+        if report.recovered() {
+            Ok(())
+        } else {
+            Err(report.failure_lines())
         }
-        name => {
-            let kind = FaultKind::parse(name)
-                .ok_or_else(|| format!("unknown chaos fault kind '{name}'"))?;
-            let rate = doc
-                .get("rate")
-                .and_then(Json::as_f64)
-                .ok_or("chaos reproducer missing number field 'rate'")?;
-            ChaosFault::Mpi {
-                kind,
-                rate,
-                budget: req_u64(&doc, "budget")?,
-            }
+    }
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let (fault, rate, budget, inject_step) = match self.fault {
+            ChaosFault::None => ("none", 0.0, 0u64, 0usize),
+            ChaosFault::Mpi { kind, rate, budget } => (kind.name(), rate, budget, 0),
+            ChaosFault::NanInject { step } => ("nan", 0.0, 0, step),
+            ChaosFault::RankKill { .. } => ("rankkill", 0.0, 0, 0),
+        };
+        let num = |n: usize| json::num(n as f64);
+        let mut fields = vec![
+            ("fault", json::quote(fault)),
+            ("rate", json::num(rate)),
+            ("budget", json::num(budget as f64)),
+            ("inject_step", num(inject_step)),
+        ];
+        if let ChaosFault::RankKill {
+            rank,
+            step,
+            site,
+            policy,
+        } = self.fault
+        {
+            fields.extend([
+                ("kill_rank", num(rank)),
+                ("kill_step", num(step)),
+                ("kill_site", json::quote(site.name())),
+                ("on_rank_death", json::quote(policy.name())),
+            ]);
         }
-    };
-    let failures = doc
-        .get("failures")
-        .and_then(Json::as_arr)
-        .map(|a| {
-            a.iter()
-                .filter_map(Json::as_str)
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    Ok((
-        ChaosCell {
+        fields.extend([
+            ("seed", json::num(self.seed as f64)),
+            ("ranks", num(self.ranks)),
+            ("steps", num(self.steps)),
+            ("particles", num(self.particles)),
+            ("max_retries", num(self.max_retries)),
+            (
+                "quiet_retransmit_ms",
+                json::num(self.quiet_retransmit_ms as f64),
+            ),
+        ]);
+        fields
+    }
+
+    fn from_fields(f: &Fields) -> Result<Self, String> {
+        if matches!(f.get("overlap"), Some(Json::Bool(true))) {
+            return Err(
+                "chaos reproducer runs the retired 'overlap' form: the migration has \
+                    one synchronous form now — regenerate the case"
+                    .into(),
+            );
+        }
+        let fault = match f.str("fault")? {
+            "none" => ChaosFault::None,
+            "nan" => ChaosFault::NanInject {
+                step: f.u64("inject_step")?.max(1) as usize,
+            },
+            "rankkill" => ChaosFault::RankKill {
+                site: f.pick("kill_site", "kill site", KillSite::parse)?,
+                policy: f.pick("on_rank_death", "rank-death policy", DeathPolicy::parse)?,
+                rank: f.u64("kill_rank")? as usize,
+                step: f.u64("kill_step")?.max(1) as usize,
+            },
+            _ => ChaosFault::Mpi {
+                kind: f.pick("fault", "chaos fault kind", FaultKind::parse)?,
+                rate: f.f64("rate")?,
+                budget: f.u64("budget")?,
+            },
+        };
+        Ok(ChaosCell {
             fault,
-            seed: req_u64(&doc, "seed")?,
-            ranks: req_u64(&doc, "ranks")?.max(1) as usize,
-            steps: req_u64(&doc, "steps")?.max(1) as usize,
-            particles: req_u64(&doc, "particles")?.max(1) as usize,
-            max_retries: req_u64(&doc, "max_retries")? as usize,
+            seed: f.u64("seed")?,
+            ranks: f.u64("ranks")?.max(1) as usize,
+            steps: f.u64("steps")?.max(1) as usize,
+            particles: f.u64("particles")?.max(1) as usize,
+            max_retries: f.u64("max_retries")? as usize,
             // Absent in older reproducers: the default quiet timer.
-            quiet_retransmit_ms: doc
+            quiet_retransmit_ms: f
                 .get("quiet_retransmit_ms")
                 .and_then(Json::as_u64)
                 .unwrap_or(DEFAULT_QUIET_RETRANSMIT_MS),
-        },
-        failures,
-    ))
-}
-
-/// Write the chaos reproducer under `dir`, named after the cell id.
-pub fn write_chaos_reproducer(
-    dir: &Path,
-    cell: &ChaosCell,
-    failures: &[String],
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.json", cell.id()));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(chaos_reproducer_json(cell, failures).as_bytes())?;
-    Ok(path)
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::{shrink, MAX_ATTEMPTS};
 
     /// The disarmed control: the reliable protocol itself must be
     /// bit-transparent against the fault-free reference.
@@ -1213,23 +1022,155 @@ mod tests {
             max_retries: 0,
             ..ChaosCell::base()
         };
-        assert!(chaos_cell_fails(&cell));
+        assert!(cell.fails());
         let mut evals = 0usize;
-        let (shrunk, spent) = shrink_chaos(&cell, &mut |c| {
+        let (shrunk, spent) = shrink(&cell, &mut |c| {
             evals += 1;
-            chaos_cell_fails(c)
+            c.fails()
         });
         assert_eq!(evals, spent);
-        assert!(spent <= MAX_CHAOS_ATTEMPTS);
+        assert!(spent <= MAX_ATTEMPTS);
         assert!(shrunk.steps <= 2, "shrunk to {} steps", shrunk.steps);
         assert!(shrunk.ranks == 2, "shrunk to {} ranks", shrunk.ranks);
-        assert!(chaos_cell_fails(&shrunk));
+        assert!(shrunk.fails());
 
         let lines = run_chaos_cell(&shrunk).failure_lines();
-        let src = chaos_reproducer_json(&shrunk, &lines);
-        let (back, recorded) = parse_chaos_reproducer(&src).expect("parse");
+        let src = shrunk.reproducer_json(&lines);
+        let (back, recorded) = ChaosCell::parse_reproducer(&src).expect("parse");
         assert_eq!(back, shrunk);
         assert_eq!(recorded, lines);
+    }
+
+    /// A drop cell of four ranks and budget `budget`, for the
+    /// synthetic shrink predicates below.
+    fn shrinkable(budget: u64) -> ChaosCell {
+        ChaosCell {
+            fault: ChaosFault::Mpi {
+                kind: FaultKind::Drop,
+                rate: 1.0,
+                budget,
+            },
+            seed: 3,
+            ranks: 4,
+            steps: 8,
+            particles: 8,
+            max_retries: 2,
+            ..ChaosCell::base()
+        }
+    }
+
+    fn budget(c: &ChaosCell) -> u64 {
+        match c.fault {
+            ChaosFault::Mpi { budget, .. } => budget,
+            _ => 0,
+        }
+    }
+
+    /// The chaos walk: steps, then particles (each halved, then
+    /// stepped down), then ranks down to two, then the budget halved.
+    #[test]
+    fn chaos_shrink_walks_steps_particles_ranks_then_budget() {
+        let mut seen = Vec::new();
+        let (shrunk, spent) = shrink(&shrinkable(8), &mut |c| {
+            seen.push((c.steps, c.particles, c.ranks, budget(c)));
+            true
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (4, 8, 4, 8),
+                (2, 8, 4, 8),
+                (1, 8, 4, 8),
+                (1, 4, 4, 8),
+                (1, 2, 4, 8),
+                (1, 1, 4, 8),
+                (1, 1, 3, 8),
+                (1, 1, 2, 8),
+                (1, 1, 2, 4),
+                (1, 1, 2, 2),
+                (1, 1, 2, 1),
+            ]
+        );
+        assert_eq!(spent, seen.len());
+        assert_eq!(shrunk.ranks, 2);
+        // Each size halves until a candidate passes, then steps down.
+        let mut seen = Vec::new();
+        let start = ChaosCell {
+            particles: 40,
+            ..shrinkable(1)
+        };
+        let (shrunk, _) = shrink(&start, &mut |c| {
+            seen.push((c.steps, c.particles));
+            c.steps >= 3 && c.particles >= 5
+        });
+        assert_eq!((shrunk.steps, shrunk.particles), (3, 5));
+        assert_eq!(
+            seen[..8],
+            [
+                (4, 40),
+                (2, 40),
+                (3, 40),
+                (2, 40),
+                (3, 20),
+                (3, 10),
+                (3, 5),
+                (3, 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn ranks_bound_chaos_failure_keeps_its_rank_count() {
+        let start = ChaosCell {
+            ranks: 3,
+            ..shrinkable(6)
+        };
+        let (shrunk, _) = shrink(&start, &mut |c| c.ranks >= 3);
+        assert_eq!(shrunk.ranks, 3);
+        assert_eq!((shrunk.steps, shrunk.particles, budget(&shrunk)), (1, 1, 1));
+    }
+
+    #[test]
+    fn chaos_budget_halves_down_to_one() {
+        let start = ChaosCell {
+            ranks: 2,
+            steps: 1,
+            particles: 1,
+            ..shrinkable(13)
+        };
+        let mut seen = Vec::new();
+        let (shrunk, _) = shrink(&start, &mut |c| {
+            seen.push(budget(c));
+            true
+        });
+        assert_eq!(seen, vec![6, 3, 1]);
+        assert_eq!(budget(&shrunk), 1);
+        // A cell with no budget and one rank has no move left.
+        let nan = ChaosCell {
+            fault: ChaosFault::NanInject { step: 3 },
+            ranks: 1,
+            steps: 1,
+            particles: 1,
+            ..ChaosCell::base()
+        };
+        assert_eq!(shrink(&nan, &mut |_| true), (nan, 0));
+    }
+
+    #[test]
+    fn chaos_shrink_stops_at_the_evaluation_cap() {
+        let start = ChaosCell {
+            steps: 200,
+            ..shrinkable(8)
+        };
+        let mut calls = 0;
+        let (shrunk, spent) = shrink(&start, &mut |c| {
+            calls += 1;
+            c.steps > 100
+        });
+        assert_eq!((calls, spent), (MAX_ATTEMPTS, MAX_ATTEMPTS));
+        // One halving that passes, then 63 single steps down.
+        assert_eq!(shrunk.steps, 137);
+        assert_eq!((shrunk.particles, shrunk.ranks, budget(&shrunk)), (8, 4, 8));
     }
 
     #[test]
@@ -1264,8 +1205,7 @@ mod tests {
                 max_retries: 2,
                 ..ChaosCell::base()
             };
-            let (back, _) =
-                parse_chaos_reproducer(&chaos_reproducer_json(&cell, &[])).expect("parse");
+            let (back, _) = ChaosCell::parse_reproducer(&cell.reproducer_json(&[])).expect("parse");
             assert_eq!(back, cell);
         }
     }
@@ -1273,8 +1213,10 @@ mod tests {
     #[test]
     fn stale_chaos_schema_is_rejected() {
         let cell = mpi_cell(FaultKind::Drop, 1, 1.0, 1, 2);
-        let src = chaos_reproducer_json(&cell, &[]).replace(CHAOS_SCHEMA, "oppic-chaos-repro-v0");
-        let err = parse_chaos_reproducer(&src).unwrap_err();
+        let src = cell
+            .reproducer_json(&[])
+            .replace(CHAOS_SCHEMA, "oppic-chaos-repro-v0");
+        let err = ChaosCell::parse_reproducer(&src).unwrap_err();
         assert!(err.contains("regenerate"), "{err}");
     }
 
@@ -1362,15 +1304,16 @@ mod tests {
         assert!(!cell.id().contains("-q"), "{}", cell.id());
         cell.quiet_retransmit_ms = 250;
         assert!(cell.id().ends_with("-q250"), "{}", cell.id());
-        let (back, _) = parse_chaos_reproducer(&chaos_reproducer_json(&cell, &[])).expect("parse");
+        let (back, _) = ChaosCell::parse_reproducer(&cell.reproducer_json(&[])).expect("parse");
         assert_eq!(back, cell);
         // Older reproducers omit the field: the default applies.
-        let src: String = chaos_reproducer_json(&cell, &[])
+        let src: String = cell
+            .reproducer_json(&[])
             .lines()
             .filter(|l| !l.contains("\"quiet_retransmit_ms\""))
             .collect::<Vec<_>>()
             .join("\n");
-        let (back, _) = parse_chaos_reproducer(&src).expect("parse");
+        let (back, _) = ChaosCell::parse_reproducer(&src).expect("parse");
         assert_eq!(back.quiet_retransmit_ms, DEFAULT_QUIET_RETRANSMIT_MS);
     }
 
@@ -1380,17 +1323,17 @@ mod tests {
     #[test]
     fn retired_overlap_reproducer_is_refused() {
         let cell = mpi_cell(FaultKind::Delay, 0x61, 1.0, 3, 2);
-        let src = chaos_reproducer_json(&cell, &[]);
+        let src = cell.reproducer_json(&[]);
         let with = |v: &str| {
             src.replace(
                 "\"quiet_retransmit_ms\"",
                 &format!("\"overlap\": {v},\n  \"quiet_retransmit_ms\""),
             )
         };
-        let err = parse_chaos_reproducer(&with("true")).unwrap_err();
+        let err = ChaosCell::parse_reproducer(&with("true")).unwrap_err();
         assert!(err.contains("retired 'overlap' form"), "{err}");
         for src in [src.clone(), with("false")] {
-            let (back, _) = parse_chaos_reproducer(&src).expect("parse");
+            let (back, _) = ChaosCell::parse_reproducer(&src).expect("parse");
             assert_eq!(back, cell);
         }
     }

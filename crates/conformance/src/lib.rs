@@ -11,7 +11,8 @@
 //! and enforces physics invariants independent of the reference. When
 //! a cell fails, the shrinker ([`shrink()`]) minimises the
 //! configuration and [`report`] writes a replayable JSON reproducer
-//! under `results/conformance/`.
+//! under `results/conformance/`. Both case types — matrix cells and
+//! chaos cells — run that one pipeline through [`Case`].
 //!
 //! The [`chaos`] stage extends the contract to a *faulty* substrate:
 //! seeded fault schedules (drop / duplicate / reorder / delay /
@@ -32,15 +33,14 @@ pub mod schedule;
 pub mod shrink;
 
 pub use chaos::{
-    chaos_cell_fails, chaos_full_matrix, chaos_quick_matrix, chaos_reproducer_json,
-    parse_chaos_reproducer, rank_kill_scenario, run_chaos_cell, shrink_chaos,
-    watchdog_control_checks, write_chaos_reproducer, ChaosCell, ChaosFault, ChaosReport,
-    ChaosVerdict, WatchdogCheck, CHAOS_SCHEMA,
+    chaos_full_matrix, chaos_quick_matrix, rank_kill_scenario, run_chaos_cell,
+    watchdog_control_checks, ChaosCell, ChaosFault, ChaosReport, ChaosVerdict, WatchdogCheck,
+    CHAOS_SCHEMA,
 };
 pub use matrix::{full_matrix, quick_matrix, App, CellConfig, Exec, Mover, Mutation, Runtime};
 pub use oracle::{compare, Comparison, Divergence, Oracle};
-pub use report::{parse_reproducer, reproducer_json, write_reproducer};
-pub use runner::{cell_fails, check_cell, run_cell, run_matrix, CellReport};
+pub use report::{Case, REPRO_DIR};
+pub use runner::{check_cell, run_cell, run_matrix, CellReport};
 pub use schedule::{verify_schedules, ScheduleCheck};
 pub use shrink::shrink;
 
@@ -65,7 +65,7 @@ mod tests {
         let mut evals = 0usize;
         let (shrunk, _) = shrink(&cell, &mut |c| {
             evals += 1;
-            cell_fails(c)
+            c.fails()
         });
         assert!(evals > 0);
         assert!(
@@ -79,15 +79,15 @@ mod tests {
             shrunk.particles
         );
         assert_eq!(shrunk.mutation, Some(Mutation::DepositLostUpdate));
-        assert!(cell_fails(&shrunk), "shrunk case must still fail");
+        assert!(shrunk.fails(), "shrunk case must still fail");
 
         // The reproducer replays to the same failing cell.
         let lines = check_cell(&shrunk).failure_lines();
-        let src = reproducer_json(&shrunk, &lines);
-        let (replayed, recorded) = parse_reproducer(&src).expect("reproducer parses");
+        let src = shrunk.reproducer_json(&lines);
+        let (replayed, recorded) = CellConfig::parse_reproducer(&src).expect("reproducer parses");
         assert_eq!(replayed, shrunk);
         assert_eq!(recorded, lines);
-        assert!(cell_fails(&replayed), "replayed case must still fail");
+        assert!(replayed.fails(), "replayed case must still fail");
     }
 
     /// An unmutated matrix cell sampled from every runtime passes, so

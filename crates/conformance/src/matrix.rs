@@ -19,6 +19,22 @@ pub enum App {
     Cabana,
 }
 
+impl App {
+    pub const ALL: [App; 2] = [App::FemPic, App::Cabana];
+
+    /// The spelling in cell ids and reproducers.
+    pub fn name(self) -> &'static str {
+        match self {
+            App::FemPic => "fempic",
+            App::Cabana => "cabana",
+        }
+    }
+
+    pub fn parse(name: &str) -> Option<App> {
+        Self::ALL.into_iter().find(|v| v.name() == name)
+    }
+}
+
 /// Execution policy axis (the OpenMP-backend analogue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exec {
@@ -28,6 +44,21 @@ pub enum Exec {
 }
 
 impl Exec {
+    pub const ALL: [Exec; 3] = [Exec::Seq, Exec::Pool2, Exec::Pool4];
+
+    /// The spelling in cell ids and reproducers.
+    pub fn name(self) -> &'static str {
+        match self {
+            Exec::Seq => "seq",
+            Exec::Pool2 => "pool2",
+            Exec::Pool4 => "pool4",
+        }
+    }
+
+    pub fn parse(name: &str) -> Option<Exec> {
+        Self::ALL.into_iter().find(|v| v.name() == name)
+    }
+
     pub fn policy(self) -> ExecPolicy {
         match self {
             Exec::Seq => ExecPolicy::Seq,
@@ -43,6 +74,22 @@ impl Exec {
 pub enum Mover {
     MultiHop,
     DirectHop,
+}
+
+impl Mover {
+    pub const ALL: [Mover; 2] = [Mover::MultiHop, Mover::DirectHop];
+
+    /// The spelling in cell ids and reproducers.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mover::MultiHop => "mh",
+            Mover::DirectHop => "dh",
+        }
+    }
+
+    pub fn parse(name: &str) -> Option<Mover> {
+        Self::ALL.into_iter().find(|v| v.name() == name)
+    }
 }
 
 /// Runtime substrate axis.
@@ -136,19 +183,6 @@ impl CellConfig {
     /// Stable identifier, used for telemetry counters, reporting, and
     /// reproducer file names.
     pub fn id(&self) -> String {
-        let app = match self.app {
-            App::FemPic => "fempic",
-            App::Cabana => "cabana",
-        };
-        let exec = match self.exec {
-            Exec::Seq => "seq",
-            Exec::Pool2 => "pool2",
-            Exec::Pool4 => "pool4",
-        };
-        let mover = match self.mover {
-            Mover::MultiHop => "mh",
-            Mover::DirectHop => "dh",
-        };
         let runtime = match self.runtime {
             Runtime::Host => "host".to_string(),
             Runtime::DeviceModel => "device".to_string(),
@@ -162,8 +196,11 @@ impl CellConfig {
             ""
         };
         format!(
-            "{app}-{exec}-{}-{mover}-{runtime}{sort}{bind}{mutated}",
-            self.deposit.label().to_lowercase()
+            "{}-{}-{}-{}-{runtime}{sort}{bind}{mutated}",
+            self.app.name(),
+            self.exec.name(),
+            self.deposit.label().to_lowercase(),
+            self.mover.name()
         )
     }
 }

@@ -395,12 +395,6 @@ pub fn check_cell_against(
     }
 }
 
-/// `true` when the cell currently fails its differential or physics
-/// checks — the predicate the shrinker minimises against.
-pub fn cell_fails(cell: &CellConfig) -> bool {
-    !check_cell(cell).passed()
-}
-
 /// Run a whole matrix, caching reference runs per distinct reference
 /// configuration.
 pub fn run_matrix(cells: &[CellConfig]) -> Vec<CellReport> {

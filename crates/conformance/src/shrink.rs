@@ -1,128 +1,68 @@
-//! Failing-configuration shrinker.
+//! The one greedy shrinker for every failure-case type.
 //!
-//! Given a failing cell and a failure predicate, minimise in a fixed
+//! Given a failing case and a failure predicate, minimise in a fixed
 //! order — steps first (halving, then linear), then particle count
-//! (same), then each matrix axis back toward the reference — keeping
-//! every candidate that still fails. The result is the smallest
-//! reproducer this greedy walk can reach; for an injected deposit bug
-//! it converges to one step and a handful of particles.
+//! (same), then each of the case type's own [`Case::MOVES`] in turn —
+//! keeping every candidate that still fails. A differential cell moves
+//! each matrix axis back toward the reference; a chaos cell steps its
+//! world down to two ranks, then halves its fault budget. The result
+//! is the smallest reproducer this greedy walk can reach; for an
+//! injected deposit bug it converges to one step and a handful of
+//! particles.
 
-use crate::matrix::{CellConfig, Exec, Mover, Runtime};
-use oppic_core::DepositMethod;
+use crate::report::Case;
 
 /// Upper bound on predicate evaluations during one shrink (each
-/// evaluation reruns the cell and its reference).
+/// evaluation reruns the case and its reference).
 pub const MAX_ATTEMPTS: usize = 64;
 
 /// Shrink `start` (which must currently fail) to a minimal failing
-/// configuration under `fails`. Returns the shrunk cell and how many
-/// candidate evaluations were spent.
-pub fn shrink(
-    start: &CellConfig,
-    fails: &mut dyn FnMut(&CellConfig) -> bool,
-) -> (CellConfig, usize) {
+/// case under `fails`. Each move is applied while its candidate still
+/// fails; it stops at the first candidate that passes, when it has no
+/// candidate left, or at [`MAX_ATTEMPTS`]. Returns the shrunk case and
+/// how many candidate evaluations were spent.
+pub fn shrink<C: Case>(start: &C, fails: &mut dyn FnMut(&C) -> bool) -> (C, usize) {
     let mut cur = start.clone();
     let mut spent = 0usize;
-    let mut try_keep = |cur: &mut CellConfig, spent: &mut usize, candidate: CellConfig| -> bool {
-        if *spent >= MAX_ATTEMPTS || candidate == *cur {
-            return false;
-        }
-        *spent += 1;
-        if fails(&candidate) {
+    let mut walk = |cur: &mut C, next: &dyn Fn(&C) -> Option<C>| {
+        while spent < MAX_ATTEMPTS {
+            let Some(candidate) = next(cur) else {
+                return;
+            };
+            spent += 1;
+            if !fails(&candidate) {
+                return;
+            }
             *cur = candidate;
-            true
-        } else {
-            false
         }
     };
-
-    // 1. Steps: halve while the failure persists, then step down.
-    while cur.steps > 1 {
-        let mut c = cur.clone();
-        c.steps = (cur.steps / 2).max(1);
-        if !try_keep(&mut cur, &mut spent, c) {
-            break;
-        }
+    for size in 0..2 {
+        walk(&mut cur, &|c| resize(c, size, |n| (n / 2).max(1)));
+        walk(&mut cur, &|c| resize(c, size, |n| n - 1));
     }
-    while cur.steps > 1 {
-        let mut c = cur.clone();
-        c.steps -= 1;
-        if !try_keep(&mut cur, &mut spent, c) {
-            break;
-        }
+    for mv in C::MOVES {
+        walk(&mut cur, mv);
     }
-
-    // 2. Particles: same halving-then-linear walk.
-    while cur.particles > 1 {
-        let mut c = cur.clone();
-        c.particles = (cur.particles / 2).max(1);
-        if !try_keep(&mut cur, &mut spent, c) {
-            break;
-        }
-    }
-    while cur.particles > 1 {
-        let mut c = cur.clone();
-        c.particles -= 1;
-        if !try_keep(&mut cur, &mut spent, c) {
-            break;
-        }
-    }
-
-    // 3. Matrix axes: move each one back toward the reference cell.
-    if cur.exec != Exec::Seq {
-        let mut c = cur.clone();
-        c.exec = Exec::Seq;
-        try_keep(&mut cur, &mut spent, c);
-    }
-    if cur.deposit != DepositMethod::Serial {
-        let mut c = cur.clone();
-        c.deposit = DepositMethod::Serial;
-        try_keep(&mut cur, &mut spent, c);
-    }
-    if cur.mover != Mover::MultiHop {
-        let mut c = cur.clone();
-        c.mover = Mover::MultiHop;
-        try_keep(&mut cur, &mut spent, c);
-    }
-    // The promise axis shrinks toward off — but only if the failure
-    // survives, so a binding-bound reproducer keeps the axis in its id.
-    if cur.binding {
-        let mut c = cur.clone();
-        c.binding = false;
-        try_keep(&mut cur, &mut spent, c);
-    }
-    match cur.runtime {
-        Runtime::Host => {}
-        Runtime::DeviceModel => {
-            let mut c = cur.clone();
-            c.runtime = Runtime::Host;
-            try_keep(&mut cur, &mut spent, c);
-        }
-        Runtime::Mpi(r) => {
-            // MPI shrinks toward fewer ranks, then to the host path.
-            if r > 1 {
-                let mut c = cur.clone();
-                c.runtime = Runtime::Mpi(1);
-                try_keep(&mut cur, &mut spent, c);
-            }
-            let mut c = cur.clone();
-            c.runtime = Runtime::Host;
-            try_keep(&mut cur, &mut spent, c);
-        }
-    }
-    if cur.sort_always {
-        let mut c = cur.clone();
-        c.sort_always = false;
-        try_keep(&mut cur, &mut spent, c);
-    }
-
     (cur, spent)
+}
+
+/// `case` with run size `size` ([`Case::sizes`]) taken from `n` to
+/// `to(n)`; `None` once it is 1.
+fn resize<C: Case>(case: &C, size: usize, to: fn(usize) -> usize) -> Option<C> {
+    let mut next = case.clone();
+    let n = next.sizes().into_iter().nth(size)?;
+    if *n <= 1 {
+        return None;
+    }
+    *n = to(*n);
+    Some(next)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::App;
+    use crate::matrix::{App, CellConfig, Exec, Runtime};
+    use oppic_core::DepositMethod;
 
     #[test]
     fn shrinks_sizes_and_axes_against_a_synthetic_predicate() {

@@ -51,6 +51,15 @@ pub enum DepositMethod {
 }
 
 impl DepositMethod {
+    /// Every method, in declaration order.
+    pub const ALL: [DepositMethod; 5] = [
+        DepositMethod::Serial,
+        DepositMethod::ScatterArrays,
+        DepositMethod::Atomics,
+        DepositMethod::UnsafeAtomics,
+        DepositMethod::SegmentedReduction,
+    ];
+
     /// Does this method execute race-free *while honouring* a policy
     /// with the given parallelism? Every method is safe in the
     /// data-race sense — `Serial` under a parallel policy returns
@@ -70,6 +79,11 @@ impl DepositMethod {
             DepositMethod::UnsafeAtomics => "UA",
             DepositMethod::SegmentedReduction => "SR",
         }
+    }
+
+    /// The method whose [`label`](Self::label) is `label`.
+    pub fn from_label(label: &str) -> Option<DepositMethod> {
+        Self::ALL.into_iter().find(|m| m.label() == label)
     }
 
     /// The telemetry counter a deposit loop of this method bumps:
@@ -563,13 +577,7 @@ where
 mod tests {
     use super::*;
 
-    const METHODS: [DepositMethod; 5] = [
-        DepositMethod::Serial,
-        DepositMethod::ScatterArrays,
-        DepositMethod::Atomics,
-        DepositMethod::UnsafeAtomics,
-        DepositMethod::SegmentedReduction,
-    ];
+    const METHODS: [DepositMethod; 5] = DepositMethod::ALL;
 
     /// A synthetic charge-deposit workload: `n` particles, each adding
     /// to 4 "nodes" chosen by a hash, mimicking the cell→node scatter.
@@ -770,7 +778,9 @@ mod tests {
         assert_eq!(DepositMethod::UnsafeAtomics.label(), "UA");
         assert_eq!(DepositMethod::SegmentedReduction.label(), "SR");
         assert_eq!(DepositMethod::ScatterArrays.label(), "SA");
+        assert_eq!(DepositMethod::from_label("MX"), None);
         for method in METHODS {
+            assert_eq!(DepositMethod::from_label(method.label()), Some(method));
             assert_eq!(
                 method.counter(),
                 format!("deposit.method.{}", method.label()),

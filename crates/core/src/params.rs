@@ -16,8 +16,8 @@ use std::path::Path;
 #[derive(Debug, Clone, Default)]
 pub struct Params {
     values: HashMap<String, String>,
-    /// Every key a getter has read, with its default, in first-read
-    /// order.
+    /// Every key a getter has read, with its config-file line, in
+    /// first-read order.
     read: RefCell<Vec<(String, String)>>,
 }
 
@@ -61,9 +61,15 @@ impl Params {
 
     /// Note that `key` is read with `default`; return its set value.
     fn read(&self, key: &str, default: impl Display) -> Option<&String> {
+        self.read_as(key, format!("{key} = {default}"))
+    }
+
+    /// Note that `key` is read, listed in [`Params::defaults`] as
+    /// `line`; return its set value.
+    fn read_as(&self, key: &str, line: String) -> Option<&String> {
         let mut read = self.read.borrow_mut();
         if !read.iter().any(|(k, _)| k == key) {
-            read.push((key.to_string(), default.to_string()));
+            read.push((key.to_string(), line));
         }
         self.values.get(key)
     }
@@ -85,6 +91,17 @@ impl Params {
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
         match self.read(key, default) {
             None => Ok(default),
+            Some(v) => v.parse().map_err(|e| format!("{key} = {v:?}: {e}")),
+        }
+    }
+
+    /// A float whose default derives from other keys: `derived` when
+    /// unset. [`Params::defaults`] lists it as the comment
+    /// `# key = formula`, so a printed file re-derives it from the keys
+    /// it sets.
+    pub fn get_f64_derived(&self, key: &str, derived: f64, formula: &str) -> Result<f64, String> {
+        match self.read_as(key, format!("# {key} = {formula}")) {
+            None => Ok(derived),
             Some(v) => v.parse().map_err(|e| format!("{key} = {v:?}: {e}")),
         }
     }
@@ -135,10 +152,15 @@ impl Params {
         })
     }
 
-    /// Every key read so far with its default, in first-read order:
-    /// as `key = default` lines, a config file that sets each default.
-    pub fn defaults(&self) -> Vec<(String, String)> {
-        self.read.borrow().clone()
+    /// A line for every key read so far, in first-read order: `key =
+    /// default`, or `# key = formula` for a derived default. Together
+    /// they are a config file that sets each default.
+    pub fn defaults(&self) -> Vec<String> {
+        self.read
+            .borrow()
+            .iter()
+            .map(|(_, line)| line.clone())
+            .collect()
     }
 
     /// Reject a set key that no getter has read — catches config typos
@@ -240,6 +262,16 @@ mod tests {
     }
 
     #[test]
+    fn derived_defaults_list_as_comments() {
+        let p = Params::parse("dt = 0.25\n").unwrap();
+        assert_eq!(p.get_f64_derived("dt", 0.5, "1 / nx").unwrap(), 0.25);
+        assert!(p.check_all_read().is_ok(), "a derived key is still a key");
+        assert_eq!(p.defaults(), vec!["# dt = 1 / nx".to_string()]);
+        let unset = Params::default();
+        assert_eq!(unset.get_f64_derived("dt", 0.5, "1 / nx").unwrap(), 0.5);
+    }
+
+    #[test]
     fn reads_record_each_key_once_with_its_default() {
         let p = Params::parse("dt = 0.25\n").unwrap();
         p.get_f64("dt", 0.5).unwrap();
@@ -247,11 +279,7 @@ mod tests {
         p.get_bool("flag", true).unwrap();
         p.get_f64("dt", 9.0).unwrap();
         p.sort_policy().unwrap();
-        let text: String = p
-            .defaults()
-            .iter()
-            .map(|(k, v)| format!("{k} = {v}\n"))
-            .collect();
+        let text: String = p.defaults().iter().map(|l| format!("{l}\n")).collect();
         assert_eq!(
             text,
             "dt = 0.5\nmode = auto\nflag = true\nsort_every = 0\nsort_dirty = 0\n"

@@ -123,8 +123,9 @@ impl Cli {
 
     /// Load the config file (every default when there is none) and
     /// `parse` it. Under `--print-defaults`, `parse` an empty file
-    /// instead, print a `key = default` line for every key it read, and
-    /// stop with status 0.
+    /// instead, print a `key = default` line for every key it read (a
+    /// `# key = formula` comment for a derived default), and stop with
+    /// status 0.
     pub fn config<T>(
         &self,
         out: &mut impl Write,
@@ -142,8 +143,8 @@ impl Cli {
             return Ok(parsed);
         }
         writeln!(out, "# {title} configuration keys and defaults")?;
-        for (k, v) in params.defaults() {
-            writeln!(out, "{k} = {v}")?;
+        for line in params.defaults() {
+            writeln!(out, "{line}")?;
         }
         Err(Exit(0))
     }
