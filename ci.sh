@@ -186,6 +186,16 @@ for replay in "--replay $fixtures/fempic-seq-seq-mh-mpi2.json" \
         exit 1
     fi
 done
+# A mutated reproducer must reproduce on the runtime it names (here
+# two MPI ranks): exit 1 and no PASS line.
+mutated=$fixtures/fempic-pool4-sr-dh-mpi2-sorted-bind-mutated.json
+status=0
+out=$(./target/release/conformance --replay "$mutated") || status=$?
+if [ "$status" -ne 1 ] || grep -q '^PASS' <<<"$out"; then
+    printf '%s\n' "$out" >&2
+    echo "conformance --replay $mutated exited $status; a mutated cell must not pass" >&2
+    exit 1
+fi
 
 echo "== schedule audit (whole-step dataflow, DESIGN.md §11)"
 # Record both apps' default-config step schedules, audit them, and fail

@@ -157,13 +157,16 @@ fn chaos_cell_outcome(cell: &ChaosCell) -> ChaosVerdict {
     // whenever anything alerted or the run fell short of Recovered.
     if let Some(bytes) = &report.recorder_dump {
         let path = Path::new(REPRO_DIR).join(format!("{}.opfr", cell.id()));
+        // The dump's size depends on timing, so it goes to stderr with
+        // the run time and stdout stays the same from run to run.
         match std::fs::create_dir_all(REPRO_DIR).and_then(|()| std::fs::write(&path, bytes)) {
-            Ok(()) => println!(
-                "  flight recorder dump: {} ({} bytes; decode with oppic-report \
-                 --decode-recorder)",
-                path.display(),
-                bytes.len()
-            ),
+            Ok(()) => {
+                println!(
+                    "  flight recorder dump: {} (decode with oppic-report --decode-recorder)",
+                    path.display()
+                );
+                eprintln!("  {}: {} bytes", path.display(), bytes.len());
+            }
             Err(e) => eprintln!("  cannot write {}: {e}", path.display()),
         }
     }

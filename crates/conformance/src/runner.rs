@@ -119,6 +119,18 @@ fn apply_mutation(sim: &mut FemPic, mutation: Mutation) {
     }
 }
 
+/// The error a runtime without a hook for `cell`'s mutation records:
+/// the cell fails by name instead of passing unmutated.
+fn unsupported_mutation(cell: &CellConfig) -> Option<String> {
+    cell.mutation.map(|m| {
+        format!(
+            "mutation {m:?} is not supported by the {} {:?} runner",
+            cell.app.name(),
+            cell.runtime
+        )
+    })
+}
+
 fn run_fempic_host(cell: &CellConfig) -> RunResult {
     let mut sim = FemPic::new(fempic_config(cell));
     let mut errors = Vec::new();
@@ -204,6 +216,9 @@ fn run_fempic_device(cell: &CellConfig) -> RunResult {
             collisions += report.atomic_collisions;
         }
         sim.node_charge.raw_mut().copy_from_slice(&buf.to_vec());
+        if let Some(m) = cell.mutation {
+            apply_mutation(&mut sim, m);
+        }
         sim.field_solve();
     }
     if let Err(e) = sim.invariants() {
@@ -226,7 +241,7 @@ fn run_fempic_device(cell: &CellConfig) -> RunResult {
 fn run_fempic_mpi(cell: &CellConfig, ranks: usize) -> RunResult {
     let base = fempic_config(cell);
     let rep = run_fempic_distributed(&base, ranks, cell.steps);
-    let mut errors = Vec::new();
+    let mut errors: Vec<String> = unsupported_mutation(cell).into_iter().collect();
     if rep.total_particles == 0 {
         errors.push("distributed run lost every particle".to_string());
     }
@@ -247,7 +262,7 @@ fn run_fempic_mpi(cell: &CellConfig, ranks: usize) -> RunResult {
 
 fn run_cabana_host(cell: &CellConfig) -> RunResult {
     let mut sim = StructuredCabana::new_structured(cabana_config(cell));
-    let mut errors = Vec::new();
+    let mut errors: Vec<String> = unsupported_mutation(cell).into_iter().collect();
     let e0 = sim.energies().total();
     step_checked(&mut sim, cell.steps, &mut errors);
     if let Err(e) = sim.invariants() {
@@ -292,7 +307,7 @@ fn run_cabana_mpi(cell: &CellConfig, ranks: usize) -> RunResult {
     let base = cabana_config(cell);
     let expect_particles = base.n_particles();
     let rep = run_cabana_distributed(&base, ranks, cell.steps);
-    let mut errors = Vec::new();
+    let mut errors: Vec<String> = unsupported_mutation(cell).into_iter().collect();
     if rep.total_particles != expect_particles {
         errors.push(format!(
             "particle count not conserved across ranks: {} alive, {} initialised",
@@ -487,6 +502,39 @@ mod tests {
         let report = check_cell(&cell);
         assert_eq!(report.oracle, Oracle::BitIdentical);
         assert!(report.passed(), "{:?}", report.failure_lines());
+    }
+
+    #[test]
+    fn mutated_cells_fail_on_every_runtime() {
+        // The device model applies the mutation to the deposit it
+        // adopts, so the oracles see it as on the host; the MPI and
+        // CabanaPIC runners have no hook for it and fail the cell by
+        // name.
+        for (app, runtime) in [
+            (App::FemPic, Runtime::Host),
+            (App::FemPic, Runtime::DeviceModel),
+            (App::FemPic, Runtime::Mpi(2)),
+            (App::Cabana, Runtime::Host),
+            (App::Cabana, Runtime::Mpi(2)),
+        ] {
+            let mut cell = CellConfig::reference(app);
+            cell.steps = 2;
+            cell.runtime = runtime;
+            cell.mutation = Some(Mutation::DepositLostUpdate);
+            let report = check_cell(&cell);
+            assert!(!report.passed(), "{cell} passed");
+            let named = report.errors.iter().any(|e| e.contains("is not supported"));
+            let applied = app == App::FemPic && runtime != Runtime::Mpi(2);
+            assert_eq!(named, !applied, "{cell}: {:?}", report.errors);
+            if applied {
+                assert!(report.comparison.divergent > 0, "{cell}");
+                assert!(
+                    report.errors.iter().any(|e| e.contains("charge")),
+                    "{cell}: {:?}",
+                    report.errors
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,19 +18,30 @@
 //! structured-overlay seeding ("direct-hop", DH), the per-particle cell
 //! updates, and the removal list that the particle store's hole filling
 //! consumes. It runs on the par-loop executor's pieces
-//! ([`crate::parloop::Space::Range`]) in two passes per piece:
+//! ([`crate::parloop::Space::Range`]), each cut into blocks of 256
+//! particles, and walks a block one visit-wave at a time:
 //!
-//! 1. `probe` every particle in its current cell. Most particles stay
-//!    put in a small-`dt` step, so this pass is a straight sweep whose
-//!    only data-dependent result, the hit, is folded into counters: the
-//!    index of every particle goes into slot `m` of a miss list and `m`
-//!    advances by the miss flag. First-visit finishers are tallied in
-//!    bulk.
-//! 2. Chase the misses in ascending order: `exit`, hop, `probe`, until
-//!    a probe hits or an exit says remove. Under DH the third visit is
-//!    the overlay's cell for the particle instead of the second exit's
-//!    `c2c` neighbour, so the overlay is read only for the particles one
-//!    hop does not place.
+//! 1. Wave 1 `probe`s every particle in its current cell. Most
+//!    particles stay put in a small-`dt` step, so this is a straight
+//!    sweep whose only data-dependent result, the hit, is folded into
+//!    counters: every particle's block index is written to slot `m` of
+//!    a stack list and `m` advances by the miss flag, so the list ends
+//!    up holding the misses (with their current cells beside them).
+//! 2. Each later wave runs `exit` for every listed particle, compacting
+//!    the removals and the continuers the same branch-free way; under
+//!    DH, wave 2 then replaces every continuer's next cell with the
+//!    overlay's cell for it, so the overlay is read only for the
+//!    particles one hop does not place. It then `probe`s every
+//!    continuer in its next cell and lists the ones that still miss.
+//!
+//! Every particle that finishes in a wave has made the same number of
+//! probes, so visits, chain lengths and the hops histogram are tallied
+//! once per wave, and a wave that reaches `max_hops` is aborted whole;
+//! relocations and out-of-range final cells are counted in the sweeps.
+//! A particle sees the same probes and exits, in the same order, as a
+//! walk that chases it alone; only the interleaving across particles
+//! differs. A block's removals come from several waves and are sorted
+//! before they are appended, so the removal list stays ascending.
 //!
 //! The cell column and one written particle column are carved into
 //! per-piece windows, and every visit gets the particle's `&mut` item of
@@ -45,6 +56,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use crate::deposit::Tally;
 use crate::parloop::{carve, dispatch, Column, ExecPolicy, Fixed, Space, Window};
 use crate::telemetry::HistogramSnapshot;
+
+/// Particles per block: a block's wave lists live on the stack, and
+/// its removals are sorted before they are appended.
+const BLOCK: usize = 256;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -98,7 +113,7 @@ pub struct MoveResult {
     /// [`MoveConfig::n_cells`] is set; always 0 for a correct kernel).
     pub out_of_range: u64,
     /// Surviving particles whose final cell differs from the cell the
-    /// chase started in — together with `removed.len()`, the measured
+    /// move started in — together with `removed.len()`, the measured
     /// figure for `ParticleDats::refine_dirty`.
     pub moved: u64,
     /// Direct-hop only: particles that neither their current cell nor
@@ -131,8 +146,8 @@ impl MoveResult {
 pub type Seed<'a> = Option<&'a (dyn Fn(usize) -> usize + Sync)>;
 
 /// A column the move engine reaches by index: a window of it is one
-/// slice of per-particle items, so the second pass goes straight to
-/// its misses. A [`Fixed`] column's item is `[f64; N]`; `()` (no
+/// slice of per-particle items, so a wave goes straight to the
+/// particles it lists. A [`Fixed`] column's item is `[f64; N]`; `()` (no
 /// written column) has `()` items.
 pub trait Items<'a>: Column {
     type Item: 'a;
@@ -213,98 +228,43 @@ where
     X: Fn(usize, usize, &C::Item) -> Option<usize> + Sync,
 {
     let hops_hist = crate::telemetry::hist("move.hops_per_particle");
-    let record_hops = hops_hist.is_some();
-    // Every particle is probed at least once; a miss overwrites its 1.
+    // Every particle is probed at least once; a later probe overwrites
+    // its 1.
     let chain_log: Vec<AtomicU32> = if cfg.record_chains {
         (0..cells.len()).map(|_| AtomicU32::new(1)).collect()
     } else {
         Vec::new()
     };
-    let over = |cell: usize| cfg.n_cells.is_some_and(|n| cell >= n);
-
-    // Pass 2's chase of one particle whose probe of its current cell
-    // `start` missed; returns Some(final_cell) or None (remove).
-    let chase = |t: &mut MoveTally, i: usize, start: usize, e: &mut C::Item| -> Option<usize> {
-        let finish = |t: &mut MoveTally, chain: u32| {
-            t.total_visits += chain as u64;
-            t.max_chain = t.max_chain.max(chain);
-            if let Some(slot) = chain_log.get(i) {
-                slot.store(chain, Ordering::Relaxed);
-            }
-            if record_hops {
-                t.hops.record(chain as u64);
-            }
-        };
-        let mut cell = start;
-        let mut chain = 1u32;
-        loop {
-            let Some(next) = exit(i, cell, e) else {
-                finish(t, chain);
-                return None;
-            };
-            let next = match seed {
-                // Direct-hop: neither the current cell nor its `c2c`
-                // neighbour holds the particle, so the walk restarts
-                // from the overlay's cell.
-                Some(seed) if chain == 2 => {
-                    t.seeded += 1;
-                    seed(i)
-                }
-                _ => next,
-            };
-            if chain >= cfg.max_hops {
-                t.aborted += 1;
-                finish(t, chain);
-                return None;
-            }
-            cell = next;
-            chain += 1;
-            if probe(i, cell, e) {
-                t.out_of_range += u64::from(over(cell));
-                finish(t, chain);
-                return Some(cell);
-            }
-        }
+    let walk = Walk {
+        seed,
+        cfg,
+        chain_log: &chain_log,
+        record_hops: hops_hist.is_some(),
     };
 
-    // One piece: probe every particle in its window, then chase the
-    // misses. Range pieces are ascending and so are a piece's misses,
-    // so the removal lists concatenate in order.
+    // Range pieces are ascending and so are their blocks, so the
+    // removal lists concatenate in order.
     let pieces = carve(policy, Space::Range, (cells, cols));
     let (removed, tally) = dispatch(pieces, |windows| {
-        let mut removed = Vec::new();
-        let mut t = MoveTally::default();
+        let mut piece = Piece {
+            idx: [0; BLOCK],
+            cur: [0; BLOCK],
+            gone: [0; BLOCK],
+            removed: Vec::new(),
+            tally: MoveTally::default(),
+        };
         for Window {
             first,
             cols: (cells, items),
         } in windows
         {
             let items = items.items(cells.len());
-            // Pass 1: branch-free compaction of the misses.
-            let mut misses = vec![0usize; cells.len()];
-            let mut m = 0;
-            let mut out_of_range = 0;
-            for (k, (c, e)) in cells.iter().zip(items.iter_mut()).enumerate() {
-                let cell = *c as usize;
-                let hit = probe(first + k, cell, e);
-                misses[m] = k;
-                m += usize::from(!hit);
-                out_of_range += u64::from(hit & over(cell));
-            }
-            t.first_visit_finishers((cells.len() - m) as u64, out_of_range, record_hops);
-            // Pass 2: chase the misses.
-            for &k in &misses[..m] {
-                let start = cells[k];
-                match chase(&mut t, first + k, start as usize, &mut items[k]) {
-                    Some(final_cell) => {
-                        t.moved += u64::from(final_cell as i32 != start);
-                        cells[k] = final_cell as i32;
-                    }
-                    None => removed.push(first + k),
-                }
+            let blocks = cells.chunks_mut(BLOCK).zip(items.chunks_mut(BLOCK));
+            for (b, (cells, items)) in blocks.enumerate() {
+                walk.block(&probe, &exit, &mut piece, first + b * BLOCK, cells, items);
             }
         }
-        (removed, t)
+        (piece.removed, piece.tally)
     })
     .into_iter()
     .reduce(|(mut a, mut ta), (mut b, tb)| {
@@ -343,6 +303,132 @@ where
     result
 }
 
+/// One piece of a move loop: the wave lists its blocks reuse (the
+/// listed particles' block indices and current cells, and the block
+/// indices of a block's removals) and what the piece has found.
+struct Piece {
+    idx: [u32; BLOCK],
+    cur: [i32; BLOCK],
+    gone: [u32; BLOCK],
+    removed: Vec<usize>,
+    tally: MoveTally,
+}
+
+/// A move loop's settings, shared by every block.
+struct Walk<'a> {
+    seed: Seed<'a>,
+    cfg: MoveConfig,
+    chain_log: &'a [AtomicU32],
+    record_hops: bool,
+}
+
+impl Walk<'_> {
+    /// One block of at most `BLOCK` particles starting at particle
+    /// `first`, in waves. Every particle listed in a wave has made the
+    /// same number of probes, `chain`, so each wave's finishers are
+    /// tallied in bulk. The lists hold block indices and current cells
+    /// and are compacted in place: slot `m` is written for every
+    /// particle and `m` advances by the flag.
+    fn block<I, P, X>(
+        &self,
+        probe: &P,
+        exit: &X,
+        piece: &mut Piece,
+        first: usize,
+        cells: &mut [i32],
+        items: &mut [I],
+    ) where
+        P: Fn(usize, usize, &mut I) -> bool,
+        X: Fn(usize, usize, &I) -> Option<usize>,
+    {
+        let record_hops = self.record_hops;
+        let Piece {
+            idx,
+            cur,
+            gone,
+            removed,
+            tally: t,
+        } = piece;
+        // Wave 1: probe every particle in its own cell, list the misses.
+        let mut m = 0;
+        for (k, (c, e)) in cells.iter().zip(items.iter_mut()).enumerate() {
+            idx[m] = k as u32;
+            m += usize::from(!probe(first + k, *c as usize, e));
+        }
+        t.finish(1, cells.len() - m, record_hops);
+        for (cur, &k) in cur.iter_mut().zip(&idx[..m]) {
+            *cur = cells[k as usize];
+        }
+        let (mut g, mut chain) = (0, 1u32);
+        while m > 0 {
+            // Exit every listed particle from the cell its probe
+            // missed: removals go to `gone`, continuers stay listed
+            // with their next cell.
+            let (g0, mut n) = (g, 0);
+            for p in 0..m {
+                let k = idx[p] as usize;
+                let next = exit(first + k, cur[p] as usize, &items[k]);
+                gone[g] = k as u32;
+                g += usize::from(next.is_none());
+                idx[n] = k as u32;
+                cur[n] = next.unwrap_or(0) as i32;
+                n += usize::from(next.is_some());
+            }
+            t.finish(chain, g - g0, record_hops);
+            // Direct-hop: neither the current cell nor its `c2c`
+            // neighbour holds these particles, so the walk restarts
+            // from the overlay's cell.
+            if let Some(seed) = self.seed.filter(|_| chain == 2) {
+                for p in 0..n {
+                    cur[p] = seed(first + idx[p] as usize) as i32;
+                }
+                t.seeded += n as u64;
+            }
+            if chain >= self.cfg.max_hops {
+                t.aborted += n as u64;
+                t.finish(chain, n, record_hops);
+                gone[g..g + n].copy_from_slice(&idx[..n]);
+                g += n;
+                break;
+            }
+            // Probe every continuer in its next cell: a hit settles
+            // there, a miss stays listed.
+            chain += 1;
+            let mut moved = 0;
+            m = 0;
+            for p in 0..n {
+                let (k, cell) = (idx[p] as usize, cur[p]);
+                let hit = probe(first + k, cell as usize, &mut items[k]);
+                moved += u64::from(hit & (cell != cells[k]));
+                cells[k] = if hit { cell } else { cells[k] };
+                if let Some(slot) = self.chain_log.get(first + k) {
+                    slot.store(chain, Ordering::Relaxed);
+                }
+                idx[m] = k as u32;
+                cur[m] = cell;
+                m += usize::from(!hit);
+            }
+            t.moved += moved;
+            t.finish(chain, n - m, record_hops);
+        }
+        let gone = &mut gone[..g];
+        // The audit: a particle the block kept holds its final cell,
+        // and a removed one the cell it started in. A cell is outside
+        // `0..n` when it is negative or at least `n`, that is when its
+        // bits as a `u32` are at least `min(n, 2^31)`.
+        if let Some(n) = self.cfg.n_cells {
+            let limit = n.min(1 << 31) as u32;
+            let over = |c: i32| u64::from(c as u32 >= limit);
+            let all: u64 = cells.iter().map(|&c| over(c)).sum();
+            let removed_over: u64 = gone.iter().map(|&k| over(cells[k as usize])).sum();
+            t.out_of_range += all - removed_over;
+        }
+        // Removals came from several waves.
+        gone.sort_unstable();
+        removed.extend(gone.iter().map(|&k| first + k as usize));
+    }
+}
+
 /// Per-piece tallies of a move loop. Each piece of the loop (the
 /// whole set under `Seq`, one Range piece otherwise) fills its own
 /// with plain adds; the tallies are merged in piece order and
@@ -361,16 +447,17 @@ struct MoveTally {
 }
 
 impl MoveTally {
-    /// `hits` particles whose first probe hit: one visit each, a chain
-    /// of 1, `out_of_range` of them outside the audited cell set.
-    fn first_visit_finishers(&mut self, hits: u64, out_of_range: u64, record_hops: bool) {
-        self.total_visits += hits;
-        if hits > 0 {
-            self.max_chain = self.max_chain.max(1);
+    /// `n` particles that finished (settled or were removed) after
+    /// `chain` probes each.
+    #[inline]
+    fn finish(&mut self, chain: u32, n: usize, record_hops: bool) {
+        if n == 0 {
+            return;
         }
-        self.out_of_range += out_of_range;
+        self.total_visits += u64::from(chain) * n as u64;
+        self.max_chain = self.max_chain.max(chain);
         if record_hops {
-            self.hops.record_n(1, hits);
+            self.hops.record_n(u64::from(chain), n as u64);
         }
     }
 }
@@ -579,6 +666,58 @@ mod tests {
         assert!(cells.iter().all(|&c| c == 10));
         assert_eq!(r.max_chain, 5); // probe 0, hop 1, seed 8 -> 9 -> 10(done)
         assert_eq!(r.seeded, 8);
+    }
+
+    #[test]
+    fn removals_from_several_waves_leave_one_ascending_list() {
+        // 200 particles, one block per piece: two in three leave after
+        // 1, 2 or 3 probes in an order that scrambles their indices
+        // across the waves, the rest walk to their targets. The removal
+        // list must come out ascending and every chain must be the one
+        // the particle's own walk counts, under every cut.
+        let n = 200;
+        let leave = |i: usize| (!i.is_multiple_of(3)).then_some((i * 7 + i / 5) % 3 + 1);
+        let targets: Vec<usize> = (0..n).map(|i| (i * 13) % 7).collect();
+        let start: Vec<i32> = (0..n).map(|i| (i % 5) as i32).collect();
+        let want_removed: Vec<usize> = (0..n).filter(|&i| leave(i).is_some()).collect();
+        let want_chains: Vec<u32> = (0..n)
+            .map(|i| match leave(i) {
+                Some(chain) => chain as u32,
+                None => start[i].abs_diff(targets[i] as i32) + 1,
+            })
+            .collect();
+        for wave in 1..=3 {
+            assert!(want_removed.iter().any(|&i| leave(i) == Some(wave)));
+        }
+        let cfg = MoveConfig {
+            record_chains: true,
+            ..Default::default()
+        };
+        let step = walk_exit(&targets);
+        for pol in [ExecPolicy::Seq, ExecPolicy::pool(2), ExecPolicy::pool(3)] {
+            let mut cells = start.clone();
+            let mut probes = vec![0.0; n];
+            let r = move_loop(
+                &pol,
+                cfg,
+                &mut cells,
+                None,
+                Fixed::<1>(&mut probes),
+                |i, cell, p| {
+                    p[0] += 1.0;
+                    leave(i).is_none() && cell == targets[i]
+                },
+                |i, cell, p| match leave(i) {
+                    Some(last) if p[0] as usize == last => None,
+                    Some(_) => Some(cell + 1),
+                    None => step(i, cell, &()),
+                },
+            );
+            assert_eq!(r.removed, want_removed, "{pol:?}");
+            assert_eq!(r.chains, want_chains, "{pol:?}");
+            let visits: u32 = want_chains.iter().sum();
+            assert_eq!(r.total_visits, u64::from(visits), "{pol:?}");
+        }
     }
 
     #[test]

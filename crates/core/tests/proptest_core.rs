@@ -157,7 +157,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The two-pass move engine against the move one visit at a time.
+// The wavefront move engine against the move one visit at a time.
 
 /// One particle of a random move: start cell, target cell, the visit
 /// whose exit removes it (0 = none), its direct-hop seed cell, and the
@@ -229,19 +229,21 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The two-pass engine gives the cells, windows, removal list,
+    /// The wavefront engine gives the cells, windows, removal list,
     /// every `MoveResult` field and the `move.hops_per_particle`
     /// snapshot of the one-visit-at-a-time walk, under `Seq`,
     /// `pool(2)` and `pool(3)`, with and without a seed. The exits walk
     /// a random successor map, so chains cycle into `max_hops` aborts
-    /// or back to their start cell; removals land on visits 1–3.
+    /// or back to their start cell; removals land on visits 1–3. Up to
+    /// 800 movers span several 256-particle blocks, so pieces cut
+    /// blocks short and removals cross block ends.
     #[test]
     fn two_pass_engine_matches_the_visit_at_a_time_walk(
         n_cells in 1usize..30,
         succ in prop::collection::vec(0usize..30, 30..31),
         movers in prop::collection::vec(
             (0usize..30, 0usize..30, 0u32..4, 0usize..30, 0u32..8),
-            0..150,
+            0..800,
         ),
         max_hops in 1u32..12,
         record_chains in any::<bool>(),
