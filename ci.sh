@@ -230,7 +230,8 @@ OPPIC_SCALE=0.02 OPPIC_STEPS=2 ./target/release/ablation_deposit_strategies >/de
 # cabana through the same front end) must exit 0 with zero watchdog
 # alerts and an audit-clean /metrics snapshot; the
 # injected-stall control must exit 3 with exactly one alert and a
-# decodable flight-recorder dump; the overhead gate must hold the
+# flight-recorder dump that decodes to JSONL records holding that one
+# alert; the overhead gate must hold the
 # plane within 3% of telemetry-only median step time. (The live HTTP
 # exporter itself is scraped by bench_obs_overhead and the obs crate
 # tests; here the snapshot file carries the same exposition text.)
@@ -267,10 +268,25 @@ if [ "${1:-}" = "obs" ]; then
         echo "obs: stall run exited $rc, expected 3 (watchdog alerts)" >&2
         exit 1
     fi
-    ./target/release/oppic-report --decode-recorder /tmp/oppic_ci_obs.opfr \
-        | grep -q "step_time_regression" \
-        || { echo "obs: dump lacks the step_time_regression alert" >&2; exit 1; }
-    rm -f /tmp/oppic_ci_obs.prom /tmp/oppic_ci_obs.opfr
+    # The decoded dump is a summary line and then JSONL records: every
+    # record must parse, and exactly one is the step_time_regression
+    # alert.
+    ./target/release/oppic-report --decode-recorder /tmp/oppic_ci_obs.opfr >/tmp/oppic_ci_obs.jsonl
+    if ! python3 - /tmp/oppic_ci_obs.jsonl <<'PY'
+import json, sys
+summary, *lines = open(sys.argv[1]).read().splitlines()
+if not summary.startswith("flight recorder dump:"):
+    sys.exit(f"no summary line: {summary!r}")
+records = [json.loads(line) for line in lines]
+alerts = [r for r in records if r["type"] == "alert"]
+if [a["rule"] for a in alerts] != ["step_time_regression"]:
+    sys.exit(f"{len(records)} record(s), alerts {alerts}")
+PY
+    then
+        echo "obs: the decoded dump is not JSONL with exactly one step_time_regression alert" >&2
+        exit 1
+    fi
+    rm -f /tmp/oppic_ci_obs.prom /tmp/oppic_ci_obs.opfr /tmp/oppic_ci_obs.jsonl
 
     echo "== obs: overhead gate (recorder + exporter within 3%)"
     # CI writes the measurement to /tmp; the committed

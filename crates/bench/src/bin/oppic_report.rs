@@ -13,8 +13,10 @@
 //! `BENCH_step_timings.json` (per-step timings/populations) into the
 //! directory. `--timeline` merges the runs (plus an optional
 //! `oppic-schedule-v1` trace) into Chrome-trace JSON for
-//! `chrome://tracing` / Perfetto; `--decode-recorder` pretty-prints a
-//! flight-recorder dump (`OPFR` binary, DESIGN.md §6).
+//! `chrome://tracing` / Perfetto; `--decode-recorder` prints a
+//! flight-recorder dump (`OPFR` binary, DESIGN.md §6b): one summary
+//! line, then the ring's events as the JSONL records a `--telemetry`
+//! sink writes.
 
 use oppic_bench::telemetry_report::{
     breakdown_table, parse_run, roofline_csv, step_timings_json, RunSummary,
@@ -35,22 +37,21 @@ fn fail(msg: impl Display) -> Exit {
     Exit(1)
 }
 
-/// `--decode-recorder` mode: parse and pretty-print an `OPFR` dump.
+/// `--decode-recorder` mode: parse an `OPFR` dump, print its summary
+/// line and then one JSONL record per event, oldest first.
 fn decode_recorder(out: &mut impl Write, path: &str) -> Result<(), Exit> {
     let bytes = std::fs::read(path).map_err(|e| fail(format_args!("cannot read {path}: {e}")))?;
     let dump = FlightDump::parse(&bytes).map_err(|e| fail(format_args!("{path}: {e}")))?;
     writeln!(
         out,
-        "flight recorder dump: format v{}, ring capacity {}, {} event(s) total, \
-         {} dropped, {} in window",
-        dump.version,
+        "flight recorder dump: ring capacity {}, {} event(s) total, {} dropped, {} in window",
         dump.capacity,
         dump.total,
-        dump.dropped,
-        dump.records.len()
+        dump.dropped(),
+        dump.events.len()
     )?;
-    for r in &dump.records {
-        writeln!(out, "{}", r.render())?;
+    for ev in &dump.events {
+        writeln!(out, "{}", ev.encode())?;
     }
     Ok(())
 }

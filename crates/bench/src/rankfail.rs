@@ -679,6 +679,17 @@ mod tests {
         assert_eq!(survivor.recoveries, 1);
         assert!(survivor.detection_ms > 0.0);
         assert!(survivor.recovery_ms > 0.0);
+        let dump = survivor
+            .recorder_dump
+            .as_deref()
+            .expect("a recovery keeps its dump");
+        let dump = oppic_obs::FlightDump::parse(dump).unwrap();
+        assert!(
+            dump.events.iter().any(|ev| matches!(ev,
+                oppic_core::telemetry::TelemetryEvent::Alert { rule, .. } if rule == "rank_death")),
+            "no rank_death alert in {:?}",
+            dump.events
+        );
     }
 
     #[test]

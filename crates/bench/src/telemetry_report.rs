@@ -11,7 +11,7 @@
 //! [`Record::parse`], the one reader of the record format.
 
 use oppic_core::json::{self, Obj};
-use oppic_core::telemetry::{KernelClass, KernelStats, Record, TelemetryEvent as E};
+use oppic_core::telemetry::{kernel_table, KernelClass, KernelStats, Record, TelemetryEvent as E};
 use std::fmt::Write as _;
 
 /// One per-step summary (`step` event) of a run.
@@ -155,8 +155,8 @@ pub fn parse_run(src: &str) -> Result<RunSummary, String> {
     Ok(run)
 }
 
-/// The paper-style breakdown table: per-kernel rows (calls, seconds,
-/// share, achieved GB/s, GFLOP/s) and per-class totals.
+/// The paper-style breakdown: the run's [`kernel_table`] (the rows the
+/// app printed at exit) and per-class totals.
 pub fn breakdown_table(run: &RunSummary) -> String {
     let total = run.total_seconds().max(1e-30);
     let mut s = String::new();
@@ -180,26 +180,7 @@ pub fn breakdown_table(run: &RunSummary) -> String {
             run.torn_lines
         );
     }
-    let _ = writeln!(
-        s,
-        "{:<28} {:>12} {:>8} {:>12} {:>7} {:>12} {:>12}",
-        "kernel", "class", "calls", "seconds", "%", "GB/s", "GFLOP/s"
-    );
-    for (name, k) in &run.kernels {
-        let _ = writeln!(
-            s,
-            "{:<28} {:>12} {:>8} {:>12.4} {:>6.1}% {:>12} {:>12}",
-            name,
-            k.class.map_or("-", KernelClass::as_str),
-            k.calls,
-            k.seconds,
-            100.0 * k.seconds / total,
-            k.gbytes_per_s()
-                .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-            k.gflops().map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-        );
-    }
-    let _ = writeln!(s, "{:<28} {:>12} {:>8} {:>12.4}", "TOTAL", "", "", total);
+    s.push_str(&kernel_table(&run.kernels));
     let classes = run.class_totals();
     if !classes.is_empty() {
         s.push_str("per-class totals:\n");

@@ -10,9 +10,11 @@
 //! inside a step, `calls` is its number of `span` events and `seconds`
 //! their summed `ms`. The same stream cut before its footer rebuilds
 //! the same table from the header's rows (kernels timed before the sink
-//! opened, such as FemPIC's setup) and the span events.
+//! opened, such as FemPIC's setup) and the span events. The hub's
+//! end-of-run breakdown (what an app prints at exit) and `oppic-report`
+//! on the stream print identical kernel rows.
 
-use oppic_bench::telemetry_report::parse_run;
+use oppic_bench::telemetry_report::{breakdown_table, parse_run};
 use oppic_cabana::{CabanaConfig, CabanaPic};
 use oppic_core::json::{self, Json};
 use oppic_core::{RunInfo, Telemetry};
@@ -70,6 +72,29 @@ fn check_one_set_of_numbers(app: &str, tel: &Arc<Telemetry>, steps: impl FnOnce(
 
     let run = parse_run(&src).unwrap();
     assert!(!run.truncated, "{app}: stream has no footer");
+    // The kernel header through the TOTAL line.
+    let kernel_rows = |table: &str| -> Vec<String> {
+        let mut rows: Vec<String> = table
+            .lines()
+            .skip_while(|l| !l.starts_with("kernel "))
+            .take_while(|l| !l.starts_with("TOTAL "))
+            .map(str::to_string)
+            .collect();
+        rows.extend(
+            table
+                .lines()
+                .find(|l| l.starts_with("TOTAL "))
+                .map(str::to_string),
+        );
+        rows
+    };
+    let printed = kernel_rows(&tel.breakdown_table());
+    assert_eq!(printed.len(), hub.len() + 2, "{app}: {printed:?}");
+    assert_eq!(
+        printed,
+        kernel_rows(&breakdown_table(&run)),
+        "{app}: kernel tables"
+    );
     let footer: Table = run
         .kernels
         .into_iter()

@@ -35,7 +35,7 @@ use oppic_bench::rankfail::{
     RankKill,
 };
 use oppic_core::json::{self, Json};
-use oppic_core::telemetry::Telemetry;
+use oppic_core::telemetry::{Telemetry, TelemetryEvent};
 use oppic_core::Simulation;
 use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mpi::comm::RankCtx;
@@ -329,7 +329,7 @@ fn run_recovery_cell(cell: &ChaosCell) -> ChaosReport {
     reference.run(cell.steps);
 
     // The flight recorder watches the faulted sim's own hub, made
-    // current here as well: each step's spans and counters and the
+    // current here as well: each step's spans and step record and the
     // `recovery_rollback` alert (published through the current hub)
     // land in one ring, whose post-mortem dump goes beside the
     // reproducer.
@@ -692,9 +692,9 @@ pub fn watchdog_control_checks() -> Vec<WatchdogCheck> {
         let dump = oppic_obs::recorder::FlightDump::parse(&bytes)
             .map_err(|e| format!("dump does not parse: {e}"))?;
         if !dump
-            .records
+            .events
             .iter()
-            .any(|r| r.kind == oppic_obs::recorder::EventKind::Alert)
+            .any(|ev| matches!(ev, TelemetryEvent::Alert { .. }))
         {
             return Err("dump holds no alert record".into());
         }
@@ -1253,9 +1253,17 @@ mod tests {
         };
         let report = run_chaos_cell(&cell);
         assert!(report.recovered(), "{:?}", report.verdict);
+        let dump = report
+            .recorder_dump
+            .as_deref()
+            .expect("a death verdict must leave a flight-recorder dump");
+        let dump = oppic_obs::FlightDump::parse(dump).expect("dump parses");
         assert!(
-            report.recorder_dump.is_some(),
-            "a death verdict must leave a flight-recorder dump"
+            dump.events
+                .iter()
+                .any(|ev| matches!(ev, TelemetryEvent::Alert { rule, .. } if rule == "rank_death")),
+            "no rank_death alert in {:?}",
+            dump.events
         );
     }
 
@@ -1368,22 +1376,38 @@ mod tests {
             .as_deref()
             .expect("rollback alert should retain the event ring");
         let dump = oppic_obs::recorder::FlightDump::parse(bytes).expect("dump parses");
-        assert!(
-            dump.records.iter().any(|r| {
-                r.kind == oppic_obs::recorder::EventKind::Alert
-                    && r.name.as_deref() == Some("recovery_rollback")
-            }),
-            "no recovery_rollback alert in {} record(s)",
-            dump.records.len()
-        );
+        let alert_at = dump
+            .events
+            .iter()
+            .position(|ev| {
+                matches!(ev, TelemetryEvent::Alert { rule, .. } if rule == "recovery_rollback")
+            })
+            .unwrap_or_else(|| {
+                panic!("no recovery_rollback alert in {:?}", dump.events)
+            });
         // The recorder watches the stepped sim's hub, so the ring holds
-        // its per-step spans too.
+        // the step records before the rollback, each with its counter
+        // deltas, and their spans.
+        let before = &dump.events[..alert_at];
+        let steps: Vec<u64> = before
+            .iter()
+            .filter_map(|ev| match ev {
+                TelemetryEvent::StepEnd { step, counters, .. } => {
+                    assert!(!counters.is_empty(), "step {step} has no counter deltas");
+                    Some(*step)
+                }
+                _ => None,
+            })
+            .collect();
         assert!(
-            dump.records
+            steps.starts_with(&[1, 2]),
+            "steps before the rollback: {steps:?}"
+        );
+        assert!(
+            before
                 .iter()
-                .any(|r| r.kind == oppic_obs::recorder::EventKind::Span && r.step.is_some()),
-            "no span record with a step number in {} record(s)",
-            dump.records.len()
+                .any(|ev| matches!(ev, TelemetryEvent::SpanClose { step: Some(_), .. })),
+            "no span record with a step number before the rollback"
         );
     }
 }

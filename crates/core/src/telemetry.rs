@@ -143,6 +143,34 @@ impl KernelStats {
     }
 }
 
+/// The paper-style kernel table: one row per kernel (class, calls,
+/// seconds, share of the rows' total, achieved GB/s and GFLOP/s) and a
+/// TOTAL line. Both the hub's end-of-run breakdown and `oppic-report`
+/// render their kernels through it, so one run prints one table.
+pub fn kernel_table(rows: &[(String, KernelStats)]) -> String {
+    let total = rows.iter().map(|(_, k)| k.seconds).sum::<f64>().max(1e-30);
+    let rate = |v: Option<f64>| v.map_or_else(|| "-".into(), |v| format!("{v:.2}"));
+    let mut s = format!(
+        "{:<28} {:>12} {:>8} {:>12} {:>7} {:>12} {:>12}\n",
+        "kernel", "class", "calls", "seconds", "%", "GB/s", "GFLOP/s"
+    );
+    for (name, k) in rows {
+        let _ = writeln!(
+            s,
+            "{:<28} {:>12} {:>8} {:>12.4} {:>6.1}% {:>12} {:>12}",
+            name,
+            k.class.map_or("-", KernelClass::as_str),
+            k.calls,
+            k.seconds,
+            100.0 * k.seconds / total,
+            rate(k.gbytes_per_s()),
+            rate(k.gflops()),
+        );
+    }
+    let _ = writeln!(s, "{:<28} {:>12} {:>8} {:>12.4}", "TOTAL", "", "", total);
+    s
+}
+
 // ---------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------
@@ -407,10 +435,10 @@ impl AlertSeverity {
 /// A telemetry event, published at the moment it happens: to the
 /// attached [`EventObserver`], and as one JSONL record
 /// ([`TelemetryEvent::encode`]) to the open sink. The hub publishes
-/// borrowed payloads, so the hot path allocates nothing; observers that
-/// retain an event copy what they need (the flight recorder interns
-/// names into its own table). [`Record::parse`] reads a record back as
-/// the same event with owned payloads.
+/// borrowed payloads, so the hot path allocates nothing; an observer
+/// that retains an event keeps [`TelemetryEvent::into_owned`], as the
+/// flight recorder does. [`Record::parse`] reads a record back as the
+/// same event with owned payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent<'a> {
     /// A span (timed scope) closed.
@@ -419,14 +447,6 @@ pub enum TelemetryEvent<'a> {
         path: Cow<'a, str>,
         depth: usize,
         ms: f64,
-        step: Option<u64>,
-        ts_us: u64,
-    },
-    /// A monotonic counter advanced by `delta`. Only the observer sees
-    /// it: the stream carries per-step deltas in the step record.
-    Count {
-        name: Cow<'a, str>,
-        delta: u64,
         step: Option<u64>,
         ts_us: u64,
     },
@@ -456,10 +476,73 @@ pub enum TelemetryEvent<'a> {
     },
 }
 
+impl TelemetryEvent<'_> {
+    /// The same event with owned payloads, for an observer that keeps
+    /// it past the publish call.
+    pub fn into_owned(self) -> TelemetryEvent<'static> {
+        use TelemetryEvent as E;
+        let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+        match self {
+            E::SpanClose {
+                name,
+                path,
+                depth,
+                ms,
+                step,
+                ts_us,
+            } => E::SpanClose {
+                name: own(name),
+                path: own(path),
+                depth,
+                ms,
+                step,
+                ts_us,
+            },
+            E::Decision {
+                name,
+                text,
+                step,
+                ts_us,
+            } => E::Decision {
+                name: own(name),
+                text: own(text),
+                step,
+                ts_us,
+            },
+            E::StepEnd {
+                step,
+                ms,
+                ts_us,
+                gauges,
+                counters,
+            } => E::StepEnd {
+                step,
+                ms,
+                ts_us,
+                gauges: Cow::Owned(gauges.into_owned()),
+                counters: Cow::Owned(counters.into_owned()),
+            },
+            E::Alert {
+                rule,
+                severity,
+                message,
+                step,
+                ts_us,
+            } => E::Alert {
+                rule: own(rule),
+                severity,
+                message: own(message),
+                step,
+                ts_us,
+            },
+        }
+    }
+}
+
 /// Subscriber for the live event stream (the observability plane's
-/// flight recorder). At most one observer is attached per hub; with
-/// neither an observer nor a sink, a publish site costs one relaxed
-/// atomic load.
+/// flight recorder): it receives exactly the events the stream
+/// records. At most one observer is attached per hub; with neither an
+/// observer nor a sink, a publish site costs one relaxed atomic load.
 pub trait EventObserver: Send + Sync {
     fn on_event(&self, ev: &TelemetryEvent<'_>);
 }
@@ -650,14 +733,6 @@ impl Telemetry {
                         .insert(name.to_string(), Counter { total: n, mark: 0 });
                 }
             }
-        }
-        if self.consumers.load(Ordering::Relaxed) & OBSERVER != 0 {
-            self.publish(&TelemetryEvent::Count {
-                name: name.into(),
-                delta: n,
-                step: self.current_step(),
-                ts_us: self.ts_us(),
-            });
         }
     }
 
@@ -881,33 +956,11 @@ impl Telemetry {
 
     // -- rendering ----------------------------------------------------
 
-    /// Render the paper-style runtime breakdown table (kernels, calls,
-    /// seconds, share, achieved GB/s and GFLOP/s), followed by the
-    /// collapsed decision trace and any non-empty counters/histograms.
+    /// Render the paper-style runtime breakdown: the [`kernel_table`]
+    /// of this hub's kernels, followed by the collapsed decision trace
+    /// and any non-empty counters/histograms.
     pub fn breakdown_table(&self) -> String {
-        let snap = self.kernels_snapshot();
-        let total = self.total_seconds().max(1e-30);
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:<28} {:>8} {:>12} {:>7} {:>12} {:>12}",
-            "kernel", "calls", "seconds", "%", "GB/s", "GFLOP/s"
-        );
-        for (name, st) in &snap {
-            let _ = writeln!(
-                s,
-                "{:<28} {:>8} {:>12.4} {:>6.1}% {:>12} {:>12}",
-                name,
-                st.calls,
-                st.seconds,
-                100.0 * st.seconds / total,
-                st.gbytes_per_s()
-                    .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-                st.gflops()
-                    .map_or_else(|| "-".into(), |v| format!("{v:.2}")),
-            );
-        }
-        let _ = writeln!(s, "{:<28} {:>8} {:>12.4}", "TOTAL", "", total);
+        let mut s = kernel_table(&self.kernels_snapshot());
         let traces = self.traces();
         let dropped = self.traces_dropped();
         if !traces.is_empty() || dropped > 0 {
@@ -973,9 +1026,7 @@ impl Telemetry {
     fn publish(&self, ev: &TelemetryEvent<'_>) {
         let consumers = self.consumers.load(Ordering::Relaxed);
         if consumers & SINK != 0 {
-            if let Some(line) = ev.encode() {
-                self.emit(&line);
-            }
+            self.emit(&ev.encode());
         }
         if consumers & OBSERVER != 0 {
             let obs = self.observer.lock().clone();
@@ -1414,7 +1465,6 @@ mod tests {
             fn on_event(&self, ev: &TelemetryEvent<'_>) {
                 let tag = match ev {
                     TelemetryEvent::SpanClose { name, .. } => format!("span:{name}"),
-                    TelemetryEvent::Count { name, delta, .. } => format!("count:{name}:{delta}"),
                     TelemetryEvent::Decision { name, .. } => format!("decision:{name}"),
                     TelemetryEvent::StepEnd { step, .. } => format!("step:{step}"),
                     TelemetryEvent::Alert { rule, severity, .. } => {
@@ -1437,16 +1487,19 @@ mod tests {
         t.end_step(&[]);
         t.alert("nan_rate", AlertSeverity::Warn, "2 quarantined");
         t.set_observer(None);
-        t.counter_add("after_detach", 1);
+        t.trace("after_detach", "unseen");
         let got = rec.0.lock().clone();
-        assert!(got.contains(&"span:Move".to_string()), "{got:?}");
-        assert!(got.contains(&"count:moved:4".to_string()));
-        assert!(got.contains(&"decision:tuner".to_string()));
-        assert!(got.contains(&"step:3".to_string()));
-        assert!(got.contains(&"alert:nan_rate:warn".to_string()));
-        // Alerts bump counters, which the observer also sees.
-        assert!(got.contains(&"count:alerts.nan_rate:1".to_string()));
-        assert!(!got.iter().any(|g| g.contains("after_detach")));
+        // Exactly the events a sink would record, in order: a counter
+        // tick publishes nothing, and nothing arrives after detaching.
+        assert_eq!(
+            got,
+            [
+                "span:Move",
+                "decision:tuner",
+                "step:3",
+                "alert:nan_rate:warn"
+            ]
+        );
     }
 
     #[test]

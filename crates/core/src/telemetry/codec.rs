@@ -72,9 +72,8 @@ fn kernel_rows(rows: &[(String, KernelStats)]) -> String {
 }
 
 impl TelemetryEvent<'_> {
-    /// The event's JSONL record, or `None` for a
-    /// [`TelemetryEvent::Count`], which only the observer sees.
-    pub fn encode(&self) -> Option<String> {
+    /// The event's JSONL record.
+    pub fn encode(&self) -> String {
         use TelemetryEvent as E;
         let obj = match self {
             E::SpanClose {
@@ -89,7 +88,6 @@ impl TelemetryEvent<'_> {
                 .str("path", path)
                 .raw("depth", depth)
                 .raw("ms", json::num(*ms)),
-            E::Count { .. } => return None,
             E::Decision {
                 name,
                 text,
@@ -125,7 +123,7 @@ impl TelemetryEvent<'_> {
                 .str("severity", severity.as_str())
                 .str("message", message),
         };
-        Some(obj.end())
+        obj.end()
     }
 }
 

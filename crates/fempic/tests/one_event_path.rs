@@ -1,24 +1,22 @@
 //! One event path: the JSONL sink and the live observer see the same
 //! events. A 3-step Mini-FEM-PIC run with the deposit auto-tuner on
 //! (one decision trace per step) and an alert between steps publishes
-//! to both. Every observer event but counter ticks must be in the
-//! stream, as the same record in the same order, and the step records
-//! must carry their gauges and counter deltas.
+//! to both. Every event the observer receives must be in the stream,
+//! as the same record in the same order, and the step records must
+//! carry their gauges and counter deltas.
 
 use oppic_core::telemetry::{AlertSeverity, EventObserver, Record, TelemetryEvent};
 use oppic_core::RunInfo;
 use oppic_fempic::{FemPic, FemPicConfig};
 use std::sync::{Arc, Mutex};
 
-/// The record of every event the observer receives (a count has none).
+/// The record of every event the observer receives.
 #[derive(Default)]
 struct Lines(Mutex<Vec<String>>);
 
 impl EventObserver for Lines {
     fn on_event(&self, ev: &TelemetryEvent<'_>) {
-        if let Some(line) = ev.encode() {
-            self.0.lock().unwrap().push(line);
-        }
+        self.0.lock().unwrap().push(ev.encode());
     }
 }
 

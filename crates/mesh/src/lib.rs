@@ -19,14 +19,11 @@
 //!   particle move (Section 3.2.2 of the paper): a regular grid mapping
 //!   points to the unstructured cell containing them (cell-map). The
 //!   paper's rank-map is not built: every rank holds the whole mesh.
-//! * [`io`] — a small ASCII mesh format reader/writer standing in for
-//!   the paper's HDF5/`.dat` mesh files.
 
 pub mod connectivity;
 pub mod entities;
 pub mod geometry;
 pub mod hex;
-pub mod io;
 pub mod overlay;
 pub mod tet;
 

@@ -3,14 +3,13 @@
 //! The hub's JSONL sink is post-mortem: a stream read after the run
 //! ends. This crate layers *live* introspection over the same hub
 //! through its [`EventObserver`] tap, which sits on the hub's one
-//! publish path beside the sink: apart from counter ticks, the
-//! observer receives exactly the events the stream records. Four
-//! pieces:
+//! publish path beside the sink: the observer receives exactly the
+//! events the stream records. Four pieces:
 //!
 //! * [`recorder::FlightRecorder`] — a fixed-size, lock-light ring of
-//!   recent span/counter/decision events, dumped to a CRC-64-footed
-//!   binary file on panic, watchdog alert, recovery rollback, or
-//!   chaos verdict;
+//!   the hub's recent events, dumped as the stream's own records in a
+//!   CRC-64-footed binary file on panic, watchdog alert, recovery
+//!   rollback, or chaos verdict;
 //! * [`metrics::MetricsRegistry`] + [`exporter::MetricsServer`] —
 //!   Prometheus-style text exposition served from a tiny blocking
 //!   HTTP listener (`--metrics-addr`), with a snapshot-on-SIGUSR1
@@ -37,7 +36,7 @@ pub mod watchdog;
 
 pub use exporter::MetricsServer;
 pub use metrics::{audit_exposition, MetricsRegistry, METRIC_SCHEMA};
-pub use recorder::{FlightDump, FlightRecord, FlightRecorder};
+pub use recorder::{FlightDump, FlightRecorder};
 pub use watchdog::{Alert, StepObs, Watchdog, WatchdogConfig};
 
 use cli::{take_flag, take_value};
@@ -52,8 +51,6 @@ use std::sync::Arc;
 pub struct ObsConfig {
     pub app: String,
     pub threads: usize,
-    /// Flight-recorder ring capacity in events.
-    pub recorder_capacity: usize,
     /// Dump target for panic / alert / forced dumps. `None` keeps the
     /// ring memory-only.
     pub recorder_dump: Option<PathBuf>,
@@ -73,7 +70,6 @@ impl Default for ObsConfig {
         ObsConfig {
             app: "oppic".into(),
             threads: 1,
-            recorder_capacity: recorder::DEFAULT_CAPACITY,
             recorder_dump: None,
             metrics_addr: None,
             metrics_dump: None,
@@ -139,7 +135,7 @@ pub struct ObsPlane {
 impl ObsPlane {
     /// Build the plane and attach it to `tel` as the live observer.
     pub fn install(tel: Arc<Telemetry>, cfg: ObsConfig) -> io::Result<ObsPlane> {
-        let recorder = Arc::new(FlightRecorder::new(cfg.recorder_capacity));
+        let recorder = Arc::new(FlightRecorder::new(recorder::DEFAULT_CAPACITY));
         let registry = Arc::new(MetricsRegistry::new(tel.clone(), &cfg.app, cfg.threads));
         registry.set_recorder(recorder.clone());
         let dumps = Arc::new(AtomicU64::new(0));
@@ -322,7 +318,6 @@ impl ObsArgs {
             metrics_dump: self.metrics_dump.clone(),
             watchdog: self.watchdog.then(WatchdogConfig::default),
             panic_hook: true,
-            ..ObsConfig::default()
         };
         ObsPlane::install(tel.clone(), cfg).map(Some)
     }
@@ -409,19 +404,25 @@ mod tests {
         assert_eq!(summary.dumps, 1);
         assert!(!tel.observer_is_attached());
 
-        // The dump parses, and holds the alert itself plus preceding
-        // counter traffic.
+        // The dump parses: the alert is its newest record, and the step
+        // records before it carry each step's counter deltas.
         let bytes = std::fs::read(&dump).unwrap();
         let parsed = FlightDump::parse(&bytes).unwrap();
-        assert!(parsed
-            .records
+        let (last, before) = parsed.events.split_last().unwrap();
+        assert!(
+            matches!(last, TelemetryEvent::Alert { rule, severity: AlertSeverity::Critical, .. }
+                if rule == watchdog::RULE_STEP_TIME),
+            "{last:?}"
+        );
+        let steps: Vec<(u64, Vec<(String, u64)>)> = before
             .iter()
-            .any(|r| r.kind == recorder::EventKind::Alert
-                && r.severity == Some(AlertSeverity::Critical)));
-        assert!(parsed
-            .records
-            .iter()
-            .any(|r| r.kind == recorder::EventKind::Count));
+            .filter_map(|ev| match ev {
+                TelemetryEvent::StepEnd { step, counters, .. } => Some((*step, counters.to_vec())),
+                _ => None,
+            })
+            .collect();
+        let work = |s| (s, vec![("work".to_string(), 1)]);
+        assert_eq!(steps, (1..=9).map(work).collect::<Vec<_>>());
         std::fs::remove_file(&dump).ok();
     }
 

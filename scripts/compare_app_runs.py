@@ -44,7 +44,8 @@ INVOCATIONS = [
      "--metrics-dump", "{out}/m.prom", "--watchdog"],
 ]
 
-KERNEL_ROW = re.compile(r"^(\S+)\s+(\d+)\s+[\d.]+\s+[\d.]+%")
+# name, class (when the table has that column), calls, seconds, share.
+KERNEL_ROW = re.compile(r"^(\S+)\s+(?:[A-Za-z-]\S*\s+)?(\d+)\s+[\d.]+\s+[\d.]+%")
 
 
 def normalise_stdout(text):

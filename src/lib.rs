@@ -8,7 +8,9 @@
 //!   deposit strategies, the particle store and move engine.
 //! * [`mesh`] — mesh generators, geometry, connectivity, the
 //!   direct-hop structured overlay.
-//! * [`linalg`] — CSR + Jacobi-PCG (the PETSc substitute).
+//! * [`linalg`] — CSR matrices and the RCM-ordered envelope Cholesky
+//!   field solve (the PETSc substitute); Jacobi-PCG is the tests'
+//!   oracle.
 //! * [`device`] — the SIMT device cost model (the CUDA/HIP substitute).
 //! * [`mpi`] — the in-process distributed runtime (the MPI substitute).
 //! * [`model`] — machine models, rooflines, scaling/power projections.
