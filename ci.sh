@@ -171,13 +171,18 @@ if [ -n "$(git status --porcelain -- results/conformance 2>/dev/null)" ]; then
     exit 1
 fi
 
-echo "== reproducer replays (one committed file of each format, DESIGN.md §9-§10)"
+echo "== reproducer replays (committed files of both formats, DESIGN.md §9-§10)"
 # Reproducers written before today's code must still parse and replay:
-# a clean two-rank matrix cell and a budgeted Mpi drop cell, both of
-# which pass, so each replay exits 0 with its PASS line.
+# a clean two-rank matrix cell and every committed chaos cell but the
+# abort-policy kill, all of which pass, so each replay exits 0 with its
+# PASS line.
 fixtures=crates/conformance/tests/fixtures
-for replay in "--replay $fixtures/fempic-seq-seq-mh-mpi2.json" \
-    "--chaos-replay $fixtures/chaos-drop100q3-x11-r2-s3-p24-t8.json"; do
+abort_kill=$fixtures/chaos-kill0at3-exchange-abort-xc1-r4-s8-p48-t6.json
+replays=("--replay $fixtures/fempic-seq-seq-mh-mpi2.json")
+for chaos in "$fixtures"/chaos-*.json; do
+    [ "$chaos" = "$abort_kill" ] || replays+=("--chaos-replay $chaos")
+done
+for replay in "${replays[@]}"; do
     # shellcheck disable=SC2086 # the flag and the path are two words
     if ! out=$(./target/release/conformance $replay) ||
         ! grep -q '^PASS —' <<<"$out"; then
@@ -187,15 +192,19 @@ for replay in "--replay $fixtures/fempic-seq-seq-mh-mpi2.json" \
     fi
 done
 # A mutated reproducer must reproduce on the runtime it names (here
-# two MPI ranks): exit 1 and no PASS line.
+# two MPI ranks), and the abort-policy kill must abort again: each
+# exits 1 with no PASS line.
 mutated=$fixtures/fempic-pool4-sr-dh-mpi2-sorted-bind-mutated.json
-status=0
-out=$(./target/release/conformance --replay "$mutated") || status=$?
-if [ "$status" -ne 1 ] || grep -q '^PASS' <<<"$out"; then
-    printf '%s\n' "$out" >&2
-    echo "conformance --replay $mutated exited $status; a mutated cell must not pass" >&2
-    exit 1
-fi
+for replay in "--replay $mutated" "--chaos-replay $abort_kill"; do
+    status=0
+    # shellcheck disable=SC2086 # the flag and the path are two words
+    out=$(./target/release/conformance $replay) || status=$?
+    if [ "$status" -ne 1 ] || grep -q '^PASS' <<<"$out"; then
+        printf '%s\n' "$out" >&2
+        echo "conformance $replay exited $status; it must reproduce, not pass" >&2
+        exit 1
+    fi
+done
 
 echo "== schedule audit (whole-step dataflow, DESIGN.md §11)"
 # Record both apps' default-config step schedules, audit them, and fail

@@ -2,11 +2,14 @@
 //! figures): kill one rank at each site (mid-step, mid-exchange,
 //! mid-checkpoint) and measure the survivors' mean time to repair —
 //! detection latency (collective error → death verdict), recovery
-//! time (verdict → membership installed, state restored, cells and
-//! particles re-homed), and post-recovery throughput against the
-//! pre-failure baseline. Detection always includes the configured
-//! death deadline, which the detector grants every suspect, so the
-//! artifact records what detection takes beyond it.
+//! time in two parts — agreement (verdict → every survivor's proposal
+//! on the board) and restore (state restored, cells and particles
+//! re-homed, membership installed) — and post-recovery throughput
+//! against the pre-failure baseline. Detection always includes the
+//! configured death deadline, which the detector grants every suspect,
+//! so the artifact records what detection takes beyond it. Survivors
+//! suspect at different times, so agreement holds the wait for the
+//! last survivor's own verdict.
 //!
 //! Every site is first validated against its planned-shrink twin
 //! (bit-identical survivors at the shrunk rank count) — a diverging
@@ -15,32 +18,23 @@
 //! `crates/bench/tests/mttr_regression.rs` pins the recorded bounds.
 
 use oppic_bench::rankfail::{
-    classify_shrink, run_rank_failure, ChaosVerdict, DeathPolicy, KillSite, RankFailScenario,
-    RankKill,
+    classify_shrink, run_rank_failure, ChaosVerdict, KillSite, RankFailScenario, RankKill,
 };
 use oppic_bench::report::banner;
 use std::fmt::Write as _;
 
 fn scenario(site: KillSite) -> RankFailScenario {
-    RankFailScenario {
-        ranks: 4,
-        steps: 16,
-        particles: 200,
-        seed: 0xA77,
-        checkpoint_every: 4,
-        kill: Some(RankKill {
-            rank: 2,
-            // A checkpoint-site kill dies at the boundary itself.
-            step: if site == KillSite::Checkpoint { 8 } else { 9 },
-            site,
-        }),
-        planned_shrink: None,
-        heartbeat_ms: 2,
-        death_deadline_ms: 150,
-        on_death: DeathPolicy::Shrink,
-        max_retries: 6,
-        retransmit_ms: 80,
-    }
+    let mut sc = RankFailScenario::baseline();
+    sc.steps = 16;
+    sc.particles = 200;
+    sc.seed = 0xA77;
+    sc.kill = Some(RankKill {
+        rank: 2,
+        // A checkpoint-site kill dies at the boundary itself.
+        step: if site == KillSite::Checkpoint { 8 } else { 9 },
+        site,
+    });
+    sc
 }
 
 fn main() {
@@ -56,8 +50,15 @@ fn main() {
     };
 
     println!(
-        "{:>11} {:>9} {:>13} {:>12} {:>9} {:>9} {:>9}",
-        "site", "replayed", "past ddl (ms)", "recover (ms)", "mttr", "pre s/s", "post s/s"
+        "{:>11} {:>9} {:>13} {:>10} {:>12} {:>9} {:>9} {:>9}",
+        "site",
+        "replayed",
+        "past ddl (ms)",
+        "agree (ms)",
+        "restore (ms)",
+        "mttr",
+        "pre s/s",
+        "post s/s"
     );
     let mut rows = String::new();
     let mut failed = false;
@@ -87,8 +88,9 @@ fn main() {
         };
         let detection_ms = fmax(&|f| f.detection_ms);
         let beyond_ms = detection_ms - sc.death_deadline_ms as f64;
-        let recovery_ms = fmax(&|f| f.recovery_ms);
-        let mttr_ms = detection_ms + recovery_ms;
+        let agreement_ms = fmax(&|f| f.agreement_ms);
+        let restore_ms = fmax(&|f| f.recovery_ms - f.agreement_ms);
+        let mttr_ms = detection_ms + agreement_ms + restore_ms;
         let steps_replayed = survivors.iter().map(|f| f.steps_replayed).max().unwrap();
         let pre = mean(&|f| f.pre_steps_per_s);
         let post = mean(&|f| f.post_steps_per_s);
@@ -97,11 +99,12 @@ fn main() {
         // agreed on, not their sum.
         let deaths = survivors.iter().map(|f| f.rank_deaths).max().unwrap();
         println!(
-            "{:>11} {:>9} {:>13.1} {:>12.1} {:>9.1} {:>9.1} {:>9.1}",
+            "{:>11} {:>9} {:>13.1} {:>10.1} {:>12.1} {:>9.1} {:>9.1} {:>9.1}",
             site.name(),
             steps_replayed,
             beyond_ms,
-            recovery_ms,
+            agreement_ms,
+            restore_ms,
             mttr_ms,
             pre,
             post
@@ -112,7 +115,8 @@ fn main() {
         let _ = write!(
             rows,
             "    {{\"site\": \"{}\", \"kill_rank\": {}, \"kill_step\": {}, \
-             \"detection_beyond_deadline_ms\": {beyond_ms:.3}, \"recovery_ms\": {recovery_ms:.3}, \
+             \"detection_beyond_deadline_ms\": {beyond_ms:.3}, \"agreement_ms\": {agreement_ms:.3}, \
+             \"restore_ms\": {restore_ms:.3}, \
              \"mttr_ms\": {mttr_ms:.3}, \"steps_replayed\": {steps_replayed}, \
              \"pre_steps_per_s\": {pre:.3}, \"post_steps_per_s\": {post:.3}, \
              \"stale_epoch_dropped\": {stale}, \"rank_deaths\": {deaths}, \
@@ -129,7 +133,7 @@ fn main() {
 
     let sc = scenario(KillSite::Step);
     let json = format!(
-        "{{\n  \"schema\": \"oppic-mttr-v2\",\n  \"ranks\": {},\n  \"steps\": {},\n  \
+        "{{\n  \"schema\": \"oppic-mttr-v3\",\n  \"ranks\": {},\n  \"steps\": {},\n  \
          \"particles\": {},\n  \"checkpoint_every\": {},\n  \"heartbeat_ms\": {},\n  \
          \"death_deadline_ms\": {},\n  \"sites\": [\n{rows}\n  ]\n}}\n",
         sc.ranks,
@@ -153,7 +157,8 @@ fn main() {
     }
     println!(
         "\nMTTR = detection (the death deadline + the detector's time past it)\n\
-         + recovery (agreement, shard restore, re-partition, adoption);\n\
+         + agreement (waiting for every survivor's proposal)\n\
+         + restore (shard restore, re-partition, adoption);\n\
          replay cost is bounded by the checkpoint cadence."
     );
 }

@@ -42,7 +42,7 @@ fn mttr_artifact_pins_the_recovery_contract() {
     let doc = load_artifact();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("oppic-mttr-v2"),
+        Some("oppic-mttr-v3"),
         "schema drifted — regenerate with fig_rank_failure_mttr"
     );
     let deadline_ms = num(&doc, "death_deadline_ms");
@@ -81,15 +81,18 @@ fn mttr_artifact_pins_the_recovery_contract() {
             beyond <= deadline_ms * 99.0,
             "site {site}: detection {beyond} ms past the deadline is implausibly slow"
         );
-        let recovery = num(row, "recovery_ms");
+        // recovery = agreement + restore.
+        let agreement = num(row, "agreement_ms");
+        let restore = num(row, "restore_ms");
+        let recovery = agreement + restore;
         assert!(
-            recovery > 0.0 && recovery < 60_000.0,
-            "site {site}: recovery {recovery} ms out of bounds"
+            agreement >= 0.0 && restore > 0.0 && recovery < 60_000.0,
+            "site {site}: recovery {agreement} + {restore} ms out of bounds"
         );
         let mttr = num(row, "mttr_ms");
         assert!(
-            (mttr - (deadline_ms + beyond + recovery)).abs() < 0.01,
-            "site {site}: mttr must be deadline + detection beyond it + recovery"
+            (mttr - (deadline_ms + beyond + agreement + restore)).abs() < 0.01,
+            "site {site}: mttr must be deadline + detection beyond it + agreement + restore"
         );
         let replayed = num(row, "steps_replayed") as u64;
         let bound = if site == "checkpoint" {

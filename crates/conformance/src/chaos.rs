@@ -1,12 +1,15 @@
-//! Chaos stage: seeded fault schedules over the resilient distributed
-//! code path.
+//! Chaos stage: seeded faults over the resilient distributed code
+//! path.
 //!
-//! Each [`ChaosCell`] runs the Mini-FEM-PIC distributed step over the
-//! reliable link (envelope + ack/retry migration and reductions from
-//! `oppic-resilience`) twice: once fault-free as the reference, once
-//! under a deterministic [`FaultSchedule`] (or a host-side NaN soft
-//! error routed through the [`RecoveryDriver`]). The contract the
-//! stage enforces is the resilience layer's whole point:
+//! Each [`ChaosCell`] maps onto one scenario of the resilient run loop
+//! ([`oppic_bench::rankfail`]): the Mini-FEM-PIC distributed step over
+//! the reliable link (envelope + ack/retry migration and reductions
+//! from `oppic-resilience`), checkpointed every two steps and rewound
+//! to a shard when a step fails. The loop runs the cell twice: once
+//! fault-free as the reference, once under its fault — a seeded
+//! [`oppic_resilience::FaultSchedule`] on the data plane, a host-side
+//! NaN soft error on one guarded rank, or a rank kill. The contract
+//! the stage enforces is the resilience layer's whole point:
 //!
 //! * **Recovered** — the faulted run completes and its observables are
 //!   *bit-identical* to the fault-free reference (retransmission and
@@ -18,8 +21,8 @@
 //! * **SilentCorruption** — the run completed but diverged from the
 //!   reference. Never acceptable; the stage exits non-zero.
 //!
-//! The verdict type and its per-rank classifier are the rank-failure
-//! experiments' own ([`ChaosVerdict`], shared with
+//! The verdict type and its classifier are the rank-failure
+//! experiments' own ([`ChaosVerdict`] and `classify_shrink`, in
 //! `oppic_bench::rankfail`). A chaos cell is a [`Case`]: it shrinks,
 //! writes and replays its reproducer through the same pipeline as a
 //! differential cell, with its own fields and two shrink moves of its
@@ -31,23 +34,15 @@
 use crate::report::{Case, Fields, Move};
 pub use oppic_bench::rankfail::ChaosVerdict;
 use oppic_bench::rankfail::{
-    classify_shrink, compare_rank, run_rank_failure, DeathPolicy, KillSite, RankFailScenario,
-    RankKill,
+    classify_shrink, run_scenario, DeathPolicy, Fault, KillSite, RankFailScenario, RankKill,
 };
 use oppic_core::json::{self, Json};
 use oppic_core::telemetry::{Telemetry, TelemetryEvent};
-use oppic_core::Simulation;
-use oppic_fempic::{FemPic, FemPicConfig};
-use oppic_mpi::comm::RankCtx;
 use oppic_obs::recorder::FlightRecorder;
 use oppic_obs::watchdog::{StepObs, Watchdog, WatchdogConfig, RULE_QUARANTINE, RULE_STEP_TIME};
-use oppic_resilience::{
-    world_run_faulty, FaultKind, FaultSchedule, RecoveryConfig, RecoveryDriver, Reliable,
-    ReliableLink, RetryPolicy,
-};
+use oppic_resilience::{FaultKind, RetryPolicy};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub const CHAOS_SCHEMA: &str = "oppic-chaos-repro-v1";
 
@@ -74,9 +69,10 @@ pub enum ChaosFault {
         /// Total injections before the schedule quiesces.
         budget: u64,
     },
-    /// Host-side soft error: one particle position poisoned to NaN
-    /// just before the given step, detected by the numeric quarantine
-    /// and healed by checkpoint rollback-and-replay.
+    /// Host-side soft error: one particle position poisoned to NaN at
+    /// the top of the given step, detected by the numeric quarantine
+    /// and healed by rewinding to the rank's last shard. Runs on one
+    /// rank whatever `ranks` says.
     NanInject { step: usize },
     /// Process fault: `rank` fail-stops at `step`/`site` (the
     /// "stall-forever" kill). Survivors must detect, agree, shrink,
@@ -101,8 +97,8 @@ pub struct ChaosCell {
     pub steps: usize,
     /// Particles injected per step across all ranks.
     pub particles: usize,
-    /// Retry budget of the reliable link (also the rollback budget of
-    /// recovery cells).
+    /// Retry budget of the reliable link, and rewind budget of the run
+    /// (0 disables both).
     pub max_retries: usize,
     /// Retransmit timer (ms) for fault-free links; see
     /// [`DEFAULT_QUIET_RETRANSMIT_MS`].
@@ -175,11 +171,9 @@ pub struct ChaosReport {
     pub cell: ChaosCell,
     pub verdict: ChaosVerdict,
     /// Flight-recorder dump (`OPFR` binary) of the faulted run, written
-    /// beside the reproducer by the conformance binary. NaN-inject
-    /// cells keep it when the run raised alerts (rollbacks) or
-    /// misbehaved; rank-kill cells keep the first survivor's, which
-    /// holds the death verdict. `Mpi` cells carry none: they run one
-    /// hub per in-process rank.
+    /// beside the reproducer by the conformance binary: the first
+    /// rank's whose hub raised an alert (a rollback or a death
+    /// verdict), whether it then recovered or aborted.
     pub recorder_dump: Option<Vec<u8>>,
 }
 
@@ -203,300 +197,76 @@ impl ChaosReport {
 }
 
 // ---------------------------------------------------------------------------
-// The distributed step over the reliable link (the system under chaos)
+// Every cell runs the resilient loop of `oppic_bench::rankfail`
 // ---------------------------------------------------------------------------
 
-/// Per-rank observables of one driver run. After the reliable
-/// allreduce the node-charge vector is replicated, so bit-comparing it
-/// per rank checks both the physics and the reduction transport.
-#[derive(Debug, Clone, PartialEq)]
-struct RankOut {
-    particles: usize,
-    node_charge: Vec<f64>,
-    retransmits: u64,
-    frames_corrupt: u64,
-}
-
-/// Run the reliable Mini-FEM-PIC distributed step under an optional
-/// fault schedule: [`FemPic::step_over`] over the reliable link,
-/// so every inter-rank transfer (migration and the node-charge
-/// reduction) goes through the resilience layer. No raw collectives
-/// touch the faulted plane, so every failure mode is a typed error.
-fn run_reliable_fempic(
-    cell: &ChaosCell,
-    sched: Option<Arc<FaultSchedule>>,
-) -> Vec<Result<RankOut, String>> {
-    let n_ranks = cell.ranks;
-    let fault_free = sched.is_none();
-    let mut base = FemPicConfig::tiny();
-    base.inject_per_step = cell.particles;
-    base.seed = base.seed.wrapping_add(cell.seed);
-    world_run_faulty(n_ranks, sched, |ctx: &mut RankCtx| {
-        let (mut sim, cell_rank) = FemPic::new_rank(&base, ctx.rank, n_ranks);
-        let mut link = ReliableLink::new(RetryPolicy {
-            max_retries: cell.max_retries,
-            // The short retransmit timer exists to recover *injected*
-            // faults; clean traffic gets the cell's quiet timer (see
-            // DEFAULT_QUIET_RETRANSMIT_MS).
-            base_timeout: if fault_free {
-                Duration::from_millis(cell.quiet_retransmit_ms)
-            } else {
-                RetryPolicy::default().base_timeout
-            },
-            ..RetryPolicy::default()
-        });
-        let mut net = Reliable {
-            link: &mut link,
-            ctx,
-            cell_rank: &cell_rank,
-        };
-
-        for _ in 0..cell.steps {
-            sim.step_over(&mut net).map_err(|e| e.to_string())?;
+/// Map a chaos cell onto its rank-failure scenario, clamping so every
+/// point the shrinker can reach stays a valid experiment: a NaN cell
+/// runs on one rank, a kill's victim exists, its step is in range, and
+/// a `Checkpoint`-site kill lands on an actual boundary. Network-fault
+/// and control cells abort on a failed collective; faulted links get
+/// the short default retransmit timer, clean ones the cell's quiet one.
+pub fn cell_scenario(cell: &ChaosCell) -> RankFailScenario {
+    let mut sc = RankFailScenario::baseline();
+    sc.ranks = cell.ranks;
+    sc.steps = cell.steps;
+    sc.particles = cell.particles;
+    sc.seed = cell.seed;
+    sc.checkpoint_every = 2;
+    sc.kill = None;
+    sc.on_death = DeathPolicy::Abort;
+    sc.max_retries = cell.max_retries;
+    match cell.fault {
+        ChaosFault::None => sc.retransmit_ms = cell.quiet_retransmit_ms,
+        ChaosFault::Mpi { kind, rate, budget } => {
+            sc.fault = Fault::Network { kind, rate, budget };
+            sc.retransmit_ms = RetryPolicy::default().base_timeout.as_millis() as u64;
         }
-
-        // The step counts the link's retransmits on the sim's hub.
-        let hub = sim.profiler.telemetry();
-        Ok(RankOut {
-            particles: sim.ps.len(),
-            node_charge: sim.node_charge.raw().to_vec(),
-            retransmits: hub.counter("resilience.retransmits"),
-            frames_corrupt: hub.counter("resilience.frames_corrupt"),
-        })
-    })
-}
-
-/// Classify a faulted run against its fault-free reference.
-fn classify_mpi(
-    reference: &[Result<RankOut, String>],
-    faulted: &[Result<RankOut, String>],
-    injected: u64,
-) -> ChaosVerdict {
-    // The reliable step must be live with the injector disarmed; a failed
-    // reference is a harness defect the stage must not paper over.
-    ChaosVerdict::classify(
-        "fault-free reference run failed",
-        reference,
-        faulted,
-        injected,
-        |r, want, got, failures| {
-            compare_rank(
-                r,
-                "reference",
-                (want.particles, &want.node_charge),
-                (got.particles, &got.node_charge),
-                failures,
-            )
-        },
-        |got| (got.retransmits, 0),
-    )
-}
-
-fn run_mpi_cell(cell: &ChaosCell) -> ChaosReport {
-    let reference = run_reliable_fempic(cell, None);
-    let sched = match cell.fault {
-        ChaosFault::None => None,
-        ChaosFault::Mpi { kind, rate, budget } => Some(Arc::new(
-            FaultSchedule::single(cell.seed, kind, rate).with_budget(budget),
-        )),
-        ChaosFault::NanInject { .. } | ChaosFault::RankKill { .. } => {
-            unreachable!("routed to a dedicated cell runner")
+        ChaosFault::NanInject { step } => {
+            sc.fault = Fault::SoftError { step };
+            sc.ranks = 1;
+            sc.retransmit_ms = cell.quiet_retransmit_ms;
         }
-    };
-    let faulted = run_reliable_fempic(cell, sched.clone());
-    let injected = sched.map_or(0, |s| s.injected());
-    ChaosReport {
-        cell: cell.clone(),
-        verdict: classify_mpi(&reference, &faulted, injected),
-        recorder_dump: None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Host-side soft-error cell: quarantine detection + rollback-and-replay
-// ---------------------------------------------------------------------------
-
-fn run_recovery_cell(cell: &ChaosCell) -> ChaosReport {
-    let ChaosFault::NanInject { step: inject_at } = cell.fault else {
-        unreachable!("routed to run_mpi_cell");
-    };
-    let mut cfg = FemPicConfig::tiny();
-    cfg.inject_per_step = cell.particles.max(1);
-    cfg.seed = cfg.seed.wrapping_add(cell.seed);
-    cfg.guard_numerics = true;
-
-    let mut reference = FemPic::new(cfg.clone());
-    reference.run(cell.steps);
-
-    // The flight recorder watches the faulted sim's own hub, made
-    // current here as well: each step's spans and step record and the
-    // `recovery_rollback` alert (published through the current hub)
-    // land in one ring, whose post-mortem dump goes beside the
-    // reproducer.
-    let faulted = FemPic::new(cfg);
-    let hub = faulted.profiler.telemetry().clone();
-    let recorder = Arc::new(FlightRecorder::new(4096));
-    hub.set_observer(Some(recorder.clone()));
-    let _guard = hub.make_current();
-    let take_dump = |recorder: &FlightRecorder| recorder.dump(Vec::new()).ok();
-
-    let rec_cfg = RecoveryConfig {
-        checkpoint_every: 2,
-        max_recoveries: cell.max_retries.max(1),
-        disk_path: None,
-    };
-    let mut driver = match RecoveryDriver::new(faulted, rec_cfg) {
-        Ok(d) => d,
-        Err(e) => {
-            return ChaosReport {
-                cell: cell.clone(),
-                verdict: ChaosVerdict::CleanAbort {
-                    errors: vec![e.to_string()],
-                },
-                recorder_dump: None,
-            }
-        }
-    };
-    for step in 1..=cell.steps {
-        if step == inject_at {
-            // The transient soft error: one live position word turns
-            // NaN between steps. The guarded step's quarantine is the
-            // detector; rollback restores the lost particle exactly.
-            let sim = driver.sim_mut();
-            if !sim.ps.is_empty() {
-                let victim = cell.seed as usize % sim.ps.len();
-                let pos = sim.pos;
-                sim.ps.el_mut(pos, victim)[0] = f64::NAN;
-            }
-        }
-        let checked = driver.step_checked(|s: &FemPic| {
-            s.invariants()?;
-            if s.last_quarantined > 0 {
-                return Err(format!(
-                    "{} particle(s) quarantined with non-finite state",
-                    s.last_quarantined
-                ));
-            }
-            Ok(())
-        });
-        if let Err(e) = checked {
-            return ChaosReport {
-                cell: cell.clone(),
-                verdict: ChaosVerdict::CleanAbort {
-                    errors: vec![e.to_string()],
-                },
-                recorder_dump: take_dump(&recorder),
-            };
-        }
-    }
-
-    let sim = driver.sim();
-    let mut failures = Vec::new();
-    if sim.ps.len() != reference.ps.len() {
-        failures.push(format!(
-            "{} particles, reference has {} — quarantine loss not healed",
-            sim.ps.len(),
-            reference.ps.len()
-        ));
-    }
-    if sim.ps.col(sim.pos) != reference.ps.col(reference.pos) {
-        failures.push("particle positions diverged from reference".into());
-    }
-    if sim.node_charge.raw() != reference.node_charge.raw() {
-        failures.push("node_charge diverged from reference".into());
-    }
-    if sim.fem.potential() != reference.fem.potential() {
-        failures.push("potential diverged from reference".into());
-    }
-    let verdict = if failures.is_empty() {
-        ChaosVerdict::Recovered {
-            injected: 1,
-            retransmits: 0,
-            recoveries: driver.recoveries() as u64,
-        }
-    } else {
-        ChaosVerdict::SilentCorruption { failures }
-    };
-    // Keep the evidence whenever something alert-worthy happened: a
-    // rollback during a recovered run, or any non-recovered verdict.
-    let recorder_dump =
-        if hub.alert_total() > 0 || !matches!(verdict, ChaosVerdict::Recovered { .. }) {
-            take_dump(&recorder)
-        } else {
-            None
-        };
-    ChaosReport {
-        cell: cell.clone(),
-        verdict,
-        recorder_dump,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rank-kill cell: failure detection + membership shrink + replay
-// ---------------------------------------------------------------------------
-
-/// Map a rank-kill chaos cell onto a [`RankFailScenario`], clamping
-/// the kill parameters so every point the shrinker can reach stays a
-/// valid experiment: the victim exists, the kill step is in range,
-/// and a `Checkpoint`-site kill lands on an actual boundary.
-pub fn rank_kill_scenario(cell: &ChaosCell) -> RankFailScenario {
-    let ChaosFault::RankKill {
-        rank,
-        step,
-        site,
-        policy,
-    } = cell.fault
-    else {
-        unreachable!("not a rank-kill cell");
-    };
-    let ranks = cell.ranks.max(2);
-    let steps = cell.steps.max(2);
-    let checkpoint_every = 2;
-    let mut step = step.clamp(1, steps);
-    if site == KillSite::Checkpoint {
-        step = (step / checkpoint_every * checkpoint_every).max(checkpoint_every);
-    }
-    RankFailScenario {
-        ranks,
-        steps,
-        particles: cell.particles,
-        seed: cell.seed,
-        checkpoint_every,
-        kill: Some(RankKill {
-            rank: rank % ranks,
+        ChaosFault::RankKill {
+            rank,
             step,
             site,
-        }),
-        planned_shrink: None,
-        heartbeat_ms: 2,
-        death_deadline_ms: 150,
-        on_death: policy,
-        max_retries: cell.max_retries,
-        retransmit_ms: 80,
+            policy,
+        } => {
+            sc.ranks = cell.ranks.max(2);
+            sc.steps = cell.steps.max(2);
+            let mut step = step.clamp(1, sc.steps);
+            if site == KillSite::Checkpoint {
+                step = (step / sc.checkpoint_every * sc.checkpoint_every).max(sc.checkpoint_every);
+            }
+            sc.kill = Some(RankKill {
+                rank: rank % sc.ranks,
+                step,
+                site,
+            });
+            sc.on_death = policy;
+        }
     }
+    sc
 }
 
-fn run_rank_kill_cell(cell: &ChaosCell) -> ChaosReport {
-    let sc = rank_kill_scenario(cell);
-    let twin = run_rank_failure(&sc.twin());
-    let faulted = run_rank_failure(&sc);
+/// Execute one cell: the reference and the faulted run through the
+/// one resilient loop, then the one classifier.
+pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosReport {
+    let sc = cell_scenario(cell);
+    let mut reference = sc.twin();
+    if sc.kill.is_none() {
+        reference.retransmit_ms = cell.quiet_retransmit_ms;
+    }
+    let reference = run_scenario(&reference);
+    let faulted = run_scenario(&sc);
     ChaosReport {
         cell: cell.clone(),
-        verdict: classify_shrink(&sc, &twin, &faulted),
-        recorder_dump: faulted
-            .iter()
-            .filter_map(|r| r.as_ref().ok().and_then(|o| o.as_ref()))
-            .find_map(|f| f.recorder_dump.clone()),
-    }
-}
-
-/// Execute one cell: reference run, faulted run, classification.
-pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosReport {
-    match cell.fault {
-        ChaosFault::NanInject { .. } => run_recovery_cell(cell),
-        ChaosFault::RankKill { .. } => run_rank_kill_cell(cell),
-        _ => run_mpi_cell(cell),
+        verdict: classify_shrink(&sc, &reference, &faulted),
+        recorder_dump: faulted.iter().find_map(|out| match out {
+            Ok(fin) => fin.as_ref()?.recorder_dump.clone(),
+            Err(abort) => abort.recorder_dump.clone(),
+        }),
     }
 }
 
@@ -866,6 +636,7 @@ impl Case for ChaosCell {
 mod tests {
     use super::*;
     use crate::shrink::{shrink, MAX_ATTEMPTS};
+    use std::time::Duration;
 
     /// The disarmed control: the reliable protocol itself must be
     /// bit-transparent against the fault-free reference.
@@ -954,20 +725,26 @@ mod tests {
     }
 
     /// Divergence without an error must classify as silent corruption
-    /// — the classifier is what the whole stage hangs off.
+    /// — the classifier is what the whole stage hangs off. It compares
+    /// every observable, the positions and potential included.
     #[test]
     fn divergence_without_error_is_silent_corruption() {
-        let mk = |charge: f64, particles: usize| {
-            Ok(RankOut {
+        use oppic_bench::rankfail::RankFinal;
+        let sc = cell_scenario(&mpi_cell(FaultKind::Drop, 0x11, 1.0, 4, 2));
+        let mk = |charge: f64, particles: usize, potential: f64| {
+            Ok::<_, String>(Some(RankFinal {
                 particles,
                 node_charge: vec![charge, 2.0],
-                retransmits: 0,
-                frames_corrupt: 0,
-            })
+                positions: vec![0.5; particles],
+                potential: vec![potential],
+                members: vec![0, 1],
+                injected: 4,
+                ..RankFinal::default()
+            }))
         };
-        let reference = vec![mk(1.0, 10), mk(1.0, 10)];
-        let faulted = vec![mk(1.0, 10), mk(1.5, 9)];
-        match classify_mpi(&reference, &faulted, 4) {
+        let reference = vec![mk(1.0, 10, 3.0), mk(1.0, 10, 3.0)];
+        let faulted = vec![mk(1.0, 10, 3.0), mk(1.5, 9, 3.0)];
+        match classify_shrink(&sc, &reference, &faulted) {
             ChaosVerdict::SilentCorruption { failures } => {
                 assert_eq!(failures.len(), 2, "{failures:?}");
                 assert!(failures[0].contains("9 particles"), "{failures:?}");
@@ -975,12 +752,45 @@ mod tests {
             }
             other => panic!("expected SilentCorruption, got {other:?}"),
         }
+        let faulted = vec![mk(1.0, 10, 3.0), mk(1.0, 10, -3.0)];
+        match classify_shrink(&sc, &reference, &faulted) {
+            ChaosVerdict::SilentCorruption { failures } => {
+                assert_eq!(failures, ["rank 1: potential[0] = -3e0, reference 3e0"]);
+            }
+            other => panic!("expected SilentCorruption, got {other:?}"),
+        }
         // And a matching pair recovers.
-        let faulted = vec![mk(1.0, 10), mk(1.0, 10)];
+        let faulted = vec![mk(1.0, 10, 3.0), mk(1.0, 10, 3.0)];
         assert!(matches!(
-            classify_mpi(&reference, &faulted, 4),
+            classify_shrink(&sc, &reference, &faulted),
             ChaosVerdict::Recovered { injected: 4, .. }
         ));
+    }
+
+    /// A zero rewind budget disables rollback: the NaN cell's failed
+    /// check is a clean typed abort naming the spent budget.
+    #[test]
+    fn disabled_rollback_makes_the_nan_cell_a_clean_abort() {
+        let cell = ChaosCell {
+            fault: ChaosFault::NanInject { step: 3 },
+            seed: 5,
+            ranks: 1,
+            steps: 5,
+            particles: 8,
+            max_retries: 0,
+            ..ChaosCell::base()
+        };
+        match run_chaos_cell(&cell).verdict {
+            ChaosVerdict::CleanAbort { errors } => {
+                assert!(
+                    errors
+                        .iter()
+                        .any(|e| e.contains("rollback budget of 0 rewinds exhausted")),
+                    "{errors:?}"
+                );
+            }
+            other => panic!("expected CleanAbort, got {other:?}"),
+        }
     }
 
     /// The soft-error cell: quarantine detects the NaN, the recovery
@@ -1269,7 +1079,8 @@ mod tests {
 
     /// The shrinker may drive steps, ranks, or the kill point out of
     /// their original relation; the scenario mapping has to keep every
-    /// reachable cell a well-formed experiment.
+    /// reachable cell a well-formed experiment, and a NaN cell on one
+    /// rank.
     #[test]
     fn rank_kill_scenario_clamps_shrunk_cells() {
         let cell = ChaosCell {
@@ -1284,7 +1095,7 @@ mod tests {
             steps: 3,
             ..ChaosCell::base()
         };
-        let sc = rank_kill_scenario(&cell);
+        let sc = cell_scenario(&cell);
         let kill = sc.kill.unwrap();
         assert!(kill.rank < sc.ranks);
         assert!(kill.step >= 1 && kill.step <= sc.steps);
@@ -1293,6 +1104,12 @@ mod tests {
             0,
             "a checkpoint-site kill must land on a boundary"
         );
+        let nan = ChaosCell {
+            fault: ChaosFault::NanInject { step: 2 },
+            ranks: 3,
+            ..ChaosCell::base()
+        };
+        assert_eq!(cell_scenario(&nan).ranks, 1);
     }
 
     /// Keep the smoke tests honest about wall-clock: aborts resolve by

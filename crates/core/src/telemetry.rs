@@ -146,18 +146,23 @@ impl KernelStats {
 /// The paper-style kernel table: one row per kernel (class, calls,
 /// seconds, share of the rows' total, achieved GB/s and GFLOP/s) and a
 /// TOTAL line. Both the hub's end-of-run breakdown and `oppic-report`
-/// render their kernels through it, so one run prints one table.
+/// render their kernels through it, so one run prints one table. The
+/// name column is as wide as the longest name, so every row aligns.
 pub fn kernel_table(rows: &[(String, KernelStats)]) -> String {
     let total = rows.iter().map(|(_, k)| k.seconds).sum::<f64>().max(1e-30);
+    let w = rows
+        .iter()
+        .map(|(name, _)| name.chars().count())
+        .fold("kernel".len(), usize::max);
     let rate = |v: Option<f64>| v.map_or_else(|| "-".into(), |v| format!("{v:.2}"));
     let mut s = format!(
-        "{:<28} {:>12} {:>8} {:>12} {:>7} {:>12} {:>12}\n",
+        "{:<w$} {:>12} {:>8} {:>12} {:>7} {:>12} {:>12}\n",
         "kernel", "class", "calls", "seconds", "%", "GB/s", "GFLOP/s"
     );
     for (name, k) in rows {
         let _ = writeln!(
             s,
-            "{:<28} {:>12} {:>8} {:>12.4} {:>6.1}% {:>12} {:>12}",
+            "{:<w$} {:>12} {:>8} {:>12.4} {:>6.1}% {:>12} {:>12}",
             name,
             k.class.map_or("-", KernelClass::as_str),
             k.calls,
@@ -167,7 +172,7 @@ pub fn kernel_table(rows: &[(String, KernelStats)]) -> String {
             rate(k.gflops()),
         );
     }
-    let _ = writeln!(s, "{:<28} {:>12} {:>8} {:>12.4}", "TOTAL", "", "", total);
+    let _ = writeln!(s, "{:<w$} {:>12} {:>8} {:>12.4}", "TOTAL", "", "", total);
     s
 }
 
@@ -1634,6 +1639,26 @@ mod tests {
         assert!(table.contains("TOTAL"));
         assert!(table.contains("move.relocated"));
         assert!(table.contains("move.hops_per_particle"));
+    }
+
+    #[test]
+    fn kernel_table_aligns_names_longer_than_the_header() {
+        let k = KernelStats {
+            calls: 3,
+            seconds: 0.5,
+            ..KernelStats::default()
+        };
+        let rows = [
+            ("ComputeF1Vector+SolvePotential".to_string(), k.clone()),
+            ("Move".to_string(), k),
+        ];
+        let table = kernel_table(&rows);
+        let lines: Vec<&str> = table.lines().filter(|l| !l.starts_with("TOTAL")).collect();
+        assert_eq!(lines.len(), 3);
+        assert!(
+            lines.iter().all(|l| l.len() == lines[0].len()),
+            "misaligned rows:\n{table}"
+        );
     }
 
     #[test]

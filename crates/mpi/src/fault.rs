@@ -161,14 +161,6 @@ impl FaultSchedule {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Fail-stop convenience: `rank` crashes at the top of `at_step`.
-    pub fn crash(seed: u64, rank: usize, at_step: usize) -> Self {
-        FaultSchedule::new(
-            seed,
-            vec![FaultSpec::new(FaultKind::Crash { rank, at_step }, 1.0)],
-        )
-    }
-
     /// If this schedule fail-stops `rank`, the step at which it dies.
     /// Consulted by rank bodies (not by message draws): a crashed rank
     /// returns early and goes permanently silent.
@@ -319,7 +311,11 @@ mod tests {
 
     #[test]
     fn crash_specs_never_fire_on_message_draws() {
-        let sched = FaultSchedule::crash(5, 1, 3);
+        let crash = FaultKind::Crash {
+            rank: 1,
+            at_step: 3,
+        };
+        let sched = FaultSchedule::new(5, vec![FaultSpec::new(crash, 1.0)]);
         for s in 0..32 {
             assert_eq!(sched.draw(1, 0, s, 4), FaultAction::None);
         }

@@ -1,10 +1,10 @@
-//! Resilience layer: surviving a faulty interconnect and transient
-//! data corruption without silently corrupting physics.
+//! Resilience layer: surviving a faulty interconnect, rank death and
+//! transient data corruption without silently corrupting physics.
 //!
 //! The production OP-PIC backends run on machines where messages are
 //! effectively reliable; this layer exists for the *other* regime —
 //! fault-injection campaigns, soft-error studies, and the conformance
-//! harness's chaos stage — and is built from four pieces:
+//! harness's chaos stage — and is built from these pieces:
 //!
 //! * [`envelope`] — sequence-numbered, CRC-64-checksummed frames
 //!   carried over the MPI shim's fault-injectable data plane
@@ -18,11 +18,15 @@
 //!   [`oppic_mpi::Transport`]: the drop/duplication/corruption-tolerant
 //!   counterpart of the plain alltoallv migration and allreduce, so the
 //!   apps' one step body runs over either.
-//! * [`recovery`] — [`RecoveryDriver`], checkpoint-based
-//!   rollback-and-replay over any [`oppic_core::Recoverable`]
-//!   simulation: periodic in-memory + on-disk checkpoints, a guarded
-//!   step that restores and replays when a check fails, and recovery
-//!   events published through the telemetry hub.
+//! * [`membership`] — [`Membership`] epochs and [`agree_evict`], the
+//!   shrink agreement survivors of a dead rank commit over the
+//!   proposal board.
+//! * [`shard`] — coordinated per-rank checkpoint shards on the stable
+//!   store, CRC-checked on every read.
+//!
+//! The loop that rewinds to a shard — after a failed collective or a
+//! failed soft-error check — is `oppic_bench::rankfail`'s, which every
+//! chaos cell and rank-failure experiment runs (DESIGN.md §13).
 //!
 //! The numeric guard lives next to the code it protects:
 //! `ParticleDats::quarantine_nonfinite` (NaN/Inf particle quarantine,
@@ -33,14 +37,12 @@
 pub mod envelope;
 pub mod membership;
 pub mod migrate;
-pub mod recovery;
 pub mod retry;
 pub mod shard;
 
 pub use envelope::{decode, Frame, FrameError};
 pub use membership::{agree_evict, Membership, MembershipError};
 pub use migrate::{LinkError, Reliable};
-pub use recovery::{RecoveryConfig, RecoveryDriver, RecoveryError, RecoveryEvent};
 pub use retry::{retry_jitter, ExchangeError, ReliableLink, RetryPolicy};
 pub use shard::{
     decode_shard, encode_shard, latest_common_version, read_shard, write_shard, ShardError,
