@@ -130,6 +130,12 @@ if ! diff <(move_columns results/ablation_move_strategies.txt) <(move_columns "$
 fi
 rm -f "$moves"
 
+echo "== overlay cell-map drift (smallest overlay build vs results/BENCH_overlay_build.json)"
+# Build the benchmark's 32³ overlay once and compare its cell_map
+# digest with the committed record: a changed overlay build or tie
+# rule shows up here. Only the digest is compared, never a time.
+./target/release/bench_overlay_build --check >/dev/null
+
 echo "== binding drift (binding-on trace vs results/BENCH_binding_drift.json)"
 # Rerun the binding-on FemPIC trace in a temp dir (it writes
 # results/BENCH_binding_drift.json under its working directory) and

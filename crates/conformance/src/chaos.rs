@@ -1226,5 +1226,20 @@ mod tests {
                 .any(|ev| matches!(ev, TelemetryEvent::SpanClose { step: Some(_), .. })),
             "no span record with a step number before the rollback"
         );
+        // The rollback counts between two steps; the replayed step's
+        // record carries those counts in its deltas.
+        let replayed = dump.events[alert_at..]
+            .iter()
+            .find_map(|ev| match ev {
+                TelemetryEvent::StepEnd { counters, .. } => Some(counters.to_vec()),
+                _ => None,
+            })
+            .expect("a step record after the rollback");
+        let delta = |name: &str| replayed.iter().find(|(k, _)| k == name).map(|&(_, n)| n);
+        assert_eq!(delta("resilience.recoveries"), Some(1), "{replayed:?}");
+        assert!(
+            delta("resilience.steps_replayed").is_some_and(|n| n > 0),
+            "{replayed:?}"
+        );
     }
 }

@@ -520,9 +520,11 @@ impl ParticleDats {
         self.cells_exposed = false;
         debug_assert!(self.cell.is_sorted(), "counting sort left cells unsorted");
         if let Some(h) = crate::telemetry::hist("sort.segment_len") {
+            let mut segments = crate::telemetry::HistogramSnapshot::default();
             for w in self.cell_start.windows(2) {
-                h.record((w[1] - w[0]) as u64);
+                segments.record((w[1] - w[0]) as u64);
             }
+            h.merge_snapshot(&segments);
         }
     }
 
@@ -745,6 +747,28 @@ mod tests {
                 assert!(ps.el(pos, w)[0] < ps.el(pos, w + 1)[0]);
             }
         }
+    }
+
+    /// The segment-length histogram holds one value per cell, empty
+    /// cells included: the same state as recording each segment on the
+    /// shared histogram.
+    #[test]
+    fn sort_records_one_segment_length_per_cell() {
+        let (mut ps, _, _) = store_with(23);
+        let tel = std::sync::Arc::new(crate::telemetry::Telemetry::new());
+        {
+            let _cur = tel.make_current();
+            ps.sort_by_cell(7);
+        }
+        let want = crate::telemetry::Histogram::new();
+        // `store_with` puts particle i in cell i % 5: cells 5 and 6
+        // stay empty.
+        for len in [5, 5, 5, 4, 4, 0, 0] {
+            want.record(len);
+        }
+        let got = tel.histogram("sort.segment_len").snapshot();
+        assert_eq!(got, want.snapshot());
+        assert_eq!((got.count, got.sum, got.min, got.max), (7, 23, 0, 5));
     }
 
     #[test]

@@ -371,8 +371,8 @@ impl HistogramSnapshot {
 #[derive(Default)]
 struct Counter {
     total: u64,
-    /// Value of `total` at the last `begin_step` — per-step deltas are
-    /// `total - mark`.
+    /// Value of `total` at the last `end_step` — per-step deltas are
+    /// `total - mark`, so a bump between two steps lands in the next.
     mark: u64,
 }
 
@@ -836,16 +836,13 @@ impl Telemetry {
 
     // -- step lifecycle ----------------------------------------------
 
-    /// Mark the start of simulation step `step`: snapshot counter marks
-    /// (for per-step deltas) and open the root `step` span frame.
+    /// Mark the start of simulation step `step`: open the root `step`
+    /// span frame. Counter marks are left where the last `end_step`
+    /// put them, so whatever was counted since then — set-up before
+    /// the first step, a rollback between two steps — is part of this
+    /// step's deltas.
     pub fn begin_step(&self, step: u64) {
         self.step.store(step, Ordering::Relaxed);
-        {
-            let mut st = self.state.lock();
-            for c in st.counters.values_mut() {
-                c.mark = c.total;
-            }
-        }
         self.spans.lock().push(Frame {
             id: None,
             path: "step".to_string(),
@@ -854,7 +851,8 @@ impl Telemetry {
     }
 
     /// Close the current step: any kernel spans still open inside it
-    /// are closed, counter deltas since `begin_step` are computed, and
+    /// are closed, counter deltas since the last `end_step` are
+    /// computed, and
     /// one [`TelemetryEvent::StepEnd`] is published. `gauges` are
     /// instantaneous level readings (e.g. `("alive", n_particles)`).
     pub fn end_step(&self, gauges: &[(&str, f64)]) {
@@ -1105,8 +1103,8 @@ impl Drop for Telemetry {
 
 /// An app's handle on its telemetry hub. It exists only because the
 /// benchmark harness (`perfbench/`) reads `sim.profiler.telemetry()`;
-/// ROADMAP item 6 replaces it with a plain `Arc<Telemetry>` field in a
-/// change that also updates that harness.
+/// the ROADMAP item "One benchmark change" replaces it with a plain
+/// `Arc<Telemetry>` field in a change that also updates that harness.
 #[derive(Debug, Default)]
 pub struct Profiler {
     tel: Arc<Telemetry>,
@@ -1302,17 +1300,42 @@ mod tests {
 
     #[test]
     fn counters_and_step_deltas() {
+        struct Deltas(Mutex<Vec<Vec<(String, u64)>>>);
+        impl EventObserver for Deltas {
+            fn on_event(&self, ev: &TelemetryEvent<'_>) {
+                if let TelemetryEvent::StepEnd { counters, .. } = ev {
+                    self.0.lock().push(counters.to_vec());
+                }
+            }
+        }
+        let rec = Arc::new(Deltas(Mutex::new(Vec::new())));
         let t = Telemetry::new();
-        t.counter_add("init", 7); // before any step: not in deltas
+        t.set_observer(Some(rec.clone()));
+        t.counter_add("init", 7); // before any step: in step 1's deltas
         t.begin_step(1);
         t.counter_add("moved", 5);
         t.counter_add("moved", 3);
         t.end_step(&[("alive", 100.0)]);
         assert_eq!(t.counter("moved"), 8);
         assert_eq!(t.counter("init"), 7);
+        // Between steps (a rollback's counters): in step 2's deltas.
+        t.counter_add("recoveries", 1);
         t.begin_step(2);
         t.end_step(&[]);
+        t.begin_step(3);
+        t.end_step(&[]);
         assert_eq!(t.counter("moved"), 8);
+        let owned = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
+            v.iter().map(|&(k, n)| (k.to_string(), n)).collect()
+        };
+        assert_eq!(
+            *rec.0.lock(),
+            [
+                owned(&[("init", 7), ("moved", 8)]),
+                owned(&[("recoveries", 1)]),
+                owned(&[]),
+            ]
+        );
     }
 
     #[test]

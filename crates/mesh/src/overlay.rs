@@ -12,9 +12,41 @@
 //! to the overlay's best-guess cell for its new position and only then
 //! falls back to multi-hop to reach the exact destination. The overlay
 //! trades memory for hop count — the trade-off the paper calls out.
+//!
+//! # Building the cell-map
+//!
+//! [`StructuredOverlay::build`] rasterises each tet once, cell-major
+//! (DESIGN.md §5, "Overlay build"). Cells are walked in ascending
+//! order; each visits the still-unresolved voxels of its clamped
+//! bounding-box range, row by row. A row only tests the voxels whose
+//! centres satisfy the cell's four barycentric half-spaces
+//! `λ_k ≥ −1e-6`, read off the tet's affine [`barycentric_map`] (of its
+//! `shape_deriv` about its centroid: the 16 coefficients FemPIC's move
+//! reads) as one bound on the voxel index each. The margin is a
+//! prefilter, not a verdict. The map's round-off grows like `ε·R/h`
+//! for a mesh `R` from the origin with cells of size `h`: about 2e-13,
+//! six orders below the margin, within 1e3 cell sizes of the origin,
+//! and the margin is used up near 1e9. Short of that it never drops a
+//! voxel that the exact test `bary_inside(barycentric(centre, verts),
+//! 1e-12)` would accept (the oracle checks ducts up to 1e6 cell sizes
+//! out). That exact test alone decides, and the first cell (lowest
+//! index) to pass claims the voxel — the same tie rule as a
+//! voxel-major scan of ascending candidates, which matters on the
+//! duct, whose voxel centres often lie on shared diagonal faces. A voxel no cell
+//! contains takes the first-minimum centroid distance among the cells
+//! whose bounding box covers it, else among all cells. The voxel-major
+//! scan is kept as the oracle of `tests/overlay_oracle.rs`.
 
-use crate::geometry::{bary_inside, barycentric, BoundingBox, Vec3};
+use crate::geometry::{bary_inside, barycentric, barycentric_map, tet_centroid};
+use crate::geometry::{BoundingBox, Vec3};
 use crate::tet::TetMesh;
+use std::ops::RangeInclusive;
+
+/// Half-space margin of the row prefilter (see the module docs).
+const PREFILTER_MARGIN: f64 = 1e-6;
+
+/// `cell_map` entry of a voxel no cell has claimed yet.
+const UNRESOLVED: u32 = u32::MAX;
 
 /// A regular grid over the mesh bounding box mapping points to a good
 /// starting unstructured cell (the *cell-map*).
@@ -31,9 +63,9 @@ pub struct StructuredOverlay {
 impl StructuredOverlay {
     /// Build an overlay with roughly `res_per_axis` voxels per axis
     /// over a tetrahedral mesh. Every voxel centre is located exactly
-    /// (containment test against candidate tets rasterised into the
-    /// voxel grid, nearest-centroid fallback for voxels outside the
-    /// mesh), so `locate` always returns a *valid* starting cell.
+    /// (the lowest-index tet containing it, nearest-centroid fallback
+    /// for voxels outside the mesh), so `locate` always returns a
+    /// *valid* starting cell.
     pub fn build(mesh: &TetMesh, res_per_axis: [usize; 3]) -> Self {
         let bbox = mesh.bounding_box().inflated(1e-9);
         let dims = [
@@ -47,73 +79,146 @@ impl StructuredOverlay {
             ext.y / dims[1] as f64,
             ext.z / dims[2] as f64,
         );
-        let nvox = dims[0] * dims[1] * dims[2];
-
-        // Rasterise each tet's bounding box into the voxel grid,
-        // recording candidate cells per voxel; then resolve each voxel
-        // centre by containment, falling back to nearest centroid.
-        let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); nvox];
-        for c in 0..mesh.n_cells() {
-            let verts = mesh.cell_vertices(c);
-            let tb = BoundingBox::of_points(verts.iter());
-            let (lo, hi) = (
-                Self::clamp_index(&bbox, cell_size, dims, tb.lo),
-                Self::clamp_index(&bbox, cell_size, dims, tb.hi),
-            );
-            for k in lo[2]..=hi[2] {
-                for j in lo[1]..=hi[1] {
-                    for i in lo[0]..=hi[0] {
-                        candidates[i + dims[0] * (j + dims[1] * k)].push(c as u32);
-                    }
-                }
-            }
-        }
-
-        let mut cell_map = vec![u32::MAX; nvox];
-        for k in 0..dims[2] {
-            for j in 0..dims[1] {
-                for i in 0..dims[0] {
-                    let v = i + dims[0] * (j + dims[1] * k);
-                    let centre = Vec3::new(
-                        bbox.lo.x + (i as f64 + 0.5) * cell_size.x,
-                        bbox.lo.y + (j as f64 + 0.5) * cell_size.y,
-                        bbox.lo.z + (k as f64 + 0.5) * cell_size.z,
-                    );
-                    // Exact containment among candidates.
-                    let mut chosen = None;
-                    for &c in &candidates[v] {
-                        let l = barycentric(centre, &mesh.cell_vertices(c as usize));
-                        if bary_inside(&l, 1e-12) {
-                            chosen = Some(c);
-                            break;
-                        }
-                    }
-                    // Fallback: nearest candidate centroid, else global
-                    // nearest (voxel fully outside the mesh).
-                    let chosen = chosen.unwrap_or_else(|| {
-                        let pool: Box<dyn Iterator<Item = u32>> = if candidates[v].is_empty() {
-                            Box::new(0..mesh.n_cells() as u32)
-                        } else {
-                            Box::new(candidates[v].iter().copied())
-                        };
-                        pool.min_by(|&a, &b| {
-                            let da = (mesh.cell_centroid(a as usize) - centre).norm2();
-                            let db = (mesh.cell_centroid(b as usize) - centre).norm2();
-                            da.partial_cmp(&db).unwrap()
-                        })
-                        .expect("mesh has no cells")
-                    });
-                    cell_map[v] = chosen;
-                }
-            }
-        }
-
-        StructuredOverlay {
+        let mut ov = StructuredOverlay {
             bbox,
             dims,
             cell_size,
-            cell_map,
+            cell_map: vec![UNRESOLVED; dims[0] * dims[1] * dims[2]],
+        };
+
+        for c in 0..mesh.n_cells() {
+            let verts = mesh.cell_vertices(c);
+            let map = barycentric_map(&mesh.shape_deriv[c], tet_centroid(&verts));
+            let (lo, hi) = ov.voxel_range(&verts);
+            for k in lo[2]..=hi[2] {
+                for j in lo[1]..=hi[1] {
+                    let row = ov.row_centre(j, k);
+                    let Some(span) = ov.row_span(&map, row, lo[0], hi[0]) else {
+                        continue;
+                    };
+                    for i in span {
+                        let v = ov.voxel_index(i, j, k);
+                        if ov.cell_map[v] == UNRESOLVED
+                            && bary_inside(&barycentric(ov.centre(i, row), &verts), 1e-12)
+                        {
+                            ov.cell_map[v] = c as u32;
+                        }
+                    }
+                }
+            }
         }
+
+        if ov.cell_map.contains(&UNRESOLVED) {
+            ov.resolve_outside(mesh);
+        }
+        ov
+    }
+
+    /// Fallback for the voxels no cell contains: the nearest centroid
+    /// (first minimum in ascending cell order) among the cells whose
+    /// bounding-box range covers the voxel, else among all cells.
+    fn resolve_outside(&mut self, mesh: &TetMesh) {
+        let open: Vec<bool> = self.cell_map.iter().map(|&c| c == UNRESOLVED).collect();
+        let mut best = vec![f64::INFINITY; open.len()];
+        for c in 0..mesh.n_cells() {
+            let verts = mesh.cell_vertices(c);
+            let centroid = mesh.cell_centroid(c);
+            let (lo, hi) = self.voxel_range(&verts);
+            for k in lo[2]..=hi[2] {
+                for j in lo[1]..=hi[1] {
+                    let row = self.row_centre(j, k);
+                    for i in lo[0]..=hi[0] {
+                        let v = self.voxel_index(i, j, k);
+                        if !open[v] {
+                            continue;
+                        }
+                        let d = (centroid - self.centre(i, row)).norm2();
+                        if self.cell_map[v] == UNRESOLVED || d < best[v] {
+                            (self.cell_map[v], best[v]) = (c as u32, d);
+                        }
+                    }
+                }
+            }
+        }
+        for v in 0..open.len() {
+            if self.cell_map[v] != UNRESOLVED {
+                continue;
+            }
+            let [i, j, k] = [
+                v % self.dims[0],
+                (v / self.dims[0]) % self.dims[1],
+                v / (self.dims[0] * self.dims[1]),
+            ];
+            let centre = self.centre(i, self.row_centre(j, k));
+            self.cell_map[v] = (0..mesh.n_cells() as u32)
+                .min_by(|&a, &b| {
+                    let da = (mesh.cell_centroid(a as usize) - centre).norm2();
+                    let db = (mesh.cell_centroid(b as usize) - centre).norm2();
+                    da.partial_cmp(&db).unwrap()
+                })
+                .expect("mesh has no cells");
+        }
+    }
+
+    /// Clamped voxel index range covered by a tet's bounding box.
+    fn voxel_range(&self, verts: &[Vec3; 4]) -> ([usize; 3], [usize; 3]) {
+        let tb = BoundingBox::of_points(verts.iter());
+        (
+            Self::clamp_index(&self.bbox, self.cell_size, self.dims, tb.lo),
+            Self::clamp_index(&self.bbox, self.cell_size, self.dims, tb.hi),
+        )
+    }
+
+    #[inline]
+    fn voxel_index(&self, i: usize, j: usize, k: usize) -> usize {
+        i + self.dims[0] * (j + self.dims[1] * k)
+    }
+
+    /// The `y` and `z` of the centres of voxel row `(j, k)`.
+    #[inline]
+    fn row_centre(&self, j: usize, k: usize) -> (f64, f64) {
+        (
+            self.bbox.lo.y + (j as f64 + 0.5) * self.cell_size.y,
+            self.bbox.lo.z + (k as f64 + 0.5) * self.cell_size.z,
+        )
+    }
+
+    /// Centre of voxel `i` of a row.
+    #[inline]
+    fn centre(&self, i: usize, (y, z): (f64, f64)) -> Vec3 {
+        Vec3::new(self.bbox.lo.x + (i as f64 + 0.5) * self.cell_size.x, y, z)
+    }
+
+    /// The voxels of `lo..=hi` in a row whose centres lie in every
+    /// half-space `λ_k ≥ −PREFILTER_MARGIN` of a tet's barycentric
+    /// `map`, or `None` when there are none. Along the row `λ_k` is
+    /// affine in `i`, `λ_k(i) = a + b·i`, so each half-space bounds `i`
+    /// on one side. A NaN coefficient (a degenerate tet) bounds
+    /// nothing, and the exact test decides.
+    fn row_span(
+        &self,
+        map: &[f64; 16],
+        (y, z): (f64, f64),
+        lo: usize,
+        hi: usize,
+    ) -> Option<RangeInclusive<usize>> {
+        let (sx, x0) = (self.cell_size.x, self.bbox.lo.x + 0.5 * self.cell_size.x);
+        let (mut t0, mut t1) = (lo as f64, hi as f64);
+        for k in 0..4 {
+            let a = map[k] + map[4 + k] * x0 + map[8 + k] * y + map[12 + k] * z;
+            let b = map[4 + k] * sx;
+            let t = (-PREFILTER_MARGIN - a) / b;
+            if b > 0.0 {
+                t0 = t0.max(t);
+            } else if b < 0.0 {
+                t1 = t1.min(t);
+            } else if a < -PREFILTER_MARGIN {
+                return None;
+            }
+        }
+        // `lo <= t0` and `t1 <= hi`, so a non-empty span casts exactly.
+        let (t0, t1) = (t0.ceil(), t1.floor());
+        (t0 <= t1).then_some(t0 as usize..=t1 as usize)
     }
 
     fn clamp_index(bbox: &BoundingBox, cell_size: Vec3, dims: [usize; 3], p: Vec3) -> [usize; 3] {
