@@ -23,6 +23,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
+echo "== crate graph (the N-rank run loops live in the library)"
+# oppic-bench holds the figure binaries: nothing but them may need it.
+# The run loops in oppic-resilience are generic over oppic_mpi::RankApp,
+# so that crate must reach neither app. Dev-dependencies (the loops'
+# own tests step both apps) are not followed.
+while read -r from to; do
+    deps=$(cargo tree --offline --locked -e normal -p "$from" --prefix none)
+    if grep -q "^$to v" <<<"$deps"; then
+        echo "$from depends on $to" >&2
+        exit 1
+    fi
+done <<'PAIRS'
+oppic-conformance oppic-bench
+op-pic oppic-bench
+oppic-resilience oppic-fempic
+oppic-resilience oppic-cabana
+PAIRS
+
 echo "== cargo check perfbench (the benchmark compiles against the workspace)"
 # perfbench is its own package, outside the workspace, so the build and
 # tests above never compile it: a deleted or renamed public name it
@@ -164,6 +182,21 @@ if [ -n "$(git status --porcelain -- results/conformance 2>/dev/null)" ]; then
     git status --porcelain -- results/conformance >&2
     exit 1
 fi
+
+echo "== conformance --quick twice (stdout is the same from run to run)"
+# The run times go to stderr; everything on stdout is a function of
+# the build, so two runs in a scratch dir must print the same bytes.
+twice=$(mktemp -d)
+conformance_bin="$PWD/target/release/conformance"
+(cd "$twice" && "$conformance_bin" --quick >run1.out 2>/dev/null &&
+    "$conformance_bin" --quick >run2.out 2>/dev/null)
+if ! cmp "$twice/run1.out" "$twice/run2.out" >&2; then
+    diff "$twice/run1.out" "$twice/run2.out" >&2 || true
+    echo "conformance --quick printed different stdout on two runs" >&2
+    rm -rf "$twice"
+    exit 1
+fi
+rm -rf "$twice"
 
 echo "== conformance --chaos --quick (seeded fault schedules, DESIGN.md §10)"
 # Every seeded schedule must converge bit-exactly to the fault-free

@@ -3,17 +3,19 @@
 //!
 //! Two layers, per the substitution policy:
 //! 1. a *measured* in-process distributed run (real ranks, real
-//!    particle migration, real reductions) at 1–8 ranks;
+//!    particle migration, real reductions) at 1–8 ranks, on the
+//!    library's plain N-rank loop; a row with more ranks than the
+//!    host has cores is labelled oversubscribed, not scaling;
 //! 2. a *projected* curve to the paper's 128 units for each Table 2
 //!    system, from the measured per-unit compute time and the real
 //!    halo volumes of the directional partition.
 
-use oppic_bench::distributed::run_fempic_distributed;
-use oppic_bench::report::{banner, scale_factor, steps};
-use oppic_fempic::FemPicConfig;
+use oppic_bench::report::{banner, rank_note, scale_factor, steps};
+use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_mesh::TetMesh;
 use oppic_model::{weak_scaling_curve, SystemSpec, WorkloadModel};
 use oppic_mpi::partition::{directional_partition, partition_stats};
+use oppic_resilience::run_distributed;
 
 fn main() {
     banner(
@@ -41,21 +43,21 @@ fn main() {
         // Weak scaling: total work grows with ranks.
         let mut cfg = base.clone();
         cfg.inject_per_step = base.inject_per_step * r;
-        let rep = run_fempic_distributed(&cfg, r, n_steps);
+        let rep = run_distributed::<FemPic>(&cfg, r, n_steps);
         if r == 1 {
             t1 = rep.main_loop_seconds;
         }
         let migrated: usize = rep.ranks.iter().map(|x| x.migrated_out).sum();
         println!(
-            "{:>6} {:>14.4} {:>12} {:>12} {:>12.3}",
+            "{:>6} {:>14.4} {:>12} {:>12} {:>12.3}{}",
             r,
             rep.main_loop_seconds,
             rep.total_particles,
             migrated,
-            rep.total_comm_bytes() as f64 / 1e6
+            rep.total_comm_bytes() as f64 / 1e6,
+            rank_note(r)
         );
     }
-    println!("(efficiency at 8 ranks limited by the shared host — the projection below\n uses per-system interconnects)");
 
     // ---- Layer 2: projection to paper scale ----
     // Halo volume measured from the real partition of the PAPER-size
@@ -74,7 +76,7 @@ fn main() {
     // count (bandwidth-bound work ∝ particles) and (b) to each
     // system's bandwidth.
     let particles_measured = {
-        let rep = run_fempic_distributed(&base, 1, n_steps);
+        let rep = run_distributed::<FemPic>(&base, 1, n_steps);
         rep.total_particles.max(1)
     };
     let paper_particles_per_unit = 70e6;

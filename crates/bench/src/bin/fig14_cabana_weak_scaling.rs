@@ -1,17 +1,18 @@
 //! Figure 14: CabanaPIC weak scaling — 96k cells and 144M particles
 //! per CPU node / V100 / MI250X GCD, up to 16k cores / 1024 GPUs.
 //!
-//! Same two-layer scheme as Figure 13. The paper's headline anomaly to
+//! Same two-layer scheme as Figure 13, the measured layer on the
+//! library's plain N-rank loop. The paper's headline anomaly to
 //! reproduce: at 144M particles per unit, **Bede (V100) is slower than
 //! ARCHER2** — the single-unit kernel-divergence handicap carries
 //! through the whole weak-scaling curve.
 
-use oppic_bench::distributed::run_cabana_distributed;
-use oppic_bench::report::{banner, scale_factor, steps};
-use oppic_cabana::{CabanaConfig, CabanaPic};
+use oppic_bench::report::{banner, rank_note, scale_factor, steps};
+use oppic_cabana::{CabanaConfig, CabanaPic, StructuredCabana};
 use oppic_core::ExecPolicy;
 use oppic_device::{analyze_warps, AtomicFlavor, DeviceSpec};
 use oppic_model::{weak_scaling_curve, SystemSpec, WorkloadModel};
+use oppic_resilience::run_distributed;
 
 fn main() {
     banner(
@@ -38,15 +39,16 @@ fn main() {
     for r in [1usize, 2, 4] {
         let mut cfg = base.clone();
         cfg.ny = base.ny * r; // weak scaling: grow the mesh with ranks
-        let rep = run_cabana_distributed(&cfg, r, n_steps);
+        let rep = run_distributed::<StructuredCabana>(&cfg, r, n_steps);
         let migrated: usize = rep.ranks.iter().map(|x| x.migrated_out).sum();
         println!(
-            "{:>6} {:>14.4} {:>12} {:>12} {:>12.3}",
+            "{:>6} {:>14.4} {:>12} {:>12} {:>12.3}{}",
             r,
             rep.main_loop_seconds,
             rep.total_particles,
             migrated,
-            rep.total_comm_bytes() as f64 / 1e6
+            rep.total_comm_bytes() as f64 / 1e6,
+            rank_note(r)
         );
     }
 

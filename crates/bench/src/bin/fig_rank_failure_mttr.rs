@@ -17,24 +17,31 @@
 //! can only ever hold numbers from provably-correct recoveries.
 //! `crates/bench/tests/mttr_regression.rs` pins the recorded bounds.
 
-use oppic_bench::rankfail::{
-    classify_shrink, run_rank_failure, ChaosVerdict, KillSite, RankFailScenario, RankKill,
-};
 use oppic_bench::report::banner;
+use oppic_fempic::{FemPic, FemPicConfig};
+use oppic_resilience::{
+    classify_shrink, run_scenario, ChaosVerdict, DeathPolicy, Fault, KillSite, RankFailScenario,
+    RankFinal,
+};
 use std::fmt::Write as _;
 
-fn scenario(site: KillSite) -> RankFailScenario {
+/// Seeds the injection stream, the fault schedule and the detector.
+const SEED: u64 = 0xA77;
+
+/// Kill rank 2 at `site`, at step 9 — or at the step-8 boundary for a
+/// checkpoint-site kill, which dies at the boundary itself.
+fn scenario(site: KillSite) -> (RankFailScenario, usize) {
+    let (rank, step) = (2, if site == KillSite::Checkpoint { 8 } else { 9 });
     let mut sc = RankFailScenario::baseline();
     sc.steps = 16;
-    sc.particles = 200;
-    sc.seed = 0xA77;
-    sc.kill = Some(RankKill {
-        rank: 2,
-        // A checkpoint-site kill dies at the boundary itself.
-        step: if site == KillSite::Checkpoint { 8 } else { 9 },
+    sc.seed = SEED;
+    sc.fault = Fault::RankKill {
+        rank,
+        step,
         site,
-    });
-    sc
+        policy: DeathPolicy::Shrink,
+    };
+    (sc, step)
 }
 
 fn main() {
@@ -60,13 +67,14 @@ fn main() {
         "pre s/s",
         "post s/s"
     );
+    // The world a rank is killed in: 200 particles injected per step.
+    let cfg = FemPicConfig::tiny_seeded(200, SEED);
     let mut rows = String::new();
     let mut failed = false;
     for site in sites {
-        let sc = scenario(site);
-        let kill = sc.kill.unwrap();
-        let twin = run_rank_failure(&sc.twin());
-        let faulted = run_rank_failure(&sc);
+        let (sc, kill_step) = scenario(site);
+        let twin = run_scenario::<FemPic>(&sc.twin(), &cfg);
+        let faulted = run_scenario::<FemPic>(&sc, &cfg);
         let verdict = classify_shrink(&sc, &twin, &faulted);
         let bit_identical = matches!(verdict, ChaosVerdict::Recovered { .. });
         if !bit_identical {
@@ -80,10 +88,8 @@ fn main() {
             .collect();
         // The slowest survivor defines repair time; throughput is the
         // per-rank mean.
-        let fmax = |f: &dyn Fn(&&oppic_bench::rankfail::RankFinal) -> f64| {
-            survivors.iter().map(f).fold(0.0f64, f64::max)
-        };
-        let mean = |f: &dyn Fn(&&oppic_bench::rankfail::RankFinal) -> f64| {
+        let fmax = |f: &dyn Fn(&&RankFinal) -> f64| survivors.iter().map(f).fold(0.0f64, f64::max);
+        let mean = |f: &dyn Fn(&&RankFinal) -> f64| {
             survivors.iter().map(f).sum::<f64>() / survivors.len() as f64
         };
         let detection_ms = fmax(&|f| f.detection_ms);
@@ -122,8 +128,8 @@ fn main() {
              \"stale_epoch_dropped\": {stale}, \"rank_deaths\": {deaths}, \
              \"bit_identical\": {bit_identical}}}",
             site.name(),
-            kill.rank,
-            kill.step,
+            sc.victim().unwrap(),
+            kill_step,
         );
     }
     if failed {
@@ -131,14 +137,14 @@ fn main() {
         std::process::exit(1);
     }
 
-    let sc = scenario(KillSite::Step);
+    let (sc, _) = scenario(KillSite::Step);
     let json = format!(
         "{{\n  \"schema\": \"oppic-mttr-v3\",\n  \"ranks\": {},\n  \"steps\": {},\n  \
          \"particles\": {},\n  \"checkpoint_every\": {},\n  \"heartbeat_ms\": {},\n  \
          \"death_deadline_ms\": {},\n  \"sites\": [\n{rows}\n  ]\n}}\n",
         sc.ranks,
         sc.steps,
-        sc.particles,
+        cfg.inject_per_step,
         sc.checkpoint_every,
         sc.heartbeat_ms,
         sc.death_deadline_ms

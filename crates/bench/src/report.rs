@@ -30,6 +30,18 @@ pub fn steps(default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// The note of a measured row run on `ranks` in-process ranks: when
+/// they outnumber the host's cores (`available_parallelism`), the row
+/// measures ranks sharing cores, not scaling, and says so.
+pub fn rank_note(ranks: usize) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if ranks > cores {
+        format!("  oversubscribed: {ranks} ranks on {cores} cores")
+    } else {
+        String::new()
+    }
+}
+
 /// A horizontal ASCII bar scaled to `max`.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     if max <= 0.0 {

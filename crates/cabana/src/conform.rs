@@ -7,8 +7,12 @@
 //! particle columns are permuted by sorting and migration, so they are
 //! never exposed for differential comparison.
 
-use crate::{CabanaEngine, Topology};
-use oppic_core::{Observable, Recoverable, Simulation};
+use crate::{CabanaConfig, CabanaEngine, StructuredCabana, Topology};
+use oppic_core::{ColId, ExecPolicy, Observable, ParticleDats, Recoverable, Simulation, Telemetry};
+use oppic_mesh::Vec3;
+use oppic_mpi::exchange::remove_leavers;
+use oppic_mpi::{MigrationStats, RankApp, RankCtx, Transport};
+use std::sync::Arc;
 
 impl<T: Topology> CabanaEngine<T> {
     /// Particles per cell as a mesh-indexed histogram.
@@ -80,10 +84,57 @@ impl<T: Topology> Recoverable for CabanaEngine<T> {
     }
 }
 
+impl RankApp for StructuredCabana {
+    type Config = CabanaConfig;
+
+    /// Every rank builds the *global* deterministic two-stream state
+    /// under `Seq` (the ranks are the parallelism) and keeps only its
+    /// y slab's particles: slabs parallel to the x-streaming beams, so
+    /// almost no particle ever migrates.
+    fn new_rank(cfg: &CabanaConfig, rank: usize, n_ranks: usize) -> (Self, Vec<u32>) {
+        let mut sim = StructuredCabana::new_structured(CabanaConfig {
+            policy: ExecPolicy::Seq,
+            ..cfg.clone()
+        });
+        let g = sim.geom;
+        let cell_rank: Vec<u32> = (0..g.n_cells())
+            .map(|c| ((g.cell_ijk(c)[1] * n_ranks) / g.ny) as u32)
+            .collect();
+        let foreign = sim.ps.leavers(&cell_rank, rank);
+        remove_leavers(&mut sim.ps, &foreign);
+        (sim, cell_rank)
+    }
+
+    fn step_over<N: Transport>(&mut self, net: &mut N) -> Result<MigrationStats, N::Error> {
+        CabanaEngine::step_over(self, net)?;
+        Ok(self.last_migration.clone())
+    }
+
+    fn particles(&mut self) -> (&mut ParticleDats, ColId) {
+        (&mut self.ps, self.pos)
+    }
+
+    fn cell_centroid(&self, c: usize) -> Vec3 {
+        let g = &self.geom;
+        let [x, y, z] = g.cell_lo(g.cell_ijk(c));
+        Vec3::new(x + 0.5 * g.dx, y + 0.5 * g.dy, z + 0.5 * g.dz)
+    }
+
+    fn telemetry(&self) -> &Arc<Telemetry> {
+        self.profiler.telemetry()
+    }
+
+    /// The total energy: the fields are replicated, the kinetic part
+    /// is reduced over the ranks.
+    fn check_scalar(&self, ctx: &mut RankCtx) -> f64 {
+        let d = self.energies();
+        d.e_field + d.b_field + ctx.allreduce_sum(d.kinetic)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CabanaConfig, StructuredCabana};
 
     #[test]
     fn simulation_trait_drives_the_engine() {

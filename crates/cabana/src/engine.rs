@@ -23,7 +23,6 @@ use oppic_core::parloop::{par_loop, par_loop_scatter, Fixed, Space};
 use oppic_core::{
     ColId, Dat, ExchangeDir, KernelClass, ParticleDats, Profiler, Tally, Telemetry, ThreadBinding,
 };
-use oppic_mpi::exchange::remove_leavers;
 use oppic_mpi::{Local, MigrationStats, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -417,19 +416,6 @@ impl<T: Topology> CabanaEngine<T> {
             rec.record_exchange("acc", ExchangeDir::ReduceSum, "cabana/acc");
         }
         net.allreduce_sum(&mut self.acc)
-    }
-
-    /// Keep only rank `rank`'s share of the (globally identical)
-    /// initial state in an `n_ranks` run and return the cell → rank
-    /// map: y slabs, parallel to the x-streaming beams, so almost no
-    /// particle ever migrates.
-    pub fn keep_rank_share(&mut self, rank: usize, n_ranks: usize) -> Vec<u32> {
-        let cell_rank: Vec<u32> = (0..self.geom.n_cells())
-            .map(|c| ((self.geom.cell_ijk(c)[1] * n_ranks) / self.geom.ny) as u32)
-            .collect();
-        let foreign = self.ps.leavers(&cell_rank, rank);
-        remove_leavers(&mut self.ps, &foreign);
-        cell_rank
     }
 
     /// One full leap-frog step on one rank. Returns diagnostics.

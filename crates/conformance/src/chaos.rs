@@ -1,8 +1,9 @@
 //! Chaos stage: seeded faults over the resilient distributed code
 //! path.
 //!
-//! Each [`ChaosCell`] maps onto one scenario of the resilient run loop
-//! ([`oppic_bench::rankfail`]): the Mini-FEM-PIC distributed step over
+//! Each [`ChaosCell`] maps onto one scenario of the library's resilient
+//! run loop ([`oppic_resilience::rankfail`]) and one Mini-FEM-PIC
+//! config ([`cell_config`]): the Mini-FEM-PIC distributed step over
 //! the reliable link (envelope + ack/retry migration and reductions
 //! from `oppic-resilience`), checkpointed every two steps and rewound
 //! to a shard when a step fails. The loop runs the cell twice: once
@@ -23,7 +24,7 @@
 //!
 //! The verdict type and its classifier are the rank-failure
 //! experiments' own ([`ChaosVerdict`] and `classify_shrink`, in
-//! `oppic_bench::rankfail`). A chaos cell is a [`Case`]: it shrinks,
+//! `oppic_resilience::rankfail`). A chaos cell is a [`Case`]: it shrinks,
 //! writes and replays its reproducer through the same pipeline as a
 //! differential cell, with its own fields and two shrink moves of its
 //! own — the world steps down to two ranks, then an `Mpi` fault budget
@@ -32,15 +33,16 @@
 //! See DESIGN.md §10 for the fault taxonomy and replay workflow.
 
 use crate::report::{Case, Fields, Move};
-pub use oppic_bench::rankfail::ChaosVerdict;
-use oppic_bench::rankfail::{
-    classify_shrink, run_scenario, DeathPolicy, Fault, KillSite, RankFailScenario, RankKill,
-};
 use oppic_core::json::{self, Json};
 use oppic_core::telemetry::{Telemetry, TelemetryEvent};
+use oppic_fempic::{FemPic, FemPicConfig};
 use oppic_obs::recorder::FlightRecorder;
 use oppic_obs::watchdog::{StepObs, Watchdog, WatchdogConfig, RULE_QUARANTINE, RULE_STEP_TIME};
-use oppic_resilience::{FaultKind, RetryPolicy};
+pub use oppic_resilience::ChaosVerdict;
+use oppic_resilience::{
+    classify_shrink, run_scenario, DeathPolicy, Fault, FaultKind, KillSite, RankFailScenario,
+    RetryPolicy,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -55,41 +57,16 @@ pub const CHAOS_SCHEMA: &str = "oppic-chaos-repro-v1";
 /// replay with the timing they were captured under.
 pub const DEFAULT_QUIET_RETRANSMIT_MS: u64 = 500;
 
-/// What gets injected into one chaos cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChaosFault {
-    /// Control cell: the reliable driver with the injector disarmed —
-    /// proves the protocol itself is bit-transparent.
-    None,
-    /// Seeded schedule on the MPI shim's data plane.
-    Mpi {
-        kind: FaultKind,
-        /// Per-message firing probability.
-        rate: f64,
-        /// Total injections before the schedule quiesces.
-        budget: u64,
-    },
-    /// Host-side soft error: one particle position poisoned to NaN at
-    /// the top of the given step, detected by the numeric quarantine
-    /// and healed by rewinding to the rank's last shard. Runs on one
-    /// rank whatever `ranks` says.
-    NanInject { step: usize },
-    /// Process fault: `rank` fail-stops at `step`/`site` (the
-    /// "stall-forever" kill). Survivors must detect, agree, shrink,
-    /// and replay — bit-identical to the planned-shrink twin — or
-    /// abort cleanly under [`DeathPolicy::Abort`]. See DESIGN.md §13.
-    RankKill {
-        rank: usize,
-        step: usize,
-        site: KillSite,
-        policy: DeathPolicy,
-    },
-}
-
-/// One point of the chaos matrix.
+/// One point of the chaos matrix. Its [`Fault`] is the resilient
+/// loop's: the disarmed control (proves the protocol itself is
+/// bit-transparent), a seeded schedule on the data plane, a NaN soft
+/// error healed by rewinding to the rank's last shard (one rank
+/// whatever `ranks` says), or a rank kill whose survivors must detect,
+/// agree, shrink and replay — bit-identical to the planned-shrink twin
+/// — or abort cleanly under [`DeathPolicy::Abort`] (DESIGN.md §13).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosCell {
-    pub fault: ChaosFault,
+    pub fault: Fault,
     /// Seeds the fault schedule and perturbs the injection stream.
     pub seed: u64,
     /// In-process ranks (1 for `NanInject` cells).
@@ -110,7 +87,7 @@ impl ChaosCell {
     /// fault and sizing axes they exercise.
     pub fn base() -> ChaosCell {
         ChaosCell {
-            fault: ChaosFault::None,
+            fault: Fault::None,
             seed: 0,
             ranks: 2,
             steps: 3,
@@ -123,8 +100,8 @@ impl ChaosCell {
     /// Filesystem-safe identifier, unique per configuration.
     pub fn id(&self) -> String {
         let fault = match self.fault {
-            ChaosFault::None => "none".to_string(),
-            ChaosFault::Mpi { kind, rate, budget } => {
+            Fault::None => "none".to_string(),
+            Fault::Network { kind, rate, budget } => {
                 format!(
                     "{}{:03}q{}",
                     kind.name(),
@@ -132,8 +109,8 @@ impl ChaosCell {
                     budget
                 )
             }
-            ChaosFault::NanInject { step } => format!("nan{step}"),
-            ChaosFault::RankKill {
+            Fault::SoftError { step } => format!("nan{step}"),
+            Fault::RankKill {
                 rank,
                 step,
                 site,
@@ -197,37 +174,34 @@ impl ChaosReport {
 }
 
 // ---------------------------------------------------------------------------
-// Every cell runs the resilient loop of `oppic_bench::rankfail`
+// Every cell runs the library's resilient loop over Mini-FEM-PIC
 // ---------------------------------------------------------------------------
 
 /// Map a chaos cell onto its rank-failure scenario, clamping so every
 /// point the shrinker can reach stays a valid experiment: a NaN cell
 /// runs on one rank, a kill's victim exists, its step is in range, and
 /// a `Checkpoint`-site kill lands on an actual boundary. Network-fault
-/// and control cells abort on a failed collective; faulted links get
+/// and control cells abort on a failed collective (only a kill's
+/// survivors may shrink); faulted links get
 /// the short default retransmit timer, clean ones the cell's quiet one.
 pub fn cell_scenario(cell: &ChaosCell) -> RankFailScenario {
     let mut sc = RankFailScenario::baseline();
     sc.ranks = cell.ranks;
     sc.steps = cell.steps;
-    sc.particles = cell.particles;
     sc.seed = cell.seed;
     sc.checkpoint_every = 2;
-    sc.kill = None;
-    sc.on_death = DeathPolicy::Abort;
+    sc.fault = cell.fault;
     sc.max_retries = cell.max_retries;
+    if !matches!(cell.fault, Fault::RankKill { .. }) {
+        sc.retransmit_ms = cell.quiet_retransmit_ms;
+    }
     match cell.fault {
-        ChaosFault::None => sc.retransmit_ms = cell.quiet_retransmit_ms,
-        ChaosFault::Mpi { kind, rate, budget } => {
-            sc.fault = Fault::Network { kind, rate, budget };
+        Fault::None => {}
+        Fault::Network { .. } => {
             sc.retransmit_ms = RetryPolicy::default().base_timeout.as_millis() as u64;
         }
-        ChaosFault::NanInject { step } => {
-            sc.fault = Fault::SoftError { step };
-            sc.ranks = 1;
-            sc.retransmit_ms = cell.quiet_retransmit_ms;
-        }
-        ChaosFault::RankKill {
+        Fault::SoftError { .. } => sc.ranks = 1,
+        Fault::RankKill {
             rank,
             step,
             site,
@@ -239,27 +213,39 @@ pub fn cell_scenario(cell: &ChaosCell) -> RankFailScenario {
             if site == KillSite::Checkpoint {
                 step = (step / sc.checkpoint_every * sc.checkpoint_every).max(sc.checkpoint_every);
             }
-            sc.kill = Some(RankKill {
+            sc.fault = Fault::RankKill {
                 rank: rank % sc.ranks,
                 step,
                 site,
-            });
-            sc.on_death = policy;
+                policy,
+            };
         }
     }
     sc
+}
+
+/// The world a chaos cell runs: the tiny Mini-FEM-PIC duct with the
+/// cell's particles per step and its seed folded into the injection
+/// stream. A NaN cell runs guarded (bit-identical to unguarded on
+/// healthy steps), so its quarantine sees the poisoned particle.
+pub fn cell_config(cell: &ChaosCell) -> FemPicConfig {
+    FemPicConfig {
+        guard_numerics: matches!(cell.fault, Fault::SoftError { .. }),
+        ..FemPicConfig::tiny_seeded(cell.particles, cell.seed)
+    }
 }
 
 /// Execute one cell: the reference and the faulted run through the
 /// one resilient loop, then the one classifier.
 pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosReport {
     let sc = cell_scenario(cell);
+    let cfg = cell_config(cell);
     let mut reference = sc.twin();
-    if sc.kill.is_none() {
+    if sc.victim().is_none() {
         reference.retransmit_ms = cell.quiet_retransmit_ms;
     }
-    let reference = run_scenario(&reference);
-    let faulted = run_scenario(&sc);
+    let reference = run_scenario::<FemPic>(&reference, &cfg);
+    let faulted = run_scenario::<FemPic>(&sc, &cfg);
     ChaosReport {
         cell: cell.clone(),
         verdict: classify_shrink(&sc, &reference, &faulted),
@@ -276,7 +262,7 @@ pub fn run_chaos_cell(cell: &ChaosCell) -> ChaosReport {
 
 fn mpi_cell(kind: FaultKind, seed: u64, rate: f64, budget: u64, ranks: usize) -> ChaosCell {
     ChaosCell {
-        fault: ChaosFault::Mpi { kind, rate, budget },
+        fault: Fault::Network { kind, rate, budget },
         seed,
         ranks,
         ..ChaosCell::base()
@@ -304,7 +290,7 @@ pub fn chaos_quick_matrix() -> Vec<ChaosCell> {
     // traffic instead of front-loading.
     cells.push(mpi_cell(FaultKind::Drop, 0x51, 0.3, 6, 3));
     cells.push(ChaosCell {
-        fault: ChaosFault::NanInject { step: 3 },
+        fault: Fault::SoftError { step: 3 },
         seed: 5,
         ranks: 1,
         steps: 5,
@@ -315,7 +301,7 @@ pub fn chaos_quick_matrix() -> Vec<ChaosCell> {
     // One rank-kill cell: mid-step fail-stop on a 3-rank world, the
     // survivors shrink and replay (DESIGN.md §13).
     cells.push(ChaosCell {
-        fault: ChaosFault::RankKill {
+        fault: Fault::RankKill {
             rank: 1,
             step: 4,
             site: KillSite::Step,
@@ -342,7 +328,7 @@ pub fn chaos_full_matrix() -> Vec<ChaosCell> {
         cells.push(mpi_cell(kind, 0xF0 + i as u64, 0.5, 8, 2));
     }
     cells.push(ChaosCell {
-        fault: ChaosFault::NanInject { step: 2 },
+        fault: Fault::SoftError { step: 2 },
         seed: 9,
         ranks: 1,
         steps: 8,
@@ -357,7 +343,7 @@ pub fn chaos_full_matrix() -> Vec<ChaosCell> {
         .enumerate()
     {
         cells.push(ChaosCell {
-            fault: ChaosFault::RankKill {
+            fault: Fault::RankKill {
                 rank: 2,
                 step: 4,
                 site,
@@ -372,7 +358,7 @@ pub fn chaos_full_matrix() -> Vec<ChaosCell> {
         });
     }
     cells.push(ChaosCell {
-        fault: ChaosFault::RankKill {
+        fault: Fault::RankKill {
             rank: 0,
             step: 5,
             site: KillSite::Step,
@@ -520,8 +506,8 @@ impl Case for ChaosCell {
         },
         // The fault budget halves toward a single injection.
         |c| match c.fault {
-            ChaosFault::Mpi { kind, rate, budget } if budget > 1 => Some(ChaosCell {
-                fault: ChaosFault::Mpi {
+            Fault::Network { kind, rate, budget } if budget > 1 => Some(ChaosCell {
+                fault: Fault::Network {
                     kind,
                     rate,
                     budget: budget / 2,
@@ -551,10 +537,10 @@ impl Case for ChaosCell {
 
     fn fields(&self) -> Vec<(&'static str, String)> {
         let (fault, rate, budget, inject_step) = match self.fault {
-            ChaosFault::None => ("none", 0.0, 0u64, 0usize),
-            ChaosFault::Mpi { kind, rate, budget } => (kind.name(), rate, budget, 0),
-            ChaosFault::NanInject { step } => ("nan", 0.0, 0, step),
-            ChaosFault::RankKill { .. } => ("rankkill", 0.0, 0, 0),
+            Fault::None => ("none", 0.0, 0u64, 0usize),
+            Fault::Network { kind, rate, budget } => (kind.name(), rate, budget, 0),
+            Fault::SoftError { step } => ("nan", 0.0, 0, step),
+            Fault::RankKill { .. } => ("rankkill", 0.0, 0, 0),
         };
         let num = |n: usize| json::num(n as f64);
         let mut fields = vec![
@@ -563,7 +549,7 @@ impl Case for ChaosCell {
             ("budget", json::num(budget as f64)),
             ("inject_step", num(inject_step)),
         ];
-        if let ChaosFault::RankKill {
+        if let Fault::RankKill {
             rank,
             step,
             site,
@@ -600,17 +586,17 @@ impl Case for ChaosCell {
             );
         }
         let fault = match f.str("fault")? {
-            "none" => ChaosFault::None,
-            "nan" => ChaosFault::NanInject {
+            "none" => Fault::None,
+            "nan" => Fault::SoftError {
                 step: f.u64("inject_step")?.max(1) as usize,
             },
-            "rankkill" => ChaosFault::RankKill {
+            "rankkill" => Fault::RankKill {
                 site: f.pick("kill_site", "kill site", KillSite::parse)?,
                 policy: f.pick("on_rank_death", "rank-death policy", DeathPolicy::parse)?,
                 rank: f.u64("kill_rank")? as usize,
                 step: f.u64("kill_step")?.max(1) as usize,
             },
-            _ => ChaosFault::Mpi {
+            _ => Fault::Network {
                 kind: f.pick("fault", "chaos fault kind", FaultKind::parse)?,
                 rate: f.f64("rate")?,
                 budget: f.u64("budget")?,
@@ -643,7 +629,7 @@ mod tests {
     #[test]
     fn control_cell_recovers_with_zero_injections() {
         let cell = ChaosCell {
-            fault: ChaosFault::None,
+            fault: Fault::None,
             seed: 0,
             ranks: 2,
             steps: 2,
@@ -700,7 +686,7 @@ mod tests {
     #[test]
     fn disabled_retry_under_total_loss_is_a_clean_abort() {
         let cell = ChaosCell {
-            fault: ChaosFault::Mpi {
+            fault: Fault::Network {
                 kind: FaultKind::Drop,
                 rate: 1.0,
                 budget: u64::MAX,
@@ -729,14 +715,17 @@ mod tests {
     /// every observable, the positions and potential included.
     #[test]
     fn divergence_without_error_is_silent_corruption() {
-        use oppic_bench::rankfail::RankFinal;
+        use oppic_core::Observable;
+        use oppic_resilience::RankFinal;
         let sc = cell_scenario(&mpi_cell(FaultKind::Drop, 0x11, 1.0, 4, 2));
         let mk = |charge: f64, particles: usize, potential: f64| {
             Ok::<_, String>(Some(RankFinal {
-                particles,
-                node_charge: vec![charge, 2.0],
+                observables: vec![
+                    Observable::scalar("n_particles", particles as f64),
+                    Observable::new("node_charge", vec![charge, 2.0]),
+                    Observable::new("potential", vec![potential]),
+                ],
                 positions: vec![0.5; particles],
-                potential: vec![potential],
                 members: vec![0, 1],
                 injected: 4,
                 ..RankFinal::default()
@@ -747,7 +736,7 @@ mod tests {
         match classify_shrink(&sc, &reference, &faulted) {
             ChaosVerdict::SilentCorruption { failures } => {
                 assert_eq!(failures.len(), 2, "{failures:?}");
-                assert!(failures[0].contains("9 particles"), "{failures:?}");
+                assert!(failures[0].contains("n_particles[0] = 9e0"), "{failures:?}");
                 assert!(failures[1].contains("node_charge[0]"), "{failures:?}");
             }
             other => panic!("expected SilentCorruption, got {other:?}"),
@@ -772,7 +761,7 @@ mod tests {
     #[test]
     fn disabled_rollback_makes_the_nan_cell_a_clean_abort() {
         let cell = ChaosCell {
-            fault: ChaosFault::NanInject { step: 3 },
+            fault: Fault::SoftError { step: 3 },
             seed: 5,
             ranks: 1,
             steps: 5,
@@ -799,7 +788,7 @@ mod tests {
     #[test]
     fn nan_soft_error_heals_through_rollback_and_replay() {
         let cell = ChaosCell {
-            fault: ChaosFault::NanInject { step: 3 },
+            fault: Fault::SoftError { step: 3 },
             seed: 5,
             ranks: 1,
             steps: 5,
@@ -820,7 +809,7 @@ mod tests {
     #[test]
     fn aborting_cell_shrinks_and_reproducer_roundtrips() {
         let cell = ChaosCell {
-            fault: ChaosFault::Mpi {
+            fault: Fault::Network {
                 kind: FaultKind::Drop,
                 rate: 1.0,
                 budget: u64::MAX,
@@ -855,7 +844,7 @@ mod tests {
     /// synthetic shrink predicates below.
     fn shrinkable(budget: u64) -> ChaosCell {
         ChaosCell {
-            fault: ChaosFault::Mpi {
+            fault: Fault::Network {
                 kind: FaultKind::Drop,
                 rate: 1.0,
                 budget,
@@ -871,7 +860,7 @@ mod tests {
 
     fn budget(c: &ChaosCell) -> u64 {
         match c.fault {
-            ChaosFault::Mpi { budget, .. } => budget,
+            Fault::Network { budget, .. } => budget,
             _ => 0,
         }
     }
@@ -957,7 +946,7 @@ mod tests {
         assert_eq!(budget(&shrunk), 1);
         // A cell with no budget and one rank has no move left.
         let nan = ChaosCell {
-            fault: ChaosFault::NanInject { step: 3 },
+            fault: Fault::SoftError { step: 3 },
             ranks: 1,
             steps: 1,
             particles: 1,
@@ -986,20 +975,20 @@ mod tests {
     #[test]
     fn reproducer_roundtrips_every_fault_shape() {
         for fault in [
-            ChaosFault::None,
-            ChaosFault::Mpi {
+            Fault::None,
+            Fault::Network {
                 kind: FaultKind::Stall,
                 rate: 0.25,
                 budget: 6,
             },
-            ChaosFault::NanInject { step: 4 },
-            ChaosFault::RankKill {
+            Fault::SoftError { step: 4 },
+            Fault::RankKill {
                 rank: 2,
                 step: 4,
                 site: KillSite::Checkpoint,
                 policy: DeathPolicy::Shrink,
             },
-            ChaosFault::RankKill {
+            Fault::RankKill {
                 rank: 0,
                 step: 3,
                 site: KillSite::Exchange,
@@ -1048,7 +1037,7 @@ mod tests {
     #[test]
     fn rank_kill_cell_recovers_under_shrink_policy() {
         let cell = ChaosCell {
-            fault: ChaosFault::RankKill {
+            fault: Fault::RankKill {
                 rank: 1,
                 step: 3,
                 site: KillSite::Step,
@@ -1084,7 +1073,7 @@ mod tests {
     #[test]
     fn rank_kill_scenario_clamps_shrunk_cells() {
         let cell = ChaosCell {
-            fault: ChaosFault::RankKill {
+            fault: Fault::RankKill {
                 rank: 5,
                 step: 9,
                 site: KillSite::Checkpoint,
@@ -1096,16 +1085,18 @@ mod tests {
             ..ChaosCell::base()
         };
         let sc = cell_scenario(&cell);
-        let kill = sc.kill.unwrap();
-        assert!(kill.rank < sc.ranks);
-        assert!(kill.step >= 1 && kill.step <= sc.steps);
+        let Fault::RankKill { rank, step, .. } = sc.fault else {
+            panic!("a kill cell maps to a kill: {:?}", sc.fault)
+        };
+        assert!(rank < sc.ranks);
+        assert!(step >= 1 && step <= sc.steps);
         assert_eq!(
-            kill.step % sc.checkpoint_every,
+            step % sc.checkpoint_every,
             0,
             "a checkpoint-site kill must land on a boundary"
         );
         let nan = ChaosCell {
-            fault: ChaosFault::NanInject { step: 2 },
+            fault: Fault::SoftError { step: 2 },
             ranks: 3,
             ..ChaosCell::base()
         };
@@ -1178,7 +1169,7 @@ mod tests {
     #[test]
     fn nan_inject_cell_keeps_a_recorder_dump() {
         let cell = ChaosCell {
-            fault: ChaosFault::NanInject { step: 3 },
+            fault: Fault::SoftError { step: 3 },
             seed: 11,
             ranks: 1,
             steps: 6,

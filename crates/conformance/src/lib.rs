@@ -33,8 +33,8 @@ pub mod schedule;
 pub mod shrink;
 
 pub use chaos::{
-    cell_scenario, chaos_full_matrix, chaos_quick_matrix, run_chaos_cell, watchdog_control_checks,
-    ChaosCell, ChaosFault, ChaosReport, ChaosVerdict, WatchdogCheck, CHAOS_SCHEMA,
+    cell_config, cell_scenario, chaos_full_matrix, chaos_quick_matrix, run_chaos_cell,
+    watchdog_control_checks, ChaosCell, ChaosReport, ChaosVerdict, WatchdogCheck, CHAOS_SCHEMA,
 };
 pub use matrix::{full_matrix, quick_matrix, App, CellConfig, Exec, Mover, Mutation, Runtime};
 pub use oracle::{compare, Comparison, Divergence, Oracle};

@@ -13,11 +13,11 @@
 use crate::matrix::{App, CellConfig, Mover, Mutation, Runtime};
 use crate::oracle::{compare, Comparison, Oracle};
 use oppic_analyzer::check_plans;
-use oppic_bench::distributed::{run_cabana_distributed, run_fempic_distributed};
 use oppic_cabana::{CabanaConfig, StructuredCabana};
 use oppic_core::{telemetry, DepositMethod, Observable, Simulation, SortPolicy};
 use oppic_device::{Device, DeviceBuffer, DeviceSpec};
 use oppic_fempic::{FemPic, FemPicConfig, MoveStrategy};
+use oppic_resilience::run_distributed;
 /// Everything one cell execution produced.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -240,7 +240,7 @@ fn run_fempic_device(cell: &CellConfig) -> RunResult {
 
 fn run_fempic_mpi(cell: &CellConfig, ranks: usize) -> RunResult {
     let base = fempic_config(cell);
-    let rep = run_fempic_distributed(&base, ranks, cell.steps);
+    let rep = run_distributed::<FemPic>(&base, ranks, cell.steps);
     let mut errors: Vec<String> = unsupported_mutation(cell).into_iter().collect();
     if rep.total_particles == 0 {
         errors.push("distributed run lost every particle".to_string());
@@ -306,7 +306,7 @@ fn run_cabana_host(cell: &CellConfig) -> RunResult {
 fn run_cabana_mpi(cell: &CellConfig, ranks: usize) -> RunResult {
     let base = cabana_config(cell);
     let expect_particles = base.n_particles();
-    let rep = run_cabana_distributed(&base, ranks, cell.steps);
+    let rep = run_distributed::<StructuredCabana>(&base, ranks, cell.steps);
     let mut errors: Vec<String> = unsupported_mutation(cell).into_iter().collect();
     if rep.total_particles != expect_particles {
         errors.push(format!(

@@ -4,12 +4,9 @@
 //! from, and writing that case again must give the same bytes — so
 //! every reproducer written before the frame still replays.
 
-use oppic_bench::rankfail::{DeathPolicy, KillSite};
-use oppic_conformance::{
-    App, Case, CellConfig, ChaosCell, ChaosFault, Exec, Mover, Mutation, Runtime,
-};
+use oppic_conformance::{App, Case, CellConfig, ChaosCell, Exec, Mover, Mutation, Runtime};
 use oppic_core::DepositMethod;
-use oppic_resilience::FaultKind;
+use oppic_resilience::{DeathPolicy, Fault, FaultKind, KillSite};
 use std::path::Path;
 
 fn lines(v: &[&str]) -> Vec<String> {
@@ -58,13 +55,13 @@ fn chaos() -> Vec<(ChaosCell, Vec<String>)> {
         max_retries,
         ..ChaosCell::base()
     };
-    let kill = |rank, step, site, policy| ChaosFault::RankKill {
+    let kill = |rank, step, site, policy| Fault::RankKill {
         rank,
         step,
         site,
         policy,
     };
-    let mpi = |kind, rate, budget| ChaosFault::Mpi { kind, rate, budget };
+    let mpi = |kind, rate, budget| Fault::Network { kind, rate, budget };
     vec![
         (ChaosCell::base(), lines(&[])),
         (
@@ -82,7 +79,7 @@ fn chaos() -> Vec<(ChaosCell, Vec<String>)> {
             ]),
         ),
         (
-            cell(ChaosFault::NanInject { step: 3 }, 5, 1, 5, 8, 4),
+            cell(Fault::SoftError { step: 3 }, 5, 1, 5, 8, 4),
             lines(&["particle positions diverged from reference"]),
         ),
         (

@@ -163,6 +163,18 @@ impl FemPicConfig {
         }
     }
 
+    /// [`FemPicConfig::tiny`] injecting `particles` per step from a
+    /// stream whose seed is offset by `seed`: the world the
+    /// rank-failure runs and chaos cells step.
+    pub fn tiny_seeded(particles: usize, seed: u64) -> Self {
+        let tiny = FemPicConfig::tiny();
+        FemPicConfig {
+            inject_per_step: particles,
+            seed: tiny.seed.wrapping_add(seed),
+            ..tiny
+        }
+    }
+
     pub fn n_cells(&self) -> usize {
         6 * self.nx * self.ny * self.nz
     }

@@ -8,8 +8,12 @@
 //! array without changing the physics, so raw columns are not
 //! comparable across backend configurations.
 
+use crate::config::FemPicConfig;
 use crate::sim::FemPic;
-use oppic_core::{Observable, Recoverable, Simulation};
+use oppic_core::{ColId, Observable, ParticleDats, Recoverable, Simulation, Telemetry};
+use oppic_mesh::Vec3;
+use oppic_mpi::{directional_partition, MigrationStats, RankApp, RankCtx, Transport};
+use std::sync::Arc;
 
 impl FemPic {
     /// Particles per cell as a mesh-indexed histogram (f64 so it rides
@@ -100,10 +104,48 @@ impl Recoverable for FemPic {
     }
 }
 
+impl RankApp for FemPic {
+    type Config = FemPicConfig;
+
+    /// Rank `rank`'s share of the injection ([`FemPicConfig::rank_share`])
+    /// over the paper's directional partition: slabs along y, parallel
+    /// to the x flow, so the steady stream rarely crosses a rank
+    /// boundary (the "principal direction of motion" rationale).
+    fn new_rank(cfg: &FemPicConfig, rank: usize, n_ranks: usize) -> (FemPic, Vec<u32>) {
+        let sim = FemPic::new(cfg.rank_share(rank, n_ranks));
+        let centroids: Vec<Vec3> = (0..sim.mesh.n_cells())
+            .map(|c| sim.mesh.cell_centroid(c))
+            .collect();
+        let cell_rank = directional_partition(&centroids, 1, n_ranks);
+        (sim, cell_rank)
+    }
+
+    fn step_over<N: Transport>(&mut self, net: &mut N) -> Result<MigrationStats, N::Error> {
+        FemPic::step_over(self, net)?;
+        Ok(self.last_migration.clone())
+    }
+
+    fn particles(&mut self) -> (&mut ParticleDats, ColId) {
+        (&mut self.ps, self.pos)
+    }
+
+    fn cell_centroid(&self, c: usize) -> Vec3 {
+        self.mesh.cell_centroid(c)
+    }
+
+    fn telemetry(&self) -> &Arc<Telemetry> {
+        self.profiler.telemetry()
+    }
+
+    /// The total node charge, already reduced by the step.
+    fn check_scalar(&self, _ctx: &mut RankCtx) -> f64 {
+        self.node_charge.sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FemPicConfig;
 
     #[test]
     fn simulation_trait_drives_the_app() {

@@ -20,7 +20,7 @@ use oppic_mesh::geometry::{
     sample_triangle,
 };
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
-use oppic_mpi::{directional_partition, Local, MigrationStats, Transport};
+use oppic_mpi::{Local, MigrationStats, Transport};
 use std::sync::Arc;
 
 /// Tolerance for the barycentric containment test.
@@ -251,19 +251,6 @@ impl FemPic {
             binding: None,
             rebalance_log: Vec::new(),
         }
-    }
-
-    /// Rank `rank`'s simulation in an `n_ranks` run, with the cell →
-    /// rank map of the paper's directional partition: slabs along y,
-    /// parallel to the x flow, so the steady stream rarely crosses a
-    /// rank boundary (the "principal direction of motion" rationale).
-    pub fn new_rank(base: &FemPicConfig, rank: usize, n_ranks: usize) -> (FemPic, Vec<u32>) {
-        let sim = FemPic::new(base.rank_share(rank, n_ranks));
-        let centroids: Vec<Vec3> = (0..sim.mesh.n_cells())
-            .map(|c| sim.mesh.cell_centroid(c))
-            .collect();
-        let cell_rank = directional_partition(&centroids, 1, n_ranks);
-        (sim, cell_rank)
     }
 
     /// Rebalance gate for the persistent binding: build on first use,

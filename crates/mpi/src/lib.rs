@@ -27,13 +27,17 @@
 //!   ([`exchange::exchange`]), the alltoallv path over it, and the [`Transport`]
 //!   trait the apps' one step body is generic over ([`Local`] for one
 //!   rank, [`Plain`] for many).
+//! * [`app`] — [`RankApp`], what the N-rank run loops of
+//!   `oppic-resilience` need from an app.
 
+pub mod app;
 pub mod comm;
 pub mod exchange;
 pub mod fault;
 pub mod heartbeat;
 pub mod partition;
 
+pub use app::RankApp;
 pub use comm::{world_run, world_run_faulty, RankCtx};
 pub use exchange::{migrate_particles, Local, MigrationStats, Plain, RaggedPayload, Transport};
 pub use fault::{mix64, FaultAction, FaultKind, FaultSchedule, FaultSpec};

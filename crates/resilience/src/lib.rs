@@ -24,9 +24,15 @@
 //! * [`shard`] — coordinated per-rank checkpoint shards on the stable
 //!   store, CRC-checked on every read.
 //!
-//! The loop that rewinds to a shard — after a failed collective or a
-//! failed soft-error check — is `oppic_bench::rankfail`'s, which every
-//! chaos cell and rank-failure experiment runs (DESIGN.md §13).
+//! Over these pieces sit the library's two N-rank run loops, generic
+//! over any [`oppic_mpi::RankApp`] (both apps implement it):
+//!
+//! * [`distributed`] — [`run_distributed`], the plain loop: the app's
+//!   step over [`oppic_mpi::Plain`], with no link, detector or shard;
+//! * [`rankfail`] — [`run_scenario`], the resilient loop: the step over
+//!   [`Reliable`], checkpointed to shards and rewound after a failed
+//!   collective or a failed soft-error check. Every chaos cell and
+//!   rank-failure experiment runs it (DESIGN.md §13).
 //!
 //! The numeric guard lives next to the code it protects:
 //! `ParticleDats::quarantine_nonfinite` (NaN/Inf particle quarantine,
@@ -34,15 +40,22 @@
 //! a direct solve that rejects a non-finite load vector and keeps the
 //! previous potential (`oppic_fempic::FemSolver::solve`).
 
+pub mod distributed;
 pub mod envelope;
 pub mod membership;
 pub mod migrate;
+pub mod rankfail;
 pub mod retry;
 pub mod shard;
 
+pub use distributed::{run_distributed, DistributedReport, RankReport};
 pub use envelope::{decode, Frame, FrameError};
 pub use membership::{agree_evict, Membership, MembershipError};
 pub use migrate::{LinkError, Reliable};
+pub use rankfail::{
+    classify_shrink, run_scenario, ChaosVerdict, DeathPolicy, Fault, KillSite, RankAbort,
+    RankFailScenario, RankFinal,
+};
 pub use retry::{retry_jitter, ExchangeError, ReliableLink, RetryPolicy};
 pub use shard::{
     decode_shard, encode_shard, latest_common_version, read_shard, write_shard, ShardError,

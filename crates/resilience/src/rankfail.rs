@@ -1,14 +1,15 @@
-//! The resilient run loop (DESIGN.md §13): the reliable Mini-FEM-PIC
-//! distributed step, checkpointed every few steps and rewound to a
-//! shard when a step fails. Every chaos cell and every rank-failure
+//! The resilient run loop (DESIGN.md §13): any [`RankApp`]'s step
+//! over the reliable link, checkpointed every few steps and rewound to
+//! a shard when a step fails. Every chaos cell and every rank-failure
 //! experiment runs through it, in one of three shapes:
 //!
 //! * **Network fault** — a seeded [`FaultSchedule`] on the data plane;
 //!   the reliable link retransmits through it, or the run aborts with
 //!   a typed error.
 //! * **Soft error** — one particle position poisoned to NaN on a
-//!   one-rank guarded world. The post-step check (the sim's invariants
-//!   and the numeric quarantine) fails, and the rank rewinds to its
+//!   one-rank world whose app config guards its numerics. The
+//!   post-step check (the sim's invariants and the numeric quarantine's
+//!   `resilience.quarantined` count) fails, and the rank rewinds to its
 //!   own latest shard and replays.
 //! * **Rank kill** — one rank fail-stops mid-run
 //!   ([`oppic_mpi::FaultKind::Crash`] — an early return that leaves
@@ -38,18 +39,19 @@
 //! bit-identical to its reference — anything else is silent
 //! corruption ([`classify_shrink`]).
 
-use oppic_core::telemetry::{self, AlertSeverity, Telemetry};
-use oppic_core::{CheckpointManifest, ParticleDats, Recoverable, Simulation};
-use oppic_fempic::{FemPic, FemPicConfig};
-use oppic_mpi::comm::RankCtx;
-use oppic_mpi::partition::directional_partition;
-use oppic_mpi::{MigrationStats, Transport};
-use oppic_obs::recorder::FlightRecorder;
-use oppic_resilience::{
-    agree_evict, latest_common_version, read_shard, world_run_faulty, write_shard, FailureDetector,
-    FaultKind, FaultSchedule, FaultSpec, HeartbeatConfig, LinkError, Membership, Reliable,
+use crate::{
+    agree_evict, latest_common_version, read_shard, write_shard, LinkError, Membership, Reliable,
     ReliableLink, RetryPolicy,
 };
+use oppic_core::telemetry::{self, AlertSeverity, Telemetry};
+use oppic_core::{CheckpointManifest, Observable, ParticleDats};
+use oppic_mpi::comm::RankCtx;
+use oppic_mpi::partition::directional_partition;
+use oppic_mpi::{
+    world_run_faulty, FailureDetector, FaultKind, FaultSchedule, FaultSpec, HeartbeatConfig,
+    MigrationStats, RankApp, Transport,
+};
+use oppic_obs::recorder::FlightRecorder;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,17 +80,14 @@ impl KillSite {
     }
 
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "step" => Some(KillSite::Step),
-            "exchange" => Some(KillSite::Exchange),
-            "checkpoint" => Some(KillSite::Checkpoint),
-            _ => None,
-        }
+        let all = [KillSite::Step, KillSite::Exchange, KillSite::Checkpoint];
+        all.into_iter().find(|k| k.name() == s)
     }
 }
 
-/// What survivors do when a collective fails: a scenario field
-/// (`on_rank_death` in chaos reproducers), not app config.
+/// What survivors of a [`Fault::RankKill`] do when a collective fails
+/// (`on_rank_death` in chaos reproducers). Every other failed
+/// collective aborts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeathPolicy {
     /// Evict, re-partition, replay from the last coordinated
@@ -107,26 +106,17 @@ impl DeathPolicy {
     }
 
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "shrink" => Some(DeathPolicy::Shrink),
-            "abort" => Some(DeathPolicy::Abort),
-            _ => None,
-        }
+        [DeathPolicy::Shrink, DeathPolicy::Abort]
+            .into_iter()
+            .find(|p| p.name() == s)
     }
 }
 
-/// The injected process fault: `rank` fail-stops at `step`, at `site`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankKill {
-    pub rank: usize,
-    pub step: usize,
-    pub site: KillSite,
-}
-
-/// What a scenario injects besides a kill.
+/// What a scenario injects: the fault vocabulary of the resilient loop
+/// and of the chaos stage's cells alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
-    /// Nothing: a kill scenario, the disarmed control, every reference.
+    /// Nothing: the disarmed control and every reference.
     None,
     /// A seeded schedule on the MPI shim's data plane.
     Network {
@@ -137,31 +127,38 @@ pub enum Fault {
         budget: u64,
     },
     /// One particle position poisoned to NaN at the top of `step`, on
-    /// its first attempt only. Runs on one guarded rank: the post-step
-    /// check compares the global node charge with the local particle
-    /// count.
+    /// its first attempt only. Runs on one rank, whose app config must
+    /// guard its numerics: the app's invariants may compare reduced
+    /// fields with the rank's own particles.
     SoftError { step: usize },
+    /// Process fault: `rank` fail-stops at `step`, at `site` (the
+    /// "stall-forever" kill); survivors then follow `policy`.
+    RankKill {
+        rank: usize,
+        step: usize,
+        site: KillSite,
+        policy: DeathPolicy,
+    },
 }
 
-/// One experiment of the resilient loop. `kill` and `fault` arm the
-/// faults; `twin()` makes the fault-free reference the faulted run
-/// must match bit-for-bit.
+/// One experiment of the resilient loop; the app and its config are
+/// the caller's. `fault` arms the fault; `twin()` makes the fault-free
+/// reference the faulted run must match bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct RankFailScenario {
     pub ranks: usize,
     pub steps: usize,
-    pub particles: usize,
+    /// Seeds the fault schedule, the failure detector and the
+    /// soft-error victim.
     pub seed: u64,
     /// Coordinated shard cadence, in steps. Step 0 is always shard-ed.
     pub checkpoint_every: usize,
-    pub kill: Option<RankKill>,
     pub fault: Fault,
     /// Planned-shrink twin: `(dead rank, checkpoint version)` to
     /// shrink at by fiat. Only [`RankFailScenario::twin`] sets it.
     planned_shrink: Option<(usize, u64)>,
     pub heartbeat_ms: u64,
     pub death_deadline_ms: u64,
-    pub on_death: DeathPolicy,
     /// Retry budget of the reliable link, and rewind budget of the
     /// run (shrinks and rollbacks alike); 0 disables both.
     pub max_retries: usize,
@@ -175,19 +172,17 @@ impl RankFailScenario {
         RankFailScenario {
             ranks: 4,
             steps: 12,
-            particles: 160,
             seed: 0xFA11,
             checkpoint_every: 4,
-            kill: Some(RankKill {
+            fault: Fault::RankKill {
                 rank: 2,
                 step: 6,
                 site: KillSite::Step,
-            }),
-            fault: Fault::None,
+                policy: DeathPolicy::Shrink,
+            },
             planned_shrink: None,
             heartbeat_ms: 2,
             death_deadline_ms: 150,
-            on_death: DeathPolicy::Shrink,
             max_retries: 6,
             retransmit_ms: 80,
         }
@@ -198,7 +193,10 @@ impl RankFailScenario {
     /// `Checkpoint`-site kill at boundary `k` leaves the victim's slot
     /// at `k - checkpoint_every`, so the formula is uniform.
     pub fn recovery_version(&self) -> u64 {
-        let k = self.kill.map(|k| k.step).unwrap_or(self.steps + 1);
+        let k = match self.fault {
+            Fault::RankKill { step, .. } => step,
+            _ => self.steps + 1,
+        };
         ((k - 1) / self.checkpoint_every * self.checkpoint_every) as u64
     }
 
@@ -207,10 +205,19 @@ impl RankFailScenario {
     /// otherwise.
     pub fn twin(&self) -> Self {
         let mut t = self.clone();
-        t.planned_shrink = self.kill.map(|k| (k.rank, self.recovery_version()));
-        t.kill = None;
+        if let Fault::RankKill { rank, .. } = self.fault {
+            t.planned_shrink = Some((rank, self.recovery_version()));
+        }
         t.fault = Fault::None;
         t
+    }
+
+    /// The rank a [`Fault::RankKill`] fail-stops.
+    pub fn victim(&self) -> Option<usize> {
+        match self.fault {
+            Fault::RankKill { rank, .. } => Some(rank),
+            _ => None,
+        }
     }
 }
 
@@ -218,12 +225,11 @@ impl RankFailScenario {
 /// died (by crash or by planned shrink).
 #[derive(Debug, Clone, Default)]
 pub struct RankFinal {
-    pub particles: usize,
-    pub node_charge: Vec<f64>,
+    /// The app's [`oppic_core::Simulation::observables`] at the end
+    /// (the particle count among them).
+    pub observables: Vec<Observable>,
     /// The particles' position column, in store order.
     pub positions: Vec<f64>,
-    /// The node potential of the last field solve.
-    pub potential: Vec<f64>,
     pub epoch: u64,
     pub members: Vec<usize>,
     /// Faults the run injected, world-wide: the schedule's data-plane
@@ -265,35 +271,6 @@ impl fmt::Display for RankAbort {
     }
 }
 
-/// Everything a rank mutates across failures; one recovery rewrites
-/// most of it, so it travels together.
-struct RankRun<'a> {
-    sc: &'a RankFailScenario,
-    sim: FemPic,
-    cell_rank: Vec<u32>,
-    membership: Membership,
-    link: ReliableLink,
-    detector: FailureDetector,
-    detection_ms: f64,
-    recovery_ms: f64,
-    agreement_ms: f64,
-    recoveries: u64,
-    rank_deaths: u64,
-    steps_replayed: u64,
-}
-
-/// The whole-world configuration; rank `r` runs
-/// `scenario_config(sc).rank_share(r, sc.ranks)`. A soft-error
-/// scenario runs guarded (bit-identical to unguarded on healthy
-/// steps), so its quarantine sees the poisoned particle.
-fn scenario_config(sc: &RankFailScenario) -> FemPicConfig {
-    let mut cfg = FemPicConfig::tiny();
-    cfg.inject_per_step = sc.particles;
-    cfg.seed = cfg.seed.wrapping_add(sc.seed);
-    cfg.guard_numerics = matches!(sc.fault, Fault::SoftError { .. });
-    cfg
-}
-
 /// Why a step did not complete.
 enum Interrupted {
     /// This rank fail-stopped at the `Exchange` kill site.
@@ -324,217 +301,217 @@ impl Transport for KillSwitch<'_> {
     }
 }
 
-/// Write this rank's coordinated shard for `step` (checkpoint v2:
-/// manifest + opaque state blob).
-fn write_boundary_shard(ctx: &RankCtx, run: &RankRun<'_>, step: usize) -> Result<(), String> {
-    let manifest = CheckpointManifest {
-        epoch: run.membership.epoch(),
-        n_ranks: ctx.n_ranks as u64,
-        rank: ctx.rank as u64,
-        step: step as u64,
-        cell_owner: run.cell_rank.iter().map(|&o| o as i32).collect(),
-    };
-    let mut blob = Vec::new();
-    run.sim
-        .save_state(&mut blob)
-        .map_err(|e| format!("checkpoint save failed: {e}"))?;
-    write_shard(ctx, &manifest, &blob).map_err(|e| e.to_string())
+/// One rank of a resilient run: everything it mutates across failures
+/// (one recovery rewrites most of it), and the recovery tallies its
+/// end state reports.
+struct RankRun<'a, A: RankApp> {
+    sc: &'a RankFailScenario,
+    cfg: &'a A::Config,
+    sim: A,
+    cell_rank: Vec<u32>,
+    membership: Membership,
+    link: ReliableLink,
+    detector: FailureDetector,
+    /// Recoveries, deaths, steps replayed and the recovery latencies.
+    tally: RankFinal,
 }
 
-/// Restore this rank's own shard at `version`: its state and the
-/// partition it was written under. The shard's CRC and manifest are
-/// checked before anything is touched.
-fn restore_own(ctx: &RankCtx, run: &mut RankRun<'_>, version: u64) -> Result<(), String> {
-    let (manifest, blob) = read_shard(ctx, ctx.rank, version).map_err(|e| e.to_string())?;
-    manifest
-        .validate(ctx.n_ranks, Some(ctx.rank), run.sim.mesh.n_cells())
-        .map_err(|e| format!("own shard rejected: {e}"))?;
-    run.sim
-        .restore_state(&blob)
-        .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-    run.cell_rank = manifest.cell_owner.iter().map(|&o| o as u32).collect();
-    Ok(())
-}
-
-/// The shrink itself, shared by the faulted path and the planned
-/// twin: restore own shard at `version`, hand the dead ranks' cells
-/// to survivors, adopt their particles (dead rank ascending, particle
-/// index ascending — deterministic), fence the link on the new epoch.
-fn shrink_recover(
-    ctx: &RankCtx,
-    run: &mut RankRun<'_>,
-    dead: &[usize],
-    next: Membership,
-    version: u64,
-) -> Result<(), String> {
-    restore_own(ctx, run, version)?;
-    let n_cells = run.sim.mesh.n_cells();
-
-    // Re-home the dead ranks' cells over the survivors with the same
-    // partitioner that cut the original decomposition.
-    let dead_cells: Vec<usize> = (0..n_cells)
-        .filter(|&c| dead.contains(&(run.cell_rank[c] as usize)))
-        .collect();
-    if !dead_cells.is_empty() {
-        let centroids: Vec<_> = dead_cells
-            .iter()
-            .map(|&c| run.sim.mesh.cell_centroid(c))
-            .collect();
-        let part = directional_partition(&centroids, 1, next.n_members());
-        for (i, &c) in dead_cells.iter().enumerate() {
-            run.cell_rank[c] = next.members()[part[i] as usize] as u32;
-        }
+impl<A: RankApp> RankRun<'_, A> {
+    /// Write this rank's coordinated shard for `step` (checkpoint v2:
+    /// manifest + opaque state blob).
+    fn write_shard(&self, ctx: &RankCtx, step: usize) -> Result<(), String> {
+        let manifest = CheckpointManifest {
+            epoch: self.membership.epoch(),
+            n_ranks: ctx.n_ranks as u64,
+            rank: ctx.rank as u64,
+            step: step as u64,
+            cell_owner: self.cell_rank.iter().map(|&o| o as i32).collect(),
+        };
+        let mut blob = Vec::new();
+        self.sim
+            .save_state(&mut blob)
+            .map_err(|e| format!("checkpoint save failed: {e}"))?;
+        write_shard(ctx, &manifest, &blob).map_err(|e| e.to_string())
     }
 
-    // Adopt the particles the dead ranks were carrying at `version`.
-    let mut payload = Vec::new();
-    for &d in dead {
-        let (dm, dblob) = read_shard(ctx, d, version).map_err(|e| e.to_string())?;
-        dm.validate(ctx.n_ranks, None, n_cells)
-            .map_err(|e| format!("dead rank {d} shard rejected: {e}"))?;
-        let mut scratch = FemPic::new(scenario_config(run.sc).rank_share(d, run.sc.ranks));
-        scratch
-            .restore_state(&dblob)
-            .map_err(|e| format!("dead rank {d} restore failed: {e}"))?;
-        let cells = scratch.ps.cells().to_vec();
-        for (i, &c) in cells.iter().enumerate() {
-            if run.cell_rank[c as usize] as usize == ctx.rank {
-                payload.clear();
-                scratch.ps.pack_one(i, &mut payload);
-                run.sim.ps.unpack_one(&payload, c);
+    /// Restore this rank's own shard at `version`: its state and the
+    /// partition it was written under. The shard's CRC and manifest are
+    /// checked before anything is touched.
+    fn restore_own(&mut self, ctx: &RankCtx, version: u64) -> Result<(), String> {
+        let (manifest, blob) = read_shard(ctx, ctx.rank, version).map_err(|e| e.to_string())?;
+        manifest
+            .validate(ctx.n_ranks, Some(ctx.rank), self.cell_rank.len())
+            .map_err(|e| format!("own shard rejected: {e}"))?;
+        self.sim
+            .restore_state(&blob)
+            .map_err(|e| format!("checkpoint restore failed: {e}"))?;
+        self.cell_rank = manifest.cell_owner.iter().map(|&o| o as u32).collect();
+        Ok(())
+    }
+
+    /// The shrink itself, shared by the faulted path and the planned
+    /// twin: restore own shard at `version`, hand the dead ranks' cells
+    /// to survivors, adopt their particles (dead rank ascending,
+    /// particle index ascending — deterministic), fence the link on the
+    /// new epoch.
+    fn shrink(
+        &mut self,
+        ctx: &RankCtx,
+        dead: &[usize],
+        next: Membership,
+        version: u64,
+    ) -> Result<(), String> {
+        self.restore_own(ctx, version)?;
+        let n_cells = self.cell_rank.len();
+
+        // Re-home the dead ranks' cells over the survivors with the
+        // same partitioner that cut the original decomposition.
+        let dead_cells: Vec<usize> = (0..n_cells)
+            .filter(|&c| dead.contains(&(self.cell_rank[c] as usize)))
+            .collect();
+        if !dead_cells.is_empty() {
+            let centroids: Vec<_> = dead_cells
+                .iter()
+                .map(|&c| self.sim.cell_centroid(c))
+                .collect();
+            let part = directional_partition(&centroids, 1, next.n_members());
+            for (i, &c) in dead_cells.iter().enumerate() {
+                self.cell_rank[c] = next.members()[part[i] as usize] as u32;
             }
         }
+
+        // Adopt the particles the dead ranks were carrying at
+        // `version`, through a scratch sim of each dead rank.
+        let mut payload = Vec::new();
+        for &d in dead {
+            let (dm, dblob) = read_shard(ctx, d, version).map_err(|e| e.to_string())?;
+            dm.validate(ctx.n_ranks, None, n_cells)
+                .map_err(|e| format!("dead rank {d} shard rejected: {e}"))?;
+            let (mut scratch, _) = A::new_rank(self.cfg, d, self.sc.ranks);
+            scratch
+                .restore_state(&dblob)
+                .map_err(|e| format!("dead rank {d} restore failed: {e}"))?;
+            let (adopted, _) = scratch.particles();
+            let (ps, _) = self.sim.particles();
+            for (i, &c) in adopted.cells().iter().enumerate() {
+                if self.cell_rank[c as usize] as usize == ctx.rank {
+                    payload.clear();
+                    adopted.pack_one(i, &mut payload);
+                    ps.unpack_one(&payload, c);
+                }
+            }
+        }
+
+        self.link.install_membership(&next);
+        self.membership = next;
+        Ok(())
     }
 
-    run.link.install_membership(&next);
-    run.membership = next;
-    Ok(())
-}
-
-/// Spend one rewind of the run's budget (`max_retries`; 0 disables
-/// rollback as it disables retransmission).
-fn spend_rewind(run: &mut RankRun<'_>, err: &str) -> Result<(), String> {
-    if run.recoveries >= run.sc.max_retries as u64 {
-        return Err(format!(
-            "rollback budget of {} rewinds exhausted: {err}",
-            run.sc.max_retries
-        ));
+    /// Spend one rewind of the run's budget (`max_retries`; 0 disables
+    /// rollback as it disables retransmission).
+    fn spend_rewind(&mut self, err: &str) -> Result<(), String> {
+        if self.tally.recoveries >= self.sc.max_retries as u64 {
+            return Err(format!(
+                "rollback budget of {} rewinds exhausted: {err}",
+                self.sc.max_retries
+            ));
+        }
+        self.tally.recoveries += 1;
+        Ok(())
     }
-    run.recoveries += 1;
-    Ok(())
-}
 
-/// The faulted-path recovery chain; returns the checkpoint version to
-/// rewind to.
-fn recover_after_failure(
-    ctx: &mut RankCtx,
-    run: &mut RankRun<'_>,
-    hub: &Telemetry,
-    err: &str,
-) -> Result<u64, String> {
-    if run.sc.on_death == DeathPolicy::Abort {
-        return Err(format!("collective failed and on-rank-death=abort: {err}"));
+    /// The faulted-path recovery chain; returns the checkpoint version
+    /// to rewind to.
+    fn recover_after_failure(&mut self, ctx: &mut RankCtx, err: &str) -> Result<u64, String> {
+        if !matches!(
+            self.sc.fault,
+            Fault::RankKill {
+                policy: DeathPolicy::Shrink,
+                ..
+            }
+        ) {
+            return Err(format!("collective failed and on-rank-death=abort: {err}"));
+        }
+        self.spend_rewind(err)?;
+        // Suspect every current peer, not just whoever the error names:
+        // in an asymmetric collective (gather/broadcast) a survivor only
+        // sees the leader time out. The lease board finds the truly
+        // frozen ranks; live peers renew and are acquitted.
+        let t0 = Instant::now();
+        let suspects = self.membership.peers(ctx.rank);
+        let dead = self.detector.wait_verdict(ctx, &suspects);
+        if dead.is_empty() {
+            return Err(format!("collective failed but every peer is alive: {err}"));
+        }
+        self.tally.detection_ms += t0.elapsed().as_secs_f64() * 1e3;
+        self.tally.rank_deaths += dead.len() as u64;
+        telemetry::count("resilience.rank_deaths", dead.len() as u64);
+        self.sim.telemetry().alert(
+            "rank_death",
+            AlertSeverity::Critical,
+            &format!("ranks {dead:?} declared dead after {err}"),
+        );
+
+        let t1 = Instant::now();
+        // Version selection must include the dead ranks' slots: a victim
+        // killed mid-checkpoint is exactly the rank whose slot lags.
+        let pre_shrink_slots = self.membership.members().to_vec();
+        let next = agree_evict(ctx, &mut self.detector, &self.membership, &dead)
+            .map_err(|e| e.to_string())?;
+        self.tally.agreement_ms += t1.elapsed().as_secs_f64() * 1e3;
+        let version = latest_common_version(ctx, &pre_shrink_slots).map_err(|e| e.to_string())?;
+        self.shrink(ctx, &dead, next, version)?;
+        let ms = t1.elapsed().as_secs_f64() * 1e3;
+        self.tally.recovery_ms += ms;
+        if let Some(h) = telemetry::hist("resilience.recovery_ms") {
+            h.record(ms.ceil() as u64);
+        }
+        Ok(version)
     }
-    spend_rewind(run, err)?;
-    // Suspect every current peer, not just whoever the error names:
-    // in an asymmetric collective (gather/broadcast) a survivor only
-    // sees the leader time out. The lease board finds the truly
-    // frozen ranks; live peers renew and are acquitted.
-    let t0 = Instant::now();
-    let suspects = run.membership.peers(ctx.rank);
-    let dead = run.detector.wait_verdict(ctx, &suspects);
-    if dead.is_empty() {
-        return Err(format!("collective failed but every peer is alive: {err}"));
+
+    /// The soft-error rewind: restore this rank's own latest shard,
+    /// counted, traced and alerted on the rank's hub; returns the
+    /// version to replay from.
+    fn roll_back(&mut self, ctx: &RankCtx, step: usize, fault: &str) -> Result<u64, String> {
+        self.spend_rewind(fault)?;
+        let version = latest_common_version(ctx, &[ctx.rank]).map_err(|e| e.to_string())?;
+        self.restore_own(ctx, version)?;
+        let replayed = step as u64 - version;
+        telemetry::count("resilience.recoveries", 1);
+        telemetry::count("resilience.steps_replayed", replayed);
+        let hub = self.sim.telemetry();
+        hub.trace(
+            "recovery",
+            format!(
+                "fault=\"{fault}\" detected_at={step} rollback_to={version} replayed={replayed}"
+            ),
+        );
+        // A rollback is always alert-worthy: the run survived, but
+        // something corrupted live state.
+        hub.alert(
+            "recovery_rollback",
+            AlertSeverity::Warn,
+            &format!("rolled back step {step} -> {version} ({replayed} replayed): {fault}"),
+        );
+        Ok(version)
     }
-    run.detection_ms += t0.elapsed().as_secs_f64() * 1e3;
-    run.rank_deaths += dead.len() as u64;
-    telemetry::count("resilience.rank_deaths", dead.len() as u64);
-    hub.alert(
-        "rank_death",
-        AlertSeverity::Critical,
-        &format!("ranks {dead:?} declared dead after {err}"),
-    );
-
-    let t1 = Instant::now();
-    // Version selection must include the dead ranks' slots: a victim
-    // killed mid-checkpoint is exactly the rank whose slot lags.
-    let pre_shrink_slots = run.membership.members().to_vec();
-    let next =
-        agree_evict(ctx, &mut run.detector, &run.membership, &dead).map_err(|e| e.to_string())?;
-    run.agreement_ms += t1.elapsed().as_secs_f64() * 1e3;
-    let version = latest_common_version(ctx, &pre_shrink_slots).map_err(|e| e.to_string())?;
-    shrink_recover(ctx, run, &dead, next, version)?;
-    let ms = t1.elapsed().as_secs_f64() * 1e3;
-    run.recovery_ms += ms;
-    if let Some(h) = telemetry::hist("resilience.recovery_ms") {
-        h.record(ms.ceil() as u64);
-    }
-    Ok(version)
 }
 
-/// The soft-error check after a guarded step: the sim's invariants
-/// hold and no particle was quarantined for non-finite state.
-fn check_numerics(sim: &FemPic) -> Result<(), String> {
-    sim.invariants()?;
-    if sim.last_quarantined > 0 {
-        return Err(format!(
-            "{} particle(s) quarantined with non-finite state",
-            sim.last_quarantined
-        ));
-    }
-    Ok(())
-}
-
-/// The soft-error rewind: restore this rank's own latest shard,
-/// counted, traced and alerted on the rank's hub; returns the version
-/// to replay from.
-fn roll_back(
-    ctx: &RankCtx,
-    run: &mut RankRun<'_>,
-    hub: &Telemetry,
-    step: usize,
-    fault: &str,
-) -> Result<u64, String> {
-    spend_rewind(run, fault)?;
-    let version = latest_common_version(ctx, &[ctx.rank]).map_err(|e| e.to_string())?;
-    restore_own(ctx, run, version)?;
-    let replayed = step as u64 - version;
-    telemetry::count("resilience.recoveries", 1);
-    telemetry::count("resilience.steps_replayed", replayed);
-    hub.trace(
-        "recovery",
-        format!("fault=\"{fault}\" detected_at={step} rollback_to={version} replayed={replayed}"),
-    );
-    // A rollback is always alert-worthy: the run survived, but
-    // something corrupted live state.
-    hub.alert(
-        "recovery_rollback",
-        AlertSeverity::Warn,
-        &format!("rolled back step {step} -> {version} ({replayed} replayed): {fault}"),
-    );
-    Ok(version)
-}
-
-/// Run one scenario; entry `r` is rank `r`'s end state (`Ok(None)` =
-/// died). Deterministic given the scenario: every fault is carried by
-/// a seeded [`FaultSchedule`] or the scenario itself, so runs replay.
-pub fn run_rank_failure(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, String>> {
-    run_scenario(sc)
-        .into_iter()
-        .map(|r| r.map_err(|abort| abort.error))
-        .collect()
-}
-
-/// [`run_rank_failure`] with each abort's flight-recorder dump kept:
-/// a rank keeps its dump whenever its hub raised an alert, whether it
-/// then recovered or gave up. A soft-error scenario on more than one
-/// rank is refused with a typed error on every rank.
-pub fn run_scenario(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, RankAbort>> {
-    let soft = matches!(sc.fault, Fault::SoftError { .. });
-    if soft && sc.ranks != 1 {
+/// Run one scenario of app `A`, every rank built from `cfg`; entry `r`
+/// is rank `r`'s end state (`Ok(None)` = died). Deterministic given
+/// the scenario and the config: every fault is carried by a seeded
+/// [`FaultSchedule`] or the scenario itself, so runs replay. A rank
+/// keeps its flight-recorder dump whenever its hub raised an alert,
+/// whether it then recovered or gave up. A soft-error scenario on more
+/// than one rank is refused with a typed error on every rank.
+pub fn run_scenario<A: RankApp>(
+    sc: &RankFailScenario,
+    cfg: &A::Config,
+) -> Vec<Result<Option<RankFinal>, RankAbort>> {
+    if matches!(sc.fault, Fault::SoftError { .. }) && sc.ranks != 1 {
         let error = format!(
-            "a soft-error scenario runs on one rank, not {}: its check compares the \
-             global node charge with the local particle count",
+            "a soft-error scenario runs on one rank, not {}: the app's invariants may \
+             compare reduced fields with the rank's own particles",
             sc.ranks
         );
         let abort = RankAbort {
@@ -543,26 +520,28 @@ pub fn run_scenario(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, Rank
         };
         return vec![Err(abort); sc.ranks];
     }
-    // One seeded schedule carries the data-plane fault and the crash.
-    let (mut specs, budget) = match sc.fault {
-        Fault::Network { kind, rate, budget } => (vec![FaultSpec::new(kind, rate)], budget),
-        _ => (Vec::new(), u64::MAX),
+    // One seeded schedule carries the data-plane fault or the crash.
+    let spec = match sc.fault {
+        Fault::Network { kind, rate, budget } => Some((FaultSpec::new(kind, rate), budget)),
+        Fault::RankKill { rank, step, .. } => Some((
+            FaultSpec::new(
+                FaultKind::Crash {
+                    rank,
+                    at_step: step,
+                },
+                1.0,
+            ),
+            u64::MAX,
+        )),
+        _ => None,
     };
-    specs.extend(sc.kill.map(|k| {
-        let crash = FaultKind::Crash {
-            rank: k.rank,
-            at_step: k.step,
-        };
-        FaultSpec::new(crash, 1.0)
-    }));
-    let sched = (!specs.is_empty())
-        .then(|| Arc::new(FaultSchedule::new(sc.seed, specs).with_budget(budget)));
+    let sched = spec.map(|(spec, budget)| {
+        Arc::new(FaultSchedule::new(sc.seed, vec![spec]).with_budget(budget))
+    });
 
     let mut out = world_run_faulty(sc.ranks, sched.clone(), |ctx: &mut RankCtx| {
-        let (sim, cell_rank) = FemPic::new_rank(&scenario_config(sc), ctx.rank, sc.ranks);
-        // The sim's own hub is the rank's hub: the step, the reliable
-        // link and the recovery chain all count and alert there.
-        let hub = sim.profiler.telemetry().clone();
+        let (sim, cell_rank) = A::new_rank(cfg, ctx.rank, sc.ranks);
+        let hub = sim.telemetry().clone();
         let _guard = hub.make_current();
         let recorder = Arc::new(FlightRecorder::new(4096));
         hub.set_observer(Some(recorder.clone()));
@@ -571,7 +550,7 @@ pub fn run_scenario(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, Rank
                 .then(|| recorder.dump(Vec::new()).ok())
                 .flatten()
         };
-        match run_rank(ctx, sc, sim, cell_rank, &hub) {
+        match run_rank(ctx, sc, cfg, sim, cell_rank) {
             Ok(fin) => Ok(fin.map(|fin| RankFinal {
                 recorder_dump: dump(),
                 ..fin
@@ -582,7 +561,11 @@ pub fn run_scenario(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, Rank
             }),
         }
     });
-    let injected = sched.map_or(0, |s| s.injected()) + u64::from(sc.kill.is_some() || soft);
+    let injected = sched.map_or(0, |s| s.injected())
+        + u64::from(matches!(
+            sc.fault,
+            Fault::RankKill { .. } | Fault::SoftError { .. }
+        ));
     for fin in out.iter_mut().flatten().flatten() {
         fin.injected = injected;
     }
@@ -590,16 +573,20 @@ pub fn run_scenario(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, Rank
 }
 
 /// One rank's step loop: checkpoint every `checkpoint_every` steps,
-/// rewind on a failed collective or a failed soft-error check.
-fn run_rank(
+/// rewind on a failed collective or a failed soft-error check. The
+/// sim's hub is the rank's: the step, the reliable link and the
+/// recovery chain all count and alert there.
+fn run_rank<A: RankApp>(
     ctx: &mut RankCtx,
     sc: &RankFailScenario,
-    sim: FemPic,
+    cfg: &A::Config,
+    sim: A,
     cell_rank: Vec<u32>,
-    hub: &Telemetry,
 ) -> Result<Option<RankFinal>, String> {
+    let hub: Arc<Telemetry> = sim.telemetry().clone();
     let mut run = RankRun {
         sc,
+        cfg,
         cell_rank,
         sim,
         membership: Membership::world(sc.ranks),
@@ -616,25 +603,24 @@ fn run_rank(
                 seed: sc.seed,
             },
         ),
-        detection_ms: 0.0,
-        recovery_ms: 0.0,
-        agreement_ms: 0.0,
-        recoveries: 0,
-        rank_deaths: 0,
-        steps_replayed: 0,
+        tally: RankFinal::default(),
     };
+    // Whether this rank fail-stops at `site` of step `s`.
     let my_crash = ctx.crash_step();
-    let site = sc.kill.map(|k| k.site);
+    let kill_at = |site: KillSite, s: usize| {
+        my_crash == Some(s) && matches!(sc.fault, Fault::RankKill { site: at, .. } if at == site)
+    };
     let guarded = matches!(sc.fault, Fault::SoftError { .. });
     let mut poisoned = false;
 
     // Coordinated step-0 shard, then one barrier so every lease has
     // beaten at least once before any kill can fire.
-    write_boundary_shard(ctx, &run, 0)?;
+    run.write_shard(ctx, 0)?;
     run.detector.beat_now(ctx);
     ctx.barrier();
 
-    let (mut pre_s, mut pre_n, mut post_s, mut post_n) = (0.0f64, 0u64, 0.0f64, 0u64);
+    // (seconds, steps) before and after the first recovery.
+    let mut rate = [(0.0f64, 0u64); 2];
     let mut s = 1usize;
     while s <= sc.steps {
         // Planned-shrink twin: shrink by fiat right after the chosen
@@ -647,87 +633,84 @@ fn run_rank(
                 }
                 let mut next = run.membership.clone();
                 next.evict(&[dead_rank]).map_err(|e| e.to_string())?;
-                shrink_recover(ctx, &mut run, &[dead_rank], next, version)?;
+                run.shrink(ctx, &[dead_rank], next, version)?;
             }
         }
-        if my_crash == Some(s) && site == Some(KillSite::Step) {
+        if kill_at(KillSite::Step, s) {
             return Ok(None); // fail-stop: channels stay open, forever silent
         }
-        if sc.fault == (Fault::SoftError { step: s }) && !poisoned && !run.sim.ps.is_empty() {
+        let (ps, pos) = run.sim.particles();
+        if sc.fault == (Fault::SoftError { step: s }) && !poisoned && !ps.is_empty() {
             // The transient soft error: one live position word turns
             // NaN. The guarded step's quarantine is the detector.
             poisoned = true;
-            let victim = sc.seed as usize % run.sim.ps.len();
-            let pos = run.sim.pos;
-            run.sim.ps.el_mut(pos, victim)[0] = f64::NAN;
+            let victim = sc.seed as usize % ps.len();
+            ps.el_mut(pos, victim)[0] = f64::NAN;
         }
+        let quarantined = hub.counter("resilience.quarantined");
         let step_start = Instant::now();
         run.detector.beat(ctx);
 
-        let armed = my_crash == Some(s) && site == Some(KillSite::Exchange);
         let mut net = KillSwitch {
             net: Reliable {
                 link: &mut run.link,
                 ctx,
                 cell_rank: &run.cell_rank,
             },
-            armed,
+            armed: kill_at(KillSite::Exchange, s),
         };
         let rewind_to = match run.sim.step_over(&mut net) {
             // Fail-stop with peers already committed to the exchange.
             Err(Interrupted::Killed) => return Ok(None),
-            Err(Interrupted::Link(e)) => {
-                Some(recover_after_failure(ctx, &mut run, hub, &e.to_string())?)
+            Err(Interrupted::Link(e)) => Some(run.recover_after_failure(ctx, &e.to_string())?),
+            // The soft-error check: the sim's invariants hold and the
+            // step quarantined no particle for non-finite state.
+            Ok(_) if guarded => {
+                let check = run.sim.invariants().and_then(|()| {
+                    match hub.counter("resilience.quarantined") - quarantined {
+                        0 => Ok(()),
+                        n => Err(format!("{n} particle(s) quarantined with non-finite state")),
+                    }
+                });
+                match check {
+                    Err(fault) => Some(run.roll_back(ctx, s, &fault)?),
+                    Ok(()) => None,
+                }
             }
-            Ok(_) if guarded => match check_numerics(&run.sim) {
-                Err(fault) => Some(roll_back(ctx, &mut run, hub, s, &fault)?),
-                Ok(()) => None,
-            },
             Ok(_) => None,
         };
         if let Some(version) = rewind_to {
-            run.steps_replayed += s as u64 - version;
+            run.tally.steps_replayed += s as u64 - version;
             s = version as usize + 1;
             continue;
         }
 
         if s.is_multiple_of(sc.checkpoint_every) {
-            if my_crash == Some(s) && site == Some(KillSite::Checkpoint) {
+            if kill_at(KillSite::Checkpoint, s) {
                 return Ok(None); // died before writing the shard
             }
-            write_boundary_shard(ctx, &run, s)?;
+            run.write_shard(ctx, s)?;
         }
 
-        let dt = step_start.elapsed().as_secs_f64();
-        if run.recoveries == 0 {
-            pre_s += dt;
-            pre_n += 1;
-        } else {
-            post_s += dt;
-            post_n += 1;
-        }
+        let (t, n) = &mut rate[usize::from(run.tally.recoveries > 0)];
+        *t += step_start.elapsed().as_secs_f64();
+        *n += 1;
         s += 1;
     }
 
-    let per_s = |t: f64, n: u64| if t > 0.0 { n as f64 / t } else { 0.0 };
+    let per_s = |(t, n): (f64, u64)| if t > 0.0 { n as f64 / t } else { 0.0 };
+    let observables = run.sim.observables();
+    let (ps, pos) = run.sim.particles();
     Ok(Some(RankFinal {
-        particles: run.sim.ps.len(),
-        node_charge: run.sim.node_charge.raw().to_vec(),
-        positions: run.sim.ps.col(run.sim.pos).to_vec(),
-        potential: run.sim.fem.potential().to_vec(),
+        observables,
+        positions: ps.col(pos).to_vec(),
         epoch: run.membership.epoch(),
         members: run.membership.members().to_vec(),
-        recoveries: run.recoveries,
-        rank_deaths: run.rank_deaths,
         stale_epoch_dropped: hub.counter("resilience.stale_epoch_dropped"),
         retransmits: hub.counter("resilience.retransmits"),
-        detection_ms: run.detection_ms,
-        recovery_ms: run.recovery_ms,
-        agreement_ms: run.agreement_ms,
-        steps_replayed: run.steps_replayed,
-        pre_steps_per_s: per_s(pre_s, pre_n),
-        post_steps_per_s: per_s(post_s, post_n),
-        ..RankFinal::default()
+        pre_steps_per_s: per_s(rate[0]),
+        post_steps_per_s: per_s(rate[1]),
+        ..run.tally
     }))
 }
 
@@ -751,9 +734,9 @@ pub enum ChaosVerdict {
     SilentCorruption { failures: Vec<String> },
 }
 
-/// Bit-compare rank `r`'s particle count, node charge, particle
-/// positions and node potential, `got`, with the reference's, `want`;
-/// `label` names the reference in the lines.
+/// Bit-compare rank `r`'s observables and particle positions, `got`,
+/// with the reference's, `want`; `label` names the reference in the
+/// lines.
 fn compare_rank(
     r: usize,
     label: &str,
@@ -761,17 +744,7 @@ fn compare_rank(
     got: &RankFinal,
     failures: &mut Vec<String>,
 ) {
-    if got.particles != want.particles {
-        failures.push(format!(
-            "rank {r}: {} particles, {label} has {}",
-            got.particles, want.particles
-        ));
-    }
-    for (name, want, got) in [
-        ("node_charge", &want.node_charge, &got.node_charge),
-        ("position", &want.positions, &got.positions),
-        ("potential", &want.potential, &got.potential),
-    ] {
+    for ((name, want), (_, got)) in columns(want).zip(columns(got)) {
         if let Some(i) = want
             .iter()
             .zip(got)
@@ -785,12 +758,19 @@ fn compare_rank(
     }
 }
 
+/// `fin`'s observables, then its position column, by name.
+fn columns(fin: &RankFinal) -> impl Iterator<Item = (&str, &[f64])> {
+    let observables = fin.observables.iter();
+    let observables = observables.map(|o| (o.name.as_str(), o.values.as_slice()));
+    observables.chain([("position", fin.positions.as_slice())])
+}
+
 /// Classify a faulted run against its reference (`sc.twin()`'s run),
 /// rank by rank. A failed reference is a harness defect the verdict
 /// must not paper over (`SilentCorruption`); any rank error makes a
 /// `CleanAbort`. Otherwise a kill's victim must be dead and only it,
 /// and every live rank must agree with the reference bit for bit on
-/// membership, particles, node charge, positions and potential;
+/// membership, observables and positions;
 /// agreement makes `Recovered`, with retransmits and recoveries summed
 /// over the faulted ranks.
 pub fn classify_shrink<E: fmt::Display>(
@@ -798,7 +778,7 @@ pub fn classify_shrink<E: fmt::Display>(
     reference: &[Result<Option<RankFinal>, E>],
     faulted: &[Result<Option<RankFinal>, E>],
 ) -> ChaosVerdict {
-    let (label, reference_failed) = match sc.kill {
+    let (label, reference_failed) = match sc.victim() {
         Some(_) => ("twin", "planned-shrink twin failed"),
         None => ("reference", "fault-free reference run failed"),
     };
@@ -816,7 +796,7 @@ pub fn classify_shrink<E: fmt::Display>(
         return ChaosVerdict::CleanAbort { errors };
     }
 
-    let dead = sc.kill.map(|k| k.rank);
+    let dead = sc.victim();
     let mut failures = Vec::new();
     let (mut injected, mut retransmits, mut recoveries) = (0u64, 0u64, 0u64);
     for (r, (want, got)) in reference.iter().zip(faulted).enumerate() {
@@ -860,10 +840,41 @@ pub fn classify_shrink<E: fmt::Display>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oppic_fempic::{FemPic, FemPicConfig};
+    use oppic_mpi::{world_run, Plain};
+
+    /// The scenario's Mini-FEM-PIC world with `particles` injected per
+    /// step. A soft-error scenario runs guarded (bit-identical to
+    /// unguarded on healthy steps), so its quarantine sees the poisoned
+    /// particle.
+    fn fempic(sc: &RankFailScenario, particles: usize) -> FemPicConfig {
+        FemPicConfig {
+            guard_numerics: matches!(sc.fault, Fault::SoftError { .. }),
+            ..FemPicConfig::tiny_seeded(particles, sc.seed)
+        }
+    }
+
+    /// [`run_scenario`] on the baseline's 160 particles per step.
+    fn run_baseline(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, RankAbort>> {
+        run_scenario::<FemPic>(sc, &fempic(sc, 160))
+    }
+
+    /// The baseline with its kill moved to `rank`, `step`, `site`.
+    fn kill(rank: usize, step: usize, site: KillSite) -> RankFailScenario {
+        RankFailScenario {
+            fault: Fault::RankKill {
+                rank,
+                step,
+                site,
+                policy: DeathPolicy::Shrink,
+            },
+            ..RankFailScenario::baseline()
+        }
+    }
 
     fn assert_recovered(sc: &RankFailScenario) {
-        let twin = run_rank_failure(&sc.twin());
-        let faulted = run_rank_failure(sc);
+        let twin = run_baseline(&sc.twin());
+        let faulted = run_baseline(sc);
         let verdict = classify_shrink(sc, &twin, &faulted);
         assert!(
             matches!(verdict, ChaosVerdict::Recovered { .. }),
@@ -898,37 +909,21 @@ mod tests {
 
     #[test]
     fn mid_exchange_kill_recovers_bit_identically() {
-        let mut sc = RankFailScenario::baseline();
-        sc.kill = Some(RankKill {
-            rank: 1,
-            step: 7,
-            site: KillSite::Exchange,
-        });
-        assert_recovered(&sc);
+        assert_recovered(&kill(1, 7, KillSite::Exchange));
     }
 
     #[test]
     fn mid_checkpoint_kill_falls_back_one_version() {
-        let mut sc = RankFailScenario::baseline();
-        sc.kill = Some(RankKill {
-            rank: 3,
-            step: 8,
-            site: KillSite::Checkpoint,
-        });
+        let sc = kill(3, 8, KillSite::Checkpoint);
         assert_eq!(sc.recovery_version(), 4, "must fall back past step 8");
         assert_recovered(&sc);
     }
 
     #[test]
     fn killing_the_leader_moves_the_root() {
-        let mut sc = RankFailScenario::baseline();
-        sc.kill = Some(RankKill {
-            rank: 0,
-            step: 6,
-            site: KillSite::Step,
-        });
-        let twin = run_rank_failure(&sc.twin());
-        let faulted = run_rank_failure(&sc);
+        let sc = kill(0, 6, KillSite::Step);
+        let twin = run_baseline(&sc.twin());
+        let faulted = run_baseline(&sc);
         let verdict = classify_shrink(&sc, &twin, &faulted);
         assert!(
             matches!(verdict, ChaosVerdict::Recovered { .. }),
@@ -941,9 +936,12 @@ mod tests {
     #[test]
     fn abort_policy_gives_typed_clean_abort() {
         let mut sc = RankFailScenario::baseline();
-        sc.on_death = DeathPolicy::Abort;
-        let twin = run_rank_failure(&sc.twin());
-        let faulted = run_rank_failure(&sc);
+        let Fault::RankKill { policy, .. } = &mut sc.fault else {
+            unreachable!("the baseline kills a rank")
+        };
+        *policy = DeathPolicy::Abort;
+        let twin = run_baseline(&sc.twin());
+        let faulted = run_baseline(&sc);
         match classify_shrink(&sc, &twin, &faulted) {
             ChaosVerdict::CleanAbort { errors } => {
                 assert_eq!(errors.len(), sc.ranks - 1, "every survivor aborts");
@@ -956,12 +954,58 @@ mod tests {
     #[test]
     fn fault_free_run_never_shrinks() {
         let mut sc = RankFailScenario::baseline();
-        sc.kill = None;
-        for out in run_rank_failure(&sc) {
+        sc.fault = Fault::None;
+        for out in run_baseline(&sc) {
             let fin = out.unwrap().unwrap();
             assert_eq!(fin.epoch, 0);
             assert_eq!(fin.recoveries, 0);
             assert_eq!(fin.members, vec![0, 1, 2, 3]);
+        }
+    }
+
+    /// The reliable link and the checkpoints are transparent to the
+    /// physics: a fault-free resilient run ends, rank by rank, in the
+    /// bits of the plain loop's.
+    #[test]
+    fn fault_free_resilient_run_matches_the_plain_loop() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ranks in 2..=4 {
+            let mut sc = RankFailScenario::baseline();
+            sc.ranks = ranks;
+            sc.fault = Fault::None;
+            let cfg = fempic(&sc, 160);
+            let plain = world_run(ranks, |ctx| {
+                let (mut sim, cell_rank) = FemPic::new_rank(&cfg, ctx.rank, ranks);
+                let mut net = Plain {
+                    ctx,
+                    cell_rank: &cell_rank,
+                };
+                for _ in 0..sc.steps {
+                    let Ok(_) = sim.step_over(&mut net);
+                }
+                sim
+            });
+            let resilient = run_scenario::<FemPic>(&sc, &cfg);
+            for (r, (want, got)) in plain.iter().zip(&resilient).enumerate() {
+                let got = got.as_ref().unwrap().as_ref().unwrap();
+                let observable = |name: &str| {
+                    let o = got.observables.iter().find(|o| o.name == name).unwrap();
+                    bits(&o.values)
+                };
+                let at = format!("{ranks} ranks, rank {r}");
+                assert_eq!(
+                    observable("n_particles"),
+                    bits(&[want.ps.len() as f64]),
+                    "{at}"
+                );
+                assert_eq!(
+                    observable("node_charge"),
+                    bits(want.node_charge.raw()),
+                    "{at}"
+                );
+                assert_eq!(bits(&got.positions), bits(want.ps.col(want.pos)), "{at}");
+                assert_eq!(observable("potential"), bits(want.fem.potential()), "{at}");
+            }
         }
     }
 
@@ -971,10 +1015,8 @@ mod tests {
         let mut sc = RankFailScenario::baseline();
         sc.ranks = 1;
         sc.steps = 5;
-        sc.particles = 8;
         sc.seed = 5;
         sc.checkpoint_every = 2;
-        sc.kill = None;
         sc.fault = Fault::SoftError { step: 3 };
         sc
     }
@@ -982,13 +1024,14 @@ mod tests {
     #[test]
     fn soft_error_rewind_publishes_on_the_rank_hub() {
         let sc = soft_error();
+        let cfg = fempic(&sc, 8);
         let out = world_run_faulty(1, None, |ctx: &mut RankCtx| {
-            let (sim, cell_rank) = FemPic::new_rank(&scenario_config(&sc), ctx.rank, 1);
+            let (sim, cell_rank) = FemPic::new_rank(&cfg, ctx.rank, 1);
             let hub = sim.profiler.telemetry().clone();
             let _guard = hub.make_current();
             let recorder = Arc::new(FlightRecorder::new(4096));
             hub.set_observer(Some(recorder.clone()));
-            let fin = run_rank(ctx, &sc, sim, cell_rank, &hub).unwrap().unwrap();
+            let fin = run_rank(ctx, &sc, &cfg, sim, cell_rank).unwrap().unwrap();
             let dump = oppic_obs::FlightDump::parse(&recorder.dump(Vec::new()).unwrap()).unwrap();
             (fin, hub, dump)
         });
@@ -1014,8 +1057,9 @@ mod tests {
     #[test]
     fn soft_error_heals_bit_identically_and_keeps_its_dump() {
         let sc = soft_error();
-        let reference = run_scenario(&sc.twin());
-        let faulted = run_scenario(&sc);
+        let cfg = fempic(&sc, 8);
+        let reference = run_scenario::<FemPic>(&sc.twin(), &cfg);
+        let faulted = run_scenario::<FemPic>(&sc, &cfg);
         assert_eq!(
             classify_shrink(&sc, &reference, &faulted),
             ChaosVerdict::Recovered {
@@ -1035,10 +1079,10 @@ mod tests {
     fn soft_error_on_many_ranks_is_refused() {
         let mut sc = soft_error();
         sc.ranks = 2;
-        let out = run_rank_failure(&sc);
+        let out = run_scenario::<FemPic>(&sc, &fempic(&sc, 8));
         assert_eq!(out.len(), 2);
         for r in out {
-            assert!(r.unwrap_err().contains("runs on one rank"));
+            assert!(r.unwrap_err().error.contains("runs on one rank"));
         }
     }
 }

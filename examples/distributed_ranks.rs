@@ -5,14 +5,15 @@
 //! cargo run --release --example distributed_ranks
 //! ```
 //!
-//! Demonstrates the Section 3.2 machinery end to end: the directional
-//! partitioner, pack/alltoallv/hole-fill/unpack particle migration, and
-//! per-step reductions standing in for halo exchanges — and checks
-//! conservation against the single-rank run.
+//! Demonstrates the Section 3.2 machinery end to end on the library's
+//! plain N-rank loop (`oppic_resilience::run_distributed`): the
+//! directional partitioner, pack/alltoallv/hole-fill/unpack particle
+//! migration, and per-step reductions standing in for halo exchanges —
+//! and checks conservation against the single-rank run.
 
-use op_pic::cabana::CabanaConfig;
-use op_pic::fempic::FemPicConfig;
-use oppic_bench::distributed::{run_cabana_distributed, run_fempic_distributed};
+use op_pic::cabana::{CabanaConfig, StructuredCabana};
+use op_pic::fempic::{FemPic, FemPicConfig};
+use oppic_resilience::run_distributed;
 
 fn main() {
     // ---- CabanaPIC across 1, 2, 4 ranks ----
@@ -37,7 +38,7 @@ fn main() {
     );
     let mut reference_energy = None;
     for r in [1usize, 2, 4] {
-        let rep = run_cabana_distributed(&cfg, r, 8);
+        let rep = run_distributed::<StructuredCabana>(&cfg, r, 8);
         let migrated: usize = rep.ranks.iter().map(|x| x.migrated_out).sum();
         println!(
             "{:>6} {:>12} {:>14.4} {:>10} {:>12.3} {:>16.8e}",
@@ -72,7 +73,7 @@ fn main() {
         "ranks", "particles", "MainLoop (s)", "migrated", "comm (MB)", "imbalance"
     );
     for r in [1usize, 2, 4] {
-        let rep = run_fempic_distributed(&cfg, r, 8);
+        let rep = run_distributed::<FemPic>(&cfg, r, 8);
         let migrated: usize = rep.ranks.iter().map(|x| x.migrated_out).sum();
         println!(
             "{:>6} {:>12} {:>14.4} {:>10} {:>12.3} {:>12.3}",

@@ -12,8 +12,8 @@
 use op_pic::cabana::{CabanaConfig, CabanaPic};
 use op_pic::core::{SortPolicy, Telemetry};
 use op_pic::fempic::{CollisionModel, FemPic, FemPicConfig};
-use op_pic::mpi::{world_run, Plain};
-use oppic_bench::distributed::run_fempic_distributed;
+use op_pic::mpi::{world_run, Plain, RankApp};
+use oppic_resilience::run_distributed;
 
 const STEPS: usize = 6;
 
@@ -137,7 +137,7 @@ fn two_rank_fempic_counts_steps_and_times_kernels() {
 /// Charge per particle of a 2-rank run of `cfg`, against the
 /// configured charge.
 fn assert_exact_charge_per_particle(cfg: &FemPicConfig) {
-    let rep = run_fempic_distributed(cfg, 2, STEPS);
+    let rep = run_distributed::<FemPic>(cfg, 2, STEPS);
     assert!(rep.total_particles > 0);
     let q = rep.check_scalar / rep.total_particles as f64;
     assert!(

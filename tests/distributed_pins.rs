@@ -8,9 +8,11 @@
 //! to the distributed step, the migration codec or the per-rank setup
 //! that moves a single bit or byte fails here.
 
-use op_pic::fempic::FemPicConfig;
-use oppic_bench::distributed::{run_cabana_distributed, run_fempic_distributed, DistributedReport};
-use oppic_bench::rankfail::{run_rank_failure, RankFailScenario, RankFinal};
+use op_pic::cabana::{CabanaConfig, StructuredCabana};
+use op_pic::fempic::{FemPic, FemPicConfig};
+use oppic_resilience::{
+    run_distributed, run_scenario, DistributedReport, RankAbort, RankFailScenario, RankFinal,
+};
 
 fn summary(rep: &DistributedReport) -> String {
     let ranks: Vec<String> = rep
@@ -33,15 +35,25 @@ fn digest(xs: &[f64]) -> u64 {
     })
 }
 
-fn rank_failure_summary(out: &[Result<Option<RankFinal>, String>]) -> Vec<String> {
+/// The baseline scenario in its world: 160 particles injected per
+/// step.
+fn rank_failure_run(sc: &RankFailScenario) -> Vec<Result<Option<RankFinal>, RankAbort>> {
+    run_scenario::<FemPic>(sc, &FemPicConfig::tiny_seeded(160, sc.seed))
+}
+
+fn rank_failure_summary(out: &[Result<Option<RankFinal>, RankAbort>]) -> Vec<String> {
+    let observable = |f: &RankFinal, name: &str| {
+        let o = f.observables.iter().find(|o| o.name == name);
+        o.expect("a FemPIC observable").values.clone()
+    };
     out.iter()
         .map(|r| match r {
             Err(e) => format!("err({e})"),
             Ok(None) => "dead".to_string(),
             Ok(Some(f)) => format!(
                 "(p={} q={:#018x} epoch={} members={:?} replayed={})",
-                f.particles,
-                digest(&f.node_charge),
+                observable(f, "n_particles")[0],
+                digest(&observable(f, "node_charge")),
                 f.epoch,
                 f.members,
                 f.steps_replayed
@@ -52,7 +64,7 @@ fn rank_failure_summary(out: &[Result<Option<RankFinal>, String>]) -> Vec<String
 
 #[test]
 fn fempic_distributed_pin() {
-    let rep = run_fempic_distributed(&FemPicConfig::tiny(), 3, 5);
+    let rep = run_distributed::<FemPic>(&FemPicConfig::tiny(), 3, 5);
     assert_eq!(
         summary(&rep),
         "total=240 check=0x4003333333333333 ranks=[(50,9520),(50,6960),(61,7928)]"
@@ -61,7 +73,7 @@ fn fempic_distributed_pin() {
 
 #[test]
 fn cabana_distributed_pin() {
-    let rep = run_cabana_distributed(&op_pic::cabana::CabanaConfig::tiny(), 4, 6);
+    let rep = run_distributed::<StructuredCabana>(&CabanaConfig::tiny(), 4, 6);
     assert_eq!(
         summary(&rep),
         "total=1024 check=0x3f947c85e142ee7b ranks=[(0,55320),(0,18440),(0,18440),(0,18440)]"
@@ -71,7 +83,7 @@ fn cabana_distributed_pin() {
 #[test]
 fn rank_failure_step_kill_pin() {
     let sc = RankFailScenario::baseline();
-    let got = rank_failure_summary(&run_rank_failure(&sc));
+    let got = rank_failure_summary(&rank_failure_run(&sc));
     assert_eq!(
         got,
         [
@@ -86,7 +98,7 @@ fn rank_failure_step_kill_pin() {
 #[test]
 fn rank_failure_planned_shrink_pin() {
     let sc = RankFailScenario::baseline().twin();
-    let got = rank_failure_summary(&run_rank_failure(&sc));
+    let got = rank_failure_summary(&rank_failure_run(&sc));
     assert_eq!(
         got,
         [

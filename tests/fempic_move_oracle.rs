@@ -13,7 +13,7 @@ use op_pic::core::{DepositMethod, ExecPolicy};
 use op_pic::fempic::{FemPic, FemPicConfig, MoveStrategy, BARY_TOL};
 use op_pic::mesh::geometry::{bary_inside, barycentric};
 use op_pic::mesh::Vec3;
-use op_pic::mpi::{world_run, Plain, RankCtx};
+use op_pic::mpi::{world_run, Plain, RankApp, RankCtx};
 
 const LC_TOL: f64 = 1e-12;
 
