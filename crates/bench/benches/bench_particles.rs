@@ -1,18 +1,21 @@
 //! Criterion microbench: particle-store bookkeeping — hole filling at
 //! varying removal fractions, cell sort, shuffle, pack/unpack — and the
-//! DSL executors against hand-written loops over the same data.
+//! DSL executors against hand-written loops over the same data, for
+//! FemPIC's push, move and deposit and CabanaPIC's `Move_Deposit`.
 
 use std::cell::RefCell;
 
 use criterion::{
     criterion_group, criterion_main, BatchSize, Bencher, BenchmarkId, Criterion, Throughput,
 };
+use oppic_cabana::common::{boris_push, move_deposit_particle, stencil27};
+use oppic_cabana::{CabanaConfig, CabanaPic};
 use oppic_core::{
-    move_loop, DepositMethod, ExecPolicy, Fixed, MoveConfig, MoveResult, ParticleDats,
+    move_loop, DepositMethod, ExecPolicy, Fixed, MoveConfig, MoveResult, ParticleDats, SortPolicy,
 };
 use oppic_fempic::{FemPic, FemPicConfig, Integrator, MoveStrategy, BARY_TOL};
 use oppic_mesh::geometry::{bary_inside, bary_min_index, barycentric_from_map};
-use oppic_mesh::{StructuredOverlay, Vec3};
+use oppic_mesh::{HexMesh, StructuredOverlay, Vec3};
 
 fn make_store(n: usize) -> ParticleDats {
     let mut ps = ParticleDats::new();
@@ -380,6 +383,158 @@ fn bench_executor_vs_hand(c: &mut Criterion) {
     g.finish();
 }
 
+/// CabanaPIC's `Move_Deposit` through the DSL executor (the engine's
+/// staged blocks) against the same arithmetic as a hand-written loop
+/// that finishes one particle before the next: trilinear gather,
+/// Boris push, then the path-splitting move and deposit. The problem
+/// is `configs/cabana_two_stream.cfg` under `Seq` after 25 steps,
+/// right after `Interpolate`; every iteration first restores that
+/// state (positions, velocities, cells and a cleared accumulator)
+/// outside the timed call. Both sides are checked bit for bit before
+/// timing; the timings are reported, not gated.
+fn bench_move_deposit(c: &mut Criterion) {
+    let (nx, ny, nz) = (32, 4, 4);
+    let cfg = CabanaConfig {
+        nx,
+        ny,
+        nz,
+        dx: 1.0 / nx as f64,
+        dy: 1.0 / ny as f64,
+        dz: 1.0 / nz as f64,
+        ppc: 64,
+        v0: 0.2,
+        perturbation: 0.02,
+        modes: 2,
+        dt: 0.5 / nx as f64 / 3f64.sqrt(),
+        sort_policy: SortPolicy::EveryN(20),
+        policy: ExecPolicy::Seq,
+        ..CabanaConfig::default()
+    };
+    let mut sim = CabanaPic::new_dsl(cfg.clone());
+    sim.run(25);
+    sim.interpolate();
+    let geom = sim.geom;
+    let (dt, n, n_cells) = (sim.cfg.dt, sim.ps.len(), geom.n_cells());
+    let qm_half_dt = sim.cfg.charge / sim.cfg.mass * dt * 0.5;
+    let q_w = sim.cfg.charge * sim.weight;
+    let pos0 = sim.ps.col(sim.pos).to_vec();
+    let vel0 = sim.ps.col(sim.vel).to_vec();
+    let cells0 = sim.ps.cells().to_vec();
+    let eb: Vec<[f64; 6]> = sim
+        .e
+        .raw()
+        .chunks_exact(3)
+        .zip(sim.b.raw().chunks_exact(3))
+        .map(|(e, b)| [e[0], e[1], e[2], b[0], b[1], b[2]])
+        .collect();
+    // The hand side's own tables: the periodic face map, each cell's
+    // 3×3×3 stencil through it, and each cell's (i,j,k) and low corner.
+    let c2c6 = HexMesh::periodic_box(nx, ny, nz, cfg.dx, cfg.dy, cfg.dz).c2c6;
+    let nb = |c: usize, a: usize, d: i32| c2c6[c][a * 2 + usize::from(d > 0)] as usize;
+    let stencils: Vec<[usize; 27]> = (0..n_cells).map(|c| stencil27(c, nb)).collect();
+    let ijk: Vec<[usize; 3]> = (0..n_cells).map(|c| geom.cell_ijk(c)).collect();
+    let lo: Vec<[f64; 3]> = ijk.iter().map(|&t| geom.cell_lo(t)).collect();
+    let d = geom.deltas();
+
+    let hand = |pos: &mut [f64], vel: &mut [f64], cells: &mut [i32], acc: &mut [f64]| -> u64 {
+        let mut visits = 0;
+        let rows = pos.as_chunks_mut::<3>().0.iter_mut();
+        for ((x, v), cl) in rows.zip(vel.as_chunks_mut::<3>().0).zip(cells) {
+            let c = *cl as usize;
+            // Shape row: per axis the offset from the cell centre in
+            // cell units, the corner weights as products over x, y, z
+            // and the corner cells one stencil step towards the particle.
+            let mut w = [0.0f64; 3];
+            let mut step = [0i32; 3];
+            for a in 0..3 {
+                let frac = (x[a] - lo[c][a]) / d[a] - 0.5;
+                let stride = [1, 3, 9][a];
+                step[a] = if frac >= 0.0 { stride } else { -stride };
+                w[a] = frac.abs().min(1.0);
+            }
+            let mut f = [0.0f64; 6];
+            for corner in 0..8 {
+                let (mut idx, mut weight) = (13i32, 1.0);
+                for a in 0..3 {
+                    if corner >> a & 1 == 1 {
+                        idx += step[a];
+                        weight *= w[a];
+                    } else {
+                        weight *= 1.0 - w[a];
+                    }
+                }
+                let row = &eb[stencils[c][idx as usize]];
+                for k in 0..6 {
+                    f[k] += weight * row[k];
+                }
+            }
+            let nv = boris_push(*v, [f[0], f[1], f[2]], [f[3], f[4], f[5]], qm_half_dt);
+            *v = nv;
+            let (end, visited) =
+                move_deposit_particle(&geom, x, &nv, c, ijk[c], dt, nb, |cell, frac| {
+                    let a = &mut acc[cell * 3..cell * 3 + 3];
+                    a[0] += q_w * nv[0] * frac;
+                    a[1] += q_w * nv[1] * frac;
+                    a[2] += q_w * nv[2] * frac;
+                });
+            *cl = end as i32;
+            visits += visited as u64;
+        }
+        visits
+    };
+
+    // Same bits before timing. The engine's accumulator is private, so
+    // the current is compared as `AccumulateCurrent`'s J = acc / V.
+    let (mut pos, mut vel, mut cells) = (pos0.clone(), vel0.clone(), cells0.clone());
+    let mut acc = vec![0.0; n_cells * 3];
+    let hand_visits = hand(&mut pos, &mut vel, &mut cells, &mut acc);
+    assert_eq!(sim.move_deposit(), hand_visits, "move_deposit: visits");
+    assert!(hand_visits > n as u64, "some particle must cross a face");
+    assert_eq!(sim.ps.col(sim.pos), &pos[..], "move_deposit: positions");
+    assert_eq!(sim.ps.col(sim.vel), &vel[..], "move_deposit: velocities");
+    assert_eq!(sim.ps.cells(), &cells[..], "move_deposit: cells");
+    sim.accumulate_current();
+    let inv_vol = 1.0 / geom.cell_volume();
+    let j: Vec<f64> = acc.iter().map(|a| a * inv_vol).collect();
+    assert_eq!(sim.j.raw(), &j[..], "move_deposit: current");
+
+    let mut g = c.benchmark_group("executor_vs_hand");
+    g.throughput(Throughput::Elements(n as u64));
+    let sim = RefCell::new(sim);
+    g.bench_function("move_deposit/dsl", |b| {
+        b.iter_batched(
+            || {
+                let s = &mut *sim.borrow_mut();
+                let (p, v) = s.ps.cols_mut2(s.pos, s.vel);
+                p.copy_from_slice(&pos0);
+                v.copy_from_slice(&vel0);
+                s.ps.cells_mut().copy_from_slice(&cells0);
+                s.accumulate_current();
+            },
+            |()| sim.borrow_mut().move_deposit(),
+            BatchSize::SmallInput,
+        )
+    });
+    let state = RefCell::new((pos, vel, cells, acc));
+    g.bench_function("move_deposit/hand", |b| {
+        b.iter_batched(
+            || {
+                let (p, v, c, a) = &mut *state.borrow_mut();
+                p.copy_from_slice(&pos0);
+                v.copy_from_slice(&vel0);
+                c.copy_from_slice(&cells0);
+                a.fill(0.0);
+            },
+            |()| {
+                let (p, v, c, a) = &mut *state.borrow_mut();
+                hand(p, v, c, a)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 fn short() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -395,6 +550,6 @@ criterion_group! {
 criterion_group! {
     name = executor;
     config = short().sample_size(400);
-    targets = bench_executor_vs_hand
+    targets = bench_executor_vs_hand, bench_move_deposit
 }
 criterion_main!(benches, executor);

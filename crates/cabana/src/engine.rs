@@ -27,6 +27,10 @@ use oppic_mpi::{Local, MigrationStats, Transport};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+/// Particles per staged block of `Move_Deposit` (see
+/// [`CabanaEngine::move_deposit`]); 16, 64 and 256 run equally fast.
+const BLOCK: usize = 64;
+
 /// How a version resolves periodic face-neighbours.
 pub trait Topology: Sync {
     fn neighbor(&self, cell: usize, axis: usize, dir: i32) -> usize;
@@ -242,7 +246,9 @@ impl<T: Topology> CabanaEngine<T> {
     /// Each particle builds one trilinear shape row from its cell's
     /// setup-time `c2c27` row and geometry and applies it to both
     /// interpolator fields in one corner loop. The loop runs over the
-    /// persistent binding or plain ranges.
+    /// persistent binding or plain ranges, each window in staged
+    /// blocks: shape rows, gathers and pushes as sweeps ahead of the
+    /// in-order move, so every bit matches one particle at a time.
     /// Relocations are counted and reported to
     /// [`ParticleDats::refine_dirty`], so dirty-fraction sort policies
     /// see the measured churn rather than the worst case.
@@ -268,44 +274,21 @@ impl<T: Topology> CabanaEngine<T> {
             Vec::new()
         };
 
-        // Gather, Boris push and path-splitting move of one particle.
-        // Current goes into the piece's scatter array, the tallies into
-        // the piece's own counters.
-        let kernel = |target: &mut [f64],
-                      tally: &mut MoveTally,
-                      i: usize,
-                      x: &mut [f64; 3],
-                      v: &mut [f64; 3],
-                      cl: &mut i32| {
-            let c = *cl as usize;
-            let home = &cell_geo[c];
-            let row = ShapeRow::new(&geom, *x, home, &c2c27[c]);
-            let [ef, bf] = row.gather(eb);
-            let nv = boris_push(*v, ef, bf, qm_half_dt);
-            *v = nv;
-            let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
-            let (final_cell, visited) =
-                move_deposit_particle(&geom, x, &nv, c, home.ijk, dt, nb, |cell, frac| {
-                    let a = &mut target[cell * 3..cell * 3 + 3];
-                    a[0] += q_w * nv[0] * frac;
-                    a[1] += q_w * nv[1] * frac;
-                    a[2] += q_w * nv[2] * frac;
-                });
-            if final_cell != c {
-                tally.moved += 1;
-            }
-            *cl = final_cell as i32;
-            tally.visited += visited as u64;
-            if let Some(slot) = visit_log.get(i) {
-                slot.store(visited, Ordering::Relaxed);
-            }
-        };
+        let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
 
         // The iteration space only cuts scatter pieces: the persistent
         // binding (the same worker moves the same particles step after
         // step) or plain ranges. Particle writes are element-local, so
         // pos/vel/cells are independent of the cut; the current is
         // reduced in piece order.
+        //
+        // Each window runs in blocks of `BLOCK` particles: three
+        // branch-free sweeps build every shape row, gather every row's
+        // fields and Boris-push every velocity, then the path-splitting
+        // move walks the block in particle order. No sweep waits on the
+        // move's data-dependent branches, so one particle's gather
+        // overlaps the next one's, and the current still reaches the
+        // piece's scatter array in particle order.
         let space = self.binding.as_ref().map_or(Space::Range, Space::Binding);
         let (pos, vel, cells) = self.ps.cols_mut2_with_cells_mut(self.pos, self.vel);
         let tally = par_loop_scatter(
@@ -313,7 +296,48 @@ impl<T: Topology> CabanaEngine<T> {
             space,
             (Fixed::<3>(pos), Fixed::<3>(vel), cells),
             acc,
-            |target, tally, w| w.each(|i, (x, v, cl)| kernel(target, tally, i, x, v, cl)),
+            |target, tally: &mut MoveTally, w| {
+                let (Fixed(pos), Fixed(vel), cells) = w.cols;
+                let (pos, vel) = (pos.as_chunks_mut::<3>().0, vel.as_chunks_mut::<3>().0);
+                let mut rows = Vec::with_capacity(BLOCK);
+                let mut fields = Vec::with_capacity(BLOCK);
+                let blocks = pos
+                    .chunks_mut(BLOCK)
+                    .zip(vel.chunks_mut(BLOCK))
+                    .zip(cells.chunks_mut(BLOCK));
+                for (b, ((xs, vs), cls)) in blocks.enumerate() {
+                    rows.clear();
+                    rows.extend(xs.iter().zip(cls.iter()).map(|(x, &c)| {
+                        let c = c as usize;
+                        ShapeRow::new(&geom, *x, &cell_geo[c], &c2c27[c])
+                    }));
+                    fields.clear();
+                    fields.extend(rows.iter().map(|row| row.gather(eb)));
+                    for (v, [ef, bf]) in vs.iter_mut().zip(&fields) {
+                        *v = boris_push(*v, *ef, *bf, qm_half_dt);
+                    }
+                    let first = w.first + b * BLOCK;
+                    for (k, ((x, v), cl)) in xs.iter_mut().zip(&*vs).zip(cls).enumerate() {
+                        let c = *cl as usize;
+                        let ijk = cell_geo[c].ijk;
+                        let (final_cell, visited) =
+                            move_deposit_particle(&geom, x, v, c, ijk, dt, nb, |cell, frac| {
+                                let a = &mut target[cell * 3..cell * 3 + 3];
+                                a[0] += q_w * v[0] * frac;
+                                a[1] += q_w * v[1] * frac;
+                                a[2] += q_w * v[2] * frac;
+                            });
+                        if final_cell != c {
+                            tally.moved += 1;
+                        }
+                        *cl = final_cell as i32;
+                        tally.visited += visited as u64;
+                        if let Some(slot) = visit_log.get(first + k) {
+                            slot.store(visited, Ordering::Relaxed);
+                        }
+                    }
+                }
+            },
         );
         self.ps.refine_dirty(tally.moved as usize);
         self.last_visited = visit_log.into_iter().map(AtomicU32::into_inner).collect();
@@ -732,5 +756,198 @@ mod locality_tests {
             sim.ps.dirty_count() < sim.ps.len(),
             "measured churn, not the all-dirty worst case"
         );
+    }
+}
+
+#[cfg(test)]
+mod staged_tests {
+    use super::*;
+    use crate::dsl::CabanaPic;
+    use crate::structured::StructuredCabana;
+    use oppic_core::ExecPolicy;
+
+    /// `Move_Deposit` one particle at a time, as the kernel ran before
+    /// the staged block: shape row, gather, Boris push and move of each
+    /// particle in turn. Returns the visits and the per-particle log.
+    fn one_at_a_time<T: Topology>(sim: &mut CabanaEngine<T>) -> (u64, Vec<u32>) {
+        let geom = sim.geom;
+        let (topo, c2c27, cell_geo) = (&sim.topo, &sim.c2c27, &sim.cell_geo);
+        let dt = sim.cfg.dt;
+        let qm_half_dt = sim.cfg.charge / sim.cfg.mass * dt * 0.5;
+        let q_w = sim.cfg.charge * sim.weight;
+        pack_fields(sim.interp_e.raw(), sim.interp_b.raw(), &mut sim.interp_eb);
+        let eb = &sim.interp_eb;
+        let log: Vec<AtomicU32> = (0..sim.ps.len()).map(|_| AtomicU32::new(0)).collect();
+        let (pos, vel, cells) = sim.ps.cols_mut2_with_cells_mut(sim.pos, sim.vel);
+        let tally = par_loop_scatter(
+            &sim.cfg.policy,
+            Space::Range,
+            (Fixed::<3>(pos), Fixed::<3>(vel), cells),
+            &mut sim.acc,
+            |target, tally: &mut MoveTally, w| {
+                w.each(|i, (x, v, cl)| {
+                    let c = *cl as usize;
+                    let home = &cell_geo[c];
+                    let [ef, bf] = ShapeRow::new(&geom, *x, home, &c2c27[c]).gather(eb);
+                    let nv = boris_push(*v, ef, bf, qm_half_dt);
+                    *v = nv;
+                    let nb = |cc: usize, a: usize, d: i32| topo.neighbor(cc, a, d);
+                    let (final_cell, visited) =
+                        move_deposit_particle(&geom, x, &nv, c, home.ijk, dt, nb, |cell, frac| {
+                            let a = &mut target[cell * 3..cell * 3 + 3];
+                            a[0] += q_w * nv[0] * frac;
+                            a[1] += q_w * nv[1] * frac;
+                            a[2] += q_w * nv[2] * frac;
+                        });
+                    *cl = final_cell as i32;
+                    tally.visited += visited as u64;
+                    log[i].store(visited, Ordering::Relaxed);
+                })
+            },
+        );
+        (
+            tally.visited,
+            log.into_iter().map(AtomicU32::into_inner).collect(),
+        )
+    }
+
+    /// SplitMix64 as a uniform draw in `[0, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// `sim` refilled with `n` seeded particles, each anywhere in a
+    /// seeded cell and moving up to ~1.2 cell widths a step along x
+    /// (half that along y and z) in any direction, under seeded E and B
+    /// fields: a step crosses faces and wraps the periodic box.
+    fn seeded<T: Topology>(mut sim: CabanaEngine<T>, n: usize) -> CabanaEngine<T> {
+        let mut s = 7u64;
+        let mut ps = sim.ps.clone_schema();
+        let cells: Vec<i32> = (0..n)
+            .map(|_| (uniform(&mut s) * sim.geom.n_cells() as f64) as i32)
+            .collect();
+        ps.inject_into(&cells);
+        let d = sim.geom.deltas();
+        let v_max = 1.2 * d[0] / sim.cfg.dt;
+        let (pos, vel) = ps.cols_mut2(sim.pos, sim.vel);
+        for ((x, v), &c) in pos.chunks_mut(3).zip(vel.chunks_mut(3)).zip(&cells) {
+            let lo = sim.geom.cell_lo(sim.geom.cell_ijk(c as usize));
+            for a in 0..3 {
+                x[a] = lo[a] + uniform(&mut s) * d[a];
+                v[a] = (2.0 * uniform(&mut s) - 1.0) * v_max;
+            }
+        }
+        sim.ps = ps;
+        for f in [sim.e.raw_mut(), sim.b.raw_mut()] {
+            f.iter_mut().for_each(|x| *x = 2.0 * uniform(&mut s) - 1.0);
+        }
+        sim.interpolate();
+        sim
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Run the staged `move_deposit` on `staged` and the one-at-a-time
+    /// reference on `reference` (equal states) and compare everything
+    /// either writes. Returns `(visits, particles that wrapped)`.
+    fn assert_same<T: Topology>(
+        mut staged: CabanaEngine<T>,
+        mut reference: CabanaEngine<T>,
+        what: &str,
+    ) -> (u64, usize) {
+        let before = staged.ps.col(staged.pos).to_vec();
+        let visits = staged.move_deposit();
+        let (ref_visits, ref_log) = one_at_a_time(&mut reference);
+        assert_eq!(visits, ref_visits, "{what}: visits");
+        assert_eq!(staged.last_visited, ref_log, "{what}: visit log");
+        let (s, r) = (&staged.ps, &reference.ps);
+        assert_eq!(
+            bits(s.col(staged.pos)),
+            bits(r.col(reference.pos)),
+            "{what}: pos"
+        );
+        assert_eq!(
+            bits(s.col(staged.vel)),
+            bits(r.col(reference.vel)),
+            "{what}: vel"
+        );
+        assert_eq!(s.cells(), r.cells(), "{what}: cells");
+        assert_eq!(bits(&staged.acc), bits(&reference.acc), "{what}: current");
+        staged.check_invariants().unwrap();
+        let half = staged.geom.lengths().map(|l| l / 2.0);
+        let after = staged.ps.col(staged.pos);
+        let wrapped = before
+            .chunks(3)
+            .zip(after.chunks(3))
+            .filter(|(b, a)| (0..3).any(|k| (a[k] - b[k]).abs() > half[k]))
+            .count();
+        (visits, wrapped)
+    }
+
+    #[test]
+    fn staged_block_matches_one_particle_at_a_time() {
+        for policy in [ExecPolicy::Seq, ExecPolicy::pool(2)] {
+            let mut cfg = CabanaConfig::tiny();
+            cfg.policy = policy.clone();
+            cfg.record_visits = true;
+            for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 37] {
+                let what = format!("{policy:?}, n = {n}");
+                let dsl = |cfg: &CabanaConfig| seeded(CabanaPic::new_dsl(cfg.clone()), n);
+                let (visits, wrapped) = assert_same(dsl(&cfg), dsl(&cfg), &what);
+                let st =
+                    |cfg: &CabanaConfig| seeded(StructuredCabana::new_structured(cfg.clone()), n);
+                assert_eq!(assert_same(st(&cfg), st(&cfg), &what), (visits, wrapped));
+                if n > BLOCK {
+                    assert!(
+                        visits > 2 * n as u64,
+                        "{what}: {visits} visits, too few crossings"
+                    );
+                    assert!(wrapped > 0, "{what}: no particle wrapped");
+                }
+            }
+        }
+    }
+
+    /// `last_visited` (the figures' per-particle divergence log) sums to
+    /// the visits `move_deposit` returns on every step, and a move cut
+    /// into pool(2) pieces logs the same counts at the same indices as
+    /// one `Seq` piece.
+    #[test]
+    fn visit_log_sums_to_visits_and_ignores_the_cut() {
+        let mut cfg = CabanaConfig::tiny();
+        cfg.record_visits = true;
+        let odd = |cfg: &CabanaConfig| {
+            let mut sim = StructuredCabana::new_structured(cfg.clone());
+            sim.ps.remove_fill(&[3, 200, 517]);
+            sim
+        };
+        let (mut seq, mut pool) = (odd(&cfg), odd(&cfg));
+        assert_eq!(seq.ps.len() % BLOCK, BLOCK - 3);
+        for _ in 0..4 {
+            let d = seq.step();
+            let logged: u64 = seq.last_visited.iter().map(|&v| v as u64).sum();
+            assert_eq!(seq.last_visited.len(), seq.ps.len());
+            assert_eq!(d.mean_visited, logged as f64 / seq.ps.len() as f64);
+            pool.step();
+        }
+        pool.cfg.policy = ExecPolicy::pool(2);
+        for sim in [&mut seq, &mut pool] {
+            sim.interpolate();
+        }
+        let visits = seq.move_deposit();
+        assert_eq!(pool.move_deposit(), visits);
+        let logged: u64 = pool.last_visited.iter().map(|&v| v as u64).sum();
+        assert_eq!(logged, visits);
+        assert!(
+            visits > seq.ps.len() as u64,
+            "some particle must cross a face"
+        );
+        assert_eq!(seq.last_visited, pool.last_visited);
     }
 }
