@@ -14,6 +14,11 @@ trap 'mv /tmp/oppic_ci_perfbench_lock perfbench/Cargo.lock' EXIT
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== public items have callers"
+# A pub fn/struct/enum/const/static/type/trait of a crate or shim that
+# no other line names (its own unit tests aside) is dead API: delete it.
+python3 scripts/check_pub_callers.py
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -129,10 +129,6 @@ impl Report {
         self.diags.iter().filter(|d| d.severity == severity).count()
     }
 
-    pub fn is_clean(&self) -> bool {
-        self.diags.is_empty()
-    }
-
     /// Findings with the given code (test convenience).
     pub fn with_code(&self, code: &str) -> Vec<&Diagnostic> {
         self.diags.iter().filter(|d| d.code == code).collect()
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     fn report_aggregates_and_exits() {
         let mut r = Report::new();
-        assert!(r.is_clean());
+        assert!(r.diags.is_empty());
         assert_eq!(r.exit_code(), 0);
         r.push(Diagnostic::info("plan/unused-strategy", "L", "note"));
         // Notes alone never fail, strict or not.

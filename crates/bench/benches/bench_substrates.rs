@@ -1,9 +1,9 @@
 //! Criterion microbench: substrate layers — the factored field solve,
-//! partitioners, overlay build/locate.
+//! the directional partitioner, overlay build/locate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use oppic_mesh::{StructuredOverlay, TetMesh, Vec3};
-use oppic_mpi::partition::{directional_partition, graph_growing_partition, rcb_partition};
+use oppic_mpi::partition::directional_partition;
 
 fn bench_field_solve(c: &mut Criterion) {
     let mut g = c.benchmark_group("field_solve");
@@ -21,14 +21,9 @@ fn bench_field_solve(c: &mut Criterion) {
 fn bench_partitioners(c: &mut Criterion) {
     let mesh = TetMesh::duct(12, 12, 12, 1.0, 1.0, 1.0);
     let cen: Vec<Vec3> = (0..mesh.n_cells()).map(|i| mesh.cell_centroid(i)).collect();
-    let c2c: Vec<Vec<i32>> = mesh.c2c.iter().map(|a| a.to_vec()).collect();
     let mut g = c.benchmark_group("partition_10k_cells");
     g.bench_function("directional", |b| {
         b.iter(|| directional_partition(&cen, 0, 16))
-    });
-    g.bench_function("rcb", |b| b.iter(|| rcb_partition(&cen, 16)));
-    g.bench_function("graph_growing", |b| {
-        b.iter(|| graph_growing_partition(&c2c, 16))
     });
     g.finish();
 }

@@ -4,7 +4,7 @@
 //! artifact (see `src/bin/`), plus shared reporting helpers
 //! ([`report`]). The N-rank runs of fig13, fig14 and the MTTR binary
 //! step the library's run loops in `oppic-resilience`
-//! (`run_distributed`, `run_rank_failure`); [`distributed`] only keeps
+//! (`run_distributed`, `run_scenario`); [`distributed`] only keeps
 //! `run_fempic_distributed`, the name the benchmark package calls.
 //! Nothing but these binaries depends on this crate.
 //!

@@ -155,11 +155,6 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// True unless the run silently corrupted.
-    pub fn no_silent_corruption(&self) -> bool {
-        !matches!(self.verdict, ChaosVerdict::SilentCorruption { .. })
-    }
-
     pub fn recovered(&self) -> bool {
         matches!(self.verdict, ChaosVerdict::Recovered { .. })
     }

@@ -121,7 +121,8 @@ pub struct CellConfig {
     pub app: App,
     pub exec: Exec,
     /// Deposit race strategy (Mini-FEM-PIC only; ignored by CabanaPIC,
-    /// whose current accumulator is always atomic).
+    /// whose `Move_Deposit` adds the current through `par_loop_scatter`:
+    /// one scatter array per piece, reduced in piece order).
     pub deposit: DepositMethod,
     pub mover: Mover,
     pub runtime: Runtime,

@@ -201,24 +201,6 @@ impl Registry {
         self.dats.get(name)
     }
 
-    /// All dats declared on a given set (halo machinery uses this to
-    /// know what to exchange).
-    pub fn dats_on(&self, set: &str) -> Vec<&DatDecl> {
-        let mut v: Vec<&DatDecl> = self.dats.values().filter(|d| d.set == set).collect();
-        v.sort_by(|a, b| a.name.cmp(&b.name));
-        v
-    }
-
-    /// Degrees of freedom per element of a set — the paper quotes these
-    /// per app (Mini-FEM-PIC: 1 DOF/cell, 2 DOF/node, 7 DOF/particle).
-    pub fn dofs_on(&self, set: &str) -> usize {
-        self.dats
-            .values()
-            .filter(|d| d.set == set)
-            .map(|d| d.dim)
-            .sum()
-    }
-
     /// Human-readable summary in declaration order.
     pub fn summary(&self) -> String {
         let mut s = String::new();
@@ -286,7 +268,7 @@ mod tests {
         r.decl_dat("particle position", "x", 1).unwrap();
         assert_eq!(r.set("cells").unwrap().size, 9);
         assert_eq!(r.map("cell_to_nodes_map").unwrap().arity, 4);
-        assert_eq!(r.dats_on("cells").len(), 1);
+        assert_eq!(r.dat("electric field").unwrap().set, "cells");
         let s = r.summary();
         assert!(s.contains("cell_to_nodes_map"));
         assert!(s.contains("particles x") || s.contains("particles"));
@@ -328,20 +310,6 @@ mod tests {
         assert!(r.decl_map("m", "cells", "faces", 3, None).is_err());
         assert!(r.decl_dat("d", "faces", 1).is_err());
         assert!(r.decl_particle_set("p", "faces", 0).is_err());
-    }
-
-    #[test]
-    fn dof_accounting_matches_paper() {
-        // Mini-FEM-PIC: 1 DOF/cell (electric field is stored as dim 3
-        // in our version but the paper's counting is per-dat here we
-        // just verify the sum works), 2 DOF/node, 7 DOF/particle.
-        let mut r = figure4_registry();
-        r.decl_dat("node potential", "nodes", 2).unwrap();
-        r.decl_dat("pos", "x", 3).unwrap();
-        r.decl_dat("vel", "x", 3).unwrap();
-        r.decl_dat("charge", "x", 1).unwrap();
-        assert_eq!(r.dofs_on("nodes"), 2);
-        assert_eq!(r.dofs_on("x"), 7);
     }
 
     #[test]

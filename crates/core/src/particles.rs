@@ -159,20 +159,6 @@ impl ParticleDats {
         (ca, cb)
     }
 
-    /// Three distinct columns mutably at once.
-    pub fn cols_mut3(
-        &mut self,
-        a: ColId,
-        b: ColId,
-        c: ColId,
-    ) -> (&mut [f64], &mut [f64], &mut [f64]) {
-        let [ca, cb, cc] = self
-            .cols
-            .get_disjoint_mut([a.0, b.0, c.0])
-            .expect("cols_mut3 requires distinct in-range columns");
-        (ca, cb, cc)
-    }
-
     /// Element `i` of column `id`.
     #[inline]
     pub fn el(&self, id: ColId, i: usize) -> &[f64] {
@@ -273,11 +259,6 @@ impl ParticleDats {
     /// cross-check these against the live cell column).
     pub fn cell_index_raw(&self) -> Option<&[usize]> {
         (!self.cell_start.is_empty()).then_some(&self.cell_start[..])
-    }
-
-    /// Particle count of cell `c` per the (fresh or stale) index.
-    pub fn cell_count(&self, c: usize) -> usize {
-        self.cell_start[c + 1] - self.cell_start[c]
     }
 
     /// True when the index was built and no mutation has touched the
@@ -841,7 +822,8 @@ mod tests {
             for i in idx[c]..idx[c + 1] {
                 assert_eq!(ps.cells()[i], c as i32);
             }
-            assert_eq!(ps.cell_count(c), idx[c + 1] - idx[c]);
+            let in_c = ps.cells().iter().filter(|&&x| x == c as i32).count();
+            assert_eq!(in_c, idx[c + 1] - idx[c]);
         }
     }
 

@@ -1,9 +1,9 @@
-//! Device-global buffers with collision-counted atomic updates.
+//! Device-global buffers with exact atomic updates.
 //!
 //! A [`DeviceBuffer`] is the model's "device memory": kernels update it
-//! with [`DeviceBuffer::atomic_add`], which (a) performs a real CAS-loop
-//! f64 add — results are exact — and (b) counts the update so the warp
-//! engine can charge serialization cost for colliding addresses.
+//! with [`DeviceBuffer::atomic_add`], a real CAS-loop f64 add, so results
+//! are exact. The warp engine's [`crate::exec::Lane::atomic_add`] records
+//! each update's address to charge serialization cost for collisions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -11,15 +11,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct DeviceBuffer {
     slots: Vec<AtomicU64>,
-    /// Total atomic updates issued.
-    ops: AtomicU64,
 }
 
 impl DeviceBuffer {
     pub fn zeros(len: usize) -> Self {
         DeviceBuffer {
             slots: (0..len).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            ops: AtomicU64::new(0),
         }
     }
 
@@ -27,7 +24,6 @@ impl DeviceBuffer {
     pub fn from_slice(data: &[f64]) -> Self {
         DeviceBuffer {
             slots: data.iter().map(|v| AtomicU64::new(v.to_bits())).collect(),
-            ops: AtomicU64::new(0),
         }
     }
 
@@ -43,7 +39,6 @@ impl DeviceBuffer {
     /// the flavor being modeled — only the *cost* differs).
     #[inline]
     pub fn atomic_add(&self, idx: usize, value: f64) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[idx];
         let mut current = slot.load(Ordering::Relaxed);
         loop {
@@ -80,17 +75,11 @@ impl DeviceBuffer {
             .collect()
     }
 
-    /// Zero all slots and reset the op counter.
+    /// Zero all slots.
     pub fn clear(&self) {
         for s in &self.slots {
             s.store(0f64.to_bits(), Ordering::Release);
         }
-        self.ops.store(0, Ordering::Release);
-    }
-
-    /// Atomic updates issued since creation/clear.
-    pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::Acquire)
     }
 }
 
@@ -125,7 +114,6 @@ mod tests {
         for k in 0..4 {
             assert_eq!(b.get(k), 2500.0);
         }
-        assert_eq!(b.op_count(), 10_000);
     }
 
     #[test]
@@ -137,6 +125,5 @@ mod tests {
         assert_eq!(b.get(0), 8.0);
         b.clear();
         assert_eq!(b.to_vec(), vec![0.0, 0.0]);
-        assert_eq!(b.op_count(), 0);
     }
 }

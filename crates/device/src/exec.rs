@@ -262,11 +262,6 @@ impl Device {
             b / (b + i)
         }
     }
-
-    pub fn reset_clocks(&self) {
-        *self.busy_s.lock() = 0.0;
-        *self.idle_s.lock() = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -368,9 +363,6 @@ mod tests {
         assert_eq!(dev.utilization(), 1.0);
         dev.record_idle(dev.busy_seconds()); // as much idle as busy
         assert!((dev.utilization() - 0.5).abs() < 1e-12);
-        dev.reset_clocks();
-        assert_eq!(dev.utilization(), 1.0);
-        assert_eq!(dev.busy_seconds(), 0.0);
     }
 
     #[test]

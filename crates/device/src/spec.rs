@@ -159,18 +159,6 @@ impl DeviceSpec {
         }
     }
 
-    /// All devices of the single-node study (Figure 9's x axis).
-    pub fn figure9_lineup() -> Vec<DeviceSpec> {
-        vec![
-            Self::xeon_8268_x2(),
-            Self::epyc_7742_x2(),
-            Self::v100(),
-            Self::h100(),
-            Self::mi210(),
-            Self::mi250x_gcd(),
-        ]
-    }
-
     pub fn is_gpu(&self) -> bool {
         self.warp_size > 1
     }
@@ -200,30 +188,11 @@ impl DeviceSpec {
         let fp_t = flops / (self.peak_gflops * 1e9);
         bw_t.max(fp_t)
     }
-
-    /// Attainable GFLOP/s at a given arithmetic intensity (the roofline
-    /// curve itself).
-    pub fn roofline_gflops(&self, ai_flops_per_byte: f64) -> f64 {
-        (self.mem_bw_gbs * ai_flops_per_byte).min(self.peak_gflops)
-    }
-
-    /// The machine balance point (FLOP/byte) where the roofline bends.
-    pub fn ridge_point(&self) -> f64 {
-        self.peak_gflops / self.mem_bw_gbs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lineup_matches_paper() {
-        let devs = DeviceSpec::figure9_lineup();
-        assert_eq!(devs.len(), 6);
-        assert!(devs.iter().any(|d| d.name.contains("V100")));
-        assert!(devs.iter().any(|d| d.name.contains("MI250X")));
-    }
 
     #[test]
     fn amd_safe_atomics_are_pathological() {
@@ -237,19 +206,6 @@ mod tests {
             v100.atomic_penalty(AtomicFlavor::Safe) < 5.0,
             "NVIDIA atomics are fast"
         );
-    }
-
-    #[test]
-    fn roofline_regimes() {
-        let d = DeviceSpec::v100();
-        // Low AI => bandwidth bound.
-        let low = d.roofline_gflops(0.1);
-        assert!((low - 90.0).abs() < 1.0);
-        // High AI => compute bound.
-        assert_eq!(d.roofline_gflops(1e6), d.peak_gflops);
-        // Ridge point consistency.
-        let ai = d.ridge_point();
-        assert!((d.roofline_gflops(ai) - d.peak_gflops).abs() / d.peak_gflops < 1e-9);
     }
 
     #[test]

@@ -29,17 +29,6 @@ impl CsrBuilder {
         self.triplets.push((row as u32, col as u32, value));
     }
 
-    /// Scatter a dense `k×k` block at the given global indices — the
-    /// FEM element-assembly primitive.
-    pub fn add_block(&mut self, rows: &[usize], cols: &[usize], block: &[f64]) {
-        debug_assert_eq!(block.len(), rows.len() * cols.len());
-        for (bi, &r) in rows.iter().enumerate() {
-            for (bj, &c) in cols.iter().enumerate() {
-                self.add(r, c, block[bi * cols.len() + bj]);
-            }
-        }
-    }
-
     /// Sort, merge duplicates, and freeze into a [`CsrMatrix`].
     pub fn build(mut self) -> CsrMatrix {
         self.triplets
@@ -189,18 +178,6 @@ impl CsrMatrix {
         }
         s.sqrt()
     }
-
-    /// Dense representation (tests only).
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut d = vec![0.0; self.n_rows * self.n_cols];
-        for r in 0..self.n_rows {
-            let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                d[r * self.n_cols + *c as usize] += v;
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -260,27 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn block_scatter() {
-        let mut b = CsrBuilder::new(3, 3);
-        b.add_block(&[0, 2], &[0, 2], &[1.0, 2.0, 3.0, 4.0]);
-        let m = b.build();
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(0, 2), 2.0);
-        assert_eq!(m.get(2, 0), 3.0);
-        assert_eq!(m.get(2, 2), 4.0);
-    }
-
-    #[test]
     fn spmv_matches_serial_and_dense() {
         let m = small();
         let x = vec![1.0, -2.0, 0.5];
         let mut y1 = vec![0.0; 3];
         m.spmv(&x, &mut y1);
-        // Dense oracle.
-        let d = m.to_dense();
-        for r in 0..3 {
-            let want: f64 = (0..3).map(|c| d[r * 3 + c] * x[c]).sum();
-            assert!((y1[r] - want).abs() < 1e-14);
+        // Dense oracle: every (r, c) entry, zeros included.
+        for (r, y) in y1.iter().enumerate() {
+            let want: f64 = (0..3).map(|c| m.get(r, c) * x[c]).sum();
+            assert!((y - want).abs() < 1e-14);
         }
     }
 

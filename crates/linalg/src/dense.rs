@@ -1,5 +1,5 @@
-//! Small dense helpers: 4×4 element blocks for FEM assembly and a
-//! pivoted Gaussian elimination used as the oracle in tests.
+//! A small dense matrix with pivoted Gaussian elimination, the oracle
+//! the sparse solvers' tests compare against.
 
 /// Row-major dense matrix view helpers over a flat `Vec<f64>`.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,21 +15,6 @@ impl DenseMatrix {
             n_rows,
             n_cols,
             data: vec![0.0; n_rows * n_cols],
-        }
-    }
-
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(n_rows * n_cols);
-        for r in rows {
-            assert_eq!(r.len(), n_cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        DenseMatrix {
-            n_rows,
-            n_cols,
-            data,
         }
     }
 
@@ -107,34 +92,28 @@ impl DenseMatrix {
     }
 }
 
-/// The 4×4 P1 element stiffness block for a tetrahedron:
-/// `K[i][j] = volume * grad(phi_i) . grad(phi_j)`.
-/// `grads` are the four basis gradients, `volume` the tet volume.
-pub fn p1_stiffness(grads: &[[f64; 3]; 4], volume: f64) -> [[f64; 4]; 4] {
-    let mut k = [[0.0; 4]; 4];
-    for i in 0..4 {
-        for j in 0..4 {
-            let dot =
-                grads[i][0] * grads[j][0] + grads[i][1] * grads[j][1] + grads[i][2] * grads[j][2];
-            k[i][j] = volume * dot;
-        }
-    }
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The 2×2 matrix with rows `[a, b]` and `[c, d]`.
+    fn two_by_two(a: f64, b: f64, c: f64, d: f64) -> DenseMatrix {
+        DenseMatrix {
+            n_rows: 2,
+            n_cols: 2,
+            data: vec![a, b, c, d],
+        }
+    }
+
     #[test]
     fn matvec_basics() {
-        let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let m = two_by_two(1.0, 2.0, 3.0, 4.0);
         assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]
     fn solve_2x2() {
-        let m = DenseMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
+        let m = two_by_two(2.0, 1.0, 1.0, 3.0);
         let x = m.solve(&[5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
@@ -143,35 +122,14 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // Zero on the leading diagonal forces a row swap.
-        let m = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
+        let m = two_by_two(0.0, 1.0, 1.0, 0.0);
         let x = m.solve(&[2.0, 3.0]).unwrap();
         assert_eq!(x, vec![3.0, 2.0]);
     }
 
     #[test]
     fn solve_detects_singular() {
-        let m = DenseMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        let m = two_by_two(1.0, 2.0, 2.0, 4.0);
         assert!(m.solve(&[1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn stiffness_rows_sum_to_zero() {
-        // Gradients of a partition of unity sum to zero, so every
-        // stiffness row/column must sum to zero.
-        let grads = [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-1.0, -1.0, -1.0],
-        ];
-        let k = p1_stiffness(&grads, 0.5);
-        for (i, k_row) in k.iter().enumerate() {
-            let row: f64 = k_row.iter().sum();
-            let col: f64 = (0..4).map(|j| k[j][i]).sum();
-            assert!(row.abs() < 1e-14);
-            assert!(col.abs() < 1e-14);
-            // Diagonal must be positive.
-            assert!(k[i][i] > 0.0);
-        }
     }
 }

@@ -15,8 +15,8 @@
 //! * [`cg`] — Jacobi-preconditioned Conjugate Gradient, the default KSP
 //!   configuration for this matrix class. No step runs it; the tests
 //!   use it as an independent oracle for the factored solve.
-//! * [`dense`] — small dense helpers used by tests and by element
-//!   assembly (4×4 element stiffness blocks).
+//! * [`dense`] — a small dense matrix with pivoted Gaussian
+//!   elimination, the oracle the solvers' tests compare against.
 
 pub mod cg;
 pub mod csr;

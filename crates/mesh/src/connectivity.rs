@@ -1,5 +1,4 @@
-//! Generic connectivity builders shared by the mesh generators and the
-//! distributed-memory halo machinery.
+//! Shared-face connectivity for the tetrahedral mesh generator.
 
 use std::collections::HashMap;
 
@@ -79,60 +78,6 @@ pub fn build_c2c_from_faces(c2n: &[[usize; 4]]) -> (Vec<[i32; 4]>, Vec<(usize, u
     (c2c, boundary)
 }
 
-/// Build the reverse node→cells map from a cells→nodes map in CSR form:
-/// `(offsets, cells)` where the cells adjacent to node `n` are
-/// `cells[offsets[n]..offsets[n+1]]`.
-pub fn build_n2c(c2n: &[[usize; 4]], n_nodes: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut counts = vec![0usize; n_nodes + 1];
-    for nd in c2n {
-        for &n in nd {
-            counts[n + 1] += 1;
-        }
-    }
-    for i in 0..n_nodes {
-        counts[i + 1] += counts[i];
-    }
-    let offsets = counts.clone();
-    let mut fill = counts;
-    let mut cells = vec![0usize; offsets[n_nodes]];
-    for (c, nd) in c2n.iter().enumerate() {
-        for &n in nd {
-            cells[fill[n]] = c;
-            fill[n] += 1;
-        }
-    }
-    (offsets, cells)
-}
-
-/// Breadth-first distance (in c2c hops) from a seed cell. Used by tests
-/// and by the graph-growing partitioner in `oppic-mpi`.
-pub fn bfs_distance(c2c: &[[i32; 4]], seed: usize) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; c2c.len()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[seed] = 0;
-    queue.push_back(seed);
-    while let Some(c) = queue.pop_front() {
-        for &nb in &c2c[c] {
-            if nb >= 0 {
-                let nb = nb as usize;
-                if dist[nb] == u32::MAX {
-                    dist[nb] = dist[c] + 1;
-                    queue.push_back(nb);
-                }
-            }
-        }
-    }
-    dist
-}
-
-/// True when the cell graph described by `c2c` is connected.
-pub fn is_connected(c2c: &[[i32; 4]]) -> bool {
-    if c2c.is_empty() {
-        return true;
-    }
-    bfs_distance(c2c, 0).iter().all(|&d| d != u32::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,34 +112,5 @@ mod tests {
         // Three tets all claiming face {1,2,3}.
         let cells = vec![[0, 1, 2, 3], [4, 1, 3, 2], [5, 1, 2, 3]];
         let _ = build_c2c_from_faces(&cells);
-    }
-
-    #[test]
-    fn n2c_round_trip() {
-        let c2n = two_tets();
-        let (off, cells) = build_n2c(&c2n, 5);
-        // node 0 belongs only to cell 0; node 4 only to cell 1.
-        assert_eq!(&cells[off[0]..off[1]], &[0]);
-        assert_eq!(&cells[off[4]..off[5]], &[1]);
-        // Shared nodes 1,2,3 belong to both.
-        for n in 1..4 {
-            let mut v = cells[off[n]..off[n + 1]].to_vec();
-            v.sort_unstable();
-            assert_eq!(v, vec![0, 1]);
-        }
-        // Total adjacency entries = 4 per cell.
-        assert_eq!(cells.len(), 8);
-    }
-
-    #[test]
-    fn bfs_and_connected() {
-        let (c2c, _) = build_c2c_from_faces(&two_tets());
-        let d = bfs_distance(&c2c, 0);
-        assert_eq!(d, vec![0, 1]);
-        assert!(is_connected(&c2c));
-        // Two disjoint tets are not connected.
-        let cells = vec![[0, 1, 2, 3], [4, 5, 6, 7]];
-        let (c2c2, _) = build_c2c_from_faces(&cells);
-        assert!(!is_connected(&c2c2));
     }
 }

@@ -198,10 +198,6 @@ impl BoundingBox {
     pub fn extent(&self) -> Vec3 {
         self.hi - self.lo
     }
-
-    pub fn center(&self) -> Vec3 {
-        (self.lo + self.hi).scale(0.5)
-    }
 }
 
 /// Signed volume of the tetrahedron `(a, b, c, d)`.
@@ -300,18 +296,6 @@ pub fn barycentric_map(g: &[Vec3; 4], c: Vec3) -> [f64; 16] {
 #[inline]
 pub fn barycentric_from_map(map: &[f64; 16], p: Vec3) -> [f64; 4] {
     std::array::from_fn(|k| map[k] + map[4 + k] * p.x + map[8 + k] * p.y + map[12 + k] * p.z)
-}
-
-/// Area-weighted outward normal of triangle `(a, b, c)` (norm = area).
-#[inline]
-pub fn triangle_area_normal(a: Vec3, b: Vec3, c: Vec3) -> Vec3 {
-    (b - a).cross(c - a).scale(0.5)
-}
-
-/// Centroid of a triangle.
-#[inline]
-pub fn triangle_centroid(a: Vec3, b: Vec3, c: Vec3) -> Vec3 {
-    (a + b + c).scale(1.0 / 3.0)
 }
 
 /// Centroid of a tetrahedron.
@@ -522,22 +506,7 @@ mod tests {
         assert!(b.contains(Vec3::new(0.0, 1.0, 4.0)));
         assert!(!b.contains(Vec3::new(0.0, 3.0, 4.0)));
         assert_eq!(b.extent(), Vec3::new(2.0, 2.0, 2.0));
-        assert_eq!(b.center(), Vec3::new(0.0, 1.0, 4.0));
         let bi = b.inflated(0.5);
         assert!(bi.contains(Vec3::new(1.4, 2.4, 3.0)));
-    }
-
-    #[test]
-    fn triangle_helpers() {
-        let (a, b, c) = (
-            Vec3::ZERO,
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(0.0, 1.0, 0.0),
-        );
-        let n = triangle_area_normal(a, b, c);
-        assert!((n.norm() - 0.5).abs() < 1e-15);
-        assert!((n.z - 0.5).abs() < 1e-15);
-        let cen = triangle_centroid(a, b, c);
-        assert!((cen.x - 1.0 / 3.0).abs() < 1e-15);
     }
 }

@@ -165,13 +165,6 @@ impl HexMesh {
         self.cell_id(i, j, k)
     }
 
-    /// Wrap a point into the primary periodic image.
-    #[inline]
-    pub fn wrap_point(&self, p: Vec3) -> Vec3 {
-        let [lx, ly, lz] = self.lengths();
-        Vec3::new(p.x.rem_euclid(lx), p.y.rem_euclid(ly), p.z.rem_euclid(lz))
-    }
-
     /// Validation used by tests: maps must be total, periodic and
     /// mutually inverse (`+x` of `-x` is identity).
     pub fn validate(&self) -> Vec<String> {
@@ -264,10 +257,6 @@ mod tests {
         // Outside the box wraps around.
         assert_eq!(m.locate(Vec3::new(2.1, 0.1, 0.1)), m.cell_id(0, 0, 0));
         assert_eq!(m.locate(Vec3::new(-0.1, 0.1, 0.1)), m.cell_id(3, 0, 0));
-        let w = m.wrap_point(Vec3::new(-0.1, 2.3, 4.05));
-        assert!((w.x - 1.9).abs() < 1e-12);
-        assert!((w.y - 0.3).abs() < 1e-12);
-        assert!((w.z - 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -13,21 +13,19 @@
 //!   mappings (the CabanaPIC domain): periodic neighbour maps in all
 //!   six directions, exactly mirroring what the paper does when it
 //!   re-expresses the structured CabanaPIC with OP-PIC maps.
-//! * [`connectivity`] — generic builders: shared-face adjacency,
-//!   node→cell reverse maps, mesh validation.
+//! * [`connectivity`] — shared-face adjacency (cell→cell maps and
+//!   boundary faces).
 //! * [`overlay`] — the structured overlay used by the *direct-hop*
 //!   particle move (Section 3.2.2 of the paper): a regular grid mapping
 //!   points to the unstructured cell containing them (cell-map). The
 //!   paper's rank-map is not built: every rank holds the whole mesh.
 
 pub mod connectivity;
-pub mod entities;
 pub mod geometry;
 pub mod hex;
 pub mod overlay;
 pub mod tet;
 
-pub use entities::{EdgeSet, FaceSet};
 pub use geometry::{BoundingBox, Vec3};
 pub use hex::HexMesh;
 pub use overlay::StructuredOverlay;

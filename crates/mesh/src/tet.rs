@@ -260,19 +260,6 @@ impl TetMesh {
             .filter(|f| f.kind == BoundaryKind::Inlet)
     }
 
-    /// Locate the cell containing point `p` by brute force. O(n_cells);
-    /// test/setup use only — the particle mover and the structured
-    /// overlay handle the hot path.
-    pub fn locate_brute_force(&self, p: Vec3) -> Option<usize> {
-        for c in 0..self.n_cells() {
-            let l = crate::geometry::barycentric(p, &self.cell_vertices(c));
-            if crate::geometry::bary_inside(&l, 1e-12) {
-                return Some(c);
-            }
-        }
-        None
-    }
-
     /// Consistency checks used by tests and by `io` after reading a
     /// mesh from disk. Returns a list of human-readable violations.
     pub fn validate(&self) -> Vec<String> {
@@ -406,17 +393,6 @@ mod tests {
         for c in 0..m.n_cells() {
             let l = barycentric(m.cell_centroid(c), &m.cell_vertices(c));
             assert!(bary_inside(&l, 1e-12));
-        }
-    }
-
-    #[test]
-    fn locate_brute_force_agrees_with_centroid() {
-        let m = TetMesh::duct(2, 2, 2, 1.0, 1.0, 1.0);
-        for c in 0..m.n_cells() {
-            let found = m.locate_brute_force(m.cell_centroid(c)).unwrap();
-            // The centroid of a cell is strictly interior, so it can
-            // only be found in that cell.
-            assert_eq!(found, c);
         }
     }
 

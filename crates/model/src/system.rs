@@ -99,12 +99,6 @@ impl SystemSpec {
     pub fn net_time(&self, bytes: f64, messages: f64) -> f64 {
         messages * self.net_latency_s + bytes / (self.net_bw_gbs * 1e9)
     }
-
-    /// Units that fit a power envelope (Figure 15 sizing).
-    pub fn units_in_power_envelope(&self, watts: f64) -> usize {
-        let nodes = (watts / self.node_power_w).floor() as usize;
-        nodes * self.units_per_node
-    }
 }
 
 #[cfg(test)]
@@ -130,13 +124,13 @@ mod tests {
             18
         );
         assert_eq!((kw12 / SystemSpec::bede().node_power_w).floor() as usize, 8);
-        assert_eq!(SystemSpec::bede().units_in_power_envelope(kw12), 32);
+        assert_eq!(8 * SystemSpec::bede().units_per_node, 32);
         assert_eq!(
             (kw12 / SystemSpec::lumi_g().node_power_w).floor() as usize,
             5
         );
         // 5 LUMI nodes = 20 MI250X GPUs = 40 GCDs.
-        assert_eq!(SystemSpec::lumi_g().units_in_power_envelope(kw12), 40);
+        assert_eq!(5 * SystemSpec::lumi_g().units_per_node, 40);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl RankCtx {
         }
     }
 
-    /// Whether a fault schedule is installed on this world.
-    pub fn fault_active(&self) -> bool {
-        self.fault.is_some()
-    }
-
     /// The step at which the installed schedule fail-stops this rank
     /// ([`crate::fault::FaultKind::Crash`]), if any. Rank bodies
     /// consult this and return early — the "stall-forever" kill.
@@ -625,7 +620,7 @@ mod tests {
         let got = world_run_faulty(2, Some(sched), |ctx| {
             if ctx.rank == 0 {
                 ctx.send(1, vec![4.0]);
-                assert!(ctx.fault_active());
+                assert!(ctx.fault.is_some());
                 0.0
             } else {
                 ctx.recv(0)[0]

@@ -114,12 +114,6 @@ impl FailureDetector {
         }
     }
 
-    /// How long `rank`'s lease has been frozen, as of the last
-    /// [`observe`](Self::observe).
-    pub fn silence(&self, rank: usize) -> Duration {
-        self.last[rank].1.elapsed()
-    }
-
     /// Judge `suspects` (ranks named by a failed exchange): block until
     /// each either renews its lease (acquitted) or stays frozen for a
     /// full `death_deadline` (declared dead). Keeps beating our own

@@ -20,9 +20,8 @@
 //!   and the lease, proposal and stable-store boards the resilience
 //!   layer uses.
 //! * [`partition`] — the paper's custom partitioner ("along the
-//!   principal direction of motion of particles", as in PUMIPic), plus
-//!   recursive coordinate bisection and a greedy graph-growing k-way
-//!   partitioner as the ParMETIS stand-in.
+//!   principal direction of motion of particles", as in PUMIPic) and
+//!   the cut, imbalance and halo metrics of a partition.
 //! * [`exchange`] — particle migration: the one migration body
 //!   ([`exchange::exchange`]), the alltoallv path over it, and the [`Transport`]
 //!   trait the apps' one step body is generic over ([`Local`] for one
@@ -42,6 +41,4 @@ pub use comm::{world_run, world_run_faulty, RankCtx};
 pub use exchange::{migrate_particles, Local, MigrationStats, Plain, RaggedPayload, Transport};
 pub use fault::{mix64, FaultAction, FaultKind, FaultSchedule, FaultSpec};
 pub use heartbeat::{beat_jitter, FailureDetector, HeartbeatConfig};
-pub use partition::{
-    directional_partition, graph_growing_partition, rcb_partition, PartitionStats,
-};
+pub use partition::{directional_partition, PartitionStats};

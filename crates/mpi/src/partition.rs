@@ -10,11 +10,8 @@
 //! * [`directional_partition`] — the paper's custom scheme: sort cells
 //!   by centroid coordinate along the given axis, cut into equal
 //!   contiguous blocks;
-//! * [`rcb_partition`] — recursive coordinate bisection;
-//! * [`graph_growing_partition`] — greedy BFS region growing over the
-//!   cell graph (the ParMETIS stand-in, documented in DESIGN.md);
-//! * [`PartitionStats`] — edge cut, imbalance and halo-size metrics the
-//!   partition ablation bench reports.
+//! * [`PartitionStats`] — edge cut, imbalance and halo-size metrics
+//!   (fig13 projects halo traffic from the halo size).
 
 use oppic_mesh::Vec3;
 
@@ -48,130 +45,6 @@ pub fn directional_partition(centroids: &[Vec3], axis: usize, n_ranks: usize) ->
         // Equal-count blocks: cell `pos` of the sorted order goes to
         // floor(pos * R / n).
         rank[cell] = ((pos * n_ranks) / n.max(1)) as u32;
-    }
-    rank
-}
-
-/// Recursive coordinate bisection: split the widest axis at the median
-/// repeatedly until `n_ranks` parts exist. `n_ranks` may be any
-/// positive integer (non-powers of two split proportionally).
-pub fn rcb_partition(centroids: &[Vec3], n_ranks: usize) -> Vec<u32> {
-    assert!(n_ranks > 0);
-    let mut rank = vec![0u32; centroids.len()];
-    let all: Vec<usize> = (0..centroids.len()).collect();
-    rcb_recurse(centroids, &all, 0, n_ranks, &mut rank);
-    rank
-}
-
-fn rcb_recurse(
-    centroids: &[Vec3],
-    cells: &[usize],
-    first_rank: u32,
-    n_parts: usize,
-    rank: &mut [u32],
-) {
-    if n_parts == 1 || cells.is_empty() {
-        for &c in cells {
-            rank[c] = first_rank;
-        }
-        return;
-    }
-    // Widest axis of this subset.
-    let mut lo = Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut hi = Vec3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for &c in cells {
-        lo = lo.min(centroids[c]);
-        hi = hi.max(centroids[c]);
-    }
-    let ext = hi - lo;
-    let axis = if ext.x >= ext.y && ext.x >= ext.z {
-        0
-    } else if ext.y >= ext.z {
-        1
-    } else {
-        2
-    };
-    let mut sorted = cells.to_vec();
-    sorted.sort_by(|&a, &b| {
-        centroids[a][axis]
-            .partial_cmp(&centroids[b][axis])
-            .expect("centroid coordinates must not be NaN")
-    });
-    // Proportional split for odd part counts.
-    let left_parts = n_parts / 2;
-    let right_parts = n_parts - left_parts;
-    let split = sorted.len() * left_parts / n_parts;
-    rcb_recurse(centroids, &sorted[..split], first_rank, left_parts, rank);
-    rcb_recurse(
-        centroids,
-        &sorted[split..],
-        first_rank + left_parts as u32,
-        right_parts,
-        rank,
-    );
-}
-
-/// Greedy graph-growing k-way partition over the cell adjacency:
-/// grow each part by BFS from the lowest-index unassigned cell until it
-/// reaches its target size. Produces connected, balanced parts on
-/// connected meshes — the qualitative behaviour expected from METIS.
-pub fn graph_growing_partition(c2c: &[Vec<i32>], n_ranks: usize) -> Vec<u32> {
-    assert!(n_ranks > 0);
-    let n = c2c.len();
-    let mut rank = vec![u32::MAX; n];
-    let mut assigned = 0usize;
-    let mut next_seed = 0usize;
-    for r in 0..n_ranks {
-        let target = (n - assigned) / (n_ranks - r);
-        if target == 0 {
-            continue;
-        }
-        // Seed: first unassigned cell.
-        while next_seed < n && rank[next_seed] != u32::MAX {
-            next_seed += 1;
-        }
-        if next_seed >= n {
-            break;
-        }
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(next_seed);
-        rank[next_seed] = r as u32;
-        let mut size = 1usize;
-        while size < target {
-            let Some(c) = queue.pop_front() else {
-                // Region exhausted (disconnected component): reseed.
-                let mut found = None;
-                for (k, &rk) in rank.iter().enumerate().take(n).skip(next_seed) {
-                    if rk == u32::MAX {
-                        found = Some(k);
-                        break;
-                    }
-                }
-                match found {
-                    Some(k) => {
-                        rank[k] = r as u32;
-                        size += 1;
-                        queue.push_back(k);
-                        continue;
-                    }
-                    None => break,
-                }
-            };
-            for &nb in &c2c[c] {
-                if nb >= 0 && rank[nb as usize] == u32::MAX && size < target {
-                    rank[nb as usize] = r as u32;
-                    size += 1;
-                    queue.push_back(nb as usize);
-                }
-            }
-        }
-        assigned += size;
-    }
-    // Any stragglers (disconnected leftovers) go to the last rank.
-    for r in rank.iter_mut() {
-        if *r == u32::MAX {
-            *r = (n_ranks - 1) as u32;
-        }
     }
     rank
 }
@@ -249,29 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn rcb_covers_and_balances() {
-        let m = TetMesh::duct(4, 4, 4, 1.0, 1.0, 1.0);
-        for r in [2usize, 3, 4, 5, 8] {
-            let rank = rcb_partition(&centroids(&m), r);
-            check_cover(&rank, r);
-            let stats = partition_stats(&m.c2c, &rank, r);
-            assert!(stats.imbalance < 1.2, "r={r} imbalance {}", stats.imbalance);
-        }
-    }
-
-    #[test]
-    fn graph_growing_covers_and_balances() {
-        let m = TetMesh::duct(4, 4, 4, 1.0, 1.0, 1.0);
-        let c2c: Vec<Vec<i32>> = m.c2c.iter().map(|a| a.to_vec()).collect();
-        for r in [2usize, 4, 7] {
-            let rank = graph_growing_partition(&c2c, r);
-            check_cover(&rank, r);
-            let stats = partition_stats(&m.c2c, &rank, r);
-            assert!(stats.imbalance < 1.4, "r={r} imbalance {}", stats.imbalance);
-        }
-    }
-
-    #[test]
     fn directional_minimises_cut_on_a_duct() {
         // On a long duct, slicing across the long axis must beat
         // slicing across a short axis — the paper's rationale.
@@ -292,9 +142,6 @@ mod tests {
         let m = TetMesh::duct(2, 2, 2, 1.0, 1.0, 1.0);
         let cen = centroids(&m);
         assert!(directional_partition(&cen, 0, 1).iter().all(|&r| r == 0));
-        assert!(rcb_partition(&cen, 1).iter().all(|&r| r == 0));
-        let c2c: Vec<Vec<i32>> = m.c2c.iter().map(|a| a.to_vec()).collect();
-        assert!(graph_growing_partition(&c2c, 1).iter().all(|&r| r == 0));
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! `sample_size` timed samples (respecting the measurement-time
 //! budget) and report mean/min wall-clock per iteration to stdout. No
 //! statistics engine, no HTML reports; the benches exist to be *run*,
-//! and their numbers are read off the terminal.
+//! and their numbers are read off the terminal. As with criterion, the
+//! first command-line argument that does not start with `-` filters
+//! the run: only ids (`group/name`) containing it as a substring run,
+//! so `cargo bench --bench bench_particles -- move_deposit` runs one
+//! group.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
@@ -133,6 +137,8 @@ pub struct Criterion {
     #[allow(dead_code)]
     warm_up_time: Duration,
     measurement_time: Duration,
+    /// Substring an id must contain to run; `None` runs every id.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -141,6 +147,7 @@ impl Default for Criterion {
             sample_size: 20,
             warm_up_time: Duration::from_millis(300),
             measurement_time: Duration::from_secs(2),
+            filter: None,
         }
     }
 }
@@ -158,6 +165,13 @@ impl Criterion {
 
     pub fn measurement_time(mut self, d: Duration) -> Self {
         self.measurement_time = d;
+        self
+    }
+
+    /// Take the id filter from the command line: the first argument
+    /// that does not start with `-` (cargo passes `--bench` first).
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         self
     }
 
@@ -180,6 +194,12 @@ fn run_one<F: FnMut(&mut Bencher)>(
     throughput: Option<Throughput>,
     mut f: F,
 ) {
+    if c.filter
+        .as_deref()
+        .is_some_and(|want| !label.contains(want))
+    {
+        return;
+    }
     let mut b = Bencher::new(c.sample_size, c.measurement_time);
     f(&mut b);
     match b.result {
@@ -234,7 +254,7 @@ impl BenchmarkGroup<'_> {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut c: $crate::Criterion = $config;
+            let mut c: $crate::Criterion = $config.configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -295,5 +315,22 @@ mod tests {
             )
         });
         assert!(setups >= 1);
+    }
+
+    #[test]
+    fn filter_runs_only_matching_ids() {
+        let mut c = Criterion {
+            filter: Some("shim/kept".into()),
+            ..Criterion::default()
+        }
+        .sample_size(2)
+        .measurement_time(Duration::from_millis(10));
+        let (mut kept, mut skipped) = (0u32, 0u32);
+        let mut g = c.benchmark_group("shim");
+        g.bench_function("kept", |b| b.iter(|| kept += 1));
+        g.bench_function("other", |b| b.iter(|| skipped += 1));
+        g.finish();
+        assert!(kept >= 1);
+        assert_eq!(skipped, 0);
     }
 }

@@ -9,7 +9,7 @@ use op_pic::mesh::geometry::{bary_inside, barycentric, sample_tet};
 use op_pic::mesh::{StructuredOverlay, TetMesh, Vec3};
 use op_pic::mpi::comm::world_run;
 use op_pic::mpi::exchange::migrate_particles;
-use op_pic::mpi::partition::{directional_partition, graph_growing_partition, rcb_partition};
+use op_pic::mpi::partition::directional_partition;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -89,17 +89,14 @@ proptest! {
         }
     }
 
-    /// Every partitioner covers all cells with ranks in range.
+    /// The directional partitioner, cutting along any axis, covers all
+    /// cells with ranks in range.
     #[test]
     fn partitioners_cover(n in 2usize..5, ranks in 1usize..7) {
         let mesh = TetMesh::duct(n, n, n, 1.0, 1.0, 1.0);
         let cen: Vec<Vec3> = (0..mesh.n_cells()).map(|c| mesh.cell_centroid(c)).collect();
-        let c2c: Vec<Vec<i32>> = mesh.c2c.iter().map(|a| a.to_vec()).collect();
-        for part in [
-            directional_partition(&cen, 0, ranks),
-            rcb_partition(&cen, ranks),
-            graph_growing_partition(&c2c, ranks),
-        ] {
+        for axis in 0..3 {
+            let part = directional_partition(&cen, axis, ranks);
             prop_assert_eq!(part.len(), mesh.n_cells());
             prop_assert!(part.iter().all(|&r| (r as usize) < ranks));
             // Non-empty ranks when ranks <= cells.
